@@ -14,7 +14,7 @@ GOLDEN_FLAGS = -mesh 4x4 -vcs 4 -rate 0.12 -seed 3 -inject 300 -post 400 \
 # merge — add tests instead.
 COVER_FLOOR = 85.0
 
-.PHONY: all build fmt vet lint test race cover e2e bench benchcheck benchdelta ci golden shardcheck soa-identity frontier-identity build386
+.PHONY: all build fmt vet lint test race cover e2e bench benchcheck benchdelta benchfleet ci golden shardcheck soa-identity frontier-identity build386
 
 all: ci
 
@@ -160,6 +160,16 @@ benchdelta:
 		fi; \
 	done
 	@rm -rf .benchdelta
+
+# benchfleet runs the repository benchmark's fleet workload alone (8
+# shards of one campaign over two in-process daemons, see bench/) with
+# its traced repetition, so the result carries the per-layer rows the
+# golden artefact cache is judged by: coordinator.golden_recompute_s,
+# coordinator.fleet_overhead_ratio, campaign.fixed_cost_share. Needs two
+# cores. Compare two result files with `go run ./bench -compare A B`.
+BENCHFLEET_OUT ?= bench-fleet.json
+benchfleet:
+	$(GO) run ./bench -workload svc_fleet8 -trace 1 -out $(BENCHFLEET_OUT)
 
 # golden regenerates the committed fixtures — the 4×4 and 8×8 record
 # fixtures and the full JSON report fixtures the soa-identity gate

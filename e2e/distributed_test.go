@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -72,6 +73,16 @@ func TestDistributedCampaignSurvivesWorkerKill(t *testing.T) {
 			"-workers", "1", "-auth", authFlag)
 	}
 	victim := workers[1]
+
+	// Declaring a worker dead takes three consecutive failures a backoff
+	// apart (some 300 ms), and only a slot that finds a pending shard can
+	// fail. Twelve shards off one cached golden reference take the
+	// survivors half that, so they first get another tenant's campaign
+	// to finish: the fleet's shards queue behind it while the victim,
+	// idle, starts its own at once and is killed.
+	for _, w := range []*daemon{workers[0], workers[2]} {
+		occupy(t, w, "tok-ops")
+	}
 
 	// SIGKILL the victim the moment it is running a shard, so at least
 	// its in-flight work must be requeued onto the survivors.
@@ -172,7 +183,66 @@ func TestDistributedCampaignSurvivesWorkerKill(t *testing.T) {
 	if total != 12 {
 		t.Fatalf("per-worker shard tallies sum to %d, want 12:\n%s", total, &stdout)
 	}
-	fmt.Printf("distributed gate: %d requeued, survivors absorbed the victim's shards\n", requeued)
+
+	// Each survivor ran several shards of the one campaign: all but the
+	// first must have taken the golden reference from the daemon's cache.
+	var hits float64
+	for _, w := range []*daemon{workers[0], workers[2]} {
+		hits += scrapeMetric(t, w.base, "campaign_golden_cache_hits_total")
+	}
+	if hits < 1 {
+		t.Fatalf("survivors report %v golden-cache hits after %d shards of one campaign, want >= 1", hits, total)
+	}
+	fmt.Printf("distributed gate: %d requeued, survivors absorbed the victim's shards, %v golden-cache hits\n", requeued, hits)
+}
+
+// occupySpec is the paper-scale 8×8 campaign with a sample large enough
+// to keep a single-worker daemon busy for about two seconds.
+const occupySpec = `{"mesh_w":8,"mesh_h":8,"vcs":4,"injection_rate":0.05,"seed":3,` +
+	`"inject_cycle":300,"post_inject_run":500,"drain_deadline":10000,` +
+	`"epoch":1500,"hop_latency":1,"num_faults":640}`
+
+// occupy submits occupySpec to an authed worker as another tenant.
+func occupy(t *testing.T, w *daemon, token string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, w.base+"/v1/jobs", strings.NewReader(occupySpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("occupy %s: got %d, want 201; body: %s", w.base, resp.StatusCode, body)
+	}
+}
+
+// scrapeMetric returns an unlabelled sample's value from a worker's
+// OpenMetrics endpoint (0 when the family is absent).
+func scrapeMetric(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\S+)$`).FindSubmatch(body)
+	if m == nil {
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(m[1]), 64)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return v
 }
 
 // TestDispatchRejectsBadToken checks the fleet's auth actually bites
@@ -183,7 +253,7 @@ func TestDispatchRejectsBadToken(t *testing.T) {
 	w := startDaemon(t, daemonBin, t.TempDir(), "-auth", "ci=tok-e2e")
 
 	args := append([]string{"dispatch",
-		"-workers", w.base, "-token", "tok-wrong", "-shards", "2",
+		"-workers", w.base, "-token", "tok-wrong", "-shards", "12",
 		"-progress=false", "-fig", "none",
 	}, goldenArgs...)
 	out, err := exec.Command(cliBin, args...).CombinedOutput()

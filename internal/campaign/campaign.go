@@ -7,6 +7,8 @@
 //
 // Forking works by warming a single network to the injection cycle and
 // re-forking it per fault, so a cycle-32K campaign pays the warmup once.
+// That fault-free half is an immutable artefact (Golden, goldencache.go)
+// which a GoldenCache shares between the shards and jobs of one process.
 // Runs execute on a small worker pool; each worker reuses one clone
 // arena (sim.Network.CloneInto) across all its runs, and runs whose
 // fault provably never fired short-circuit to a precomputed fault-free
@@ -186,6 +188,13 @@ type Options struct {
 	// give ForEVeR's epoch check a chance to fire. ForEVeR result fields
 	// report not-detected. NoCAlert and Cautious results are unaffected.
 	DisableForever bool
+	// GoldenCache, when non-nil, shares the golden half of the campaign
+	// (warm-up mainline, snapshot ring, per-injection-cycle golden
+	// continuations) with every other Run handed the same cache: a Run
+	// whose artefact is already there, or being built, does not build it
+	// again. Nil — the default — builds it for this Run alone. Reports
+	// are byte-identical either way (test-enforced).
+	GoldenCache *GoldenCache
 	// Progress, when non-nil, is invoked after each completed run with
 	// the number of finished runs and the total. Calls are serialized;
 	// the callback must not call back into the campaign.
@@ -398,75 +407,37 @@ func Run(opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	// Distinct injection cycles, ascending. Each fault group carries its
-	// own cycle (withDefaults enforced homogeneity within a group).
-	var cycles []int64
-	seen := make(map[int64]bool)
-	for _, g := range o.FaultGroups {
-		if !seen[g[0].Cycle] {
-			seen[g[0].Cycle] = true
-			cycles = append(cycles, g[0].Cycle)
-		}
-	}
-	sort.Slice(cycles, func(i, j int) bool { return cycles[i] < cycles[j] })
+	cycles, plan, key := o.goldenInputs()
 
 	// Campaign span: the root of this process's span hierarchy unless a
 	// job or shard span parents it. All span plumbing is nil-safe, so
 	// the tracing-off path below is the old code plus dead branches.
 	camp := o.Tracer.Start(o.TraceParent, "campaign", "campaign")
 
-	// Golden mainline: one fault-free run stepped once from cycle 0 to
-	// the last injection cycle, capturing the snapshot ring along the
-	// way and spawning one golden continuation per injection cycle.
-	plan := planSnapshots(&o, cycles)
-	ring := &snapshotRing{}
-	mainline, err := sim.New(o.Sim, nil)
+	// The golden half: built here, or taken from the cache when an
+	// earlier or concurrent campaign of the same key built it. Every Run
+	// emits the golden-warmup span either way; its cache attribute says
+	// which.
+	warm := camp.Child("phase", "golden-warmup")
+	gold, how, err := o.GoldenCache.get(o.Context, key, func() (*Golden, error) {
+		return buildGolden(&o, cycles, plan, key)
+	})
+	if err == nil && gold.key != key {
+		err = fmt.Errorf("campaign: golden artefact was built for key %.12s, this campaign needs %.12s", gold.key, key)
+	}
+	warm.SetAttr("cache", how)
 	if err != nil {
+		warm.End()
+		camp.SetAttr("error", err.Error())
 		camp.End()
 		return nil, err
 	}
-	if !o.DisableForever {
-		mainline.AttachMonitor(forever.NewMonitor(mainline.RouterConfig(), o.Forever))
-	}
-	wantReconv := !o.DisableFastPath && !o.DisableReconvergence
-	gcOf := make(map[int64]*groupCtx, len(cycles))
-	next := 0 // next snapshot plan entry
-	var tw worker
-	warm := camp.Child("phase", "golden-warmup")
-	for ci, c := range cycles {
-		for {
-			if next < len(plan) && mainline.Cycle() == plan[next] {
-				ring.capture(mainline)
-				next++
-			}
-			if mainline.Cycle() >= c {
-				break
-			}
-			mainline.Step()
-		}
-		gc, err := buildGroupCtx(mainline, ring, &tw, o, c, ci == len(cycles)-1, wantReconv)
-		if err != nil {
-			warm.End()
-			camp.End()
-			return nil, err
-		}
-		gcOf[c] = gc
-	}
-	var timelineBytes int64
-	for _, gc := range gcOf {
-		timelineBytes += gc.rec.ApproxFootprintBytes()
-		if gc.wend != nil {
-			timelineBytes += gc.wend.ApproxFootprintBytes()
-		}
-		if gc.rc != nil {
-			timelineBytes += gc.rc.tl.ApproxFootprintBytes()
-		}
-	}
 	warm.SetAttr("injection_cycles", len(cycles))
-	warm.SetAttr("snapshots", len(ring.snaps))
-	warm.SetAttr("snapshot_bytes", ring.bytes)
-	warm.SetAttr("golden_cycle", mainline.Cycle())
+	warm.SetAttr("snapshots", len(gold.ring.snaps))
+	warm.SetAttr("snapshot_bytes", gold.ring.bytes)
+	warm.SetAttr("golden_cycle", gold.endCycle)
 	warm.End()
+	gcOf := gold.groups
 
 	first := gcOf[cycles[0]]
 	report := &Report{
@@ -474,9 +445,9 @@ func Run(opts Options) (*Report, error) {
 		GoldenEjections:            first.goldenEjections,
 		GoldenForeverFalsePositive: first.goldenFvFP,
 		Results:                    make([]RunResult, len(o.FaultGroups)),
-		SnapshotCount:              len(ring.snaps),
-		SnapshotBytes:              ring.bytes,
-		TimelineBytes:              timelineBytes,
+		SnapshotCount:              len(gold.ring.snaps),
+		SnapshotBytes:              gold.ring.bytes,
+		TimelineBytes:              gold.timelineBytes,
 	}
 
 	var (
@@ -496,8 +467,9 @@ func Run(opts Options) (*Report, error) {
 	var inst *instruments
 	if o.Metrics != nil {
 		inst = newInstruments(o.Metrics, o.Workers, total)
-		o.Metrics.Gauge(MetricSnapshotBytes).Set(float64(ring.bytes))
-		o.Metrics.Gauge(MetricTimelineBytes).Set(float64(timelineBytes))
+		o.Metrics.Gauge(MetricSnapshotBytes).Set(float64(gold.ring.bytes))
+		o.Metrics.Gauge(MetricTimelineBytes).Set(float64(gold.timelineBytes))
+		observeGoldenCache(o.Metrics, how, o.GoldenCache.size())
 	}
 	// Per-run wall clocks are only read when someone is listening; the
 	// two time.Now calls are noise next to a run's milliseconds, but the
@@ -656,15 +628,20 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 		// disabled the plain Run loop below is untouched.
 		tl = golden.NewTimeline(int(o.PostInjectRun))
 		ejStart := len(cont.Ejections())
+		observe := tl.Observe
 		if !o.DisableFrontier {
 			// Record the per-link signal transcript alongside the
-			// fingerprint timeline: the divergence frontier replays
-			// clean routers from it instead of stepping them.
+			// timeline: the divergence frontier replays clean routers
+			// from it instead of stepping them. Frontier runs read the
+			// timeline's counters only (runFrontier), and without the
+			// transcript (gc.rc nil, below) nothing reads it at all, so
+			// the per-cycle state and ejection hashes are not recorded.
 			cont.StartRecording(int(o.PostInjectRun))
+			observe = tl.ObserveCounters
 		}
 		for t := int64(0); t < o.PostInjectRun; t++ {
 			cont.Step()
-			tl.Observe(cont, cont.Ejections()[ejStart:])
+			observe(cont, cont.Ejections()[ejStart:])
 		}
 		if !o.DisableFrontier {
 			gc.rec = cont.StopRecording()

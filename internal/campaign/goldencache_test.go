@@ -1,0 +1,522 @@
+package campaign
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"nocalert/internal/core"
+	"nocalert/internal/fault"
+	"nocalert/internal/metrics"
+	"nocalert/internal/obs"
+	"nocalert/internal/routing"
+	"nocalert/internal/trace"
+	"nocalert/internal/traffic"
+)
+
+// cacheCounts reads the golden-cache outcome counters off a registry.
+func cacheCounts(reg *metrics.Registry) (hits, misses, waits int64) {
+	return reg.Counter(MetricGoldenCacheHits).Value(),
+		reg.Counter(MetricGoldenCacheMisses).Value(),
+		reg.Counter(MetricGoldenCacheWaits).Value()
+}
+
+func mustRun(t *testing.T, o Options) *Report {
+	t.Helper()
+	rep, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestGoldenCacheShardsMatchFixture runs the 64-fault 8×8 fixture
+// campaign as four shards through one cache: the merged report must be
+// the committed fixture byte for byte, only the first shard may build,
+// and every shard must report the one artefact's footprint.
+func TestGoldenCacheShardsMatchFixture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	spec := Spec{
+		MeshW: 8, MeshH: 8, VCs: 4, InjectionRate: 0.05, Seed: 3,
+		InjectCycle: 300, PostInjectRun: 500, DrainDeadline: 10000,
+		Epoch: 1500, HopLatency: 1, NumFaults: 64,
+	}
+	fixture, err := os.ReadFile("../../testdata/report_8x8_seed3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 4
+	cache := NewGoldenCache()
+	reg := metrics.NewRegistry()
+	var recs []trace.RunRecord
+	var first *Report
+	for i := 0; i < shards; i++ {
+		sh, err := PlanShard(spec, i, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part := make([]trace.RunRecord, len(sh.Faults))
+		opts := spec.Options()
+		opts.Faults = sh.Faults
+		opts.GoldenCache = cache
+		opts.Metrics = reg
+		opts.OnResult = func(k int, res *RunResult, wall time.Duration, exit ExitPath) {
+			part[k] = RecordFor(sh.Start+k, res, wall, exit == ExitFastPath)
+		}
+		rep := mustRun(t, opts)
+		recs = append(recs, part...)
+		if first == nil {
+			first = rep
+			continue
+		}
+		if rep.SnapshotCount != first.SnapshotCount || rep.SnapshotBytes != first.SnapshotBytes || rep.TimelineBytes != first.TimelineBytes {
+			t.Errorf("shard %d reports footprint %d/%d/%d, the building shard %d/%d/%d", i,
+				rep.SnapshotCount, rep.SnapshotBytes, rep.TimelineBytes,
+				first.SnapshotCount, first.SnapshotBytes, first.TimelineBytes)
+		}
+	}
+	if hits, misses, waits := cacheCounts(reg); hits != shards-1 || misses != 1 || waits != 0 {
+		t.Errorf("cache outcomes hits=%d misses=%d waits=%d, want %d/1/0", hits, misses, waits, shards-1)
+	}
+	// One artefact: what the report carries of it plus its golden logs.
+	if got, floor := int64(reg.Gauge(MetricGoldenCacheBytes).Value()), first.SnapshotBytes+first.TimelineBytes; got != cache.size() || got <= floor || got > 2*floor {
+		t.Errorf("%s = %d, the cache holds %d, the one artefact reports %d", MetricGoldenCacheBytes, got, cache.size(), floor)
+	}
+	if got := int64(reg.Gauge(MetricSnapshotBytes).Value()); got != first.SnapshotBytes {
+		t.Errorf("%s = %d after a hit, want %d", MetricSnapshotBytes, got, first.SnapshotBytes)
+	}
+	merged, err := ReportFromRecords(spec, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reportBytes(t, merged), fixture) {
+		t.Error("four shards off one golden artefact do not merge to testdata/report_8x8_seed3.json")
+	}
+}
+
+// TestGoldenCacheSingleFlight submits one campaign twice at once: one
+// Run builds, the other waits for it (or, arriving late, hits), and the
+// reports are identical.
+func TestGoldenCacheSingleFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	cache := NewGoldenCache()
+	reg := metrics.NewRegistry()
+	var reps [2]*Report
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := obsOpts(24)
+			o.Workers = 1
+			o.GoldenCache = cache
+			o.Metrics = reg
+			reps[i], errs[i] = Run(o)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses, waits := cacheCounts(reg); misses != 1 || hits+waits != 1 {
+		t.Errorf("two concurrent campaigns of one key: hits=%d misses=%d waits=%d, want exactly one build", hits, misses, waits)
+	}
+	if !bytes.Equal(reportBytes(t, reps[0]), reportBytes(t, reps[1])) {
+		t.Error("builder's and waiter's reports differ")
+	}
+}
+
+// TestGoldenKeyCoversOptions classifies every field of Options: changing
+// one the golden artefact depends on must change the key, changing any
+// other must not. A field this table does not name fails the test, so a
+// new option cannot silently make two different artefacts share a key.
+func TestGoldenKeyCoversOptions(t *testing.T) {
+	base := func() Options {
+		o := obsOpts(8)
+		o.Workers = 1
+		return o
+	}
+	keyOf := func(o Options) goldenKey {
+		t.Helper()
+		d, err := o.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, key := d.goldenInputs()
+		return key
+	}
+	regroup := func(o *Options) {
+		o.FaultGroups = make([][]fault.Fault, len(o.Faults))
+		for i, f := range o.Faults {
+			o.FaultGroups[i] = []fault.Fault{f}
+		}
+	}
+	type flip struct {
+		what    string
+		mutate  func(o *Options)
+		changes bool
+	}
+	flips := map[string][]flip{
+		"Sim": {
+			{"seed", func(o *Options) { o.Sim.Seed++ }, true},
+			{"injection rate", func(o *Options) { o.Sim.InjectionRate = 0.05 }, true},
+			{"sweep engine", func(o *Options) { o.Sim.DisableSoA = true }, true},
+			{"traffic pattern", func(o *Options) { o.Sim.Pattern = traffic.Transpose{} }, true},
+			{"class weights", func(o *Options) { o.Sim.ClassWeights = []float64{1} }, true},
+			{"VC count", func(o *Options) { o.Sim.Router.VCs = 2 }, true},
+			{"routing algorithm", func(o *Options) { o.Sim.Router.Alg = routing.WestFirst{} }, true},
+		},
+		"InjectCycle":   {{"report header only", func(o *Options) { o.InjectCycle++ }, false}},
+		"PostInjectRun": {{"", func(o *Options) { o.PostInjectRun++ }, true}},
+		"DrainDeadline": {{"", func(o *Options) { o.DrainDeadline++ }, true}},
+		"Forever":       {{"epoch", func(o *Options) { o.Forever.Epoch++ }, true}, {"AC off", func(o *Options) { o.Forever.DisableAC = true }, true}},
+		"Faults": {
+			{"other faults, same cycle set", func(o *Options) { o.Faults = o.Faults[:len(o.Faults)/2] }, false},
+			{"a second injection cycle", func(o *Options) { o.Faults[0].Cycle = 100 }, true},
+		},
+		"FaultGroups": {
+			{"grouped, same cycle set", regroup, false},
+			{"a second injection cycle", func(o *Options) { regroup(o); o.FaultGroups[0][0].Cycle = 100 }, true},
+		},
+		"Workers":              {{"", func(o *Options) { o.Workers = 7 }, false}},
+		"CheckersDisabled":     {{"", func(o *Options) { o.CheckersDisabled = []core.CheckerID{1} }, true}},
+		"DisableFastPath":      {{"", func(o *Options) { o.DisableFastPath = true }, true}},
+		"DisableReconvergence": {{"", func(o *Options) { o.DisableReconvergence = true }, true}},
+		"DisableFork":          {{"", func(o *Options) { o.DisableFork = true }, true}},
+		"SnapshotInterval":     {{"", func(o *Options) { o.SnapshotInterval = 7 }, true}},
+		"DisableFastForward":   {{"", func(o *Options) { o.DisableFastForward = true }, true}},
+		"DisableFrontier":      {{"", func(o *Options) { o.DisableFrontier = true }, true}},
+		"DisableForever":       {{"", func(o *Options) { o.DisableForever = true }, true}},
+		"GoldenCache":          {{"", func(o *Options) { o.GoldenCache = NewGoldenCache() }, false}},
+		"Progress":             {{"", func(o *Options) { o.Progress = func(int, int) {} }, false}},
+		"Metrics":              {{"", func(o *Options) { o.Metrics = metrics.NewRegistry() }, false}},
+		"OnResult":             {{"", func(o *Options) { o.OnResult = func(int, *RunResult, time.Duration, ExitPath) {} }, false}},
+		"Context":              {{"", func(o *Options) { o.Context = context.TODO() }, false}},
+		"Tracer":               {{"", func(o *Options) { o.Tracer = obs.New(obs.Options{Retain: true}) }, false}},
+		"TraceParent":          {{"", func(o *Options) { o.TraceParent = obs.New(obs.Options{Retain: true}).Start(nil, "job", "job") }, false}},
+		"FlightRecorder":       {{"", func(o *Options) { o.FlightRecorder = obs.NewFlightRecorder(0, nil) }, false}},
+	}
+	k0 := keyOf(base())
+	if keyOf(base()) != k0 {
+		t.Fatal("key is not a function of the options")
+	}
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		fl, ok := flips[name]
+		if !ok {
+			t.Errorf("Options.%s is not classified: say here whether the golden artefact depends on it, and hash it in goldenInputs if it does", name)
+			continue
+		}
+		delete(flips, name)
+		for _, f := range fl {
+			o := base()
+			f.mutate(&o)
+			if changed := keyOf(o) != k0; changed != f.changes {
+				t.Errorf("Options.%s (%s): key changed = %v, want %v", name, f.what, changed, f.changes)
+			}
+		}
+	}
+	for name := range flips {
+		t.Errorf("the table names Options.%s, which no longer exists", name)
+	}
+
+	// Past snapshotBudget distinct cycles the snapshot plan follows the
+	// fault histogram: the same cycle set with the weight moved must not
+	// share an artefact.
+	spread := func(heavy int64) Options {
+		o := base()
+		f := o.Faults[0]
+		o.Faults = nil
+		for c := int64(0); c < 2*snapshotBudget; c++ {
+			f.Cycle = 10 * c
+			o.Faults = append(o.Faults, f)
+		}
+		for i := 0; i < 4*snapshotBudget; i++ {
+			f.Cycle = heavy
+			o.Faults = append(o.Faults, f)
+		}
+		return o
+	}
+	if keyOf(spread(0)) == keyOf(spread(10*(2*snapshotBudget-1))) {
+		t.Error("two universes of one cycle set but different snapshot plans share a key")
+	}
+}
+
+// addrPattern is a traffic pattern used through a pointer, as a library
+// caller's might be: %#v prints its address, not its field.
+type addrPattern struct {
+	traffic.Uniform
+	skew int
+}
+
+// TestGoldenKeyRefusesPointers: a config that holds a pointer has no
+// canonical text, so its artefact is built every time and never kept,
+// whatever the pointee was mutated to in between.
+func TestGoldenKeyRefusesPointers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	o := obsOpts(4)
+	o.Workers = 1
+	o.Sim.Pattern = &addrPattern{}
+	o.GoldenCache = NewGoldenCache()
+	o.Metrics = metrics.NewRegistry()
+	d, err := o.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, key := d.goldenInputs(); key != "" {
+		t.Fatalf("a pointer-typed pattern got the key %q, want none", key)
+	}
+	first := mustRun(t, o)
+	o.Sim.Pattern.(*addrPattern).skew++
+	second := mustRun(t, o)
+	if hits, misses, _ := cacheCounts(o.Metrics); hits != 0 || misses != 2 {
+		t.Errorf("hits=%d misses=%d, want 0 and 2", hits, misses)
+	}
+	if n := o.GoldenCache.size(); n != 0 {
+		t.Errorf("the cache kept %d bytes of an artefact it cannot name", n)
+	}
+	if !reflect.DeepEqual(first.Results, second.Results) {
+		t.Error("the two uncached campaigns disagree")
+	}
+}
+
+// TestGoldenArtefactReadOnly runs two two-worker campaigns off one
+// published artefact at once (the race detector watches the shared
+// template slices, snapshots and transcripts), then repeats the first:
+// an artefact nobody writes gives the same report again.
+func TestGoldenArtefactReadOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	cache := NewGoldenCache()
+	all := obsOpts(48)
+	slice := func(lo, hi int) Options {
+		o := all
+		o.Faults = all.Faults[lo:hi]
+		o.Workers = 2
+		o.GoldenCache = cache
+		return o
+	}
+	first := reportBytes(t, mustRun(t, slice(0, 24)))
+	var wg sync.WaitGroup
+	for _, o := range []Options{slice(0, 24), slice(24, 48)} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := Run(o); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if !bytes.Equal(first, reportBytes(t, mustRun(t, slice(0, 24)))) {
+		t.Error("the artefact's first campaign reports differently after two more campaigns ran off it")
+	}
+	uncached := slice(0, 24)
+	uncached.GoldenCache = nil
+	if !bytes.Equal(first, reportBytes(t, mustRun(t, uncached))) {
+		t.Error("cached and uncached reports differ")
+	}
+}
+
+// TestGoldenCacheEviction gives the cache room for one artefact and
+// alternates two campaigns: every Run rebuilds, the retained bytes never
+// pass the budget, and an immediate repeat still hits.
+func TestGoldenCacheEviction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	a, b := obsOpts(4), obsOpts(4)
+	b.Sim.Seed++
+	cache := NewGoldenCache()
+	cache.budget = 0
+	for _, o := range []Options{a, b} {
+		probe := NewGoldenCache()
+		o.GoldenCache = probe
+		mustRun(t, o)
+		cache.budget = max(cache.budget, probe.size())
+	}
+	reg := metrics.NewRegistry()
+	for i, o := range []Options{a, b, a, b, b} {
+		o.Workers = 1
+		o.GoldenCache = cache
+		o.Metrics = reg
+		mustRun(t, o)
+		if got := cache.size(); got > cache.budget || got == 0 {
+			t.Errorf("after campaign %d the cache retains %d bytes, budget %d", i, got, cache.budget)
+		}
+	}
+	if hits, misses, _ := cacheCounts(reg); misses != 4 || hits != 1 {
+		t.Errorf("alternating two keys in a one-artefact cache, then repeating one: hits=%d misses=%d, want 1 and 4", hits, misses)
+	}
+	if len(cache.entries) != 1 {
+		t.Errorf("cache holds %d entries, want 1", len(cache.entries))
+	}
+	// The new families must be a valid exposition (what omlint checks).
+	var om bytes.Buffer
+	if err := reg.WriteOpenMetrics(&om); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := metrics.ValidateOpenMetrics(bytes.NewReader(om.Bytes())); err != nil {
+		t.Errorf("campaign registry is not valid OpenMetrics: %v", err)
+	}
+	for _, name := range []string{MetricGoldenCacheHits, MetricGoldenCacheMisses, MetricGoldenCacheWaits, MetricGoldenCacheBytes} {
+		if !bytes.Contains(om.Bytes(), []byte(name)) {
+			t.Errorf("exposition lacks %s", name)
+		}
+	}
+}
+
+// waitSignalCtx reports the first call of Done. Run calls it for the
+// first time when it starts waiting on another campaign's build (the
+// warm-up itself polls Err), which lets a test cancel the builder at
+// exactly that point.
+type waitSignalCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitSignalCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestGoldenCacheCancelledBuilder cancels a builder while another
+// campaign waits on its build: the waiter must not inherit the
+// cancellation. It builds the artefact itself and reports exactly what
+// an uncached run does; the failed build leaves nothing behind.
+func TestGoldenCacheCancelledBuilder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	o := obsOpts(12)
+	o.Workers = 1
+	want := reportBytes(t, mustRun(t, o))
+
+	cache := NewGoldenCache()
+	d, err := o.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, key := d.goldenInputs()
+
+	builderCtx, cancelBuilder := context.WithCancel(context.Background())
+	building := make(chan struct{})
+	builderErr := make(chan error, 1)
+	go func() {
+		_, _, err := cache.get(builderCtx, key, func() (*Golden, error) {
+			close(building)
+			<-builderCtx.Done()
+			return nil, builderCtx.Err()
+		})
+		builderErr <- err
+	}()
+	<-building
+
+	reg := metrics.NewRegistry()
+	wctx := &waitSignalCtx{Context: context.Background(), waiting: make(chan struct{})}
+	o.GoldenCache, o.Metrics, o.Context = cache, reg, wctx
+	type result struct {
+		rep *Report
+		err error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		rep, err := Run(o)
+		waiter <- result{rep, err}
+	}()
+	<-wctx.waiting
+	cancelBuilder()
+	if err := <-builderErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled builder returned %v", err)
+	}
+	res := <-waiter
+	if res.err != nil {
+		t.Fatalf("waiter inherited the builder's failure: %v", res.err)
+	}
+	if !bytes.Equal(reportBytes(t, res.rep), want) {
+		t.Error("waiter's report differs from the uncached run")
+	}
+	if hits, misses, waits := cacheCounts(reg); hits != 0 || misses != 1 || waits != 0 {
+		t.Errorf("waiter outcomes hits=%d misses=%d waits=%d, want its own build", hits, misses, waits)
+	}
+	if e := cache.entries[key]; len(cache.entries) != 1 || e == nil || e.g == nil {
+		t.Error("cache does not hold exactly the waiter's artefact")
+	}
+}
+
+// TestRunRefusesForeignArtefact plants an artefact under a key it was
+// not built for: Run must fail rather than judge faults against the
+// wrong golden reference.
+func TestRunRefusesForeignArtefact(t *testing.T) {
+	a, b := obsOpts(2), obsOpts(2)
+	b.Sim.Seed++
+	cache := NewGoldenCache()
+	a.GoldenCache, b.GoldenCache = cache, cache
+	mustRun(t, a)
+	db, err := b.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, keyB := db.goldenInputs()
+	for _, e := range cache.entries {
+		cache.entries[keyB] = e
+	}
+	if _, err := Run(b); err == nil || !strings.Contains(err.Error(), "golden artefact") {
+		t.Errorf("Run accepted an artefact built for another key (err = %v)", err)
+	}
+}
+
+// TestWarmupHonoursContext cancels a campaign 50 ms into a golden
+// warm-up that would step two million cycles: Run must come back with
+// the context's error promptly, its spans closed.
+func TestWarmupHonoursContext(t *testing.T) {
+	o := obsOpts(2)
+	for i := range o.Faults {
+		o.Faults[i].Cycle = 2_000_000
+	}
+	var stream bytes.Buffer
+	tr := obs.New(obs.Options{Writer: &stream})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	o.Context, o.Tracer = ctx, tr
+	start := time.Now()
+	_, err := Run(o)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("Run returned %v after a 50 ms cancellation", took)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run returned %v, want the context's error", err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := obs.ReadSpans(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := map[string]bool{}
+	for _, s := range spans {
+		closed[s.Name] = true
+	}
+	if !closed["golden-warmup"] || !closed["campaign"] {
+		t.Errorf("spans closed on the cancelled warm-up: %v", closed)
+	}
+}

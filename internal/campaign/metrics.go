@@ -86,7 +86,33 @@ const (
 	// footprint of the golden signal transcripts (and window-end
 	// states) backing the frontier engine.
 	MetricTimelineBytes = "campaign_timeline_bytes"
+	// MetricGoldenCacheHits / Misses / Waits count campaigns by how they
+	// came by their golden artefact: found built in the GoldenCache,
+	// built it themselves (every campaign without a cache), or waited
+	// for a concurrent campaign's build. MetricGoldenCacheBytes is a
+	// gauge holding the estimated bytes the cache retains.
+	MetricGoldenCacheHits   = "campaign_golden_cache_hits_total"
+	MetricGoldenCacheMisses = "campaign_golden_cache_misses_total"
+	MetricGoldenCacheWaits  = "campaign_golden_cache_waits_total"
+	MetricGoldenCacheBytes  = "campaign_golden_cache_bytes"
 )
+
+// observeGoldenCache counts one campaign's golden-cache outcome (how is
+// cacheHit, cacheMiss or cacheWait) and publishes the cache's size. All
+// three counters are registered on first use, so a scrape shows zeros
+// rather than missing families.
+func observeGoldenCache(reg *metrics.Registry, how string, cacheBytes int64) {
+	hits, misses, waits := reg.Counter(MetricGoldenCacheHits), reg.Counter(MetricGoldenCacheMisses), reg.Counter(MetricGoldenCacheWaits)
+	switch how {
+	case cacheHit:
+		hits.Inc()
+	case cacheMiss:
+		misses.Inc()
+	case cacheWait:
+		waits.Inc()
+	}
+	reg.Gauge(MetricGoldenCacheBytes).Set(float64(cacheBytes))
+}
 
 // mechMetricNames and outcomeMetricNames spell the per-mechanism
 // outcome counters: campaign_outcome_<mechanism>_<outcome>_total.

@@ -50,6 +50,9 @@ type ShardRunOptions struct {
 	// Options.DisableFrontier). Result-invisible either way — the
 	// frontier-identity CI gate holds this to byte-identical reports.
 	DisableFrontier bool
+	// GoldenCache, when non-nil, shares the golden warm-up with the other
+	// shards and jobs run off the same cache (see Options.GoldenCache).
+	GoldenCache *GoldenCache
 	// Progress, when non-nil, is invoked after each newly executed run
 	// with the shard-level completion count (resumed runs included), the
 	// shard's total run count and a snapshot of the running stats (for
@@ -244,6 +247,7 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 	opts.DisableFastForward = o.DisableFastForward
 	opts.Sim.DisableSoA = o.DisableSoA
 	opts.DisableFrontier = o.DisableFrontier
+	opts.GoldenCache = o.GoldenCache
 	opts.Metrics = o.Metrics
 	opts.Context = ctx
 	opts.Tracer = o.Tracer

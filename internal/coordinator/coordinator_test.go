@@ -10,6 +10,7 @@ import (
 
 	"nocalert/internal/campaign"
 	"nocalert/internal/metrics"
+	"nocalert/internal/obs"
 	"nocalert/internal/server"
 	"nocalert/internal/trace"
 )
@@ -220,5 +221,63 @@ func TestDispatchSurvivesWorkerDeath(t *testing.T) {
 	// The survivors must have absorbed the victim's forfeited work.
 	if res.Stats.PerWorker[0].ShardsDone+res.Stats.PerWorker[2].ShardsDone != 8-res.Stats.PerWorker[1].ShardsDone {
 		t.Fatalf("shard tally does not cover the campaign: %+v", res.Stats.PerWorker)
+	}
+}
+
+// TestFleetBuildsGoldenOncePerWorker is the benchmark's fleet shape in
+// small: eight shards of one two-injection-cycle campaign over two
+// daemons. Every shard emits its golden-warmup span, but only each
+// daemon's first may say cache=miss; the other six took the daemon's
+// artefact, and the merged report is still the unsharded run's.
+func TestFleetBuildsGoldenOncePerWorker(t *testing.T) {
+	spec := testSpec(48)
+	spec.InjectCycle = 0
+	spec.InjectCycles = []int64{0, 2000}
+	want := referenceReport(t, spec)
+
+	var stream bytes.Buffer
+	tr := obs.New(obs.Options{Writer: &stream})
+	fleet := startFleet(t, 2, server.Config{Concurrency: 1, CampaignWorkers: 1, Tracer: tr})
+	res, err := Run(context.Background(), spec, Config{
+		Workers:     urls(fleet),
+		Shards:      8,
+		MaxInFlight: 1,
+		Seed:        1,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := res.Report.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("fleet report differs from the single-machine run")
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := obs.ReadSpans(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := map[string]int{}
+	for _, s := range spans {
+		if s.Kind == "phase" && s.Name == "golden-warmup" {
+			how, _ := s.Attrs["cache"].(string)
+			by[how]++
+		}
+	}
+	if by["miss"]+by["hit"] != 8 || by["miss"] < 1 || by["miss"] > 2 {
+		t.Errorf("golden-warmup spans by cache attribute: %v, want 8 spans with one miss per daemon that ran a shard", by)
+	}
+	var hits, misses int64
+	for _, m := range fleet {
+		hits += m.srv.Registry().Counter(campaign.MetricGoldenCacheHits).Value()
+		misses += m.srv.Registry().Counter(campaign.MetricGoldenCacheMisses).Value()
+	}
+	if int(hits) != by["hit"] || int(misses) != by["miss"] {
+		t.Errorf("daemon counters hits=%d misses=%d disagree with the spans %v", hits, misses, by)
 	}
 }

@@ -94,6 +94,21 @@ func FromEjectionsInto(l *Log, ejs []sim.Ejection, since int64) *Log {
 // Total returns the number of indexed ejections.
 func (l *Log) Total() int { return l.total }
 
+// ApproxFootprintBytes estimates the memory the log retains. Like the
+// other Approx* footprints it is a deliberate estimate (a fixed cost
+// per indexed ejection, not a heap walk).
+func (l *Log) ApproxFootprintBytes() int64 {
+	if l == nil {
+		return 0
+	}
+	// Per ejection: the map's Key and entry-slice header, one Entry and
+	// the per-node Key, with half as much again for map buckets and
+	// slice slack.
+	const ejectionBytes = (16 + 24 + 40 + 16) * 3 / 2
+	const headerBytes = 64
+	return int64(l.total)*ejectionBytes + headerBytes
+}
+
 // Verdict is the network-correctness judgment for one faulty run.
 type Verdict struct {
 	// Dropped counts golden flits missing from the faulty log.

@@ -50,16 +50,26 @@ func NewTimeline(n int) *Timeline {
 // ejection log sliced at the fork index); Observe folds only the
 // entries that appeared since the previous call.
 func (t *Timeline) Observe(n *sim.Network, postFork []sim.Ejection) {
-	if len(t.points) == 0 {
-		t.start = n.Cycle()
-	}
 	for ; t.ejSeen < len(postFork); t.ejSeen++ {
 		t.ejHash = foldEjection(t.ejHash, &postFork[t.ejSeen])
 	}
+	t.ObserveCounters(n, postFork)
+	p := &t.points[len(t.points)-1]
+	p.State, p.EjectHash = n.Fingerprint(), t.ejHash
+}
+
+// ObserveCounters records only the cheap counters of the network's
+// current cycle boundary, leaving State and EjectHash zero: no state
+// fingerprint, no ejection hashing. It is for a timeline whose reader
+// consults nothing but the counters (the divergence frontier proves
+// state identity structurally and never hashes); a timeline is recorded
+// with Observe or with ObserveCounters throughout, never a mix.
+func (t *Timeline) ObserveCounters(n *sim.Network, postFork []sim.Ejection) {
+	if len(t.points) == 0 {
+		t.start = n.Cycle()
+	}
 	t.points = append(t.points, TimelinePoint{
-		State:         n.Fingerprint(),
-		EjectHash:     t.ejHash,
-		Ejections:     t.ejSeen,
+		Ejections:     len(postFork),
 		FlitsInjected: n.FlitsInjected(),
 		FlitsEjected:  n.FlitsEjected(),
 		NextPkt:       n.NextPacketID(),

@@ -613,3 +613,31 @@ func readFileT(t *testing.T, path string) []byte {
 	}
 	return b
 }
+
+// TestShardsShareGoldenArtefact runs two shards of one campaign on one
+// daemon: the second must take the golden reference from the server's
+// cache instead of building it again.
+func TestShardsShareGoldenArtefact(t *testing.T) {
+	s, err := New(Config{Dir: t.TempDir(), QueueSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop(context.Background())
+	for shard := 0; shard < 2; shard++ {
+		j, _, err := s.SubmitJob(testSpec(24), SubmitOptions{Shard: shard, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := waitJob(t, s, j.ID, 2*time.Minute); v.Status != StatusDone {
+			t.Fatalf("shard %d finished as %s (%s)", shard, v.Status, v.Error)
+		}
+	}
+	hits := s.reg.Counter(campaign.MetricGoldenCacheHits).Value()
+	misses := s.reg.Counter(campaign.MetricGoldenCacheMisses).Value()
+	if hits != 1 || misses != 1 {
+		t.Errorf("two shards of one campaign: %d golden-cache hits, %d misses, want 1 and 1", hits, misses)
+	}
+	if s.reg.Gauge(campaign.MetricGoldenCacheBytes).Value() <= 0 {
+		t.Error("the daemon retains no golden artefact after its jobs")
+	}
+}

@@ -117,6 +117,11 @@ type Server struct {
 	jobs  map[string]*Job
 	order []string // submission order, for listings
 
+	// golden keeps the golden artefacts of recent campaigns, so the
+	// shards and resumed jobs of one campaign this daemon runs build the
+	// golden reference once (see campaign.GoldenCache).
+	golden *campaign.GoldenCache
+
 	queue *fairQueue
 	// limiter throttles mutating requests per tenant (nil = off).
 	limiter *rateLimiter
@@ -165,6 +170,7 @@ func build(cfg Config) (*Server, error) {
 		cfg:          cfg,
 		reg:          cfg.Registry,
 		jobs:         make(map[string]*Job),
+		golden:       campaign.NewGoldenCache(),
 		queue:        newFairQueue(cfg.QueueSize),
 		baseCtx:      ctx,
 		stop:         cancel,
@@ -671,6 +677,7 @@ func (s *Server) executeShard(ctx context.Context, j *Job, jspan *obs.Span) erro
 
 	stats, err := campaign.RunShard(sh, cp, completed, campaign.ShardRunOptions{
 		Workers:        s.cfg.CampaignWorkers,
+		GoldenCache:    s.golden,
 		Metrics:        s.reg,
 		Context:        ctx,
 		VerifyResumed:  s.cfg.VerifyResumed,
