@@ -206,21 +206,27 @@ soa-identity:
 # the golden 4×4 and paper-scale 8×8 campaigns run once with the
 # default frontier engine and once with -no-frontier (full-mesh
 # stepping, PR-5 fingerprint probe), and all four JSON reports must be
-# byte-identical to each other and to the committed fixtures. Any
-# missed join, replay-order or materialization bug fails the cmp.
+# byte-identical to each other and to the committed fixtures; the 16×16
+# bench campaign, where a run's drain and horizon are cheapest to get
+# wrong (256 routers replayed around a cone of three), must report the
+# same under both engines. Any missed join, replay-order, Quiet or
+# freeze-cycle bug fails a cmp. One shell, so the trap removes .frontid/
+# whether or not a cmp fails.
 frontier-identity:
-	rm -rf .frontid && mkdir -p .frontid
+	@set -ex; rm -rf .frontid; mkdir -p .frontid; trap 'rm -rf .frontid' EXIT; \
 	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
-		-json .frontid/4x4-frontier.json
+		-json .frontid/4x4-frontier.json; \
 	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
-		-no-frontier -json .frontid/4x4-full.json
-	cmp .frontid/4x4-frontier.json .frontid/4x4-full.json
-	cmp .frontid/4x4-frontier.json testdata/report_4x4_seed3.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -json .frontid/8x8-frontier.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -no-frontier -json .frontid/8x8-full.json
-	cmp .frontid/8x8-frontier.json .frontid/8x8-full.json
-	cmp .frontid/8x8-frontier.json testdata/report_8x8_seed3.json
-	rm -rf .frontid
+		-no-frontier -json .frontid/4x4-full.json; \
+	cmp .frontid/4x4-frontier.json .frontid/4x4-full.json; \
+	cmp .frontid/4x4-frontier.json testdata/report_4x4_seed3.json; \
+	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -json .frontid/8x8-frontier.json; \
+	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -no-frontier -json .frontid/8x8-full.json; \
+	cmp .frontid/8x8-frontier.json .frontid/8x8-full.json; \
+	cmp .frontid/8x8-frontier.json testdata/report_8x8_seed3.json; \
+	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -json .frontid/16x16-frontier.json; \
+	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -no-frontier -json .frontid/16x16-full.json; \
+	cmp .frontid/16x16-frontier.json .frontid/16x16-full.json
 
 # build386 is a build-only cross-compile of the whole module for a
 # 32-bit target: the SoA state uses explicitly sized element types

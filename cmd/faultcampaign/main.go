@@ -82,7 +82,7 @@ func main() {
 		snapInt    = flag.Int64("snapshot-interval", 0, "golden snapshot spacing in cycles (0 = adaptive from the universe's injection-cycle histogram)")
 		noFF       = flag.Bool("no-fastforward", false, "disable frozen-state fast-forwarding of deadlocked drains and idle ForEVeR horizons")
 		noSoA      = flag.Bool("no-soa", false, "use the reference sweep engine (full-range VC sweeps, no inert-router skip); results are byte-identical to the default structure-of-arrays engine")
-		noFrontier = flag.Bool("no-frontier", false, "disable divergence-frontier delta stepping (fired faults step the full mesh every window cycle); results are byte-identical to the default frontier engine")
+		noFrontier = flag.Bool("no-frontier", false, "disable divergence-frontier delta stepping (fired faults step the full mesh every cycle of the run: window, drain and ForEVeR horizon); results are byte-identical to the default frontier engine")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		progress   = flag.Bool("progress", true, "print campaign progress to stderr")
 		telAddr    = flag.String("telemetry", "", "serve live telemetry on this address (pprof at /debug/pprof/, expvar at /debug/vars, metrics at /metricsz, OpenMetrics at /metrics)")

@@ -174,8 +174,9 @@ type Options struct {
 	DisableFastForward bool
 	// DisableFrontier turns off divergence-frontier delta stepping: the
 	// golden continuation records no per-link signal transcript and
-	// every fired fault steps its full mesh every cycle of the window
-	// (the PR-5 whole-state fingerprint probe still applies). Frontier
+	// every fired fault steps its full mesh every cycle of the run —
+	// window, drain and ForEVeR horizon (the PR-5 whole-state
+	// fingerprint probe still applies). Frontier
 	// reports are byte-identical to full-mesh reports (test-enforced);
 	// the switch exists for the A/B identity gate and for measuring the
 	// cone-of-influence win. Frontier stepping is implied off when the
@@ -355,10 +356,10 @@ type Report struct {
 	SynthesizedCycles    int64
 	// FrontierRuns counts runs driven by the divergence-frontier delta
 	// engine; TimelineBytes is the estimated memory footprint of the
-	// golden-side per-window records: the signal transcripts and
-	// window-end states backing the frontier plus the fingerprint
-	// timelines backing reconvergence. Neither alters the serialized
-	// report.
+	// golden-side per-run records: the signal transcripts (window and
+	// drain) and window-end states backing the frontier plus the
+	// fingerprint timelines backing reconvergence. Neither alters the
+	// serialized report.
 	FrontierRuns  int
 	TimelineBytes int64
 }
@@ -390,12 +391,14 @@ type groupCtx struct {
 	tmpl RunResult
 	rc   *reconvergence
 
-	// rec and wend drive divergence-frontier delta stepping: the golden
-	// continuation's per-link signal transcript over the post-injection
-	// window and its full state at the window-end boundary (for
-	// materializing the untouched region of a run that needs its drain
-	// simulated). Both nil when the frontier is disabled or the golden
-	// template is unsound; both are shared read-only across workers.
+	// rec drives divergence-frontier delta stepping: the golden
+	// continuation's per-link signal transcript from the injection cycle
+	// through the post-injection window and the drain until the network
+	// settled, which is as far as any faulty run can need it. Nil when
+	// the frontier is disabled, the golden template is unsound or golden
+	// did not settle; shared read-only across workers. wend is golden's
+	// state at the window end, for runs whose fault is still armed there
+	// (runFrontier materializes them from it).
 	rec  *sim.Recording
 	wend *sim.Network
 }
@@ -620,6 +623,7 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 		cont = mainline.Clone(nil)
 	}
 	var tl *golden.Timeline
+	recording := wantReconv && !o.DisableFrontier
 	if wantReconv {
 		// Record the golden run's per-cycle state fingerprints through
 		// the post-injection window — the timeline faulty runs compare
@@ -629,7 +633,7 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 		tl = golden.NewTimeline(int(o.PostInjectRun))
 		ejStart := len(cont.Ejections())
 		observe := tl.Observe
-		if !o.DisableFrontier {
+		if recording {
 			// Record the per-link signal transcript alongside the
 			// timeline: the divergence frontier replays clean routers
 			// from it instead of stepping them. Frontier runs read the
@@ -643,8 +647,7 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 			cont.Step()
 			observe(cont, cont.Ejections()[ejStart:])
 		}
-		if !o.DisableFrontier {
-			gc.rec = cont.StopRecording()
+		if recording {
 			gc.wend = cont.CloneInto(nil, nil)
 		}
 	} else {
@@ -654,11 +657,23 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 		return nil, fmt.Errorf("campaign: fault-free golden run failed to drain by cycle %d (inflight=%d)",
 			cont.Cycle(), cont.InFlight())
 	}
+	// The transcript ran on through the drain and runs on until golden
+	// stops changing (the last flit's credits are still on their way home:
+	// a couple of cycles): from there it covers whatever a faulty run still
+	// needs (sim/record.go). Golden steps these cycles anyway when there
+	// is a horizon, which then bounds them — its ForEVeR monitor must see
+	// no cycle a run without the transcript would not show it; without one
+	// a second drain deadline does.
+	horizon, settleBy := cont.Cycle(), cont.Cycle()+o.DrainDeadline
 	if !o.DisableForever {
-		runHorizonExtra := foreverHorizon(cont.Cycle(), o.Forever)
-		for cont.Cycle() < runHorizonExtra {
-			cont.Step()
-		}
+		horizon = foreverHorizon(cont.Cycle(), o.Forever)
+		settleBy = horizon
+	}
+	if recording {
+		gc.rec = cont.SettleRecording(settleBy)
+	}
+	for cont.Cycle() < horizon {
+		cont.Step()
 	}
 	gc.goldenLog = golden.FromEjections(cont.Ejections(), c)
 	gc.goldenEjections = gc.goldenLog.Total()
@@ -692,13 +707,15 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 	// only sound when the golden continuation is clean: no NoCAlert
 	// assertion anywhere in the fault-free template (so freezing the
 	// engine at the reconvergence cycle loses nothing), a benign
-	// golden-vs-golden verdict, and — when ForEVeR is on — a golden
+	// golden-vs-golden verdict, — when ForEVeR is on — a golden
 	// monitor whose detection list stayed under its cap (so the recorded
-	// tail is complete). All of these hold for any sanely configured
+	// tail is complete), and — when the frontier is on — a transcript
+	// that settled (the counters-only timeline recorded beside it cannot
+	// stand in for it). All of these hold for any sanely configured
 	// campaign; if one does not, reconvergence silently disables and
 	// every fired fault takes the full path.
 	if wantReconv {
-		sound := !gc.tmpl.Detected && gc.tmpl.Drained && gc.tmpl.Verdict.OK()
+		sound := !gc.tmpl.Detected && gc.tmpl.Drained && gc.tmpl.Verdict.OK() && (gc.rec != nil || !recording)
 		if !o.DisableForever {
 			sound = sound && gc.gfv != nil && len(gc.gfv.Detections()) < forever.DetectionCap
 		}
@@ -849,7 +866,7 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 		nextTry = n.Cycle() + gap
 	}
 	fa.End()
-	res = finishRun(n, eng, fv, plane, gc, o, group, w, &st, ro)
+	res = finishRun(n, n, eng, fv, plane, gc, o, group, w, &st, ro)
 	st.simulated = n.Cycle() - gc.snap.cycle
 	return res, ExitFull, 0, st, nil
 }
@@ -863,9 +880,13 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 // hashing: a frontier that has shrunk to empty with a clean ejection
 // history IS the state identity the PR-5 probe hashes for, so the
 // per-cycle check is a few flag and counter compares. A run still
-// divergent at window end materializes its untouched region from the
-// golden window-end state and finishes (drain, horizon, verdict) as a
-// plain full simulation.
+// divergent at window end finishes (drain, horizon, verdict) in the same
+// finishRun as a full simulation, stepped by the frontier: the transcript
+// covers golden's drain and everything after it. The exception is a run
+// whose fault is still armed at window end (permanent, intermittent): it
+// never freezes, so on the frontier its cost would follow its cone, run
+// by run and seed by seed. It materializes from the golden window-end
+// state and finishes on the full mesh, as before (ROADMAP has the item).
 func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *groupCtx, o Options, group []fault.Fault, plane *fault.Plane, w *worker, st *runStats, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, err error) {
 	seeds := make([]int, 0, len(group))
 	for _, ft := range group {
@@ -873,6 +894,8 @@ func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *grou
 	}
 	fr := sim.NewFrontier(n, gc.rec, seeds)
 	st.frontier = true
+	defer func() { st.frontierPeak, st.frontierJoins = fr.Peak(), fr.Joins() }()
+	ro.setFrontier(fr)
 	rc := gc.rc
 	fa := ro.phase("fault-armed")
 	for t := int64(0); t < o.PostInjectRun; t++ {
@@ -883,8 +906,6 @@ func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *grou
 			res.Group = group
 			st.simulated = n.Cycle() - gc.snap.cycle
 			st.horizon = n.Cycle()
-			st.frontierPeak = fr.Peak()
-			st.frontierJoins = fr.Joins()
 			fa.End()
 			return res, ExitFastPath, 0, nil
 		}
@@ -899,8 +920,6 @@ func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *grou
 		st.simulated = n.Cycle() - gc.snap.cycle
 		st.synthesized += gc.cycle + o.PostInjectRun - n.Cycle()
 		st.horizon = gc.cycle + o.PostInjectRun
-		st.frontierPeak = fr.Peak()
-		st.frontierJoins = fr.Joins()
 		fa.End()
 		rt := ro.phase("reconverged-tail")
 		rt.SetAttr("reconverged_cycle", n.Cycle())
@@ -910,10 +929,13 @@ func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *grou
 			ExitReconverged, n.Cycle() - gc.cycle, nil
 	}
 	fa.End()
-	st.frontierPeak = fr.Peak()
-	st.frontierJoins = fr.Joins()
-	fr.MaterializeAll(gc.wend)
-	res = finishRun(n, eng, fv, plane, gc, o, group, w, st, ro)
+	var s stepper = fr
+	if !n.FaultsQuiescent() {
+		fr.MaterializeAll(gc.wend)
+		ro.setFrontier(nil) // the frontier steps nothing from here on
+		s = n
+	}
+	res = finishRun(s, n, eng, fv, plane, gc, o, group, w, st, ro)
 	st.simulated = n.Cycle() - gc.snap.cycle
 	return res, ExitFull, 0, nil
 }
@@ -1029,13 +1051,23 @@ func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runSta
 	fa := ro.phase("fault-armed")
 	n.Run(o.PostInjectRun)
 	fa.End()
-	res := finishRun(n, eng, fv, plane, gc, o, group, w, st, ro)
+	res := finishRun(n, n, eng, fv, plane, gc, o, group, w, st, ro)
 	st.simulated = n.Cycle() - gc.snap.cycle
 	return res, nil
 }
 
+// stepper is what finishRun drives a run's drain and horizon with: the
+// forked network itself, or the divergence frontier standing for it.
+type stepper interface {
+	Step()
+	Quiet() bool
+	StaticFingerprint() uint64
+}
+
 // finishRun drains the network, runs out the ForEVeR horizon, and
-// classifies the run against the golden reference. The horizon run-out
+// classifies the run against the golden reference. s steps n — n itself
+// or a frontier over it — and n is read for everything both agree on
+// (cycle, counters, ejections, fault plane). The horizon run-out
 // exists only to give ForEVeR's epoch check a chance to flag anomalies
 // after the drain, so it is skipped when no monitor is attached and the
 // drain succeeded (an undrained network still steps to the horizon: the
@@ -1051,87 +1083,70 @@ func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runSta
 // NoCAlert accumulators (the steady assertion pattern, replayed via
 // ffProbe.extend — a deadlocked router that keeps asserting still
 // freezes, it just fast-forwards its assertions along with its state).
-func finishRun(n *sim.Network, eng *core.Engine, fv *forever.Monitor, plane *fault.Plane, gc *groupCtx, o Options, group []fault.Fault, w *worker, st *runStats, ro *runObs) RunResult {
+func finishRun(s stepper, n *sim.Network, eng *core.Engine, fv *forever.Monitor, plane *fault.Plane, gc *groupCtx, o Options, group []fault.Fault, w *worker, st *runStats, ro *runObs) RunResult {
 	var drained, frozen bool
+	var probe ffProbe
+	ff := !o.DisableFastForward
 	projectUntil := int64(-1)
-	if o.DisableFastForward {
-		dr := ro.phase("drain")
-		drained = n.Drain(o.DrainDeadline)
-		dr.SetAttr("drained", drained)
-		dr.End()
-		if fv != nil || !drained {
-			hz := ro.phase("horizon")
-			horizon := foreverHorizon(n.Cycle(), o.Forever)
-			for n.Cycle() < horizon {
-				n.Step()
-			}
-			hz.SetAttr("horizon_cycle", horizon)
-			hz.End()
+	n.StopInjection()
+	dr := ro.phase("drain")
+	drainEnd := n.Cycle() + o.DrainDeadline
+	for n.Cycle() < drainEnd {
+		if s.Quiet() {
+			drained = true
+			break
 		}
-	} else {
-		var probe ffProbe
-		n.StopInjection()
-		dr := ro.phase("drain")
-		drainEnd := n.Cycle() + o.DrainDeadline
-		for n.Cycle() < drainEnd {
-			if n.Quiet() {
-				drained = true
-				break
-			}
-			if probe.frozen(n, eng, fv) {
+		if ff && probe.frozen(s, n, eng, fv) {
+			frozen = true
+			break
+		}
+		s.Step()
+	}
+	if !drained && !frozen {
+		drained = s.Quiet()
+	}
+	if frozen {
+		ro.event("ff_freeze", n.Cycle(), "frozen in drain", nil)
+	}
+	dr.SetAttr("drained", drained)
+	dr.SetAttr("frozen", frozen)
+	dr.End()
+	logical := n.Cycle()
+	if frozen {
+		// A frozen, non-quiet network would have stepped unchanged
+		// to the deadline and missed it.
+		st.synthesized += drainEnd - n.Cycle()
+		logical = drainEnd
+	}
+	if fv != nil || !drained {
+		hz := ro.phase("horizon")
+		horizon := foreverHorizon(logical, o.Forever)
+		for !frozen && n.Cycle() < horizon {
+			if ff && probe.frozen(s, n, eng, fv) {
 				frozen = true
+				ro.event("ff_freeze", n.Cycle(), "frozen in horizon", nil)
 				break
 			}
-			n.Step()
-		}
-		if !drained && !frozen {
-			drained = n.Quiet()
+			s.Step()
 		}
 		if frozen {
-			ro.event("ff_freeze", n.Cycle(), "frozen in drain", nil)
+			st.synthesized += horizon - max64(n.Cycle(), logical)
+			projectUntil = horizon
 		}
-		dr.SetAttr("drained", drained)
-		dr.SetAttr("frozen", frozen)
-		dr.End()
-		logical := n.Cycle()
-		if frozen {
-			// A frozen, non-quiet network would have stepped unchanged
-			// to the deadline and missed it.
-			st.synthesized += drainEnd - n.Cycle()
-			logical = drainEnd
-		}
-		if fv != nil || !drained {
-			hz := ro.phase("horizon")
-			horizon := foreverHorizon(logical, o.Forever)
-			if !frozen {
-				for n.Cycle() < horizon {
-					if probe.frozen(n, eng, fv) {
-						frozen = true
-						ro.event("ff_freeze", n.Cycle(), "frozen in horizon", nil)
-						break
-					}
-					n.Step()
-				}
-			}
-			if frozen {
-				st.synthesized += horizon - max64(n.Cycle(), logical)
-				projectUntil = horizon
-			}
-			hz.SetAttr("horizon_cycle", horizon)
-			hz.SetAttr("frozen", frozen)
-			hz.End()
-		}
-		if frozen {
-			// The frozen state re-emits its assertion pattern on every
-			// synthesized cycle; fold all of them into the engine so the
-			// accumulators match a full simulation to the horizon.
-			probe.extend(eng, projectUntil-n.Cycle())
-			ff := ro.phase("fast-forward")
-			ff.SetAttr("frozen_cycle", n.Cycle())
-			ff.SetAttr("project_until", projectUntil)
-			ff.SetAttr("cycles_synthesized", st.synthesized)
-			ff.End()
-		}
+		hz.SetAttr("horizon_cycle", horizon)
+		hz.SetAttr("frozen", frozen)
+		hz.End()
+	}
+	if frozen {
+		// The frozen state re-emits its assertion pattern on every
+		// synthesized cycle; fold all of them into the engine so the
+		// accumulators match a full simulation to the horizon.
+		probe.extend(eng, projectUntil-n.Cycle())
+		sp := ro.phase("fast-forward")
+		sp.SetAttr("frozen_cycle", n.Cycle())
+		sp.SetAttr("project_until", projectUntil)
+		sp.SetAttr("cycles_synthesized", st.synthesized)
+		sp.End()
 	}
 	// The logical end cycle this run's accounting covers: with a frozen
 	// fast-forward the synthesized remainder runs to projectUntil,

@@ -29,7 +29,8 @@ type runStats struct {
 	// frontier reports the run was driven by the divergence-frontier
 	// delta engine; frontierPeak is the largest router count the
 	// frontier reached and frontierJoins how many lazy materializations
-	// it performed. simulated stays cycle-based regardless (a frontier
+	// it performed, over the whole run, drain and horizon included.
+	// simulated stays cycle-based regardless (a frontier
 	// cycle counts as one simulated cycle however few routers stepped),
 	// preserving the warmSaved + simulated + synthesized == horizon
 	// invariant.
@@ -67,11 +68,12 @@ type ffProbe struct {
 }
 
 // frozen reports whether the network at the current cycle boundary is
-// provably a fixed point. Call it at every boundary of a phase loop: it
-// arms on one boundary and confirms on the next, backing off after each
-// failed pair. On confirmation p.mark spans exactly the probed step, so
-// extend can replay the steady assertion pattern.
-func (p *ffProbe) frozen(n *sim.Network, eng *core.Engine, fv *forever.Monitor) bool {
+// provably a fixed point; s is whatever steps n (finishRun's stepper)
+// and supplies the fingerprint. Call it at every boundary of a phase
+// loop: it arms on one boundary and confirms on the next, backing off
+// after each failed pair. On confirmation p.mark spans exactly the
+// probed step, so extend can replay the steady assertion pattern.
+func (p *ffProbe) frozen(s stepper, n *sim.Network, eng *core.Engine, fv *forever.Monitor) bool {
 	if p.gap == 0 {
 		p.gap, p.fpCycle = 1, -1
 	}
@@ -83,7 +85,7 @@ func (p *ffProbe) frozen(n *sim.Network, eng *core.Engine, fv *forever.Monitor) 
 	if t < p.nextTry {
 		return false
 	}
-	fp := n.StaticFingerprint()
+	fp := s.StaticFingerprint()
 	if p.fpCycle == t-1 {
 		if p.fp == fp && eng.AdvanceSteady(p.mark, 0) {
 			return true

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
+	"nocalert/internal/fault"
+	"nocalert/internal/obs"
+	"nocalert/internal/rng"
 	"nocalert/internal/trace"
 )
 
@@ -255,5 +259,166 @@ func TestFrontierEngineIdentity(t *testing.T) {
 			t.Error(d)
 		}
 		t.Fatalf("%d fault(s) differ between the frontier and full-mesh engines", len(diffs))
+	}
+}
+
+// runAccount is what one run of a campaign came to beyond its record:
+// the exit path that resolved it and how its cycles split into stepped
+// and synthesized ones (the run span's attributes).
+type runAccount struct {
+	exit                   ExitPath
+	simulated, synthesized int64
+}
+
+// accountedRun runs the campaign and returns its report with one
+// runAccount per run.
+func accountedRun(t *testing.T, opts Options) (*Report, []runAccount) {
+	t.Helper()
+	var stream bytes.Buffer
+	tr := obs.New(obs.Options{Writer: &stream})
+	acct := make([]runAccount, max(len(opts.Faults), len(opts.FaultGroups)))
+	opts.Tracer = tr
+	opts.OnResult = func(i int, _ *RunResult, _ time.Duration, exit ExitPath) { acct[i].exit = exit }
+	rep, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := obs.ReadSpans(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, s := range spans {
+		if s.Kind != "run" {
+			continue
+		}
+		i, ok1 := s.Int("run_index")
+		simd, ok2 := s.Int("cycles_simulated")
+		synth, ok3 := s.Int("cycles_synthesized")
+		if !ok1 || !ok2 || !ok3 {
+			t.Fatalf("run span %s missing accounting attrs: %v", s.SpanID, s.Attrs)
+		}
+		acct[i].simulated, acct[i].synthesized = simd, synth
+		seen++
+	}
+	if seen != len(acct) {
+		t.Fatalf("%d run spans for %d runs", seen, len(acct))
+	}
+	return rep, acct
+}
+
+// TestFrontierCampaignIdentity holds the frontier engine to the full-mesh
+// engine beyond the records TestFrontierEngineIdentity compares: whole
+// RunResults, the exit path of every run, and the cycle accounting — a
+// drain or horizon that froze one cycle early or late under the frontier
+// moves a cycle between "stepped" and "synthesized" and shows nowhere
+// else. Three fault sets on the 8×8 mesh, each with fast-forward on and
+// off: the golden spec's transients, permanent faults (credit-counter
+// bits as the benchmark draws them, and VA2/SA2 grant lines, which wedge
+// the fabric: the frontier steps those to the drain deadline and through
+// the whole horizon), and one double-fault group.
+//
+// One thing legitimately differs: the cycle a reconverged run is caught
+// on. The frontier sees itself empty on the very cycle, the full-mesh
+// fingerprint probe backs off between attempts, so a reconverged run's
+// split is compared as a sum only.
+func TestFrontierCampaignIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	spec := Golden8x8Spec()
+	transients := spec.Universe()
+
+	whole := spec
+	whole.NumFaults = 0
+	pools := map[fault.Kind][]fault.Fault{}
+	for _, f := range whole.Universe() {
+		switch f.Site.Kind {
+		case fault.CreditCountReg, fault.VA2Gnt, fault.SA2Gnt:
+			f.Type = fault.Permanent
+			pools[f.Site.Kind] = append(pools[f.Site.Kind], f)
+		}
+	}
+	var permanents []fault.Fault
+	for _, pick := range []struct {
+		kind fault.Kind
+		n    int
+	}{{fault.CreditCountReg, 12}, {fault.VA2Gnt, 6}, {fault.SA2Gnt, 6}} {
+		pool := pools[pick.kind]
+		for _, j := range rng.New(spec.Seed, uint64(pick.kind)).Perm(len(pool))[:pick.n] {
+			permanents = append(permanents, pool[j])
+		}
+	}
+
+	sets := []struct {
+		name  string
+		setup func(o *Options)
+	}{
+		{"transient", func(o *Options) { o.Faults = transients }},
+		// A shorter deadline and epoch: a wedged fabric steps every cycle
+		// of both, under either engine.
+		{"permanent", func(o *Options) { o.Faults, o.DrainDeadline, o.Forever.Epoch = permanents, 1000, 500 }},
+		{"double", func(o *Options) { o.FaultGroups = [][]fault.Fault{{transients[5], transients[40]}} }},
+	}
+	undrained := 0
+	for _, set := range sets {
+		for _, noFF := range []bool{false, true} {
+			name := set.name
+			if noFF {
+				name += "/no-fast-forward"
+			}
+			t.Run(name, func(t *testing.T) {
+				opts := spec.Options()
+				set.setup(&opts)
+				opts.DisableFastForward = noFF
+				frontRep, front := accountedRun(t, opts)
+				opts.DisableFrontier = true
+				fullRep, full := accountedRun(t, opts)
+
+				if frontRep.FrontierRuns == 0 || fullRep.FrontierRuns != 0 {
+					t.Fatalf("frontier drove %d runs by default and %d with it disabled", frontRep.FrontierRuns, fullRep.FrontierRuns)
+				}
+				for i := range front {
+					ra, rb := frontRep.Results[i], fullRep.Results[i]
+					// The verdict's sample reasons come out of a map walk in
+					// golden.Compare: same set, any order, on either engine.
+					ra.Verdict.Reasons, rb.Verdict.Reasons = nil, nil
+					if !reflect.DeepEqual(ra, rb) {
+						t.Errorf("run %d: results differ\n frontier %+v\n full     %+v", i, ra, rb)
+					}
+					if !ra.Drained {
+						undrained++
+					}
+					a, b := front[i], full[i]
+					if a.exit != b.exit {
+						t.Errorf("run %d: exit %v under the frontier, %v full-mesh", i, a.exit, b.exit)
+						continue
+					}
+					if a.exit == ExitReconverged {
+						a.simulated, a.synthesized = a.simulated+a.synthesized, 0
+						b.simulated, b.synthesized = b.simulated+b.synthesized, 0
+					}
+					if a != b {
+						t.Errorf("run %d (%v): %d cycles stepped + %d synthesized under the frontier, %d + %d full-mesh",
+							i, a.exit, a.simulated, a.synthesized, b.simulated, b.synthesized)
+					}
+				}
+				if frontRep.FastPathHits != fullRep.FastPathHits || frontRep.ReconvergedHits != fullRep.ReconvergedHits {
+					t.Errorf("fast-path/reconverged hits %d/%d under the frontier, %d/%d full-mesh",
+						frontRep.FastPathHits, frontRep.ReconvergedHits, fullRep.FastPathHits, fullRep.ReconvergedHits)
+				}
+				if frontRep.ReconvergedHits == 0 && (frontRep.SimulatedCycles != fullRep.SimulatedCycles ||
+					frontRep.SynthesizedCycles != fullRep.SynthesizedCycles) {
+					t.Errorf("report counts %d cycles stepped + %d synthesized under the frontier, %d + %d full-mesh",
+						frontRep.SimulatedCycles, frontRep.SynthesizedCycles, fullRep.SimulatedCycles, fullRep.SynthesizedCycles)
+				}
+			})
+		}
+	}
+	if !t.Failed() && undrained == 0 {
+		t.Error("no run failed to drain: the frontier was never carried to a drain deadline")
 	}
 }

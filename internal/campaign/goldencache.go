@@ -29,8 +29,9 @@ type Golden struct {
 	key    goldenKey
 	groups map[int64]*groupCtx
 	ring   *snapshotRing
-	// timelineBytes is the estimated footprint of the per-window records
-	// (signal transcripts, window-end states, counter timelines).
+	// timelineBytes is the estimated footprint of the per-run records
+	// (signal transcripts through the golden drain, window-end states,
+	// counter timelines).
 	timelineBytes int64
 	// logBytes is the estimated footprint of the golden reference logs,
 	// which no report field carries.

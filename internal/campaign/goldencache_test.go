@@ -291,7 +291,9 @@ func TestGoldenKeyRefusesPointers(t *testing.T) {
 	if n := o.GoldenCache.size(); n != 0 {
 		t.Errorf("the cache kept %d bytes of an artefact it cannot name", n)
 	}
-	if !reflect.DeepEqual(first.Results, second.Results) {
+	// Reports, not Results: a verdict's sample reasons follow a map walk
+	// and differ between any two runs of one campaign.
+	if !bytes.Equal(reportBytes(t, first), reportBytes(t, second)) {
 		t.Error("the two uncached campaigns disagree")
 	}
 }
@@ -299,13 +301,18 @@ func TestGoldenKeyRefusesPointers(t *testing.T) {
 // TestGoldenArtefactReadOnly runs two two-worker campaigns off one
 // published artefact at once (the race detector watches the shared
 // template slices, snapshots and transcripts), then repeats the first:
-// an artefact nobody writes gives the same report again.
+// an artefact nobody writes gives the same report again. Every third
+// fault is permanent, so a good share of the runs never reconverge and
+// read the transcript's drain half and the cycles past its end.
 func TestGoldenArtefactReadOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
 	cache := NewGoldenCache()
 	all := obsOpts(48)
+	for i := 0; i < len(all.Faults); i += 3 {
+		all.Faults[i].Type = fault.Permanent
+	}
 	slice := func(lo, hi int) Options {
 		o := all
 		o.Faults = all.Faults[lo:hi]

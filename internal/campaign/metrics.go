@@ -79,12 +79,12 @@ const (
 	MetricFrontierRuns  = "campaign_frontier_runs_total"
 	MetricFrontierJoins = "campaign_frontier_joins_total"
 	// MetricFrontierRouters is the histogram of per-run peak frontier
-	// sizes (routers) — the measured cone of influence. Only
-	// frontier-driven runs feed it.
+	// sizes (routers) over the whole run — the measured cone of
+	// influence. Only frontier-driven runs feed it.
 	MetricFrontierRouters = "campaign_frontier_routers"
 	// MetricTimelineBytes is a gauge holding the estimated memory
-	// footprint of the golden signal transcripts (and window-end
-	// states) backing the frontier engine.
+	// footprint of the golden signal transcripts (window and drain)
+	// backing the frontier engine.
 	MetricTimelineBytes = "campaign_timeline_bytes"
 	// MetricGoldenCacheHits / Misses / Waits count campaigns by how they
 	// came by their golden artefact: found built in the GoldenCache,

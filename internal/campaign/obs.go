@@ -3,6 +3,7 @@ package campaign
 import (
 	"nocalert/internal/core"
 	"nocalert/internal/obs"
+	"nocalert/internal/sim"
 )
 
 // runObs bundles the observability context one run threads through
@@ -14,15 +15,32 @@ type runObs struct {
 	span *obs.Span
 	fr   *obs.FlightRecorder
 	idx  int // run index in FaultGroups; -1 for the golden template run
+	// frontier is the run's divergence frontier, once it has one: every
+	// phase span opened from then on carries its membership.
+	frontier *sim.Frontier
 }
 
 // phase opens a phase span under the run span (nil when the run span
-// is nil, so phases inherit the run's sampling decision).
+// is nil, so phases inherit the run's sampling decision). On a
+// frontier-driven run it is stamped with the frontier's membership at
+// phase start.
 func (ro *runObs) phase(name string) *obs.Span {
 	if ro == nil {
 		return nil
 	}
-	return ro.span.Child("phase", name)
+	sp := ro.span.Child("phase", name)
+	if ro.frontier != nil {
+		sp.SetAttr("frontier_routers", ro.frontier.Size())
+	}
+	return sp
+}
+
+// setFrontier notes the run's divergence frontier for the phase spans
+// opened from here on.
+func (ro *runObs) setFrontier(fr *sim.Frontier) {
+	if ro != nil {
+		ro.frontier = fr
+	}
 }
 
 // event records one flight-recorder entry stamped with the run index.

@@ -168,6 +168,27 @@ func TestSpanStreamGolden4x4(t *testing.T) {
 			t.Errorf("forked run %s has no warm-start phase", id)
 		}
 	}
+	// The frontier carries a run to its end, so the drain and horizon
+	// phases say how many routers it was stepping when they began, and the
+	// run's peak, taken when the run ends, bounds them.
+	stamped := 0
+	for _, s := range spans {
+		if s.Kind != "phase" || (s.Name != "drain" && s.Name != "horizon") {
+			continue
+		}
+		peak, ok := runSpans[s.ParentID].Int("frontier_peak_routers")
+		if !ok {
+			t.Errorf("%s phase %s: run span has no frontier_peak_routers", s.Name, s.SpanID)
+			continue
+		}
+		if size, ok := s.Int("frontier_routers"); !ok || size > peak {
+			t.Errorf("%s phase %s: frontier_routers = %d (present %t), run peak %d", s.Name, s.SpanID, size, ok, peak)
+		}
+		stamped++
+	}
+	if stamped == 0 {
+		t.Error("no drain or horizon phase in the stream")
+	}
 	if exitCounts["fastpath"] != traced.FastPathHits {
 		t.Errorf("fastpath spans %d != report hits %d", exitCounts["fastpath"], traced.FastPathHits)
 	}

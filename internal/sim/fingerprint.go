@@ -71,12 +71,17 @@ func (n *Network) StaticFingerprint() uint64 {
 	return n.foldBody(statehash.Seed)
 }
 
-func (n *Network) foldBody(h uint64) uint64 {
+// foldCounters folds the network-level scalars the next Step reads.
+func (n *Network) foldCounters(h uint64) uint64 {
 	h = statehash.Fold(h, n.nextPkt)
 	h = statehash.FoldBool(h, n.injecting)
 	h = statehash.Fold(h, uint64(n.flitsInjected))
 	h = statehash.Fold(h, uint64(n.flitsEjected))
-	h = statehash.Fold(h, uint64(n.pktsOffered))
+	return statehash.Fold(h, uint64(n.pktsOffered))
+}
+
+func (n *Network) foldBody(h uint64) uint64 {
+	h = n.foldCounters(h)
 	for _, r := range n.routers {
 		h = r.FoldState(h)
 	}

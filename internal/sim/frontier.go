@@ -6,6 +6,7 @@ import (
 
 	"nocalert/internal/flit"
 	"nocalert/internal/router"
+	"nocalert/internal/statehash"
 	"nocalert/internal/topology"
 )
 
@@ -32,6 +33,15 @@ import (
 // a frontier that shrinks to empty with a clean ejection history IS
 // reconvergence — the unification with the campaign's fingerprint
 // timeline probe.
+//
+// The frontier carries a run for as long as the transcript does: through
+// the post-injection window, and — over a transcript recorded on through
+// the golden drain until it settled — through the faulty run's own drain
+// and ForEVeR horizon, however much longer than golden's they are. Quiet
+// and StaticFingerprint answer for the whole network what the campaign's
+// drain and fast-forward loops ask of a full simulation. The run's
+// injection phase must be the transcript's: both stop injecting on the
+// same cycle.
 //
 // Everything observable stays exact: monitors are fed the merged event
 // stream (live events from members, recorded events from clean nodes),
@@ -86,7 +96,7 @@ type pendCred struct {
 // NewFrontier builds a frontier over n seeded with the given node ids
 // (the fault sites). n must stand at the transcript's start boundary —
 // the state every node's validAt is pinned to — and rec must be the
-// golden transcript of the window about to be stepped.
+// golden transcript of the cycles about to be stepped.
 func NewFrontier(n *Network, rec *Recording, seeds []int) *Frontier {
 	if n.cycle != rec.start {
 		panic(fmt.Sprintf("sim: frontier fork at cycle %d does not match transcript start %d", n.cycle, rec.start))
@@ -141,6 +151,9 @@ func (f *Frontier) Step() {
 	t := n.cycle
 	if !f.rec.covers(t) {
 		panic(fmt.Sprintf("sim: frontier stepped to cycle %d outside transcript [%d,%d)", t, f.rec.start, f.rec.start+int64(f.rec.Cycles())))
+	}
+	if n.injecting != (t < f.rec.injectEnd) {
+		panic(fmt.Sprintf("sim: frontier at cycle %d has injection on=%t, the transcript stopped injecting at cycle %d", t, n.injecting, f.rec.injectEnd))
 	}
 	copy(f.wasMember, f.inF)
 	members := f.members[:0]
@@ -485,11 +498,12 @@ func (f *Frontier) retire(t int64) {
 	if f.size == 0 || !n.FaultsQuiescent() {
 		return
 	}
+	golden := f.rec.foldRow(t)
 	for _, id := range f.members {
 		if !f.inF[id] {
 			continue
 		}
-		if n.nodeFold(id) == f.rec.foldAt(t, id) {
+		if n.nodeFold(id) == golden[id] {
 			f.inF[id] = false
 			f.validAt[id] = t + 1
 			f.size--
@@ -499,7 +513,9 @@ func (f *Frontier) retire(t int64) {
 
 // replayNode materializes node id's live state at boundary through+1 by
 // replaying cycles [validAt, through] with golden inputs from the
-// transcript. The node's own Local traffic loops back live; its
+// transcript, drawing its traffic RNG on exactly the cycles golden was
+// injecting (a node that joins during the drain may have been valid since
+// the window). The node's own Local traffic loops back live; its
 // emissions toward neighbors are discarded (their effects are already
 // baked into the records the neighbors consumed); monitors see nothing
 // (every observable event of these cycles was already announced from
@@ -511,7 +527,7 @@ func (f *Frontier) replayNode(id int, through int64) {
 	ni := n.nis[id]
 	r := n.routers[id]
 	for s := f.validAt[id]; s <= through; s++ {
-		if n.injecting && n.pktProb > 0 && ni.gen.Bernoulli(n.pktProb) {
+		if s < f.rec.injectEnd && n.pktProb > 0 && ni.gen.Bernoulli(n.pktProb) {
 			class := n.pickClass(ni.gen)
 			dest := n.cfg.Pattern.Dest(n.mesh, id, ni.gen)
 			payload := ni.gen.Uint64()
@@ -603,13 +619,61 @@ func (f *Frontier) genIDFor(s int64, node int) uint64 {
 	panic(fmt.Sprintf("sim: replay of node %d drew a generation at cycle %d with no golden record", node, s))
 }
 
+// Quiet is Network.Quiet for the run the frontier stands for: the fabric
+// is empty by the live counters, every member's NI is idle, and golden
+// recorded every other NI idle at this boundary. At least one cycle must
+// have been stepped (the rows are per stepped cycle).
+func (f *Frontier) Quiet() bool {
+	n := f.n
+	if n.InFlight() > 0 {
+		return false
+	}
+	for i, w := range f.rec.busyRow(n.cycle - 1) {
+		for ; w != 0; w &= w - 1 {
+			if !f.inF[i*64+bits.TrailingZeros64(w)] {
+				return false
+			}
+		}
+	}
+	for id, m := range f.inF {
+		if m && n.nis[id].busy() {
+			return false
+		}
+	}
+	return true
+}
+
+// StaticFingerprint stands in for Network.StaticFingerprint: two
+// consecutive boundaries agree iff no mutable state of the run changed
+// across the step. It folds the live counters and one state fold per
+// node — a member's live one, anyone else's as golden recorded it at this
+// boundary, which by the frontier invariant is the fold of the state a
+// full simulation would hold there. A node that joins or retires between
+// the two boundaries changes where its fold is read from, not its value.
+// (Network.StaticFingerprint on a frontier's network would hash the
+// stale, constant state of the nodes outside it and freeze falsely.)
+// Like Quiet it needs one stepped cycle.
+func (f *Frontier) StaticFingerprint() uint64 {
+	n := f.n
+	h := n.foldCounters(statehash.Seed)
+	for id, fold := range f.rec.foldRow(n.cycle - 1) {
+		if f.inF[id] {
+			fold = n.nodeFold(id)
+		}
+		h = statehash.Fold(h, fold)
+	}
+	return h
+}
+
 // MaterializeAll restores every non-member node to full live state by
-// cloning it from wend, the golden network at the window-end boundary —
-// legal because a clean node's state and inputs are golden's by the
-// frontier invariant. Members keep their live (divergent) state; the
-// network-level counters were maintained cycle by cycle and are not
-// touched. After this the network is an ordinary full simulation again
-// (the campaign's drain and horizon phases step it normally).
+// cloning it from wend, the golden network at the frontier's current
+// boundary — legal because a clean node's state and inputs are golden's
+// by the frontier invariant. Members keep their live (divergent) state;
+// the network-level counters were maintained cycle by cycle and are not
+// touched. After this the network is an ordinary full simulation again.
+// Campaign runs never need it (the frontier carries them to the end);
+// it is how tests and probes turn a frontier run back into a network they
+// can fingerprint.
 func (f *Frontier) MaterializeAll(wend *Network) {
 	n := f.n
 	if wend.cycle != n.cycle {

@@ -14,8 +14,11 @@ import (
 // engine. It builds a golden network, runs it to the fork boundary,
 // forks two faulty copies under clones of the same plane — one stepped
 // as a full simulation, one driven by a Frontier over the golden
-// transcript — then records the golden window and steps both faulty
-// runs in lockstep. At every cycle boundary:
+// transcript — then records the golden window and, injection off, the
+// golden drain until the network settles, and steps both faulty runs in
+// lockstep through the whole shape of a campaign run: the window, the
+// drain to the reference run's quiet or frozen boundary, and horizon
+// cycles past it. At every cycle boundary:
 //
 //   - a frontier member's per-node state fold must equal the reference
 //     run's fold for the same node (the member is simulating live, so
@@ -25,11 +28,21 @@ import (
 //     frontier never misses a divergence, which is the whole soundness
 //     claim;
 //
-// plus the global counters must match. At window end the frontier run
-// is materialized from the golden window-end state and must reach full
-// fingerprint and ejection-log identity with the reference run.
-func frontierLockstep(t *testing.T, w, h int, rate float64, seed uint64, plane *fault.Plane, fork, window int64) {
+// plus the global counters must match, and once injection is off the
+// frontier must answer Quiet as the reference does and its static
+// fingerprint must hold still across a step exactly when the
+// reference's does (the fast-forward probe's freeze condition). At the
+// end the frontier run is materialized from the golden state of that
+// boundary and must reach full fingerprint and ejection-log identity
+// with the reference run. It returns how many nodes joined the frontier
+// after the window end, the joins that replay a node across the end of
+// injection.
+func frontierLockstep(t *testing.T, w, h int, rate float64, seed uint64, plane *fault.Plane, fork, window int64) (lateJoins int64) {
 	t.Helper()
+	const (
+		drainCap = 3000 // a run neither quiet nor frozen by then is livelocked
+		horizon  = 150  // cycles stepped past the drain boundary
+	)
 	cfg := Config{Router: router.Default(topology.NewMesh(w, h)), InjectionRate: rate, Seed: seed}
 	gold := MustNew(cfg, nil)
 	for gold.Cycle() < fork {
@@ -42,8 +55,11 @@ func frontierLockstep(t *testing.T, w, h int, rate float64, seed uint64, plane *
 	for i := int64(0); i < window; i++ {
 		gold.Step()
 	}
-	rec := gold.StopRecording()
-	wend := gold.CloneInto(nil, nil)
+	gold.StopInjection()
+	rec := gold.SettleRecording(fork + window + drainCap)
+	if rec == nil {
+		t.Fatal("fault-free golden run did not settle")
+	}
 
 	var seeds []int
 	for _, ft := range plane.Faults() {
@@ -51,16 +67,18 @@ func frontierLockstep(t *testing.T, w, h int, rate float64, seed uint64, plane *
 	}
 	fr := NewFrontier(fn, rec, seeds)
 
-	for i := int64(0); i < window; i++ {
+	var refFP, frFP uint64
+	step := func() {
 		ref.Step()
 		fr.Step()
-		tb := fork + i // the cycle just stepped
+		tb := ref.Cycle() - 1 // the cycle just stepped
+		golden := rec.foldRow(tb)
 		for id := range fn.routers {
 			if fr.inF[id] {
 				if got, want := fn.nodeFold(id), ref.nodeFold(id); got != want {
 					t.Fatalf("cycle %d node %d: frontier member diverged from reference (%#x vs %#x)", tb, id, got, want)
 				}
-			} else if got, want := ref.nodeFold(id), rec.foldAt(tb, id); got != want {
+			} else if got, want := ref.nodeFold(id), golden[id]; got != want {
 				t.Fatalf("cycle %d node %d: reference diverged from golden outside the frontier (%#x vs %#x) — missed join", tb, id, got, want)
 			}
 		}
@@ -70,37 +88,71 @@ func frontierLockstep(t *testing.T, w, h int, rate float64, seed uint64, plane *
 				fn.FlitsInjected(), ref.FlitsInjected(), fn.FlitsEjected(), ref.FlitsEjected(),
 				fn.NextPacketID(), ref.NextPacketID())
 		}
+		if fr.Quiet() != ref.Quiet() {
+			t.Fatalf("cycle %d: frontier Quiet() = %t, reference %t", tb, fr.Quiet(), ref.Quiet())
+		}
+		r, f := ref.StaticFingerprint(), fr.StaticFingerprint()
+		if tb > fork && (r == refFP) != (f == frFP) {
+			t.Fatalf("cycle %d: reference state held still across the step = %t, frontier's static fingerprint says %t", tb, r == refFP, f == frFP)
+		}
+		refFP, frFP = r, f
 	}
 
-	fr.MaterializeAll(wend)
+	for i := int64(0); i < window; i++ {
+		step()
+	}
+	windowJoins := fr.Joins()
+	ref.StopInjection()
+	fn.StopInjection()
+	for still := false; !ref.Quiet() && !still && ref.Cycle() < fork+window+drainCap; {
+		before := refFP
+		step()
+		still = refFP == before
+	}
+	// Past the drain boundary, and at least as far as golden itself went:
+	// the materialization below needs golden's state at the final cycle.
+	for end := max(ref.Cycle()+horizon, gold.Cycle()); ref.Cycle() < end; {
+		step()
+	}
+
+	for gold.Cycle() < ref.Cycle() {
+		gold.Step()
+	}
+	fr.MaterializeAll(gold)
 	if got, want := fn.Fingerprint(), ref.Fingerprint(); got != want {
 		t.Fatalf("after materialization: fingerprints differ (%#x vs %#x), frontier peak %d", got, want, fr.Peak())
 	}
 	if !ejectionsEqual(fn.Ejections(), ref.Ejections()) {
 		t.Fatal("frontier and reference runs produced different ejection logs")
 	}
+	return fr.Joins() - windowJoins
 }
 
 // TestFrontierLockstepUnderFaults pins the frontier engine against the
-// full simulation under a fixed injected fault plane on both mesh
+// full simulation under a fixed injected fault plane on all three mesh
 // sizes, with the fault window opening shortly after the fork.
 func TestFrontierLockstepUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lockstep differential test in -short mode")
 	}
+	var lateJoins int64
 	for _, tc := range []struct {
 		w, h int
 		rate float64
 	}{
 		{4, 4, 0.12},
 		{8, 8, 0.05},
+		{16, 16, 0.02},
 	} {
 		t.Run(fmt.Sprintf("%dx%d", tc.w, tc.h), func(t *testing.T) {
 			p := fault.Params{Mesh: topology.NewMesh(tc.w, tc.h), VCs: 4, BufDepth: router.Default(topology.NewMesh(tc.w, tc.h)).BufDepth}
 			g := rng.New(7, 1)
 			plane := samplePlane(p, g, 8, 130)
-			frontierLockstep(t, tc.w, tc.h, tc.rate, 3, plane, 120, 400)
+			lateJoins += frontierLockstep(t, tc.w, tc.h, tc.rate, 3, plane, 120, 400)
 		})
+	}
+	if !t.Failed() && lateJoins == 0 {
+		t.Fatal("no node joined a frontier after the window end: the replay across the end of injection went unexercised")
 	}
 }
 
@@ -117,12 +169,16 @@ func TestFrontierLockstepRandomPlanes(t *testing.T) {
 	}
 	p := fault.Params{Mesh: topology.NewMesh(4, 4), VCs: 4, BufDepth: router.Default(topology.NewMesh(4, 4)).BufDepth}
 	iters := 12
+	var lateJoins int64
 	for it := 0; it < iters; it++ {
 		it := it
 		t.Run(fmt.Sprintf("plane%02d", it), func(t *testing.T) {
 			g := rng.New(uint64(300+it), 9)
 			plane := samplePlane(p, g, 3+it%4, 45)
-			frontierLockstep(t, 4, 4, 0.15, uint64(it)+11, plane, 40, 250)
+			lateJoins += frontierLockstep(t, 4, 4, 0.15, uint64(it)+11, plane, 40, 250)
 		})
+	}
+	if !t.Failed() && lateJoins == 0 {
+		t.Fatal("no node joined a frontier after the window end: the replay across the end of injection went unexercised")
 	}
 }

@@ -419,7 +419,7 @@ func (n *Network) Drain(deadline int64) bool {
 
 func (n *Network) allNIsIdle() bool {
 	for _, ni := range n.nis {
-		if len(ni.queue) > 0 || len(ni.cur) > 0 || len(ni.inbox) > 0 {
+		if ni.busy() {
 			return false
 		}
 	}

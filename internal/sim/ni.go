@@ -80,6 +80,10 @@ func (ni *NI) QueueLen() int { return len(ni.queue) }
 // Streaming reports whether a packet is mid-injection.
 func (ni *NI) Streaming() bool { return len(ni.cur) > 0 }
 
+// busy reports whether the NI holds work Quiet must wait for: a queued
+// packet, a packet mid-injection or an arrival not yet ejected.
+func (ni *NI) busy() bool { return len(ni.queue) > 0 || len(ni.cur) > 0 || len(ni.inbox) > 0 }
+
 // enqueue accepts a packet for injection.
 func (ni *NI) enqueue(p *flit.Packet) { ni.queue = append(ni.queue, p) }
 

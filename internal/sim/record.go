@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math"
+	"slices"
+
 	"nocalert/internal/flit"
 	"nocalert/internal/statehash"
 )
@@ -9,13 +12,23 @@ import (
 // everything that crosses a boundary between two nodes of the fault-free
 // golden continuation — packet generations, flits and credits on every
 // inter-router link, NI send strobes, ejections — plus one per-node
-// state fold per cycle boundary. A forked faulty run's divergence
-// frontier (see frontier.go) consumes this transcript to stand in for
-// every router it is not simulating: clean nodes' outbound signals are
-// replayed from the record, a frontier member's outbound signals are
-// compared against it to detect divergence spreading, and the per-node
-// folds are what lets a member retire the moment its state returns to
-// golden's.
+// state fold and one busy-NI bit per node per cycle boundary. A forked
+// faulty run's divergence frontier (see frontier.go) consumes this
+// transcript to stand in for every router it is not simulating: clean
+// nodes' outbound signals are replayed from the record, a frontier
+// member's outbound signals are compared against it to detect divergence
+// spreading, the per-node folds are what lets a member retire the moment
+// its state returns to golden's, and the busy bits answer Quiet for the
+// NIs the frontier does not own.
+//
+// A transcript that runs on through the golden drain until the network
+// has settled — injection off, a cycle with no signal at all across which
+// no node's fold changed — covers every later cycle too: such a network
+// is a fixed point (every stamped queue carries at most one cycle of
+// lookahead, the argument StaticFingerprint rests on), so its future is
+// empty event segments and the last fold and busy rows, for ever. Those
+// cycles are never stored; seg, foldRow and busyRow answer them from the
+// last recorded one.
 //
 // The record is value-based throughout (flit values, not pointers), so
 // replaying it cannot alias the golden network's state, and it covers
@@ -60,12 +73,20 @@ type recEject struct {
 }
 
 // Recording is the golden signal transcript for a contiguous cycle
-// range [start, start+cycles). Event storage is flat, indexed by
-// per-cycle prefix offsets, so an 800-cycle window costs a handful of
-// slice headers rather than thousands of small allocations.
+// range [start, start+cycles), unbounded above once settled. Event
+// storage is flat, indexed by per-cycle prefix offsets, so an 800-cycle
+// window costs a handful of slice headers rather than thousands of small
+// allocations.
 type Recording struct {
 	start int64
 	nodes int
+	// injectEnd is the first recorded cycle stepped with injection off
+	// (math.MaxInt64 while there is none): a node replayed across it must
+	// draw its traffic RNG for the cycles before it and only those.
+	injectEnd int64
+	// settled reports that the last recorded cycle left the network a
+	// fixed point, which makes every later cycle a recorded one.
+	settled bool
 
 	gens    []recGen
 	links   []recLink
@@ -75,19 +96,27 @@ type Recording struct {
 	// folds holds nodes per-node state folds per recorded cycle: entry
 	// c*nodes+i is node i's fold at the boundary ending cycle start+c.
 	folds []uint64
+	// busy holds one bit per node per recorded cycle, busyWords() words a
+	// cycle: set when the node's NI holds a queued packet, a streaming
+	// flit or an unprocessed arrival at that boundary (NI.busy).
+	busy []uint64
+	// idle is closeCycle's memory of the previous boundary: which nodes
+	// were wholly idle there with injection off.
+	idle []bool
 
 	// prefix offsets, one entry per closed cycle plus the open tail.
 	genIdx, linkIdx, credIdx, sendIdx, ejectIdx []int32
 }
 
 func newRecording(start int64, nodes, cycles int) *Recording {
-	r := &Recording{start: start, nodes: nodes}
+	r := &Recording{start: start, nodes: nodes, injectEnd: math.MaxInt64, idle: make([]bool, nodes)}
 	r.genIdx = append(make([]int32, 0, cycles+1), 0)
 	r.linkIdx = append(make([]int32, 0, cycles+1), 0)
 	r.credIdx = append(make([]int32, 0, cycles+1), 0)
 	r.sendIdx = append(make([]int32, 0, cycles+1), 0)
 	r.ejectIdx = append(make([]int32, 0, cycles+1), 0)
 	r.folds = make([]uint64, 0, cycles*nodes)
+	r.busy = make([]uint64, 0, cycles*r.busyWords())
 	return r
 }
 
@@ -99,21 +128,41 @@ func (rc *Recording) Start() int64 { return rc.start }
 
 // covers reports whether cycle t is inside the recorded range.
 func (rc *Recording) covers(t int64) bool {
-	return t >= rc.start && t < rc.start+int64(rc.Cycles())
+	return t >= rc.start && (rc.settled || t < rc.start+int64(rc.Cycles()))
 }
 
 // seg returns the [lo,hi) event range of cycle t in the given prefix
-// index. t must be a recorded cycle.
+// index: empty past the stored cycles of a settled transcript. t must be
+// a covered cycle.
 func (rc *Recording) seg(idx []int32, t int64) (int, int) {
 	c := int(t - rc.start)
+	if c >= rc.Cycles() {
+		return 0, 0
+	}
 	return int(idx[c]), int(idx[c+1])
 }
 
-// foldAt returns node i's recorded state fold at the boundary that ends
-// cycle t.
-func (rc *Recording) foldAt(t int64, i int) uint64 {
-	return rc.folds[int(t-rc.start)*rc.nodes+i]
+// row returns the stored cycle whose boundary rows stand for the
+// boundary that ends cycle t: t itself, or the last one past the end of
+// a settled transcript.
+func (rc *Recording) row(t int64) int {
+	return min(int(t-rc.start), rc.Cycles()-1)
 }
+
+// foldRow returns every node's recorded state fold at the boundary that
+// ends cycle t.
+func (rc *Recording) foldRow(t int64) []uint64 {
+	c := rc.row(t)
+	return rc.folds[c*rc.nodes : (c+1)*rc.nodes]
+}
+
+// busyRow returns the busy-NI bits at the boundary that ends cycle t.
+func (rc *Recording) busyRow(t int64) []uint64 {
+	c, w := rc.row(t), rc.busyWords()
+	return rc.busy[c*w : (c+1)*w]
+}
+
+func (rc *Recording) busyWords() int { return (rc.nodes + 63) / 64 }
 
 // recordGen appends a generation event for the open cycle.
 func (rc *Recording) recordGen(node int, p *flit.Packet) {
@@ -158,12 +207,43 @@ func (rc *Recording) recordEject(node int, f *flit.Flit) {
 	rc.ejects = append(rc.ejects, recEject{node: int32(node), flit: *f})
 }
 
-// closeCycle seals the open cycle: folds every node's state at the
-// just-completed boundary and freezes the event ranges.
+// closeCycle seals the open cycle: folds every node's state and notes
+// its NI's busy bit at the just-completed boundary, freezes the event
+// ranges and decides whether the network has settled.
+//
+// With injection off a node that was wholly idle at the previous boundary
+// — router inert, nothing staged, NI empty — and is wholly idle now cannot
+// have changed: its router had nothing to do, its NI had nothing to do and
+// no RNG to draw, and anything a neighbour staged into it would show now.
+// Its fold is copied forward instead of recomputed, which is most of the
+// mesh on most drain cycles. Inside the injection window every NI's
+// traffic RNG advances every cycle and every fold is computed.
 func (rc *Recording) closeCycle(n *Network) {
-	for i := range n.routers {
-		rc.folds = append(rc.folds, n.nodeFold(i))
+	c := rc.Cycles()
+	still := !n.injecting && !n.plane.LiveAt(n.cycle-1)
+	for i, r := range n.routers {
+		idle := still && r.Inert() && !n.nis[i].busy() && len(n.nis[i].credits) == 0
+		if idle && rc.idle[i] {
+			rc.folds = append(rc.folds, rc.folds[(c-1)*rc.nodes+i])
+		} else {
+			rc.folds = append(rc.folds, n.nodeFold(i))
+		}
+		rc.idle[i] = idle
 	}
+	w := rc.busyWords()
+	rc.busy = append(rc.busy, make([]uint64, w)...)
+	for i, ni := range n.nis {
+		if ni.busy() {
+			rc.busy[c*w+i/64] |= 1 << uint(i%64)
+		}
+	}
+	if !n.injecting && rc.injectEnd == math.MaxInt64 {
+		rc.injectEnd = n.cycle - 1
+	}
+	rc.settled = !n.injecting && c > 0 &&
+		len(rc.links) == int(rc.linkIdx[c]) && len(rc.credits) == int(rc.credIdx[c]) &&
+		len(rc.sends) == int(rc.sendIdx[c]) && len(rc.ejects) == int(rc.ejectIdx[c]) &&
+		slices.Equal(rc.folds[c*rc.nodes:], rc.folds[(c-1)*rc.nodes:c*rc.nodes])
 	rc.genIdx = append(rc.genIdx, int32(len(rc.gens)))
 	rc.linkIdx = append(rc.linkIdx, int32(len(rc.links)))
 	rc.credIdx = append(rc.credIdx, int32(len(rc.credits)))
@@ -172,9 +252,9 @@ func (rc *Recording) closeCycle(n *Network) {
 }
 
 // ApproxFootprintBytes estimates the memory the transcript retains:
-// flat event storage at capacity plus the prefix indices and the
-// per-node fold table. Like Network.ApproxFootprintBytes it is a
-// deterministic accounting estimate, not a heap measurement.
+// flat event storage at capacity plus the prefix indices, the per-node
+// fold table and the busy-NI bits. Like Network.ApproxFootprintBytes it
+// is a deterministic accounting estimate, not a heap measurement.
 func (rc *Recording) ApproxFootprintBytes() int64 {
 	if rc == nil {
 		return 0
@@ -190,7 +270,7 @@ func (rc *Recording) ApproxFootprintBytes() int64 {
 		int64(cap(rc.credits))*credBytes +
 		int64(cap(rc.sends))*4 +
 		int64(cap(rc.ejects))*ejectBytes +
-		int64(cap(rc.folds))*8
+		int64(cap(rc.folds)+cap(rc.busy))*8
 	b += int64(cap(rc.genIdx)+cap(rc.linkIdx)+cap(rc.credIdx)+cap(rc.sendIdx)+cap(rc.ejectIdx)) * 4
 	return b
 }
@@ -213,6 +293,23 @@ func (n *Network) nodeFold(i int) uint64 {
 // forks.
 func (n *Network) StartRecording(cycles int) {
 	n.rec = newRecording(n.cycle, len(n.routers), cycles)
+}
+
+// SettleRecording steps the network, injection off, until the attached
+// transcript has settled — its last cycle left the network a fixed
+// point: no signal anywhere, no node's fold changed — or the cycle
+// reaches limit, and detaches it. A settled transcript covers every
+// later cycle as well (see the top of this file) and is returned; one
+// that did not settle in time is of no use past its last cycle, and nil
+// is.
+func (n *Network) SettleRecording(limit int64) *Recording {
+	for !n.rec.settled && n.cycle < limit {
+		n.Step()
+	}
+	if rec := n.StopRecording(); rec.settled {
+		return rec
+	}
+	return nil
 }
 
 // StopRecording detaches and returns the transcript (nil if none was
