@@ -14,7 +14,7 @@ GOLDEN_FLAGS = -mesh 4x4 -vcs 4 -rate 0.12 -seed 3 -inject 300 -post 400 \
 # merge — add tests instead.
 COVER_FLOOR = 85.0
 
-.PHONY: all build fmt vet lint test race cover e2e bench benchcheck benchdelta benchfleet ci golden shardcheck soa-identity frontier-identity build386
+.PHONY: all build fmt vet lint test race cover e2e bench benchcheck benchdelta benchfleet ci golden shardcheck soa-identity frontier-identity fuzz-smoke build386
 
 all: ci
 
@@ -227,6 +227,14 @@ frontier-identity:
 	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -json .frontid/16x16-frontier.json; \
 	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -no-frontier -json .frontid/16x16-full.json; \
 	cmp .frontid/16x16-frontier.json .frontid/16x16-full.json
+
+# fuzz-smoke lets the fuzzer search on for 30 s from the seed corpus of
+# FuzzFrontierLockstep (which plain `go test` already runs): meshes up
+# to 6×6, VC counts, rates, routing algorithms and faults of its choosing,
+# the frontier held to the full simulation cycle by cycle. A failing input
+# is written under internal/sim/testdata/fuzz/ — commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzFrontierLockstep -fuzztime 30s ./internal/sim
 
 # build386 is a build-only cross-compile of the whole module for a
 # 32-bit target: the SoA state uses explicitly sized element types

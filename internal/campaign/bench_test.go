@@ -1,0 +1,48 @@
+package campaign
+
+import (
+	"fmt"
+	"testing"
+)
+
+// BenchmarkFrontierCampaign times the marginal cost of a frontier-driven
+// run on the two meshes the repository benchmark's cone workloads use
+// (w8x8_marginal, w16x16_drain), one worker, the golden artefact built
+// once outside the timer. It is the cmd-free way to read profile shares:
+//
+//	go test -run '^$' -bench FrontierCampaign/8x8 -benchtime 4x \
+//	    -cpuprofile cpu.out ./internal/campaign
+func BenchmarkFrontierCampaign(b *testing.B) {
+	for _, bc := range []struct {
+		w, h   int
+		rate   float64
+		faults int
+	}{
+		{8, 8, 0.05, 512},
+		{16, 16, 0.02, 256},
+	} {
+		b.Run(fmt.Sprintf("%dx%d", bc.w, bc.h), func(b *testing.B) {
+			spec := Golden8x8Spec()
+			spec.MeshW, spec.MeshH, spec.InjectionRate, spec.NumFaults = bc.w, bc.h, bc.rate, bc.faults
+			opts := spec.Options()
+			opts.Faults = spec.Universe()
+			opts.Workers = 1
+			opts.GoldenCache = NewGoldenCache()
+			if _, err := Run(opts); err != nil { // builds and caches the golden artefact
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := Run(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.FrontierRuns == 0 {
+					b.Fatal("no run was driven by the frontier")
+				}
+			}
+			b.ReportMetric(float64(b.N*bc.faults)/b.Elapsed().Seconds(), "faults/s")
+		})
+	}
+}

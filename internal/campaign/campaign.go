@@ -365,12 +365,16 @@ type Report struct {
 }
 
 // worker holds the per-worker reusable state: a CloneInto target
-// network (with its flit arena) and a golden.Log for indexing faulty
-// ejections. Reusing these turns the per-fault allocation storm into a
-// once-per-worker cost.
+// network (with its flit arena), a golden.Log for indexing a full-mesh
+// run's ejections, and for frontier-driven runs the frontier itself and
+// the scratch its delta verdict is computed in. Reusing these turns the
+// per-fault allocation storm into a once-per-worker cost.
 type worker struct {
-	net  *sim.Network
-	flog *golden.Log
+	net   *sim.Network
+	flog  *golden.Log
+	fr    *sim.Frontier
+	delta golden.Delta
+	seeds []int
 }
 
 // groupCtx is the per-injection-cycle golden context shared by every
@@ -642,6 +646,11 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 			// the per-cycle state and ejection hashes are not recorded.
 			cont.StartRecording(int(o.PostInjectRun))
 			observe = tl.ObserveCounters
+			// And ForEVeR's per-node record, which the monitors of
+			// frontier runs follow instead of being shown the whole mesh.
+			if fv := findForever(cont); fv != nil {
+				fv.StartHistory(c)
+			}
 		}
 		for t := int64(0); t < o.PostInjectRun; t++ {
 			cont.Step()
@@ -711,13 +720,17 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 	// monitor whose detection list stayed under its cap (so the recorded
 	// tail is complete), and — when the frontier is on — a transcript
 	// that settled (the counters-only timeline recorded beside it cannot
-	// stand in for it). All of these hold for any sanely configured
-	// campaign; if one does not, reconvergence silently disables and
-	// every fired fault takes the full path.
+	// stand in for it) and a golden monitor that ended with every counter
+	// at zero and no notification in flight (the state a node the fault
+	// never reaches is in once golden's record of it ends). All of these
+	// hold for any sanely configured campaign; if one does not,
+	// reconvergence silently disables and every fired fault takes the
+	// full path.
 	if wantReconv {
 		sound := !gc.tmpl.Detected && gc.tmpl.Drained && gc.tmpl.Verdict.OK() && (gc.rec != nil || !recording)
 		if !o.DisableForever {
-			sound = sound && gc.gfv != nil && len(gc.gfv.Detections()) < forever.DetectionCap
+			sound = sound && gc.gfv != nil && len(gc.gfv.Detections()) < forever.DetectionCap &&
+				(!recording || gc.gfv.Settled())
 		}
 		if sound {
 			gc.rc = &reconvergence{tl: tl, gfv: gc.gfv, verdict: gc.tmpl.Verdict}
@@ -770,15 +783,6 @@ type reconvergence struct {
 	gfv     *forever.Monitor
 	verdict golden.Verdict
 }
-
-// reconvBackoffCap bounds the exponential backoff between full
-// fingerprint attempts. Reconvergence is absorbing — once the faulty
-// state equals golden's it stays equal — so skipping candidate cycles
-// after a failed attempt never loses a match, it only detects it a few
-// cycles later; the backoff keeps permanently diverged runs (whose
-// cheap counters may still match) from paying a full state hash every
-// remaining cycle of the window.
-const reconvBackoffCap = 16
 
 // runOne executes one fault group's run. The run forks from the
 // nearest golden snapshot at or before its injection cycle (replaying
@@ -860,13 +864,13 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 		// still washing out, or the run diverged for good with
 		// conserved flit counts): back off before hashing again.
 		ro.event("fp_probe", n.Cycle(), "state mismatch", nil)
-		if gap < reconvBackoffCap {
+		if gap < sim.ProbeBackoffCap {
 			gap *= 2
 		}
 		nextTry = n.Cycle() + gap
 	}
 	fa.End()
-	res = finishRun(n, n, eng, fv, plane, gc, o, group, w, &st, ro)
+	res = finishRun(nil, n, eng, fv, plane, gc, o, group, w, &st, ro)
 	st.simulated = n.Cycle() - gc.snap.cycle
 	return res, ExitFull, 0, st, nil
 }
@@ -879,22 +883,34 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 // the tail — except the reconvergence probe needs no fingerprint
 // hashing: a frontier that has shrunk to empty with a clean ejection
 // history IS the state identity the PR-5 probe hashes for, so the
-// per-cycle check is a few flag and counter compares. A run still
-// divergent at window end finishes (drain, horizon, verdict) in the same
-// finishRun as a full simulation, stepped by the frontier: the transcript
-// covers golden's drain and everything after it. The exception is a run
-// whose fault is still armed at window end (permanent, intermittent): it
-// never freezes, so on the frontier its cost would follow its cone, run
-// by run and seed by seed. It materializes from the golden window-end
-// state and finishes on the full mesh, as before (ROADMAP has the item).
+// per-cycle check is a few flag and counter compares. (The frontier
+// looks at a member's state on a backoff of its own; on the window's
+// last cycle, where emptiness decides between this exit and the next,
+// it is made to look at them all.) A run still divergent at window end
+// finishes (drain, horizon, verdict) in the same finishRun as a full
+// simulation, stepped by the frontier: the transcript covers golden's
+// drain and everything after it. The exception is a run whose fault is
+// still armed at window end (permanent, intermittent): it never freezes,
+// so on the frontier its cost would follow its cone, run by run and seed
+// by seed. It materializes from the golden window-end state and finishes
+// on the full mesh, as before (ROADMAP has the item).
 func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *groupCtx, o Options, group []fault.Fault, plane *fault.Plane, w *worker, st *runStats, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, err error) {
-	seeds := make([]int, 0, len(group))
+	w.seeds = w.seeds[:0]
 	for _, ft := range group {
-		seeds = append(seeds, ft.Site.Router)
+		w.seeds = append(w.seeds, ft.Site.Router)
 	}
-	fr := sim.NewFrontier(n, gc.rec, seeds)
+	if fv != nil {
+		fv.Follow(gc.gfv)
+	}
+	if w.fr == nil {
+		w.fr = new(sim.Frontier)
+	}
+	fr := w.fr
+	fr.Reset(n, gc.rec, w.seeds)
 	st.frontier = true
-	defer func() { st.frontierPeak, st.frontierJoins = fr.Peak(), fr.Joins() }()
+	defer func() {
+		st.frontierPeak, st.frontierJoins, st.frontierProbes = fr.Peak(), fr.Joins(), fr.RetireProbes()
+	}()
 	ro.setFrontier(fr)
 	rc := gc.rc
 	fa := ro.phase("fault-armed")
@@ -908,6 +924,9 @@ func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *grou
 			st.horizon = n.Cycle()
 			fa.End()
 			return res, ExitFastPath, 0, nil
+		}
+		if t == o.PostInjectRun-1 {
+			fr.RetireAll()
 		}
 		if !n.FaultsQuiescent() || !fr.Empty() || !fr.Clean() {
 			continue
@@ -929,13 +948,13 @@ func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *grou
 			ExitReconverged, n.Cycle() - gc.cycle, nil
 	}
 	fa.End()
-	var s stepper = fr
 	if !n.FaultsQuiescent() {
 		fr.MaterializeAll(gc.wend)
 		ro.setFrontier(nil) // the frontier steps nothing from here on
-		s = n
+		res = finishRun(nil, n, eng, fv, plane, gc, o, group, w, st, ro)
+	} else {
+		res = finishRun(fr, n, eng, fv, plane, gc, o, group, w, st, ro)
 	}
-	res = finishRun(s, n, eng, fv, plane, gc, o, group, w, st, ro)
 	st.simulated = n.Cycle() - gc.snap.cycle
 	return res, ExitFull, 0, nil
 }
@@ -944,12 +963,13 @@ func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *grou
 // fingerprint: a faulty run still carrying divergent traffic almost
 // always disagrees with golden on one of these counters, so rejecting
 // on them first keeps the per-cycle reconvergence probe at a few
-// integer compares.
+// integer compares. (How many flits the run has ejected since the fork
+// is the ejection counter's to say: a frontier run's log holds only
+// what differs from golden's.)
 func countersMatch(n *sim.Network, pt *golden.TimelinePoint) bool {
 	return n.FlitsInjected() == pt.FlitsInjected &&
 		n.FlitsEjected() == pt.FlitsEjected &&
-		n.NextPacketID() == pt.NextPkt &&
-		len(n.Ejections()) == pt.Ejections
+		n.NextPacketID() == pt.NextPkt
 }
 
 // synthesizeReconverged builds the run's result at the reconvergence
@@ -1051,7 +1071,7 @@ func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runSta
 	fa := ro.phase("fault-armed")
 	n.Run(o.PostInjectRun)
 	fa.End()
-	res := finishRun(n, n, eng, fv, plane, gc, o, group, w, st, ro)
+	res := finishRun(nil, n, eng, fv, plane, gc, o, group, w, st, ro)
 	st.simulated = n.Cycle() - gc.snap.cycle
 	return res, nil
 }
@@ -1065,9 +1085,11 @@ type stepper interface {
 }
 
 // finishRun drains the network, runs out the ForEVeR horizon, and
-// classifies the run against the golden reference. s steps n — n itself
-// or a frontier over it — and n is read for everything both agree on
-// (cycle, counters, ejections, fault plane). The horizon run-out
+// classifies the run against the golden reference. fr, when not nil, is
+// the frontier that steps n and holds its ejection log as a difference
+// from golden's; n steps itself otherwise, and is read either way for
+// everything both agree on (cycle, counters, fault plane). The horizon
+// run-out
 // exists only to give ForEVeR's epoch check a chance to flag anomalies
 // after the drain, so it is skipped when no monitor is attached and the
 // drain succeeded (an undrained network still steps to the horizon: the
@@ -1083,7 +1105,11 @@ type stepper interface {
 // NoCAlert accumulators (the steady assertion pattern, replayed via
 // ffProbe.extend — a deadlocked router that keeps asserting still
 // freezes, it just fast-forwards its assertions along with its state).
-func finishRun(s stepper, n *sim.Network, eng *core.Engine, fv *forever.Monitor, plane *fault.Plane, gc *groupCtx, o Options, group []fault.Fault, w *worker, st *runStats, ro *runObs) RunResult {
+func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.Monitor, plane *fault.Plane, gc *groupCtx, o Options, group []fault.Fault, w *worker, st *runStats, ro *runObs) RunResult {
+	var s stepper = n
+	if fr != nil {
+		s = fr
+	}
 	var drained, frozen bool
 	var probe ffProbe
 	ff := !o.DisableFastForward
@@ -1159,8 +1185,18 @@ func finishRun(s stepper, n *sim.Network, eng *core.Engine, fv *forever.Monitor,
 		st.horizon = n.Cycle()
 	}
 
-	w.flog = golden.FromEjectionsInto(w.flog, n.Ejections(), gc.cycle)
-	verdict := golden.Compare(gc.goldenLog, w.flog, drained)
+	vs := ro.phase("verdict")
+	defer vs.End()
+	var verdict golden.Verdict
+	if fr != nil {
+		// A frontier run exists only over a golden log that is OK()
+		// against itself (buildGroupCtx), which is what the delta verdict
+		// rests on.
+		verdict = w.delta.Compare(gc.goldenLog, fr.Replaced(), n.Ejections(), drained)
+	} else {
+		w.flog = golden.FromEjectionsInto(w.flog, n.Ejections(), gc.cycle)
+		verdict = golden.Compare(gc.goldenLog, w.flog, drained)
+	}
 	malicious := !verdict.OK()
 
 	fired := false

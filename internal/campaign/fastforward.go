@@ -28,15 +28,18 @@ type runStats struct {
 	forked bool
 	// frontier reports the run was driven by the divergence-frontier
 	// delta engine; frontierPeak is the largest router count the
-	// frontier reached and frontierJoins how many lazy materializations
-	// it performed, over the whole run, drain and horizon included.
+	// frontier reached, frontierJoins how many lazy materializations
+	// it performed and frontierProbes how many member folds it computed
+	// looking for members to retire, over the whole run, drain and
+	// horizon included.
 	// simulated stays cycle-based regardless (a frontier
 	// cycle counts as one simulated cycle however few routers stepped),
 	// preserving the warmSaved + simulated + synthesized == horizon
 	// invariant.
-	frontier      bool
-	frontierPeak  int
-	frontierJoins int64
+	frontier       bool
+	frontierPeak   int
+	frontierJoins  int64
+	frontierProbes int64
 }
 
 // ffBackoffCap bounds the exponential backoff between fixed-point probe

@@ -1,0 +1,205 @@
+package campaign
+
+import (
+	"testing"
+
+	"nocalert/internal/fault"
+	"nocalert/internal/golden"
+	"nocalert/internal/sim"
+)
+
+// fixtureGolden builds the golden artefact of a fixture campaign and
+// returns it with the defaulted options its runs execute under.
+func fixtureGolden(t *testing.T, spec Spec) (*Golden, Options) {
+	t.Helper()
+	opts := spec.Options()
+	opts.Faults = spec.Universe()
+	o, err := opts.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles, plan, key := o.goldenInputs()
+	gold, err := buildGolden(&o, cycles, plan, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gold, o
+}
+
+// goldenAt returns a fault-free network of gc's campaign at the given
+// cycle, stepped there from gc's snapshot the way the golden continuation
+// was: injecting through the post-injection window, then not.
+func goldenAt(gc *groupCtx, o Options, cycle int64) *sim.Network {
+	g := gc.snap.net.CloneInto(nil, nil)
+	for g.Cycle() < cycle {
+		if g.Cycle() == gc.cycle+o.PostInjectRun {
+			g.StopInjection()
+		}
+		g.Step()
+	}
+	return g
+}
+
+// TestDeltaVerdictOnFixtureRuns judges every run of the 4×4 fixture
+// campaign twice: by the delta verdict the campaign itself computes for a
+// frontier-driven run, and by golden.Compare over the run's full ejection
+// log, which MaterializeAll rebuilds from the frontier's difference log
+// and the transcript. The two must agree counter for counter.
+func TestDeltaVerdictOnFixtureRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	gold, o := fixtureGolden(t, GoldenSpec())
+	var w worker
+	judged, violations := 0, 0
+	for i, group := range o.FaultGroups {
+		gc := gold.groups[group[0].Cycle]
+		if gc.rec == nil {
+			t.Fatal("fixture campaign has no transcript: the frontier is off")
+		}
+		res, exit, _, st, err := runOne(&w, gc, o, group, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exit != ExitFull || !st.frontier {
+			continue
+		}
+		n := w.net
+		if n.FaultsQuiescent() {
+			// Not a window-end fallback: the log is still a difference.
+			w.fr.MaterializeAll(goldenAt(gc, o, n.Cycle()))
+		}
+		full := golden.Compare(gc.goldenLog, golden.FromEjections(n.Ejections(), gc.cycle), res.Drained)
+		got := res.Verdict
+		got.Reasons, full.Reasons = nil, nil
+		if got.Dropped != full.Dropped || got.Generated != full.Generated || got.Misdelivered != full.Misdelivered ||
+			got.Corrupted != full.Corrupted || got.Misordered != full.Misordered || got.Unbounded != full.Unbounded {
+			t.Errorf("run %d (%v): delta verdict %s, full compare %s", i, &group[0], got.String(), full.String())
+		}
+		judged++
+		if !full.OK() {
+			violations++
+		}
+	}
+	if judged == 0 || violations == 0 {
+		t.Fatalf("%d runs judged by the delta verdict, %d of them violations: the comparison is vacuous", judged, violations)
+	}
+}
+
+// TestFollowerForeverAgreesWithFullFeed steps every run of the 4×4 and
+// 8×8 fixture campaigns twice in lockstep — on the frontier, its ForEVeR
+// monitor following the golden one and shown only the nodes the fault
+// reached, and on the full mesh, its monitor shown everything — through
+// window, drain and horizon, and requires the two monitors to agree at
+// every cycle boundary on the first detection since injection, on the
+// frozen-state projection from that boundary and on whether a
+// notification is in flight. The 4×4 campaign's epoch (400) ends inside
+// the window; a third campaign mistunes it to 30 cycles, which flags the
+// fault-free golden run itself, so that the golden monitor's
+// node-attributed flags are part of what must agree.
+func TestFollowerForeverAgreesWithFullFeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	mistuned := GoldenSpec()
+	mistuned.Epoch = 30
+	for _, tc := range []struct {
+		name        string
+		spec        Spec
+		goldenFlags bool // the fault-free run is flagged
+		permEvery   int  // every so many-th fault is run again as a permanent one
+	}{
+		{"4x4", GoldenSpec(), false, 12},
+		{"4x4-epoch30", mistuned, true, 12},
+		{"8x8", Golden8x8Spec(), false, 32}, // two: each steps both meshes to the drain deadline
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gold, o := fixtureGolden(t, tc.spec)
+			epoch := o.Forever.Epoch
+			var wa, wb worker
+			goldenFlags, detections, projections, fallbacks := false, 0, 0, 0
+			// Every fault as sampled, and some again as permanent faults:
+			// still armed at the window end, such a run goes back to the
+			// full mesh there, where the follower must take on every node.
+			groups := o.FaultGroups
+			for i := 0; i < len(o.FaultGroups); i += tc.permEvery {
+				f := o.FaultGroups[i][0]
+				f.Type = fault.Permanent
+				groups = append(groups, []fault.Fault{f})
+			}
+			for i, group := range groups {
+				gc := gold.groups[group[0].Cycle]
+				goldenFlags = goldenFlags || gc.goldenFvFP
+				var st runStats
+				na, err := wa.fork(gc, fault.NewPlane(group...), &st, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nb, err := wb.fork(gc, fault.NewPlane(group...), &st, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fa, fb := findForever(na), findForever(nb)
+				fa.ClearDetections()
+				fb.ClearDetections()
+				fa.Follow(gc.gfv)
+				fr := sim.NewFrontier(na, gc.rec, []int{group[0].Site.Router})
+				var sa stepper = fr
+
+				compare := func() {
+					t.Helper()
+					c := nb.Cycle()
+					if a, b := fa.FirstDetectionAfter(gc.cycle), fb.FirstDetectionAfter(gc.cycle); a != b {
+						t.Fatalf("run %d (%v) at cycle %d: follower's first detection %d, full feed's %d", i, &group[0], c, a, b)
+					}
+					if a, b := fa.PendingEmpty(), fb.PendingEmpty(); a != b {
+						t.Fatalf("run %d (%v) at cycle %d: follower's PendingEmpty %t, full feed's %t", i, &group[0], c, a, b)
+					}
+					a, b := fa.ProjectFrozenDetection(c, c+3*epoch), fb.ProjectFrozenDetection(c, c+3*epoch)
+					if a != b {
+						t.Fatalf("run %d (%v) at cycle %d: follower projects a frozen detection at %d, full feed at %d", i, &group[0], c, a, b)
+					}
+					if b >= 0 {
+						projections++
+					}
+				}
+				compare()
+				for c := int64(0); c < o.PostInjectRun; c++ {
+					sa.Step()
+					nb.Step()
+					compare()
+				}
+				if !na.FaultsQuiescent() {
+					fr.MaterializeAll(gc.wend)
+					sa = na
+					fallbacks++
+					compare()
+				}
+				na.StopInjection()
+				nb.StopInjection()
+				// The drain as finishRun bounds it, then the horizon it
+				// derives from where the drain ended.
+				for end := nb.Cycle() + o.DrainDeadline; nb.Cycle() < end && !nb.Quiet(); {
+					sa.Step()
+					nb.Step()
+					compare()
+				}
+				for horizon := foreverHorizon(nb.Cycle(), o.Forever); nb.Cycle() < horizon; {
+					sa.Step()
+					nb.Step()
+					compare()
+				}
+				if fb.FirstDetectionAfter(gc.cycle) >= 0 {
+					detections++
+				}
+			}
+			if detections == 0 || projections == 0 || fallbacks == 0 {
+				t.Fatalf("%d runs with a ForEVeR detection, %d boundaries with a projected one, %d window-end fallbacks: the comparison is vacuous", detections, projections, fallbacks)
+			}
+			if goldenFlags != tc.goldenFlags {
+				t.Fatalf("the golden run flagged itself: %t, want %t", goldenFlags, tc.goldenFlags)
+			}
+			t.Logf("%d runs, %d with a detection, %d projected boundaries, %d window-end fallbacks", len(groups), detections, projections, fallbacks)
+		})
+	}
+}

@@ -31,7 +31,7 @@ type Golden struct {
 	ring   *snapshotRing
 	// timelineBytes is the estimated footprint of the per-run records
 	// (signal transcripts through the golden drain, window-end states,
-	// counter timelines).
+	// counter timelines, the ForEVeR monitors' per-node records).
 	timelineBytes int64
 	// logBytes is the estimated footprint of the golden reference logs,
 	// which no report field carries.
@@ -180,6 +180,9 @@ func buildGolden(o *Options, cycles, plan []int64, key goldenKey) (*Golden, erro
 		g.timelineBytes += gc.rec.ApproxFootprintBytes()
 		if gc.wend != nil {
 			g.timelineBytes += gc.wend.ApproxFootprintBytes()
+		}
+		if gc.gfv != nil {
+			g.timelineBytes += gc.gfv.ApproxHistoryBytes()
 		}
 		if gc.rc != nil {
 			g.timelineBytes += gc.rc.tl.ApproxFootprintBytes()

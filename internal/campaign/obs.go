@@ -104,6 +104,7 @@ func (ro *runObs) finish(res *RunResult, exit ExitPath, convCycles int64, st *ru
 	if st.frontier {
 		s.SetAttr("frontier_peak_routers", st.frontierPeak)
 		s.SetAttr("frontier_joins", st.frontierJoins)
+		s.SetAttr("frontier_retire_probes", st.frontierProbes)
 	}
 	s.SetAttr("exit", exit.String())
 	s.SetAttr("fired", res.Fired)

@@ -158,6 +158,9 @@ func TestSpanStreamGolden4x4(t *testing.T) {
 			if !hasPhase(ph, "drain") {
 				t.Errorf("full run %s has no drain phase", id)
 			}
+			if !hasPhase(ph, "verdict") {
+				t.Errorf("full run %s has no verdict phase: its log, verdict and result assembly are unattributed", id)
+			}
 			if synth > 0 && !hasPhase(ph, "fast-forward") {
 				t.Errorf("fast-forwarded run %s (synthesized=%d) has no fast-forward phase", id, synth)
 			}
@@ -166,6 +169,11 @@ func TestSpanStreamGolden4x4(t *testing.T) {
 		}
 		if forked, _ := s.Attrs["forked"].(bool); forked && !hasPhase(ph, "warm-start") {
 			t.Errorf("forked run %s has no warm-start phase", id)
+		}
+		if _, frontier := s.Int("frontier_peak_routers"); frontier {
+			if _, ok := s.Int("frontier_retire_probes"); !ok {
+				t.Errorf("frontier run %s has no frontier_retire_probes", id)
+			}
 		}
 	}
 	// The frontier carries a run to its end, so the drain and horizon

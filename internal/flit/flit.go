@@ -211,24 +211,29 @@ func (f *Flit) Clone() *Flit {
 // per hop, fault-plane corruption), so their contents — not their
 // identity — are architectural state. A nil flit folds a distinct
 // sentinel so "no flit" and "zero flit" cannot collide.
+//
+// The fields are folded into a digest of the flit alone and the digest
+// into the accumulator with one step: a router's fold enumerates dozens
+// of flits, and their digests, not depending on one another, overlap in
+// the processor instead of queueing behind one multiply chain.
 func (f *Flit) FoldState(h uint64) uint64 {
 	if f == nil {
 		return statehash.Fold(h, 0x6e696c666c6974) // "nilflit"
 	}
-	h = statehash.Fold(h, f.PacketID)
-	h = statehash.FoldInt(h, f.Seq)
-	h = statehash.Fold(h, uint64(f.Kind))
-	h = statehash.FoldInt(h, f.VC)
-	h = statehash.FoldInt(h, f.Src)
-	h = statehash.FoldInt(h, f.Dest)
-	h = statehash.FoldInt(h, f.DestX)
-	h = statehash.FoldInt(h, f.DestY)
-	h = statehash.FoldInt(h, f.Class)
-	h = statehash.FoldInt(h, f.Length)
-	h = statehash.Fold(h, f.Payload)
-	h = statehash.Fold(h, uint64(f.EDC))
-	h = statehash.Fold(h, uint64(f.InjectedAt))
-	return h
+	d := statehash.Fold(statehash.Seed, f.PacketID)
+	d = statehash.FoldInt(d, f.Seq)
+	d = statehash.Fold(d, uint64(f.Kind))
+	d = statehash.FoldInt(d, f.VC)
+	d = statehash.FoldInt(d, f.Src)
+	d = statehash.FoldInt(d, f.Dest)
+	d = statehash.FoldInt(d, f.DestX)
+	d = statehash.FoldInt(d, f.DestY)
+	d = statehash.FoldInt(d, f.Class)
+	d = statehash.FoldInt(d, f.Length)
+	d = statehash.Fold(d, f.Payload)
+	d = statehash.Fold(d, uint64(f.EDC))
+	d = statehash.Fold(d, uint64(f.InjectedAt))
+	return statehash.Fold(h, d)
 }
 
 // arenaSlabSize is the number of flits per arena slab. A fork of a

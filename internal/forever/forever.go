@@ -19,6 +19,8 @@
 package forever
 
 import (
+	"fmt"
+
 	"nocalert/internal/flit"
 	"nocalert/internal/router"
 	"nocalert/internal/sim"
@@ -62,6 +64,15 @@ type notif struct {
 // Monitor is the ForEVeR detection fabric. It attaches to a network as
 // a sim.Monitor and implements sim.CloneableMonitor so campaign forks
 // preserve its in-flight notifications and counters.
+//
+// The end-to-end state is kept per destination and a destination's part
+// of it is a function of that node's notifications and ejections alone:
+// its counter, its zero-crossing flag, the reassembly of the packets
+// addressed to it (the order check reaches a flit only once its
+// destination field, which the EDC covers, names the ejecting node, so a
+// packet's entry is only ever touched there). A monitor can therefore
+// follow a golden one (Follow): it keeps the state of the nodes it is
+// told to track, and everyone else's is the golden monitor's.
 type Monitor struct {
 	sim.BaseMonitor
 	opts Options
@@ -69,13 +80,31 @@ type Monitor struct {
 
 	counters []int64
 	zeroSeen []bool
+	nonzero  int     // how many counters are not zero
 	pending  []notif // unordered; matured entries are consumed each cycle
 	// lastSeq tracks in-progress packet reassembly per destination for
 	// the end-to-end order check (packet id → last seen sequence).
 	lastSeq map[uint64]int
 
-	detections []int64 // epoch-boundary or AC detection cycles (capped)
+	// detections are the epoch-boundary, end-to-end and AC detection
+	// cycles in the order they were raised (capped), detNodes the node
+	// each was raised at.
+	detections []int64
+	detNodes   []int32
 	first      int64
+
+	// hist is the per-node record a golden monitor keeps for followers.
+	hist *history
+
+	// A follower's state: the golden monitor it follows, the nodes it
+	// tracks, per node the boundary it tracks it from (plus one; zero for
+	// a node it does not track) and how much of the node's recorded
+	// arrivals it has consumed, and the boundary it stands at.
+	gold    *Monitor
+	tracked []int32
+	since   []int64
+	arrived []int32
+	now     int64
 }
 
 // NewMonitor returns a ForEVeR monitor for networks built on cfg.
@@ -96,14 +125,31 @@ func NewMonitor(cfg *router.Config, opts Options) *Monitor {
 
 // PacketInjected implements sim.Monitor: the source's checker-network
 // interface sends a notification carrying the packet's flit count to
-// the destination, arriving after the checker network's hop latency.
+// the destination, arriving after the checker network's hop latency. A
+// follower has every notification from the golden record (the traffic
+// process does not depend on the fault) and ignores the call.
 func (m *Monitor) PacketInjected(cycle int64, node int, p *flit.Packet) {
+	if m.gold != nil {
+		return
+	}
 	hops := int64(m.cfg.Mesh.HopDistance(node, p.Dest)) + 1
-	m.pending = append(m.pending, notif{
-		dest:   p.Dest,
-		amount: p.Length,
-		at:     cycle + hops*m.opts.HopLatency,
-	})
+	nt := notif{dest: p.Dest, amount: p.Length, at: cycle + hops*m.opts.HopLatency}
+	m.pending = append(m.pending, nt)
+	if m.hist != nil {
+		m.hist.send(cycle, nt.at)
+	}
+}
+
+// add moves node's counter, keeping the count of nonzero ones.
+func (m *Monitor) add(node int, delta int64) {
+	was := m.counters[node]
+	m.counters[node] = was + delta
+	switch {
+	case was == 0 && delta != 0:
+		m.nonzero++
+	case was != 0 && was+delta == 0:
+		m.nonzero--
+	}
 }
 
 // FlitEjected implements sim.Monitor: the destination decrements its
@@ -113,28 +159,39 @@ func (m *Monitor) PacketInjected(cycle int64, node int, p *flit.Packet) {
 // destination that flags wrong-destination flits, EDC failures and
 // intra-packet order violations immediately.
 func (m *Monitor) FlitEjected(cycle int64, node int, f *flit.Flit) {
-	m.counters[node]--
-	if f.Dest != node || !f.EDCOK() {
-		m.flag(cycle)
-		return
+	if m.gold != nil && m.since[node] == 0 {
+		panic(fmt.Sprintf("forever: follower shown an ejection at node %d, which it does not track", node))
 	}
-	// Reassembly order check: flits of a packet must arrive in
-	// sequence at their destination.
+	e := ejection{cycle: cycle, pkt: f.PacketID, seq: int32(f.Seq), tail: f.Kind.IsTail(), ok: f.Dest == node && f.EDCOK()}
+	if m.hist != nil {
+		m.hist.ejects[node] = append(m.hist.ejects[node], e)
+	}
+	m.add(node, -1)
+	if !m.reassemble(&e) {
+		m.flag(cycle, node)
+	}
+}
+
+// reassemble runs the end-to-end check on one ejected flit — right
+// destination, good EDC, and the reassembly order check: flits of a
+// packet must arrive in sequence at their destination, beginning with
+// the header flit — and reports whether it passed.
+func (m *Monitor) reassemble(e *ejection) bool {
+	if !e.ok {
+		return false
+	}
 	if m.lastSeq == nil {
 		m.lastSeq = make(map[uint64]int)
 	}
-	if prev, ok := m.lastSeq[f.PacketID]; ok {
-		if f.Seq != prev+1 {
-			m.flag(cycle)
-		}
-	} else if f.Seq != 0 {
-		// A packet must begin with its header flit.
-		m.flag(cycle)
+	prev, begun := m.lastSeq[e.pkt]
+	m.lastSeq[e.pkt] = int(e.seq)
+	if e.tail {
+		delete(m.lastSeq, e.pkt)
 	}
-	m.lastSeq[f.PacketID] = f.Seq
-	if f.Kind.IsTail() {
-		delete(m.lastSeq, f.PacketID)
+	if begun {
+		return int(e.seq) == prev+1
 	}
+	return e.seq == 0
 }
 
 // RouterCycle implements sim.Monitor: the Allocation Comparator watches
@@ -150,7 +207,7 @@ func (m *Monitor) RouterCycle(r *router.Router, s *router.Signals) {
 		for p := 0; p < router.P; p++ {
 			rg := b[p]
 			if !(rg.Gnt &^ rg.Req).IsZero() || !rg.Gnt.AtMostOneHot() {
-				m.flag(s.Cycle)
+				m.flag(s.Cycle, r.ID())
 				return
 			}
 		}
@@ -158,8 +215,19 @@ func (m *Monitor) RouterCycle(r *router.Router, s *router.Signals) {
 }
 
 // EndCycle implements sim.Monitor: deliver matured notifications,
-// track zero crossings, and run the epoch-boundary check.
+// track zero crossings, and run the epoch-boundary check. A follower
+// does so for the nodes it tracks, their notifications maturing off the
+// golden record.
 func (m *Monitor) EndCycle(cycle int64) {
+	boundary := (cycle+1)%m.opts.Epoch == 0
+	if m.gold != nil {
+		for _, d := range m.tracked {
+			m.arrive(int(d), cycle)
+			m.endNode(int(d), cycle, boundary)
+		}
+		m.now = cycle + 1
+		return
+	}
 	if len(m.pending) > 0 {
 		kept := m.pending[:0]
 		for _, n := range m.pending {
@@ -167,22 +235,33 @@ func (m *Monitor) EndCycle(cycle int64) {
 				kept = append(kept, n)
 				continue
 			}
-			m.counters[n.dest] += int64(n.amount)
+			m.add(n.dest, int64(n.amount))
+			if m.hist != nil {
+				m.hist.arrivals[n.dest] = append(m.hist.arrivals[n.dest], arrival{cycle: cycle, amount: int32(n.amount)})
+			}
 		}
 		m.pending = kept
 	}
-	for i, c := range m.counters {
-		if c == 0 {
-			m.zeroSeen[i] = true
-		}
+	for i := range m.counters {
+		m.endNode(i, cycle, boundary)
 	}
-	if (cycle+1)%m.opts.Epoch == 0 {
-		for i := range m.counters {
-			if !m.zeroSeen[i] {
-				m.flag(cycle)
-			}
-			m.zeroSeen[i] = m.counters[i] == 0
+	if m.hist != nil && m.nonzero > 0 {
+		m.hist.zeroFrom = cycle + 2 // boundary cycle+1 holds a nonzero counter
+	}
+}
+
+// endNode is one node's share of EndCycle once its notifications have
+// matured: note a zero crossing and, on an epoch boundary, flag a node
+// that saw none and start its next epoch.
+func (m *Monitor) endNode(i int, cycle int64, boundary bool) {
+	if m.counters[i] == 0 {
+		m.zeroSeen[i] = true
+	}
+	if boundary {
+		if !m.zeroSeen[i] {
+			m.flag(cycle, i)
 		}
+		m.zeroSeen[i] = m.counters[i] == 0
 	}
 }
 
@@ -192,12 +271,13 @@ func (m *Monitor) EndCycle(cycle int64) {
 // stayed under the cap before trusting its completeness.
 const DetectionCap = 64
 
-func (m *Monitor) flag(cycle int64) {
+func (m *Monitor) flag(cycle int64, node int) {
 	if m.first < 0 {
 		m.first = cycle
 	}
 	if len(m.detections) < DetectionCap {
 		m.detections = append(m.detections, cycle)
+		m.detNodes = append(m.detNodes, int32(node))
 	}
 }
 
@@ -205,8 +285,23 @@ func (m *Monitor) flag(cycle int64) {
 // flight. With injection stopped this is monotone once true; campaign
 // fast-forward requires it before trusting a frozen network state,
 // since a matured notification would bump a counter the epoch check
-// reads.
-func (m *Monitor) PendingEmpty() bool { return len(m.pending) == 0 }
+// reads. A follower answers for every destination, from the golden
+// record.
+func (m *Monitor) PendingEmpty() bool {
+	if m.gold != nil {
+		return m.gold.hist.pendingEmptyAt(m.now)
+	}
+	return len(m.pending) == 0
+}
+
+// Settled reports whether the monitor has nothing left to happen: no
+// notification in flight and every counter at zero, as at the end of a
+// fault-free run that delivered everything it announced.
+func (m *Monitor) Settled() bool { return len(m.pending) == 0 && m.nonzero == 0 }
+
+// firstBoundary returns the first epoch-boundary cycle at or after from:
+// the smallest b >= from with (b+1)%epoch == 0.
+func firstBoundary(from, epoch int64) int64 { return (from+epoch)/epoch*epoch - 1 }
 
 // ProjectFrozenDetection computes when the epoch mechanism would first
 // flag, given that from cycle `from` onward EndCycle runs with no
@@ -219,27 +314,43 @@ func (m *Monitor) PendingEmpty() bool { return len(m.pending) == 0 }
 // boundary then resets zeroSeen to counters[i]==0, so at b1+epoch (and
 // every boundary after) a node flags iff its counter is nonzero. The
 // caller passes `until` = the run's ForEVeR horizon (exclusive: the
-// last simulated EndCycle is for cycle until-1).
+// last simulated EndCycle is for cycle until-1). A follower, which must
+// stand at boundary `from`, answers for every node: a node it does not
+// track froze in the state the golden monitor had it in at `from`.
 func (m *Monitor) ProjectFrozenDetection(from, until int64) int64 {
-	e := m.opts.Epoch
-	// First boundary cycle b >= from, i.e. smallest b with (b+1)%e == 0.
-	b1 := (from+e)/e*e - 1
+	b1 := firstBoundary(from, m.opts.Epoch)
 	if b1 >= until {
 		return -1
 	}
-	for i, c := range m.counters {
-		if c != 0 && !m.zeroSeen[i] {
-			return b1
+	var unseen, nonzero bool // a node with a nonzero counter that saw no zero; any with a nonzero counter
+	look := func(counter int64, zeroSeen bool) {
+		if counter != 0 {
+			nonzero = true
+			unseen = unseen || !zeroSeen
 		}
 	}
-	b2 := b1 + e
-	if b2 >= until {
-		return -1
-	}
-	for _, c := range m.counters {
-		if c != 0 {
-			return b2
+	if m.gold == nil {
+		for i, c := range m.counters {
+			look(c, m.zeroSeen[i])
 		}
+	} else {
+		for _, d := range m.tracked {
+			look(m.counters[d], m.zeroSeen[d])
+		}
+		// From zeroFrom on every golden counter is zero and an untracked
+		// node has nothing to flag.
+		for d := 0; from < m.gold.hist.zeroFrom && d < len(m.counters); d++ {
+			if m.since[d] == 0 {
+				c, z, _ := m.gold.hist.replay(d, from, m.opts.Epoch, m.counters[d], m.zeroSeen[d], nil)
+				look(c, z)
+			}
+		}
+	}
+	if unseen {
+		return b1
+	}
+	if b2 := b1 + m.opts.Epoch; nonzero && b2 < until {
+		return b2
 	}
 	return -1
 }
@@ -250,14 +361,29 @@ func (m *Monitor) FirstDetection() int64 { return m.first }
 // FirstDetectionAfter returns the first detection at or after cycle,
 // or -1. (Epoch checks may legitimately fire before a campaign's
 // injection point when the epoch is mistuned; campaigns key off the
-// injection cycle.)
+// injection cycle.) A follower answers for every node: its own flags,
+// and the golden monitor's for a node and cycle it was not tracking,
+// up to the boundary it stands at.
 func (m *Monitor) FirstDetectionAfter(cycle int64) int64 {
+	first := int64(-1)
 	for _, d := range m.detections {
 		if d >= cycle {
+			first = d
+			break
+		}
+	}
+	if m.gold == nil {
+		return first
+	}
+	for i, d := range m.gold.detections {
+		if d >= m.now || (first >= 0 && d >= first) {
+			break
+		}
+		if s := m.since[m.gold.detNodes[i]]; d >= cycle && (s == 0 || d < s-1) {
 			return d
 		}
 	}
-	return -1
+	return first
 }
 
 // Detected reports whether any detection has fired.
@@ -272,20 +398,23 @@ func (m *Monitor) Detections() []int64 { return m.detections }
 // counter state.
 func (m *Monitor) ClearDetections() {
 	m.detections = m.detections[:0]
+	m.detNodes = m.detNodes[:0]
 	m.first = -1
 }
 
 // CloneMonitor implements sim.CloneableMonitor.
 func (m *Monitor) CloneMonitor() sim.Monitor {
 	c := &Monitor{
-		opts:  m.opts,
-		cfg:   m.cfg,
-		first: m.first,
+		opts:    m.opts,
+		cfg:     m.cfg,
+		first:   m.first,
+		nonzero: m.nonzero,
 	}
 	c.counters = append([]int64(nil), m.counters...)
 	c.zeroSeen = append([]bool(nil), m.zeroSeen...)
 	c.pending = append([]notif(nil), m.pending...)
 	c.detections = append([]int64(nil), m.detections...)
+	c.detNodes = append([]int32(nil), m.detNodes...)
 	if m.lastSeq != nil {
 		c.lastSeq = make(map[uint64]int, len(m.lastSeq))
 		for k, v := range m.lastSeq {

@@ -38,8 +38,14 @@ type Log struct {
 	entries map[Key][]Entry
 	// perNode preserves per-node ejection order for the intra-packet
 	// ordering rule.
-	perNode map[int][]Key
+	perNode map[int][]nodeEntry
 	total   int
+}
+
+// nodeEntry is one ejection in a node's ejection order.
+type nodeEntry struct {
+	Key   Key
+	Cycle int64
 }
 
 // FromEjections indexes a simulation's ejection log. Only ejections at
@@ -68,7 +74,7 @@ func FromEjectionsInto(l *Log, ejs []sim.Ejection, since int64) *Log {
 	if l == nil {
 		l = &Log{
 			entries: make(map[Key][]Entry, len(ejs)),
-			perNode: make(map[int][]Key),
+			perNode: make(map[int][]nodeEntry),
 		}
 	} else {
 		l.Reset()
@@ -85,7 +91,7 @@ func FromEjectionsInto(l *Log, ejs []sim.Ejection, since int64) *Log {
 			Dest:  e.Flit.Dest,
 			EDCOK: e.Flit.EDCOK(),
 		})
-		l.perNode[e.Node] = append(l.perNode[e.Node], k)
+		l.perNode[e.Node] = append(l.perNode[e.Node], nodeEntry{Key: k, Cycle: e.Cycle})
 		l.total++
 	}
 	return l
@@ -102,9 +108,9 @@ func (l *Log) ApproxFootprintBytes() int64 {
 		return 0
 	}
 	// Per ejection: the map's Key and entry-slice header, one Entry and
-	// the per-node Key, with half as much again for map buckets and
+	// the per-node entry, with half as much again for map buckets and
 	// slice slack.
-	const ejectionBytes = (16 + 24 + 40 + 16) * 3 / 2
+	const ejectionBytes = (16 + 24 + 40 + 24) * 3 / 2
 	const headerBytes = 64
 	return int64(l.total)*ejectionBytes + headerBytes
 }
@@ -209,14 +215,23 @@ func countOrderViolations(l *Log) int {
 	bad := 0
 	for _, seq := range l.perNode {
 		last := make(map[uint64]int)
-		for _, k := range seq {
-			if prev, ok := last[k.Pkt]; ok && k.Seq < prev {
-				bad++
-			}
-			last[k.Pkt] = k.Seq
+		for _, e := range seq {
+			bad += orderStep(last, e.Key)
 		}
 	}
 	return bad
+}
+
+// orderStep takes one more ejection of a node's ejection order and
+// returns 1 if it inverts its packet's sequence, else 0. last holds each
+// packet's latest sequence number at the node.
+func orderStep(last map[uint64]int, k Key) int {
+	prev, ok := last[k.Pkt]
+	last[k.Pkt] = k.Seq
+	if ok && k.Seq < prev {
+		return 1
+	}
+	return 0
 }
 
 // PacketsDelivered returns the number of packets with at least one

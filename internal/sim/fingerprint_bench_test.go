@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"nocalert/internal/fault"
 	"nocalert/internal/router"
 	"nocalert/internal/topology"
 )
@@ -84,3 +85,51 @@ func benchForkedRun(b *testing.B, w, h int, rate float64, replay int64) {
 
 func BenchmarkForkedRun4x4(b *testing.B) { benchForkedRun(b, 4, 4, 0.12, 8) }
 func BenchmarkForkedRun8x8(b *testing.B) { benchForkedRun(b, 8, 8, 0.05, 8) }
+
+// benchFrontierStep measures a frontier cycle at equal cone size on
+// different meshes: the same fault (a VA2 grant bit of router 3's local
+// port, which keeps a cone of about two routers alive through the whole
+// window) struck on a warmed mesh, its 500-cycle window stepped by a
+// reset frontier over the golden transcript. ns/member-step divides by
+// the members actually stepped, so meshes compare at equal cone; a cycle
+// that cost the mesh would show here as a 16×16 figure several times the
+// 8×8 one.
+func benchFrontierStep(b *testing.B, w, h int, rate float64) {
+	const warm, window = 300, 500
+	mesh := topology.NewMesh(w, h)
+	cfg := Config{Router: router.Default(mesh), InjectionRate: rate, Seed: 3}
+	base := MustNew(cfg, nil)
+	base.Run(warm)
+	cont := base.Clone(nil)
+	cont.StartRecording(window)
+	cont.Run(window)
+	rec := cont.StopRecording()
+	ft := fault.Fault{Cycle: warm, Type: fault.Transient}
+	for _, s := range (fault.Params{Mesh: mesh, VCs: cfg.Router.VCs, BufDepth: cfg.Router.BufDepth}).EnumerateSites() {
+		if s.Router == 3 && s.Kind == fault.VA2Gnt && s.Port == int(topology.Local) {
+			ft.Site = s
+		}
+	}
+	var n *Network
+	fr := &Frontier{}
+	members := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer() // the fork is the mesh's cost, not the cone's
+		n = base.CloneInto(n, fault.NewPlane(ft))
+		b.StartTimer()
+		fr.Reset(n, rec, []int{ft.Site.Router})
+		for c := 0; c < window; c++ {
+			fr.Step()
+			members += fr.Size()
+		}
+	}
+	if members == 0 {
+		b.Fatal("the fault left no cone to step")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(members), "ns/member-step")
+	b.ReportMetric(float64(members)/float64(b.N*window), "members")
+}
+
+func BenchmarkFrontierStep8x8(b *testing.B)   { benchFrontierStep(b, 8, 8, 0.05) }
+func BenchmarkFrontierStep16x16(b *testing.B) { benchFrontierStep(b, 16, 16, 0.02) }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"nocalert/internal/flit"
 	"nocalert/internal/router"
@@ -32,7 +33,10 @@ import (
 // state fold returns to the recorded golden fold for the same boundary;
 // a frontier that shrinks to empty with a clean ejection history IS
 // reconvergence — the unification with the campaign's fingerprint
-// timeline probe.
+// timeline probe. A member's fold is looked at on a capped exponential
+// backoff, not every cycle: equality with golden is absorbing, so a late
+// look finds what an early one would have, and until then the member is
+// stepped live through cycles that reproduce the record.
 //
 // The frontier carries a run for as long as the transcript does: through
 // the post-injection window, and — over a transcript recorded on through
@@ -43,39 +47,72 @@ import (
 // injection phase must be the transcript's: both stop injecting on the
 // same cycle.
 //
-// Everything observable stays exact: monitors are fed the merged event
-// stream (live events from members, recorded events from clean nodes),
-// the ejection log and the global counters are maintained cycle by
-// cycle, and NoCAlert's checker sweeps only ever see member routers —
-// exact because the golden run is invariant-clean, so clean routers can
-// assert nothing.
+// A cycle costs the members, not the mesh. The clean nodes' share of the
+// global counters is read off the transcript's running event counts, a
+// member's records are found by key (Recording.of), and what the run
+// leaves behind is a difference from golden, not a copy of it:
+//
+//   - The ejection log (Network.Ejections) receives only the ejections of
+//     member-cycles that differ from golden's record of that node and
+//     cycle, and Replaced lists the recorded ejections they stand in
+//     place of. The run's full log is golden's, less Replaced, plus the
+//     log; golden.Delta.Compare judges it in that form.
+//   - Monitors are shown the routers that were stepped and the ejections
+//     at nodes that have been members (live ones while a member, recorded
+//     ones after it retired), and every cycle's end. They are never shown
+//     a packet generation: the traffic process is fault-independent, so a
+//     monitor that counts generations has them all from the golden run.
+//     That is exact for NoCAlert's checkers (the golden run is
+//     invariant-clean, so clean routers assert nothing) and for a monitor
+//     that keeps its end-to-end state per node and implements NodeTracker
+//     (ForEVeR), which is told when a node is first shown.
 type Frontier struct {
 	n   *Network
 	rec *Recording
 
-	inF       []bool  // current membership
-	wasMember []bool  // membership at the start of the cycle being stepped
-	validAt   []int64 // for non-members: boundary their state is golden at
-	size      int
+	inF     []bool  // membership at the start of the cycle being stepped
+	validAt []int64 // for non-members: boundary their state is golden at
+	members []int   // the nodes with inF set, ascending
 
-	// clean is true while the run's post-fork ejection history equals
-	// golden's, value for value. It never returns to true once false.
-	clean bool
+	// probeAt is the first boundary at which retire looks at a member's
+	// fold again, probeGap the backoff that set it (see ProbeBackoffCap).
+	probeAt  []int64
+	probeGap []int64
 
-	peak  int
-	joins int64
+	// tracked lists the nodes that have ever been members, in the order
+	// they first joined; trackers are the attached monitors told of each.
+	tracked   []int
+	isTracked []bool
+	trackers  []NodeTracker
+
+	// logBase is how many ejections the network's log held when the
+	// frontier took over; replaced are the recorded ejections the log's
+	// entries from there on stand in place of (their flits are the
+	// transcript's own: read, never written).
+	logBase  int
+	replaced []Ejection
+
+	peak   int
+	joins  int64
+	probes int64
 
 	// per-cycle scratch
-	members   []int
 	steppedS  []int
 	pendF     []pendFlit
 	pendC     []pendCred
-	matchedF  []bool
-	matchedC  []bool
 	joinList  []int
 	ejScratch []*flit.Flit
-	genPkt    flit.Packet
+	backfill  []Ejection
 }
+
+// ProbeBackoffCap bounds the exponential backoff between two looks at a
+// state that may have returned to golden's: a frontier member's fold
+// against the transcript's, and the campaign's whole-network fingerprint
+// against its timeline. Returning is absorbing — once equal, equal for
+// good — so a skipped look loses nothing, it only finds the match a few
+// cycles later; the backoff keeps a state that never returns from paying
+// a full hash every cycle.
+const ProbeBackoffCap = 16
 
 // pendFlit is a member's live emission toward a clean node, held until
 // the cycle's join decisions are made.
@@ -83,6 +120,7 @@ type pendFlit struct {
 	src, dst int
 	port     topology.Direction
 	f        *flit.Flit
+	taken    bool // held against golden's record of the link
 }
 
 // pendCred is a member's live credit traffic toward a clean node,
@@ -91,6 +129,7 @@ type pendCred struct {
 	src, dst int
 	port     topology.Direction
 	mask     uint32
+	taken    bool
 }
 
 // NewFrontier builds a frontier over n seeded with the given node ids
@@ -98,6 +137,15 @@ type pendCred struct {
 // the state every node's validAt is pinned to — and rec must be the
 // golden transcript of the cycles about to be stepped.
 func NewFrontier(n *Network, rec *Recording, seeds []int) *Frontier {
+	f := &Frontier{}
+	f.Reset(n, rec, seeds)
+	return f
+}
+
+// Reset makes f a fresh frontier over n, rec and seeds, as NewFrontier
+// would build, keeping its allocations: a campaign worker resets one
+// frontier for run after run.
+func (f *Frontier) Reset(n *Network, rec *Recording, seeds []int) {
 	if n.cycle != rec.start {
 		panic(fmt.Sprintf("sim: frontier fork at cycle %d does not match transcript start %d", n.cycle, rec.start))
 	}
@@ -105,34 +153,60 @@ func NewFrontier(n *Network, rec *Recording, seeds []int) *Frontier {
 		n.arena = &flit.Arena{}
 	}
 	nodes := len(n.routers)
-	f := &Frontier{
-		n: n, rec: rec, clean: true,
-		inF:       make([]bool, nodes),
-		wasMember: make([]bool, nodes),
-		validAt:   make([]int64, nodes),
-	}
+	f.n, f.rec = n, rec
+	f.inF = resized(f.inF, nodes)
+	f.isTracked = resized(f.isTracked, nodes)
+	f.validAt = resized(f.validAt, nodes)
+	f.probeAt = resized(f.probeAt, nodes)
+	f.probeGap = resized(f.probeGap, nodes)
 	for i := range f.validAt {
 		f.validAt[i] = n.cycle
 	}
-	for _, s := range seeds {
-		if !f.inF[s] {
-			f.inF[s] = true
-			f.size++
+	f.members, f.tracked, f.trackers = f.members[:0], f.tracked[:0], f.trackers[:0]
+	f.logBase, f.replaced = len(n.ejections), f.replaced[:0]
+	f.peak, f.joins, f.probes = 0, 0, 0
+	for _, m := range n.monitors {
+		if nt, ok := m.(NodeTracker); ok {
+			f.trackers = append(f.trackers, nt)
 		}
 	}
-	f.peak = f.size
-	return f
+	f.joinList = append(f.joinList[:0], seeds...)
+	for _, s := range seeds {
+		f.track(s)
+	}
+	f.admit()
+	f.joins = 0 // the seeds were put there, they did not join
+}
+
+// resized returns s with length n and every element zero, reallocating
+// only when it is too small.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Size returns the current frontier membership count.
-func (f *Frontier) Size() int { return f.size }
+func (f *Frontier) Size() int { return len(f.members) }
 
 // Empty reports whether no node is divergent.
-func (f *Frontier) Empty() bool { return f.size == 0 }
+func (f *Frontier) Empty() bool { return len(f.members) == 0 }
 
 // Clean reports whether the post-fork ejection history still equals
-// golden's, value for value.
-func (f *Frontier) Clean() bool { return f.clean }
+// golden's, value for value: no member-cycle has differed from the
+// record. It never returns to true once false.
+func (f *Frontier) Clean() bool {
+	return len(f.replaced) == 0 && len(f.n.ejections) == f.logBase
+}
+
+// Replaced returns the recorded golden ejections that the entries the
+// frontier put in the network's ejection log stand in place of, in
+// (cycle, node) order like the log itself. Their flits belong to the
+// transcript and must not be written.
+func (f *Frontier) Replaced() []Ejection { return f.replaced }
 
 // Peak returns the largest membership the frontier reached.
 func (f *Frontier) Peak() int { return f.peak }
@@ -141,11 +215,12 @@ func (f *Frontier) Peak() int { return f.peak }
 // retires and diverges again counts once per join).
 func (f *Frontier) Joins() int64 { return f.joins }
 
+// RetireProbes returns how many member folds retire has computed.
+func (f *Frontier) RetireProbes() int64 { return f.probes }
+
 // Step simulates one cycle of the faulty network, stepping only
-// frontier members and replaying every other node's signals from the
-// golden transcript. It mirrors Network.Step phase for phase, so the
-// merged monitor event stream, ejection log and counters are identical
-// to a full simulation's.
+// frontier members and taking every other node's part in it from the
+// golden transcript. It mirrors Network.Step phase for phase.
 func (f *Frontier) Step() {
 	n := f.n
 	t := n.cycle
@@ -155,14 +230,6 @@ func (f *Frontier) Step() {
 	if n.injecting != (t < f.rec.injectEnd) {
 		panic(fmt.Sprintf("sim: frontier at cycle %d has injection on=%t, the transcript stopped injecting at cycle %d", t, n.injecting, f.rec.injectEnd))
 	}
-	copy(f.wasMember, f.inF)
-	members := f.members[:0]
-	for i, m := range f.inF {
-		if m {
-			members = append(members, i)
-		}
-	}
-	f.members = members
 
 	f.stepGeneration(t)
 
@@ -171,7 +238,7 @@ func (f *Frontier) Step() {
 	// plane is live; an inert member is a provable no-op either way).
 	skipInert := !n.soaOff && !n.plane.LiveAt(t)
 	steppedIDs := f.steppedS[:0]
-	for _, id := range members {
+	for _, id := range f.members {
 		r := n.routers[id]
 		if skipInert && r.Inert() {
 			continue
@@ -184,11 +251,6 @@ func (f *Frontier) Step() {
 
 	f.stepLinks(t, steppedIDs)
 
-	// Monitors observe member routers (ascending). Clean routers replay
-	// golden, which is invariant-clean, so skipping them is exact for
-	// NoCAlert's combinational checkers; ForEVeR's RouterCycle is pure
-	// per-cycle detection over the same signals and never flags a clean
-	// router either.
 	for _, m := range n.monitors {
 		for _, id := range steppedIDs {
 			r := n.routers[id]
@@ -203,81 +265,59 @@ func (f *Frontier) Step() {
 	}
 	n.cycle = t + 1
 
-	f.retire(t)
+	f.retire(t, false)
+	f.admit()
 }
 
-// stepGeneration runs the merged packet-generation phase: members draw
-// their traffic RNG live (the generation process is fault-independent,
-// so their draws necessarily equal golden's records), clean nodes
-// replay the recorded events without touching any state. Either way the
-// monitor announcements and the nextPkt/pktsOffered counters advance in
-// golden's exact node order.
+// stepGeneration runs the packet-generation phase: members draw their
+// traffic RNG live and the counters advance by the cycle's recorded
+// total.
 func (f *Frontier) stepGeneration(t int64) {
 	n := f.n
 	if !n.injecting || n.pktProb <= 0 {
 		return
 	}
-	lo, hi := f.rec.seg(f.rec.genIdx, t)
-	gi := lo
-	for id, ni := range n.nis {
-		if f.wasMember[id] {
-			// Skip this node's record (the live draw reproduces it).
-			for gi < hi && int(f.rec.gens[gi].node) == id {
-				gi++
-			}
-			if !ni.gen.Bernoulli(n.pktProb) {
-				continue
-			}
-			class := n.pickClass(ni.gen)
-			p := &flit.Packet{
-				ID:         n.nextPkt,
-				Src:        id,
-				Dest:       n.cfg.Pattern.Dest(n.mesh, id, ni.gen),
-				Class:      class,
-				Length:     n.rcfg.PacketLen(class),
-				Payload:    ni.gen.Uint64(),
-				InjectedAt: t,
-			}
-			n.nextPkt++
-			n.pktsOffered++
-			ni.enqueue(p)
-			for _, m := range n.monitors {
-				m.PacketInjected(t, id, p)
-			}
-			continue
-		}
-		for gi < hi && int(f.rec.gens[gi].node) == id {
-			g := &f.rec.gens[gi]
-			gi++
-			// Reconstruct the packet for the monitors only; the NI's
-			// queue and RNG stay untouched (they are stale by design).
-			// Monitors read the packet during the call and do not
-			// retain it, so one scratch value serves every event.
-			f.genPkt = flit.Packet{
-				ID:         g.id,
-				Src:        id,
-				Dest:       int(g.dest),
-				Class:      int(g.class),
-				Length:     n.rcfg.PacketLen(int(g.class)),
-				Payload:    g.payload,
-				InjectedAt: t,
-			}
-			n.nextPkt++
-			n.pktsOffered++
-			for _, m := range n.monitors {
-				m.PacketInjected(t, id, &f.genPkt)
-			}
-		}
+	for _, id := range f.members {
+		f.generate(id, t)
 	}
+	lo, hi := f.rec.seg(f.rec.genIdx, t)
+	n.nextPkt += uint64(hi - lo)
+	n.pktsOffered += int64(hi - lo)
+}
+
+// generate draws node id's traffic RNG for cycle s the way Network.Step
+// does and queues the packet a hit generates. The generation process is
+// fault-independent, so a hit necessarily has a golden record, which
+// supplies the packet id the mesh-wide numbering gave it: a miss means
+// the transcript and the run disagree about the RNG stream.
+func (f *Frontier) generate(id int, s int64) {
+	n, ni := f.n, f.n.nis[id]
+	if !ni.gen.Bernoulli(n.pktProb) {
+		return
+	}
+	lo, hi := f.rec.of(f.rec.genNode, f.rec.genIdx, s, id)
+	if lo == hi {
+		panic(fmt.Sprintf("sim: node %d drew a generation at cycle %d with no golden record", id, s))
+	}
+	class := n.pickClass(ni.gen)
+	ni.enqueue(&flit.Packet{
+		ID:         f.rec.gens[lo].id,
+		Src:        id,
+		Dest:       n.cfg.Pattern.Dest(n.mesh, id, ni.gen),
+		Class:      class,
+		Length:     n.rcfg.PacketLen(class),
+		Payload:    ni.gen.Uint64(),
+		InjectedAt: s,
+	})
 }
 
 // stepLinks runs the link-traversal phase: live delivery between
-// members, golden replay from clean nodes into members, and the
+// members, golden replay from clean neighbours into members, and the
 // divergence comparison — every member emission toward a clean node is
 // checked against the record, and any deviation (different value, extra
 // signal, missing signal) joins the target.
 func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
-	n := f.n
+	n, rec := f.n, f.rec
 	f.pendF = f.pendF[:0]
 	f.pendC = f.pendC[:0]
 
@@ -293,7 +333,7 @@ func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
 			if !ok {
 				continue // fault-driven misroute off the fabric
 			}
-			if f.wasMember[nb] {
+			if f.inF[nb] {
 				n.routers[nb].StageArrival(dir.Opposite(), d.Flit)
 				continue
 			}
@@ -308,7 +348,7 @@ func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
 			if !ok {
 				continue
 			}
-			if f.wasMember[nb] {
+			if f.inF[nb] {
 				n.routers[nb].StageCredit(c.Port.Opposite(), c.VC)
 				continue
 			}
@@ -316,101 +356,123 @@ func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
 		}
 	}
 
-	// Compare member→clean traffic against the record and collect joins.
-	lLo, lHi := f.rec.seg(f.rec.linkIdx, t)
-	cLo, cHi := f.rec.seg(f.rec.credIdx, t)
-	f.matchedF = growBools(f.matchedF, lHi-lLo)
-	f.matchedC = growBools(f.matchedC, cHi-cLo)
+	// Hold member→clean traffic against the record and collect joins:
+	// a recorded emission toward a clean node that the live member did
+	// not reproduce value for value (the golden flow the target expected
+	// is missing or altered), and a live one the record does not have.
 	f.joinList = f.joinList[:0]
-
-	for i := range f.pendF {
-		pf := &f.pendF[i]
-		found := false
-		for k := lLo; k < lHi; k++ {
-			l := &f.rec.links[k]
-			if int(l.src) == pf.src && int(l.dst) == pf.dst {
-				found = true
-				f.matchedF[k-lLo] = true
-				if l.flit != *pf.f {
-					f.markJoin(pf.dst)
+	for _, id := range f.members {
+		lo, hi := rec.of(rec.linkSrc, rec.linkIdx, t, id)
+		for k := lo; k < hi; k++ {
+			l := &rec.links[k]
+			if dst := int(l.dst); !f.inF[dst] {
+				if pf := f.takePendFlit(id, dst); pf == nil || *pf.f != l.flit {
+					f.markJoin(dst)
 				}
-				break
 			}
 		}
-		if !found {
+		lo, hi = rec.of(rec.creditSrc, rec.credIdx, t, id)
+		for k := lo; k < hi; k++ {
+			c := &rec.credits[k]
+			if dst := int(c.dst); !f.inF[dst] {
+				if pc := f.takePendCredit(id, dst); pc == nil || pc.mask != c.mask {
+					f.markJoin(dst)
+				}
+			}
+		}
+		// Golden replay: what its clean neighbours sent this member.
+		f.stageRecorded(t, id, false)
+	}
+	for i := range f.pendF {
+		if pf := &f.pendF[i]; !pf.taken {
 			f.markJoin(pf.dst)
 		}
 	}
 	for i := range f.pendC {
-		pc := &f.pendC[i]
-		found := false
-		for k := cLo; k < cHi; k++ {
-			c := &f.rec.credits[k]
-			if int(c.src) == pc.src && int(c.dst) == pc.dst {
-				found = true
-				f.matchedC[k-cLo] = true
-				if c.mask != pc.mask {
-					f.markJoin(pc.dst)
-				}
-				break
-			}
-		}
-		if !found {
+		if pc := &f.pendC[i]; !pc.taken {
 			f.markJoin(pc.dst)
-		}
-	}
-	// Recorded golden emissions from a member that the live member did
-	// not reproduce: the golden flow the target expected is missing.
-	for k := lLo; k < lHi; k++ {
-		l := &f.rec.links[k]
-		if f.wasMember[l.src] && !f.wasMember[l.dst] && !f.matchedF[k-lLo] {
-			f.markJoin(int(l.dst))
-		}
-	}
-	for k := cLo; k < cHi; k++ {
-		c := &f.rec.credits[k]
-		if f.wasMember[c.src] && !f.wasMember[c.dst] && !f.matchedC[k-cLo] {
-			f.markJoin(int(c.dst))
-		}
-	}
-
-	// Golden replay: clean nodes' recorded emissions into members.
-	for k := lLo; k < lHi; k++ {
-		l := &f.rec.links[k]
-		if !f.wasMember[l.src] && f.wasMember[l.dst] {
-			n.routers[l.dst].StageArrival(topology.Direction(l.dstPort), n.arena.CloneOf(&l.flit))
-		}
-	}
-	for k := cLo; k < cHi; k++ {
-		c := &f.rec.credits[k]
-		if !f.wasMember[c.src] && f.wasMember[c.dst] {
-			stageCreditMask(n.routers[c.dst], topology.Direction(c.dstPort), c.mask)
 		}
 	}
 
 	// Execute the joins: materialize each target by replaying it from
-	// its valid boundary, then admit it. Joins touch only the joining
-	// node, so their order is immaterial.
+	// its valid boundary. Joins touch only the joining node, so their
+	// order is immaterial; admit makes them members once the cycle is
+	// over (for the rest of it they are still clean nodes, whose NI
+	// effects this cycle equal the record).
 	for _, j := range f.joinList {
 		f.replayNode(j, t)
-		f.inF[j] = true
-		f.size++
-		f.joins++
-		if f.size > f.peak {
-			f.peak = f.size
+		f.track(j)
+	}
+}
+
+// takePendFlit returns the live flit src sent toward the clean node dst
+// this cycle, once: a second one on the same link finds no record left
+// to stand for it and stays untaken.
+func (f *Frontier) takePendFlit(src, dst int) *pendFlit {
+	for i := range f.pendF {
+		if pf := &f.pendF[i]; pf.src == src && pf.dst == dst && !pf.taken {
+			pf.taken = true
+			return pf
 		}
 	}
+	return nil
+}
+
+// takePendCredit is takePendFlit for the live credit mask.
+func (f *Frontier) takePendCredit(src, dst int) *pendCred {
+	for i := range f.pendC {
+		if pc := &f.pendC[i]; pc.src == src && pc.dst == dst && !pc.taken {
+			pc.taken = true
+			return pc
+		}
+	}
+	return nil
+}
+
+// stageRecorded stages into node id what golden recorded its neighbours
+// sending it in cycle t: every neighbour's flit and credits, or those of
+// the neighbours outside the frontier only. Whatever lands on id was sent
+// by a mesh neighbour, and those lie within one row of it.
+func (f *Frontier) stageRecorded(t int64, id int, fromMembers bool) {
+	n, rec := f.n, f.rec
+	r, w := n.routers[id], n.mesh.W
+	// Keys first: an event, much larger than its key, is only looked at
+	// once its emitter is a neighbour this call is to stage from.
+	lo, hi := rec.around(rec.linkSrc, rec.linkIdx, t, id, w)
+	for k := lo; k < hi; k++ {
+		src := int(rec.linkSrc[k])
+		if !adjacent(src, id, w) || (f.inF[src] && !fromMembers) {
+			continue
+		}
+		if l := &rec.links[k]; int(l.dst) == id {
+			r.StageArrival(topology.Direction(l.dstPort), n.arena.CloneOf(&l.flit))
+		}
+	}
+	lo, hi = rec.around(rec.creditSrc, rec.credIdx, t, id, w)
+	for k := lo; k < hi; k++ {
+		src := int(rec.creditSrc[k])
+		if !adjacent(src, id, w) || (f.inF[src] && !fromMembers) {
+			continue
+		}
+		if c := &rec.credits[k]; int(c.dst) == id {
+			stageCreditMask(r, topology.Direction(c.dstPort), c.mask)
+		}
+	}
+}
+
+// adjacent reports whether node ids a and b can be neighbours in a mesh
+// w wide: next to each other in a row or a row apart.
+func adjacent(a, b, w int) bool {
+	d := a - b
+	return d == 1 || d == -1 || d == w || d == -w
 }
 
 // markJoin queues a node for frontier admission this cycle (idempotent
 // within the cycle).
 func (f *Frontier) markJoin(id int) {
-	for _, j := range f.joinList {
-		if j == id {
-			return
-		}
+	if !slices.Contains(f.joinList, id) {
+		f.joinList = append(f.joinList, id)
 	}
-	f.joinList = append(f.joinList, id)
 }
 
 // addPendCredit aggregates a member's live credit toward a clean node
@@ -429,58 +491,72 @@ func (f *Frontier) addPendCredit(src, dst int, port topology.Direction, vc int) 
 	f.pendC = append(f.pendC, pendCred{src: src, dst: dst, port: port, mask: 1 << uint(vc)})
 }
 
-// stepNIs runs the network-interface phase: members tick live (their
-// ejections compared against the record to maintain the clean flag),
-// clean nodes — including this cycle's joiners, whose cycle-t NI
-// effects were computed from still-golden state and so equal the record
-// — replay their recorded send strobes and ejections into the counters,
-// the log and the monitors.
+// track notes that node id has been a member and tells the tracking
+// monitors, the first time.
+func (f *Frontier) track(id int) {
+	if f.isTracked[id] {
+		return
+	}
+	f.isTracked[id] = true
+	f.tracked = append(f.tracked, id)
+	for _, m := range f.trackers {
+		m.TrackNode(id)
+	}
+}
+
+// stepNIs runs the network-interface phase. Members tick live; where a
+// member's ejections differ from golden's record of the cycle they go in
+// the log and the record's in Replaced. The clean nodes — including this
+// cycle's joiners, whose cycle-t NI effects were computed from
+// still-golden state and so equal the record — add the rest of the
+// cycle's recorded send and ejection totals to the counters. Monitors
+// see the ejections at tracked nodes.
 func (f *Frontier) stepNIs(t int64) {
-	n := f.n
-	sLo, sHi := f.rec.seg(f.rec.sendIdx, t)
-	eLo, eHi := f.rec.seg(f.rec.ejectIdx, t)
-	si, ei := sLo, eLo
-	for id, ni := range n.nis {
-		if f.wasMember[id] {
-			f.ejScratch = f.ejScratch[:0]
-			if ni.tickInject(t, n.routers[id], &f.ejScratch) {
-				n.flitsInjected++
+	n, rec := f.n, f.rec
+	sLo, sHi := rec.seg(rec.sendIdx, t)
+	eLo, eHi := rec.seg(rec.ejectIdx, t)
+	injected, ejected := sHi-sLo, eHi-eLo
+	for _, id := range f.members {
+		f.ejScratch = f.ejScratch[:0]
+		if n.nis[id].tickInject(t, n.routers[id], &f.ejScratch) {
+			injected++
+		}
+		if _, found := slices.BinarySearch(rec.sends[sLo:sHi], int32(id)); found {
+			injected-- // the live strobe stands for golden's
+		}
+		lo, hi := rec.of(rec.ejectNode, rec.ejectIdx, t, id)
+		ejected += len(f.ejScratch) - (hi - lo)
+		same := len(f.ejScratch) == hi-lo
+		for i := 0; same && i < len(f.ejScratch); i++ {
+			same = rec.ejectFlits[lo+i] == *f.ejScratch[i]
+		}
+		if !same {
+			for k := lo; k < hi; k++ {
+				f.replaced = append(f.replaced, Ejection{Node: id, Cycle: t, Flit: &rec.ejectFlits[k]})
 			}
-			// A member's send strobe is live; skip golden's record of it.
-			if si < sHi && int(f.rec.sends[si]) == id {
-				si++
-			}
-			// Compare the member's live ejections with golden's.
-			recLo := ei
-			for ei < eHi && int(f.rec.ejects[ei].node) == id {
-				ei++
-			}
-			if f.clean && ei-recLo != len(f.ejScratch) {
-				f.clean = false
-			}
-			for i, fl := range f.ejScratch {
-				if f.clean && f.rec.ejects[recLo+i].flit != *fl {
-					f.clean = false
-				}
-				n.flitsEjected++
+			for _, fl := range f.ejScratch {
 				n.ejections = append(n.ejections, Ejection{Node: id, Cycle: t, Flit: fl})
-				for _, m := range n.monitors {
-					m.FlitEjected(t, id, fl)
-				}
 			}
-			continue
 		}
-		if si < sHi && int(f.rec.sends[si]) == id {
-			si++
-			n.flitsInjected++
-		}
-		for ei < eHi && int(f.rec.ejects[ei].node) == id {
-			fl := n.arena.CloneOf(&f.rec.ejects[ei].flit)
-			ei++
-			n.flitsEjected++
-			n.ejections = append(n.ejections, Ejection{Node: id, Cycle: t, Flit: fl})
+		for _, fl := range f.ejScratch {
 			for _, m := range n.monitors {
 				m.FlitEjected(t, id, fl)
+			}
+		}
+	}
+	n.flitsInjected += int64(injected)
+	n.flitsEjected += int64(ejected)
+	if len(n.monitors) == 0 || eLo == eHi {
+		return
+	}
+	for _, id := range f.tracked {
+		if f.inF[id] {
+			continue
+		}
+		lo, hi := rec.of(rec.ejectNode, rec.ejectIdx, t, id)
+		for k := lo; k < hi; k++ {
+			for _, m := range n.monitors {
+				m.FlitEjected(t, id, &rec.ejectFlits[k])
 			}
 		}
 	}
@@ -492,23 +568,53 @@ func (f *Frontier) stepNIs(t int64) {
 // recorded golden fold at the same boundary — inputs included, since
 // the fold covers staged arrivals and credits — will replay golden
 // exactly until a frontier neighbor diverges its inputs again (which is
-// the join trigger).
-func (f *Frontier) retire(t int64) {
+// the join trigger). t is the cycle just stepped. A member whose fold
+// disagreed is left alone for twice as long as the last time, up to
+// ProbeBackoffCap cycles, unless every is set.
+func (f *Frontier) retire(t int64, every bool) {
 	n := f.n
-	if f.size == 0 || !n.FaultsQuiescent() {
+	if len(f.members) == 0 || !n.FaultsQuiescent() {
 		return
 	}
 	golden := f.rec.foldRow(t)
+	kept := f.members[:0]
 	for _, id := range f.members {
-		if !f.inF[id] {
+		if every || t+1 >= f.probeAt[id] {
+			f.probes++
+			if n.nodeFold(id) == golden[id] {
+				f.inF[id] = false
+				f.validAt[id] = t + 1
+				continue
+			}
+			f.probeGap[id] = min(2*f.probeGap[id], ProbeBackoffCap)
+			f.probeAt[id] = t + 1 + f.probeGap[id]
+		}
+		kept = append(kept, id)
+	}
+	f.members = kept
+}
+
+// RetireAll looks at every member's fold now, whatever its backoff says,
+// and retires those that are back at golden's. At least one cycle must
+// have been stepped. The campaign calls it on the last cycle of the
+// window, where whether the frontier is empty decides how the run ends.
+func (f *Frontier) RetireAll() { f.retire(f.n.cycle-1, true) }
+
+// admit makes the nodes on the join list members: from the next cycle on
+// they are stepped live, and retire looks at them at its first chance.
+func (f *Frontier) admit() {
+	for _, j := range f.joinList {
+		if f.inF[j] {
 			continue
 		}
-		if n.nodeFold(id) == golden[id] {
-			f.inF[id] = false
-			f.validAt[id] = t + 1
-			f.size--
-		}
+		f.inF[j] = true
+		f.probeAt[j], f.probeGap[j] = 0, 1
+		i, _ := slices.BinarySearch(f.members, j)
+		f.members = slices.Insert(f.members, i, j)
+		f.joins++
 	}
+	f.joinList = f.joinList[:0]
+	f.peak = max(f.peak, len(f.members))
 }
 
 // replayNode materializes node id's live state at boundary through+1 by
@@ -518,29 +624,17 @@ func (f *Frontier) retire(t int64) {
 // the window). The node's own Local traffic loops back live; its
 // emissions toward neighbors are discarded (their effects are already
 // baked into the records the neighbors consumed); monitors see nothing
-// (every observable event of these cycles was already announced from
-// the records as they happened). On the final cycle the inbound staging
-// overrides golden with the live emissions of current members — the
-// divergent signals that triggered the join.
+// (what they are owed of these cycles they catch up on when the node is
+// tracked). On the final cycle the inbound staging overrides golden with
+// the live emissions of current members — the divergent signals that
+// triggered the join.
 func (f *Frontier) replayNode(id int, through int64) {
 	n := f.n
 	ni := n.nis[id]
 	r := n.routers[id]
 	for s := f.validAt[id]; s <= through; s++ {
-		if s < f.rec.injectEnd && n.pktProb > 0 && ni.gen.Bernoulli(n.pktProb) {
-			class := n.pickClass(ni.gen)
-			dest := n.cfg.Pattern.Dest(n.mesh, id, ni.gen)
-			payload := ni.gen.Uint64()
-			p := &flit.Packet{
-				ID:         f.genIDFor(s, id),
-				Src:        id,
-				Dest:       dest,
-				Class:      class,
-				Length:     n.rcfg.PacketLen(class),
-				Payload:    payload,
-				InjectedAt: s,
-			}
-			ni.enqueue(p)
+		if s < f.rec.injectEnd && n.pktProb > 0 {
+			f.generate(id, s)
 		}
 		r.BeginCycle(s)
 		r.Evaluate(s)
@@ -554,37 +648,11 @@ func (f *Frontier) replayNode(id int, through int64) {
 				ni.creditArrived(c.VC, s+1)
 			}
 		}
-		lLo, lHi := f.rec.seg(f.rec.linkIdx, s)
-		cLo, cHi := f.rec.seg(f.rec.credIdx, s)
-		if s < through {
-			for k := lLo; k < lHi; k++ {
-				l := &f.rec.links[k]
-				if int(l.dst) == id {
-					r.StageArrival(topology.Direction(l.dstPort), n.arena.CloneOf(&l.flit))
-				}
-			}
-			for k := cLo; k < cHi; k++ {
-				c := &f.rec.credits[k]
-				if int(c.dst) == id {
-					stageCreditMask(r, topology.Direction(c.dstPort), c.mask)
-				}
-			}
-		} else {
-			// Final cycle: golden inputs from clean neighbors, live
-			// inputs from members (whatever they actually emitted, which
-			// is what diverged).
-			for k := lLo; k < lHi; k++ {
-				l := &f.rec.links[k]
-				if int(l.dst) == id && !f.wasMember[l.src] {
-					r.StageArrival(topology.Direction(l.dstPort), n.arena.CloneOf(&l.flit))
-				}
-			}
-			for k := cLo; k < cHi; k++ {
-				c := &f.rec.credits[k]
-				if int(c.dst) == id && !f.wasMember[c.src] {
-					stageCreditMask(r, topology.Direction(c.dstPort), c.mask)
-				}
-			}
+		// Golden inputs from every neighbour; on the final cycle from the
+		// clean ones only, and from members whatever they actually
+		// emitted, which is what diverged.
+		f.stageRecorded(s, id, s < through)
+		if s == through {
 			for i := range f.pendF {
 				pf := &f.pendF[i]
 				if pf.dst == id {
@@ -601,81 +669,69 @@ func (f *Frontier) replayNode(id int, through int64) {
 		f.ejScratch = f.ejScratch[:0]
 		ni.tickInject(s, r, &f.ejScratch)
 		// Replayed ejections and send strobes are discarded: they were
-		// logged and counted from the records when cycle s completed.
+		// counted from the records when cycle s completed.
 	}
-}
-
-// genIDFor returns the packet id golden assigned to node's generation
-// at cycle s. A replaying node's Bernoulli hit must have a matching
-// record — generation is fault-independent — so a miss means the
-// transcript and the replay disagree about the RNG stream.
-func (f *Frontier) genIDFor(s int64, node int) uint64 {
-	lo, hi := f.rec.seg(f.rec.genIdx, s)
-	for k := lo; k < hi; k++ {
-		if int(f.rec.gens[k].node) == node {
-			return f.rec.gens[k].id
-		}
-	}
-	panic(fmt.Sprintf("sim: replay of node %d drew a generation at cycle %d with no golden record", node, s))
 }
 
 // Quiet is Network.Quiet for the run the frontier stands for: the fabric
 // is empty by the live counters, every member's NI is idle, and golden
-// recorded every other NI idle at this boundary. At least one cycle must
-// have been stepped (the rows are per stepped cycle).
+// recorded every other NI idle at this boundary (its count of busy NIs is
+// all members). At least one cycle must have been stepped (the rows are
+// per stepped cycle).
 func (f *Frontier) Quiet() bool {
 	n := f.n
 	if n.InFlight() > 0 {
 		return false
 	}
-	for i, w := range f.rec.busyRow(n.cycle - 1) {
-		for ; w != 0; w &= w - 1 {
-			if !f.inF[i*64+bits.TrailingZeros64(w)] {
-				return false
-			}
-		}
-	}
-	for id, m := range f.inF {
-		if m && n.nis[id].busy() {
+	t := n.cycle - 1
+	busyClean := int(f.rec.busyN[f.rec.row(t)])
+	row := f.rec.busyRow(t)
+	for _, id := range f.members {
+		if n.nis[id].busy() {
 			return false
 		}
+		busyClean -= int(row[id/64] >> uint(id%64) & 1)
 	}
-	return true
+	return busyClean == 0
 }
 
 // StaticFingerprint stands in for Network.StaticFingerprint: two
 // consecutive boundaries agree iff no mutable state of the run changed
-// across the step. It folds the live counters and one state fold per
-// node — a member's live one, anyone else's as golden recorded it at this
-// boundary, which by the frontier invariant is the fold of the state a
-// full simulation would hold there. A node that joins or retires between
-// the two boundaries changes where its fold is read from, not its value.
-// (Network.StaticFingerprint on a frontier's network would hash the
-// stale, constant state of the nodes outside it and freeze falsely.)
-// Like Quiet it needs one stepped cycle.
+// across the step. It folds the live counters and a digest of one state
+// fold per node — a member's live one, anyone else's as golden recorded
+// it at this boundary, which by the frontier invariant is the fold of the
+// state a full simulation would hold there. The digest is the recorded
+// row's with the members' terms exchanged, so a node that joins or
+// retires between the two boundaries changes where its fold is read
+// from, not the value. (Network.StaticFingerprint on a frontier's
+// network would hash the stale, constant state of the nodes outside it
+// and freeze falsely.) Like Quiet it needs one stepped cycle.
 func (f *Frontier) StaticFingerprint() uint64 {
 	n := f.n
-	h := n.foldCounters(statehash.Seed)
-	for id, fold := range f.rec.foldRow(n.cycle - 1) {
-		if f.inF[id] {
-			fold = n.nodeFold(id)
-		}
-		h = statehash.Fold(h, fold)
+	t := n.cycle - 1
+	sum := f.rec.foldSum[f.rec.row(t)]
+	golden := f.rec.foldRow(t)
+	for _, id := range f.members {
+		sum += foldTerm(id, n.nodeFold(id)) - foldTerm(id, golden[id])
 	}
-	return h
+	return statehash.Fold(n.foldCounters(statehash.Seed), sum)
 }
 
-// MaterializeAll restores every non-member node to full live state by
-// cloning it from wend, the golden network at the frontier's current
-// boundary — legal because a clean node's state and inputs are golden's
-// by the frontier invariant. Members keep their live (divergent) state;
-// the network-level counters were maintained cycle by cycle and are not
-// touched. After this the network is an ordinary full simulation again.
-// Campaign runs never need it (the frontier carries them to the end);
-// it is how tests and probes turn a frontier run back into a network they
+// MaterializeAll turns the frontier's network back into an ordinary full
+// simulation at the current boundary. Every non-member node's state is
+// cloned from wend, the golden network at that boundary — legal because
+// a clean node's state and inputs are golden's by the frontier invariant;
+// members keep their live (divergent) state, and the counters were
+// maintained cycle by cycle. The ejection log is filled in to the full
+// one (golden's recorded ejections, less Replaced, around what the log
+// held; the recorded flits are shared with the transcript, not copied),
+// and the tracking monitors are told of every node, since Network.Step
+// shows them all. The frontier is spent afterwards. Campaign runs need
+// this only when their fault is still armed at the window end; it is
+// also how tests and probes turn a frontier run back into a network they
 // can fingerprint.
 func (f *Frontier) MaterializeAll(wend *Network) {
-	n := f.n
+	n, rec := f.n, f.rec
 	if wend.cycle != n.cycle {
 		panic(fmt.Sprintf("sim: materialize from golden boundary %d at live cycle %d", wend.cycle, n.cycle))
 	}
@@ -685,7 +741,28 @@ func (f *Frontier) MaterializeAll(wend *Network) {
 		}
 		n.routers[i] = wend.routers[i].CloneInto(n.routers[i], n.plane, n.arena)
 		n.nis[i] = wend.nis[i].cloneInto(n.nis[i], n.arena)
+		f.track(i)
 	}
+
+	live, repl := n.ejections[f.logBase:], f.replaced
+	full := append(f.backfill[:0], n.ejections[:f.logBase]...)
+	for c, stored := 0, min(rec.Cycles(), int(n.cycle-rec.start)); c < stored; c++ {
+		t := rec.start + int64(c)
+		for k := int(rec.ejectIdx[c]); k < int(rec.ejectIdx[c+1]); k++ {
+			node := int(rec.ejectNode[k])
+			for len(live) > 0 && (live[0].Cycle < t || live[0].Cycle == t && live[0].Node < node) {
+				full, live = append(full, live[0]), live[1:]
+			}
+			if len(repl) > 0 && repl[0].Flit == &rec.ejectFlits[k] {
+				repl = repl[1:]
+				continue
+			}
+			full = append(full, Ejection{Node: node, Cycle: t, Flit: &rec.ejectFlits[k]})
+		}
+	}
+	full = append(full, live...)
+	f.backfill, n.ejections = n.ejections[:0], full
+	f.logBase, f.replaced = len(full), f.replaced[:0]
 }
 
 // stageCreditMask stages one credit per set VC bit.
@@ -695,15 +772,4 @@ func stageCreditMask(r *router.Router, port topology.Direction, mask uint32) {
 		mask &^= 1 << uint(v)
 		r.StageCredit(port, v)
 	}
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		s = make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
 }

@@ -7,6 +7,7 @@ import (
 	"nocalert/internal/fault"
 	"nocalert/internal/rng"
 	"nocalert/internal/router"
+	"nocalert/internal/routing"
 	"nocalert/internal/topology"
 )
 
@@ -37,13 +38,12 @@ import (
 // with the reference run. It returns how many nodes joined the frontier
 // after the window end, the joins that replay a node across the end of
 // injection.
-func frontierLockstep(t *testing.T, w, h int, rate float64, seed uint64, plane *fault.Plane, fork, window int64) (lateJoins int64) {
+func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window int64) (lateJoins int64) {
 	t.Helper()
 	const (
 		drainCap = 3000 // a run neither quiet nor frozen by then is livelocked
 		horizon  = 150  // cycles stepped past the drain boundary
 	)
-	cfg := Config{Router: router.Default(topology.NewMesh(w, h)), InjectionRate: rate, Seed: seed}
 	gold := MustNew(cfg, nil)
 	for gold.Cycle() < fork {
 		gold.Step()
@@ -83,7 +83,7 @@ func frontierLockstep(t *testing.T, w, h int, rate float64, seed uint64, plane *
 			}
 		}
 		if fn.FlitsInjected() != ref.FlitsInjected() || fn.FlitsEjected() != ref.FlitsEjected() ||
-			fn.NextPacketID() != ref.NextPacketID() || len(fn.Ejections()) != len(ref.Ejections()) {
+			fn.NextPacketID() != ref.NextPacketID() || fn.PacketsOffered() != ref.PacketsOffered() {
 			t.Fatalf("cycle %d: counters diverged (inj %d/%d, ej %d/%d, pkt %d/%d)", tb,
 				fn.FlitsInjected(), ref.FlitsInjected(), fn.FlitsEjected(), ref.FlitsEjected(),
 				fn.NextPacketID(), ref.NextPacketID())
@@ -148,7 +148,8 @@ func TestFrontierLockstepUnderFaults(t *testing.T) {
 			p := fault.Params{Mesh: topology.NewMesh(tc.w, tc.h), VCs: 4, BufDepth: router.Default(topology.NewMesh(tc.w, tc.h)).BufDepth}
 			g := rng.New(7, 1)
 			plane := samplePlane(p, g, 8, 130)
-			lateJoins += frontierLockstep(t, tc.w, tc.h, tc.rate, 3, plane, 120, 400)
+			cfg := Config{Router: router.Default(topology.NewMesh(tc.w, tc.h)), InjectionRate: tc.rate, Seed: 3}
+			lateJoins += frontierLockstep(t, cfg, plane, 120, 400)
 		})
 	}
 	if !t.Failed() && lateJoins == 0 {
@@ -175,10 +176,46 @@ func TestFrontierLockstepRandomPlanes(t *testing.T) {
 		t.Run(fmt.Sprintf("plane%02d", it), func(t *testing.T) {
 			g := rng.New(uint64(300+it), 9)
 			plane := samplePlane(p, g, 3+it%4, 45)
-			lateJoins += frontierLockstep(t, 4, 4, 0.15, uint64(it)+11, plane, 40, 250)
+			cfg := Config{Router: router.Default(topology.NewMesh(4, 4)), InjectionRate: 0.15, Seed: uint64(it) + 11}
+			lateJoins += frontierLockstep(t, cfg, plane, 40, 250)
 		})
 	}
 	if !t.Failed() && lateJoins == 0 {
 		t.Fatal("no node joined a frontier after the window end: the replay across the end of injection went unexercised")
 	}
+}
+
+// FuzzFrontierLockstep lets the fuzzer pick the network (mesh up to 6×6,
+// VC count, injection rate, routing algorithm, traffic seed) and the
+// fault (site, bit, temporal type, strike cycle) and holds the frontier
+// to the full simulation through window, drain and horizon as
+// frontierLockstep does: counters, member folds, missed joins, Quiet,
+// the static fingerprint's verdict on every step, and after
+// MaterializeAll the whole fingerprint and ejection log. The seed corpus
+// below runs under plain `go test`; `make fuzz-smoke` searches on from it.
+func FuzzFrontierLockstep(f *testing.F) {
+	//    w, h, vcs, rate%, alg, seed, site, bit, type, delay, period, duty
+	f.Add(uint8(4), uint8(4), uint8(4), uint8(12), uint8(0), uint64(3), uint32(17), uint8(0), uint8(0), uint8(5), uint8(0), uint8(0))
+	f.Add(uint8(6), uint8(6), uint8(2), uint8(8), uint8(1), uint64(11), uint32(901), uint8(2), uint8(0), uint8(31), uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(5), uint8(4), uint8(15), uint8(2), uint64(5), uint32(402), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(5), uint8(2), uint8(8), uint8(10), uint8(0), uint64(7), uint32(77), uint8(3), uint8(2), uint8(12), uint8(9), uint8(4))
+	f.Add(uint8(2), uint8(2), uint8(1), uint8(20), uint8(0), uint64(1), uint32(5), uint8(0), uint8(0), uint8(2), uint8(0), uint8(0))
+	f.Add(uint8(6), uint8(1), uint8(4), uint8(5), uint8(1), uint64(9), uint32(1234), uint8(7), uint8(1), uint8(44), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, w, h, vcs, ratePct, alg uint8, seed uint64, site uint32, bit, typ, delay, period, duty uint8) {
+		mesh := topology.NewMesh(1+int(w)%6, 1+int(h)%6)
+		rc := router.Default(mesh)
+		rc.VCs = 1 << (vcs % 4) // 1, 2, 4, 8
+		rc.Alg = []routing.Algorithm{routing.XY{}, routing.WestFirst{}, routing.Adaptive{}}[alg%3]
+		cfg := Config{Router: rc, InjectionRate: float64(1+ratePct%20) / 100, Seed: seed}
+
+		sites := fault.Params{Mesh: mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}.EnumerateSites()
+		s := sites[int(site)%len(sites)]
+		const fork, window = 40, 200
+		ft := fault.Fault{Site: s, Bit: int(bit) % s.Width, Cycle: fork + int64(delay%50), Type: fault.Type(typ % 3)}
+		if ft.Type == fault.Intermittent {
+			ft.Period = 2 + int64(period%30)
+			ft.Duty = 1 + int64(duty)%ft.Period
+		}
+		frontierLockstep(t, cfg, fault.NewPlane(ft), fork, window)
+	})
 }

@@ -49,3 +49,15 @@ func (BaseMonitor) FlitEjected(int64, int, *flit.Flit) {}
 
 // EndCycle implements Monitor.
 func (BaseMonitor) EndCycle(int64) {}
+
+// NodeTracker is implemented by a monitor that keeps its end-to-end
+// state per node and can answer for the whole mesh while being shown
+// only some nodes' events, taking everyone else's from the golden run
+// (ForEVeR, once it follows a golden monitor). A Frontier calls
+// TrackNode the first time a node joins it, at a cycle boundary or in
+// mid-cycle before any of the cycle's ejections and its end are shown:
+// from that cycle on the monitor is shown node's ejections, and it must
+// bring its state for node up to the boundary by its own means.
+type NodeTracker interface {
+	TrackNode(node int)
+}

@@ -36,40 +36,41 @@ import (
 // node (buffer reads, arbitration, the NI's own credit maturation) is
 // recomputed, never recorded.
 
-// recGen is one packet generation event: node's NI drew a Bernoulli hit
-// at the record's cycle. The RNG-derived fields are stored so the event
-// can be fed to monitors (and replayed into a joining node) without
-// touching any NI state.
+// Every event kind is stored as two parallel flat arrays: the node that
+// emitted the event (generating NI, sending router, ejecting NI) in a
+// dense []int32, and the rest of the event beside it. A cycle's events
+// are appended in ascending emitter order (Step walks NIs and stepped
+// routers by id), so one cycle's slice of the key array is sorted and
+// the frontier finds a member's records — and those of its four
+// neighbours — by binary search over a few cache lines (span) instead of
+// walking the cycle's whole segment.
+
+// recGen is one packet generation event: the keyed NI drew a Bernoulli
+// hit at the record's cycle. The RNG-derived fields are stored so a
+// joining node can be replayed without a packet id of its own.
 type recGen struct {
-	node    int32
 	class   int32
 	dest    int32
 	id      uint64
 	payload uint64
 }
 
-// recLink is one flit crossing the src→dst link: the value the flit had
-// on the wire (post any sender-side mutation) and the input port it
-// lands on at dst.
+// recLink is one flit crossing the link from the keyed router to dst:
+// the value the flit had on the wire (post any sender-side mutation) and
+// the input port it lands on at dst.
 type recLink struct {
-	src, dst int32
-	dstPort  uint8
-	flit     flit.Flit
+	dst     int32
+	dstPort uint8
+	flit    flit.Flit
 }
 
-// recCredit is the credit traffic on the src→dst credit link for one
-// cycle, aggregated as a VC bitmask (StageCredit ORs per-VC bits, so a
-// mask loses nothing).
+// recCredit is the credit traffic on the credit link from the keyed
+// router to dst for one cycle, aggregated as a VC bitmask (StageCredit
+// ORs per-VC bits, so a mask loses nothing).
 type recCredit struct {
-	src, dst int32
-	dstPort  uint8
-	mask     uint32
-}
-
-// recEject is one flit delivered to node's NI.
-type recEject struct {
-	node int32
-	flit flit.Flit
+	dst     int32
+	dstPort uint8
+	mask    uint32
 }
 
 // Recording is the golden signal transcript for a contiguous cycle
@@ -88,23 +89,37 @@ type Recording struct {
 	// fixed point, which makes every later cycle a recorded one.
 	settled bool
 
-	gens    []recGen
-	links   []recLink
-	credits []recCredit
-	sends   []int32
-	ejects  []recEject
+	// Events: key array (emitting node) and payload array, index for
+	// index. sends has a key only; an ejection's payload is the flit.
+	genNode    []int32
+	gens       []recGen
+	linkSrc    []int32
+	links      []recLink
+	creditSrc  []int32
+	credits    []recCredit
+	sends      []int32
+	ejectNode  []int32
+	ejectFlits []flit.Flit
 	// folds holds nodes per-node state folds per recorded cycle: entry
 	// c*nodes+i is node i's fold at the boundary ending cycle start+c.
 	folds []uint64
+	// foldSum holds one order-free digest of each cycle's fold row (the
+	// sum of foldTerm over the nodes): what a frontier's static
+	// fingerprint starts from, so that it folds its members' rows only.
+	foldSum []uint64
 	// busy holds one bit per node per recorded cycle, busyWords() words a
 	// cycle: set when the node's NI holds a queued packet, a streaming
-	// flit or an unprocessed arrival at that boundary (NI.busy).
-	busy []uint64
+	// flit or an unprocessed arrival at that boundary (NI.busy). busyN is
+	// each row's population count.
+	busy  []uint64
+	busyN []int32
 	// idle is closeCycle's memory of the previous boundary: which nodes
 	// were wholly idle there with injection off.
 	idle []bool
 
-	// prefix offsets, one entry per closed cycle plus the open tail.
+	// prefix offsets, one entry per closed cycle plus the open tail. They
+	// are running event counts as well: a cycle's generation, send and
+	// ejection totals are differences of neighbouring entries.
 	genIdx, linkIdx, credIdx, sendIdx, ejectIdx []int32
 }
 
@@ -116,7 +131,9 @@ func newRecording(start int64, nodes, cycles int) *Recording {
 	r.sendIdx = append(make([]int32, 0, cycles+1), 0)
 	r.ejectIdx = append(make([]int32, 0, cycles+1), 0)
 	r.folds = make([]uint64, 0, cycles*nodes)
+	r.foldSum = make([]uint64, 0, cycles)
 	r.busy = make([]uint64, 0, cycles*r.busyWords())
+	r.busyN = make([]int32, 0, cycles)
 	return r
 }
 
@@ -142,6 +159,53 @@ func (rc *Recording) seg(idx []int32, t int64) (int, int) {
 	return int(idx[c]), int(idx[c+1])
 }
 
+// span returns the [lo,hi) range of node's events inside keys, one
+// cycle's ascending slice of an event key array: a lower-bound binary
+// search down to a window of 16 keys (one cache line, where a predictable
+// linear scan beats further halving), then the run of equal keys (a
+// router emits at most one flit and one credit mask per link, an NI a
+// handful of ejections, so the run is short).
+func span(keys []int32, node int) (int, int) {
+	k := int32(node)
+	lo, hi := 0, len(keys)
+	for hi-lo > 16 {
+		if mid := int(uint(lo+hi) >> 1); keys[mid] < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for lo < hi && keys[lo] < k {
+		lo++
+	}
+	hi = lo
+	for hi < len(keys) && keys[hi] == k {
+		hi++
+	}
+	return lo, hi
+}
+
+// of returns the [lo,hi) range of node's events of cycle t in one event
+// kind, given by its key array and prefix index.
+func (rc *Recording) of(keys, idx []int32, t int64, node int) (int, int) {
+	lo, hi := rc.seg(idx, t)
+	a, b := span(keys[lo:hi], node)
+	return lo + a, lo + b
+}
+
+// around returns the [lo,hi) range of cycle t's events, in one event
+// kind, whose emitter's id lies within width of node's: in a mesh of that
+// width, node itself and every neighbour of it.
+func (rc *Recording) around(keys, idx []int32, t int64, node, width int) (int, int) {
+	lo, hi := rc.seg(idx, t)
+	a, _ := span(keys[lo:hi], node-width)
+	b := a
+	for lo+b < hi && int(keys[lo+b]) <= node+width {
+		b++
+	}
+	return lo + a, lo + b
+}
+
 // row returns the stored cycle whose boundary rows stand for the
 // boundary that ends cycle t: t itself, or the last one past the end of
 // a settled transcript.
@@ -164,18 +228,25 @@ func (rc *Recording) busyRow(t int64) []uint64 {
 
 func (rc *Recording) busyWords() int { return (rc.nodes + 63) / 64 }
 
+// foldTerm is node i's term in a fold row's digest (foldSum). The digest
+// is a wrapping sum, so replacing one node's fold is one subtraction and
+// one addition; each term is the node's fold mixed with its id, so equal
+// folds at different nodes do not cancel.
+func foldTerm(i int, fold uint64) uint64 {
+	return statehash.Fold(statehash.FoldInt(statehash.Seed, i), fold)
+}
+
 // recordGen appends a generation event for the open cycle.
 func (rc *Recording) recordGen(node int, p *flit.Packet) {
-	rc.gens = append(rc.gens, recGen{
-		node: int32(node), class: int32(p.Class), dest: int32(p.Dest),
-		id: p.ID, payload: p.Payload,
-	})
+	rc.genNode = append(rc.genNode, int32(node))
+	rc.gens = append(rc.gens, recGen{class: int32(p.Class), dest: int32(p.Dest), id: p.ID, payload: p.Payload})
 }
 
 // recordLink appends a flit crossing src→dst, landing on dst's input
 // port dstPort.
 func (rc *Recording) recordLink(src, dst, dstPort int, f *flit.Flit) {
-	rc.links = append(rc.links, recLink{src: int32(src), dst: int32(dst), dstPort: uint8(dstPort), flit: *f})
+	rc.linkSrc = append(rc.linkSrc, int32(src))
+	rc.links = append(rc.links, recLink{dst: int32(dst), dstPort: uint8(dstPort), flit: *f})
 }
 
 // recordCredit ORs a credit for VC vc into the src→dst mask of the open
@@ -184,17 +255,14 @@ func (rc *Recording) recordLink(src, dst, dstPort int, f *flit.Flit) {
 // current router's tail.
 func (rc *Recording) recordCredit(src, dst, dstPort, vc int) {
 	lo := int(rc.credIdx[len(rc.credIdx)-1])
-	for i := len(rc.credits) - 1; i >= lo; i-- {
-		e := &rc.credits[i]
-		if int(e.src) != src {
-			break
-		}
-		if int(e.dst) == dst {
+	for i := len(rc.credits) - 1; i >= lo && int(rc.creditSrc[i]) == src; i-- {
+		if e := &rc.credits[i]; int(e.dst) == dst {
 			e.mask |= 1 << uint(vc)
 			return
 		}
 	}
-	rc.credits = append(rc.credits, recCredit{src: int32(src), dst: int32(dst), dstPort: uint8(dstPort), mask: 1 << uint(vc)})
+	rc.creditSrc = append(rc.creditSrc, int32(src))
+	rc.credits = append(rc.credits, recCredit{dst: int32(dst), dstPort: uint8(dstPort), mask: 1 << uint(vc)})
 }
 
 // recordSend appends node's NI send strobe for the open cycle.
@@ -204,7 +272,8 @@ func (rc *Recording) recordSend(node int) {
 
 // recordEject appends an ejection at node for the open cycle.
 func (rc *Recording) recordEject(node int, f *flit.Flit) {
-	rc.ejects = append(rc.ejects, recEject{node: int32(node), flit: *f})
+	rc.ejectNode = append(rc.ejectNode, int32(node))
+	rc.ejectFlits = append(rc.ejectFlits, *f)
 }
 
 // closeCycle seals the open cycle: folds every node's state and notes
@@ -221,56 +290,73 @@ func (rc *Recording) recordEject(node int, f *flit.Flit) {
 func (rc *Recording) closeCycle(n *Network) {
 	c := rc.Cycles()
 	still := !n.injecting && !n.plane.LiveAt(n.cycle-1)
+	var sum uint64
 	for i, r := range n.routers {
 		idle := still && r.Inert() && !n.nis[i].busy() && len(n.nis[i].credits) == 0
+		fold := uint64(0)
 		if idle && rc.idle[i] {
-			rc.folds = append(rc.folds, rc.folds[(c-1)*rc.nodes+i])
+			fold = rc.folds[(c-1)*rc.nodes+i]
 		} else {
-			rc.folds = append(rc.folds, n.nodeFold(i))
+			fold = n.nodeFold(i)
 		}
+		rc.folds = append(rc.folds, fold)
+		sum += foldTerm(i, fold)
 		rc.idle[i] = idle
 	}
-	w := rc.busyWords()
-	rc.busy = append(rc.busy, make([]uint64, w)...)
-	for i, ni := range n.nis {
-		if ni.busy() {
-			rc.busy[c*w+i/64] |= 1 << uint(i%64)
+	rc.foldSum = append(rc.foldSum, sum)
+	busyN := int32(0)
+	for i := 0; i < len(n.nis); i += 64 {
+		var word uint64
+		for b, ni := range n.nis[i:min(i+64, len(n.nis))] {
+			if ni.busy() {
+				word |= 1 << uint(b)
+				busyN++
+			}
 		}
+		rc.busy = append(rc.busy, word)
 	}
+	rc.busyN = append(rc.busyN, busyN)
 	if !n.injecting && rc.injectEnd == math.MaxInt64 {
 		rc.injectEnd = n.cycle - 1
 	}
 	rc.settled = !n.injecting && c > 0 &&
 		len(rc.links) == int(rc.linkIdx[c]) && len(rc.credits) == int(rc.credIdx[c]) &&
-		len(rc.sends) == int(rc.sendIdx[c]) && len(rc.ejects) == int(rc.ejectIdx[c]) &&
+		len(rc.sends) == int(rc.sendIdx[c]) && len(rc.ejectNode) == int(rc.ejectIdx[c]) &&
 		slices.Equal(rc.folds[c*rc.nodes:], rc.folds[(c-1)*rc.nodes:c*rc.nodes])
 	rc.genIdx = append(rc.genIdx, int32(len(rc.gens)))
 	rc.linkIdx = append(rc.linkIdx, int32(len(rc.links)))
 	rc.credIdx = append(rc.credIdx, int32(len(rc.credits)))
 	rc.sendIdx = append(rc.sendIdx, int32(len(rc.sends)))
-	rc.ejectIdx = append(rc.ejectIdx, int32(len(rc.ejects)))
+	rc.ejectIdx = append(rc.ejectIdx, int32(len(rc.ejectNode)))
 }
 
+// Payload bytes per event of the transcript's flat storage; every event
+// has a 4-byte key beside it (record_test.go holds these to
+// unsafe.Sizeof).
+const (
+	recGenBytes    = 24  // recGen
+	recLinkBytes   = 112 // recLink (embedded flit value)
+	recCreditBytes = 12  // recCredit
+	recEjectBytes  = 104 // flit.Flit
+)
+
 // ApproxFootprintBytes estimates the memory the transcript retains:
-// flat event storage at capacity plus the prefix indices, the per-node
-// fold table and the busy-NI bits. Like Network.ApproxFootprintBytes it
-// is a deterministic accounting estimate, not a heap measurement.
+// flat event storage at capacity (keys and payloads), the prefix
+// indices, the per-node fold table with its row digests, the busy-NI
+// bits with their row counts and closeCycle's idle flags. Like
+// Network.ApproxFootprintBytes it is a deterministic accounting
+// estimate, not a heap measurement.
 func (rc *Recording) ApproxFootprintBytes() int64 {
 	if rc == nil {
 		return 0
 	}
-	const (
-		genBytes   = 32  // recGen
-		linkBytes  = 112 // recLink (embedded flit value)
-		credBytes  = 16  // recCredit
-		ejectBytes = 104 // recEject (embedded flit value)
-	)
-	b := int64(cap(rc.gens))*genBytes +
-		int64(cap(rc.links))*linkBytes +
-		int64(cap(rc.credits))*credBytes +
-		int64(cap(rc.sends))*4 +
-		int64(cap(rc.ejects))*ejectBytes +
-		int64(cap(rc.folds)+cap(rc.busy))*8
+	b := int64(cap(rc.gens))*recGenBytes +
+		int64(cap(rc.links))*recLinkBytes +
+		int64(cap(rc.credits))*recCreditBytes +
+		int64(cap(rc.ejectFlits))*recEjectBytes +
+		int64(cap(rc.folds)+cap(rc.foldSum)+cap(rc.busy))*8 +
+		int64(cap(rc.idle))
+	b += int64(cap(rc.genNode)+cap(rc.linkSrc)+cap(rc.creditSrc)+cap(rc.sends)+cap(rc.ejectNode)+cap(rc.busyN)) * 4
 	b += int64(cap(rc.genIdx)+cap(rc.linkIdx)+cap(rc.credIdx)+cap(rc.sendIdx)+cap(rc.ejectIdx)) * 4
 	return b
 }

@@ -4,16 +4,21 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
+	"nocalert/internal/flit"
 	"nocalert/internal/router"
 	"nocalert/internal/topology"
 )
 
 // TestRecordingFootprintPinned pins Recording.ApproxFootprintBytes to
-// its documented arithmetic: per-event constants times slice capacity
-// plus the prefix indices, the fold table and the busy-NI bits. The campaign's
-// campaign_timeline_bytes gauge and Report.TimelineBytes surface this
-// number, so a silent formula drift would misreport golden-side memory.
+// its documented arithmetic: every slice the transcript retains, at
+// capacity, times its element size — event payloads and their keys, the
+// prefix indices, the fold table and its row digests, the busy-NI bits
+// and their row counts, the idle flags — and the per-event constants to
+// the structs' real sizes. The campaign's campaign_timeline_bytes gauge,
+// Report.TimelineBytes and the GoldenCache budget surface this number,
+// so a silent formula drift would misreport golden-side memory.
 func TestRecordingFootprintPinned(t *testing.T) {
 	var nilRec *Recording
 	if got := nilRec.ApproxFootprintBytes(); got != 0 {
@@ -38,16 +43,33 @@ func TestRecordingFootprintPinned(t *testing.T) {
 		t.Fatal("transcript recorded no traffic; raise the injection rate or window")
 	}
 
-	want := int64(cap(rc.gens))*32 +
-		int64(cap(rc.links))*112 +
-		int64(cap(rc.credits))*16 +
+	for _, sz := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"recGen", recGenBytes, unsafe.Sizeof(recGen{})},
+		{"recLink", recLinkBytes, unsafe.Sizeof(recLink{})},
+		{"recCredit", recCreditBytes, unsafe.Sizeof(recCredit{})},
+		{"flit.Flit", recEjectBytes, unsafe.Sizeof(flit.Flit{})},
+	} {
+		if sz.got != sz.want {
+			t.Errorf("footprint counts %d bytes per %s, the struct has %d", sz.got, sz.name, sz.want)
+		}
+	}
+	want := int64(cap(rc.gens))*24 + int64(cap(rc.genNode))*4 +
+		int64(cap(rc.links))*112 + int64(cap(rc.linkSrc))*4 +
+		int64(cap(rc.credits))*12 + int64(cap(rc.creditSrc))*4 +
 		int64(cap(rc.sends))*4 +
-		int64(cap(rc.ejects))*104 +
-		int64(cap(rc.folds))*8 +
-		int64(cap(rc.busy))*8 +
+		int64(cap(rc.ejectFlits))*104 + int64(cap(rc.ejectNode))*4 +
+		int64(cap(rc.folds))*8 + int64(cap(rc.foldSum))*8 +
+		int64(cap(rc.busy))*8 + int64(cap(rc.busyN))*4 +
+		int64(cap(rc.idle)) +
 		int64(cap(rc.genIdx)+cap(rc.linkIdx)+cap(rc.credIdx)+cap(rc.sendIdx)+cap(rc.ejectIdx))*4
 	if got := rc.ApproxFootprintBytes(); got != want {
 		t.Fatalf("Recording.ApproxFootprintBytes() = %d, want %d", got, want)
+	}
+	if cap(rc.idle) != 16 || len(rc.foldSum) != 40 || len(rc.busyN) != 40 {
+		t.Fatalf("idle flags %d, row digests %d, busy counts %d: want 16, 40, 40", cap(rc.idle), len(rc.foldSum), len(rc.busyN))
 	}
 	if got, want := len(rc.busy), 40*rc.busyWords(); got != want || rc.busyWords() != 1 {
 		t.Fatalf("busy-NI bits: %d words of %d a cycle, want %d of 1", got, rc.busyWords(), want)
@@ -123,7 +145,7 @@ func TestRecordingThroughDrain(t *testing.T) {
 			n.StartRecording(50)
 			n.Run(50)
 			tail := n.StopRecording()
-			if len(tail.links)+len(tail.credits)+len(tail.sends)+len(tail.ejects)+len(tail.gens) != 0 {
+			if len(tail.links)+len(tail.credits)+len(tail.sends)+len(tail.ejectNode)+len(tail.gens) != 0 {
 				t.Fatal("a settled network emitted a signal")
 			}
 			for tb := end; tb < end+50; tb++ {
@@ -168,4 +190,94 @@ func TestNetworkFootprintIncludesRecording(t *testing.T) {
 	if got := n.ApproxFootprintBytes(); got != bare {
 		t.Fatalf("footprint after StopRecording = %d, want bare %d", got, bare)
 	}
+}
+
+// TestRecordingKeyedLookups holds the transcript's keyed lookups to the
+// linear scans they replaced. Every cycle's slice of every event key
+// array must be ascending (what the binary search rests on: Step walks
+// NIs and stepped routers by id, under either sweep engine), and for
+// every cycle and node, of must return exactly the indices whose key is
+// the node and around exactly those whose key is within a mesh row of it
+// — which must include every event that names the node as its target.
+func TestRecordingKeyedLookups(t *testing.T) {
+	for _, tc := range []struct {
+		w, h   int
+		rate   float64
+		refEng bool
+	}{
+		{4, 4, 0.2, false},
+		{4, 4, 0.2, true},
+		{8, 8, 0.08, false},
+		{5, 3, 0.15, false},
+	} {
+		t.Run(fmt.Sprintf("%dx%d/ref=%t", tc.w, tc.h, tc.refEng), func(t *testing.T) {
+			cfg := Config{Router: router.Default(topology.NewMesh(tc.w, tc.h)), InjectionRate: tc.rate, Seed: 5, DisableSoA: tc.refEng}
+			n := MustNew(cfg, nil)
+			n.Run(100)
+			n.StartRecording(150)
+			n.Run(150)
+			rc := n.StopRecording()
+
+			kinds := []struct {
+				name      string
+				keys, idx []int32
+				target    func(k int) int // the node event k is addressed to, -1 if none
+			}{
+				{"gens", rc.genNode, rc.genIdx, func(int) int { return -1 }},
+				{"links", rc.linkSrc, rc.linkIdx, func(k int) int { return int(rc.links[k].dst) }},
+				{"credits", rc.creditSrc, rc.credIdx, func(k int) int { return int(rc.credits[k].dst) }},
+				{"sends", rc.sends, rc.sendIdx, func(int) int { return -1 }},
+				{"ejects", rc.ejectNode, rc.ejectIdx, func(int) int { return -1 }},
+			}
+			for _, kind := range kinds {
+				if len(kind.keys) == 0 {
+					t.Fatalf("%s: nothing recorded; raise the rate or the window", kind.name)
+				}
+				for c := 0; c < rc.Cycles(); c++ {
+					cyc := rc.start + int64(c)
+					lo, hi := rc.seg(kind.idx, cyc)
+					if !slices.IsSorted(kind.keys[lo:hi]) {
+						t.Fatalf("%s cycle %d: keys %v are not ascending", kind.name, cyc, kind.keys[lo:hi])
+					}
+					for node := 0; node < rc.nodes; node++ {
+						var own, near []int
+						for k := lo; k < hi; k++ {
+							key := int(kind.keys[k])
+							if key == node {
+								own = append(own, k)
+							}
+							if key >= node-tc.w && key <= node+tc.w {
+								near = append(near, k)
+							} else if kind.target(k) == node {
+								t.Fatalf("%s cycle %d: event %d from node %d targets node %d, more than a row away", kind.name, cyc, k, key, node)
+							}
+						}
+						if a, b := rc.of(kind.keys, kind.idx, cyc, node); !slices.Equal(indexRange(a, b), own) {
+							t.Fatalf("%s cycle %d node %d: of = [%d,%d), linear scan finds %v", kind.name, cyc, node, a, b, own)
+						}
+						if a, b := rc.around(kind.keys, kind.idx, cyc, node, tc.w); !slices.Equal(indexRange(a, b), near) {
+							t.Fatalf("%s cycle %d node %d: around = [%d,%d), linear scan finds %v", kind.name, cyc, node, a, b, near)
+						}
+					}
+				}
+			}
+			// Past the stored cycles of a transcript every lookup is empty.
+			past := rc.start + int64(rc.Cycles())
+			if a, b := rc.of(rc.linkSrc, rc.linkIdx, past, 3); a != b {
+				t.Fatalf("of past the last cycle = [%d,%d)", a, b)
+			}
+			if a, b := rc.around(rc.linkSrc, rc.linkIdx, past, 3, tc.w); a != b {
+				t.Fatalf("around past the last cycle = [%d,%d)", a, b)
+			}
+		})
+	}
+}
+
+// indexRange lists lo..hi-1 (nil when empty, like an empty scan result).
+func indexRange(lo, hi int) []int {
+	var out []int
+	for k := lo; k < hi; k++ {
+		out = append(out, k)
+	}
+	return out
 }
