@@ -172,11 +172,11 @@ benchfleet:
 	$(GO) run ./bench -workload svc_fleet8 -trace 1 -out $(BENCHFLEET_OUT)
 
 # golden regenerates the committed fixtures — the 4×4 and 8×8 record
-# fixtures and the full JSON report fixtures the soa-identity gate
-# compares against — after an intentional behaviour change; commit the
-# diff it produces.
+# fixtures, the armed-fault report fixture and the full JSON report
+# fixtures the soa-identity gate compares against — after an intentional
+# behaviour change; commit the diff it produces.
 golden:
-	$(GO) test ./internal/campaign -run TestGoldenFixture -update-golden -v
+	$(GO) test ./internal/campaign -run 'TestGoldenFixture|TestArmedFaultReportFixture' -update-golden -v
 	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
 		-json testdata/report_4x4_seed3.json
 	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) \

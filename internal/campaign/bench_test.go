@@ -46,3 +46,45 @@ func BenchmarkFrontierCampaign(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGoldenWarmup times the golden warm-up alone, in the shape the
+// paper's injection points give it: the fault-free mainline stepped to
+// cycle 16 000 and one group context built there (window, drain, settle,
+// horizon, template). It is what w8x8_fixedcost and svc_fleet8 spend
+// their time in, without cmd or faulty runs around it:
+//
+//	go test -run '^$' -bench GoldenWarmup/8x8 -benchtime 4x \
+//	    -cpuprofile cpu.out ./internal/campaign
+func BenchmarkGoldenWarmup(b *testing.B) {
+	for _, bc := range []struct {
+		w, h int
+		rate float64
+	}{
+		{8, 8, 0.05},
+		{16, 16, 0.02},
+	} {
+		b.Run(fmt.Sprintf("%dx%d", bc.w, bc.h), func(b *testing.B) {
+			spec := Golden8x8Spec()
+			spec.MeshW, spec.MeshH, spec.InjectionRate = bc.w, bc.h, bc.rate
+			spec.InjectCycle, spec.NumFaults = 16000, 1
+			opts := spec.Options()
+			opts.Faults = spec.Universe()
+			o, err := opts.withDefaults()
+			if err != nil {
+				b.Fatal(err)
+			}
+			cycles, plan, key := o.goldenInputs()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gold, err := buildGolden(&o, cycles, plan, key, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if gold.groups[16000].rec == nil {
+					b.Fatal("the golden continuation recorded no transcript")
+				}
+			}
+		})
+	}
+}

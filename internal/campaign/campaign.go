@@ -427,7 +427,7 @@ func Run(opts Options) (*Report, error) {
 	// which.
 	warm := camp.Child("phase", "golden-warmup")
 	gold, how, err := o.GoldenCache.get(o.Context, key, func() (*Golden, error) {
-		return buildGolden(&o, cycles, plan, key)
+		return buildGolden(&o, cycles, plan, key, warm)
 	})
 	if err == nil && gold.key != key {
 		err = fmt.Errorf("campaign: golden artefact was built for key %.12s, this campaign needs %.12s", gold.key, key)
@@ -615,8 +615,9 @@ feed:
 // the last injection cycle; earlier cycles continue on a clone so the
 // mainline can keep stepping toward the next fork point. The mainline
 // must be at cycle c and the ring must already hold a snapshot at or
-// before c.
-func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Options, c int64, last, wantReconv bool) (*groupCtx, error) {
+// before c. warm, the golden-warmup span, gets one child phase span per
+// part of the work (window, settle-horizon, template).
+func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Options, c int64, last, wantReconv bool, warm *obs.Span) (*groupCtx, error) {
 	gc := &groupCtx{cycle: c, snap: ring.at(c), forkFP: mainline.Fingerprint()}
 	if gc.snap == nil {
 		return nil, fmt.Errorf("campaign: no golden snapshot at or before injection cycle %d", c)
@@ -626,6 +627,15 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 	if !last {
 		cont = mainline.Clone(nil)
 	}
+	// The continuation is also the fault-free template run (see below), so
+	// it carries the NoCAlert engine a run would.
+	var eng *core.Engine
+	if !o.DisableFastPath {
+		eng = core.NewEngine(cont.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
+		cont.AttachMonitor(eng)
+	}
+	win := warm.Child("phase", "window")
+	win.SetAttr("inject_cycle", c)
 	var tl *golden.Timeline
 	recording := wantReconv && !o.DisableFrontier
 	if wantReconv {
@@ -662,7 +672,11 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 	} else {
 		cont.Run(o.PostInjectRun)
 	}
+	win.End()
+	sh := warm.Child("phase", "settle-horizon")
+	sh.SetAttr("inject_cycle", c)
 	if !cont.Drain(o.DrainDeadline) {
+		sh.End()
 		return nil, fmt.Errorf("campaign: fault-free golden run failed to drain by cycle %d (inflight=%d)",
 			cont.Cycle(), cont.InFlight())
 	}
@@ -684,28 +698,22 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 	for cont.Cycle() < horizon {
 		cont.Step()
 	}
+	sh.SetAttr("golden_cycle", cont.Cycle())
+	sh.End()
 	gc.goldenLog = golden.FromEjections(cont.Ejections(), c)
 	gc.goldenEjections = gc.goldenLog.Total()
 	gc.gfv = findForever(cont)
-	gc.goldenFvFP = gc.gfv != nil && gc.gfv.FirstDetectionAfter(c) >= 0
+	goldenFd := int64(-1)
+	if gc.gfv != nil {
+		goldenFd = gc.gfv.FirstDetectionAfter(c)
+	}
+	gc.goldenFvFP = goldenFd >= 0
 
-	// Fault-free template for the fast path: one full run through the
-	// same per-fault code path — fork, replay, empty fault plane. A run
-	// whose faults provably never fired is bit-identical to this run, so
-	// its result can be copied instead of simulated (slices are shared
-	// read-only across all fast-path results). The template run also
-	// exercises the fork-point fingerprint verification for this cycle
-	// before any faulty run trusts it.
 	if !o.DisableFastPath {
-		var st runStats
-		// The template run carries the flight recorder (its fork
-		// verification guards every fast-path result at this cycle) but
-		// no span: index -1 is never sampled.
-		var tro *runObs
-		if o.FlightRecorder != nil {
-			tro = &runObs{fr: o.FlightRecorder, idx: -1}
-		}
-		tmpl, err := runSlow(tw, gc, o, nil, &st, tro)
+		tp := warm.Child("phase", "template")
+		tp.SetAttr("inject_cycle", c)
+		tmpl, err := goldenTemplate(tw, gc, o, eng, goldenFd, tp)
+		tp.End()
 		if err != nil {
 			return nil, err
 		}
@@ -743,6 +751,51 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 		gc.rec, gc.wend = nil, nil
 	}
 	return gc, nil
+}
+
+// goldenTemplate returns the fault-free template for the fast path: the
+// result of one full run through the per-fault code path with an empty
+// fault plane. A run whose faults provably never fired is bit-identical
+// to that run, so its result can be copied instead of simulated (slices
+// are shared read-only across all fast-path results). That run is in
+// turn bit-identical to the golden continuation, stepped from the same
+// state with eng attached, so the template is assembled from the
+// continuation — its engine, its monitor's first flag goldenFd, its own
+// log judged against itself — and not simulated a second time. What is
+// still done once per injection cycle, before any faulty run trusts it,
+// is the fork: restore the snapshot, replay the gap, verify the state
+// against the fork-point fingerprint.
+//
+// A continuation whose engine asserted, or whose ForEVeR monitor filled
+// its detection list, does not carry a run's result exactly: it is
+// stepped cycle by cycle where a run fast-forwards and, settling its
+// transcript with ForEVeR off, past where a run stops; a full detection
+// list may have dropped the run's first flag. Such a golden is unsound
+// for every shortcut built on the template anyway, and its template is
+// the honest second run (the span's "resimulated" attribute says so).
+func goldenTemplate(tw *worker, gc *groupCtx, o Options, eng *core.Engine, goldenFd int64, span *obs.Span) (RunResult, error) {
+	// The template carries the flight recorder (its fork verification
+	// guards every fast-path result at this cycle) but no run span: index
+	// -1 is never sampled.
+	var tro *runObs
+	if o.FlightRecorder != nil {
+		tro = &runObs{fr: o.FlightRecorder, idx: -1}
+	}
+	var st runStats
+	resimulate := eng.Detected() || (gc.gfv != nil && len(gc.gfv.Detections()) >= forever.DetectionCap)
+	span.SetAttr("resimulated", resimulate)
+	if resimulate {
+		return runSlow(tw, gc, o, nil, &st, tro)
+	}
+	n, err := tw.fork(gc, nil, &st, tro)
+	if err == nil && gc.snap.cycle == gc.cycle {
+		err = verifyFork(n, gc, tro) // fork itself verifies a replayed gap only
+	}
+	if err != nil {
+		return RunResult{}, err
+	}
+	verdict := golden.Compare(gc.goldenLog, gc.goldenLog, true)
+	return assembleResult(eng, nil, nil, gc.cycle, verdict, true, goldenFd), nil
 }
 
 // foreverHorizon returns the cycle up to which a run must continue so
@@ -986,6 +1039,27 @@ func countersMatch(n *sim.Network, pt *golden.TimelinePoint) bool {
 // histories alone, equals the golden monitor's, so its future flags are
 // the golden monitor's recorded tail.
 func synthesizeReconverged(n *sim.Network, eng *core.Engine, fv *forever.Monitor, rc *reconvergence, plane *fault.Plane, injectCycle int64, group []fault.Fault) RunResult {
+	fd := int64(-1)
+	if fv != nil {
+		// Flags the faulty monitor raised during the divergent window
+		// come first; past the reconvergence cycle the faulty run would
+		// flag exactly when the golden monitor did, so the recorded
+		// golden tail completes the picture.
+		fd = fv.FirstDetectionAfter(injectCycle)
+		if fd < 0 && rc.gfv != nil {
+			fd = rc.gfv.FirstDetectionAfter(n.Cycle())
+		}
+	}
+	return assembleResult(eng, plane, group, injectCycle, rc.verdict, true, fd)
+}
+
+// assembleResult builds the result of a run that is over — stepped to its
+// end, or known from here on without stepping: whether the plane fired,
+// what the NoCAlert engine accumulated, and the three mechanisms'
+// classifications against the golden-reference verdict. fd is ForEVeR's
+// first flag at or after the injection cycle, -1 for none or no monitor.
+func assembleResult(eng *core.Engine, plane *fault.Plane, group []fault.Fault, injectCycle int64, verdict golden.Verdict, drained bool, fd int64) RunResult {
+	malicious := !verdict.OK()
 	fired := false
 	for i := range group {
 		if plane.FiredAt(i) >= 0 {
@@ -996,8 +1070,8 @@ func synthesizeReconverged(n *sim.Network, eng *core.Engine, fv *forever.Monitor
 	res := RunResult{
 		Group:   group,
 		Fired:   fired,
-		Verdict: rc.verdict,
-		Drained: true,
+		Verdict: verdict,
+		Drained: drained,
 
 		Detected:    eng.Detected(),
 		DetectCycle: eng.FirstDetection(),
@@ -1009,9 +1083,7 @@ func synthesizeReconverged(n *sim.Network, eng *core.Engine, fv *forever.Monitor
 	if len(group) > 0 {
 		res.Fault = group[0]
 	}
-	// The verdict is benign by construction, so malicious is false in
-	// every classification below.
-	res.Outcome = classify(res.Detected, false)
+	res.Outcome = classify(res.Detected, malicious)
 	if res.Detected {
 		res.Latency = res.DetectCycle - injectCycle
 	} else {
@@ -1019,32 +1091,20 @@ func synthesizeReconverged(n *sim.Network, eng *core.Engine, fv *forever.Monitor
 	}
 
 	res.CautiousDetected = eng.FirstHighRiskDetection() >= 0
-	res.CautiousOutcome = classify(res.CautiousDetected, false)
+	res.CautiousOutcome = classify(res.CautiousDetected, malicious)
 	if res.CautiousDetected {
 		res.CautiousLatency = eng.FirstHighRiskDetection() - injectCycle
 	} else {
 		res.CautiousLatency = -1
 	}
 
-	if fv != nil {
-		// Flags the faulty monitor raised during the divergent window
-		// come first; past the reconvergence cycle the faulty run would
-		// flag exactly when the golden monitor did, so the recorded
-		// golden tail completes the picture.
-		fd := fv.FirstDetectionAfter(injectCycle)
-		if fd < 0 && rc.gfv != nil {
-			fd = rc.gfv.FirstDetectionAfter(n.Cycle())
-		}
-		res.ForeverDetected = fd >= 0
-		if res.ForeverDetected {
-			res.ForeverLatency = fd - injectCycle
-		} else {
-			res.ForeverLatency = -1
-		}
+	res.ForeverDetected = fd >= 0
+	if res.ForeverDetected {
+		res.ForeverLatency = fd - injectCycle
 	} else {
 		res.ForeverLatency = -1
 	}
-	res.ForeverOutcome = classify(res.ForeverDetected, false)
+	res.ForeverOutcome = classify(res.ForeverDetected, malicious)
 	return res
 }
 
@@ -1197,64 +1257,16 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 		w.flog = golden.FromEjectionsInto(w.flog, n.Ejections(), gc.cycle)
 		verdict = golden.Compare(gc.goldenLog, w.flog, drained)
 	}
-	malicious := !verdict.OK()
-
-	fired := false
-	for i := range group {
-		if plane.FiredAt(i) >= 0 {
-			fired = true
-			break
-		}
-	}
-	res := RunResult{
-		Group:   group,
-		Fired:   fired,
-		Verdict: verdict,
-		Drained: drained,
-
-		Detected:    eng.Detected(),
-		DetectCycle: eng.FirstDetection(),
-
-		CheckersFired:      eng.FiredCheckers(),
-		FirstCycleCheckers: eng.FirstCycleCheckers(),
-		SimultaneityHist:   eng.SimultaneityHistogram(),
-	}
-	if len(group) > 0 {
-		res.Fault = group[0]
-	}
-	res.Outcome = classify(res.Detected, malicious)
-	if res.Detected {
-		res.Latency = res.DetectCycle - gc.cycle
-	} else {
-		res.Latency = -1
-	}
-
-	res.CautiousDetected = eng.FirstHighRiskDetection() >= 0
-	res.CautiousOutcome = classify(res.CautiousDetected, malicious)
-	if res.CautiousDetected {
-		res.CautiousLatency = eng.FirstHighRiskDetection() - gc.cycle
-	} else {
-		res.CautiousLatency = -1
-	}
-
+	fd := int64(-1)
 	if fv != nil {
-		fd := fv.FirstDetectionAfter(gc.cycle)
+		fd = fv.FirstDetectionAfter(gc.cycle)
 		if fd < 0 && projectUntil >= 0 {
 			// The frozen state replays identically through [n.Cycle(),
 			// projectUntil): only the epoch-boundary checks remain.
 			fd = fv.ProjectFrozenDetection(n.Cycle(), projectUntil)
 		}
-		res.ForeverDetected = fd >= 0
-		if res.ForeverDetected {
-			res.ForeverLatency = fd - gc.cycle
-		} else {
-			res.ForeverLatency = -1
-		}
-	} else {
-		res.ForeverLatency = -1
 	}
-	res.ForeverOutcome = classify(res.ForeverDetected, malicious)
-	return res
+	return assembleResult(eng, plane, group, gc.cycle, verdict, drained, fd)
 }
 
 // SampleFaults draws n distinct single-bit transient faults injecting

@@ -19,7 +19,7 @@ func fixtureGolden(t *testing.T, spec Spec) (*Golden, Options) {
 		t.Fatal(err)
 	}
 	cycles, plan, key := o.goldenInputs()
-	gold, err := buildGolden(&o, cycles, plan, key)
+	gold, err := buildGolden(&o, cycles, plan, key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,19 +270,14 @@ type runAccount struct {
 	simulated, synthesized int64
 }
 
-// accountedRun runs the campaign and returns its report with one
-// runAccount per run.
-func accountedRun(t *testing.T, opts Options) (*Report, []runAccount) {
+// tracedRun runs the campaign under a tracer and returns its report and
+// the spans it emitted, in the order they ended.
+func tracedRun(t *testing.T, opts Options) (*Report, []obs.SpanRecord) {
 	t.Helper()
 	var stream bytes.Buffer
 	tr := obs.New(obs.Options{Writer: &stream})
-	acct := make([]runAccount, max(len(opts.Faults), len(opts.FaultGroups)))
 	opts.Tracer = tr
-	opts.OnResult = func(i int, _ *RunResult, _ time.Duration, exit ExitPath) { acct[i].exit = exit }
-	rep, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, opts)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +285,16 @@ func accountedRun(t *testing.T, opts Options) (*Report, []runAccount) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep, spans
+}
+
+// accountedRun runs the campaign and returns its report with one
+// runAccount per run.
+func accountedRun(t *testing.T, opts Options) (*Report, []runAccount) {
+	t.Helper()
+	acct := make([]runAccount, max(len(opts.Faults), len(opts.FaultGroups)))
+	opts.OnResult = func(i int, _ *RunResult, _ time.Duration, exit ExitPath) { acct[i].exit = exit }
+	rep, spans := tracedRun(t, opts)
 	seen := 0
 	for _, s := range spans {
 		if s.Kind != "run" {

@@ -11,6 +11,7 @@ import (
 
 	"nocalert/internal/fault"
 	"nocalert/internal/forever"
+	"nocalert/internal/obs"
 	"nocalert/internal/sim"
 )
 
@@ -138,8 +139,10 @@ const ctxCheckCycles = 256
 // once from cycle 0 to the last injection cycle, capturing the snapshot
 // ring along the way and spawning one golden continuation per injection
 // cycle. It honours o.Context between mainline cycles and between group
-// contexts.
-func buildGolden(o *Options, cycles, plan []int64, key goldenKey) (*Golden, error) {
+// contexts. warm, the golden-warmup span (nil when tracing is off), gets
+// child phase spans per injection cycle: the mainline stretch up to it
+// and the parts of its group context.
+func buildGolden(o *Options, cycles, plan []int64, key goldenKey, warm *obs.Span) (*Golden, error) {
 	ring := &snapshotRing{}
 	mainline, err := sim.New(o.Sim, nil)
 	if err != nil {
@@ -153,6 +156,9 @@ func buildGolden(o *Options, cycles, plan []int64, key goldenKey) (*Golden, erro
 	next := 0 // next snapshot plan entry
 	var tw worker
 	for ci, c := range cycles {
+		ml := warm.Child("phase", "mainline")
+		ml.SetAttr("from_cycle", mainline.Cycle())
+		ml.SetAttr("to_cycle", c)
 		for {
 			if next < len(plan) && mainline.Cycle() == plan[next] {
 				ring.capture(mainline)
@@ -163,15 +169,22 @@ func buildGolden(o *Options, cycles, plan []int64, key goldenKey) (*Golden, erro
 			}
 			if mainline.Cycle()%ctxCheckCycles == 0 {
 				if err := o.Context.Err(); err != nil {
+					ml.End()
 					return nil, err
 				}
 			}
 			mainline.Step()
+			// Nothing reads a mainline ejection: a continuation's golden
+			// log starts at its injection cycle and snapshots carry no log.
+			// Dropped as they come, they are not copied into every
+			// continuation either, nor pin 32 000 cycles of delivered flits.
+			mainline.ResetEjections()
 		}
+		ml.End()
 		if err := o.Context.Err(); err != nil {
 			return nil, err
 		}
-		gc, err := buildGroupCtx(mainline, ring, &tw, *o, c, ci == len(cycles)-1, wantReconv)
+		gc, err := buildGroupCtx(mainline, ring, &tw, *o, c, ci == len(cycles)-1, wantReconv, warm)
 		if err != nil {
 			return nil, err
 		}

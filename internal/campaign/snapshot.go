@@ -109,13 +109,9 @@ func (w *worker) fork(gc *groupCtx, plane *fault.Plane, st *runStats, ro *runObs
 		for n.Cycle() < gc.cycle {
 			n.Step()
 		}
-		if n.Fingerprint() != gc.forkFP {
-			detail := fmt.Sprintf("replay from snapshot %d diverged at cycle %d", gc.snap.cycle, gc.cycle)
-			ro.anomaly("fork fingerprint mismatch", "fork_verify", gc.cycle, detail)
-			return nil, fmt.Errorf("campaign: fork replay from snapshot %d diverged from the golden state at cycle %d",
-				gc.snap.cycle, gc.cycle)
+		if err := verifyFork(n, gc, ro); err != nil {
+			return nil, err
 		}
-		ro.event("fork_verify", gc.cycle, "ok", map[string]any{"snapshot_cycle": gc.snap.cycle})
 		// Replay ejections all happened strictly before the injection
 		// cycle; drop them so the log keeps the post-injection-only
 		// contract every fork-point comparison relies on.
@@ -125,4 +121,17 @@ func (w *worker) fork(gc *groupCtx, plane *fault.Plane, st *runStats, ro *runObs
 	st.warmSaved = gc.snap.cycle
 	st.forked = gc.snap.cycle > 0
 	return n, nil
+}
+
+// verifyFork holds a forked network, restored and replayed to gc.cycle,
+// to the golden fingerprint recorded at that fork point.
+func verifyFork(n *sim.Network, gc *groupCtx, ro *runObs) error {
+	if n.Fingerprint() != gc.forkFP {
+		detail := fmt.Sprintf("replay from snapshot %d diverged at cycle %d", gc.snap.cycle, gc.cycle)
+		ro.anomaly("fork fingerprint mismatch", "fork_verify", gc.cycle, detail)
+		return fmt.Errorf("campaign: fork replay from snapshot %d diverged from the golden state at cycle %d",
+			gc.snap.cycle, gc.cycle)
+	}
+	ro.event("fork_verify", gc.cycle, "ok", map[string]any{"snapshot_cycle": gc.snap.cycle})
+	return nil
 }

@@ -15,10 +15,8 @@ func sig(cfg *router.Config, id int, cycle int64) *router.Signals {
 	s := &router.Signals{Router: id, Cycle: cycle}
 	for p := 0; p < router.P; p++ {
 		s.Pre.In[p] = make([]router.PreVC, cfg.VCs)
-		s.Pre.Out[p] = make([]router.PreOutVC, cfg.VCs)
 		for v := 0; v < cfg.VCs; v++ {
 			s.Pre.In[p][v] = router.PreVC{State: router.VCIdle, Route: 7}
-			s.Pre.Out[p][v] = router.PreOutVC{Free: true, Credits: cfg.BufDepth}
 		}
 	}
 	return s

@@ -215,11 +215,19 @@ func (f *Flit) Clone() *Flit {
 // The fields are folded into a digest of the flit alone and the digest
 // into the accumulator with one step: a router's fold enumerates dozens
 // of flits, and their digests, not depending on one another, overlap in
-// the processor instead of queueing behind one multiply chain.
+// the processor instead of queueing behind one multiply chain — and a
+// holder of a flit value that changes rarely (a router's read and write
+// latches) keeps the digest beside it and folds that.
 func (f *Flit) FoldState(h uint64) uint64 {
 	if f == nil {
 		return statehash.Fold(h, 0x6e696c666c6974) // "nilflit"
 	}
+	return statehash.Fold(h, f.Digest())
+}
+
+// Digest hashes the flit's full contents, on their own: FoldState is one
+// fold of it into the accumulator.
+func (f *Flit) Digest() uint64 {
 	d := statehash.Fold(statehash.Seed, f.PacketID)
 	d = statehash.FoldInt(d, f.Seq)
 	d = statehash.Fold(d, uint64(f.Kind))
@@ -232,8 +240,7 @@ func (f *Flit) FoldState(h uint64) uint64 {
 	d = statehash.FoldInt(d, f.Length)
 	d = statehash.Fold(d, f.Payload)
 	d = statehash.Fold(d, uint64(f.EDC))
-	d = statehash.Fold(d, uint64(f.InjectedAt))
-	return statehash.Fold(h, d)
+	return statehash.Fold(d, uint64(f.InjectedAt))
 }
 
 // arenaSlabSize is the number of flits per arena slab. A fork of a

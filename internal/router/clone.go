@@ -37,6 +37,7 @@ func (r *Router) CloneInto(dst *Router, plane *fault.Plane, ar *flit.Arena) *Rou
 	c.hasPort = r.hasPort
 	c.plane = plane
 	c.sweepRef = r.sweepRef
+	c.preFull = true // dst's snapshot is of whatever it held before
 	// The whole register file — VC status tables, credits, ST latches,
 	// arbiter pointers, activity masks — is a handful of bulk copies.
 	c.st.CopyFrom(r.st)
@@ -78,6 +79,6 @@ func (ip *inputPort) cloneInto(dst *inputPort, depth int, ar *flit.Arena) {
 		}
 		d.buf = buf
 		// lastRead/lastWritten are value snapshots; *d = *src above
-		// already copied them.
+		// already copied them, and their digests.
 	}
 }

@@ -1,9 +1,6 @@
 package router
 
-import (
-	"nocalert/internal/soa"
-	"nocalert/internal/statehash"
-)
+import "nocalert/internal/statehash"
 
 // FoldState folds every piece of the router's mutable architectural
 // state into a state-fingerprint accumulator. The enumeration mirrors
@@ -20,11 +17,8 @@ import (
 func (r *Router) FoldState(h uint64) uint64 {
 	st := &r.st
 	for p := 0; p < P; p++ {
-		h = statehash.FoldInt(h, int(st.VA1Win[p]))
-		h = statehash.Fold(h, uint64(st.StCol[p]))
-		h = statehash.FoldBool(h, st.StFlags[p]&soa.StReadEn != 0)
-		h = statehash.FoldInt(h, int(st.StOut[p]))
-		h = statehash.FoldBool(h, st.StFlags[p]&soa.StSpec != 0)
+		h = statehash.Fold(h, pack32(st.VA1Win[p], int32(st.StCol[p])))
+		h = statehash.Fold(h, pack32(st.StOut[p], int32(st.StFlags[p])))
 	}
 	for p := 0; p < P; p++ {
 		if !r.hasPort[p] {
@@ -32,43 +26,48 @@ func (r *Router) FoldState(h uint64) uint64 {
 		}
 		ip := &r.in[p]
 		base := p * st.V
-		h = statehash.FoldInt(h, int(st.SA1Win[p]))
+		h = statehash.Fold(h, pack32(st.SA1Win[p], int32(st.CreditIn[p])))
 		for i := range ip.vcs {
 			v := &ip.vcs[i]
 			ri := base + i
+			// The status table's narrow registers and the latches' valid
+			// bits share a word, the packet id has its own.
+			regs := uint64(st.VCState[ri]) | uint64(st.VCRoute[ri])<<8 | uint64(st.VCOutVC[ri])<<16 |
+				uint64(uint32(st.Arrived[ri]))<<32
+			if v.hasLastRead {
+				regs |= 1 << 24
+			}
+			if v.hasLastWritten {
+				regs |= 1 << 25
+			}
+			h = statehash.Fold(h, regs)
+			h = statehash.Fold(h, st.PktID[ri])
 			h = statehash.FoldInt(h, len(v.buf))
 			for _, f := range v.buf {
 				h = f.FoldState(h)
 			}
-			h = statehash.Fold(h, uint64(st.VCState[ri]))
-			h = statehash.FoldInt(h, int(st.VCRoute[ri]))
-			h = statehash.FoldInt(h, int(st.VCOutVC[ri]))
-			h = statehash.Fold(h, st.PktID[ri])
-			h = statehash.FoldInt(h, int(st.Arrived[ri]))
 			// lastRead/lastWritten contents are architectural: a read
 			// strobe on an empty buffer replays lastRead (garbage read),
-			// and the mixing rule consults lastWritten.
-			h = statehash.FoldBool(h, v.hasLastRead)
+			// and the mixing rule consults lastWritten. Folding a latch's
+			// kept digest is what its flit's FoldState would do.
 			if v.hasLastRead {
-				h = v.lastRead.FoldState(h)
+				h = statehash.Fold(h, v.lastReadDigest)
 			}
-			h = statehash.FoldBool(h, v.hasLastWritten)
 			if v.hasLastWritten {
-				h = v.lastWritten.FoldState(h)
+				h = statehash.Fold(h, v.lastWrittenDigest)
 			}
 		}
 		for i := 0; i < r.cfg.VCs; i++ {
-			fl := st.OutFlags[base+i]
-			h = statehash.FoldBool(h, fl&soa.OutFree != 0)
-			h = statehash.FoldInt(h, int(st.Credits[base+i]))
-			h = statehash.FoldBool(h, fl&soa.OutTailSent != 0)
+			h = statehash.Fold(h, pack32(st.Credits[base+i], int32(st.OutFlags[base+i])))
 		}
-		h = statehash.FoldInt(h, int(st.VA1Next[p]))
-		h = statehash.FoldInt(h, int(st.SA1Next[p]))
-		h = statehash.FoldInt(h, int(st.VA2Next[p]))
-		h = statehash.FoldInt(h, int(st.SA2Next[p]))
+		h = statehash.Fold(h, pack32(st.VA1Next[p], st.SA1Next[p]))
+		h = statehash.Fold(h, pack32(st.VA2Next[p], st.SA2Next[p]))
 		h = r.arriving[p].FoldState(h)
-		h = statehash.Fold(h, uint64(st.CreditIn[p]))
 	}
 	return h
 }
+
+// pack32 puts two of the register file's 32-bit words (or narrower ones,
+// widened) in one fold word, losslessly: a fold's steps each wait for
+// the one before, so a router's fold costs what it has words.
+func pack32(lo, hi int32) uint64 { return uint64(uint32(lo)) | uint64(uint32(hi))<<32 }

@@ -58,6 +58,16 @@ type Router struct {
 	// the iteration sets differ, and the masks make them provably equal.
 	sweepRef  bool
 	fastSweep bool
+	// preDirty[p] has bit v set when a snapshot-visible register of input
+	// VC (p,v) was written since the last BeginCycle: the sparse snapshot
+	// fill refreshes those entries and the occupied ones, and no other.
+	// preFull makes the next fill a full one instead: set wherever an
+	// entry may differ from its registers with no write to show for it —
+	// a fresh router or CloneInto target (the snapshot is not cloned) and
+	// every cycle the sweep was not fast (a live plane shows the snapshot
+	// faulted reads, which are not what is stored).
+	preDirty [P]uint32
+	preFull  bool
 
 	// Per-cycle staging filled by the network before Evaluate.
 	arriving [P]*flit.Flit
@@ -110,6 +120,7 @@ func NewInState(id int, cfg *Config, plane *fault.Plane, st soa.View) *Router {
 		st.StOut[p] = -1
 	}
 	r.sig.Pre.init(cfg)
+	r.preFull = true
 	return r
 }
 
@@ -117,7 +128,7 @@ func NewInState(id int, cfg *Config, plane *fault.Plane, st soa.View) *Router {
 // window, suitable only as a CloneInto destination. Networks use it to
 // pre-bind a fork target's routers to the fork's shared state.
 func NewCloneTarget(cfg *Config, st soa.View) *Router {
-	c := &Router{cfg: cfg, st: st}
+	c := &Router{cfg: cfg, st: st, preFull: true}
 	c.sig.Pre.init(cfg)
 	return c
 }
@@ -125,7 +136,6 @@ func NewCloneTarget(cfg *Config, st soa.View) *Router {
 func (pre *Pre) init(cfg *Config) {
 	for p := 0; p < P; p++ {
 		pre.In[p] = make([]PreVC, cfg.VCs)
-		pre.Out[p] = make([]PreOutVC, cfg.VCs)
 	}
 }
 
@@ -196,9 +206,13 @@ func (r *Router) iv(p, v int) int { return p*r.st.V + v }
 
 // setVCState writes the state register and maintains the NonIdle mask —
 // the single funnel for every state transition, which is what keeps the
-// mask exact for the sparse sweeps and the inert check.
+// mask exact for the sparse sweeps and the inert check. Every write to
+// one of a VC's other status registers (route, outVC, pktID, arrived)
+// happens beside a call of this or of push, which is what lets preDirty
+// be kept in these funnels alone.
 func (r *Router) setVCState(p, v int, s VCState) {
 	r.st.VCState[r.iv(p, v)] = uint8(s)
+	r.preDirty[p] |= 1 << uint(v)
 	if s == VCIdle {
 		r.st.NonIdle[p] &^= 1 << uint(v)
 	} else {
@@ -222,9 +236,10 @@ func (r *Router) resetVC(p, v int) {
 func (r *Router) push(p, v int, f *flit.Flit) {
 	vc := &r.in[p].vcs[v]
 	vc.buf = append(vc.buf, f)
-	vc.lastWritten = *f
+	vc.lastWritten, vc.lastWrittenDigest = *f, f.Digest()
 	vc.hasLastWritten = true
 	r.st.Occupied[p] |= 1 << uint(v)
+	r.preDirty[p] |= 1 << uint(v)
 }
 
 // pop removes and returns (p,v)'s head flit, maintaining the read latch
@@ -244,7 +259,8 @@ func (r *Router) pop(p, v int) (f *flit.Flit, garbage bool) {
 	if len(vc.buf) == 0 {
 		r.st.Occupied[p] &^= 1 << uint(v)
 	}
-	vc.lastRead = *f
+	r.preDirty[p] |= 1 << uint(v)
+	vc.lastRead, vc.lastReadDigest = *f, f.Digest()
 	vc.hasLastRead = true
 	return f, false
 }
@@ -335,57 +351,80 @@ func (r *Router) creditFaulted(cycle int64, o, v int) int {
 // cycle are applied to the storage elements, and the pre-cycle
 // architectural snapshot is taken (through the faulted read path, the
 // same view the hardware checkers have).
+//
+// A fast sweep snapshots only the VCs that hold a packet or a flit
+// (NonIdle|Occupied) and those written since the last snapshot
+// (preDirty), which covers the ones that have just gone free. Every other
+// entry is a free, empty VC's whose registers nothing has written since
+// the entry was filled, so it already holds what filling it again would
+// write.
 func (r *Router) BeginCycle(cycle int64) {
 	r.planeLive = r.plane.LiveAt(cycle)
 	r.fastSweep = !r.sweepRef && !r.planeLive
 	r.applyRegisterUpsets(cycle)
 	r.sig.reset(r.id, cycle)
 	r.creditsOut = r.creditsOut[:0]
+	full := r.preFull || !r.fastSweep
+	r.preFull = !r.fastSweep
 	for p := 0; p < P; p++ {
 		if !r.hasPort[p] {
 			continue
 		}
-		ins, preIn := r.in[p].vcs, r.sig.Pre.In[p]
-		preOut := r.sig.Pre.Out[p]
-		base := p * r.st.V
 		var act bitvec.Vec
-		for v := range ins {
-			vc := &ins[v]
-			// Fill the snapshot in place rather than building a PreVC on
-			// the stack and copying it — the copy was the single hottest
-			// line in campaign profiles.
-			pv := &preIn[v]
-			pv.State = r.vcStateR(cycle, p, v)
-			pv.Route = r.vcRouteR(cycle, p, v)
-			pv.OutVC = r.vcOutVCR(cycle, p, v)
-			pv.BufLen = len(vc.buf)
-			pv.Arrived = int(r.st.Arrived[base+v])
-			pv.PktID = r.st.PktID[base+v]
-			if h := vc.head(); h != nil {
-				pv.HasHead = true
-				pv.HeadKind = h.Kind
-				pv.HeadPkt = h.PacketID
-				pv.Class = h.Class
-			} else {
-				pv.HasHead = false
-				pv.HeadKind = 0
-				pv.HeadPkt = 0
-				pv.Class = r.vcClass[v]
+		if full {
+			for v := range r.in[p].vcs {
+				if r.snapshotVC(cycle, p, v) {
+					act = act.Set(v)
+				}
+				if r.planeLive {
+					// The credit counters are not part of the snapshot, but a
+					// hardware checker's tap on one is a read like any other:
+					// consulting the plane here is what marks a credit-counter
+					// fault on a quiet output as fired.
+					r.creditFaulted(cycle, p, v)
+				}
 			}
-			// The activity mask is computed from the snapshot values
-			// themselves (post-fault), so the checkers' sparse sweep over
-			// it is exact even when a faulted read dresses up an idle VC.
-			if pv.State != VCIdle || pv.BufLen > 0 {
-				act = act.Set(v)
+		} else {
+			for w := bitvec.Vec(r.st.NonIdle[p] | r.st.Occupied[p] | r.preDirty[p]); !w.IsZero(); {
+				var v int
+				v, w = w.NextBit()
+				if r.snapshotVC(cycle, p, v) {
+					act = act.Set(v)
+				}
 			}
-			po := &preOut[v]
-			fl := r.st.OutFlags[base+v]
-			po.Free = fl&soa.OutFree != 0
-			po.Credits = r.creditR(cycle, p, v)
-			po.TailSent = fl&soa.OutTailSent != 0
 		}
 		r.sig.Pre.Active[p] = act
+		r.preDirty[p] = 0
 	}
+}
+
+// snapshotVC fills Pre.In[p][v] in place (building a PreVC on the stack
+// and copying it was the single hottest line in campaign profiles) and
+// reports whether the entry is active. Activity is computed from the
+// snapshot values themselves (post-fault), so the checkers' sparse sweep
+// over the mask is exact even when a faulted read dresses up an idle VC.
+func (r *Router) snapshotVC(cycle int64, p, v int) bool {
+	vc := &r.in[p].vcs[v]
+	i := p*r.st.V + v
+	pv := &r.sig.Pre.In[p][v]
+	pv.State = r.vcStateR(cycle, p, v)
+	pv.Route = r.vcRouteR(cycle, p, v)
+	pv.OutVC = r.vcOutVCR(cycle, p, v)
+	pv.BufLen = len(vc.buf)
+	pv.Arrived = int(r.st.Arrived[i])
+	pv.PktID = r.st.PktID[i]
+	if h := vc.head(); h != nil {
+		pv.HasHead = true
+		pv.HeadKind = h.Kind
+		pv.HeadPkt = h.PacketID
+		pv.Class = h.Class
+	} else {
+		pv.HasHead = false
+		pv.HeadKind = 0
+		pv.HeadPkt = 0
+		pv.Class = r.vcClass[v]
+	}
+	return pv.State != VCIdle || pv.BufLen > 0
 }
 
 func (r *Router) applyRegisterUpsets(cycle int64) {
@@ -647,6 +686,13 @@ func (r *Router) teardown(p, v, intendedOut int, tail *flit.Flit) {
 	r.resetVC(p, v)
 }
 
+// vacant reports that an arbitration round over req may be skipped whole:
+// nobody requests, and no plane is live to conjure a request or a grant,
+// so the round would leave its signals at their reset zeros and its
+// priority pointer where it is (rrArbitrate moves none on an empty
+// request). The reference sweep and a live plane run every round.
+func (r *Router) vacant(req bitvec.Vec) bool { return r.fastSweep && req.IsZero() }
+
 // sweepMask returns the candidate-VC iteration set for the allocation
 // sweeps: in fast-sweep mode the maintained activity mask (exact — see
 // the phase comments), in reference mode every VC.
@@ -663,6 +709,7 @@ func (r *Router) sweepMask(fast bitvec.Vec) bitvec.Vec {
 func (r *Router) phaseSA(cycle int64) {
 	var sa1win [P]int
 	var sa1spec [P]bool
+	won := false
 	for p := 0; p < P; p++ {
 		sa1win[p] = -1
 		if !r.hasPort[p] {
@@ -700,15 +747,25 @@ func (r *Router) phaseSA(cycle int64) {
 				specBits = specBits.Set(v)
 			}
 		}
+		if r.vacant(req) {
+			continue
+		}
 		req = bitvec.Vec(r.fVec(cycle, fault.SA1Req, p, -1, uint32(req))) & bitvec.Mask(r.cfg.VCs)
 		gnt := rrArbitrate(req, r.cfg.VCs, &r.st.SA1Next[p])
 		gnt = bitvec.Vec(r.fVec(cycle, fault.SA1Gnt, p, -1, uint32(gnt))) & bitvec.Mask(r.cfg.VCs)
 		r.sig.SA1[p] = ReqGnt{Req: req, Gnt: gnt}
 		if w := gnt.First(); w >= 0 {
+			won = true
 			sa1win[p] = w
 			sa1spec[p] = specBits.Get(w)
 			r.st.SA1Win[p] = int32(w)
 		}
+	}
+	if r.fastSweep && !won {
+		// No SA1 winner and no plane to conjure an SA2 request or grant:
+		// the second round would find every request vector empty, leave
+		// the signals at their reset zeros and move no arbiter pointer.
+		return
 	}
 	for o := 0; o < P; o++ {
 		if !r.hasPort[o] {
@@ -723,6 +780,9 @@ func (r *Router) phaseSA(cycle int64) {
 			if r.vcRouteR(cycle, p, w) == o {
 				req = req.Set(p)
 			}
+		}
+		if r.vacant(req) {
+			continue
 		}
 		req = bitvec.Vec(r.fVec(cycle, fault.SA2Req, o, -1, uint32(req))) & bitvec.Mask(P)
 		gnt := rrArbitrate(req, P, &r.st.SA2Next[o])
@@ -769,6 +829,7 @@ func (r *Router) phaseSA(cycle int64) {
 // and assigns it a free downstream VC of the packet's message class.
 func (r *Router) phaseVA(cycle int64) {
 	var va1win [P]int
+	won := false
 	for p := 0; p < P; p++ {
 		va1win[p] = -1
 		if !r.hasPort[p] {
@@ -784,14 +845,21 @@ func (r *Router) phaseVA(cycle int64) {
 				req = req.Set(v)
 			}
 		}
+		if r.vacant(req) {
+			continue
+		}
 		req = bitvec.Vec(r.fVec(cycle, fault.VA1Req, p, -1, uint32(req))) & bitvec.Mask(r.cfg.VCs)
 		gnt := rrArbitrate(req, r.cfg.VCs, &r.st.VA1Next[p])
 		gnt = bitvec.Vec(r.fVec(cycle, fault.VA1Gnt, p, -1, uint32(gnt))) & bitvec.Mask(r.cfg.VCs)
 		r.sig.VA1[p] = ReqGnt{Req: req, Gnt: gnt}
 		if w := gnt.First(); w >= 0 {
+			won = true
 			va1win[p] = w
 			r.st.VA1Win[p] = int32(w)
 		}
+	}
+	if r.fastSweep && !won {
+		return // as in phaseSA: an empty VA2 round changes nothing
 	}
 	for o := 0; o < P; o++ {
 		if !r.hasPort[o] {
@@ -812,6 +880,9 @@ func (r *Router) phaseVA(cycle int64) {
 				continue
 			}
 			req = req.Set(p)
+		}
+		if r.vacant(req) {
+			continue
 		}
 		req = bitvec.Vec(r.fVec(cycle, fault.VA2Req, o, -1, uint32(req))) & bitvec.Mask(P)
 		gnt := rrArbitrate(req, P, &r.st.VA2Next[o])

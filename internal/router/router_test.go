@@ -3,7 +3,9 @@ package router
 import (
 	"testing"
 
+	"nocalert/internal/fault"
 	"nocalert/internal/flit"
+	"nocalert/internal/soa"
 	"nocalert/internal/topology"
 )
 
@@ -130,28 +132,45 @@ func TestCreditAccounting(t *testing.T) {
 		t.Fatalf("sent %d flits", sent)
 	}
 	// All 3 flits left on East VC 0: 3 credits consumed.
-	pre := g.r.Signals().Pre.Out[int(topology.East)][0]
-	_ = pre
-	g.step()
-	pre = g.r.Signals().Pre.Out[int(topology.East)][0]
-	if pre.Credits != cfg.BufDepth-3 {
-		t.Fatalf("credits = %d, want %d", pre.Credits, cfg.BufDepth-3)
+	i := g.r.iv(int(topology.East), 0)
+	st := &g.r.st
+	if got := int(st.Credits[i]); got != cfg.BufDepth-3 {
+		t.Fatalf("credits = %d, want %d", got, cfg.BufDepth-3)
 	}
-	if pre.Free {
+	if st.OutFlags[i]&soa.OutFree != 0 {
 		t.Fatal("output VC free before credits returned")
 	}
-	if !pre.TailSent {
+	if st.OutFlags[i]&soa.OutTailSent == 0 {
 		t.Fatal("tail not marked sent")
 	}
 	// Return the 3 credits; the VC must recycle.
-	for i := 0; i < 3; i++ {
+	for c := 0; c < 3; c++ {
 		g.r.StageCredit(topology.East, 0)
 		g.step()
 	}
+	if st.OutFlags[i] != soa.OutFree || int(st.Credits[i]) != cfg.BufDepth {
+		t.Fatalf("output VC not recycled: flags %#x, credits %d", st.OutFlags[i], st.Credits[i])
+	}
+}
+
+// TestIdleCreditFaultFires: a permanent fault on a credit counter fires
+// on the plane's first live cycle even when the router never uses the
+// counter — the pre-cycle snapshot's consult of it is a read. Campaign
+// reports carry RunResult.Fired, so this is report-visible.
+func TestIdleCreditFaultFires(t *testing.T) {
+	cfg := Default(topology.NewMesh(3, 3))
+	site := fault.Site{Router: 4, Kind: fault.CreditCountReg, Port: int(topology.East), VC: 1, Width: fault.BitsFor(cfg.BufDepth)}
+	plane := fault.NewPlane(fault.Fault{Site: site, Bit: 0, Cycle: 5, Type: fault.Permanent})
+	g := &rig{t: t, r: New(4, &cfg, plane)}
+	for g.cycle < 5 {
+		g.step()
+	}
+	if at := plane.FiredAt(0); at >= 0 {
+		t.Fatalf("fault fired at cycle %d, before its injection cycle", at)
+	}
 	g.step()
-	pre = g.r.Signals().Pre.Out[int(topology.East)][0]
-	if !pre.Free || pre.Credits != cfg.BufDepth {
-		t.Fatalf("output VC not recycled: %+v", pre)
+	if at := plane.FiredAt(0); at != 5 {
+		t.Fatalf("FiredAt = %d after the first live cycle of an idle router, want 5", at)
 	}
 }
 

@@ -150,17 +150,12 @@ type PreVC struct {
 	PktID    uint64
 }
 
-// PreOutVC is the pre-cycle snapshot of one output VC's credit state.
-type PreOutVC struct {
-	Free     bool
-	Credits  int
-	TailSent bool
-}
-
-// Pre is the whole-router pre-cycle snapshot.
+// Pre is the whole-router pre-cycle snapshot: the input VCs' status
+// tables. (The output side — free flags, credit counters — is not
+// snapshotted: every checker that judges a credit reads the value its
+// signal record carries, VAAssign.TargetCredits or SALatch.CreditsBefore.)
 type Pre struct {
-	In  [P][]PreVC
-	Out [P][]PreOutVC
+	In [P][]PreVC
 	// Active[p] has bit v set when In[p][v] snapshots anything other
 	// than a free, empty VC (State != Idle or BufLen > 0). BeginCycle
 	// computes it from the snapshot values themselves (post-fault), so

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"nocalert/internal/fault"
+	"nocalert/internal/flit"
+	"nocalert/internal/rng"
 	"nocalert/internal/statehash"
 	"nocalert/internal/topology"
 )
@@ -221,5 +223,56 @@ func TestSignalTelemetryAccessors(t *testing.T) {
 	}
 	if s.LinkFlits() < 0 {
 		t.Fatal("negative link flits")
+	}
+}
+
+// TestLatchDigestsFoldAsRebuilt: the digests of the read and write
+// latches, kept up by push and pop and carried by CloneInto, fold a
+// router to the value a fold over the latches' flits themselves gives.
+// A random sequence of buffer writes, reads and reads from empty buffers
+// (which hand out a copy of the read latch and must leave it alone) is
+// applied to every VC; every so often the router is cloned, the clone's
+// digests are thrown away and taken again from its latch values, and the
+// two must fold alike. Departed flits are rewritten the way the next hop
+// restamps them: a latch that aliased one would drift from its digest.
+func TestLatchDigestsFoldAsRebuilt(t *testing.T) {
+	cfg := Default(topology.NewMesh(3, 3))
+	r := New(4, &cfg, nil)
+	g := rng.New(11, 3)
+	pkt := uint64(0)
+	for i := 1; i <= 4000; i++ {
+		p, v := g.Intn(P), g.Intn(cfg.VCs)
+		if vc := &r.in[p].vcs[v]; g.Intn(2) == 0 && !vc.full(cfg.BufDepth) {
+			pkt++
+			r.push(p, v, &flit.Flit{
+				PacketID: pkt, Seq: g.Intn(5), Kind: flit.Kind(g.Intn(4)), VC: v,
+				Src: g.Intn(9), Dest: g.Intn(9), DestX: g.Intn(3), DestY: g.Intn(3),
+				Length: 5, Payload: g.Uint64(), EDC: uint32(g.Uint64()), InjectedAt: int64(i),
+			})
+		} else if f, _ := r.pop(p, v); f != nil {
+			f.VC, f.Payload = g.Intn(cfg.VCs), g.Uint64()
+		}
+		if i%40 != 0 {
+			continue
+		}
+		c := r.CloneInto(nil, nil, nil)
+		carried := c.FoldState(statehash.Seed)
+		latched := 0
+		for p := range c.in {
+			for v := range c.in[p].vcs {
+				vc := &c.in[p].vcs[v]
+				vc.lastReadDigest, vc.lastWrittenDigest = vc.lastRead.Digest(), vc.lastWritten.Digest()
+				if vc.hasLastRead {
+					latched++
+				}
+			}
+		}
+		want := c.FoldState(statehash.Seed)
+		if got := r.FoldState(statehash.Seed); got != want || carried != want {
+			t.Fatalf("after %d operations: router folds to %#x, its clone to %#x, the clone with digests retaken from its latches to %#x", i, got, carried, want)
+		}
+		if i == 4000 && latched < P*cfg.VCs/2 {
+			t.Fatalf("only %d of %d read latches were ever written", latched, P*cfg.VCs)
+		}
 	}
 }

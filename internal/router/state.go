@@ -67,6 +67,11 @@ type inVC struct {
 	// by a header). Value semantics for the same reason as lastRead.
 	lastWritten    flit.Flit
 	hasLastWritten bool
+	// lastReadDigest and lastWrittenDigest are the latches' flit.Digest,
+	// taken where the latches are written (pop, push) so that a state fold
+	// — every recorded cycle, every retirement probe — costs one step per
+	// latch, not a flit's thirteen. Cloned with the latches.
+	lastReadDigest, lastWrittenDigest uint64
 }
 
 func (v *inVC) empty() bool { return len(v.buf) == 0 }

@@ -1,15 +1,19 @@
 package sim
 
-import (
-	"nocalert/internal/soa"
-	"nocalert/internal/statehash"
-)
+import "nocalert/internal/statehash"
 
 // foldState folds the NI's mutable state into a state-fingerprint
 // accumulator. The enumeration mirrors cloneInto exactly: queued
 // packets, the streaming flit window, credit bookkeeping, in-flight
-// link traffic and the traffic generator's RNG state.
+// link traffic and, last, the traffic generator's RNG state.
 func (ni *NI) foldState(h uint64) uint64 {
+	return ni.gen.FoldState(ni.foldBody(h))
+}
+
+// foldBody is foldState without the traffic generator: the part of the NI
+// that changes only when the NI has something to do, where the generator
+// is drawn on every cycle of the injection phase.
+func (ni *NI) foldBody(h uint64) uint64 {
 	h = statehash.FoldInt(h, ni.curVC)
 	h = statehash.FoldInt(h, len(ni.queue))
 	for _, p := range ni.queue {
@@ -20,10 +24,9 @@ func (ni *NI) foldState(h uint64) uint64 {
 		h = f.FoldState(h)
 	}
 	for v := range ni.outCredits {
-		fl := ni.outFlags[v]
-		h = statehash.FoldBool(h, fl&soa.NIFree != 0)
-		h = statehash.FoldInt(h, int(ni.outCredits[v]))
-		h = statehash.FoldBool(h, fl&soa.NITailSent != 0)
+		// One word per VC, as in router.FoldState: the counter and the
+		// NIFree/NITailSent bits.
+		h = statehash.Fold(h, uint64(uint32(ni.outCredits[v]))|uint64(ni.outFlags[v])<<32)
 	}
 	h = statehash.FoldInt(h, len(ni.inbox))
 	for _, a := range ni.inbox {
@@ -35,7 +38,7 @@ func (ni *NI) foldState(h uint64) uint64 {
 		h = statehash.FoldInt(h, c.vc)
 		h = statehash.Fold(h, uint64(c.cycle))
 	}
-	return ni.gen.FoldState(h)
+	return h
 }
 
 // Fingerprint folds every piece of mutable network state — routers

@@ -29,6 +29,11 @@ import (
 //     frontier never misses a divergence, which is the whole soundness
 //     claim;
 //
+// and the pre-cycle snapshot of every router the frontier stepped — a
+// member since the fork, or one that joined by replayNode's catch-up —
+// must be the one a third, reference-engine copy of the faulty run fills
+// in full every cycle (soadiff_test.go: the sparse fill's oracle);
+//
 // plus the global counters must match, and once injection is off the
 // frontier must answer Quiet as the reference does and its static
 // fingerprint must hold still across a step exactly when the
@@ -50,6 +55,7 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 	}
 	ref := gold.CloneInto(nil, plane.Clone())
 	fn := gold.CloneInto(nil, plane.Clone())
+	oracle := asReference(gold.CloneInto(nil, plane.Clone()))
 
 	gold.StartRecording(int(window))
 	for i := int64(0); i < window; i++ {
@@ -71,6 +77,10 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 	step := func() {
 		ref.Step()
 		fr.Step()
+		oracle.Step()
+		for _, id := range fr.steppedS {
+			requirePreEqual(t, "frontier", fn.routers[id].Signals(), oracle.routers[id].Signals())
+		}
 		tb := ref.Cycle() - 1 // the cycle just stepped
 		golden := rec.foldRow(tb)
 		for id := range fn.routers {
@@ -104,6 +114,7 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 	windowJoins := fr.Joins()
 	ref.StopInjection()
 	fn.StopInjection()
+	oracle.StopInjection()
 	for still := false; !ref.Quiet() && !still && ref.Cycle() < fork+window+drainCap; {
 		before := refFP
 		step()

@@ -113,9 +113,11 @@ type Recording struct {
 	// each row's population count.
 	busy  []uint64
 	busyN []int32
-	// idle is closeCycle's memory of the previous boundary: which nodes
-	// were wholly idle there with injection off.
+	// idle and body are closeCycle's memory of the previous boundary: which
+	// nodes were wholly idle there, and every node's fold less its traffic
+	// generator (nodeBody).
 	idle []bool
+	body []uint64
 
 	// prefix offsets, one entry per closed cycle plus the open tail. They
 	// are running event counts as well: a cycle's generation, send and
@@ -124,7 +126,7 @@ type Recording struct {
 }
 
 func newRecording(start int64, nodes, cycles int) *Recording {
-	r := &Recording{start: start, nodes: nodes, injectEnd: math.MaxInt64, idle: make([]bool, nodes)}
+	r := &Recording{start: start, nodes: nodes, injectEnd: math.MaxInt64, idle: make([]bool, nodes), body: make([]uint64, nodes)}
 	r.genIdx = append(make([]int32, 0, cycles+1), 0)
 	r.linkIdx = append(make([]int32, 0, cycles+1), 0)
 	r.credIdx = append(make([]int32, 0, cycles+1), 0)
@@ -280,25 +282,24 @@ func (rc *Recording) recordEject(node int, f *flit.Flit) {
 // its NI's busy bit at the just-completed boundary, freezes the event
 // ranges and decides whether the network has settled.
 //
-// With injection off a node that was wholly idle at the previous boundary
-// — router inert, nothing staged, NI empty — and is wholly idle now cannot
-// have changed: its router had nothing to do, its NI had nothing to do and
-// no RNG to draw, and anything a neighbour staged into it would show now.
-// Its fold is copied forward instead of recomputed, which is most of the
-// mesh on most drain cycles. Inside the injection window every NI's
-// traffic RNG advances every cycle and every fold is computed.
+// A node that was wholly idle at the previous boundary — router inert,
+// nothing staged, NI empty — and is wholly idle now cannot have changed,
+// but for its traffic generator: its router had nothing to do, its NI had
+// nothing to do, a packet it generated would be queued or on its way in,
+// and anything a neighbour staged into it would show now. Only the
+// generator's term of its fold is computed, on top of the body kept from
+// the last boundary it was not idle at.
 func (rc *Recording) closeCycle(n *Network) {
 	c := rc.Cycles()
-	still := !n.injecting && !n.plane.LiveAt(n.cycle-1)
+	still := !n.plane.LiveAt(n.cycle - 1)
 	var sum uint64
 	for i, r := range n.routers {
-		idle := still && r.Inert() && !n.nis[i].busy() && len(n.nis[i].credits) == 0
-		fold := uint64(0)
-		if idle && rc.idle[i] {
-			fold = rc.folds[(c-1)*rc.nodes+i]
-		} else {
-			fold = n.nodeFold(i)
+		ni := n.nis[i]
+		idle := still && r.Inert() && !ni.busy() && len(ni.credits) == 0
+		if !idle || !rc.idle[i] {
+			rc.body[i] = n.nodeBody(i)
 		}
+		fold := ni.gen.FoldState(rc.body[i])
 		rc.folds = append(rc.folds, fold)
 		sum += foldTerm(i, fold)
 		rc.idle[i] = idle
@@ -343,9 +344,9 @@ const (
 // ApproxFootprintBytes estimates the memory the transcript retains:
 // flat event storage at capacity (keys and payloads), the prefix
 // indices, the per-node fold table with its row digests, the busy-NI
-// bits with their row counts and closeCycle's idle flags. Like
-// Network.ApproxFootprintBytes it is a deterministic accounting
-// estimate, not a heap measurement.
+// bits with their row counts and closeCycle's idle flags and fold
+// bodies. Like Network.ApproxFootprintBytes it is a deterministic
+// accounting estimate, not a heap measurement.
 func (rc *Recording) ApproxFootprintBytes() int64 {
 	if rc == nil {
 		return 0
@@ -354,7 +355,7 @@ func (rc *Recording) ApproxFootprintBytes() int64 {
 		int64(cap(rc.links))*recLinkBytes +
 		int64(cap(rc.credits))*recCreditBytes +
 		int64(cap(rc.ejectFlits))*recEjectBytes +
-		int64(cap(rc.folds)+cap(rc.foldSum)+cap(rc.busy))*8 +
+		int64(cap(rc.folds)+cap(rc.foldSum)+cap(rc.busy)+cap(rc.body))*8 +
 		int64(cap(rc.idle))
 	b += int64(cap(rc.genNode)+cap(rc.linkSrc)+cap(rc.creditSrc)+cap(rc.sends)+cap(rc.ejectNode)+cap(rc.busyN)) * 4
 	b += int64(cap(rc.genIdx)+cap(rc.linkIdx)+cap(rc.credIdx)+cap(rc.sendIdx)+cap(rc.ejectIdx)) * 4
@@ -367,8 +368,14 @@ func (rc *Recording) ApproxFootprintBytes() int64 {
 // whose fold equals the golden recording's at the same boundary holds,
 // up to hash collision, exactly the golden state.
 func (n *Network) nodeFold(i int) uint64 {
-	h := n.routers[i].FoldState(statehash.Seed)
-	return n.nis[i].foldState(h)
+	return n.nis[i].gen.FoldState(n.nodeBody(i))
+}
+
+// nodeBody is nodeFold short of its last term, the NI's traffic
+// generator: the only part of a node that changes while the node has
+// nothing to do.
+func (n *Network) nodeBody(i int) uint64 {
+	return n.nis[i].foldBody(n.routers[i].FoldState(statehash.Seed))
 }
 
 // StartRecording attaches a fresh golden signal transcript to the

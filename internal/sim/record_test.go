@@ -63,13 +63,13 @@ func TestRecordingFootprintPinned(t *testing.T) {
 		int64(cap(rc.ejectFlits))*104 + int64(cap(rc.ejectNode))*4 +
 		int64(cap(rc.folds))*8 + int64(cap(rc.foldSum))*8 +
 		int64(cap(rc.busy))*8 + int64(cap(rc.busyN))*4 +
-		int64(cap(rc.idle)) +
+		int64(cap(rc.idle)) + int64(cap(rc.body))*8 +
 		int64(cap(rc.genIdx)+cap(rc.linkIdx)+cap(rc.credIdx)+cap(rc.sendIdx)+cap(rc.ejectIdx))*4
 	if got := rc.ApproxFootprintBytes(); got != want {
 		t.Fatalf("Recording.ApproxFootprintBytes() = %d, want %d", got, want)
 	}
-	if cap(rc.idle) != 16 || len(rc.foldSum) != 40 || len(rc.busyN) != 40 {
-		t.Fatalf("idle flags %d, row digests %d, busy counts %d: want 16, 40, 40", cap(rc.idle), len(rc.foldSum), len(rc.busyN))
+	if cap(rc.idle) != 16 || cap(rc.body) != 16 || len(rc.foldSum) != 40 || len(rc.busyN) != 40 {
+		t.Fatalf("idle flags %d, fold bodies %d, row digests %d, busy counts %d: want 16, 16, 40, 40", cap(rc.idle), cap(rc.body), len(rc.foldSum), len(rc.busyN))
 	}
 	if got, want := len(rc.busy), 40*rc.busyWords(); got != want || rc.busyWords() != 1 {
 		t.Fatalf("busy-NI bits: %d words of %d a cycle, want %d of 1", got, rc.busyWords(), want)
