@@ -53,9 +53,11 @@ test: vet
 # updates, NDJSON writers, the daemon's queue/worker/event fan-out);
 # run them under the race detector, plus the step-loop packages (core,
 # router, soa) whose shared-array state campaign workers mutate in
-# parallel. The campaign package takes several minutes race-enabled.
+# parallel. The campaign package takes several minutes race-enabled —
+# twelve on a shared two-core box at PR 17, fourteen with the multi-cycle
+# 8×8 pipeline tests — hence the timeout above go test's ten.
 race:
-	$(GO) test -race ./internal/campaign ./internal/sim ./internal/metrics \
+	$(GO) test -race -timeout 30m ./internal/campaign ./internal/sim ./internal/metrics \
 		./internal/trace ./internal/server ./internal/obs ./internal/coordinator \
 		./internal/core ./internal/router ./internal/soa
 
@@ -107,6 +109,13 @@ BENCH_8X8_FLAGS = -mesh 8x8 -rate 0.05 -inject 300 -post 500 \
 # laptops.
 BENCH_16X16_FLAGS = -mesh 16x16 -rate 0.02 -inject 300 -post 500 \
 	-drain 10000 -epoch 1500 -faults 32 -seed 3 -fig none -progress=false
+
+# The multi-cycle campaign behind testdata/report_8x8_multicycle_seed3.json
+# (and the repository benchmark's w8x8_fixedcost at full scale): the
+# paper's injection instants on the 8×8 mesh, the one committed report
+# whose runs overlap the golden warm-up that publishes their groups.
+MULTICYCLE_FLAGS = -mesh 8x8 -rate 0.05 -inject 0,16000,32000 -post 500 \
+	-drain 10000 -epoch 1500 -faults 96 -seed 3 -fig none -progress=false
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkCampaignRun -benchtime 3x .
@@ -172,15 +181,18 @@ benchfleet:
 	$(GO) run ./bench -workload svc_fleet8 -trace 1 -out $(BENCHFLEET_OUT)
 
 # golden regenerates the committed fixtures — the 4×4 and 8×8 record
-# fixtures, the armed-fault report fixture and the full JSON report
-# fixtures the soa-identity gate compares against — after an intentional
-# behaviour change; commit the diff it produces.
+# fixtures, the armed-fault report fixture, the full JSON report
+# fixtures the soa-identity gate compares against and the multi-cycle
+# one TestMulticycleReportFixture holds the warm-up pipeline to — after
+# an intentional behaviour change; commit the diff it produces.
 golden:
 	$(GO) test ./internal/campaign -run 'TestGoldenFixture|TestArmedFaultReportFixture' -update-golden -v
 	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
 		-json testdata/report_4x4_seed3.json
 	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) \
 		-json testdata/report_8x8_seed3.json
+	$(GO) run ./cmd/faultcampaign $(MULTICYCLE_FLAGS) \
+		-json testdata/report_8x8_multicycle_seed3.json
 
 # soa-identity proves the two sweep engines interchangeable: the golden
 # 4×4 and paper-scale 8×8 campaigns run once with the default
@@ -209,7 +221,9 @@ soa-identity:
 # byte-identical to each other and to the committed fixtures; the 16×16
 # bench campaign, where a run's drain and horizon are cheapest to get
 # wrong (256 routers replayed around a cone of three), must report the
-# same under both engines. Any missed join, replay-order, Quiet or
+# same under both engines; the multi-cycle campaign (injection at
+# 0/16000/32000, runs overlapping the golden warm-up) must give its
+# committed report under both. Any missed join, replay-order, Quiet or
 # freeze-cycle bug fails a cmp. One shell, so the trap removes .frontid/
 # whether or not a cmp fails.
 frontier-identity:
@@ -224,6 +238,10 @@ frontier-identity:
 	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -no-frontier -json .frontid/8x8-full.json; \
 	cmp .frontid/8x8-frontier.json .frontid/8x8-full.json; \
 	cmp .frontid/8x8-frontier.json testdata/report_8x8_seed3.json; \
+	$(GO) run ./cmd/faultcampaign $(MULTICYCLE_FLAGS) -json .frontid/multicycle-frontier.json; \
+	$(GO) run ./cmd/faultcampaign $(MULTICYCLE_FLAGS) -no-frontier -json .frontid/multicycle-full.json; \
+	cmp .frontid/multicycle-frontier.json testdata/report_8x8_multicycle_seed3.json; \
+	cmp .frontid/multicycle-full.json testdata/report_8x8_multicycle_seed3.json; \
 	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -json .frontid/16x16-frontier.json; \
 	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -no-frontier -json .frontid/16x16-full.json; \
 	cmp .frontid/16x16-frontier.json .frontid/16x16-full.json

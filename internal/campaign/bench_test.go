@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // BenchmarkFrontierCampaign times the marginal cost of a frontier-driven
@@ -73,18 +74,47 @@ func BenchmarkGoldenWarmup(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cycles, plan, key := o.goldenInputs()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gold, err := buildGolden(&o, cycles, plan, key, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if gold.groups[16000].rec == nil {
+				if builtGolden(b, &o).groups[16000].gc.rec == nil {
 					b.Fatal("the golden continuation recorded no transcript")
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkFirstVerdict times the two things the warm-up pipeline is
+// about on the campaign it is about — the paper's injection instants
+// 0/16000/32000 on the 8×8 mesh, 24 faults, one worker, what the
+// repository benchmark's w8x8_fixedcost runs at the driver's settings:
+// how long the first verdict takes (ms/first-verdict: the Run call to the
+// first Progress callback, one group context and one run) and how long
+// the campaign (ms/campaign). It is the cmd-free way to both numbers:
+//
+//	go test -run '^$' -bench FirstVerdict/8x8 -benchtime 4x \
+//	    -cpuprofile cpu.out ./internal/campaign
+func BenchmarkFirstVerdict(b *testing.B) {
+	b.Run("8x8", func(b *testing.B) {
+		opts := multicycleSample(24)
+		opts.Workers = 1
+		var start time.Time
+		var first time.Duration
+		opts.Progress = func(done, _ int) {
+			if done == 1 {
+				first += time.Since(start)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			start = time.Now()
+			if _, err := Run(opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(first.Microseconds())/1e3/float64(b.N), "ms/first-verdict")
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/campaign")
+	})
 }

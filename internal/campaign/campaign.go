@@ -7,9 +7,11 @@
 //
 // Forking works by warming a single network to the injection cycle and
 // re-forking it per fault, so a cycle-32K campaign pays the warmup once.
-// That fault-free half is an immutable artefact (Golden, goldencache.go)
-// which a GoldenCache shares between the shards and jobs of one process.
-// Runs execute on a small worker pool; each worker reuses one clone
+// That fault-free half is an artefact (Golden, goldencache.go) published
+// one injection cycle at a time, immutable from then on, which a
+// GoldenCache shares between the shards and jobs of one process; runs of
+// an early injection cycle execute while the warm-up steps towards the
+// later ones. Runs execute on a small worker pool; each worker reuses one clone
 // arena (sim.Network.CloneInto) across all its runs, and runs whose
 // fault provably never fired short-circuit to a precomputed fault-free
 // template instead of simulating the remaining drain and ForEVeR
@@ -407,8 +409,14 @@ type groupCtx struct {
 	wend *sim.Network
 }
 
-// Run executes the campaign.
-func Run(opts Options) (*Report, error) {
+// Run executes the campaign. The golden warm-up and the faulty runs
+// overlap: runs are fed in injection-cycle order and each waits only for
+// its own cycle's golden group, so the first verdicts, OnResult and
+// Progress calls come while the warm-up (this Run's, or that of a
+// concurrent Run sharing the GoldenCache) is still stepping towards the
+// later injection cycles. Run returns once every goroutine it started
+// has exited.
+func Run(opts Options) (_ *Report, err error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -421,41 +429,36 @@ func Run(opts Options) (*Report, error) {
 	// the tracing-off path below is the old code plus dead branches.
 	camp := o.Tracer.Start(o.TraceParent, "campaign", "campaign")
 
-	// The golden half: built here, or taken from the cache when an
-	// earlier or concurrent campaign of the same key built it. Every Run
-	// emits the golden-warmup span either way; its cache attribute says
-	// which.
+	// The golden half: built by this Run's own pipeline, or taken from
+	// the cache when an earlier or concurrent campaign of the same key
+	// built or is building it. Every Run emits the golden-warmup span
+	// either way; its cache attribute says which.
 	warm := camp.Child("phase", "golden-warmup")
-	gold, how, err := o.GoldenCache.get(o.Context, key, func() (*Golden, error) {
-		return buildGolden(&o, cycles, plan, key, warm)
-	})
-	if err == nil && gold.key != key {
-		err = fmt.Errorf("campaign: golden artefact was built for key %.12s, this campaign needs %.12s", gold.key, key)
-	}
-	warm.SetAttr("cache", how)
-	if err != nil {
-		warm.End()
-		camp.SetAttr("error", err.Error())
+	warm.SetAttr("injection_cycles", len(cycles))
+	// runCtx ends with the Run: it stops the pipeline and wakes workers
+	// waiting for a group when a run fails, too.
+	runCtx, cancelRun := context.WithCancel(o.Context)
+	hold := &goldenHold{ctx: runCtx, o: &o, cycles: cycles, plan: plan, key: key, warm: warm, warmOpen: true}
+	defer func() {
+		cancelRun()
+		hold.release()
+		// The artefact's totals are final when its last group is out, not
+		// before: the gauges and the cache's outcome are taken here.
+		if g := hold.g; o.Metrics != nil && g != nil && g.complete() {
+			o.Metrics.Gauge(MetricSnapshotBytes).Set(float64(g.ring.bytes))
+			o.Metrics.Gauge(MetricTimelineBytes).Set(float64(g.timelineBytes))
+			observeGoldenCache(o.Metrics, hold.how, o.GoldenCache.size())
+		}
+		if err != nil {
+			camp.SetAttr("error", err.Error())
+		}
 		camp.End()
+	}()
+	if err := hold.attach(); err != nil {
 		return nil, err
 	}
-	warm.SetAttr("injection_cycles", len(cycles))
-	warm.SetAttr("snapshots", len(gold.ring.snaps))
-	warm.SetAttr("snapshot_bytes", gold.ring.bytes)
-	warm.SetAttr("golden_cycle", gold.endCycle)
-	warm.End()
-	gcOf := gold.groups
 
-	first := gcOf[cycles[0]]
-	report := &Report{
-		Opts:                       o,
-		GoldenEjections:            first.goldenEjections,
-		GoldenForeverFalsePositive: first.goldenFvFP,
-		Results:                    make([]RunResult, len(o.FaultGroups)),
-		SnapshotCount:              len(gold.ring.snaps),
-		SnapshotBytes:              gold.ring.bytes,
-		TimelineBytes:              gold.timelineBytes,
-	}
+	report := &Report{Opts: o, Results: make([]RunResult, len(o.FaultGroups))}
 
 	var (
 		wg           sync.WaitGroup
@@ -474,15 +477,22 @@ func Run(opts Options) (*Report, error) {
 	var inst *instruments
 	if o.Metrics != nil {
 		inst = newInstruments(o.Metrics, o.Workers, total)
-		o.Metrics.Gauge(MetricSnapshotBytes).Set(float64(gold.ring.bytes))
-		o.Metrics.Gauge(MetricTimelineBytes).Set(float64(gold.timelineBytes))
-		observeGoldenCache(o.Metrics, how, o.GoldenCache.size())
 	}
-	// Per-run wall clocks are only read when someone is listening; the
-	// two time.Now calls are noise next to a run's milliseconds, but the
-	// metrics-off path stays byte-for-byte the old loop.
+	// Per-run wall clocks are only read when someone is listening, and
+	// the rate clock only moves under Metrics: the metrics-off loop takes
+	// no time but the group waits'.
 	needTiming := inst != nil || o.OnResult != nil
-	campaignStart := time.Now()
+	// clock is what the live rates divide by. Guarded by progMu, like
+	// everything else the workers share.
+	clock := rateClock{start: time.Now()}
+	fail := func(err error) {
+		progMu.Lock()
+		if runErr == nil {
+			runErr = err
+			cancelRun()
+		}
+		progMu.Unlock()
+	}
 	jobs := make(chan int)
 	for w := 0; w < o.Workers; w++ {
 		wg.Add(1)
@@ -492,9 +502,23 @@ func Run(opts Options) (*Report, error) {
 			for i := range jobs {
 				progMu.Lock()
 				failed := runErr != nil
+				if inst != nil && !failed {
+					clock.move(+1, 0)
+				}
 				progMu.Unlock()
 				if failed {
 					continue
+				}
+				cycle := o.FaultGroups[i][0].Cycle
+				gc, waited, err := hold.group(cycle)
+				if err != nil {
+					fail(err)
+					continue
+				}
+				if inst != nil {
+					progMu.Lock()
+					clock.move(-1, +1)
+					progMu.Unlock()
 				}
 				var runStart time.Time
 				if needTiming {
@@ -507,21 +531,17 @@ func Run(opts Options) (*Report, error) {
 						ro.span = camp.Child("run", fmt.Sprintf("run[%d]", i))
 					}
 				}
-				res, exit, convCycles, st, err := runOne(&wk, gcOf[o.FaultGroups[i][0].Cycle], o, o.FaultGroups[i], ro)
+				res, exit, convCycles, st, err := runOne(&wk, gc, o, o.FaultGroups[i], ro)
 				var wall time.Duration
 				if needTiming {
 					wall = time.Since(runStart)
 				}
 				if err != nil {
 					ro.fail(err)
-					progMu.Lock()
-					if runErr == nil {
-						runErr = err
-					}
-					progMu.Unlock()
+					fail(err)
 					continue
 				}
-				ro.finish(&res, exit, convCycles, &st, o.FaultGroups[i][0].Cycle)
+				ro.finish(&res, exit, convCycles, &st, cycle)
 				report.Results[i] = res
 				progMu.Lock()
 				done++
@@ -541,7 +561,8 @@ func Run(opts Options) (*Report, error) {
 				warmSaved += st.warmSaved
 				synthSaved += st.synthesized
 				if inst != nil {
-					inst.observe(&report.Results[i], wall, exit, convCycles, &st, done, simCycles, time.Since(campaignStart))
+					clock.move(0, -1)
+					inst.observe(&report.Results[i], wall, waited, exit, convCycles, &st, done, simCycles, clock.active())
 				}
 				if o.OnResult != nil {
 					o.OnResult(i, &report.Results[i], wall, exit)
@@ -553,9 +574,10 @@ func Run(opts Options) (*Report, error) {
 			}
 		}()
 	}
-	// Feed runs in injection-cycle order (stable within a cycle) so
-	// consecutive runs share a snapshot and its replayed gap stays warm
-	// in cache. Results remain input-indexed regardless of feed order.
+	// Feed runs in injection-cycle order (stable within a cycle): that is
+	// the order the golden groups are published in, and consecutive runs
+	// share a snapshot whose replayed gap stays warm in cache. Results
+	// remain input-indexed regardless of feed order.
 	order := make([]int, total)
 	for i := range order {
 		order[i] = i
@@ -563,32 +585,34 @@ func Run(opts Options) (*Report, error) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return o.FaultGroups[order[a]][0].Cycle < o.FaultGroups[order[b]][0].Cycle
 	})
-	ctx := o.Context
 	var ctxErr error
 feed:
 	for _, i := range order {
 		select {
 		case jobs <- i:
-		case <-ctx.Done():
-			ctxErr = ctx.Err()
+		case <-runCtx.Done():
+			ctxErr = o.Context.Err() // nil when it was a failed run that stopped the feed
 			break feed
 		}
 	}
 	close(jobs)
 	wg.Wait()
 	if ctxErr != nil {
-		camp.SetAttr("error", ctxErr.Error())
-		camp.End()
 		return nil, ctxErr
 	}
-	progMu.Lock()
-	err = runErr
-	progMu.Unlock()
-	if err != nil {
-		camp.SetAttr("error", err.Error())
-		camp.End()
-		return nil, err
+	if runErr != nil {
+		return nil, runErr
 	}
+	// Every run has had its group, the last injection cycle's among
+	// them, so the artefact is whole and its totals follow at once.
+	gold := hold.g
+	<-gold.done
+	first := gold.groups[cycles[0]].gc
+	report.GoldenEjections = first.goldenEjections
+	report.GoldenForeverFalsePositive = first.goldenFvFP
+	report.SnapshotCount = len(gold.ring.snaps)
+	report.SnapshotBytes = gold.ring.bytes
+	report.TimelineBytes = gold.timelineBytes
 	report.FastPathHits = fastHits
 	report.ReconvergedHits = reconvHits
 	report.ForkedRuns = forkedRuns
@@ -604,29 +628,20 @@ feed:
 	camp.SetAttr("cycles_simulated", simCycles)
 	camp.SetAttr("cycles_synthesized", synthSaved)
 	camp.SetAttr("warmstart_cycles_saved", warmSaved)
-	camp.End()
 	return report, nil
 }
 
-// buildGroupCtx runs the golden continuation for injection cycle c —
-// the post-injection window (recording the reconvergence timeline when
+// buildGroupCtx runs the golden continuation of fork point fp — the
+// post-injection window (recording the reconvergence timeline when
 // wanted), the drain, and the ForEVeR horizon — and derives everything
-// runs at that cycle share. The mainline network itself continues for
-// the last injection cycle; earlier cycles continue on a clone so the
-// mainline can keep stepping toward the next fork point. The mainline
-// must be at cycle c and the ring must already hold a snapshot at or
-// before c. warm, the golden-warmup span, gets one child phase span per
-// part of the work (window, settle-horizon, template).
-func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Options, c int64, last, wantReconv bool, warm *obs.Span) (*groupCtx, error) {
-	gc := &groupCtx{cycle: c, snap: ring.at(c), forkFP: mainline.Fingerprint()}
-	if gc.snap == nil {
-		return nil, fmt.Errorf("campaign: no golden snapshot at or before injection cycle %d", c)
-	}
-
-	cont := mainline
-	if !last {
-		cont = mainline.Clone(nil)
-	}
+// runs at that injection cycle share. fp.cont is the builder's to step
+// to its end; tw is the scratch worker the template's fork runs in. gs,
+// the injection cycle's group span, gets one child phase span per part
+// of the work (window, settle-horizon, template).
+func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx, error) {
+	c, cont := fp.cycle, fp.cont
+	gc := &groupCtx{cycle: c, snap: fp.snap, forkFP: fp.forkFP}
+	wantReconv := !o.DisableFastPath && !o.DisableReconvergence
 	// The continuation is also the fault-free template run (see below), so
 	// it carries the NoCAlert engine a run would.
 	var eng *core.Engine
@@ -634,7 +649,7 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 		eng = core.NewEngine(cont.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
 		cont.AttachMonitor(eng)
 	}
-	win := warm.Child("phase", "window")
+	win := gs.Child("phase", "window")
 	win.SetAttr("inject_cycle", c)
 	var tl *golden.Timeline
 	recording := wantReconv && !o.DisableFrontier
@@ -673,7 +688,7 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 		cont.Run(o.PostInjectRun)
 	}
 	win.End()
-	sh := warm.Child("phase", "settle-horizon")
+	sh := gs.Child("phase", "settle-horizon")
 	sh.SetAttr("inject_cycle", c)
 	if !cont.Drain(o.DrainDeadline) {
 		sh.End()
@@ -710,7 +725,7 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 	gc.goldenFvFP = goldenFd >= 0
 
 	if !o.DisableFastPath {
-		tp := warm.Child("phase", "template")
+		tp := gs.Child("phase", "template")
 		tp.SetAttr("inject_cycle", c)
 		tmpl, err := goldenTemplate(tw, gc, o, eng, goldenFd, tp)
 		tp.End()

@@ -1,12 +1,27 @@
 package campaign
 
 import (
+	"context"
 	"testing"
 
 	"nocalert/internal/fault"
 	"nocalert/internal/golden"
 	"nocalert/internal/sim"
 )
+
+// builtGolden runs the golden warm-up of o, which has been through
+// withDefaults, to its end, uncached and untraced, and returns the whole
+// artefact: every groups[c].gc is there to read.
+func builtGolden(tb testing.TB, o *Options) *Golden {
+	tb.Helper()
+	cycles, plan, key := o.goldenInputs()
+	gold := startGolden(context.Background(), o, cycles, plan, key, nil, nil)
+	<-gold.done
+	if gold.err != nil {
+		tb.Fatal(gold.err)
+	}
+	return gold
+}
 
 // fixtureGolden builds the golden artefact of a fixture campaign and
 // returns it with the defaulted options its runs execute under.
@@ -18,12 +33,7 @@ func fixtureGolden(t *testing.T, spec Spec) (*Golden, Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycles, plan, key := o.goldenInputs()
-	gold, err := buildGolden(&o, cycles, plan, key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gold, o
+	return builtGolden(t, &o), o
 }
 
 // goldenAt returns a fault-free network of gc's campaign at the given
@@ -53,7 +63,7 @@ func TestDeltaVerdictOnFixtureRuns(t *testing.T) {
 	var w worker
 	judged, violations := 0, 0
 	for i, group := range o.FaultGroups {
-		gc := gold.groups[group[0].Cycle]
+		gc := gold.groups[group[0].Cycle].gc
 		if gc.rec == nil {
 			t.Fatal("fixture campaign has no transcript: the frontier is off")
 		}
@@ -128,7 +138,7 @@ func TestFollowerForeverAgreesWithFullFeed(t *testing.T) {
 				groups = append(groups, []fault.Fault{f})
 			}
 			for i, group := range groups {
-				gc := gold.groups[group[0].Cycle]
+				gc := gold.groups[group[0].Cycle].gc
 				goldenFlags = goldenFlags || gc.goldenFvFP
 				var st runStats
 				na, err := wa.fork(gc, fault.NewPlane(group...), &st, nil)

@@ -298,20 +298,30 @@ func TestGoldenKeyRefusesPointers(t *testing.T) {
 	}
 }
 
-// TestGoldenArtefactReadOnly runs two two-worker campaigns off one
-// published artefact at once (the race detector watches the shared
-// template slices, snapshots and transcripts), then repeats the first:
-// an artefact nobody writes gives the same report again. Every third
-// fault is permanent, so a good share of the runs never reconverge and
-// read the transcript's drain half and the cycles past its end.
+// TestGoldenArtefactReadOnly holds the artefact to its publication
+// contract over three injection cycles. The first campaign builds it and
+// fingerprints each group when the first run of its cycle is back —
+// cycle 0's while the mainline is still on its way to 16 000 and that
+// group is being built; at the end of the campaign, and again after two
+// more two-worker campaigns ran off the finished artefact at once (the
+// race detector watches the shared template slices, snapshots and
+// transcripts), every group must still hash the same. Then the first
+// campaign is repeated: an artefact nobody writes gives the same report
+// again. Every third fault is permanent, so a good share of the runs
+// never reconverge and read the transcript's drain half and the cycles
+// past its end.
 func TestGoldenArtefactReadOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
 	cache := NewGoldenCache()
+	cycles := []int64{0, 16000, 32000}
 	all := obsOpts(48)
-	for i := 0; i < len(all.Faults); i += 3 {
-		all.Faults[i].Type = fault.Permanent
+	for i := range all.Faults {
+		if i%3 == 0 {
+			all.Faults[i].Type = fault.Permanent
+		}
+		all.Faults[i].Cycle = cycles[i/3%len(cycles)]
 	}
 	slice := func(lo, hi int) Options {
 		o := all
@@ -320,7 +330,36 @@ func TestGoldenArtefactReadOnly(t *testing.T) {
 		o.GoldenCache = cache
 		return o
 	}
-	first := reportBytes(t, mustRun(t, slice(0, 24)))
+
+	builder := slice(0, 24)
+	atPublication := map[int64]uint64{}
+	inFlightAtFirst := false
+	builder.OnResult = func(_ int, res *RunResult, _ time.Duration, _ ExitPath) {
+		c := res.Fault.Cycle
+		if _, done := atPublication[c]; done {
+			return
+		}
+		e := artefactOf(t, cache, builder)
+		if len(atPublication) == 0 {
+			inFlightAtFirst = !e.g.complete()
+		}
+		atPublication[c] = groupHash(e.g.groups[c].gc)
+	}
+	first := reportBytes(t, mustRun(t, builder))
+	if !inFlightAtFirst {
+		t.Error("the artefact was finished when the first run came back: nothing ran while a later group was being built")
+	}
+	stillAsPublished := func(when string) {
+		t.Helper()
+		gold := artefactOf(t, cache, builder).g
+		for _, c := range cycles {
+			if got := groupHash(gold.groups[c].gc); got != atPublication[c] {
+				t.Errorf("%s the group of injection cycle %d hashes %x, at its publication %x: a published group was written to", when, c, got, atPublication[c])
+			}
+		}
+	}
+	stillAsPublished("at the end of the building campaign")
+
 	var wg sync.WaitGroup
 	for _, o := range []Options{slice(0, 24), slice(24, 48)} {
 		wg.Add(1)
@@ -332,6 +371,7 @@ func TestGoldenArtefactReadOnly(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	stillAsPublished("after two more campaigns")
 	if !bytes.Equal(first, reportBytes(t, mustRun(t, slice(0, 24)))) {
 		t.Error("the artefact's first campaign reports differently after two more campaigns ran off it")
 	}
@@ -390,82 +430,75 @@ func TestGoldenCacheEviction(t *testing.T) {
 	}
 }
 
-// waitSignalCtx reports the first call of Done. Run calls it for the
-// first time when it starts waiting on another campaign's build (the
-// warm-up itself polls Err), which lets a test cancel the builder at
-// exactly that point.
-type waitSignalCtx struct {
-	context.Context
-	once    sync.Once
-	waiting chan struct{}
-}
-
-func (c *waitSignalCtx) Done() <-chan struct{} {
-	c.once.Do(func() { close(c.waiting) })
-	return c.Context.Done()
-}
-
-// TestGoldenCacheCancelledBuilder cancels a builder while another
-// campaign waits on its build: the waiter must not inherit the
-// cancellation. It builds the artefact itself and reports exactly what
-// an uncached run does; the failed build leaves nothing behind.
+// TestGoldenCacheCancelledBuilder cancels a builder after its first
+// group is out, while a second campaign of the key is in the middle of
+// its cycle-0 runs off that group: the second must not inherit the
+// cancellation. The groups it has read stay good; for the next it finds
+// the build abandoned, goes back to the cache and builds the artefact
+// itself — one miss, no wait — to report exactly the committed bytes;
+// the cancelled build leaves nothing behind.
 func TestGoldenCacheCancelledBuilder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
-	o := obsOpts(12)
-	o.Workers = 1
-	want := reportBytes(t, mustRun(t, o))
-
-	cache := NewGoldenCache()
-	d, err := o.withDefaults()
+	want, err := os.ReadFile(multicycleReportPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, key := d.goldenInputs()
+	cache := NewGoldenCache()
+	reg := metrics.NewRegistry()
+	base := multicycleOptions()
+	base.Workers, base.GoldenCache, base.Metrics = 1, cache, reg
 
 	builderCtx, cancelBuilder := context.WithCancel(context.Background())
-	building := make(chan struct{})
+	defer cancelBuilder()
+	builder, second := base, base
+	firstVerdict := make(chan struct{})
+	builder.Context = builderCtx
+	builder.Progress = func(done, _ int) {
+		if done == 1 {
+			close(firstVerdict)
+		}
+	}
 	builderErr := make(chan error, 1)
 	go func() {
-		_, _, err := cache.get(builderCtx, key, func() (*Golden, error) {
-			close(building)
-			<-builderCtx.Done()
-			return nil, builderCtx.Err()
-		})
+		_, err := Run(builder)
 		builderErr <- err
 	}()
-	<-building
+	<-firstVerdict
 
-	reg := metrics.NewRegistry()
-	wctx := &waitSignalCtx{Context: context.Background(), waiting: make(chan struct{})}
-	o.GoldenCache, o.Metrics, o.Context = cache, reg, wctx
+	midCampaign := make(chan struct{})
+	second.Progress = func(done, _ int) {
+		if done == 1 {
+			close(midCampaign)
+		}
+	}
 	type result struct {
 		rep *Report
 		err error
 	}
-	waiter := make(chan result, 1)
+	secondDone := make(chan result, 1)
 	go func() {
-		rep, err := Run(o)
-		waiter <- result{rep, err}
+		rep, err := Run(second)
+		secondDone <- result{rep, err}
 	}()
-	<-wctx.waiting
+	<-midCampaign
 	cancelBuilder()
 	if err := <-builderErr; !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled builder returned %v", err)
+		t.Fatalf("cancelled builder returned %v: it was to be cancelled in the middle of its warm-up", err)
 	}
-	res := <-waiter
+	res := <-secondDone
 	if res.err != nil {
-		t.Fatalf("waiter inherited the builder's failure: %v", res.err)
+		t.Fatalf("the second campaign inherited the builder's failure: %v", res.err)
 	}
 	if !bytes.Equal(reportBytes(t, res.rep), want) {
-		t.Error("waiter's report differs from the uncached run")
+		t.Errorf("the second campaign's report differs from %s", multicycleReportPath)
 	}
 	if hits, misses, waits := cacheCounts(reg); hits != 0 || misses != 1 || waits != 0 {
-		t.Errorf("waiter outcomes hits=%d misses=%d waits=%d, want its own build", hits, misses, waits)
+		t.Errorf("cache outcomes hits=%d misses=%d waits=%d, want the second campaign's own build and nothing else", hits, misses, waits)
 	}
-	if e := cache.entries[key]; len(cache.entries) != 1 || e == nil || e.g == nil {
-		t.Error("cache does not hold exactly the waiter's artefact")
+	if e := artefactOf(t, cache, second); len(cache.entries) != 1 || e == nil || !e.built || e.g.err != nil || cache.size() != e.g.footprint() {
+		t.Errorf("cache does not hold exactly the second campaign's artefact: %d entries, %d bytes", len(cache.entries), cache.size())
 	}
 }
 

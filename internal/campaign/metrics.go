@@ -53,7 +53,11 @@ const (
 	// honest (completed runs over elapsed seconds) no matter how many
 	// cycles the fast paths skipped; MetricSimCyclesPerSec is the
 	// companion gauge of really-simulated cycles per second, immune to
-	// synthesized and skipped-prefix inflation.
+	// synthesized and skipped-prefix inflation. The seconds both divide
+	// by run from the moment the first golden group is ready and leave
+	// out the stretches the whole pool stood waiting for a later one
+	// (rateClock): the rate says what the runs cost, so that an ETA
+	// drawn from it does not sag at every injection cycle.
 	MetricFaultsPerSec    = "campaign_faults_per_sec"
 	MetricSimCyclesPerSec = "campaign_sim_cycles_per_sec"
 	// MetricWorkers is the resolved worker-pool size.
@@ -95,6 +99,13 @@ const (
 	MetricGoldenCacheMisses = "campaign_golden_cache_misses_total"
 	MetricGoldenCacheWaits  = "campaign_golden_cache_waits_total"
 	MetricGoldenCacheBytes  = "campaign_golden_cache_bytes"
+	// MetricGoldenGroupWait is the per-run histogram of the time a run
+	// stood blocked on its injection cycle's golden group, which the
+	// warm-up publishes while earlier cycles' runs execute (seconds, the
+	// MetricRunSeconds buckets). All zero when the artefact came whole
+	// from the cache; its sum is about what the runs waited for the
+	// mainline otherwise.
+	MetricGoldenGroupWait = "campaign_golden_group_wait_seconds"
 )
 
 // observeGoldenCache counts one campaign's golden-cache outcome (how is
@@ -166,6 +177,7 @@ type instruments struct {
 	frontierRuns  *metrics.Counter
 	frontierJoins *metrics.Counter
 	frontierSize  *metrics.Histogram
+	groupWait     *metrics.Histogram
 }
 
 func newInstruments(reg *metrics.Registry, workers, totalRuns int) *instruments {
@@ -191,6 +203,7 @@ func newInstruments(reg *metrics.Registry, workers, totalRuns int) *instruments 
 		frontierRuns:  reg.Counter(MetricFrontierRuns),
 		frontierJoins: reg.Counter(MetricFrontierJoins),
 		frontierSize:  reg.Histogram(MetricFrontierRouters, frontierRoutersBounds),
+		groupWait:     reg.Histogram(MetricGoldenGroupWait, runSecondsBounds),
 	}
 	for m := range in.outcomes {
 		for o := range in.outcomes[m] {
@@ -208,8 +221,9 @@ func newInstruments(reg *metrics.Registry, workers, totalRuns int) *instruments 
 // honest cycle accounting and simCycles the campaign's running total of
 // really-simulated cycles — synthesized and skipped-prefix cycles feed
 // their own counters instead of inflating the live gauges.
-func (in *instruments) observe(res *RunResult, wall time.Duration, exit ExitPath, convCycles int64, st *runStats, done int, simCycles int64, elapsed time.Duration) {
+func (in *instruments) observe(res *RunResult, wall, groupWait time.Duration, exit ExitPath, convCycles int64, st *runStats, done int, simCycles int64, elapsed time.Duration) {
 	in.runs.Inc()
+	in.groupWait.Observe(groupWait.Seconds())
 	if st.forked {
 		in.forkedRuns.Inc()
 	}
@@ -254,4 +268,43 @@ func (in *instruments) observe(res *RunResult, wall time.Duration, exit ExitPath
 		in.faultsPS.Set(float64(done) / s)
 		in.simCyclesPS.Set(float64(simCycles) / s)
 	}
+}
+
+// rateClock is what a Run's live rates divide by: the time since its
+// worker pool started less its stalls, the stretches in which a worker
+// stood blocked on a golden group the warm-up had not published yet and
+// none was executing a run. The wait for the first group is the first
+// stall, so the clock in effect starts when that group is ready; with
+// the stalls left in, a rate would sag at every later injection cycle
+// while nothing is wrong, and every ETA derived from it with it. The
+// caller serializes the calls.
+type rateClock struct {
+	start            time.Time
+	blocked, running int
+	stallAt          time.Time     // when the open stall began
+	stalled          time.Duration // closed stalls
+}
+
+func (c *rateClock) stalling() bool { return c.blocked > 0 && c.running == 0 }
+
+// move records workers entering or leaving a group wait and a run.
+func (c *rateClock) move(blocked, running int) {
+	was := c.stalling()
+	c.blocked += blocked
+	c.running += running
+	switch now := c.stalling(); {
+	case now && !was:
+		c.stallAt = time.Now()
+	case was && !now:
+		c.stalled += time.Since(c.stallAt)
+	}
+}
+
+// active is the time the rates divide by.
+func (c *rateClock) active() time.Duration {
+	d := time.Since(c.start) - c.stalled
+	if c.stalling() {
+		d -= time.Since(c.stallAt)
+	}
+	return d
 }

@@ -27,16 +27,19 @@ type snapshot struct {
 
 // snapshotRing holds the golden run's periodic full-state snapshots,
 // keyed by cycle, ascending. Faulty runs fork from the nearest entry at
-// or before their injection cycle and fast-replay the gap.
+// or before their injection cycle and fast-replay the gap. The ring
+// belongs to the golden mainline, which appends to it while groups that
+// were handed an entry are already being read: an entry is its own
+// allocation, never written after capture.
 type snapshotRing struct {
-	snaps []snapshot
+	snaps []*snapshot
 	bytes int64
 }
 
 // capture records the golden network's state at its current cycle.
 func (r *snapshotRing) capture(n *sim.Network) {
 	c := n.CloneInto(nil, nil)
-	r.snaps = append(r.snaps, snapshot{cycle: n.Cycle(), net: c})
+	r.snaps = append(r.snaps, &snapshot{cycle: n.Cycle(), net: c})
 	r.bytes += c.ApproxFootprintBytes()
 }
 
@@ -46,7 +49,7 @@ func (r *snapshotRing) at(cycle int64) *snapshot {
 	if i < 0 {
 		return nil
 	}
-	return &r.snaps[i]
+	return r.snaps[i]
 }
 
 // planSnapshots returns the ascending cycles the golden run snapshots

@@ -9,27 +9,6 @@ import (
 	"nocalert/internal/topology"
 )
 
-// warmupSpans runs the campaign traced and returns the golden-warmup span
-// with its child phase spans, in the order they ended.
-func warmupSpans(t *testing.T, o Options) (warm obs.SpanRecord, children []obs.SpanRecord) {
-	t.Helper()
-	_, spans := tracedRun(t, o)
-	for _, s := range spans {
-		if s.Kind == "phase" && s.Name == "golden-warmup" {
-			warm = s
-		}
-	}
-	if warm.SpanID == "" {
-		t.Fatal("no golden-warmup span in the stream")
-	}
-	for _, s := range spans {
-		if s.ParentID == warm.SpanID {
-			children = append(children, s)
-		}
-	}
-	return warm, children
-}
-
 // TestTemplateFromContinuation holds the fault-free template the golden
 // warm-up assembles from the continuation it steps anyway to the one it
 // used to get by simulating the run a second time: runSlow with an empty
@@ -65,14 +44,10 @@ func TestTemplateFromContinuation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cycles, plan, key := o.goldenInputs()
-			gold, err := buildGolden(&o, cycles, plan, key, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gold := builtGolden(t, &o)
 			var w worker
-			for _, c := range cycles {
-				gc := gold.groups[c]
+			for _, c := range distinctCycles(o.FaultGroups) {
+				gc := gold.groups[c].gc
 				var st runStats
 				want, err := runSlow(&w, gc, o, nil, &st, nil)
 				if err != nil {
@@ -92,51 +67,104 @@ func TestTemplateFromContinuation(t *testing.T) {
 	}
 }
 
-// TestWarmupPhaseSpans: the golden-warmup span carries, per injection
-// cycle and in this order, a mainline, a window, a settle-horizon and a
-// template phase span, which together cover most of it; the template of a
-// sound golden is marked as not simulated again, and the one of a golden
-// whose ForEVeR monitor filled its detection list (an epoch far too
-// short) as simulated again — the fallback that keeps an unsound
-// golden's template exact.
+// TestWarmupPhaseSpans: under the golden-warmup span the mainline spans
+// tile [0, last injection cycle] and every injection cycle has a group
+// span holding one complete chain, window then settle-horizon then
+// template, each inside the one before's end and the group's. Chains of
+// different cycles and the mainline overlap each other, so no sum of
+// children is held to the parent; the parent ends with the last group
+// and says when the first was out. The template of a sound golden is
+// marked as not simulated again, and the one of a golden whose ForEVeR
+// monitor filled its detection list (an epoch far too short) as
+// simulated again — the fallback that keeps an unsound golden's template
+// exact.
 func TestWarmupPhaseSpans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
 	cycles := []int64{0, 150, 650}
 	opts := multiCycleOptions(topology.NewMesh(4, 4), 6, 7, cycles, 200, 2500, 300)
-	warm, children := warmupSpans(t, opts)
-	want := []string{"mainline", "window", "settle-horizon", "template"}
-	if len(children) != len(want)*len(cycles) {
-		t.Fatalf("golden-warmup has %d child spans, want %d per injection cycle", len(children), len(want))
+	_, spans := tracedRun(t, opts)
+	var warm obs.SpanRecord
+	for _, s := range spans {
+		if s.Kind == "phase" && s.Name == "golden-warmup" {
+			warm = s
+		}
 	}
-	var covered int64
-	for i, s := range children {
-		if s.Kind != "phase" || s.Name != want[i%len(want)] {
-			t.Errorf("child %d is %s %q, want phase %q", i, s.Kind, s.Name, want[i%len(want)])
-		}
-		c := cycles[i/len(want)]
-		attr := "inject_cycle"
-		if s.Name == "mainline" {
-			attr = "to_cycle"
-		}
-		if got, ok := s.Int(attr); !ok || got != c {
-			t.Errorf("child %d (%s): %s = %d (present %t), want %d", i, s.Name, attr, got, ok, c)
-		}
-		if re, ok := s.Attrs["resimulated"].(bool); s.Name == "template" && (!ok || re) {
-			t.Errorf("template of injection cycle %d: resimulated = %t (present %t), want false", c, re, ok)
-		}
-		covered += int64(s.Duration())
+	if warm.SpanID == "" {
+		t.Fatal("no golden-warmup span in the stream")
 	}
-	if total := int64(warm.Duration()); covered > total || covered < total/2 {
-		t.Errorf("child spans cover %d ns of the warm-up's %d", covered, total)
+	if ms, ok := warm.Attrs["first_group_ms"].(float64); !ok || ms <= 0 || ms > float64(warm.Duration().Milliseconds())+1 {
+		t.Errorf("golden-warmup first_group_ms = %v over a span of %v", warm.Attrs["first_group_ms"], warm.Duration())
+	}
+	groups := map[int64]obs.SpanRecord{}
+	at := int64(0) // where the mainline spans have tiled to
+	for _, s := range spans {
+		if s.ParentID != warm.SpanID {
+			continue
+		}
+		switch s.Name {
+		case "mainline":
+			from, _ := s.Int("from_cycle")
+			to, ok := s.Int("to_cycle")
+			if !ok || from != at || to < from {
+				t.Errorf("mainline span covers cycles [%d, %d], the one before ended at %d", from, to, at)
+			}
+			at = to
+		case "group":
+			c, _ := s.Int("inject_cycle")
+			groups[c] = s
+			if s.EndNano > warm.EndNano {
+				t.Errorf("group of injection cycle %d ends after the golden-warmup span", c)
+			}
+		default:
+			t.Errorf("golden-warmup has a child %s %q: want mainline and group spans only", s.Kind, s.Name)
+		}
+	}
+	if at != cycles[len(cycles)-1] {
+		t.Errorf("mainline spans tile [0, %d], the last injection cycle is %d", at, cycles[len(cycles)-1])
+	}
+	if len(groups) != len(cycles) {
+		t.Fatalf("%d group spans, want one per injection cycle", len(groups))
+	}
+	for _, c := range cycles {
+		g := groups[c]
+		prevEnd := g.StartNano
+		var chain []string
+		for _, s := range spans { // in the order they ended
+			if s.ParentID != g.SpanID {
+				continue
+			}
+			chain = append(chain, s.Name)
+			if ic, ok := s.Int("inject_cycle"); !ok || ic != c {
+				t.Errorf("%s under the group of injection cycle %d carries inject_cycle %d (present %t)", s.Name, c, ic, ok)
+			}
+			if s.StartNano < prevEnd || s.EndNano > g.EndNano {
+				t.Errorf("injection cycle %d: %s does not follow the phase before it inside the group span", c, s.Name)
+			}
+			prevEnd = s.EndNano
+			if re, ok := s.Attrs["resimulated"].(bool); s.Name == "template" && (!ok || re) {
+				t.Errorf("template of injection cycle %d: resimulated = %t (present %t), want false", c, re, ok)
+			}
+		}
+		if want := []string{"window", "settle-horizon", "template"}; !reflect.DeepEqual(chain, want) {
+			t.Errorf("injection cycle %d: group span holds %v, want %v", c, chain, want)
+		}
 	}
 
 	opts.Forever.Epoch = 4 // nothing is delivered in four cycles: every node flags at every boundary
-	_, children = warmupSpans(t, opts)
-	for _, s := range children {
-		if re, _ := s.Attrs["resimulated"].(bool); s.Name == "template" && !re {
+	_, spans = tracedRun(t, opts)
+	templates := 0
+	for _, s := range spans {
+		if s.Name != "template" {
+			continue
+		}
+		templates++
+		if re, _ := s.Attrs["resimulated"].(bool); !re {
 			t.Errorf("template over a full ForEVeR detection list was not simulated again: %v", s.Attrs)
 		}
+	}
+	if templates != len(cycles) {
+		t.Errorf("%d template spans, want %d", templates, len(cycles))
 	}
 }
