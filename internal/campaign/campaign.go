@@ -961,7 +961,9 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 // still armed at window end (permanent, intermittent): it never freezes,
 // so on the frontier its cost would follow its cone, run by run and seed
 // by seed. It materializes from the golden window-end state and finishes
-// on the full mesh, as before (ROADMAP has the item).
+// on the full mesh, every cycle of it (ROADMAP has the item) — where the
+// armed fault costs the router that hosts it its fast sweep and its inert
+// skip, and the other routers nothing (fault.Plane.LiveFor).
 func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *groupCtx, o Options, group []fault.Fault, plane *fault.Plane, w *worker, st *runStats, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, err error) {
 	w.seeds = w.seeds[:0]
 	for _, ft := range group {

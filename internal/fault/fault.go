@@ -235,6 +235,20 @@ func (f *Fault) ActiveAt(cycle int64) bool {
 	return false
 }
 
+// lastActive returns the last cycle the fault can corrupt anything, or
+// math.MaxInt64 for one that stays armed: a transient, and an
+// intermittent without a period (a single strike on the read path),
+// close on their injection cycle; a permanent and a periodic
+// intermittent never do. It is the one place that decides what closes —
+// the plane's windows, Inert and Quiescent all read it — and ActiveAt is
+// false on every cycle past it.
+func (f *Fault) lastActive() int64 {
+	if f.Type == Transient || (f.Type == Intermittent && f.Period <= 0) {
+		return f.Cycle
+	}
+	return math.MaxInt64
+}
+
 // String renders the fault for logs and reports.
 func (f *Fault) String() string {
 	return fmt.Sprintf("%s bit%d @%d %s", f.Site, f.Bit, f.Cycle, f.Type)
@@ -264,6 +278,19 @@ type Plane struct {
 	// consult — which dominates campaign runs, where faults are active
 	// for a single cycle out of thousands.
 	minCycle, maxCycle int64
+	// windows holds, for each router that hosts a fault, the span from its
+	// faults' first injection cycle to the last cycle any of them can be
+	// active. Every consult matches on the consulting router's id, so a
+	// router outside its own window — or with none — gets "no fault" from
+	// the plane whatever the other routers host; LiveFor is that test.
+	// Read-only after NewPlane, so clones share it.
+	windows []window
+}
+
+// window is one router's fault activity span, inclusive at both ends.
+type window struct {
+	router   int
+	from, to int64
 }
 
 // NewPlane returns a plane injecting the given faults.
@@ -273,19 +300,25 @@ func NewPlane(faults ...Fault) *Plane {
 	for i := range p.firedAt {
 		p.firedAt[i] = -1
 		f := &p.faults[i]
-		if f.Cycle < p.minCycle {
-			p.minCycle = f.Cycle
-		}
-		// Only one-shot faults have a closing window; permanent and
-		// periodic intermittent faults keep the plane live forever.
-		oneShot := f.Type == Transient || (f.Type == Intermittent && f.Period <= 0)
-		if !oneShot {
-			p.maxCycle = math.MaxInt64
-		} else if f.Cycle > p.maxCycle {
-			p.maxCycle = f.Cycle
+		from, to := f.Cycle, f.lastActive()
+		p.minCycle, p.maxCycle = min(p.minCycle, from), max(p.maxCycle, to)
+		if w := p.windowOf(f.Site.Router); w != nil {
+			w.from, w.to = min(w.from, from), max(w.to, to)
+		} else {
+			p.windows = append(p.windows, window{router: f.Site.Router, from: from, to: to})
 		}
 	}
 	return p
+}
+
+// windowOf returns router's window, nil if it hosts no fault.
+func (p *Plane) windowOf(router int) *window {
+	for i := range p.windows {
+		if w := &p.windows[i]; w.router == router {
+			return w
+		}
+	}
+	return nil
 }
 
 // Faults returns the faults carried by the plane.
@@ -305,17 +338,17 @@ func (p *Plane) FiredAt(i int) int64 {
 }
 
 // Inert reports whether the plane can no longer influence a simulation
-// from the given cycle onward: every fault's window has closed without
-// the fault ever corrupting a consulted signal. Since a fault alters
-// state only through xorMask or TransientRegisterFlips — both of which
-// record firing — an inert plane's run is bit-identical to the
-// fault-free continuation from the fork point, which is what lets
-// campaigns short-circuit the remaining cycles. A nil or empty plane
-// is trivially inert.
+// from the given cycle onward: every fault's window has closed (see
+// Fault.lastActive) without the fault ever corrupting a consulted
+// signal. Since a fault alters state only through xorMask or
+// TransientRegisterFlips — both of which record firing — an inert
+// plane's run is bit-identical to the fault-free continuation from the
+// fork point, which is what lets campaigns short-circuit the remaining
+// cycles. A nil or empty plane is trivially inert.
 //
 // Inert is monotone: once true at some cycle it is true at every later
-// cycle (only transient windows can close, and a never-fired transient
-// past its cycle can never fire).
+// cycle (a window that has closed stays closed, and a never-fired fault
+// past its last active cycle can never fire).
 func (p *Plane) Inert(cycle int64) bool {
 	if p == nil {
 		return true
@@ -325,11 +358,10 @@ func (p *Plane) Inert(cycle int64) bool {
 		if p.firedAt[i] >= 0 {
 			return false
 		}
-		// Only transient faults have a closing window; permanent and
-		// intermittent faults can always strike again. Transient
-		// register upsets are applied (and marked fired) at f.Cycle,
-		// so they too are covered by the window check.
-		if f.Type != Transient || cycle <= f.Cycle {
+		// Permanent and periodic intermittent faults can always strike
+		// again. Transient register upsets are applied (and marked
+		// fired) at f.Cycle, so they too are covered by the window check.
+		if cycle <= f.lastActive() {
 			return false
 		}
 	}
@@ -338,31 +370,38 @@ func (p *Plane) Inert(cycle int64) bool {
 
 // Quiescent reports whether the plane can no longer fire from the given
 // cycle onward, regardless of whether it already did: every fault is a
-// transient whose window has closed. Unlike Inert it stays true for
-// planes that corrupted state — which is exactly the population the
+// one-shot (Fault.lastActive) whose window has closed. Unlike Inert it
+// stays true for planes that corrupted state — exactly the population the
 // reconvergence fast path targets: the fault hit, the perturbation is
 // in flight, and the only open question is whether it washes out.
 //
-// Quiescent is monotone for the same reason Inert is: transient windows
-// only close.
+// Quiescent is monotone for the same reason Inert is: windows only
+// close.
 func (p *Plane) Quiescent(cycle int64) bool {
 	if p == nil {
 		return true
 	}
 	for i := range p.faults {
-		f := &p.faults[i]
-		if f.Type != Transient || cycle <= f.Cycle {
+		if cycle <= p.faults[i].lastActive() {
 			return false
 		}
 	}
 	return true
 }
 
-// LiveAt reports whether any fault window may be open at cycle — the
-// per-cycle gate routers cache in BeginCycle so that out-of-window
-// consults cost a single branch instead of a Plane method call.
-func (p *Plane) LiveAt(cycle int64) bool {
-	return p != nil && cycle >= p.minCycle && cycle <= p.maxCycle
+// LiveFor reports whether a fault hosted by router may be active at
+// cycle: the one liveness query. Routers cache it in BeginCycle so that
+// out-of-window consults cost a single branch instead of a Plane method
+// call, and the steppers use it to decide whether an idle router may be
+// skipped. A router that hosts no fault is never live, whatever is armed
+// elsewhere in the mesh. Small enough to inline; outside the plane's
+// global window it costs two compares.
+func (p *Plane) LiveFor(cycle int64, router int) bool {
+	if p == nil || cycle < p.minCycle || cycle > p.maxCycle {
+		return false
+	}
+	w := p.windowOf(router)
+	return w != nil && cycle >= w.from && cycle <= w.to
 }
 
 // Clone returns an independent copy of the plane.
@@ -375,6 +414,7 @@ func (p *Plane) Clone() *Plane {
 		firedAt:  append([]int64(nil), p.firedAt...),
 		minCycle: p.minCycle,
 		maxCycle: p.maxCycle,
+		windows:  p.windows,
 	}
 	return c
 }

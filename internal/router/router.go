@@ -47,9 +47,10 @@ type Router struct {
 	st soa.View
 
 	plane *fault.Plane
-	// planeLive caches plane.LiveAt for the current cycle (set in
-	// BeginCycle) so the 20+ per-cycle fault consults cost one branch
-	// when no fault window is open.
+	// planeLive caches plane.LiveFor(cycle, id) for the current cycle (set
+	// in BeginCycle) so the 20+ per-cycle fault consults cost one branch
+	// when this router's own fault window is closed — which, for a router
+	// that hosts no fault, is always.
 	planeLive bool
 	// sweepRef forces the reference full-VC-range sweeps in SA/VA/RC
 	// (the -no-soa engine); fastSweep, recomputed each BeginCycle, is
@@ -64,8 +65,9 @@ type Router struct {
 	// preFull makes the next fill a full one instead: set wherever an
 	// entry may differ from its registers with no write to show for it —
 	// a fresh router or CloneInto target (the snapshot is not cloned) and
-	// every cycle the sweep was not fast (a live plane shows the snapshot
-	// faulted reads, which are not what is stored).
+	// every cycle the sweep was not fast (inside the router's own fault
+	// window the snapshot is shown faulted reads, which are not what is
+	// stored).
 	preDirty [P]uint32
 	preFull  bool
 
@@ -184,10 +186,10 @@ func (r *Router) StageCredit(d topology.Direction, vc int) {
 // produce an all-vacuous signal record: every VC idle and empty, no
 // crossbar reservation or read enable pending, no staged arrivals or
 // credits. The check is a word-at-a-time OR over the per-port masks.
-// Only meaningful when the fault plane has no open window — a live
-// fault can perturb even an idle router — and a skipped router's
-// per-cycle staging (Signals, Credits) goes stale, so the network must
-// skip its link-traversal and monitor visits too.
+// Only meaningful outside the router's own fault window — a live fault
+// can perturb even an idle router, but only the router that hosts it —
+// and a skipped router's per-cycle staging (Signals, Credits) goes stale,
+// so the network must skip its link-traversal and monitor visits too.
 func (r *Router) Inert() bool {
 	var acc uint32
 	for p := 0; p < P; p++ {
@@ -269,9 +271,12 @@ func (r *Router) pop(p, v int) (f *flit.Flit, garbage bool) {
 
 // fWord and fVec are the plane consults every signal read goes through.
 // planeLive (recomputed once per cycle in BeginCycle) short-circuits
-// them to a plain read on the overwhelming majority of cycles where no
-// fault window is open — campaign runs spend thousands of cycles per
-// single-cycle fault, so this branch is the plane's real fast path.
+// them to a plain read wherever the plane would answer "no fault" anyway:
+// every consult names this router, so outside the window of the faults
+// it hosts itself — on every cycle, for a router that hosts none — the
+// mask is zero by construction. Campaign runs spend thousands of cycles
+// per single-cycle fault and 63 routers of 64 beside an armed one, so
+// this branch is the plane's real fast path.
 
 func (r *Router) fWord(cycle int64, kind fault.Kind, port, vc, value int) int {
 	if !r.planeLive {
@@ -289,10 +294,10 @@ func (r *Router) fVec(cycle int64, kind fault.Kind, port, vc int, value uint32) 
 
 // The four register readers below each split into a thin wrapper and
 // an outlined fault path: the wrapper is small enough to inline into
-// the phase loops, and on the overwhelming majority of cycles — no
-// fault window open — it reduces to a plain array load. The raw reads
-// skip the readers' masks, which is safe because every write site
-// stores masked values (see applyRegisterUpsets and the phase code).
+// the phase loops, and on the overwhelming majority of cycles — this
+// router's fault window closed — it reduces to a plain array load. The
+// raw reads skip the readers' masks, which is safe because every write
+// site stores masked values (see applyRegisterUpsets and the phase code).
 
 func (r *Router) vcStateR(cycle int64, p, v int) VCState {
 	if r.planeLive {
@@ -358,8 +363,12 @@ func (r *Router) creditFaulted(cycle int64, o, v int) int {
 // entry is a free, empty VC's whose registers nothing has written since
 // the entry was filled, so it already holds what filling it again would
 // write.
+//
+// planeLive is this router's own fault window (fault.Plane.LiveFor), not
+// the plane's: a fault armed in another router leaves this one on the
+// fast sweep with the sparse fill.
 func (r *Router) BeginCycle(cycle int64) {
-	r.planeLive = r.plane.LiveAt(cycle)
+	r.planeLive = r.plane.LiveFor(cycle, r.id)
 	r.fastSweep = !r.sweepRef && !r.planeLive
 	r.applyRegisterUpsets(cycle)
 	r.sig.reset(r.id, cycle)
@@ -687,10 +696,11 @@ func (r *Router) teardown(p, v, intendedOut int, tail *flit.Flit) {
 }
 
 // vacant reports that an arbitration round over req may be skipped whole:
-// nobody requests, and no plane is live to conjure a request or a grant,
-// so the round would leave its signals at their reset zeros and its
-// priority pointer where it is (rrArbitrate moves none on an empty
-// request). The reference sweep and a live plane run every round.
+// nobody requests, and this router's fault window is closed, so nothing
+// can conjure a request or a grant: the round would leave its signals at
+// their reset zeros and its priority pointer where it is (rrArbitrate
+// moves none on an empty request). The reference sweep, and a router
+// inside its own fault window, run every round.
 func (r *Router) vacant(req bitvec.Vec) bool { return r.fastSweep && req.IsZero() }
 
 // sweepMask returns the candidate-VC iteration set for the allocation

@@ -234,13 +234,12 @@ func (f *Frontier) Step() {
 	f.stepGeneration(t)
 
 	// Router pipelines: members only, in ascending node order, with the
-	// same inert-router skip Network.Step applies (gated off while the
-	// plane is live; an inert member is a provable no-op either way).
-	skipInert := !n.soaOff && !n.plane.LiveAt(t)
+	// same inert-router skip Network.Step applies (an inert member
+	// outside its own fault window is a provable no-op).
 	steppedIDs := f.steppedS[:0]
 	for _, id := range f.members {
 		r := n.routers[id]
-		if skipInert && r.Inert() {
+		if !n.soaOff && r.Inert() && !n.plane.LiveFor(t, id) {
 			continue
 		}
 		r.BeginCycle(t)

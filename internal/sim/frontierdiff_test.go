@@ -19,7 +19,8 @@ import (
 // golden drain until the network settles, and steps both faulty runs in
 // lockstep through the whole shape of a campaign run: the window, the
 // drain to the reference run's quiet or frozen boundary, and horizon
-// cycles past it. At every cycle boundary:
+// cycles past it (lockstepHorizon for most callers). At every cycle
+// boundary:
 //
 //   - a frontier member's per-node state fold must equal the reference
 //     run's fold for the same node (the member is simulating live, so
@@ -40,15 +41,15 @@ import (
 // reference's does (the fast-forward probe's freeze condition). At the
 // end the frontier run is materialized from the golden state of that
 // boundary and must reach full fingerprint and ejection-log identity
-// with the reference run. It returns how many nodes joined the frontier
-// after the window end, the joins that replay a node across the end of
-// injection.
-func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window int64) (lateJoins int64) {
+// with the reference run, and every fault must have fired first on the
+// same cycle in all three runs (an idle host router's consults are the
+// stepper's to keep: it may skip an inert member only outside the
+// member's own fault window). It returns how many nodes joined the
+// frontier after the window end, the joins that replay a node across the
+// end of injection.
+func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window, horizon int64) (lateJoins int64) {
 	t.Helper()
-	const (
-		drainCap = 3000 // a run neither quiet nor frozen by then is livelocked
-		horizon  = 150  // cycles stepped past the drain boundary
-	)
+	const drainCap = 3000 // a run neither quiet nor frozen by then is livelocked
 	gold := MustNew(cfg, nil)
 	for gold.Cycle() < fork {
 		gold.Step()
@@ -136,8 +137,17 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 	if !ejectionsEqual(fn.Ejections(), ref.Ejections()) {
 		t.Fatal("frontier and reference runs produced different ejection logs")
 	}
+	for i := range plane.Faults() {
+		if a, b, c := ref.plane.FiredAt(i), fn.plane.FiredAt(i), oracle.plane.FiredAt(i); a != b || a != c {
+			t.Errorf("fault %d (%v) fired at cycle %d on the full mesh, %d on the frontier, %d under the reference engine", i, &plane.Faults()[i], a, b, c)
+		}
+	}
 	return fr.Joins() - windowJoins
 }
+
+// lockstepHorizon is how far past the drain boundary frontierLockstep's
+// callers step unless they are after a long drained stretch.
+const lockstepHorizon = 150
 
 // TestFrontierLockstepUnderFaults pins the frontier engine against the
 // full simulation under a fixed injected fault plane on all three mesh
@@ -160,7 +170,7 @@ func TestFrontierLockstepUnderFaults(t *testing.T) {
 			g := rng.New(7, 1)
 			plane := samplePlane(p, g, 8, 130)
 			cfg := Config{Router: router.Default(topology.NewMesh(tc.w, tc.h)), InjectionRate: tc.rate, Seed: 3}
-			lateJoins += frontierLockstep(t, cfg, plane, 120, 400)
+			lateJoins += frontierLockstep(t, cfg, plane, 120, 400, lockstepHorizon)
 		})
 	}
 	if !t.Failed() && lateJoins == 0 {
@@ -188,7 +198,7 @@ func TestFrontierLockstepRandomPlanes(t *testing.T) {
 			g := rng.New(uint64(300+it), 9)
 			plane := samplePlane(p, g, 3+it%4, 45)
 			cfg := Config{Router: router.Default(topology.NewMesh(4, 4)), InjectionRate: 0.15, Seed: uint64(it) + 11}
-			lateJoins += frontierLockstep(t, cfg, plane, 40, 250)
+			lateJoins += frontierLockstep(t, cfg, plane, 40, 250, lockstepHorizon)
 		})
 	}
 	if !t.Failed() && lateJoins == 0 {
@@ -197,36 +207,125 @@ func TestFrontierLockstepRandomPlanes(t *testing.T) {
 }
 
 // FuzzFrontierLockstep lets the fuzzer pick the network (mesh up to 6×6,
-// VC count, injection rate, routing algorithm, traffic seed) and the
-// fault (site, bit, temporal type, strike cycle) and holds the frontier
-// to the full simulation through window, drain and horizon as
-// frontierLockstep does: counters, member folds, missed joins, Quiet,
-// the static fingerprint's verdict on every step, and after
-// MaterializeAll the whole fingerprint and ejection log. The seed corpus
-// below runs under plain `go test`; `make fuzz-smoke` searches on from it.
+// VC count, injection rate, routing algorithm, traffic seed) and up to
+// three faults (site, temporal type; bit, strike cycle, period and duty
+// derive from the first one's) and holds the frontier to the full
+// simulation through window, drain and horizon as frontierLockstep does:
+// counters, member folds, missed joins, Quiet, the static fingerprint's
+// verdict on every step, and after MaterializeAll the whole fingerprint
+// and ejection log. Faults on different routers give every host its own
+// liveness window, so the stepper's inert skip is decided router by
+// router. The seed corpus below runs under plain `go test`; `make
+// fuzz-smoke` searches on from it.
 func FuzzFrontierLockstep(f *testing.F) {
-	//    w, h, vcs, rate%, alg, seed, site, bit, type, delay, period, duty
-	f.Add(uint8(4), uint8(4), uint8(4), uint8(12), uint8(0), uint64(3), uint32(17), uint8(0), uint8(0), uint8(5), uint8(0), uint8(0))
-	f.Add(uint8(6), uint8(6), uint8(2), uint8(8), uint8(1), uint64(11), uint32(901), uint8(2), uint8(0), uint8(31), uint8(0), uint8(0))
-	f.Add(uint8(3), uint8(5), uint8(4), uint8(15), uint8(2), uint64(5), uint32(402), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(5), uint8(2), uint8(8), uint8(10), uint8(0), uint64(7), uint32(77), uint8(3), uint8(2), uint8(12), uint8(9), uint8(4))
-	f.Add(uint8(2), uint8(2), uint8(1), uint8(20), uint8(0), uint64(1), uint32(5), uint8(0), uint8(0), uint8(2), uint8(0), uint8(0))
-	f.Add(uint8(6), uint8(1), uint8(4), uint8(5), uint8(1), uint64(9), uint32(1234), uint8(7), uint8(1), uint8(44), uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, w, h, vcs, ratePct, alg uint8, seed uint64, site uint32, bit, typ, delay, period, duty uint8) {
-		mesh := topology.NewMesh(1+int(w)%6, 1+int(h)%6)
-		rc := router.Default(mesh)
-		rc.VCs = 1 << (vcs % 4) // 1, 2, 4, 8
+	// typ2/typ3: 0 for no such fault, else 1 + its type.
+	//    w, h, vcs, rate%, alg, seed, site, bit, type, delay, period, duty, site2, typ2, site3, typ3
+	f.Add(uint8(4), uint8(4), uint8(4), uint8(12), uint8(0), uint64(3), uint32(17), uint8(0), uint8(0), uint8(5), uint8(0), uint8(0), uint32(0), uint8(0), uint32(0), uint8(0))
+	f.Add(uint8(6), uint8(6), uint8(2), uint8(8), uint8(1), uint64(11), uint32(901), uint8(2), uint8(0), uint8(31), uint8(0), uint8(0), uint32(0), uint8(0), uint32(0), uint8(0))
+	f.Add(uint8(3), uint8(5), uint8(4), uint8(15), uint8(2), uint64(5), uint32(402), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint32(0), uint8(0), uint32(0), uint8(0))
+	f.Add(uint8(5), uint8(2), uint8(8), uint8(10), uint8(0), uint64(7), uint32(77), uint8(3), uint8(2), uint8(12), uint8(9), uint8(4), uint32(0), uint8(0), uint32(0), uint8(0))
+	f.Add(uint8(2), uint8(2), uint8(1), uint8(20), uint8(0), uint64(1), uint32(5), uint8(0), uint8(0), uint8(2), uint8(0), uint8(0), uint32(0), uint8(0), uint32(0), uint8(0))
+	f.Add(uint8(6), uint8(1), uint8(4), uint8(5), uint8(1), uint64(9), uint32(1234), uint8(7), uint8(1), uint8(44), uint8(0), uint8(0), uint32(0), uint8(0), uint32(0), uint8(0))
+	// A permanent, a periodic intermittent and a transient fault on three
+	// different routers (TestFuzzSeedsSpreadOverRouters holds them to it).
+	for _, sd := range armedFuzzSeeds {
+		f.Add(sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site[0], sd.bit, sd.typ[0], sd.delay, sd.period, sd.duty, sd.site[1], sd.typ[1]+1, sd.site[2], sd.typ[2]+1)
+	}
+	f.Fuzz(func(t *testing.T, w, h, vcs, ratePct, alg uint8, seed uint64, site uint32, bit, typ, delay, period, duty uint8, site2 uint32, typ2 uint8, site3 uint32, typ3 uint8) {
+		mesh, rc := fuzzMesh(w, h, vcs)
 		rc.Alg = []routing.Algorithm{routing.XY{}, routing.WestFirst{}, routing.Adaptive{}}[alg%3]
 		cfg := Config{Router: rc, InjectionRate: float64(1+ratePct%20) / 100, Seed: seed}
 
 		sites := fault.Params{Mesh: mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}.EnumerateSites()
-		s := sites[int(site)%len(sites)]
 		const fork, window = 40, 200
-		ft := fault.Fault{Site: s, Bit: int(bit) % s.Width, Cycle: fork + int64(delay%50), Type: fault.Type(typ % 3)}
-		if ft.Type == fault.Intermittent {
-			ft.Period = 2 + int64(period%30)
-			ft.Duty = 1 + int64(duty)%ft.Period
+		var faults []fault.Fault
+		for k, pick := range []struct {
+			site    uint32
+			typ     uint8
+			present bool
+		}{{site, typ, true}, {site2, typ2 - 1, typ2 != 0}, {site3, typ3 - 1, typ3 != 0}} {
+			if !pick.present {
+				continue
+			}
+			s := sites[int(pick.site)%len(sites)]
+			ft := fault.Fault{Site: s, Bit: int(bit) % s.Width, Cycle: fork + int64((int(delay)+17*k)%50), Type: fault.Type(pick.typ % 3)}
+			if ft.Type == fault.Intermittent {
+				ft.Period = 2 + int64(period%30)
+				ft.Duty = 1 + int64(duty)%ft.Period
+			}
+			faults = append(faults, ft)
 		}
-		frontierLockstep(t, cfg, fault.NewPlane(ft), fork, window)
+		frontierLockstep(t, cfg, fault.NewPlane(faults...), fork, window, lockstepHorizon)
 	})
+}
+
+// fuzzMesh is FuzzFrontierLockstep's reading of its mesh and VC bytes.
+func fuzzMesh(w, h, vcs uint8) (topology.Mesh, router.Config) {
+	mesh := topology.NewMesh(1+int(w)%6, 1+int(h)%6)
+	rc := router.Default(mesh)
+	rc.VCs = 1 << (vcs % 4) // 1, 2, 4, 8
+	return mesh, rc
+}
+
+// armedFuzzSeeds are FuzzFrontierLockstep's three-fault corpus entries:
+// typ[k] is fault k's type, site[k] its index into the site enumeration.
+var armedFuzzSeeds = []struct {
+	w, h, vcs, rate, alg uint8
+	seed                 uint64
+	site                 [3]uint32
+	typ                  [3]uint8
+	bit, delay           uint8
+	period, duty         uint8
+}{
+	{w: 3, h: 3, vcs: 2, rate: 12, alg: 0, seed: 3, site: [3]uint32{40, 700, 1500}, typ: [3]uint8{1, 2, 0}, bit: 0, delay: 3, period: 6, duty: 2},
+	{w: 5, h: 5, vcs: 1, rate: 7, alg: 1, seed: 13, site: [3]uint32{2100, 90, 1100}, typ: [3]uint8{2, 0, 1}, bit: 1, delay: 20, period: 11, duty: 0},
+	{w: 2, h: 4, vcs: 2, rate: 16, alg: 2, seed: 8, site: [3]uint32{600, 1300, 10}, typ: [3]uint8{0, 1, 2}, bit: 2, delay: 45, period: 2, duty: 1},
+}
+
+// TestFuzzSeedsSpreadOverRouters keeps the three-fault corpus entries
+// what they are there for: one permanent, one periodic intermittent and
+// one transient fault, on three different routers.
+func TestFuzzSeedsSpreadOverRouters(t *testing.T) {
+	for i, sd := range armedFuzzSeeds {
+		mesh, rc := fuzzMesh(sd.w, sd.h, sd.vcs)
+		sites := fault.Params{Mesh: mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}.EnumerateSites()
+		routers, types := map[int]bool{}, map[uint8]bool{}
+		for k := range sd.site {
+			routers[sites[int(sd.site[k])%len(sites)].Router] = true
+			types[sd.typ[k]%3] = true
+		}
+		if len(routers) != 3 || len(types) != 3 {
+			t.Errorf("seed %d: %d distinct routers and %d distinct fault types among its three faults, want 3 and 3", i, len(routers), len(types))
+		}
+	}
+}
+
+// TestFrontierLockstepArmedPlanes runs frontierLockstep under planes that
+// stay armed on three or more routers (armedPlane) and on through 2000
+// cycles past the drain boundary: the frontier steps an idle host router
+// for its consults and skips every other idle member, the full-mesh
+// reference likewise, and the reference-engine oracle steps them all.
+func TestFrontierLockstepArmedPlanes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lockstep differential test in -short mode")
+	}
+	for _, tc := range []struct {
+		w, h  int
+		rate  float64
+		iters int
+	}{
+		{4, 4, 0.12, 2},
+		{8, 8, 0.05, 1},
+	} {
+		mesh := topology.NewMesh(tc.w, tc.h)
+		p := fault.Params{Mesh: mesh, VCs: 4, BufDepth: router.Default(mesh).BufDepth}
+		for it := 0; it < tc.iters; it++ {
+			t.Run(fmt.Sprintf("%dx%d/plane%02d", tc.w, tc.h, it), func(t *testing.T) {
+				g := rng.New(uint64(900+it), 9)
+				plane := armedPlane(p, g, it%3, 130)
+				cfg := Config{Router: router.Default(mesh), InjectionRate: tc.rate, Seed: uint64(it) + 41}
+				frontierLockstep(t, cfg, plane, 120, 300, 2000)
+			})
+		}
+	}
 }

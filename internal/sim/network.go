@@ -60,7 +60,8 @@ type Network struct {
 	routers []*router.Router
 	nis     []*NI
 	// soaOff mirrors Config.DisableSoA (copied on clone): when set, Step
-	// visits every router every cycle instead of skipping inert ones.
+	// visits every router every cycle instead of skipping inert ones. It
+	// alone selects step-everything.
 	soaOff bool
 
 	monitors []Monitor
@@ -265,29 +266,24 @@ func (n *Network) Step() {
 		}
 	}
 
-	// Router pipelines. With the SoA engine and no live fault, routers
-	// whose activity masks, staging and ST latches are all clear are
-	// skipped outright: stepping one is a provable no-op (no state write,
-	// no signal, no arbiter pointer movement), and at drain/low load most
-	// of the mesh is in that state. A live fault window can conjure
-	// activity out of an idle router (a register upset needs BeginCycle
-	// to apply), so skipping is gated off while the plane is live.
+	// Router pipelines. On the SoA engine a router whose activity masks,
+	// staging and ST latches are all clear is skipped outright: stepping
+	// one is a provable no-op (no state write, no signal, no arbiter
+	// pointer movement), and at drain/low load most of the mesh is in that
+	// state. The exception is a router inside its own fault window: a live
+	// fault can conjure activity out of an idle router (a register upset
+	// needs BeginCycle to apply, an idle credit counter's consult is what
+	// marks its fault fired), but only out of the router that hosts it —
+	// every plane consult names the consulting router — so a fault armed
+	// in one router leaves the inert skip on for all the others.
 	stepped := n.steppedScratch[:0]
-	if !n.soaOff && !n.plane.LiveAt(t) {
-		for _, r := range n.routers {
-			if r.Inert() {
-				continue
-			}
-			r.BeginCycle(t)
-			r.Evaluate(t)
-			stepped = append(stepped, r)
+	for id, r := range n.routers {
+		if !n.soaOff && r.Inert() && !n.plane.LiveFor(t, id) {
+			continue
 		}
-	} else {
-		for _, r := range n.routers {
-			r.BeginCycle(t)
-			r.Evaluate(t)
-		}
-		stepped = append(stepped, n.routers...)
+		r.BeginCycle(t)
+		r.Evaluate(t)
+		stepped = append(stepped, r)
 	}
 	n.steppedScratch = stepped
 

@@ -282,20 +282,21 @@ func (rc *Recording) recordEject(node int, f *flit.Flit) {
 // its NI's busy bit at the just-completed boundary, freezes the event
 // ranges and decides whether the network has settled.
 //
-// A node that was wholly idle at the previous boundary — router inert,
-// nothing staged, NI empty — and is wholly idle now cannot have changed,
-// but for its traffic generator: its router had nothing to do, its NI had
-// nothing to do, a packet it generated would be queued or on its way in,
-// and anything a neighbour staged into it would show now. Only the
-// generator's term of its fold is computed, on top of the body kept from
-// the last boundary it was not idle at.
+// A node that was wholly idle at the previous boundary — router inert
+// and outside its own fault window (an upset may rewrite a register of an
+// inert router and leave it inert), nothing staged, NI empty — and is
+// wholly idle now cannot have changed, but for its traffic generator: its
+// router had nothing to do, its NI had nothing to do, a packet it
+// generated would be queued or on its way in, and anything a neighbour
+// staged into it would show now. Only the generator's term of its fold is
+// computed, on top of the body kept from the last boundary it was not
+// idle at.
 func (rc *Recording) closeCycle(n *Network) {
 	c := rc.Cycles()
-	still := !n.plane.LiveAt(n.cycle - 1)
 	var sum uint64
 	for i, r := range n.routers {
 		ni := n.nis[i]
-		idle := still && r.Inert() && !ni.busy() && len(ni.credits) == 0
+		idle := r.Inert() && !ni.busy() && len(ni.credits) == 0 && !n.plane.LiveFor(n.cycle-1, i)
 		if !idle || !rc.idle[i] {
 			rc.body[i] = n.nodeBody(i)
 		}

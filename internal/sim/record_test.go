@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"nocalert/internal/fault"
 	"nocalert/internal/flit"
 	"nocalert/internal/router"
 	"nocalert/internal/topology"
@@ -280,4 +281,30 @@ func indexRange(lo, hi int) []int {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestRecordingFoldsAnUpsetIdleRouter: closeCycle copies an idle node's
+// fold body forward instead of folding it again, and an upset that lands
+// in an idle router's route register leaves the router idle with another
+// register file. The node is therefore not idle, to closeCycle, on the
+// cycles of its own fault window; every other node keeps the copy.
+func TestRecordingFoldsAnUpsetIdleRouter(t *testing.T) {
+	const host, strike = 5, 40
+	site := fault.Site{Router: host, Kind: fault.VCRouteReg, Port: int(topology.East), VC: 1, Width: router.DirWidth}
+	plane := fault.NewPlane(fault.Fault{Site: site, Bit: 1, Cycle: strike, Type: fault.Transient})
+	n := MustNew(Config{Router: router.Default(topology.NewMesh(4, 4)), InjectionRate: 0, Seed: 3}, plane)
+	n.StartRecording(80)
+	before := n.nodeFold(host)
+	for n.Cycle() < 80 {
+		n.Step()
+		tb := n.Cycle() - 1
+		for id, fold := range n.rec.foldRow(tb) {
+			if want := n.nodeFold(id); fold != want {
+				t.Fatalf("cycle %d node %d: recorded fold %#x, the node folds to %#x", tb, id, fold, want)
+			}
+		}
+	}
+	if plane.FiredAt(0) != strike || n.nodeFold(host) == before || !n.Router(host).Inert() {
+		t.Fatalf("the upset (fired at %d) was meant to change idle router %d's registers and leave it idle", plane.FiredAt(0), host)
+	}
 }

@@ -2,9 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"nocalert/internal/fault"
+	"nocalert/internal/flit"
 	"nocalert/internal/rng"
 	"nocalert/internal/router"
 	"nocalert/internal/topology"
@@ -252,5 +255,219 @@ func TestSparseSnapshotMatchesFullFill(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// armedPlane draws a plane that stays armed, on three or more routers: a
+// permanent fault on a credit counter (the register a quiet output's
+// fault fires through the pre-cycle consult alone), a periodic
+// intermittent and a transient on two other routers, then extra faults of
+// random type anywhere. Per-router liveness makes the three hosts differ
+// from each other and from the rest of the mesh on almost every cycle.
+func armedPlane(p fault.Params, g *rng.PCG, extra int, cycle int64) *fault.Plane {
+	sites := p.EnumerateSites()
+	hosts := map[int]bool{}
+	draw := func(ok func(fault.Site) bool) fault.Site {
+		for {
+			if s := sites[g.Intn(len(sites))]; !hosts[s.Router] && ok(s) {
+				hosts[s.Router] = true
+				return s
+			}
+		}
+	}
+	anywhere := func(fault.Site) bool { return true }
+	at := func(s fault.Site, ft fault.Type) fault.Fault {
+		return fault.Fault{Site: s, Bit: g.Intn(s.Width), Cycle: cycle + int64(g.Intn(50)), Type: ft}
+	}
+	perm := at(draw(func(s fault.Site) bool { return s.Kind == fault.CreditCountReg }), fault.Permanent)
+	inter := at(draw(anywhere), fault.Intermittent)
+	inter.Period = int64(2 + g.Intn(30))
+	inter.Duty = 1 + int64(g.Intn(int(inter.Period)))
+	faults := []fault.Fault{perm, inter, at(draw(anywhere), fault.Transient)}
+	faults = append(faults, samplePlane(p, g, extra, cycle).Faults()...)
+	return fault.NewPlane(faults...)
+}
+
+// callbackTape is a monitor that writes every callback down, values and
+// all, so that two engines can be held to showing their monitors the same
+// thing. A RouterCycle whose record says nothing at all — no active VC in
+// the snapshot, no signal — is left out: leaving those calls out is the
+// one difference the inert skip makes to a monitor, and every monitor is
+// vacuous on such a record.
+type callbackTape struct {
+	lines []string
+}
+
+func (m *callbackTape) RouterCycle(_ *router.Router, s *router.Signals) {
+	if !vacuous(s) {
+		m.lines = append(m.lines, fmt.Sprintf("router %d cycle %d: %s", s.Router, s.Cycle, signalText(s)))
+	}
+}
+
+// vacuous reports whether the record is a freshly reset one but for whose
+// it is and the snapshot entries behind an all-clear Pre.Active: every
+// field signalText renders is zero or empty.
+func vacuous(s *router.Signals) bool {
+	var none router.Signals
+	return len(s.RCExecs)+len(s.VAAssigns)+len(s.SALatches)+len(s.Arrivals)+len(s.Departures) == 0 &&
+		s.Pre.Active == none.Pre.Active && s.RCDone == none.RCDone &&
+		s.VA1 == none.VA1 && s.SA1 == none.SA1 && s.VA2 == none.VA2 && s.SA2 == none.SA2 &&
+		s.XbarCol == none.XbarCol && s.XbarRows == 0 && s.XbarIn == 0 && s.XbarOut == 0 && s.XbarSpecNull == 0 &&
+		s.Reads == none.Reads && s.CreditsIn == none.CreditsIn
+}
+
+// signalText renders everything a signal record says beyond whose it is,
+// the flits by value. The snapshot entries are requirePreEqual's.
+func signalText(s *router.Signals) string {
+	var b strings.Builder
+	fmt.Fprint(&b, s.Pre.Active, s.RCExecs, s.RCDone, s.VA1, s.SA1, s.VA2, s.SA2, s.VAAssigns, s.SALatches,
+		s.XbarCol, s.XbarRows, s.XbarIn, s.XbarOut, s.XbarSpecNull, s.Reads, s.CreditsIn)
+	for _, a := range s.Arrivals {
+		fmt.Fprint(&b, " arr ", a.Port, a.Kind, a.VCField, a.Strobe, *a.Flit, a.Targets)
+	}
+	for _, d := range s.Departures {
+		fmt.Fprint(&b, " dep ", d.OutPort, d.OutVC, d.InPort, d.Garbage)
+		if d.Flit != nil {
+			fmt.Fprint(&b, *d.Flit)
+		}
+	}
+	return b.String()
+}
+
+func (m *callbackTape) PacketInjected(cycle int64, node int, p *flit.Packet) {
+	m.lines = append(m.lines, fmt.Sprint("inject ", cycle, node, *p))
+}
+
+func (m *callbackTape) FlitEjected(cycle int64, node int, f *flit.Flit) {
+	m.lines = append(m.lines, fmt.Sprint("eject ", cycle, node, *f))
+}
+
+func (m *callbackTape) EndCycle(cycle int64) {
+	m.lines = append(m.lines, fmt.Sprint("end ", cycle))
+}
+
+// TestEngineLockstepArmedPlanes holds the fast engine to the reference
+// engine under planes that never close, on three or more routers: the
+// routers that host a fault keep the reference sweep, the full snapshot
+// fill and every consult from their fault's onset on, every other router
+// takes the fast sweep or is skipped while idle. Cycle for cycle through
+// the window, the drain and 2000 cycles of a drained (or wedged) mesh:
+// the snapshot of every router the fast engine stepped, the state
+// fingerprint, every monitor callback with its values, and at the end
+// the cycle each fault first fired on and the ejection log.
+func TestEngineLockstepArmedPlanes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lockstep differential test in -short mode")
+	}
+	for _, tc := range []struct {
+		w, h  int
+		rate  float64
+		iters int
+	}{
+		{4, 4, 0.12, 2},
+		{8, 8, 0.05, 1},
+	} {
+		mesh := topology.NewMesh(tc.w, tc.h)
+		p := fault.Params{Mesh: mesh, VCs: 4, BufDepth: router.Default(mesh).BufDepth}
+		for it := 0; it < tc.iters; it++ {
+			t.Run(fmt.Sprintf("%dx%d/plane%02d", tc.w, tc.h, it), func(t *testing.T) {
+				g := rng.New(uint64(700+it), 9)
+				plane := armedPlane(p, g, it%3, 60)
+				ref, fast := diffPair(t, tc.w, tc.h, tc.rate, uint64(it)+31, plane)
+				var refTape, fastTape callbackTape
+				ref.AttachMonitor(&refTape)
+				fast.AttachMonitor(&fastTape)
+				skipped := 0
+				run := func(what string, n int) {
+					t.Helper()
+					for i := 0; i < n; i++ {
+						stepPreLockstep(t, what, ref, fast, 1)
+						if !slices.Equal(refTape.lines, fastTape.lines) {
+							t.Fatalf("%s: cycle %d: the engines' monitors were shown different things:\nreference: %q\n     fast: %q",
+								what, ref.Cycle()-1, refTape.lines, fastTape.lines)
+						}
+						refTape.lines, fastTape.lines = refTape.lines[:0], fastTape.lines[:0]
+						skipped += len(fast.routers) - len(fast.steppedScratch)
+					}
+				}
+				run("window", 300)
+				ref.StopInjection()
+				fast.StopInjection()
+				run("drain", 400)
+				skipped = 0
+				run("drained", 2000)
+				if skipped == 0 {
+					t.Error("the fast engine skipped no router in 2000 drained cycles under an armed plane")
+				}
+				for i := range plane.Faults() {
+					if a, b := ref.plane.FiredAt(i), fast.plane.FiredAt(i); a != b {
+						t.Errorf("fault %d (%v) fired at cycle %d under the reference engine, %d under the fast one", i, &plane.Faults()[i], a, b)
+					}
+				}
+				if ref.plane.FiredAt(0) < 0 {
+					t.Errorf("the permanent credit-counter fault %v never fired", &plane.Faults()[0])
+				}
+				if !ejectionsEqual(ref.Ejections(), fast.Ejections()) {
+					t.Fatal("engines produced different ejection logs")
+				}
+			})
+		}
+	}
+}
+
+// steppedLog is a monitor that notes which routers it was shown, cycle
+// by cycle.
+type steppedLog struct {
+	BaseMonitor
+	ids []int
+}
+
+func (m *steppedLog) RouterCycle(r *router.Router, _ *router.Signals) { m.ids = append(m.ids, r.ID()) }
+
+// TestArmedFaultCostsItsRouter counts: with one permanent fault on a
+// drained 8×8 mesh the fast engine steps — and shows its monitors —
+// exactly the router that hosts the fault, every cycle from the fault's
+// onset on and nothing before it; the reference engine steps all 64. The
+// fault sits on the credit counter of an output nobody uses, so what
+// marks it fired, on its onset cycle under both engines, is the stepped
+// router's pre-cycle consult.
+func TestArmedFaultCostsItsRouter(t *testing.T) {
+	const host, onset = 17, 700
+	site := fault.Site{Router: host, Kind: fault.CreditCountReg, Port: int(topology.East), VC: 2, Width: 3}
+	plane := fault.NewPlane(fault.Fault{Site: site, Bit: 1, Cycle: onset, Type: fault.Permanent})
+	ref, fast := diffPair(t, 8, 8, 0.05, 3, plane)
+	var refLog, fastLog steppedLog
+	ref.AttachMonitor(&refLog)
+	fast.AttachMonitor(&fastLog)
+	for _, n := range []*Network{ref, fast} {
+		n.Run(300)
+		if !n.Drain(200) {
+			t.Fatalf("the mesh did not drain by cycle %d", n.Cycle())
+		}
+		n.Run(onset - 50 - n.Cycle()) // the last credits home
+	}
+	for ref.Cycle() < onset+200 {
+		refLog.ids, fastLog.ids = refLog.ids[:0], fastLog.ids[:0]
+		c := ref.Cycle()
+		ref.Step()
+		fast.Step()
+		if len(refLog.ids) != 64 {
+			t.Fatalf("cycle %d: the reference engine showed its monitor %d routers, want 64", c, len(refLog.ids))
+		}
+		want := []int{host}
+		if c < onset {
+			want = nil
+		}
+		if !slices.Equal(fastLog.ids, want) {
+			t.Fatalf("cycle %d (fault armed from %d on): the fast engine showed its monitor routers %v, want %v", c, onset, fastLog.ids, want)
+		}
+		if rf, ff := ref.Fingerprint(), fast.Fingerprint(); rf != ff {
+			t.Fatalf("cycle %d: engines diverged (reference %#x, fast %#x)", c, rf, ff)
+		}
+	}
+	for _, n := range []*Network{ref, fast} {
+		if got := n.plane.FiredAt(0); got != onset {
+			t.Errorf("the idle credit-counter fault fired at cycle %d, want its onset %d", got, onset)
+		}
 	}
 }
