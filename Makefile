@@ -53,14 +53,16 @@ test: vet
 # updates, NDJSON writers, the daemon's queue/worker/event fan-out);
 # run them under the race detector, plus the step-loop packages (core,
 # router, soa, fault) whose shared-array state campaign workers mutate in
-# parallel. Measured on the shared two-core box at PR 22: 6 min 20 s of
-# wall (`internal/campaign` 376 s race-enabled, which bounds it;
-# `internal/core` 135 s, `internal/sim` 109 s; uncached tier-1 `go test
-# ./...` is 44–47 s of wall). The campaign package was 12 min at PR 17
-# and 14 at PR 20, over go test's ten-minute default, which is why this
-# target carried `-timeout 30m`; now that a fault that stays armed costs
-# its own router and not the mesh it is back under the default, with
-# some room, and the flag is gone.
+# parallel. Measured on the shared two-core box at PR 25: 6 min 4 s of
+# wall (`internal/campaign` 345 s race-enabled, which bounds it;
+# `internal/core` 118 s, `internal/sim` 107 s; uncached tier-1 `go test
+# ./...` is 40 s of wall), against 6 min 20 s and 44–47 s at PR 22: the
+# cone-sized fork and the transcript cursors make the campaign package's
+# runs cheaper, the poison and lockstep tests they came with take most of
+# it back, and ROADMAP item 6's race target (< 5 min) is still not met.
+# The campaign package was 12 min at PR 17 and 14 at PR 20, over go
+# test's ten-minute default, which is why this target carried `-timeout
+# 30m` until an armed fault stopped costing the mesh (PR 22).
 race:
 	$(GO) test -race ./internal/campaign ./internal/sim ./internal/metrics \
 		./internal/trace ./internal/server ./internal/obs ./internal/coordinator \

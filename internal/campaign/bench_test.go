@@ -13,7 +13,12 @@ import (
 // BenchmarkFrontierCampaign times the marginal cost of a frontier-driven
 // run on the two meshes the repository benchmark's cone workloads use
 // (w8x8_marginal, w16x16_drain), one worker, the golden artefact built
-// once outside the timer. It is the cmd-free way to read profile shares:
+// once outside the timer. nodes-cloned/run is how many node copies a run
+// made to have a network to step, mean over the campaign run once more
+// outside the timer with its runs traced (the run spans' nodes_cloned):
+// the size of a run's cone, about two, where a fork that cloned the mesh
+// would show 64 and 256. It is the cmd-free way to read profile shares
+// (the CI bench job uploads the 8×8 one):
 //
 //	go test -run '^$' -bench FrontierCampaign/8x8 -benchtime 4x \
 //	    -cpuprofile cpu.out ./internal/campaign
@@ -47,7 +52,16 @@ func BenchmarkFrontierCampaign(b *testing.B) {
 					b.Fatal("no run was driven by the frontier")
 				}
 			}
+			b.StopTimer()
 			b.ReportMetric(float64(b.N*bc.faults)/b.Elapsed().Seconds(), "faults/s")
+
+			var cloned int64
+			_, runs := tracedRunSpans(b, opts)
+			for _, s := range runs {
+				n, _ := s.Int("nodes_cloned")
+				cloned += n
+			}
+			b.ReportMetric(float64(cloned)/float64(bc.faults), "nodes-cloned/run")
 		})
 	}
 }

@@ -379,6 +379,11 @@ type worker struct {
 	seeds []int
 }
 
+// beforeRun is a seam for tests: when set, every worker of every Run calls
+// it on its reusable state before each of its runs (a run must not depend
+// on what the worker's network held before it).
+var beforeRun func(*worker)
+
 // groupCtx is the per-injection-cycle golden context shared by every
 // run injecting at that cycle: the snapshot to fork from, the golden
 // fingerprint at the fork point (each fork's replay is verified against
@@ -530,6 +535,9 @@ func Run(opts Options) (_ *Report, err error) {
 					if o.Tracer.Sampled(i) {
 						ro.span = camp.Child("run", fmt.Sprintf("run[%d]", i))
 					}
+				}
+				if beforeRun != nil {
+					beforeRun(&wk)
 				}
 				res, exit, convCycles, st, err := runOne(&wk, gc, o, o.FaultGroups[i], ro)
 				var wall time.Duration
@@ -873,9 +881,16 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 		return res, ExitFull, 0, st, err
 	}
 	plane := fault.NewPlane(group...)
+	rc := gc.rc
+	frontier := rc != nil && gc.rec != nil
 	ws := ro.phase("warm-start")
-	n, err := w.fork(gc, plane, &st, ro)
-	if err != nil {
+	var n *sim.Network
+	if frontier && gc.snap.cycle == gc.cycle {
+		// The frontier steps the run from the snapshot's own boundary: the
+		// fork takes the network-level state and the frontier copies the
+		// nodes of the run's cone as it reaches them.
+		n = w.forkCone(gc, plane, &st)
+	} else if n, err = w.fork(gc, plane, &st, ro); err != nil {
 		ws.End()
 		return res, ExitFull, 0, st, err
 	}
@@ -888,8 +903,7 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 	if fv != nil {
 		fv.ClearDetections()
 	}
-	rc := gc.rc
-	if rc != nil && gc.rec != nil {
+	if frontier {
 		res, exit, convCycles, err = runFrontier(n, eng, fv, gc, o, group, plane, w, &st, ro)
 		return res, exit, convCycles, st, err
 	}
@@ -980,6 +994,7 @@ func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *grou
 	st.frontier = true
 	defer func() {
 		st.frontierPeak, st.frontierJoins, st.frontierProbes = fr.Peak(), fr.Joins(), fr.RetireProbes()
+		st.nodesCloned += fr.Copied() // on top of the fork's
 	}()
 	ro.setFrontier(fr)
 	rc := gc.rc

@@ -40,6 +40,12 @@ type runStats struct {
 	frontierPeak   int
 	frontierJoins  int64
 	frontierProbes int64
+	// nodesCloned is how many node copies (router and NI) the run made to
+	// have a network to step: the mesh for a fork that clones it
+	// (worker.fork), for one that does not (worker.forkCone) the nodes the
+	// frontier ever tracked, and either way the rest of the mesh once more
+	// if the run is materialized from the window end.
+	nodesCloned int
 }
 
 // ffBackoffCap bounds the exponential backoff between fixed-point probe

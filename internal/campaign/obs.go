@@ -98,6 +98,7 @@ func (ro *runObs) finish(res *RunResult, exit ExitPath, convCycles int64, st *ru
 	s.SetAttr("inject_cycle", injectCycle)
 	s.SetAttr("fork_cycle", st.warmSaved)
 	s.SetAttr("forked", st.forked)
+	s.SetAttr("nodes_cloned", st.nodesCloned)
 	s.SetAttr("cycles_simulated", st.simulated)
 	s.SetAttr("cycles_synthesized", st.synthesized)
 	s.SetAttr("horizon_cycle", st.horizon)

@@ -123,7 +123,23 @@ func (w *worker) fork(gc *groupCtx, plane *fault.Plane, st *runStats, ro *runObs
 	n.SetPlane(plane)
 	st.warmSaved = gc.snap.cycle
 	st.forked = gc.snap.cycle > 0
+	st.nodesCloned = n.Mesh().Nodes()
 	return n, nil
+}
+
+// forkCone is fork for a run the divergence frontier steps from a
+// snapshot taken at the injection cycle itself: nothing to replay or
+// verify, and no mesh to copy either — the worker's network takes the
+// fork point's network-level state under the run's plane
+// (sim.Network.CloneLazyInto) and the frontier fetches from the snapshot
+// the nodes the run's cone comes to hold (st.nodesCloned, set when the
+// run is over). The rest of the worker's network keeps whatever earlier
+// runs left there; nothing reads it.
+func (w *worker) forkCone(gc *groupCtx, plane *fault.Plane, st *runStats) *sim.Network {
+	w.net = gc.snap.net.CloneLazyInto(w.net, plane)
+	st.warmSaved = gc.snap.cycle
+	st.forked = gc.snap.cycle > 0
+	return w.net
 }
 
 // verifyFork holds a forked network, restored and replayed to gc.cycle,

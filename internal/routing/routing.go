@@ -27,7 +27,10 @@ type Algorithm interface {
 	// outside the mesh when those wires are faulted — RC hardware
 	// compares coordinates and happily routes toward an impossible
 	// destination, which is exactly the behaviour the checkers must
-	// observe.
+	// observe. The returned slice is the algorithm's to keep: the
+	// single-candidate answers are shared package-level values, so a
+	// caller reads it (as the router's pickCandidate does) and never
+	// writes or appends to it.
 	Candidates(m topology.Mesh, cur int, destX, destY int, in topology.Direction) []topology.Direction
 	// LegalTurn reports whether a packet that entered on port in may
 	// leave on port out under the algorithm's turn rules, irrespective
@@ -52,6 +55,16 @@ func New(name string) (Algorithm, error) {
 	return nil, fmt.Errorf("routing: unknown algorithm %q", name)
 }
 
+// only holds the single-candidate answers, one read-only slice per
+// direction: a route computation that has one answer allocates nothing.
+var only = [...][]topology.Direction{
+	topology.North: {topology.North},
+	topology.South: {topology.South},
+	topology.East:  {topology.East},
+	topology.West:  {topology.West},
+	topology.Local: {topology.Local},
+}
+
 // XY is dimension-ordered routing: fully resolve the X offset, then the
 // Y offset. Its turn rule — the one in the paper's Figure 2(a) example —
 // is that a packet travelling in Y (entered on the North or South port)
@@ -70,15 +83,15 @@ func (XY) Candidates(m topology.Mesh, cur int, destX, destY int, in topology.Dir
 	dx, dy := destX, destY
 	switch {
 	case dx > cx:
-		return []topology.Direction{topology.East}
+		return only[topology.East]
 	case dx < cx:
-		return []topology.Direction{topology.West}
+		return only[topology.West]
 	case dy > cy:
-		return []topology.Direction{topology.North}
+		return only[topology.North]
 	case dy < cy:
-		return []topology.Direction{topology.South}
+		return only[topology.South]
 	}
-	return []topology.Direction{topology.Local}
+	return only[topology.Local]
 }
 
 // LegalTurn implements Algorithm. Under XY a packet arriving from the Y
@@ -111,10 +124,10 @@ func (WestFirst) Candidates(m topology.Mesh, cur int, destX, destY int, in topol
 	cx, cy := m.Coords(cur)
 	dx, dy := destX, destY
 	if cx == dx && cy == dy {
-		return []topology.Direction{topology.Local}
+		return only[topology.Local]
 	}
 	if dx < cx {
-		return []topology.Direction{topology.West}
+		return only[topology.West]
 	}
 	var out []topology.Direction
 	if dx > cx {
@@ -161,7 +174,7 @@ func (Adaptive) Candidates(m topology.Mesh, cur int, destX, destY int, in topolo
 	cx, cy := m.Coords(cur)
 	dx, dy := destX, destY
 	if cx == dx && cy == dy {
-		return []topology.Direction{topology.Local}
+		return only[topology.Local]
 	}
 	var out []topology.Direction
 	if dx > cx {

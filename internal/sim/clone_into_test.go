@@ -3,6 +3,10 @@ package sim
 import (
 	"reflect"
 	"testing"
+
+	"nocalert/internal/fault"
+	"nocalert/internal/router"
+	"nocalert/internal/topology"
 )
 
 // ejRecord is an ejection with the flit flattened to a value, so logs
@@ -88,5 +92,73 @@ func TestCloneIntoReuseAcrossForks(t *testing.T) {
 	if arena.Cycle() != fresh.Cycle() || arena.InFlight() != fresh.InFlight() {
 		t.Fatalf("cycle/in-flight diverge after re-fork: (%d,%d) vs (%d,%d)",
 			arena.Cycle(), arena.InFlight(), fresh.Cycle(), fresh.InFlight())
+	}
+}
+
+// TestLazyForkCopiesItsCone forks a warmed 8×8 network short of its nodes
+// (CloneLazyInto) into a target that holds another traffic process's
+// state, and steps a fault's window on a frontier over the fork. The
+// frontier must have copied exactly the nodes it ever tracked — each of
+// them once, a node that retired and rejoined included — and written no
+// other: every untracked node of the target still holds the junk's
+// registers and traffic generator. The fork refuses to be stepped as a whole network; after
+// MaterializeAll it is one, and steps on fingerprint-identical to a run
+// that cloned the mesh at the fork.
+func TestLazyForkCopiesItsCone(t *testing.T) {
+	const warm, window = 300, 500
+	mesh := topology.NewMesh(8, 8)
+	cfg := Config{Router: router.Default(mesh), InjectionRate: 0.05, Seed: 3}
+	base := MustNew(cfg, nil)
+	base.Run(warm)
+	cont := base.Clone(nil)
+	cont.StartRecording(window)
+	cont.Run(window)
+	rec := cont.StopRecording()
+
+	ft := fault.Fault{Cycle: warm, Type: fault.Transient}
+	for _, s := range (fault.Params{Mesh: mesh, VCs: cfg.Router.VCs, BufDepth: cfg.Router.BufDepth}).EnumerateSites() {
+		if s.Router == 3 && s.Kind == fault.VA2Gnt && s.Port == int(topology.Local) {
+			ft.Site = s // benchFrontierStep's fault: a cone of about two routers, all window long
+		}
+	}
+	junk := junkNetwork(cfg)
+	n := base.CloneLazyInto(junk.CloneInto(nil, nil), fault.NewPlane(ft))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Network.Step on a fork that has yet to be given its nodes did not panic")
+			}
+		}()
+		n.Step()
+	}()
+
+	fr := NewFrontier(n, rec, []int{ft.Site.Router})
+	for c := 0; c < window; c++ {
+		fr.Step()
+	}
+	if fr.Copied() != len(fr.tracked) || fr.Copied() < 2 || fr.Copied() >= mesh.Nodes()/2 {
+		t.Fatalf("the frontier copied %d nodes and tracked %d (%v): want the same, a small cone's worth", fr.Copied(), len(fr.tracked), fr.tracked)
+	}
+	// (By its traffic generator and its registers: the flits a stale node
+	// points to are the recycled arena's, and anyone's by now.)
+	for i := range n.routers {
+		stale := *n.nis[i].gen == *junk.nis[i].gen && reflect.DeepEqual(n.st.View(i), junk.st.View(i))
+		if stale == fr.isTracked[i] {
+			t.Errorf("node %d: tracked %t, still holding the target's stale state %t", i, fr.isTracked[i], stale)
+		}
+	}
+
+	ref := base.CloneInto(nil, fault.NewPlane(ft))
+	ref.Run(window)
+	fr.MaterializeAll(cont)
+	if n.origin != nil || fr.Copied() < mesh.Nodes() {
+		t.Fatalf("after MaterializeAll the network still owes nodes to its fork point (%t), %d copied in all", n.origin != nil, fr.Copied())
+	}
+	for c := 0; c < 200; c++ {
+		if got, want := n.Fingerprint(), ref.Fingerprint(); got != want {
+			t.Fatalf("cycle %d: the materialized fork's fingerprint %#x, a cloned mesh's %#x", n.Cycle(), got, want)
+		}
+		n.Step()
+		ref.Step()
 	}
 }

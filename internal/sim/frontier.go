@@ -47,10 +47,23 @@ import (
 // injection phase must be the transcript's: both stop injecting on the
 // same cycle.
 //
-// A cycle costs the members, not the mesh. The clean nodes' share of the
-// global counters is read off the transcript's running event counts, a
-// member's records are found by key (Recording.of), and what the run
-// leaves behind is a difference from golden, not a copy of it:
+// A cycle costs the members, not the mesh, and so does the run around it.
+// The clean nodes' share of the global counters is read off the
+// transcript's running event counts. A member's records, and what its
+// neighbours sent it, are read through one cursor per event kind and node
+// (Recording.events): every reader asks for one node's events in cycle
+// order — a member cycle after cycle, replayNode from the node's valid
+// boundary up to the join, a node that rejoins from the later boundary it
+// retired at — so a lookup is the step from the last one. The network
+// need not hold the nodes the frontier never steps: over a fork that
+// deferred its nodes (Network.CloneLazyInto) a node is copied from the
+// fork point the first time it is tracked — seeded, or about to be
+// replayed into the frontier — and by the invariant above nobody reads a
+// node before that: a node that has never been a member has its valid
+// boundary at the fork, which is the fork point's copy of it. Over a
+// whole network there is nothing to copy, and that is the only
+// difference. What the run leaves behind is a difference from golden, not
+// a copy of it:
 //
 //   - The ejection log (Network.Ejections) receives only the ejections of
 //     member-cycles that differ from golden's record of that node and
@@ -84,6 +97,12 @@ type Frontier struct {
 	tracked   []int
 	isTracked []bool
 	trackers  []NodeTracker
+
+	// cur holds the transcript cursors, one per view and node (see
+	// Recording.events): entry view*nodes+id.
+	cur []int32
+	// copied counts the nodes copied into the network (see Copied).
+	copied int
 
 	// logBase is how many ejections the network's log held when the
 	// frontier took over; replaced are the recorded ejections the log's
@@ -135,7 +154,9 @@ type pendCred struct {
 // NewFrontier builds a frontier over n seeded with the given node ids
 // (the fault sites). n must stand at the transcript's start boundary —
 // the state every node's validAt is pinned to — and rec must be the
-// golden transcript of the cycles about to be stepped.
+// golden transcript of the cycles about to be stepped, stopped. n is a
+// whole network (Clone, CloneInto) or one whose nodes the fork deferred
+// (CloneLazyInto), which the frontier then copies as it comes to them.
 func NewFrontier(n *Network, rec *Recording, seeds []int) *Frontier {
 	f := &Frontier{}
 	f.Reset(n, rec, seeds)
@@ -149,10 +170,15 @@ func (f *Frontier) Reset(n *Network, rec *Recording, seeds []int) {
 	if n.cycle != rec.start {
 		panic(fmt.Sprintf("sim: frontier fork at cycle %d does not match transcript start %d", n.cycle, rec.start))
 	}
+	if rec.by[byGen].off == nil {
+		panic("sim: frontier over a transcript that is still recording")
+	}
 	if n.arena == nil {
 		n.arena = &flit.Arena{}
 	}
 	nodes := len(n.routers)
+	f.cur = resized(f.cur, views*nodes)
+	f.copied = 0
 	f.n, f.rec = n, rec
 	f.inF = resized(f.inF, nodes)
 	f.isTracked = resized(f.isTracked, nodes)
@@ -210,6 +236,12 @@ func (f *Frontier) Replaced() []Ejection { return f.replaced }
 
 // Peak returns the largest membership the frontier reached.
 func (f *Frontier) Peak() int { return f.peak }
+
+// Copied returns how many nodes the frontier has copied into its network:
+// over one forked by CloneLazyInto the nodes it has tracked, each fetched
+// from the fork point, and over any network the nodes MaterializeAll took
+// from the window end.
+func (f *Frontier) Copied() int { return f.copied }
 
 // Joins returns how many times a node joined the frontier (a node that
 // retires and diverges again counts once per join).
@@ -294,13 +326,13 @@ func (f *Frontier) generate(id int, s int64) {
 	if !ni.gen.Bernoulli(n.pktProb) {
 		return
 	}
-	lo, hi := f.rec.of(f.rec.genNode, f.rec.genIdx, s, id)
-	if lo == hi {
+	gens := f.events(byGen, s, id)
+	if len(gens) == 0 {
 		panic(fmt.Sprintf("sim: node %d drew a generation at cycle %d with no golden record", id, s))
 	}
 	class := n.pickClass(ni.gen)
 	ni.enqueue(&flit.Packet{
-		ID:         f.rec.gens[lo].id,
+		ID:         f.rec.gens[gens[0]].id,
 		Src:        id,
 		Dest:       n.cfg.Pattern.Dest(n.mesh, id, ni.gen),
 		Class:      class,
@@ -361,8 +393,7 @@ func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
 	// is missing or altered), and a live one the record does not have.
 	f.joinList = f.joinList[:0]
 	for _, id := range f.members {
-		lo, hi := rec.of(rec.linkSrc, rec.linkIdx, t, id)
-		for k := lo; k < hi; k++ {
+		for _, k := range f.events(byLinkFrom, t, id) {
 			l := &rec.links[k]
 			if dst := int(l.dst); !f.inF[dst] {
 				if pf := f.takePendFlit(id, dst); pf == nil || *pf.f != l.flit {
@@ -370,8 +401,7 @@ func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
 				}
 			}
 		}
-		lo, hi = rec.of(rec.creditSrc, rec.credIdx, t, id)
-		for k := lo; k < hi; k++ {
+		for _, k := range f.events(byCreditFrom, t, id) {
 			c := &rec.credits[k]
 			if dst := int(c.dst); !f.inF[dst] {
 				if pc := f.takePendCredit(id, dst); pc == nil || pc.mask != c.mask {
@@ -399,9 +429,15 @@ func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
 	// over (for the rest of it they are still clean nodes, whose NI
 	// effects this cycle equal the record).
 	for _, j := range f.joinList {
+		f.track(j) // which gives the network the node, if it has yet to
 		f.replayNode(j, t)
-		f.track(j)
 	}
+}
+
+// events returns the ids of node id's events of cycle t in one view of
+// the transcript, through the frontier's cursor for that view and node.
+func (f *Frontier) events(view int, t int64, id int) []int32 {
+	return f.rec.events(view, &f.cur[view*len(f.inF)+id], t, id)
 }
 
 // takePendFlit returns the live flit src sent toward the clean node dst
@@ -430,40 +466,30 @@ func (f *Frontier) takePendCredit(src, dst int) *pendCred {
 
 // stageRecorded stages into node id what golden recorded its neighbours
 // sending it in cycle t: every neighbour's flit and credits, or those of
-// the neighbours outside the frontier only. Whatever lands on id was sent
-// by a mesh neighbour, and those lie within one row of it.
+// the neighbours outside the frontier only. The sender of what lands on
+// one of id's ports is the neighbour through that port.
 func (f *Frontier) stageRecorded(t int64, id int, fromMembers bool) {
 	n, rec := f.n, f.rec
-	r, w := n.routers[id], n.mesh.W
-	// Keys first: an event, much larger than its key, is only looked at
-	// once its emitter is a neighbour this call is to stage from.
-	lo, hi := rec.around(rec.linkSrc, rec.linkIdx, t, id, w)
-	for k := lo; k < hi; k++ {
-		src := int(rec.linkSrc[k])
-		if !adjacent(src, id, w) || (f.inF[src] && !fromMembers) {
-			continue
-		}
-		if l := &rec.links[k]; int(l.dst) == id {
+	r := n.routers[id]
+	for _, k := range f.events(byLinkTo, t, id) {
+		l := &rec.links[k]
+		if fromMembers || !f.sentByMember(id, l.dstPort) {
 			r.StageArrival(topology.Direction(l.dstPort), n.arena.CloneOf(&l.flit))
 		}
 	}
-	lo, hi = rec.around(rec.creditSrc, rec.credIdx, t, id, w)
-	for k := lo; k < hi; k++ {
-		src := int(rec.creditSrc[k])
-		if !adjacent(src, id, w) || (f.inF[src] && !fromMembers) {
-			continue
-		}
-		if c := &rec.credits[k]; int(c.dst) == id {
+	for _, k := range f.events(byCreditTo, t, id) {
+		c := &rec.credits[k]
+		if fromMembers || !f.sentByMember(id, c.dstPort) {
 			stageCreditMask(r, topology.Direction(c.dstPort), c.mask)
 		}
 	}
 }
 
-// adjacent reports whether node ids a and b can be neighbours in a mesh
-// w wide: next to each other in a row or a row apart.
-func adjacent(a, b, w int) bool {
-	d := a - b
-	return d == 1 || d == -1 || d == w || d == -w
+// sentByMember reports whether what lands on node id's input port came
+// from a frontier member.
+func (f *Frontier) sentByMember(id int, port uint8) bool {
+	src, _ := f.n.mesh.Neighbor(id, topology.Direction(port))
+	return f.inF[src]
 }
 
 // markJoin queues a node for frontier admission this cycle (idempotent
@@ -490,14 +516,18 @@ func (f *Frontier) addPendCredit(src, dst int, port topology.Direction, vc int) 
 	f.pendC = append(f.pendC, pendCred{src: src, dst: dst, port: port, mask: 1 << uint(vc)})
 }
 
-// track notes that node id has been a member and tells the tracking
-// monitors, the first time.
+// track notes that node id has been a member, the first time: the
+// network is given the node if its fork left it behind, and the tracking
+// monitors are told.
 func (f *Frontier) track(id int) {
 	if f.isTracked[id] {
 		return
 	}
 	f.isTracked[id] = true
 	f.tracked = append(f.tracked, id)
+	if f.n.copyNode(id) {
+		f.copied++
+	}
 	for _, m := range f.trackers {
 		m.TrackNode(id)
 	}
@@ -520,17 +550,17 @@ func (f *Frontier) stepNIs(t int64) {
 		if n.nis[id].tickInject(t, n.routers[id], &f.ejScratch) {
 			injected++
 		}
-		if _, found := slices.BinarySearch(rec.sends[sLo:sHi], int32(id)); found {
+		if len(f.events(bySend, t, id)) > 0 {
 			injected-- // the live strobe stands for golden's
 		}
-		lo, hi := rec.of(rec.ejectNode, rec.ejectIdx, t, id)
-		ejected += len(f.ejScratch) - (hi - lo)
-		same := len(f.ejScratch) == hi-lo
-		for i := 0; same && i < len(f.ejScratch); i++ {
-			same = rec.ejectFlits[lo+i] == *f.ejScratch[i]
+		golden := f.events(byEject, t, id)
+		ejected += len(f.ejScratch) - len(golden)
+		same := len(f.ejScratch) == len(golden)
+		for i := 0; same && i < len(golden); i++ {
+			same = rec.ejectFlits[golden[i]] == *f.ejScratch[i]
 		}
 		if !same {
-			for k := lo; k < hi; k++ {
+			for _, k := range golden {
 				f.replaced = append(f.replaced, Ejection{Node: id, Cycle: t, Flit: &rec.ejectFlits[k]})
 			}
 			for _, fl := range f.ejScratch {
@@ -552,8 +582,7 @@ func (f *Frontier) stepNIs(t int64) {
 		if f.inF[id] {
 			continue
 		}
-		lo, hi := rec.of(rec.ejectNode, rec.ejectIdx, t, id)
-		for k := lo; k < hi; k++ {
+		for _, k := range f.events(byEject, t, id) {
 			for _, m := range n.monitors {
 				m.FlitEjected(t, id, &rec.ejectFlits[k])
 			}
@@ -635,16 +664,20 @@ func (f *Frontier) replayNode(id int, through int64) {
 		if s < f.rec.injectEnd && n.pktProb > 0 {
 			f.generate(id, s)
 		}
-		r.BeginCycle(s)
-		r.Evaluate(s)
-		for _, d := range r.Signals().Departures {
-			if topology.Direction(d.OutPort) == topology.Local {
-				ni.flitArrived(d.Flit, s+1)
+		// Golden skipped the router on the cycles it was inert (the skip
+		// Network.Step and Step take), and so does its replay.
+		if n.soaOff || !r.Inert() || n.plane.LiveFor(s, id) {
+			r.BeginCycle(s)
+			r.Evaluate(s)
+			for _, d := range r.Signals().Departures {
+				if topology.Direction(d.OutPort) == topology.Local {
+					ni.flitArrived(d.Flit, s+1)
+				}
 			}
-		}
-		for _, c := range r.Credits() {
-			if c.Port == topology.Local {
-				ni.creditArrived(c.VC, s+1)
+			for _, c := range r.Credits() {
+				if c.Port == topology.Local {
+					ni.creditArrived(c.VC, s+1)
+				}
 			}
 		}
 		// Golden inputs from every neighbour; on the final cycle from the
@@ -734,12 +767,13 @@ func (f *Frontier) MaterializeAll(wend *Network) {
 	if wend.cycle != n.cycle {
 		panic(fmt.Sprintf("sim: materialize from golden boundary %d at live cycle %d", wend.cycle, n.cycle))
 	}
+	n.origin = nil // every node is given below, or was when it joined
 	for i := range n.routers {
 		if f.inF[i] {
 			continue
 		}
-		n.routers[i] = wend.routers[i].CloneInto(n.routers[i], n.plane, n.arena)
-		n.nis[i] = wend.nis[i].cloneInto(n.nis[i], n.arena)
+		n.copyNodeFrom(wend, i)
+		f.copied++
 		f.track(i)
 	}
 

@@ -44,10 +44,18 @@ import (
 // with the reference run, and every fault must have fired first on the
 // same cycle in all three runs (an idle host router's consults are the
 // stepper's to keep: it may skip an inert member only outside the
-// member's own fault window). It returns how many nodes joined the
-// frontier after the window end, the joins that replay a node across the
-// end of injection.
-func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window, horizon int64) (lateJoins int64) {
+// member's own fault window).
+//
+// The frontier's network is the fork that defers its nodes
+// (CloneLazyInto), taken over a network that holds another traffic
+// process's state in every node: the frontier must copy each node it
+// comes to from the fork point before it reads it, and read no other. A
+// frontier over a whole network runs the same code with nothing to copy.
+//
+// It returns how many nodes joined the frontier after the window end, the
+// joins that replay a node across the end of injection, and how many
+// joined it a second time, from the later boundary they had retired at.
+func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window, horizon int64) (joins lockstepJoins) {
 	t.Helper()
 	const drainCap = 3000 // a run neither quiet nor frozen by then is livelocked
 	gold := MustNew(cfg, nil)
@@ -55,7 +63,8 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 		gold.Step()
 	}
 	ref := gold.CloneInto(nil, plane.Clone())
-	fn := gold.CloneInto(nil, plane.Clone())
+	// (From a snapshot of the fork point: gold itself steps on.)
+	fn := gold.CloneInto(nil, nil).CloneLazyInto(junkNetwork(cfg).CloneInto(nil, nil), plane.Clone())
 	oracle := asReference(gold.CloneInto(nil, plane.Clone()))
 
 	gold.StartRecording(int(window))
@@ -75,10 +84,17 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 	fr := NewFrontier(fn, rec, seeds)
 
 	var refFP, frFP uint64
+	wasIn, everIn := make([]bool, len(fn.routers)), make([]bool, len(fn.routers))
 	step := func() {
 		ref.Step()
 		fr.Step()
 		oracle.Step()
+		for id, in := range fr.inF {
+			if in && !wasIn[id] && everIn[id] {
+				joins.again++
+			}
+			wasIn[id], everIn[id] = in, everIn[id] || in
+		}
 		for _, id := range fr.steppedS {
 			requirePreEqual(t, "frontier", fn.routers[id].Signals(), oracle.routers[id].Signals())
 		}
@@ -142,7 +158,23 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 			t.Errorf("fault %d (%v) fired at cycle %d on the full mesh, %d on the frontier, %d under the reference engine", i, &plane.Faults()[i], a, b, c)
 		}
 	}
-	return fr.Joins() - windowJoins
+	joins.late = fr.Joins() - windowJoins
+	return joins
+}
+
+// lockstepJoins counts the joins of a frontierLockstep run that replay a
+// node the hard ways: late, after the window end, across the end of
+// injection; again, a node that had been a member and retired.
+type lockstepJoins struct{ late, again int64 }
+
+// junkNetwork returns a network of cfg's geometry that shares no state
+// with a run under cfg: another seed, three times the load, a hundred
+// cycles in.
+func junkNetwork(cfg Config) *Network {
+	cfg.Seed, cfg.InjectionRate = cfg.Seed+99, 3*cfg.InjectionRate
+	n := MustNew(cfg, nil)
+	n.Run(100)
+	return n
 }
 
 // lockstepHorizon is how far past the drain boundary frontierLockstep's
@@ -170,7 +202,7 @@ func TestFrontierLockstepUnderFaults(t *testing.T) {
 			g := rng.New(7, 1)
 			plane := samplePlane(p, g, 8, 130)
 			cfg := Config{Router: router.Default(topology.NewMesh(tc.w, tc.h)), InjectionRate: tc.rate, Seed: 3}
-			lateJoins += frontierLockstep(t, cfg, plane, 120, 400, lockstepHorizon)
+			lateJoins += frontierLockstep(t, cfg, plane, 120, 400, lockstepHorizon).late
 		})
 	}
 	if !t.Failed() && lateJoins == 0 {
@@ -198,7 +230,7 @@ func TestFrontierLockstepRandomPlanes(t *testing.T) {
 			g := rng.New(uint64(300+it), 9)
 			plane := samplePlane(p, g, 3+it%4, 45)
 			cfg := Config{Router: router.Default(topology.NewMesh(4, 4)), InjectionRate: 0.15, Seed: uint64(it) + 11}
-			lateJoins += frontierLockstep(t, cfg, plane, 40, 250, lockstepHorizon)
+			lateJoins += frontierLockstep(t, cfg, plane, 40, 250, lockstepHorizon).late
 		})
 	}
 	if !t.Failed() && lateJoins == 0 {
@@ -231,7 +263,22 @@ func FuzzFrontierLockstep(f *testing.F) {
 	for _, sd := range armedFuzzSeeds {
 		f.Add(sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site[0], sd.bit, sd.typ[0], sd.delay, sd.period, sd.duty, sd.site[1], sd.typ[1]+1, sd.site[2], sd.typ[2]+1)
 	}
+	// One transient fault whose cone shrinks and grows again: a node joins,
+	// retires and joins a second time, replayed from the boundary it retired
+	// at with its transcript cursors where its first membership left them
+	// (TestFuzzSeedsRejoin holds them to it).
+	for _, sd := range rejoinFuzzSeeds {
+		f.Add(sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site, sd.bit, uint8(0), sd.delay, uint8(0), uint8(0), uint32(0), uint8(0), uint32(0), uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, w, h, vcs, ratePct, alg uint8, seed uint64, site uint32, bit, typ, delay, period, duty uint8, site2 uint32, typ2 uint8, site3 uint32, typ3 uint8) {
+		fuzzLockstep(t, w, h, vcs, ratePct, alg, seed, site, bit, typ, delay, period, duty, site2, typ2, site3, typ3)
+	})
+}
+
+// fuzzLockstep is FuzzFrontierLockstep's body: its reading of the fuzzed
+// bytes and the lockstep run they describe.
+func fuzzLockstep(t *testing.T, w, h, vcs, ratePct, alg uint8, seed uint64, site uint32, bit, typ, delay, period, duty uint8, site2 uint32, typ2 uint8, site3 uint32, typ3 uint8) lockstepJoins {
+	{
 		mesh, rc := fuzzMesh(w, h, vcs)
 		rc.Alg = []routing.Algorithm{routing.XY{}, routing.WestFirst{}, routing.Adaptive{}}[alg%3]
 		cfg := Config{Router: rc, InjectionRate: float64(1+ratePct%20) / 100, Seed: seed}
@@ -255,8 +302,8 @@ func FuzzFrontierLockstep(f *testing.F) {
 			}
 			faults = append(faults, ft)
 		}
-		frontierLockstep(t, cfg, fault.NewPlane(faults...), fork, window, lockstepHorizon)
-	})
+		return frontierLockstep(t, cfg, fault.NewPlane(faults...), fork, window, lockstepHorizon)
+	}
 }
 
 // fuzzMesh is FuzzFrontierLockstep's reading of its mesh and VC bytes.
@@ -297,6 +344,38 @@ func TestFuzzSeedsSpreadOverRouters(t *testing.T) {
 		if len(routers) != 3 || len(types) != 3 {
 			t.Errorf("seed %d: %d distinct routers and %d distinct fault types among its three faults, want 3 and 3", i, len(routers), len(types))
 		}
+	}
+}
+
+// rejoinFuzzSeeds are FuzzFrontierLockstep's single-transient corpus
+// entries under which some node joins the frontier twice, one for each
+// routing algorithm.
+var rejoinFuzzSeeds = []struct {
+	w, h, vcs, rate, alg uint8
+	seed                 uint64
+	site                 uint32
+	bit, delay           uint8
+}{
+	{w: 2, h: 3, vcs: 0, rate: 15, alg: 0, seed: 49, site: 568, bit: 7, delay: 41},
+	{w: 5, h: 5, vcs: 0, rate: 11, alg: 1, seed: 71, site: 2569, bit: 3, delay: 48},
+	{w: 4, h: 4, vcs: 1, rate: 14, alg: 2, seed: 83, site: 77, bit: 5, delay: 18},
+}
+
+// TestFuzzSeedsRejoin keeps the rejoin corpus entries what they are there
+// for: under each, a node that was a member and retired joins again — and
+// under some, after the window end as well, replayed across the end of
+// injection from a boundary inside the window.
+func TestFuzzSeedsRejoin(t *testing.T) {
+	var late int64
+	for i, sd := range rejoinFuzzSeeds {
+		j := fuzzLockstep(t, sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site, sd.bit, 0, sd.delay, 0, 0, 0, 0, 0, 0)
+		if j.again == 0 {
+			t.Errorf("seed %d: no node joined the frontier a second time", i)
+		}
+		late += j.late
+	}
+	if late == 0 {
+		t.Error("no rejoin corpus entry has a join after the window end")
 	}
 }
 

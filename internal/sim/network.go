@@ -92,6 +92,11 @@ type Network struct {
 	// Step (see record.go). Attached to the golden continuation only;
 	// never copied by Clone/CloneInto.
 	rec *Recording
+	// origin, when non-nil, is the network this one was forked from by
+	// CloneLazyInto and still owes its nodes to: a router and NI are valid
+	// here only once copyNode has fetched them. Only a Frontier steps such
+	// a network.
+	origin *Network
 	// planeInert caches Plane.Inert once it turns true (the property is
 	// monotone), so the per-cycle fast-path check is a bool load.
 	planeInert bool
@@ -236,6 +241,9 @@ func (n *Network) InjectPacket(src, dest, class int) uint64 {
 
 // Step simulates one cycle.
 func (n *Network) Step() {
+	if n.origin != nil {
+		panic("sim: Step on a network forked by CloneLazyInto; only a Frontier steps it")
+	}
 	t := n.cycle
 
 	// Packet generation (per-node Bernoulli process).
@@ -548,10 +556,10 @@ func (n *Network) Clone(plane *fault.Plane) *Network {
 // CloneInto is Clone reusing dst's allocations: routers, NIs, buffers
 // and arbiters from a previous fork are overwritten in place, and all
 // flit copies go through a per-clone arena that is recycled on every
-// call. dst must be a previous CloneInto product of this network (or
-// nil, in which case a fresh reusable clone is allocated); the caller
-// must be done with dst's previous contents, including any flits it
-// handed out. Returns dst.
+// call. dst must be a previous CloneInto or CloneLazyInto product of this
+// network (or nil, in which case a fresh reusable clone is allocated);
+// the caller must be done with dst's previous contents, including any
+// flits it handed out. Returns dst.
 //
 // Two deliberate differences from Clone: the copy's ejection log starts
 // empty (every pre-fork ejection happened strictly before the fork
@@ -560,6 +568,24 @@ func (n *Network) Clone(plane *fault.Plane) *Network {
 // CloneInto to pay the per-fork allocation storm once per worker
 // instead of once per fault.
 func (n *Network) CloneInto(dst *Network, plane *fault.Plane) *Network {
+	c := n.CloneLazyInto(dst, plane)
+	c.origin = nil
+	for i := range n.routers {
+		c.copyNodeFrom(n, i)
+	}
+	return c
+}
+
+// CloneLazyInto is CloneInto short of the nodes: the copy takes the
+// network-level state — cycle, counters, injection phase, the plane, the
+// re-cloned monitors, an empty log, a reset arena — and remembers n as
+// the place its routers and NIs are still to come from. Whatever dst's
+// nodes held before stays where it is, stale, until a node is fetched. It
+// is the fork for a run a Frontier steps from here, which fetches the
+// nodes it tracks and reads no others (see Frontier); nothing else can
+// step the copy, and n must not move on while the copy owes it nodes.
+// Frontier.MaterializeAll makes the copy whole.
+func (n *Network) CloneLazyInto(dst *Network, plane *fault.Plane) *Network {
 	c := dst
 	if c == nil {
 		c = n.newCloneShell()
@@ -567,12 +593,7 @@ func (n *Network) CloneInto(dst *Network, plane *fault.Plane) *Network {
 	}
 	c.arena.Reset()
 	c.copyScalars(n, plane)
-	for i, r := range n.routers {
-		c.routers[i] = r.CloneInto(c.routers[i], plane, c.arena)
-	}
-	for i, ni := range n.nis {
-		c.nis[i] = ni.cloneInto(c.nis[i], c.arena)
-	}
+	c.origin = n
 	c.ejections = c.ejections[:0]
 	c.ejectScratch = c.ejectScratch[:0]
 	c.monitors = c.monitors[:0]
@@ -582,4 +603,22 @@ func (n *Network) CloneInto(dst *Network, plane *fault.Plane) *Network {
 		}
 	}
 	return c
+}
+
+// copyNodeFrom overwrites node i with src's, bound to this network's
+// plane and drawing flit copies from its arena.
+func (c *Network) copyNodeFrom(src *Network, i int) {
+	c.routers[i] = src.routers[i].CloneInto(c.routers[i], c.plane, c.arena)
+	c.nis[i] = src.nis[i].cloneInto(c.nis[i], c.arena)
+}
+
+// copyNode fetches node i from the network a lazy fork was taken from
+// and reports whether there was anything to fetch: a whole network has
+// every node already.
+func (c *Network) copyNode(i int) bool {
+	if c.origin == nil {
+		return false
+	}
+	c.copyNodeFrom(c.origin, i)
+	return true
 }

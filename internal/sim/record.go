@@ -6,6 +6,7 @@ import (
 
 	"nocalert/internal/flit"
 	"nocalert/internal/statehash"
+	"nocalert/internal/topology"
 )
 
 // The golden signal recording: a per-cycle, per-link transcript of
@@ -36,14 +37,20 @@ import (
 // node (buffer reads, arbitration, the NI's own credit maturation) is
 // recomputed, never recorded.
 
-// Every event kind is stored as two parallel flat arrays: the node that
-// emitted the event (generating NI, sending router, ejecting NI) in a
-// dense []int32, and the rest of the event beside it. A cycle's events
-// are appended in ascending emitter order (Step walks NIs and stepped
-// routers by id), so one cycle's slice of the key array is sorted and
-// the frontier finds a member's records — and those of its four
-// neighbours — by binary search over a few cache lines (span) instead of
-// walking the cycle's whole segment.
+// Every event kind is stored cycle-major in a flat payload array, a
+// cycle's events in ascending emitter order (Step walks NIs and stepped
+// routers by id), with per-cycle prefix offsets beside it. While the
+// transcript is being recorded a dense []int32 key array names each
+// event's emitter (generating NI, sending router, ejecting NI). Once it
+// is complete StopRecording turns the keys into node-major indices
+// (nodeIndex): per emitter the ids of its generations, link flits, credit
+// masks, send strobes and ejections, and per destination the ids of the
+// link and credit events that land on it. An id is an event's position in
+// its payload array, so ids ascend with cycle, and whoever reads one
+// node's events cycle after cycle — the frontier, for its members and the
+// nodes it replays — keeps a cursor into the node's list and finds a
+// cycle's events next to the last cycle's, without searching
+// (Recording.events). The key arrays nothing reads any more are dropped.
 
 // recGen is one packet generation event: the keyed NI drew a Bernoulli
 // hit at the record's cycle. The RNG-derived fields are stored so a
@@ -91,6 +98,10 @@ type Recording struct {
 
 	// Events: key array (emitting node) and payload array, index for
 	// index. sends has a key only; an ejection's payload is the flit.
+	// genNode, linkSrc, creditSrc and sends exist while recording only:
+	// the indices below replace them (a link's or credit's emitter is the
+	// mesh neighbour of dst through dstPort). ejectNode stays, for
+	// MaterializeAll's cycle-major walk of the ejections.
 	genNode    []int32
 	gens       []recGen
 	linkSrc    []int32
@@ -100,6 +111,9 @@ type Recording struct {
 	sends      []int32
 	ejectNode  []int32
 	ejectFlits []flit.Flit
+	// by holds the node-major indices over the event arrays, one a view,
+	// built by StopRecording.
+	by [views]nodeIndex
 	// folds holds nodes per-node state folds per recorded cycle: entry
 	// c*nodes+i is node i's fold at the boundary ending cycle start+c.
 	folds []uint64
@@ -125,17 +139,113 @@ type Recording struct {
 	genIdx, linkIdx, credIdx, sendIdx, ejectIdx []int32
 }
 
-func newRecording(start int64, nodes, cycles int) *Recording {
+// The views a stopped transcript is indexed by: a node's own packet
+// generations, link flits, credit masks, send strobes and ejections, and
+// the link flits and credit masks that land on it (its inbox).
+const (
+	byGen = iota
+	byLinkFrom
+	byCreditFrom
+	bySend
+	byEject
+	byLinkTo
+	byCreditTo
+	views
+)
+
+// nodeIndex is a node-major index of one event kind over its cycle-major
+// payload array: ids[off[i]:off[i+1]] are the ids of node i's events,
+// ascending. cycle is the kind's per-cycle prefix offsets (genIdx,
+// linkIdx, …), which say where in the ids a cycle begins.
+type nodeIndex struct {
+	off   []int32
+	ids   []int32
+	cycle []int32
+}
+
+// indexBy builds the node-major index of count events, key(k) naming the
+// node event k belongs to, by one counting sort (stable, so every node's
+// ids ascend).
+func indexBy(nodes int, cycle []int32, key func(k int) int32) nodeIndex {
+	count := int(cycle[len(cycle)-1])
+	x := nodeIndex{off: make([]int32, nodes+1), ids: make([]int32, count), cycle: cycle}
+	for k := 0; k < count; k++ {
+		x.off[key(k)+1]++
+	}
+	for i := 0; i < nodes; i++ {
+		x.off[i+1] += x.off[i]
+	}
+	// off[i] is node i's next free slot while placing, which leaves it at
+	// the start of node i+1's: shift back down afterwards.
+	for k := 0; k < count; k++ {
+		i := key(k)
+		x.ids[x.off[i]] = int32(k)
+		x.off[i]++
+	}
+	copy(x.off[1:], x.off)
+	x.off[0] = 0
+	return x
+}
+
+// recLoad is the traffic a transcript is sized for, per cycle: packets
+// generated, flits entering (and leaving) the fabric, and flits crossing
+// a link.
+type recLoad struct{ pkts, flits, hops float64 }
+
+// offeredLoad is the configured load: the injection rate over the mesh,
+// and for the link traffic times the mean Manhattan distance from a node
+// to another — what uniform traffic travels; a pattern with longer routes
+// outgrows the estimate and the arrays grow by append.
+func (n *Network) offeredLoad() recLoad {
+	nodes := float64(len(n.routers))
+	if nodes < 2 {
+		return recLoad{}
+	}
+	w, h := float64(n.mesh.W), float64(n.mesh.H)
+	dist := ((w*w-1)/(3*w) + (h*h-1)/(3*h)) * nodes / (nodes - 1)
+	flits := n.cfg.InjectionRate * nodes
+	return recLoad{pkts: n.pktProb * nodes, flits: flits, hops: flits * dist}
+}
+
+// recSlack is the headroom every event array gets on top of its estimate:
+// what keeps a small transcript, whose counts scatter widely around their
+// mean, from reallocating over a handful of events.
+const recSlack = 32
+
+// newRecording returns an empty transcript starting at cycle start, its
+// arrays sized once for a window of the given length on a w×h mesh under
+// load: the window's cycles plus a drain allowance of four cycles per hop
+// of the mesh's diameter — golden's drain takes about three, and then the
+// last credits go home — at the load's events a cycle; packets are
+// generated in the window's cycles only. A transcript over the window
+// alone, or under lighter traffic than configured, ends with that much
+// room unused; an array that turns out too small grows by append like any
+// other.
+func newRecording(start int64, mesh topology.Mesh, cycles int, load recLoad) *Recording {
+	nodes := mesh.Nodes()
 	r := &Recording{start: start, nodes: nodes, injectEnd: math.MaxInt64, idle: make([]bool, nodes), body: make([]uint64, nodes)}
-	r.genIdx = append(make([]int32, 0, cycles+1), 0)
-	r.linkIdx = append(make([]int32, 0, cycles+1), 0)
-	r.credIdx = append(make([]int32, 0, cycles+1), 0)
-	r.sendIdx = append(make([]int32, 0, cycles+1), 0)
-	r.ejectIdx = append(make([]int32, 0, cycles+1), 0)
-	r.folds = make([]uint64, 0, cycles*nodes)
-	r.foldSum = make([]uint64, 0, cycles)
-	r.busy = make([]uint64, 0, cycles*r.busyWords())
-	r.busyN = make([]int32, 0, cycles)
+	rows := cycles + 4*(mesh.W+mesh.H)
+	events := func(perCycle float64) int { return int(perCycle*float64(rows)) + recSlack }
+	gens := int(load.pkts*float64(cycles)) + recSlack
+	r.genNode = make([]int32, 0, gens)
+	r.gens = make([]recGen, 0, gens)
+	r.linkSrc = make([]int32, 0, events(load.hops))
+	r.links = make([]recLink, 0, events(load.hops))
+	// A flit that crossed a link sends one credit back over it.
+	r.creditSrc = make([]int32, 0, events(load.hops))
+	r.credits = make([]recCredit, 0, events(load.hops))
+	r.sends = make([]int32, 0, events(load.flits))
+	r.ejectNode = make([]int32, 0, events(load.flits))
+	r.ejectFlits = make([]flit.Flit, 0, events(load.flits))
+	r.genIdx = append(make([]int32, 0, rows+1), 0)
+	r.linkIdx = append(make([]int32, 0, rows+1), 0)
+	r.credIdx = append(make([]int32, 0, rows+1), 0)
+	r.sendIdx = append(make([]int32, 0, rows+1), 0)
+	r.ejectIdx = append(make([]int32, 0, rows+1), 0)
+	r.folds = make([]uint64, 0, rows*nodes)
+	r.foldSum = make([]uint64, 0, rows)
+	r.busy = make([]uint64, 0, rows*r.busyWords())
+	r.busyN = make([]int32, 0, rows)
 	return r
 }
 
@@ -151,7 +261,7 @@ func (rc *Recording) covers(t int64) bool {
 }
 
 // seg returns the [lo,hi) event range of cycle t in the given prefix
-// index: empty past the stored cycles of a settled transcript. t must be
+// offsets: empty past the stored cycles of a settled transcript. t must be
 // a covered cycle.
 func (rc *Recording) seg(idx []int32, t int64) (int, int) {
 	c := int(t - rc.start)
@@ -161,51 +271,38 @@ func (rc *Recording) seg(idx []int32, t int64) (int, int) {
 	return int(idx[c]), int(idx[c+1])
 }
 
-// span returns the [lo,hi) range of node's events inside keys, one
-// cycle's ascending slice of an event key array: a lower-bound binary
-// search down to a window of 16 keys (one cache line, where a predictable
-// linear scan beats further halving), then the run of equal keys (a
-// router emits at most one flit and one credit mask per link, an NI a
-// handful of ejections, so the run is short).
-func span(keys []int32, node int) (int, int) {
-	k := int32(node)
-	lo, hi := 0, len(keys)
-	for hi-lo > 16 {
-		if mid := int(uint(lo+hi) >> 1); keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// events returns the ids of node's events of cycle t in one view (empty
+// past the stored cycles of a settled transcript, like seg). cur is the
+// reader's cursor for this view and node: a position in the node's id
+// list, zero before the first lookup, which events leaves on the first of
+// the node's events not before cycle t. A reader that asks for
+// non-decreasing cycles — and every reader of the frontier does, node by
+// node — therefore pays for the events it passes over and nothing else; a
+// cursor found ahead of cycle t is put right by binary search.
+func (rc *Recording) events(view int, cur *int32, t int64, node int) []int32 {
+	c := int(t - rc.start)
+	if c >= rc.Cycles() {
+		return nil
 	}
-	for lo < hi && keys[lo] < k {
-		lo++
+	x := &rc.by[view]
+	lo, hi := x.cycle[c], x.cycle[c+1]
+	if lo == hi {
+		return nil
 	}
-	hi = lo
-	for hi < len(keys) && keys[hi] == k {
-		hi++
+	list := x.ids[x.off[node]:x.off[node+1]]
+	a := int(*cur)
+	if a > 0 && list[a-1] >= lo {
+		a, _ = slices.BinarySearch(list, lo)
 	}
-	return lo, hi
-}
-
-// of returns the [lo,hi) range of node's events of cycle t in one event
-// kind, given by its key array and prefix index.
-func (rc *Recording) of(keys, idx []int32, t int64, node int) (int, int) {
-	lo, hi := rc.seg(idx, t)
-	a, b := span(keys[lo:hi], node)
-	return lo + a, lo + b
-}
-
-// around returns the [lo,hi) range of cycle t's events, in one event
-// kind, whose emitter's id lies within width of node's: in a mesh of that
-// width, node itself and every neighbour of it.
-func (rc *Recording) around(keys, idx []int32, t int64, node, width int) (int, int) {
-	lo, hi := rc.seg(idx, t)
-	a, _ := span(keys[lo:hi], node-width)
+	for a < len(list) && list[a] < lo {
+		a++
+	}
+	*cur = int32(a)
 	b := a
-	for lo+b < hi && int(keys[lo+b]) <= node+width {
+	for b < len(list) && list[b] < hi {
 		b++
 	}
-	return lo + a, lo + b
+	return list[a:b]
 }
 
 // row returns the stored cycle whose boundary rows stand for the
@@ -332,9 +429,8 @@ func (rc *Recording) closeCycle(n *Network) {
 	rc.ejectIdx = append(rc.ejectIdx, int32(len(rc.ejectNode)))
 }
 
-// Payload bytes per event of the transcript's flat storage; every event
-// has a 4-byte key beside it (record_test.go holds these to
-// unsafe.Sizeof).
+// Payload bytes per event of the transcript's flat storage (record_test.go
+// holds these to unsafe.Sizeof).
 const (
 	recGenBytes    = 24  // recGen
 	recLinkBytes   = 112 // recLink (embedded flit value)
@@ -343,11 +439,12 @@ const (
 )
 
 // ApproxFootprintBytes estimates the memory the transcript retains:
-// flat event storage at capacity (keys and payloads), the prefix
-// indices, the per-node fold table with its row digests, the busy-NI
-// bits with their row counts and closeCycle's idle flags and fold
-// bodies. Like Network.ApproxFootprintBytes it is a deterministic
-// accounting estimate, not a heap measurement.
+// flat event storage at capacity (payloads and what key arrays there
+// are), the node-major indices, the per-cycle prefix offsets, the
+// per-node fold table with its row digests, the busy-NI bits with their
+// row counts and closeCycle's idle flags and fold bodies. Like
+// Network.ApproxFootprintBytes it is a deterministic accounting estimate,
+// not a heap measurement.
 func (rc *Recording) ApproxFootprintBytes() int64 {
 	if rc == nil {
 		return 0
@@ -360,6 +457,9 @@ func (rc *Recording) ApproxFootprintBytes() int64 {
 		int64(cap(rc.idle))
 	b += int64(cap(rc.genNode)+cap(rc.linkSrc)+cap(rc.creditSrc)+cap(rc.sends)+cap(rc.ejectNode)+cap(rc.busyN)) * 4
 	b += int64(cap(rc.genIdx)+cap(rc.linkIdx)+cap(rc.credIdx)+cap(rc.sendIdx)+cap(rc.ejectIdx)) * 4
+	for i := range rc.by {
+		b += int64(cap(rc.by[i].off)+cap(rc.by[i].ids)) * 4
+	}
 	return b
 }
 
@@ -381,12 +481,12 @@ func (n *Network) nodeBody(i int) uint64 {
 
 // StartRecording attaches a fresh golden signal transcript to the
 // network: every subsequent Step appends its inter-node signal traffic
-// and per-node state folds until StopRecording. cycles sizes the
-// per-cycle indices (the expected window length). Recording is meant
-// for the fault-free golden continuation only; it is never cloned into
-// forks.
+// and per-node state folds until StopRecording. cycles is the expected
+// window length; with the network's offered load it sizes the transcript
+// (newRecording). Recording is meant for the fault-free golden
+// continuation only; it is never cloned into forks.
 func (n *Network) StartRecording(cycles int) {
-	n.rec = newRecording(n.cycle, len(n.routers), cycles)
+	n.rec = newRecording(n.cycle, n.mesh, cycles, n.offeredLoad())
 }
 
 // SettleRecording steps the network, injection off, until the attached
@@ -407,9 +507,30 @@ func (n *Network) SettleRecording(limit int64) *Recording {
 }
 
 // StopRecording detaches and returns the transcript (nil if none was
-// attached).
+// attached), complete and indexed: what a Frontier reads.
 func (n *Network) StopRecording() *Recording {
 	rec := n.rec
 	n.rec = nil
+	if rec != nil {
+		rec.index()
+	}
 	return rec
+}
+
+// index builds the node-major indices of the finished transcript and
+// drops the key arrays they stand in for.
+func (rc *Recording) index() {
+	emitter := func(cycle, keys []int32) nodeIndex {
+		return indexBy(rc.nodes, cycle, func(k int) int32 { return keys[k] })
+	}
+	rc.by = [views]nodeIndex{
+		byGen:        emitter(rc.genIdx, rc.genNode),
+		byLinkFrom:   emitter(rc.linkIdx, rc.linkSrc),
+		byCreditFrom: emitter(rc.credIdx, rc.creditSrc),
+		bySend:       emitter(rc.sendIdx, rc.sends),
+		byEject:      emitter(rc.ejectIdx, rc.ejectNode),
+		byLinkTo:     indexBy(rc.nodes, rc.linkIdx, func(k int) int32 { return rc.links[k].dst }),
+		byCreditTo:   indexBy(rc.nodes, rc.credIdx, func(k int) int32 { return rc.credits[k].dst }),
+	}
+	rc.genNode, rc.linkSrc, rc.creditSrc, rc.sends = nil, nil, nil, nil
 }

@@ -2,22 +2,27 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
 
 	"nocalert/internal/fault"
 	"nocalert/internal/flit"
+	"nocalert/internal/rng"
 	"nocalert/internal/router"
 	"nocalert/internal/topology"
+	"nocalert/internal/traffic"
 )
 
 // TestRecordingFootprintPinned pins Recording.ApproxFootprintBytes to
 // its documented arithmetic: every slice the transcript retains, at
-// capacity, times its element size — event payloads and their keys, the
-// prefix indices, the fold table and its row digests, the busy-NI bits
-// and their row counts, the idle flags — and the per-event constants to
-// the structs' real sizes. The campaign's campaign_timeline_bytes gauge,
+// capacity, times its element size — event payloads, the one key array a
+// stopped transcript keeps, the seven node-major indices (offsets and
+// ids), the prefix offsets, the fold table and its row digests, the
+// busy-NI bits and their row counts, the idle flags — and the per-event
+// constants to the structs' real sizes. The key arrays the indices
+// replace must be gone, or they would be retained and not counted for. The campaign's campaign_timeline_bytes gauge,
 // Report.TimelineBytes and the GoldenCache budget surface this number,
 // so a silent formula drift would misreport golden-side memory.
 func TestRecordingFootprintPinned(t *testing.T) {
@@ -57,17 +62,26 @@ func TestRecordingFootprintPinned(t *testing.T) {
 			t.Errorf("footprint counts %d bytes per %s, the struct has %d", sz.got, sz.name, sz.want)
 		}
 	}
-	want := int64(cap(rc.gens))*24 + int64(cap(rc.genNode))*4 +
-		int64(cap(rc.links))*112 + int64(cap(rc.linkSrc))*4 +
-		int64(cap(rc.credits))*12 + int64(cap(rc.creditSrc))*4 +
-		int64(cap(rc.sends))*4 +
+	if rc.genNode != nil || rc.linkSrc != nil || rc.creditSrc != nil || rc.sends != nil {
+		t.Fatal("a stopped transcript still holds a key array its indices replace")
+	}
+	want := int64(cap(rc.gens))*24 +
+		int64(cap(rc.links))*112 +
+		int64(cap(rc.credits))*12 +
 		int64(cap(rc.ejectFlits))*104 + int64(cap(rc.ejectNode))*4 +
 		int64(cap(rc.folds))*8 + int64(cap(rc.foldSum))*8 +
 		int64(cap(rc.busy))*8 + int64(cap(rc.busyN))*4 +
 		int64(cap(rc.idle)) + int64(cap(rc.body))*8 +
 		int64(cap(rc.genIdx)+cap(rc.linkIdx)+cap(rc.credIdx)+cap(rc.sendIdx)+cap(rc.ejectIdx))*4
+	events := rc.genIdx[40] + 2*rc.linkIdx[40] + 2*rc.credIdx[40] + rc.sendIdx[40] + rc.ejectIdx[40]
+	want += (int64(events) + 7*(16+1)) * 4 // ids, and nodes+1 offsets an index
 	if got := rc.ApproxFootprintBytes(); got != want {
 		t.Fatalf("Recording.ApproxFootprintBytes() = %d, want %d", got, want)
+	}
+	for _, x := range rc.by {
+		if len(x.off) != cap(x.off) || len(x.ids) != cap(x.ids) {
+			t.Fatalf("an index holds %d offsets in %d and %d ids in %d: built to size, it has no slack", len(x.off), cap(x.off), len(x.ids), cap(x.ids))
+		}
 	}
 	if cap(rc.idle) != 16 || cap(rc.body) != 16 || len(rc.foldSum) != 40 || len(rc.busyN) != 40 {
 		t.Fatalf("idle flags %d, fold bodies %d, row digests %d, busy counts %d: want 16, 16, 40, 40", cap(rc.idle), cap(rc.body), len(rc.foldSum), len(rc.busyN))
@@ -146,7 +160,7 @@ func TestRecordingThroughDrain(t *testing.T) {
 			n.StartRecording(50)
 			n.Run(50)
 			tail := n.StopRecording()
-			if len(tail.links)+len(tail.credits)+len(tail.sends)+len(tail.ejectNode)+len(tail.gens) != 0 {
+			if len(tail.links)+len(tail.credits)+len(tail.by[bySend].ids)+len(tail.ejectNode)+len(tail.gens) != 0 {
 				t.Fatal("a settled network emitted a signal")
 			}
 			for tb := end; tb < end+50; tb++ {
@@ -182,24 +196,81 @@ func TestNetworkFootprintIncludesRecording(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		n.Step()
 	}
-	withRec := n.ApproxFootprintBytes()
-	rc := n.StopRecording()
-	if got, want := withRec, bare+rc.ApproxFootprintBytes(); got != want {
+	withRec, attached := n.ApproxFootprintBytes(), n.rec.ApproxFootprintBytes()
+	if got, want := withRec, bare+attached; got != want || attached <= 0 {
 		t.Fatalf("footprint with transcript = %d, want bare %d + transcript %d = %d",
-			got, bare, rc.ApproxFootprintBytes(), want)
+			got, bare, attached, want)
 	}
+	n.StopRecording()
 	if got := n.ApproxFootprintBytes(); got != bare {
 		t.Fatalf("footprint after StopRecording = %d, want bare %d", got, bare)
 	}
 }
 
-// TestRecordingKeyedLookups holds the transcript's keyed lookups to the
-// linear scans they replaced. Every cycle's slice of every event key
-// array must be ascending (what the binary search rests on: Step walks
-// NIs and stepped routers by id, under either sweep engine), and for
-// every cycle and node, of must return exactly the indices whose key is
-// the node and around exactly those whose key is within a mesh row of it
-// — which must include every event that names the node as its target.
+// recordedKeys is what a transcript's key arrays held when it was
+// stopped: the per-cycle, per-emitter order the node-major indices are
+// built from and held to.
+type recordedKeys struct {
+	gen, linkSrc, creditSrc, send, eject []int32
+}
+
+// stopKeepingKeys stops n's recording and returns it with a copy of the
+// key arrays StopRecording drops.
+func stopKeepingKeys(n *Network) (*Recording, recordedKeys) {
+	rc := n.rec
+	keys := recordedKeys{slices.Clone(rc.genNode), slices.Clone(rc.linkSrc), slices.Clone(rc.creditSrc), slices.Clone(rc.sends), slices.Clone(rc.ejectNode)}
+	return n.StopRecording(), keys
+}
+
+// viewOracle is the oracle for one of the seven views of a transcript:
+// the ids of a node's events within one cycle's [lo,hi), by binary search
+// over the cycle's ascending keys (span) for an emitter's view, by a scan
+// of the payloads' destinations for an inbox.
+type viewOracle struct {
+	name string
+	ids  func(lo, hi, node int) []int32
+}
+
+func viewOracles(rc *Recording, keys recordedKeys) [views]viewOracle {
+	byKey := func(keys []int32) func(lo, hi, node int) []int32 {
+		return func(lo, hi, node int) []int32 {
+			a, b := span(keys[lo:hi], node)
+			return idRange(lo+a, lo+b)
+		}
+	}
+	scan := func(dst func(k int) int32) func(lo, hi, node int) []int32 {
+		return func(lo, hi, node int) []int32 {
+			var ids []int32
+			for k := lo; k < hi; k++ {
+				if int(dst(k)) == node {
+					ids = append(ids, int32(k))
+				}
+			}
+			return ids
+		}
+	}
+	return [views]viewOracle{
+		byGen:        {"gens", byKey(keys.gen)},
+		byLinkFrom:   {"links out", byKey(keys.linkSrc)},
+		byCreditFrom: {"credits out", byKey(keys.creditSrc)},
+		bySend:       {"sends", byKey(keys.send)},
+		byEject:      {"ejects", byKey(keys.eject)},
+		byLinkTo:     {"links in", scan(func(k int) int32 { return rc.links[k].dst })},
+		byCreditTo:   {"credits in", scan(func(k int) int32 { return rc.credits[k].dst })},
+	}
+}
+
+// TestRecordingKeyedLookups holds the transcript's node-major indices and
+// the cursor lookup over them to the cycle-major arrays they were built
+// from. Every cycle's slice of every key array must be ascending (Step
+// walks NIs and stepped routers by id, under either sweep engine: what
+// makes a node's ids ascend, and what the oracle's binary search rests
+// on). Every event must be in its emitter's list exactly once, and a link
+// or credit event in its destination's as well, every list ascending and
+// holding nothing else; the emitter a dropped key named must be the
+// neighbour the frontier derives from the payload. And a cursor walked
+// cycle by cycle over any node must return exactly the ids the oracle
+// finds, and nothing past the stored cycles.
 func TestRecordingKeyedLookups(t *testing.T) {
 	for _, tc := range []struct {
 		w, h   int
@@ -212,75 +283,105 @@ func TestRecordingKeyedLookups(t *testing.T) {
 		{5, 3, 0.15, false},
 	} {
 		t.Run(fmt.Sprintf("%dx%d/ref=%t", tc.w, tc.h, tc.refEng), func(t *testing.T) {
-			cfg := Config{Router: router.Default(topology.NewMesh(tc.w, tc.h)), InjectionRate: tc.rate, Seed: 5, DisableSoA: tc.refEng}
+			mesh := topology.NewMesh(tc.w, tc.h)
+			cfg := Config{Router: router.Default(mesh), InjectionRate: tc.rate, Seed: 5, DisableSoA: tc.refEng}
 			n := MustNew(cfg, nil)
 			n.Run(100)
 			n.StartRecording(150)
 			n.Run(150)
-			rc := n.StopRecording()
+			rc, keys := stopKeepingKeys(n)
 
-			kinds := []struct {
-				name      string
-				keys, idx []int32
-				target    func(k int) int // the node event k is addressed to, -1 if none
-			}{
-				{"gens", rc.genNode, rc.genIdx, func(int) int { return -1 }},
-				{"links", rc.linkSrc, rc.linkIdx, func(k int) int { return int(rc.links[k].dst) }},
-				{"credits", rc.creditSrc, rc.credIdx, func(k int) int { return int(rc.credits[k].dst) }},
-				{"sends", rc.sends, rc.sendIdx, func(int) int { return -1 }},
-				{"ejects", rc.ejectNode, rc.ejectIdx, func(int) int { return -1 }},
+			for k, l := range rc.links {
+				if src, ok := mesh.Neighbor(int(l.dst), topology.Direction(l.dstPort)); !ok || src != int(keys.linkSrc[k]) {
+					t.Fatalf("link %d from node %d lands on port %d of node %d, whose neighbour there is %d", k, keys.linkSrc[k], l.dstPort, l.dst, src)
+				}
 			}
-			for _, kind := range kinds {
-				if len(kind.keys) == 0 {
+			for k, c := range rc.credits {
+				if src, ok := mesh.Neighbor(int(c.dst), topology.Direction(c.dstPort)); !ok || src != int(keys.creditSrc[k]) {
+					t.Fatalf("credit %d from node %d lands on port %d of node %d, whose neighbour there is %d", k, keys.creditSrc[k], c.dstPort, c.dst, src)
+				}
+			}
+			for view, kind := range viewOracles(rc, keys) {
+				x := &rc.by[view]
+				total := int(x.cycle[rc.Cycles()])
+				if total == 0 {
 					t.Fatalf("%s: nothing recorded; raise the rate or the window", kind.name)
 				}
-				for c := 0; c < rc.Cycles(); c++ {
-					cyc := rc.start + int64(c)
-					lo, hi := rc.seg(kind.idx, cyc)
-					if !slices.IsSorted(kind.keys[lo:hi]) {
-						t.Fatalf("%s cycle %d: keys %v are not ascending", kind.name, cyc, kind.keys[lo:hi])
+				if len(x.off) != rc.nodes+1 || x.off[0] != 0 || int(x.off[rc.nodes]) != total || len(x.ids) != total {
+					t.Fatalf("%s: index of %d ids under offsets %v for %d events", kind.name, len(x.ids), x.off, total)
+				}
+				seen := make([]bool, total)
+				for node := 0; node < rc.nodes; node++ {
+					list := x.ids[x.off[node]:x.off[node+1]]
+					for i, id := range list {
+						if i > 0 && list[i-1] >= id {
+							t.Fatalf("%s node %d: ids %v are not ascending", kind.name, node, list)
+						}
+						if seen[id] {
+							t.Fatalf("%s: event %d is listed twice", kind.name, id)
+						}
+						seen[id] = true
 					}
-					for node := 0; node < rc.nodes; node++ {
-						var own, near []int
-						for k := lo; k < hi; k++ {
-							key := int(kind.keys[k])
-							if key == node {
-								own = append(own, k)
-							}
-							if key >= node-tc.w && key <= node+tc.w {
-								near = append(near, k)
-							} else if kind.target(k) == node {
-								t.Fatalf("%s cycle %d: event %d from node %d targets node %d, more than a row away", kind.name, cyc, k, key, node)
-							}
+					// Walked cycle by cycle the cursor finds what the oracle
+					// finds, which also says the list holds the node's events
+					// and no others: every id was seen once, above.
+					var cur int32
+					for c := 0; c < rc.Cycles(); c++ {
+						cyc := rc.start + int64(c)
+						lo, hi := rc.seg(x.cycle, cyc)
+						if got, want := rc.events(view, &cur, cyc, node), kind.ids(lo, hi, node); !slices.Equal(got, want) {
+							t.Fatalf("%s cycle %d node %d: cursor finds %v, the cycle's scan %v", kind.name, cyc, node, got, want)
 						}
-						if a, b := rc.of(kind.keys, kind.idx, cyc, node); !slices.Equal(indexRange(a, b), own) {
-							t.Fatalf("%s cycle %d node %d: of = [%d,%d), linear scan finds %v", kind.name, cyc, node, a, b, own)
-						}
-						if a, b := rc.around(kind.keys, kind.idx, cyc, node, tc.w); !slices.Equal(indexRange(a, b), near) {
-							t.Fatalf("%s cycle %d node %d: around = [%d,%d), linear scan finds %v", kind.name, cyc, node, a, b, near)
-						}
+					}
+					if int(cur) > len(list) {
+						t.Fatalf("%s node %d: cursor %d ran past the node's %d events", kind.name, node, cur, len(list))
+					}
+					// Past the stored cycles of a transcript every lookup is empty.
+					if got := rc.events(view, &cur, rc.start+int64(rc.Cycles()), node); len(got) != 0 {
+						t.Fatalf("%s node %d: events %v past the last cycle", kind.name, node, got)
 					}
 				}
+				if i := slices.Index(seen, false); i >= 0 {
+					t.Fatalf("%s: event %d is in no node's list", kind.name, i)
+				}
 			}
-			// Past the stored cycles of a transcript every lookup is empty.
-			past := rc.start + int64(rc.Cycles())
-			if a, b := rc.of(rc.linkSrc, rc.linkIdx, past, 3); a != b {
-				t.Fatalf("of past the last cycle = [%d,%d)", a, b)
-			}
-			if a, b := rc.around(rc.linkSrc, rc.linkIdx, past, 3, tc.w); a != b {
-				t.Fatalf("around past the last cycle = [%d,%d)", a, b)
+			for _, kk := range []struct {
+				name      string
+				keys, idx []int32
+			}{
+				{"gens", keys.gen, rc.genIdx}, {"links", keys.linkSrc, rc.linkIdx}, {"credits", keys.creditSrc, rc.credIdx},
+				{"sends", keys.send, rc.sendIdx}, {"ejects", keys.eject, rc.ejectIdx},
+			} {
+				for c := 0; c < rc.Cycles(); c++ {
+					if lo, hi := rc.seg(kk.idx, rc.start+int64(c)); !slices.IsSorted(kk.keys[lo:hi]) {
+						t.Fatalf("%s cycle %d: keys %v are not ascending", kk.name, rc.start+int64(c), kk.keys[lo:hi])
+					}
+				}
 			}
 		})
 	}
 }
 
-// indexRange lists lo..hi-1 (nil when empty, like an empty scan result).
-func indexRange(lo, hi int) []int {
-	var out []int
+// idRange lists lo..hi-1 (nil when empty, like an empty lookup).
+func idRange(lo, hi int) []int32 {
+	var out []int32
 	for k := lo; k < hi; k++ {
-		out = append(out, k)
+		out = append(out, int32(k))
 	}
 	return out
+}
+
+// span returns the [lo,hi) range of node's events inside keys, one
+// cycle's ascending slice of an event key array, by binary search: the
+// per-cycle lookup the frontier used before it kept cursors, kept as their
+// oracle.
+func span(keys []int32, node int) (int, int) {
+	lo, _ := slices.BinarySearch(keys, int32(node))
+	hi := lo
+	for hi < len(keys) && keys[hi] == int32(node) {
+		hi++
+	}
+	return lo, hi
 }
 
 // TestRecordingFoldsAnUpsetIdleRouter: closeCycle copies an idle node's
@@ -306,5 +407,213 @@ func TestRecordingFoldsAnUpsetIdleRouter(t *testing.T) {
 	}
 	if plane.FiredAt(0) != strike || n.nodeFold(host) == before || !n.Router(host).Inert() {
 		t.Fatalf("the upset (fired at %d) was meant to change idle router %d's registers and leave it idle", plane.FiredAt(0), host)
+	}
+}
+
+// settledTranscript records an 8×8 golden window and drain the way the
+// campaigns do and returns the settled transcript with the key arrays it
+// was indexed from.
+func settledTranscript(t *testing.T, rate float64, seed uint64, warm, window int) (*Recording, recordedKeys) {
+	t.Helper()
+	n := MustNew(Config{Router: router.Default(topology.NewMesh(8, 8)), InjectionRate: rate, Seed: seed}, nil)
+	n.Run(int64(warm))
+	n.StartRecording(window)
+	n.Run(int64(window))
+	n.StopInjection()
+	for !n.rec.settled {
+		if n.Cycle() > int64(warm+window+5000) {
+			t.Fatal("golden run did not settle")
+		}
+		n.Step()
+	}
+	return stopKeepingKeys(n)
+}
+
+// TestCursorLookupsMatchTheScan reads a settled transcript the way a
+// frontier does — per node, through one cursor an event kind — along
+// sequences of (node, cycle) lookups, and holds every answer to the
+// oracle's search of that cycle's events. The scripted sequences are the
+// shapes that break a cursor which trusts too much: a node that is a
+// member, retires and rejoins much later (the cursor skips what lies
+// between); two members read cycle by cycle beside a clean node whose own
+// cursors stay at the fork until it is replayed from there, all at once;
+// a replay that runs across the end of injection, through the drain and
+// past the last stored cycle; and a lookup behind the cursor, which must
+// be found all the same. The random ones interleave many nodes, each over
+// its own non-decreasing cycles with gaps, repeats and the odd step back.
+func TestCursorLookupsMatchTheScan(t *testing.T) {
+	rc, keys := settledTranscript(t, 0.08, 5, 100, 150)
+	oracles := viewOracles(rc, keys)
+	start, stored, injectEnd := rc.start, int64(rc.Cycles()), rc.injectEnd-rc.start
+	if injectEnd != 150 || stored <= injectEnd+10 {
+		t.Fatalf("transcript of %d cycles stops injecting after %d: want a drain behind a 150-cycle window", stored, injectEnd)
+	}
+
+	type lookup struct {
+		node int
+		c    int64 // cycle, from the transcript's start
+	}
+	span := func(seq []lookup, node int, from, to int64) []lookup {
+		for c := from; c <= to; c++ {
+			seq = append(seq, lookup{node, c})
+		}
+		return seq
+	}
+	var rejoin, beside, replay, behind []lookup
+	rejoin = span(span(rejoin, 27, 0, 20), 27, 90, 120)
+	for c := int64(0); c <= 60; c++ { // 26 and 28 flank 27
+		beside = append(beside, lookup{26, c}, lookup{28, c})
+	}
+	beside = span(beside, 27, 0, 60)
+	for c := int64(61); c <= 80; c++ {
+		beside = append(beside, lookup{26, c}, lookup{27, c}, lookup{28, c})
+	}
+	replay = span(replay, 9, injectEnd-30, stored+5)
+	behind = append(span(span(behind, 36, 0, 5), 36, 100, 104), lookup{36, 50}, lookup{36, 50}, lookup{36, 3}, lookup{36, 120})
+
+	g := rng.New(99, 7)
+	random := make([]lookup, 0, 4000)
+	at := make([]int64, rc.nodes)
+	for len(random) < cap(random) {
+		node := g.Intn(rc.nodes)
+		switch g.Intn(10) {
+		case 0:
+			at[node] += int64(g.Intn(40)) // a retirement's gap
+		case 1:
+			at[node] = max(0, at[node]-int64(g.Intn(30))) // behind the cursor
+		case 2: // the same cycle again
+		default:
+			at[node]++
+		}
+		at[node] = min(at[node], stored+3)
+		random = append(random, lookup{node, at[node]})
+	}
+
+	for _, sc := range []struct {
+		name string
+		seq  []lookup
+	}{{"rejoin", rejoin}, {"two members beside a clean node", beside}, {"replay across injectEnd", replay}, {"behind the cursor", behind}, {"random", random}} {
+		t.Run(sc.name, func(t *testing.T) {
+			cur := make([]int32, views*rc.nodes)
+			found := 0
+			for _, lk := range sc.seq {
+				cyc := start + lk.c
+				for view, kind := range oracles {
+					var want []int32
+					if lk.c < stored {
+						lo, hi := rc.seg(rc.by[view].cycle, cyc)
+						want = kind.ids(lo, hi, lk.node)
+					}
+					got := rc.events(view, &cur[view*rc.nodes+lk.node], cyc, lk.node)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s of node %d at cycle %d: cursor finds %v, the cycle's scan %v", kind.name, lk.node, cyc, got, want)
+					}
+					found += len(got)
+				}
+			}
+			if found == 0 {
+				t.Fatal("no lookup found an event: the comparison is vacuous")
+			}
+		})
+	}
+}
+
+// TestRecordingSizedOnce holds StartRecording's sizing to the transcripts
+// the repository benchmark's campaigns record — the 8×8 and 16×16 meshes
+// at their loads, a 500-cycle window from cycle 300, on through the drain
+// until the network settles: every array the estimate sized still has the
+// capacity it started with (nothing was reallocated under the recorder)
+// and no more than a quarter of it is unused.
+func TestRecordingSizedOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large meshes in -short mode")
+	}
+	for _, tc := range []struct {
+		w, h int
+		rate float64
+	}{{8, 8, 0.05}, {16, 16, 0.02}} {
+		t.Run(fmt.Sprintf("%dx%d", tc.w, tc.h), func(t *testing.T) {
+			n := MustNew(Config{Router: router.Default(topology.NewMesh(tc.w, tc.h)), InjectionRate: tc.rate, Seed: 3}, nil)
+			n.Run(300)
+			n.StartRecording(500)
+			rc := n.rec
+			sized := func() map[string][2]int {
+				return map[string][2]int{
+					"gens": {len(rc.gens), cap(rc.gens)}, "gen keys": {len(rc.genNode), cap(rc.genNode)},
+					"links": {len(rc.links), cap(rc.links)}, "link keys": {len(rc.linkSrc), cap(rc.linkSrc)},
+					"credits": {len(rc.credits), cap(rc.credits)}, "credit keys": {len(rc.creditSrc), cap(rc.creditSrc)},
+					"sends":  {len(rc.sends), cap(rc.sends)},
+					"ejects": {len(rc.ejectFlits), cap(rc.ejectFlits)}, "eject keys": {len(rc.ejectNode), cap(rc.ejectNode)},
+					"folds": {len(rc.folds), cap(rc.folds)}, "fold digests": {len(rc.foldSum), cap(rc.foldSum)},
+					"busy bits": {len(rc.busy), cap(rc.busy)}, "busy counts": {len(rc.busyN), cap(rc.busyN)},
+					"link offsets": {len(rc.linkIdx), cap(rc.linkIdx)}, "eject offsets": {len(rc.ejectIdx), cap(rc.ejectIdx)},
+				}
+			}
+			before := sized()
+			n.Run(500)
+			n.StopInjection()
+			for !rc.settled {
+				if n.Cycle() > 5000 {
+					t.Fatal("golden run did not settle")
+				}
+				n.Step()
+			}
+			for name, lc := range sized() {
+				if lc[1] != before[name][1] {
+					t.Errorf("%s: capacity %d grew to %d under the recorder", name, before[name][1], lc[1])
+				}
+				if 4*lc[1] > 5*lc[0] {
+					t.Errorf("%s: %d recorded in a capacity of %d, more than a quarter unused", name, lc[0], lc[1])
+				}
+			}
+			t.Logf("%d cycles, %d link events in %d, %d folds in %d", rc.Cycles(), len(rc.links), cap(rc.links), len(rc.folds), cap(rc.folds))
+			n.StopRecording()
+		})
+	}
+}
+
+// TestRecordingOutgrowsItsEstimate records traffic the estimate
+// undersizes, because its packets travel further than uniform traffic's
+// 5.3 hops — bit-complement, 8 hops across the 8×8 mesh (transpose
+// travels uniform's distance, and fits), and a hotspot in two opposite
+// corners, 7 hops from the average node — and requires the transcript,
+// grown by append, to be the one a recorder that started from all but
+// empty arrays writes: payloads, offsets, folds and indices, value for value.
+func TestRecordingOutgrowsItsEstimate(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pattern traffic.Pattern
+		rate    float64
+		window  int
+	}{
+		{"bitcomplement", traffic.BitComplement{}, 0.05, 300},
+		{"hotspot", traffic.NewHotspot([]int{0, 63}, 0.8), 0.03, 500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			record := func(sized bool) (*Recording, int) {
+				n := MustNew(Config{Router: router.Default(topology.NewMesh(8, 8)), Pattern: tc.pattern, InjectionRate: tc.rate, Seed: 3}, nil)
+				n.Run(200)
+				if n.StartRecording(tc.window); !sized {
+					n.rec = newRecording(n.cycle, n.mesh, 0, recLoad{})
+					n.rec.folds, n.rec.busy = nil, nil
+				}
+				estimate := cap(n.rec.links)
+				n.Run(int64(tc.window))
+				n.StopInjection()
+				rec := n.SettleRecording(n.Cycle() + 5000)
+				if rec == nil {
+					t.Fatal("golden run did not settle")
+				}
+				return rec, estimate
+			}
+			got, estimate := record(true)
+			want, _ := record(false)
+			if len(got.links) <= estimate {
+				t.Fatalf("%d link events fit the estimate of %d: the traffic was meant to outgrow it", len(got.links), estimate)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("the transcript that outgrew its estimate differs from one grown from nothing")
+			}
+		})
 	}
 }
