@@ -53,16 +53,18 @@ test: vet
 # updates, NDJSON writers, the daemon's queue/worker/event fan-out);
 # run them under the race detector, plus the step-loop packages (core,
 # router, soa, fault) whose shared-array state campaign workers mutate in
-# parallel. Measured on the shared two-core box at PR 25: 6 min 4 s of
-# wall (`internal/campaign` 345 s race-enabled, which bounds it;
-# `internal/core` 118 s, `internal/sim` 107 s; uncached tier-1 `go test
-# ./...` is 40 s of wall), against 6 min 20 s and 44–47 s at PR 22: the
-# cone-sized fork and the transcript cursors make the campaign package's
-# runs cheaper, the poison and lockstep tests they came with take most of
-# it back, and ROADMAP item 6's race target (< 5 min) is still not met.
-# The campaign package was 12 min at PR 17 and 14 at PR 20, over go
-# test's ten-minute default, which is why this target carried `-timeout
-# 30m` until an armed fault stopped costing the mesh (PR 22).
+# parallel. Measured on the shared two-core box at PR 26: 5 min 5 s of
+# wall (`internal/campaign` 304 s race-enabled, which bounds it;
+# `internal/sim` 104 s, `internal/core` 101 s; uncached tier-1 `go test
+# ./...` is 38 s of wall), against 6 min 4 s and 40 s at PR 25: runs
+# whose fault stays armed (the armed fixture, the Observation-3 and
+# intermittent campaigns, the frontier identity's permanents) stop at the
+# fixed point instead of stepping the mesh to the horizon, and the two
+# tests that hold that exit to the stepped run take about 40 s of it
+# back. ROADMAP item 10's race target (< 5 min) is five seconds away. The
+# campaign package was 12 min at PR 17 and 14 at PR 20, over go test's
+# ten-minute default, which is why this target carried `-timeout 30m`
+# until an armed fault stopped costing the mesh (PR 22).
 race:
 	$(GO) test -race ./internal/campaign ./internal/sim ./internal/metrics \
 		./internal/trace ./internal/server ./internal/obs ./internal/coordinator \
@@ -244,8 +246,14 @@ soa-identity:
 # same under both engines; the multi-cycle campaign (injection at
 # 0/16000/32000, runs overlapping the golden warm-up) must give its
 # committed report under both. Any missed join, replay-order, Quiet or
-# freeze-cycle bug fails a cmp. One shell, so the trap removes .frontid/
-# whether or not a cmp fails.
+# freeze-cycle bug fails a cmp. Faults that stay armed — on the frontier
+# to the end of the run, fast-forwarded from the fixed point a permanent
+# fault settles in — are held to both reference paths by the one armed
+# campaign the CLI spells: the Observation-3 table (40 permanent SA1-grant
+# faults, a third of them deadlocks) printed by default, under -no-frontier
+# and under -no-fastforward must be the same text (table lines only: the
+# campaign summary line carries a wall time). One shell, so the trap
+# removes .frontid/ whether or not a cmp fails.
 frontier-identity:
 	@set -ex; rm -rf .frontid; mkdir -p .frontid; trap 'rm -rf .frontid' EXIT; \
 	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
@@ -264,7 +272,13 @@ frontier-identity:
 	cmp .frontid/multicycle-full.json testdata/report_8x8_multicycle_seed3.json; \
 	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -json .frontid/16x16-frontier.json; \
 	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -no-frontier -json .frontid/16x16-full.json; \
-	cmp .frontid/16x16-frontier.json .frontid/16x16-full.json
+	cmp .frontid/16x16-frontier.json .frontid/16x16-full.json; \
+	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -fig obs3 | grep -v '^campaign:' > .frontid/obs3.txt; \
+	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -fig obs3 -no-frontier | grep -v '^campaign:' > .frontid/obs3-full.txt; \
+	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -fig obs3 -no-fastforward | grep -v '^campaign:' > .frontid/obs3-stepped.txt; \
+	grep -q '^permanent ' .frontid/obs3.txt; \
+	cmp .frontid/obs3.txt .frontid/obs3-full.txt; \
+	cmp .frontid/obs3.txt .frontid/obs3-stepped.txt
 
 # fuzz-smoke lets the fuzzer search on for 30 s from the seed corpus of
 # FuzzFrontierLockstep (which plain `go test` already runs): meshes up

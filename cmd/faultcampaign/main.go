@@ -296,13 +296,14 @@ func main() {
 		report(0, len(faults)) // the 0% line must appear before the first run completes
 	}
 	start := time.Now()
-	rep, err := nocalert.RunCampaign(nocalert.CampaignOptions{
+	// exec is how this invocation executes a campaign, whatever its faults:
+	// the main one below, and the two behind the Observation 3 table.
+	exec := nocalert.CampaignOptions{
 		Sim:                  simCfg,
 		InjectCycle:          cycles[0],
 		PostInjectRun:        *post,
 		DrainDeadline:        *drain,
 		Forever:              nocalert.ForeverOptions{Epoch: *epoch, HopLatency: 1},
-		Faults:               faults,
 		Workers:              *workers,
 		DisableFastPath:      *noFast,
 		DisableReconvergence: *noReconv,
@@ -310,13 +311,13 @@ func main() {
 		SnapshotInterval:     *snapInt,
 		DisableFastForward:   *noFF,
 		DisableFrontier:      *noFrontier,
-		Progress:             report,
-		Metrics:              reg,
-		OnResult:             onResult,
 		Context:              ctx,
-		Tracer:               tracer,
-		FlightRecorder:       flightRec,
-	})
+	}
+	opts := exec
+	opts.Faults = faults
+	opts.Progress, opts.Metrics, opts.OnResult = report, reg, onResult
+	opts.Tracer, opts.FlightRecorder = tracer, flightRec
+	rep, err := nocalert.RunCampaign(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func main() {
 		fmt.Printf("JSON results written to %s\n\n", *jsonPath)
 	}
 	if all || want["obs3"] {
-		obs3(simCfg, params, cycles[0], *post, *drain, *epoch, *seed)
+		obs3(exec, params)
 	}
 
 	// Observation 1: zero false negatives.
@@ -392,8 +393,11 @@ func writeFig7CDF(rep *nocalert.CampaignReport) {
 // obs3 contrasts transient and permanent faults on the same arbiter
 // grant signals: a transient "grant to nobody" is a one-cycle NOP
 // (benign), a permanent one starves the port into a protocol deadlock
-// (paper Observation 3).
-func obs3(simCfg nocalert.SimConfig, params nocalert.FaultParams, inject, post, drain, epoch int64, seed uint64) {
+// (paper Observation 3). exec carries the invocation's execution options
+// (workers, the -no-* switches), so the permanent campaign — the one armed
+// campaign the CLI can spell — runs on the reference paths when asked to.
+func obs3(exec nocalert.CampaignOptions, params nocalert.FaultParams) {
+	inject := exec.InjectCycle
 	var tr, pm []nocalert.Fault
 	for _, s := range params.EnumerateSites() {
 		if s.Kind != nocalert.FaultSA1Gnt {
@@ -413,14 +417,8 @@ func obs3(simCfg nocalert.SimConfig, params nocalert.FaultParams, inject, post, 
 		name   string
 		faults []nocalert.Fault
 	}{{"transient", tr}, {"permanent", pm}} {
-		rep, err := nocalert.RunCampaign(nocalert.CampaignOptions{
-			Sim:           simCfg,
-			InjectCycle:   inject,
-			PostInjectRun: post,
-			DrainDeadline: drain,
-			Forever:       nocalert.ForeverOptions{Epoch: epoch, HopLatency: 1},
-			Faults:        c.faults,
-		})
+		exec.Faults = c.faults
+		rep, err := nocalert.RunCampaign(exec)
 		if err != nil {
 			log.Fatal(err)
 		}

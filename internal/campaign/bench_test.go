@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"nocalert/internal/fault"
-	"nocalert/internal/router"
-	"nocalert/internal/sim"
+	"nocalert/internal/obs"
 )
 
 // BenchmarkFrontierCampaign times the marginal cost of a frontier-driven
@@ -55,13 +53,8 @@ func BenchmarkFrontierCampaign(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N*bc.faults)/b.Elapsed().Seconds(), "faults/s")
 
-			var cloned int64
 			_, runs := tracedRunSpans(b, opts)
-			for _, s := range runs {
-				n, _ := s.Int("nodes_cloned")
-				cloned += n
-			}
-			b.ReportMetric(float64(cloned)/float64(bc.faults), "nodes-cloned/run")
+			b.ReportMetric(spanMean(runs, "nodes_cloned"), "nodes-cloned/run")
 		})
 	}
 }
@@ -70,13 +63,14 @@ func BenchmarkFrontierCampaign(b *testing.B) {
 // the repository benchmark's w8x8_permanent campaign: the 8×8 fixture
 // spec, 16 permanent credit-counter faults drawn as armedFaults draws
 // them, one worker, the golden artefact built once outside the timer.
-// Every run steps the window on the frontier and then the full mesh for
-// the 2200 cycles to the end of its horizon, most of them a drained mesh
-// with one armed router. routers-stepped/cycle says how many routers the
-// steppers really stepped, mean over those runs done again by hand
-// outside the timer with a counting monitor: 64 on the reference engine,
-// a little over one where an armed fault costs its own router. It is the
-// cmd-free way to both numbers:
+// Every run stays on the frontier — its cone, the host router and what it
+// disturbed — until the cone stops changing, and fast-forwards from that
+// fixed point to the end of its horizon. cycles-stepped/run and
+// nodes-cloned/run are means over the campaign run once more outside the
+// timer with its runs traced (the run spans' cycles_simulated and
+// nodes_cloned): 541 and about two, where stepping the full horizon on
+// the full mesh would show 2700 and 64. It is the cmd-free way to all
+// three numbers:
 //
 //	go test -run '^$' -bench ArmedCampaign/8x8 -benchtime 4x \
 //	    -cpuprofile cpu.out ./internal/campaign
@@ -104,63 +98,20 @@ func BenchmarkArmedCampaign(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.N*len(opts.Faults))/b.Elapsed().Seconds(), "faults/s")
 
-		o, err := opts.withDefaults()
-		if err != nil {
-			b.Fatal(err)
-		}
-		o.GoldenCache = nil
-		gold := builtGolden(b, &o)
-		var routerCycles, cycles int64
-		for _, f := range o.Faults {
-			rc, c := steppedByHand(b, gold.groups[f.Cycle].gc, o, f)
-			routerCycles, cycles = routerCycles+rc, cycles+c
-		}
-		b.ReportMetric(float64(routerCycles)/float64(cycles), "routers-stepped/cycle")
+		_, runs := tracedRunSpans(b, opts)
+		b.ReportMetric(spanMean(runs, "cycles_simulated"), "cycles-stepped/run")
+		b.ReportMetric(spanMean(runs, "nodes_cloned"), "nodes-cloned/run")
 	})
 }
 
-// routerCycleCounter counts the routers and the cycles a stepper shows
-// its monitors.
-type routerCycleCounter struct {
-	sim.BaseMonitor
-	routers, cycles int64
-}
-
-func (m *routerCycleCounter) RouterCycle(*router.Router, *router.Signals) { m.routers++ }
-func (m *routerCycleCounter) EndCycle(int64)                              { m.cycles++ }
-
-// steppedByHand steps one armed fault's run the way runFrontier and
-// finishRun do without fast-forward — window on the frontier, full mesh
-// from the golden window-end state through drain and horizon — and
-// returns how many router steps and cycles that took.
-func steppedByHand(tb testing.TB, gc *groupCtx, o Options, f fault.Fault) (routerCycles, cycles int64) {
-	var w worker
-	var st runStats
-	n, err := w.fork(gc, fault.NewPlane(f), &st, nil)
-	if err != nil {
-		tb.Fatal(err)
+// spanMean returns the mean of an integer attribute over spans.
+func spanMean(spans []obs.SpanRecord, key string) float64 {
+	var sum int64
+	for _, s := range spans {
+		v, _ := s.Int(key)
+		sum += v
 	}
-	var count routerCycleCounter
-	n.AttachMonitor(&count)
-	if fv := findForever(n); fv != nil {
-		fv.Follow(gc.gfv)
-	}
-	fr := sim.NewFrontier(n, gc.rec, []int{f.Site.Router})
-	for c := int64(0); c < o.PostInjectRun; c++ {
-		fr.Step()
-	}
-	if n.FaultsQuiescent() {
-		tb.Fatalf("%v went quiescent", &f)
-	}
-	fr.MaterializeAll(gc.wend)
-	n.StopInjection()
-	for end := n.Cycle() + o.DrainDeadline; n.Cycle() < end && !n.Quiet(); {
-		n.Step()
-	}
-	for horizon := foreverHorizon(n.Cycle(), o.Forever); n.Cycle() < horizon; {
-		n.Step()
-	}
-	return count.routers, count.cycles
+	return float64(sum) / float64(len(spans))
 }
 
 // BenchmarkGoldenWarmup times the golden warm-up alone, in the shape the

@@ -359,9 +359,8 @@ type Report struct {
 	// FrontierRuns counts runs driven by the divergence-frontier delta
 	// engine; TimelineBytes is the estimated memory footprint of the
 	// golden-side per-run records: the signal transcripts (window and
-	// drain) and window-end states backing the frontier plus the
-	// fingerprint timelines backing reconvergence. Neither alters the
-	// serialized report.
+	// drain) backing the frontier plus the fingerprint timelines backing
+	// reconvergence. Neither alters the serialized report.
 	FrontierRuns  int
 	TimelineBytes int64
 }
@@ -407,11 +406,8 @@ type groupCtx struct {
 	// through the post-injection window and the drain until the network
 	// settled, which is as far as any faulty run can need it. Nil when
 	// the frontier is disabled, the golden template is unsound or golden
-	// did not settle; shared read-only across workers. wend is golden's
-	// state at the window end, for runs whose fault is still armed there
-	// (runFrontier materializes them from it).
-	rec  *sim.Recording
-	wend *sim.Network
+	// did not settle; shared read-only across workers.
+	rec *sim.Recording
 }
 
 // Run executes the campaign. The golden warm-up and the faulty runs
@@ -689,9 +685,6 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 			cont.Step()
 			observe(cont, cont.Ejections()[ejStart:])
 		}
-		if recording {
-			gc.wend = cont.CloneInto(nil, nil)
-		}
 	} else {
 		cont.Run(o.PostInjectRun)
 	}
@@ -771,7 +764,7 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 		// The frontier shares the reconvergence soundness precondition
 		// (an invariant-clean golden continuation); without it the
 		// transcript is dead weight.
-		gc.rec, gc.wend = nil, nil
+		gc.rec = nil
 	}
 	return gc, nil
 }
@@ -971,13 +964,10 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 // it is made to look at them all.) A run still divergent at window end
 // finishes (drain, horizon, verdict) in the same finishRun as a full
 // simulation, stepped by the frontier: the transcript covers golden's
-// drain and everything after it. The exception is a run whose fault is
-// still armed at window end (permanent, intermittent): it never freezes,
-// so on the frontier its cost would follow its cone, run by run and seed
-// by seed. It materializes from the golden window-end state and finishes
-// on the full mesh, every cycle of it (ROADMAP has the item) — where the
-// armed fault costs the router that hosts it its fast sweep and its inert
-// skip, and the other routers nothing (fault.Plane.LiveFor).
+// drain and everything after it. That holds for a run whose fault is
+// still armed at window end too (permanent, intermittent): its members
+// never retire, so it costs its cone until finishRun's probe finds the
+// cone has stopped changing (ffProbe: a permanent fault is stationary).
 func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *groupCtx, o Options, group []fault.Fault, plane *fault.Plane, w *worker, st *runStats, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, err error) {
 	w.seeds = w.seeds[:0]
 	for _, ft := range group {
@@ -1033,13 +1023,7 @@ func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *grou
 			ExitReconverged, n.Cycle() - gc.cycle, nil
 	}
 	fa.End()
-	if !n.FaultsQuiescent() {
-		fr.MaterializeAll(gc.wend)
-		ro.setFrontier(nil) // the frontier steps nothing from here on
-		res = finishRun(nil, n, eng, fv, plane, gc, o, group, w, st, ro)
-	} else {
-		res = finishRun(fr, n, eng, fv, plane, gc, o, group, w, st, ro)
-	}
+	res = finishRun(fr, n, eng, fv, plane, gc, o, group, w, st, ro)
 	st.simulated = n.Cycle() - gc.snap.cycle
 	return res, ExitFull, 0, nil
 }
@@ -1262,6 +1246,11 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 		probe.extend(eng, projectUntil-n.Cycle())
 		sp := ro.phase("fast-forward")
 		sp.SetAttr("frozen_cycle", n.Cycle())
+		if n.FaultsQuiescent() {
+			sp.SetAttr("plane", "quiescent")
+		} else {
+			sp.SetAttr("plane", "stationary")
+		}
 		sp.SetAttr("project_until", projectUntil)
 		sp.SetAttr("cycles_synthesized", st.synthesized)
 		sp.End()

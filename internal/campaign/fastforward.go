@@ -43,8 +43,7 @@ type runStats struct {
 	// nodesCloned is how many node copies (router and NI) the run made to
 	// have a network to step: the mesh for a fork that clones it
 	// (worker.fork), for one that does not (worker.forkCone) the nodes the
-	// frontier ever tracked, and either way the rest of the mesh once more
-	// if the run is materialized from the window end.
+	// frontier ever tracked.
 	nodesCloned int
 }
 
@@ -55,19 +54,28 @@ const ffBackoffCap = 64
 
 // ffProbe detects frozen network states during a run's drain and
 // ForEVeR-horizon phases. A state is provably frozen when (a) the fault
-// plane can never fire again, (b) no ForEVeR checker-network
+// plane is stationary — it can never fire again, or only permanent
+// faults hold it open, which corrupt their wires on every cycle alike
+// (fault.Plane.Stationary) — (b) no ForEVeR checker-network
 // notification is in flight, and (c) the cycle-independent state
 // fingerprint is identical at two consecutive cycle boundaries. Every
 // stamped queue in the simulator carries at most one cycle of lookahead
-// and injection is off in both phases (no RNG draws), so (c) alone
-// makes the network state a fixed point; (a)–(b) extend that fixed
-// point to the fault plane and ForEVeR's verdict-relevant state. What
-// remains is exactly reconstructible without stepping: ForEVeR's
-// epoch-boundary bookkeeping via forever.Monitor.ProjectFrozenDetection,
-// and the NoCAlert engine's accumulators via core.Engine.AdvanceSteady —
-// a deadlocked router re-emits the identical assertion multiset every
-// cycle (checkers are pure functions of the signal record), and the
-// probe captures that multiset across its confirming step.
+// and injection is off in both phases (no RNG draws), so the step
+// function reads the cycle only through the plane (Fault.ActiveAt,
+// Plane.LiveFor, the first-strike FiredAt stamp), which (a) makes
+// constant: (c) then makes the network state, faults applied, a fixed
+// point, and the confirming step has made every consult any later step
+// will, so FiredAt is final; (b) extends the fixed point to ForEVeR's
+// verdict-relevant state. What remains is exactly reconstructible without
+// stepping: ForEVeR's epoch-boundary bookkeeping via
+// forever.Monitor.ProjectFrozenDetection, and the NoCAlert engine's
+// accumulators via core.Engine.AdvanceSteady —
+// a deadlocked router, or one under a permanent fault, re-emits the
+// identical assertion multiset every cycle (checkers are pure functions
+// of the signal record), and the probe captures that multiset across its
+// confirming step. A periodic intermittent fault, or a stuck signal that
+// keeps a round-robin pointer turning, is an orbit and not a fixed point:
+// such a run steps to its horizon (DESIGN.md has the contract).
 type ffProbe struct {
 	fp      uint64
 	fpCycle int64 // boundary fp was taken at; -1 when not armed
@@ -86,7 +94,7 @@ func (p *ffProbe) frozen(s stepper, n *sim.Network, eng *core.Engine, fv *foreve
 	if p.gap == 0 {
 		p.gap, p.fpCycle = 1, -1
 	}
-	if !n.FaultsQuiescent() || (fv != nil && !fv.PendingEmpty()) {
+	if !n.FaultsStationary() || (fv != nil && !fv.PendingEmpty()) {
 		p.fpCycle = -1
 		return false
 	}

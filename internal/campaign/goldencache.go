@@ -49,8 +49,8 @@ type Golden struct {
 	err    error
 	ring   *snapshotRing
 	// timelineBytes is the estimated footprint of the per-run records
-	// (signal transcripts through the golden drain, window-end states,
-	// counter timelines, the ForEVeR monitors' per-node records).
+	// (signal transcripts through the golden drain, counter timelines,
+	// the ForEVeR monitors' per-node records).
 	timelineBytes int64
 	// logBytes is the estimated footprint of the golden reference logs,
 	// which no report field carries.
@@ -347,9 +347,6 @@ func (g *Golden) buildGroups(ctx context.Context, o *Options, forks <-chan forkP
 		}
 		g.logBytes += gc.goldenLog.ApproxFootprintBytes()
 		g.timelineBytes += gc.rec.ApproxFootprintBytes()
-		if gc.wend != nil {
-			g.timelineBytes += gc.wend.ApproxFootprintBytes()
-		}
 		if gc.gfv != nil {
 			g.timelineBytes += gc.gfv.ApproxHistoryBytes()
 		}

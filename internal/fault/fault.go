@@ -249,6 +249,22 @@ func (f *Fault) lastActive() int64 {
 	return math.MaxInt64
 }
 
+// stationaryFrom returns the first cycle from which the fault answers
+// every consult as it did the cycle before: a one-shot once its window
+// has closed, a permanent fault — the same XOR on every cycle — once it
+// is armed, a periodic intermittent fault, which turns on and off with
+// the cycle count, never (math.MaxInt64).
+func (f *Fault) stationaryFrom() int64 {
+	switch last := f.lastActive(); {
+	case f.Type == Permanent:
+		return f.Cycle
+	case last == math.MaxInt64:
+		return last
+	default:
+		return last + 1
+	}
+}
+
 // String renders the fault for logs and reports.
 func (f *Fault) String() string {
 	return fmt.Sprintf("%s bit%d @%d %s", f.Site, f.Bit, f.Cycle, f.Type)
@@ -285,6 +301,14 @@ type Plane struct {
 	// the plane whatever the other routers host; LiveFor is that test.
 	// Read-only after NewPlane, so clones share it.
 	windows []window
+	// kinds has one bit per signal kind that hosts a fault: a consult of
+	// any other kind cannot match, whatever the cycle and the router.
+	kinds uint32
+	// stationaryFrom is the first cycle from which Stationary holds, the
+	// last of the faults' own (Fault.stationaryFrom): math.MaxInt64 when a
+	// periodic intermittent fault keeps the plane moving for ever,
+	// math.MinInt64 for an empty plane.
+	stationaryFrom int64
 }
 
 // window is one router's fault activity span, inclusive at both ends.
@@ -296,12 +320,14 @@ type window struct {
 // NewPlane returns a plane injecting the given faults.
 func NewPlane(faults ...Fault) *Plane {
 	p := &Plane{faults: faults, firedAt: make([]int64, len(faults))}
-	p.minCycle, p.maxCycle = math.MaxInt64, math.MinInt64
+	p.minCycle, p.maxCycle, p.stationaryFrom = math.MaxInt64, math.MinInt64, math.MinInt64
 	for i := range p.firedAt {
 		p.firedAt[i] = -1
 		f := &p.faults[i]
 		from, to := f.Cycle, f.lastActive()
 		p.minCycle, p.maxCycle = min(p.minCycle, from), max(p.maxCycle, to)
+		p.kinds |= 1 << uint(f.Site.Kind)
+		p.stationaryFrom = max(p.stationaryFrom, f.stationaryFrom())
 		if w := p.windowOf(f.Site.Router); w != nil {
 			w.from, w.to = min(w.from, from), max(w.to, to)
 		} else {
@@ -376,17 +402,23 @@ func (p *Plane) Inert(cycle int64) bool {
 // in flight, and the only open question is whether it washes out.
 //
 // Quiescent is monotone for the same reason Inert is: windows only
-// close.
+// close. maxCycle is the last of the faults' last active cycles (an empty
+// plane's is math.MinInt64), so the query is one compare.
 func (p *Plane) Quiescent(cycle int64) bool {
-	if p == nil {
-		return true
-	}
-	for i := range p.faults {
-		if cycle <= p.faults[i].lastActive() {
-			return false
-		}
-	}
-	return true
+	return p == nil || cycle > p.maxCycle
+}
+
+// Stationary reports whether the plane answers every consult the same
+// way on every cycle from the given one onward: each fault is a one-shot
+// (Fault.lastActive) whose window has closed, or a permanent one that is
+// armed, which corrupts its wire on every cycle alike. A periodic
+// intermittent fault never is: it turns on and off with the cycle count.
+// A quiescent plane is stationary; a stationary one may still fire, but
+// only as it did on the cycle before, which is what lets a campaign run
+// whose network has stopped changing under a permanent fault be
+// fast-forwarded (campaign.ffProbe). Monotone, like Quiescent.
+func (p *Plane) Stationary(cycle int64) bool {
+	return p == nil || cycle >= p.stationaryFrom
 }
 
 // LiveFor reports whether a fault hosted by router may be active at
@@ -404,27 +436,31 @@ func (p *Plane) LiveFor(cycle int64, router int) bool {
 	return w != nil && cycle >= w.from && cycle <= w.to
 }
 
-// Clone returns an independent copy of the plane.
+// Clone returns an independent copy of the plane. What NewPlane derived
+// from the faults is read-only and shared.
 func (p *Plane) Clone() *Plane {
 	if p == nil {
 		return nil
 	}
-	c := &Plane{
-		faults:   append([]Fault(nil), p.faults...),
-		firedAt:  append([]int64(nil), p.firedAt...),
-		minCycle: p.minCycle,
-		maxCycle: p.maxCycle,
-		windows:  p.windows,
-	}
-	return c
+	c := *p
+	c.faults = append([]Fault(nil), p.faults...)
+	c.firedAt = append([]int64(nil), p.firedAt...)
+	return &c
+}
+
+// misses reports whether a consult of a signal of the given kind at cycle
+// cannot match any fault: no plane, a cycle outside the plane's window
+// (an empty plane has minCycle > maxCycle, so it always misses), or a
+// kind that hosts no fault — every read but one kind's, under a single
+// armed fault. It is what a consult costs when it returns without the
+// scan of the fault list.
+func (p *Plane) misses(cycle int64, kind Kind) bool {
+	return p == nil || cycle < p.minCycle || cycle > p.maxCycle || p.kinds>>uint(kind)&1 == 0
 }
 
 // xorMask returns the XOR mask to apply to the addressed signal at
-// cycle, and records firing.
+// cycle, and records firing. Its callers have asked misses first.
 func (p *Plane) xorMask(cycle int64, router int, kind Kind, port, vc int) uint32 {
-	if p == nil || len(p.faults) == 0 || cycle < p.minCycle || cycle > p.maxCycle {
-		return 0
-	}
 	var mask uint32
 	for i := range p.faults {
 		f := &p.faults[i]
@@ -480,17 +516,13 @@ func (p *Plane) TransientRegisterFlips(cycle int64, router int) []Fault {
 // unsigned words, so a flipped high bit can push the value out of its
 // legal range — the illegal outputs invariances 2 and 19 watch for.
 func (p *Plane) Word(cycle int64, router int, kind Kind, port, vc int, value int) int {
-	// Kept small enough to inline: routers consult the plane on every
-	// signal read, and outside the fault window (or with no plane at
-	// all) the consult must cost no more than a couple of compares. An
-	// empty plane has minCycle > maxCycle, so it always rejects here.
-	if p == nil || cycle < p.minCycle || cycle > p.maxCycle {
+	// Too large to inline (go build -gcflags=-m=2 prices Word and Vec well
+	// over the budget of 80, with the scan outlined or not), so a consult
+	// is a call, which routers make only inside their own fault window
+	// (Router.fWord). What it must not cost there is the scan.
+	if p.misses(cycle, kind) {
 		return value
 	}
-	return p.wordSlow(cycle, router, kind, port, vc, value)
-}
-
-func (p *Plane) wordSlow(cycle int64, router int, kind Kind, port, vc int, value int) int {
 	m := p.xorMask(cycle, router, kind, port, vc)
 	if m == 0 {
 		return value
@@ -500,7 +532,7 @@ func (p *Plane) wordSlow(cycle int64, router int, kind Kind, port, vc int, value
 
 // Vec applies any matching fault to a bit-vector signal.
 func (p *Plane) Vec(cycle int64, router int, kind Kind, port, vc int, value uint32) uint32 {
-	if p == nil || cycle < p.minCycle || cycle > p.maxCycle {
+	if p.misses(cycle, kind) {
 		return value
 	}
 	return value ^ p.xorMask(cycle, router, kind, port, vc)

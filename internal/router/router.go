@@ -437,6 +437,11 @@ func (r *Router) snapshotVC(cycle int64, p, v int) bool {
 }
 
 func (r *Router) applyRegisterUpsets(cycle int64) {
+	// A flip matches on this router's id at the fault's own cycle, which
+	// is inside this router's window by construction.
+	if !r.planeLive {
+		return
+	}
 	for _, f := range r.plane.TransientRegisterFlips(cycle, r.id) {
 		s := f.Site
 		if s.Port < 0 || s.Port >= P || !r.hasPort[s.Port] {

@@ -104,10 +104,13 @@ func (n *Network) NextPacketID() uint64 { return n.nextPkt }
 // already corrupted state (see fault.Plane.Quiescent). This is the gate
 // for reconvergence detection: once quiescent, the faulty network is an
 // unfaulted deterministic system whose state either reconverges with
-// the golden run or diverges forever. Monotone, so cached once true.
-func (n *Network) FaultsQuiescent() bool {
-	if !n.planeQuiescent && n.plane.Quiescent(n.cycle) {
-		n.planeQuiescent = true
-	}
-	return n.planeQuiescent
-}
+// the golden run or diverges forever. Monotone, and one compare.
+func (n *Network) FaultsQuiescent() bool { return n.plane.Quiescent(n.cycle) }
+
+// FaultsStationary reports whether the attached fault plane answers
+// every consult from the current cycle onward as it did on the cycle
+// before (see fault.Plane.Stationary): quiescent, or held open by
+// permanent faults alone. This is the gate for the frozen-state
+// fast-forward, which needs a step function that no longer reads the
+// cycle; reconvergence and frontier retirement need FaultsQuiescent.
+func (n *Network) FaultsStationary() bool { return n.plane.Stationary(n.cycle) }

@@ -240,7 +240,7 @@ func (f *Frontier) Peak() int { return f.peak }
 // Copied returns how many nodes the frontier has copied into its network:
 // over one forked by CloneLazyInto the nodes it has tracked, each fetched
 // from the fork point, and over any network the nodes MaterializeAll took
-// from the window end.
+// from the golden network it was given.
 func (f *Frontier) Copied() int { return f.copied }
 
 // Joins returns how many times a node joined the frontier (a node that
@@ -758,10 +758,9 @@ func (f *Frontier) StaticFingerprint() uint64 {
 // one (golden's recorded ejections, less Replaced, around what the log
 // held; the recorded flits are shared with the transcript, not copied),
 // and the tracking monitors are told of every node, since Network.Step
-// shows them all. The frontier is spent afterwards. Campaign runs need
-// this only when their fault is still armed at the window end; it is
-// also how tests and probes turn a frontier run back into a network they
-// can fingerprint.
+// shows them all. The frontier is spent afterwards. No campaign run
+// needs this: it is how tests and probes turn a frontier run back into a
+// network they can fingerprint.
 func (f *Frontier) MaterializeAll(wend *Network) {
 	n, rec := f.n, f.rec
 	if wend.cycle != n.cycle {

@@ -53,8 +53,11 @@ import (
 // frontier over a whole network runs the same code with nothing to copy.
 //
 // It returns how many nodes joined the frontier after the window end, the
-// joins that replay a node across the end of injection, and how many
-// joined it a second time, from the later boundary they had retired at.
+// joins that replay a node across the end of injection, how many joined it
+// a second time, from the later boundary they had retired at, and — under
+// a plane still armed at the end — how many members the frontier carried
+// to the end of the horizon and whether the drain ended on a fabric that
+// had stopped changing short of quiet.
 func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window, horizon int64) (joins lockstepJoins) {
 	t.Helper()
 	const drainCap = 3000 // a run neither quiet nor frozen by then is livelocked
@@ -136,6 +139,7 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 		before := refFP
 		step()
 		still = refFP == before
+		joins.wedged = still && !ref.Quiet()
 	}
 	// Past the drain boundary, and at least as far as golden itself went:
 	// the materialization below needs golden's state at the final cycle.
@@ -143,6 +147,9 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 		step()
 	}
 
+	if !fn.FaultsQuiescent() {
+		joins.held = fr.Size()
+	}
 	for gold.Cycle() < ref.Cycle() {
 		gold.Step()
 	}
@@ -164,8 +171,15 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 
 // lockstepJoins counts the joins of a frontierLockstep run that replay a
 // node the hard ways: late, after the window end, across the end of
-// injection; again, a node that had been a member and retired.
-type lockstepJoins struct{ late, again int64 }
+// injection; again, a node that had been a member and retired. Under a
+// plane that never goes quiescent, held is the frontier's size at the end
+// of the horizon (its members never retire) and wedged whether the drain
+// ended frozen short of quiet.
+type lockstepJoins struct {
+	late, again int64
+	held        int
+	wedged      bool
+}
 
 // junkNetwork returns a network of cfg's geometry that shares no state
 // with a run under cfg: another seed, three times the load, a hundred
@@ -269,6 +283,13 @@ func FuzzFrontierLockstep(f *testing.F) {
 	// (TestFuzzSeedsRejoin holds them to it).
 	for _, sd := range rejoinFuzzSeeds {
 		f.Add(sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site, sd.bit, uint8(0), sd.delay, uint8(0), uint8(0), uint32(0), uint8(0), uint32(0), uint8(0))
+	}
+	// One permanent fault whose cone the frontier carries, members never
+	// retiring, through the drain — wedged or not — and the horizon, with
+	// nodes still joining after the window end
+	// (TestFuzzSeedsHoldAPermanentFault holds them to it).
+	for _, sd := range permanentFuzzSeeds {
+		f.Add(sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site, sd.bit, uint8(1), sd.delay, uint8(0), uint8(0), uint32(0), uint8(0), uint32(0), uint8(0))
 	}
 	f.Fuzz(func(t *testing.T, w, h, vcs, ratePct, alg uint8, seed uint64, site uint32, bit, typ, delay, period, duty uint8, site2 uint32, typ2 uint8, site3 uint32, typ3 uint8) {
 		fuzzLockstep(t, w, h, vcs, ratePct, alg, seed, site, bit, typ, delay, period, duty, site2, typ2, site3, typ3)
@@ -376,6 +397,43 @@ func TestFuzzSeedsRejoin(t *testing.T) {
 	}
 	if late == 0 {
 		t.Error("no rejoin corpus entry has a join after the window end")
+	}
+}
+
+// permanentFuzzSeeds are FuzzFrontierLockstep's single-permanent corpus
+// entries, one for each routing algorithm: a fault that never goes
+// quiescent, whose run stays on the frontier to the end.
+var permanentFuzzSeeds = []struct {
+	w, h, vcs, rate, alg uint8
+	seed                 uint64
+	site                 uint32
+	bit, delay           uint8
+}{
+	{w: 3, h: 3, vcs: 1, rate: 14, alg: 0, seed: 5, site: 1073, bit: 1, delay: 7},
+	{w: 4, h: 2, vcs: 2, rate: 10, alg: 1, seed: 21, site: 1961, bit: 1, delay: 7},
+	{w: 2, h: 5, vcs: 0, rate: 17, alg: 2, seed: 33, site: 444, bit: 1, delay: 7},
+}
+
+// TestFuzzSeedsHoldAPermanentFault keeps the permanent corpus entries what
+// they are there for: under each the frontier reaches the end of the
+// horizon with a cone of several members and had a node join it after the
+// window end; under some the drain ends on a wedged fabric, under others
+// on a quiet one.
+func TestFuzzSeedsHoldAPermanentFault(t *testing.T) {
+	wedged, quiet := 0, 0
+	for i, sd := range permanentFuzzSeeds {
+		j := fuzzLockstep(t, sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site, sd.bit, 1, sd.delay, 0, 0, 0, 0, 0, 0)
+		if j.held < 2 || j.late == 0 {
+			t.Errorf("seed %d: %d members at the end of the horizon, %d joins after the window end", i, j.held, j.late)
+		}
+		if j.wedged {
+			wedged++
+		} else {
+			quiet++
+		}
+	}
+	if wedged == 0 || quiet == 0 {
+		t.Errorf("%d permanent corpus entries wedge the fabric, %d drain it: want some of each", wedged, quiet)
 	}
 }
 

@@ -100,8 +100,6 @@ type Network struct {
 	// planeInert caches Plane.Inert once it turns true (the property is
 	// monotone), so the per-cycle fast-path check is a bool load.
 	planeInert bool
-	// planeQuiescent likewise caches Plane.Quiescent (also monotone).
-	planeQuiescent bool
 }
 
 // New builds a network from the configuration. The fault plane may be
@@ -440,13 +438,12 @@ func (n *Network) Quiet() bool {
 
 // SetPlane swaps the fault plane on this network and all its routers
 // (used when a campaign fork replays a fault-free gap before arming the
-// run's faults). The monotone plane caches are reset so the new plane's
+// run's faults). The monotone inert cache is reset so the new plane's
 // liveness is re-evaluated from the current cycle. Only meaningful at a
 // cycle boundary, like Clone.
 func (n *Network) SetPlane(p *fault.Plane) {
 	n.plane = p
 	n.planeInert = false
-	n.planeQuiescent = false
 	for _, r := range n.routers {
 		r.SetPlane(p)
 	}
@@ -522,7 +519,6 @@ func (c *Network) copyScalars(n *Network, plane *fault.Plane) {
 	c.plane = plane
 	c.soaOff = n.soaOff
 	c.planeInert = false
-	c.planeQuiescent = false
 	c.cycle = n.cycle
 	c.nextPkt = n.nextPkt
 	c.injecting = n.injecting
