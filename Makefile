@@ -53,15 +53,12 @@ test: vet
 # updates, NDJSON writers, the daemon's queue/worker/event fan-out);
 # run them under the race detector, plus the step-loop packages (core,
 # router, soa, fault) whose shared-array state campaign workers mutate in
-# parallel. Measured on the shared two-core box at PR 26: 5 min 5 s of
-# wall (`internal/campaign` 304 s race-enabled, which bounds it;
-# `internal/sim` 104 s, `internal/core` 101 s; uncached tier-1 `go test
-# ./...` is 38 s of wall), against 6 min 4 s and 40 s at PR 25: runs
-# whose fault stays armed (the armed fixture, the Observation-3 and
-# intermittent campaigns, the frontier identity's permanents) stop at the
-# fixed point instead of stepping the mesh to the horizon, and the two
-# tests that hold that exit to the stepped run take about 40 s of it
-# back. ROADMAP item 10's race target (< 5 min) is five seconds away. The
+# parallel. Measured on the shared two-core box at PR 27: 4 min 27 s of
+# wall (`internal/campaign` 266 s race-enabled, which bounds it;
+# `internal/sim` 105 s, `internal/core` 107 s; uncached tier-1 `go test
+# ./...` is 32 s of wall), against 5 min 5 s and 38 s at PR 26: every
+# campaign's fault-free warm-up steps its awake routers only. ROADMAP item
+# 10's race target (< 5 min) is met with half a minute to spare. The
 # campaign package was 12 min at PR 17 and 14 at PR 20, over go test's
 # ten-minute default, which is why this target carried `-timeout 30m`
 # until an armed fault stopped costing the mesh (PR 22).

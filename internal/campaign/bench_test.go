@@ -142,11 +142,22 @@ func BenchmarkGoldenWarmup(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			var gold *Golden
 			for i := 0; i < b.N; i++ {
-				if builtGolden(b, &o).groups[16000].gc.rec == nil {
+				gold = builtGolden(b, &o)
+				if gold.groups[16000].gc.rec == nil {
 					b.Fatal("the golden continuation recorded no transcript")
 				}
 			}
+			// What the active set buys, as counts that repeat exactly: the
+			// routers evaluated and NIs ticked per cycle of the mainline and
+			// its one continuation (64 and 64, or 256 and 256, would mean
+			// the mesh is polled again), beside the warm-up's time per router
+			// of the mesh and simulated cycle.
+			cycles := float64(gold.endCycle)
+			b.ReportMetric(float64(gold.routerSteps)/cycles, "routers-stepped/cycle")
+			b.ReportMetric(float64(gold.niTicks)/cycles, "nis-ticked/cycle")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(cycles*float64(bc.w*bc.h)), "ns/router-cycle")
 		})
 	}
 }

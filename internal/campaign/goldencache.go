@@ -32,9 +32,9 @@ import (
 //     still writes. Its publication (the close of its ready channel)
 //     happens before any read of it, so workers of any number of
 //     concurrent Runs read it without further synchronization.
-//   - ring, timelineBytes, logBytes and endCycle belong to the warm-up
-//     until done is closed; they are final, and err says how the build
-//     ended, from then on.
+//   - ring, timelineBytes, logBytes, endCycle and the step counts belong
+//     to the warm-up until done is closed; they are final, and err says
+//     how the build ended, from then on.
 //   - A build that fails — its builder cancelled, say — leaves the
 //     groups it has published valid; the others resolve to
 //     errGoldenAbandoned, and by then the artefact has left its cache.
@@ -56,8 +56,11 @@ type Golden struct {
 	// which no report field carries.
 	logBytes int64
 	// endCycle is where the golden mainline stopped: the last injection
-	// cycle plus the final continuation.
-	endCycle int64
+	// cycle plus the final continuation. routerSteps and niTicks are what
+	// stepping it there evaluated (sim.Network.RouterSteps, NITicks),
+	// which BenchmarkGoldenWarmup reports per cycle.
+	endCycle             int64
+	routerSteps, niTicks int64
 }
 
 // goldenGroup is one injection cycle's slot in the artefact: gc is set,
@@ -353,7 +356,8 @@ func (g *Golden) buildGroups(ctx context.Context, o *Options, forks <-chan forkP
 		if gc.rc != nil {
 			g.timelineBytes += gc.rc.tl.ApproxFootprintBytes()
 		}
-		g.endCycle = fp.cont.Cycle() // the last continuation is the mainline
+		// The last continuation is the mainline.
+		g.endCycle, g.routerSteps, g.niTicks = fp.cont.Cycle(), fp.cont.RouterSteps(), fp.cont.NITicks()
 		s := g.groups[fp.cycle]
 		s.gc = gc
 		close(s.ready)

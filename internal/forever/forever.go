@@ -194,10 +194,16 @@ func (m *Monitor) reassemble(e *ejection) bool {
 	return e.seq == 0
 }
 
+// SignalsOnly implements sim.SignalsOnly: of a router's cycle the monitor
+// reads the four request/grant banks and nothing of the pre-cycle
+// snapshot, so a network that carries it alone takes none.
+func (m *Monitor) SignalsOnly() {}
+
 // RouterCycle implements sim.Monitor: the Allocation Comparator watches
 // the allocators' request/grant interfaces for a grant without a
 // request or a multi-hot grant — the invalid operations it was designed
-// to flag.
+// to flag. An arbiter that granted nothing can have done neither, and
+// most of the twenty grant nothing on most cycles.
 func (m *Monitor) RouterCycle(r *router.Router, s *router.Signals) {
 	if m.opts.DisableAC {
 		return
@@ -206,6 +212,9 @@ func (m *Monitor) RouterCycle(r *router.Router, s *router.Signals) {
 	for _, b := range banks {
 		for p := 0; p < router.P; p++ {
 			rg := b[p]
+			if rg.Gnt.IsZero() {
+				continue
+			}
 			if !(rg.Gnt &^ rg.Req).IsZero() || !rg.Gnt.AtMostOneHot() {
 				m.flag(s.Cycle, r.ID())
 				return

@@ -3,6 +3,7 @@ package forever
 import (
 	"testing"
 
+	"nocalert/internal/bitvec"
 	"nocalert/internal/fault"
 	"nocalert/internal/flit"
 	"nocalert/internal/router"
@@ -72,6 +73,41 @@ func TestAllocationComparatorInstant(t *testing.T) {
 	d := m.FirstDetectionAfter(500)
 	if d != 500 {
 		t.Fatalf("AC detection at %d, want 500", d)
+	}
+}
+
+// TestAllocationComparatorRules: what the Allocation Comparator flags of
+// one arbiter's cycle, in each of the four banks it watches. An arbiter
+// that granted nothing is passed over before either rule is tried.
+func TestAllocationComparatorRules(t *testing.T) {
+	rc := router.Default(topology.NewMesh(4, 4))
+	r := router.New(5, &rc, nil)
+	for _, tc := range []struct {
+		name     string
+		req, gnt bitvec.Vec
+		flagged  bool
+	}{
+		{"no grant, no request", 0, 0, false},
+		{"no grant", 0b0110, 0, false},
+		{"one requested grant", 0b0110, 0b0100, false},
+		{"grant without request", 0b0110, 0b1000, true},
+		{"grant without any request", 0, 0b0001, true},
+		{"two-hot grant", 0b0110, 0b0110, true},
+	} {
+		for bank := 0; bank < 4; bank++ {
+			var s router.Signals
+			s.Cycle = 42
+			rg := router.ReqGnt{Req: tc.req, Gnt: tc.gnt}
+			[...]*[router.P]router.ReqGnt{&s.VA1, &s.SA1, &s.VA2, &s.SA2}[bank][bank+1] = rg
+			m := NewMonitor(&rc, Options{})
+			m.RouterCycle(r, &s)
+			if m.Detected() != tc.flagged {
+				t.Errorf("%s in bank %d: flagged = %t, want %t", tc.name, bank, m.Detected(), tc.flagged)
+			}
+			if tc.flagged && m.FirstDetection() != 42 {
+				t.Errorf("%s in bank %d: flagged at cycle %d, want the record's 42", tc.name, bank, m.FirstDetection())
+			}
+		}
 	}
 }
 

@@ -79,6 +79,8 @@ func (ip *inputPort) cloneInto(dst *inputPort, depth int, ar *flit.Arena) {
 		}
 		d.buf = buf
 		// lastRead/lastWritten are value snapshots; *d = *src above
-		// already copied them, and their digests.
+		// already copied them, and the digests src had taken. The copy
+		// takes the rest: it may be folded where it must not be written.
+		d.takeDigests()
 	}
 }

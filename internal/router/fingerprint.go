@@ -13,7 +13,9 @@ import "nocalert/internal/statehash"
 // the per-cycle staging (sig, creditsOut) is dead and deliberately
 // excluded. The activity masks (NonIdle, Occupied) are derived state —
 // functions of the registers folded here — and are excluded for the
-// same reason.
+// same reason. A fold takes the digest of every latch written since the
+// last one (inVC.takeDigests): it writes the router's digest cache, and
+// nothing else.
 func (r *Router) FoldState(h uint64) uint64 {
 	st := &r.st
 	for p := 0; p < P; p++ {
@@ -49,7 +51,8 @@ func (r *Router) FoldState(h uint64) uint64 {
 			// lastRead/lastWritten contents are architectural: a read
 			// strobe on an empty buffer replays lastRead (garbage read),
 			// and the mixing rule consults lastWritten. Folding a latch's
-			// kept digest is what its flit's FoldState would do.
+			// digest is what its flit's FoldState would do.
+			v.takeDigests()
 			if v.hasLastRead {
 				h = statehash.Fold(h, v.lastReadDigest)
 			}
@@ -71,3 +74,14 @@ func (r *Router) FoldState(h uint64) uint64 {
 // widened) in one fold word, losslessly: a fold's steps each wait for
 // the one before, so a router's fold costs what it has words.
 func pack32(lo, hi int32) uint64 { return uint64(uint32(lo)) | uint64(uint32(hi))<<32 }
+
+// takeDigests brings the digest cache of the VC's valid latches up to
+// date: a latch written since its digest was last taken is hashed now.
+func (v *inVC) takeDigests() {
+	if v.hasLastRead && !v.readDigestOK {
+		v.lastReadDigest, v.readDigestOK = v.lastRead.Digest(), true
+	}
+	if v.hasLastWritten && !v.writtenDigestOK {
+		v.lastWrittenDigest, v.writtenDigestOK = v.lastWritten.Digest(), true
+	}
+}

@@ -64,10 +64,10 @@ type Router struct {
 	// fill refreshes those entries and the occupied ones, and no other.
 	// preFull makes the next fill a full one instead: set wherever an
 	// entry may differ from its registers with no write to show for it —
-	// a fresh router or CloneInto target (the snapshot is not cloned) and
+	// a fresh router or CloneInto target (the snapshot is not cloned),
 	// every cycle the sweep was not fast (inside the router's own fault
 	// window the snapshot is shown faulted reads, which are not what is
-	// stored).
+	// stored) and every cycle no snapshot was taken (BeginUnobserved).
 	preDirty [P]uint32
 	preFull  bool
 
@@ -76,6 +76,9 @@ type Router struct {
 
 	sig        Signals
 	creditsOut []CreditOut
+	// targets backs every Arrival.Targets of the cycle (writeFlit), emptied
+	// by BeginCycle like the rest of the signal record.
+	targets []WriteTarget
 }
 
 // New constructs a standalone router for node id of the configured mesh,
@@ -238,7 +241,7 @@ func (r *Router) resetVC(p, v int) {
 func (r *Router) push(p, v int, f *flit.Flit) {
 	vc := &r.in[p].vcs[v]
 	vc.buf = append(vc.buf, f)
-	vc.lastWritten, vc.lastWrittenDigest = *f, f.Digest()
+	vc.lastWritten, vc.writtenDigestOK = *f, false
 	vc.hasLastWritten = true
 	r.st.Occupied[p] |= 1 << uint(v)
 	r.preDirty[p] |= 1 << uint(v)
@@ -262,7 +265,7 @@ func (r *Router) pop(p, v int) (f *flit.Flit, garbage bool) {
 		r.st.Occupied[p] &^= 1 << uint(v)
 	}
 	r.preDirty[p] |= 1 << uint(v)
-	vc.lastRead, vc.lastReadDigest = *f, f.Digest()
+	vc.lastRead, vc.readDigestOK = *f, false
 	vc.hasLastRead = true
 	return f, false
 }
@@ -367,12 +370,31 @@ func (r *Router) creditFaulted(cycle int64, o, v int) int {
 // planeLive is this router's own fault window (fault.Plane.LiveFor), not
 // the plane's: a fault armed in another router leaves this one on the
 // fast sweep with the sparse fill.
-func (r *Router) BeginCycle(cycle int64) {
+func (r *Router) BeginCycle(cycle int64) { r.beginCycle(cycle, true) }
+
+// BeginUnobserved is BeginCycle for a cycle whose snapshot nobody will
+// read — the caller shows this cycle's record to no reader of Signals.Pre
+// — and on a fast sweep takes none: Pre keeps whatever it held, and
+// preFull makes the next BeginCycle fill every entry, as after a clone.
+// Off the fast sweep the fill is taken as ever: the reference engine fills
+// every snapshot, and inside the router's own fault window the fill's
+// consults are what mark a fault on an idle register fired.
+func (r *Router) BeginUnobserved(cycle int64) { r.beginCycle(cycle, false) }
+
+func (r *Router) beginCycle(cycle int64, observed bool) {
 	r.planeLive = r.plane.LiveFor(cycle, r.id)
 	r.fastSweep = !r.sweepRef && !r.planeLive
 	r.applyRegisterUpsets(cycle)
 	r.sig.reset(r.id, cycle)
 	r.creditsOut = r.creditsOut[:0]
+	r.targets = r.targets[:0]
+	if !observed && r.fastSweep {
+		// No snapshot: the record of what was written since the last one
+		// goes with it, and the next one starts over.
+		r.preDirty = [P]uint32{}
+		r.preFull = true
+		return
+	}
 	full := r.preFull || !r.fastSweep
 	r.preFull = !r.fastSweep
 	for p := 0; p < P; p++ {
@@ -520,6 +542,7 @@ func (r *Router) writeFlit(cycle int64, p int, f *flit.Flit) {
 	}
 	strobe = bitvec.Vec(r.fVec(cycle, fault.BufWrite, p, -1, uint32(strobe))) & bitvec.Mask(r.cfg.VCs)
 	arr := Arrival{Port: p, Kind: f.Kind, VCField: vcRaw, Strobe: strobe, Flit: f}
+	first := len(r.targets)
 	i := -1
 	for w := strobe; !w.IsZero(); {
 		var v int
@@ -561,8 +584,11 @@ func (r *Router) writeFlit(cycle int64, p int, f *flit.Flit) {
 			}
 		}
 		t.ArrivedAfter = int(r.st.Arrived[ri])
-		arr.Targets = append(arr.Targets, t)
+		r.targets = append(r.targets, t)
 	}
+	// Capped, so that nobody's append to one arrival's targets can write
+	// the next one's.
+	arr.Targets = r.targets[first:len(r.targets):len(r.targets)]
 	r.sig.Arrivals = append(r.sig.Arrivals, arr)
 }
 

@@ -117,7 +117,9 @@ type Arrival struct {
 	Strobe bitvec.Vec
 	// Flit is the stored flit (its fields reflect the faulted values).
 	Flit *flit.Flit
-	// Targets describes each strobed VC at write time.
+	// Targets describes each strobed VC at write time. It is a capped
+	// piece of one backing array the router refills every cycle: valid,
+	// like the rest of the record, until the next BeginCycle.
 	Targets []WriteTarget
 }
 
@@ -288,16 +290,14 @@ func (s *Signals) reset(router int, cycle int64) {
 	s.SALatches = s.SALatches[:0]
 	s.Arrivals = s.Arrivals[:0]
 	s.Departures = s.Departures[:0]
-	for p := 0; p < P; p++ {
-		s.RCDone[p] = 0
-		s.VA1[p] = ReqGnt{}
-		s.SA1[p] = ReqGnt{}
-		s.VA2[p] = ReqGnt{}
-		s.SA2[p] = ReqGnt{}
-		s.XbarCol[p] = 0
-		s.Reads[p] = ReadSig{}
-		s.CreditsIn[p] = 0
-	}
+	// Whole arrays at a time: a handful of wide stores, where a loop over
+	// the ports is eight narrow ones a port.
+	s.RCDone = [P]bitvec.Vec{}
+	s.VA1, s.SA1 = [P]ReqGnt{}, [P]ReqGnt{}
+	s.VA2, s.SA2 = [P]ReqGnt{}, [P]ReqGnt{}
+	s.XbarCol = [P]bitvec.Vec{}
+	s.Reads = [P]ReadSig{}
+	s.CreditsIn = [P]bitvec.Vec{}
 	s.XbarRows = 0
 	s.XbarIn = 0
 	s.XbarOut = 0

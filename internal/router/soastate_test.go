@@ -152,6 +152,57 @@ func TestReferenceSweepIdentity(t *testing.T) {
 	}
 }
 
+// TestUnobservedCyclesForceFullFill: cycles begun unobserved take no
+// snapshot on the fast sweep, and the first cycle begun observed again
+// must show every entry as the reference sweep's full fill has it — the
+// VCs included that were torn down, free and empty since, while nobody
+// looked, which a sparse fill finds neither occupied nor written. The two
+// routers see the same input stream; the fast one is observed for three
+// cycles (so that its snapshot has been filled once and preFull is down),
+// unobserved while the packets drain, and observed from there on.
+func TestUnobservedCyclesForceFullFill(t *testing.T) {
+	mk := func(ref bool) *rig {
+		g := newRig(t, nil)
+		g.r.SetReferenceSweep(ref)
+		dest := g.r.Config().Mesh.NodeAt(2, 1)
+		for i, dir := range []topology.Direction{topology.Local, topology.West, topology.South} {
+			fl := g.packet(uint64(i+1), dest, 1)
+			fl[0].VC = i
+			g.r.StageArrival(dir, fl[0])
+		}
+		return g
+	}
+	ref, fast := mk(true), mk(false)
+	for c := int64(0); c < 40; c++ {
+		ref.step()
+		if c < 3 || c >= 20 {
+			fast.step()
+		} else {
+			fast.r.BeginUnobserved(c)
+			fast.r.Evaluate(c)
+			fast.cycle++
+			continue
+		}
+		got, want := &fast.r.Signals().Pre, &ref.r.Signals().Pre
+		if got.Active != want.Active {
+			t.Fatalf("cycle %d: Pre.Active %v, the full fill has %v", c, got.Active, want.Active)
+		}
+		for p := range want.In {
+			for v := range want.In[p] {
+				if got.In[p][v] != want.In[p][v] {
+					t.Fatalf("cycle %d port %d vc %d: Pre.In %+v, the full fill has %+v", c, p, v, got.In[p][v], want.In[p][v])
+				}
+			}
+		}
+	}
+	if !fast.r.Inert() {
+		t.Fatal("the packets did not drain while the router went unobserved")
+	}
+	if af, bf := ref.r.FoldState(statehash.Seed), fast.r.FoldState(statehash.Seed); af != bf {
+		t.Fatalf("engine folds diverged (%#x vs %#x)", af, bf)
+	}
+}
+
 // TestRegisterUpsetsApply: transient register flips through every
 // register kind must land in the SoA arrays (the fold moves) and keep
 // the router steppable; wire faults exercise the faulted read paths.
@@ -227,19 +278,40 @@ func TestSignalTelemetryAccessors(t *testing.T) {
 }
 
 // TestLatchDigestsFoldAsRebuilt: the digests of the read and write
-// latches, kept up by push and pop and carried by CloneInto, fold a
-// router to the value a fold over the latches' flits themselves gives.
-// A random sequence of buffer writes, reads and reads from empty buffers
-// (which hand out a copy of the read latch and must leave it alone) is
-// applied to every VC; every so often the router is cloned, the clone's
-// digests are thrown away and taken again from its latch values, and the
-// two must fold alike. Departed flits are rewritten the way the next hop
-// restamps them: a latch that aliased one would drift from its digest.
+// latches — taken by the first fold after push or pop wrote the latch,
+// cached until the next write, carried by CloneInto, which takes the ones
+// its source has not — fold a router to the value a fold over the latches'
+// flits themselves gives. A random sequence of buffer writes, reads and
+// reads from empty buffers (which hand out a copy of the read latch and
+// must leave it alone) is applied to every VC; every so often the router
+// is folded and cloned, in either order and into a fresh or a used
+// target, the clone's digests are thrown away and taken again from its
+// latch values, and all three must fold alike: a push or pop that left a
+// digest standing, or a clone that carried a stale one, shows here.
+// Cloning must write nothing of its source, which other goroutines may be
+// cloning too: what the source had not taken it still has not. Departed
+// flits are rewritten the way the next hop restamps them: a latch that
+// aliased one would drift from its digest.
 func TestLatchDigestsFoldAsRebuilt(t *testing.T) {
 	cfg := Default(topology.NewMesh(3, 3))
 	r := New(4, &cfg, nil)
 	g := rng.New(11, 3)
 	pkt := uint64(0)
+	untaken := func(r *Router) (n int) {
+		for p := range r.in {
+			for v := range r.in[p].vcs {
+				if vc := &r.in[p].vcs[v]; vc.hasLastRead && !vc.readDigestOK {
+					n++
+				}
+				if vc := &r.in[p].vcs[v]; vc.hasLastWritten && !vc.writtenDigestOK {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	var c *Router
+	lazy := 0
 	for i := 1; i <= 4000; i++ {
 		p, v := g.Intn(P), g.Intn(cfg.VCs)
 		if vc := &r.in[p].vcs[v]; g.Intn(2) == 0 && !vc.full(cfg.BufDepth) {
@@ -255,24 +327,50 @@ func TestLatchDigestsFoldAsRebuilt(t *testing.T) {
 		if i%40 != 0 {
 			continue
 		}
-		c := r.CloneInto(nil, nil, nil)
+		check := i / 40
+		var got uint64
+		if check%2 == 0 {
+			got = r.FoldState(statehash.Seed) // fold, then clone: the digests travel
+			if n := untaken(r); n != 0 {
+				t.Fatalf("after %d operations: a fold left %d latch digests untaken", i, n)
+			}
+		}
+		before := untaken(r)
+		lazy += before
+		if check%4 >= 2 {
+			c = nil // a fresh target; else the one the last check left
+		}
+		c = r.CloneInto(c, nil, nil)
+		if n := untaken(r); n != before {
+			t.Fatalf("after %d operations: CloneInto took %d digests of its source", i, before-n)
+		}
+		if n := untaken(c); n != 0 {
+			t.Fatalf("after %d operations: CloneInto left %d of the copy's latch digests untaken", i, n)
+		}
+		if check%2 != 0 {
+			got = r.FoldState(statehash.Seed) // clone, then fold: the clone took its own
+		}
 		carried := c.FoldState(statehash.Seed)
 		latched := 0
 		for p := range c.in {
 			for v := range c.in[p].vcs {
 				vc := &c.in[p].vcs[v]
 				vc.lastReadDigest, vc.lastWrittenDigest = vc.lastRead.Digest(), vc.lastWritten.Digest()
+				vc.readDigestOK, vc.writtenDigestOK = true, true
 				if vc.hasLastRead {
 					latched++
 				}
 			}
 		}
 		want := c.FoldState(statehash.Seed)
-		if got := r.FoldState(statehash.Seed); got != want || carried != want {
+		if got != want || carried != want {
 			t.Fatalf("after %d operations: router folds to %#x, its clone to %#x, the clone with digests retaken from its latches to %#x", i, got, carried, want)
 		}
 		if i == 4000 && latched < P*cfg.VCs/2 {
 			t.Fatalf("only %d of %d read latches were ever written", latched, P*cfg.VCs)
 		}
+	}
+	if lazy == 0 {
+		t.Fatal("no clone was ever taken of a router with untaken digests")
 	}
 }

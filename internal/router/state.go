@@ -67,11 +67,19 @@ type inVC struct {
 	// by a header). Value semantics for the same reason as lastRead.
 	lastWritten    flit.Flit
 	hasLastWritten bool
-	// lastReadDigest and lastWrittenDigest are the latches' flit.Digest,
-	// taken where the latches are written (pop, push) so that a state fold
-	// — every recorded cycle, every retirement probe — costs one step per
-	// latch, not a flit's thirteen. Cloned with the latches.
+	// lastReadDigest and lastWrittenDigest cache the latches' flit.Digest
+	// for the state fold, each behind a valid bit: pop and push write the
+	// latch and clear the bit, and the first fold after that takes the
+	// digest (takeDigests), so a latch nobody folds — 16 000 warm-up cycles
+	// between two fingerprints — is never hashed, and one that is folded
+	// every cycle costs one step per latch, not a flit's thirteen. A fold
+	// therefore writes the router it folds, which only the goroutine that
+	// steps it may do: CloneInto hands the copy every digest taken (it
+	// takes the missing ones from the latches, into the copy), so a clone
+	// product that is never stepped — a campaign's shared snapshots — is
+	// folded without a write.
 	lastReadDigest, lastWrittenDigest uint64
+	readDigestOK, writtenDigestOK     bool
 }
 
 func (v *inVC) empty() bool { return len(v.buf) == 0 }

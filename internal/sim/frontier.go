@@ -263,6 +263,10 @@ func (f *Frontier) Step() {
 		panic(fmt.Sprintf("sim: frontier at cycle %d has injection on=%t, the transcript stopped injecting at cycle %d", t, n.injecting, f.rec.injectEnd))
 	}
 
+	// The frontier writes nodes without keeping the network's active sets:
+	// a Network.Step after it (MaterializeAll's caller) polls them anew.
+	n.awakeStale = true
+
 	f.stepGeneration(t)
 
 	// Router pipelines: members only, in ascending node order, with the
@@ -547,7 +551,7 @@ func (f *Frontier) stepNIs(t int64) {
 	injected, ejected := sHi-sLo, eHi-eLo
 	for _, id := range f.members {
 		f.ejScratch = f.ejScratch[:0]
-		if n.nis[id].tickInject(t, n.routers[id], &f.ejScratch) {
+		if sent, _ := n.nis[id].tickInject(t, n.routers[id], &f.ejScratch); sent {
 			injected++
 		}
 		if len(f.events(bySend, t, id)) > 0 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"nocalert/internal/fault"
@@ -96,6 +97,9 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 			if in && !wasIn[id] && everIn[id] {
 				joins.again++
 			}
+			if !in && wasIn[id] && !slices.Contains(seeds, id) && asleepAround(ref, id) {
+				joins.asleep++
+			}
 			wasIn[id], everIn[id] = in, everIn[id] || in
 		}
 		for _, id := range fr.steppedS {
@@ -171,14 +175,35 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 
 // lockstepJoins counts the joins of a frontierLockstep run that replay a
 // node the hard ways: late, after the window end, across the end of
-// injection; again, a node that had been a member and retired. Under a
-// plane that never goes quiescent, held is the frontier's size at the end
-// of the horizon (its members never retire) and wedged whether the drain
-// ended frozen short of quiet.
+// injection; again, a node that had been a member and retired. asleep
+// counts the members the fault's disturbance had reached (not its hosts)
+// that retired into a sleeping neighbourhood: in the full simulation,
+// whose Step visits awake nodes only, the retiring node and every
+// neighbour of it asleep. Under a plane that never goes
+// quiescent, held is the frontier's size at the end of the horizon (its
+// members never retire) and wedged whether the drain ended frozen short of
+// quiet.
 type lockstepJoins struct {
-	late, again int64
-	held        int
-	wedged      bool
+	late, again, asleep int64
+	held                int
+	wedged              bool
+}
+
+// asleepAround reports whether node id and its neighbours are all asleep
+// in n, routers and NIs, at a boundary n's Step has left.
+func asleepAround(n *Network, id int) bool {
+	around := []int{id}
+	for d := topology.North; d < topology.Local; d++ {
+		if nb, ok := n.mesh.Neighbor(id, d); ok {
+			around = append(around, nb)
+		}
+	}
+	for _, i := range around {
+		if n.awake.has(i) || n.niAwake.has(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // junkNetwork returns a network of cfg's geometry that shares no state
@@ -291,6 +316,14 @@ func FuzzFrontierLockstep(f *testing.F) {
 	for _, sd := range permanentFuzzSeeds {
 		f.Add(sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site, sd.bit, uint8(1), sd.delay, uint8(0), uint8(0), uint32(0), uint8(0), uint32(0), uint8(0))
 	}
+	// One transient fault on a 6×6 mesh at a 1 % load, where most of the
+	// mesh is asleep most of the time: nodes the disturbance reached retire
+	// with themselves and every neighbour asleep in the full simulation
+	// (TestFuzzSeedRetiresAsleep holds it to it).
+	{
+		sd := asleepFuzzSeed
+		f.Add(sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site, sd.bit, uint8(0), sd.delay, uint8(0), uint8(0), uint32(0), uint8(0), uint32(0), uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, w, h, vcs, ratePct, alg uint8, seed uint64, site uint32, bit, typ, delay, period, duty uint8, site2 uint32, typ2 uint8, site3 uint32, typ3 uint8) {
 		fuzzLockstep(t, w, h, vcs, ratePct, alg, seed, site, bit, typ, delay, period, duty, site2, typ2, site3, typ3)
 	})
@@ -397,6 +430,27 @@ func TestFuzzSeedsRejoin(t *testing.T) {
 	}
 	if late == 0 {
 		t.Error("no rejoin corpus entry has a join after the window end")
+	}
+}
+
+// asleepFuzzSeed is FuzzFrontierLockstep's corpus entry for a cone among
+// sleeping nodes: what the full simulation's active sets must get right
+// around it is who the disturbance wakes, and that they go back to sleep.
+var asleepFuzzSeed = struct {
+	w, h, vcs, rate, alg uint8
+	seed                 uint64
+	site                 uint32
+	bit, delay           uint8
+}{w: 5, h: 5, vcs: 1, rate: 0, alg: 2, seed: 5, site: 2923, bit: 1, delay: 5}
+
+// TestFuzzSeedRetiresAsleep keeps that entry what it is there for: nodes
+// that joined the frontier retire into a neighbourhood that is all asleep
+// in the full simulation.
+func TestFuzzSeedRetiresAsleep(t *testing.T) {
+	sd := asleepFuzzSeed
+	j := fuzzLockstep(t, sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site, sd.bit, 0, sd.delay, 0, 0, 0, 0, 0, 0)
+	if j.asleep == 0 {
+		t.Error("no member that had joined the frontier retired into a sleeping neighbourhood")
 	}
 }
 

@@ -24,6 +24,17 @@ type Monitor interface {
 	EndCycle(cycle int64)
 }
 
+// SignalsOnly is implemented by a monitor that reads nothing of the
+// pre-cycle snapshot (Signals.Pre, and BufferOccupancy, which is derived
+// from it): the cycle's control signals and nothing else. While every
+// attached monitor says so — or none is attached — Network.Step takes no
+// snapshot on the fast engine (router.BeginUnobserved) and Pre is stale;
+// a monitor that does not implement it is taken to read everything.
+type SignalsOnly interface {
+	Monitor
+	SignalsOnly()
+}
+
 // CloneableMonitor is implemented by monitors whose state must survive
 // a network fork (e.g. ForEVeR's in-flight notification counters).
 // Network.Clone clones such monitors along with the network; monitors

@@ -6,6 +6,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nocalert/internal/fault"
 	"nocalert/internal/flit"
@@ -60,12 +61,28 @@ type Network struct {
 	routers []*router.Router
 	nis     []*NI
 	// soaOff mirrors Config.DisableSoA (copied on clone): when set, Step
-	// visits every router every cycle instead of skipping inert ones. It
+	// visits every router and NI every cycle instead of the awake ones. It
 	// alone selects step-everything.
 	soaOff bool
+	// awake and niAwake are the fast engine's active sets, one bit per
+	// router and per NI (DESIGN.md §3.2): at every Step entry awake holds
+	// every router that is not Inert and niAwake every NI that is not
+	// idle. Step visits the set bits only, in ascending id. Whatever
+	// stages into a node sets its bit (the wake sites in Step and
+	// InjectPacket), Step clears the bit of a node its own turn leaves
+	// with nothing to do, and a router that hosts a live fault is woken at
+	// Step entry: the sets are exactly those nodes, not a superset.
+	// awakeStale is set by whatever else writes nodes — the clone family,
+	// a Frontier — and makes the next Step rebuild both sets by one poll.
+	awake, niAwake nodeSet
+	awakeStale     bool
 
 	monitors []Monitor
-	plane    *fault.Plane
+	// preRead reports that some attached monitor reads the routers'
+	// pre-cycle snapshot (it is not a SignalsOnly): Step takes snapshots
+	// only then.
+	preRead bool
+	plane   *fault.Plane
 
 	cycle     int64
 	nextPkt   uint64
@@ -75,6 +92,9 @@ type Network struct {
 	flitsInjected int64
 	flitsEjected  int64
 	pktsOffered   int64
+	// routerSteps and niTicks count the routers Step has evaluated and the
+	// NIs it has ticked since this network was built or cloned.
+	routerSteps, niTicks int64
 
 	ejections []Ejection
 
@@ -121,6 +141,8 @@ func New(cfg Config, plane *fault.Plane) (*Network, error) {
 	n.st = soa.NewState(soa.Layout{R: nodes, P: router.P, V: rcfg.VCs})
 	n.routers = make([]*router.Router, nodes)
 	n.nis = make([]*NI, nodes)
+	// A fresh mesh is all asleep: the empty sets are the right ones.
+	n.awake, n.niAwake = newNodeSet(nodes), newNodeSet(nodes)
 	for i := 0; i < nodes; i++ {
 		n.routers[i] = router.NewInState(i, n.rcfg, plane, n.st.View(i))
 		n.routers[i].SetReferenceSweep(cfg.DisableSoA)
@@ -191,7 +213,28 @@ func (n *Network) InFlight() int64 { return n.flitsInjected - n.flitsEjected }
 func (n *Network) PacketsOffered() int64 { return n.pktsOffered }
 
 // AttachMonitor registers a monitor for all subsequent cycles.
-func (n *Network) AttachMonitor(m Monitor) { n.monitors = append(n.monitors, m) }
+func (n *Network) AttachMonitor(m Monitor) {
+	n.monitors = append(n.monitors, m)
+	n.notePreReaders()
+}
+
+// notePreReaders recomputes preRead from the attached monitors.
+func (n *Network) notePreReaders() {
+	n.preRead = false
+	for _, m := range n.monitors {
+		if _, ok := m.(SignalsOnly); !ok {
+			n.preRead = true
+		}
+	}
+}
+
+// RouterSteps returns how many router evaluations Step has run on this
+// network since it was built or cloned: the awake routers' on the fast
+// engine, every router's every cycle on the reference engine.
+func (n *Network) RouterSteps() int64 { return n.routerSteps }
+
+// NITicks is RouterSteps for the network interfaces.
+func (n *Network) NITicks() int64 { return n.niTicks }
 
 // Monitors returns the attached monitors.
 func (n *Network) Monitors() []Monitor { return n.monitors }
@@ -231,16 +274,22 @@ func (n *Network) InjectPacket(src, dest, class int) uint64 {
 	n.nextPkt++
 	n.pktsOffered++
 	n.nis[src].enqueue(p)
+	n.niAwake.set(src)
 	for _, m := range n.monitors {
 		m.PacketInjected(n.cycle, src, p)
 	}
 	return p.ID
 }
 
-// Step simulates one cycle.
+// Step simulates one cycle. A router's signal record (Router.Signals) is
+// this cycle's only if the router was stepped, and its Pre only if an
+// attached monitor reads snapshots (SignalsOnly).
 func (n *Network) Step() {
 	if n.origin != nil {
 		panic("sim: Step on a network forked by CloneLazyInto; only a Frontier steps it")
+	}
+	if n.awakeStale {
+		n.rebuildAwake()
 	}
 	t := n.cycle
 
@@ -263,6 +312,7 @@ func (n *Network) Step() {
 			n.nextPkt++
 			n.pktsOffered++
 			ni.enqueue(p)
+			n.niAwake.set(id)
 			if n.rec != nil {
 				n.rec.recordGen(id, p)
 			}
@@ -272,26 +322,46 @@ func (n *Network) Step() {
 		}
 	}
 
-	// Router pipelines. On the SoA engine a router whose activity masks,
-	// staging and ST latches are all clear is skipped outright: stepping
-	// one is a provable no-op (no state write, no signal, no arbiter
-	// pointer movement), and at drain/low load most of the mesh is in that
-	// state. The exception is a router inside its own fault window: a live
-	// fault can conjure activity out of an idle router (a register upset
-	// needs BeginCycle to apply, an idle credit counter's consult is what
-	// marks its fault fired), but only out of the router that hosts it —
-	// every plane consult names the consulting router — so a fault armed
-	// in one router leaves the inert skip on for all the others.
-	stepped := n.steppedScratch[:0]
-	for id, r := range n.routers {
-		if !n.soaOff && r.Inert() && !n.plane.LiveFor(t, id) {
-			continue
+	// Router pipelines, in ascending id. The fast engine steps the awake
+	// routers and no other: stepping an Inert one is a provable no-op (no
+	// state write, no signal, no arbiter pointer movement), and at drain or
+	// low load most of the mesh is in that state and never looked at. A
+	// router found Inert once it has evaluated goes to sleep, until the
+	// link traversal or its NI, below, stage something into it. The
+	// exception is a router inside its own fault window: a live fault can
+	// conjure activity out of an idle router (a register upset needs
+	// BeginCycle to apply, an idle credit counter's consult is what marks
+	// its fault fired), but only out of the router that hosts it — every
+	// plane consult names the consulting router — so the hosts are woken
+	// here, cycle by cycle, and a fault armed in one router leaves every
+	// other asleep.
+	n.steppedScratch = n.steppedScratch[:0]
+	if n.soaOff {
+		for _, r := range n.routers {
+			n.stepRouter(r, t)
 		}
-		r.BeginCycle(t)
-		r.Evaluate(t)
-		stepped = append(stepped, r)
+	} else {
+		if n.plane != nil {
+			for id := range n.routers {
+				if n.plane.LiveFor(t, id) {
+					n.awake.set(id)
+				}
+			}
+		}
+		for w, word := range n.awake {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &^= 1 << uint(b)
+				r := n.routers[w<<6|b]
+				n.stepRouter(r, t)
+				if r.Inert() {
+					n.awake[w] &^= 1 << uint(b)
+				}
+			}
+		}
 	}
-	n.steppedScratch = stepped
+	stepped := n.steppedScratch
+	n.routerSteps += int64(len(stepped))
 
 	// Link traversal: distribute departures and credits for cycle t+1.
 	// Only stepped routers are visited — a skipped router's signal record
@@ -302,10 +372,12 @@ func (n *Network) Step() {
 			dir := topology.Direction(d.OutPort)
 			if dir == topology.Local {
 				n.nis[id].flitArrived(d.Flit, t+1)
+				n.niAwake.set(id)
 				continue
 			}
 			if nb, ok := n.mesh.Neighbor(id, dir); ok {
 				n.routers[nb].StageArrival(dir.Opposite(), d.Flit)
+				n.awake.set(nb)
 				if n.rec != nil {
 					n.rec.recordLink(id, nb, int(dir.Opposite()), d.Flit)
 				}
@@ -317,10 +389,12 @@ func (n *Network) Step() {
 		for _, c := range r.Credits() {
 			if c.Port == topology.Local {
 				n.nis[id].creditArrived(c.VC, t+1)
+				n.niAwake.set(id)
 				continue
 			}
 			if nb, ok := n.mesh.Neighbor(id, c.Port); ok {
 				n.routers[nb].StageCredit(c.Port.Opposite(), c.VC)
+				n.awake.set(nb)
 				if n.rec != nil {
 					n.rec.recordCredit(id, nb, int(c.Port.Opposite()), c.VC)
 				}
@@ -338,24 +412,24 @@ func (n *Network) Step() {
 		}
 	}
 
-	// Network interfaces.
-	for id, ni := range n.nis {
-		n.ejectScratch = n.ejectScratch[:0]
-		sent := ni.tickInject(t, n.routers[id], &n.ejectScratch)
-		if sent {
-			n.flitsInjected++
-			if n.rec != nil {
-				n.rec.recordSend(id)
-			}
+	// Network interfaces, in ascending id: the awake ones, on the fast
+	// engine. An NI with no credit or arrival in flight, no packet
+	// streaming and none queued does nothing in its tick; one left so by
+	// its tick goes to sleep, until a generation or its router wakes it.
+	if n.soaOff {
+		for id := range n.nis {
+			n.tickNI(id, t)
 		}
-		for _, f := range n.ejectScratch {
-			n.flitsEjected++
-			n.ejections = append(n.ejections, Ejection{Node: id, Cycle: t, Flit: f})
-			if n.rec != nil {
-				n.rec.recordEject(id, f)
-			}
-			for _, m := range n.monitors {
-				m.FlitEjected(t, id, f)
+	} else {
+		for w, word := range n.niAwake {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &^= 1 << uint(b)
+				id := w<<6 | b
+				n.tickNI(id, t)
+				if n.nis[id].idle() {
+					n.niAwake[w] &^= 1 << uint(b)
+				}
 			}
 		}
 	}
@@ -366,6 +440,46 @@ func (n *Network) Step() {
 	n.cycle = t + 1
 	if n.rec != nil {
 		n.rec.closeCycle(n)
+	}
+}
+
+// stepRouter runs router r's cycle t and notes it stepped. Without a
+// reader of snapshots among the monitors the fast sweep takes none
+// (router.BeginUnobserved).
+func (n *Network) stepRouter(r *router.Router, t int64) {
+	if n.preRead {
+		r.BeginCycle(t)
+	} else {
+		r.BeginUnobserved(t)
+	}
+	r.Evaluate(t)
+	n.steppedScratch = append(n.steppedScratch, r)
+}
+
+// tickNI runs node id's NI for cycle t: the flit it sends and the credits
+// its ejections return are staged into the node's router, which wakes it.
+func (n *Network) tickNI(id int, t int64) {
+	n.niTicks++
+	n.ejectScratch = n.ejectScratch[:0]
+	sent, credited := n.nis[id].tickInject(t, n.routers[id], &n.ejectScratch)
+	if sent {
+		n.flitsInjected++
+		if n.rec != nil {
+			n.rec.recordSend(id)
+		}
+	}
+	if sent || credited {
+		n.awake.set(id)
+	}
+	for _, f := range n.ejectScratch {
+		n.flitsEjected++
+		n.ejections = append(n.ejections, Ejection{Node: id, Cycle: t, Flit: f})
+		if n.rec != nil {
+			n.rec.recordEject(id, f)
+		}
+		for _, m := range n.monitors {
+			m.FlitEjected(t, id, f)
+		}
 	}
 }
 
@@ -503,6 +617,7 @@ func (n *Network) newCloneShell() *Network {
 	c.st = soa.NewState(soa.Layout{R: len(n.routers), P: router.P, V: n.rcfg.VCs})
 	c.routers = make([]*router.Router, len(n.routers))
 	c.nis = make([]*NI, len(n.nis))
+	c.awake, c.niAwake = newNodeSet(len(n.routers)), newNodeSet(len(n.nis))
 	for i := range c.routers {
 		c.routers[i] = router.NewCloneTarget(n.rcfg, c.st.View(i))
 		nic, nif := c.st.NIView(i)
@@ -526,6 +641,7 @@ func (c *Network) copyScalars(n *Network, plane *fault.Plane) {
 	c.flitsInjected = n.flitsInjected
 	c.flitsEjected = n.flitsEjected
 	c.pktsOffered = n.pktsOffered
+	c.routerSteps, c.niTicks = 0, 0
 }
 
 // Clone deep-copies the network for a forked continuation under the
@@ -534,19 +650,24 @@ func (c *Network) copyScalars(n *Network, plane *fault.Plane) {
 func (n *Network) Clone(plane *fault.Plane) *Network {
 	c := n.newCloneShell()
 	c.copyScalars(n, plane)
-	for i, r := range n.routers {
-		r.CloneInto(c.routers[i], plane, nil)
-	}
-	for i, ni := range n.nis {
-		ni.cloneInto(c.nis[i], nil)
+	for i := range n.routers {
+		c.copyNodeFrom(n, i)
 	}
 	c.ejections = append([]Ejection(nil), n.ejections...)
+	c.cloneMonitors(n)
+	return c
+}
+
+// cloneMonitors replaces c's monitors by clones of those of n's that can
+// be cloned (CloneableMonitor), reusing the slice.
+func (c *Network) cloneMonitors(n *Network) {
+	c.monitors = c.monitors[:0]
 	for _, m := range n.monitors {
 		if cm, ok := m.(CloneableMonitor); ok {
 			c.monitors = append(c.monitors, cm.CloneMonitor())
 		}
 	}
-	return c
+	c.notePreReaders()
 }
 
 // CloneInto is Clone reusing dst's allocations: routers, NIs, buffers
@@ -592,20 +713,17 @@ func (n *Network) CloneLazyInto(dst *Network, plane *fault.Plane) *Network {
 	c.origin = n
 	c.ejections = c.ejections[:0]
 	c.ejectScratch = c.ejectScratch[:0]
-	c.monitors = c.monitors[:0]
-	for _, m := range n.monitors {
-		if cm, ok := m.(CloneableMonitor); ok {
-			c.monitors = append(c.monitors, cm.CloneMonitor())
-		}
-	}
+	c.cloneMonitors(n)
 	return c
 }
 
 // copyNodeFrom overwrites node i with src's, bound to this network's
-// plane and drawing flit copies from its arena.
+// plane and drawing flit copies from its arena (none, for a Clone). The
+// active sets know nothing of the node that arrives: the next Step polls.
 func (c *Network) copyNodeFrom(src *Network, i int) {
 	c.routers[i] = src.routers[i].CloneInto(c.routers[i], c.plane, c.arena)
 	c.nis[i] = src.nis[i].cloneInto(c.nis[i], c.arena)
+	c.awakeStale = true
 }
 
 // copyNode fetches node i from the network a lazy fork was taken from

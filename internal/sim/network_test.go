@@ -299,3 +299,34 @@ func TestInvalidConfigRejected(t *testing.T) {
 		t.Fatal("invalid router config accepted")
 	}
 }
+
+// TestStepAllocatesPerPacketNotPerFlit guards the warm-up's allocation
+// rate: 200 cycles of a warmed 8×8 mainline at the paper's 0.05 rate
+// allocate for the packets they generate (a packet, its flits) and for
+// nothing that happens once per flit per hop — a router's record of a
+// flit's arrival (router.Arrival.Targets) is a piece of a backing array
+// the router keeps. An allocation per arrival, which is what building
+// Targets by append on a nil slice was, is well over twice the bound.
+func TestStepAllocatesPerPacketNotPerFlit(t *testing.T) {
+	n := MustNew(Config{Router: router.Default(topology.NewMesh(8, 8)), InjectionRate: 0.05, Seed: 3}, nil)
+	n.Run(2000)
+	n.ResetEjections()
+	arrivals, runs := 0, 0
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < 200; i++ {
+			n.Step()
+			for _, r := range n.steppedScratch {
+				arrivals += len(r.Signals().Arrivals)
+			}
+		}
+		n.ResetEjections() // as the mainline does: the log is not what is measured
+		runs++
+	})
+	perRun := float64(arrivals) / float64(runs)
+	if perRun < 2000 {
+		t.Fatalf("%.0f flit arrivals in 200 cycles: the mesh is not carrying the load the bound is for", perRun)
+	}
+	if allocs > perRun/2 {
+		t.Fatalf("%.0f allocations in 200 cycles with %.0f flit arrivals: want under one for every two arrivals", allocs, perRun)
+	}
+}

@@ -84,6 +84,10 @@ func (ni *NI) Streaming() bool { return len(ni.cur) > 0 }
 // packet, a packet mid-injection or an arrival not yet ejected.
 func (ni *NI) busy() bool { return len(ni.queue) > 0 || len(ni.cur) > 0 || len(ni.inbox) > 0 }
 
+// idle reports whether a tick would do nothing at all: nothing busy waits
+// for, and no credit on its way in either.
+func (ni *NI) idle() bool { return !ni.busy() && len(ni.credits) == 0 }
+
 // enqueue accepts a packet for injection.
 func (ni *NI) enqueue(p *flit.Packet) { ni.queue = append(ni.queue, p) }
 
@@ -102,9 +106,10 @@ func (ni *NI) flitArrived(f *flit.Flit, cycle int64) {
 // tickInject runs one NI cycle: absorb matured credits, eject matured
 // arrivals (returning ejection-buffer credits to the router's local
 // output port), and push at most one flit into the router. Ejected
-// flits are appended to *ejected; the return value reports whether a
-// flit was injected into the router this cycle.
-func (ni *NI) tickInject(cycle int64, r *router.Router, ejected *[]*flit.Flit) bool {
+// flits are appended to *ejected; sent reports whether a flit was
+// injected into the router this cycle, credited whether an ejection
+// returned it a credit — the two ways a tick stages into the router.
+func (ni *NI) tickInject(cycle int64, r *router.Router, ejected *[]*flit.Flit) (sent, credited bool) {
 	// Credits from the router's local input port.
 	kept := ni.credits[:0]
 	for _, c := range ni.credits {
@@ -137,6 +142,7 @@ func (ni *NI) tickInject(cycle int64, r *router.Router, ejected *[]*flit.Flit) b
 		*ejected = append(*ejected, a.f)
 		if a.f.VC >= 0 && a.f.VC < ni.cfg.VCs {
 			r.StageCredit(topology.Local, a.f.VC)
+			credited = true
 		}
 	}
 	ni.inbox = keptIn
@@ -163,10 +169,10 @@ func (ni *NI) tickInject(cycle int64, r *router.Router, ejected *[]*flit.Flit) b
 				ni.outFlags[ni.curVC] |= soa.NITailSent
 			}
 			r.StageArrival(topology.Local, f)
-			return true
+			sent = true
 		}
 	}
-	return false
+	return sent, credited
 }
 
 // pickFreeVC returns the lowest free local-input VC in the class, or -1.

@@ -23,7 +23,7 @@ func TestNIStreamsOneFlitPerCycle(t *testing.T) {
 	var ejected []*flit.Flit
 	sent := 0
 	for c := int64(0); c < 10; c++ {
-		if ni.tickInject(c, r, &ejected) {
+		if ok, _ := ni.tickInject(c, r, &ejected); ok {
 			sent++
 		}
 		r.BeginCycle(c)
@@ -49,7 +49,7 @@ func TestNIRespectsCredits(t *testing.T) {
 	var ejected []*flit.Flit
 	sent := 0
 	for c := int64(0); c < 20; c++ {
-		if ni.tickInject(c, r, &ejected) {
+		if ok, _ := ni.tickInject(c, r, &ejected); ok {
 			sent++
 		}
 		// The router consumes its staging, but we never hand its
@@ -76,7 +76,7 @@ func TestNIPicksDistinctVCsPerClass(t *testing.T) {
 	for c := int64(0); c < 6; c++ {
 		before := ni.Streaming()
 		_ = before
-		if ni.tickInject(c, r, &ejected) {
+		if ok, _ := ni.tickInject(c, r, &ejected); ok {
 			// The flit was staged; recover its VC from the arrival that
 			// the router records next cycle.
 		}

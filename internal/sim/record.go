@@ -393,7 +393,7 @@ func (rc *Recording) closeCycle(n *Network) {
 	var sum uint64
 	for i, r := range n.routers {
 		ni := n.nis[i]
-		idle := r.Inert() && !ni.busy() && len(ni.credits) == 0 && !n.plane.LiveFor(n.cycle-1, i)
+		idle := r.Inert() && ni.idle() && !n.plane.LiveFor(n.cycle-1, i)
 		if !idle || !rc.idle[i] {
 			rc.body[i] = n.nodeBody(i)
 		}

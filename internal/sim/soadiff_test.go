@@ -157,11 +157,19 @@ func requirePreEqual(t *testing.T, what string, got, want *router.Signals) {
 	}
 }
 
+// preReader is a monitor that does nothing but stand for a reader of the
+// pre-cycle snapshot — what any monitor that is not a SignalsOnly is taken
+// for — through every clone: the fast engine takes snapshots only while
+// one is attached.
+type preReader struct{ BaseMonitor }
+
+func (preReader) CloneMonitor() Monitor { return preReader{} }
+
 // stepPreLockstep steps the reference-engine network ref and the
 // fast-engine network fast n cycles and holds, cycle for cycle, the
 // snapshot of every router fast stepped to ref's (fast skips inert
 // routers, whose records are then stale; ref steps them all), and the
-// state fingerprints to each other.
+// state fingerprints to each other. fast must carry a reader of snapshots.
 func stepPreLockstep(t *testing.T, what string, ref, fast *Network, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -225,6 +233,7 @@ func TestSparseSnapshotMatchesFullFill(t *testing.T) {
 				plane = fault.NewPlane(faults...)
 			}
 			ref, fast := diffPair(t, 4, 4, 0.15, uint64(it)+21, plane)
+			fast.AttachMonitor(preReader{})
 			stepPreLockstep(t, "from cycle 0", ref, fast, 60) // into the fault windows
 
 			// Fork mid-window; the forks carry their own planes on.
@@ -469,5 +478,263 @@ func TestArmedFaultCostsItsRouter(t *testing.T) {
 		if got := n.plane.FiredAt(0); got != onset {
 			t.Errorf("the idle credit-counter fault fired at cycle %d, want its onset %d", got, onset)
 		}
+	}
+}
+
+// awakePair is a reference-engine network and an awake-set one held to it
+// cycle for cycle, each with a tape of what its monitors are shown.
+type awakePair struct {
+	ref, fast         *Network
+	refTape, fastTape *callbackTape
+}
+
+// newAwakePair attaches a fresh tape to each network (a clone drops its
+// original's: tapes are not cloneable). The tape reads everything, so fast
+// takes every snapshot.
+func newAwakePair(ref, fast *Network) *awakePair {
+	p := &awakePair{ref: ref, fast: fast, refTape: &callbackTape{}, fastTape: &callbackTape{}}
+	ref.AttachMonitor(p.refTape)
+	fast.AttachMonitor(p.fastTape)
+	return p
+}
+
+// fork returns the pair of copies one clone operation makes of the two
+// networks, each under a clone of its own plane.
+func (p *awakePair) fork(clone func(n *Network, plane *fault.Plane) *Network) *awakePair {
+	return newAwakePair(asReference(clone(p.ref, p.ref.plane.Clone())), clone(p.fast, p.fast.plane.Clone()))
+}
+
+// has reports whether node i is in the set.
+func (s nodeSet) has(i int) bool { return s[i>>6]>>uint(i&63)&1 != 0 }
+
+// asleep reports whether the fast network's active sets are empty.
+func (p *awakePair) asleep() bool {
+	for w := range p.fast.awake {
+		if p.fast.awake[w]|p.fast.niAwake[w] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// step steps both networks n cycles. Cycle for cycle: the routers fast
+// steps are the ones the mesh-polling engine stepped — not Inert at entry,
+// or inside their own fault window — and every one's whole signal record
+// is the reference engine's, which steps them all; the monitors were shown
+// the same, value for value; the state fingerprints agree; and at the
+// boundary the active sets are exactly the routers that are not Inert and
+// the NIs that are not idle (DESIGN.md §3.2). It returns how many router
+// evaluations fast ran.
+func (p *awakePair) step(t *testing.T, what string, n int) (evaluated int) {
+	t.Helper()
+	ref, fast := p.ref, p.fast
+	var want, got []int
+	for i := 0; i < n; i++ {
+		c := fast.cycle
+		want = want[:0]
+		for id, r := range fast.routers {
+			if !r.Inert() || fast.plane.LiveFor(c, id) {
+				want = append(want, id)
+			}
+		}
+		ref.Step()
+		fast.Step()
+		if len(ref.steppedScratch) != len(ref.routers) {
+			t.Fatalf("%s: cycle %d: the reference engine stepped %d routers of %d", what, c, len(ref.steppedScratch), len(ref.routers))
+		}
+		got = got[:0]
+		for _, r := range fast.steppedScratch {
+			got = append(got, r.ID())
+			requirePreEqual(t, what, r.Signals(), ref.routers[r.ID()].Signals())
+			if a, b := signalText(r.Signals()), signalText(ref.routers[r.ID()].Signals()); a != b {
+				t.Fatalf("%s: cycle %d router %d: signal record %s, the reference engine has %s", what, c, r.ID(), a, b)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: cycle %d: stepped routers %v; %v were not inert, or live, at entry", what, c, got, want)
+		}
+		evaluated += len(got)
+		if !slices.Equal(p.refTape.lines, p.fastTape.lines) {
+			t.Fatalf("%s: cycle %d: the engines' monitors were shown different things:\nreference: %q\n     fast: %q",
+				what, c, p.refTape.lines, p.fastTape.lines)
+		}
+		p.refTape.lines, p.fastTape.lines = p.refTape.lines[:0], p.fastTape.lines[:0]
+		if rf, ff := ref.Fingerprint(), fast.Fingerprint(); rf != ff {
+			t.Fatalf("%s: cycle %d: engines diverged (reference %#x, fast %#x)", what, c, rf, ff)
+		}
+		for id, r := range fast.routers {
+			if a, ni := fast.awake.has(id), fast.niAwake.has(id); a == r.Inert() || ni == fast.nis[id].idle() {
+				t.Fatalf("%s: boundary %d node %d: router awake=%t inert=%t, NI awake=%t idle=%t",
+					what, c+1, id, a, r.Inert(), ni, fast.nis[id].idle())
+			}
+		}
+	}
+	return evaluated
+}
+
+// drain stops injection and steps until the whole mesh is asleep.
+func (p *awakePair) drain(t *testing.T, what string) {
+	t.Helper()
+	p.ref.StopInjection()
+	p.fast.StopInjection()
+	for i := 0; !p.asleep(); i++ {
+		if i == 1000 {
+			t.Fatalf("%s: the mesh is not asleep %d cycles after injection stopped", what, i)
+		}
+		p.step(t, what, 1)
+	}
+	if n := p.step(t, what+", asleep", 20); n != 0 {
+		t.Fatalf("%s: %d router evaluations in 20 cycles of a sleeping mesh", what, n)
+	}
+}
+
+// TestAwakeSetLockstep holds the awake-set engine — Step visits the
+// routers and NIs in its active sets and no other — to the reference
+// engine, which steps every router every cycle, through everything that
+// writes nodes behind the sets' back or wakes a sleeping node: Clone,
+// CloneInto into a fresh and into a stale target, the restore of an old
+// snapshot over a network that has run on, a drain to a mesh that is all
+// asleep, a packet injected into it (whose way across wakes a sleeping
+// NI, and sleeping routers by each of the four stagings: the NI's flit,
+// link flits, link credits and the ejecting NI's credit), and a fault that
+// comes alive in a sleeping router. CloneLazyInto and MaterializeAll are
+// TestAwakeSetAfterFrontier's.
+func TestAwakeSetLockstep(t *testing.T) {
+	mesh := topology.NewMesh(4, 4)
+	// The mesh is asleep from about cycle 480 on. Two faults wait for it
+	// there, in routers nothing else will wake: an upset that turns an idle
+	// VC of router 5 active at cycle 700, and a permanent fault from cycle
+	// 720 on a credit counter of router 10 (it fires through the woken
+	// router's pre-cycle consult alone, TestIdleCreditFaultFires' way).
+	upset := fault.Fault{Site: fault.Site{Router: 5, Kind: fault.VCStateReg, Port: int(topology.West), VC: 1, Width: 3}, Bit: 0, Cycle: 700, Type: fault.Transient}
+	perm := fault.Fault{Site: fault.Site{Router: 10, Kind: fault.CreditCountReg, Port: int(topology.East), VC: 2, Width: 3}, Bit: 1, Cycle: 720, Type: fault.Permanent}
+	for _, tc := range []struct {
+		name  string
+		plane *fault.Plane
+	}{
+		{"fault-free", nil},
+		{"faults-in-sleeping-routers", fault.NewPlane(upset, perm)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, fast := diffPair(t, mesh.W, mesh.H, 0.12, 3, tc.plane)
+			p := newAwakePair(ref, fast)
+			p.step(t, "from cycle 0", 150)
+
+			fresh := func(n *Network, plane *fault.Plane) *Network { return n.CloneInto(nil, plane) }
+			p.fork(func(n *Network, plane *fault.Plane) *Network { return n.Clone(plane) }).step(t, "Clone", 60)
+			c, snap := p.fork(fresh), p.fork(fresh)
+			c.step(t, "CloneInto a fresh target", 60)
+			p.step(t, "original, forked from", 100)
+			// c's sets are those of its own cycle 210; what arrives is the
+			// original's cycle 250, then the snapshot's cycle 150.
+			c = p.fork(func(n *Network, plane *fault.Plane) *Network { return n.CloneInto(c.pick(n), plane) })
+			c.step(t, "CloneInto a stale target", 80)
+			c = snap.fork(func(n *Network, plane *fault.Plane) *Network { return n.CloneInto(c.pick(n), plane) })
+			c.step(t, "snapshot restored", 80)
+			c.drain(t, "restored snapshot, draining")
+
+			p.drain(t, "draining")
+			for p.fast.cycle < 690 {
+				p.step(t, "asleep", 1)
+			}
+			woken := p.step(t, "fault windows opening", 60)
+			if tc.plane == nil && woken != 0 || tc.plane != nil && woken < 40 {
+				t.Fatalf("%d router evaluations in cycles 690 to 750 of a sleeping mesh", woken)
+			}
+			if tc.plane != nil {
+				for i, ft := range tc.plane.Faults() {
+					if a, b := p.ref.plane.FiredAt(i), p.fast.plane.FiredAt(i); a != b || a != ft.Cycle {
+						t.Errorf("fault %v fired at cycle %d under the reference engine, %d under the fast one, want its onset", &ft, a, b)
+					}
+				}
+			}
+
+			// One packet across the sleeping mesh, corner to corner.
+			before := p.fast.FlitsEjected()
+			p.ref.InjectPacket(0, 15, 0)
+			p.fast.InjectPacket(0, 15, 0)
+			if n := p.step(t, "packet into a sleeping mesh", 80); n == 0 {
+				t.Fatal("the injected packet woke no router")
+			}
+			if got := p.fast.FlitsEjected() - before; got != int64(p.fast.rcfg.PacketLen(0)) {
+				t.Fatalf("%d flits of the injected packet were ejected, want %d", got, p.fast.rcfg.PacketLen(0))
+			}
+			if !ejectionsEqual(p.ref.Ejections(), p.fast.Ejections()) {
+				t.Fatal("engines produced different ejection logs")
+			}
+		})
+	}
+}
+
+// pick returns the pair's network of n's engine: the clone target that
+// goes with n.
+func (p *awakePair) pick(n *Network) *Network {
+	if n.soaOff {
+		return p.ref
+	}
+	return p.fast
+}
+
+// TestAwakeSetAfterFrontier: a network a Frontier has stepped is, once
+// MaterializeAll has made it whole, a network Step may step: the active
+// sets are taken anew, and the run goes on in lockstep with the reference
+// engine's full simulation of it. Two ways there. A lazy fork over a
+// target whose sets describe another run's nodes, the frontier copying the
+// few nodes a transient fault's cone comes to and MaterializeAll the rest.
+// And a whole network with sets of its own, in use, every node a member
+// under a permanent fault from the fork on, so that nothing is ever copied
+// and only the frontier's having stepped says the sets are out of date.
+func TestAwakeSetAfterFrontier(t *testing.T) {
+	const fork, window, stepped = 120, 200, 90
+	cfg := cfg44(0.12, 5)
+	site := fault.Site{Router: 6, Kind: fault.VCStateReg, Port: int(topology.North), VC: 0, Width: 3}
+	for _, tc := range []struct {
+		name string
+		lazy bool
+		typ  fault.Type
+	}{
+		{"lazy fork, cone of a transient", true, fault.Transient},
+		{"whole network, every node a member", false, fault.Permanent},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plane := fault.NewPlane(fault.Fault{Site: site, Bit: 1, Cycle: fork + 4, Type: tc.typ})
+			gold := MustNew(cfg, nil)
+			gold.Run(fork - 1)
+			// One cycle short of the fork: the copies step there themselves,
+			// which leaves each with active sets of its own, in use.
+			target := junkNetwork(cfg).CloneInto(nil, nil)
+			ref := asReference(gold.CloneInto(nil, plane.Clone()))
+			whole := gold.CloneInto(nil, plane.Clone())
+			for _, n := range []*Network{gold, target, ref, whole} {
+				n.Step()
+			}
+			snapshot := gold.CloneInto(nil, nil)
+			gold.StartRecording(window)
+			gold.Run(window)
+			rec := gold.StopRecording()
+
+			fn, seeds := whole, make([]int, len(whole.routers))
+			for i := range seeds {
+				seeds[i] = i
+			}
+			if tc.lazy {
+				fn, seeds = snapshot.CloneLazyInto(target, plane.Clone()), []int{site.Router}
+			}
+			fr := NewFrontier(fn, rec, seeds)
+			for i := 0; i < stepped; i++ {
+				ref.Step()
+				fr.Step()
+			}
+			if tc.lazy == (fr.Copied() == 0) || fr.Copied() == len(fn.routers) {
+				t.Fatalf("the frontier copied %d nodes of %d", fr.Copied(), len(fn.routers))
+			}
+			at := snapshot.CloneInto(nil, nil)
+			at.Run(stepped)
+			fr.MaterializeAll(at)
+			if !tc.lazy && fr.Copied() != 0 {
+				t.Fatalf("MaterializeAll copied %d nodes into a network whose every node was a member", fr.Copied())
+			}
+			newAwakePair(ref, fn).step(t, "after MaterializeAll", 150)
+		})
 	}
 }
