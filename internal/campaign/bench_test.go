@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -114,49 +115,80 @@ func spanMean(spans []obs.SpanRecord, key string) float64 {
 	return float64(sum) / float64(len(spans))
 }
 
-// BenchmarkGoldenWarmup times the golden warm-up alone, in the shape the
-// paper's injection points give it: the fault-free mainline stepped to
-// cycle 16 000 and one group context built there (window, drain, settle,
-// horizon, template). It is what w8x8_fixedcost and svc_fleet8 spend
-// their time in, without cmd or faulty runs around it:
+// BenchmarkGoldenWarmup times the golden warm-up alone, in the two shapes
+// the repository benchmark gives it: the paper's injection points — the
+// fault-free mainline stepped to cycle 16 000 and one group context built
+// there (window, drain, settle, horizon, template), what w8x8_fixedcost and
+// svc_fleet8 spend their time in — and the short injection the four
+// 300-cycle workloads run (-inject300: mainline to 300, one group context),
+// where the recorded window is most of the warm-up and the warm-up, at
+// 16×16, most of w16x16_drain. No cmd and no faulty runs around it:
 //
 //	go test -run '^$' -bench GoldenWarmup/8x8 -benchtime 4x \
 //	    -cpuprofile cpu.out ./internal/campaign
 func BenchmarkGoldenWarmup(b *testing.B) {
 	for _, bc := range []struct {
-		w, h int
-		rate float64
+		name   string
+		w, h   int
+		rate   float64
+		inject int64
 	}{
-		{8, 8, 0.05},
-		{16, 16, 0.02},
+		{"8x8", 8, 8, 0.05, 16000},
+		{"16x16", 16, 16, 0.02, 16000},
+		{"8x8-inject300", 8, 8, 0.05, 300},
+		{"16x16-inject300", 16, 16, 0.02, 300},
 	} {
-		b.Run(fmt.Sprintf("%dx%d", bc.w, bc.h), func(b *testing.B) {
+		b.Run(bc.name, func(b *testing.B) {
 			spec := Golden8x8Spec()
 			spec.MeshW, spec.MeshH, spec.InjectionRate = bc.w, bc.h, bc.rate
-			spec.InjectCycle, spec.NumFaults = 16000, 1
+			spec.InjectCycle, spec.NumFaults = bc.inject, 1
 			opts := spec.Options()
 			opts.Faults = spec.Universe()
 			o, err := opts.withDefaults()
 			if err != nil {
 				b.Fatal(err)
 			}
+			// The warm-up's own spans give the recorded window's share of it.
+			var stream bytes.Buffer
+			tr := obs.New(obs.Options{Writer: &stream})
 			b.ReportAllocs()
 			b.ResetTimer()
 			var gold *Golden
 			for i := 0; i < b.N; i++ {
-				gold = builtGolden(b, &o)
-				if gold.groups[16000].gc.rec == nil {
+				gold = tracedGolden(b, &o, tr.Start(nil, "phase", "golden-warmup"))
+				if gold.groups[bc.inject].gc.rec == nil {
 					b.Fatal("the golden continuation recorded no transcript")
 				}
 			}
-			// What the active set buys, as counts that repeat exactly: the
-			// routers evaluated and NIs ticked per cycle of the mainline and
-			// its one continuation (64 and 64, or 256 and 256, would mean
-			// the mesh is polled again), beside the warm-up's time per router
-			// of the mesh and simulated cycle.
+			b.StopTimer()
+			if err := tr.Close(); err != nil {
+				b.Fatal(err)
+			}
+			spans, err := obs.ReadSpans(&stream)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var window time.Duration
+			for _, s := range spans {
+				if s.Name == "window" {
+					window += s.Duration()
+				}
+			}
+			b.ReportMetric(float64(window.Microseconds())/1e3/float64(b.N), "ms/window")
+			// What the active set and the fold cache buy, as counts that
+			// repeat exactly: the routers evaluated and NIs ticked per cycle
+			// of the mainline and its one continuation (64 and 64, or 256
+			// and 256, would mean the mesh is polled again), the router folds
+			// per cycle that found the router written since the fold before
+			// and the input-VC terms they took again (every router of the
+			// mesh and twenty terms a router, per recorded cycle, would mean
+			// a fold hashes what nobody wrote), beside the warm-up's time per
+			// router of the mesh and simulated cycle.
 			cycles := float64(gold.endCycle)
 			b.ReportMetric(float64(gold.routerSteps)/cycles, "routers-stepped/cycle")
 			b.ReportMetric(float64(gold.niTicks)/cycles, "nis-ticked/cycle")
+			b.ReportMetric(float64(gold.routersFolded)/cycles, "routers-folded/cycle")
+			b.ReportMetric(float64(gold.vcTermsFolded)/cycles, "vc-terms-recomputed/cycle")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(cycles*float64(bc.w*bc.h)), "ns/router-cycle")
 		})
 	}

@@ -6,6 +6,7 @@ import (
 
 	"nocalert/internal/fault"
 	"nocalert/internal/golden"
+	"nocalert/internal/obs"
 	"nocalert/internal/sim"
 )
 
@@ -14,8 +15,15 @@ import (
 // artefact: every groups[c].gc is there to read.
 func builtGolden(tb testing.TB, o *Options) *Golden {
 	tb.Helper()
+	return tracedGolden(tb, o, nil)
+}
+
+// tracedGolden is builtGolden under the given golden-warmup span, which
+// the build ends (nil: untraced).
+func tracedGolden(tb testing.TB, o *Options, warm *obs.Span) *Golden {
+	tb.Helper()
 	cycles, plan, key := o.goldenInputs()
-	gold := startGolden(context.Background(), o, cycles, plan, key, nil, nil)
+	gold := startGolden(context.Background(), o, cycles, plan, key, nil, warm)
 	<-gold.done
 	if gold.err != nil {
 		tb.Fatal(gold.err)

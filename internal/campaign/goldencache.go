@@ -57,10 +57,12 @@ type Golden struct {
 	logBytes int64
 	// endCycle is where the golden mainline stopped: the last injection
 	// cycle plus the final continuation. routerSteps and niTicks are what
-	// stepping it there evaluated (sim.Network.RouterSteps, NITicks),
-	// which BenchmarkGoldenWarmup reports per cycle.
-	endCycle             int64
-	routerSteps, niTicks int64
+	// stepping it there evaluated (sim.Network.RouterSteps, NITicks) and
+	// routersFolded and vcTermsFolded what folding it on the way took again
+	// (FoldCounts), which BenchmarkGoldenWarmup reports per cycle.
+	endCycle                     int64
+	routerSteps, niTicks         int64
+	routersFolded, vcTermsFolded int64
 }
 
 // goldenGroup is one injection cycle's slot in the artefact: gc is set,
@@ -358,6 +360,7 @@ func (g *Golden) buildGroups(ctx context.Context, o *Options, forks <-chan forkP
 		}
 		// The last continuation is the mainline.
 		g.endCycle, g.routerSteps, g.niTicks = fp.cont.Cycle(), fp.cont.RouterSteps(), fp.cont.NITicks()
+		g.routersFolded, g.vcTermsFolded = fp.cont.FoldCounts()
 		s := g.groups[fp.cycle]
 		s.gc = gc
 		close(s.ready)

@@ -112,10 +112,15 @@ func (e *Engine) checkArbiters(s *router.Signals) {
 func (e *Engine) checkAllocation(s *router.Signals) {
 	e.checkStageWires(s)
 	// --- VA side ---
-	var inVCAssigns, outVCAssigns map[[2]int]int
-	if len(s.VAAssigns) > 1 {
-		inVCAssigns = make(map[[2]int]int, len(s.VAAssigns))
-		outVCAssigns = make(map[[2]int]int, len(s.VAAssigns))
+	// Assignments per input VC and per output VC (invariance 8). A VAAssign
+	// names its VCs by port and VC-identifier code, which the arrays span;
+	// the count of an identifier off them (no router emits one) goes to no
+	// VC and cannot clash.
+	var inVCAssigns, outVCAssigns [router.P][router.MaxVCs]uint8
+	count := func(n *[router.P][router.MaxVCs]uint8, p, v int) {
+		if uint(p) < uint(router.P) && uint(v) < router.MaxVCs {
+			n[p][v]++
+		}
 	}
 	for i := range s.VAAssigns {
 		a := &s.VAAssigns[i]
@@ -160,24 +165,29 @@ func (e *Engine) checkAllocation(s *router.Signals) {
 					"VA completed on %s flit", pre.HeadKind)
 			}
 		}
-		if inVCAssigns != nil {
-			inVCAssigns[[2]int{a.InPort, a.InVC}]++
-			if a.OutVC < e.cfg.VCs {
-				outVCAssigns[[2]int{a.OutPort, a.OutVC}]++
+		count(&inVCAssigns, a.InPort, a.InVC)
+		if a.OutVC < e.cfg.VCs {
+			count(&outVCAssigns, a.OutPort, a.OutVC)
+		}
+	}
+	// Invariance 8: one-to-one VC assignment, both directions; a clash takes
+	// two assignments.
+	if len(s.VAAssigns) > 1 {
+		for p := range inVCAssigns {
+			for v, n := range inVCAssigns[p] {
+				if n > 1 {
+					e.emit(OneToOneVCAssignment, s.Router, s.Cycle, p, v,
+						"input VC assigned %d output VCs in one cycle", n)
+				}
 			}
 		}
-	}
-	// Invariance 8: one-to-one VC assignment, both directions.
-	for key, n := range inVCAssigns {
-		if n > 1 {
-			e.emit(OneToOneVCAssignment, s.Router, s.Cycle, key[0], key[1],
-				"input VC assigned %d output VCs in one cycle", n)
-		}
-	}
-	for key, n := range outVCAssigns {
-		if n > 1 {
-			e.emit(OneToOneVCAssignment, s.Router, s.Cycle, key[0], key[1],
-				"output VC granted to %d input VCs in one cycle", n)
+		for p := range outVCAssigns {
+			for v, n := range outVCAssigns[p] {
+				if n > 1 {
+					e.emit(OneToOneVCAssignment, s.Router, s.Cycle, p, v,
+						"output VC granted to %d input VCs in one cycle", n)
+				}
+			}
 		}
 	}
 

@@ -373,3 +373,48 @@ func TestUnitSpeculativeLatchTolerated(t *testing.T) {
 		t.Error("non-speculative SA on a waiting VC not flagged")
 	}
 }
+
+// TestCheckAllocationCountsWithoutAllocating: a router that makes two VA
+// assignments in a cycle — any busy one — has them counted per input and
+// per output VC for invariance 8, in arrays on the stack: the sweep
+// allocates nothing (it made two maps per such router-cycle). The counts
+// still find what the maps found: the same record with the second
+// assignment duplicated onto the first one's output VC, and then onto its
+// input VC as well, fires the checker once per clash.
+func TestCheckAllocationCountsWithoutAllocating(t *testing.T) {
+	cfg := unitCfg()
+	s := sig(cfg, 5, 100)
+	s.Pre.In[0][1] = router.PreVC{State: router.VCWaitingVA, HasHead: true, HeadKind: flit.Head, Route: 2, BufLen: 1}
+	s.Pre.In[3][0] = router.PreVC{State: router.VCWaitingVA, HasHead: true, HeadKind: flit.Head, Route: 1, BufLen: 1}
+	s.VA1[0] = router.ReqGnt{Req: bitvec.New(1), Gnt: bitvec.New(1)}
+	s.VA1[3] = router.ReqGnt{Req: bitvec.New(0), Gnt: bitvec.New(0)}
+	s.VA2[2] = router.ReqGnt{Req: bitvec.New(0), Gnt: bitvec.New(0)}
+	s.VA2[1] = router.ReqGnt{Req: bitvec.New(3), Gnt: bitvec.New(3)}
+	s.VAAssigns = append(s.VAAssigns,
+		router.VAAssign{OutPort: 2, InPort: 0, InVC: 1, OutVC: 0, TargetFree: true, TargetCredits: cfg.BufDepth},
+		router.VAAssign{OutPort: 1, InPort: 3, InVC: 0, OutVC: 0, TargetFree: true, TargetCredits: cfg.BufDepth},
+	)
+	s.Pre.RecomputeActive()
+	e := NewEngine(cfg, Options{})
+	if allocs := testing.AllocsPerRun(100, func() { e.checkAllocation(s) }); allocs != 0 {
+		t.Errorf("checkAllocation allocates %.0f times on a record with two VA assignments, want 0", allocs)
+	}
+	if e.total != 0 {
+		t.Fatalf("the healthy two-assignment record fired %v", e.FiredCheckers())
+	}
+
+	fired := func() int64 {
+		e := NewEngine(cfg, Options{})
+		e.checkAllocation(s)
+		return e.perChecker[OneToOneVCAssignment]
+	}
+	s.VAAssigns[1].OutPort, s.Pre.In[3][0].Route = 2, 2 // both onto output VC (2,0)
+	s.VA2[2] = router.ReqGnt{Req: bitvec.New(0, 3), Gnt: bitvec.New(0, 3)}
+	if n := fired(); n != 1 {
+		t.Errorf("two input VCs assigned one output VC: checker 8 fired %d times, want 1", n)
+	}
+	s.VAAssigns[1].InPort, s.VAAssigns[1].InVC = 0, 1 // and from input VC (0,1) twice
+	if n := fired(); n != 2 {
+		t.Errorf("one input VC assigned twice, to one output VC: checker 8 fired %d times, want 2", n)
+	}
+}

@@ -226,21 +226,24 @@ func (f *Flit) FoldState(h uint64) uint64 {
 }
 
 // Digest hashes the flit's full contents, on their own: FoldState is one
-// fold of it into the accumulator.
+// fold of it into the accumulator. The eight small fields — indices into a
+// packet, a port's VCs, the mesh — go sixteen bits each into two words when
+// every one of them fits (any flit of a healthy run on a mesh of up to 65 536
+// nodes), and the digest is two short chains the processor runs side by
+// side; a flit with a field outside that range (negative, or wider) folds
+// field by field, so no two flits share a packing.
 func (f *Flit) Digest() uint64 {
-	d := statehash.Fold(statehash.Seed, f.PacketID)
-	d = statehash.FoldInt(d, f.Seq)
-	d = statehash.Fold(d, uint64(f.Kind))
-	d = statehash.FoldInt(d, f.VC)
-	d = statehash.FoldInt(d, f.Src)
-	d = statehash.FoldInt(d, f.Dest)
-	d = statehash.FoldInt(d, f.DestX)
-	d = statehash.FoldInt(d, f.DestY)
-	d = statehash.FoldInt(d, f.Class)
-	d = statehash.FoldInt(d, f.Length)
-	d = statehash.Fold(d, f.Payload)
-	d = statehash.Fold(d, uint64(f.EDC))
-	return statehash.Fold(d, uint64(f.InjectedAt))
+	d := statehash.Fold(statehash.Fold(statehash.Fold(statehash.Seed, f.PacketID), f.Payload), uint64(f.InjectedAt))
+	tag := uint64(f.Kind) | uint64(f.EDC)<<8
+	if all := f.Seq | f.VC | f.Src | f.Dest | f.DestX | f.DestY | f.Class | f.Length; uint(all) < 1<<16 {
+		p := statehash.Fold(statehash.Seed, uint64(f.Seq)|uint64(f.VC)<<16|uint64(f.Src)<<32|uint64(f.Dest)<<48)
+		p = statehash.Fold(p, uint64(f.DestX)|uint64(f.DestY)<<16|uint64(f.Class)<<32|uint64(f.Length)<<48)
+		return statehash.Fold(d, statehash.Fold(p, tag))
+	}
+	for _, v := range [...]int{f.Seq, f.VC, f.Src, f.Dest, f.DestX, f.DestY, f.Class, f.Length} {
+		d = statehash.FoldInt(d, v)
+	}
+	return statehash.Fold(d, tag)
 }
 
 // arenaSlabSize is the number of flits per arena slab. A fork of a

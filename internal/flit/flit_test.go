@@ -1,6 +1,7 @@
 package flit
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -155,5 +156,54 @@ func TestStringRendering(t *testing.T) {
 	f := p.Flits(0, 0)[0]
 	if got := f.String(); got == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// TestDigestCoversEveryField: a flit's digest moves with every one of its
+// fields, on both of Digest's paths — the packed one every healthy flit
+// takes, and the field-by-field one of a flit with a small field negative
+// or wider than the packing — and the two paths keep flits apart that
+// differ only in which path they take.
+func TestDigestCoversEveryField(t *testing.T) {
+	base := Flit{PacketID: 77, Seq: 3, Kind: Body, VC: 2, Src: 5, Dest: 250, DestX: 10, DestY: 15,
+		Class: 1, Length: 5, Payload: 0xfeedface, EDC: 0x1234, InjectedAt: 900}
+	wide := base
+	wide.Src = 1 << 16 // off the packed path
+	negative := base
+	negative.VC = -1
+	digests := map[uint64]string{}
+	note := func(name string, f Flit) {
+		t.Helper()
+		d := f.Digest()
+		if other, dup := digests[d]; dup {
+			t.Fatalf("%s and %s digest alike (%#x)", other, name, d)
+		}
+		digests[d] = name
+	}
+	for _, tc := range []struct {
+		name string
+		f    Flit
+	}{{"packed", base}, {"wide", wide}, {"negative", negative}} {
+		note(tc.name, tc.f)
+		for i, mut := range []func(*Flit){
+			func(f *Flit) { f.PacketID++ }, func(f *Flit) { f.Seq++ }, func(f *Flit) { f.Kind = Tail },
+			func(f *Flit) { f.VC += 4 }, func(f *Flit) { f.Src += 2 }, func(f *Flit) { f.Dest++ },
+			func(f *Flit) { f.DestX++ }, func(f *Flit) { f.DestY++ }, func(f *Flit) { f.Class++ },
+			func(f *Flit) { f.Length++ }, func(f *Flit) { f.Payload++ }, func(f *Flit) { f.EDC++ },
+			func(f *Flit) { f.InjectedAt++ },
+		} {
+			f := tc.f
+			mut(&f)
+			note(fmt.Sprintf("%s with field %d changed", tc.name, i), f)
+		}
+	}
+	// Neighbouring packed fields do not run into one another.
+	a, b := base, base
+	a.Seq, a.VC = 1, 0
+	b.Seq, b.VC = 0, 1
+	note("Seq 1, VC 0", a)
+	note("Seq 0, VC 1", b)
+	if f := (*Flit)(nil); f.FoldState(1) == base.FoldState(1) {
+		t.Fatal("no flit folds like a flit")
 	}
 }

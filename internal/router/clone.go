@@ -38,6 +38,8 @@ func (r *Router) CloneInto(dst *Router, plane *fault.Plane, ar *flit.Arena) *Rou
 	c.plane = plane
 	c.sweepRef = r.sweepRef
 	c.preFull = true // dst's snapshot is of whatever it held before
+	c.vcTerms, c.foldDirty, c.portTerms, c.portDirty, c.fold = r.vcTerms, r.foldDirty, r.portTerms, r.portDirty, r.fold
+	c.refolds, c.termFolds = 0, 0
 	// The whole register file — VC status tables, credits, ST latches,
 	// arbiter pointers, activity masks — is a handful of bulk copies.
 	c.st.CopyFrom(r.st)
@@ -52,6 +54,12 @@ func (r *Router) CloneInto(dst *Router, plane *fault.Plane, ar *flit.Arena) *Rou
 		} else {
 			c.arriving[p] = nil
 		}
+	}
+	// What r has folded since it was last written travelled above; the copy
+	// takes the rest, from its own registers: it may be folded where it must
+	// not be written, and r, which others may be cloning too, is only read.
+	if c.portDirty != 0 {
+		c.refold()
 	}
 	return c
 }
@@ -71,16 +79,14 @@ func (ip *inputPort) cloneInto(dst *inputPort, depth int, ar *flit.Arena) {
 		buf := d.buf
 		*d = *src
 		if cap(buf) < depth {
-			buf = make([]*flit.Flit, depth)
+			buf = make([]slot, depth)
 		}
 		buf = buf[:len(src.buf)]
-		for j, f := range src.buf {
-			buf[j] = ar.CloneOf(f)
+		for j, s := range src.buf {
+			buf[j] = slot{ar.CloneOf(s.f), s.dig}
 		}
 		d.buf = buf
 		// lastRead/lastWritten are value snapshots; *d = *src above
-		// already copied them, and the digests src had taken. The copy
-		// takes the rest: it may be folded where it must not be written.
-		d.takeDigests()
+		// already copied them.
 	}
 }

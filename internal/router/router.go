@@ -70,6 +70,10 @@ type Router struct {
 	// stored) and every cycle no snapshot was taken (BeginUnobserved).
 	preDirty [P]uint32
 	preFull  bool
+	// foldDirty and portDirty say what of the fold cache, below, a write has
+	// left stale.
+	foldDirty [P]uint32
+	portDirty uint32
 
 	// Per-cycle staging filled by the network before Evaluate.
 	arriving [P]*flit.Flit
@@ -79,6 +83,25 @@ type Router struct {
 	// targets backs every Arrival.Targets of the cycle (writeFlit), emptied
 	// by BeginCycle like the rest of the signal record.
 	targets []WriteTarget
+
+	// The fold cache (fingerprint.go), three levels, each good until a
+	// write to what it covers. vcTerms[p][v] is input VC (p,v)'s term of the
+	// state fold, stale while bit v of foldDirty[p] is set: setVCState, push,
+	// pop and a register upset set it (wrote). portTerms[p] is port p's — its
+	// VCs' terms, its output-side registers, the flit staged on it — stale
+	// while bit p of portDirty is set: wrote sets it, and so do every phase
+	// that finds something to do at the port and every staging into it
+	// (touch). fold is the router's, good while portDirty is zero. A VC
+	// nobody folds (16 000 warm-up cycles between two fingerprints) is never
+	// hashed, and a router folded every cycle pays for the ports and VCs the
+	// cycle wrote. The terms sit together, a port's VCs a cache line, because
+	// a fold of the port reads them all, and behind everything a step reads.
+	// refolds and termFolds count the folds that found the router written
+	// and the VC terms they took again.
+	vcTerms            [P][MaxVCs]uint64
+	portTerms          [P]uint64
+	fold               uint64
+	refolds, termFolds int64
 }
 
 // New constructs a standalone router for node id of the configured mesh,
@@ -115,7 +138,7 @@ func NewInState(id int, cfg *Config, plane *fault.Plane, st soa.View) *Router {
 		r.in[p].vcs = make([]inVC, cfg.VCs)
 		for v := range r.in[p].vcs {
 			r.resetVC(p, v)
-			r.in[p].vcs[v].buf = make([]*flit.Flit, 0, cfg.BufDepth)
+			r.in[p].vcs[v].buf = make([]slot, 0, cfg.BufDepth)
 			i := p*st.V + v
 			st.Credits[i] = int32(cfg.BufDepth)
 			st.OutFlags[i] = soa.OutFree
@@ -178,11 +201,13 @@ func (r *Router) StageArrival(d topology.Direction, f *flit.Flit) {
 		panic(fmt.Sprintf("router %d: two flits staged on port %s in one cycle", r.id, d))
 	}
 	r.arriving[p] = f
+	r.touch(p)
 }
 
 // StageCredit presents a returning credit for VC vc of output port d.
 func (r *Router) StageCredit(d topology.Direction, vc int) {
 	r.st.CreditIn[int(d)] |= 1 << uint(vc)
+	r.touch(int(d))
 }
 
 // Inert reports whether stepping this router would change no state and
@@ -214,16 +239,28 @@ func (r *Router) iv(p, v int) int { return p*r.st.V + v }
 // mask exact for the sparse sweeps and the inert check. Every write to
 // one of a VC's other status registers (route, outVC, pktID, arrived)
 // happens beside a call of this or of push, which is what lets preDirty
-// be kept in these funnels alone.
+// and foldDirty be kept in these funnels alone (wrote).
 func (r *Router) setVCState(p, v int, s VCState) {
 	r.st.VCState[r.iv(p, v)] = uint8(s)
-	r.preDirty[p] |= 1 << uint(v)
+	r.wrote(p, v)
 	if s == VCIdle {
 		r.st.NonIdle[p] &^= 1 << uint(v)
 	} else {
 		r.st.NonIdle[p] |= 1 << uint(v)
 	}
 }
+
+// wrote notes a write to input VC (p,v): its snapshot entry and its fold
+// term are stale, and its port's.
+func (r *Router) wrote(p, v int) {
+	r.preDirty[p] |= 1 << uint(v)
+	r.foldDirty[p] |= 1 << uint(v)
+	r.touch(p)
+}
+
+// touch notes a write to port p's output-side registers or staging: the
+// port's fold term is stale.
+func (r *Router) touch(p int) { r.portDirty |= 1 << uint(p) }
 
 // resetVC returns the VC status registers to their free-VC values.
 func (r *Router) resetVC(p, v int) {
@@ -240,11 +277,11 @@ func (r *Router) resetVC(p, v int) {
 // (an overflowing write drops the flit instead).
 func (r *Router) push(p, v int, f *flit.Flit) {
 	vc := &r.in[p].vcs[v]
-	vc.buf = append(vc.buf, f)
-	vc.lastWritten, vc.writtenDigestOK = *f, false
+	vc.buf = append(vc.buf, slot{f: f})
+	vc.lastWritten = *f
 	vc.hasLastWritten = true
 	r.st.Occupied[p] |= 1 << uint(v)
-	r.preDirty[p] |= 1 << uint(v)
+	r.wrote(p, v)
 }
 
 // pop removes and returns (p,v)'s head flit, maintaining the read latch
@@ -258,14 +295,15 @@ func (r *Router) pop(p, v int) (f *flit.Flit, garbage bool) {
 		}
 		return vc.lastRead.Clone(), true
 	}
-	f = vc.buf[0]
+	head := vc.buf[0]
+	f = head.f
 	copy(vc.buf, vc.buf[1:])
 	vc.buf = vc.buf[:len(vc.buf)-1]
 	if len(vc.buf) == 0 {
 		r.st.Occupied[p] &^= 1 << uint(v)
 	}
-	r.preDirty[p] |= 1 << uint(v)
-	vc.lastRead, vc.readDigestOK = *f, false
+	r.wrote(p, v)
+	vc.lastRead, vc.readDig = *f, head.dig
 	vc.hasLastRead = true
 	return f, false
 }
@@ -479,9 +517,13 @@ func (r *Router) applyRegisterUpsets(cycle int64) {
 			r.setVCState(s.Port, s.VC, VCState((int(r.st.VCState[i])^bit)&7))
 		case fault.VCRouteReg:
 			r.st.VCRoute[i] = uint8((int(r.st.VCRoute[i]) ^ bit) & (1<<DirWidth - 1))
+			r.wrote(s.Port, s.VC)
 		case fault.VCOutVCReg:
 			r.st.VCOutVC[i] = uint8((int(r.st.VCOutVC[i]) ^ bit) & (MaxVCs - 1))
+			r.wrote(s.Port, s.VC)
 		case fault.CreditCountReg:
+			// (The port is marked stale by this cycle's arbitration rounds:
+			// inside the router's fault window every one of them runs.)
 			r.st.Credits[i] = (r.st.Credits[i] ^ int32(bit)) & r.crMask
 		}
 	}
@@ -510,12 +552,17 @@ func (r *Router) phaseBW(cycle int64) {
 		}
 		if f := r.arriving[p]; f != nil {
 			r.arriving[p] = nil
+			r.touch(p)
 			r.writeFlit(cycle, p, f)
 		}
-		cin := r.fVec(cycle, fault.CreditSig, p, -1, r.st.CreditIn[p])
+		staged := r.st.CreditIn[p]
+		cin := r.fVec(cycle, fault.CreditSig, p, -1, staged)
 		r.st.CreditIn[p] = 0
 		vec := bitvec.Vec(cin) & bitvec.Mask(r.cfg.VCs)
 		r.sig.CreditsIn[p] = vec
+		if staged|uint32(vec) != 0 {
+			r.touch(p) // the staged vector went, or a counter below moves
+		}
 		base := p * r.st.V
 		for w := vec; !w.IsZero(); {
 			var v int
@@ -606,6 +653,7 @@ func (r *Router) phaseST(cycle int64) {
 		spec := r.st.StFlags[p]&soa.StSpec != 0
 		r.st.StFlags[p] = 0
 		r.st.StOut[p] = -1
+		r.touch(p)
 
 		vcSel := int(r.st.SA1Win[p])
 		nullified := false
@@ -669,7 +717,14 @@ func (r *Router) phaseST(cycle int64) {
 			continue
 		}
 		col := bitvec.Vec(r.st.StCol[o])
-		r.st.StCol[o] = 0
+		if !col.IsZero() {
+			// The column goes, and what the traversal above wrote of this
+			// output's VCs — a committed speculative grant's credit, a
+			// departed tail's flag — is marked with it: SA2 latched
+			// StOut[p] = o together with bit p of this column.
+			r.st.StCol[o] = 0
+			r.touch(o)
+		}
 		col = bitvec.Vec(r.fVec(cycle, fault.XbarSel, o, -1, uint32(col))) & bitvec.Mask(P)
 		r.sig.XbarCol[o] = col
 		took := false
@@ -791,6 +846,7 @@ func (r *Router) phaseSA(cycle int64) {
 		if r.vacant(req) {
 			continue
 		}
+		r.touch(p) // the round moves the priority pointer and the winner latch
 		req = bitvec.Vec(r.fVec(cycle, fault.SA1Req, p, -1, uint32(req))) & bitvec.Mask(r.cfg.VCs)
 		gnt := rrArbitrate(req, r.cfg.VCs, &r.st.SA1Next[p])
 		gnt = bitvec.Vec(r.fVec(cycle, fault.SA1Gnt, p, -1, uint32(gnt))) & bitvec.Mask(r.cfg.VCs)
@@ -825,6 +881,7 @@ func (r *Router) phaseSA(cycle int64) {
 		if r.vacant(req) {
 			continue
 		}
+		r.touch(o) // the pointer, the column latch, a credit counter
 		req = bitvec.Vec(r.fVec(cycle, fault.SA2Req, o, -1, uint32(req))) & bitvec.Mask(P)
 		gnt := rrArbitrate(req, P, &r.st.SA2Next[o])
 		gnt = bitvec.Vec(r.fVec(cycle, fault.SA2Gnt, o, -1, uint32(gnt))) & bitvec.Mask(P)
@@ -847,7 +904,7 @@ func (r *Router) phaseSA(cycle int64) {
 				fl &^= soa.StSpec
 			}
 			r.st.StFlags[p] = fl
-			r.st.StOut[p] = int32(o)
+			r.st.StOut[p] = int32(o) // (p is marked: its SA1 round ran)
 			vcSel := int(r.st.SA1Win[p])
 			ovc := r.vcOutVCR(cycle, p, vcSel)
 			latch := SALatch{OutPort: o, InPort: p, InVC: vcSel, OutVC: ovc, Speculative: spec}
@@ -889,6 +946,7 @@ func (r *Router) phaseVA(cycle int64) {
 		if r.vacant(req) {
 			continue
 		}
+		r.touch(p) // the priority pointer, the winner latch
 		req = bitvec.Vec(r.fVec(cycle, fault.VA1Req, p, -1, uint32(req))) & bitvec.Mask(r.cfg.VCs)
 		gnt := rrArbitrate(req, r.cfg.VCs, &r.st.VA1Next[p])
 		gnt = bitvec.Vec(r.fVec(cycle, fault.VA1Gnt, p, -1, uint32(gnt))) & bitvec.Mask(r.cfg.VCs)
@@ -925,6 +983,7 @@ func (r *Router) phaseVA(cycle int64) {
 		if r.vacant(req) {
 			continue
 		}
+		r.touch(o) // the pointer, an output VC's flags
 		req = bitvec.Vec(r.fVec(cycle, fault.VA2Req, o, -1, uint32(req))) & bitvec.Mask(P)
 		gnt := rrArbitrate(req, P, &r.st.VA2Next[o])
 		gnt = bitvec.Vec(r.fVec(cycle, fault.VA2Gnt, o, -1, uint32(gnt))) & bitvec.Mask(P)

@@ -52,7 +52,7 @@ func (s VCState) String() string {
 // and campaign forks bulk-copy the register file.
 type inVC struct {
 	// buf is the FIFO buffer; buf[0] is the head.
-	buf []*flit.Flit
+	buf []slot
 	// lastRead snapshots the most recently read flit as of read time. A
 	// read strobe hitting an empty buffer returns stale storage, not
 	// blanks — the mechanism by which the paper says "a new flit may be
@@ -67,19 +67,18 @@ type inVC struct {
 	// by a header). Value semantics for the same reason as lastRead.
 	lastWritten    flit.Flit
 	hasLastWritten bool
-	// lastReadDigest and lastWrittenDigest cache the latches' flit.Digest
-	// for the state fold, each behind a valid bit: pop and push write the
-	// latch and clear the bit, and the first fold after that takes the
-	// digest (takeDigests), so a latch nobody folds — 16 000 warm-up cycles
-	// between two fingerprints — is never hashed, and one that is folded
-	// every cycle costs one step per latch, not a flit's thirteen. A fold
-	// therefore writes the router it folds, which only the goroutine that
-	// steps it may do: CloneInto hands the copy every digest taken (it
-	// takes the missing ones from the latches, into the copy), so a clone
-	// product that is never stepped — a campaign's shared snapshots — is
-	// folded without a write.
-	lastReadDigest, lastWrittenDigest uint64
-	readDigestOK, writtenDigestOK     bool
+	// readDig is lastRead's flit.Digest where it is known — pop hands over
+	// the departing slot's — and zero where a fold has yet to take it.
+	readDig uint64
+}
+
+// slot is one buffered flit and, once a state fold has taken it, the
+// flit's digest (zero before): nothing rewrites a buffered flit, so the
+// digest stands until the flit leaves, and a fold of a VC that is written
+// every cycle hashes each flit once, not once a cycle.
+type slot struct {
+	f   *flit.Flit
+	dig uint64
 }
 
 func (v *inVC) empty() bool { return len(v.buf) == 0 }
@@ -92,7 +91,7 @@ func (v *inVC) head() *flit.Flit {
 	if len(v.buf) == 0 {
 		return nil
 	}
-	return v.buf[0]
+	return v.buf[0].f
 }
 
 // rawInvalidDir is the reset value of the route register: an encoding

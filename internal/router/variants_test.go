@@ -136,7 +136,7 @@ func TestAtomicBufferSinglePacketResidency(t *testing.T) {
 		cycle++
 		ids := map[uint64]bool{}
 		for _, bf := range r.in[int(topology.North)].vcs[1].buf {
-			ids[bf.PacketID] = true
+			ids[bf.f.PacketID] = true
 		}
 		if len(ids) > 1 {
 			t.Fatalf("atomic VC holds %d packets", len(ids))

@@ -5,16 +5,20 @@ import "nocalert/internal/statehash"
 // foldState folds the NI's mutable state into a state-fingerprint
 // accumulator. The enumeration mirrors cloneInto exactly: queued
 // packets, the streaming flit window, credit bookkeeping, in-flight
-// link traffic and, last, the traffic generator's RNG state.
+// link traffic (foldBody, cached while nothing writes the NI) and, last,
+// the traffic generator's RNG state, which is drawn on every cycle of the
+// injection phase.
 func (ni *NI) foldState(h uint64) uint64 {
-	return ni.gen.FoldState(ni.foldBody(h))
+	if !ni.bodyOK {
+		ni.body, ni.bodyOK = ni.foldBody(), true
+	}
+	return ni.gen.FoldState(statehash.Fold(h, ni.body))
 }
 
-// foldBody is foldState without the traffic generator: the part of the NI
-// that changes only when the NI has something to do, where the generator
-// is drawn on every cycle of the injection phase.
-func (ni *NI) foldBody(h uint64) uint64 {
-	h = statehash.FoldInt(h, ni.curVC)
+// foldBody folds the NI without its traffic generator: the part that
+// changes only when the NI has something to do.
+func (ni *NI) foldBody() uint64 {
+	h := statehash.FoldInt(statehash.Seed, ni.curVC)
 	h = statehash.FoldInt(h, len(ni.queue))
 	for _, p := range ni.queue {
 		h = p.FoldState(h)
@@ -24,8 +28,7 @@ func (ni *NI) foldBody(h uint64) uint64 {
 		h = f.FoldState(h)
 	}
 	for v := range ni.outCredits {
-		// One word per VC, as in router.FoldState: the counter and the
-		// NIFree/NITailSent bits.
+		// One word per VC: the counter and the NIFree/NITailSent bits.
 		h = statehash.Fold(h, uint64(uint32(ni.outCredits[v]))|uint64(ni.outFlags[v])<<32)
 	}
 	h = statehash.FoldInt(h, len(ni.inbox))

@@ -71,12 +71,18 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 	fn := gold.CloneInto(nil, nil).CloneLazyInto(junkNetwork(cfg).CloneInto(nil, nil), plane.Clone())
 	oracle := asReference(gold.CloneInto(nil, plane.Clone()))
 
+	// Every fold golden records is held to the fold rebuilt with the node's
+	// caches thrown away, as every member's and every reference node's is
+	// below: two cached folds can be stale alike.
 	gold.StartRecording(int(window))
-	for i := int64(0); i < window; i++ {
+	for gold.Cycle() < fork+window+drainCap && !gold.rec.settled {
+		if gold.Cycle() == fork+window {
+			gold.StopInjection()
+		}
 		gold.Step()
+		requireFoldsRebuilt(t, "golden", gold, allNodes(gold))
 	}
-	gold.StopInjection()
-	rec := gold.SettleRecording(fork + window + drainCap)
+	rec := gold.SettleRecording(gold.Cycle())
 	if rec == nil {
 		t.Fatal("fault-free golden run did not settle")
 	}
@@ -107,6 +113,8 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 		}
 		tb := ref.Cycle() - 1 // the cycle just stepped
 		golden := rec.foldRow(tb)
+		requireFoldsRebuilt(t, "frontier", fn, fr.members)
+		requireFoldsRebuilt(t, "reference", ref, allNodes(ref))
 		for id := range fn.routers {
 			if fr.inF[id] {
 				if got, want := fn.nodeFold(id), ref.nodeFold(id); got != want {

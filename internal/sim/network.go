@@ -236,6 +236,18 @@ func (n *Network) RouterSteps() int64 { return n.routerSteps }
 // NITicks is RouterSteps for the network interfaces.
 func (n *Network) NITicks() int64 { return n.niTicks }
 
+// FoldCounts returns how many router folds this network's state folds have
+// had to take again since it was built or cloned — the router written since
+// the fold before — and how many input-VC terms those took again (see
+// router.Router.FoldState): what a fold costs beyond a load per node.
+func (n *Network) FoldCounts() (routers, vcTerms int64) {
+	for _, r := range n.routers {
+		folded, terms := r.FoldCounts()
+		routers, vcTerms = routers+folded, vcTerms+terms
+	}
+	return routers, vcTerms
+}
+
 // Monitors returns the attached monitors.
 func (n *Network) Monitors() []Monitor { return n.monitors }
 

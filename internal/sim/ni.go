@@ -48,6 +48,15 @@ type NI struct {
 	// Ejection side.
 	inbox   []niArrival
 	credits []niCredit
+
+	// body caches foldBody, good while bodyOK: until the NI is ticked or
+	// handed a packet. (A credit or a flit from its router comes in a
+	// cycle's link traversal, ahead of the NI's tick of that cycle.) As with
+	// a router's fold cache, a fold writes it only if the NI was written
+	// since the last one, and cloneInto hands the copy a cache that is
+	// complete.
+	body   uint64
+	bodyOK bool
 }
 
 // newNI builds the NI for node, bound to the given SoA windows; nil
@@ -89,7 +98,10 @@ func (ni *NI) busy() bool { return len(ni.queue) > 0 || len(ni.cur) > 0 || len(n
 func (ni *NI) idle() bool { return !ni.busy() && len(ni.credits) == 0 }
 
 // enqueue accepts a packet for injection.
-func (ni *NI) enqueue(p *flit.Packet) { ni.queue = append(ni.queue, p) }
+func (ni *NI) enqueue(p *flit.Packet) {
+	ni.queue = append(ni.queue, p)
+	ni.bodyOK = false
+}
 
 // creditArrived registers a credit returned by the router for local
 // input VC vc, usable from the given cycle.
@@ -110,6 +122,7 @@ func (ni *NI) flitArrived(f *flit.Flit, cycle int64) {
 // injected into the router this cycle, credited whether an ejection
 // returned it a credit — the two ways a tick stages into the router.
 func (ni *NI) tickInject(cycle int64, r *router.Router, ejected *[]*flit.Flit) (sent, credited bool) {
+	ni.bodyOK = false
 	// Credits from the router's local input port.
 	kept := ni.credits[:0]
 	for _, c := range ni.credits {
@@ -226,5 +239,8 @@ func (ni *NI) cloneInto(dst *NI, ar *flit.Arena) *NI {
 		c.inbox = append(c.inbox, niArrival{f: ar.CloneOf(a.f), cycle: a.cycle})
 	}
 	c.credits = append(c.credits[:0], ni.credits...)
+	if c.body, c.bodyOK = ni.body, ni.bodyOK; !c.bodyOK {
+		c.body, c.bodyOK = c.foldBody(), true
+	}
 	return c
 }

@@ -127,12 +127,6 @@ type Recording struct {
 	// each row's population count.
 	busy  []uint64
 	busyN []int32
-	// idle and body are closeCycle's memory of the previous boundary: which
-	// nodes were wholly idle there, and every node's fold less its traffic
-	// generator (nodeBody).
-	idle []bool
-	body []uint64
-
 	// prefix offsets, one entry per closed cycle plus the open tail. They
 	// are running event counts as well: a cycle's generation, send and
 	// ejection totals are differences of neighbouring entries.
@@ -223,7 +217,7 @@ const recSlack = 32
 // other.
 func newRecording(start int64, mesh topology.Mesh, cycles int, load recLoad) *Recording {
 	nodes := mesh.Nodes()
-	r := &Recording{start: start, nodes: nodes, injectEnd: math.MaxInt64, idle: make([]bool, nodes), body: make([]uint64, nodes)}
+	r := &Recording{start: start, nodes: nodes, injectEnd: math.MaxInt64}
 	rows := cycles + 4*(mesh.W+mesh.H)
 	events := func(perCycle float64) int { return int(perCycle*float64(rows)) + recSlack }
 	gens := int(load.pkts*float64(cycles)) + recSlack
@@ -377,30 +371,19 @@ func (rc *Recording) recordEject(node int, f *flit.Flit) {
 
 // closeCycle seals the open cycle: folds every node's state and notes
 // its NI's busy bit at the just-completed boundary, freezes the event
-// ranges and decides whether the network has settled.
-//
-// A node that was wholly idle at the previous boundary — router inert
-// and outside its own fault window (an upset may rewrite a register of an
-// inert router and leave it inert), nothing staged, NI empty — and is
-// wholly idle now cannot have changed, but for its traffic generator: its
-// router had nothing to do, its NI had nothing to do, a packet it
-// generated would be queued or on its way in, and anything a neighbour
-// staged into it would show now. Only the generator's term of its fold is
-// computed, on top of the body kept from the last boundary it was not
-// idle at.
+// ranges and decides whether the network has settled. A node nothing wrote
+// since the last boundary — its router neither stepped nor staged into,
+// its NI neither ticked nor handed anything — is folded from its router's
+// and NI's kept folds (router.Router.FoldState, NI.foldState) and its
+// traffic generator, the one part of it that moves while it has nothing to
+// do.
 func (rc *Recording) closeCycle(n *Network) {
 	c := rc.Cycles()
 	var sum uint64
-	for i, r := range n.routers {
-		ni := n.nis[i]
-		idle := r.Inert() && ni.idle() && !n.plane.LiveFor(n.cycle-1, i)
-		if !idle || !rc.idle[i] {
-			rc.body[i] = n.nodeBody(i)
-		}
-		fold := ni.gen.FoldState(rc.body[i])
+	for i := range n.routers {
+		fold := n.nodeFold(i)
 		rc.folds = append(rc.folds, fold)
 		sum += foldTerm(i, fold)
-		rc.idle[i] = idle
 	}
 	rc.foldSum = append(rc.foldSum, sum)
 	busyN := int32(0)
@@ -441,10 +424,9 @@ const (
 // ApproxFootprintBytes estimates the memory the transcript retains:
 // flat event storage at capacity (payloads and what key arrays there
 // are), the node-major indices, the per-cycle prefix offsets, the
-// per-node fold table with its row digests, the busy-NI bits with their
-// row counts and closeCycle's idle flags and fold bodies. Like
-// Network.ApproxFootprintBytes it is a deterministic accounting estimate,
-// not a heap measurement.
+// per-node fold table with its row digests and the busy-NI bits with
+// their row counts. Like Network.ApproxFootprintBytes it is a
+// deterministic accounting estimate, not a heap measurement.
 func (rc *Recording) ApproxFootprintBytes() int64 {
 	if rc == nil {
 		return 0
@@ -453,8 +435,7 @@ func (rc *Recording) ApproxFootprintBytes() int64 {
 		int64(cap(rc.links))*recLinkBytes +
 		int64(cap(rc.credits))*recCreditBytes +
 		int64(cap(rc.ejectFlits))*recEjectBytes +
-		int64(cap(rc.folds)+cap(rc.foldSum)+cap(rc.busy)+cap(rc.body))*8 +
-		int64(cap(rc.idle))
+		int64(cap(rc.folds)+cap(rc.foldSum)+cap(rc.busy))*8
 	b += int64(cap(rc.genNode)+cap(rc.linkSrc)+cap(rc.creditSrc)+cap(rc.sends)+cap(rc.ejectNode)+cap(rc.busyN)) * 4
 	b += int64(cap(rc.genIdx)+cap(rc.linkIdx)+cap(rc.credIdx)+cap(rc.sendIdx)+cap(rc.ejectIdx)) * 4
 	for i := range rc.by {
@@ -469,14 +450,7 @@ func (rc *Recording) ApproxFootprintBytes() int64 {
 // whose fold equals the golden recording's at the same boundary holds,
 // up to hash collision, exactly the golden state.
 func (n *Network) nodeFold(i int) uint64 {
-	return n.nis[i].gen.FoldState(n.nodeBody(i))
-}
-
-// nodeBody is nodeFold short of its last term, the NI's traffic
-// generator: the only part of a node that changes while the node has
-// nothing to do.
-func (n *Network) nodeBody(i int) uint64 {
-	return n.nis[i].foldBody(n.routers[i].FoldState(statehash.Seed))
+	return n.nis[i].foldState(n.routers[i].FoldState(statehash.Seed))
 }
 
 // StartRecording attaches a fresh golden signal transcript to the

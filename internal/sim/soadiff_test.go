@@ -521,7 +521,8 @@ func (p *awakePair) asleep() bool {
 // steps are the ones the mesh-polling engine stepped — not Inert at entry,
 // or inside their own fault window — and every one's whole signal record
 // is the reference engine's, which steps them all; the monitors were shown
-// the same, value for value; the state fingerprints agree; and at the
+// the same, value for value; the state fingerprints agree, and every
+// node's fold is the one rebuilt with its caches thrown away; and at the
 // boundary the active sets are exactly the routers that are not Inert and
 // the NIs that are not idle (DESIGN.md §3.2). It returns how many router
 // evaluations fast ran.
@@ -562,6 +563,11 @@ func (p *awakePair) step(t *testing.T, what string, n int) (evaluated int) {
 		if rf, ff := ref.Fingerprint(), fast.Fingerprint(); rf != ff {
 			t.Fatalf("%s: cycle %d: engines diverged (reference %#x, fast %#x)", what, c, rf, ff)
 		}
+		// The fingerprints just taken filled every fold cache: what the
+		// sleeping nodes keep of them over the cycles to come is held to the
+		// rebuild too.
+		requireFoldsRebuilt(t, what+", reference engine", ref, allNodes(ref))
+		requireFoldsRebuilt(t, what+", fast engine", fast, allNodes(fast))
 		for id, r := range fast.routers {
 			if a, ni := fast.awake.has(id), fast.niAwake.has(id); a == r.Inert() || ni == fast.nis[id].idle() {
 				t.Fatalf("%s: boundary %d node %d: router awake=%t inert=%t, NI awake=%t idle=%t",
