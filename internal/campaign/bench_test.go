@@ -183,13 +183,18 @@ func BenchmarkGoldenWarmup(b *testing.B) {
 			// and the input-VC terms they took again (every router of the
 			// mesh and twenty terms a router, per recorded cycle, would mean
 			// a fold hashes what nobody wrote), beside the warm-up's time per
-			// router of the mesh and simulated cycle.
+			// router of the mesh and simulated cycle, and per router stepped
+			// (ns/router-step: what a router cycle costs, where the
+			// repository benchmark's sim.step_ns_per_router_cycle divides a
+			// bare step by every router of the mesh, asleep ones included).
 			cycles := float64(gold.endCycle)
+			perWarmup := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(float64(gold.routerSteps)/cycles, "routers-stepped/cycle")
 			b.ReportMetric(float64(gold.niTicks)/cycles, "nis-ticked/cycle")
 			b.ReportMetric(float64(gold.routersFolded)/cycles, "routers-folded/cycle")
 			b.ReportMetric(float64(gold.vcTermsFolded)/cycles, "vc-terms-recomputed/cycle")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(cycles*float64(bc.w*bc.h)), "ns/router-cycle")
+			b.ReportMetric(perWarmup/(cycles*float64(bc.w*bc.h)), "ns/router-cycle")
+			b.ReportMetric(perWarmup/float64(gold.routerSteps), "ns/router-step")
 		})
 	}
 }

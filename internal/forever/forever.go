@@ -203,22 +203,19 @@ func (m *Monitor) SignalsOnly() {}
 // the allocators' request/grant interfaces for a grant without a
 // request or a multi-hot grant — the invalid operations it was designed
 // to flag. An arbiter that granted nothing can have done neither, and
-// most of the twenty grant nothing on most cycles.
+// most of the twenty grant nothing on most cycles: the comparator reads
+// the ones Signals.Granted names.
 func (m *Monitor) RouterCycle(r *router.Router, s *router.Signals) {
 	if m.opts.DisableAC {
 		return
 	}
-	banks := [...]*[router.P]router.ReqGnt{&s.VA1, &s.SA1, &s.VA2, &s.SA2}
-	for _, b := range banks {
-		for p := 0; p < router.P; p++ {
-			rg := b[p]
-			if rg.Gnt.IsZero() {
-				continue
-			}
-			if !(rg.Gnt &^ rg.Req).IsZero() || !rg.Gnt.AtMostOneHot() {
-				m.flag(s.Cycle, r.ID())
-				return
-			}
+	for g := s.Granted; !g.IsZero(); {
+		var i int
+		i, g = g.NextBit()
+		rg := s.Bank(i / router.P)[i%router.P]
+		if !(rg.Gnt &^ rg.Req).IsZero() || !rg.Gnt.AtMostOneHot() {
+			m.flag(s.Cycle, r.ID())
+			return
 		}
 	}
 }

@@ -97,8 +97,7 @@ func TestAllocationComparatorRules(t *testing.T) {
 		for bank := 0; bank < 4; bank++ {
 			var s router.Signals
 			s.Cycle = 42
-			rg := router.ReqGnt{Req: tc.req, Gnt: tc.gnt}
-			[...]*[router.P]router.ReqGnt{&s.VA1, &s.SA1, &s.VA2, &s.SA2}[bank][bank+1] = rg
+			s.SetArbiter(bank, bank+1, router.ReqGnt{Req: tc.req, Gnt: tc.gnt})
 			m := NewMonitor(&rc, Options{})
 			m.RouterCycle(r, &s)
 			if m.Detected() != tc.flagged {

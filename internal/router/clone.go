@@ -34,7 +34,8 @@ func (r *Router) CloneInto(dst *Router, plane *fault.Plane, ar *flit.Arena) *Rou
 	}
 	c.id, c.x, c.y, c.cfg = r.id, r.x, r.y, r.cfg
 	c.crMask, c.vcClass = r.crMask, r.vcClass
-	c.hasPort = r.hasPort
+	c.ports, c.vcMask = r.ports, r.vcMask
+	c.staged, c.latchedRows, c.latchedCols = r.staged, r.latchedRows, r.latchedCols
 	c.plane = plane
 	c.sweepRef = r.sweepRef
 	c.preFull = true // dst's snapshot is of whatever it held before
@@ -44,10 +45,9 @@ func (r *Router) CloneInto(dst *Router, plane *fault.Plane, ar *flit.Arena) *Rou
 	// arbiter pointers, activity masks — is a handful of bulk copies.
 	c.st.CopyFrom(r.st)
 	c.creditsOut = c.creditsOut[:0]
-	for p := 0; p < P; p++ {
-		if !r.hasPort[p] {
-			continue
-		}
+	for w := r.ports; !w.IsZero(); {
+		var p int
+		p, w = w.NextBit()
 		r.in[p].cloneInto(&c.in[p], r.cfg.BufDepth, ar)
 		if f := r.arriving[p]; f != nil {
 			c.arriving[p] = ar.CloneOf(f)

@@ -46,10 +46,9 @@ func (r *Router) FoldCounts() (refolds, terms int64) { return r.refolds, r.termF
 func (r *Router) refold() {
 	r.refolds++
 	h := statehash.Seed
-	for p := 0; p < P; p++ {
-		if !r.hasPort[p] {
-			continue
-		}
+	for w := r.ports; !w.IsZero(); {
+		var p int
+		p, w = w.NextBit()
 		if r.portDirty&(1<<uint(p)) != 0 {
 			r.portTerms[p] = r.portFold(p)
 		}

@@ -19,7 +19,7 @@ import (
 func rebuiltFold(r *Router) uint64 {
 	h := statehash.Seed
 	for p := 0; p < P; p++ {
-		if !r.hasPort[p] {
+		if !r.ports.Get(p) {
 			continue
 		}
 		t := statehash.Seed

@@ -38,8 +38,10 @@ type Router struct {
 	crMask  int32
 	vcClass [MaxVCs]int
 
-	hasPort [P]bool
-	in      [P]inputPort
+	// ports is the set of ports the router has, fixed by its place in the
+	// mesh; vcMask is bitvec.Mask(VCs).
+	ports, vcMask bitvec.Vec
+	in            [P]inputPort
 
 	// st is this router's window into the flat register file: VC status
 	// tables, credit counters, ST latches, arbiter priority pointers and
@@ -77,6 +79,13 @@ type Router struct {
 
 	// Per-cycle staging filled by the network before Evaluate.
 	arriving [P]*flit.Flit
+
+	// The ports phaseBW and phaseST have work at, kept where the registers
+	// they stand for are written: staged has bit p set while port p holds a
+	// staged flit or credit (arriving, CreditIn), latchedRows while input p
+	// holds SA2's read enable (StFlags), latchedCols while output o holds
+	// its crossbar column (StCol).
+	staged, latchedRows, latchedCols bitvec.Vec
 
 	sig        Signals
 	creditsOut []CreditOut
@@ -126,6 +135,7 @@ func NewInState(id int, cfg *Config, plane *fault.Plane, st soa.View) *Router {
 	r := &Router{id: id, cfg: cfg, plane: plane, st: st}
 	r.x, r.y = cfg.Mesh.Coords(id)
 	r.crMask = int32(1<<fault.BitsFor(cfg.BufDepth) - 1)
+	r.vcMask = bitvec.Mask(cfg.VCs)
 	for v := 0; v < cfg.VCs; v++ {
 		r.vcClass[v] = cfg.ClassOfVC(v)
 	}
@@ -134,7 +144,7 @@ func NewInState(id int, cfg *Config, plane *fault.Plane, st soa.View) *Router {
 		if !cfg.Mesh.HasPort(id, d) {
 			continue
 		}
-		r.hasPort[p] = true
+		r.ports = r.ports.Set(p)
 		r.in[p].vcs = make([]inVC, cfg.VCs)
 		for v := range r.in[p].vcs {
 			r.resetVC(p, v)
@@ -174,7 +184,7 @@ func (r *Router) ID() int { return r.id }
 func (r *Router) Config() *Config { return r.cfg }
 
 // HasPort reports whether the router has the given port.
-func (r *Router) HasPort(d topology.Direction) bool { return r.hasPort[int(d)] }
+func (r *Router) HasPort(d topology.Direction) bool { return r.ports.Get(int(d)) }
 
 // SetPlane replaces the fault plane (used when forking campaign runs).
 func (r *Router) SetPlane(p *fault.Plane) { r.plane = p }
@@ -201,30 +211,29 @@ func (r *Router) StageArrival(d topology.Direction, f *flit.Flit) {
 		panic(fmt.Sprintf("router %d: two flits staged on port %s in one cycle", r.id, d))
 	}
 	r.arriving[p] = f
+	r.staged |= 1 << uint(p)
 	r.touch(p)
 }
 
 // StageCredit presents a returning credit for VC vc of output port d.
 func (r *Router) StageCredit(d topology.Direction, vc int) {
 	r.st.CreditIn[int(d)] |= 1 << uint(vc)
+	r.staged |= 1 << uint(d)
 	r.touch(int(d))
 }
 
 // Inert reports whether stepping this router would change no state and
 // produce an all-vacuous signal record: every VC idle and empty, no
 // crossbar reservation or read enable pending, no staged arrivals or
-// credits. The check is a word-at-a-time OR over the per-port masks.
+// credits. The check is a word-at-a-time OR over the activity masks.
 // Only meaningful outside the router's own fault window — a live fault
 // can perturb even an idle router, but only the router that hosts it —
 // and a skipped router's per-cycle staging (Signals, Credits) goes stale,
 // so the network must skip its link-traversal and monitor visits too.
 func (r *Router) Inert() bool {
-	var acc uint32
+	acc := uint32(r.staged | r.latchedRows | r.latchedCols)
 	for p := 0; p < P; p++ {
-		acc |= r.st.NonIdle[p] | r.st.Occupied[p] | r.st.StCol[p] | r.st.CreditIn[p] | uint32(r.st.StFlags[p])
-		if r.arriving[p] != nil {
-			return false
-		}
+		acc |= r.st.NonIdle[p] | r.st.Occupied[p]
 	}
 	return acc == 0
 }
@@ -435,10 +444,9 @@ func (r *Router) beginCycle(cycle int64, observed bool) {
 	}
 	full := r.preFull || !r.fastSweep
 	r.preFull = !r.fastSweep
-	for p := 0; p < P; p++ {
-		if !r.hasPort[p] {
-			continue
-		}
+	for w := r.ports; !w.IsZero(); {
+		var p int
+		p, w = w.NextBit()
 		var act bitvec.Vec
 		if full {
 			for v := range r.in[p].vcs {
@@ -504,7 +512,7 @@ func (r *Router) applyRegisterUpsets(cycle int64) {
 	}
 	for _, f := range r.plane.TransientRegisterFlips(cycle, r.id) {
 		s := f.Site
-		if s.Port < 0 || s.Port >= P || !r.hasPort[s.Port] {
+		if s.Port < 0 || s.Port >= P || !r.ports.Get(s.Port) {
 			continue
 		}
 		if s.VC < 0 || s.VC >= r.cfg.VCs {
@@ -535,21 +543,38 @@ func (r *Router) applyRegisterUpsets(cycle int64) {
 // BW/RC stage), then crossbar traversal of last cycle's switch grants,
 // then SA, VA and RC. Departures are exposed via Signals().Departures
 // and credits via Credits().
+//
+// On a fast sweep each phase visits only the ports that have work (DESIGN.md
+// §3.1): BW the staged ones, ST the latched rows and columns, SA1, VA1 and RC
+// the ports with a non-idle VC, SA2 and VA2 the outputs the first round's
+// winners request. The reference sweep, and a router inside its own fault
+// window, visit every port it has.
 func (r *Router) Evaluate(cycle int64) {
 	r.phaseBW(cycle)
 	r.phaseST(cycle)
-	r.phaseSA(cycle)
-	r.phaseVA(cycle)
-	r.phaseRC(cycle)
+	// Every candidate of SA1, VA1 and RC is a non-idle VC: on a fast sweep
+	// the three visit the ports that hold one once BW and ST have run. (SA
+	// and VA make no idle VC non-idle: VA activates VCs VA1 found waiting.)
+	busy := r.ports
+	if r.fastSweep {
+		busy = 0
+		for p := 0; p < P; p++ {
+			if r.st.NonIdle[p] != 0 {
+				busy |= 1 << uint(p)
+			}
+		}
+	}
+	r.phaseSA(cycle, busy)
+	r.phaseVA(cycle, busy)
+	r.phaseRC(cycle, busy)
 }
 
 // phaseBW latches arriving flits into VC buffers and absorbs returning
 // credits.
 func (r *Router) phaseBW(cycle int64) {
-	for p := 0; p < P; p++ {
-		if !r.hasPort[p] {
-			continue
-		}
+	for w := r.sweep(r.staged, r.ports); !w.IsZero(); {
+		var p int
+		p, w = w.NextBit()
 		if f := r.arriving[p]; f != nil {
 			r.arriving[p] = nil
 			r.touch(p)
@@ -558,7 +583,7 @@ func (r *Router) phaseBW(cycle int64) {
 		staged := r.st.CreditIn[p]
 		cin := r.fVec(cycle, fault.CreditSig, p, -1, staged)
 		r.st.CreditIn[p] = 0
-		vec := bitvec.Vec(cin) & bitvec.Mask(r.cfg.VCs)
+		vec := bitvec.Vec(cin) & r.vcMask
 		r.sig.CreditsIn[p] = vec
 		if staged|uint32(vec) != 0 {
 			r.touch(p) // the staged vector went, or a counter below moves
@@ -576,6 +601,7 @@ func (r *Router) phaseBW(cycle int64) {
 			}
 		}
 	}
+	r.staged = 0
 }
 
 func (r *Router) writeFlit(cycle int64, p int, f *flit.Flit) {
@@ -585,9 +611,9 @@ func (r *Router) writeFlit(cycle int64, p int, f *flit.Flit) {
 	f.VC = vcRaw
 	var strobe bitvec.Vec
 	if vcRaw < r.cfg.VCs {
-		strobe = bitvec.New(vcRaw)
+		strobe = strobe.Set(vcRaw)
 	}
-	strobe = bitvec.Vec(r.fVec(cycle, fault.BufWrite, p, -1, uint32(strobe))) & bitvec.Mask(r.cfg.VCs)
+	strobe = bitvec.Vec(r.fVec(cycle, fault.BufWrite, p, -1, uint32(strobe))) & r.vcMask
 	arr := Arrival{Port: p, Kind: f.Kind, VCField: vcRaw, Strobe: strobe, Flit: f}
 	first := len(r.targets)
 	i := -1
@@ -641,14 +667,15 @@ func (r *Router) writeFlit(cycle int64, p int, f *flit.Flit) {
 
 // phaseST performs crossbar traversal for last cycle's switch grants:
 // per-input read strobes pop the buffers, rows drive flits, and the
-// (possibly faulted) column control vectors connect rows to outputs.
+// (possibly faulted) column control vectors connect rows to outputs. Only a
+// row SA2 latched a read enable on reads, on either sweep.
 func (r *Router) phaseST(cycle int64) {
 	var rowFlit [P]*flit.Flit
 	var rowGarbage [P]bool
-	for p := 0; p < P; p++ {
-		if !r.hasPort[p] || r.st.StFlags[p]&soa.StReadEn == 0 {
-			continue
-		}
+	var rows bitvec.Vec
+	for w := r.latchedRows; !w.IsZero(); {
+		var p int
+		p, w = w.NextBit()
 		intended := int(r.st.StOut[p])
 		spec := r.st.StFlags[p]&soa.StSpec != 0
 		r.st.StFlags[p] = 0
@@ -674,9 +701,9 @@ func (r *Router) phaseST(cycle int64) {
 		}
 		var strobe bitvec.Vec
 		if !nullified && vcSel < r.cfg.VCs {
-			strobe = bitvec.New(vcSel)
+			strobe = strobe.Set(vcSel)
 		}
-		strobe = bitvec.Vec(r.fVec(cycle, fault.BufRead, p, -1, uint32(strobe))) & bitvec.Mask(r.cfg.VCs)
+		strobe = bitvec.Vec(r.fVec(cycle, fault.BufRead, p, -1, uint32(strobe))) & r.vcMask
 		var emptyBits bitvec.Vec
 		var selFlit, firstFlit *flit.Flit
 		var selGarbage, firstGarbage bool
@@ -703,19 +730,20 @@ func (r *Router) phaseST(cycle int64) {
 				firstFlit, firstGarbage = f, garbage
 			}
 		}
+		if selFlit == nil {
+			selFlit, selGarbage = firstFlit, firstGarbage
+		}
 		if selFlit != nil {
 			rowFlit[p], rowGarbage[p] = selFlit, selGarbage
-		} else {
-			rowFlit[p], rowGarbage[p] = firstFlit, firstGarbage
+			rows = rows.Set(p)
 		}
 		r.sig.Reads[p] = ReadSig{Strobe: strobe, EmptyBits: emptyBits}
 	}
 
 	var usedRows bitvec.Vec
-	for o := 0; o < P; o++ {
-		if !r.hasPort[o] {
-			continue
-		}
+	for w := r.sweep(r.latchedCols, r.ports); !w.IsZero(); {
+		var o int
+		o, w = w.NextBit()
 		col := bitvec.Vec(r.st.StCol[o])
 		if !col.IsZero() {
 			// The column goes, and what the traversal above wrote of this
@@ -749,22 +777,15 @@ func (r *Router) phaseST(cycle int64) {
 			})
 		}
 	}
-	in := 0
-	var rows bitvec.Vec
-	for p := 0; p < P; p++ {
-		if rowFlit[p] != nil {
-			in++
-			rows = rows.Set(p)
-		}
-	}
+	r.latchedRows, r.latchedCols = 0, 0
 	r.sig.XbarRows = rows
-	r.sig.XbarIn = in
+	r.sig.XbarIn = rows.Count()
 	r.sig.XbarOut = len(r.sig.Departures)
 }
 
 // teardown recycles an input VC after its tail flit departs.
 func (r *Router) teardown(p, v, intendedOut int, tail *flit.Flit) {
-	if intendedOut >= 0 && r.hasPort[intendedOut] && tail.VC < r.cfg.VCs {
+	if intendedOut >= 0 && r.ports.Get(intendedOut) && tail.VC < r.cfg.VCs {
 		r.st.OutFlags[r.iv(intendedOut, tail.VC)] |= soa.OutTailSent
 	}
 	if !r.cfg.AtomicVC {
@@ -781,44 +802,41 @@ func (r *Router) teardown(p, v, intendedOut int, tail *flit.Flit) {
 	r.resetVC(p, v)
 }
 
-// vacant reports that an arbitration round over req may be skipped whole:
-// nobody requests, and this router's fault window is closed, so nothing
-// can conjure a request or a grant: the round would leave its signals at
-// their reset zeros and its priority pointer where it is (rrArbitrate
-// moves none on an empty request). The reference sweep, and a router
-// inside its own fault window, run every round.
+// vacant reports that a first-round arbitration (SA1, VA1) over req may be
+// skipped whole: nobody requests, and this router's fault window is closed,
+// so nothing can conjure a request or a grant: the round would leave its
+// signals at their reset zeros and its priority pointer where it is
+// (rrArbitrate moves none on an empty request). The reference sweep, and a
+// router inside its own fault window, run every round. A second round has
+// nothing to skip: its outputs are the ones the winners request.
 func (r *Router) vacant(req bitvec.Vec) bool { return r.fastSweep && req.IsZero() }
 
-// sweepMask returns the candidate-VC iteration set for the allocation
-// sweeps: in fast-sweep mode the maintained activity mask (exact — see
-// the phase comments), in reference mode every VC.
-func (r *Router) sweepMask(fast bitvec.Vec) bitvec.Vec {
+// sweep returns what a phase iterates: on a fast sweep the ports or VCs that
+// have work (active, exact — see the phase comments), otherwise all of them.
+func (r *Router) sweep(active, all bitvec.Vec) bitvec.Vec {
 	if r.fastSweep {
-		return fast
+		return active
 	}
-	return bitvec.Mask(r.cfg.VCs)
+	return all
 }
 
 // phaseSA runs the separable switch allocation: SA1 picks one VC per
 // input port (checking downstream credits), SA2 picks one input port
 // per output port and latches the crossbar reservation for next cycle.
-func (r *Router) phaseSA(cycle int64) {
-	var sa1win [P]int
-	var sa1spec [P]bool
-	won := false
-	for p := 0; p < P; p++ {
-		sa1win[p] = -1
-		if !r.hasPort[p] {
-			continue
-		}
+func (r *Router) phaseSA(cycle int64, busy bitvec.Vec) {
+	var reqs [P]bitvec.Vec // SA2's, by output
+	var outs, specWon bitvec.Vec
+	for w := busy; !w.IsZero(); {
+		var p int
+		p, w = w.NextBit()
 		var req bitvec.Vec
 		var specBits bitvec.Vec
 		// SA requests need a non-empty VC in the Active (or, speculatively,
 		// WaitingVA) state: exactly the Occupied∩NonIdle mask when the
 		// stored registers are the read values (no open fault window).
-		for w := r.sweepMask(bitvec.Vec(r.st.Occupied[p] & r.st.NonIdle[p])); !w.IsZero(); {
+		for vs := r.sweep(bitvec.Vec(r.st.Occupied[p]&r.st.NonIdle[p]), r.vcMask); !vs.IsZero(); {
 			var v int
-			v, w = w.NextBit()
+			v, vs = vs.NextBit()
 			if r.in[p].vcs[v].empty() {
 				continue
 			}
@@ -826,7 +844,7 @@ func (r *Router) phaseSA(cycle int64) {
 			switch {
 			case st == VCActive:
 				route := r.vcRouteR(cycle, p, v)
-				if route >= P || !r.hasPort[route] {
+				if !r.ports.Get(route) {
 					continue
 				}
 				ovc := r.vcOutVCR(cycle, p, v)
@@ -835,8 +853,7 @@ func (r *Router) phaseSA(cycle int64) {
 				}
 				req = req.Set(v)
 			case r.cfg.Speculative && st == VCWaitingVA:
-				route := r.vcRouteR(cycle, p, v)
-				if route >= P || !r.hasPort[route] {
+				if !r.ports.Get(r.vcRouteR(cycle, p, v)) {
 					continue
 				}
 				req = req.Set(v)
@@ -847,56 +864,41 @@ func (r *Router) phaseSA(cycle int64) {
 			continue
 		}
 		r.touch(p) // the round moves the priority pointer and the winner latch
-		req = bitvec.Vec(r.fVec(cycle, fault.SA1Req, p, -1, uint32(req))) & bitvec.Mask(r.cfg.VCs)
+		req = bitvec.Vec(r.fVec(cycle, fault.SA1Req, p, -1, uint32(req))) & r.vcMask
 		gnt := rrArbitrate(req, r.cfg.VCs, &r.st.SA1Next[p])
-		gnt = bitvec.Vec(r.fVec(cycle, fault.SA1Gnt, p, -1, uint32(gnt))) & bitvec.Mask(r.cfg.VCs)
-		r.sig.SA1[p] = ReqGnt{Req: req, Gnt: gnt}
-		if w := gnt.First(); w >= 0 {
-			won = true
-			sa1win[p] = w
-			sa1spec[p] = specBits.Get(w)
-			r.st.SA1Win[p] = int32(w)
-		}
-	}
-	if r.fastSweep && !won {
-		// No SA1 winner and no plane to conjure an SA2 request or grant:
-		// the second round would find every request vector empty, leave
-		// the signals at their reset zeros and move no arbiter pointer.
-		return
-	}
-	for o := 0; o < P; o++ {
-		if !r.hasPort[o] {
-			continue
-		}
-		var req bitvec.Vec
-		for p := 0; p < P; p++ {
-			w := sa1win[p]
-			if w < 0 {
-				continue
+		gnt = bitvec.Vec(r.fVec(cycle, fault.SA1Gnt, p, -1, uint32(gnt))) & r.vcMask
+		r.sig.SetArbiter(BankSA1, p, ReqGnt{Req: req, Gnt: gnt})
+		if v := gnt.First(); v >= 0 {
+			r.st.SA1Win[p] = int32(v)
+			if specBits.Get(v) {
+				specWon = specWon.Set(p)
 			}
-			if r.vcRouteR(cycle, p, w) == o {
-				req = req.Set(p)
+			// The winner requests, in SA2, the output its VC is routed to.
+			if o := r.vcRouteR(cycle, p, v); r.ports.Get(o) {
+				reqs[o] = reqs[o].Set(p)
+				outs = outs.Set(o)
 			}
 		}
-		if r.vacant(req) {
-			continue
-		}
+	}
+	for w := r.sweep(outs, r.ports); !w.IsZero(); {
+		var o int
+		o, w = w.NextBit()
 		r.touch(o) // the pointer, the column latch, a credit counter
-		req = bitvec.Vec(r.fVec(cycle, fault.SA2Req, o, -1, uint32(req))) & bitvec.Mask(P)
+		req := bitvec.Vec(r.fVec(cycle, fault.SA2Req, o, -1, uint32(reqs[o]))) & bitvec.Mask(P)
 		gnt := rrArbitrate(req, P, &r.st.SA2Next[o])
 		gnt = bitvec.Vec(r.fVec(cycle, fault.SA2Gnt, o, -1, uint32(gnt))) & bitvec.Mask(P)
-		r.sig.SA2[o] = ReqGnt{Req: req, Gnt: gnt}
+		r.sig.SetArbiter(BankSA2, o, ReqGnt{Req: req, Gnt: gnt})
 		if gnt.IsZero() {
 			continue
 		}
 		r.st.StCol[o] = uint32(gnt)
-		for w := gnt; !w.IsZero(); {
+		r.latchedCols = r.latchedCols.Set(o)
+		for gw := gnt & r.ports; !gw.IsZero(); {
 			var p int
-			p, w = w.NextBit()
-			if !r.hasPort[p] {
-				continue
-			}
-			spec := sa1win[p] == int(r.st.SA1Win[p]) && sa1spec[p]
+			p, gw = gw.NextBit()
+			// A grant the plane conjured for a port with no SA1 winner this
+			// cycle is not speculative; its latch is a stale one.
+			spec := specWon.Get(p)
 			fl := r.st.StFlags[p] | soa.StReadEn
 			if spec {
 				fl |= soa.StSpec
@@ -905,6 +907,7 @@ func (r *Router) phaseSA(cycle int64) {
 			}
 			r.st.StFlags[p] = fl
 			r.st.StOut[p] = int32(o) // (p is marked: its SA1 round ran)
+			r.latchedRows = r.latchedRows.Set(p)
 			vcSel := int(r.st.SA1Win[p])
 			ovc := r.vcOutVCR(cycle, p, vcSel)
 			latch := SALatch{OutPort: o, InPort: p, InVC: vcSel, OutVC: ovc, Speculative: spec}
@@ -925,20 +928,18 @@ func (r *Router) phaseSA(cycle int64) {
 // phaseVA runs the separable virtual-channel allocation: VA1 picks one
 // routed VC per input port, VA2 picks one input port per output port
 // and assigns it a free downstream VC of the packet's message class.
-func (r *Router) phaseVA(cycle int64) {
-	var va1win [P]int
-	won := false
-	for p := 0; p < P; p++ {
-		va1win[p] = -1
-		if !r.hasPort[p] {
-			continue
-		}
+func (r *Router) phaseVA(cycle int64, busy bitvec.Vec) {
+	var reqs [P]bitvec.Vec // VA2's, by output
+	var outs bitvec.Vec
+	for w := busy; !w.IsZero(); {
+		var p int
+		p, w = w.NextBit()
 		var req bitvec.Vec
 		// VA1 requests come from VCs in the WaitingVA state, a subset of
 		// the NonIdle mask by construction.
-		for w := r.sweepMask(bitvec.Vec(r.st.NonIdle[p])); !w.IsZero(); {
+		for vs := r.sweep(bitvec.Vec(r.st.NonIdle[p]), r.vcMask); !vs.IsZero(); {
 			var v int
-			v, w = w.NextBit()
+			v, vs = vs.NextBit()
 			if r.vcStateR(cycle, p, v) == VCWaitingVA {
 				req = req.Set(v)
 			}
@@ -947,53 +948,33 @@ func (r *Router) phaseVA(cycle int64) {
 			continue
 		}
 		r.touch(p) // the priority pointer, the winner latch
-		req = bitvec.Vec(r.fVec(cycle, fault.VA1Req, p, -1, uint32(req))) & bitvec.Mask(r.cfg.VCs)
+		req = bitvec.Vec(r.fVec(cycle, fault.VA1Req, p, -1, uint32(req))) & r.vcMask
 		gnt := rrArbitrate(req, r.cfg.VCs, &r.st.VA1Next[p])
-		gnt = bitvec.Vec(r.fVec(cycle, fault.VA1Gnt, p, -1, uint32(gnt))) & bitvec.Mask(r.cfg.VCs)
-		r.sig.VA1[p] = ReqGnt{Req: req, Gnt: gnt}
-		if w := gnt.First(); w >= 0 {
-			won = true
-			va1win[p] = w
-			r.st.VA1Win[p] = int32(w)
+		gnt = bitvec.Vec(r.fVec(cycle, fault.VA1Gnt, p, -1, uint32(gnt))) & r.vcMask
+		r.sig.SetArbiter(BankVA1, p, ReqGnt{Req: req, Gnt: gnt})
+		if v := gnt.First(); v >= 0 {
+			r.st.VA1Win[p] = int32(v)
+			// The winner bids, in VA2, for the output its VC is routed to if
+			// a downstream VC of its packet's class is free there. (A VA2
+			// grant writes only its own output's flags, so every bid can be
+			// taken before the second round runs.)
+			if o := r.vcRouteR(cycle, p, v); r.ports.Get(o) && r.freeOutVC(o, r.classOf(p, v)) >= 0 {
+				reqs[o] = reqs[o].Set(p)
+				outs = outs.Set(o)
+			}
 		}
 	}
-	if r.fastSweep && !won {
-		return // as in phaseSA: an empty VA2 round changes nothing
-	}
-	for o := 0; o < P; o++ {
-		if !r.hasPort[o] {
-			continue
-		}
-		var req bitvec.Vec
-		for p := 0; p < P; p++ {
-			w := va1win[p]
-			if w < 0 {
-				continue
-			}
-			if r.vcRouteR(cycle, p, w) != o {
-				continue
-			}
-			if r.freeOutVC(o, r.classOf(p, w)) < 0 {
-				// No free downstream VC in the packet's class: the input
-				// VC does not bid this cycle.
-				continue
-			}
-			req = req.Set(p)
-		}
-		if r.vacant(req) {
-			continue
-		}
+	for w := r.sweep(outs, r.ports); !w.IsZero(); {
+		var o int
+		o, w = w.NextBit()
 		r.touch(o) // the pointer, an output VC's flags
-		req = bitvec.Vec(r.fVec(cycle, fault.VA2Req, o, -1, uint32(req))) & bitvec.Mask(P)
+		req := bitvec.Vec(r.fVec(cycle, fault.VA2Req, o, -1, uint32(reqs[o]))) & bitvec.Mask(P)
 		gnt := rrArbitrate(req, P, &r.st.VA2Next[o])
 		gnt = bitvec.Vec(r.fVec(cycle, fault.VA2Gnt, o, -1, uint32(gnt))) & bitvec.Mask(P)
-		r.sig.VA2[o] = ReqGnt{Req: req, Gnt: gnt}
-		for gw := gnt; !gw.IsZero(); {
+		r.sig.SetArbiter(BankVA2, o, ReqGnt{Req: req, Gnt: gnt})
+		for gw := gnt & r.ports; !gw.IsZero(); {
 			var p int
 			p, gw = gw.NextBit()
-			if !r.hasPort[p] {
-				continue
-			}
 			w := int(r.st.VA1Win[p]) // stale when the grant was faulted in
 			chosen := r.freeOutVC(o, r.classOf(p, w))
 			code := rawInvalidDir // garbage encoding when no VC was free
@@ -1049,15 +1030,14 @@ func (r *Router) freeOutVC(o, class int) int {
 // logic, so every VC in the Routing state is served this cycle; under
 // healthy operation at most one VC per port can be in that state
 // (invariance 31 rests on exactly this).
-func (r *Router) phaseRC(cycle int64) {
-	for p := 0; p < P; p++ {
-		if !r.hasPort[p] {
-			continue
-		}
+func (r *Router) phaseRC(cycle int64, busy bitvec.Vec) {
+	for w := busy; !w.IsZero(); {
+		var p int
+		p, w = w.NextBit()
 		// Routing-state VCs are a subset of the NonIdle mask.
-		for w := r.sweepMask(bitvec.Vec(r.st.NonIdle[p])); !w.IsZero(); {
+		for vs := r.sweep(bitvec.Vec(r.st.NonIdle[p]), r.vcMask); !vs.IsZero(); {
 			var v int
-			v, w = w.NextBit()
+			v, vs = vs.NextBit()
 			if r.vcStateR(cycle, p, v) != VCRouting {
 				continue
 			}
@@ -1113,7 +1093,7 @@ func (r *Router) pickCandidate(cands []topology.Direction) topology.Direction {
 	bestFree := -1
 	for _, d := range cands {
 		o := int(d)
-		if o < 0 || o >= P || !r.hasPort[o] {
+		if o < 0 || o >= P || !r.ports.Get(o) {
 			continue
 		}
 		free := 0
@@ -1131,10 +1111,9 @@ func (r *Router) pickCandidate(cands []topology.Direction) topology.Direction {
 	return best
 }
 
-// rrArbitrate is the router's round-robin arbiter as a pure function
-// over an SoA priority pointer: bit-identical to
-// arbiter.RoundRobin.Arbitrate (the client after the most recent winner
-// has highest priority; zero requests leave the pointer untouched).
+// rrArbitrate is the router's round-robin arbiter, a pure function over an
+// SoA priority pointer: the client after the most recent winner has highest
+// priority, and zero requests leave the pointer untouched.
 func rrArbitrate(req bitvec.Vec, width int, next *int32) bitvec.Vec {
 	req &= bitvec.Mask(width)
 	if req.IsZero() {
@@ -1152,7 +1131,7 @@ func rrArbitrate(req bitvec.Vec, width int, next *int32) bitvec.Vec {
 				nn = 0
 			}
 			*next = int32(nn)
-			return bitvec.New(idx)
+			return bitvec.Vec(1) << uint(idx)
 		}
 	}
 	return 0 // unreachable: req is non-zero within width

@@ -174,6 +174,31 @@ func TestIdleCreditFaultFires(t *testing.T) {
 	}
 }
 
+// TestIdleRouterConsultsEveryPort: inside its own fault window a router's
+// phases visit every port it has, whether or not the port has work, so a
+// permanent fault on any per-port signal of an idle router fires on its
+// first live cycle — the credit-return vector BW takes, the crossbar column
+// ST drives, the request and grant vectors of all four arbitration rounds.
+// Outside the window a fast sweep visits only the ports with work; the
+// reference engine runs the same code inside it, so only this test, and the
+// report fixtures, see a window that lets a phase skip a port.
+func TestIdleRouterConsultsEveryPort(t *testing.T) {
+	cfg := Default(topology.NewMesh(3, 3))
+	for _, k := range []fault.Kind{fault.CreditSig, fault.XbarSel, fault.SA1Req, fault.SA1Gnt, fault.SA2Req, fault.SA2Gnt, fault.VA1Req, fault.VA1Gnt, fault.VA2Req, fault.VA2Gnt} {
+		for p := 0; p < P; p++ {
+			site := fault.Site{Router: 4, Kind: k, Port: p, VC: -1, Width: 1}
+			plane := fault.NewPlane(fault.Fault{Site: site, Bit: 0, Cycle: 5, Type: fault.Permanent})
+			g := &rig{t: t, r: New(4, &cfg, plane)}
+			for g.cycle <= 5 {
+				g.step()
+			}
+			if at := plane.FiredAt(0); at != 5 {
+				t.Errorf("%v at port %d of an idle router: FiredAt = %d, want its onset 5", k, p, at)
+			}
+		}
+	}
+}
+
 // TestBackpressure: with zero downstream credits the flit must wait.
 func TestBackpressure(t *testing.T) {
 	g := newRig(t, func(c *Config) { c.BufDepth = 1; c.LenByClass = []int{1} })

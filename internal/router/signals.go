@@ -198,9 +198,13 @@ type Signals struct {
 	RCDone [P]bitvec.Vec
 
 	// Arbiter activity; VA1/SA1 indexed by input port, VA2/SA2 by
-	// output port.
+	// output port. SetArbiter writes them.
 	VA1, SA1 [P]ReqGnt
 	VA2, SA2 [P]ReqGnt
+	// Granted has bit bank*P+port set for every arbiter whose grant vector
+	// is not zero (bank BankVA1 … BankSA2): on most cycles none or one of
+	// the twenty.
+	Granted bitvec.Vec
 
 	VAAssigns []VAAssign
 	SALatches []SALatch
@@ -223,6 +227,29 @@ type Signals struct {
 	// CreditsIn[o] is the post-fault credit-return vector from the
 	// downstream of output port o.
 	CreditsIn [P]bitvec.Vec
+}
+
+// The four arbiter banks of a Signals record, in the order of their bits in
+// Signals.Granted.
+const (
+	BankVA1 = iota
+	BankSA1
+	BankVA2
+	BankSA2
+)
+
+// Bank returns arbiter bank b (BankVA1 … BankSA2).
+func (s *Signals) Bank(b int) *[P]ReqGnt {
+	return [...]*[P]ReqGnt{&s.VA1, &s.SA1, &s.VA2, &s.SA2}[b]
+}
+
+// SetArbiter records arbiter port of bank b's request and grant vectors, and
+// in Granted whether it granted. It is the one writer of the four banks.
+func (s *Signals) SetArbiter(b, port int, rg ReqGnt) {
+	s.Bank(b)[port] = rg
+	if !rg.Gnt.IsZero() {
+		s.Granted |= 1 << uint(b*P+port)
+	}
 }
 
 // ---- derived telemetry views ----
@@ -295,6 +322,7 @@ func (s *Signals) reset(router int, cycle int64) {
 	s.RCDone = [P]bitvec.Vec{}
 	s.VA1, s.SA1 = [P]ReqGnt{}, [P]ReqGnt{}
 	s.VA2, s.SA2 = [P]ReqGnt{}, [P]ReqGnt{}
+	s.Granted = 0
 	s.XbarCol = [P]bitvec.Vec{}
 	s.Reads = [P]ReadSig{}
 	s.CreditsIn = [P]bitvec.Vec{}

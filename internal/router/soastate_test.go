@@ -1,9 +1,13 @@
 package router
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
+	"nocalert/internal/bitvec"
 	"nocalert/internal/fault"
+	"nocalert/internal/routing"
 	"nocalert/internal/statehash"
 	"nocalert/internal/topology"
 )
@@ -120,34 +124,106 @@ func TestInertSkipIsNoOp(t *testing.T) {
 	}
 }
 
-// TestReferenceSweepIdentity: the reference engine (full-range sweeps)
-// and the SoA engine (mask-driven sweeps) hold identical state folds
-// and produce identical departures/credits cycle by cycle on the same
-// input stream.
+// TestReferenceSweepIdentity: the reference engine — every phase visits
+// every port and VC the router has — and the fast one — the ports and VCs
+// with work — hold the same registers and show the same signal record,
+// field for field and flit for flit, and the same credits, cycle by cycle
+// on the same input stream: packets on every port at once, on every router
+// variant, and through transient upsets that leave the fast router state no
+// healthy cycle writes once its fault window has closed. At every boundary
+// the fast router's work masks are the functions of its registers they
+// stand for.
 func TestReferenceSweepIdentity(t *testing.T) {
-	mk := func(ref bool) *rig {
-		g := newRig(t, nil)
-		g.r.SetReferenceSweep(ref)
-		dest := g.r.Config().Mesh.NodeAt(2, 1)
-		for i, dir := range []topology.Direction{topology.Local, topology.West, topology.South} {
-			fl := g.packet(uint64(i+1), dest, 4)
-			fl[0].VC = i % g.r.Config().VCs
-			g.r.StageArrival(dir, fl[0])
-		}
-		return g
+	at := func(cycle int64, kind fault.Kind, port, vc, bit int) fault.Fault {
+		return fault.Fault{Site: fault.Site{Router: 4, Kind: kind, Port: port, VC: vc, Width: 3}, Bit: bit, Cycle: cycle, Type: fault.Transient}
 	}
-	a, b := mk(true), mk(false)
-	for c := 0; c < 30; c++ {
-		da, db := a.step(), b.step()
-		if len(da) != len(db) {
-			t.Fatalf("cycle %d: %d vs %d departures", c, len(da), len(db))
+	local, east, west := int(topology.Local), int(topology.East), int(topology.West)
+	for _, tc := range []struct {
+		name   string
+		mut    func(*Config)
+		length int
+		faults []fault.Fault
+	}{
+		{name: "xy", length: 4},
+		{name: "speculative", length: 4, mut: func(c *Config) { c.Speculative = true }},
+		{name: "non-atomic", length: 2, mut: func(c *Config) { c.AtomicVC, c.LenByClass = false, []int{2} }},
+		{name: "2-vc", length: 4, mut: func(c *Config) { c.VCs = 2 }},
+		{name: "west-first", length: 4, mut: func(c *Config) { c.Alg = routing.WestFirst{} }},
+		{name: "upsets", length: 4, faults: []fault.Fault{
+			at(12, fault.VCStateReg, local, 1, 0), at(16, fault.VCOutVCReg, local, 1, 2),
+			at(40, fault.VCRouteReg, east, 3, 0), at(43, fault.VCStateReg, east, 3, 1),
+			at(50, fault.SA2Gnt, west, -1, 2), at(51, fault.XbarSel, east, -1, 1), at(52, fault.CreditSig, west, -1, 0),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, fast := newRig(t, tc.mut), newRig(t, tc.mut)
+			ref.r.SetReferenceSweep(true)
+			if len(tc.faults) > 0 {
+				ref.r.SetPlane(fault.NewPlane(tc.faults...))
+				fast.r.SetPlane(fault.NewPlane(tc.faults...))
+			}
+			trs := [2]*traffic{newTraffic(ref), newTraffic(fast)}
+			departures := 0
+			for c := int64(0); c < 150; c++ {
+				for _, tr := range trs {
+					tr.backToBack = !tr.g.r.cfg.AtomicVC
+					tr.cycle(tc.length)
+				}
+				requireSignalsEqual(t, c, fast.r.Signals(), ref.r.Signals())
+				if a, b := fast.r.Credits(), ref.r.Credits(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("cycle %d: credits %v, the reference engine's %v", c, a, b)
+				}
+				if af, bf := fast.r.FoldState(statehash.Seed), ref.r.FoldState(statehash.Seed); af != bf {
+					t.Fatalf("cycle %d: engine folds diverged (%#x vs %#x)", c, af, bf)
+				}
+				requireWorkMasks(t, c, fast.r)
+				departures += len(fast.r.Signals().Departures)
+			}
+			if departures < 100 {
+				t.Fatalf("%d departures in 150 cycles: the ports were not all busy", departures)
+			}
+			for i := range tc.faults {
+				if a, b := fast.r.plane.FiredAt(i), ref.r.plane.FiredAt(i); a != b || a < 0 {
+					t.Errorf("fault %v fired at cycle %d on the fast engine, %d on the reference one", &tc.faults[i], a, b)
+				}
+			}
+		})
+	}
+}
+
+// requireSignalsEqual holds a signal record to another, field by field, the
+// flits by value.
+func requireSignalsEqual(t *testing.T, cycle int64, got, want *Signals) {
+	t.Helper()
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		if g, w := gv.Field(i).Interface(), wv.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+			gj, _ := json.Marshal(g)
+			wj, _ := json.Marshal(w)
+			t.Fatalf("cycle %d: Signals.%s is\n%s\nthe reference engine's\n%s", cycle, gv.Type().Field(i).Name, gj, wj)
 		}
-		if la, lb := len(a.r.Credits()), len(b.r.Credits()); la != lb {
-			t.Fatalf("cycle %d: %d vs %d credits", c, la, lb)
+	}
+}
+
+// requireWorkMasks holds the masks phaseBW and phaseST visit on a fast sweep
+// to the registers they stand for.
+func requireWorkMasks(t *testing.T, cycle int64, r *Router) {
+	t.Helper()
+	var staged, rows, cols bitvec.Vec
+	for p := 0; p < P; p++ {
+		if r.arriving[p] != nil || r.st.CreditIn[p] != 0 {
+			staged = staged.Set(p)
 		}
-		if af, bf := a.r.FoldState(statehash.Seed), b.r.FoldState(statehash.Seed); af != bf {
-			t.Fatalf("cycle %d: engine folds diverged (%#x vs %#x)", c, af, bf)
+		if r.st.StFlags[p] != 0 {
+			rows = rows.Set(p)
 		}
+		if r.st.StCol[p] != 0 {
+			cols = cols.Set(p)
+		}
+	}
+	if staged != r.staged || rows != r.latchedRows || cols != r.latchedCols {
+		t.Fatalf("boundary %d: staged/latched masks %s %s %s, the registers say %s %s %s",
+			cycle+1, r.staged, r.latchedRows, r.latchedCols, staged, rows, cols)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"nocalert/internal/flit"
 	"nocalert/internal/rng"
 	"nocalert/internal/router"
+	"nocalert/internal/routing"
 	"nocalert/internal/topology"
 )
 
@@ -17,7 +18,12 @@ import (
 // per sweep engine, each attached to its own clone of the plane.
 func diffPair(t *testing.T, w, h int, rate float64, seed uint64, plane *fault.Plane) (ref, soa *Network) {
 	t.Helper()
-	cfg := Config{Router: router.Default(topology.NewMesh(w, h)), InjectionRate: rate, Seed: seed}
+	return diffPairOf(t, Config{Router: router.Default(topology.NewMesh(w, h)), InjectionRate: rate, Seed: seed}, plane)
+}
+
+// diffPairOf is diffPair for any configuration.
+func diffPairOf(t *testing.T, cfg Config, plane *fault.Plane) (ref, soa *Network) {
+	t.Helper()
 	cfg.DisableSoA = true
 	ref, err := New(cfg, plane.Clone())
 	if err != nil {
@@ -320,7 +326,7 @@ func vacuous(s *router.Signals) bool {
 	var none router.Signals
 	return len(s.RCExecs)+len(s.VAAssigns)+len(s.SALatches)+len(s.Arrivals)+len(s.Departures) == 0 &&
 		s.Pre.Active == none.Pre.Active && s.RCDone == none.RCDone &&
-		s.VA1 == none.VA1 && s.SA1 == none.SA1 && s.VA2 == none.VA2 && s.SA2 == none.SA2 &&
+		s.VA1 == none.VA1 && s.SA1 == none.SA1 && s.VA2 == none.VA2 && s.SA2 == none.SA2 && s.Granted == 0 &&
 		s.XbarCol == none.XbarCol && s.XbarRows == 0 && s.XbarIn == 0 && s.XbarOut == 0 && s.XbarSpecNull == 0 &&
 		s.Reads == none.Reads && s.CreditsIn == none.CreditsIn
 }
@@ -329,7 +335,7 @@ func vacuous(s *router.Signals) bool {
 // the flits by value. The snapshot entries are requirePreEqual's.
 func signalText(s *router.Signals) string {
 	var b strings.Builder
-	fmt.Fprint(&b, s.Pre.Active, s.RCExecs, s.RCDone, s.VA1, s.SA1, s.VA2, s.SA2, s.VAAssigns, s.SALatches,
+	fmt.Fprint(&b, s.Pre.Active, s.RCExecs, s.RCDone, s.VA1, s.SA1, s.VA2, s.SA2, s.Granted, s.VAAssigns, s.SALatches,
 		s.XbarCol, s.XbarRows, s.XbarIn, s.XbarOut, s.XbarSpecNull, s.Reads, s.CreditsIn)
 	for _, a := range s.Arrivals {
 		fmt.Fprint(&b, " arr ", a.Port, a.Kind, a.VCField, a.Strobe, *a.Flit, a.Targets)
@@ -415,6 +421,64 @@ func TestEngineLockstepArmedPlanes(t *testing.T) {
 				}
 				if ref.plane.FiredAt(0) < 0 {
 					t.Errorf("the permanent credit-counter fault %v never fired", &plane.Faults()[0])
+				}
+				if !ejectionsEqual(ref.Ejections(), fast.Ejections()) {
+					t.Fatal("engines produced different ejection logs")
+				}
+			})
+		}
+	}
+}
+
+// TestEngineLockstepRouterVariants holds the fast engine to the reference
+// engine on the router variants the default mesh does not build —
+// speculative switch allocation, non-atomic buffers, two VCs, West-First
+// routing — fault-free and under a plane armed on three or more routers
+// (armedPlane): through the window and the drain, cycle for cycle, every
+// stepped router's whole signal record and the set of routers stepped, every
+// monitor callback with its values, the fingerprints and every fold rebuilt
+// (awakePair.step), and at the end the cycle each fault first fired on and
+// the ejection logs. These are the records whose ports and VCs a fast sweep
+// visits selectively (router.Evaluate).
+func TestEngineLockstepRouterVariants(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lockstep differential test in -short mode")
+	}
+	mesh := topology.NewMesh(4, 4)
+	for i, v := range []struct {
+		name string
+		mut  func(*router.Config)
+	}{
+		{"speculative", func(c *router.Config) { c.Speculative = true }},
+		{"non-atomic", func(c *router.Config) { c.AtomicVC = false }},
+		{"2-vc", func(c *router.Config) { c.VCs = 2 }},
+		{"west-first", func(c *router.Config) { c.Alg = routing.WestFirst{} }},
+	} {
+		for _, armed := range []bool{false, true} {
+			name := v.name + "/fault-free"
+			if armed {
+				name = v.name + "/armed"
+			}
+			t.Run(name, func(t *testing.T) {
+				rc := router.Default(mesh)
+				v.mut(&rc)
+				var plane *fault.Plane
+				if armed {
+					plane = armedPlane(fault.Params{Mesh: mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}, rng.New(uint64(900+i), 9), 1, 60)
+				}
+				ref, fast := diffPairOf(t, Config{Router: rc, InjectionRate: 0.12, Seed: uint64(41 + i)}, plane)
+				p := newAwakePair(ref, fast)
+				p.step(t, "window", 300)
+				ref.StopInjection()
+				fast.StopInjection()
+				p.step(t, "drain", 300)
+				if ref.FlitsEjected() == 0 {
+					t.Fatal("no flit was ejected")
+				}
+				for i := range plane.Faults() {
+					if a, b := ref.plane.FiredAt(i), fast.plane.FiredAt(i); a != b {
+						t.Errorf("fault %d (%v) fired at cycle %d under the reference engine, %d under the fast one", i, &plane.Faults()[i], a, b)
+					}
 				}
 				if !ejectionsEqual(ref.Ejections(), fast.Ejections()) {
 					t.Fatal("engines produced different ejection logs")
