@@ -14,7 +14,7 @@ GOLDEN_FLAGS = -mesh 4x4 -vcs 4 -rate 0.12 -seed 3 -inject 300 -post 400 \
 # merge — add tests instead.
 COVER_FLOOR = 85.0
 
-.PHONY: all build fmt vet lint test race cover e2e bench benchcheck benchdelta benchfleet ci golden shardcheck soa-identity frontier-identity fuzz-smoke build386
+.PHONY: all build fmt vet lint test race cover e2e bench benchcheck benchdelta benchfleet ci golden shardcheck identity fuzz-smoke build386
 
 all: ci
 
@@ -106,16 +106,16 @@ BENCH_FLAGS = -mesh 4x4 -rate 0.12 -inject 300 -post 400 \
 # The 8x8 throughput rows (BENCH_8x8.json): the paper-scale mesh at its
 # 0.05 injection rate, serial, so the trajectory tracks algorithmic
 # wins (forking, fast-forward, reconvergence, frontier stepping) rather
-# than core count. Each row pins its sweep engine explicitly — rows are
-# only comparable within one engine (the "engine" field in the record).
+# than core count. Each row pins its engine explicitly — rows are only
+# comparable within one engine (the "engine" field in the record): the
+# -fullsim rows ("soa") time the full-simulation reference path.
 BENCH_8X8_FLAGS = -mesh 8x8 -rate 0.05 -inject 300 -post 500 \
 	-drain 10000 -epoch 1500 -faults 64 -seed 3 -fig none -progress=false
 
 # The gated 16x16 throughput row (BENCH_16x16.json): a small universe
 # on the 16×16 mesh, where the cone-of-influence win is largest. Run
 # via `make bench BENCH_16X16=1` (or the bench CI job, which sets it) —
-# the row is gated because the -no-frontier half takes a while on
-# laptops.
+# the row is gated because the -fullsim half takes a while on laptops.
 BENCH_16X16_FLAGS = -mesh 16x16 -rate 0.02 -inject 300 -post 500 \
 	-drain 10000 -epoch 1500 -faults 32 -seed 3 -fig none -progress=false
 
@@ -136,14 +136,12 @@ bench:
 		-trace-spans .bench-spans.ndjson -flight-recorder .bench-flight.ndjson \
 		-benchname campaign-traced -benchjson BENCH_4x4.json
 	rm -f .bench-spans.ndjson .bench-flight.ndjson
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -no-soa -no-frontier \
-		-benchname campaign-8x8 -benchjson BENCH_8x8.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -no-frontier \
+	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -fullsim \
 		-benchname campaign-8x8-soa -benchjson BENCH_8x8.json
 	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 \
 		-benchname campaign-8x8-frontier -benchjson BENCH_8x8.json
 	@if [ -n "$(BENCH_16X16)" ]; then \
-		$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -workers 1 -no-frontier \
+		$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -workers 1 -fullsim \
 			-benchname campaign-16x16-soa -benchjson BENCH_16x16.json && \
 		$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -workers 1 \
 			-benchname campaign-16x16-frontier -benchjson BENCH_16x16.json; \
@@ -152,16 +150,14 @@ bench:
 # benchcheck is the perf regression gate: re-run the serial benchmark
 # campaigns and fail if their faults/sec land >30% below the latest
 # committed like-engined row in BENCH_4x4.json (resp. the "campaign-8x8*"
-# rows in BENCH_8x8.json). The campaign-8x8 row keeps measuring the
-# reference engine for trajectory continuity, campaign-8x8-soa gates the
-# structure-of-arrays step loop, and campaign-8x8-frontier gates the
-# divergence-frontier delta engine. Nothing is appended.
+# rows in BENCH_8x8.json). campaign-8x8-soa gates the full-simulation
+# reference path on the structure-of-arrays step loop and
+# campaign-8x8-frontier the divergence-frontier delta engine. Nothing is
+# appended.
 benchcheck:
 	$(GO) run ./cmd/faultcampaign $(BENCH_FLAGS) -workers 1 \
 		-benchbaseline BENCH_4x4.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -no-soa -no-frontier \
-		-benchname campaign-8x8 -benchbaseline BENCH_8x8.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -no-frontier \
+	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -fullsim \
 		-benchname campaign-8x8-soa -benchbaseline BENCH_8x8.json
 	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 \
 		-benchname campaign-8x8-frontier -benchbaseline BENCH_8x8.json
@@ -191,7 +187,7 @@ benchfleet:
 
 # golden regenerates the committed fixtures — the 4×4 and 8×8 record
 # fixtures, the armed-fault report fixture, the full JSON report
-# fixtures the soa-identity gate compares against and the multi-cycle
+# fixtures the identity gate compares against and the multi-cycle
 # one TestMulticycleReportFixture holds the warm-up pipeline to — after
 # an intentional behaviour change; commit the diff it produces.
 golden:
@@ -203,82 +199,45 @@ golden:
 	$(GO) run ./cmd/faultcampaign $(MULTICYCLE_FLAGS) \
 		-json testdata/report_8x8_multicycle_seed3.json
 
-# soa-identity proves the two sweep engines interchangeable: the golden
-# 4×4 and paper-scale 8×8 campaigns run once with the default
-# structure-of-arrays engine and once with -no-soa, and all four JSON
-# reports must be byte-identical to each other and to the committed
-# fixtures. Any sweep-order, skip-condition or mask-maintenance bug
-# fails the cmp. Faults that stay armed — where only the router that
-# hosts one leaves the fast sweep and the inert skip, for the rest of the
-# run — are held to the reference engine twice: the Observation-3 table
-# (40 permanent SA1-grant faults, a third of them deadlocks) printed
-# under both engines, and, since the CLI cannot yet spell an armed
-# campaign of its own, the armed-fault report fixture and the double-fault
-# groups through the test binary.
-soa-identity:
-	rm -rf .soaid && mkdir -p .soaid
-	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
-		-json .soaid/4x4-soa.json
-	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
-		-no-soa -json .soaid/4x4-ref.json
-	cmp .soaid/4x4-soa.json .soaid/4x4-ref.json
-	cmp .soaid/4x4-soa.json testdata/report_4x4_seed3.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -json .soaid/8x8-soa.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -no-soa -json .soaid/8x8-ref.json
-	cmp .soaid/8x8-soa.json .soaid/8x8-ref.json
-	cmp .soaid/8x8-soa.json testdata/report_8x8_seed3.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -fig obs3 > .soaid/obs3-soa.out
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -fig obs3 -no-soa > .soaid/obs3-ref.out
-	grep -v '^campaign:' .soaid/obs3-soa.out > .soaid/obs3-soa.txt
-	grep -v '^campaign:' .soaid/obs3-ref.out > .soaid/obs3-ref.txt
-	grep -q '^permanent ' .soaid/obs3-soa.txt
-	cmp .soaid/obs3-soa.txt .soaid/obs3-ref.txt
-	$(GO) test -count=1 -run 'TestArmedFaultReportFixture|TestDoubleFaultGroupMatchesReference' ./internal/campaign
-	rm -rf .soaid
-
-# frontier-identity proves divergence-frontier delta stepping exact:
-# the golden 4×4 and paper-scale 8×8 campaigns run once with the
-# default frontier engine and once with -no-frontier (full-mesh
-# stepping, PR-5 fingerprint probe), and all four JSON reports must be
-# byte-identical to each other and to the committed fixtures; the 16×16
+# identity proves the result-invisible switches invisible. The three
+# committed JSON report fixtures (the golden 4×4 campaign, the paper-scale
+# 8×8 one and the multi-cycle one whose runs overlap the golden warm-up)
+# must come out byte for byte by default, under -no-soa (the reference
+# sweep engine) and under -fullsim (the full-simulation reference run
+# path: no fast path, reconvergence, frontier or fast-forward); the 16×16
 # bench campaign, where a run's drain and horizon are cheapest to get
 # wrong (256 routers replayed around a cone of three), must report the
-# same under both engines; the multi-cycle campaign (injection at
-# 0/16000/32000, runs overlapping the golden warm-up) must give its
-# committed report under both. Any missed join, replay-order, Quiet or
-# freeze-cycle bug fails a cmp. Faults that stay armed — on the frontier
-# to the end of the run, fast-forwarded from the fixed point a permanent
-# fault settles in — are held to both reference paths by the one armed
-# campaign the CLI spells: the Observation-3 table (40 permanent SA1-grant
-# faults, a third of them deadlocks) printed by default, under -no-frontier
-# and under -no-fastforward must be the same text (table lines only: the
-# campaign summary line carries a wall time). One shell, so the trap
-# removes .frontid/ whether or not a cmp fails.
-frontier-identity:
-	@set -ex; rm -rf .frontid; mkdir -p .frontid; trap 'rm -rf .frontid' EXIT; \
-	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
-		-json .frontid/4x4-frontier.json; \
-	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
-		-no-frontier -json .frontid/4x4-full.json; \
-	cmp .frontid/4x4-frontier.json .frontid/4x4-full.json; \
-	cmp .frontid/4x4-frontier.json testdata/report_4x4_seed3.json; \
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -json .frontid/8x8-frontier.json; \
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -no-frontier -json .frontid/8x8-full.json; \
-	cmp .frontid/8x8-frontier.json .frontid/8x8-full.json; \
-	cmp .frontid/8x8-frontier.json testdata/report_8x8_seed3.json; \
-	$(GO) run ./cmd/faultcampaign $(MULTICYCLE_FLAGS) -json .frontid/multicycle-frontier.json; \
-	$(GO) run ./cmd/faultcampaign $(MULTICYCLE_FLAGS) -no-frontier -json .frontid/multicycle-full.json; \
-	cmp .frontid/multicycle-frontier.json testdata/report_8x8_multicycle_seed3.json; \
-	cmp .frontid/multicycle-full.json testdata/report_8x8_multicycle_seed3.json; \
-	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -json .frontid/16x16-frontier.json; \
-	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -no-frontier -json .frontid/16x16-full.json; \
-	cmp .frontid/16x16-frontier.json .frontid/16x16-full.json; \
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -fig obs3 | grep -v '^campaign:' > .frontid/obs3.txt; \
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -fig obs3 -no-frontier | grep -v '^campaign:' > .frontid/obs3-full.txt; \
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -fig obs3 -no-fastforward | grep -v '^campaign:' > .frontid/obs3-stepped.txt; \
-	grep -q '^permanent ' .frontid/obs3.txt; \
-	cmp .frontid/obs3.txt .frontid/obs3-full.txt; \
-	cmp .frontid/obs3.txt .frontid/obs3-stepped.txt
+# same by default and under -fullsim. Faults that stay armed — only the
+# router that hosts one leaves the fast sweep and the inert skip; on the
+# frontier to the end of the run, fast-forwarded from the fixed point a
+# permanent fault settles in — are held to both references by the one
+# armed campaign the CLI spells, the Observation-3 table (40 permanent
+# SA1-grant faults, a third of them deadlocks), which must read the same
+# in all three modes (table lines only: the campaign summary line carries
+# a wall time), and through the test binary by the armed-fault report
+# fixture and the double-fault groups. Last, the fuzzer holds the frontier
+# to the full simulation in lockstep for 30 s. One shell, so the trap
+# removes .identity/ whether or not a cmp fails.
+identity:
+	@set -ex; rm -rf .identity; mkdir -p .identity; trap 'rm -rf .identity' EXIT; \
+	for mode in default no-soa fullsim; do \
+		case $$mode in default) flags= ;; *) flags=-$$mode ;; esac; \
+		$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false $$flags \
+			-json .identity/4x4-$$mode.json; \
+		cmp .identity/4x4-$$mode.json testdata/report_4x4_seed3.json; \
+		$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) $$flags -json .identity/8x8-$$mode.json; \
+		cmp .identity/8x8-$$mode.json testdata/report_8x8_seed3.json; \
+		$(GO) run ./cmd/faultcampaign $(MULTICYCLE_FLAGS) $$flags -json .identity/multicycle-$$mode.json; \
+		cmp .identity/multicycle-$$mode.json testdata/report_8x8_multicycle_seed3.json; \
+		$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -fig obs3 $$flags | grep -v '^campaign:' > .identity/obs3-$$mode.txt; \
+		cmp .identity/obs3-default.txt .identity/obs3-$$mode.txt; \
+	done; \
+	grep -q '^permanent ' .identity/obs3-default.txt; \
+	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -json .identity/16x16-default.json; \
+	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -fullsim -json .identity/16x16-fullsim.json; \
+	cmp .identity/16x16-default.json .identity/16x16-fullsim.json; \
+	$(GO) test -count=1 -run 'TestArmedFaultReportFixture|TestDoubleFaultGroupMatchesReference' ./internal/campaign; \
+	$(MAKE) fuzz-smoke
 
 # fuzz-smoke lets the fuzzer search on for 30 s from the seed corpus of
 # FuzzFrontierLockstep (which plain `go test` already runs): meshes up

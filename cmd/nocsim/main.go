@@ -130,7 +130,7 @@ func runSweep(mesh nocalert.Mesh, rc nocalert.RouterConfig, pat nocalert.Traffic
 			}
 		}
 		cdf := stats.NewCDF(lat)
-		delivered := float64(n.FlitsEjected()) / float64(cycles) / float64(mesh.Nodes())
+		delivered := steadyDelivered(n, cycles)
 		if cdf.N() == 0 {
 			t.AddRow(rate, delivered, "-", "-", drained)
 			continue
@@ -139,4 +139,19 @@ func runSweep(mesh nocalert.Mesh, rc nocalert.RouterConfig, pat nocalert.Traffic
 			fmt.Sprintf("%.1f", cdf.Mean()), cdf.Percentile(0.99), drained)
 	}
 	t.Render(os.Stdout)
+}
+
+// steadyDelivered is the accepted throughput, in flits/node/cycle, of a
+// network that has injected for cycles: the flits it ejected in the
+// steady-state window [cycles/4, cycles), over the window's length. The
+// warm-up quarter is left out, and so is any drain after it, whose
+// ejections would let a saturated network echo its offered load back.
+func steadyDelivered(n *nocalert.Network, cycles int64) float64 {
+	from, steady := cycles/4, 0
+	for _, e := range n.Ejections() {
+		if e.Cycle >= from && e.Cycle < cycles {
+			steady++
+		}
+	}
+	return float64(steady) / float64(cycles-from) / float64(n.Mesh().Nodes())
 }

@@ -177,7 +177,7 @@ func TestOneShotIntermittentCloses(t *testing.T) {
 	if fast.FastPathHits == 0 || fast.ReconvergedHits == 0 {
 		t.Errorf("%d fast-path and %d reconverged exits among %d one-shot faults: their windows never closed", fast.FastPathHits, fast.ReconvergedHits, len(faults))
 	}
-	opts.DisableFastPath = true
+	opts.FullSim = true
 	slow := mustRun(t, opts)
 	if got, want := reportBytes(t, fast), reportBytes(t, slow); !bytes.Equal(got, want) {
 		t.Errorf("report differs from the one with every shortcut off:\n got: %s\nwant: %s", got, want)

@@ -82,8 +82,9 @@ const (
 	// firing; the result was copied from the fault-free template.
 	ExitFastPath
 	// ExitReconverged: the fault fired but its perturbation washed out —
-	// the faulty state matched the golden run's recorded fingerprint mid
-	// window, so the tail was synthesized instead of simulated.
+	// the divergence frontier emptied mid window with a clean ejection
+	// history and golden's counters, so the tail was synthesized instead
+	// of simulated.
 	ExitReconverged
 )
 
@@ -141,50 +142,20 @@ type Options struct {
 	Workers int
 	// CheckersDisabled optionally ablates NoCAlert checkers.
 	CheckersDisabled []core.CheckerID
-	// DisableFastPath forces every run down the full simulate-and-
-	// compare path even when its fault provably never fired. The fast
-	// path is bit-identical to the slow path; this switch exists for
-	// verification and benchmarking. Disabling it also disables
-	// reconvergence detection (which shares the fast path's template).
-	DisableFastPath bool
-	// DisableReconvergence turns off golden-state reconvergence
-	// detection: the golden run records no per-cycle fingerprint and
-	// every fired fault simulates its full window, drain and horizon.
-	// Reconverged results are byte-identical to fully simulated ones
-	// (test-enforced); this switch exists for verification, for
-	// measuring the fingerprint overhead, and as an escape hatch.
-	DisableReconvergence bool
-	// DisableFork turns off injection-point forking: a single golden
-	// snapshot is kept at cycle 0 and every faulty run honestly replays
-	// its full [0, injection) prefix before the fault goes live.
-	// Fork-enabled reports are byte-identical (test-enforced); the
-	// switch exists for the A/B gate and for measuring the warm-start
-	// win.
-	DisableFork bool
 	// SnapshotInterval fixes the golden snapshot ring's cycle stride.
 	// 0 — the default — picks the interval adaptively from the fault
 	// universe's injection-cycle histogram (snapshots land exactly on
 	// the distinct injection cycles whenever they fit the ring budget).
-	// Ignored when DisableFork is set.
 	SnapshotInterval int64
-	// DisableFastForward turns off the frozen-state fast-forward that
-	// synthesizes the remainder of a run's drain and ForEVeR horizon
-	// once the network state is provably a fixed point (deadlocked
-	// fabrics, drained-idle horizons). Results are byte-identical either
-	// way (test-enforced); the switch exists for verification and
-	// benchmarking.
-	DisableFastForward bool
-	// DisableFrontier turns off divergence-frontier delta stepping: the
-	// golden continuation records no per-link signal transcript and
-	// every fired fault steps its full mesh every cycle of the run —
-	// window, drain and ForEVeR horizon (the PR-5 whole-state
-	// fingerprint probe still applies). Frontier
-	// reports are byte-identical to full-mesh reports (test-enforced);
-	// the switch exists for the A/B identity gate and for measuring the
-	// cone-of-influence win. Frontier stepping is implied off when the
-	// fast path or reconvergence is disabled (it shares their golden
-	// template soundness precondition).
-	DisableFrontier bool
+	// FullSim runs every fault on the full-simulation reference path
+	// (runSlow): fork, step the whole mesh through the window, the drain
+	// and the ForEVeR horizon, compare. No run takes the fast path, the
+	// reconvergence exit, the divergence frontier or the frozen-state
+	// fast-forward, and the golden warm-up records nothing those read.
+	// Reports are byte-identical either way (test-enforced); the switch
+	// is the oracle the shortcuts are held to and the baseline their win
+	// is measured against.
+	FullSim bool
 	// DisableForever runs the campaign without a ForEVeR monitor: the
 	// golden run and every faulty run skip the baseline entirely, and
 	// finishRun skips the post-drain horizon run-out that exists only to
@@ -233,8 +204,8 @@ type Options struct {
 	// nocalertd job down to every run it executes.
 	TraceParent *obs.Span
 	// FlightRecorder, when non-nil, receives cycle-stamped events from
-	// the engine's trust boundaries (fork verifications, reconvergence
-	// fingerprint probes, detections, fast-forward freezes) and
+	// the engine's trust boundaries (fork verifications, frontier
+	// reconvergences, detections, fast-forward freezes) and
 	// auto-dumps its ring on anomalies: a fork-verify mismatch or a
 	// missed-detection (FN) verdict.
 	FlightRecorder *obs.FlightRecorder
@@ -335,9 +306,9 @@ type Report struct {
 	// fault-free template instead of simulating drain and horizon).
 	FastPathHits int
 	// ReconvergedHits counts runs whose fault fired but whose state
-	// reconverged with the golden run's recorded fingerprint before the
-	// post-injection window ended; their tails were synthesized from the
-	// golden record instead of simulated.
+	// reconverged with the golden run's before the post-injection window
+	// ended; their tails were synthesized from the golden record instead
+	// of simulated.
 	ReconvergedHits int
 	// ForkedRuns counts runs that warm-started from a golden snapshot
 	// above cycle 0, skipping their [0, snapshot) prefix entirely.
@@ -359,8 +330,8 @@ type Report struct {
 	// FrontierRuns counts runs driven by the divergence-frontier delta
 	// engine; TimelineBytes is the estimated memory footprint of the
 	// golden-side per-run records: the signal transcripts (window and
-	// drain) backing the frontier plus the fingerprint timelines backing
-	// reconvergence. Neither alters the serialized report.
+	// drain) backing the frontier plus the counter timelines backing its
+	// reconvergence exit. Neither alters the serialized report.
 	FrontierRuns  int
 	TimelineBytes int64
 }
@@ -404,9 +375,9 @@ type groupCtx struct {
 	// rec drives divergence-frontier delta stepping: the golden
 	// continuation's per-link signal transcript from the injection cycle
 	// through the post-injection window and the drain until the network
-	// settled, which is as far as any faulty run can need it. Nil when
-	// the frontier is disabled, the golden template is unsound or golden
-	// did not settle; shared read-only across workers.
+	// settled, which is as far as any faulty run can need it. Nil exactly
+	// when rc is (FullSim, or a golden the shortcuts cannot rest on);
+	// shared read-only across workers.
 	rec *sim.Recording
 }
 
@@ -636,54 +607,40 @@ feed:
 }
 
 // buildGroupCtx runs the golden continuation of fork point fp — the
-// post-injection window (recording the reconvergence timeline when
-// wanted), the drain, and the ForEVeR horizon — and derives everything
-// runs at that injection cycle share. fp.cont is the builder's to step
-// to its end; tw is the scratch worker the template's fork runs in. gs,
-// the injection cycle's group span, gets one child phase span per part
-// of the work (window, settle-horizon, template).
+// post-injection window, the drain, and the ForEVeR horizon — and derives
+// everything runs at that injection cycle share. fp.cont is the builder's
+// to step to its end; tw is the scratch worker the template's fork runs
+// in. gs, the injection cycle's group span, gets one child phase span per
+// part of the work (window, settle-horizon, template). Under FullSim
+// every run takes runSlow, which reads the snapshot, the golden log and
+// the golden monitor only: the continuation records nothing, carries no
+// engine, and no template is assembled.
 func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx, error) {
 	c, cont := fp.cycle, fp.cont
 	gc := &groupCtx{cycle: c, snap: fp.snap, forkFP: fp.forkFP}
-	wantReconv := !o.DisableFastPath && !o.DisableReconvergence
-	// The continuation is also the fault-free template run (see below), so
-	// it carries the NoCAlert engine a run would.
 	var eng *core.Engine
-	if !o.DisableFastPath {
-		eng = core.NewEngine(cont.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
-		cont.AttachMonitor(eng)
-	}
+	var tl *golden.Timeline
 	win := gs.Child("phase", "window")
 	win.SetAttr("inject_cycle", c)
-	var tl *golden.Timeline
-	recording := wantReconv && !o.DisableFrontier
-	if wantReconv {
-		// Record the golden run's per-cycle state fingerprints through
-		// the post-injection window — the timeline faulty runs compare
-		// against once their fault plane goes quiescent. Recording is
-		// a one-time cost on the golden run only; with reconvergence
-		// disabled the plain Run loop below is untouched.
+	if !o.FullSim {
+		// The continuation is also the fault-free template run (see
+		// goldenTemplate), so it carries the NoCAlert engine a run would.
+		eng = core.NewEngine(cont.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
+		cont.AttachMonitor(eng)
+		// It records what the divergence frontier replays clean nodes from
+		// (the per-link signal transcript), the counters its reconvergence
+		// exit compares against (the timeline) and ForEVeR's per-node
+		// record, which the monitors of frontier runs follow instead of
+		// being shown the whole mesh.
 		tl = golden.NewTimeline(int(o.PostInjectRun))
-		ejStart := len(cont.Ejections())
-		observe := tl.Observe
-		if recording {
-			// Record the per-link signal transcript alongside the
-			// timeline: the divergence frontier replays clean routers
-			// from it instead of stepping them. Frontier runs read the
-			// timeline's counters only (runFrontier), and without the
-			// transcript (gc.rc nil, below) nothing reads it at all, so
-			// the per-cycle state and ejection hashes are not recorded.
-			cont.StartRecording(int(o.PostInjectRun))
-			observe = tl.ObserveCounters
-			// And ForEVeR's per-node record, which the monitors of
-			// frontier runs follow instead of being shown the whole mesh.
-			if fv := findForever(cont); fv != nil {
-				fv.StartHistory(c)
-			}
+		cont.StartRecording(int(o.PostInjectRun))
+		if fv := findForever(cont); fv != nil {
+			fv.StartHistory(c)
 		}
+		ejStart := len(cont.Ejections())
 		for t := int64(0); t < o.PostInjectRun; t++ {
 			cont.Step()
-			observe(cont, cont.Ejections()[ejStart:])
+			tl.ObserveCounters(cont, cont.Ejections()[ejStart:])
 		}
 	} else {
 		cont.Run(o.PostInjectRun)
@@ -708,7 +665,7 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 		horizon = foreverHorizon(cont.Cycle(), o.Forever)
 		settleBy = horizon
 	}
-	if recording {
+	if !o.FullSim {
 		gc.rec = cont.SettleRecording(settleBy)
 	}
 	for cont.Cycle() < horizon {
@@ -725,45 +682,36 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 	}
 	gc.goldenFvFP = goldenFd >= 0
 
-	if !o.DisableFastPath {
-		tp := gs.Child("phase", "template")
-		tp.SetAttr("inject_cycle", c)
-		tmpl, err := goldenTemplate(tw, gc, o, eng, goldenFd, tp)
-		tp.End()
-		if err != nil {
-			return nil, err
-		}
-		gc.tmpl = tmpl
+	if o.FullSim {
+		return gc, nil
 	}
+	tp := gs.Child("phase", "template")
+	tp.SetAttr("inject_cycle", c)
+	tmpl, err := goldenTemplate(tw, gc, o, eng, goldenFd, tp)
+	tp.End()
+	if err != nil {
+		return nil, err
+	}
+	gc.tmpl = tmpl
 
-	// Reconvergence context for the workers. The synthesis shortcut is
-	// only sound when the golden continuation is clean: no NoCAlert
+	// The shortcuts rest on a clean golden continuation: no NoCAlert
 	// assertion anywhere in the fault-free template (so freezing the
 	// engine at the reconvergence cycle loses nothing), a benign
-	// golden-vs-golden verdict, — when ForEVeR is on — a golden
-	// monitor whose detection list stayed under its cap (so the recorded
-	// tail is complete), and — when the frontier is on — a transcript
-	// that settled (the counters-only timeline recorded beside it cannot
-	// stand in for it) and a golden monitor that ended with every counter
-	// at zero and no notification in flight (the state a node the fault
-	// never reaches is in once golden's record of it ends). All of these
-	// hold for any sanely configured campaign; if one does not,
-	// reconvergence silently disables and every fired fault takes the
-	// full path.
-	if wantReconv {
-		sound := !gc.tmpl.Detected && gc.tmpl.Drained && gc.tmpl.Verdict.OK() && (gc.rec != nil || !recording)
-		if !o.DisableForever {
-			sound = sound && gc.gfv != nil && len(gc.gfv.Detections()) < forever.DetectionCap &&
-				(!recording || gc.gfv.Settled())
-		}
-		if sound {
-			gc.rc = &reconvergence{tl: tl, gfv: gc.gfv, verdict: gc.tmpl.Verdict}
-		}
+	// golden-vs-golden verdict, a transcript that settled, and — when
+	// ForEVeR is on — a golden monitor whose detection list stayed under
+	// its cap (so the recorded tail is complete) and that ended with every
+	// counter at zero and no notification in flight (the state a node the
+	// fault never reaches is in once golden's record of it ends). All of
+	// these hold for any sanely configured campaign; if one does not, the
+	// group's runs take the reference path (runSlow) and the transcript is
+	// dropped.
+	sound := !tmpl.Detected && tmpl.Drained && tmpl.Verdict.OK() && gc.rec != nil
+	if !o.DisableForever {
+		sound = sound && gc.gfv != nil && len(gc.gfv.Detections()) < forever.DetectionCap && gc.gfv.Settled()
 	}
-	if gc.rc == nil {
-		// The frontier shares the reconvergence soundness precondition
-		// (an invariant-clean golden continuation); without it the
-		// transcript is dead weight.
+	if sound {
+		gc.rc = &reconvergence{tl: tl, gfv: gc.gfv, verdict: tmpl.Verdict}
+	} else {
 		gc.rec = nil
 	}
 	return gc, nil
@@ -843,132 +791,83 @@ func findForever(n *sim.Network) *forever.Monitor {
 	return nil
 }
 
-// reconvergence bundles the golden-side state the workers' reconvergence
-// check consults: the per-cycle fingerprint timeline, the golden ForEVeR
-// monitor (for synthesizing the detection tail) and the benign
-// golden-vs-golden verdict reconverged runs inherit.
+// reconvergence bundles the golden-side state the shortcuts consult: the
+// per-cycle counter timeline, the golden ForEVeR monitor (for
+// synthesizing the detection tail) and the benign golden-vs-golden
+// verdict reconverged runs inherit. A group has one exactly when the
+// shortcuts may rest on its golden (buildGroupCtx).
 type reconvergence struct {
 	tl      *golden.Timeline
 	gfv     *forever.Monitor
 	verdict golden.Verdict
 }
 
-// runOne executes one fault group's run. The run forks from the
-// nearest golden snapshot at or before its injection cycle (replaying
-// the gap fault-free) rather than simulating its whole prefix. When the
-// fast path is enabled and every fault of the group provably expired
-// without firing, the remaining simulation is skipped and the
-// fault-free template result is returned (ExitFastPath); the template
-// is exact because an inert plane's run is bit-identical to the
-// fault-free continuation from the same forked state. Otherwise, once
-// the plane is quiescent (fired, but can never fire again), each
-// cycle's state is compared against the golden timeline; on a
-// fingerprint match with matching ejection history the rest of the run
-// is provably identical to golden's, so the result is synthesized
-// (ExitReconverged) instead of simulated. convCycles is the
-// reconvergence latency (cycles after injection); zero for the other
-// exit paths.
+// runOne executes one fault group's run on one of the two run paths: the
+// divergence frontier with its exits (runFrontier) when the group's golden
+// carries the shortcuts, the full-simulation reference (runSlow) under
+// FullSim or when it does not. convCycles is the reconvergence latency
+// (cycles after injection); zero for the other exit paths.
 func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, st runStats, err error) {
-	if o.DisableFastPath {
+	if gc.rc == nil {
 		res, err = runSlow(w, gc, o, group, &st, ro)
 		return res, ExitFull, 0, st, err
 	}
-	plane := fault.NewPlane(group...)
-	rc := gc.rc
-	frontier := rc != nil && gc.rec != nil
+	res, exit, convCycles, err = runFrontier(w, gc, o, group, &st, ro)
+	return res, exit, convCycles, st, err
+}
+
+// forkRun is the warm start both run paths share: the network at gc's
+// injection cycle under plane, with a fresh NoCAlert engine attached and
+// the detections its ForEVeR monitor fv (nil when there is none) inherited
+// from golden cleared. cone lets the fork copy only the nodes the run's
+// frontier will reach (worker.forkCone) when the snapshot stands at the
+// injection cycle; otherwise it clones the mesh and replays the gap
+// (worker.fork).
+func (w *worker) forkRun(gc *groupCtx, o Options, plane *fault.Plane, cone bool, st *runStats, ro *runObs) (n *sim.Network, eng *core.Engine, fv *forever.Monitor, err error) {
 	ws := ro.phase("warm-start")
-	var n *sim.Network
-	if frontier && gc.snap.cycle == gc.cycle {
-		// The frontier steps the run from the snapshot's own boundary: the
-		// fork takes the network-level state and the frontier copies the
-		// nodes of the run's cone as it reaches them.
-		n = w.forkCone(gc, plane, &st)
-	} else if n, err = w.fork(gc, plane, &st, ro); err != nil {
+	if cone && gc.snap.cycle == gc.cycle {
+		n = w.forkCone(gc, plane, st)
+	} else if n, err = w.fork(gc, plane, st, ro); err != nil {
 		ws.End()
-		return res, ExitFull, 0, st, err
+		return nil, nil, nil, err
 	}
 	ws.SetAttr("fork_cycle", gc.snap.cycle)
 	ws.SetAttr("replayed_cycles", gc.cycle-gc.snap.cycle)
 	ws.End()
-	eng := core.NewEngine(n.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
+	eng = core.NewEngine(n.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
 	n.AttachMonitor(eng)
-	fv := findForever(n)
-	if fv != nil {
+	if fv = findForever(n); fv != nil {
 		fv.ClearDetections()
 	}
-	if frontier {
-		res, exit, convCycles, err = runFrontier(n, eng, fv, gc, o, group, plane, w, &st, ro)
-		return res, exit, convCycles, st, err
-	}
-	fa := ro.phase("fault-armed")
-	var nextTry int64 // earliest cycle for the next full fingerprint
-	gap := int64(1)
-	for t := int64(0); t < o.PostInjectRun; t++ {
-		n.Step()
-		if n.FaultsInert() {
-			res = gc.tmpl
-			res.Fault = group[0]
-			res.Group = group
-			st.simulated = n.Cycle() - gc.snap.cycle
-			st.horizon = n.Cycle()
-			fa.End()
-			return res, ExitFastPath, 0, st, nil
-		}
-		if rc == nil || !n.FaultsQuiescent() || n.Cycle() < nextTry {
-			continue
-		}
-		pt, ok := rc.tl.At(n.Cycle())
-		if !ok || !countersMatch(n, &pt) {
-			continue
-		}
-		if n.Fingerprint() == pt.State &&
-			golden.EjectionsHash(n.Ejections()) == pt.EjectHash {
-			ro.event("fp_probe", n.Cycle(), "match", nil)
-			st.simulated = n.Cycle() - gc.snap.cycle
-			st.synthesized += gc.cycle + o.PostInjectRun - n.Cycle()
-			st.horizon = gc.cycle + o.PostInjectRun
-			fa.End()
-			rt := ro.phase("reconverged-tail")
-			rt.SetAttr("reconverged_cycle", n.Cycle())
-			rt.SetAttr("cycles_synthesized", gc.cycle+o.PostInjectRun-n.Cycle())
-			rt.End()
-			return synthesizeReconverged(n, eng, fv, rc, plane, gc.cycle, group),
-				ExitReconverged, n.Cycle() - gc.cycle, st, nil
-		}
-		// Counters agreed but state did not (the perturbation is
-		// still washing out, or the run diverged for good with
-		// conserved flit counts): back off before hashing again.
-		ro.event("fp_probe", n.Cycle(), "state mismatch", nil)
-		if gap < sim.ProbeBackoffCap {
-			gap *= 2
-		}
-		nextTry = n.Cycle() + gap
-	}
-	fa.End()
-	res = finishRun(nil, n, eng, fv, plane, gc, o, group, w, &st, ro)
-	st.simulated = n.Cycle() - gc.snap.cycle
-	return res, ExitFull, 0, st, nil
+	return n, eng, fv, nil
 }
 
 // runFrontier drives one forked faulty run with the divergence-frontier
 // delta engine: only the fault's cone of influence is stepped, every
 // other node is replayed from the golden signal transcript (see
-// sim.Frontier). The exit paths mirror runOne's exactly — an inert
-// plane copies the fault-free template, and reconvergence synthesizes
-// the tail — except the reconvergence probe needs no fingerprint
-// hashing: a frontier that has shrunk to empty with a clean ejection
-// history IS the state identity the PR-5 probe hashes for, so the
-// per-cycle check is a few flag and counter compares. (The frontier
-// looks at a member's state on a backoff of its own; on the window's
-// last cycle, where emptiness decides between this exit and the next,
-// it is made to look at them all.) A run still divergent at window end
-// finishes (drain, horizon, verdict) in the same finishRun as a full
-// simulation, stepped by the frontier: the transcript covers golden's
-// drain and everything after it. That holds for a run whose fault is
-// still armed at window end too (permanent, intermittent): its members
-// never retire, so it costs its cone until finishRun's probe finds the
-// cone has stopped changing (ffProbe: a permanent fault is stationary).
-func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *groupCtx, o Options, group []fault.Fault, plane *fault.Plane, w *worker, st *runStats, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, err error) {
+// sim.Frontier). It has three exits. When every fault of the group has
+// provably expired without firing, the run is bit-identical to the
+// fault-free continuation from the same forked state, so its result is the
+// fault-free template (ExitFastPath). When the plane is quiescent (fired,
+// but can never fire again) and the frontier has shrunk to empty with a
+// clean ejection history and golden's counters, the faulty state is
+// golden's, so the rest of the window, the drain and the horizon are
+// synthesized (ExitReconverged): a few flag and counter compares a cycle.
+// (The frontier looks at a member's state on a backoff of its own; on the
+// window's last cycle, where emptiness decides between this exit and the
+// next, it is made to look at them all.) A run still divergent at window
+// end finishes (drain, horizon, verdict) in finishRun, stepped by the
+// frontier: the transcript covers golden's drain and everything after it.
+// That holds for a run whose fault is still armed at window end too
+// (permanent, intermittent): its members never retire, so it costs its
+// cone until finishRun's probe finds the cone has stopped changing
+// (ffProbe: a permanent fault is stationary) and fast-forwards.
+func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, err error) {
+	plane := fault.NewPlane(group...)
+	n, eng, fv, err := w.forkRun(gc, o, plane, true, st, ro)
+	if err != nil {
+		return res, ExitFull, 0, err
+	}
 	w.seeds = w.seeds[:0]
 	for _, ft := range group {
 		w.seeds = append(w.seeds, ft.Site.Router)
@@ -1028,13 +927,11 @@ func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *grou
 	return res, ExitFull, 0, nil
 }
 
-// countersMatch is the cheap precheck run before paying for a full
-// fingerprint: a faulty run still carrying divergent traffic almost
-// always disagrees with golden on one of these counters, so rejecting
-// on them first keeps the per-cycle reconvergence probe at a few
-// integer compares. (How many flits the run has ejected since the fork
-// is the ejection counter's to say: a frontier run's log holds only
-// what differs from golden's.)
+// countersMatch holds an emptied frontier's flit accounting to golden's
+// at the same cycle boundary, the last check before the reconvergence
+// exit: a few integer compares. (How many flits the run has ejected
+// since the fork is the ejection counter's to say: a frontier run's log
+// holds only what differs from golden's.)
 func countersMatch(n *sim.Network, pt *golden.TimelinePoint) bool {
 	return n.FlitsInjected() == pt.FlitsInjected &&
 		n.FlitsEjected() == pt.FlitsEjected &&
@@ -1043,14 +940,15 @@ func countersMatch(n *sim.Network, pt *golden.TimelinePoint) bool {
 
 // synthesizeReconverged builds the run's result at the reconvergence
 // cycle without simulating the rest of the window, the drain or the
-// ForEVeR horizon. Soundness: the state fingerprint and ejection-prefix
-// match prove the faulty run's past delivered exactly golden's flits
-// and its future will replay golden's cycles bit for bit. Hence the
+// ForEVeR horizon. Soundness: an empty frontier with a clean ejection
+// history and golden's counters proves the faulty run's past delivered
+// exactly golden's flits and its future will replay golden's cycles bit
+// for bit. Hence the
 // verdict is the benign golden-vs-golden verdict; the drain succeeds
 // exactly as golden's did; the NoCAlert engine — whose checkers are
 // purely combinational per cycle — can assert nothing in the golden
-// replay (the fault-free template run detected nothing, a campaign
-// precondition checked in Run), so its aggregates are already final;
+// replay (the fault-free template run detected nothing, a precondition
+// checked in buildGroupCtx), so its aggregates are already final;
 // and ForEVeR's counter state, a function of the injection and ejection
 // histories alone, equals the golden monitor's, so its future flags are
 // the golden monitor's recorded tail.
@@ -1124,25 +1022,16 @@ func assembleResult(eng *core.Engine, plane *fault.Plane, group []fault.Fault, i
 	return res
 }
 
-// runSlow executes one run end to end with no early exit. A nil group
-// runs with an empty fault plane (used to compute the fast-path
-// template).
+// runSlow is the full-simulation reference run path: fork, step the
+// whole mesh through the window, then drain and horizon and compare in
+// finishRun, with no early exit and no fast-forward. A nil group runs
+// with an empty fault plane (a golden template that must be simulated
+// again, goldenTemplate).
 func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) (RunResult, error) {
 	plane := fault.NewPlane(group...)
-	ws := ro.phase("warm-start")
-	n, err := w.fork(gc, plane, st, ro)
+	n, eng, fv, err := w.forkRun(gc, o, plane, false, st, ro)
 	if err != nil {
-		ws.End()
 		return RunResult{}, err
-	}
-	ws.SetAttr("fork_cycle", gc.snap.cycle)
-	ws.SetAttr("replayed_cycles", gc.cycle-gc.snap.cycle)
-	ws.End()
-	eng := core.NewEngine(n.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
-	n.AttachMonitor(eng)
-	fv := findForever(n)
-	if fv != nil {
-		fv.ClearDetections()
 	}
 	fa := ro.phase("fault-armed")
 	n.Run(o.PostInjectRun)
@@ -1157,7 +1046,6 @@ func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runSta
 type stepper interface {
 	Step()
 	Quiet() bool
-	StaticFingerprint() uint64
 }
 
 // finishRun drains the network, runs out the ForEVeR horizon, and
@@ -1165,14 +1053,13 @@ type stepper interface {
 // the frontier that steps n and holds its ejection log as a difference
 // from golden's; n steps itself otherwise, and is read either way for
 // everything both agree on (cycle, counters, fault plane). The horizon
-// run-out
-// exists only to give ForEVeR's epoch check a chance to flag anomalies
+// run-out exists only to give ForEVeR's epoch check a chance to flag anomalies
 // after the drain, so it is skipped when no monitor is attached and the
 // drain succeeded (an undrained network still steps to the horizon: the
 // extra cycles can surface NoCAlert assertions on stuck traffic).
 //
-// With fast-forward enabled, both phases probe for a frozen fixed point
-// (see ffProbe) and synthesize the remainder exactly instead of
+// On the frontier, both phases probe for a frozen fixed point (see
+// ffProbe) and synthesize the remainder exactly instead of
 // stepping it: a frozen non-quiet network can never drain, so the drain
 // verdict is the deadline miss it was headed for; a frozen network
 // steps identically through the rest of the horizon, so all that is
@@ -1188,7 +1075,6 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 	}
 	var drained, frozen bool
 	var probe ffProbe
-	ff := !o.DisableFastForward
 	projectUntil := int64(-1)
 	n.StopInjection()
 	dr := ro.phase("drain")
@@ -1198,7 +1084,7 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 			drained = true
 			break
 		}
-		if ff && probe.frozen(s, n, eng, fv) {
+		if fr != nil && probe.frozen(fr, n, eng, fv) {
 			frozen = true
 			break
 		}
@@ -1224,7 +1110,7 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 		hz := ro.phase("horizon")
 		horizon := foreverHorizon(logical, o.Forever)
 		for !frozen && n.Cycle() < horizon {
-			if ff && probe.frozen(s, n, eng, fv) {
+			if fr != nil && probe.frozen(fr, n, eng, fv) {
 				frozen = true
 				ro.event("ff_freeze", n.Cycle(), "frozen in horizon", nil)
 				break

@@ -85,12 +85,12 @@ type ffProbe struct {
 }
 
 // frozen reports whether the network at the current cycle boundary is
-// provably a fixed point; s is whatever steps n (finishRun's stepper)
-// and supplies the fingerprint. Call it at every boundary of a phase
+// provably a fixed point; fr is the frontier that steps n and supplies
+// the fingerprint. Call it at every boundary of a phase
 // loop: it arms on one boundary and confirms on the next, backing off
 // after each failed pair. On confirmation p.mark spans exactly the
 // probed step, so extend can replay the steady assertion pattern.
-func (p *ffProbe) frozen(s stepper, n *sim.Network, eng *core.Engine, fv *forever.Monitor) bool {
+func (p *ffProbe) frozen(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.Monitor) bool {
 	if p.gap == 0 {
 		p.gap, p.fpCycle = 1, -1
 	}
@@ -102,7 +102,7 @@ func (p *ffProbe) frozen(s stepper, n *sim.Network, eng *core.Engine, fv *foreve
 	if t < p.nextTry {
 		return false
 	}
-	fp := s.StaticFingerprint()
+	fp := fr.StaticFingerprint()
 	if p.fpCycle == t-1 {
 		if p.fp == fp && eng.AdvanceSteady(p.mark, 0) {
 			return true

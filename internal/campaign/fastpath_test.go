@@ -30,7 +30,7 @@ func idleRCFault(t *testing.T, rc *router.Config, cycle int64) fault.Fault {
 
 // TestFastPathMatchesSlowPathOnIdleSite injects a fault at a site the
 // idle network never consults and checks the early-exit result is
-// byte-identical to the fully simulated one.
+// byte-identical to the one the full-simulation reference gives.
 func TestFastPathMatchesSlowPathOnIdleSite(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
 	rc := router.Default(mesh)
@@ -52,13 +52,13 @@ func TestFastPathMatchesSlowPathOnIdleSite(t *testing.T) {
 		t.Fatalf("FastPathHits = %d, want 1 (idle-site fault must take the fast path)", fastRep.FastPathHits)
 	}
 
-	opts.DisableFastPath = true
+	opts.FullSim = true
 	slowRep, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if slowRep.FastPathHits != 0 {
-		t.Fatalf("FastPathHits = %d with fast path disabled, want 0", slowRep.FastPathHits)
+		t.Fatalf("FastPathHits = %d under FullSim, want 0", slowRep.FastPathHits)
 	}
 	if slowRep.Results[0].Fired {
 		t.Fatal("idle-site fault fired; the test premise is broken")
@@ -69,8 +69,8 @@ func TestFastPathMatchesSlowPathOnIdleSite(t *testing.T) {
 	}
 }
 
-// TestFastPathBitIdenticalCampaign runs the same loaded campaign with
-// the fast path on and off and requires identical classification for
+// TestFastPathBitIdenticalCampaign runs the same loaded campaign by
+// default and under FullSim and requires identical classification for
 // every fault — the acceptance bar for the optimization.
 func TestFastPathBitIdenticalCampaign(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
@@ -90,7 +90,10 @@ func TestFastPathBitIdenticalCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.DisableFastPath = true
+	if fastRep.FastPathHits == 0 {
+		t.Fatal("no run took the fast path; the test premise is broken")
+	}
+	opts.FullSim = true
 	slowRep, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -46,10 +46,11 @@ func multiCycleOptions(mesh topology.Mesh, nFaults int, seed uint64, cycles []in
 }
 
 // TestForkByteIdentity is the acceptance gate for injection-point
-// forking: a campaign with warm starts enabled must produce the exact
-// WriteJSON bytes of the same campaign re-simulating every [0,
-// injection) prefix from scratch — at 4×4 and at a small 8×8 sample,
-// over a multi-cycle universe so forks genuinely skip prefixes.
+// forking: a campaign whose snapshots stand at its injection cycles must
+// produce the exact WriteJSON bytes of the same campaign with one
+// snapshot, at its first injection cycle, from which every later run
+// replays its gap — at 4×4 and at a small 8×8 sample, over a multi-cycle
+// universe so forks genuinely skip prefixes.
 func TestForkByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -71,7 +72,7 @@ func TestForkByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			off := multiCycleOptions(tc.mesh, tc.faults, 7, tc.cycles, 200, 2500, 300)
-			off.DisableFork = true
+			off.SnapshotInterval = 1 << 30 // past the last injection cycle: one snapshot
 			offRep, err := Run(off)
 			if err != nil {
 				t.Fatal(err)
@@ -79,14 +80,12 @@ func TestForkByteIdentity(t *testing.T) {
 			if onRep.ForkedRuns == 0 {
 				t.Fatal("no run warm-started above cycle 0; the multi-cycle premise is broken")
 			}
-			if offRep.ForkedRuns != 0 {
-				t.Fatalf("ForkedRuns = %d with forking disabled, want 0", offRep.ForkedRuns)
-			}
-			if onRep.WarmstartCyclesSaved == 0 {
-				t.Fatal("forked campaign reports zero warm-start savings")
+			if offRep.SnapshotCount != 1 || offRep.WarmstartCyclesSaved >= onRep.WarmstartCyclesSaved {
+				t.Fatalf("%d snapshots skip %d prefix cycles, against %d at the injection cycles: want one snapshot and replayed gaps",
+					offRep.SnapshotCount, offRep.WarmstartCyclesSaved, onRep.WarmstartCyclesSaved)
 			}
 			if got, want := reportBytes(t, onRep), reportBytes(t, offRep); !bytes.Equal(got, want) {
-				t.Fatalf("reports differ between fork on and off (%d vs %d bytes)", len(got), len(want))
+				t.Fatalf("reports differ between a snapshot per injection cycle and one snapshot (%d vs %d bytes)", len(got), len(want))
 			}
 			t.Logf("%s: %d/%d runs forked, %d prefix cycles skipped, %d snapshots (%d bytes)",
 				tc.name, onRep.ForkedRuns, len(onRep.Results), onRep.WarmstartCyclesSaved,
@@ -151,34 +150,36 @@ func TestSnapshotIntervalSweep(t *testing.T) {
 	}
 }
 
-// TestFastForwardByteIdentity runs the golden-fixture campaign with
-// frozen-state fast-forwarding on and off: the synthesized drain and
-// horizon tails may only change how fast results are computed, never
-// the results.
+// TestFastForwardByteIdentity runs the golden-fixture campaign by default
+// and under FullSim: the drain and horizon tails the default synthesizes
+// from a frozen state may only change how fast results are computed,
+// never the results.
 func TestFastForwardByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
-	onRep, err := Run(goldenOptions(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	onRep, acct := accountedRun(t, goldenOptions(t))
 	off := goldenOptions(t)
-	off.DisableFastForward = true
-	offRep, err := Run(off)
-	if err != nil {
-		t.Fatal(err)
+	off.FullSim = true
+	offRep := mustRun(t, off)
+	// A reconverged run synthesizes its window's tail; only a run that
+	// left by the full exit and still synthesized cycles was fast-forwarded.
+	frozen := 0
+	for _, a := range acct {
+		if a.exit == ExitFull && a.synthesized > 0 {
+			frozen++
+		}
 	}
-	// Reconvergence tails synthesize cycles in both arms; fast-forward
-	// must add frozen drain/horizon savings on top.
-	if onRep.SynthesizedCycles <= offRep.SynthesizedCycles {
-		t.Fatalf("fast-forwarding synthesized no extra cycles (%d on vs %d off); the frozen-state probe never fired",
-			onRep.SynthesizedCycles, offRep.SynthesizedCycles)
+	if frozen == 0 {
+		t.Fatal("no run fast-forwarded its drain or horizon; the frozen-state probe never fired")
+	}
+	if offRep.SynthesizedCycles != 0 {
+		t.Fatalf("%d cycles synthesized under FullSim, want 0", offRep.SynthesizedCycles)
 	}
 	if got, want := reportBytes(t, onRep), reportBytes(t, offRep); !bytes.Equal(got, want) {
-		t.Fatalf("reports differ between fast-forward on and off (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("reports differ between the default and FullSim (%d vs %d bytes)", len(got), len(want))
 	}
-	t.Logf("synthesized %d cycles (simulated %d)", onRep.SynthesizedCycles, onRep.SimulatedCycles)
+	t.Logf("%d runs fast-forwarded; synthesized %d cycles (simulated %d)", frozen, onRep.SynthesizedCycles, onRep.SimulatedCycles)
 }
 
 // TestMultiCycleRecordRoundTrip closes the record loop for mixed

@@ -85,7 +85,7 @@ func TestGoldenFixture4x4(t *testing.T) {
 
 // Golden8x8Spec is the paper-scale pinned campaign: the 8×8 mesh at
 // the throughput benchmark's operating point. Its fixture is what the
-// soa-identity CI gate and the SoA bench row both anchor to.
+// identity CI gate and the SoA bench row both anchor to.
 func Golden8x8Spec() Spec {
 	return Spec{
 		MeshW: 8, MeshH: 8, VCs: 4,
@@ -200,8 +200,8 @@ func TestGoldenFixture16x16(t *testing.T) {
 // engine and requires record-for-record identical results: verdicts,
 // outcomes, detection latencies and checker attributions must not move
 // when the reference engine replaces the SoA engine. This is the
-// in-tree half of the soa-identity CI gate (the CI half compares the
-// CLI's whole JSON reports byte-for-byte on both mesh sizes).
+// in-tree half of the identity CI gate (the CI half compares the
+// CLI's whole JSON reports byte-for-byte on three campaigns).
 func TestGoldenEngineIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -229,12 +229,12 @@ func TestGoldenEngineIdentity(t *testing.T) {
 	}
 }
 
-// TestFrontierEngineIdentity is TestGoldenEngineIdentity for the
-// divergence-frontier engine: the golden 4×4 campaign run with
-// frontier delta stepping (the default) must be record-for-record
-// identical to the same campaign with -no-frontier. This is the
-// in-tree half of the frontier-identity CI gate (the CI half compares
-// the CLI's whole JSON reports byte-for-byte on both mesh sizes).
+// TestFrontierEngineIdentity is TestGoldenEngineIdentity for the run
+// paths: the golden 4×4 campaign run on the divergence frontier with its
+// exits (the default) must be record-for-record identical to the same
+// campaign on the full-simulation reference (FullSim). This is the
+// in-tree half of the identity CI gate (the CI half compares the CLI's
+// whole JSON reports byte-for-byte on three campaigns).
 func TestFrontierEngineIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -243,7 +243,7 @@ func TestFrontierEngineIdentity(t *testing.T) {
 	frontier := NewFixture(spec, unshardedRecords(t, spec))
 
 	opts := spec.Options()
-	opts.DisableFrontier = true
+	opts.FullSim = true
 	opts.Faults = spec.Universe()
 	recs := make([]trace.RunRecord, len(opts.Faults))
 	opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
@@ -253,12 +253,17 @@ func TestFrontierEngineIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := NewFixture(spec, recs)
+	// A record's fast_path says which exit resolved the run, and the
+	// reference takes none; everything else must match.
+	for i := range frontier.Records {
+		frontier.Records[i].FastPath = false
+	}
 
 	if diffs := frontier.Diff(full); len(diffs) != 0 {
 		for _, d := range diffs {
 			t.Error(d)
 		}
-		t.Fatalf("%d fault(s) differ between the frontier and full-mesh engines", len(diffs))
+		t.Fatalf("%d fault(s) differ between the frontier and the full-simulation reference", len(diffs))
 	}
 }
 
@@ -315,21 +320,19 @@ func accountedRun(t *testing.T, opts Options) (*Report, []runAccount) {
 	return rep, acct
 }
 
-// TestFrontierCampaignIdentity holds the frontier engine to the full-mesh
-// engine beyond the records TestFrontierEngineIdentity compares: whole
-// RunResults, the exit path of every run, and the cycle accounting — a
-// drain or horizon that froze one cycle early or late under the frontier
-// moves a cycle between "stepped" and "synthesized" and shows nowhere
-// else. Three fault sets on the 8×8 mesh, each with fast-forward on and
-// off: the golden spec's transients, permanent faults (credit-counter
-// bits as the benchmark draws them, and VA2/SA2 grant lines, which wedge
-// the fabric: the frontier steps those to the drain deadline and through
-// the whole horizon), and one double-fault group.
-//
-// One thing legitimately differs: the cycle a reconverged run is caught
-// on. The frontier sees itself empty on the very cycle, the full-mesh
-// fingerprint probe backs off between attempts, so a reconverged run's
-// split is compared as a sum only.
+// TestFrontierCampaignIdentity holds the production run path — the
+// frontier and its exits — to the full-simulation reference (FullSim)
+// beyond the records TestFrontierEngineIdentity compares: whole
+// RunResults, and the cycle accounting of every run the default resolves
+// by the full exit. Such a run ends where the reference's does, so the
+// cycles it stepped and synthesized must add up to the cycles the
+// reference stepped: a drain or horizon that froze and projected its
+// remainder to the wrong end shows nowhere else. Three fault sets on the
+// 8×8 mesh: the golden spec's transients, permanent faults
+// (credit-counter bits as the benchmark draws them, and VA2/SA2 grant
+// lines, which wedge the fabric: the frontier carries those to the drain
+// deadline and through the horizon, the reference steps every cycle of
+// both), and one double-fault group.
 func TestFrontierCampaignIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -370,58 +373,38 @@ func TestFrontierCampaignIdentity(t *testing.T) {
 	}
 	undrained := 0
 	for _, set := range sets {
-		for _, noFF := range []bool{false, true} {
-			name := set.name
-			if noFF {
-				name += "/no-fast-forward"
-			}
-			t.Run(name, func(t *testing.T) {
-				opts := spec.Options()
-				set.setup(&opts)
-				opts.DisableFastForward = noFF
-				frontRep, front := accountedRun(t, opts)
-				opts.DisableFrontier = true
-				fullRep, full := accountedRun(t, opts)
+		t.Run(set.name, func(t *testing.T) {
+			opts := spec.Options()
+			set.setup(&opts)
+			frontRep, front := accountedRun(t, opts)
+			opts.FullSim = true
+			fullRep, full := accountedRun(t, opts)
 
-				if frontRep.FrontierRuns == 0 || fullRep.FrontierRuns != 0 {
-					t.Fatalf("frontier drove %d runs by default and %d with it disabled", frontRep.FrontierRuns, fullRep.FrontierRuns)
+			if frontRep.FrontierRuns == 0 || fullRep.FrontierRuns != 0 || fullRep.SynthesizedCycles != 0 {
+				t.Fatalf("the frontier drove %d runs by default and %d under FullSim, which synthesized %d cycles",
+					frontRep.FrontierRuns, fullRep.FrontierRuns, fullRep.SynthesizedCycles)
+			}
+			for i := range front {
+				ra, rb := frontRep.Results[i], fullRep.Results[i]
+				// The verdict's sample reasons come out of a map walk in
+				// golden.Compare: same set, any order, on either path.
+				ra.Verdict.Reasons, rb.Verdict.Reasons = nil, nil
+				if !reflect.DeepEqual(ra, rb) {
+					t.Errorf("run %d: results differ\n frontier %+v\n full     %+v", i, ra, rb)
 				}
-				for i := range front {
-					ra, rb := frontRep.Results[i], fullRep.Results[i]
-					// The verdict's sample reasons come out of a map walk in
-					// golden.Compare: same set, any order, on either engine.
-					ra.Verdict.Reasons, rb.Verdict.Reasons = nil, nil
-					if !reflect.DeepEqual(ra, rb) {
-						t.Errorf("run %d: results differ\n frontier %+v\n full     %+v", i, ra, rb)
-					}
-					if !ra.Drained {
-						undrained++
-					}
-					a, b := front[i], full[i]
-					if a.exit != b.exit {
-						t.Errorf("run %d: exit %v under the frontier, %v full-mesh", i, a.exit, b.exit)
-						continue
-					}
-					if a.exit == ExitReconverged {
-						a.simulated, a.synthesized = a.simulated+a.synthesized, 0
-						b.simulated, b.synthesized = b.simulated+b.synthesized, 0
-					}
-					if a != b {
-						t.Errorf("run %d (%v): %d cycles stepped + %d synthesized under the frontier, %d + %d full-mesh",
-							i, a.exit, a.simulated, a.synthesized, b.simulated, b.synthesized)
-					}
+				if !ra.Drained {
+					undrained++
 				}
-				if frontRep.FastPathHits != fullRep.FastPathHits || frontRep.ReconvergedHits != fullRep.ReconvergedHits {
-					t.Errorf("fast-path/reconverged hits %d/%d under the frontier, %d/%d full-mesh",
-						frontRep.FastPathHits, frontRep.ReconvergedHits, fullRep.FastPathHits, fullRep.ReconvergedHits)
+				a, b := front[i], full[i]
+				if b.exit != ExitFull {
+					t.Errorf("run %d: exit %v under FullSim", i, b.exit)
 				}
-				if frontRep.ReconvergedHits == 0 && (frontRep.SimulatedCycles != fullRep.SimulatedCycles ||
-					frontRep.SynthesizedCycles != fullRep.SynthesizedCycles) {
-					t.Errorf("report counts %d cycles stepped + %d synthesized under the frontier, %d + %d full-mesh",
-						frontRep.SimulatedCycles, frontRep.SynthesizedCycles, fullRep.SimulatedCycles, fullRep.SynthesizedCycles)
+				if a.exit == ExitFull && a.simulated+a.synthesized != b.simulated {
+					t.Errorf("run %d: %d cycles stepped + %d synthesized on the frontier, %d stepped by the reference",
+						i, a.simulated, a.synthesized, b.simulated)
 				}
-			})
-		}
+			}
+		})
 	}
 	if !t.Failed() && undrained == 0 {
 		t.Error("no run failed to drain: the frontier was never carried to a drain deadline")

@@ -210,9 +210,7 @@ func (o *Options) goldenInputs() (cycles, plan []int64, key goldenKey) {
 	h := sha256.New()
 	fmt.Fprintf(h, "sim=%#v\nforever=%#v\npost=%d drain=%d checkers=%v\n",
 		o.Sim, o.Forever, o.PostInjectRun, o.DrainDeadline, o.CheckersDisabled)
-	fmt.Fprintf(h, "nofastpath=%t noreconverge=%t nofork=%t nofastforward=%t nofrontier=%t noforever=%t interval=%d\n",
-		o.DisableFastPath, o.DisableReconvergence, o.DisableFork, o.DisableFastForward,
-		o.DisableFrontier, o.DisableForever, o.SnapshotInterval)
+	fmt.Fprintf(h, "fullsim=%t noforever=%t interval=%d\n", o.FullSim, o.DisableForever, o.SnapshotInterval)
 	fmt.Fprintf(h, "cycles=%v\nplan=%v\n", cycles, plan)
 	return cycles, plan, goldenKey(hex.EncodeToString(h.Sum(nil)))
 }

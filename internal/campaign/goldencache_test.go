@@ -191,23 +191,19 @@ func TestGoldenKeyCoversOptions(t *testing.T) {
 			{"grouped, same cycle set", regroup, false},
 			{"a second injection cycle", func(o *Options) { regroup(o); o.FaultGroups[0][0].Cycle = 100 }, true},
 		},
-		"Workers":              {{"", func(o *Options) { o.Workers = 7 }, false}},
-		"CheckersDisabled":     {{"", func(o *Options) { o.CheckersDisabled = []core.CheckerID{1} }, true}},
-		"DisableFastPath":      {{"", func(o *Options) { o.DisableFastPath = true }, true}},
-		"DisableReconvergence": {{"", func(o *Options) { o.DisableReconvergence = true }, true}},
-		"DisableFork":          {{"", func(o *Options) { o.DisableFork = true }, true}},
-		"SnapshotInterval":     {{"", func(o *Options) { o.SnapshotInterval = 7 }, true}},
-		"DisableFastForward":   {{"", func(o *Options) { o.DisableFastForward = true }, true}},
-		"DisableFrontier":      {{"", func(o *Options) { o.DisableFrontier = true }, true}},
-		"DisableForever":       {{"", func(o *Options) { o.DisableForever = true }, true}},
-		"GoldenCache":          {{"", func(o *Options) { o.GoldenCache = NewGoldenCache() }, false}},
-		"Progress":             {{"", func(o *Options) { o.Progress = func(int, int) {} }, false}},
-		"Metrics":              {{"", func(o *Options) { o.Metrics = metrics.NewRegistry() }, false}},
-		"OnResult":             {{"", func(o *Options) { o.OnResult = func(int, *RunResult, time.Duration, ExitPath) {} }, false}},
-		"Context":              {{"", func(o *Options) { o.Context = context.TODO() }, false}},
-		"Tracer":               {{"", func(o *Options) { o.Tracer = obs.New(obs.Options{Retain: true}) }, false}},
-		"TraceParent":          {{"", func(o *Options) { o.TraceParent = obs.New(obs.Options{Retain: true}).Start(nil, "job", "job") }, false}},
-		"FlightRecorder":       {{"", func(o *Options) { o.FlightRecorder = obs.NewFlightRecorder(0, nil) }, false}},
+		"Workers":          {{"", func(o *Options) { o.Workers = 7 }, false}},
+		"CheckersDisabled": {{"", func(o *Options) { o.CheckersDisabled = []core.CheckerID{1} }, true}},
+		"SnapshotInterval": {{"", func(o *Options) { o.SnapshotInterval = 7 }, true}},
+		"FullSim":          {{"", func(o *Options) { o.FullSim = true }, true}},
+		"DisableForever":   {{"", func(o *Options) { o.DisableForever = true }, true}},
+		"GoldenCache":      {{"", func(o *Options) { o.GoldenCache = NewGoldenCache() }, false}},
+		"Progress":         {{"", func(o *Options) { o.Progress = func(int, int) {} }, false}},
+		"Metrics":          {{"", func(o *Options) { o.Metrics = metrics.NewRegistry() }, false}},
+		"OnResult":         {{"", func(o *Options) { o.OnResult = func(int, *RunResult, time.Duration, ExitPath) {} }, false}},
+		"Context":          {{"", func(o *Options) { o.Context = context.TODO() }, false}},
+		"Tracer":           {{"", func(o *Options) { o.Tracer = obs.New(obs.Options{Retain: true}) }, false}},
+		"TraceParent":      {{"", func(o *Options) { o.TraceParent = obs.New(obs.Options{Retain: true}).Start(nil, "job", "job") }, false}},
+		"FlightRecorder":   {{"", func(o *Options) { o.FlightRecorder = obs.NewFlightRecorder(0, nil) }, false}},
 	}
 	k0 := keyOf(base())
 	if keyOf(base()) != k0 {

@@ -23,14 +23,14 @@ const (
 	MetricFastPathHits   = "campaign_fastpath_hits_total"
 	MetricFastPathMisses = "campaign_fastpath_misses_total"
 	// MetricReconvergenceHits counts runs ended early because their
-	// post-fault state reconverged with the golden run's recorded
-	// fingerprint; MetricFullSimRuns counts runs that simulated window,
+	// post-fault state reconverged with the golden run's (the divergence
+	// frontier emptied); MetricFullSimRuns counts runs that simulated window,
 	// drain and horizon end to end. hits + reconvergence + full = runs.
 	MetricReconvergenceHits = "campaign_reconvergence_hits_total"
 	MetricFullSimRuns       = "campaign_fullsim_runs_total"
 	// MetricReconvergenceCycles is the histogram of reconvergence
-	// latencies: cycles from injection until the state fingerprint
-	// matched golden's (exponential buckets 1 … 32768 cycles).
+	// latencies: cycles from injection until the state was golden's again
+	// (exponential buckets 1 … 32768 cycles).
 	MetricReconvergenceCycles = "campaign_reconvergence_cycles"
 	// MetricForkedRuns counts runs that warm-started from a golden
 	// snapshot above cycle 0, skipping their [0, snapshot) prefix.

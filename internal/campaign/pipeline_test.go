@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,19 +189,33 @@ func TestFirstVerdictBeforeLastGroup(t *testing.T) {
 	}
 }
 
-// driftPattern is uniform traffic for its first `after` draws and
-// something else from then on. It stands for what a fork verification
-// exists to catch: a replay from a snapshot that does not retrace the
-// golden mainline.
+// driftPattern is uniform traffic for the generators that drew its first
+// `after` destinations and something else for every other one. It stands
+// for what a fork verification exists to catch: a replay from a snapshot
+// that does not retrace the golden mainline. Before the first fork point
+// the mainline is the only network there is, so the generators that draw
+// the first `after` destinations are the mainline's own, whichever
+// network draws after that and however the pipeline's goroutines
+// interleave; every clone has generators of its own.
 type driftPattern struct {
 	traffic.Uniform
 	after int64
-	calls atomic.Int64
+	mu    sync.Mutex
+	calls int64
+	early map[*rng.PCG]bool
 }
 
 func (p *driftPattern) Dest(m topology.Mesh, src int, g *rng.PCG) int {
 	d := p.Uniform.Dest(m, src, g)
-	if p.calls.Add(1) > p.after {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.calls++; p.calls <= p.after {
+		if p.early == nil {
+			p.early = map[*rng.PCG]bool{}
+		}
+		p.early[g] = true
+	}
+	if !p.early[g] {
 		for d = (d + 1) % m.Nodes(); d == src; d = (d + 1) % m.Nodes() {
 		}
 	}
@@ -210,9 +223,10 @@ func (p *driftPattern) Dest(m topology.Mesh, src int, g *rng.PCG) int {
 }
 
 // TestRunWaitsForItsPipeline fails a campaign while its golden mainline
-// has twenty million cycles to go — on a run's fork verification, and on the
-// template's inside the group builder — and requires Run to come back
-// with that error and every goroutine it started gone.
+// has twenty million cycles to go — on a run's fork verification, and on
+// the template's inside the group builder — and requires Run to come back
+// with that error and every goroutine it started gone. One snapshot, at
+// the first injection cycle, makes the forks of the second replay a gap.
 func TestRunWaitsForItsPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -220,8 +234,8 @@ func TestRunWaitsForItsPipeline(t *testing.T) {
 	const first = 150
 	mesh := topology.NewMesh(4, 4)
 	cfg := sim.Config{Router: router.Default(mesh), InjectionRate: 0.12, Seed: 3}
-	// How many destinations the mainline draws before the first
-	// injection cycle: the replay of [0, 150) is the first to draw more.
+	// How many destinations the mainline draws before the first injection
+	// cycle.
 	count := &driftPattern{after: math.MaxInt64}
 	cfg.Pattern = count
 	n, err := sim.New(cfg, nil)
@@ -231,17 +245,17 @@ func TestRunWaitsForItsPipeline(t *testing.T) {
 	n.Run(first)
 
 	for _, tc := range []struct {
-		name       string
-		noFastPath bool
+		name    string
+		fullSim bool
 	}{
-		{"run error", true},               // no template: the first fork is a run's
+		{"run error", true},               // no template: the first fork that replays is a run's
 		{"template fork mismatch", false}, // the group builder's own fork fails the build
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			o := multiCycleOptions(mesh, 2, 7, []int64{first, 20_000_000}, 200, 2500, 300)
-			o.Sim.Pattern = &driftPattern{after: count.calls.Load()}
-			o.DisableFork = true // one snapshot, at cycle 0: every fork replays its prefix
-			o.DisableFastPath = tc.noFastPath
+			o := multiCycleOptions(mesh, 3, 7, []int64{first, first + 20, 20_000_000}, 200, 2500, 300)
+			o.Sim.Pattern = &driftPattern{after: count.calls}
+			o.SnapshotInterval = 1 << 30 // past the last injection cycle: one snapshot
+			o.FullSim = tc.fullSim
 			baseline := runtime.NumGoroutine()
 			start := time.Now()
 			_, err := Run(o)

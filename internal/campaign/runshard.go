@@ -28,28 +28,17 @@ const DefaultVerifyResumed = 2
 type ShardRunOptions struct {
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.
 	Workers int
-	// DisableFastPath forces full simulation of every run.
-	DisableFastPath bool
-	// DisableReconvergence turns off golden-state reconvergence
-	// detection (see Options.DisableReconvergence).
-	DisableReconvergence bool
-	// DisableFork turns off injection-point forking (see
-	// Options.DisableFork). Result-invisible either way.
-	DisableFork bool
 	// SnapshotInterval fixes the golden snapshot spacing; 0 picks it
 	// adaptively (see Options.SnapshotInterval).
 	SnapshotInterval int64
-	// DisableFastForward turns off frozen-state fast-forwarding (see
-	// Options.DisableFastForward). Result-invisible either way.
-	DisableFastForward bool
 	// DisableSoA selects the reference sweep engine for every simulated
 	// network (see sim.Config.DisableSoA). Result-invisible either way —
-	// the soa-identity CI gate holds this to byte-identical reports.
+	// the identity CI gate holds this to byte-identical reports.
 	DisableSoA bool
-	// DisableFrontier turns off divergence-frontier delta stepping (see
-	// Options.DisableFrontier). Result-invisible either way — the
-	// frontier-identity CI gate holds this to byte-identical reports.
-	DisableFrontier bool
+	// FullSim runs every fault on the full-simulation reference path (see
+	// Options.FullSim). Result-invisible either way — the identity CI
+	// gate holds this to byte-identical reports.
+	FullSim bool
 	// GoldenCache, when non-nil, shares the golden warm-up with the other
 	// shards and jobs run off the same cache (see Options.GoldenCache).
 	GoldenCache *GoldenCache
@@ -240,13 +229,9 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 	opts := sh.Spec.Options()
 	opts.Faults = faults
 	opts.Workers = o.Workers
-	opts.DisableFastPath = o.DisableFastPath
-	opts.DisableReconvergence = o.DisableReconvergence
-	opts.DisableFork = o.DisableFork
 	opts.SnapshotInterval = o.SnapshotInterval
-	opts.DisableFastForward = o.DisableFastForward
 	opts.Sim.DisableSoA = o.DisableSoA
-	opts.DisableFrontier = o.DisableFrontier
+	opts.FullSim = o.FullSim
 	opts.GoldenCache = o.GoldenCache
 	opts.Metrics = o.Metrics
 	opts.Context = ctx

@@ -42,15 +42,17 @@ func permanentsOfEveryKind(spec Spec, perKind int) []fault.Fault {
 // TestStationaryFastForwardIdentity holds the fast-forward of a run whose
 // fault is still armed — a permanent fault is stationary, and a network
 // that has stopped changing under it is a fixed point (ffProbe) — to the
-// runs that step every cycle: permanent faults on every signal kind, on
-// the 4×4 and the 8×8 mesh, with fast-forward on and off, on the frontier
-// and on the full mesh. All four reports must be the same bytes and every
-// run the same result (Fired, Detected, DetectCycle, Drained, the three
-// outcomes and the rest). With fast-forward on, a quarter of the
-// campaign's cycles at least must have been synthesized (the runs that
-// settle in an orbit step all of theirs), the same cycles under both
-// engines, and some runs must have wedged the fabric. Periodic intermittent faults turn on
-// and off with the cycle count: their runs must synthesize nothing.
+// full-simulation reference (FullSim), which steps every cycle: permanent
+// faults on every signal kind, on the 4×4 and the 8×8 mesh. Both reports
+// must be the same bytes, every run the same result (Fired, Detected,
+// DetectCycle, Drained, the three outcomes and the rest), and every run
+// must end on the same cycle: what the default stepped and synthesized,
+// the reference stepped. By default a quarter of the campaign's cycles at
+// least must have been synthesized (the runs that settle in an orbit step
+// all of theirs), and some runs must have wedged the fabric; the
+// reference synthesizes none. Periodic intermittent faults turn on and
+// off with the cycle count: their runs must synthesize nothing on either
+// path.
 func TestStationaryFastForwardIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -83,27 +85,22 @@ func TestStationaryFastForwardIdentity(t *testing.T) {
 				var want *Report
 				var wantBytes []byte
 				for _, arm := range []struct {
-					name             string
-					noFF, noFrontier bool
-				}{
-					{"default", false, false},
-					{"no-fastforward", true, false},
-					{"no-frontier", false, true},
-					{"no-fastforward, no-frontier", true, true},
-				} {
+					name    string
+					fullSim bool
+				}{{"default", false}, {"fullsim", true}} {
 					opts := tc.spec.Options()
 					opts.Faults = set.faults
-					opts.DisableFastForward, opts.DisableFrontier = arm.noFF, arm.noFrontier
+					opts.FullSim = arm.fullSim
 					rep := mustRun(t, opts)
 					if rep.FastPathHits != 0 || rep.ReconvergedHits != 0 {
 						t.Errorf("%s, %s: %d fast-path and %d reconverged exits among faults that never go quiescent", set.name, arm.name, rep.FastPathHits, rep.ReconvergedHits)
 					}
-					if (rep.FrontierRuns == len(set.faults)) == arm.noFrontier {
+					if (rep.FrontierRuns == len(set.faults)) == arm.fullSim {
 						t.Errorf("%s, %s: the frontier drove %d of %d runs", set.name, arm.name, rep.FrontierRuns, len(set.faults))
 					}
 					total := rep.SimulatedCycles + rep.SynthesizedCycles
 					switch {
-					case arm.noFF || set.periodic:
+					case arm.fullSim || set.periodic:
 						if rep.SynthesizedCycles != 0 {
 							t.Errorf("%s, %s: %d cycles synthesized", set.name, arm.name, rep.SynthesizedCycles)
 						}
@@ -137,9 +134,9 @@ func TestStationaryFastForwardIdentity(t *testing.T) {
 							t.Errorf("%s, %s: run %d differs\n got %+v\nwant %+v", set.name, arm.name, i, ra, rb)
 						}
 					}
-					if !arm.noFF && (rep.SimulatedCycles != want.SimulatedCycles || rep.SynthesizedCycles != want.SynthesizedCycles) {
-						t.Errorf("%s, %s: %d cycles stepped and %d synthesized, the default's %d and %d: the two engines froze on different cycles",
-							set.name, arm.name, rep.SimulatedCycles, rep.SynthesizedCycles, want.SimulatedCycles, want.SynthesizedCycles)
+					if stepped := want.SimulatedCycles + want.SynthesizedCycles; rep.SimulatedCycles != stepped {
+						t.Errorf("%s, %s: %d cycles stepped, the default's stepped and synthesized add up to %d: a frozen tail was projected to the wrong end",
+							set.name, arm.name, rep.SimulatedCycles, stepped)
 					}
 				}
 			}

@@ -12,13 +12,12 @@ import (
 // TestTemplateFromContinuation holds the fault-free template the golden
 // warm-up assembles from the continuation it steps anyway to the one it
 // used to get by simulating the run a second time: runSlow with an empty
-// fault plane, through fork, window, drain, horizon and verdict. Every
-// field must agree, under each switch that changes how either side steps
-// (no ForEVeR: no horizon, and the continuation settles its transcript
-// past the template's last cycle; no frontier: no transcript; no
-// fast-forward: the second run steps its whole horizon too; no fork, or a
-// coarse snapshot interval: the fork replays a gap; a ForEVeR epoch short
-// enough that the golden monitor flags, whose first flag the template then
+// fault plane, through fork, window, drain, horizon and verdict, every
+// cycle stepped. Every field must agree, under each setting that changes
+// how either side steps (no ForEVeR: no horizon, and the continuation
+// settles its transcript past the template's last cycle; a coarse
+// snapshot interval: the fork replays a gap; a ForEVeR epoch short enough
+// that the golden monitor flags, whose first flag the template then
 // carries), at every injection cycle of a multi-cycle universe.
 func TestTemplateFromContinuation(t *testing.T) {
 	if testing.Short() {
@@ -30,10 +29,6 @@ func TestTemplateFromContinuation(t *testing.T) {
 	}{
 		{"default", func(o *Options) {}},
 		{"no-forever", func(o *Options) { o.DisableForever = true }},
-		{"no-frontier", func(o *Options) { o.DisableFrontier = true }},
-		{"no-reconvergence", func(o *Options) { o.DisableReconvergence = true }},
-		{"no-fast-forward", func(o *Options) { o.DisableFastForward = true }},
-		{"no-fork", func(o *Options) { o.DisableFork = true }},
 		{"interval-400", func(o *Options) { o.SnapshotInterval = 400 }},
 		{"epoch-20", func(o *Options) { o.Forever.Epoch = 20 }},
 	} {

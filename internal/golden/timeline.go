@@ -6,16 +6,16 @@ import (
 )
 
 // TimelinePoint is the golden run's recorded summary of one cycle
-// boundary: the full network state fingerprint plus the cheap counters
-// a faulty run compares first (the precheck rejects almost every
-// non-matching cycle for the cost of three integer compares) and the
-// hash of the post-fork ejection history up to the boundary.
+// boundary: the cheap counters a faulty run compares (three integer
+// compares reject almost every non-matching cycle) and, when recorded
+// with Observe, the full network state fingerprint and the hash of the
+// post-fork ejection history up to the boundary.
 type TimelinePoint struct {
 	// State is the network's full state fingerprint (sim.Network
 	// Fingerprint) at the boundary.
 	State uint64
 	// EjectHash folds the post-fork ejection history observed by the
-	// boundary (EjectionsHash over the post-fork prefix).
+	// boundary.
 	EjectHash uint64
 	// Ejections is the number of post-fork ejections by the boundary.
 	Ejections int
@@ -27,16 +27,17 @@ type TimelinePoint struct {
 }
 
 // Timeline is the golden run's per-cycle state record, stored alongside
-// the ejection Log. A faulty run whose fault plane has gone quiescent
-// compares its own fingerprint against the recorded point for the same
-// cycle; a match (state hash, ejection count and ejection-prefix hash)
-// proves — up to hash collision — that the remainder of the faulty run
-// is identical to the golden continuation, so the campaign can stop
-// simulating it.
+// the ejection Log. The campaign records the counters only
+// (ObserveCounters): a frontier run whose fault plane has gone quiescent
+// and whose divergence frontier is empty and clean has golden's state by
+// construction, and the counters at the same cycle confirm its flit
+// accounting, so the campaign can stop simulating it. Observe records
+// the state fingerprint and ejection hash too, what a run without the
+// frontier would have to compare.
 type Timeline struct {
 	start  int64 // cycle of points[0]
 	points []TimelinePoint
-	ejHash uint64 // incremental EjectionsHash of the folded prefix
+	ejHash uint64 // incremental hash of the folded post-fork prefix
 	ejSeen int    // post-fork ejections folded so far
 }
 
@@ -113,18 +114,4 @@ func foldEjection(h uint64, e *sim.Ejection) uint64 {
 	h = statehash.FoldInt(h, e.Node)
 	h = statehash.Fold(h, uint64(e.Cycle))
 	return e.Flit.FoldState(h)
-}
-
-// EjectionsHash hashes an ejection history (order-sensitive, contents
-// included). A faulty run computes this over its own post-fork log at a
-// candidate reconvergence cycle and requires equality with the recorded
-// EjectHash: matching state alone proves the futures coincide, matching
-// ejection prefixes proves the pasts already delivered the same flits —
-// together they make the faulty log equal to golden's, flit for flit.
-func EjectionsHash(ejs []sim.Ejection) uint64 {
-	h := statehash.Seed
-	for i := range ejs {
-		h = foldEjection(h, &ejs[i])
-	}
-	return h
 }

@@ -21,7 +21,7 @@ type Event struct {
 	Run int `json:"run"`
 	// Cycle is the simulation cycle the event is about.
 	Cycle int64 `json:"cycle"`
-	// Kind classifies the event: "fork_verify", "fp_probe",
+	// Kind classifies the event: "fork_verify", "frontier_empty",
 	// "detection", "assertion", "ff_freeze", "shard_manifest", ...
 	Kind   string         `json:"kind"`
 	Detail string         `json:"detail,omitempty"`
