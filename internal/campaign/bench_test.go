@@ -12,12 +12,15 @@ import (
 // BenchmarkFrontierCampaign times the marginal cost of a frontier-driven
 // run on the two meshes the repository benchmark's cone workloads use
 // (w8x8_marginal, w16x16_drain), one worker, the golden artefact built
-// once outside the timer. nodes-cloned/run is how many node copies a run
-// made to have a network to step, mean over the campaign run once more
-// outside the timer with its runs traced (the run spans' nodes_cloned):
-// the size of a run's cone, about two, where a fork that cloned the mesh
-// would show 64 and 256. It is the cmd-free way to read profile shares
-// (the CI bench job uploads the 8×8 one):
+// once outside the timer. The campaign is run once more outside the timer
+// with its runs traced, and three exact counts are read off it:
+// nodes-cloned/run, how many node copies a run made to have a network to
+// step (the run spans' nodes_cloned: the size of a run's cone, about two,
+// where a fork that cloned the mesh would show 64 and 256);
+// cycles-stepped/run, the mean of the run spans' cycles_simulated; and
+// reconverged-share, the report's reconverged runs over all runs — the two
+// that move when a run leaves the frontier sooner. It is the cmd-free way to
+// read profile shares (the CI bench job uploads the 8×8 one):
 //
 //	go test -run '^$' -bench FrontierCampaign/8x8 -benchtime 4x \
 //	    -cpuprofile cpu.out ./internal/campaign
@@ -54,8 +57,10 @@ func BenchmarkFrontierCampaign(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N*bc.faults)/b.Elapsed().Seconds(), "faults/s")
 
-			_, runs := tracedRunSpans(b, opts)
+			rep, runs := tracedRunSpans(b, opts)
 			b.ReportMetric(spanMean(runs, "nodes_cloned"), "nodes-cloned/run")
+			b.ReportMetric(spanMean(runs, "cycles_simulated"), "cycles-stepped/run")
+			b.ReportMetric(float64(rep.ReconvergedHits)/float64(len(runs)), "reconverged-share")
 		})
 	}
 }

@@ -294,7 +294,7 @@ func TestUnitChecker26Atomicity(t *testing.T) {
 	s := sig(cfg, 5, 100)
 	s.Arrivals = append(s.Arrivals, router.Arrival{
 		Port: 3, Kind: flit.Head, VCField: 2, Strobe: bitvec.New(2), Flit: head,
-		Targets: []router.WriteTarget{{VC: 2, StateBefore: router.VCActive, ResidentPkt: 4, ArrivedAfter: 1}},
+		Targets: []router.WriteTarget{{VC: 2, StateBefore: router.VCActive, ArrivedAfter: 1}},
 	})
 	expectOnly(t, run(t, cfg, s), BufferAtomicity)
 }

@@ -436,6 +436,20 @@ func (p *Plane) LiveFor(cycle int64, router int) bool {
 	return w != nil && cycle >= w.from && cycle <= w.to
 }
 
+// LiveFrom reports whether a fault hosted by router may be active at cycle
+// or at some later one: whether the router's own window has not closed
+// before cycle. A router for which it is false steps with its window closed
+// for good, which is what lets a state fold leave out the registers such a
+// step writes before it reads them (router.Router.FoldResidue). Monotone:
+// false at one cycle, false at every later one.
+func (p *Plane) LiveFrom(cycle int64, router int) bool {
+	if p == nil || cycle > p.maxCycle {
+		return false
+	}
+	w := p.windowOf(router)
+	return w != nil && cycle <= w.to
+}
+
 // Clone returns an independent copy of the plane. What NewPlane derived
 // from the faults is read-only and shared.
 func (p *Plane) Clone() *Plane {

@@ -4,21 +4,25 @@ import (
 	"math/bits"
 
 	"nocalert/internal/bitvec"
+	"nocalert/internal/soa"
 	"nocalert/internal/statehash"
 )
 
-// FoldState folds every piece of the router's mutable architectural
-// state into a state-fingerprint accumulator. The enumeration mirrors
-// CloneInto exactly — anything a clone must copy, the fingerprint must
-// cover — so two routers of the same configuration whose folds agree
-// step identically given identical inputs. Both sweep engines share
-// this storage and this fold, which is what makes the lockstep
-// differential test's per-cycle fingerprint comparison meaningful.
-// Like cloning, folding is only meaningful at a cycle boundary, when
-// the per-cycle staging (sig, creditsOut) is dead and deliberately
-// excluded. The activity masks (NonIdle, Occupied) are derived state —
-// functions of the registers folded here — and are excluded for the
-// same reason.
+// FoldState folds the router's live state into a state-fingerprint
+// accumulator: everything a step of the router with its own fault window
+// closed can read. The rest of what CloneInto copies, the residue, is
+// FoldResidue's: every input VC's read latch, an idle, empty VC's route,
+// output-VC, packet-id and arrival registers and its write latch, every
+// port's VA1 winner latch, and the SA1 winner latch of a port with no read
+// enable latched. A step with the window closed writes each of them again
+// before it reads it, so a router whose live state is golden's, its window
+// closed and its inputs golden's, steps as golden does whatever its residue
+// holds (DESIGN.md §3.2 argues it register by register). Both sweep engines
+// share this storage and this fold. Like cloning, folding is only
+// meaningful at a cycle boundary, when the per-cycle staging (sig,
+// creditsOut) is dead and deliberately excluded. The activity masks
+// (NonIdle, Occupied) are derived state — functions of the registers
+// folded here — and are excluded for the same reason.
 //
 // A fold costs what was written since the last one. The router's own fold
 // is kept while no port of it is written (portDirty); taking it again folds
@@ -35,6 +39,50 @@ func (r *Router) FoldState(h uint64) uint64 {
 	}
 	return statehash.Fold(h, r.fold)
 }
+
+// FoldResidue folds into h the residue FoldState leaves out, port by port:
+// the winner latches that are residue, then every VC's read latch and each
+// idle, empty VC's registers and write latch. It keeps no cache and writes
+// nothing; a fold that must see the whole router (sim.Network's, for one
+// whose fault window can still open) takes both.
+func (r *Router) FoldResidue(h uint64) uint64 {
+	st := &r.st
+	for w := r.ports; !w.IsZero(); {
+		var p int
+		p, w = w.NextBit()
+		latches := uint64(st.VA1Win[p])
+		if st.StFlags[p]&soa.StReadEn == 0 {
+			latches |= uint64(st.SA1Win[p]) << 32
+		}
+		h = statehash.Fold(h, latches)
+		for v := range r.in[p].vcs {
+			vc := &r.in[p].vcs[v]
+			h = statehash.FoldBool(h, vc.hasLastRead)
+			if vc.hasLastRead {
+				h = statehash.Fold(h, vc.lastRead.Digest())
+			}
+			if !r.idleVC(p, v) {
+				continue
+			}
+			h = statehash.Fold(statehash.Fold(h, r.vcRegs(p, v)), st.PktID[p*st.V+v])
+			if vc.hasLastWritten {
+				h = statehash.Fold(h, vc.lastWritten.Digest())
+			}
+		}
+	}
+	return h
+}
+
+// idleVC reports whether input VC (p,v) is idle and empty, its registers
+// and write latch residue: the next write into it under golden inputs is a
+// head, which sets all four registers and the latch.
+func (r *Router) idleVC(p, v int) bool {
+	return r.st.VCState[p*r.st.V+v] == uint8(VCIdle) && len(r.in[p].vcs[v].buf) == 0
+}
+
+// idleVCTerm is the fold term of every idle, empty input VC: all of it is
+// FoldResidue's, so nothing of it is left to fold.
+const idleVCTerm = statehash.Seed
 
 // FoldCounts returns how many folds found the router written since the
 // one before, and how many input-VC terms they took again, since the
@@ -102,39 +150,51 @@ func (r *Router) foldOutputs(p int, h uint64) uint64 {
 	return h
 }
 
-// portWord packs port p's latches and arbiter pointers into one word,
+// portWord packs port p's live latches and arbiter pointers into one word,
 // losslessly — every register is stored masked to its hardware width (see
-// internal/soa): the VA1 and SA1 winner latches and priority pointers are
-// VC indices (VCIDWidth bits), the VA2 and SA2 pointers and the ST output
-// latch port indices (DirWidth bits, the latch's idle −1 stored as 0), the
-// crossbar column a vector of P bits, the staged credit vector one of VCs.
+// internal/soa): the SA1 winner latch while a read enable is latched and
+// the SA1 and VA1 priority pointers are VC indices (VCIDWidth bits), the
+// VA2 and SA2 pointers and the ST output latch port indices (DirWidth bits,
+// the latch's idle −1 stored as 0), the crossbar column a vector of P bits,
+// the staged credit vector one of VCs. The VA1 winner latch, and the SA1
+// one with no read enable, are residue (FoldResidue).
 func (r *Router) portWord(p int) uint64 {
 	st := &r.st
-	w := uint64(st.VA1Win[p]) | uint64(st.SA1Win[p])<<3 | uint64(st.VA1Next[p])<<6 | uint64(st.SA1Next[p])<<9 |
+	w := uint64(st.SA1Next[p])<<6 | uint64(st.VA1Next[p])<<9 |
 		uint64(st.VA2Next[p])<<12 | uint64(st.SA2Next[p])<<15 | uint64(st.StOut[p]+1)<<18 |
 		uint64(st.StFlags[p])<<21 | uint64(st.StCol[p])<<23 | uint64(st.CreditIn[p])<<32
+	if st.StFlags[p]&soa.StReadEn != 0 {
+		w |= uint64(st.SA1Win[p]) << 3
+	}
 	if r.arriving[p] != nil {
 		w |= 1 << 31
 	}
 	return w
 }
 
-// vcTerm is input VC (p,v)'s term of the fold: the status table's
-// registers, the buffered flits and the read and write latches.
-func (r *Router) vcTerm(p, v int) uint64 {
-	st, vc := &r.st, &r.in[p].vcs[v]
+// vcRegs packs input VC (p,v)'s narrow status registers and its write
+// latch's valid bit into one word; the packet id has a word of its own.
+func (r *Router) vcRegs(p, v int) uint64 {
+	st := &r.st
 	i := p*st.V + v
-	// The status table's narrow registers and the latches' valid bits
-	// share a word, the packet id has its own.
 	regs := uint64(st.VCState[i]) | uint64(st.VCRoute[i])<<8 | uint64(st.VCOutVC[i])<<16 |
 		uint64(uint32(st.Arrived[i]))<<32
-	if vc.hasLastRead {
-		regs |= 1 << 24
-	}
-	if vc.hasLastWritten {
+	if r.in[p].vcs[v].hasLastWritten {
 		regs |= 1 << 25
 	}
-	h := statehash.Fold(statehash.Fold(statehash.Seed, regs), st.PktID[i])
+	return regs
+}
+
+// vcTerm is input VC (p,v)'s term of the fold: the status table's
+// registers, the buffered flits and the write latch — or, for an idle,
+// empty VC, whose registers and latch are residue, idleVCTerm. (The read
+// latch is residue on every VC.)
+func (r *Router) vcTerm(p, v int) uint64 {
+	if r.idleVC(p, v) {
+		return idleVCTerm
+	}
+	vc := &r.in[p].vcs[v]
+	h := statehash.Fold(statehash.Fold(statehash.Seed, r.vcRegs(p, v)), r.st.PktID[p*r.st.V+v])
 	h = statehash.FoldInt(h, len(vc.buf))
 	var tail uint64
 	for j := range vc.buf {
@@ -145,19 +205,10 @@ func (r *Router) vcTerm(p, v int) uint64 {
 		tail = s.dig
 		h = statehash.Fold(h, tail)
 	}
-	// lastRead/lastWritten contents are architectural: a read strobe on an
-	// empty buffer replays lastRead (garbage read), and the mixing rule
-	// consults lastWritten. The read latch holds the flit of the slot pop
-	// took, and has that slot's digest if a fold took it. While the buffer
-	// holds a flit its last one is the flit last written, bit for bit (push
-	// stores both, and nothing rewrites a buffered flit), and the write
-	// latch's digest is that one's.
-	if vc.hasLastRead {
-		if vc.readDig == 0 {
-			vc.readDig = vc.lastRead.Digest()
-		}
-		h = statehash.Fold(h, vc.readDig)
-	}
+	// The write latch's contents are architectural: the mixing rule
+	// consults them. While the buffer holds a flit its last one is the flit
+	// last written, bit for bit (push stores both, and nothing rewrites a
+	// buffered flit), and the latch's digest is that one's.
 	if vc.hasLastWritten {
 		if len(vc.buf) == 0 {
 			tail = vc.lastWritten.Digest()

@@ -304,15 +304,14 @@ func (r *Router) pop(p, v int) (f *flit.Flit, garbage bool) {
 		}
 		return vc.lastRead.Clone(), true
 	}
-	head := vc.buf[0]
-	f = head.f
+	f = vc.buf[0].f
 	copy(vc.buf, vc.buf[1:])
 	vc.buf = vc.buf[:len(vc.buf)-1]
 	if len(vc.buf) == 0 {
 		r.st.Occupied[p] &^= 1 << uint(v)
 	}
 	r.wrote(p, v)
-	vc.lastRead, vc.readDig = *f, head.dig
+	vc.lastRead = *f
 	vc.hasLastRead = true
 	return f, false
 }
@@ -482,23 +481,18 @@ func (r *Router) beginCycle(cycle int64, observed bool) {
 // over the mask is exact even when a faulted read dresses up an idle VC.
 func (r *Router) snapshotVC(cycle int64, p, v int) bool {
 	vc := &r.in[p].vcs[v]
-	i := p*r.st.V + v
 	pv := &r.sig.Pre.In[p][v]
 	pv.State = r.vcStateR(cycle, p, v)
 	pv.Route = r.vcRouteR(cycle, p, v)
 	pv.OutVC = r.vcOutVCR(cycle, p, v)
 	pv.BufLen = len(vc.buf)
-	pv.Arrived = int(r.st.Arrived[i])
-	pv.PktID = r.st.PktID[i]
 	if h := vc.head(); h != nil {
 		pv.HasHead = true
 		pv.HeadKind = h.Kind
-		pv.HeadPkt = h.PacketID
 		pv.Class = h.Class
 	} else {
 		pv.HasHead = false
 		pv.HeadKind = 0
-		pv.HeadPkt = 0
 		pv.Class = r.vcClass[v]
 	}
 	return pv.State != VCIdle || pv.BufLen > 0
@@ -627,7 +621,6 @@ func (r *Router) writeFlit(cycle int64, p int, f *flit.Flit) {
 			VC:          v,
 			FullBefore:  vc.full(r.cfg.BufDepth),
 			StateBefore: r.vcStateR(cycle, p, v),
-			ResidentPkt: r.st.PktID[ri],
 		}
 		if vc.hasLastWritten {
 			t.HasPrev = true

@@ -100,9 +100,6 @@ type WriteTarget struct {
 	// ArrivedAfter is the VC's per-packet flit arrival count including
 	// this write (invariance 28).
 	ArrivedAfter int
-	// ResidentPkt is the packet owning the VC before the write, 0 if
-	// free.
-	ResidentPkt uint64
 }
 
 // Arrival records one flit arriving at an input port: the control
@@ -144,12 +141,9 @@ type PreVC struct {
 	BufLen   int
 	HasHead  bool
 	HeadKind flit.Kind
-	HeadPkt  uint64
 	Class    int
 	Route    int
 	OutVC    int
-	Arrived  int
-	PktID    uint64
 }
 
 // Pre is the whole-router pre-cycle snapshot: the input VCs' status

@@ -67,9 +67,6 @@ type inVC struct {
 	// by a header). Value semantics for the same reason as lastRead.
 	lastWritten    flit.Flit
 	hasLastWritten bool
-	// readDig is lastRead's flit.Digest where it is known — pop hands over
-	// the departing slot's — and zero where a fold has yet to take it.
-	readDig uint64
 }
 
 // slot is one buffered flit and, once a state fold has taken it, the

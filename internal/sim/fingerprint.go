@@ -44,16 +44,14 @@ func (ni *NI) foldBody() uint64 {
 	return h
 }
 
-// Fingerprint folds every piece of mutable network state — routers
-// (pipeline registers, buffers, arbiters, in-flight link flits), NIs
-// (queues, credit state, RNG streams) and the global counters — into
-// one 64-bit hash. Two networks built from the same configuration whose
-// fingerprints agree at a cycle boundary will, up to hash collision,
-// produce identical simulations from that boundary on: the enumeration
-// covers exactly the state CloneInto copies, which is by construction
-// everything the next Step reads. Fault campaigns compare a faulty
-// run's fingerprint against the golden run's recorded per-cycle
-// fingerprints to detect reconvergence and end masked-fault runs early.
+// Fingerprint folds the network's mutable state — routers (pipeline
+// registers, buffers, arbiters, in-flight link flits), NIs (queues, credit
+// state, RNG streams) and the global counters — into one 64-bit hash. A
+// router whose own fault window has closed for good folds its live state
+// only (routerFold). Two networks built from the same configuration whose
+// fingerprints agree at a cycle boundary hold, up to hash collision, the
+// same state but for the residue of routers whose windows have closed.
+// Campaigns compare a replayed fork against the fork point's fingerprint.
 //
 // Like cloning, the fingerprint is only meaningful at a cycle boundary.
 // The ejection log is deliberately excluded — callers compare ejection
@@ -66,11 +64,13 @@ func (n *Network) Fingerprint() uint64 {
 }
 
 // StaticFingerprint is Fingerprint without the cycle fold: two
-// consecutive cycle boundaries of the same network agree iff no mutable
+// consecutive cycle boundaries of the same network agree iff no folded
 // state changed across the step. Every stamped queue in the simulator
 // (NI inboxes, credit links, router pipeline stages) carries at most
 // one cycle of lookahead, so two identical consecutive boundary states
-// are a fixed point — no future Step can ever change the state again.
+// are a fixed point — no future Step can ever change the state again (a
+// closed-window step that reads a router's residue changes its live
+// state, so the step that held it still read none; DESIGN.md §3.2).
 // Campaign fast-forward uses this to synthesize the remainder of a
 // deadlocked drain or an idle ForEVeR horizon instead of stepping it.
 func (n *Network) StaticFingerprint() uint64 {
@@ -88,8 +88,8 @@ func (n *Network) foldCounters(h uint64) uint64 {
 
 func (n *Network) foldBody(h uint64) uint64 {
 	h = n.foldCounters(h)
-	for _, r := range n.routers {
-		h = r.FoldState(h)
+	for i := range n.routers {
+		h = n.routerFold(i, h)
 	}
 	for _, ni := range n.nis {
 		h = ni.foldState(h)
