@@ -76,7 +76,6 @@ func main() {
 		benchOut  = flag.String("benchjson", "", "write a campaign throughput record (faults/sec) as JSON to this file")
 		benchName = flag.String("benchname", "campaign", "name for the -benchjson record (e.g. campaign-parallel)")
 		benchBase = flag.String("benchbaseline", "", "compare this run's faults/sec against the latest matching record in FILE; exit non-zero on a >30% regression")
-		snapInt   = flag.Int64("snapshot-interval", 0, "golden snapshot spacing in cycles (0 = adaptive from the universe's injection-cycle histogram)")
 		noSoA     = flag.Bool("no-soa", false, "use the reference sweep engine (full-range VC sweeps, no inert-router skip); results are byte-identical to the default structure-of-arrays engine")
 		fullSim   = flag.Bool("fullsim", false, "run every fault on the full-simulation reference path (the whole mesh through window, drain and ForEVeR horizon; no fast path, reconvergence, divergence frontier or fast-forward); results are byte-identical to the default")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
@@ -247,13 +246,12 @@ func main() {
 			spec.InjectCycles = cycles
 		}
 		sro := nocalert.CampaignShardRunOptions{
-			Workers:          *workers,
-			SnapshotInterval: *snapInt,
-			DisableSoA:       *noSoA,
-			FullSim:          *fullSim,
-			VerifyResumed:    *verifyN,
-			Tracer:           tracer,
-			FlightRecorder:   flightRec,
+			Workers:        *workers,
+			DisableSoA:     *noSoA,
+			FullSim:        *fullSim,
+			VerifyResumed:  *verifyN,
+			Tracer:         tracer,
+			FlightRecorder: flightRec,
 		}
 		if err := runShardMode(ctx, spec, *shardStr, *ckptPath, sro, *progress, reg); err != nil {
 			log.Fatal(err)
@@ -291,15 +289,14 @@ func main() {
 	// exec is how this invocation executes a campaign, whatever its faults:
 	// the main one below, and the two behind the Observation 3 table.
 	exec := nocalert.CampaignOptions{
-		Sim:              simCfg,
-		InjectCycle:      cycles[0],
-		PostInjectRun:    *post,
-		DrainDeadline:    *drain,
-		Forever:          nocalert.ForeverOptions{Epoch: *epoch, HopLatency: 1},
-		Workers:          *workers,
-		SnapshotInterval: *snapInt,
-		FullSim:          *fullSim,
-		Context:          ctx,
+		Sim:           simCfg,
+		InjectCycle:   cycles[0],
+		PostInjectRun: *post,
+		DrainDeadline: *drain,
+		Forever:       nocalert.ForeverOptions{Epoch: *epoch, HopLatency: 1},
+		Workers:       *workers,
+		FullSim:       *fullSim,
+		Context:       ctx,
 	}
 	opts := exec
 	opts.Faults = faults

@@ -142,11 +142,6 @@ type Options struct {
 	Workers int
 	// CheckersDisabled optionally ablates NoCAlert checkers.
 	CheckersDisabled []core.CheckerID
-	// SnapshotInterval fixes the golden snapshot ring's cycle stride.
-	// 0 — the default — picks the interval adaptively from the fault
-	// universe's injection-cycle histogram (snapshots land exactly on
-	// the distinct injection cycles whenever they fit the ring budget).
-	SnapshotInterval int64
 	// FullSim runs every fault on the full-simulation reference path
 	// (runSlow): fork, step the whole mesh through the window, the drain
 	// and the ForEVeR horizon, compare. No run takes the fast path, the
@@ -163,7 +158,7 @@ type Options struct {
 	// report not-detected. NoCAlert and Cautious results are unaffected.
 	DisableForever bool
 	// GoldenCache, when non-nil, shares the golden half of the campaign
-	// (warm-up mainline, snapshot ring, per-injection-cycle golden
+	// (warm-up mainline, per-injection-cycle snapshots and golden
 	// continuations) with every other Run handed the same cache: a Run
 	// whose artefact is already there, or being built, does not build it
 	// again. Nil — the default — builds it for this Run alone. Reports
@@ -233,9 +228,6 @@ func (o *Options) withDefaults() (Options, error) {
 		for i, f := range out.Faults {
 			out.FaultGroups[i] = []fault.Fault{f}
 		}
-	}
-	if out.SnapshotInterval < 0 {
-		return out, fmt.Errorf("campaign: negative snapshot interval %d", out.SnapshotInterval)
 	}
 	for _, g := range out.FaultGroups {
 		if len(g) == 0 {
@@ -311,15 +303,15 @@ type Report struct {
 	// of simulated.
 	ReconvergedHits int
 	// ForkedRuns counts runs that warm-started from a golden snapshot
-	// above cycle 0, skipping their [0, snapshot) prefix entirely.
+	// above cycle 0, skipping their [0, injection cycle) prefix entirely.
 	ForkedRuns int
-	// SnapshotCount and SnapshotBytes describe the golden snapshot
-	// ring: how many full-state snapshots the golden run recorded and
-	// their estimated memory footprint.
+	// SnapshotCount and SnapshotBytes describe the golden snapshots, one
+	// per distinct injection cycle: how many full-state snapshots the
+	// golden run recorded and their estimated memory footprint.
 	SnapshotCount int
 	SnapshotBytes int64
-	// SimulatedCycles counts cycles faulty runs actually stepped
-	// (including fork replay) — the honest denominator for throughput.
+	// SimulatedCycles counts cycles faulty runs actually stepped — the
+	// honest denominator for throughput.
 	// WarmstartCyclesSaved counts prefix cycles skipped by forking;
 	// SynthesizedCycles counts cycles whose outcome was synthesized
 	// (reconvergence tails, frozen drains and horizons) rather than
@@ -355,13 +347,16 @@ type worker struct {
 var beforeRun func(*worker)
 
 // groupCtx is the per-injection-cycle golden context shared by every
-// run injecting at that cycle: the snapshot to fork from, the golden
-// fingerprint at the fork point (each fork's replay is verified against
-// it), the golden reference log and ForEVeR monitor of the fault-free
-// continuation, the fault-free template, and the reconvergence context.
+// run injecting at that cycle: the snapshot to fork from — the complete
+// golden network state at the injection cycle, every register, buffer,
+// latch, NI queue, RNG stream and cloneable monitor, never written after
+// capture — the golden fingerprint there (the template's fork is verified
+// against it), the golden reference log and ForEVeR monitor of the
+// fault-free continuation, the fault-free template, and the reconvergence
+// context.
 type groupCtx struct {
 	cycle  int64
-	snap   *snapshot
+	snap   *sim.Network
 	forkFP uint64
 
 	goldenLog       *golden.Log
@@ -394,7 +389,7 @@ func Run(opts Options) (_ *Report, err error) {
 		return nil, err
 	}
 
-	cycles, plan, key := o.goldenInputs()
+	cycles, key := o.goldenInputs()
 
 	// Campaign span: the root of this process's span hierarchy unless a
 	// job or shard span parents it. All span plumbing is nil-safe, so
@@ -408,16 +403,16 @@ func Run(opts Options) (_ *Report, err error) {
 	warm := camp.Child("phase", "golden-warmup")
 	warm.SetAttr("injection_cycles", len(cycles))
 	// runCtx ends with the Run: it stops the pipeline and wakes workers
-	// waiting for a group when a run fails, too.
+	// waiting for a group when a group build fails, too.
 	runCtx, cancelRun := context.WithCancel(o.Context)
-	hold := &goldenHold{ctx: runCtx, o: &o, cycles: cycles, plan: plan, key: key, warm: warm, warmOpen: true}
+	hold := &goldenHold{ctx: runCtx, o: &o, cycles: cycles, key: key, warm: warm, warmOpen: true}
 	defer func() {
 		cancelRun()
 		hold.release()
 		// The artefact's totals are final when its last group is out, not
 		// before: the gauges and the cache's outcome are taken here.
 		if g := hold.g; o.Metrics != nil && g != nil && g.complete() {
-			o.Metrics.Gauge(MetricSnapshotBytes).Set(float64(g.ring.bytes))
+			o.Metrics.Gauge(MetricSnapshotBytes).Set(float64(g.snapshotBytes))
 			o.Metrics.Gauge(MetricTimelineBytes).Set(float64(g.timelineBytes))
 			observeGoldenCache(o.Metrics, hold.how, o.GoldenCache.size())
 		}
@@ -443,7 +438,7 @@ func Run(opts Options) (_ *Report, err error) {
 		simCycles    int64
 		warmSaved    int64
 		synthSaved   int64
-		runErr       error
+		groupErr     error
 	)
 	total := len(o.FaultGroups)
 	var inst *instruments
@@ -457,14 +452,6 @@ func Run(opts Options) (_ *Report, err error) {
 	// clock is what the live rates divide by. Guarded by progMu, like
 	// everything else the workers share.
 	clock := rateClock{start: time.Now()}
-	fail := func(err error) {
-		progMu.Lock()
-		if runErr == nil {
-			runErr = err
-			cancelRun()
-		}
-		progMu.Unlock()
-	}
 	jobs := make(chan int)
 	for w := 0; w < o.Workers; w++ {
 		wg.Add(1)
@@ -473,7 +460,7 @@ func Run(opts Options) (_ *Report, err error) {
 			var wk worker
 			for i := range jobs {
 				progMu.Lock()
-				failed := runErr != nil
+				failed := groupErr != nil
 				if inst != nil && !failed {
 					clock.move(+1, 0)
 				}
@@ -484,7 +471,12 @@ func Run(opts Options) (_ *Report, err error) {
 				cycle := o.FaultGroups[i][0].Cycle
 				gc, waited, err := hold.group(cycle)
 				if err != nil {
-					fail(err)
+					progMu.Lock()
+					if groupErr == nil {
+						groupErr = err
+						cancelRun()
+					}
+					progMu.Unlock()
 					continue
 				}
 				if inst != nil {
@@ -506,15 +498,10 @@ func Run(opts Options) (_ *Report, err error) {
 				if beforeRun != nil {
 					beforeRun(&wk)
 				}
-				res, exit, convCycles, st, err := runOne(&wk, gc, o, o.FaultGroups[i], ro)
+				res, exit, convCycles, st := runOne(&wk, gc, o, o.FaultGroups[i], ro)
 				var wall time.Duration
 				if needTiming {
 					wall = time.Since(runStart)
-				}
-				if err != nil {
-					ro.fail(err)
-					fail(err)
-					continue
 				}
 				ro.finish(&res, exit, convCycles, &st, cycle)
 				report.Results[i] = res
@@ -551,7 +538,7 @@ func Run(opts Options) (_ *Report, err error) {
 	}
 	// Feed runs in injection-cycle order (stable within a cycle): that is
 	// the order the golden groups are published in, and consecutive runs
-	// share a snapshot whose replayed gap stays warm in cache. Results
+	// share a snapshot and a transcript that stay warm in cache. Results
 	// remain input-indexed regardless of feed order.
 	order := make([]int, total)
 	for i := range order {
@@ -566,7 +553,7 @@ feed:
 		select {
 		case jobs <- i:
 		case <-runCtx.Done():
-			ctxErr = o.Context.Err() // nil when it was a failed run that stopped the feed
+			ctxErr = o.Context.Err() // nil when it was a failed group build that stopped the feed
 			break feed
 		}
 	}
@@ -575,8 +562,8 @@ feed:
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
-	if runErr != nil {
-		return nil, runErr
+	if groupErr != nil {
+		return nil, groupErr
 	}
 	// Every run has had its group, the last injection cycle's among
 	// them, so the artefact is whole and its totals follow at once.
@@ -585,8 +572,8 @@ feed:
 	first := gold.groups[cycles[0]].gc
 	report.GoldenEjections = first.goldenEjections
 	report.GoldenForeverFalsePositive = first.goldenFvFP
-	report.SnapshotCount = len(gold.ring.snaps)
-	report.SnapshotBytes = gold.ring.bytes
+	report.SnapshotCount = len(gold.groups)
+	report.SnapshotBytes = gold.snapshotBytes
 	report.TimelineBytes = gold.timelineBytes
 	report.FastPathHits = fastHits
 	report.ReconvergedHits = reconvHits
@@ -727,8 +714,8 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 // continuation — its engine, its monitor's first flag goldenFd, its own
 // log judged against itself — and not simulated a second time. What is
 // still done once per injection cycle, before any faulty run trusts it,
-// is the fork: restore the snapshot, replay the gap, verify the state
-// against the fork-point fingerprint.
+// is the fork: clone the snapshot and verify the clone against the
+// mainline's fingerprint at the fork point.
 //
 // A continuation whose engine asserted, or whose ForEVeR monitor filled
 // its detection list, does not carry a run's result exactly: it is
@@ -749,15 +736,13 @@ func goldenTemplate(tw *worker, gc *groupCtx, o Options, eng *core.Engine, golde
 	resimulate := eng.Detected() || (gc.gfv != nil && len(gc.gfv.Detections()) >= forever.DetectionCap)
 	span.SetAttr("resimulated", resimulate)
 	if resimulate {
-		return runSlow(tw, gc, o, nil, &st, tro)
+		return runSlow(tw, gc, o, nil, &st, tro), nil
 	}
-	n, err := tw.fork(gc, nil, &st, tro)
-	if err == nil && gc.snap.cycle == gc.cycle {
-		err = verifyFork(n, gc, tro) // fork itself verifies a replayed gap only
+	if n, _, _ := tw.forkRun(gc, o, nil, false, &st, tro); n.Fingerprint() != gc.forkFP {
+		tro.anomaly("fork fingerprint mismatch", "fork_verify", gc.cycle, "a clone of the snapshot differs from the mainline")
+		return RunResult{}, fmt.Errorf("campaign: a fork at cycle %d diverged from the golden state", gc.cycle)
 	}
-	if err != nil {
-		return RunResult{}, err
-	}
+	tro.event("fork_verify", gc.cycle, "ok", nil)
 	verdict := golden.Compare(gc.goldenLog, gc.goldenLog, true)
 	return assembleResult(eng, nil, nil, gc.cycle, verdict, true, goldenFd), nil
 }
@@ -807,39 +792,44 @@ type reconvergence struct {
 // carries the shortcuts, the full-simulation reference (runSlow) under
 // FullSim or when it does not. convCycles is the reconvergence latency
 // (cycles after injection); zero for the other exit paths.
-func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, st runStats, err error) {
+func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, st runStats) {
 	if gc.rc == nil {
-		res, err = runSlow(w, gc, o, group, &st, ro)
-		return res, ExitFull, 0, st, err
+		res = runSlow(w, gc, o, group, &st, ro)
+		return res, ExitFull, 0, st
 	}
-	res, exit, convCycles, err = runFrontier(w, gc, o, group, &st, ro)
-	return res, exit, convCycles, st, err
+	res, exit, convCycles = runFrontier(w, gc, o, group, &st, ro)
+	return res, exit, convCycles, st
 }
 
 // forkRun is the warm start both run paths share: the network at gc's
-// injection cycle under plane, with a fresh NoCAlert engine attached and
-// the detections its ForEVeR monitor fv (nil when there is none) inherited
-// from golden cleared. cone lets the fork copy only the nodes the run's
-// frontier will reach (worker.forkCone) when the snapshot stands at the
-// injection cycle; otherwise it clones the mesh and replays the gap
-// (worker.fork).
-func (w *worker) forkRun(gc *groupCtx, o Options, plane *fault.Plane, cone bool, st *runStats, ro *runObs) (n *sim.Network, eng *core.Engine, fv *forever.Monitor, err error) {
+// injection cycle under plane, taken from the golden snapshot there, with a
+// fresh NoCAlert engine attached and the detections its ForEVeR monitor fv
+// (nil when there is none) inherited from golden cleared. lazy is for a run
+// the divergence frontier steps: the worker's network takes the fork point's
+// network-level state only (sim.Network.CloneLazyInto), and the frontier
+// fetches from the snapshot the nodes the run's cone comes to hold
+// (st.nodesCloned, counted when the run is over); the rest of the worker's
+// network keeps whatever earlier runs left there, and nothing reads it.
+// Otherwise the whole mesh is copied (CloneInto), for a network that steps
+// itself.
+func (w *worker) forkRun(gc *groupCtx, o Options, plane *fault.Plane, lazy bool, st *runStats, ro *runObs) (n *sim.Network, eng *core.Engine, fv *forever.Monitor) {
 	ws := ro.phase("warm-start")
-	if cone && gc.snap.cycle == gc.cycle {
-		n = w.forkCone(gc, plane, st)
-	} else if n, err = w.fork(gc, plane, st, ro); err != nil {
-		ws.End()
-		return nil, nil, nil, err
+	if lazy {
+		n = gc.snap.CloneLazyInto(w.net, plane)
+	} else {
+		n = gc.snap.CloneInto(w.net, plane)
+		st.nodesCloned = n.Mesh().Nodes()
 	}
-	ws.SetAttr("fork_cycle", gc.snap.cycle)
-	ws.SetAttr("replayed_cycles", gc.cycle-gc.snap.cycle)
+	w.net = n
+	st.warmSaved, st.forked = gc.cycle, gc.cycle > 0
+	ws.SetAttr("fork_cycle", gc.cycle)
 	ws.End()
 	eng = core.NewEngine(n.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
 	n.AttachMonitor(eng)
 	if fv = findForever(n); fv != nil {
 		fv.ClearDetections()
 	}
-	return n, eng, fv, nil
+	return n, eng, fv
 }
 
 // runFrontier drives one forked faulty run with the divergence-frontier
@@ -862,12 +852,9 @@ func (w *worker) forkRun(gc *groupCtx, o Options, plane *fault.Plane, cone bool,
 // (permanent, intermittent): its members never retire, so it costs its
 // cone until finishRun's probe finds the cone has stopped changing
 // (ffProbe: a permanent fault is stationary) and fast-forwards.
-func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, err error) {
+func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) (res RunResult, exit ExitPath, convCycles int64) {
 	plane := fault.NewPlane(group...)
-	n, eng, fv, err := w.forkRun(gc, o, plane, true, st, ro)
-	if err != nil {
-		return res, ExitFull, 0, err
-	}
+	n, eng, fv := w.forkRun(gc, o, plane, true, st, ro)
 	w.seeds = w.seeds[:0]
 	for _, ft := range group {
 		w.seeds = append(w.seeds, ft.Site.Router)
@@ -894,10 +881,10 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 			res = gc.tmpl
 			res.Fault = group[0]
 			res.Group = group
-			st.simulated = n.Cycle() - gc.snap.cycle
+			st.simulated = n.Cycle() - gc.cycle
 			st.horizon = n.Cycle()
 			fa.End()
-			return res, ExitFastPath, 0, nil
+			return res, ExitFastPath, 0
 		}
 		if t == o.PostInjectRun-1 {
 			fr.RetireAll()
@@ -910,7 +897,7 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 			continue
 		}
 		ro.event("frontier_empty", n.Cycle(), "reconverged", nil)
-		st.simulated = n.Cycle() - gc.snap.cycle
+		st.simulated = n.Cycle() - gc.cycle
 		st.synthesized += gc.cycle + o.PostInjectRun - n.Cycle()
 		st.horizon = gc.cycle + o.PostInjectRun
 		fa.End()
@@ -919,12 +906,12 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 		rt.SetAttr("cycles_synthesized", gc.cycle+o.PostInjectRun-n.Cycle())
 		rt.End()
 		return synthesizeReconverged(n, eng, fv, rc, plane, gc.cycle, group),
-			ExitReconverged, n.Cycle() - gc.cycle, nil
+			ExitReconverged, n.Cycle() - gc.cycle
 	}
 	fa.End()
 	res = finishRun(fr, n, eng, fv, plane, gc, o, group, w, st, ro)
-	st.simulated = n.Cycle() - gc.snap.cycle
-	return res, ExitFull, 0, nil
+	st.simulated = n.Cycle() - gc.cycle
+	return res, ExitFull, 0
 }
 
 // countersMatch holds an emptied frontier's flit accounting to golden's
@@ -1027,18 +1014,15 @@ func assembleResult(eng *core.Engine, plane *fault.Plane, group []fault.Fault, i
 // finishRun, with no early exit and no fast-forward. A nil group runs
 // with an empty fault plane (a golden template that must be simulated
 // again, goldenTemplate).
-func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) (RunResult, error) {
+func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) RunResult {
 	plane := fault.NewPlane(group...)
-	n, eng, fv, err := w.forkRun(gc, o, plane, false, st, ro)
-	if err != nil {
-		return RunResult{}, err
-	}
+	n, eng, fv := w.forkRun(gc, o, plane, false, st, ro)
 	fa := ro.phase("fault-armed")
 	n.Run(o.PostInjectRun)
 	fa.End()
 	res := finishRun(nil, n, eng, fv, plane, gc, o, group, w, st, ro)
-	st.simulated = n.Cycle() - gc.snap.cycle
-	return res, nil
+	st.simulated = n.Cycle() - gc.cycle
+	return res
 }
 
 // stepper is what finishRun drives a run's drain and horizon with: the

@@ -10,10 +10,10 @@ import (
 // the honest accounting behind the throughput metrics, so synthesized
 // and skipped-prefix cycles never inflate the live gauges.
 type runStats struct {
-	// simulated is the number of cycles the run really stepped,
-	// including any fork replay below the injection cycle.
+	// simulated is the number of cycles the run really stepped.
 	simulated int64
-	// warmSaved is the prefix [0, snapshot) the fork never simulated.
+	// warmSaved is the prefix [0, injection cycle) the fork never
+	// simulated.
 	warmSaved int64
 	// synthesized counts cycles whose outcome was derived instead of
 	// stepped: reconvergence tails through the window end, and frozen
@@ -41,9 +41,8 @@ type runStats struct {
 	frontierJoins  int64
 	frontierProbes int64
 	// nodesCloned is how many node copies (router and NI) the run made to
-	// have a network to step: the mesh for a fork that clones it
-	// (worker.fork), for one that does not (worker.forkCone) the nodes the
-	// frontier ever tracked.
+	// have a network to step: the mesh for a fork that clones it, for a
+	// lazy one (worker.forkRun) the nodes the frontier ever tracked.
 	nodesCloned int
 }
 

@@ -2,6 +2,9 @@ package campaign
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,7 +29,7 @@ func reportBytes(t *testing.T, rep *Report) []byte {
 
 // multiCycleOptions builds a campaign whose universe spreads over
 // several distinct injection cycles, so forking has real prefixes to
-// skip and real gaps to replay.
+// skip.
 func multiCycleOptions(mesh topology.Mesh, nFaults int, seed uint64, cycles []int64, post, drain, epoch int64) Options {
 	rc := router.Default(mesh)
 	params := fault.Params{Mesh: mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}
@@ -46,11 +49,11 @@ func multiCycleOptions(mesh topology.Mesh, nFaults int, seed uint64, cycles []in
 }
 
 // TestForkByteIdentity is the acceptance gate for injection-point
-// forking: a campaign whose snapshots stand at its injection cycles must
-// produce the exact WriteJSON bytes of the same campaign with one
-// snapshot, at its first injection cycle, from which every later run
-// replays its gap — at 4×4 and at a small 8×8 sample, over a multi-cycle
-// universe so forks genuinely skip prefixes.
+// forking off a shared mainline: every run of a campaign whose universe
+// spreads over several injection cycles must give the result it gives in
+// a campaign of its own injection cycle alone, whose golden mainline
+// stops there and snapshots nothing before — at 4×4 and at a small 8×8
+// sample, so forks genuinely skip prefixes.
 func TestForkByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -66,31 +69,108 @@ func TestForkByteIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			on := multiCycleOptions(tc.mesh, tc.faults, 7, tc.cycles, 200, 2500, 300)
-			onRep, err := Run(on)
-			if err != nil {
-				t.Fatal(err)
-			}
-			off := multiCycleOptions(tc.mesh, tc.faults, 7, tc.cycles, 200, 2500, 300)
-			off.SnapshotInterval = 1 << 30 // past the last injection cycle: one snapshot
-			offRep, err := Run(off)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if onRep.ForkedRuns == 0 {
+			o := multiCycleOptions(tc.mesh, tc.faults, 7, tc.cycles, 200, 2500, 300)
+			rep := mustRun(t, o)
+			if rep.ForkedRuns == 0 {
 				t.Fatal("no run warm-started above cycle 0; the multi-cycle premise is broken")
 			}
-			if offRep.SnapshotCount != 1 || offRep.WarmstartCyclesSaved >= onRep.WarmstartCyclesSaved {
-				t.Fatalf("%d snapshots skip %d prefix cycles, against %d at the injection cycles: want one snapshot and replayed gaps",
-					offRep.SnapshotCount, offRep.WarmstartCyclesSaved, onRep.WarmstartCyclesSaved)
-			}
-			if got, want := reportBytes(t, onRep), reportBytes(t, offRep); !bytes.Equal(got, want) {
-				t.Fatalf("reports differ between a snapshot per injection cycle and one snapshot (%d vs %d bytes)", len(got), len(want))
+			for _, c := range tc.cycles {
+				alone := o
+				alone.Faults = nil
+				var idx []int
+				for i, f := range o.Faults {
+					if f.Cycle == c {
+						alone.Faults = append(alone.Faults, f)
+						idx = append(idx, i)
+					}
+				}
+				aloneRep := mustRun(t, alone)
+				for k, i := range idx {
+					// The verdict's reasons list missing flits in map order.
+					got, want := rep.Results[i], aloneRep.Results[k]
+					got.Verdict.Reasons, want.Verdict.Reasons = nil, nil
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("run %d (%v): %+v in the multi-cycle campaign, %+v in one of cycle %d alone",
+							i, &o.Faults[i], got, want, c)
+					}
+				}
 			}
 			t.Logf("%s: %d/%d runs forked, %d prefix cycles skipped, %d snapshots (%d bytes)",
-				tc.name, onRep.ForkedRuns, len(onRep.Results), onRep.WarmstartCyclesSaved,
-				onRep.SnapshotCount, onRep.SnapshotBytes)
+				tc.name, rep.ForkedRuns, len(rep.Results), rep.WarmstartCyclesSaved,
+				rep.SnapshotCount, rep.SnapshotBytes)
 		})
+	}
+}
+
+// fortyEightCycles is the 4×4 campaign of TestEveryRunForksAtItsCycle:
+// 96 faults dealt round-robin over 48 injection cycles, 100 apart.
+func fortyEightCycles() Spec {
+	spec := Spec{
+		MeshW: 4, MeshH: 4, VCs: 4,
+		InjectionRate: 0.1,
+		Seed:          5,
+		InjectCycle:   100,
+		PostInjectRun: 300,
+		DrainDeadline: 4000,
+		Epoch:         400,
+		HopLatency:    1,
+		NumFaults:     96,
+	}
+	for c := int64(100); c <= 4800; c += 100 {
+		spec.InjectCycles = append(spec.InjectCycles, c)
+	}
+	return spec
+}
+
+// fortyEightCyclesDigest is the SHA-256 of the report `faultcampaign
+// -mesh 4x4 -rate 0.1 -seed 5 -inject 100,200,…,4800 -faults 96 -post 300
+// -drain 4000 -epoch 400 -json` writes, taken when the golden run kept 32
+// snapshots at most and forks replayed the gap from the nearest one.
+const fortyEightCyclesDigest = "a36e416cec798a1b47ec382b266bfcbffed01a5270c5af9cd0641a0904b2be46"
+
+// TestEveryRunForksAtItsCycle holds a campaign with many distinct
+// injection cycles to the rule that the golden run snapshots every one of
+// them: one snapshot a cycle, every run forked at its own injection cycle
+// with nothing to replay, and every frontier run copying its cone, not the
+// mesh. Its report is the reference path's, and the pinned one.
+func TestEveryRunForksAtItsCycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	spec := fortyEightCycles()
+	o := spec.Options()
+	o.Faults = spec.Universe()
+	o.Workers = 2
+	rep, runs := tracedRunSpans(t, o)
+	if rep.SnapshotCount != len(spec.InjectCycles) {
+		t.Errorf("%d snapshots for %d injection cycles", rep.SnapshotCount, len(spec.InjectCycles))
+	}
+	nodes := int64(spec.MeshW * spec.MeshH)
+	frontier := 0
+	for _, s := range runs {
+		inject, _ := s.Int("inject_cycle")
+		if fork, ok := s.Int("fork_cycle"); !ok || fork != inject {
+			t.Errorf("%s injects at cycle %d and forked at %d (present %t)", s.Name, inject, fork, ok)
+		}
+		if _, ok := s.Int("frontier_peak_routers"); !ok {
+			continue
+		}
+		frontier++
+		if cloned, _ := s.Int("nodes_cloned"); cloned >= nodes {
+			t.Errorf("%s is a frontier run and copied %d nodes of %d", s.Name, cloned, nodes)
+		}
+	}
+	if frontier != len(runs) {
+		t.Errorf("%d of %d runs were driven by the frontier", frontier, len(runs))
+	}
+	got := reportBytes(t, rep)
+	if sum := sha256.Sum256(got); hex.EncodeToString(sum[:]) != fortyEightCyclesDigest {
+		t.Errorf("report SHA-256 %x, want %s", sum, fortyEightCyclesDigest)
+	}
+	ref := o
+	ref.FullSim, ref.Tracer = true, nil
+	if want := reportBytes(t, mustRun(t, ref)); !bytes.Equal(got, want) {
+		t.Errorf("report differs from FullSim's:\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -116,37 +196,6 @@ func TestSnapshotRestoreLockstep(t *testing.T) {
 		if got, want := restored.Fingerprint(), n.Fingerprint(); got != want {
 			t.Fatalf("restored network diverged from golden at cycle %d: %x vs %x", n.Cycle(), got, want)
 		}
-	}
-}
-
-// TestSnapshotIntervalSweep pins that the snapshot spacing is purely a
-// time/memory trade: every interval — denser than the injection grid,
-// coprime to it, sparser than it, and far past the horizon — must yield
-// the identical report bytes as the adaptive plan.
-func TestSnapshotIntervalSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test in -short mode")
-	}
-	mesh := topology.NewMesh(4, 4)
-	cycles := []int64{60, 75, 90}
-	base := multiCycleOptions(mesh, 24, 5, cycles, 150, 2000, 200)
-	baseRep, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reportBytes(t, baseRep)
-	for _, interval := range []int64{1, 7, 64, 1 << 20} {
-		o := multiCycleOptions(mesh, 24, 5, cycles, 150, 2000, 200)
-		o.SnapshotInterval = interval
-		rep, err := Run(o)
-		if err != nil {
-			t.Fatalf("interval %d: %v", interval, err)
-		}
-		if got := reportBytes(t, rep); !bytes.Equal(got, want) {
-			t.Fatalf("interval %d report differs from the adaptive plan (%d vs %d bytes)", interval, len(got), len(want))
-		}
-		t.Logf("interval %d: %d snapshots, %d forked, %d warm-start cycles saved",
-			interval, rep.SnapshotCount, rep.ForkedRuns, rep.WarmstartCyclesSaved)
 	}
 }
 

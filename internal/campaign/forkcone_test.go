@@ -7,7 +7,6 @@ import (
 
 	"nocalert/internal/obs"
 	"nocalert/internal/sim"
-	"nocalert/internal/topology"
 )
 
 // junkNetwork returns a network of o's geometry that has nothing to do
@@ -36,15 +35,16 @@ func poisonWorkers(t *testing.T, junk *sim.Network) {
 }
 
 // TestRunsNeverReadAStaleWorkerNetwork is the poison test for the fork
-// that copies a run's cone and not the mesh (worker.forkCone): whatever
-// the worker's network holds when a run begins — here another traffic
-// process's whole mesh, cloned over it before every single run; in the
-// multi-cycle campaign also, without any help, the nodes the runs of the
-// injection cycle before left behind — the campaign's report is the
-// committed fixture, byte for byte: the 8×8 fixture campaign, the
-// multi-cycle one and the armed one (whose runs go back to the full mesh
-// at the window end, from the golden window-end state), each on four
-// workers filling a golden cache and on one worker reading it warm.
+// that copies a run's cone and not the mesh (worker.forkRun's lazy
+// clone): whatever the worker's network holds when a run begins — here
+// another traffic process's whole mesh, cloned over it before every
+// single run; in the multi-cycle campaign also, without any help, the
+// nodes the runs of the injection cycle before left behind — the
+// campaign's report is the committed fixture, byte for byte: the 8×8
+// fixture campaign, the multi-cycle one and the armed one (whose runs go
+// back to the full mesh at the window end, from the golden window-end
+// state), each on four workers filling a golden cache and on one worker
+// reading it warm.
 func TestRunsNeverReadAStaleWorkerNetwork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -120,16 +120,12 @@ func tracedRunSpans(tb testing.TB, o Options) (*Report, []obs.SpanRecord) {
 }
 
 // TestRunCopiesItsConeNotTheMesh counts node copies, from the run spans'
-// nodes_cloned. On the 8×8 fixture campaign, whose snapshot stands at the
-// injection cycle, a run copies the nodes its frontier ever tracked and no
-// others: at least its peak membership, at most its seed and one node a
-// join (a node that rejoins is not copied again), 133 nodes over the 64
-// runs and never the mesh. (That the count is the tracked nodes exactly, and that the others
-// are never written, is sim's TestLazyForkCopiesItsCone.) A campaign
-// forking from a snapshot ring with an interval clones the whole mesh for
-// every run that replays a gap — and replays it, and is verified against
-// the fork-point fingerprint — and only the cone for the runs at the
-// snapshot's own cycle; its report is the adaptive plan's.
+// nodes_cloned. On the 8×8 fixture campaign a run copies the nodes its
+// frontier ever tracked and no others: at least its peak membership, at
+// most its seed and one node a join (a node that rejoins is not copied
+// again), 133 nodes over the 64 runs and never the mesh. (That the count
+// is the tracked nodes exactly, and that the others are never written, is
+// sim's TestLazyForkCopiesItsCone.)
 func TestRunCopiesItsConeNotTheMesh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -152,51 +148,6 @@ func TestRunCopiesItsConeNotTheMesh(t *testing.T) {
 		}
 		if total != 133 {
 			t.Errorf("%d runs copied %d nodes, want 133 (2.08 a run)", len(runs), total)
-		}
-	})
-
-	t.Run("snapshot interval", func(t *testing.T) {
-		mesh, cycles := topology.NewMesh(4, 4), []int64{60, 75, 90}
-		adaptive := mustRun(t, multiCycleOptions(mesh, 24, 5, cycles, 150, 2000, 200))
-		o := multiCycleOptions(mesh, 24, 5, cycles, 150, 2000, 200)
-		o.SnapshotInterval = 64 // one snapshot, at cycle 60
-		var dumps bytes.Buffer
-		o.FlightRecorder = obs.NewFlightRecorder(1<<12, &dumps)
-		rep, runs := tracedRunSpans(t, o)
-		if got, want := reportBytes(t, rep), reportBytes(t, adaptive); !bytes.Equal(got, want) {
-			t.Fatalf("report under a snapshot interval differs from the adaptive plan's (%d vs %d bytes)", len(got), len(want))
-		}
-		replayed, atSnapshot := 0, 0
-		for _, s := range runs {
-			inject, _ := s.Int("inject_cycle")
-			fork, _ := s.Int("fork_cycle")
-			cloned, ok := s.Int("nodes_cloned")
-			if fork != 60 || !ok {
-				t.Fatalf("%s forked at cycle %d, nodes_cloned present %t: want the one snapshot at 60", s.Name, fork, ok)
-			}
-			if inject > fork {
-				replayed++
-				if cloned < int64(mesh.Nodes()) {
-					t.Errorf("%s replays %d cycles and cloned %d nodes: a fork that replays a gap steps the whole mesh", s.Name, inject-fork, cloned)
-				}
-			} else {
-				atSnapshot++
-				if cloned >= int64(mesh.Nodes()) {
-					t.Errorf("%s forks at its injection cycle and cloned %d nodes of %d", s.Name, cloned, mesh.Nodes())
-				}
-			}
-		}
-		verified := 0
-		for _, ev := range o.FlightRecorder.Events() {
-			if ev.Kind == "fork_verify" && ev.Detail == "ok" && ev.Run >= 0 {
-				verified++
-			}
-		}
-		if replayed != 16 || atSnapshot != 8 || verified != replayed {
-			t.Errorf("%d runs replayed a gap (%d verified against the fork-point fingerprint), %d forked at the snapshot: want 16 (16), 8", replayed, verified, atSnapshot)
-		}
-		if o.FlightRecorder.Dumps() != 0 {
-			t.Errorf("flight recorder dumped: %s", dumps.String())
 		}
 	})
 }

@@ -22,8 +22,8 @@ func builtGolden(tb testing.TB, o *Options) *Golden {
 // the build ends (nil: untraced).
 func tracedGolden(tb testing.TB, o *Options, warm *obs.Span) *Golden {
 	tb.Helper()
-	cycles, plan, key := o.goldenInputs()
-	gold := startGolden(context.Background(), o, cycles, plan, key, nil, warm)
+	cycles, key := o.goldenInputs()
+	gold := startGolden(context.Background(), o, cycles, key, nil, warm)
 	<-gold.done
 	if gold.err != nil {
 		tb.Fatal(gold.err)
@@ -48,7 +48,7 @@ func fixtureGolden(t *testing.T, spec Spec) (*Golden, Options) {
 // cycle, stepped there from gc's snapshot the way the golden continuation
 // was: injecting through the post-injection window, then not.
 func goldenAt(gc *groupCtx, o Options, cycle int64) *sim.Network {
-	g := gc.snap.net.CloneInto(nil, nil)
+	g := gc.snap.CloneInto(nil, nil)
 	for g.Cycle() < cycle {
 		if g.Cycle() == gc.cycle+o.PostInjectRun {
 			g.StopInjection()
@@ -75,10 +75,7 @@ func TestDeltaVerdictOnFixtureRuns(t *testing.T) {
 		if gc.rec == nil {
 			t.Fatal("fixture campaign has no transcript: the frontier is off")
 		}
-		res, exit, _, st, err := runOne(&w, gc, o, group, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, exit, _, st := runOne(&w, gc, o, group, nil)
 		if exit != ExitFull || !st.frontier {
 			continue
 		}
@@ -146,17 +143,8 @@ func TestFollowerForeverAgreesWithFullFeed(t *testing.T) {
 				gc := gold.groups[group[0].Cycle].gc
 				goldenFlags = goldenFlags || gc.goldenFvFP
 				var st runStats
-				na, err := wa.fork(gc, fault.NewPlane(group...), &st, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nb, err := wb.fork(gc, fault.NewPlane(group...), &st, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fa, fb := findForever(na), findForever(nb)
-				fa.ClearDetections()
-				fb.ClearDetections()
+				na, _, fa := wa.forkRun(gc, o, fault.NewPlane(group...), false, &st, nil)
+				nb, _, fb := wb.forkRun(gc, o, fault.NewPlane(group...), false, &st, nil)
 				fa.Follow(gc.gfv)
 				fr := sim.NewFrontier(na, gc.rec, []int{group[0].Site.Router})
 

@@ -19,8 +19,8 @@ import (
 
 // Golden is the fault-free half of a campaign: everything the golden
 // warm-up produces and every faulty run only reads — one groupCtx per
-// distinct injection cycle, the snapshot ring they fork from and the
-// footprint totals the report carries. It depends on the campaign's
+// distinct injection cycle, holding the snapshot its runs fork from, and
+// the footprint totals the report carries. It depends on the campaign's
 // options and injection-cycle set but on no individual fault, so shards
 // and jobs of one campaign share a single artefact.
 //
@@ -32,9 +32,9 @@ import (
 //     still writes. Its publication (the close of its ready channel)
 //     happens before any read of it, so workers of any number of
 //     concurrent Runs read it without further synchronization.
-//   - ring, timelineBytes, logBytes, endCycle and the step counts belong
-//     to the warm-up until done is closed; they are final, and err says
-//     how the build ended, from then on.
+//   - The byte totals, endCycle and the step counts belong to the
+//     warm-up until done is closed; they are final, and err says how the
+//     build ended, from then on.
 //   - A build that fails — its builder cancelled, say — leaves the
 //     groups it has published valid; the others resolve to
 //     errGoldenAbandoned, and by then the artefact has left its cache.
@@ -47,7 +47,9 @@ type Golden struct {
 	groups map[int64]*goldenGroup // one per injection cycle, fixed from the start
 	done   chan struct{}
 	err    error
-	ring   *snapshotRing
+	// snapshotBytes is the estimated footprint of the snapshots, one per
+	// injection cycle (sim.Network.ApproxFootprintBytes).
+	snapshotBytes int64
 	// timelineBytes is the estimated footprint of the per-run records
 	// (signal transcripts through the golden drain, counter timelines,
 	// the ForEVeR monitors' per-node records).
@@ -80,7 +82,7 @@ var errGoldenAbandoned = errors.New("campaign: golden build abandoned before thi
 
 func newGolden(key goldenKey, cycles []int64, cache *GoldenCache) *Golden {
 	g := &Golden{key: key, cache: cache, groups: make(map[int64]*goldenGroup, len(cycles)),
-		done: make(chan struct{}), ring: &snapshotRing{}}
+		done: make(chan struct{})}
 	for _, c := range cycles {
 		g.groups[c] = &goldenGroup{ready: make(chan struct{})}
 	}
@@ -123,15 +125,15 @@ func (g *Golden) complete() bool {
 }
 
 // footprint is what the artefact charges against a cache's budget: the
-// snapshot ring, the per-window records and the golden reference logs.
+// snapshots, the per-window records and the golden reference logs.
 // The ForEVeR monitor and result template of each injection cycle (a
 // few words per node) are not counted. Final once the build is.
-func (g *Golden) footprint() int64 { return g.ring.bytes + g.timelineBytes + g.logBytes }
+func (g *Golden) footprint() int64 { return g.snapshotBytes + g.timelineBytes + g.logBytes }
 
 // stamp writes the finished artefact's totals on a golden-warmup span.
 func (g *Golden) stamp(warm *obs.Span) {
-	warm.SetAttr("snapshots", len(g.ring.snaps))
-	warm.SetAttr("snapshot_bytes", g.ring.bytes)
+	warm.SetAttr("snapshots", len(g.groups))
+	warm.SetAttr("snapshot_bytes", g.snapshotBytes)
 	warm.SetAttr("golden_cycle", g.endCycle)
 }
 
@@ -190,39 +192,36 @@ func distinctCycles(groups [][]fault.Fault) []int64 {
 }
 
 // goldenInputs resolves what the golden artefact is a function of: the
-// distinct injection cycles, the snapshot plan and the key naming them
-// together with every option the warm-up reads. The fault list enters
-// only through the cycle set and the plan (which looks at the fault
-// histogram only past snapshotBudget cycles); Workers, the hooks and the
-// context never do. %#v spells Sim and Forever out field by field with
-// the dynamic types of the routing algorithm and traffic pattern, so a
-// value field added to either config changes the key without an edit
-// here. That holds for configs made of values, as every in-tree routing
-// algorithm and traffic pattern is; one that holds a pointer (a
-// caller's pointer-typed Pattern, say) gets the empty key, which no
-// cache keeps. o must have been through withDefaults.
-func (o *Options) goldenInputs() (cycles, plan []int64, key goldenKey) {
+// distinct injection cycles and the key naming them together with every
+// option the warm-up reads. The fault list enters only through the cycle
+// set; Workers, the hooks and the context never do. %#v spells Sim and
+// Forever out field by field with the dynamic types of the routing
+// algorithm and traffic pattern, so a value field added to either config
+// changes the key without an edit here. That holds for configs made of
+// values, as every in-tree routing algorithm and traffic pattern is; one
+// that holds a pointer (a caller's pointer-typed Pattern, say) gets the
+// empty key, which no cache keeps. o must have been through withDefaults.
+func (o *Options) goldenInputs() (cycles []int64, key goldenKey) {
 	cycles = distinctCycles(o.FaultGroups)
-	plan = planSnapshots(o, cycles)
 	if !valueOnly(reflect.ValueOf(o.Sim)) || !valueOnly(reflect.ValueOf(o.Forever)) {
-		return cycles, plan, ""
+		return cycles, ""
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "sim=%#v\nforever=%#v\npost=%d drain=%d checkers=%v\n",
 		o.Sim, o.Forever, o.PostInjectRun, o.DrainDeadline, o.CheckersDisabled)
-	fmt.Fprintf(h, "fullsim=%t noforever=%t interval=%d\n", o.FullSim, o.DisableForever, o.SnapshotInterval)
-	fmt.Fprintf(h, "cycles=%v\nplan=%v\n", cycles, plan)
-	return cycles, plan, goldenKey(hex.EncodeToString(h.Sum(nil)))
+	fmt.Fprintf(h, "fullsim=%t noforever=%t\n", o.FullSim, o.DisableForever)
+	fmt.Fprintf(h, "cycles=%v\n", cycles)
+	return cycles, goldenKey(hex.EncodeToString(h.Sum(nil)))
 }
 
 // forkPoint is what the golden mainline hands the group builder at an
 // injection cycle: the snapshot runs of that cycle fork from, the
-// mainline's fingerprint there (each fork's replay is verified against
+// mainline's fingerprint there (the template's fork is verified against
 // it) and the network that continues fault-free from it — a clone, or
 // for the last cycle the mainline itself.
 type forkPoint struct {
 	cycle  int64
-	snap   *snapshot
+	snap   *sim.Network
 	forkFP uint64
 	cont   *sim.Network
 }
@@ -230,8 +229,8 @@ type forkPoint struct {
 // startGolden launches the golden warm-up and returns the artefact it
 // publishes into. The warm-up is a pipeline of two goroutines. The
 // mainline steps one fault-free network from cycle 0 to the last
-// injection cycle, capturing the snapshot ring along the way, and at
-// every injection cycle hands a forkPoint over; the group builder turns
+// injection cycle, and at every injection cycle captures a snapshot and
+// hands a forkPoint over; the group builder turns
 // each into that cycle's groupCtx (buildGroupCtx) and publishes it, so
 // runs of an early cycle execute while the mainline is on its way to the
 // later ones. The hand-off is unbuffered: at most one continuation waits
@@ -243,14 +242,14 @@ type forkPoint struct {
 // is off), is the pipeline's from here on: it gets a mainline child per
 // stretch and a group child per injection cycle, and is ended with the
 // build.
-func startGolden(ctx context.Context, o *Options, cycles, plan []int64, key goldenKey, cache *GoldenCache, warm *obs.Span) *Golden {
+func startGolden(ctx context.Context, o *Options, cycles []int64, key goldenKey, cache *GoldenCache, warm *obs.Span) *Golden {
 	g := newGolden(key, cycles, cache)
 	ctx, cancel := context.WithCancel(ctx)
 	forks := make(chan forkPoint)
 	var mainErr error
 	go func() {
 		defer close(forks)
-		mainErr = g.runMainline(ctx, o, cycles, plan, forks, warm)
+		mainErr = g.runMainline(ctx, o, cycles, forks, warm)
 	}()
 	go func() {
 		err := g.buildGroups(ctx, o, forks, warm)
@@ -274,8 +273,8 @@ const ctxCheckCycles = 256
 
 // runMainline is the first pipeline stage. Each mainline span covers
 // everything done for one stretch: the steps to the injection cycle, the
-// snapshots on the way, the fork point and its hand-off.
-func (g *Golden) runMainline(ctx context.Context, o *Options, cycles, plan []int64, forks chan<- forkPoint, warm *obs.Span) error {
+// snapshot there, the fork point and its hand-off.
+func (g *Golden) runMainline(ctx context.Context, o *Options, cycles []int64, forks chan<- forkPoint, warm *obs.Span) error {
 	mainline, err := sim.New(o.Sim, nil)
 	if err != nil {
 		return err
@@ -283,20 +282,12 @@ func (g *Golden) runMainline(ctx context.Context, o *Options, cycles, plan []int
 	if !o.DisableForever {
 		mainline.AttachMonitor(forever.NewMonitor(mainline.RouterConfig(), o.Forever))
 	}
-	next := 0 // next snapshot plan entry
 	stretch := func(ci int, c int64) error {
 		ml := warm.Child("phase", "mainline")
 		defer ml.End()
 		ml.SetAttr("from_cycle", mainline.Cycle())
 		ml.SetAttr("to_cycle", c)
-		for {
-			if next < len(plan) && mainline.Cycle() == plan[next] {
-				g.ring.capture(mainline)
-				next++
-			}
-			if mainline.Cycle() >= c {
-				break
-			}
+		for mainline.Cycle() < c {
 			if mainline.Cycle()%ctxCheckCycles == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -309,10 +300,11 @@ func (g *Golden) runMainline(ctx context.Context, o *Options, cycles, plan []int
 			// continuation either, nor pin 32 000 cycles of delivered flits.
 			mainline.ResetEjections()
 		}
-		fp := forkPoint{cycle: c, snap: g.ring.at(c), forkFP: mainline.Fingerprint(), cont: mainline}
-		if fp.snap == nil {
-			return fmt.Errorf("campaign: no golden snapshot at or before injection cycle %d", c)
-		}
+		// The snapshot is its own allocation, never written after capture:
+		// groups published from it are read while the mainline moves on.
+		snap := mainline.CloneInto(nil, nil)
+		g.snapshotBytes += snap.ApproxFootprintBytes()
+		fp := forkPoint{cycle: c, snap: snap, forkFP: mainline.Fingerprint(), cont: mainline}
 		if ci < len(cycles)-1 {
 			fp.cont = mainline.Clone(nil)
 		}
@@ -395,8 +387,8 @@ func (g *Golden) finish(err error, warm *obs.Span) {
 // wall times.
 func msSince(t time.Time) float64 { return float64(time.Since(t).Microseconds()) / 1e3 }
 
-// goldenCacheBudget caps the estimated bytes (Golden.footprint: snapshot
-// ring, per-window records, golden logs) a GoldenCache retains. A
+// goldenCacheBudget caps the estimated bytes (Golden.footprint:
+// snapshots, per-window records, golden logs) a GoldenCache retains. A
 // paper-scale 8×8 artefact is about 3 MB per injection cycle and a
 // 16×16 one about 10 MB, so the budget holds the artefacts of a few
 // dozen recent campaigns; past it the least recently used go, and an
@@ -524,11 +516,11 @@ func (c *GoldenCache) evict() {
 // which artefact that is at the moment, how the Run came by it, and the
 // Run's golden-warmup span until somebody ends it.
 type goldenHold struct {
-	ctx          context.Context // the Run's, done when the Run is over
-	o            *Options
-	cycles, plan []int64
-	key          goldenKey
-	warm         *obs.Span
+	ctx    context.Context // the Run's, done when the Run is over
+	o      *Options
+	cycles []int64
+	key    goldenKey
+	warm   *obs.Span
 
 	mu  sync.Mutex
 	g   *Golden // what the runs read now
@@ -546,7 +538,7 @@ func (h *goldenHold) attach() error {
 	g, how := h.o.GoldenCache.get(h.key, func(c *GoldenCache) *Golden {
 		h.warm.SetAttr("cache", cacheMiss)
 		h.warmOpen = false
-		h.built = startGolden(h.ctx, h.o, h.cycles, h.plan, h.key, c, h.warm)
+		h.built = startGolden(h.ctx, h.o, h.cycles, h.key, c, h.warm)
 		return h.built
 	})
 	if g.key != h.key {

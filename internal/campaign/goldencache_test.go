@@ -155,7 +155,7 @@ func TestGoldenKeyCoversOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, key := d.goldenInputs()
+		_, key := d.goldenInputs()
 		return key
 	}
 	regroup := func(o *Options) {
@@ -193,7 +193,6 @@ func TestGoldenKeyCoversOptions(t *testing.T) {
 		},
 		"Workers":          {{"", func(o *Options) { o.Workers = 7 }, false}},
 		"CheckersDisabled": {{"", func(o *Options) { o.CheckersDisabled = []core.CheckerID{1} }, true}},
-		"SnapshotInterval": {{"", func(o *Options) { o.SnapshotInterval = 7 }, true}},
 		"FullSim":          {{"", func(o *Options) { o.FullSim = true }, true}},
 		"DisableForever":   {{"", func(o *Options) { o.DisableForever = true }, true}},
 		"GoldenCache":      {{"", func(o *Options) { o.GoldenCache = NewGoldenCache() }, false}},
@@ -229,27 +228,6 @@ func TestGoldenKeyCoversOptions(t *testing.T) {
 	for name := range flips {
 		t.Errorf("the table names Options.%s, which no longer exists", name)
 	}
-
-	// Past snapshotBudget distinct cycles the snapshot plan follows the
-	// fault histogram: the same cycle set with the weight moved must not
-	// share an artefact.
-	spread := func(heavy int64) Options {
-		o := base()
-		f := o.Faults[0]
-		o.Faults = nil
-		for c := int64(0); c < 2*snapshotBudget; c++ {
-			f.Cycle = 10 * c
-			o.Faults = append(o.Faults, f)
-		}
-		for i := 0; i < 4*snapshotBudget; i++ {
-			f.Cycle = heavy
-			o.Faults = append(o.Faults, f)
-		}
-		return o
-	}
-	if keyOf(spread(0)) == keyOf(spread(10*(2*snapshotBudget-1))) {
-		t.Error("two universes of one cycle set but different snapshot plans share a key")
-	}
 }
 
 // addrPattern is a traffic pattern used through a pointer, as a library
@@ -275,7 +253,7 @@ func TestGoldenKeyRefusesPointers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, key := d.goldenInputs(); key != "" {
+	if _, key := d.goldenInputs(); key != "" {
 		t.Fatalf("a pointer-typed pattern got the key %q, want none", key)
 	}
 	first := mustRun(t, o)
@@ -511,7 +489,7 @@ func TestRunRefusesForeignArtefact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, keyB := db.goldenInputs()
+	_, keyB := db.goldenInputs()
 	for _, e := range cache.entries {
 		cache.entries[keyB] = e
 	}

@@ -33,16 +33,16 @@ const (
 	// (exponential buckets 1 … 32768 cycles).
 	MetricReconvergenceCycles = "campaign_reconvergence_cycles"
 	// MetricForkedRuns counts runs that warm-started from a golden
-	// snapshot above cycle 0, skipping their [0, snapshot) prefix.
+	// snapshot above cycle 0, skipping their [0, injection cycle) prefix.
 	MetricForkedRuns = "campaign_forked_runs_total"
 	// MetricWarmstartSaved counts the prefix cycles injection-point
 	// forking never simulated, summed over runs.
 	MetricWarmstartSaved = "campaign_warmstart_cycles_saved"
 	// MetricSnapshotBytes is a gauge holding the estimated memory
-	// footprint of the golden snapshot ring.
+	// footprint of the golden snapshots, one per distinct injection cycle.
 	MetricSnapshotBytes = "campaign_snapshot_bytes"
-	// MetricSimulatedCycles counts cycles faulty runs actually stepped
-	// (including fork replay); MetricSynthesizedCycles counts cycles
+	// MetricSimulatedCycles counts cycles faulty runs actually stepped;
+	// MetricSynthesizedCycles counts cycles
 	// whose outcome was synthesized instead (reconvergence tails,
 	// frozen drains and horizons). Together they keep warm-start and
 	// synthesis savings out of the honest throughput accounting.

@@ -59,15 +59,6 @@ func (ro *runObs) anomaly(reason, kind string, cycle int64, detail string) {
 	ro.fr.Anomaly(reason, obs.Event{Run: ro.idx, Cycle: cycle, Kind: kind, Detail: detail})
 }
 
-// fail closes the run span on the error path.
-func (ro *runObs) fail(err error) {
-	if ro == nil || ro.span == nil {
-		return
-	}
-	ro.span.SetAttr("error", err.Error())
-	ro.span.End()
-}
-
 // finish stamps the run span with the result and the honest cycle
 // accounting, emits the detection flight event, fires the
 // missed-detection anomaly, and closes the span. The attribute

@@ -2,10 +2,10 @@ package campaign
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
+	"nocalert/internal/core"
 	"nocalert/internal/fault"
 	"nocalert/internal/forever"
 	"nocalert/internal/metrics"
@@ -283,9 +283,9 @@ func TestSpanSamplingDeterministic(t *testing.T) {
 }
 
 // TestForkVerifyMismatchDumpsFlightRecorder corrupts the recorded
-// fork-point fingerprint and checks the fork fails AND auto-dumps the
-// flight-recorder ring — the black box firing on the engine's most
-// important trust boundary.
+// fork-point fingerprint and checks the template's fork fails AND
+// auto-dumps the flight-recorder ring — the black box firing on the
+// engine's most important trust boundary.
 func TestForkVerifyMismatchDumpsFlightRecorder(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
 	rc := router.Default(mesh)
@@ -294,16 +294,13 @@ func TestForkVerifyMismatchDumpsFlightRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Run(50)
-	snap := snapshot{cycle: n.Cycle(), net: n.CloneInto(nil, nil)}
-	n.Run(50)
-	gc := &groupCtx{cycle: n.Cycle(), snap: &snap, forkFP: n.Fingerprint() ^ 0xdead}
+	gc := &groupCtx{cycle: n.Cycle(), snap: n.CloneInto(nil, nil), forkFP: n.Fingerprint() ^ 0xdead}
 
 	var sink bytes.Buffer
 	fr := obs.NewFlightRecorder(16, &sink)
-	ro := &runObs{fr: fr, idx: 7}
+	o := Options{FlightRecorder: fr}
 	var w worker
-	var st runStats
-	if _, err := w.fork(gc, fault.NewPlane(), &st, ro); err == nil {
+	if _, err := goldenTemplate(&w, gc, o, core.NewEngine(&rc, core.Options{}), -1, nil); err == nil {
 		t.Fatal("fork with corrupted fingerprint succeeded")
 	}
 	if fr.Dumps() != 1 {
@@ -317,8 +314,8 @@ func TestForkVerifyMismatchDumpsFlightRecorder(t *testing.T) {
 		t.Errorf("dump reason = %q", dumps[0].Reason)
 	}
 	last := dumps[0].Events[len(dumps[0].Events)-1]
-	if last.Kind != "fork_verify" || last.Run != 7 {
-		t.Errorf("anomaly event = %+v, want fork_verify on run 7", last)
+	if last.Kind != "fork_verify" || last.Run != -1 || last.Cycle != gc.cycle {
+		t.Errorf("anomaly event = %+v, want fork_verify of the template (run -1) at cycle %d", last, gc.cycle)
 	}
 }
 
@@ -347,7 +344,6 @@ func TestNilObsIsFree(t *testing.T) {
 	var ro *runObs
 	ro.event("x", 0, "", nil)
 	ro.anomaly("x", "y", 0, "")
-	ro.fail(fmt.Errorf("e"))
 	ro.finish(&RunResult{}, ExitFull, 0, &runStats{}, 0)
 	if s := ro.phase("p"); s != nil {
 		t.Fatal("nil runObs produced a span")

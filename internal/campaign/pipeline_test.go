@@ -12,12 +12,8 @@ import (
 	"time"
 
 	"nocalert/internal/metrics"
-	"nocalert/internal/rng"
-	"nocalert/internal/router"
-	"nocalert/internal/sim"
 	"nocalert/internal/statehash"
 	"nocalert/internal/topology"
-	"nocalert/internal/traffic"
 )
 
 const multicycleReportPath = "../../testdata/report_8x8_multicycle_seed3.json"
@@ -141,7 +137,7 @@ func artefactOf(t *testing.T, cache *GoldenCache, o Options) *goldenEntry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, key := d.goldenInputs()
+	_, key := d.goldenInputs()
 	cache.mu.Lock()
 	defer cache.mu.Unlock()
 	return cache.entries[key]
@@ -189,92 +185,39 @@ func TestFirstVerdictBeforeLastGroup(t *testing.T) {
 	}
 }
 
-// driftPattern is uniform traffic for the generators that drew its first
-// `after` destinations and something else for every other one. It stands
-// for what a fork verification exists to catch: a replay from a snapshot
-// that does not retrace the golden mainline. Before the first fork point
-// the mainline is the only network there is, so the generators that draw
-// the first `after` destinations are the mainline's own, whichever
-// network draws after that and however the pipeline's goroutines
-// interleave; every clone has generators of its own.
-type driftPattern struct {
-	traffic.Uniform
-	after int64
-	mu    sync.Mutex
-	calls int64
-	early map[*rng.PCG]bool
-}
-
-func (p *driftPattern) Dest(m topology.Mesh, src int, g *rng.PCG) int {
-	d := p.Uniform.Dest(m, src, g)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.calls++; p.calls <= p.after {
-		if p.early == nil {
-			p.early = map[*rng.PCG]bool{}
-		}
-		p.early[g] = true
-	}
-	if !p.early[g] {
-		for d = (d + 1) % m.Nodes(); d == src; d = (d + 1) % m.Nodes() {
-		}
-	}
-	return d
-}
-
 // TestRunWaitsForItsPipeline fails a campaign while its golden mainline
-// has twenty million cycles to go — on a run's fork verification, and on
-// the template's inside the group builder — and requires Run to come back
-// with that error and every goroutine it started gone. One snapshot, at
-// the first injection cycle, makes the forks of the second replay a gap.
+// has twenty million cycles to go — the group builder cannot drain the
+// golden continuation of the second injection cycle by the deadline — and
+// requires Run to come back promptly with that error and every goroutine
+// it started gone. The offered load is past saturation, so the source
+// queues grow with network age: the continuation of cycle 150 drains
+// within the 1500-cycle deadline, the one of cycle 4000 does not (cycle
+// 4000 + 200 of window + 1500).
 func TestRunWaitsForItsPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
-	const first = 150
-	mesh := topology.NewMesh(4, 4)
-	cfg := sim.Config{Router: router.Default(mesh), InjectionRate: 0.12, Seed: 3}
-	// How many destinations the mainline draws before the first injection
-	// cycle.
-	count := &driftPattern{after: math.MaxInt64}
-	cfg.Pattern = count
-	n, err := sim.New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Run(first)
-
-	for _, tc := range []struct {
-		name    string
-		fullSim bool
-	}{
-		{"run error", true},               // no template: the first fork that replays is a run's
-		{"template fork mismatch", false}, // the group builder's own fork fails the build
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			o := multiCycleOptions(mesh, 3, 7, []int64{first, first + 20, 20_000_000}, 200, 2500, 300)
-			o.Sim.Pattern = &driftPattern{after: count.calls}
-			o.SnapshotInterval = 1 << 30 // past the last injection cycle: one snapshot
-			o.FullSim = tc.fullSim
-			baseline := runtime.NumGoroutine()
-			start := time.Now()
-			_, err := Run(o)
-			if err == nil || !strings.Contains(err.Error(), "diverged from the golden state") {
-				t.Fatalf("Run returned %v, want the fork verification's error", err)
-			}
-			if took := time.Since(start); took > 5*time.Second {
-				t.Errorf("Run returned %v after the failure: it waited for the mainline to finish", took)
-			}
-			// A goroutine that has closed its last channel may still be
-			// on its way out.
-			for i := 0; runtime.NumGoroutine() > baseline && i < 100; i++ {
-				time.Sleep(time.Millisecond)
-			}
-			if got := runtime.NumGoroutine(); got > baseline {
-				t.Errorf("%d goroutines after Run returned, %d before it was called", got, baseline)
-			}
-		})
-	}
+	t.Run("golden drain failure", func(t *testing.T) {
+		o := multiCycleOptions(topology.NewMesh(4, 4), 3, 7, []int64{150, 4000, 20_000_000}, 200, 1500, 300)
+		o.Sim.InjectionRate = 1.0
+		baseline := runtime.NumGoroutine()
+		start := time.Now()
+		_, err := Run(o)
+		if err == nil || !strings.Contains(err.Error(), "failed to drain by cycle 5700") {
+			t.Fatalf("Run returned %v, want the drain failure of cycle 4000's golden continuation", err)
+		}
+		if took := time.Since(start); took > 5*time.Second {
+			t.Errorf("Run returned %v after the failure: it waited for the mainline to finish", took)
+		}
+		// A goroutine that has closed its last channel may still be on its
+		// way out.
+		for i := 0; runtime.NumGoroutine() > baseline && i < 100; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > baseline {
+			t.Errorf("%d goroutines after Run returned, %d before it was called", got, baseline)
+		}
+	})
 }
 
 // TestLiveRateSkipsGroupWaits holds the live faults/sec gauge across the

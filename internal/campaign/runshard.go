@@ -28,9 +28,6 @@ const DefaultVerifyResumed = 2
 type ShardRunOptions struct {
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.
 	Workers int
-	// SnapshotInterval fixes the golden snapshot spacing; 0 picks it
-	// adaptively (see Options.SnapshotInterval).
-	SnapshotInterval int64
 	// DisableSoA selects the reference sweep engine for every simulated
 	// network (see sim.Config.DisableSoA). Result-invisible either way —
 	// the identity CI gate holds this to byte-identical reports.
@@ -229,7 +226,6 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 	opts := sh.Spec.Options()
 	opts.Faults = faults
 	opts.Workers = o.Workers
-	opts.SnapshotInterval = o.SnapshotInterval
 	opts.Sim.DisableSoA = o.DisableSoA
 	opts.FullSim = o.FullSim
 	opts.GoldenCache = o.GoldenCache

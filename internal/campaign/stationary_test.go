@@ -195,21 +195,8 @@ func TestFrozenStationaryRunIsAFixedPoint(t *testing.T) {
 		gc := gold.groups[f.Cycle].gc
 		var st runStats
 		pa, pb := fault.NewPlane(f), fault.NewPlane(f)
-		na, err := wa.fork(gc, pa, &st, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb, err := wb.fork(gc, pb, &st, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ea := core.NewEngine(na.RouterConfig(), core.Options{})
-		eb := core.NewEngine(nb.RouterConfig(), core.Options{})
-		na.AttachMonitor(ea)
-		nb.AttachMonitor(eb)
-		fa, fb := findForever(na), findForever(nb)
-		fa.ClearDetections()
-		fb.ClearDetections()
+		na, ea, fa := wa.forkRun(gc, o, pa, false, &st, nil)
+		nb, eb, fb := wb.forkRun(gc, o, pb, false, &st, nil)
 		fa.Follow(gc.gfv)
 		fr := sim.NewFrontier(na, gc.rec, []int{f.Site.Router})
 		for c := int64(0); c < o.PostInjectRun; c++ {

@@ -15,10 +15,10 @@ import (
 // fault plane, through fork, window, drain, horizon and verdict, every
 // cycle stepped. Every field must agree, under each setting that changes
 // how either side steps (no ForEVeR: no horizon, and the continuation
-// settles its transcript past the template's last cycle; a coarse
-// snapshot interval: the fork replays a gap; a ForEVeR epoch short enough
-// that the golden monitor flags, whose first flag the template then
-// carries), at every injection cycle of a multi-cycle universe.
+// settles its transcript past the template's last cycle; a ForEVeR epoch
+// short enough that the golden monitor flags, whose first flag the
+// template then carries), at every injection cycle of a multi-cycle
+// universe.
 func TestTemplateFromContinuation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -29,7 +29,6 @@ func TestTemplateFromContinuation(t *testing.T) {
 	}{
 		{"default", func(o *Options) {}},
 		{"no-forever", func(o *Options) { o.DisableForever = true }},
-		{"interval-400", func(o *Options) { o.SnapshotInterval = 400 }},
 		{"epoch-20", func(o *Options) { o.Forever.Epoch = 20 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,10 +43,7 @@ func TestTemplateFromContinuation(t *testing.T) {
 			for _, c := range distinctCycles(o.FaultGroups) {
 				gc := gold.groups[c].gc
 				var st runStats
-				want, err := runSlow(&w, gc, o, nil, &st, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := runSlow(&w, gc, o, nil, &st, nil)
 				if !reflect.DeepEqual(gc.tmpl, want) {
 					t.Errorf("injection cycle %d: template assembled from the continuation\n %+v\nthe fault-free run gives\n %+v", c, gc.tmpl, want)
 				}

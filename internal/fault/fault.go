@@ -18,7 +18,6 @@ package fault
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Kind identifies the signal class a fault site belongs to. Each kind
@@ -268,14 +267,6 @@ func (f *Fault) stationaryFrom() int64 {
 // String renders the fault for logs and reports.
 func (f *Fault) String() string {
 	return fmt.Sprintf("%s bit%d @%d %s", f.Site, f.Bit, f.Cycle, f.Type)
-}
-
-// SortByCycle stably orders faults by injection cycle — the iteration
-// order snapshot planning and fork scheduling want, so consecutive
-// campaign runs share golden snapshots. Stability preserves the
-// deterministic draw order within each cycle.
-func SortByCycle(fs []Fault) {
-	sort.SliceStable(fs, func(i, j int) bool { return fs[i].Cycle < fs[j].Cycle })
 }
 
 // Plane is the injection surface routers consult at module boundaries.

@@ -562,24 +562,10 @@ func (n *Network) Quiet() bool {
 	return n.InFlight() <= 0 && n.allNIsIdle()
 }
 
-// SetPlane swaps the fault plane on this network and all its routers
-// (used when a campaign fork replays a fault-free gap before arming the
-// run's faults). The monotone inert cache is reset so the new plane's
-// liveness is re-evaluated from the current cycle. Only meaningful at a
-// cycle boundary, like Clone.
-func (n *Network) SetPlane(p *fault.Plane) {
-	n.plane = p
-	n.planeInert = false
-	for _, r := range n.routers {
-		r.SetPlane(p)
-	}
-}
-
 // ResetEjections truncates the ejection log without touching the
-// flit-ejected counter. Campaign forks that replay a fault-free gap
-// call this at the injection cycle so the log — like a fresh CloneInto
-// product's — holds post-injection ejections only, while the counters
-// keep their absolute values for fingerprint comparisons.
+// flit-ejected counter. A campaign's golden mainline calls this after
+// every step: nothing reads its ejections, and the counters keep their
+// absolute values for fingerprint comparisons.
 func (n *Network) ResetEjections() {
 	n.ejections = n.ejections[:0]
 }
@@ -587,8 +573,9 @@ func (n *Network) ResetEjections() {
 // ApproxFootprintBytes estimates the memory one full-state snapshot of
 // this network retains: flit-slot capacity for every router buffer plus
 // per-router and per-NI bookkeeping. It is a deterministic,
-// configuration-derived capacity estimate (what the snapshot ring
-// accounts against campaign_snapshot_bytes), not a heap measurement.
+// configuration-derived capacity estimate (what a campaign's golden
+// snapshots account against campaign_snapshot_bytes), not a heap
+// measurement.
 func (n *Network) ApproxFootprintBytes() int64 {
 	const (
 		flitBytes   = 96  // flit.Flit plus arena/slice overhead
@@ -602,7 +589,7 @@ func (n *Network) ApproxFootprintBytes() int64 {
 	total := nodes * (perRouter + perNI)
 	// An attached golden signal transcript is part of this network's
 	// retained state; campaigns surface it through the same accounting
-	// the snapshot ring uses.
+	// their snapshots use.
 	total += n.rec.ApproxFootprintBytes()
 	return total
 }

@@ -108,18 +108,52 @@ func TestDrainEmptiesFabric(t *testing.T) {
 	}
 }
 
-// TestLatencyLowerBound: no packet can beat the pipeline's physics —
-// 4 intra-router cycles per hop plus the injection/ejection links.
+// TestLatencyLowerBound holds a lone packet to the zero-load latency's
+// closed form (DESIGN.md §3): over H hops a P-stage router pipeline (4,
+// or 3 when VA and SA are speculative) delivers the head flit
+// P·(H+1) + 1 cycles after the packet is generated, and the tail L−1
+// cycles after the head. Every (source, destination) pair of the mesh in
+// turn, on an otherwise empty network, over {4×4, 8×8} × VCs {2, 4} ×
+// speculative on/off × packet length {1, 5}: no packet may be faster,
+// and at zero load none may be slower.
 func TestLatencyLowerBound(t *testing.T) {
-	n := MustNew(cfg44(0.02, 9), nil)
-	n.Run(2000)
-	n.Drain(5000)
-	for _, e := range n.Ejections() {
-		hops := int64(n.Mesh().HopDistance(e.Flit.Src, e.Flit.Dest))
-		minLatency := 4 + hops // NI link + per-hop minimum, loose bound
-		if got := e.Cycle - e.Flit.InjectedAt; got < minLatency {
-			t.Fatalf("flit %v delivered in %d cycles over %d hops (< %d)",
-				e.Flit, got, hops, minLatency)
+	for _, k := range []int{4, 8} {
+		for _, vcs := range []int{2, 4} {
+			for _, spec := range []bool{false, true} {
+				for _, length := range []int{1, 5} {
+					mesh := topology.NewMesh(k, k)
+					rc := router.Default(mesh)
+					rc.VCs, rc.Speculative, rc.LenByClass = vcs, spec, []int{length}
+					p := int64(4)
+					if spec {
+						p = 3
+					}
+					n := MustNew(Config{Router: rc, Seed: 9}, nil)
+					for src := 0; src < mesh.Nodes(); src++ {
+						for dst := 0; dst < mesh.Nodes(); dst++ {
+							id := n.InjectPacket(src, dst, 0)
+							born, logged := n.Cycle(), len(n.Ejections())
+							for !n.Quiet() {
+								n.Step()
+							}
+							h := int64(mesh.HopDistance(src, dst))
+							want := p*(h+1) + 1
+							for _, e := range n.Ejections()[logged:] {
+								if e.Flit.PacketID != id || e.Node != dst {
+									t.Fatalf("%d×%d: packet %d %d→%d: ejected %v at node %d", k, k, id, src, dst, e.Flit, e.Node)
+								}
+								if got := e.Cycle - born; got != want+int64(e.Flit.Seq) {
+									t.Fatalf("%d×%d, %d VCs, speculative %t, %d-flit packets: flit %d of %d→%d (%d hops) took %d cycles, want %d",
+										k, k, vcs, spec, length, e.Flit.Seq, src, dst, h, got, want+int64(e.Flit.Seq))
+								}
+							}
+							if got := len(n.Ejections()) - logged; got != length {
+								t.Fatalf("%d×%d: packet %d→%d delivered %d of %d flits", k, k, src, dst, got, length)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
