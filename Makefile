@@ -14,7 +14,7 @@ GOLDEN_FLAGS = -mesh 4x4 -vcs 4 -rate 0.12 -seed 3 -inject 300 -post 400 \
 # merge — add tests instead.
 COVER_FLOOR = 85.0
 
-.PHONY: all build fmt vet lint test race cover e2e bench benchcheck benchdelta benchfleet ci golden shardcheck identity fuzz-smoke build386
+.PHONY: all build fmt vet lint test race cover e2e e2e-dist benchfleet ci golden shardcheck identity fuzz-smoke build386
 
 all: ci
 
@@ -92,31 +92,16 @@ e2e:
 e2e-dist:
 	$(GO) test -tags e2e ./e2e -run TestDistributed -v -timeout 20m
 
-# Campaign throughput baseline (faults/sec, ns/fault, allocs/fault),
-# plus timestamped records appended to BENCH_4x4.json so the perf
-# trajectory accumulates across revisions (the file is created on
-# first run — a fresh clone works): one serial row ("campaign"), one
-# with the worker pool at GOMAXPROCS ("campaign-parallel"), and one
-# serial row with span tracing and the flight recorder armed
-# ("campaign-traced") — the committed evidence that observability costs
-# <5% throughput. Format: see EXPERIMENTS.md.
-BENCH_FLAGS = -mesh 4x4 -rate 0.12 -inject 300 -post 400 \
-	-drain 5000 -epoch 400 -faults 160 -seed 3 -fig none -progress=false
-
-# The 8x8 throughput rows (BENCH_8x8.json): the paper-scale mesh at its
-# 0.05 injection rate, serial, so the trajectory tracks algorithmic
-# wins (forking, fast-forward, reconvergence, frontier stepping) rather
-# than core count. Each row pins its engine explicitly — rows are only
-# comparable within one engine (the "engine" field in the record): the
-# -fullsim rows ("soa") time the full-simulation reference path.
-BENCH_8X8_FLAGS = -mesh 8x8 -rate 0.05 -inject 300 -post 500 \
+# The paper-scale 8×8 campaign behind testdata/report_8x8_seed3.json: the
+# 0.05 injection rate, a 64-fault sample at cycle 300. `make identity` also
+# runs the Observation-3 table (permanent faults) on it.
+REPORT_8X8_FLAGS = -mesh 8x8 -rate 0.05 -inject 300 -post 500 \
 	-drain 10000 -epoch 1500 -faults 64 -seed 3 -fig none -progress=false
 
-# The gated 16x16 throughput row (BENCH_16x16.json): a small universe
-# on the 16×16 mesh, where the cone-of-influence win is largest. Run
-# via `make bench BENCH_16X16=1` (or the bench CI job, which sets it) —
-# the row is gated because the -fullsim half takes a while on laptops.
-BENCH_16X16_FLAGS = -mesh 16x16 -rate 0.02 -inject 300 -post 500 \
+# The 16×16 campaign `make identity` holds the default run path to -fullsim
+# on, a small universe on the largest mesh. No report is committed: the two
+# runs' reports are compared with each other.
+REPORT_16X16_FLAGS = -mesh 16x16 -rate 0.02 -inject 300 -post 500 \
 	-drain 10000 -epoch 1500 -faults 32 -seed 3 -fig none -progress=false
 
 # The multi-cycle campaign behind testdata/report_8x8_multicycle_seed3.json
@@ -125,55 +110,6 @@ BENCH_16X16_FLAGS = -mesh 16x16 -rate 0.02 -inject 300 -post 500 \
 # whose runs overlap the golden warm-up that publishes their groups.
 MULTICYCLE_FLAGS = -mesh 8x8 -rate 0.05 -inject 0,16000,32000 -post 500 \
 	-drain 10000 -epoch 1500 -faults 96 -seed 3 -fig none -progress=false
-
-bench:
-	$(GO) test -run '^$$' -bench BenchmarkCampaignRun -benchtime 3x .
-	$(GO) run ./cmd/faultcampaign $(BENCH_FLAGS) -workers 1 \
-		-benchjson BENCH_4x4.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_FLAGS) -workers 0 \
-		-benchname campaign-parallel -benchjson BENCH_4x4.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_FLAGS) -workers 1 \
-		-trace-spans .bench-spans.ndjson -flight-recorder .bench-flight.ndjson \
-		-benchname campaign-traced -benchjson BENCH_4x4.json
-	rm -f .bench-spans.ndjson .bench-flight.ndjson
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -fullsim \
-		-benchname campaign-8x8-soa -benchjson BENCH_8x8.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 \
-		-benchname campaign-8x8-frontier -benchjson BENCH_8x8.json
-	@if [ -n "$(BENCH_16X16)" ]; then \
-		$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -workers 1 -fullsim \
-			-benchname campaign-16x16-soa -benchjson BENCH_16x16.json && \
-		$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -workers 1 \
-			-benchname campaign-16x16-frontier -benchjson BENCH_16x16.json; \
-	else echo "16x16 rows skipped (set BENCH_16X16=1 to run)"; fi
-
-# benchcheck is the perf regression gate: re-run the serial benchmark
-# campaigns and fail if their faults/sec land >30% below the latest
-# committed like-engined row in BENCH_4x4.json (resp. the "campaign-8x8*"
-# rows in BENCH_8x8.json). campaign-8x8-soa gates the full-simulation
-# reference path on the structure-of-arrays step loop and
-# campaign-8x8-frontier the divergence-frontier delta engine. Nothing is
-# appended.
-benchcheck:
-	$(GO) run ./cmd/faultcampaign $(BENCH_FLAGS) -workers 1 \
-		-benchbaseline BENCH_4x4.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -fullsim \
-		-benchname campaign-8x8-soa -benchbaseline BENCH_8x8.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 \
-		-benchname campaign-8x8-frontier -benchbaseline BENCH_8x8.json
-
-# benchdelta renders a per-(name, engine) throughput comparison between
-# the committed bench trajectories (HEAD) and the working copies —
-# typically right after `make bench`. Report-only; benchcheck is the
-# gate.
-benchdelta:
-	@mkdir -p .benchdelta
-	@for f in BENCH_4x4.json BENCH_8x8.json BENCH_16x16.json; do \
-		if git show HEAD:$$f > .benchdelta/$$f 2>/dev/null && [ -f $$f ]; then \
-			$(GO) run ./cmd/faultcampaign benchdelta -baseline .benchdelta/$$f -current $$f; \
-		fi; \
-	done
-	@rm -rf .benchdelta
 
 # benchfleet runs the repository benchmark's fleet workload alone (8
 # shards of one campaign over two in-process daemons, see bench/) with
@@ -194,7 +130,7 @@ golden:
 	$(GO) test ./internal/campaign -run 'TestGoldenFixture|TestArmedFaultReportFixture' -update-golden -v
 	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
 		-json testdata/report_4x4_seed3.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) \
+	$(GO) run ./cmd/faultcampaign $(REPORT_8X8_FLAGS) \
 		-json testdata/report_8x8_seed3.json
 	$(GO) run ./cmd/faultcampaign $(MULTICYCLE_FLAGS) \
 		-json testdata/report_8x8_multicycle_seed3.json
@@ -205,7 +141,7 @@ golden:
 # must come out byte for byte by default, under -no-soa (the reference
 # sweep engine) and under -fullsim (the full-simulation reference run
 # path: no fast path, reconvergence, frontier or fast-forward); the 16×16
-# bench campaign, where a run's drain and horizon are cheapest to get
+# campaign, where a run's drain and horizon are cheapest to get
 # wrong (256 routers replayed around a cone of three), must report the
 # same by default and under -fullsim. Faults that stay armed — only the
 # router that hosts one leaves the fast sweep and the inert skip; on the
@@ -225,16 +161,16 @@ identity:
 		$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false $$flags \
 			-json .identity/4x4-$$mode.json; \
 		cmp .identity/4x4-$$mode.json testdata/report_4x4_seed3.json; \
-		$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) $$flags -json .identity/8x8-$$mode.json; \
+		$(GO) run ./cmd/faultcampaign $(REPORT_8X8_FLAGS) $$flags -json .identity/8x8-$$mode.json; \
 		cmp .identity/8x8-$$mode.json testdata/report_8x8_seed3.json; \
 		$(GO) run ./cmd/faultcampaign $(MULTICYCLE_FLAGS) $$flags -json .identity/multicycle-$$mode.json; \
 		cmp .identity/multicycle-$$mode.json testdata/report_8x8_multicycle_seed3.json; \
-		$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -fig obs3 $$flags | grep -v '^campaign:' > .identity/obs3-$$mode.txt; \
+		$(GO) run ./cmd/faultcampaign $(REPORT_8X8_FLAGS) -fig obs3 $$flags | grep -v '^campaign:' > .identity/obs3-$$mode.txt; \
 		cmp .identity/obs3-default.txt .identity/obs3-$$mode.txt; \
 	done; \
 	grep -q '^permanent ' .identity/obs3-default.txt; \
-	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -json .identity/16x16-default.json; \
-	$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -fullsim -json .identity/16x16-fullsim.json; \
+	$(GO) run ./cmd/faultcampaign $(REPORT_16X16_FLAGS) -json .identity/16x16-default.json; \
+	$(GO) run ./cmd/faultcampaign $(REPORT_16X16_FLAGS) -fullsim -json .identity/16x16-fullsim.json; \
 	cmp .identity/16x16-default.json .identity/16x16-fullsim.json; \
 	$(GO) test -count=1 -run 'TestArmedFaultReportFixture|TestDoubleFaultGroupMatchesReference' ./internal/campaign; \
 	$(MAKE) fuzz-smoke
@@ -267,4 +203,9 @@ shardcheck:
 		-golden testdata/golden_4x4_seed3.json .shardcheck/shard*.ndjson
 	rm -rf .shardcheck
 
-ci: lint build test race cover
+# ci mirrors the CI test job and then races, running every test once:
+# the 386 cross-build, ./internal/... under the coverage floor, every other
+# package, then the concurrent packages under the race detector.
+ci: lint build build386 cover
+	$(GO) test $$($(GO) list ./... | grep -v /internal/)
+	$(MAKE) race

@@ -21,20 +21,15 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	_ "expvar" // registers /debug/vars on the telemetry server
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/ on the telemetry server
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -56,41 +51,37 @@ func main() {
 		dispatchMain(os.Args[2:])
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "benchdelta" {
-		benchDeltaMain(os.Args[2:])
-		return
-	}
 	var (
-		meshSpec  = flag.String("mesh", "8x8", "mesh dimensions WxH")
-		vcs       = flag.Int("vcs", 4, "virtual channels per port")
-		rate      = flag.Float64("rate", 0.05, "injection rate (flits/node/cycle)")
-		inject    = flag.String("inject", "0", "fault-injection cycle, or a comma list (e.g. 0,16000,32000) spread round-robin over the sample (paper: 0 and 32000)")
-		nFaults   = flag.Int("faults", 1000, "fault sample size (0 = all locations)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		epoch     = flag.Int64("epoch", 1500, "ForEVeR epoch length in cycles")
-		post      = flag.Int64("post", 500, "cycles of continued injection after the fault")
-		drain     = flag.Int64("drain", 10000, "drain deadline in cycles")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		figs      = flag.String("fig", "all", "figures to print: comma list of 6,7,8,9,obs3,obs5 or 'all'")
-		jsonPath  = flag.String("json", "", "also export the aggregated results as JSON to this file")
-		benchOut  = flag.String("benchjson", "", "write a campaign throughput record (faults/sec) as JSON to this file")
-		benchName = flag.String("benchname", "campaign", "name for the -benchjson record (e.g. campaign-parallel)")
-		benchBase = flag.String("benchbaseline", "", "compare this run's faults/sec against the latest matching record in FILE; exit non-zero on a >30% regression")
-		noSoA     = flag.Bool("no-soa", false, "use the reference sweep engine (full-range VC sweeps, no inert-router skip); results are byte-identical to the default structure-of-arrays engine")
-		fullSim   = flag.Bool("fullsim", false, "run every fault on the full-simulation reference path (the whole mesh through window, drain and ForEVeR horizon; no fast path, reconvergence, divergence frontier or fast-forward); results are byte-identical to the default")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-		progress  = flag.Bool("progress", true, "print campaign progress to stderr")
-		telAddr   = flag.String("telemetry", "", "serve live telemetry on this address (pprof at /debug/pprof/, expvar at /debug/vars, metrics at /metricsz, OpenMetrics at /metrics)")
-		traceOut  = flag.String("trace", "", "stream one NDJSON record per completed fault run to this file")
-		spanOut   = flag.String("trace-spans", "", "stream campaign/run/phase spans as NDJSON to this file")
-		otlpOut   = flag.String("spans-otlp", "", "write the completed spans as an OTLP/JSON dump to this file (implies span retention)")
-		spanN     = flag.Int("span-sample", 1, "record every Nth run's spans (campaign-level spans are always recorded)")
-		frOut     = flag.String("flight-recorder", "", "record recent campaign events in a bounded ring, dumped to this file on anomalies and at campaign end")
-		shardStr  = flag.String("shard", "", "run only shard i/N of the campaign (0-based, e.g. 0/4) against a resumable checkpoint; requires -checkpoint")
-		ckptPath  = flag.String("checkpoint", "", "shard checkpoint file (NDJSON); an existing one is resumed, a finished one is a no-op")
-		verifyN   = flag.Int("verify-resumed", 0, "recorded runs to re-execute and compare when resuming a checkpoint (0 = default sample, -1 = none)")
+		meshSpec = flag.String("mesh", "8x8", "mesh dimensions WxH")
+		vcs      = flag.Int("vcs", 4, "virtual channels per port")
+		rate     = flag.Float64("rate", 0.05, "injection rate (flits/node/cycle)")
+		inject   = flag.String("inject", "0", "fault-injection cycle, or a comma list (e.g. 0,16000,32000) spread round-robin over the sample (paper: 0 and 32000)")
+		nFaults  = flag.Int("faults", 1000, "fault sample size (0 = all locations)")
+		seed     = flag.Uint64("seed", 1, "random seed")
+		epoch    = flag.Int64("epoch", 1500, "ForEVeR epoch length in cycles")
+		post     = flag.Int64("post", 500, "cycles of continued injection after the fault")
+		drain    = flag.Int64("drain", 10000, "drain deadline in cycles")
+		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		figs     = flag.String("fig", "all", "figures to print: comma list of 6,7,8,9,obs3,obs5 or 'all'")
+		jsonPath = flag.String("json", "", "also export the aggregated results as JSON to this file")
+		noSoA    = flag.Bool("no-soa", false, "use the reference sweep engine (full-range VC sweeps, no inert-router skip); results are byte-identical to the default structure-of-arrays engine")
+		fullSim  = flag.Bool("fullsim", false, "run every fault on the full-simulation reference path (the whole mesh through window, drain and ForEVeR horizon; no fast path, reconvergence, divergence frontier or fast-forward); results are byte-identical to the default")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+		progress = flag.Bool("progress", true, "print campaign progress to stderr")
+		telAddr  = flag.String("telemetry", "", "serve live telemetry on this address (OpenMetrics at /metrics, pprof at /debug/pprof/)")
+		traceOut = flag.String("trace", "", "stream one NDJSON record per completed fault run to this file")
+		spanOut  = flag.String("trace-spans", "", "stream campaign/run/phase spans as NDJSON to this file")
+		otlpOut  = flag.String("spans-otlp", "", "write the completed spans as an OTLP/JSON dump to this file (implies span retention)")
+		spanN    = flag.Int("span-sample", 1, "record every Nth run's spans (campaign-level spans are always recorded)")
+		frOut    = flag.String("flight-recorder", "", "record recent campaign events in a bounded ring, dumped to this file on anomalies and at campaign end")
+		shardStr = flag.String("shard", "", "run only shard i/N of the campaign (0-based, e.g. 0/4) against a resumable checkpoint; requires -checkpoint")
+		ckptPath = flag.String("checkpoint", "", "shard checkpoint file (NDJSON); an existing one is resumed, a finished one is a no-op")
+		verifyN  = flag.Int("verify-resumed", 0, "recorded runs to re-execute and compare when resuming a checkpoint (0 = default sample, -1 = none)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		log.Fatalf("unexpected argument %q (subcommands: merge, dispatch)", flag.Arg(0))
+	}
 
 	// SIGINT/SIGTERM cancel the campaign cooperatively: in-flight runs
 	// finish, then RunCampaign returns context.Canceled.
@@ -144,7 +135,7 @@ func main() {
 		totalBits(params), len(params.EnumerateSites()), len(faults), *inject)
 
 	// Telemetry: one registry feeds the progress line's ETA, the
-	// /metricsz endpoint and the live faults/sec gauge. It stays nil —
+	// /metrics endpoint and the live faults/sec gauge. It stays nil —
 	// zero cost — when neither consumer is active.
 	var reg *nocalert.MetricsRegistry
 	if *progress || *telAddr != "" {
@@ -155,7 +146,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("telemetry: http://%s/metricsz (OpenMetrics /metrics, pprof /debug/pprof/, expvar /debug/vars)\n", addr)
+		fmt.Printf("telemetry: http://%s/metrics (pprof /debug/pprof/)\n", addr)
 	}
 
 	// Span tracing and the anomaly flight recorder: both are
@@ -228,8 +219,8 @@ func main() {
 		if *ckptPath == "" {
 			log.Fatal("-shard requires -checkpoint FILE")
 		}
-		if *traceOut != "" || *jsonPath != "" || *benchOut != "" {
-			log.Fatal("-shard is incompatible with -trace, -json and -benchjson; finalize the shards and use `faultcampaign merge`")
+		if *traceOut != "" || *jsonPath != "" {
+			log.Fatal("-shard is incompatible with -trace and -json; finalize the shards and use `faultcampaign merge`")
 		}
 		spec := nocalert.CampaignSpec{
 			MeshW: mesh.W, MeshH: mesh.H, VCs: *vcs,
@@ -320,19 +311,6 @@ func main() {
 	fmt.Printf("campaign: %d runs in %v; %d faults fired, %d caused network-correctness violations, %d fast-path exits, %d reconverged, %d forked (%d prefix cycles skipped, %d synthesized)\n\n",
 		len(rep.Results), wall.Round(time.Millisecond), rep.FiredCount(), rep.MaliciousCount(), rep.FastPathHits, rep.ReconvergedHits,
 		rep.ForkedRuns, rep.WarmstartCyclesSaved, rep.SynthesizedCycles)
-
-	engine := engineName(*noSoA, *fullSim)
-	if *benchOut != "" {
-		if err := writeBenchRecord(*benchOut, *benchName, engine, *meshSpec, rep, *workers, wall); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("throughput record appended to %s\n\n", *benchOut)
-	}
-	if *benchBase != "" {
-		if err := checkBenchBaseline(*benchBase, *benchName, engine, len(rep.Results), wall); err != nil {
-			log.Fatal(err)
-		}
-	}
 
 	printFigures(rep, *figs)
 	if *jsonPath != "" {
@@ -426,26 +404,16 @@ func obs3(exec nocalert.CampaignOptions, params nocalert.FaultParams) {
 	fmt.Println()
 }
 
-// serveTelemetry starts the live-profiling HTTP server: /metricsz
-// (JSON registry snapshot; ?format=text for the plain rendering),
-// /metrics (the OpenMetrics/Prometheus exposition standard scrapers
-// consume) plus whatever the expvar and net/http/pprof imports
-// registered on the default mux. It returns the bound address
-// ("localhost:0" picks a port).
+// serveTelemetry starts the live-profiling HTTP server: /metrics (the
+// OpenMetrics/Prometheus exposition standard scrapers consume) plus the
+// /debug/pprof/ pages the net/http/pprof import registered on the
+// default mux. It returns the bound address ("localhost:0" picks a
+// port).
 func serveTelemetry(addr string, reg *nocalert.MetricsRegistry) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	http.HandleFunc("/metricsz", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			reg.WriteText(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteJSON(w)
-	})
 	http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", nocalert.OpenMetricsContentType)
 		reg.WriteOpenMetrics(w)
@@ -456,156 +424,6 @@ func serveTelemetry(addr string, reg *nocalert.MetricsRegistry) (string, error) 
 		}
 	}()
 	return ln.Addr().String(), nil
-}
-
-// engineName names the sweep engine a run's flag combination resolves
-// to, for tagging -benchjson rows: -fullsim steps every run on the plain
-// per-cycle engine (soa or reference per the -no-soa flag), the default
-// on the frontier.
-func engineName(noSoA, fullSim bool) string {
-	switch {
-	case fullSim && noSoA:
-		return "reference"
-	case fullSim:
-		return "soa"
-	default:
-		return "frontier"
-	}
-}
-
-// benchRecord is the throughput measurement -benchjson emits, so perf
-// runs can be tracked across revisions. Engine names the sweep engine
-// that produced the row (reference/soa/frontier); rows are only
-// comparable within one engine, which is how checkBenchBaseline matches
-// them.
-type benchRecord struct {
-	Name         string  `json:"name"`
-	Engine       string  `json:"engine"`
-	Timestamp    string  `json:"timestamp"`
-	Mesh         string  `json:"mesh"`
-	Faults       int     `json:"faults"`
-	FastPathHits int     `json:"fast_path_hits"`
-	Reconverged  int     `json:"reconverged"`
-	Forked       int     `json:"forked"`
-	Workers      int     `json:"workers"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	FaultsPerSec float64 `json:"faults_per_sec"`
-}
-
-// decodeBenchRecords parses a bench trajectory file: a JSON array of
-// records, or the legacy shape of one or more concatenated JSON
-// objects.
-func decodeBenchRecords(data []byte, path string) ([]benchRecord, error) {
-	if len(bytes.TrimSpace(data)) == 0 {
-		return nil, nil
-	}
-	var records []benchRecord
-	if json.Unmarshal(data, &records) == nil {
-		return records, nil
-	}
-	records = records[:0]
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for {
-		var r benchRecord
-		if err := dec.Decode(&r); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("cannot parse %s: %v", path, err)
-		}
-		records = append(records, r)
-	}
-	return records, nil
-}
-
-// writeBenchRecord appends a timestamped throughput record to path, so
-// repeated runs accumulate a perf trajectory. Existing files are kept:
-// a JSON array is extended in place, and the legacy shape (one or more
-// concatenated JSON objects) is absorbed into the array form.
-func writeBenchRecord(path, name, engine, mesh string, rep *nocalert.CampaignReport, workers int, wall time.Duration) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	r := benchRecord{
-		Name:         name,
-		Engine:       engine,
-		Timestamp:    time.Now().UTC().Format(time.RFC3339),
-		Mesh:         mesh,
-		Faults:       len(rep.Results),
-		FastPathHits: rep.FastPathHits,
-		Reconverged:  rep.ReconvergedHits,
-		Forked:       rep.ForkedRuns,
-		Workers:      workers,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		WallSeconds:  wall.Seconds(),
-	}
-	if s := wall.Seconds(); s > 0 {
-		r.FaultsPerSec = float64(r.Faults) / s
-	}
-	var records []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil && len(bytes.TrimSpace(data)) > 0 {
-		if json.Unmarshal(data, &records) != nil {
-			records = records[:0]
-			dec := json.NewDecoder(bytes.NewReader(data))
-			for {
-				var raw json.RawMessage
-				if err := dec.Decode(&raw); err == io.EOF {
-					break
-				} else if err != nil {
-					return fmt.Errorf("benchjson: cannot parse existing %s: %v", path, err)
-				}
-				records = append(records, raw)
-			}
-		}
-	}
-	raw, err := json.Marshal(&r)
-	if err != nil {
-		return err
-	}
-	records = append(records, raw)
-	out, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// checkBenchBaseline compares this run's throughput against the latest
-// like-engined record named name in the baseline trajectory file and
-// fails on a >30% regression — the `make benchcheck` gate. Rows from a
-// different engine are never compared (a frontier run outpacing the soa
-// baseline says nothing about either); legacy rows without an engine
-// tag match any engine.
-func checkBenchBaseline(path, name, engine string, faults int, wall time.Duration) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("benchbaseline: %v", err)
-	}
-	records, err := decodeBenchRecords(data, path)
-	if err != nil {
-		return fmt.Errorf("benchbaseline: %v", err)
-	}
-	var base *benchRecord
-	for i := range records {
-		if records[i].Name == name && (records[i].Engine == "" || records[i].Engine == engine) {
-			base = &records[i]
-		}
-	}
-	if base == nil {
-		return fmt.Errorf("benchbaseline: %s has no record named %q for engine %q", path, name, engine)
-	}
-	got := 0.0
-	if s := wall.Seconds(); s > 0 {
-		got = float64(faults) / s
-	}
-	floor := 0.7 * base.FaultsPerSec
-	fmt.Printf("benchcheck: %.1f faults/sec vs baseline %.1f (%s/%s, %s); floor %.1f\n",
-		got, base.FaultsPerSec, base.Name, engine, base.Timestamp, floor)
-	if got < floor {
-		return fmt.Errorf("benchbaseline: throughput %.1f faults/sec is >30%% below the committed baseline %.1f (%s)",
-			got, base.FaultsPerSec, path)
-	}
-	return nil
 }
 
 // parseInjectCycles parses the -inject flag: a single cycle or a comma

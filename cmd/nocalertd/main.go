@@ -25,7 +25,7 @@
 //	GET    /v1/jobs/{id}/report final aggregated report
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /metrics             OpenMetrics/Prometheus exposition
-//	GET    /healthz /metricsz /debug/pprof/ /debug/vars
+//	GET    /healthz /debug/pprof/
 //
 // Observability: job transitions log through log/slog (text by
 // default, `-log-json` for machine-readable records), every record

@@ -151,12 +151,6 @@ type Options struct {
 	// is the oracle the shortcuts are held to and the baseline their win
 	// is measured against.
 	FullSim bool
-	// DisableForever runs the campaign without a ForEVeR monitor: the
-	// golden run and every faulty run skip the baseline entirely, and
-	// finishRun skips the post-drain horizon run-out that exists only to
-	// give ForEVeR's epoch check a chance to fire. ForEVeR result fields
-	// report not-detected. NoCAlert and Cautious results are unaffected.
-	DisableForever bool
 	// GoldenCache, when non-nil, shares the golden half of the campaign
 	// (warm-up mainline, per-injection-cycle snapshots and golden
 	// continuations) with every other Run handed the same cache: a Run
@@ -621,9 +615,7 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 		// being shown the whole mesh.
 		tl = golden.NewTimeline(int(o.PostInjectRun))
 		cont.StartRecording(int(o.PostInjectRun))
-		if fv := findForever(cont); fv != nil {
-			fv.StartHistory(c)
-		}
+		findForever(cont).StartHistory(c)
 		ejStart := len(cont.Ejections())
 		for t := int64(0); t < o.PostInjectRun; t++ {
 			cont.Step()
@@ -643,17 +635,12 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 	// The transcript ran on through the drain and runs on until golden
 	// stops changing (the last flit's credits are still on their way home:
 	// a couple of cycles): from there it covers whatever a faulty run still
-	// needs (sim/record.go). Golden steps these cycles anyway when there
-	// is a horizon, which then bounds them — its ForEVeR monitor must see
-	// no cycle a run without the transcript would not show it; without one
-	// a second drain deadline does.
-	horizon, settleBy := cont.Cycle(), cont.Cycle()+o.DrainDeadline
-	if !o.DisableForever {
-		horizon = foreverHorizon(cont.Cycle(), o.Forever)
-		settleBy = horizon
-	}
+	// needs (sim/record.go). Golden steps these cycles anyway to the
+	// ForEVeR horizon, which then bounds them: its monitor must see no
+	// cycle a run without the transcript would not show it.
+	horizon := foreverHorizon(cont.Cycle(), o.Forever)
 	if !o.FullSim {
-		gc.rec = cont.SettleRecording(settleBy)
+		gc.rec = cont.SettleRecording(horizon)
 	}
 	for cont.Cycle() < horizon {
 		cont.Step()
@@ -663,10 +650,7 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 	gc.goldenLog = golden.FromEjections(cont.Ejections(), c)
 	gc.goldenEjections = gc.goldenLog.Total()
 	gc.gfv = findForever(cont)
-	goldenFd := int64(-1)
-	if gc.gfv != nil {
-		goldenFd = gc.gfv.FirstDetectionAfter(c)
-	}
+	goldenFd := gc.gfv.FirstDetectionAfter(c)
 	gc.goldenFvFP = goldenFd >= 0
 
 	if o.FullSim {
@@ -684,18 +668,16 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 	// The shortcuts rest on a clean golden continuation: no NoCAlert
 	// assertion anywhere in the fault-free template (so freezing the
 	// engine at the reconvergence cycle loses nothing), a benign
-	// golden-vs-golden verdict, a transcript that settled, and — when
-	// ForEVeR is on — a golden monitor whose detection list stayed under
-	// its cap (so the recorded tail is complete) and that ended with every
-	// counter at zero and no notification in flight (the state a node the
-	// fault never reaches is in once golden's record of it ends). All of
+	// golden-vs-golden verdict, a transcript that settled, and a golden
+	// ForEVeR monitor whose detection list stayed under its cap (so the
+	// recorded tail is complete) and that ended with every counter at zero
+	// and no notification in flight (the state a node the fault never
+	// reaches is in once golden's record of it ends). All of
 	// these hold for any sanely configured campaign; if one does not, the
 	// group's runs take the reference path (runSlow) and the transcript is
 	// dropped.
-	sound := !tmpl.Detected && tmpl.Drained && tmpl.Verdict.OK() && gc.rec != nil
-	if !o.DisableForever {
-		sound = sound && gc.gfv != nil && len(gc.gfv.Detections()) < forever.DetectionCap && gc.gfv.Settled()
-	}
+	sound := !tmpl.Detected && tmpl.Drained && tmpl.Verdict.OK() && gc.rec != nil &&
+		len(gc.gfv.Detections()) < forever.DetectionCap && gc.gfv.Settled()
 	if sound {
 		gc.rc = &reconvergence{tl: tl, gfv: gc.gfv, verdict: tmpl.Verdict}
 	} else {
@@ -733,7 +715,7 @@ func goldenTemplate(tw *worker, gc *groupCtx, o Options, eng *core.Engine, golde
 		tro = &runObs{fr: o.FlightRecorder, idx: -1}
 	}
 	var st runStats
-	resimulate := eng.Detected() || (gc.gfv != nil && len(gc.gfv.Detections()) >= forever.DetectionCap)
+	resimulate := eng.Detected() || len(gc.gfv.Detections()) >= forever.DetectionCap
 	span.SetAttr("resimulated", resimulate)
 	if resimulate {
 		return runSlow(tw, gc, o, nil, &st, tro), nil
@@ -804,8 +786,8 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 // forkRun is the warm start both run paths share: the network at gc's
 // injection cycle under plane, taken from the golden snapshot there, with a
 // fresh NoCAlert engine attached and the detections its ForEVeR monitor fv
-// (nil when there is none) inherited from golden cleared. lazy is for a run
-// the divergence frontier steps: the worker's network takes the fork point's
+// inherited from golden cleared. lazy is for a run the divergence frontier
+// steps: the worker's network takes the fork point's
 // network-level state only (sim.Network.CloneLazyInto), and the frontier
 // fetches from the snapshot the nodes the run's cone comes to hold
 // (st.nodesCloned, counted when the run is over); the rest of the worker's
@@ -826,9 +808,8 @@ func (w *worker) forkRun(gc *groupCtx, o Options, plane *fault.Plane, lazy bool,
 	ws.End()
 	eng = core.NewEngine(n.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
 	n.AttachMonitor(eng)
-	if fv = findForever(n); fv != nil {
-		fv.ClearDetections()
-	}
+	fv = findForever(n)
+	fv.ClearDetections()
 	return n, eng, fv
 }
 
@@ -859,9 +840,7 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 	for _, ft := range group {
 		w.seeds = append(w.seeds, ft.Site.Router)
 	}
-	if fv != nil {
-		fv.Follow(gc.gfv)
-	}
+	fv.Follow(gc.gfv)
 	if w.fr == nil {
 		w.fr = new(sim.Frontier)
 	}
@@ -940,16 +919,13 @@ func countersMatch(n *sim.Network, pt *golden.TimelinePoint) bool {
 // histories alone, equals the golden monitor's, so its future flags are
 // the golden monitor's recorded tail.
 func synthesizeReconverged(n *sim.Network, eng *core.Engine, fv *forever.Monitor, rc *reconvergence, plane *fault.Plane, injectCycle int64, group []fault.Fault) RunResult {
-	fd := int64(-1)
-	if fv != nil {
-		// Flags the faulty monitor raised during the divergent window
-		// come first; past the reconvergence cycle the faulty run would
-		// flag exactly when the golden monitor did, so the recorded
-		// golden tail completes the picture.
-		fd = fv.FirstDetectionAfter(injectCycle)
-		if fd < 0 && rc.gfv != nil {
-			fd = rc.gfv.FirstDetectionAfter(n.Cycle())
-		}
+	// Flags the faulty monitor raised during the divergent window come
+	// first; past the reconvergence cycle the faulty run would flag exactly
+	// when the golden monitor did, so the recorded golden tail completes the
+	// picture.
+	fd := fv.FirstDetectionAfter(injectCycle)
+	if fd < 0 {
+		fd = rc.gfv.FirstDetectionAfter(n.Cycle())
 	}
 	return assembleResult(eng, plane, group, injectCycle, rc.verdict, true, fd)
 }
@@ -958,7 +934,7 @@ func synthesizeReconverged(n *sim.Network, eng *core.Engine, fv *forever.Monitor
 // end, or known from here on without stepping: whether the plane fired,
 // what the NoCAlert engine accumulated, and the three mechanisms'
 // classifications against the golden-reference verdict. fd is ForEVeR's
-// first flag at or after the injection cycle, -1 for none or no monitor.
+// first flag at or after the injection cycle, -1 for none.
 func assembleResult(eng *core.Engine, plane *fault.Plane, group []fault.Fault, injectCycle int64, verdict golden.Verdict, drained bool, fd int64) RunResult {
 	malicious := !verdict.OK()
 	fired := false
@@ -1037,10 +1013,9 @@ type stepper interface {
 // the frontier that steps n and holds its ejection log as a difference
 // from golden's; n steps itself otherwise, and is read either way for
 // everything both agree on (cycle, counters, fault plane). The horizon
-// run-out exists only to give ForEVeR's epoch check a chance to flag anomalies
-// after the drain, so it is skipped when no monitor is attached and the
-// drain succeeded (an undrained network still steps to the horizon: the
-// extra cycles can surface NoCAlert assertions on stuck traffic).
+// run-out gives ForEVeR's epoch check a chance to flag anomalies after the
+// drain (on an undrained network the extra cycles can also surface
+// NoCAlert assertions on stuck traffic).
 //
 // On the frontier, both phases probe for a frozen fixed point (see
 // ffProbe) and synthesize the remainder exactly instead of
@@ -1090,25 +1065,23 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 		st.synthesized += drainEnd - n.Cycle()
 		logical = drainEnd
 	}
-	if fv != nil || !drained {
-		hz := ro.phase("horizon")
-		horizon := foreverHorizon(logical, o.Forever)
-		for !frozen && n.Cycle() < horizon {
-			if fr != nil && probe.frozen(fr, n, eng, fv) {
-				frozen = true
-				ro.event("ff_freeze", n.Cycle(), "frozen in horizon", nil)
-				break
-			}
-			s.Step()
+	hz := ro.phase("horizon")
+	horizon := foreverHorizon(logical, o.Forever)
+	for !frozen && n.Cycle() < horizon {
+		if fr != nil && probe.frozen(fr, n, eng, fv) {
+			frozen = true
+			ro.event("ff_freeze", n.Cycle(), "frozen in horizon", nil)
+			break
 		}
-		if frozen {
-			st.synthesized += horizon - max64(n.Cycle(), logical)
-			projectUntil = horizon
-		}
-		hz.SetAttr("horizon_cycle", horizon)
-		hz.SetAttr("frozen", frozen)
-		hz.End()
+		s.Step()
 	}
+	if frozen {
+		st.synthesized += horizon - max64(n.Cycle(), logical)
+		projectUntil = horizon
+	}
+	hz.SetAttr("horizon_cycle", horizon)
+	hz.SetAttr("frozen", frozen)
+	hz.End()
 	if frozen {
 		// The frozen state re-emits its assertion pattern on every
 		// synthesized cycle; fold all of them into the engine so the
@@ -1148,14 +1121,11 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 		w.flog = golden.FromEjectionsInto(w.flog, n.Ejections(), gc.cycle)
 		verdict = golden.Compare(gc.goldenLog, w.flog, drained)
 	}
-	fd := int64(-1)
-	if fv != nil {
-		fd = fv.FirstDetectionAfter(gc.cycle)
-		if fd < 0 && projectUntil >= 0 {
-			// The frozen state replays identically through [n.Cycle(),
-			// projectUntil): only the epoch-boundary checks remain.
-			fd = fv.ProjectFrozenDetection(n.Cycle(), projectUntil)
-		}
+	fd := fv.FirstDetectionAfter(gc.cycle)
+	if fd < 0 && projectUntil >= 0 {
+		// The frozen state replays identically through [n.Cycle(),
+		// projectUntil): only the epoch-boundary checks remain.
+		fd = fv.ProjectFrozenDetection(n.Cycle(), projectUntil)
 	}
 	return assembleResult(eng, plane, group, gc.cycle, verdict, drained, fd)
 }

@@ -93,7 +93,7 @@ func (p *ffProbe) frozen(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv 
 	if p.gap == 0 {
 		p.gap, p.fpCycle = 1, -1
 	}
-	if !n.FaultsStationary() || (fv != nil && !fv.PendingEmpty()) {
+	if !n.FaultsStationary() || !fv.PendingEmpty() {
 		p.fpCycle = -1
 		return false
 	}

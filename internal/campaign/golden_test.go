@@ -140,7 +140,7 @@ func TestGoldenFixture8x8(t *testing.T) {
 }
 
 // Golden16x16Spec is the scale-out pinned campaign: a 16×16 mesh at a
-// low injection rate, matching the Makefile's BENCH_16X16_FLAGS row.
+// low injection rate, matching the Makefile's REPORT_16X16_FLAGS.
 // Its fixture keeps the frontier engine honest on a mesh large enough
 // that most routers stay outside the fault's cone of influence.
 func Golden16x16Spec() Spec {

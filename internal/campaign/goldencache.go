@@ -209,7 +209,7 @@ func (o *Options) goldenInputs() (cycles []int64, key goldenKey) {
 	h := sha256.New()
 	fmt.Fprintf(h, "sim=%#v\nforever=%#v\npost=%d drain=%d checkers=%v\n",
 		o.Sim, o.Forever, o.PostInjectRun, o.DrainDeadline, o.CheckersDisabled)
-	fmt.Fprintf(h, "fullsim=%t noforever=%t\n", o.FullSim, o.DisableForever)
+	fmt.Fprintf(h, "fullsim=%t\n", o.FullSim)
 	fmt.Fprintf(h, "cycles=%v\n", cycles)
 	return cycles, goldenKey(hex.EncodeToString(h.Sum(nil)))
 }
@@ -279,9 +279,7 @@ func (g *Golden) runMainline(ctx context.Context, o *Options, cycles []int64, fo
 	if err != nil {
 		return err
 	}
-	if !o.DisableForever {
-		mainline.AttachMonitor(forever.NewMonitor(mainline.RouterConfig(), o.Forever))
-	}
+	mainline.AttachMonitor(forever.NewMonitor(mainline.RouterConfig(), o.Forever))
 	stretch := func(ci int, c int64) error {
 		ml := warm.Child("phase", "mainline")
 		defer ml.End()
@@ -341,10 +339,7 @@ func (g *Golden) buildGroups(ctx context.Context, o *Options, forks <-chan forkP
 			return err
 		}
 		g.logBytes += gc.goldenLog.ApproxFootprintBytes()
-		g.timelineBytes += gc.rec.ApproxFootprintBytes()
-		if gc.gfv != nil {
-			g.timelineBytes += gc.gfv.ApproxHistoryBytes()
-		}
+		g.timelineBytes += gc.rec.ApproxFootprintBytes() + gc.gfv.ApproxHistoryBytes()
 		if gc.rc != nil {
 			g.timelineBytes += gc.rc.tl.ApproxFootprintBytes()
 		}

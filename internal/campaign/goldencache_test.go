@@ -194,7 +194,6 @@ func TestGoldenKeyCoversOptions(t *testing.T) {
 		"Workers":          {{"", func(o *Options) { o.Workers = 7 }, false}},
 		"CheckersDisabled": {{"", func(o *Options) { o.CheckersDisabled = []core.CheckerID{1} }, true}},
 		"FullSim":          {{"", func(o *Options) { o.FullSim = true }, true}},
-		"DisableForever":   {{"", func(o *Options) { o.DisableForever = true }, true}},
 		"GoldenCache":      {{"", func(o *Options) { o.GoldenCache = NewGoldenCache() }, false}},
 		"Progress":         {{"", func(o *Options) { o.Progress = func(int, int) {} }, false}},
 		"Metrics":          {{"", func(o *Options) { o.Metrics = metrics.NewRegistry() }, false}},

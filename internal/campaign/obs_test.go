@@ -293,8 +293,10 @@ func TestForkVerifyMismatchDumpsFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fv := forever.NewMonitor(&rc, forever.Options{})
+	n.AttachMonitor(fv)
 	n.Run(50)
-	gc := &groupCtx{cycle: n.Cycle(), snap: n.CloneInto(nil, nil), forkFP: n.Fingerprint() ^ 0xdead}
+	gc := &groupCtx{cycle: n.Cycle(), snap: n.CloneInto(nil, nil), forkFP: n.Fingerprint() ^ 0xdead, gfv: fv}
 
 	var sink bytes.Buffer
 	fr := obs.NewFlightRecorder(16, &sink)

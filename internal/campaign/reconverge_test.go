@@ -94,46 +94,6 @@ func TestReconvergedResultsMatchFullSimulation(t *testing.T) {
 	}
 }
 
-// TestDisableForeverKeepsNoCAlertResults runs the golden-fixture
-// campaign with and without the ForEVeR baseline and requires the
-// NoCAlert, Cautious and golden-reference fields to be unaffected —
-// the guard for finishRun skipping the epoch-horizon run-out when no
-// monitor is attached and the drain succeeded.
-func TestDisableForeverKeepsNoCAlertResults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test in -short mode")
-	}
-	withRep, err := Run(goldenOptions(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := goldenOptions(t)
-	off.DisableForever = true
-	withoutRep, err := Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range withRep.Results {
-		wr, nr := withRep.Results[i], withoutRep.Results[i]
-		if nr.ForeverDetected || nr.ForeverLatency != -1 {
-			t.Fatalf("result %d reports a ForEVeR detection with the baseline disabled: %+v", i, nr)
-		}
-		if wr.Fired != nr.Fired || wr.Drained != nr.Drained ||
-			wr.Detected != nr.Detected || wr.DetectCycle != nr.DetectCycle ||
-			wr.Latency != nr.Latency || wr.Outcome != nr.Outcome ||
-			wr.CautiousDetected != nr.CautiousDetected ||
-			wr.CautiousLatency != nr.CautiousLatency ||
-			wr.CautiousOutcome != nr.CautiousOutcome {
-			t.Fatalf("result %d NoCAlert fields differ with ForEVeR disabled:\nwith:    %+v\nwithout: %+v", i, wr, nr)
-		}
-		wv, nv := wr.Verdict, nr.Verdict
-		wv.Reasons, nv.Reasons = nil, nil
-		if !reflect.DeepEqual(wv, nv) {
-			t.Fatalf("result %d verdict differs with ForEVeR disabled:\nwith:    %+v\nwithout: %+v", i, wv, nv)
-		}
-	}
-}
-
 // TestQuiescentVsInert pins the fault-plane predicate the reconvergence
 // gate relies on: a fired transient is quiescent (it can never fire
 // again) but not inert (it did fire), while a permanent fault is never

@@ -13,10 +13,8 @@ import (
 // warm-up assembles from the continuation it steps anyway to the one it
 // used to get by simulating the run a second time: runSlow with an empty
 // fault plane, through fork, window, drain, horizon and verdict, every
-// cycle stepped. Every field must agree, under each setting that changes
-// how either side steps (no ForEVeR: no horizon, and the continuation
-// settles its transcript past the template's last cycle; a ForEVeR epoch
-// short enough that the golden monitor flags, whose first flag the
+// cycle stepped. Every field must agree, by default and with a ForEVeR
+// epoch short enough that the golden monitor flags (whose first flag the
 // template then carries), at every injection cycle of a multi-cycle
 // universe.
 func TestTemplateFromContinuation(t *testing.T) {
@@ -28,7 +26,6 @@ func TestTemplateFromContinuation(t *testing.T) {
 		setup func(o *Options)
 	}{
 		{"default", func(o *Options) {}},
-		{"no-forever", func(o *Options) { o.DisableForever = true }},
 		{"epoch-20", func(o *Options) { o.Forever.Epoch = 20 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

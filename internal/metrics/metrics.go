@@ -1,7 +1,7 @@
 // Package metrics is a lightweight, dependency-free, concurrency-safe
 // telemetry registry for the simulator, the campaign engine and the
 // command-line drivers: named counters, gauges and fixed-bucket
-// histograms with deterministic snapshot and text/JSON export.
+// histograms with a deterministic snapshot and its OpenMetrics export.
 //
 // Design constraints, in order:
 //
@@ -12,14 +12,12 @@
 //     snapshotting, never the per-event path.
 //   - Deterministic snapshots. Snapshot output is sorted by name, so
 //     two snapshots taken with no intervening writes are deeply equal
-//     and byte-identical once encoded — the property the campaign's
-//     /metricsz endpoint and the regression tests rely on.
+//     and byte-identical once encoded — the property the /metrics
+//     endpoint and the regression tests rely on.
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -247,32 +245,32 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 
 // CounterValue is one counter in a snapshot.
 type CounterValue struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
+	Name  string
+	Value int64
 }
 
 // GaugeValue is one gauge in a snapshot.
 type GaugeValue struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
+	Name  string
+	Value float64
 }
 
 // HistogramValue is one histogram in a snapshot; Counts has one entry
 // per bound plus the trailing overflow bucket.
 type HistogramValue struct {
-	Name   string    `json:"name"`
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
+	Name   string
+	Bounds []float64
+	Counts []int64
+	Count  int64
+	Sum    float64
 }
 
 // Snapshot is a point-in-time copy of every instrument, sorted by name
 // within each kind.
 type Snapshot struct {
-	Counters   []CounterValue   `json:"counters"`
-	Gauges     []GaugeValue     `json:"gauges"`
-	Histograms []HistogramValue `json:"histograms"`
+	Counters   []CounterValue
+	Gauges     []GaugeValue
+	Histograms []HistogramValue
 }
 
 // Snapshot captures every instrument. Counters and gauges are single
@@ -314,44 +312,4 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	return s
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
-// WriteText writes the snapshot in a flat `name value` text form
-// (histograms expand to _count, _sum and one `_bucket{le=...}` line per
-// bound, in the spirit of the Prometheus exposition format).
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
-	for _, c := range s.Counters {
-		if _, err := fmt.Fprintf(w, "%s %d\n", c.Name, c.Value); err != nil {
-			return err
-		}
-	}
-	for _, g := range s.Gauges {
-		if _, err := fmt.Fprintf(w, "%s %g\n", g.Name, g.Value); err != nil {
-			return err
-		}
-	}
-	for _, h := range s.Histograms {
-		cum := int64(0)
-		for i, b := range h.Bounds {
-			cum += h.Counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%g} %d\n", h.Name, b, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=+Inf} %d\n", h.Name, h.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", h.Name, h.Sum, h.Name, h.Count); err != nil {
-			return err
-		}
-	}
-	return nil
 }

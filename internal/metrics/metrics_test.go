@@ -2,9 +2,7 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -77,20 +75,16 @@ func TestSnapshotDeterministic(t *testing.T) {
 		t.Fatalf("snapshots differ:\n%+v\n%+v", s1, s2)
 	}
 	var b1, b2 bytes.Buffer
-	if err := reg.WriteJSON(&b1); err != nil {
+	if err := reg.WriteOpenMetrics(&b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.WriteJSON(&b2); err != nil {
+	if err := reg.WriteOpenMetrics(&b2); err != nil {
 		t.Fatal(err)
 	}
 	if b1.String() != b2.String() {
-		t.Fatal("JSON exports of identical state differ")
+		t.Fatal("OpenMetrics expositions of identical state differ")
 	}
-	var decoded Snapshot
-	if err := json.Unmarshal(b1.Bytes(), &decoded); err != nil {
-		t.Fatalf("exported JSON does not round-trip: %v", err)
-	}
-	if !sorted(decoded.Counters, func(c CounterValue) string { return c.Name }) {
+	if !sorted(s1.Counters, func(c CounterValue) string { return c.Name }) {
 		t.Fatal("counters not sorted by name")
 	}
 }
@@ -137,29 +131,5 @@ func TestBoundsHelpers(t *testing.T) {
 	}
 	if got, want := ExponentialBounds(0.5, 2, 4), []float64{0.5, 1, 2, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("ExponentialBounds = %v, want %v", got, want)
-	}
-}
-
-// TestWriteText spot-checks the flat text exposition.
-func TestWriteText(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("runs").Add(2)
-	reg.Gauge("rate").Set(3.5)
-	h := reg.Histogram("h", []float64{1, 2})
-	h.Observe(0.5)
-	h.Observe(3)
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"runs 2\n", "rate 3.5\n",
-		"h_bucket{le=1} 1\n", "h_bucket{le=2} 1\n", "h_bucket{le=+Inf} 2\n",
-		"h_sum 3.5\n", "h_count 2\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("text export missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -29,10 +28,8 @@ import (
 //	                            done — byte-identical to the equivalent
 //	                            unsharded faultcampaign -json output)
 //	GET    /healthz             liveness + queue summary
-//	GET    /metricsz            metrics registry (?format=text for plain)
 //	GET    /metrics             OpenMetrics/Prometheus text exposition
 //	GET    /debug/pprof/        live profiling
-//	GET    /debug/vars          expvar
 //
 // Every non-streaming handler runs under RequestTimeout; the events
 // stream is bounded by StreamTimeout instead, because a legitimate
@@ -59,8 +56,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// Handler returns the service mux: the job API, health, metrics and
-// the pprof/expvar telemetry pages, all on one listener.
+// Handler returns the service mux: the job API, health, OpenMetrics and
+// the pprof pages, all on one listener.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	timeout := func(h http.HandlerFunc) http.Handler {
@@ -74,9 +71,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/jobs/{id}/checkpoint", timeout(s.handleCheckpoint))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents) // streaming: no TimeoutHandler
 	mux.Handle("GET /healthz", timeout(s.handleHealth))
-	mux.Handle("GET /metricsz", timeout(s.handleMetrics))
 	mux.Handle("GET /metrics", timeout(s.handleOpenMetrics))
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -301,14 +296,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleOpenMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", metrics.OpenMetricsContentType)
 	s.reg.WriteOpenMetrics(w)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.reg.WriteText(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	s.reg.WriteJSON(w)
 }

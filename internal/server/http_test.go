@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"nocalert/internal/campaign"
+	"nocalert/internal/metrics"
 )
 
 // testSpec is a small but real campaign: the golden 4×4 workload with
@@ -259,14 +260,29 @@ func TestJobAPI(t *testing.T) {
 		if h["status"] != "ok" {
 			t.Fatalf("healthz %v", h)
 		}
-		resp, err = http.Get(ts.URL + "/metricsz?format=text")
+		resp, err = http.Get(ts.URL + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
 		text, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if _, err := metrics.ValidateOpenMetrics(bytes.NewReader(text)); err != nil {
+			t.Fatalf("/metrics is not valid OpenMetrics: %v\n%s", err, text)
+		}
 		if !strings.Contains(string(text), MetricJobsSubmitted) {
-			t.Fatalf("metricsz missing %s:\n%s", MetricJobsSubmitted, text)
+			t.Fatalf("/metrics missing %s:\n%s", MetricJobsSubmitted, text)
+		}
+		// /metrics is the one registry surface: the pages that
+		// duplicated it are gone.
+		for _, path := range []string{"/metricsz", "/debug/vars"} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
+			}
 		}
 	})
 }
@@ -572,7 +588,10 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Stop(context.Background())
-	j, err := s.Submit(testSpec(32))
+	// Enough runs that the rest outlast a test goroutine descheduled on a
+	// loaded host between seeing progress and cancelling: at 32 the job
+	// could finish in that gap.
+	j, err := s.Submit(testSpec(512))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 // Server metric names, published into the same registry the campaign
-// engine instruments, so one /metricsz scrape covers queue health and
+// engine instruments, so one /metrics scrape covers queue health and
 // live campaign throughput alike.
 const (
 	MetricJobsSubmitted = "nocalertd_jobs_submitted_total"

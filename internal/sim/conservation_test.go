@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"nocalert/internal/router"
@@ -61,6 +62,18 @@ func (m *inFabric) EndCycle(t int64) { m.cycle = t + 1 }
 // do not: flows starve while injection goes on, so the stays of the flits
 // that do leave understate the occupancy, by up to 72 % (DESIGN.md §7).
 // There it is logged, not checked.
+//
+// No run accepts more than the routing function lets the mesh carry. Under
+// XY, uniform and transpose traffic are held to xyBound, the channel-load
+// bound of their closed-form destination distributions; West-First and
+// adaptive runs to the bisection bound 4/k, which no routing beats on
+// either pattern. Such a bound caps the rate every source is served at
+// once, so it holds the least-served source of every 0.9-offered run. It
+// holds the mean accepted throughput only where every source sends the
+// same share across the most loaded channels, as under uniform traffic:
+// under XY transpose, the flows off the one saturated channel run at their
+// offered rate and the mean is 1.6–2× the bound. Each run logs its knee,
+// accepted throughput over the bound (DESIGN.md §7).
 func TestFlitConservation(t *testing.T) {
 	for _, mesh := range []topology.Mesh{topology.NewMesh(4, 4), topology.NewMesh(8, 8)} {
 		cycles := int64(1000)
@@ -92,15 +105,28 @@ func TestFlitConservation(t *testing.T) {
 						}
 					}
 					var half, stayed int64
+					served := make([]int64, mesh.Nodes()) // flits ejected in the half, by source
 					for _, e := range n.Ejections() {
 						if e.Cycle >= cycles/2 {
 							half++
+							served[e.Flit.Src]++
 							stayed += e.Cycle - fabric.sent[flitKey{e.Flit.PacketID, e.Flit.Seq}]
 						}
 					}
 					accepted := float64(half) / float64(int64(mesh.Nodes())*cycles/2)
 					if below := rate < 0.1; below && accepted < 0.8*rate || !below && accepted > 0.8*rate {
 						t.Errorf("%s: accepted %.3f flits/node/cycle of %.2f offered", name, accepted, rate)
+					}
+					if _, hot := pattern.(traffic.Hotspot); !hot && rate > 0.1 {
+						bound := min(1, 4/float64(mesh.W))
+						if _, xy := alg.(routing.XY); xy {
+							bound = xyBound(mesh, pattern)
+						}
+						least := float64(slices.Min(served)) / float64(cycles/2)
+						if _, uniform := pattern.(traffic.Uniform); least > bound || uniform && accepted > bound {
+							t.Errorf("%s: accepted %.4f flits/node/cycle, the least-served source %.4f, above the %.4f the routing function allows", name, accepted, least, bound)
+						}
+						t.Logf("%s: knee %.3f (accepted %.4f of bound %.4f; least-served source %.4f)", name, accepted/bound, accepted, bound, least)
 					}
 					meanInFlight := float64(occupancy) / float64(cycles/2)
 					little := accepted * float64(mesh.Nodes()) * float64(stayed) / float64(half)
@@ -114,4 +140,53 @@ func TestFlitConservation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// xyBound is the most flits/node/cycle a mesh accepts under XY routing
+// and pattern, Uniform or Transpose: one over the largest load a unit
+// injection rate puts on any channel. Channels are the router outputs each
+// (src, dst) route takes, as routing.XY.Candidates walks it, plus every
+// node's injection channel (a load of 1) and ejection channel; a route's
+// load is the probability that src sends to dst, in closed form.
+func xyBound(m topology.Mesh, pattern traffic.Pattern) float64 {
+	n := m.Nodes()
+	load := map[[2]int]float64{}
+	eject := make([]float64, n)
+	for src := 0; src < n; src++ {
+		x, y := m.Coords(src)
+		p := make([]float64, n) // P(dst | src)
+		if _, ok := pattern.(traffic.Transpose); ok && x != y {
+			p[m.NodeAt(y, x)] = 1
+		} else {
+			for dst := range p {
+				if dst != src {
+					p[dst] = 1 / float64(n-1)
+				}
+			}
+		}
+		for dst, pd := range p {
+			if pd == 0 {
+				continue
+			}
+			eject[dst] += pd
+			dx, dy := m.Coords(dst)
+			for cur, in := src, topology.Local; ; {
+				out := routing.XY{}.Candidates(m, cur, dx, dy, in)[0]
+				if out == topology.Local {
+					break
+				}
+				load[[2]int{cur, int(out)}] += pd
+				cur, _ = m.Neighbor(cur, out)
+				in = out.Opposite()
+			}
+		}
+	}
+	most := 1.0
+	for _, l := range load {
+		most = max(most, l)
+	}
+	for _, l := range eject {
+		most = max(most, l)
+	}
+	return 1 / most
 }

@@ -447,7 +447,8 @@ func ValidatePath(m Mesh, hops []Hop, src, dest int) error {
 // ---- Telemetry ----
 
 // MetricsRegistry is a concurrency-safe registry of counters, gauges
-// and histograms; snapshot it with Snapshot, WriteJSON or WriteText.
+// and histograms; snapshot it with Snapshot or expose it with
+// WriteOpenMetrics.
 type MetricsRegistry = metrics.Registry
 
 // MetricsCounter is a monotonically increasing counter.
