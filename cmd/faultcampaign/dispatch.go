@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"nocalert"
 	"nocalert/internal/campaign"
 	"nocalert/internal/coordinator"
 	"nocalert/internal/metrics"
@@ -25,6 +24,7 @@ import (
 // the merged report is byte-identical or the merge gate refuses.
 func dispatchMain(args []string) {
 	fs := flag.NewFlagSet("dispatch", flag.ExitOnError)
+	sf := addSpecFlags(fs)
 	var (
 		workersFlag = fs.String("workers", "", "comma-separated nocalertd base URLs (e.g. http://a:8377,http://b:8377); required")
 		token       = fs.String("token", "", "bearer token presented to every worker (when the fleet requires auth)")
@@ -32,16 +32,6 @@ func dispatchMain(args []string) {
 		inflight    = fs.Int("max-inflight", 2, "concurrently dispatched shards per worker")
 		lease       = fs.Duration("lease", 30*time.Second, "requeue a shard after this long without a progress event from its worker")
 		attempts    = fs.Int("max-attempts", 6, "dispatch attempts per shard before the run fails")
-
-		meshSpec = fs.String("mesh", "8x8", "mesh dimensions WxH")
-		vcs      = fs.Int("vcs", 4, "virtual channels per port")
-		rate     = fs.Float64("rate", 0.05, "injection rate (flits/node/cycle)")
-		inject   = fs.String("inject", "0", "fault-injection cycle, or a comma list spread round-robin over the sample")
-		nFaults  = fs.Int("faults", 1000, "fault sample size (0 = all locations)")
-		seed     = fs.Uint64("seed", 1, "random seed")
-		epoch    = fs.Int64("epoch", 1500, "ForEVeR epoch length in cycles")
-		post     = fs.Int64("post", 500, "cycles of continued injection after the fault")
-		drain    = fs.Int64("drain", 10000, "drain deadline in cycles")
 
 		figs       = fs.String("fig", "all", "figures to print: comma list of 6,7,8,9,obs5 or 'all' or 'none'")
 		out        = fs.String("out", "", "write the merged aggregated report as JSON to this file")
@@ -64,27 +54,9 @@ func dispatchMain(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	mesh, err := nocalert.ParseMesh(*meshSpec)
+	spec, err := sf.spec()
 	if err != nil {
 		log.Fatal(err)
-	}
-	cycles, err := parseInjectCycles(*inject)
-	if err != nil {
-		log.Fatal(err)
-	}
-	spec := campaign.Spec{
-		MeshW: mesh.W, MeshH: mesh.H, VCs: *vcs,
-		InjectionRate: *rate,
-		Seed:          *seed,
-		InjectCycle:   cycles[0],
-		PostInjectRun: *post,
-		DrainDeadline: *drain,
-		Epoch:         *epoch,
-		HopLatency:    1,
-		NumFaults:     *nFaults,
-	}
-	if len(cycles) > 1 {
-		spec.InjectCycles = cycles
 	}
 
 	reg := metrics.NewRegistry()

@@ -31,7 +31,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -51,16 +50,8 @@ func main() {
 		dispatchMain(os.Args[2:])
 		return
 	}
+	sf := addSpecFlags(flag.CommandLine)
 	var (
-		meshSpec = flag.String("mesh", "8x8", "mesh dimensions WxH")
-		vcs      = flag.Int("vcs", 4, "virtual channels per port")
-		rate     = flag.Float64("rate", 0.05, "injection rate (flits/node/cycle)")
-		inject   = flag.String("inject", "0", "fault-injection cycle, or a comma list (e.g. 0,16000,32000) spread round-robin over the sample (paper: 0 and 32000)")
-		nFaults  = flag.Int("faults", 1000, "fault sample size (0 = all locations)")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		epoch    = flag.Int64("epoch", 1500, "ForEVeR epoch length in cycles")
-		post     = flag.Int64("post", 500, "cycles of continued injection after the fault")
-		drain    = flag.Int64("drain", 10000, "drain deadline in cycles")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		figs     = flag.String("fig", "all", "figures to print: comma list of 6,7,8,9,obs3,obs5 or 'all'")
 		jsonPath = flag.String("json", "", "also export the aggregated results as JSON to this file")
@@ -88,17 +79,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	mesh, err := nocalert.ParseMesh(*meshSpec)
+	spec, err := sf.spec()
 	if err != nil {
 		log.Fatal(err)
 	}
-	cycles, err := parseInjectCycles(*inject)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rc := nocalert.DefaultRouterConfig(mesh)
-	rc.VCs = *vcs
-	simCfg := nocalert.SimConfig{Router: rc, InjectionRate: *rate, Seed: *seed, DisableSoA: *noSoA}
+	rc := spec.RouterConfig()
 	params := nocalert.FaultParamsFor(&rc)
 
 	if *cpuProf != "" {
@@ -123,16 +108,9 @@ func main() {
 	}
 	all := want["all"]
 
-	faults := nocalert.SampleFaults(params, *nFaults, *seed, cycles[0])
-	if len(cycles) > 1 {
-		// Round-robin restamp, mirroring CampaignSpec.Universe: the set
-		// of sampled locations stays independent of the cycle spread.
-		for i := range faults {
-			faults[i].Cycle = cycles[i%len(cycles)]
-		}
-	}
+	faults := spec.Universe()
 	fmt.Printf("fault population: %d single-bit locations (%d sites); injecting %d at cycle(s) %s\n",
-		totalBits(params), len(params.EnumerateSites()), len(faults), *inject)
+		totalBits(params), len(params.EnumerateSites()), len(faults), *sf.inject)
 
 	// Telemetry: one registry feeds the progress line's ETA, the
 	// /metrics endpoint and the live faults/sec gauge. It stays nil —
@@ -222,20 +200,6 @@ func main() {
 		if *traceOut != "" || *jsonPath != "" {
 			log.Fatal("-shard is incompatible with -trace and -json; finalize the shards and use `faultcampaign merge`")
 		}
-		spec := nocalert.CampaignSpec{
-			MeshW: mesh.W, MeshH: mesh.H, VCs: *vcs,
-			InjectionRate: *rate,
-			Seed:          *seed,
-			InjectCycle:   cycles[0],
-			PostInjectRun: *post,
-			DrainDeadline: *drain,
-			Epoch:         *epoch,
-			HopLatency:    1,
-			NumFaults:     *nFaults,
-		}
-		if len(cycles) > 1 {
-			spec.InjectCycles = cycles
-		}
 		sro := nocalert.CampaignShardRunOptions{
 			Workers:        *workers,
 			DisableSoA:     *noSoA,
@@ -279,16 +243,9 @@ func main() {
 	start := time.Now()
 	// exec is how this invocation executes a campaign, whatever its faults:
 	// the main one below, and the two behind the Observation 3 table.
-	exec := nocalert.CampaignOptions{
-		Sim:           simCfg,
-		InjectCycle:   cycles[0],
-		PostInjectRun: *post,
-		DrainDeadline: *drain,
-		Forever:       nocalert.ForeverOptions{Epoch: *epoch, HopLatency: 1},
-		Workers:       *workers,
-		FullSim:       *fullSim,
-		Context:       ctx,
-	}
+	exec := spec.Options()
+	exec.Sim.DisableSoA = *noSoA
+	exec.Workers, exec.FullSim, exec.Context = *workers, *fullSim, ctx
 	opts := exec
 	opts.Faults = faults
 	opts.Progress, opts.Metrics, opts.OnResult = report, reg, onResult
@@ -424,20 +381,6 @@ func serveTelemetry(addr string, reg *nocalert.MetricsRegistry) (string, error) 
 		}
 	}()
 	return ln.Addr().String(), nil
-}
-
-// parseInjectCycles parses the -inject flag: a single cycle or a comma
-// list, each non-negative.
-func parseInjectCycles(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		c, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-		if err != nil || c < 0 {
-			return nil, fmt.Errorf("invalid -inject %q: cycles must be non-negative integers", s)
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 func totalBits(p nocalert.FaultParams) int {

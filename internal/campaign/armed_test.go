@@ -79,7 +79,7 @@ func TestArmedFaultReportFixture(t *testing.T) {
 				opts.Sim.DisableSoA = engine.noSoA
 				opts.Workers, opts.GoldenCache, opts.Metrics = how.workers, how.cache, metrics.NewRegistry()
 				rep := mustRun(t, opts)
-				if hits, misses, _ := cacheCounts(opts.Metrics); how.cache != nil && (hits != how.hits || misses != how.misses) {
+				if hits, misses := cacheCounts(opts.Metrics); how.cache != nil && (hits != how.hits || misses != how.misses) {
 					t.Errorf("%s: %d golden cache hits and %d misses, want %d and %d", how.name, hits, misses, how.hits, how.misses)
 				}
 				if rep.FastPathHits != 0 || rep.ReconvergedHits != 0 {

@@ -9,13 +9,13 @@
 // re-forking it per fault, so a cycle-32K campaign pays the warmup once.
 // That fault-free half is an artefact (Golden, goldencache.go) published
 // one injection cycle at a time, immutable from then on, which a
-// GoldenCache shares between the shards and jobs of one process; runs of
-// an early injection cycle execute while the warm-up steps towards the
-// later ones. Runs execute on a small worker pool; each worker reuses one clone
-// arena (sim.Network.CloneInto) across all its runs, and runs whose
-// fault provably never fired short-circuit to a precomputed fault-free
-// template instead of simulating the remaining drain and ForEVeR
-// horizon.
+// GoldenCache shares, once finished, between the shards and jobs of one
+// process; runs of an early injection cycle execute while the warm-up
+// steps towards the later ones. Runs execute on a small worker pool; each
+// worker reuses one clone arena (sim.Network.CloneInto) across all its
+// runs, and runs whose fault provably never fired short-circuit to a
+// precomputed fault-free template instead of simulating the remaining
+// drain and ForEVeR horizon.
 package campaign
 
 import (
@@ -153,10 +153,10 @@ type Options struct {
 	FullSim bool
 	// GoldenCache, when non-nil, shares the golden half of the campaign
 	// (warm-up mainline, per-injection-cycle snapshots and golden
-	// continuations) with every other Run handed the same cache: a Run
-	// whose artefact is already there, or being built, does not build it
-	// again. Nil — the default — builds it for this Run alone. Reports
-	// are byte-identical either way (test-enforced).
+	// continuations) with every later Run handed the same cache: a Run
+	// whose artefact is already there does not build it again. Nil — the
+	// default — builds it for this Run alone. Reports are byte-identical
+	// either way (test-enforced).
 	GoldenCache *GoldenCache
 	// Progress, when non-nil, is invoked after each completed run with
 	// the number of finished runs and the total. Calls are serialized;
@@ -200,13 +200,21 @@ type Options struct {
 	FlightRecorder *obs.FlightRecorder
 }
 
+// DefaultPostInjectRun and DefaultDrainDeadline are what a campaign runs
+// with when its Options leave PostInjectRun or DrainDeadline zero; a Spec
+// is normalized to them (Spec.Normalize).
+const (
+	DefaultPostInjectRun = 500
+	DefaultDrainDeadline = 10000
+)
+
 func (o *Options) withDefaults() (Options, error) {
 	out := *o
 	if out.PostInjectRun <= 0 {
-		out.PostInjectRun = 500
+		out.PostInjectRun = DefaultPostInjectRun
 	}
 	if out.DrainDeadline <= 0 {
-		out.DrainDeadline = 10000
+		out.DrainDeadline = DefaultDrainDeadline
 	}
 	if out.Workers <= 0 {
 		out.Workers = runtime.GOMAXPROCS(0)
@@ -316,8 +324,8 @@ type Report struct {
 	// FrontierRuns counts runs driven by the divergence-frontier delta
 	// engine; TimelineBytes is the estimated memory footprint of the
 	// golden-side per-run records: the signal transcripts (window and
-	// drain) backing the frontier plus the counter timelines backing its
-	// reconvergence exit. Neither alters the serialized report.
+	// drain) backing the frontier and the golden ForEVeR monitors'
+	// per-node records. Neither alters the serialized report.
 	FrontierRuns  int
 	TimelineBytes int64
 }
@@ -336,9 +344,10 @@ type worker struct {
 }
 
 // beforeRun is a seam for tests: when set, every worker of every Run calls
-// it on its reusable state before each of its runs (a run must not depend
-// on what the worker's network held before it).
-var beforeRun func(*worker)
+// it on its reusable state and the run's golden group before each of its
+// runs (a run must not depend on what the worker's network held before
+// it).
+var beforeRun func(*worker, *groupCtx)
 
 // groupCtx is the per-injection-cycle golden context shared by every
 // run injecting at that cycle: the snapshot to fork from — the complete
@@ -373,51 +382,60 @@ type groupCtx struct {
 // Run executes the campaign. The golden warm-up and the faulty runs
 // overlap: runs are fed in injection-cycle order and each waits only for
 // its own cycle's golden group, so the first verdicts, OnResult and
-// Progress calls come while the warm-up (this Run's, or that of a
-// concurrent Run sharing the GoldenCache) is still stepping towards the
-// later injection cycles. Run returns once every goroutine it started
-// has exited.
+// Progress calls come while this Run's warm-up is still stepping towards
+// the later injection cycles. Run returns once every goroutine it
+// started has exited.
 func Run(opts Options) (_ *Report, err error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 
+	// The golden half: taken from the cache when an earlier campaign of
+	// the same key built it, or else built by this Run's own pipeline.
 	cycles, key := o.goldenInputs()
+	gold := o.GoldenCache.get(key)
+	hit := gold != nil
+	if hit && gold.key != key {
+		return nil, fmt.Errorf("campaign: golden artefact was built for key %.12s, this campaign needs %.12s", gold.key, key)
+	}
 
 	// Campaign span: the root of this process's span hierarchy unless a
 	// job or shard span parents it. All span plumbing is nil-safe, so
 	// the tracing-off path below is the old code plus dead branches.
 	camp := o.Tracer.Start(o.TraceParent, "campaign", "campaign")
 
-	// The golden half: built by this Run's own pipeline, or taken from
-	// the cache when an earlier or concurrent campaign of the same key
-	// built or is building it. Every Run emits the golden-warmup span
-	// either way; its cache attribute says which.
+	// Every Run emits the golden-warmup span, hit or miss; its cache
+	// attribute says which.
 	warm := camp.Child("phase", "golden-warmup")
 	warm.SetAttr("injection_cycles", len(cycles))
 	// runCtx ends with the Run: it stops the pipeline and wakes workers
 	// waiting for a group when a group build fails, too.
 	runCtx, cancelRun := context.WithCancel(o.Context)
-	hold := &goldenHold{ctx: runCtx, o: &o, cycles: cycles, key: key, warm: warm, warmOpen: true}
+	if hit {
+		warm.SetAttr("cache", cacheHit)
+		gold.stamp(warm)
+		warm.End()
+	} else {
+		warm.SetAttr("cache", cacheMiss)
+		gold = startGolden(runCtx, &o, cycles, key, o.GoldenCache, warm)
+	}
 	defer func() {
 		cancelRun()
-		hold.release()
-		// The artefact's totals are final when its last group is out, not
-		// before: the gauges and the cache's outcome are taken here.
-		if g := hold.g; o.Metrics != nil && g != nil && g.complete() {
-			o.Metrics.Gauge(MetricSnapshotBytes).Set(float64(g.snapshotBytes))
-			o.Metrics.Gauge(MetricTimelineBytes).Set(float64(g.timelineBytes))
-			observeGoldenCache(o.Metrics, hold.how, o.GoldenCache.size())
+		// The pipeline this Run started, if it started one, has exited once
+		// done is closed, and the artefact's totals are final: the gauges
+		// and the cache's outcome are taken here.
+		<-gold.done
+		if o.Metrics != nil && gold.err == nil {
+			o.Metrics.Gauge(MetricSnapshotBytes).Set(float64(gold.snapshotBytes))
+			o.Metrics.Gauge(MetricTimelineBytes).Set(float64(gold.timelineBytes))
+			observeGoldenCache(o.Metrics, hit, o.GoldenCache.size())
 		}
 		if err != nil {
 			camp.SetAttr("error", err.Error())
 		}
 		camp.End()
 	}()
-	if err := hold.attach(); err != nil {
-		return nil, err
-	}
 
 	report := &Report{Opts: o, Results: make([]RunResult, len(o.FaultGroups))}
 
@@ -463,7 +481,7 @@ func Run(opts Options) (_ *Report, err error) {
 					continue
 				}
 				cycle := o.FaultGroups[i][0].Cycle
-				gc, waited, err := hold.group(cycle)
+				gc, waited, err := gold.group(runCtx, cycle)
 				if err != nil {
 					progMu.Lock()
 					if groupErr == nil {
@@ -490,7 +508,7 @@ func Run(opts Options) (_ *Report, err error) {
 					}
 				}
 				if beforeRun != nil {
-					beforeRun(&wk)
+					beforeRun(&wk, gc)
 				}
 				res, exit, convCycles, st := runOne(&wk, gc, o, o.FaultGroups[i], ro)
 				var wall time.Duration
@@ -561,7 +579,6 @@ feed:
 	}
 	// Every run has had its group, the last injection cycle's among
 	// them, so the artefact is whole and its totals follow at once.
-	gold := hold.g
 	<-gold.done
 	first := gold.groups[cycles[0]].gc
 	report.GoldenEjections = first.goldenEjections
@@ -600,7 +617,6 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 	c, cont := fp.cycle, fp.cont
 	gc := &groupCtx{cycle: c, snap: fp.snap, forkFP: fp.forkFP}
 	var eng *core.Engine
-	var tl *golden.Timeline
 	win := gs.Child("phase", "window")
 	win.SetAttr("inject_cycle", c)
 	if !o.FullSim {
@@ -609,21 +625,14 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 		eng = core.NewEngine(cont.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
 		cont.AttachMonitor(eng)
 		// It records what the divergence frontier replays clean nodes from
-		// (the per-link signal transcript), the counters its reconvergence
-		// exit compares against (the timeline) and ForEVeR's per-node
-		// record, which the monitors of frontier runs follow instead of
-		// being shown the whole mesh.
-		tl = golden.NewTimeline(int(o.PostInjectRun))
+		// (the per-link signal transcript, whose running event counts are
+		// golden's flit counters too) and ForEVeR's per-node record, which
+		// the monitors of frontier runs follow instead of being shown the
+		// whole mesh.
 		cont.StartRecording(int(o.PostInjectRun))
 		findForever(cont).StartHistory(c)
-		ejStart := len(cont.Ejections())
-		for t := int64(0); t < o.PostInjectRun; t++ {
-			cont.Step()
-			tl.ObserveCounters(cont, cont.Ejections()[ejStart:])
-		}
-	} else {
-		cont.Run(o.PostInjectRun)
 	}
+	cont.Run(o.PostInjectRun)
 	win.End()
 	sh := gs.Child("phase", "settle-horizon")
 	sh.SetAttr("inject_cycle", c)
@@ -679,7 +688,7 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 	sound := !tmpl.Detected && tmpl.Drained && tmpl.Verdict.OK() && gc.rec != nil &&
 		len(gc.gfv.Detections()) < forever.DetectionCap && gc.gfv.Settled()
 	if sound {
-		gc.rc = &reconvergence{tl: tl, gfv: gc.gfv, verdict: tmpl.Verdict}
+		gc.rc = &reconvergence{gfv: gc.gfv, verdict: tmpl.Verdict}
 	} else {
 		gc.rec = nil
 	}
@@ -758,13 +767,12 @@ func findForever(n *sim.Network) *forever.Monitor {
 	return nil
 }
 
-// reconvergence bundles the golden-side state the shortcuts consult: the
-// per-cycle counter timeline, the golden ForEVeR monitor (for
-// synthesizing the detection tail) and the benign golden-vs-golden
-// verdict reconverged runs inherit. A group has one exactly when the
-// shortcuts may rest on its golden (buildGroupCtx).
+// reconvergence bundles the golden-side state the shortcuts consult
+// besides the transcript: the golden ForEVeR monitor (for synthesizing
+// the detection tail) and the benign golden-vs-golden verdict reconverged
+// runs inherit. A group has one exactly when the shortcuts may rest on
+// its golden (buildGroupCtx).
 type reconvergence struct {
-	tl      *golden.Timeline
 	gfv     *forever.Monitor
 	verdict golden.Verdict
 }
@@ -868,11 +876,7 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 		if t == o.PostInjectRun-1 {
 			fr.RetireAll()
 		}
-		if !n.FaultsQuiescent() || !fr.Empty() || !fr.Clean() {
-			continue
-		}
-		pt, ok := rc.tl.At(n.Cycle())
-		if !ok || !countersMatch(n, &pt) {
+		if !n.FaultsQuiescent() || !fr.Empty() || !fr.Clean() || !fr.CountersGolden() {
 			continue
 		}
 		ro.event("frontier_empty", n.Cycle(), "reconverged", nil)
@@ -891,17 +895,6 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 	res = finishRun(fr, n, eng, fv, plane, gc, o, group, w, st, ro)
 	st.simulated = n.Cycle() - gc.cycle
 	return res, ExitFull, 0
-}
-
-// countersMatch holds an emptied frontier's flit accounting to golden's
-// at the same cycle boundary, the last check before the reconvergence
-// exit: a few integer compares. (How many flits the run has ejected
-// since the fork is the ejection counter's to say: a frontier run's log
-// holds only what differs from golden's.)
-func countersMatch(n *sim.Network, pt *golden.TimelinePoint) bool {
-	return n.FlitsInjected() == pt.FlitsInjected &&
-		n.FlitsEjected() == pt.FlitsEjected &&
-		n.NextPacketID() == pt.NextPkt
 }
 
 // synthesizeReconverged builds the run's result at the reconvergence

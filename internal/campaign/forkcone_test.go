@@ -30,7 +30,7 @@ func junkNetwork(t *testing.T, o Options, seed uint64, cycles int64) *sim.Networ
 // its runs, for the rest of the test.
 func poisonWorkers(t *testing.T, junk *sim.Network) {
 	t.Helper()
-	beforeRun = func(w *worker) { w.net = junk.CloneInto(w.net, nil) }
+	beforeRun = func(w *worker, _ *groupCtx) { w.net = junk.CloneInto(w.net, nil) }
 	t.Cleanup(func() { beforeRun = nil })
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -26,23 +25,24 @@ import (
 //
 // The artefact is published group by group, in injection-cycle order,
 // while the warm-up that builds it (startGolden) is still stepping
-// towards the later cycles. The contract every reader relies on:
+// towards the later cycles; the Run that started the warm-up reads it as
+// it comes, and a cache is offered it only once it is whole. The
+// contract every reader relies on:
 //
 //   - A published group is immutable, and shares no memory the warm-up
 //     still writes. Its publication (the close of its ready channel)
-//     happens before any read of it, so workers of any number of
-//     concurrent Runs read it without further synchronization.
+//     happens before any read of it, so workers of any number of Runs
+//     read it without further synchronization.
 //   - The byte totals, endCycle and the step counts belong to the
 //     warm-up until done is closed; they are final, and err says how the
 //     build ended, from then on.
-//   - A build that fails — its builder cancelled, say — leaves the
-//     groups it has published valid; the others resolve to
-//     errGoldenAbandoned, and by then the artefact has left its cache.
+//   - A build that fails — its Run cancelled, say — leaves the groups it
+//     has published valid; the others resolve to err.
 type Golden struct {
 	// key names the inputs the artefact was built from; Run refuses an
 	// artefact whose key is not the one it asked for.
 	key goldenKey
-	// cache is where the artefact is kept once built, nil when nowhere.
+	// cache is offered the artefact once it is built, nil when none is.
 	cache  *GoldenCache
 	groups map[int64]*goldenGroup // one per injection cycle, fixed from the start
 	done   chan struct{}
@@ -51,8 +51,8 @@ type Golden struct {
 	// injection cycle (sim.Network.ApproxFootprintBytes).
 	snapshotBytes int64
 	// timelineBytes is the estimated footprint of the per-run records
-	// (signal transcripts through the golden drain, counter timelines,
-	// the ForEVeR monitors' per-node records).
+	// (signal transcripts through the golden drain, the ForEVeR monitors'
+	// per-node records).
 	timelineBytes int64
 	// logBytes is the estimated footprint of the golden reference logs,
 	// which no report field carries.
@@ -74,12 +74,6 @@ type goldenGroup struct {
 	gc    *groupCtx
 }
 
-// errGoldenAbandoned is what a group resolves to when the build ended
-// before publishing it. Golden.err has the reason, which is the
-// builder's to report: a Run reading another Run's artefact takes or
-// builds a new one instead (goldenHold.group).
-var errGoldenAbandoned = errors.New("campaign: golden build abandoned before this injection cycle was published")
-
 func newGolden(key goldenKey, cycles []int64, cache *GoldenCache) *Golden {
 	g := &Golden{key: key, cache: cache, groups: make(map[int64]*goldenGroup, len(cycles)),
 		done: make(chan struct{})}
@@ -92,8 +86,9 @@ func newGolden(key goldenKey, cycles []int64, cache *GoldenCache) *Golden {
 // group returns the context of injection cycle c, waiting for the
 // warm-up to publish it when it has not yet. waited is how long that
 // took, exactly zero for a group that was already there. Every reader —
-// the builder's runs, a concurrent Run's, those of a Run that found the
-// artefact finished in the cache — comes through here.
+// the runs of the Run that builds the artefact, and those of a Run that
+// found it in the cache — comes through here. A group the build ended without publishing
+// resolves to the build's error.
 func (g *Golden) group(ctx context.Context, c int64) (gc *groupCtx, waited time.Duration, err error) {
 	s := g.groups[c]
 	select {
@@ -108,20 +103,9 @@ func (g *Golden) group(ctx context.Context, c int64) (gc *groupCtx, waited time.
 		waited = time.Since(start)
 	}
 	if s.gc == nil {
-		return nil, waited, errGoldenAbandoned
+		return nil, waited, g.err
 	}
 	return s.gc, waited, nil
-}
-
-// complete reports whether the build has ended with every group
-// published: the totals are final and can be read.
-func (g *Golden) complete() bool {
-	select {
-	case <-g.done:
-		return g.err == nil
-	default:
-		return false
-	}
 }
 
 // footprint is what the artefact charges against a cache's budget: the
@@ -340,9 +324,6 @@ func (g *Golden) buildGroups(ctx context.Context, o *Options, forks <-chan forkP
 		}
 		g.logBytes += gc.goldenLog.ApproxFootprintBytes()
 		g.timelineBytes += gc.rec.ApproxFootprintBytes() + gc.gfv.ApproxHistoryBytes()
-		if gc.rc != nil {
-			g.timelineBytes += gc.rc.tl.ApproxFootprintBytes()
-		}
 		// The last continuation is the mainline.
 		g.endCycle, g.routerSteps, g.niTicks = fp.cont.Cycle(), fp.cont.RouterSteps(), fp.cont.NITicks()
 		g.routersFolded, g.vcTermsFolded = fp.cont.FoldCounts()
@@ -357,10 +338,10 @@ func (g *Golden) buildGroups(ctx context.Context, o *Options, forks <-chan forkP
 	return nil
 }
 
-// finish ends the build: it settles the artefact with its cache — kept
-// and charged, or dropped when err is not nil — before anybody can learn
-// from a group or from done how the build ended, so that a reader sent
-// away by errGoldenAbandoned finds the cache ready for the next build.
+// finish ends the build: it offers a whole artefact to its cache (a
+// failed one is not) before anybody can learn from a group or from done
+// how the build ended, so that once its Run is over the next Run of the
+// key finds it.
 func (g *Golden) finish(err error, warm *obs.Span) {
 	g.err = err
 	g.cache.settle(g)
@@ -392,36 +373,34 @@ func msSince(t time.Time) float64 { return float64(time.Since(t).Microseconds())
 const goldenCacheBudget = 256 << 20
 
 // How Run's golden artefact was obtained: the value of the golden-warmup
-// span's "cache" attribute and the suffix of the cache counters.
+// span's "cache" attribute.
 const (
 	cacheMiss = "miss" // built by this Run (always, without a cache)
 	cacheHit  = "hit"  // found built
-	cacheWait = "wait" // found being built by a concurrent Run
 )
 
-// GoldenCache keeps golden artefacts between campaigns so the shards and
-// jobs of one campaign that one process executes — a nocalertd worker
-// running several shards of a dispatch, a resumed job — build the golden
-// reference once. Entries are keyed by every input the artefact depends
-// on, bounded in bytes with least-recently-used eviction, and built at
-// most once at a time per key: a Run that finds its key being built
-// reads the groups of that build as they are published. The zero value
-// is not usable; a nil *GoldenCache is, and caches nothing. Safe for
-// concurrent use.
+// GoldenCache keeps finished golden artefacts between campaigns so the
+// shards and jobs of one campaign that one process executes — a nocalertd
+// worker running several shards of a dispatch, a resumed job — build the
+// golden reference once. Entries are keyed by every input the artefact
+// depends on and bounded in bytes with least-recently-used eviction. Only
+// whole artefacts go in: a Run that finds none for its key builds its own
+// and offers it when it is done, so two Runs of one key that overlap each
+// build, and the cache keeps the first to finish. The zero value is not
+// usable; a nil *GoldenCache is, and caches nothing. Safe for concurrent
+// use.
 type GoldenCache struct {
 	mu      sync.Mutex
 	entries map[goldenKey]*goldenEntry
-	bytes   int64 // footprint of the built entries
+	bytes   int64 // footprint of the entries
 	budget  int64
 	clock   uint64 // last-use stamp source
 }
 
-// goldenEntry is one key's slot: in flight until its artefact's build
-// ends, then built (charged against the budget) or gone.
+// goldenEntry is one key's artefact and when it was last used.
 type goldenEntry struct {
-	g     *Golden
-	built bool
-	used  uint64
+	g    *Golden
+	used uint64
 }
 
 // NewGoldenCache returns an empty cache with the default byte budget.
@@ -439,55 +418,43 @@ func (c *GoldenCache) size() int64 {
 	return c.bytes
 }
 
-// get returns the artefact for key and says which of the three ways the
-// caller came by it. One the cache holds built is a hit; one in flight
-// is a wait, handed out at once: the caller reads its groups as another
-// Run's warm-up publishes them. When the cache holds none (or the key is
-// empty: nothing to find it under) start launches the build — it is
-// given the cache the artefact is to settle with — and the caller is its
-// builder: a miss.
-func (c *GoldenCache) get(key goldenKey, start func(*GoldenCache) *Golden) (*Golden, string) {
+// get returns the finished artefact kept under key — a hit — or nil when
+// the cache holds none (or the key is empty: nothing to find it under).
+func (c *GoldenCache) get(key goldenKey) *Golden {
 	if c == nil || key == "" {
-		return start(nil), cacheMiss
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil {
-		if !e.built {
-			return e.g, cacheWait
-		}
-		c.clock++
-		e.used = c.clock
-		return e.g, cacheHit
+	e := c.entries[key]
+	if e == nil {
+		return nil
 	}
-	// Under the lock, so the entry is in place before the build can end
-	// and settle.
-	e := &goldenEntry{g: start(c)}
-	c.entries[key] = e
-	return e.g, cacheMiss
+	c.clock++
+	e.used = c.clock
+	return e.g
 }
 
-// settle closes the books on g's build, which has just ended: a whole
-// artefact is charged against the budget, a failed one is not cached —
-// its entry is dropped, and the next get of the key builds.
+// settle is offered g when its build has just ended. A whole artefact
+// with a key is kept and charged against the budget, unless the key
+// already has one (an overlapping Run's build finished first); a failed
+// one is not kept.
 func (c *GoldenCache) settle(g *Golden) {
-	if c == nil {
+	if c == nil || g.key == "" || g.err != nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if g.err != nil {
-		delete(c.entries, g.key)
+	if c.entries[g.key] != nil {
 		return
 	}
-	e := c.entries[g.key]
 	c.clock++
-	e.built, e.used = true, c.clock
+	c.entries[g.key] = &goldenEntry{g: g, used: c.clock}
 	c.bytes += g.footprint()
 	c.evict()
 }
 
-// evict drops least-recently-used built entries until the cache fits its
+// evict drops least-recently-used entries until the cache fits its
 // budget. Campaigns still running off an evicted artefact keep their own
 // reference. Caller holds mu.
 func (c *GoldenCache) evict() {
@@ -495,7 +462,7 @@ func (c *GoldenCache) evict() {
 		var oldest goldenKey
 		var oe *goldenEntry
 		for k, e := range c.entries {
-			if e.built && (oe == nil || e.used < oe.used) {
+			if oe == nil || e.used < oe.used {
 				oldest, oe = k, e
 			}
 		}
@@ -505,115 +472,4 @@ func (c *GoldenCache) evict() {
 		delete(c.entries, oldest)
 		c.bytes -= oe.g.footprint()
 	}
-}
-
-// goldenHold is one Run's hold on the golden artefact its runs read:
-// which artefact that is at the moment, how the Run came by it, and the
-// Run's golden-warmup span until somebody ends it.
-type goldenHold struct {
-	ctx    context.Context // the Run's, done when the Run is over
-	o      *Options
-	cycles []int64
-	key    goldenKey
-	warm   *obs.Span
-
-	mu  sync.Mutex
-	g   *Golden // what the runs read now
-	how string
-	// built is the artefact this Run's own pipeline builds, nil while it
-	// builds none. The pipeline ends warm then; otherwise the Run does,
-	// once, and warmOpen says whether it still has to.
-	built    *Golden
-	warmOpen bool
-}
-
-// attach takes the artefact of the hold's key from the cache, or starts
-// building it. Caller holds mu (or is alone).
-func (h *goldenHold) attach() error {
-	g, how := h.o.GoldenCache.get(h.key, func(c *GoldenCache) *Golden {
-		h.warm.SetAttr("cache", cacheMiss)
-		h.warmOpen = false
-		h.built = startGolden(h.ctx, h.o, h.cycles, h.key, c, h.warm)
-		return h.built
-	})
-	if g.key != h.key {
-		return fmt.Errorf("campaign: golden artefact was built for key %.12s, this campaign needs %.12s", g.key, h.key)
-	}
-	h.g, h.how = g, how
-	if h.how != cacheMiss {
-		h.warm.SetAttr("cache", h.how)
-		if h.g.complete() {
-			h.endWarm()
-		}
-	}
-	return nil
-}
-
-// endWarm ends a golden-warmup span the Run still has, stamped with the
-// artefact's totals when they are final. Caller holds mu (or is alone).
-func (h *goldenHold) endWarm() {
-	if !h.warmOpen {
-		return
-	}
-	h.warmOpen = false
-	if h.g != nil && h.g.complete() {
-		h.g.stamp(h.warm)
-	}
-	h.warm.End()
-}
-
-// group returns the golden context of injection cycle c for one run, and
-// how long the run stood waiting for it. The build the hold reads from
-// may die under it — its builder, another Run, cancelled or failed: the
-// groups it published stay good, and for the rest the hold goes back to
-// the cache, where the first Run to come builds. The failure of the
-// Run's own build is the Run's error.
-func (h *goldenHold) group(c int64) (*groupCtx, time.Duration, error) {
-	var waited time.Duration
-	for {
-		h.mu.Lock()
-		g := h.g
-		h.mu.Unlock()
-		gc, w, err := g.group(h.ctx, c)
-		waited += w
-		if err == nil {
-			if h.warm != nil && c == h.cycles[len(h.cycles)-1] {
-				// Groups come out in cycle order: with the last, somebody
-				// else's build this Run was reading is over.
-				h.mu.Lock()
-				if h.warmOpen {
-					<-g.done
-					h.endWarm()
-				}
-				h.mu.Unlock()
-			}
-			return gc, waited, nil
-		}
-		if err != errGoldenAbandoned {
-			return nil, waited, err
-		}
-		h.mu.Lock()
-		switch {
-		case g == h.built:
-			err = g.err
-		case g == h.g: // the first worker to notice moves the hold
-			err = h.attach()
-		default:
-			err = nil
-		}
-		h.mu.Unlock()
-		if err != nil {
-			return nil, waited, err
-		}
-	}
-}
-
-// release is the end of the hold, after the Run's context is done: the
-// pipeline the Run started, if it started one, has exited when it
-// returns, and the golden-warmup span is closed.
-func (h *goldenHold) release() {
-	if h.built != nil {
-		<-h.built.done
-	}
-	h.endWarm()
 }

@@ -21,10 +21,8 @@ import (
 )
 
 // cacheCounts reads the golden-cache outcome counters off a registry.
-func cacheCounts(reg *metrics.Registry) (hits, misses, waits int64) {
-	return reg.Counter(MetricGoldenCacheHits).Value(),
-		reg.Counter(MetricGoldenCacheMisses).Value(),
-		reg.Counter(MetricGoldenCacheWaits).Value()
+func cacheCounts(reg *metrics.Registry) (hits, misses int64) {
+	return reg.Counter(MetricGoldenCacheHits).Value(), reg.Counter(MetricGoldenCacheMisses).Value()
 }
 
 func mustRun(t *testing.T, o Options) *Report {
@@ -83,8 +81,8 @@ func TestGoldenCacheShardsMatchFixture(t *testing.T) {
 				first.SnapshotCount, first.SnapshotBytes, first.TimelineBytes)
 		}
 	}
-	if hits, misses, waits := cacheCounts(reg); hits != shards-1 || misses != 1 || waits != 0 {
-		t.Errorf("cache outcomes hits=%d misses=%d waits=%d, want %d/1/0", hits, misses, waits, shards-1)
+	if hits, misses := cacheCounts(reg); hits != shards-1 || misses != 1 {
+		t.Errorf("cache outcomes hits=%d misses=%d, want %d/1", hits, misses, shards-1)
 	}
 	// One artefact: what the report carries of it plus its golden logs.
 	if got, floor := int64(reg.Gauge(MetricGoldenCacheBytes).Value()), first.SnapshotBytes+first.TimelineBytes; got != cache.size() || got <= floor || got > 2*floor {
@@ -102,40 +100,71 @@ func TestGoldenCacheShardsMatchFixture(t *testing.T) {
 	}
 }
 
-// TestGoldenCacheSingleFlight submits one campaign twice at once: one
-// Run builds, the other waits for it (or, arriving late, hits), and the
-// reports are identical.
-func TestGoldenCacheSingleFlight(t *testing.T) {
+// TestGoldenCacheOverlappingRuns submits one campaign twice at once on a
+// cold cache: neither finds a finished artefact, so each builds its own —
+// two misses — and the reports are identical; the cache keeps one of the
+// two, charged once. Two more at once on the warm cache both hit.
+func TestGoldenCacheOverlappingRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
 	cache := NewGoldenCache()
-	reg := metrics.NewRegistry()
-	var reps [2]*Report
-	var errs [2]error
-	var wg sync.WaitGroup
-	for i := range reps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o := obsOpts(24)
-			o.Workers = 1
-			o.GoldenCache = cache
-			o.Metrics = reg
-			reps[i], errs[i] = Run(o)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
+	o := obsOpts(24)
+	o.Workers, o.GoldenCache = 1, cache
+	// pair runs two copies of o at once. Each Run's first verdict waits
+	// for the other's, so both have looked the key up before either
+	// build can have finished.
+	pair := func() (reg *metrics.Registry, reps [2][]byte) {
+		reg = metrics.NewRegistry()
+		var runs [2]*Report
+		var errs [2]error
+		var both, wg sync.WaitGroup
+		both.Add(2)
+		for i := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// A Run that fails before its first verdict must not
+				// leave the other waiting.
+				arrive := sync.OnceFunc(both.Done)
+				defer arrive()
+				o := o
+				o.Metrics = reg
+				o.Progress = func(done, _ int) {
+					if done == 1 {
+						arrive()
+						both.Wait()
+					}
+				}
+				runs[i], errs[i] = Run(o)
+			}()
 		}
+		wg.Wait()
+		for i := range runs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			reps[i] = reportBytes(t, runs[i])
+		}
+		if !bytes.Equal(reps[0], reps[1]) {
+			t.Error("two overlapping campaigns of one key report differently")
+		}
+		return reg, reps
 	}
-	if hits, misses, waits := cacheCounts(reg); misses != 1 || hits+waits != 1 {
-		t.Errorf("two concurrent campaigns of one key: hits=%d misses=%d waits=%d, want exactly one build", hits, misses, waits)
+
+	reg, cold := pair()
+	if hits, misses := cacheCounts(reg); hits != 0 || misses != 2 {
+		t.Errorf("cold cache: hits=%d misses=%d, want two builds", hits, misses)
 	}
-	if !bytes.Equal(reportBytes(t, reps[0]), reportBytes(t, reps[1])) {
-		t.Error("builder's and waiter's reports differ")
+	if e := artefactOf(t, cache, o); len(cache.entries) != 1 || e == nil || cache.size() != e.g.footprint() {
+		t.Errorf("cache holds %d entries and %d bytes, want the one artefact charged once", len(cache.entries), cache.size())
+	}
+	reg, warm := pair()
+	if hits, misses := cacheCounts(reg); hits != 2 || misses != 0 {
+		t.Errorf("warm cache: hits=%d misses=%d, want two hits", hits, misses)
+	}
+	if !bytes.Equal(cold[0], warm[0]) {
+		t.Error("campaigns off the cached artefact report differently from the ones that built it")
 	}
 }
 
@@ -258,7 +287,7 @@ func TestGoldenKeyRefusesPointers(t *testing.T) {
 	first := mustRun(t, o)
 	o.Sim.Pattern.(*addrPattern).skew++
 	second := mustRun(t, o)
-	if hits, misses, _ := cacheCounts(o.Metrics); hits != 0 || misses != 2 {
+	if hits, misses := cacheCounts(o.Metrics); hits != 0 || misses != 2 {
 		t.Errorf("hits=%d misses=%d, want 0 and 2", hits, misses)
 	}
 	if n := o.GoldenCache.size(); n != 0 {
@@ -305,6 +334,16 @@ func TestGoldenArtefactReadOnly(t *testing.T) {
 	}
 
 	builder := slice(0, 24)
+	// The building campaign's runs read its groups as they are published;
+	// the cache has the artefact only once it is whole.
+	var mu sync.Mutex
+	published := map[int64]*groupCtx{}
+	beforeRun = func(_ *worker, gc *groupCtx) {
+		mu.Lock()
+		defer mu.Unlock()
+		published[gc.cycle] = gc
+	}
+	t.Cleanup(func() { beforeRun = nil })
 	atPublication := map[int64]uint64{}
 	inFlightAtFirst := false
 	builder.OnResult = func(_ int, res *RunResult, _ time.Duration, _ ExitPath) {
@@ -312,13 +351,16 @@ func TestGoldenArtefactReadOnly(t *testing.T) {
 		if _, done := atPublication[c]; done {
 			return
 		}
-		e := artefactOf(t, cache, builder)
 		if len(atPublication) == 0 {
-			inFlightAtFirst = !e.g.complete()
+			inFlightAtFirst = artefactOf(t, cache, builder) == nil
 		}
-		atPublication[c] = groupHash(e.g.groups[c].gc)
+		mu.Lock()
+		gc := published[c]
+		mu.Unlock()
+		atPublication[c] = groupHash(gc)
 	}
 	first := reportBytes(t, mustRun(t, builder))
+	beforeRun = nil
 	if !inFlightAtFirst {
 		t.Error("the artefact was finished when the first run came back: nothing ran while a later group was being built")
 	}
@@ -382,7 +424,7 @@ func TestGoldenCacheEviction(t *testing.T) {
 			t.Errorf("after campaign %d the cache retains %d bytes, budget %d", i, got, cache.budget)
 		}
 	}
-	if hits, misses, _ := cacheCounts(reg); misses != 4 || hits != 1 {
+	if hits, misses := cacheCounts(reg); misses != 4 || hits != 1 {
 		t.Errorf("alternating two keys in a one-artefact cache, then repeating one: hits=%d misses=%d, want 1 and 4", hits, misses)
 	}
 	if len(cache.entries) != 1 {
@@ -396,20 +438,17 @@ func TestGoldenCacheEviction(t *testing.T) {
 	if _, err := metrics.ValidateOpenMetrics(bytes.NewReader(om.Bytes())); err != nil {
 		t.Errorf("campaign registry is not valid OpenMetrics: %v", err)
 	}
-	for _, name := range []string{MetricGoldenCacheHits, MetricGoldenCacheMisses, MetricGoldenCacheWaits, MetricGoldenCacheBytes} {
+	for _, name := range []string{MetricGoldenCacheHits, MetricGoldenCacheMisses, MetricGoldenCacheBytes} {
 		if !bytes.Contains(om.Bytes(), []byte(name)) {
 			t.Errorf("exposition lacks %s", name)
 		}
 	}
 }
 
-// TestGoldenCacheCancelledBuilder cancels a builder after its first
-// group is out, while a second campaign of the key is in the middle of
-// its cycle-0 runs off that group: the second must not inherit the
-// cancellation. The groups it has read stay good; for the next it finds
-// the build abandoned, goes back to the cache and builds the artefact
-// itself — one miss, no wait — to report exactly the committed bytes;
-// the cancelled build leaves nothing behind.
+// TestGoldenCacheCancelledBuilder cancels a campaign on its first
+// verdict, while its warm-up is on its way to the later injection cycles:
+// the build caches nothing, and the next campaign of the key misses,
+// builds the artefact itself and reports exactly the committed bytes.
 func TestGoldenCacheCancelledBuilder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -419,58 +458,34 @@ func TestGoldenCacheCancelledBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewGoldenCache()
-	reg := metrics.NewRegistry()
 	base := multicycleOptions()
-	base.Workers, base.GoldenCache, base.Metrics = 1, cache, reg
+	base.Workers, base.GoldenCache = 1, cache
 
-	builderCtx, cancelBuilder := context.WithCancel(context.Background())
-	defer cancelBuilder()
-	builder, second := base, base
-	firstVerdict := make(chan struct{})
-	builder.Context = builderCtx
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	builder := base
+	builder.Context = ctx
 	builder.Progress = func(done, _ int) {
 		if done == 1 {
-			close(firstVerdict)
+			cancel()
 		}
 	}
-	builderErr := make(chan error, 1)
-	go func() {
-		_, err := Run(builder)
-		builderErr <- err
-	}()
-	<-firstVerdict
+	if _, err := Run(builder); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled campaign returned %v, want the context's error", err)
+	}
+	if len(cache.entries) != 0 || cache.size() != 0 {
+		t.Fatalf("the cancelled build left %d entries and %d bytes in the cache", len(cache.entries), cache.size())
+	}
 
-	midCampaign := make(chan struct{})
-	second.Progress = func(done, _ int) {
-		if done == 1 {
-			close(midCampaign)
-		}
+	next := base
+	next.Metrics = metrics.NewRegistry()
+	if !bytes.Equal(reportBytes(t, mustRun(t, next)), want) {
+		t.Errorf("the campaign after the cancelled one reports differently from %s", multicycleReportPath)
 	}
-	type result struct {
-		rep *Report
-		err error
+	if hits, misses := cacheCounts(next.Metrics); hits != 0 || misses != 1 {
+		t.Errorf("cache outcomes hits=%d misses=%d, want the campaign's own build", hits, misses)
 	}
-	secondDone := make(chan result, 1)
-	go func() {
-		rep, err := Run(second)
-		secondDone <- result{rep, err}
-	}()
-	<-midCampaign
-	cancelBuilder()
-	if err := <-builderErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled builder returned %v: it was to be cancelled in the middle of its warm-up", err)
-	}
-	res := <-secondDone
-	if res.err != nil {
-		t.Fatalf("the second campaign inherited the builder's failure: %v", res.err)
-	}
-	if !bytes.Equal(reportBytes(t, res.rep), want) {
-		t.Errorf("the second campaign's report differs from %s", multicycleReportPath)
-	}
-	if hits, misses, waits := cacheCounts(reg); hits != 0 || misses != 1 || waits != 0 {
-		t.Errorf("cache outcomes hits=%d misses=%d waits=%d, want the second campaign's own build and nothing else", hits, misses, waits)
-	}
-	if e := artefactOf(t, cache, second); len(cache.entries) != 1 || e == nil || !e.built || e.g.err != nil || cache.size() != e.g.footprint() {
+	if e := artefactOf(t, cache, next); len(cache.entries) != 1 || e == nil || cache.size() != e.g.footprint() {
 		t.Errorf("cache does not hold exactly the second campaign's artefact: %d entries, %d bytes", len(cache.entries), cache.size())
 	}
 }

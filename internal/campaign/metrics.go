@@ -90,14 +90,13 @@ const (
 	// footprint of the golden signal transcripts (window and drain)
 	// backing the frontier engine.
 	MetricTimelineBytes = "campaign_timeline_bytes"
-	// MetricGoldenCacheHits / Misses / Waits count campaigns by how they
-	// came by their golden artefact: found built in the GoldenCache,
-	// built it themselves (every campaign without a cache), or waited
-	// for a concurrent campaign's build. MetricGoldenCacheBytes is a
-	// gauge holding the estimated bytes the cache retains.
+	// MetricGoldenCacheHits / Misses count campaigns by how they came by
+	// their golden artefact: found built in the GoldenCache, or built it
+	// themselves (every campaign without a cache, and one whose key's
+	// artefact is not finished yet). MetricGoldenCacheBytes is a gauge
+	// holding the estimated bytes the cache retains.
 	MetricGoldenCacheHits   = "campaign_golden_cache_hits_total"
 	MetricGoldenCacheMisses = "campaign_golden_cache_misses_total"
-	MetricGoldenCacheWaits  = "campaign_golden_cache_waits_total"
 	MetricGoldenCacheBytes  = "campaign_golden_cache_bytes"
 	// MetricGoldenGroupWait is the per-run histogram of the time a run
 	// stood blocked on its injection cycle's golden group, which the
@@ -108,19 +107,15 @@ const (
 	MetricGoldenGroupWait = "campaign_golden_group_wait_seconds"
 )
 
-// observeGoldenCache counts one campaign's golden-cache outcome (how is
-// cacheHit, cacheMiss or cacheWait) and publishes the cache's size. All
-// three counters are registered on first use, so a scrape shows zeros
-// rather than missing families.
-func observeGoldenCache(reg *metrics.Registry, how string, cacheBytes int64) {
-	hits, misses, waits := reg.Counter(MetricGoldenCacheHits), reg.Counter(MetricGoldenCacheMisses), reg.Counter(MetricGoldenCacheWaits)
-	switch how {
-	case cacheHit:
+// observeGoldenCache counts one campaign's golden-cache outcome, a hit or
+// a miss, and publishes the cache's size. Both counters are registered on
+// first use, so a scrape shows zeros rather than missing families.
+func observeGoldenCache(reg *metrics.Registry, hit bool, cacheBytes int64) {
+	hits, misses := reg.Counter(MetricGoldenCacheHits), reg.Counter(MetricGoldenCacheMisses)
+	if hit {
 		hits.Inc()
-	case cacheMiss:
+	} else {
 		misses.Inc()
-	case cacheWait:
-		waits.Inc()
 	}
 	reg.Gauge(MetricGoldenCacheBytes).Set(float64(cacheBytes))
 }

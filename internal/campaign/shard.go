@@ -76,6 +76,31 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// Normalize fills in the fields the spec leaves unset with the values the
+// campaign runs with: the router's VC count, the run parameters of
+// Options.withDefaults and ForEVeR's defaults. Whoever hashes or persists
+// a spec — the daemon, the coordinator, the CLI — normalizes it first, so
+// a campaign's durable identity is the effective spec, never an ambiguous
+// zero, and a fully specified spec keeps its hash.
+func (s *Spec) Normalize() {
+	if s.VCs == 0 {
+		s.VCs = router.Default(topology.NewMesh(s.MeshW, s.MeshH)).VCs
+	}
+	if s.PostInjectRun <= 0 {
+		s.PostInjectRun = DefaultPostInjectRun
+	}
+	if s.DrainDeadline <= 0 {
+		s.DrainDeadline = DefaultDrainDeadline
+	}
+	fv := forever.DefaultOptions()
+	if s.Epoch <= 0 {
+		s.Epoch = fv.Epoch
+	}
+	if s.HopLatency <= 0 {
+		s.HopLatency = fv.HopLatency
+	}
+}
+
 // RouterConfig returns the router micro-architecture the spec fixes.
 func (s *Spec) RouterConfig() router.Config {
 	rc := router.Default(topology.NewMesh(s.MeshW, s.MeshH))

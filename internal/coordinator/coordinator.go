@@ -32,7 +32,6 @@ import (
 	"nocalert/internal/campaign"
 	"nocalert/internal/metrics"
 	"nocalert/internal/obs"
-	"nocalert/internal/server"
 	"nocalert/internal/trace"
 )
 
@@ -215,7 +214,7 @@ func Run(ctx context.Context, spec campaign.Spec, cfg Config) (*Result, error) {
 	}
 	// Normalize exactly like the workers will, so the planned totals
 	// and the spec hash the dedupe keys on agree fleet-wide.
-	spec = server.NormalizeSpec(spec)
+	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

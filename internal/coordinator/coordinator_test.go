@@ -35,7 +35,7 @@ func testSpec(faults int) campaign.Spec {
 // reproduce exactly.
 func referenceReport(t *testing.T, spec campaign.Spec) []byte {
 	t.Helper()
-	spec = server.NormalizeSpec(spec)
+	spec.Normalize()
 	sh, err := campaign.PlanShard(spec, 0, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -301,31 +301,6 @@ func parseRFC3339(s string) time.Time {
 	return t
 }
 
-// NormalizeSpec applies the service's submission defaults — the same
-// values the faultcampaign CLI defaults its flags to — before the spec
-// is hashed or persisted, so the job's durable identity is the
-// effective spec, never an ambiguous zero. Exported so a coordinator
-// dispatching shards normalizes identically and its planned totals and
-// dedupe keys agree with the fleet's.
-func NormalizeSpec(spec campaign.Spec) campaign.Spec {
-	if spec.VCs == 0 {
-		spec.VCs = 4
-	}
-	if spec.PostInjectRun <= 0 {
-		spec.PostInjectRun = 500
-	}
-	if spec.DrainDeadline <= 0 {
-		spec.DrainDeadline = 10000
-	}
-	if spec.Epoch <= 0 {
-		spec.Epoch = 1500
-	}
-	if spec.HopLatency <= 0 {
-		spec.HopLatency = 1
-	}
-	return spec
-}
-
 // ErrQueueFull is returned (and mapped to 429) when the submission
 // queue is at capacity.
 var ErrQueueFull = errors.New("server: job queue is full")
@@ -360,7 +335,7 @@ func (s *Server) Submit(spec campaign.Spec) (*Job, error) {
 // which is what lets a coordinator retry a submit over a flaky link
 // (or re-dispatch after its own restart) without doubling work.
 func (s *Server) SubmitJob(spec campaign.Spec, o SubmitOptions) (j *Job, existing bool, err error) {
-	spec = NormalizeSpec(spec)
+	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}

@@ -33,11 +33,12 @@ import (
 // Members retire once the fault plane is quiescent and their per-node
 // state fold — live state only, then — returns to the recorded golden
 // fold for the same boundary; a frontier that shrinks to empty with a
-// clean ejection history IS reconvergence — the unification with the
-// campaign's fingerprint timeline probe. A member's fold is looked at on a
-// capped exponential backoff, not every cycle: equality with golden is
-// absorbing, so a late look finds what an early one would have, and until
-// then the member is stepped live through cycles that reproduce the record.
+// clean ejection history and golden's flit counters (CountersGolden) IS
+// reconvergence: every node holds golden's state, so the run is golden's
+// from there on. A member's fold is looked at on a capped exponential
+// backoff, not every cycle: equality with golden is absorbing, so a late
+// look finds what an early one would have, and until then the member is
+// stepped live through cycles that reproduce the record.
 //
 // The frontier carries a run for as long as the transcript does: through
 // the post-injection window, and — over a transcript recorded on through
@@ -111,6 +112,9 @@ type Frontier struct {
 	// transcript's own: read, never written).
 	logBase  int
 	replaced []Ejection
+	// forkInjected and forkEjected are the flit counters at the fork, which
+	// are golden's there (see CountersGolden).
+	forkInjected, forkEjected int64
 
 	peak   int
 	joins  int64
@@ -125,13 +129,12 @@ type Frontier struct {
 	backfill  []Ejection
 }
 
-// ProbeBackoffCap bounds the exponential backoff between two looks at a
-// state that may have returned to golden's: a frontier member's fold
-// against the transcript's, and the campaign's whole-network fingerprint
-// against its timeline. Returning is absorbing — once equal, equal for
-// good — so a skipped look loses nothing, it only finds the match a few
-// cycles later; the backoff keeps a state that never returns from paying
-// a full hash every cycle.
+// ProbeBackoffCap bounds the exponential backoff between two looks at
+// whether a frontier member's state has returned to golden's (its fold
+// against the transcript's). Returning is absorbing — once equal, equal
+// for good — so a skipped look loses nothing, it only finds the match a
+// few cycles later; the backoff keeps a state that never returns from
+// paying a full hash every cycle.
 const ProbeBackoffCap = 16
 
 // pendFlit is a member's live emission toward a clean node, held until
@@ -191,6 +194,7 @@ func (f *Frontier) Reset(n *Network, rec *Recording, seeds []int) {
 	}
 	f.members, f.tracked, f.trackers = f.members[:0], f.tracked[:0], f.trackers[:0]
 	f.logBase, f.replaced = len(n.ejections), f.replaced[:0]
+	f.forkInjected, f.forkEjected = n.flitsInjected, n.flitsEjected
 	f.peak, f.joins, f.probes = 0, 0, 0
 	for _, m := range n.monitors {
 		if nt, ok := m.(NodeTracker); ok {
@@ -227,6 +231,20 @@ func (f *Frontier) Empty() bool { return len(f.members) == 0 }
 // record. It never returns to true once false.
 func (f *Frontier) Clean() bool {
 	return len(f.replaced) == 0 && len(f.n.ejections) == f.logBase
+}
+
+// CountersGolden reports whether the run's flit counters are golden's at
+// the current boundary. Golden's are the fork's plus the transcript's
+// running send and ejection counts (its prefix offsets); the run's are
+// what stepNIs advanced them by, the recorded totals corrected by the
+// members' live sends and ejections. The packet counter needs no such
+// look: stepGeneration advances it by the record's count every cycle and
+// a member's generation takes its id from the record (generate), so
+// packet ids never drift.
+func (f *Frontier) CountersGolden() bool {
+	c := min(int(f.n.cycle-f.rec.start), f.rec.Cycles())
+	return f.n.flitsInjected == f.forkInjected+int64(f.rec.sendIdx[c]) &&
+		f.n.flitsEjected == f.forkEjected+int64(f.rec.ejectIdx[c])
 }
 
 // Replaced returns the recorded golden ejections that the entries the

@@ -38,7 +38,10 @@ import (
 // must be the one a third, reference-engine copy of the faulty run fills
 // in full every cycle (soadiff_test.go: the sparse fill's oracle);
 //
-// plus the global counters must match, and once injection is off the
+// plus the global counters must match, the frontier's counter guard
+// (CountersGolden) must say whether the reference run's flit counters are
+// golden's at the boundary, the reference's packet ids must be golden's,
+// and once injection is off the
 // frontier must answer Quiet as the reference does and its static
 // fingerprint must hold still across a step exactly when the
 // reference's does (the fast-forward probe's freeze condition). At the
@@ -77,12 +80,22 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 	// Every fold golden records is held to the fold rebuilt with the node's
 	// caches thrown away, as every member's and every reference node's is
 	// below: two cached folds can be stale alike.
+	// Golden's counters at every boundary from the fork to where it
+	// settled (and, settled, for ever after) are what the frontier's
+	// counter guard is held to.
+	type counters struct {
+		injected, ejected int64
+		nextPkt           uint64
+	}
+	countersOf := func(n *Network) counters { return counters{n.FlitsInjected(), n.FlitsEjected(), n.NextPacketID()} }
+	goldAt := []counters{countersOf(gold)}
 	gold.StartRecording(int(window))
 	for gold.Cycle() < fork+window+drainCap && !gold.rec.settled {
 		if gold.Cycle() == fork+window {
 			gold.StopInjection()
 		}
 		gold.Step()
+		goldAt = append(goldAt, countersOf(gold))
 		requireFoldsRebuilt(t, "golden", gold, allNodes(gold))
 	}
 	rec := gold.SettleRecording(gold.Cycle())
@@ -132,6 +145,14 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 			t.Fatalf("cycle %d: counters diverged (inj %d/%d, ej %d/%d, pkt %d/%d)", tb,
 				fn.FlitsInjected(), ref.FlitsInjected(), fn.FlitsEjected(), ref.FlitsEjected(),
 				fn.NextPacketID(), ref.NextPacketID())
+		}
+		goldC, refC := goldAt[min(int(ref.Cycle()-fork), len(goldAt)-1)], countersOf(ref)
+		if want := refC.injected == goldC.injected && refC.ejected == goldC.ejected; fr.CountersGolden() != want {
+			t.Fatalf("cycle %d: the frontier's counter guard says %t, the reference run's flit counters %+v against golden's %+v say %t",
+				tb, fr.CountersGolden(), refC, goldC, want)
+		}
+		if refC.nextPkt != goldC.nextPkt {
+			t.Fatalf("cycle %d: the reference run's packet ids drifted from golden's (next %d vs %d)", tb, refC.nextPkt, goldC.nextPkt)
 		}
 		if fr.Quiet() != ref.Quiet() {
 			t.Fatalf("cycle %d: frontier Quiet() = %t, reference %t", tb, fr.Quiet(), ref.Quiet())

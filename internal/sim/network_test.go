@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"nocalert/internal/fault"
@@ -154,6 +155,73 @@ func TestLatencyLowerBound(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestMeanZeroLoadLatency takes TestLatencyLowerBound's closed form to
+// random traffic at rate → 0: uniform traffic at 0.002 flits/node/cycle
+// on the 4×4 and 8×8 meshes. No delivered packet may beat the closed form
+// for its own hop count H, P·(H+1) + 1 + (L−1) to its tail; the mean
+// excess over it — what the packets lost to each other and to queueing
+// behind their own source's earlier packets — must stay below
+// maxMeanExcess cycles (DESIGN.md §3); and the sampled distances must be
+// uniform traffic's, their mean within three standard errors of 2k/3.
+func TestMeanZeroLoadLatency(t *testing.T) {
+	const (
+		rate          = 0.002
+		cycles        = 40000
+		maxMeanExcess = 0.1
+	)
+	for _, k := range []int{4, 8} {
+		mesh := topology.NewMesh(k, k)
+		n := MustNew(Config{Router: router.Default(mesh), InjectionRate: rate, Seed: 21}, nil)
+		n.Run(cycles)
+		if !n.Drain(10000) {
+			t.Fatalf("%d×%d: the network did not drain at %g flits/node/cycle", k, k, rate)
+		}
+		var packets, hops, excess int64
+		for _, e := range n.Ejections() {
+			f := e.Flit
+			if f.Seq != f.Length-1 {
+				continue
+			}
+			h := int64(mesh.HopDistance(f.Src, f.Dest))
+			floor := 4*(h+1) + 1 + int64(f.Length-1)
+			got := e.Cycle - f.InjectedAt
+			if got < floor {
+				t.Fatalf("%d×%d: packet %d (%d hops) delivered its tail in %d cycles, below the closed form's %d", k, k, f.PacketID, h, got, floor)
+			}
+			packets, hops, excess = packets+1, hops+h, excess+got-floor
+		}
+		// The distance of a uniform pair: its mean over the ordered pairs
+		// of distinct nodes is 2k/3, and its variance bounds the sample
+		// mean's spread.
+		var sum, sumSq, pairs float64
+		for a := 0; a < mesh.Nodes(); a++ {
+			for b := 0; b < mesh.Nodes(); b++ {
+				if a != b {
+					d := float64(mesh.HopDistance(a, b))
+					sum, sumSq, pairs = sum+d, sumSq+d*d, pairs+1
+				}
+			}
+		}
+		mu := sum / pairs
+		if want := 2 * float64(k) / 3; math.Abs(mu-want) > 1e-9 {
+			t.Fatalf("%d×%d: uniform pairs are %.4f hops apart on average, want 2k/3 = %.4f", k, k, mu, want)
+		}
+		se := math.Sqrt((sumSq/pairs - mu*mu) / float64(packets))
+		meanHops, meanExcess := float64(hops)/float64(packets), float64(excess)/float64(packets)
+		t.Logf("%d×%d: %d packets, %.3f hops (2k/3 = %.3f, standard error %.3f), %.4f cycles over the closed form on average",
+			k, k, packets, meanHops, mu, se, meanExcess)
+		if packets < 200 {
+			t.Errorf("%d×%d: %d packets delivered, too few to judge a mean", k, k, packets)
+		}
+		if math.Abs(meanHops-mu) > 3*se {
+			t.Errorf("%d×%d: delivered packets travelled %.3f hops on average, more than three standard errors (%.3f) from 2k/3 = %.3f", k, k, meanHops, se, mu)
+		}
+		if meanExcess >= maxMeanExcess {
+			t.Errorf("%d×%d: packets took %.4f cycles more than the closed form on average, want below %g", k, k, meanExcess, maxMeanExcess)
 		}
 	}
 }
