@@ -14,7 +14,7 @@ GOLDEN_FLAGS = -mesh 4x4 -vcs 4 -rate 0.12 -seed 3 -inject 300 -post 400 \
 # merge — add tests instead.
 COVER_FLOOR = 85.0
 
-.PHONY: all build fmt vet lint test race cover e2e e2e-dist benchfleet ci golden shardcheck identity fuzz-smoke build386
+.PHONY: all build fmt vet lint deadcode test race cover e2e e2e-dist benchfleet ci golden shardcheck identity fuzz-smoke build386
 
 all: ci
 
@@ -41,6 +41,15 @@ lint: fmt vet
 		govulncheck ./...; \
 	else \
 		echo "govulncheck not installed; skipped"; fi
+
+# deadcode links every main package (cmd/, examples/, bench) with the
+# linker's dependency dump and fails on any function or method declared in
+# a non-test file under internal/ or in nocalert.go that none of them links
+# and testdata/deadcode.allow does not name with a reason, or on an
+# allowlist line that has gone stale (see deadcode_link_test.go). A helper
+# only one package's tests use belongs in that package's _test.go files.
+deadcode:
+	$(GO) test -count=1 -tags deadcode -run '^TestDeadcode$$' .
 
 # test also vets and race-checks the telemetry packages — they are
 # quick under -race, unlike the full campaign suite (see race).
@@ -175,13 +184,17 @@ identity:
 	$(GO) test -count=1 -run 'TestArmedFaultReportFixture|TestDoubleFaultGroupMatchesReference' ./internal/campaign; \
 	$(MAKE) fuzz-smoke
 
-# fuzz-smoke lets the fuzzer search on for 30 s from the seed corpus of
-# FuzzFrontierLockstep (which plain `go test` already runs): meshes up
-# to 6×6, VC counts, rates, routing algorithms and faults of its choosing,
-# the frontier held to the full simulation cycle by cycle. A failing input
-# is written under internal/sim/testdata/fuzz/ — commit it with the fix.
+# fuzz-smoke lets the fuzzers search on for 30 s between them from their
+# seed corpora (which plain `go test` already runs). FuzzFrontierLockstep
+# picks meshes up to 6×6, VC counts, rates, routing algorithms and faults,
+# the frontier held to the full simulation cycle by cycle;
+# FuzzCheckpointResume truncates, extends and flips a shard checkpoint,
+# which must then read without a panic and, once resumed, take an append
+# and read back whole. A failing input is written under the package's
+# testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzFrontierLockstep -fuzztime 30s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzFrontierLockstep -fuzztime 15s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 15s ./internal/trace
 
 # build386 is a build-only cross-compile of the whole module for a
 # 32-bit target: the SoA state uses explicitly sized element types
@@ -203,9 +216,9 @@ shardcheck:
 		-golden testdata/golden_4x4_seed3.json .shardcheck/shard*.ndjson
 	rm -rf .shardcheck
 
-# ci mirrors the CI test job and then races, running every test once:
-# the 386 cross-build, ./internal/... under the coverage floor, every other
+# ci mirrors the CI test and lint jobs and then races, running every test
+# once: the dead-code gate, the 386 cross-build, ./internal/... under the coverage floor, every other
 # package, then the concurrent packages under the race detector.
-ci: lint build build386 cover
+ci: lint deadcode build build386 cover
 	$(GO) test $$($(GO) list ./... | grep -v /internal/)
 	$(MAKE) race

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nocalert"
+	"nocalert/internal/golden"
 )
 
 // TestPublicAPIQuickstart exercises the documented quickstart flow
@@ -78,16 +79,16 @@ func TestPublicAPIRegistries(t *testing.T) {
 	}
 }
 
-// TestPublicAPIGoldenFlow runs the golden-reference comparison through
-// the facade.
+// TestPublicAPIGoldenFlow runs the golden-reference comparison on a
+// network built through the facade.
 func TestPublicAPIGoldenFlow(t *testing.T) {
 	mesh := nocalert.NewMesh(4, 4)
 	cfg := nocalert.SimConfig{Router: nocalert.DefaultRouterConfig(mesh), InjectionRate: 0.1, Seed: 3}
 	n := nocalert.MustNewNetwork(cfg, nil)
 	n.Run(800)
 	n.Drain(5000)
-	g := nocalert.NewGoldenLog(n.Ejections(), 0)
-	v := nocalert.CompareToGolden(g, g, true)
+	g := golden.FromEjections(n.Ejections(), 0)
+	v := golden.Compare(g, g, true)
 	if !v.OK() {
 		t.Fatalf("self-comparison judged %s", v.String())
 	}

@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	"nocalert"
+	"nocalert/internal/golden"
 )
 
 const (
@@ -302,11 +303,11 @@ func BenchmarkGoldenCompare(b *testing.B) {
 	n := nocalert.MustNewNetwork(cfg, nil)
 	n.Run(2000)
 	n.Drain(8000)
-	g := nocalert.NewGoldenLog(n.Ejections(), 0)
-	f := nocalert.NewGoldenLog(n.Ejections(), 0)
+	g := golden.FromEjections(n.Ejections(), 0)
+	f := golden.FromEjections(n.Ejections(), 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := nocalert.CompareToGolden(g, f, true)
+		v := golden.Compare(g, f, true)
 		if !v.OK() {
 			b.Fatal("identical logs judged malicious")
 		}

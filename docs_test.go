@@ -1,10 +1,16 @@
 package nocalert
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -103,6 +109,80 @@ func TestArchitectureListsThePackages(t *testing.T) {
 	} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s lists\n %v\ngo list ./internal/... reports\n %v", doc, got, want)
+		}
+	}
+}
+
+// flagRegistrations returns every command-line flag name the non-test Go
+// files under cmd/ register with the flag package (flag.Int, fs.StringVar,
+// fs.Func, …), mapped to where it is registered.
+func flagRegistrations(t *testing.T) map[string]string {
+	t.Helper()
+	// The flag name's argument index for each registration method: the
+	// value-returning forms and Func/BoolFunc take it first, Var and the
+	// *Var forms after the value or destination.
+	nameArg := map[string]int{
+		"Bool": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0, "String": 0,
+		"Float64": 0, "Duration": 0, "Func": 0, "BoolFunc": 0,
+		"BoolVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1,
+		"StringVar": 1, "Float64Var": 1, "DurationVar": 1, "TextVar": 1, "Var": 1,
+	}
+	flags := map[string]string{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("cmd", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			i, ok := nameArg[sel.Sel.Name]
+			if !ok || len(call.Args) <= i {
+				return true
+			}
+			lit, ok := call.Args[i].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			name, err := strconv.Unquote(lit.Value)
+			if err == nil {
+				flags[name] = fset.Position(lit.Pos()).String()
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flags
+}
+
+// TestReadmeDocumentsEveryFlag holds README.md to the flags the commands
+// register: a flag added under cmd/ fails it until README mentions
+// `-name`.
+func TestReadmeDocumentsEveryFlag(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := flagRegistrations(t)
+	if len(flags) < 20 {
+		t.Fatalf("found only %d flag registrations under cmd/: the scan misses the registration forms", len(flags))
+	}
+	for name, at := range flags {
+		if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`).Match(b) {
+			t.Errorf("%s: flag -%s is not documented in README.md", at, name)
 		}
 	}
 }

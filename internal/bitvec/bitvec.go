@@ -15,7 +15,8 @@ import (
 // arbiter, VC i of a port, or port i of a crossbar row/column.
 type Vec uint32
 
-// New returns a vector with the given bits set.
+// New returns a vector with the given bits set. Only tests build vectors
+// from bit lists (core's checker unit tests, router's arbiter tests).
 func New(bitsSet ...int) Vec {
 	var v Vec
 	for _, b := range bitsSet {
@@ -28,18 +29,6 @@ func New(bitsSet ...int) Vec {
 func (v Vec) Set(i int) Vec {
 	checkIndex(i)
 	return v | 1<<uint(i)
-}
-
-// Clear returns v with bit i cleared.
-func (v Vec) Clear(i int) Vec {
-	checkIndex(i)
-	return v &^ (1 << uint(i))
-}
-
-// Flip returns v with bit i inverted; this is the fault plane's primitive.
-func (v Vec) Flip(i int) Vec {
-	checkIndex(i)
-	return v ^ 1<<uint(i)
 }
 
 // Get reports whether bit i is set.
@@ -58,9 +47,6 @@ func (v Vec) IsZero() bool { return v == 0 }
 // grant vector and crossbar control vector must have (invariances 6, 14,
 // and 15).
 func (v Vec) AtMostOneHot() bool { return v&(v-1) == 0 }
-
-// OneHot reports whether exactly one bit is set.
-func (v Vec) OneHot() bool { return v != 0 && v.AtMostOneHot() }
 
 // First returns the index of the lowest set bit, or -1 if none is set.
 func (v Vec) First() int {
@@ -116,9 +102,6 @@ func badWidth(width int) {
 	panic(fmt.Sprintf("bitvec: invalid width %d", width))
 }
 
-// InWidth reports whether v has no bits set at or above width.
-func (v Vec) InWidth(width int) bool { return v&^Mask(width) == 0 }
-
 // String renders the vector as bits, most significant first, over the
 // minimum width that shows all set bits (at least 1 digit).
 func (v Vec) String() string {
@@ -138,7 +121,7 @@ func (v Vec) String() string {
 }
 
 func checkIndex(i int) {
-	// Split from its panic so Set/Clear/Flip/Get inline fully.
+	// Split from its panic so Set and Get inline fully.
 	if uint(i) >= 32 {
 		badIndex(i)
 	}

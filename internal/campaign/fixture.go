@@ -34,13 +34,6 @@ func NewFixture(spec Spec, recs []trace.RunRecord) *Fixture {
 	return &Fixture{Spec: spec, Records: canon}
 }
 
-// WriteJSON writes the fixture as indented JSON (stable for diffs).
-func (f *Fixture) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
-}
-
 // ReadFixture parses a fixture.
 func ReadFixture(r io.Reader) (*Fixture, error) {
 	var f Fixture

@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"reflect"
 	"testing"
@@ -15,6 +17,14 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false, "regenerate the testdata/golden_*.json fixtures")
+
+// WriteJSON writes the fixture as indented JSON (stable for diffs), the
+// form -update-golden commits.
+func (f *Fixture) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(f)
+}
 
 const (
 	goldenPath      = "../../testdata/golden_4x4_seed3.json"

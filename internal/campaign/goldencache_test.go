@@ -211,7 +211,7 @@ func TestGoldenKeyCoversOptions(t *testing.T) {
 		"InjectCycle":   {{"report header only", func(o *Options) { o.InjectCycle++ }, false}},
 		"PostInjectRun": {{"", func(o *Options) { o.PostInjectRun++ }, true}},
 		"DrainDeadline": {{"", func(o *Options) { o.DrainDeadline++ }, true}},
-		"Forever":       {{"epoch", func(o *Options) { o.Forever.Epoch++ }, true}, {"AC off", func(o *Options) { o.Forever.DisableAC = true }, true}},
+		"Forever":       {{"epoch", func(o *Options) { o.Forever.Epoch++ }, true}},
 		"Faults": {
 			{"other faults, same cycle set", func(o *Options) { o.Faults = o.Faults[:len(o.Faults)/2] }, false},
 			{"a second injection cycle", func(o *Options) { o.Faults[0].Cycle = 100 }, true},

@@ -71,8 +71,8 @@ func TestLatencyCDFOnlyTruePositives(t *testing.T) {
 	if cdf.N() != 2 {
 		t.Fatalf("CDF over %d samples, want 2 (TPs only)", cdf.N())
 	}
-	if cdf.Min() != 0 || cdf.Max() != 10 {
-		t.Fatalf("CDF range [%d,%d]", cdf.Min(), cdf.Max())
+	if cdf.Percentile(0) != 0 || cdf.Max() != 10 {
+		t.Fatalf("CDF range [%d,%d]", cdf.Percentile(0), cdf.Max())
 	}
 }
 

@@ -144,23 +144,20 @@ func TestStationaryFastForwardIdentity(t *testing.T) {
 	}
 }
 
-// engineTotals is everything a run's result reads off its NoCAlert engine.
+// engineTotals is everything a run's result reads off its NoCAlert engine,
+// plus the accumulators AdvanceSteady extends (Mark).
 type engineTotals struct {
-	total, first, firstHighRisk int64
-	perChecker, alone           [core.NumCheckers + 1]int64
-	fired, firstCycle           []core.CheckerID
-	hist                        []int64
+	accum                core.AccumMark
+	first, firstHighRisk int64
+	fired, firstCycle    []core.CheckerID
+	hist                 []int64
 }
 
 func totalsOf(e *core.Engine) engineTotals {
-	tt := engineTotals{
-		total: e.AssertionCount(), first: e.FirstDetection(), firstHighRisk: e.FirstHighRiskDetection(),
+	return engineTotals{
+		accum: e.Mark(), first: e.FirstDetection(), firstHighRisk: e.FirstHighRiskDetection(),
 		fired: e.FiredCheckers(), firstCycle: e.FirstCycleCheckers(), hist: e.SimultaneityHistogram(),
 	}
-	for id := core.CheckerID(1); id <= core.NumCheckers; id++ {
-		tt.perChecker[id], tt.alone[id] = e.CheckerCount(id), e.CheckerAloneCount(id)
-	}
-	return tt
 }
 
 // TestFrozenStationaryRunIsAFixedPoint is the fast-forward's contract
@@ -226,9 +223,9 @@ func TestFrozenStationaryRunIsAFixedPoint(t *testing.T) {
 			wedged++
 		}
 		// What the campaign computes at the freeze without stepping on.
-		before := ea.AssertionCount()
+		before := ea.Mark()
 		probe.extend(ea, ahead)
-		if ea.AssertionCount() != before {
+		if ea.Mark() != before {
 			asserting++
 		}
 		fd := fa.FirstDetectionAfter(gc.cycle)

@@ -153,13 +153,12 @@ type Engine struct {
 	violations []Violation
 
 	// Aggregates.
-	total           int64                  // assertions across all checkers
-	perChecker      [NumCheckers + 1]int64 // assertion-cycle counts per checker
-	perCheckerAlone [NumCheckers + 1]int64 // cycles where only this checker fired
-	firstCycle      int64                  // first assertion, -1 if none
-	firstHighRisk   int64                  // first assertion from a non-low-risk checker
-	firedSet        [NumCheckers + 1]bool  // checkers that fired at least once
-	firstCycleSet   [NumCheckers + 1]bool  // checkers asserted in the first detection cycle
+	total         int64                  // assertions across all checkers
+	perChecker    [NumCheckers + 1]int64 // assertion-cycle counts per checker
+	firstCycle    int64                  // first assertion, -1 if none
+	firstHighRisk int64                  // first assertion from a non-low-risk checker
+	firedSet      [NumCheckers + 1]bool  // checkers that fired at least once
+	firstCycleSet [NumCheckers + 1]bool  // checkers asserted in the first detection cycle
 
 	// Per-cycle scratch for simultaneity accounting.
 	cycleSet   [NumCheckers + 1]bool
@@ -246,11 +245,9 @@ func (e *Engine) EndCycle(cycle int64) {
 		return
 	}
 	k := 0
-	alone := CheckerID(0)
 	for i := 1; i <= NumCheckers; i++ {
 		if e.cycleSet[i] {
 			k++
-			alone = CheckerID(i)
 			e.cycleSet[i] = false
 		}
 	}
@@ -259,9 +256,6 @@ func (e *Engine) EndCycle(cycle int64) {
 		e.simulHist = append(e.simulHist, 0)
 	}
 	e.simulHist[k]++
-	if k == 1 {
-		e.perCheckerAlone[alone]++
-	}
 }
 
 // AccumMark is a snapshot of the engine's assertion accumulators at a
@@ -301,12 +295,10 @@ func (e *Engine) AdvanceSteady(mark AccumMark, m int64) bool {
 		return true
 	}
 	k := 0
-	alone := CheckerID(0)
 	for i := 1; i <= NumCheckers; i++ {
 		if d := e.perChecker[i] - mark.perChecker[i]; d > 0 {
 			e.perChecker[i] += d * m
 			k++
-			alone = CheckerID(i)
 		}
 	}
 	e.total += dTotal * m
@@ -314,9 +306,6 @@ func (e *Engine) AdvanceSteady(mark AccumMark, m int64) bool {
 		e.simulHist = append(e.simulHist, 0)
 	}
 	e.simulHist[k] += m
-	if k == 1 {
-		e.perCheckerAlone[alone] += m
-	}
 	return true
 }
 
@@ -332,16 +321,6 @@ func (e *Engine) FirstHighRiskDetection() int64 { return e.firstHighRisk }
 
 // Detected reports whether any checker has fired.
 func (e *Engine) Detected() bool { return e.firstCycle >= 0 }
-
-// AssertionCount returns the total number of assertions raised across
-// all checkers — the quantity the metrics monitor polls per cycle.
-func (e *Engine) AssertionCount() int64 { return e.total }
-
-// CheckerCount returns the number of assertion cycles of checker id.
-func (e *Engine) CheckerCount(id CheckerID) int64 { return e.perChecker[id] }
-
-// CheckerAloneCount returns the cycles in which only checker id fired.
-func (e *Engine) CheckerAloneCount(id CheckerID) int64 { return e.perCheckerAlone[id] }
 
 // FiredCheckers returns the distinct checkers that have fired, in id
 // order.
@@ -371,11 +350,4 @@ func (e *Engine) FirstCycleCheckers() []CheckerID {
 // assertion cycles with exactly k distinct checkers asserted.
 func (e *Engine) SimultaneityHistogram() []int64 {
 	return append([]int64(nil), e.simulHist...)
-}
-
-// OnlyLowRiskFired reports whether every assertion so far came from the
-// low-risk class (invariances 1 and 3) — the condition under which the
-// cautious system holds its fire (Observation 2).
-func (e *Engine) OnlyLowRiskFired() bool {
-	return e.Detected() && e.firstHighRisk < 0
 }

@@ -79,7 +79,7 @@ func TestEmitAggregation(t *testing.T) {
 	if e.FirstHighRiskDetection() != 10 {
 		t.Fatalf("FirstHighRiskDetection = %d", e.FirstHighRiskDetection())
 	}
-	if e.CheckerCount(ConsistentVCState) != 2 || e.CheckerCount(GrantWithoutRequest) != 1 {
+	if e.perChecker[ConsistentVCState] != 2 || e.perChecker[GrantWithoutRequest] != 1 || e.total != 4 {
 		t.Fatal("per-checker counts wrong")
 	}
 	fired := e.FiredCheckers()
@@ -95,9 +95,6 @@ func TestEmitAggregation(t *testing.T) {
 	if len(hist) < 3 || hist[1] != 1 || hist[2] != 1 {
 		t.Fatalf("simultaneity hist = %v", hist)
 	}
-	if e.CheckerAloneCount(GrantToNobody) != 1 || e.CheckerAloneCount(GrantWithoutRequest) != 0 {
-		t.Fatal("alone counts wrong")
-	}
 	if len(e.Violations()) != 4 {
 		t.Fatalf("kept %d violations", len(e.Violations()))
 	}
@@ -110,20 +107,17 @@ func TestLowRiskOnlyTracking(t *testing.T) {
 	e := NewEngine(testConfig(), Options{})
 	e.emit(IllegalTurn, 0, 5, 1, 2, "turn")
 	e.EndCycle(5)
-	if !e.OnlyLowRiskFired() {
-		t.Fatal("low-risk-only state not recognized")
-	}
-	if e.FirstHighRiskDetection() != -1 {
+	if !e.Detected() || e.FirstHighRiskDetection() != -1 {
 		t.Fatal("high-risk detection set by a low-risk checker")
 	}
 	e.emit(NonMinimalRoute, 0, 6, 1, 2, "nonmin")
 	e.EndCycle(6)
-	if !e.OnlyLowRiskFired() {
+	if e.FirstHighRiskDetection() != -1 {
 		t.Fatal("both low-risk checkers should keep the cautious system quiet")
 	}
 	e.emit(EndToEndMisdelivery, 3, 9, 4, 0, "e2e")
 	e.EndCycle(9)
-	if e.OnlyLowRiskFired() || e.FirstHighRiskDetection() != 9 {
+	if e.FirstHighRiskDetection() != 9 {
 		t.Fatal("high-risk escalation broken")
 	}
 }
@@ -132,7 +126,7 @@ func TestDisabledCheckersNeverCount(t *testing.T) {
 	e := NewEngine(testConfig(), Options{Disabled: []CheckerID{GrantWithoutRequest}})
 	e.emit(GrantWithoutRequest, 0, 3, 0, -1, "suppressed")
 	e.EndCycle(3)
-	if e.Detected() || e.CheckerCount(GrantWithoutRequest) != 0 {
+	if e.Detected() || e.perChecker[GrantWithoutRequest] != 0 {
 		t.Fatal("disabled checker counted")
 	}
 }
@@ -146,7 +140,7 @@ func TestMaxViolationsCap(t *testing.T) {
 	if len(e.Violations()) != 2 {
 		t.Fatalf("kept %d violations, want 2", len(e.Violations()))
 	}
-	if e.CheckerCount(GrantToNobody) != 5 {
+	if e.perChecker[GrantToNobody] != 5 {
 		t.Fatal("counters must keep counting past the retention cap")
 	}
 }

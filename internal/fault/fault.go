@@ -138,17 +138,6 @@ func (k Kind) IsRegister() bool {
 	return false
 }
 
-// InputPortIndexed reports whether Site.Port names an input port for
-// this kind (as opposed to an output port).
-func (k Kind) InputPortIndexed() bool {
-	switch k {
-	case RCInDestX, RCInDestY, RCOutDir, VA1Req, VA1Gnt, SA1Req, SA1Gnt,
-		BufRead, BufWrite, FlitKindIn, FlitVCIn, VCStateReg, VCRouteReg, VCOutVCReg:
-		return true
-	}
-	return false
-}
-
 // Site is one multi-bit fault location: a specific signal of a specific
 // module instance of a specific router.
 type Site struct {
@@ -157,7 +146,7 @@ type Site struct {
 	// Kind is the signal class.
 	Kind Kind
 	// Port is the port index the module instance belongs to; input or
-	// output port depending on Kind (see InputPortIndexed).
+	// output port depending on Kind.
 	Port int
 	// VC is the virtual channel index for per-VC sites, or -1 for
 	// per-port signals.
@@ -338,7 +327,8 @@ func (p *Plane) windowOf(router int) *window {
 	return nil
 }
 
-// Faults returns the faults carried by the plane.
+// Faults returns the faults carried by the plane (for tests: sim's
+// engine lockstep tests, TestNilPlaneIsIdentity).
 func (p *Plane) Faults() []Fault {
 	if p == nil {
 		return nil
@@ -442,7 +432,9 @@ func (p *Plane) LiveFrom(cycle int64, router int) bool {
 }
 
 // Clone returns an independent copy of the plane. What NewPlane derived
-// from the faults is read-only and shared.
+// from the faults is read-only and shared. Tests give each of two engines
+// stepped in lockstep its own plane with it (sim's diffPairOf,
+// frontierLockstep; TestPlaneClone).
 func (p *Plane) Clone() *Plane {
 	if p == nil {
 		return nil

@@ -120,13 +120,3 @@ func BitFaults(s Site, cycle int64, typ Type) []Fault {
 	}
 	return out
 }
-
-// CountBits returns the total number of single-bit fault locations in
-// the mesh — the figure the paper quotes as 11,808 for its 8×8 mesh.
-func (p Params) CountBits() int {
-	n := 0
-	for _, s := range p.EnumerateSites() {
-		n += s.Width
-	}
-	return n
-}

@@ -85,17 +85,6 @@ type Flit struct {
 	InjectedAt int64
 }
 
-// Parity64 returns the even parity bit of v.
-func Parity64(v uint64) bool {
-	v ^= v >> 32
-	v ^= v >> 16
-	v ^= v >> 8
-	v ^= v >> 4
-	v ^= v >> 2
-	v ^= v >> 1
-	return v&1 == 1
-}
-
 // edcCover is the word the error-detecting code protects. Following
 // the paper's assumption that the EDC "provides coverage for both the
 // payload and the network overhead bits", it spans the payload and the

@@ -122,22 +122,6 @@ func TestEDCPayloadBitFlips(t *testing.T) {
 	}
 }
 
-func TestParity64(t *testing.T) {
-	cases := map[uint64]bool{
-		0:       false,
-		1:       true,
-		3:       false,
-		0xFF:    false,
-		0x8001:  false,
-		1 << 63: true,
-	}
-	for v, want := range cases {
-		if Parity64(v) != want {
-			t.Errorf("Parity64(%#x) = %v", v, !want)
-		}
-	}
-}
-
 func TestClone(t *testing.T) {
 	p := &Packet{ID: 5, Length: 3, Payload: 42}
 	f := p.Flits(1, 1)[0]

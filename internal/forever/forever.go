@@ -36,9 +36,6 @@ type Options struct {
 	// cycles. The checker network is much faster than the data network
 	// (single-flit messages, no VC allocation).
 	HopLatency int64
-	// DisableAC turns off the Allocation Comparator, leaving only the
-	// end-to-end epoch mechanism.
-	DisableAC bool
 }
 
 // DefaultOptions returns the paper's tuning.
@@ -206,9 +203,6 @@ func (m *Monitor) SignalsOnly() {}
 // most of the twenty grant nothing on most cycles: the comparator reads
 // the ones Signals.Granted names.
 func (m *Monitor) RouterCycle(r *router.Router, s *router.Signals) {
-	if m.opts.DisableAC {
-		return
-	}
 	for g := s.Granted; !g.IsZero(); {
 		var i int
 		i, g = g.NextBit()

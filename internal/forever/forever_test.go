@@ -41,15 +41,16 @@ func TestShortEpochFalsePositive(t *testing.T) {
 	}
 }
 
-// TestDropDetectedAtEpochBoundary: a dropped flit leaves a counter
-// stuck nonzero; the flag arrives at an epoch boundary, quantizing the
-// latency — the Figure 7 contrast.
+// TestDropDetectedAtEpochBoundary: a fault the Allocation Comparator
+// cannot see — a stuck bit of an RC unit's output direction misroutes
+// packets through well-formed allocations — leaves a delivery counter stuck
+// nonzero; the flag arrives at an epoch boundary, quantizing the latency:
+// the Figure 7 contrast.
 func TestDropDetectedAtEpochBoundary(t *testing.T) {
 	const epoch = 300
-	// A permanent grant suppression starves a port: flits never arrive.
-	s := fault.Site{Router: 5, Kind: fault.SA1Gnt, Port: int(topology.Local), VC: -1, Width: 4}
+	s := fault.Site{Router: 5, Kind: fault.RCOutDir, Port: int(topology.North), VC: -1, Width: 3}
 	f := fault.Fault{Site: s, Bit: 0, Cycle: 500, Type: fault.Permanent}
-	n, m := netWithForever(t, 0.12, Options{Epoch: epoch, HopLatency: 1, DisableAC: true}, fault.NewPlane(f))
+	n, m := netWithForever(t, 0.12, Options{Epoch: epoch, HopLatency: 1}, fault.NewPlane(f))
 	n.Run(3000)
 	if !m.Detected() {
 		t.Fatal("stuck traffic not detected")
@@ -60,6 +61,9 @@ func TestDropDetectedAtEpochBoundary(t *testing.T) {
 	}
 	if (d+1)%epoch != 0 {
 		t.Fatalf("detection at cycle %d is not an epoch boundary", d)
+	}
+	if d != 899 {
+		t.Fatalf("first detection at cycle %d, want 899 (the second boundary after the strike)", d)
 	}
 }
 

@@ -12,7 +12,6 @@ package golden
 
 import (
 	"fmt"
-	"sort"
 
 	"nocalert/internal/flit"
 	"nocalert/internal/sim"
@@ -233,31 +232,3 @@ func orderStep(last map[uint64]int, k Key) int {
 	}
 	return 0
 }
-
-// PacketsDelivered returns the number of packets with at least one
-// flit in the log, a convenience for reports.
-func (l *Log) PacketsDelivered() int {
-	seen := make(map[uint64]bool)
-	for k := range l.entries {
-		seen[k.Pkt] = true
-	}
-	return len(seen)
-}
-
-// Keys returns the flit keys in a stable order (tests).
-func (l *Log) Keys() []Key {
-	out := make([]Key, 0, len(l.entries))
-	for k := range l.entries {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pkt != out[j].Pkt {
-			return out[i].Pkt < out[j].Pkt
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
-}
-
-// Entries returns the ejections recorded for a key.
-func (l *Log) Entries(k Key) []Entry { return l.entries[k] }

@@ -63,19 +63,6 @@ func (t *Timeline) Observe(n *sim.Network, postFork []sim.Ejection) {
 	})
 }
 
-// ApproxFootprintBytes estimates the memory the timeline retains: the
-// point array at capacity plus the fixed header. Like the other
-// Approx* footprints it is a deliberate estimate (capacities, not a
-// heap walk), O(1) to take.
-func (t *Timeline) ApproxFootprintBytes() int64 {
-	if t == nil {
-		return 0
-	}
-	const pointBytes = 48 // 6 × 8-byte fields per TimelinePoint
-	const headerBytes = 48
-	return int64(cap(t.points))*pointBytes + headerBytes
-}
-
 func foldEjection(h uint64, e *sim.Ejection) uint64 {
 	h = statehash.FoldInt(h, e.Node)
 	h = statehash.Fold(h, uint64(e.Cycle))

@@ -105,27 +105,12 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Bounds returns the bucket upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // BucketCounts returns a copy of the per-bucket counts; the last entry
 // is the overflow bucket.
 func (h *Histogram) BucketCounts() []int64 {
 	out := make([]int64, len(h.buckets))
 	for i := range h.buckets {
 		out[i] = h.buckets[i].Load()
-	}
-	return out
-}
-
-// LinearBounds returns count upper bounds start, start+width, ...
-func LinearBounds(start, width float64, count int) []float64 {
-	if count < 1 || width <= 0 {
-		panic("metrics: LinearBounds needs count >= 1 and width > 0")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
 	}
 	return out
 }

@@ -124,11 +124,8 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestBoundsHelpers pins the two bucket-layout generators.
+// TestBoundsHelpers pins the bucket-layout generator.
 func TestBoundsHelpers(t *testing.T) {
-	if got, want := LinearBounds(5, 5, 3), []float64{5, 10, 15}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("LinearBounds = %v, want %v", got, want)
-	}
 	if got, want := ExponentialBounds(0.5, 2, 4), []float64{0.5, 1, 2, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("ExponentialBounds = %v, want %v", got, want)
 	}

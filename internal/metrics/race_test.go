@@ -17,7 +17,7 @@ func TestSnapshotConsistentUnderConcurrentWrites(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hammer_total")
 	g := r.Gauge("hammer_gauge")
-	h := r.Histogram("hammer_seconds", LinearBounds(0.5, 0.5, 4))
+	h := r.Histogram("hammer_seconds", []float64{0.5, 1, 1.5, 2})
 
 	const writers = 8
 	var stop atomic.Bool

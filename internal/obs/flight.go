@@ -87,7 +87,9 @@ func (fr *FlightRecorder) recordLocked(ev Event) {
 	}
 }
 
-// Events returns the ring's contents, oldest first.
+// Events returns the ring's contents, oldest first. Tests read the ring
+// through it (TestFlightRecorderRingEviction, campaign's
+// TestSpanStreamGolden4x4).
 func (fr *FlightRecorder) Events() []Event {
 	if fr == nil {
 		return nil
@@ -142,7 +144,8 @@ func (fr *FlightRecorder) dumpLocked(reason string) {
 }
 
 // Dumps returns how many dumps (anomalies plus explicit Dump calls)
-// have fired.
+// have fired; the anomaly tests count with it (campaign's
+// TestForkVerifyMismatchDumpsFlightRecorder, TestMissedDetectionAnomaly).
 func (fr *FlightRecorder) Dumps() int {
 	if fr == nil {
 		return 0
@@ -163,7 +166,9 @@ func (fr *FlightRecorder) Err() error {
 }
 
 // ReadDumps parses a dump sink's NDJSON stream (torn-tail tolerant,
-// like every other NDJSON reader in the repository).
+// like every other NDJSON reader in the repository). Only tests read dumps
+// back (TestAnomalyDumpsRingAsNDJSON, campaign's
+// TestForkVerifyMismatchDumpsFlightRecorder).
 func ReadDumps(r io.Reader) ([]Dump, error) {
 	return trace.DecodeTolerant[Dump](r)
 }

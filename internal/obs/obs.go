@@ -251,14 +251,6 @@ type Span struct {
 	rec SpanRecord
 }
 
-// ID returns the span's ID ("" on nil).
-func (s *Span) ID() string {
-	if s == nil {
-		return ""
-	}
-	return s.rec.SpanID
-}
-
 // SetAttr records one attribute (int-like values are normalized to
 // int64 so in-process readers and JSON round-trips agree on Int()).
 func (s *Span) SetAttr(key string, v any) {

@@ -25,9 +25,6 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	// Every Span method must tolerate nil.
 	s.SetAttr("k", 1)
 	s.End()
-	if s.ID() != "" {
-		t.Error("nil span has an ID")
-	}
 	c := s.Child("phase", "y")
 	if c != nil {
 		t.Error("nil span produced a non-nil child")

@@ -25,7 +25,7 @@ func TestArbiterContract(t *testing.T) {
 				switch {
 				case req.IsZero() && (!gnt.IsZero() || n != next):
 					t.Fatalf("width %d pointer %d: no request, grant %s, pointer %d", width, next, gnt, n)
-				case !req.IsZero() && (!gnt.OneHot() || !(gnt &^ req).IsZero()):
+				case !req.IsZero() && (gnt.Count() != 1 || !(gnt &^ req).IsZero()):
 					t.Fatalf("width %d pointer %d: request %s, grant %s", width, next, req, gnt)
 				case !req.IsZero() && int(n) != (gnt.First()+1)%width:
 					t.Fatalf("width %d pointer %d: grant %s left the pointer at %d", width, next, gnt, n)

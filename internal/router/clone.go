@@ -6,26 +6,17 @@ import (
 	"nocalert/internal/soa"
 )
 
-// Clone returns a deep copy of the router using the given fault plane
-// (nil for a fault-free continuation). The copy is backed by a private
-// single-router SoA state and shares only the immutable configuration
-// with the original. Cloning is only meaningful at a cycle boundary —
-// after the network has collected departures and credits — when the
-// per-cycle staging areas are empty; campaigns rely on this to fork
-// thousands of faulty continuations from one warmed network.
-func (r *Router) Clone(plane *fault.Plane) *Router {
-	return r.CloneInto(nil, plane, nil)
-}
-
-// CloneInto is Clone reusing dst's allocations: buffers, the SoA window
-// and signal-record slices from a previous clone of the same router are
-// adopted instead of reallocated, and buffered flits are copied through
-// the optional arena. dst must be a previous CloneInto/Clone product of
-// this router or a NewCloneTarget shell of the same configuration (the
-// network binds fork targets to the fork's shared state this way), or
-// nil, in which case a fresh private-state copy is allocated. Campaign
-// workers use this to pay the 64-router allocation storm once per
-// worker rather than once per fault.
+// CloneInto returns a deep copy of the router under the given fault plane
+// (nil for a fault-free continuation), reusing dst's allocations: buffers,
+// the SoA window and signal-record slices from a previous clone of the
+// same router are adopted instead of reallocated, and buffered flits are
+// copied through the optional arena. dst must be a previous CloneInto
+// product of this router or a NewCloneTarget shell of the same
+// configuration (the network binds fork targets to the fork's shared state
+// this way), or nil, in which case a fresh private-state copy is
+// allocated. Cloning is only meaningful at a cycle boundary, when the
+// per-cycle staging areas are empty. Campaign workers use this to pay the
+// 64-router allocation storm once per worker rather than once per fault.
 func (r *Router) CloneInto(dst *Router, plane *fault.Plane, ar *flit.Arena) *Router {
 	c := dst
 	if c == nil {

@@ -1,6 +1,27 @@
 package router
 
-import "nocalert/internal/flit"
+import (
+	"nocalert/internal/fault"
+	"nocalert/internal/flit"
+	"nocalert/internal/topology"
+)
+
+// Accessors the router's own tests use; no production caller needs them.
+
+// Clone returns a deep copy of the router, backed by a private
+// single-router SoA state, under the given fault plane.
+func (r *Router) Clone(plane *fault.Plane) *Router {
+	return r.CloneInto(nil, plane, nil)
+}
+
+// Config returns the shared router configuration.
+func (r *Router) Config() *Config { return r.cfg }
+
+// HasPort reports whether the router has the given port.
+func (r *Router) HasPort(d topology.Direction) bool { return r.ports.Get(int(d)) }
+
+// SetPlane replaces the fault plane.
+func (r *Router) SetPlane(p *fault.Plane) { r.plane = p }
 
 // What the external residue test (residue_test.go) reaches past the
 // router's API for: the registers FoldResidue covers, to scribble and to

@@ -116,7 +116,8 @@ type Router struct {
 // New constructs a standalone router for node id of the configured mesh,
 // backed by a private single-router SoA state. The plane may be nil for
 // fault-free operation. Networks bind their routers to one shared state
-// via NewInState instead.
+// via NewInState instead; the lone router serves tests (router's own,
+// sim's niRig, forever's TestAllocationComparatorRules).
 func New(id int, cfg *Config, plane *fault.Plane) *Router {
 	st := soa.NewState(soa.Layout{R: 1, P: P, V: cfg.VCs})
 	return NewInState(id, cfg, plane, st.View(0))
@@ -179,15 +180,6 @@ func (pre *Pre) init(cfg *Config) {
 
 // ID returns the router's node id.
 func (r *Router) ID() int { return r.id }
-
-// Config returns the shared router configuration.
-func (r *Router) Config() *Config { return r.cfg }
-
-// HasPort reports whether the router has the given port.
-func (r *Router) HasPort(d topology.Direction) bool { return r.ports.Get(int(d)) }
-
-// SetPlane replaces the fault plane (used when forking campaign runs).
-func (r *Router) SetPlane(p *fault.Plane) { r.plane = p }
 
 // SetReferenceSweep selects the reference engine: full VC-range sweeps
 // every cycle instead of the mask-driven sparse sweeps. The two engines
@@ -384,8 +376,6 @@ func (r *Router) vcOutVCR(cycle int64, p, v int) int {
 func (r *Router) vcOutVCFaulted(cycle int64, p, v int) int {
 	return r.plane.Word(cycle, r.id, fault.VCOutVCReg, p, v, int(r.st.VCOutVC[r.iv(p, v)])) & (MaxVCs - 1)
 }
-
-func (r *Router) creditMask() int32 { return r.crMask }
 
 func (r *Router) creditR(cycle int64, o, v int) int {
 	if r.planeLive {

@@ -163,7 +163,7 @@ type Pre struct {
 
 // RecomputeActive rebuilds the Active masks from the snapshot values.
 // The simulator maintains the masks inline during BeginCycle; this
-// exists for tests that assemble a Pre by hand.
+// exists for tests that assemble a Pre by hand (core's TestUnitChecker*).
 func (pre *Pre) RecomputeActive() {
 	for p := 0; p < P; p++ {
 		var m bitvec.Vec
@@ -244,62 +244,6 @@ func (s *Signals) SetArbiter(b, port int, rg ReqGnt) {
 	if !rg.Gnt.IsZero() {
 		s.Granted |= 1 << uint(b*P+port)
 	}
-}
-
-// ---- derived telemetry views ----
-//
-// The accessors below are the read-only aggregate signals the metrics
-// monitor consumes. They are derived from the per-cycle record rather
-// than maintained incrementally, so they cost nothing on the simulation
-// hot path when no monitor asks for them.
-
-// VAStalls returns the number of VC-allocation requests left ungranted
-// this cycle, summed over both allocation stages (VA1 per input port,
-// VA2 per output port). Faulted grant vectors may assert bits outside
-// the request set, so the count masks grants against requests.
-func (s *Signals) VAStalls() int {
-	n := 0
-	for p := 0; p < P; p++ {
-		n += (s.VA1[p].Req &^ s.VA1[p].Gnt).Count()
-		n += (s.VA2[p].Req &^ s.VA2[p].Gnt).Count()
-	}
-	return n
-}
-
-// SAStalls returns the number of switch-allocation requests left
-// ungranted this cycle, summed over SA1 and SA2.
-func (s *Signals) SAStalls() int {
-	n := 0
-	for p := 0; p < P; p++ {
-		n += (s.SA1[p].Req &^ s.SA1[p].Gnt).Count()
-		n += (s.SA2[p].Req &^ s.SA2[p].Gnt).Count()
-	}
-	return n
-}
-
-// BufferOccupancy returns the total number of flits buffered in the
-// router's input VCs at the start of the cycle.
-func (s *Signals) BufferOccupancy() int {
-	n := 0
-	for p := 0; p < P; p++ {
-		for v := range s.Pre.In[p] {
-			n += s.Pre.In[p][v].BufLen
-		}
-	}
-	return n
-}
-
-// LinkFlits returns the number of flits the router put on inter-router
-// links this cycle (local ejections to the NI excluded) — the per-cycle
-// numerator of link utilization.
-func (s *Signals) LinkFlits() int {
-	n := 0
-	for i := range s.Departures {
-		if topology.Direction(s.Departures[i].OutPort) != topology.Local {
-			n++
-		}
-	}
-	return n
 }
 
 // reset clears the record for reuse, keeping allocated slices.

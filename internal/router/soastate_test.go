@@ -325,29 +325,3 @@ func TestRegisterUpsetsApply(t *testing.T) {
 		})
 	}
 }
-
-// TestSignalTelemetryAccessors covers the aggregate signal views the
-// metrics monitor consumes, on a cycle with real contention.
-func TestSignalTelemetryAccessors(t *testing.T) {
-	r, cyc := busyRouter(t, 2)
-	r.BeginCycle(cyc)
-	r.Evaluate(cyc)
-	s := r.Signals()
-	if s.BufferOccupancy() == 0 {
-		t.Fatal("no buffered flits on a busy router")
-	}
-	// Three packets racing for one output port: someone must stall in
-	// at least one allocation stage across the window.
-	stalls := s.VAStalls() + s.SAStalls()
-	for c := cyc + 1; c < cyc+4; c++ {
-		r.BeginCycle(c)
-		r.Evaluate(c)
-		stalls += r.Signals().VAStalls() + r.Signals().SAStalls()
-	}
-	if stalls == 0 {
-		t.Fatal("no allocation stalls under 3-way contention")
-	}
-	if s.LinkFlits() < 0 {
-		t.Fatal("negative link flits")
-	}
-}

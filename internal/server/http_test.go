@@ -33,6 +33,12 @@ func testSpec(faults int) campaign.Spec {
 	}
 }
 
+// Submit enqueues a new anonymous whole-campaign job.
+func (s *Server) Submit(spec campaign.Spec) (*Job, error) {
+	j, _, err := s.SubmitJob(spec, SubmitOptions{})
+	return j, err
+}
+
 func specBody(t *testing.T, spec campaign.Spec) *bytes.Reader {
 	t.Helper()
 	b, err := json.Marshal(&spec)

@@ -37,13 +37,6 @@ func newFairQueue(limit int) *fairQueue {
 // cap returns the queue bound.
 func (q *fairQueue) cap() int { return q.limit }
 
-// len returns the number of queued jobs.
-func (q *fairQueue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
-}
-
 // push enqueues j under its tenant, reporting false when the queue is
 // at capacity.
 func (q *fairQueue) push(j *Job) bool {

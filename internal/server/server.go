@@ -321,13 +321,6 @@ type SubmitOptions struct {
 	Shards int
 }
 
-// Submit validates, persists and enqueues a new anonymous
-// whole-campaign job (the pre-multi-tenant API).
-func (s *Server) Submit(spec campaign.Spec) (*Job, error) {
-	j, _, err := s.SubmitJob(spec, SubmitOptions{})
-	return j, err
-}
-
 // SubmitJob validates, persists and enqueues a new job. Sharded
 // submissions are idempotent on (spec, shard): when an active or done
 // job for the same shard of the same campaign already exists, that job

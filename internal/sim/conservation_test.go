@@ -31,7 +31,12 @@ type flitKey struct {
 }
 
 func (m *inFabric) RouterCycle(_ *router.Router, s *router.Signals) {
-	m.flits += int64(s.BufferOccupancy() + len(s.Arrivals))
+	m.flits += int64(len(s.Arrivals))
+	for p := range s.Pre.In {
+		for _, vc := range s.Pre.In[p] {
+			m.flits += int64(vc.BufLen)
+		}
+	}
 	for _, a := range s.Arrivals {
 		if a.Port == int(topology.Local) {
 			m.sent[flitKey{a.Flit.PacketID, a.Flit.Seq}] = m.cycle - 1

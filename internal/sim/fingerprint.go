@@ -71,8 +71,11 @@ func (n *Network) Fingerprint() uint64 {
 // are a fixed point — no future Step can ever change the state again (a
 // closed-window step that reads a router's residue changes its live
 // state, so the step that held it still read none; DESIGN.md §3.2).
-// Campaign fast-forward uses this to synthesize the remainder of a
-// deadlocked drain or an idle ForEVeR horizon instead of stepping it.
+// Campaign fast-forward asks the frontier's (Frontier.StaticFingerprint)
+// to synthesize the remainder of a deadlocked drain or an idle ForEVeR
+// horizon instead of stepping it; the full network's is the oracle the
+// tests hold that to (campaign's TestFrozenStationaryRunIsAFixedPoint,
+// frontierLockstep, statehash's TestSharedSnapshotFoldsWithoutAWrite).
 func (n *Network) StaticFingerprint() uint64 {
 	return n.foldBody(statehash.Seed)
 }

@@ -25,8 +25,8 @@ type Monitor interface {
 }
 
 // SignalsOnly is implemented by a monitor that reads nothing of the
-// pre-cycle snapshot (Signals.Pre, and BufferOccupancy, which is derived
-// from it): the cycle's control signals and nothing else. While every
+// pre-cycle snapshot (Signals.Pre): the cycle's control signals and
+// nothing else. While every
 // attached monitor says so — or none is attached — Network.Step takes no
 // snapshot on the fast engine (router.BeginUnobserved) and Pre is stale;
 // a monitor that does not implement it is taken to read everything.

@@ -188,9 +188,6 @@ func (n *Network) RouterConfig() *router.Config { return n.rcfg }
 // Router returns the router at node id.
 func (n *Network) Router(id int) *router.Router { return n.routers[id] }
 
-// NI returns the network interface at node id.
-func (n *Network) NI(id int) *NI { return n.nis[id] }
-
 // Cycle returns the next cycle to be simulated (0 before any Step).
 func (n *Network) Cycle() int64 { return n.cycle }
 
@@ -254,44 +251,6 @@ func (n *Network) Monitors() []Monitor { return n.monitors }
 // StopInjection stops generating new packets (drain mode). Packets
 // already queued at NIs keep streaming.
 func (n *Network) StopInjection() { n.injecting = false }
-
-// ResumeInjection re-enables packet generation.
-func (n *Network) ResumeInjection() { n.injecting = true }
-
-// InjectPacket queues one directed packet at src's NI, bypassing the
-// random traffic process (used for targeted tests and for recovery
-// retransmissions). It returns the packet id. The packet flows through
-// the normal injection path and is announced to monitors like any
-// other.
-func (n *Network) InjectPacket(src, dest, class int) uint64 {
-	if src < 0 || src >= len(n.nis) || dest < 0 || dest >= len(n.nis) {
-		panic(fmt.Sprintf("sim: InjectPacket with invalid nodes %d->%d", src, dest))
-	}
-	if class < 0 || class >= n.rcfg.Classes {
-		class = 0
-	}
-	// The payload is derived from the packet id rather than drawn from
-	// the NI's traffic generator: directed injections must not perturb
-	// the background traffic stream (campaign forks and A/B runs rely
-	// on replay determinism).
-	p := &flit.Packet{
-		ID:         n.nextPkt,
-		Src:        src,
-		Dest:       dest,
-		Class:      class,
-		Length:     n.rcfg.PacketLen(class),
-		Payload:    n.nextPkt * 0x9e3779b97f4a7c15,
-		InjectedAt: n.cycle,
-	}
-	n.nextPkt++
-	n.pktsOffered++
-	n.nis[src].enqueue(p)
-	n.niAwake.set(src)
-	for _, m := range n.monitors {
-		m.PacketInjected(n.cycle, src, p)
-	}
-	return p.ID
-}
 
 // Step simulates one cycle. A router's signal record (Router.Signals) is
 // this cycle's only if the router was stepped, and its Pre only if an

@@ -83,12 +83,6 @@ func niCloneTarget(outCredits []int32, outFlags []uint8) *NI {
 	return &NI{gen: new(rng.PCG), outCredits: outCredits, outFlags: outFlags}
 }
 
-// QueueLen returns the number of packets waiting at the source NI.
-func (ni *NI) QueueLen() int { return len(ni.queue) }
-
-// Streaming reports whether a packet is mid-injection.
-func (ni *NI) Streaming() bool { return len(ni.cur) > 0 }
-
 // busy reports whether the NI holds work Quiet must wait for: a queued
 // packet, a packet mid-injection or an arrival not yet ejected.
 func (ni *NI) busy() bool { return len(ni.queue) > 0 || len(ni.cur) > 0 || len(ni.inbox) > 0 }
@@ -197,11 +191,6 @@ func (ni *NI) pickFreeVC(class int) int {
 		}
 	}
 	return -1
-}
-
-// clone returns a deep copy of the NI (with private credit windows).
-func (ni *NI) clone() *NI {
-	return ni.cloneInto(nil, nil)
 }
 
 // cloneInto deep-copies the NI into dst (nil allocates a fresh copy),

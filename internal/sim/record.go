@@ -246,9 +246,6 @@ func newRecording(start int64, mesh topology.Mesh, cycles int, load recLoad) *Re
 // Cycles returns the number of fully recorded cycles.
 func (rc *Recording) Cycles() int { return len(rc.genIdx) - 1 }
 
-// Start returns the first recorded cycle.
-func (rc *Recording) Start() int64 { return rc.start }
-
 // covers reports whether cycle t is inside the recorded range.
 func (rc *Recording) covers(t int64) bool {
 	return t >= rc.start && (rc.settled || t < rc.start+int64(rc.Cycles()))

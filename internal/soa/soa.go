@@ -201,13 +201,6 @@ func (s *State) CopyFrom(src *State) {
 	copy(s.NIFlags, src.NIFlags)
 }
 
-// Clone returns an independent copy of s.
-func (s *State) Clone() *State {
-	c := NewState(s.L)
-	c.CopyFrom(s)
-	return c
-}
-
 // CopyFrom copies src's window contents into v's. Geometries must match.
 // Router CloneInto uses this when both routers are bound to distinct
 // States; Network-level forks bulk-copy the whole State instead.

@@ -72,15 +72,6 @@ func TestCopyFromAndClone(t *testing.T) {
 		t.Fatal("CopyFrom aliased storage")
 	}
 
-	c := a.Clone()
-	if c.VCState[7] != 7 || c.L != a.L {
-		t.Fatal("Clone missed state")
-	}
-	c.NonIdle[1] = 0
-	if a.NonIdle[1] != 0xf {
-		t.Fatal("Clone aliased storage")
-	}
-
 	mustPanic(t, "layout mismatch CopyFrom", func() {
 		NewState(Layout{R: 1, P: 5, V: 4}).CopyFrom(a)
 	})

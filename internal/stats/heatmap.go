@@ -66,10 +66,3 @@ func (h *Heatmap) Render(w io.Writer) {
 	fmt.Fprintf(w, "%s\n", strings.Repeat(" x", h.W))
 	fmt.Fprintf(w, "(scale: . = 0, 9 = %.0f)\n", max)
 }
-
-// String renders the heatmap to a string.
-func (h *Heatmap) String() string {
-	var sb strings.Builder
-	h.Render(&sb)
-	return sb.String()
-}

@@ -1,9 +1,17 @@
 package stats
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
+
+// render returns what r writes.
+func render(r interface{ Render(io.Writer) }) string {
+	var sb strings.Builder
+	r.Render(&sb)
+	return sb.String()
+}
 
 func TestHeatmapRendering(t *testing.T) {
 	h := NewHeatmap("demo", 3, 2)
@@ -13,7 +21,7 @@ func TestHeatmapRendering(t *testing.T) {
 	if h.Max() != 9 {
 		t.Fatalf("Max = %f", h.Max())
 	}
-	out := h.String()
+	out := render(h)
 	if !strings.Contains(out, "== demo ==") {
 		t.Fatalf("missing title:\n%s", out)
 	}
@@ -39,7 +47,7 @@ func TestHeatmapRendering(t *testing.T) {
 
 func TestHeatmapAllZero(t *testing.T) {
 	h := NewHeatmap("", 2, 2)
-	out := h.String()
+	out := render(h)
 	if strings.Contains(out, "==") || !strings.Contains(out, ".") {
 		t.Fatalf("zero heatmap rendering:\n%s", out)
 	}

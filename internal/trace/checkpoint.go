@@ -117,8 +117,10 @@ type CheckpointData struct {
 // ReadCheckpoint parses a checkpoint stream. A torn trailing line (the
 // normal residue of a killed shard) is tolerated and dropped; any
 // malformed line with intact data after it is corruption and errors.
-// If a footer is present it must be the final line and must match the
-// records, making a finalized checkpoint self-verifying.
+// A final line without its newline is torn whatever it parses as: a kill
+// can land between a record's JSON and its newline, and an append must not
+// land on that line. If a footer is present it must be the final line and
+// must match the records, making a finalized checkpoint self-verifying.
 func ReadCheckpoint(r io.Reader) (*CheckpointData, error) {
 	br := bufio.NewReaderSize(r, 64*1024)
 	cd := &CheckpointData{}
@@ -126,72 +128,48 @@ func ReadCheckpoint(r io.Reader) (*CheckpointData, error) {
 	lineNo := 0
 	for {
 		line, err := br.ReadBytes('\n')
-		torn := err == io.EOF && len(line) > 0
-		if err != nil && err != io.EOF {
+		if err == io.EOF {
+			break // end of stream, or a torn line validBytes stops short of
+		}
+		if err != nil {
 			return nil, err
 		}
 		if len(bytes.TrimSpace(line)) == 0 {
-			if err == io.EOF {
-				break
-			}
 			cd.validBytes += int64(len(line))
 			continue
 		}
 		lineNo++
 		bad := func(what string, perr error) error {
-			if torn {
-				// A torn final line is expected after a kill.
-				return nil
-			}
 			return fmt.Errorf("trace: checkpoint line %d: bad %s: %v", lineNo, what, perr)
 		}
-		if !sawManifest {
+		switch {
+		case !sawManifest:
 			if k := lineKind(line); k != "manifest" {
-				if torn {
-					break
-				}
 				return nil, fmt.Errorf("trace: checkpoint line %d: expected manifest, got kind %q", lineNo, k)
 			}
 			if perr := json.Unmarshal(line, &cd.Manifest); perr != nil {
-				if e := bad("manifest", perr); e != nil {
-					return nil, e
-				}
-				break
+				return nil, bad("manifest", perr)
 			}
 			if cd.Manifest.Version != CheckpointVersion {
 				return nil, fmt.Errorf("trace: checkpoint version %d, want %d", cd.Manifest.Version, CheckpointVersion)
 			}
 			sawManifest = true
-			cd.validBytes += int64(len(line))
-		} else if cd.Footer != nil {
-			if torn {
-				break
-			}
+		case cd.Footer != nil:
 			return nil, fmt.Errorf("trace: checkpoint line %d: data after footer", lineNo)
-		} else if lineKind(line) == "footer" {
+		case lineKind(line) == "footer":
 			var f Footer
 			if perr := json.Unmarshal(line, &f); perr != nil {
-				if e := bad("footer", perr); e != nil {
-					return nil, e
-				}
-				break
+				return nil, bad("footer", perr)
 			}
 			cd.Footer = &f
-			cd.validBytes += int64(len(line))
-		} else {
+		default:
 			var rec RunRecord
 			if perr := json.Unmarshal(line, &rec); perr != nil {
-				if e := bad("record", perr); e != nil {
-					return nil, e
-				}
-				break
+				return nil, bad("record", perr)
 			}
 			cd.Records = append(cd.Records, rec)
-			cd.validBytes += int64(len(line))
 		}
-		if err == io.EOF {
-			break
-		}
+		cd.validBytes += int64(len(line))
 	}
 	if !sawManifest {
 		return nil, fmt.Errorf("trace: checkpoint has no manifest line")
@@ -225,7 +203,6 @@ type Checkpoint struct {
 	mu        sync.Mutex
 	f         *os.File
 	enc       *json.Encoder
-	manifest  Manifest
 	records   int
 	sum       uint64
 	finalized bool
@@ -244,7 +221,7 @@ func CreateCheckpoint(path string, m *Manifest) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Checkpoint{f: f, enc: json.NewEncoder(f), manifest: *m}
+	c := &Checkpoint{f: f, enc: json.NewEncoder(f)}
 	if err := c.enc.Encode(m); err != nil {
 		f.Close()
 		return nil, err
@@ -295,7 +272,6 @@ func ResumeCheckpoint(path string, m *Manifest) (*Checkpoint, []RunRecord, error
 	c := &Checkpoint{
 		f:         f,
 		enc:       json.NewEncoder(f),
-		manifest:  cd.Manifest,
 		records:   len(cd.Records),
 		finalized: cd.Footer != nil,
 	}
@@ -303,17 +279,6 @@ func ResumeCheckpoint(path string, m *Manifest) (*Checkpoint, []RunRecord, error
 		c.sum ^= RecordHash(&cd.Records[i])
 	}
 	return c, cd.Records, nil
-}
-
-// Manifest returns the checkpoint's manifest.
-func (c *Checkpoint) Manifest() Manifest { return c.manifest }
-
-// Records returns the number of record lines (pre-existing plus
-// appended).
-func (c *Checkpoint) Records() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.records
 }
 
 // Finalized reports whether the footer has been written.

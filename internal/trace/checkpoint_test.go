@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -249,4 +250,158 @@ func TestSumRecordsOrderAndWallIndependent(t *testing.T) {
 	if SumRecords(a) == SumRecords(d) {
 		t.Fatal("record checksum misses an outcome drift")
 	}
+}
+
+// TestResumeAfterLostNewline: a kill can land between a record's JSON and
+// its newline, leaving a final line that parses. It is torn all the same:
+// resume must drop it (its run is executed again), or the next append
+// lands on the same line and the checkpoint never reads again. A footer
+// that lost its newline leaves the shard unfinalized, to be finalized
+// again.
+func TestResumeAfterLostNewline(t *testing.T) {
+	dropLastByte := func(path string) {
+		t.Helper()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, st.Size()-1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "shard.ndjson")
+	cp, err := CreateCheckpoint(path, testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < 12; i++ {
+		rec := testRecord(i)
+		if err := cp.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp.Close()
+	dropLastByte(path)
+
+	cp, completed, err := ResumeCheckpoint(path, testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(completed) != 1 {
+		t.Fatalf("resume recovered %d records, want 1: the last lost its newline", len(completed))
+	}
+	for i := 11; i < 13; i++ {
+		rec := testRecord(i)
+		if err := cp.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cp.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+	cd, err := ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatalf("checkpoint unreadable after resume and append: %v", err)
+	}
+	if len(cd.Records) != 3 || cd.Footer == nil {
+		t.Fatalf("after resume: %d records, footer %v; want 3 with footer", len(cd.Records), cd.Footer)
+	}
+
+	// The footer loses its newline: the shard is no longer finalized.
+	dropLastByte(path)
+	cp, completed, err = ResumeCheckpoint(path, testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Finalized() || len(completed) != 3 {
+		t.Fatalf("torn footer: finalized %t with %d records, want unfinalized with 3", cp.Finalized(), len(completed))
+	}
+	if err := cp.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+	if cd, err := ReadCheckpointFile(path); err != nil || cd.Footer == nil || len(cd.Records) != 3 {
+		t.Fatalf("refinalized checkpoint: %v, %+v", err, cd)
+	}
+}
+
+// validCheckpoint returns the bytes of a checkpoint of three records,
+// finalized or not.
+func validCheckpoint(t testing.TB, finalized bool) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "base.ndjson")
+	cp, err := CreateCheckpoint(path, testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < 13; i++ {
+		rec := testRecord(i)
+		if err := cp.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if finalized {
+		if err := cp.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzCheckpointResume damages a valid checkpoint — truncates it at cut,
+// appends tail, and XORs flip into the byte at flipAt — and holds the
+// reader and resume to two properties: ReadCheckpoint never panics, and
+// whenever ResumeCheckpoint accepts the file, one Append later the file
+// reads back as the resumed records plus the new one.
+func FuzzCheckpointResume(f *testing.F) {
+	f.Add(false, uint16(0xffff), []byte(nil), uint16(0), byte(0))
+	f.Add(true, uint16(0xffff), []byte(nil), uint16(0), byte(0))
+	// The lost newline: every byte but the last record's "\n".
+	f.Add(false, uint16(len(validCheckpoint(f, false))-1), []byte(nil), uint16(0), byte(0))
+	f.Add(false, uint16(40), []byte(`{"index":14,"router":2,"nocal`), uint16(0), byte(0))
+	f.Add(true, uint16(0xffff), []byte("{}\n"), uint16(300), byte(0x20))
+	f.Fuzz(func(t *testing.T, finalized bool, cut uint16, tail []byte, flipAt uint16, flip byte) {
+		data := validCheckpoint(t, finalized)
+		data = append(data[:min(int(cut), len(data))], tail...)
+		if len(data) > 0 {
+			data[int(flipAt)%len(data)] ^= flip
+		}
+		ReadCheckpoint(bytes.NewReader(data))
+
+		path := filepath.Join(t.TempDir(), "shard.ndjson")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, resumed, err := ResumeCheckpoint(path, testManifest())
+		if err != nil {
+			return
+		}
+		defer cp.Close()
+		if cp.Finalized() {
+			return // a finalized checkpoint takes no appends
+		}
+		rec := testRecord(99)
+		if err := cp.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+		cd, err := ReadCheckpointFile(path)
+		if err != nil {
+			t.Fatalf("resumed %d records, appended one, and the checkpoint no longer reads: %v\nfile before resume: %q", len(resumed), err, data)
+		}
+		want := append(resumed, rec)
+		if len(cd.Records) != len(want) {
+			t.Fatalf("read %d records back, want the %d resumed plus one", len(cd.Records), len(resumed))
+		}
+		for i := range want {
+			if !bytes.Equal(cd.Records[i].CanonicalBytes(), want[i].CanonicalBytes()) {
+				t.Fatalf("record %d read back as %s, want %s", i, cd.Records[i].CanonicalBytes(), want[i].CanonicalBytes())
+			}
+		}
+	})
 }

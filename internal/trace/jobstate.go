@@ -73,11 +73,6 @@ type JobState struct {
 	FinishedAt  string `json:"finished_at,omitempty"`
 }
 
-// Terminal reports whether the state can never change again.
-func (j *JobState) Terminal() bool {
-	return j.Status == JobDone || j.Status == JobFailed || j.Status == JobCanceled
-}
-
 const jobStateSuffix = ".job.json"
 
 // JobStatePath returns the manifest path for job id in dir.

@@ -1,3 +1,8 @@
+// Package trace is the repository's durable record of campaign runs: the
+// NDJSON run record every completed fault run is flattened to, the
+// append-only shard checkpoints built from those records, the daemon's
+// job-state manifests, and the torn-tail-tolerant NDJSON decoder they
+// (and the span stream) are read back with.
 package trace
 
 import (
@@ -84,7 +89,7 @@ func (r *RunRecord) CanonicalBytes() []byte {
 // OnResult, but the writer does not rely on it). Each record reaches
 // the underlying writer before Write returns, so an interrupted
 // campaign keeps every completed run on disk — only a line torn by a
-// hard kill mid-write is lost, and ReadRunRecords tolerates that.
+// hard kill mid-write is lost, and DecodeTolerant tolerates that.
 type RunWriter struct {
 	mu      sync.Mutex
 	bw      *bufio.Writer
@@ -126,11 +131,4 @@ func (rw *RunWriter) Flush() error {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
 	return rw.bw.Flush()
-}
-
-// ReadRunRecords parses an NDJSON run trace, tolerating a truncated
-// final line (the normal shape of an interrupted campaign): complete
-// records before the truncation are returned with a nil error.
-func ReadRunRecords(r io.Reader) ([]RunRecord, error) {
-	return DecodeTolerant[RunRecord](r)
 }

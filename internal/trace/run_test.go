@@ -10,66 +10,47 @@ import (
 	"nocalert/internal/topology"
 )
 
-// The two passive observers must survive network forks — a campaign
-// worker clones the warmed network per run, and monitors that do not
+// The path recorder must survive network forks: monitors that do not
 // implement CloneableMonitor are silently dropped from the copy.
-var (
-	_ sim.CloneableMonitor = (*PathMonitor)(nil)
-	_ sim.CloneableMonitor = (*EventLog)(nil)
-)
+var _ sim.CloneableMonitor = (*PathMonitor)(nil)
 
 // TestMonitorsSurviveClone is the regression test for the silent-drop
-// bug: attach both observers, fork the network, and require the fork to
-// keep observing while leaving the original's records untouched.
+// bug: attach the path recorder, fork the network, and require the fork
+// to keep observing while leaving the original's records untouched.
 func TestMonitorsSurviveClone(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
 	rc := router.Default(mesh)
 	n := sim.MustNew(sim.Config{Router: rc, InjectionRate: 0.2, Seed: 7}, nil)
 	pm := NewPathMonitor()
-	el := &EventLog{}
 	n.AttachMonitor(pm)
-	n.AttachMonitor(el)
 	n.Run(200)
-	if len(el.Ejections) == 0 {
-		t.Fatal("no ejections after 200 loaded cycles; test premise broken")
+	atFork := len(pm.Packets())
+	if atFork == 0 {
+		t.Fatal("no packets after 200 loaded cycles; test premise broken")
 	}
 
 	c := n.Clone(nil)
-	if got := len(c.Monitors()); got != 2 {
-		t.Fatalf("clone carried %d monitors, want 2", got)
+	if got := len(c.Monitors()); got != 1 {
+		t.Fatalf("clone carried %d monitors, want 1", got)
 	}
-	var cpm *PathMonitor
-	var cel *EventLog
-	for _, m := range c.Monitors() {
-		switch v := m.(type) {
-		case *PathMonitor:
-			cpm = v
-		case *EventLog:
-			cel = v
-		}
+	cpm, ok := c.Monitors()[0].(*PathMonitor)
+	if !ok {
+		t.Fatalf("clone's monitor has the wrong type: %T", c.Monitors()[0])
 	}
-	if cpm == nil || cel == nil {
-		t.Fatalf("clone's monitors have wrong types: %T", c.Monitors())
+	if cpm == pm {
+		t.Fatal("clone shares the monitor instance with the original")
 	}
-	if cpm == pm || cel == el {
-		t.Fatal("clone shares monitor instances with the original")
+	if len(cpm.Packets()) != atFork {
+		t.Fatalf("clone's recorder starts with %d packets, want the fork-point %d", len(cpm.Packets()), atFork)
 	}
 
-	atFork := len(el.Ejections)
-	if len(cel.Ejections) != atFork {
-		t.Fatalf("clone's event log starts with %d ejections, want the fork-point %d", len(cel.Ejections), atFork)
-	}
-
-	// Only the clone advances: its log grows, the original's does not.
+	// Only the clone advances: its record grows, the original's does not.
 	c.Run(200)
-	if len(cel.Ejections) <= atFork {
-		t.Fatal("clone's EventLog stopped observing after the fork")
+	if len(cpm.Packets()) <= atFork {
+		t.Fatal("clone's PathMonitor stopped observing after the fork")
 	}
-	if len(el.Ejections) != atFork {
-		t.Fatalf("running the clone mutated the original's log (%d != %d)", len(el.Ejections), atFork)
-	}
-	if len(cpm.Packets()) == 0 {
-		t.Fatal("clone's PathMonitor recorded no packets after the fork")
+	if len(pm.Packets()) != atFork {
+		t.Fatalf("running the clone mutated the original's record (%d != %d)", len(pm.Packets()), atFork)
 	}
 
 	// Clone paths validate hop by hop, like the original's.
@@ -117,7 +98,7 @@ func TestRunWriterRoundTrip(t *testing.T) {
 		t.Fatalf("NDJSON output has %d lines, want 2:\n%s", lines, buf.String())
 	}
 
-	got, err := ReadRunRecords(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeTolerant[RunRecord](bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +115,8 @@ func TestRunWriterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadRunRecordsTruncated: a torn final line (interrupted campaign)
-// must yield the complete prefix without an error.
+// TestReadRunRecordsTruncated: a torn final line of a run trace
+// (interrupted campaign) must yield the complete prefix without an error.
 func TestReadRunRecordsTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewRunWriter(&buf)
@@ -148,7 +129,7 @@ func TestReadRunRecordsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	torn := buf.String() + `{"index":3,"nocalert_ou`
-	got, err := ReadRunRecords(strings.NewReader(torn))
+	got, err := DecodeTolerant[RunRecord](strings.NewReader(torn))
 	if err != nil {
 		t.Fatalf("truncated trace returned error %v, want nil", err)
 	}

@@ -140,19 +140,3 @@ func TestValidatePathRejections(t *testing.T) {
 		t.Errorf("good path rejected: %v", err)
 	}
 }
-
-// TestEventLogCopiesFlits: the log must be immune to later mutation of
-// the flit object.
-func TestEventLogCopiesFlits(t *testing.T) {
-	rc := router.Default(topology.NewMesh(3, 3))
-	n := sim.MustNew(sim.Config{Router: rc, InjectionRate: 0.1, Seed: 5}, nil)
-	l := &EventLog{}
-	n.AttachMonitor(l)
-	n.Run(600)
-	if len(l.Ejections) == 0 {
-		t.Fatal("no events logged")
-	}
-	if int64(len(l.Ejections)) != n.FlitsEjected() {
-		t.Fatalf("logged %d, ejected %d", len(l.Ejections), n.FlitsEjected())
-	}
-}

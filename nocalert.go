@@ -52,11 +52,9 @@ import (
 	"nocalert/internal/diagnose"
 	"nocalert/internal/fault"
 	"nocalert/internal/forever"
-	"nocalert/internal/golden"
 	"nocalert/internal/hwmodel"
 	"nocalert/internal/metrics"
 	"nocalert/internal/obs"
-	"nocalert/internal/recovery"
 	"nocalert/internal/router"
 	"nocalert/internal/routing"
 	"nocalert/internal/sim"
@@ -256,23 +254,6 @@ func FaultParamsFor(cfg *RouterConfig) FaultParams {
 	return fault.Params{Mesh: cfg.Mesh, VCs: cfg.VCs, BufDepth: cfg.BufDepth}
 }
 
-// ---- Golden reference ----
-
-// GoldenLog is an indexed ejection log.
-type GoldenLog = golden.Log
-
-// Verdict is the network-correctness judgment for one faulty run.
-type Verdict = golden.Verdict
-
-// NewGoldenLog indexes a simulation's ejection log from the given
-// cycle onward.
-func NewGoldenLog(ejs []Ejection, since int64) *GoldenLog { return golden.FromEjections(ejs, since) }
-
-// CompareToGolden judges a faulty run against the golden reference.
-func CompareToGolden(goldenLog, faulty *GoldenLog, faultyDrained bool) Verdict {
-	return golden.Compare(goldenLog, faulty, faultyDrained)
-}
-
 // ---- ForEVeR baseline ----
 
 // ForeverOptions tunes the ForEVeR baseline (epoch length, checker-
@@ -384,13 +365,6 @@ func MergeCampaignShards(shards []*CheckpointData) (*MergedCampaign, error) {
 	return campaign.MergeShards(shards)
 }
 
-// CampaignReportFromRecords rebuilds the aggregated report from a
-// complete record set; its WriteJSON output is byte-identical to the
-// live report of the equivalent run.
-func CampaignReportFromRecords(spec CampaignSpec, recs []RunTraceRecord) (*CampaignReport, error) {
-	return campaign.ReportFromRecords(spec, recs)
-}
-
 // NewCampaignFixture canonicalizes records into a fixture (sorted by
 // index, wall times zeroed).
 func NewCampaignFixture(spec CampaignSpec, recs []RunTraceRecord) *CampaignFixture {
@@ -404,44 +378,6 @@ func ReadCampaignFixture(r io.Reader) (*CampaignFixture, error) { return campaig
 // record schema shared by run traces, checkpoints and fixtures.
 func CampaignRunRecord(i int, res *CampaignResult, wall time.Duration, fastPath bool) RunTraceRecord {
 	return campaign.RecordFor(i, res, wall, fastPath)
-}
-
-// ---- Recovery (extension: detection → retransmission) ----
-
-// RecoveryController retransmits end-to-end-unconfirmed packets once
-// the NoCAlert alarm is armed — the minimal recovery back-end the paper
-// positions NoCAlert in front of. Construct with NewRecoveryController
-// and attach to the same network as the engine.
-type RecoveryController = recovery.Controller
-
-// RecoveryOptions tunes the retransmission timeout and retry budget.
-type RecoveryOptions = recovery.Options
-
-// RecoveryStats summarizes a controller's delivery accounting.
-type RecoveryStats = recovery.Stats
-
-// NewRecoveryController builds a recovery back-end for net, armed by
-// eng's detections.
-func NewRecoveryController(net *Network, eng *Engine, opts RecoveryOptions) *RecoveryController {
-	return recovery.NewController(net, eng, opts)
-}
-
-// ---- Tracing ----
-
-// PathMonitor records, per packet, the router hops its header takes;
-// attach with AttachMonitor and validate with ValidatePath.
-type PathMonitor = trace.PathMonitor
-
-// Hop is one recorded router traversal.
-type Hop = trace.Hop
-
-// NewPathMonitor returns an empty path recorder.
-func NewPathMonitor() *PathMonitor { return trace.NewPathMonitor() }
-
-// ValidatePath checks a recorded path against the mesh topology and a
-// source/destination pair.
-func ValidatePath(m Mesh, hops []Hop, src, dest int) error {
-	return trace.ValidatePath(m, hops, src, dest)
 }
 
 // ---- Telemetry ----
@@ -466,18 +402,6 @@ type MetricsSnapshot = metrics.Snapshot
 
 // NewMetricsRegistry returns an empty registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// MetricsMonitor publishes per-cycle simulator telemetry (link
-// utilization, buffer occupancy, allocator stalls, checker assertions)
-// into a registry; attach it with AttachMonitor. It survives network
-// clones.
-type MetricsMonitor = metrics.Monitor
-
-// NewMetricsMonitor returns a simulator telemetry monitor for networks
-// built on cfg, publishing into reg.
-func NewMetricsMonitor(reg *MetricsRegistry, cfg *RouterConfig) *MetricsMonitor {
-	return metrics.NewMonitor(reg, cfg)
-}
 
 // Campaign metric names published when CampaignOptions.Metrics is set
 // (the full list lives beside the campaign engine).
@@ -512,18 +436,11 @@ type Tracer = obs.Tracer
 // TracerOptions configures NewTracer.
 type TracerOptions = obs.Options
 
-// Span is one live span; SpanRecord is its serialized stream form.
+// Span is one live span.
 type Span = obs.Span
-
-// SpanRecord is one record of the span NDJSON stream.
-type SpanRecord = obs.SpanRecord
 
 // NewTracer returns a tracer with a fresh random trace ID.
 func NewTracer(o TracerOptions) *Tracer { return obs.New(o) }
-
-// ReadSpans decodes a span NDJSON stream, silently dropping a torn
-// trailing line (a killed process loses at most one record).
-func ReadSpans(r io.Reader) ([]SpanRecord, error) { return obs.ReadSpans(r) }
 
 // FlightRecorder is the bounded anomaly black box: recent campaign
 // events (fork verifications, frontier reconvergences, detections) in a
@@ -535,18 +452,11 @@ type FlightRecorder = obs.FlightRecorder
 // FlightEvent is one flight-recorder ring entry.
 type FlightEvent = obs.Event
 
-// FlightDump is one dumped ring with the anomaly that triggered it.
-type FlightDump = obs.Dump
-
 // NewFlightRecorder returns a recorder holding the most recent
 // capacity events (0 = a sensible default), dumping to sink.
 func NewFlightRecorder(capacity int, sink io.Writer) *FlightRecorder {
 	return obs.NewFlightRecorder(capacity, sink)
 }
-
-// ReadFlightDumps decodes a flight-recorder dump stream, tolerating a
-// torn trailing line.
-func ReadFlightDumps(r io.Reader) ([]FlightDump, error) { return obs.ReadDumps(r) }
 
 // CampaignETA converts a live faults/sec reading into the expected
 // time to finish the remaining runs; ok is false when the rate is
@@ -567,10 +477,6 @@ type RunTraceWriter = trace.RunWriter
 // NewRunTraceWriter returns a writer streaming NDJSON records to w.
 func NewRunTraceWriter(w io.Writer) *RunTraceWriter { return trace.NewRunWriter(w) }
 
-// ReadRunTrace parses an NDJSON run trace, tolerating a truncated final
-// line (the shape an interrupted campaign leaves behind).
-func ReadRunTrace(r io.Reader) ([]RunTraceRecord, error) { return trace.ReadRunRecords(r) }
-
 // ---- Checkpoints (sharded campaign persistence) ----
 
 // Checkpoint is an appendable shard checkpoint file: a manifest line,
@@ -587,11 +493,6 @@ type CheckpointFooter = trace.Footer
 
 // CheckpointData is a fully parsed checkpoint file.
 type CheckpointData = trace.CheckpointData
-
-// CreateCheckpoint starts a fresh checkpoint at path.
-func CreateCheckpoint(path string, m *CheckpointManifest) (*Checkpoint, error) {
-	return trace.CreateCheckpoint(path, m)
-}
 
 // ResumeCheckpoint opens (or creates) the checkpoint at path, returning
 // the writer and the records recovered from a previous execution. A
