@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"syscall"
 	"time"
 
-	"nocalert/internal/campaign"
 	"nocalert/internal/coordinator"
 	"nocalert/internal/metrics"
 	"nocalert/internal/obs"
@@ -33,7 +31,7 @@ func dispatchMain(args []string) {
 		lease       = fs.Duration("lease", 30*time.Second, "requeue a shard after this long without a progress event from its worker")
 		attempts    = fs.Int("max-attempts", 6, "dispatch attempts per shard before the run fails")
 
-		figs       = fs.String("fig", "all", "figures to print: comma list of 6,7,8,9,obs5 or 'all' or 'none'")
+		figs       = fs.String("fig", "all", figHelp(reportFigureNames))
 		out        = fs.String("out", "", "write the merged aggregated report as JSON to this file")
 		goldenPath = fs.String("golden", "", "compare the merged records against this committed fixture; exit non-zero on drift")
 		progress   = fs.Bool("progress", true, "print fleet progress to stderr")
@@ -132,37 +130,12 @@ func dispatchMain(args []string) {
 		fmt.Printf("  worker %d %s: %d shards%s\n", i, w.URL, w.ShardsDone, note)
 	}
 
-	printFigures(res.Report, *figs)
+	printFigures(os.Stdout, res.Report, parseFigures(*figs))
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.Report.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("JSON results written to %s\n\n", *out)
+		writeReportJSON(res.Report, *out)
 	}
 	if *goldenPath != "" {
-		data, err := os.ReadFile(*goldenPath)
-		if err != nil {
-			log.Fatalf("dispatch: golden fixture: %v", err)
-		}
-		golden, err := campaign.ReadFixture(bytes.NewReader(data))
-		if err != nil {
-			log.Fatalf("dispatch: %s: %v", *goldenPath, err)
-		}
-		got := campaign.NewFixture(res.Merged.Spec, res.Merged.Records)
-		if diffs := golden.Diff(got); len(diffs) != 0 {
-			for _, d := range diffs {
-				fmt.Fprintln(os.Stderr, d)
-			}
-			log.Fatalf("dispatch: merged output diverges from golden fixture %s (%d diff(s))", *goldenPath, len(diffs))
-		}
-		fmt.Printf("golden check: merged records are bit-identical to %s\n", *goldenPath)
+		checkGolden("dispatch", res.Merged, *goldenPath)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -31,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 	"time"
 
@@ -53,20 +53,18 @@ func main() {
 	sf := addSpecFlags(flag.CommandLine)
 	var (
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		figs     = flag.String("fig", "all", "figures to print: comma list of 6,7,8,9,obs3,obs5 or 'all'")
+		figFlag  = flag.String("fig", "all", figHelp(mainFigureNames))
 		jsonPath = flag.String("json", "", "also export the aggregated results as JSON to this file")
 		noSoA    = flag.Bool("no-soa", false, "use the reference sweep engine (full-range VC sweeps, no inert-router skip); results are byte-identical to the default structure-of-arrays engine")
 		fullSim  = flag.Bool("fullsim", false, "run every fault on the full-simulation reference path (the whole mesh through window, drain and ForEVeR horizon; no fast path, reconvergence, divergence frontier or fast-forward); results are byte-identical to the default")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		progress = flag.Bool("progress", true, "print campaign progress to stderr")
 		telAddr  = flag.String("telemetry", "", "serve live telemetry on this address (OpenMetrics at /metrics, pprof at /debug/pprof/)")
-		traceOut = flag.String("trace", "", "stream one NDJSON record per completed fault run to this file")
 		spanOut  = flag.String("trace-spans", "", "stream campaign/run/phase spans as NDJSON to this file")
 		otlpOut  = flag.String("spans-otlp", "", "write the completed spans as an OTLP/JSON dump to this file (implies span retention)")
 		spanN    = flag.Int("span-sample", 1, "record every Nth run's spans (campaign-level spans are always recorded)")
-		frOut    = flag.String("flight-recorder", "", "record recent campaign events in a bounded ring, dumped to this file on anomalies and at campaign end")
 		shardStr = flag.String("shard", "", "run only shard i/N of the campaign (0-based, e.g. 0/4) against a resumable checkpoint; requires -checkpoint")
-		ckptPath = flag.String("checkpoint", "", "shard checkpoint file (NDJSON); an existing one is resumed, a finished one is a no-op")
+		ckptPath = flag.String("checkpoint", "", "record every run to this shard checkpoint (NDJSON) and print no figures; an existing one is resumed, a finished one is a no-op; without -shard the whole campaign is shard 0/1")
 		verifyN  = flag.Int("verify-resumed", 0, "recorded runs to re-execute and compare when resuming a checkpoint (0 = default sample, -1 = none)")
 	)
 	flag.Parse()
@@ -102,11 +100,7 @@ func main() {
 		}()
 	}
 
-	want := map[string]bool{}
-	for _, f := range strings.Split(*figs, ",") {
-		want[strings.TrimSpace(strings.ToLower(f))] = true
-	}
-	all := want["all"]
+	figs := parseFigures(*figFlag)
 
 	faults := spec.Universe()
 	fmt.Printf("fault population: %d single-bit locations (%d sites); injecting %d at cycle(s) %s\n",
@@ -127,9 +121,9 @@ func main() {
 		fmt.Printf("telemetry: http://%s/metrics (pprof /debug/pprof/)\n", addr)
 	}
 
-	// Span tracing and the anomaly flight recorder: both are
-	// result-invisible (the traced report is byte-identical) and both
-	// work in shard mode too, so they are wired before the mode split.
+	// Span tracing is result-invisible (the traced report is
+	// byte-identical) and works in shard mode too, so it is wired before
+	// the mode split.
 	var tracer *nocalert.Tracer
 	var spanFile *os.File
 	if *spanOut != "" || *otlpOut != "" {
@@ -143,29 +137,10 @@ func main() {
 		}
 		tracer = nocalert.NewTracer(topts)
 	}
-	var flightRec *nocalert.FlightRecorder
-	var frFile *os.File
-	if *frOut != "" {
-		frFile, err = os.Create(*frOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		flightRec = nocalert.NewFlightRecorder(0, frFile)
-	}
-	// closeObs finishes the observability sinks after the campaign (or
-	// shard) completes: flush and close the span stream, render the OTLP
-	// dump from the retained spans, and dump the flight-recorder ring one
-	// final time so the file explains the run even without anomalies.
+	// closeObs finishes the span sinks after the campaign (or shard)
+	// completes: flush and close the span stream and render the OTLP
+	// dump from the retained spans.
 	closeObs := func() {
-		if flightRec != nil {
-			flightRec.Dump("campaign end")
-			if err := flightRec.Err(); err != nil {
-				log.Fatalf("flight-recorder: %v", err)
-			}
-			if err := frFile.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
 		if tracer == nil {
 			return
 		}
@@ -193,46 +168,29 @@ func main() {
 		}
 	}
 
-	if *shardStr != "" {
-		if *ckptPath == "" {
-			log.Fatal("-shard requires -checkpoint FILE")
+	if *shardStr != "" && *ckptPath == "" {
+		log.Fatal("-shard requires -checkpoint FILE")
+	}
+	if *ckptPath != "" {
+		if *jsonPath != "" {
+			log.Fatal("-checkpoint is incompatible with -json; finalize the shards and use `faultcampaign merge`")
 		}
-		if *traceOut != "" || *jsonPath != "" {
-			log.Fatal("-shard is incompatible with -trace and -json; finalize the shards and use `faultcampaign merge`")
+		shard := *shardStr
+		if shard == "" {
+			shard = "0/1"
 		}
 		sro := nocalert.CampaignShardRunOptions{
-			Workers:        *workers,
-			DisableSoA:     *noSoA,
-			FullSim:        *fullSim,
-			VerifyResumed:  *verifyN,
-			Tracer:         tracer,
-			FlightRecorder: flightRec,
+			Workers:       *workers,
+			DisableSoA:    *noSoA,
+			FullSim:       *fullSim,
+			VerifyResumed: *verifyN,
+			Tracer:        tracer,
 		}
-		if err := runShardMode(ctx, spec, *shardStr, *ckptPath, sro, *progress, reg); err != nil {
+		if err := runShardMode(ctx, spec, shard, *ckptPath, sro, *progress, reg); err != nil {
 			log.Fatal(err)
 		}
 		closeObs()
 		return
-	}
-	if *ckptPath != "" {
-		log.Fatal("-checkpoint requires -shard i/N (use -shard 0/1 to checkpoint a whole campaign)")
-	}
-
-	var onResult func(i int, res *nocalert.CampaignResult, wall time.Duration, exit nocalert.CampaignExitPath)
-	var tw *nocalert.RunTraceWriter
-	var traceFile *os.File
-	if *traceOut != "" {
-		traceFile, err = os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tw = nocalert.NewRunTraceWriter(traceFile)
-		onResult = func(i int, res *nocalert.CampaignResult, wall time.Duration, exit nocalert.CampaignExitPath) {
-			rec := nocalert.CampaignRunRecord(i, res, wall, exit == nocalert.CampaignExitFastPath)
-			if err := tw.Write(&rec); err != nil {
-				log.Fatalf("trace: %v", err)
-			}
-		}
 	}
 
 	var report func(done, total int)
@@ -248,20 +206,10 @@ func main() {
 	exec.Workers, exec.FullSim, exec.Context = *workers, *fullSim, ctx
 	opts := exec
 	opts.Faults = faults
-	opts.Progress, opts.Metrics, opts.OnResult = report, reg, onResult
-	opts.Tracer, opts.FlightRecorder = tracer, flightRec
+	opts.Progress, opts.Metrics, opts.Tracer = report, reg, tracer
 	rep, err := nocalert.RunCampaign(opts)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if tw != nil {
-		if err := tw.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		if err := traceFile.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("run trace: %d NDJSON records written to %s\n", tw.Records(), *traceOut)
 	}
 	closeObs()
 	wall := time.Since(start)
@@ -269,22 +217,12 @@ func main() {
 		len(rep.Results), wall.Round(time.Millisecond), rep.FiredCount(), rep.MaliciousCount(), rep.FastPathHits, rep.ReconvergedHits,
 		rep.ForkedRuns, rep.WarmstartCyclesSaved, rep.SynthesizedCycles)
 
-	printFigures(rep, *figs)
+	printFigures(os.Stdout, rep, figs)
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("JSON results written to %s\n\n", *jsonPath)
+		writeReportJSON(rep, *jsonPath)
 	}
-	if all || want["obs3"] {
-		obs3(exec, params)
+	if figs.has("obs3") {
+		obs3(os.Stdout, exec, params)
 	}
 
 	// Observation 1: zero false negatives.
@@ -298,7 +236,7 @@ func main() {
 
 // writeFig7CDF prints the full detection-delay CDF curves as plottable
 // (delay, cumulative%) series.
-func writeFig7CDF(rep *nocalert.CampaignReport) {
+func writeFig7CDF(w io.Writer, rep *nocalert.CampaignReport) {
 	milestones := []int64{0, 1, 2, 4, 9, 16, 28, 64, 128, 256, 512, 1024, 1500, 3000, 6000, 12000}
 	t := stats.NewTable("Figure 7 — CDF series (cumulative % of true positives detected within N cycles)",
 		"Delay (cycles)", "NoCAlert", "ForEVeR")
@@ -307,7 +245,7 @@ func writeFig7CDF(rep *nocalert.CampaignReport) {
 	for _, m := range milestones {
 		t.AddRow(m, 100*na.AtOrBelow(m), 100*fv.AtOrBelow(m))
 	}
-	t.Render(os.Stdout)
+	t.Render(w)
 }
 
 // obs3 contrasts transient and permanent faults on the same arbiter
@@ -316,7 +254,7 @@ func writeFig7CDF(rep *nocalert.CampaignReport) {
 // (paper Observation 3). exec carries the invocation's execution options
 // (workers, -no-soa, -fullsim), so the permanent campaign — the one armed
 // campaign the CLI can spell — runs on the reference paths when asked to.
-func obs3(exec nocalert.CampaignOptions, params nocalert.FaultParams) {
+func obs3(w io.Writer, exec nocalert.CampaignOptions, params nocalert.FaultParams) {
 	inject := exec.InjectCycle
 	var tr, pm []nocalert.Fault
 	for _, s := range params.EnumerateSites() {
@@ -357,8 +295,8 @@ func obs3(exec nocalert.CampaignOptions, params nocalert.FaultParams) {
 		n := int64(len(rep.Results))
 		t.AddRow(c.name, n, stats.Pct(int64(det), n), stats.Pct(int64(mal), n), stats.Pct(int64(dead), n))
 	}
-	t.Render(os.Stdout)
-	fmt.Println()
+	t.Render(w)
+	fmt.Fprintln(w)
 }
 
 // serveTelemetry starts the live-profiling HTTP server: /metrics (the

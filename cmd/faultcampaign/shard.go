@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -89,8 +88,7 @@ func mergeMain(args []string) {
 	var (
 		out        = fs.String("out", "", "write the merged aggregated report as JSON to this file")
 		goldenPath = fs.String("golden", "", "compare the merged records against this committed fixture; exit non-zero on drift")
-		figs       = fs.String("fig", "all", "figures to print: comma list of 6,7,8,9,obs5 or 'all' or 'none'")
-		frPath     = fs.String("flight-recorder", "", "record per-shard manifest events to this file, with an anomaly dump on merge or golden divergence")
+		figs       = fs.String("fig", "all", figHelp(reportFigureNames))
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: faultcampaign merge [flags] shard0.ndjson shard1.ndjson ...")
@@ -103,43 +101,16 @@ func mergeMain(args []string) {
 		os.Exit(2)
 	}
 
-	var fr *nocalert.FlightRecorder
-	if *frPath != "" {
-		f, err := os.Create(*frPath)
-		if err != nil {
-			log.Fatalf("merge: flight-recorder: %v", err)
-		}
-		defer f.Close()
-		fr = nocalert.NewFlightRecorder(0, f)
-		// The deferred final dump leaves the shard manifests on disk even
-		// on the happy path, so a merge is explainable after the fact.
-		defer fr.Dump("merge end")
-	}
-
 	var shards []*nocalert.CheckpointData
 	for _, p := range paths {
 		cd, err := nocalert.ReadCheckpointFile(p)
 		if err != nil {
-			fr.Anomaly("merge divergence", nocalert.FlightEvent{
-				Kind: "shard_manifest", Detail: fmt.Sprintf("%s: %v", p, err)})
 			log.Fatalf("merge: %s: %v", p, err)
 		}
-		fr.Record(nocalert.FlightEvent{
-			Kind:   "shard_manifest",
-			Run:    cd.Manifest.Shard,
-			Detail: p,
-			Attrs: map[string]any{
-				"shards":  cd.Manifest.Shards,
-				"start":   cd.Manifest.Start,
-				"end":     cd.Manifest.End,
-				"records": len(cd.Records),
-			},
-		})
 		shards = append(shards, cd)
 	}
 	merged, err := nocalert.MergeCampaignShards(shards)
 	if err != nil {
-		fr.Anomaly("merge divergence", nocalert.FlightEvent{Kind: "shard_manifest", Detail: err.Error()})
 		log.Fatalf("merge: %v", err)
 	}
 	fmt.Printf("merged %d shards: %d records, checksum %s\n\n",
@@ -150,40 +121,13 @@ func mergeMain(args []string) {
 	if err != nil {
 		log.Fatalf("merge: %v", err)
 	}
-	printFigures(rep, *figs)
+	printFigures(os.Stdout, rep, parseFigures(*figs))
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("JSON results written to %s\n\n", *out)
+		writeReportJSON(rep, *out)
 	}
 	if *goldenPath != "" {
-		data, err := os.ReadFile(*goldenPath)
-		if err != nil {
-			log.Fatalf("merge: golden fixture: %v", err)
-		}
-		golden, err := nocalert.ReadCampaignFixture(bytes.NewReader(data))
-		if err != nil {
-			log.Fatalf("merge: %s: %v", *goldenPath, err)
-		}
-		got := nocalert.NewCampaignFixture(merged.Spec, merged.Records)
-		if diffs := golden.Diff(got); len(diffs) != 0 {
-			for _, d := range diffs {
-				fmt.Fprintln(os.Stderr, d)
-			}
-			fr.Anomaly("merge divergence from golden fixture", nocalert.FlightEvent{
-				Kind: "shard_manifest", Detail: fmt.Sprintf("%s: %d diff(s), first: %s", *goldenPath, len(diffs), diffs[0])})
-			log.Fatalf("merge: merged output diverges from golden fixture %s (%d diff(s))", *goldenPath, len(diffs))
-		}
-		fmt.Printf("golden check: merged records are bit-identical to %s\n", *goldenPath)
+		checkGolden("merge", merged, *goldenPath)
 	}
 }
 
@@ -229,46 +173,4 @@ func writeShardSummary(shards []*nocalert.CheckpointData) {
 			cdf.N(), cdf.Percentile(0.50), cdf.Percentile(0.95), cdf.Max())
 	}
 	fmt.Println()
-}
-
-// printFigures renders the figure selection against a report (shared
-// by the unsharded path and the merge subcommand).
-func printFigures(rep *nocalert.CampaignReport, figs string) {
-	want := map[string]bool{}
-	for _, f := range strings.Split(figs, ",") {
-		want[strings.TrimSpace(strings.ToLower(f))] = true
-	}
-	if want["none"] {
-		return
-	}
-	all := want["all"]
-	if all || want["6"] {
-		rep.WriteFig6(os.Stdout)
-		fmt.Println()
-	}
-	if all || want["7"] {
-		rep.WriteFig7(os.Stdout)
-		writeFig7CDF(rep)
-		fmt.Println()
-	}
-	if all || want["8"] {
-		rep.WriteFig8(os.Stdout)
-		fmt.Println()
-	}
-	if all || want["9"] {
-		rep.WriteFig9(os.Stdout)
-		fmt.Println()
-	}
-	if all || want["obs5"] {
-		rep.WriteObs5(os.Stdout)
-		fmt.Println()
-	}
-	if all || want["recovery"] {
-		rep.WriteRecoveryExposure(os.Stdout)
-		fmt.Println()
-	}
-	if want["heatmap"] {
-		rep.WriteHeatmaps(os.Stdout)
-		fmt.Println()
-	}
 }

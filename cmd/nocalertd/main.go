@@ -30,8 +30,9 @@
 // Observability: job transitions log through log/slog (text by
 // default, `-log-json` for machine-readable records), every record
 // carrying the job ID. `-trace-spans` streams the job → shard → run
-// span hierarchy as NDJSON, `-flight-recorder` arms the anomaly black
-// box, and /metrics serves the whole registry to standard scrapers.
+// span hierarchy as NDJSON, each job's shard checkpoint under `-dir` is
+// its per-run record, and /metrics serves the whole registry to standard
+// scrapers.
 //
 // SIGTERM/SIGINT drain gracefully: the listener closes, running
 // campaigns stop after their in-flight faults (every completed run is
@@ -70,7 +71,6 @@ func main() {
 		logJSON   = flag.Bool("log-json", false, "emit log records as JSON instead of text")
 		spanFile  = flag.String("trace-spans", "", "stream job/shard/run/phase spans as NDJSON to this file")
 		spanN     = flag.Int("span-sample", 1, "sample every Nth run span (campaign-level spans always recorded)")
-		frFile    = flag.String("flight-recorder", "", "arm the anomaly flight recorder, dumping its ring to this file")
 		auth      = flag.String("auth", "", "comma-separated tenant=token pairs; when set, POST/DELETE require a matching bearer token (read endpoints stay open)")
 		quota     = flag.Int("tenant-quota", 0, "max active (queued+running) jobs per tenant; 0 = unlimited")
 		rateLim   = flag.Float64("rate-limit", 0, "mutating requests/second per tenant (token bucket); 0 = off")
@@ -108,15 +108,6 @@ func main() {
 		defer tracer.Close()
 		logger = logger.With("trace_id", tracer.TraceID())
 	}
-	var fr *obs.FlightRecorder
-	if *frFile != "" {
-		f, err := os.Create(*frFile)
-		if err != nil {
-			fatal("flight-recorder open", err)
-		}
-		defer f.Close()
-		fr = obs.NewFlightRecorder(0, f)
-	}
 
 	srv, err := server.New(server.Config{
 		Dir:             *dir,
@@ -127,7 +118,6 @@ func main() {
 		Registry:        reg,
 		Logger:          logger,
 		Tracer:          tracer,
-		FlightRecorder:  fr,
 		AuthTokens:      authTokens,
 		TenantQuota:     *quota,
 		RateLimit:       *rateLim,

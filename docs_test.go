@@ -114,9 +114,9 @@ func TestArchitectureListsThePackages(t *testing.T) {
 }
 
 // flagRegistrations returns every command-line flag name the non-test Go
-// files under cmd/ register with the flag package (flag.Int, fs.StringVar,
+// files under dirs register with the flag package (flag.Int, fs.StringVar,
 // fs.Func, …), mapped to where it is registered.
-func flagRegistrations(t *testing.T) map[string]string {
+func flagRegistrations(t *testing.T, dirs ...string) map[string]string {
 	t.Helper()
 	// The flag name's argument index for each registration method: the
 	// value-returning forms and Func/BoolFunc take it first, Var and the
@@ -129,7 +129,7 @@ func flagRegistrations(t *testing.T) map[string]string {
 	}
 	flags := map[string]string{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir("cmd", func(path string, d os.DirEntry, err error) error {
+	walk := func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
 		}
@@ -161,9 +161,11 @@ func flagRegistrations(t *testing.T) map[string]string {
 			return true
 		})
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		if err := filepath.WalkDir(dir, walk); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return flags
 }
@@ -176,7 +178,7 @@ func TestReadmeDocumentsEveryFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flags := flagRegistrations(t)
+	flags := flagRegistrations(t, "cmd")
 	if len(flags) < 20 {
 		t.Fatalf("found only %d flag registrations under cmd/: the scan misses the registration forms", len(flags))
 	}
@@ -184,5 +186,40 @@ func TestReadmeDocumentsEveryFlag(t *testing.T) {
 		if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`).Match(b) {
 			t.Errorf("%s: flag -%s is not documented in README.md", at, name)
 		}
+	}
+}
+
+// goToolFlags are `go` tool flags README.md may show in a backticked
+// command (`go test -race ./...`); no binary of this module registers
+// them.
+var goToolFlags = map[string]bool{
+	"race": true, "run": true, "tags": true, "count": true,
+	"bench": true, "benchtime": true, "short": true,
+}
+
+// TestReadmeFlagsAreRegistered is TestReadmeDocumentsEveryFlag's reverse:
+// every `-name` inside a README.md code span must be a flag a cmd/ or
+// bench binary registers, or a go tool flag, so README cannot go on
+// documenting a flag that was deleted.
+func TestReadmeFlagsAreRegistered(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := flagRegistrations(t, "cmd", "bench")
+	fence := regexp.MustCompile("(?s)```.*?```")
+	span := regexp.MustCompile("`([^`\n]+)`")
+	flagTok := regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w-]*)`)
+	seen := 0
+	for _, sp := range span.FindAllStringSubmatch(fence.ReplaceAllString(string(b), ""), -1) {
+		for _, m := range flagTok.FindAllStringSubmatch(sp[1], -1) {
+			seen++
+			if _, ok := flags[m[1]]; !ok && !goToolFlags[m[1]] {
+				t.Errorf("README.md documents -%s (in `%s`), which no cmd/ or bench binary registers", m[1], sp[1])
+			}
+		}
+	}
+	if seen < 20 {
+		t.Fatalf("found only %d flags in README.md code spans: the scan misses them", seen)
 	}
 }

@@ -173,8 +173,8 @@ type Options struct {
 	// exit path that resolved it. Calls are serialized under the same
 	// mutex as Progress (and precede the Progress call for the same
 	// run); the result pointer is only valid during the call if the
-	// caller mutates the report afterwards — copy, don't retain. The
-	// faultcampaign CLI streams its NDJSON run trace from here.
+	// caller mutates the report afterwards — copy, don't retain. RunShard
+	// appends each run's checkpoint record from here.
 	OnResult func(index int, res *RunResult, wall time.Duration, exit ExitPath)
 	// Context, when non-nil, cancels the campaign cooperatively: no new
 	// runs start after it is done and Run returns its error. Runs
@@ -192,12 +192,6 @@ type Options struct {
 	// job span, or a shard span), threading one correlation ID from a
 	// nocalertd job down to every run it executes.
 	TraceParent *obs.Span
-	// FlightRecorder, when non-nil, receives cycle-stamped events from
-	// the engine's trust boundaries (fork verifications, frontier
-	// reconvergences, detections, fast-forward freezes) and
-	// auto-dumps its ring on anomalies: a fork-verify mismatch or a
-	// missed-detection (FN) verdict.
-	FlightRecorder *obs.FlightRecorder
 }
 
 // DefaultPostInjectRun and DefaultDrainDeadline are what a campaign runs
@@ -501,11 +495,8 @@ func Run(opts Options) (_ *Report, err error) {
 					runStart = time.Now()
 				}
 				var ro *runObs
-				if o.Tracer != nil || o.FlightRecorder != nil {
-					ro = &runObs{fr: o.FlightRecorder, idx: i}
-					if o.Tracer.Sampled(i) {
-						ro.span = camp.Child("run", fmt.Sprintf("run[%d]", i))
-					}
+				if o.Tracer.Sampled(i) {
+					ro = &runObs{span: camp.Child("run", fmt.Sprintf("run[%d]", i)), idx: i}
 				}
 				if beforeRun != nil {
 					beforeRun(&wk, gc)
@@ -716,24 +707,17 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 // for every shortcut built on the template anyway, and its template is
 // the honest second run (the span's "resimulated" attribute says so).
 func goldenTemplate(tw *worker, gc *groupCtx, o Options, eng *core.Engine, goldenFd int64, span *obs.Span) (RunResult, error) {
-	// The template carries the flight recorder (its fork verification
-	// guards every fast-path result at this cycle) but no run span: index
-	// -1 is never sampled.
-	var tro *runObs
-	if o.FlightRecorder != nil {
-		tro = &runObs{fr: o.FlightRecorder, idx: -1}
-	}
+	// The template has no run span; its fork verification guards every
+	// fast-path result at this cycle and fails the campaign on a mismatch.
 	var st runStats
 	resimulate := eng.Detected() || len(gc.gfv.Detections()) >= forever.DetectionCap
 	span.SetAttr("resimulated", resimulate)
 	if resimulate {
-		return runSlow(tw, gc, o, nil, &st, tro), nil
+		return runSlow(tw, gc, o, nil, &st, nil), nil
 	}
-	if n, _, _ := tw.forkRun(gc, o, nil, false, &st, tro); n.Fingerprint() != gc.forkFP {
-		tro.anomaly("fork fingerprint mismatch", "fork_verify", gc.cycle, "a clone of the snapshot differs from the mainline")
+	if n, _, _ := tw.forkRun(gc, o, nil, false, &st, nil); n.Fingerprint() != gc.forkFP {
 		return RunResult{}, fmt.Errorf("campaign: a fork at cycle %d diverged from the golden state", gc.cycle)
 	}
-	tro.event("fork_verify", gc.cycle, "ok", nil)
 	verdict := golden.Compare(gc.goldenLog, gc.goldenLog, true)
 	return assembleResult(eng, nil, nil, gc.cycle, verdict, true, goldenFd), nil
 }
@@ -879,7 +863,6 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 		if !n.FaultsQuiescent() || !fr.Empty() || !fr.Clean() || !fr.CountersGolden() {
 			continue
 		}
-		ro.event("frontier_empty", n.Cycle(), "reconverged", nil)
 		st.simulated = n.Cycle() - gc.cycle
 		st.synthesized += gc.cycle + o.PostInjectRun - n.Cycle()
 		st.horizon = gc.cycle + o.PostInjectRun
@@ -1045,9 +1028,6 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 	if !drained && !frozen {
 		drained = s.Quiet()
 	}
-	if frozen {
-		ro.event("ff_freeze", n.Cycle(), "frozen in drain", nil)
-	}
 	dr.SetAttr("drained", drained)
 	dr.SetAttr("frozen", frozen)
 	dr.End()
@@ -1063,7 +1043,6 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 	for !frozen && n.Cycle() < horizon {
 		if fr != nil && probe.frozen(fr, n, eng, fv) {
 			frozen = true
-			ro.event("ff_freeze", n.Cycle(), "frozen in horizon", nil)
 			break
 		}
 		s.Step()

@@ -230,7 +230,6 @@ func TestGoldenKeyCoversOptions(t *testing.T) {
 		"Context":          {{"", func(o *Options) { o.Context = context.TODO() }, false}},
 		"Tracer":           {{"", func(o *Options) { o.Tracer = obs.New(obs.Options{Retain: true}) }, false}},
 		"TraceParent":      {{"", func(o *Options) { o.TraceParent = obs.New(obs.Options{Retain: true}).Start(nil, "job", "job") }, false}},
-		"FlightRecorder":   {{"", func(o *Options) { o.FlightRecorder = obs.NewFlightRecorder(0, nil) }, false}},
 	}
 	k0 := keyOf(base())
 	if keyOf(base()) != k0 {

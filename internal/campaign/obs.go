@@ -7,14 +7,13 @@ import (
 )
 
 // runObs bundles the observability context one run threads through
-// fork, window, drain and horizon: its run span (nil when tracing is
-// off or the run is sampled out) and the campaign's flight recorder.
-// A nil *runObs is the fully-disabled path — every method no-ops — so
-// the hot loops pay one pointer check when observability is off.
+// fork, window, drain and horizon: its run span. A run gets a runObs only
+// when its span is sampled; a nil *runObs is the disabled path — every
+// method no-ops — so the hot loops pay one pointer check when tracing is
+// off or the run is sampled out.
 type runObs struct {
 	span *obs.Span
-	fr   *obs.FlightRecorder
-	idx  int // run index in FaultGroups; -1 for the golden template run
+	idx  int // run index in FaultGroups
 	// frontier is the run's divergence frontier, once it has one: every
 	// phase span opened from then on carries its membership.
 	frontier *sim.Frontier
@@ -43,45 +42,13 @@ func (ro *runObs) setFrontier(fr *sim.Frontier) {
 	}
 }
 
-// event records one flight-recorder entry stamped with the run index.
-func (ro *runObs) event(kind string, cycle int64, detail string, attrs map[string]any) {
-	if ro == nil {
-		return
-	}
-	ro.fr.Record(obs.Event{Run: ro.idx, Cycle: cycle, Kind: kind, Detail: detail, Attrs: attrs})
-}
-
-// anomaly records the event and dumps the flight-recorder ring.
-func (ro *runObs) anomaly(reason, kind string, cycle int64, detail string) {
-	if ro == nil {
-		return
-	}
-	ro.fr.Anomaly(reason, obs.Event{Run: ro.idx, Cycle: cycle, Kind: kind, Detail: detail})
-}
-
 // finish stamps the run span with the result and the honest cycle
-// accounting, emits the detection flight event, fires the
-// missed-detection anomaly, and closes the span. The attribute
-// invariant every exit path satisfies (test-enforced):
+// accounting and closes the span. The attribute invariant every exit
+// path satisfies (test-enforced):
 //
 //	fork_cycle + cycles_simulated + cycles_synthesized == horizon_cycle
 func (ro *runObs) finish(res *RunResult, exit ExitPath, convCycles int64, st *runStats, injectCycle int64) {
 	if ro == nil {
-		return
-	}
-	if res.Detected {
-		ro.event("detection", res.DetectCycle, res.Outcome.String(), map[string]any{
-			"latency":  res.Latency,
-			"checkers": res.FirstCycleCheckers,
-		})
-	}
-	if res.Outcome == FalseNegative {
-		// The paper's headline claim is zero NoCAlert false negatives;
-		// one showing up is exactly what the black box exists for.
-		ro.anomaly("missed detection: NoCAlert FN verdict", "assertion", injectCycle,
-			res.Fault.String()+" verdict="+res.Verdict.String())
-	}
-	if ro.span == nil {
 		return
 	}
 	s := ro.span

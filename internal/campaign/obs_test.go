@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -77,14 +78,12 @@ func TestSpanStreamGolden4x4(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var stream, dumpSink bytes.Buffer
+	var stream bytes.Buffer
 	reg := metrics.NewRegistry()
 	tr := obs.New(obs.Options{Writer: &stream, Metrics: reg})
-	fr := obs.NewFlightRecorder(0, &dumpSink)
 	o := obsOpts(nFaults)
 	o.Metrics = reg
 	o.Tracer = tr
-	o.FlightRecorder = fr
 	traced, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
@@ -226,19 +225,6 @@ func TestSpanStreamGolden4x4(t *testing.T) {
 	if hist[MetricDetectionLatency] != int64(detected) {
 		t.Errorf("detection-latency count %d != detected runs %d", hist[MetricDetectionLatency], detected)
 	}
-
-	// The flight recorder saw fork verifications and detections; no
-	// anomaly fired on a clean campaign.
-	if fr.Dumps() != 0 {
-		t.Errorf("clean campaign fired %d anomaly dumps:\n%s", fr.Dumps(), dumpSink.String())
-	}
-	kinds := map[string]bool{}
-	for _, ev := range fr.Events() {
-		kinds[ev.Kind] = true
-	}
-	if detected > 0 && !kinds["detection"] {
-		t.Error("no detection events in the flight recorder")
-	}
 }
 
 // TestSpanSamplingDeterministic checks run-span sampling: with
@@ -282,11 +268,11 @@ func TestSpanSamplingDeterministic(t *testing.T) {
 	}
 }
 
-// TestForkVerifyMismatchDumpsFlightRecorder corrupts the recorded
-// fork-point fingerprint and checks the template's fork fails AND
-// auto-dumps the flight-recorder ring — the black box firing on the
-// engine's most important trust boundary.
-func TestForkVerifyMismatchDumpsFlightRecorder(t *testing.T) {
+// TestForkVerifyMismatchFails corrupts the recorded fork-point
+// fingerprint and checks the template's fork verification fails the
+// campaign with an error naming the fork cycle: the engine's most
+// important trust boundary fails closed.
+func TestForkVerifyMismatchFails(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
 	rc := router.Default(mesh)
 	n, err := sim.New(sim.Config{Router: rc, InjectionRate: 0.12, Seed: 3}, nil)
@@ -298,54 +284,47 @@ func TestForkVerifyMismatchDumpsFlightRecorder(t *testing.T) {
 	n.Run(50)
 	gc := &groupCtx{cycle: n.Cycle(), snap: n.CloneInto(nil, nil), forkFP: n.Fingerprint() ^ 0xdead, gfv: fv}
 
-	var sink bytes.Buffer
-	fr := obs.NewFlightRecorder(16, &sink)
-	o := Options{FlightRecorder: fr}
 	var w worker
-	if _, err := goldenTemplate(&w, gc, o, core.NewEngine(&rc, core.Options{}), -1, nil); err == nil {
+	_, err = goldenTemplate(&w, gc, Options{}, core.NewEngine(&rc, core.Options{}), -1, nil)
+	if err == nil {
 		t.Fatal("fork with corrupted fingerprint succeeded")
 	}
-	if fr.Dumps() != 1 {
-		t.Fatalf("fork mismatch fired %d dumps, want 1", fr.Dumps())
-	}
-	dumps, err := obs.ReadDumps(&sink)
-	if err != nil || len(dumps) != 1 {
-		t.Fatalf("ReadDumps: %v (%d dumps)", err, len(dumps))
-	}
-	if dumps[0].Reason != "fork fingerprint mismatch" {
-		t.Errorf("dump reason = %q", dumps[0].Reason)
-	}
-	last := dumps[0].Events[len(dumps[0].Events)-1]
-	if last.Kind != "fork_verify" || last.Run != -1 || last.Cycle != gc.cycle {
-		t.Errorf("anomaly event = %+v, want fork_verify of the template (run -1) at cycle %d", last, gc.cycle)
+	if want := fmt.Sprintf("cycle %d", gc.cycle); !strings.Contains(err.Error(), want) {
+		t.Errorf("fork-verify error %q does not name %q", err, want)
 	}
 }
 
-// TestMissedDetectionAnomaly checks an FN verdict auto-dumps: the
-// paper's zero-false-negative claim failing is exactly what the black
-// box must capture.
+// TestMissedDetectionAnomaly checks an FN verdict reaches the run span:
+// the paper's zero-false-negative claim failing must be visible on the
+// per-run timeline (as it is in the report and the checkpoint record).
+// TestSpanStreamGolden4x4's campaign never produces an FN.
 func TestMissedDetectionAnomaly(t *testing.T) {
-	var sink bytes.Buffer
-	fr := obs.NewFlightRecorder(8, &sink)
-	ro := &runObs{fr: fr, idx: 3}
+	var stream bytes.Buffer
+	tr := obs.New(obs.Options{Writer: &stream})
+	ro := &runObs{span: tr.Start(nil, "run", "run[3]"), idx: 3}
 	res := RunResult{Outcome: FalseNegative}
 	var st runStats
 	ro.finish(&res, ExitFull, 0, &st, 300)
-	if fr.Dumps() != 1 {
-		t.Fatalf("FN verdict fired %d dumps, want 1", fr.Dumps())
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(sink.String(), "missed detection") {
-		t.Errorf("dump does not name the missed detection: %s", sink.String())
+	spans, err := obs.ReadSpans(&stream)
+	if err != nil || len(spans) != 1 {
+		t.Fatalf("ReadSpans: %v (%d spans, want 1)", err, len(spans))
+	}
+	if got := spans[0].Attrs["outcome"]; got != "FN" {
+		t.Errorf("run span outcome = %v, want FN", got)
+	}
+	if idx, _ := spans[0].Int("run_index"); idx != 3 {
+		t.Errorf("run span run_index = %d, want 3", idx)
 	}
 }
 
 // TestNilObsIsFree pins the disabled path: campaign code must accept a
-// nil *runObs everywhere (the Tracer==nil, FlightRecorder==nil fast
-// path allocates nothing).
+// nil *runObs everywhere (tracing off, or the run sampled out, allocates
+// nothing).
 func TestNilObsIsFree(t *testing.T) {
 	var ro *runObs
-	ro.event("x", 0, "", nil)
-	ro.anomaly("x", "y", 0, "")
 	ro.finish(&RunResult{}, ExitFull, 0, &runStats{}, 0)
 	if s := ro.phase("p"); s != nil {
 		t.Fatal("nil runObs produced a span")

@@ -64,10 +64,6 @@ type ShardRunOptions struct {
 	Tracer *obs.Tracer
 	// TraceParent optionally parents the shard span.
 	TraceParent *obs.Span
-	// FlightRecorder receives the underlying campaign's events plus the
-	// shard's own: checkpoint-verification divergence is an anomaly
-	// that auto-dumps the ring.
-	FlightRecorder *obs.FlightRecorder
 }
 
 // ShardRunStats summarizes one RunShard execution.
@@ -233,7 +229,6 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 	opts.Context = ctx
 	opts.Tracer = o.Tracer
 	opts.TraceParent = sspan
-	opts.FlightRecorder = o.FlightRecorder
 	opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
 		// Serialized by the campaign's progress mutex.
 		if firstErr != nil {
@@ -256,12 +251,6 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 			stats.Verified++
 			want := recorded[j.global]
 			if !bytes.Equal(rec.CanonicalBytes(), want.CanonicalBytes()) {
-				o.FlightRecorder.Anomaly("checkpoint divergence", obs.Event{
-					Run:    j.global,
-					Cycle:  res.Fault.Cycle,
-					Kind:   "checkpoint_verify",
-					Detail: fmt.Sprintf("recorded run %d does not reproduce under re-execution", j.global),
-				})
 				firstErr = fmt.Errorf("campaign: checkpoint diverges from deterministic re-execution at index %d:\n  recorded: %s\n  replayed: %s",
 					j.global, want.CanonicalBytes(), rec.CanonicalBytes())
 				cancel()

@@ -1,7 +1,8 @@
 // Package obs is the campaign stack's observability layer: a
 // hierarchical span tracer (campaign → shard → run → phase, with the
-// daemon's job span on top) and a bounded flight recorder that
-// auto-dumps on anomalies.
+// daemon's job span on top). The span stream is the per-run timeline;
+// the durable per-run record is the shard checkpoint (internal/trace)
+// and the live aggregates are the metrics registry (internal/metrics).
 //
 // Spans carry the cycle-accurate accounting the engine already tracks —
 // injection cycle, fork source snapshot, cycles simulated versus
@@ -289,8 +290,8 @@ func (s *Span) End() {
 }
 
 // ReadSpans parses an NDJSON span stream, tolerating the torn trailing
-// line a killed process leaves behind (same contract as the checkpoint
-// and run-trace readers).
+// line a killed process leaves behind (the same contract as the
+// checkpoint reader).
 func ReadSpans(r io.Reader) ([]SpanRecord, error) {
 	return trace.DecodeTolerant[SpanRecord](r)
 }

@@ -65,10 +65,6 @@ type Config struct {
 	// Tracer, when non-nil, wraps every job execution in a job span and
 	// threads the job → shard → run span hierarchy through RunShard.
 	Tracer *obs.Tracer
-	// FlightRecorder, when non-nil, receives the campaigns' black-box
-	// events; anomalies (fork-verify mismatch, checkpoint divergence,
-	// missed detections) auto-dump the ring to its sink.
-	FlightRecorder *obs.FlightRecorder
 	// AuthTokens maps bearer tokens to tenant names. When non-empty,
 	// the mutating endpoints (submit, cancel) require a configured
 	// token and the request runs as its tenant; when empty, auth is
@@ -644,14 +640,13 @@ func (s *Server) executeShard(ctx context.Context, j *Job, jspan *obs.Span) erro
 	}
 
 	stats, err := campaign.RunShard(sh, cp, completed, campaign.ShardRunOptions{
-		Workers:        s.cfg.CampaignWorkers,
-		GoldenCache:    s.golden,
-		Metrics:        s.reg,
-		Context:        ctx,
-		VerifyResumed:  s.cfg.VerifyResumed,
-		Tracer:         s.cfg.Tracer,
-		TraceParent:    jspan,
-		FlightRecorder: s.cfg.FlightRecorder,
+		Workers:       s.cfg.CampaignWorkers,
+		GoldenCache:   s.golden,
+		Metrics:       s.reg,
+		Context:       ctx,
+		VerifyResumed: s.cfg.VerifyResumed,
+		Tracer:        s.cfg.Tracer,
+		TraceParent:   jspan,
 		Progress: func(done, total int, st campaign.ShardRunStats) {
 			fps := s.reg.Gauge(campaign.MetricFaultsPerSec).Value()
 			ev := Event{Type: "progress", Job: j.ID, Status: StatusRunning, Done: done, Total: total,

@@ -9,8 +9,7 @@ import (
 
 // DecodeTolerant parses an NDJSON stream of T, tolerating a truncated
 // final line — the normal tail shape of any append-only stream whose
-// writer was killed mid-record (run traces, shard checkpoints, span
-// streams). Complete records before the truncation are returned with a
+// writer was killed mid-record (shard checkpoints, span streams). Complete records before the truncation are returned with a
 // nil error; a malformed line with more data after it is corruption,
 // not a torn tail, and is reported.
 func DecodeTolerant[T any](r io.Reader) ([]T, error) {

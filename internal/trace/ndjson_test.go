@@ -6,6 +6,7 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -158,5 +159,25 @@ func TestDecodeTolerantEdgeCases(t *testing.T) {
 	got, err = trace.DecodeTolerant[rec](strings.NewReader("{\"n\":"))
 	if err != nil || len(got) != 0 {
 		t.Errorf("lone torn line: %v, %d records (want 0, nil)", err, len(got))
+	}
+}
+
+// TestReadRunRecordsTruncated: a checkpoint body torn by a hard kill
+// mid-append decodes to the complete run-record prefix without an error.
+func TestReadRunRecordsTruncated(t *testing.T) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := 0; i < 3; i++ {
+		if err := enc.Encode(&trace.RunRecord{Index: i, Outcome: "TN"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	torn := buf.String() + `{"index":3,"nocalert_ou`
+	got, err := trace.DecodeTolerant[trace.RunRecord](strings.NewReader(torn))
+	if err != nil {
+		t.Fatalf("truncated records returned error %v, want nil", err)
+	}
+	if len(got) != 3 || got[2].Index != 2 {
+		t.Fatalf("read %d records from truncated input, want indices 0..2: %+v", len(got), got)
 	}
 }

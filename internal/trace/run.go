@@ -6,18 +6,16 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"sync"
 )
 
-// RunRecord is one NDJSON line of a campaign run trace: everything
-// needed to recover, re-aggregate or post-process a fault run without
-// the in-memory report. The faultcampaign CLI streams one record per
-// completed run (-trace), so an interrupted campaign leaves a parseable
-// partial result behind.
+// RunRecord is the per-run record of a campaign: everything needed to
+// recover, re-aggregate or post-process a fault run without the
+// in-memory report. A shard checkpoint holds one NDJSON line of it per
+// completed run (faultcampaign -checkpoint), so an interrupted campaign
+// leaves a resumable partial result behind, and merging the
+// checkpoints rebuilds the report.
 //
 // The fields mirror campaign.RunResult flattened to plain JSON types;
 // latencies are -1 when the mechanism never detected.
@@ -82,53 +80,4 @@ func (r *RunRecord) CanonicalBytes() []byte {
 		panic(fmt.Sprintf("trace: canonical marshal: %v", err))
 	}
 	return b
-}
-
-// RunWriter streams RunRecords as NDJSON — one compact JSON object per
-// line. Write is safe for concurrent use (the campaign serializes
-// OnResult, but the writer does not rely on it). Each record reaches
-// the underlying writer before Write returns, so an interrupted
-// campaign keeps every completed run on disk — only a line torn by a
-// hard kill mid-write is lost, and DecodeTolerant tolerates that.
-type RunWriter struct {
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	enc     *json.Encoder
-	records int
-}
-
-// NewRunWriter returns a writer streaming to w.
-func NewRunWriter(w io.Writer) *RunWriter {
-	bw := bufio.NewWriter(w)
-	return &RunWriter{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// Write appends one record as a single NDJSON line. The buffer
-// assembles the line, then drains, so the underlying writer sees whole
-// records (one write per run, far off the simulation's hot path).
-func (rw *RunWriter) Write(rec *RunRecord) error {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	if err := rw.enc.Encode(rec); err != nil { // Encode appends the newline
-		return err
-	}
-	if err := rw.bw.Flush(); err != nil {
-		return err
-	}
-	rw.records++
-	return nil
-}
-
-// Records returns the number of records written so far.
-func (rw *RunWriter) Records() int {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	return rw.records
-}
-
-// Flush drains the buffer to the underlying writer.
-func (rw *RunWriter) Flush() error {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	return rw.bw.Flush()
 }

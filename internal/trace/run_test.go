@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"nocalert/internal/router"
@@ -64,76 +62,5 @@ func TestMonitorsSurviveClone(t *testing.T) {
 		if err := ValidatePath(mesh, hops, src, dest); err != nil {
 			t.Fatalf("clone recorded invalid path for packet %d: %v", id, err)
 		}
-	}
-}
-
-// TestRunWriterRoundTrip streams records through the NDJSON writer and
-// reads them back.
-func TestRunWriterRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewRunWriter(&buf)
-	recs := []RunRecord{
-		{Index: 2, Router: 5, Signal: "sa1_gnt", Port: 1, VC: -1, Bit: 3,
-			FaultType: "transient", Cycle: 100, Fired: true, Drained: true,
-			Malicious: false, Outcome: "FP", Latency: 0, CautiousOutcome: "FP",
-			CautiousLatency: 0, ForeverOutcome: "TN", ForeverLatency: -1,
-			WallSeconds: 0.012},
-		{Index: 0, Router: 1, Signal: "rc_in_dest_x", Port: 0, VC: -1, Bit: 0,
-			FaultType: "transient", Cycle: 100, FastPath: true,
-			Outcome: "TN", Latency: -1, CautiousOutcome: "TN", CautiousLatency: -1,
-			ForeverOutcome: "TN", ForeverLatency: -1, WallSeconds: 0.0004},
-	}
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Records() != 2 {
-		t.Fatalf("Records() = %d, want 2", w.Records())
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 2 {
-		t.Fatalf("NDJSON output has %d lines, want 2:\n%s", lines, buf.String())
-	}
-
-	got, err := DecodeTolerant[RunRecord](bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("read %d records, want 2", len(got))
-	}
-	for i := range recs {
-		// RunRecord now carries slices; compare canonical bytes plus the
-		// one field canonicalization drops.
-		if !bytes.Equal(got[i].CanonicalBytes(), recs[i].CanonicalBytes()) ||
-			got[i].WallSeconds != recs[i].WallSeconds {
-			t.Fatalf("record %d round-trip mismatch:\ngot  %+v\nwant %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-// TestReadRunRecordsTruncated: a torn final line of a run trace
-// (interrupted campaign) must yield the complete prefix without an error.
-func TestReadRunRecordsTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewRunWriter(&buf)
-	for i := 0; i < 3; i++ {
-		if err := w.Write(&RunRecord{Index: i, Outcome: "TN"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	torn := buf.String() + `{"index":3,"nocalert_ou`
-	got, err := DecodeTolerant[RunRecord](strings.NewReader(torn))
-	if err != nil {
-		t.Fatalf("truncated trace returned error %v, want nil", err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("read %d records from truncated trace, want 3", len(got))
 	}
 }

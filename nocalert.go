@@ -374,12 +374,6 @@ func NewCampaignFixture(spec CampaignSpec, recs []RunTraceRecord) *CampaignFixtu
 // ReadCampaignFixture parses a committed fixture.
 func ReadCampaignFixture(r io.Reader) (*CampaignFixture, error) { return campaign.ReadFixture(r) }
 
-// CampaignRunRecord flattens one campaign result into the NDJSON
-// record schema shared by run traces, checkpoints and fixtures.
-func CampaignRunRecord(i int, res *CampaignResult, wall time.Duration, fastPath bool) RunTraceRecord {
-	return campaign.RecordFor(i, res, wall, fastPath)
-}
-
 // ---- Telemetry ----
 
 // MetricsRegistry is a concurrency-safe registry of counters, gauges
@@ -442,22 +436,6 @@ type Span = obs.Span
 // NewTracer returns a tracer with a fresh random trace ID.
 func NewTracer(o TracerOptions) *Tracer { return obs.New(o) }
 
-// FlightRecorder is the bounded anomaly black box: recent campaign
-// events (fork verifications, frontier reconvergences, detections) in a
-// ring that auto-dumps to its sink on anomalies such as fork-verify
-// mismatches or missed-detection verdicts. Attach it via
-// CampaignOptions.FlightRecorder. Nil-safe.
-type FlightRecorder = obs.FlightRecorder
-
-// FlightEvent is one flight-recorder ring entry.
-type FlightEvent = obs.Event
-
-// NewFlightRecorder returns a recorder holding the most recent
-// capacity events (0 = a sensible default), dumping to sink.
-func NewFlightRecorder(capacity int, sink io.Writer) *FlightRecorder {
-	return obs.NewFlightRecorder(capacity, sink)
-}
-
 // CampaignETA converts a live faults/sec reading into the expected
 // time to finish the remaining runs; ok is false when the rate is
 // degenerate (zero, negative, NaN or ±Inf — e.g. a throughput gauge
@@ -467,15 +445,9 @@ func CampaignETA(remaining int, faultsPerSec float64) (time.Duration, bool) {
 	return campaign.EstimateETA(remaining, faultsPerSec)
 }
 
-// RunTraceRecord is one NDJSON line of a campaign run trace (the
-// faultcampaign -trace format).
+// RunTraceRecord is a campaign's per-run record: one NDJSON line of a
+// shard checkpoint, and the unit fixtures compare.
 type RunTraceRecord = trace.RunRecord
-
-// RunTraceWriter streams RunTraceRecords as NDJSON.
-type RunTraceWriter = trace.RunWriter
-
-// NewRunTraceWriter returns a writer streaming NDJSON records to w.
-func NewRunTraceWriter(w io.Writer) *RunTraceWriter { return trace.NewRunWriter(w) }
 
 // ---- Checkpoints (sharded campaign persistence) ----
 
