@@ -35,7 +35,10 @@ import (
 	"syscall"
 	"time"
 
-	"nocalert"
+	"nocalert/internal/campaign"
+	"nocalert/internal/fault"
+	"nocalert/internal/metrics"
+	"nocalert/internal/obs"
 	"nocalert/internal/stats"
 )
 
@@ -82,7 +85,7 @@ func main() {
 		log.Fatal(err)
 	}
 	rc := spec.RouterConfig()
-	params := nocalert.FaultParamsFor(&rc)
+	params := fault.Params{Mesh: rc.Mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -109,9 +112,9 @@ func main() {
 	// Telemetry: one registry feeds the progress line's ETA, the
 	// /metrics endpoint and the live faults/sec gauge. It stays nil —
 	// zero cost — when neither consumer is active.
-	var reg *nocalert.MetricsRegistry
+	var reg *metrics.Registry
 	if *progress || *telAddr != "" {
-		reg = nocalert.NewMetricsRegistry()
+		reg = metrics.NewRegistry()
 	}
 	if *telAddr != "" {
 		addr, err := serveTelemetry(*telAddr, reg)
@@ -124,10 +127,10 @@ func main() {
 	// Span tracing is result-invisible (the traced report is
 	// byte-identical) and works in shard mode too, so it is wired before
 	// the mode split.
-	var tracer *nocalert.Tracer
+	var tracer *obs.Tracer
 	var spanFile *os.File
 	if *spanOut != "" || *otlpOut != "" {
-		topts := nocalert.TracerOptions{SampleEvery: *spanN, Retain: *otlpOut != "", Service: "faultcampaign", Metrics: reg}
+		topts := obs.Options{SampleEvery: *spanN, Retain: *otlpOut != "", Service: "faultcampaign", Metrics: reg}
 		if *spanOut != "" {
 			spanFile, err = os.Create(*spanOut)
 			if err != nil {
@@ -135,7 +138,7 @@ func main() {
 			}
 			topts.Writer = spanFile
 		}
-		tracer = nocalert.NewTracer(topts)
+		tracer = obs.New(topts)
 	}
 	// closeObs finishes the span sinks after the campaign (or shard)
 	// completes: flush and close the span stream and render the OTLP
@@ -179,7 +182,7 @@ func main() {
 		if shard == "" {
 			shard = "0/1"
 		}
-		sro := nocalert.CampaignShardRunOptions{
+		sro := campaign.ShardRunOptions{
 			Workers:       *workers,
 			DisableSoA:    *noSoA,
 			FullSim:       *fullSim,
@@ -207,7 +210,7 @@ func main() {
 	opts := exec
 	opts.Faults = faults
 	opts.Progress, opts.Metrics, opts.Tracer = report, reg, tracer
-	rep, err := nocalert.RunCampaign(opts)
+	rep, err := campaign.Run(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -222,13 +225,13 @@ func main() {
 		writeReportJSON(rep, *jsonPath)
 	}
 	if figs.has("obs3") {
-		obs3(os.Stdout, exec, params)
+		obs3(os.Stdout, exec)
 	}
 
 	// Observation 1: zero false negatives.
-	fn := rep.FalseNegatives(nocalert.MechanismNoCAlert)
+	fn := rep.FalseNegatives(campaign.NoCAlert)
 	fmt.Printf("Observation 1 — NoCAlert false negatives: %d (ForEVeR: %d)\n",
-		fn, rep.FalseNegatives(nocalert.MechanismForEVeR))
+		fn, rep.FalseNegatives(campaign.ForEVeR))
 	if fn != 0 {
 		os.Exit(1)
 	}
@@ -236,12 +239,12 @@ func main() {
 
 // writeFig7CDF prints the full detection-delay CDF curves as plottable
 // (delay, cumulative%) series.
-func writeFig7CDF(w io.Writer, rep *nocalert.CampaignReport) {
+func writeFig7CDF(w io.Writer, rep *campaign.Report) {
 	milestones := []int64{0, 1, 2, 4, 9, 16, 28, 64, 128, 256, 512, 1024, 1500, 3000, 6000, 12000}
 	t := stats.NewTable("Figure 7 — CDF series (cumulative % of true positives detected within N cycles)",
 		"Delay (cycles)", "NoCAlert", "ForEVeR")
-	na := rep.LatencyCDF(nocalert.MechanismNoCAlert)
-	fv := rep.LatencyCDF(nocalert.MechanismForEVeR)
+	na := rep.LatencyCDF(campaign.NoCAlert)
+	fv := rep.LatencyCDF(campaign.ForEVeR)
 	for _, m := range milestones {
 		t.AddRow(m, 100*na.AtOrBelow(m), 100*fv.AtOrBelow(m))
 	}
@@ -254,16 +257,18 @@ func writeFig7CDF(w io.Writer, rep *nocalert.CampaignReport) {
 // (paper Observation 3). exec carries the invocation's execution options
 // (workers, -no-soa, -fullsim), so the permanent campaign — the one armed
 // campaign the CLI can spell — runs on the reference paths when asked to.
-func obs3(w io.Writer, exec nocalert.CampaignOptions, params nocalert.FaultParams) {
+func obs3(w io.Writer, exec campaign.Options) {
 	inject := exec.InjectCycle
-	var tr, pm []nocalert.Fault
+	rc := exec.Sim.Router
+	params := fault.Params{Mesh: rc.Mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}
+	var tr, pm []fault.Fault
 	for _, s := range params.EnumerateSites() {
-		if s.Kind != nocalert.FaultSA1Gnt {
+		if s.Kind != fault.SA1Gnt {
 			continue
 		}
 		for b := 0; b < s.Width; b++ {
-			tr = append(tr, nocalert.Fault{Site: s, Bit: b, Cycle: inject, Type: nocalert.TransientFault})
-			pm = append(pm, nocalert.Fault{Site: s, Bit: b, Cycle: inject, Type: nocalert.PermanentFault})
+			tr = append(tr, fault.Fault{Site: s, Bit: b, Cycle: inject, Type: fault.Transient})
+			pm = append(pm, fault.Fault{Site: s, Bit: b, Cycle: inject, Type: fault.Permanent})
 		}
 		if len(tr) >= 40 {
 			break
@@ -273,10 +278,10 @@ func obs3(w io.Writer, exec nocalert.CampaignOptions, params nocalert.FaultParam
 		"Fault type", "Runs", "Detected%", "Malicious%", "Deadlocked%")
 	for _, c := range []struct {
 		name   string
-		faults []nocalert.Fault
+		faults []fault.Fault
 	}{{"transient", tr}, {"permanent", pm}} {
 		exec.Faults = c.faults
-		rep, err := nocalert.RunCampaign(exec)
+		rep, err := campaign.Run(exec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -304,13 +309,13 @@ func obs3(w io.Writer, exec nocalert.CampaignOptions, params nocalert.FaultParam
 // /debug/pprof/ pages the net/http/pprof import registered on the
 // default mux. It returns the bound address ("localhost:0" picks a
 // port).
-func serveTelemetry(addr string, reg *nocalert.MetricsRegistry) (string, error) {
+func serveTelemetry(addr string, reg *metrics.Registry) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
 	http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", nocalert.OpenMetricsContentType)
+		w.Header().Set("Content-Type", metrics.OpenMetricsContentType)
 		reg.WriteOpenMetrics(w)
 	})
 	go func() {
@@ -321,7 +326,7 @@ func serveTelemetry(addr string, reg *nocalert.MetricsRegistry) (string, error) 
 	return ln.Addr().String(), nil
 }
 
-func totalBits(p nocalert.FaultParams) int {
+func totalBits(p fault.Params) int {
 	n := 0
 	for _, s := range p.EnumerateSites() {
 		n += s.Width

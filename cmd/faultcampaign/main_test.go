@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"nocalert"
+	"nocalert/internal/campaign"
 )
 
 // TestMain runs the command itself when the test binary is re-executed
@@ -92,7 +92,7 @@ func TestFigureNamesPrint(t *testing.T) {
 	execOpts := spec.Options()
 	opts := execOpts
 	opts.Faults = spec.Universe()
-	rep, err := nocalert.RunCampaign(opts)
+	rep, err := campaign.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,7 @@ func TestFigureNamesPrint(t *testing.T) {
 		var buf bytes.Buffer
 		printFigures(&buf, rep, parseFigures(figs))
 		if parseFigures(figs).has("obs3") {
-			rc := spec.RouterConfig()
-			obs3(&buf, execOpts, nocalert.FaultParamsFor(&rc))
+			obs3(&buf, execOpts)
 		}
 		return buf.String()
 	}

@@ -5,7 +5,8 @@ import (
 	"io"
 	"time"
 
-	"nocalert"
+	"nocalert/internal/campaign"
+	"nocalert/internal/metrics"
 )
 
 // progressPrinter returns the Progress callback both campaign modes
@@ -20,9 +21,9 @@ import (
 // registry last held — zero, a stale value from an earlier campaign in
 // the same process, or +Inf from a microsecond fast-path burst — so an
 // ETA printed before a local completion divides the remaining work by
-// a rate that measured nothing. nocalert.CampaignETA screens the
+// a rate that measured nothing. campaign.EstimateETA screens the
 // degenerate rates; the baseline check screens the stale ones.
-func progressPrinter(w io.Writer, label string, reg *nocalert.MetricsRegistry) func(done, total int) {
+func progressPrinter(w io.Writer, label string, reg *metrics.Registry) func(done, total int) {
 	lastBucket := -1
 	baseline := -1 // done at the first callback: resumed runs, not local progress
 	return func(done, total int) {
@@ -40,8 +41,8 @@ func progressPrinter(w io.Writer, label string, reg *nocalert.MetricsRegistry) f
 		lastBucket = bucket
 		line := fmt.Sprintf("\r%s: %d/%d runs (%d%%)", label, done, total, pct)
 		if done > baseline && done < total && reg != nil {
-			fps := reg.Gauge(nocalert.MetricCampaignFaultsPerSec).Value()
-			if eta, ok := nocalert.CampaignETA(total-done, fps); ok {
+			fps := reg.Gauge(campaign.MetricFaultsPerSec).Value()
+			if eta, ok := campaign.EstimateETA(total-done, fps); ok {
 				line += fmt.Sprintf(" | %.1f faults/sec, ETA %s", fps, eta.Round(time.Second))
 			}
 		}

@@ -5,7 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"nocalert"
+	"nocalert/internal/campaign"
+	"nocalert/internal/metrics"
 )
 
 // TestProgressPrinterETAGuards pins the resumed-shard regression: the
@@ -16,10 +17,10 @@ import (
 // or ±Inf). No ETA may be printed until a run completes locally.
 func TestProgressPrinterETAGuards(t *testing.T) {
 	t.Run("resumed baseline with stale gauge", func(t *testing.T) {
-		reg := nocalert.NewMetricsRegistry()
+		reg := metrics.NewRegistry()
 		// A previous campaign in this process left a plausible rate
 		// behind; it measured nothing about the resumed shard.
-		reg.Gauge(nocalert.MetricCampaignFaultsPerSec).Set(42.0)
+		reg.Gauge(campaign.MetricFaultsPerSec).Set(42.0)
 		var sb strings.Builder
 		report := progressPrinter(&sb, "shard 0/2", reg)
 		report(60, 96) // first callback: 60 resumed runs, zero local ones
@@ -27,7 +28,7 @@ func TestProgressPrinterETAGuards(t *testing.T) {
 			t.Fatalf("ETA printed before any local completion: %q", out)
 		}
 		// One locally completed run later the gauge is live again.
-		reg.Gauge(nocalert.MetricCampaignFaultsPerSec).Set(20.0)
+		reg.Gauge(campaign.MetricFaultsPerSec).Set(20.0)
 		report(65, 96)
 		if out := sb.String(); !strings.Contains(out, "ETA") {
 			t.Fatalf("ETA missing after local completions: %q", out)
@@ -36,8 +37,8 @@ func TestProgressPrinterETAGuards(t *testing.T) {
 
 	t.Run("degenerate rates never print", func(t *testing.T) {
 		for _, fps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-			reg := nocalert.NewMetricsRegistry()
-			reg.Gauge(nocalert.MetricCampaignFaultsPerSec).Set(fps)
+			reg := metrics.NewRegistry()
+			reg.Gauge(campaign.MetricFaultsPerSec).Set(fps)
 			var sb strings.Builder
 			report := progressPrinter(&sb, "campaign", reg)
 			report(0, 96)
@@ -49,8 +50,8 @@ func TestProgressPrinterETAGuards(t *testing.T) {
 	})
 
 	t.Run("completion line has no ETA and ends the line", func(t *testing.T) {
-		reg := nocalert.NewMetricsRegistry()
-		reg.Gauge(nocalert.MetricCampaignFaultsPerSec).Set(30)
+		reg := metrics.NewRegistry()
+		reg.Gauge(campaign.MetricFaultsPerSec).Set(30)
 		var sb strings.Builder
 		report := progressPrinter(&sb, "campaign", reg)
 		report(0, 96)

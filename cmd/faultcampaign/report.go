@@ -8,7 +8,7 @@ import (
 	"os"
 	"strings"
 
-	"nocalert"
+	"nocalert/internal/campaign"
 )
 
 // reportFigureNames lists, in print order, the -fig names printFigures
@@ -47,7 +47,7 @@ func (f figures) has(name string) bool {
 
 // printFigures renders the selected report figures (shared by the
 // unsharded path and the merge and dispatch subcommands).
-func printFigures(w io.Writer, rep *nocalert.CampaignReport, figs figures) {
+func printFigures(w io.Writer, rep *campaign.Report, figs figures) {
 	for _, name := range strings.Split(reportFigureNames, ",") {
 		if !figs.has(name) {
 			continue
@@ -74,7 +74,7 @@ func printFigures(w io.Writer, rep *nocalert.CampaignReport, figs figures) {
 }
 
 // writeReportJSON writes the aggregated report as JSON to path.
-func writeReportJSON(rep *nocalert.CampaignReport, path string) {
+func writeReportJSON(rep *campaign.Report, path string) {
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
@@ -91,16 +91,16 @@ func writeReportJSON(rep *nocalert.CampaignReport, path string) {
 // checkGolden compares the merged records against the committed
 // fixture at path and exits non-zero on drift; mode prefixes the
 // messages.
-func checkGolden(mode string, merged *nocalert.MergedCampaign, path string) {
+func checkGolden(mode string, merged *campaign.Merged, path string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatalf("%s: golden fixture: %v", mode, err)
 	}
-	golden, err := nocalert.ReadCampaignFixture(bytes.NewReader(data))
+	golden, err := campaign.ReadFixture(bytes.NewReader(data))
 	if err != nil {
 		log.Fatalf("%s: %s: %v", mode, path, err)
 	}
-	got := nocalert.NewCampaignFixture(merged.Spec, merged.Records)
+	got := campaign.NewFixture(merged.Spec, merged.Records)
 	if diffs := golden.Diff(got); len(diffs) != 0 {
 		for _, d := range diffs {
 			fmt.Fprintln(os.Stderr, d)

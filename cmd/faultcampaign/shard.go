@@ -9,8 +9,10 @@ import (
 	"strings"
 	"time"
 
-	"nocalert"
+	"nocalert/internal/campaign"
+	"nocalert/internal/metrics"
 	"nocalert/internal/stats"
+	"nocalert/internal/trace"
 )
 
 // parseShardFlag parses "-shard i/N" (0-based index).
@@ -29,12 +31,12 @@ func parseShardFlag(s string) (i, n int, err error) {
 // campaign; fold the finalized checkpoints with `faultcampaign merge`.
 // sro carries the execution knobs; its Progress, Metrics and Context
 // fields are filled in here.
-func runShardMode(ctx context.Context, spec nocalert.CampaignSpec, shard, path string, sro nocalert.CampaignShardRunOptions, progress bool, reg *nocalert.MetricsRegistry) error {
+func runShardMode(ctx context.Context, spec campaign.Spec, shard, path string, sro campaign.ShardRunOptions, progress bool, reg *metrics.Registry) error {
 	idx, n, err := parseShardFlag(shard)
 	if err != nil {
 		return err
 	}
-	sh, err := nocalert.PlanCampaignShard(spec, idx, n)
+	sh, err := campaign.PlanShard(spec, idx, n)
 	if err != nil {
 		return err
 	}
@@ -42,7 +44,7 @@ func runShardMode(ctx context.Context, spec nocalert.CampaignSpec, shard, path s
 	if err != nil {
 		return err
 	}
-	cp, completed, err := nocalert.ResumeCheckpoint(path, m)
+	cp, completed, err := trace.ResumeCheckpoint(path, m)
 	if err != nil {
 		return err
 	}
@@ -53,7 +55,7 @@ func runShardMode(ctx context.Context, spec nocalert.CampaignSpec, shard, path s
 	var report func(done, total int)
 	if progress {
 		report = progressPrinter(os.Stderr, fmt.Sprintf("shard %d/%d", idx, n), reg)
-		sro.Progress = func(done, total int, _ nocalert.CampaignShardRunStats) {
+		sro.Progress = func(done, total int, _ campaign.ShardRunStats) {
 			report(done, total)
 		}
 	}
@@ -61,7 +63,7 @@ func runShardMode(ctx context.Context, spec nocalert.CampaignSpec, shard, path s
 	start := time.Now()
 	sro.Metrics = reg
 	sro.Context = ctx
-	st, err := nocalert.RunCampaignShard(sh, cp, completed, sro)
+	st, err := campaign.RunShard(sh, cp, completed, sro)
 	if progress && report != nil {
 		fmt.Fprintln(os.Stderr)
 	}
@@ -101,20 +103,20 @@ func mergeMain(args []string) {
 		os.Exit(2)
 	}
 
-	var shards []*nocalert.CheckpointData
+	var shards []*trace.CheckpointData
 	for _, p := range paths {
-		cd, err := nocalert.ReadCheckpointFile(p)
+		cd, err := trace.ReadCheckpointFile(p)
 		if err != nil {
 			log.Fatalf("merge: %s: %v", p, err)
 		}
 		shards = append(shards, cd)
 	}
-	merged, err := nocalert.MergeCampaignShards(shards)
+	merged, err := campaign.MergeShards(shards)
 	if err != nil {
 		log.Fatalf("merge: %v", err)
 	}
 	fmt.Printf("merged %d shards: %d records, checksum %s\n\n",
-		merged.Shards, len(merged.Records), nocalert.SumRunRecords(merged.Records))
+		merged.Shards, len(merged.Records), trace.SumRecords(merged.Records))
 	writeShardSummary(shards)
 
 	rep, err := merged.Report()
@@ -134,7 +136,7 @@ func mergeMain(args []string) {
 // writeShardSummary prints the per-shard outcome breakdown and folds
 // the per-shard accumulators (tallies, latency CDFs) into campaign
 // totals with the mergeable reducers the merge gate relies on.
-func writeShardSummary(shards []*nocalert.CheckpointData) {
+func writeShardSummary(shards []*trace.CheckpointData) {
 	t := stats.NewTable("Per-shard summary (NoCAlert outcomes)",
 		"Shard", "Faults", "TP", "FP", "TN", "FN", "Fast-path", "Wall (s)")
 	var total stats.Tally

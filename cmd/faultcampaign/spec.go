@@ -6,9 +6,9 @@ import (
 	"strconv"
 	"strings"
 
-	"nocalert"
 	"nocalert/internal/campaign"
 	"nocalert/internal/forever"
+	"nocalert/internal/topology"
 )
 
 // specFlags are the flags that describe a campaign — mesh, workload,
@@ -43,7 +43,7 @@ func addSpecFlags(fs *flag.FlagSet) *specFlags {
 // daemon normalizes a submitted spec: a shard checkpoint written here
 // carries the identity a daemon's shard of the same campaign does.
 func (f *specFlags) spec() (campaign.Spec, error) {
-	mesh, err := nocalert.ParseMesh(*f.mesh)
+	mesh, err := topology.ParseMesh(*f.mesh)
 	if err != nil {
 		return campaign.Spec{}, err
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"nocalert"
 	"nocalert/internal/campaign"
 	"nocalert/internal/server"
 	"nocalert/internal/trace"
@@ -31,7 +30,7 @@ func TestShardMergesWithDaemonShard(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cliPath := filepath.Join(dir, "cli-shard0.ndjson")
-	if err := runShardMode(context.Background(), spec, "0/2", cliPath, nocalert.CampaignShardRunOptions{Workers: 1}, false, nil); err != nil {
+	if err := runShardMode(context.Background(), spec, "0/2", cliPath, campaign.ShardRunOptions{Workers: 1}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"strings"
 
-	"nocalert"
 	"nocalert/internal/hwmodel"
 	"nocalert/internal/stats"
 )
@@ -47,11 +46,11 @@ func main() {
 		"VCs", "Router GE", "NoCAlert GE", "NoCAlert %", "DMR-CL GE", "DMR-CL %")
 	sumNA, sumDMR := 0.0, 0.0
 	for _, v := range vcs {
-		p := nocalert.HWParams{Ports: *ports, VCs: v, BufDepth: *depth, FlitWidth: *width}
+		p := hwmodel.Params{Ports: *ports, VCs: v, BufDepth: *depth, FlitWidth: *width}
 		if err := p.Validate(); err != nil {
 			log.Fatal(err)
 		}
-		o := nocalert.AreaOverhead(p)
+		o := hwmodel.AreaOverhead(p)
 		t.AddRow(v, fmt.Sprintf("%.0f", o.RouterGE), fmt.Sprintf("%.0f", o.CheckerGE),
 			o.NoCAlertPct, fmt.Sprintf("%.0f", o.DMRGE), o.DMRPct)
 		sumNA += o.NoCAlertPct
@@ -64,9 +63,9 @@ func main() {
 	pt := stats.NewTable("§5.5 — power and critical-path overhead",
 		"VCs", "Power %", "Critical path %", "Checker area breakdown (GE)")
 	for _, v := range vcs {
-		p := nocalert.HWParams{Ports: *ports, VCs: v, BufDepth: *depth, FlitWidth: *width}
-		_, _, pw := nocalert.PowerOverhead(p)
-		_, _, cp := nocalert.CriticalPathOverhead(p)
+		p := hwmodel.Params{Ports: *ports, VCs: v, BufDepth: *depth, FlitWidth: *width}
+		_, _, pw := hwmodel.Power(p)
+		_, _, cp := hwmodel.CriticalPath(p)
 		chk := hwmodel.Checkers(p)
 		pt.AddRow(v, pw, cp,
 			fmt.Sprintf("rc=%.0f arb=%.0f xbar=%.0f state=%.0f port=%.0f e2e=%.0f",

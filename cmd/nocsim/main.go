@@ -13,8 +13,13 @@ import (
 	"log"
 	"os"
 
-	"nocalert"
+	"nocalert/internal/core"
+	"nocalert/internal/router"
+	"nocalert/internal/routing"
+	"nocalert/internal/sim"
 	"nocalert/internal/stats"
+	"nocalert/internal/topology"
+	"nocalert/internal/traffic"
 )
 
 func main() {
@@ -34,19 +39,19 @@ func main() {
 	)
 	flag.Parse()
 
-	mesh, err := nocalert.ParseMesh(*meshSpec)
+	mesh, err := topology.ParseMesh(*meshSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pat, err := nocalert.NewTrafficPattern(*pattern)
+	pat, err := traffic.New(*pattern)
 	if err != nil {
 		log.Fatal(err)
 	}
-	algo, err := nocalert.NewRoutingAlgorithm(*alg)
+	algo, err := routing.New(*alg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rc := nocalert.DefaultRouterConfig(mesh)
+	rc := router.Default(mesh)
 	rc.VCs = *vcs
 	rc.BufDepth = *depth
 	rc.Alg = algo
@@ -56,7 +61,7 @@ func main() {
 		return
 	}
 
-	n, err := nocalert.NewNetwork(nocalert.SimConfig{
+	n, err := sim.New(sim.Config{
 		Router:        rc,
 		Pattern:       pat,
 		InjectionRate: *rate,
@@ -65,9 +70,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var eng *nocalert.Engine
+	var eng *core.Engine
 	if *monitor {
-		eng = nocalert.NewEngine(n.RouterConfig(), nocalert.EngineOptions{KeepViolations: true, MaxViolations: 10})
+		eng = core.NewEngine(n.RouterConfig(), core.Options{KeepViolations: true, MaxViolations: 10})
 		n.AttachMonitor(eng)
 	}
 
@@ -112,13 +117,13 @@ func main() {
 // latency as the offered load climbs toward saturation. The knee of
 // the curve is the network's saturation throughput — the first sanity
 // check of any NoC simulator.
-func runSweep(mesh nocalert.Mesh, rc nocalert.RouterConfig, pat nocalert.TrafficPattern, cycles int64, seed uint64) {
+func runSweep(mesh topology.Mesh, rc router.Config, pat traffic.Pattern, cycles int64, seed uint64) {
 	t := stats.NewTable(
 		fmt.Sprintf("load-latency sweep — %dx%d mesh, %d VCs, %s traffic",
 			mesh.W, mesh.H, rc.VCs, pat.Name()),
 		"offered (flits/node/cyc)", "delivered", "avg latency", "p99 latency", "drained")
 	for _, rate := range []float64{0.02, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45} {
-		n := nocalert.MustNewNetwork(nocalert.SimConfig{
+		n := sim.MustNew(sim.Config{
 			Router: rc, Pattern: pat, InjectionRate: rate, Seed: seed,
 		}, nil)
 		n.Run(cycles)
@@ -146,7 +151,7 @@ func runSweep(mesh nocalert.Mesh, rc nocalert.RouterConfig, pat nocalert.Traffic
 // steady-state window [cycles/4, cycles), over the window's length. The
 // warm-up quarter is left out, and so is any drain after it, whose
 // ejections would let a saturated network echo its offered load back.
-func steadyDelivered(n *nocalert.Network, cycles int64) float64 {
+func steadyDelivered(n *sim.Network, cycles int64) float64 {
 	from, steady := cycles/4, 0
 	for _, e := range n.Ejections() {
 		if e.Cycle >= from && e.Cycle < cycles {

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"nocalert"
+	"nocalert/internal/router"
+	"nocalert/internal/sim"
+	"nocalert/internal/topology"
 )
 
 // TestSweepDeliveredIsAcceptedThroughput holds the sweep's "delivered"
@@ -17,13 +19,13 @@ func TestSweepDeliveredIsAcceptedThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a saturated 8x8 mesh")
 	}
-	mesh, err := nocalert.ParseMesh("8x8")
+	mesh, err := topology.ParseMesh("8x8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const cycles = 8000
 	delivered := func(rate float64) float64 {
-		n := nocalert.MustNewNetwork(nocalert.SimConfig{Router: nocalert.DefaultRouterConfig(mesh), InjectionRate: rate, Seed: 1}, nil)
+		n := sim.MustNew(sim.Config{Router: router.Default(mesh), InjectionRate: rate, Seed: 1}, nil)
 		n.Run(cycles)
 		n.Drain(20 * cycles)
 		return steadyDelivered(n, cycles)

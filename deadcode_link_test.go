@@ -10,11 +10,11 @@ import (
 )
 
 // TestDeadcode is `make deadcode`: it links every main package of the
-// module (cmd/, examples/ and bench) with inlining off and the linker's
-// dependency dump on, and fails on any function or method declared in a
-// non-test file under internal/ or in nocalert.go that none of them links
-// and testdata/deadcode.allow does not name, or on an allowlist line that
-// has gone stale. Run it with `go test -tags deadcode -run TestDeadcode .`.
+// module (the commands under cmd/ and bench) with inlining off and the
+// linker's dependency dump on, and fails on any function or method declared
+// in a non-test file under internal/ that none of them links and
+// testdata/deadcode.allow does not name, or on an allowlist line that has
+// gone stale. Run it with `go test -tags deadcode -run TestDeadcode .`.
 func TestDeadcode(t *testing.T) {
 	// With -o naming a directory, go build links every main package of the
 	// pattern into it; each link's dump follows a "# package" line.
@@ -31,15 +31,10 @@ func TestDeadcode(t *testing.T) {
 	linked := map[string]bool{}
 	parseDumpdep(dump, linked)
 
-	decls, err := scanDecls(".", "nocalert", "internal", true)
+	decls, err := scanDecls(".", "nocalert", "internal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := scanDecls(".", "nocalert", ".", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decls = append(decls, root...)
 
 	data, err := os.ReadFile("testdata/deadcode.allow")
 	if err != nil {

@@ -15,8 +15,8 @@ import (
 )
 
 // The dead-code gate (`make deadcode`, deadcode_link_test.go) holds every
-// function and method declared in a non-test file under internal/ or in
-// nocalert.go to one rule: some main package of the module links it, or
+// function and method declared in a non-test file under internal/ to one
+// rule: some main package of the module (cmd/ or bench) links it, or
 // testdata/deadcode.allow names it with the reason it stays. This file is
 // the checker; its own tests below run it on small fake dependency graphs,
 // so they need no linker and run with the rest of the suite.
@@ -70,10 +70,10 @@ func parseDumpdep(out []byte, linked map[string]bool) {
 }
 
 // scanDecls returns the functions and methods declared in the non-test Go
-// files of dir (and, when recurse is set, of every directory below it),
-// named as package path modPath/<dir relative to root> plus "." plus F or
-// T.M. init functions are left out: nothing calls them by name.
-func scanDecls(root, modPath, dir string, recurse bool) ([]deadcodeDecl, error) {
+// files of dir and of every directory below it, named as package path
+// modPath/<dir relative to root> plus "." plus F or T.M. init functions are
+// left out: nothing calls them by name.
+func scanDecls(root, modPath, dir string) ([]deadcodeDecl, error) {
 	var decls []deadcodeDecl
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d os.DirEntry, err error) error {
@@ -81,7 +81,7 @@ func scanDecls(root, modPath, dir string, recurse bool) ([]deadcodeDecl, error) 
 			return err
 		}
 		if d.IsDir() {
-			if !recurse && path != filepath.Join(root, dir) || d.Name() == "testdata" {
+			if d.Name() == "testdata" {
 				return filepath.SkipDir
 			}
 			return nil
@@ -97,10 +97,7 @@ func scanDecls(root, modPath, dir string, recurse bool) ([]deadcodeDecl, error) 
 		if err != nil {
 			return err
 		}
-		pkg := modPath
-		if rel != "." {
-			pkg += "/" + filepath.ToSlash(rel)
-		}
+		pkg := modPath + "/" + filepath.ToSlash(rel)
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || fn.Name.Name == "init" || fn.Name.Name == "_" {
@@ -236,7 +233,7 @@ type:*example.com/m/internal/p.T -> example.com/m/internal/p.(*T).Pointer.argliv
 func runFakeDeadcode(t *testing.T, allowlist string) []string {
 	t.Helper()
 	root := fakeDeadcodeTree(t, fakeDeadcodeSrc)
-	decls, err := scanDecls(root, "example.com/m", "internal", true)
+	decls, err := scanDecls(root, "example.com/m", "internal")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,13 +15,18 @@ import (
 	"testing"
 )
 
-// internalPackages returns the packages `go list ./internal/...` reports,
-// as paths relative to the module root ("internal/sim").
-func internalPackages(t *testing.T) []string {
+// goList returns the packages `go list` reports for pattern, as paths
+// relative to the module root ("internal/sim"); with mainOnly set, only
+// the main packages.
+func goList(t *testing.T, pattern string, mainOnly bool) []string {
 	t.Helper()
-	out, err := exec.Command("go", "list", "./internal/...").Output()
+	args := []string{"list"}
+	if mainOnly {
+		args = append(args, "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`)
+	}
+	out, err := exec.Command("go", append(args, pattern)...).Output()
 	if err != nil {
-		t.Fatalf("go list ./internal/...: %v", err)
+		t.Fatalf("go list %s: %v", pattern, err)
 	}
 	var pkgs []string
 	for _, p := range strings.Fields(string(out)) {
@@ -31,11 +36,9 @@ func internalPackages(t *testing.T) []string {
 	return pkgs
 }
 
-// readmeArchitecture returns the internal/ entries of the code block under
-// README.md's "## Architecture": every two-space-indented line below
-// `internal/` names one or more packages ("sim/", "stats/, rng/, bitvec/")
-// before its description.
-func readmeArchitecture(t *testing.T) []string {
+// readmeArchitecture returns the code block under README.md's
+// "## Architecture".
+func readmeArchitecture(t *testing.T) string {
 	t.Helper()
 	b, err := os.ReadFile("README.md")
 	if err != nil {
@@ -47,7 +50,30 @@ func readmeArchitecture(t *testing.T) []string {
 	}
 	_, block, _ := strings.Cut(arch, "```\n")
 	block, _, _ = strings.Cut(block, "```")
-	_, block, ok = strings.Cut(block, "\ninternal/")
+	return block
+}
+
+// architectureRoot returns the root-level entries of the Architecture
+// block: every line that starts in column one names a top-level file or
+// directory ("cmd/") before its description, which the map holds.
+func architectureRoot(block string) map[string]string {
+	root := map[string]string{}
+	for _, line := range strings.Split(block, "\n") {
+		if line == "" || strings.HasPrefix(line, " ") {
+			continue
+		}
+		name, desc, _ := strings.Cut(line, " ")
+		root[name] = strings.TrimSpace(desc)
+	}
+	return root
+}
+
+// architecturePackages returns the internal/ entries of the Architecture
+// block: every two-space-indented line below `internal/` names one or more
+// packages ("sim/", "stats/, rng/, bitvec/") before its description.
+func architecturePackages(t *testing.T, block string) []string {
+	t.Helper()
+	_, block, ok := strings.Cut("\n"+block, "\ninternal/")
 	if !ok {
 		t.Fatal("README.md's Architecture block has no internal/ entry")
 	}
@@ -98,18 +124,37 @@ func designInventory(t *testing.T) []string {
 // TestArchitectureListsThePackages holds README.md's Architecture block and
 // DESIGN.md §2's package table to the packages that exist: a package added,
 // deleted or renamed under internal/ fails it until both documents say so.
+// The block's root-level lines are held to the tree too: each names a
+// top-level file or directory that exists, and the cmd/ line names exactly
+// the main packages under cmd/.
 func TestArchitectureListsThePackages(t *testing.T) {
-	want := internalPackages(t)
+	want := goList(t, "./internal/...", false)
 	if len(want) == 0 {
 		t.Fatal("go list found no internal packages")
 	}
+	block := readmeArchitecture(t)
 	for doc, got := range map[string][]string{
-		"README.md Architecture": readmeArchitecture(t),
+		"README.md Architecture": architecturePackages(t, block),
 		"DESIGN.md §2":           designInventory(t),
 	} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s lists\n %v\ngo list ./internal/... reports\n %v", doc, got, want)
 		}
+	}
+
+	root := architectureRoot(block)
+	for name := range root {
+		if _, err := os.Stat(name); err != nil {
+			t.Errorf("README.md Architecture lists %s at the module root: %v", name, err)
+		}
+	}
+	var cmds []string
+	for _, f := range strings.Fields(root["cmd/"]) {
+		cmds = append(cmds, "cmd/"+strings.TrimSuffix(f, ","))
+	}
+	sort.Strings(cmds)
+	if mains := goList(t, "./cmd/...", true); !reflect.DeepEqual(cmds, mains) {
+		t.Errorf("README.md Architecture's cmd/ line lists\n %v\nthe main packages under cmd/ are\n %v", cmds, mains)
 	}
 }
 

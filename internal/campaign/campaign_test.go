@@ -58,7 +58,7 @@ func TestObservation1ZeroFalseNegatives(t *testing.T) {
 	if fn := rep.FalseNegatives(NoCAlert); fn != 0 {
 		for _, r := range rep.Results {
 			if r.Outcome == FalseNegative {
-				t.Errorf("NoCAlert FN: %s verdict=%s", r.Fault.String(), r.Verdict.String())
+				t.Errorf("NoCAlert FN: %s verdict=%+v", r.Fault.String(), r.Verdict)
 			}
 		}
 		t.Fatalf("NoCAlert false negatives: %d", fn)
@@ -66,7 +66,7 @@ func TestObservation1ZeroFalseNegatives(t *testing.T) {
 	if fn := rep.FalseNegatives(ForEVeR); fn != 0 {
 		for _, r := range rep.Results {
 			if r.ForeverOutcome == FalseNegative {
-				t.Errorf("ForEVeR FN: %s verdict=%s", r.Fault.String(), r.Verdict.String())
+				t.Errorf("ForEVeR FN: %s verdict=%+v", r.Fault.String(), r.Verdict)
 			}
 		}
 		t.Fatalf("ForEVeR false negatives: %d", fn)

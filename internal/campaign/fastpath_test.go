@@ -99,14 +99,7 @@ func TestFastPathBitIdenticalCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range fastRep.Results {
-		// Verdict.Reasons is diagnostic text whose order follows map
-		// iteration (nondeterministic even between two identical slow
-		// runs); every other field must match exactly.
 		fr, sr := fastRep.Results[i], slowRep.Results[i]
-		if len(fr.Verdict.Reasons) != len(sr.Verdict.Reasons) {
-			t.Fatalf("result %d reason count differs: %d vs %d", i, len(fr.Verdict.Reasons), len(sr.Verdict.Reasons))
-		}
-		fr.Verdict.Reasons, sr.Verdict.Reasons = nil, nil
 		if !reflect.DeepEqual(fr, sr) {
 			t.Fatalf("result %d (%v) differs between fast and slow paths:\nfast: %+v\nslow: %+v",
 				i, &fr.Fault, fr, sr)

@@ -82,11 +82,8 @@ func TestDeltaVerdictOnFixtureRuns(t *testing.T) {
 		n := w.net
 		w.fr.MaterializeAll(goldenAt(gc, o, n.Cycle()))
 		full := golden.Compare(gc.goldenLog, golden.FromEjections(n.Ejections(), gc.cycle), res.Drained)
-		got := res.Verdict
-		got.Reasons, full.Reasons = nil, nil
-		if got.Dropped != full.Dropped || got.Generated != full.Generated || got.Misdelivered != full.Misdelivered ||
-			got.Corrupted != full.Corrupted || got.Misordered != full.Misordered || got.Unbounded != full.Unbounded {
-			t.Errorf("run %d (%v): delta verdict %s, full compare %s", i, &group[0], got.String(), full.String())
+		if res.Verdict != full {
+			t.Errorf("run %d (%v): delta verdict %+v, full compare %+v", i, &group[0], res.Verdict, full)
 		}
 		judged++
 		if !full.OK() {

@@ -292,8 +292,6 @@ func TestGoldenKeyRefusesPointers(t *testing.T) {
 	if n := o.GoldenCache.size(); n != 0 {
 		t.Errorf("the cache kept %d bytes of an artefact it cannot name", n)
 	}
-	// Reports, not Results: a verdict's sample reasons follow a map walk
-	// and differ between any two runs of one campaign.
 	if !bytes.Equal(reportBytes(t, first), reportBytes(t, second)) {
 		t.Error("the two uncached campaigns disagree")
 	}

@@ -192,11 +192,6 @@ func NewEngine(cfg *router.Config, opts Options) *Engine {
 	return e
 }
 
-// Enabled reports whether checker id is active.
-func (e *Engine) Enabled(id CheckerID) bool {
-	return id >= 1 && id <= NumCheckers && e.enabled[id]
-}
-
 // emit records a violation.
 func (e *Engine) emit(id CheckerID, routerID int, cycle int64, port, vc int, format string, args ...any) {
 	if !e.enabled[id] {

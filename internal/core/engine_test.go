@@ -8,12 +8,20 @@ import (
 	"nocalert/internal/topology"
 )
 
+// Enabled reports whether checker id is active.
+func (e *Engine) Enabled(id CheckerID) bool {
+	return id >= 1 && id <= NumCheckers && e.enabled[id]
+}
+
 func testConfig() *router.Config {
 	c := router.Default(topology.NewMesh(4, 4))
 	return &c
 }
 
 func TestCheckerNamesComplete(t *testing.T) {
+	if NumCheckers != 32 {
+		t.Fatalf("NumCheckers = %d; the paper's Table 1 has 32 invariances", NumCheckers)
+	}
 	for id := CheckerID(1); id <= NumCheckers; id++ {
 		s := id.String()
 		if !strings.HasPrefix(s, "#") || len(s) < 5 {

@@ -63,3 +63,18 @@ func TestFaultFreeSilence(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkNetworkStepWithCheckers measures one cycle of the paper-scale
+// 8×8 mesh at the evaluation load with the full engine attached — the
+// simulation-side analogue of the paper's "checkers are transparent to
+// operation" claim (sim's BenchmarkStepOnly8x8 times a step with no
+// monitor).
+func BenchmarkNetworkStepWithCheckers(b *testing.B) {
+	cfg := sim.Config{Router: router.Default(topology.NewMesh(8, 8)), InjectionRate: 0.1, Seed: 1}
+	n := sim.MustNew(cfg, nil)
+	n.AttachMonitor(core.NewEngine(n.RouterConfig(), core.Options{}))
+	n.Run(2000)
+	for b.Loop() {
+		n.Step()
+	}
+}

@@ -234,3 +234,12 @@ func TestMultipleFaultsCompose(t *testing.T) {
 		t.Fatalf("composed mask = %b", got)
 	}
 }
+
+// BenchmarkFaultSiteEnumeration measures the fault-model enumerator at
+// paper scale: the 8×8 mesh with 4 VCs and 5-flit buffers.
+func BenchmarkFaultSiteEnumeration(b *testing.B) {
+	params := Params{Mesh: topology.NewMesh(8, 8), VCs: 4, BufDepth: 5}
+	for b.Loop() {
+		params.EnumerateSites()
+	}
+}

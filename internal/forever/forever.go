@@ -88,7 +88,6 @@ type Monitor struct {
 	// each was raised at.
 	detections []int64
 	detNodes   []int32
-	first      int64
 
 	// hist is the per-node record a golden monitor keeps for followers.
 	hist *history
@@ -112,7 +111,6 @@ func NewMonitor(cfg *router.Config, opts Options) *Monitor {
 		cfg:      cfg,
 		counters: make([]int64, nodes),
 		zeroSeen: make([]bool, nodes),
-		first:    -1,
 	}
 	for i := range m.zeroSeen {
 		m.zeroSeen[i] = true // counters start at zero
@@ -265,16 +263,13 @@ func (m *Monitor) endNode(i int, cycle int64, boundary bool) {
 	}
 }
 
-// DetectionCap bounds the recorded detection list. FirstDetection is
+// DetectionCap bounds the recorded detection list. Its first entry is
 // exact regardless; only consumers walking Detections for later entries
 // (e.g. the campaign's reconvergence tail lookup) must check the list
 // stayed under the cap before trusting its completeness.
 const DetectionCap = 64
 
 func (m *Monitor) flag(cycle int64, node int) {
-	if m.first < 0 {
-		m.first = cycle
-	}
 	if len(m.detections) < DetectionCap {
 		m.detections = append(m.detections, cycle)
 		m.detNodes = append(m.detNodes, int32(node))
@@ -355,9 +350,6 @@ func (m *Monitor) ProjectFrozenDetection(from, until int64) int64 {
 	return -1
 }
 
-// FirstDetection returns the first detection cycle, or -1.
-func (m *Monitor) FirstDetection() int64 { return m.first }
-
 // FirstDetectionAfter returns the first detection at or after cycle,
 // or -1. (Epoch checks may legitimately fire before a campaign's
 // injection point when the epoch is mistuned; campaigns key off the
@@ -386,9 +378,6 @@ func (m *Monitor) FirstDetectionAfter(cycle int64) int64 {
 	return first
 }
 
-// Detected reports whether any detection has fired.
-func (m *Monitor) Detected() bool { return m.first >= 0 }
-
 // Detections returns the recorded detection cycles (capped at
 // DetectionCap).
 func (m *Monitor) Detections() []int64 { return m.detections }
@@ -399,7 +388,6 @@ func (m *Monitor) Detections() []int64 { return m.detections }
 func (m *Monitor) ClearDetections() {
 	m.detections = m.detections[:0]
 	m.detNodes = m.detNodes[:0]
-	m.first = -1
 }
 
 // CloneMonitor implements sim.CloneableMonitor.
@@ -407,7 +395,6 @@ func (m *Monitor) CloneMonitor() sim.Monitor {
 	c := &Monitor{
 		opts:    m.opts,
 		cfg:     m.cfg,
-		first:   m.first,
 		nonzero: m.nonzero,
 	}
 	c.counters = append([]int64(nil), m.counters...)

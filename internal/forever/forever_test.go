@@ -11,6 +11,17 @@ import (
 	"nocalert/internal/topology"
 )
 
+// Detected reports whether m has raised any detection.
+func (m *Monitor) Detected() bool { return len(m.detections) > 0 }
+
+// FirstDetection returns m's first detection cycle, or -1.
+func (m *Monitor) FirstDetection() int64 {
+	if len(m.detections) == 0 {
+		return -1
+	}
+	return m.detections[0]
+}
+
 func netWithForever(t *testing.T, rate float64, opts Options, plane *fault.Plane) (*sim.Network, *Monitor) {
 	t.Helper()
 	rc := router.Default(topology.NewMesh(4, 4))

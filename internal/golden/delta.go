@@ -34,7 +34,6 @@ func (d *Delta) Compare(goldenLog *Log, replaced, live []sim.Ejection, faultyDra
 	var v Verdict
 	if !faultyDrained {
 		v.Unbounded = true
-		v.addReason("network failed to drain (bounded-delivery violation)")
 	}
 	if len(replaced) == 0 && len(live) == 0 {
 		return v
@@ -60,28 +59,22 @@ func (d *Delta) Compare(goldenLog *Log, replaced, live []sim.Ejection, faultyDra
 		touch(e.Node)
 		if e.Node != e.Flit.Dest {
 			v.Misdelivered++
-			v.addReason("flit p%d.%d for node %d ejected at %d", k.Pkt, k.Seq, e.Flit.Dest, e.Node)
 		}
 		if !e.Flit.EDCOK() {
 			v.Corrupted++
-			v.addReason("flit p%d.%d failed its EDC", k.Pkt, k.Seq)
 		}
 		if ge := goldenLog.entries[k]; len(ge) > 0 && e.Flit.Kind != ge[0].Kind {
 			v.Corrupted++
-			v.addReason("flit p%d.%d kind %s, golden %s", k.Pkt, k.Seq, e.Flit.Kind, ge[0].Kind)
 		}
 	}
 
 	// Flit conservation, on the keys whose multiplicity moved.
-	for k, by := range d.moved {
-		ge := len(goldenLog.entries[k])
+	for _, by := range d.moved {
 		switch {
 		case by < 0:
 			v.Dropped -= by
-			v.addReason("flit p%d.%d missing (%d of %d delivered)", k.Pkt, k.Seq, ge+by, ge)
 		case by > 0:
 			v.Generated += by
-			v.addReason("flit p%d.%d appeared %d times (golden: %d)", k.Pkt, k.Seq, ge+by, ge)
 		}
 	}
 
@@ -110,9 +103,6 @@ func (d *Delta) Compare(goldenLog *Log, replaced, live []sim.Ejection, faultyDra
 		for ; l < len(live); l = next(live, l+1) {
 			v.Misordered += orderStep(d.last, ejectionKey(&live[l]))
 		}
-	}
-	if v.Misordered > 0 {
-		v.addReason("%d intra-packet order inversions", v.Misordered)
 	}
 	return v
 }

@@ -48,13 +48,6 @@ func craftDelta(golden []sim.Ejection, edits map[nodeCycle][]*flit.Flit) (replac
 	return replaced, live, full
 }
 
-// sameCounters reports whether two verdicts agree on everything but the
-// sample reasons.
-func sameCounters(a, b Verdict) bool {
-	return a.Dropped == b.Dropped && a.Generated == b.Generated && a.Misdelivered == b.Misdelivered &&
-		a.Corrupted == b.Corrupted && a.Misordered == b.Misordered && a.Unbounded == b.Unbounded
-}
-
 // TestDeltaVerdictMatchesCompare holds Delta.Compare to golden.Compare
 // over the full faulty log, counter for counter, on crafted runs of every
 // violation kind and on seeded random mixtures of them.
@@ -62,7 +55,7 @@ func TestDeltaVerdictMatchesCompare(t *testing.T) {
 	gold := mkEjections(8, 5) // packet p: five flits to node p%4, one a cycle from cycle 10
 	goldenLog := FromEjections(gold, 0)
 	if v := Compare(goldenLog, goldenLog, true); !v.OK() {
-		t.Fatalf("golden log judged %s against itself", v.String())
+		t.Fatalf("golden log judged %+v against itself", v)
 	}
 	at := func(i int) nodeCycle { return nodeCycle{gold[i].Node, gold[i].Cycle} }
 	altered := func(i int, edit func(*flit.Flit)) *flit.Flit {
@@ -95,12 +88,12 @@ func TestDeltaVerdictMatchesCompare(t *testing.T) {
 				replaced, live, full := craftDelta(gold, tc.edits)
 				want := Compare(goldenLog, FromEjections(full, 0), drained)
 				got := d.Compare(goldenLog, replaced, live, drained)
-				if !sameCounters(got, want) {
-					t.Fatalf("delta verdict %s, full compare %s", got.String(), want.String())
+				if got != want {
+					t.Fatalf("delta verdict %+v, full compare %+v", got, want)
 				}
 				tc.want.Unbounded = !drained
-				if !sameCounters(want, tc.want) {
-					t.Fatalf("crafted run judged %s, meant %s", want.String(), tc.want.String())
+				if want != tc.want {
+					t.Fatalf("crafted run judged %+v, meant %+v", want, tc.want)
 				}
 			})
 		}
@@ -133,8 +126,8 @@ func TestDeltaVerdictMatchesCompare(t *testing.T) {
 		replaced, live, full := craftDelta(gold, edits)
 		want := Compare(goldenLog, FromEjections(full, 0), true)
 		got := d.Compare(goldenLog, replaced, live, true)
-		if !sameCounters(got, want) {
-			t.Fatalf("seed %d: delta verdict %s, full compare %s (edits %v)", seed, got.String(), want.String(), edits)
+		if got != want {
+			t.Fatalf("seed %d: delta verdict %+v, full compare %+v (edits %v)", seed, got, want, edits)
 		}
 		if !want.OK() {
 			violations++

@@ -11,8 +11,6 @@
 package golden
 
 import (
-	"fmt"
-
 	"nocalert/internal/flit"
 	"nocalert/internal/sim"
 )
@@ -132,10 +130,6 @@ type Verdict struct {
 	// Unbounded reports that the faulty run failed to drain before its
 	// deadline (deadlock, livelock, or stuck flits).
 	Unbounded bool
-	// Reasons holds up to a few human-readable findings. Their order
-	// (and, past the cap, the captured subset) follows map iteration
-	// and is not deterministic across runs; every counter above is.
-	Reasons []string
 }
 
 // OK reports whether the run satisfied all network-correctness rules —
@@ -145,21 +139,6 @@ func (v *Verdict) OK() bool {
 		v.Corrupted == 0 && v.Misordered == 0 && !v.Unbounded
 }
 
-func (v *Verdict) addReason(format string, args ...any) {
-	if len(v.Reasons) < 8 {
-		v.Reasons = append(v.Reasons, fmt.Sprintf(format, args...))
-	}
-}
-
-// String summarizes the verdict.
-func (v *Verdict) String() string {
-	if v.OK() {
-		return "benign"
-	}
-	return fmt.Sprintf("violation{drop:%d gen:%d misdeliver:%d corrupt:%d misorder:%d unbounded:%v}",
-		v.Dropped, v.Generated, v.Misdelivered, v.Corrupted, v.Misordered, v.Unbounded)
-}
-
 // Compare judges a faulty run against the golden reference.
 // faultyDrained reports whether the faulty network emptied before its
 // drain deadline (bounded delivery).
@@ -167,7 +146,6 @@ func Compare(goldenLog, faulty *Log, faultyDrained bool) Verdict {
 	var v Verdict
 	if !faultyDrained {
 		v.Unbounded = true
-		v.addReason("network failed to drain (bounded-delivery violation)")
 	}
 
 	// Flit conservation: golden multiset vs faulty multiset.
@@ -175,27 +153,22 @@ func Compare(goldenLog, faulty *Log, faultyDrained bool) Verdict {
 		fe := faulty.entries[k]
 		if len(fe) < len(ge) {
 			v.Dropped += len(ge) - len(fe)
-			v.addReason("flit p%d.%d missing (%d of %d delivered)", k.Pkt, k.Seq, len(fe), len(ge))
 		}
 	}
 	for k, fe := range faulty.entries {
 		ge := goldenLog.entries[k]
 		if len(fe) > len(ge) {
 			v.Generated += len(fe) - len(ge)
-			v.addReason("flit p%d.%d appeared %d times (golden: %d)", k.Pkt, k.Seq, len(fe), len(ge))
 		}
 		for _, e := range fe {
 			if e.Node != e.Dest {
 				v.Misdelivered++
-				v.addReason("flit p%d.%d for node %d ejected at %d", k.Pkt, k.Seq, e.Dest, e.Node)
 			}
 			if !e.EDCOK {
 				v.Corrupted++
-				v.addReason("flit p%d.%d failed its EDC", k.Pkt, k.Seq)
 			}
 			if len(ge) > 0 && e.Kind != ge[0].Kind {
 				v.Corrupted++
-				v.addReason("flit p%d.%d kind %s, golden %s", k.Pkt, k.Seq, e.Kind, ge[0].Kind)
 			}
 		}
 	}
@@ -204,9 +177,6 @@ func Compare(goldenLog, faulty *Log, faultyDrained bool) Verdict {
 	// sequence numbers ejected at a node must be non-decreasing by
 	// position (flits of a packet are delivered in order).
 	v.Misordered += countOrderViolations(faulty)
-	if v.Misordered > 0 {
-		v.addReason("%d intra-packet order inversions", v.Misordered)
-	}
 	return v
 }
 

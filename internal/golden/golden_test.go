@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"nocalert/internal/flit"
+	"nocalert/internal/router"
 	"nocalert/internal/sim"
+	"nocalert/internal/topology"
 )
 
 // mkEjections builds a well-formed ejection log: packets of the given
@@ -27,10 +29,7 @@ func TestIdenticalLogsAreBenign(t *testing.T) {
 	f := FromEjections(mkEjections(5, 5), 0)
 	v := Compare(g, f, true)
 	if !v.OK() {
-		t.Fatalf("identical logs judged %s", v.String())
-	}
-	if v.String() != "benign" {
-		t.Fatalf("String() = %q", v.String())
+		t.Fatalf("identical logs judged %+v", v)
 	}
 }
 
@@ -49,7 +48,7 @@ func TestDropDetected(t *testing.T) {
 	f := FromEjections(ej[:len(ej)-2], 0) // last two flits never delivered
 	v := Compare(g, f, true)
 	if v.Dropped != 2 || v.OK() {
-		t.Fatalf("verdict %s, want 2 drops", v.String())
+		t.Fatalf("verdict %+v, want 2 drops", v)
 	}
 }
 
@@ -59,7 +58,7 @@ func TestDuplicateDetected(t *testing.T) {
 	ej = append(ej, ej[4]) // one flit delivered twice
 	v := Compare(g, FromEjections(ej, 0), true)
 	if v.Generated != 1 || v.OK() {
-		t.Fatalf("verdict %s, want 1 generated", v.String())
+		t.Fatalf("verdict %+v, want 1 generated", v)
 	}
 }
 
@@ -70,7 +69,7 @@ func TestUnknownFlitDetected(t *testing.T) {
 	ej = append(ej, sim.Ejection{Node: 1, Cycle: 999, Flit: stray.Flits(1, 0)[0]})
 	v := Compare(g, FromEjections(ej, 0), true)
 	if v.Generated != 1 {
-		t.Fatalf("verdict %s, want 1 generated", v.String())
+		t.Fatalf("verdict %+v, want 1 generated", v)
 	}
 }
 
@@ -80,7 +79,7 @@ func TestMisdeliveryDetected(t *testing.T) {
 	ej[7].Node = (ej[7].Flit.Dest + 1) % 4 // delivered to the wrong node
 	v := Compare(g, FromEjections(ej, 0), true)
 	if v.Misdelivered == 0 {
-		t.Fatalf("verdict %s, want misdelivery", v.String())
+		t.Fatalf("verdict %+v, want misdelivery", v)
 	}
 }
 
@@ -91,7 +90,7 @@ func TestCorruptionDetected(t *testing.T) {
 	ej[3].Flit.Payload ^= 1 // EDC now fails
 	v := Compare(g, FromEjections(ej, 0), true)
 	if v.Corrupted == 0 {
-		t.Fatalf("verdict %s, want corruption", v.String())
+		t.Fatalf("verdict %+v, want corruption", v)
 	}
 }
 
@@ -102,7 +101,7 @@ func TestKindCorruptionDetected(t *testing.T) {
 	ej[3].Flit.Kind = flit.Head // was a body flit
 	v := Compare(g, FromEjections(ej, 0), true)
 	if v.Corrupted == 0 {
-		t.Fatalf("verdict %s, want kind corruption", v.String())
+		t.Fatalf("verdict %+v, want kind corruption", v)
 	}
 }
 
@@ -113,7 +112,7 @@ func TestOrderViolationDetected(t *testing.T) {
 	ej[1], ej[2] = ej[2], ej[1]
 	v := Compare(g, FromEjections(ej, 0), true)
 	if v.Misordered == 0 {
-		t.Fatalf("verdict %s, want order violation", v.String())
+		t.Fatalf("verdict %+v, want order violation", v)
 	}
 }
 
@@ -122,19 +121,7 @@ func TestUnboundedDetected(t *testing.T) {
 	f := FromEjections(mkEjections(3, 5), 0)
 	v := Compare(g, f, false)
 	if !v.Unbounded || v.OK() {
-		t.Fatalf("verdict %s, want unbounded", v.String())
-	}
-}
-
-func TestReasonsCapped(t *testing.T) {
-	g := FromEjections(mkEjections(10, 5), 0)
-	f := FromEjections(mkEjections(10, 5)[:5], 0)
-	v := Compare(g, f, true)
-	if len(v.Reasons) > 8 {
-		t.Fatalf("%d reasons retained", len(v.Reasons))
-	}
-	if v.Dropped != 45 {
-		t.Fatalf("dropped = %d, want 45", v.Dropped)
+		t.Fatalf("verdict %+v, want unbounded", v)
 	}
 }
 
@@ -142,5 +129,21 @@ func TestAccessors(t *testing.T) {
 	l := FromEjections(mkEjections(4, 5), 0)
 	if l.Total() != 20 || len(l.entries) != 20 {
 		t.Fatalf("Total = %d over %d keys, want 20 over 20", l.Total(), len(l.entries))
+	}
+}
+
+// BenchmarkGoldenCompare measures the classification step: a drained
+// 4×4 network's log against itself.
+func BenchmarkGoldenCompare(b *testing.B) {
+	cfg := sim.Config{Router: router.Default(topology.NewMesh(4, 4)), InjectionRate: 0.15, Seed: 1}
+	n := sim.MustNew(cfg, nil)
+	n.Run(2000)
+	n.Drain(8000)
+	g := FromEjections(n.Ejections(), 0)
+	f := FromEjections(n.Ejections(), 0)
+	for b.Loop() {
+		if v := Compare(g, f, true); !v.OK() {
+			b.Fatal("identical logs judged malicious")
+		}
 	}
 }

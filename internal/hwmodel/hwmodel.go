@@ -53,12 +53,6 @@ type Params struct {
 	FlitWidth int
 }
 
-// Default returns the paper's hardware evaluation point (5 ports,
-// 5-flit buffers, 128-bit flits) with the given VC count.
-func Default(vcs int) Params {
-	return Params{Ports: 5, VCs: vcs, BufDepth: 5, FlitWidth: 128}
-}
-
 // Validate checks the parameters.
 func (p Params) Validate() error {
 	if p.Ports < 2 || p.VCs < 1 || p.BufDepth < 1 || p.FlitWidth < 1 {
@@ -239,19 +233,6 @@ func AreaOverhead(p Params) Overhead {
 		DMRGE:       dmr,
 		DMRPct:      100 * dmr / base.Total(),
 	}
-}
-
-// Fig10Sweep evaluates the Figure 10 VC sweep (2, 4, 6, 8 VCs by
-// default when vcs is nil).
-func Fig10Sweep(vcs []int) []Overhead {
-	if len(vcs) == 0 {
-		vcs = []int{2, 4, 6, 8}
-	}
-	out := make([]Overhead, len(vcs))
-	for i, v := range vcs {
-		out[i] = AreaOverhead(Default(v))
-	}
-	return out
 }
 
 // Power estimates relative power in arbitrary units: gate count

@@ -2,11 +2,30 @@ package hwmodel
 
 import "testing"
 
+// paperParams returns the paper's hardware evaluation point (5 ports,
+// 5-flit buffers, 128-bit flits) with the given VC count.
+func paperParams(vcs int) Params {
+	return Params{Ports: 5, VCs: vcs, BufDepth: 5, FlitWidth: 128}
+}
+
+// fig10Sweep evaluates the Figure 10 VC sweep (2, 4, 6, 8 VCs by
+// default when vcs is nil).
+func fig10Sweep(vcs []int) []Overhead {
+	if len(vcs) == 0 {
+		vcs = []int{2, 4, 6, 8}
+	}
+	out := make([]Overhead, len(vcs))
+	for i, v := range vcs {
+		out[i] = AreaOverhead(paperParams(v))
+	}
+	return out
+}
+
 // TestFig10Shape asserts the figure's qualitative content: NoCAlert's
 // overhead stays in the paper's few-percent band across the VC sweep,
 // while DMR-CL starts several times higher and grows steeply.
 func TestFig10Shape(t *testing.T) {
-	sweep := Fig10Sweep(nil)
+	sweep := fig10Sweep(nil)
 	if len(sweep) != 4 {
 		t.Fatalf("default sweep has %d points", len(sweep))
 	}
@@ -45,7 +64,7 @@ func TestFig10Shape(t *testing.T) {
 // 0.3%–1.2% band.
 func TestPowerBand(t *testing.T) {
 	for _, v := range []int{2, 4, 6, 8} {
-		p := Default(v)
+		p := paperParams(v)
 		_, _, pw := Power(p)
 		area := AreaOverhead(p).NoCAlertPct
 		if pw <= 0 || pw > 1.5 {
@@ -61,7 +80,7 @@ func TestPowerBand(t *testing.T) {
 func TestCriticalPathBand(t *testing.T) {
 	total := 0.0
 	for _, v := range []int{2, 4, 6, 8} {
-		base, with, pct := CriticalPath(Default(v))
+		base, with, pct := CriticalPath(paperParams(v))
 		if with <= base {
 			t.Errorf("V=%d: checker tap added no load", v)
 		}
@@ -79,8 +98,8 @@ func TestCriticalPathBand(t *testing.T) {
 // argument quantitatively: doubling the VC count must grow the checker
 // fabric far slower than the allocators it guards.
 func TestCheckersLinearArbitersPolynomial(t *testing.T) {
-	a4, a8 := Router(Default(4)), Router(Default(8))
-	c4, c8 := Checkers(Default(4)), Checkers(Default(8))
+	a4, a8 := Router(paperParams(4)), Router(paperParams(8))
+	c4, c8 := Checkers(paperParams(4)), Checkers(paperParams(8))
 	arbGrowth := a8.VA / a4.VA
 	chkGrowth := c8.Total() / c4.Total()
 	if arbGrowth <= chkGrowth {
@@ -90,7 +109,7 @@ func TestCheckersLinearArbitersPolynomial(t *testing.T) {
 
 // TestAreaBreakdownConsistency: subtotals add up.
 func TestAreaBreakdownConsistency(t *testing.T) {
-	a := Router(Default(4))
+	a := Router(paperParams(4))
 	if a.Total() != a.Datapath()+a.Control() {
 		t.Fatal("Total != Datapath + Control")
 	}
@@ -100,7 +119,7 @@ func TestAreaBreakdownConsistency(t *testing.T) {
 	if a.Buffers < a.Control() {
 		t.Error("buffers should dominate a 128-bit 4-VC router")
 	}
-	c := Checkers(Default(4))
+	c := Checkers(paperParams(4))
 	sum := c.RCCheckers + c.ArbiterCheckers + c.XbarCheckers + c.StateCheckers + c.PortCheckers + c.E2ECheckers
 	if c.Total() != sum {
 		t.Fatal("checker Total mismatch")
@@ -108,7 +127,7 @@ func TestAreaBreakdownConsistency(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := Default(4).Validate(); err != nil {
+	if err := paperParams(4).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Params{
@@ -125,7 +144,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestCustomSweep(t *testing.T) {
-	sweep := Fig10Sweep([]int{3, 5})
+	sweep := fig10Sweep([]int{3, 5})
 	if len(sweep) != 2 || sweep[0].Params.VCs != 3 || sweep[1].Params.VCs != 5 {
 		t.Fatalf("custom sweep wrong: %+v", sweep)
 	}

@@ -6,7 +6,10 @@
 // paper's enumeration.
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Direction identifies one of a router's ports. The four cardinal
 // directions connect to neighboring routers; Local connects to the
@@ -77,6 +80,19 @@ func NewMesh(w, h int) Mesh {
 		panic(fmt.Sprintf("topology: invalid mesh dimensions %dx%d", w, h))
 	}
 	return Mesh{W: w, H: h}
+}
+
+// ParseMesh parses a "WxH" mesh specification (e.g. "8x8"), ignoring case
+// and surrounding space.
+func ParseMesh(spec string) (Mesh, error) {
+	var w, h int
+	if _, err := fmt.Sscanf(strings.ToLower(strings.TrimSpace(spec)), "%dx%d", &w, &h); err != nil {
+		return Mesh{}, fmt.Errorf("topology: invalid mesh %q (want WxH)", spec)
+	}
+	if w < 1 || h < 1 {
+		return Mesh{}, fmt.Errorf("topology: invalid mesh dimensions %dx%d", w, h)
+	}
+	return NewMesh(w, h), nil
 }
 
 // Nodes returns the number of routers in the mesh.

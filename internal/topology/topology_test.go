@@ -176,3 +176,19 @@ func TestPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestParseMesh covers the "WxH" specification parser.
+func TestParseMesh(t *testing.T) {
+	m, err := ParseMesh("8x8")
+	if err != nil || m.W != 8 || m.H != 8 {
+		t.Fatalf("ParseMesh(8x8) = %v, %v", m, err)
+	}
+	if m, err := ParseMesh(" 4X2 "); err != nil || m.W != 4 || m.H != 2 {
+		t.Fatalf("ParseMesh with case/space = %v, %v", m, err)
+	}
+	for _, bad := range []string{"", "8", "8x", "x8", "0x4", "ax b"} {
+		if _, err := ParseMesh(bad); err == nil {
+			t.Errorf("ParseMesh(%q) accepted", bad)
+		}
+	}
+}

@@ -16,6 +16,9 @@ func allPatterns(t *testing.T) []Pattern {
 		if err != nil {
 			t.Fatalf("New(%q): %v", n, err)
 		}
+		if p.Name() != n {
+			t.Fatalf("New(%q).Name() = %q", n, p.Name())
+		}
 		out[i] = p
 	}
 	return out
