@@ -14,7 +14,7 @@ GOLDEN_FLAGS = -mesh 4x4 -vcs 4 -rate 0.12 -seed 3 -inject 300 -post 400 \
 # merge — add tests instead.
 COVER_FLOOR = 89.0
 
-.PHONY: all build fmt vet lint deadcode test race cover e2e e2e-dist benchfleet ci golden shardcheck identity fuzz-smoke build386
+.PHONY: all build fmt vet lint deadcode test race cover e2e e2e-dist benchfleet ci golden shardcheck identity fuzz-smoke build386 test386
 
 all: ci
 
@@ -203,6 +203,15 @@ fuzz-smoke:
 build386:
 	GOARCH=386 $(GO) build ./...
 
+# test386 runs the short tests of the simulator's packages on the 32-bit
+# target, where int is 32 bits: build386 only compiles, and a size worked
+# out for amd64 (the transcript's per-event bytes were) or an arbiter or a
+# Bernoulli draw that leans on a 64-bit int shows only when tests run.
+TEST386_PKGS = ./internal/bitvec ./internal/rng ./internal/flit ./internal/router \
+	./internal/sim ./internal/forever ./internal/core ./internal/fault ./internal/golden
+test386:
+	GOARCH=386 $(GO) test -short $(TEST386_PKGS)
+
 # shardcheck reproduces the CI merge gate locally: run the golden
 # campaign as 4 independent shards, merge the checkpoints, and require
 # the result to be bit-identical to the committed fixture.
@@ -217,8 +226,8 @@ shardcheck:
 	rm -rf .shardcheck
 
 # ci mirrors the CI test and lint jobs and then races, running every test
-# once: the dead-code gate, the 386 cross-build, ./internal/... under the coverage floor, every other
+# once: the dead-code gate, the 386 cross-build and short 386 tests, ./internal/... under the coverage floor, every other
 # package, then the concurrent packages under the race detector.
-ci: lint deadcode build build386 cover
+ci: lint deadcode build build386 test386 cover
 	$(GO) test $$($(GO) list ./... | grep -v /internal/)
 	$(MAKE) race

@@ -128,3 +128,40 @@ func TestFigureNamesPrint(t *testing.T) {
 		}
 	}
 }
+
+// TestBadRateRefusedInEveryMode: an injection rate that is not a number in
+// [0, 1] is refused before anything runs — exit status 1 and the spec's
+// message, no panic, no report — in the plain, shard and dispatch modes
+// alike. (Dispatch refuses before it contacts a worker.)
+func TestBadRateRefusedInEveryMode(t *testing.T) {
+	dir := t.TempDir()
+	spec := []string{"-mesh", "4x4", "-faults", "4", "-fig", "none", "-progress=false"}
+	for _, rate := range []string{"NaN", "+Inf", "-Inf", "-0.5", "1.5"} {
+		for _, mode := range []struct {
+			name string
+			args []string
+		}{
+			{"plain", spec},
+			{"shard", append([]string{"-shard", "0/2", "-checkpoint", filepath.Join(dir, "s.ndjson")}, spec...)},
+			{"dispatch", append([]string{"dispatch", "-workers", "http://127.0.0.1:1"}, spec...)},
+		} {
+			t.Run(mode.name+"/"+rate, func(t *testing.T) {
+				cmd := exec.Command(os.Args[0], append(mode.args, "-rate", rate)...)
+				cmd.Env = append(os.Environ(), "FAULTCAMPAIGN_MAIN=1")
+				var stdout, stderr bytes.Buffer
+				cmd.Stdout, cmd.Stderr = &stdout, &stderr
+				err := cmd.Run()
+				ee, ok := err.(*exec.ExitError)
+				if !ok || ee.ExitCode() != 1 {
+					t.Fatalf("exit %v, want status 1\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
+				}
+				if !strings.Contains(stderr.String(), "invalid injection rate") || strings.Contains(stderr.String(), "panic") {
+					t.Fatalf("stderr does not refuse the rate:\n%s", stderr.String())
+				}
+				if stdout.Len() != 0 {
+					t.Fatalf("a refused spec printed:\n%s", stdout.String())
+				}
+			})
+		}
+	}
+}

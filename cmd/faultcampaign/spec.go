@@ -40,8 +40,9 @@ func addSpecFlags(fs *flag.FlagSet) *specFlags {
 }
 
 // spec returns the campaign the parsed flags describe, normalized as the
-// daemon normalizes a submitted spec: a shard checkpoint written here
-// carries the identity a daemon's shard of the same campaign does.
+// daemon normalizes a submitted spec — a shard checkpoint written here
+// carries the identity a daemon's shard of the same campaign does — and
+// validated as the daemon validates it, whatever the mode.
 func (f *specFlags) spec() (campaign.Spec, error) {
 	mesh, err := topology.ParseMesh(*f.mesh)
 	if err != nil {
@@ -65,6 +66,9 @@ func (f *specFlags) spec() (campaign.Spec, error) {
 		spec.InjectCycles = cycles
 	}
 	spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		return campaign.Spec{}, err
+	}
 	return spec, nil
 }
 

@@ -59,7 +59,7 @@ func (s *Spec) Validate() error {
 	if s.VCs < 1 {
 		return fmt.Errorf("campaign: invalid VC count %d", s.VCs)
 	}
-	if s.InjectionRate < 0 || s.InjectionRate > 1 {
+	if !(s.InjectionRate >= 0 && s.InjectionRate <= 1) { // NaN fails both
 		return fmt.Errorf("campaign: invalid injection rate %g", s.InjectionRate)
 	}
 	if s.NumFaults < 0 {

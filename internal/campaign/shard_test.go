@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -481,6 +482,25 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 
 // TestMergeShardsRejectsBadSets: the merge reducer must refuse
 // incomplete, duplicated or cross-campaign shard sets.
+// TestValidateRefusesBadRates: an injection rate is a number of flits per
+// node per cycle in [0, 1]; NaN, the infinities and anything outside the
+// range are refused, the ends of the range are not.
+func TestValidateRefusesBadRates(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		ok   bool
+	}{
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+		{-0.5, false}, {1.5, false}, {0, true}, {0.05, true}, {1, true},
+	} {
+		spec := shardTestSpec(4)
+		spec.InjectionRate = tc.rate
+		if err := spec.Validate(); (err == nil) != tc.ok {
+			t.Errorf("rate %g: Validate() = %v", tc.rate, err)
+		}
+	}
+}
+
 func TestMergeShardsRejectsBadSets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")

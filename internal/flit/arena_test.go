@@ -28,6 +28,13 @@ func TestArenaNilFallsBackToHeap(t *testing.T) {
 	}
 }
 
+// Get returns a zeroed flit slot from the arena.
+func (a *Arena) Get() *Flit {
+	f := a.slot()
+	*f = Flit{}
+	return f
+}
+
 func TestArenaGetZeroesSlot(t *testing.T) {
 	var a Arena
 	f := a.Get()

@@ -154,11 +154,13 @@ func (p *Packet) FoldState(h uint64) uint64 {
 
 // Flits segments the packet into its flits. destX, destY are the mesh
 // coordinates of the destination, which the header carries for the RC
-// units along the path. Single-flit packets yield one HeadTail flit.
+// units along the path. Single-flit packets yield one HeadTail flit. The
+// flits are one allocation, the slice of pointers to them another.
 func (p *Packet) Flits(destX, destY int) []*Flit {
 	if p.Length < 1 {
 		panic(fmt.Sprintf("flit: packet %d has invalid length %d", p.ID, p.Length))
 	}
+	block := make([]Flit, p.Length)
 	out := make([]*Flit, p.Length)
 	for i := 0; i < p.Length; i++ {
 		kind := Body
@@ -171,7 +173,7 @@ func (p *Packet) Flits(destX, destY int) []*Flit {
 			kind = Tail
 		}
 		payload := p.Payload + uint64(i)
-		out[i] = &Flit{
+		block[i] = Flit{
 			PacketID:   p.ID,
 			Seq:        i,
 			Kind:       kind,
@@ -184,7 +186,8 @@ func (p *Packet) Flits(destX, destY int) []*Flit {
 			Payload:    payload,
 			InjectedAt: p.InjectedAt,
 		}
-		out[i].SealEDC()
+		block[i].SealEDC()
+		out[i] = &block[i]
 	}
 	return out
 }
@@ -243,8 +246,8 @@ const arenaSlabSize = 256
 // Arena is a slab-based bump allocator for flits. Fault campaigns fork
 // a warmed network once per fault, and each fork deep-copies every
 // buffered flit of every router; an Arena lets a worker pay those
-// allocations once and recycle them for every subsequent fork. Get and
-// CloneOf hand out slots in order; Reset recycles every slot at once.
+// allocations once and recycle them for every subsequent fork. CloneOf
+// hands out slots in order; Reset recycles every slot at once.
 // All flits obtained from an arena are invalidated by Reset — callers
 // must not retain them across it. An Arena is not safe for concurrent
 // use; campaigns keep one per worker.
@@ -254,8 +257,8 @@ type Arena struct {
 	used  int // slots handed out from the current slab
 }
 
-// Get returns a zeroed flit slot from the arena.
-func (a *Arena) Get() *Flit {
+// slot hands out the next slot, holding whatever it held before.
+func (a *Arena) slot() *Flit {
 	if a.slab == len(a.slabs) {
 		a.slabs = append(a.slabs, make([]Flit, arenaSlabSize))
 	}
@@ -266,7 +269,6 @@ func (a *Arena) Get() *Flit {
 		a.slab++
 		a.used = 0
 	}
-	*f = Flit{}
 	return f
 }
 
@@ -277,12 +279,12 @@ func (a *Arena) CloneOf(f *Flit) *Flit {
 	if a == nil {
 		return f.Clone()
 	}
-	c := a.Get()
+	c := a.slot()
 	*c = *f
 	return c
 }
 
 // Reset recycles every slot handed out since the last Reset, keeping
-// the slabs for reuse. Flits previously returned by Get or CloneOf
-// become invalid.
+// the slabs for reuse. Flits previously returned by CloneOf become
+// invalid.
 func (a *Arena) Reset() { a.slab, a.used = 0, 0 }

@@ -20,6 +20,7 @@ package forever
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nocalert/internal/flit"
 	"nocalert/internal/router"
@@ -51,6 +52,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// openPkt is a packet under reassembly and the last sequence number seen
+// of it.
+type openPkt struct {
+	pkt uint64
+	seq int32
+}
+
 // notif is an in-flight checker-network notification.
 type notif struct {
 	dest   int
@@ -77,11 +85,18 @@ type Monitor struct {
 
 	counters []int64
 	zeroSeen []bool
-	nonzero  int     // how many counters are not zero
-	pending  []notif // unordered; matured entries are consumed each cycle
-	// lastSeq tracks in-progress packet reassembly per destination for
-	// the end-to-end order check (packet id → last seen sequence).
-	lastSeq map[uint64]int
+	nonzero  int // how many counters are not zero
+	// moved has bit i%64 of word i/64 set for each node whose counter add
+	// has moved since the last EndCycle. Only those can have anything to
+	// note between epoch boundaries: after every EndCycle a zero counter
+	// has its zero seen. (A follower's EndCycle does not read it.)
+	moved   []uint64
+	pending []notif // unordered; matured entries are consumed each cycle
+	// open tracks in-progress packet reassembly for the end-to-end order
+	// check: per packet with flits delivered and its tail not, the last
+	// sequence number seen. A handful of packets are open at a time, so a
+	// scan of a list is cheaper than a map, to look up and to clone.
+	open []openPkt
 
 	// detections are the epoch-boundary, end-to-end and AC detection
 	// cycles in the order they were raised (capped), detNodes the node
@@ -111,6 +126,7 @@ func NewMonitor(cfg *router.Config, opts Options) *Monitor {
 		cfg:      cfg,
 		counters: make([]int64, nodes),
 		zeroSeen: make([]bool, nodes),
+		moved:    make([]uint64, (nodes+63)/64),
 	}
 	for i := range m.zeroSeen {
 		m.zeroSeen[i] = true // counters start at zero
@@ -139,6 +155,7 @@ func (m *Monitor) PacketInjected(cycle int64, node int, p *flit.Packet) {
 func (m *Monitor) add(node int, delta int64) {
 	was := m.counters[node]
 	m.counters[node] = was + delta
+	m.moved[node>>6] |= 1 << uint(node&63)
 	switch {
 	case was == 0 && delta != 0:
 		m.nonzero++
@@ -175,16 +192,23 @@ func (m *Monitor) reassemble(e *ejection) bool {
 	if !e.ok {
 		return false
 	}
-	if m.lastSeq == nil {
-		m.lastSeq = make(map[uint64]int)
+	for i := range m.open {
+		o := &m.open[i]
+		if o.pkt != e.pkt {
+			continue
+		}
+		prev := o.seq
+		if e.tail {
+			last := len(m.open) - 1
+			m.open[i] = m.open[last]
+			m.open = m.open[:last]
+		} else {
+			o.seq = e.seq
+		}
+		return int(e.seq) == int(prev)+1
 	}
-	prev, begun := m.lastSeq[e.pkt]
-	m.lastSeq[e.pkt] = int(e.seq)
-	if e.tail {
-		delete(m.lastSeq, e.pkt)
-	}
-	if begun {
-		return int(e.seq) == prev+1
+	if !e.tail {
+		m.open = append(m.open, openPkt{pkt: e.pkt, seq: e.seq})
 	}
 	return e.seq == 0
 }
@@ -213,9 +237,11 @@ func (m *Monitor) RouterCycle(r *router.Router, s *router.Signals) {
 }
 
 // EndCycle implements sim.Monitor: deliver matured notifications,
-// track zero crossings, and run the epoch-boundary check. A follower
-// does so for the nodes it tracks, their notifications maturing off the
-// golden record.
+// track zero crossings, and run the epoch-boundary check. Between
+// boundaries it visits the nodes whose counters moved this cycle, the only
+// ones with a zero crossing to note; a boundary visits every node. A
+// follower does so for the nodes it tracks, their notifications maturing
+// off the golden record.
 func (m *Monitor) EndCycle(cycle int64) {
 	boundary := (cycle+1)%m.opts.Epoch == 0
 	if m.gold != nil {
@@ -240,9 +266,18 @@ func (m *Monitor) EndCycle(cycle int64) {
 		}
 		m.pending = kept
 	}
-	for i := range m.counters {
-		m.endNode(i, cycle, boundary)
+	if boundary {
+		for i := range m.counters {
+			m.endNode(i, cycle, true)
+		}
+	} else {
+		for w, word := range m.moved {
+			for ; word != 0; word &= word - 1 {
+				m.endNode(w<<6|bits.TrailingZeros64(word), cycle, false)
+			}
+		}
 	}
+	clear(m.moved)
 	if m.hist != nil && m.nonzero > 0 {
 		m.hist.zeroFrom = cycle + 2 // boundary cycle+1 holds a nonzero counter
 	}
@@ -396,17 +431,15 @@ func (m *Monitor) CloneMonitor() sim.Monitor {
 		opts:    m.opts,
 		cfg:     m.cfg,
 		nonzero: m.nonzero,
+		moved:   make([]uint64, len(m.moved)), // empty at a cycle boundary
 	}
 	c.counters = append([]int64(nil), m.counters...)
 	c.zeroSeen = append([]bool(nil), m.zeroSeen...)
 	c.pending = append([]notif(nil), m.pending...)
 	c.detections = append([]int64(nil), m.detections...)
 	c.detNodes = append([]int32(nil), m.detNodes...)
-	if m.lastSeq != nil {
-		c.lastSeq = make(map[uint64]int, len(m.lastSeq))
-		for k, v := range m.lastSeq {
-			c.lastSeq[k] = v
-		}
+	if len(m.open) > 0 {
+		c.open = append([]openPkt(nil), m.open...)
 	}
 	return c
 }

@@ -82,7 +82,14 @@ func (p *PCG) Float64() float64 {
 	return float64(p.Uint64()>>11) / (1 << 53)
 }
 
-// Bernoulli returns true with probability prob (clamped to [0, 1]).
+// Bernoulli returns true with probability prob (clamped to [0, 1]): it
+// answers Float64() < prob and advances the stream as Float64 does.
+//
+// Float64's first 32-bit draw hi is the value's top 32 of 53 bits, so the
+// value lies in [hi/2³², (hi+1)/2³²); both ends are exact in a float64.
+// Unless prob falls inside that interval the first draw settles the
+// answer, and the second only has to step the state, not be permuted into
+// output; inside it, the comparison is Float64's own.
 func (p *PCG) Bernoulli(prob float64) bool {
 	if prob <= 0 {
 		return false
@@ -90,7 +97,12 @@ func (p *PCG) Bernoulli(prob float64) bool {
 	if prob >= 1 {
 		return true
 	}
-	return p.Float64() < prob
+	hi := p.Uint32()
+	if lo := float64(hi) * 0x1p-32; lo >= prob || lo+0x1p-32 <= prob {
+		p.state = p.state*pcgMultiplier + p.inc
+		return lo < prob
+	}
+	return float64(uint64(hi)<<21|uint64(p.Uint32())>>11)/(1<<53) < prob
 }
 
 // splitmix64 is the SplitMix64 output function (Steele, Lea & Flood,

@@ -132,6 +132,43 @@ func TestBernoulliEdges(t *testing.T) {
 	}
 }
 
+// TestBernoulliIsFloat64Comparison holds Bernoulli to what it replaces,
+// Float64() < prob, answer and stream both: over random generator states
+// and probabilities, and at thresholds on both sides of the cut the first
+// draw hi makes — hi/2³² and (hi+1)/2³², the floats next to them, a
+// probability strictly between them (which the first draw cannot settle)
+// and the Float64 value itself and its neighbours.
+func TestBernoulliIsFloat64Comparison(t *testing.T) {
+	seeds := New(2024, 1)
+	check := func(g *PCG, prob float64) {
+		t.Helper()
+		ref, got := g.Clone(), g.Clone()
+		want := ref.Float64() < prob
+		if got.Bernoulli(prob) != want {
+			t.Fatalf("state %+v prob %v: Bernoulli %t, Float64() < prob is %t", *g, prob, !want, want)
+		}
+		if *got != *ref {
+			t.Fatalf("state %+v prob %v: Bernoulli left the stream at %+v, Float64 at %+v", *g, prob, *got, *ref)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		g := New(seeds.Uint64(), seeds.Uint64())
+		check(g, seeds.Float64())
+		hi := float64(g.Clone().Uint32())
+		x := g.Clone().Float64()
+		for _, prob := range []float64{
+			hi * 0x1p-32, (hi + 1) * 0x1p-32, (hi + 0.5) * 0x1p-32,
+			math.Nextafter(hi*0x1p-32, 0), math.Nextafter(hi*0x1p-32, 1),
+			math.Nextafter((hi+1)*0x1p-32, 0), math.Nextafter((hi+1)*0x1p-32, 1),
+			x, math.Nextafter(x, 0), math.Nextafter(x, 1),
+		} {
+			if prob > 0 && prob < 1 {
+				check(g, prob)
+			}
+		}
+	}
+}
+
 // TestPermIsPermutation is a property test: Perm(n) is always a
 // permutation of [0, n).
 func TestPermIsPermutation(t *testing.T) {

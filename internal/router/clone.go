@@ -27,6 +27,7 @@ func (r *Router) CloneInto(dst *Router, plane *fault.Plane, ar *flit.Arena) *Rou
 	c.crMask, c.vcClass = r.crMask, r.vcClass
 	c.ports, c.vcMask = r.ports, r.vcMask
 	c.staged, c.latchedRows, c.latchedCols = r.staged, r.latchedRows, r.latchedCols
+	c.routing, c.waitVA, c.held = r.routing, r.waitVA, r.held
 	c.plane = plane
 	c.sweepRef = r.sweepRef
 	c.preFull = true // dst's snapshot is of whatever it held before
@@ -67,17 +68,28 @@ func (ip *inputPort) cloneInto(dst *inputPort, depth int, ar *flit.Arena) {
 	for i := range ip.vcs {
 		src := &ip.vcs[i]
 		d := &dst.vcs[i]
-		buf := d.buf
+		slots := d.slots
 		*d = *src
-		if cap(buf) < depth {
-			buf = make([]slot, depth)
+		if len(slots) < depth {
+			slots = make([]slot, depth)
 		}
-		buf = buf[:len(src.buf)]
 		for j, s := range src.buf {
-			buf[j] = slot{ar.CloneOf(s.f), s.dig}
+			slots[j] = slot{ar.CloneOf(s.f), s.dig}
 		}
-		d.buf = buf
-		// lastRead/lastWritten are value snapshots; *d = *src above
-		// already copied them.
+		d.slots, d.buf = slots, slots[:len(src.buf)]
+		// The latches' flits are copied too, so that nothing the copy
+		// holds is shared with the source: while the buffer holds a flit
+		// the write latch's is its last one, and a drained VC's two latches
+		// hold the same flit.
+		if n := len(src.buf); n > 0 && src.written.f == src.buf[n-1].f {
+			d.written.f = d.buf[n-1].f
+		} else if src.written.valid() {
+			d.written.f = ar.CloneOf(src.written.f)
+		}
+		if src.read.f == src.written.f {
+			d.read.f = d.written.f
+		} else if src.read.valid() {
+			d.read.f = ar.CloneOf(src.read.f)
+		}
 	}
 }

@@ -44,18 +44,30 @@ func ScribbleResidue(r *Router, next func() uint64) {
 		r.touch(p)
 		for v := range r.in[p].vcs {
 			vc := &r.in[p].vcs[v]
-			vc.lastRead, vc.hasLastRead = scribbledFlit(next), next()%4 != 0
+			vc.read = scribbledLatch(next)
 			if r.idleVC(p, v) {
 				i := r.iv(p, v)
 				st.VCRoute[i] = uint8(next() % (1 << DirWidth))
 				st.VCOutVC[i] = uint8(next() % MaxVCs)
 				st.PktID[i] = next()
 				st.Arrived[i] = int32(next() % 32)
-				vc.lastWritten, vc.hasLastWritten = scribbledFlit(next), next()%4 != 0
+				vc.written = scribbledLatch(next)
 			}
 			r.wrote(p, v)
 		}
 	}
+}
+
+// scribbledLatch is a latch holding a scribbled flit, or, one time in four,
+// none.
+func scribbledLatch(next func() uint64) latch {
+	f := scribbledFlit(next)
+	if next()%4 == 0 {
+		return latch{}
+	}
+	var l latch
+	l.set(&f)
+	return l
 }
 
 func scribbledFlit(next func() uint64) flit.Flit {
@@ -81,10 +93,17 @@ type ResidueRegs struct {
 // VC is in.
 func VCResidue(r *Router, p, v int) ResidueRegs {
 	i, vc := r.iv(p, v), &r.in[p].vcs[v]
-	return ResidueRegs{
+	regs := ResidueRegs{
 		Route: r.st.VCRoute[i], OutVC: r.st.VCOutVC[i], PktID: r.st.PktID[i], Arrived: r.st.Arrived[i],
-		Read: vc.lastRead, Written: vc.lastWritten, HasRead: vc.hasLastRead, HasWritten: vc.hasLastWritten,
+		HasRead: vc.read.valid(), HasWritten: vc.written.valid(),
 	}
+	if regs.HasRead {
+		regs.Read = vc.read.value()
+	}
+	if regs.HasWritten {
+		regs.Written = vc.written.value()
+	}
+	return regs
 }
 
 // WinnerLatches returns port p's VA1 and SA1 winner latches.

@@ -57,16 +57,16 @@ func (r *Router) FoldResidue(h uint64) uint64 {
 		h = statehash.Fold(h, latches)
 		for v := range r.in[p].vcs {
 			vc := &r.in[p].vcs[v]
-			h = statehash.FoldBool(h, vc.hasLastRead)
-			if vc.hasLastRead {
-				h = statehash.Fold(h, vc.lastRead.Digest())
+			h = statehash.FoldBool(h, vc.read.valid())
+			if vc.read.valid() {
+				h = statehash.Fold(h, vc.read.digest())
 			}
 			if !r.idleVC(p, v) {
 				continue
 			}
 			h = statehash.Fold(statehash.Fold(h, r.vcRegs(p, v)), st.PktID[p*st.V+v])
-			if vc.hasLastWritten {
-				h = statehash.Fold(h, vc.lastWritten.Digest())
+			if vc.written.valid() {
+				h = statehash.Fold(h, vc.written.digest())
 			}
 		}
 	}
@@ -179,7 +179,7 @@ func (r *Router) vcRegs(p, v int) uint64 {
 	i := p*st.V + v
 	regs := uint64(st.VCState[i]) | uint64(st.VCRoute[i])<<8 | uint64(st.VCOutVC[i])<<16 |
 		uint64(uint32(st.Arrived[i]))<<32
-	if r.in[p].vcs[v].hasLastWritten {
+	if r.in[p].vcs[v].written.valid() {
 		regs |= 1 << 25
 	}
 	return regs
@@ -209,9 +209,9 @@ func (r *Router) vcTerm(p, v int) uint64 {
 	// consults them. While the buffer holds a flit its last one is the flit
 	// last written, bit for bit (push stores both, and nothing rewrites a
 	// buffered flit), and the latch's digest is that one's.
-	if vc.hasLastWritten {
+	if vc.written.valid() {
 		if len(vc.buf) == 0 {
-			tail = vc.lastWritten.Digest()
+			tail = vc.written.digest()
 		}
 		h = statehash.Fold(h, tail)
 	}

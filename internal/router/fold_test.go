@@ -38,7 +38,7 @@ func rebuiltVCTerm(r *Router, p, v int) uint64 {
 	}
 	regs := uint64(r.st.VCState[i]) | uint64(r.st.VCRoute[i])<<8 | uint64(r.st.VCOutVC[i])<<16 |
 		uint64(uint32(r.st.Arrived[i]))<<32
-	if vc.hasLastWritten {
+	if vc.written.valid() {
 		regs |= 1 << 25
 	}
 	h := statehash.Fold(statehash.Fold(statehash.Seed, regs), r.st.PktID[i])
@@ -46,8 +46,9 @@ func rebuiltVCTerm(r *Router, p, v int) uint64 {
 	for _, s := range vc.buf {
 		h = statehash.Fold(h, s.f.Digest())
 	}
-	if vc.hasLastWritten {
-		h = statehash.Fold(h, vc.lastWritten.Digest())
+	if vc.written.valid() {
+		w := vc.written.value()
+		h = statehash.Fold(h, w.Digest())
 	}
 	return h
 }

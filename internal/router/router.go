@@ -61,6 +61,11 @@ type Router struct {
 	// the iteration sets differ, and the masks make them provably equal.
 	sweepRef  bool
 	fastSweep bool
+	// quiet, set by BeginUnobserved on a fast sweep, makes the cycle write
+	// of its signal record only what a sim.SignalsOnly monitor and the
+	// links read: Router, Cycle, Departures, the four arbiter banks and
+	// Granted (and the Credits). The rest of the record is stale.
+	quiet bool
 	// preDirty[p] has bit v set when a snapshot-visible register of input
 	// VC (p,v) was written since the last BeginCycle: the sparse snapshot
 	// fill refreshes those entries and the occupied ones, and no other.
@@ -72,6 +77,14 @@ type Router struct {
 	// stored) and every cycle no snapshot was taken (BeginUnobserved).
 	preDirty [P]uint32
 	preFull  bool
+	// routing[p] and waitVA[p] have bit v set while input VC (p,v)'s state
+	// register holds VCRouting and VCWaitingVA: kept by setVCState beside
+	// the NonIdle mask, they are what RC and VA1 serve on a fast sweep.
+	// held has bit p set while input port p holds a packet or a flit (its
+	// NonIdle or Occupied mask is not zero), kept by setVCState, push and
+	// pop.
+	routing, waitVA [P]uint32
+	held            bitvec.Vec
 	// foldDirty and portDirty say what of the fold cache, below, a write has
 	// left stale.
 	foldDirty [P]uint32
@@ -149,7 +162,9 @@ func NewInState(id int, cfg *Config, plane *fault.Plane, st soa.View) *Router {
 		r.in[p].vcs = make([]inVC, cfg.VCs)
 		for v := range r.in[p].vcs {
 			r.resetVC(p, v)
-			r.in[p].vcs[v].buf = make([]slot, 0, cfg.BufDepth)
+			vc := &r.in[p].vcs[v]
+			vc.slots = make([]slot, cfg.BufDepth)
+			vc.buf = vc.slots[:0]
 			i := p*st.V + v
 			st.Credits[i] = int32(cfg.BufDepth)
 			st.OutFlags[i] = soa.OutFree
@@ -217,17 +232,13 @@ func (r *Router) StageCredit(d topology.Direction, vc int) {
 // Inert reports whether stepping this router would change no state and
 // produce an all-vacuous signal record: every VC idle and empty, no
 // crossbar reservation or read enable pending, no staged arrivals or
-// credits. The check is a word-at-a-time OR over the activity masks.
+// credits. The check is one OR of four port masks.
 // Only meaningful outside the router's own fault window — a live fault
 // can perturb even an idle router, but only the router that hosts it —
 // and a skipped router's per-cycle staging (Signals, Credits) goes stale,
 // so the network must skip its link-traversal and monitor visits too.
 func (r *Router) Inert() bool {
-	acc := uint32(r.staged | r.latchedRows | r.latchedCols)
-	for p := 0; p < P; p++ {
-		acc |= r.st.NonIdle[p] | r.st.Occupied[p]
-	}
-	return acc == 0
+	return r.staged|r.latchedRows|r.latchedCols|r.held == 0
 }
 
 // ---- SoA register helpers ----
@@ -244,10 +255,30 @@ func (r *Router) iv(p, v int) int { return p*r.st.V + v }
 func (r *Router) setVCState(p, v int, s VCState) {
 	r.st.VCState[r.iv(p, v)] = uint8(s)
 	r.wrote(p, v)
+	bit := uint32(1) << uint(v)
 	if s == VCIdle {
-		r.st.NonIdle[p] &^= 1 << uint(v)
+		r.st.NonIdle[p] &^= bit
 	} else {
-		r.st.NonIdle[p] |= 1 << uint(v)
+		r.st.NonIdle[p] |= bit
+	}
+	r.routing[p] &^= bit
+	r.waitVA[p] &^= bit
+	switch s {
+	case VCRouting:
+		r.routing[p] |= bit
+	case VCWaitingVA:
+		r.waitVA[p] |= bit
+	}
+	r.noteHeld(p)
+}
+
+// noteHeld brings port p's bit of held up to its NonIdle and Occupied
+// masks.
+func (r *Router) noteHeld(p int) {
+	if r.st.NonIdle[p]|r.st.Occupied[p] != 0 {
+		r.held |= 1 << uint(p)
+	} else {
+		r.held &^= 1 << uint(p)
 	}
 }
 
@@ -278,33 +309,40 @@ func (r *Router) resetVC(p, v int) {
 // (an overflowing write drops the flit instead).
 func (r *Router) push(p, v int, f *flit.Flit) {
 	vc := &r.in[p].vcs[v]
+	if len(vc.buf) == cap(vc.buf) {
+		n := copy(vc.slots, vc.buf)
+		clear(vc.slots[n:])
+		vc.buf = vc.slots[:n]
+	}
 	vc.buf = append(vc.buf, slot{f: f})
-	vc.lastWritten = *f
-	vc.hasLastWritten = true
+	vc.written.set(f)
 	r.st.Occupied[p] |= 1 << uint(v)
+	r.held |= 1 << uint(p)
 	r.wrote(p, v)
 }
 
 // pop removes and returns (p,v)'s head flit, maintaining the read latch
 // and the Occupied mask. On an empty buffer it returns a clone of the
-// stale lastRead flit (garbage read) or nil if nothing was ever read.
+// stale read latch (garbage read) or nil if nothing was ever read.
 func (r *Router) pop(p, v int) (f *flit.Flit, garbage bool) {
 	vc := &r.in[p].vcs[v]
 	if len(vc.buf) == 0 {
-		if !vc.hasLastRead {
+		if !vc.read.valid() {
 			return nil, true
 		}
-		return vc.lastRead.Clone(), true
+		g := vc.read.value()
+		return &g, true
 	}
 	f = vc.buf[0].f
-	copy(vc.buf, vc.buf[1:])
-	vc.buf = vc.buf[:len(vc.buf)-1]
+	vc.buf[0] = slot{}
+	vc.buf = vc.buf[1:]
 	if len(vc.buf) == 0 {
+		vc.buf = vc.slots[:0]
 		r.st.Occupied[p] &^= 1 << uint(v)
+		r.noteHeld(p)
 	}
 	r.wrote(p, v)
-	vc.lastRead = *f
-	vc.hasLastRead = true
+	vc.read.set(f)
 	return f, false
 }
 
@@ -408,29 +446,33 @@ func (r *Router) creditFaulted(cycle int64, o, v int) int {
 // fast sweep with the sparse fill.
 func (r *Router) BeginCycle(cycle int64) { r.beginCycle(cycle, true) }
 
-// BeginUnobserved is BeginCycle for a cycle whose snapshot nobody will
-// read — the caller shows this cycle's record to no reader of Signals.Pre
-// — and on a fast sweep takes none: Pre keeps whatever it held, and
-// preFull makes the next BeginCycle fill every entry, as after a clone.
-// Off the fast sweep the fill is taken as ever: the reference engine fills
-// every snapshot, and inside the router's own fault window the fill's
-// consults are what mark a fault on an idle register fired.
+// BeginUnobserved is BeginCycle for a cycle whose record is shown to
+// nobody but readers of its arbiter banks (sim.SignalsOnly) and the links,
+// which read its departures and credits. On a fast sweep the cycle is
+// quiet: it takes no snapshot — Pre keeps whatever it held, and preFull
+// makes the next BeginCycle fill every entry, as after a clone — and its
+// phases write nothing else of the record (Router.quiet). Off the fast
+// sweep the cycle is BeginCycle's: the reference engine fills every
+// snapshot and record, and inside the router's own fault window the
+// fill's consults are what mark a fault on an idle register fired.
 func (r *Router) BeginUnobserved(cycle int64) { r.beginCycle(cycle, false) }
 
 func (r *Router) beginCycle(cycle int64, observed bool) {
 	r.planeLive = r.plane.LiveFor(cycle, r.id)
 	r.fastSweep = !r.sweepRef && !r.planeLive
+	r.quiet = !observed && r.fastSweep
 	r.applyRegisterUpsets(cycle)
-	r.sig.reset(r.id, cycle)
 	r.creditsOut = r.creditsOut[:0]
-	r.targets = r.targets[:0]
-	if !observed && r.fastSweep {
+	if r.quiet {
+		r.sig.resetQuiet(r.id, cycle)
 		// No snapshot: the record of what was written since the last one
 		// goes with it, and the next one starts over.
 		r.preDirty = [P]uint32{}
 		r.preFull = true
 		return
 	}
+	r.sig.reset(r.id, cycle)
+	r.targets = r.targets[:0]
 	full := r.preFull || !r.fastSweep
 	r.preFull = !r.fastSweep
 	for w := r.ports; !w.IsZero(); {
@@ -521,6 +563,28 @@ func (r *Router) applyRegisterUpsets(cycle int64) {
 	}
 }
 
+// CreditStep is the whole of a quiet cycle (BeginUnobserved) whose only
+// work is staged credit returns: no flit staged, no crossbar row or column
+// latched, every VC idle and empty. It absorbs the credits — phaseBW's
+// credit loop, all that Evaluate would have done — and reports true: the
+// cycle departs nothing, returns no credit and grants nothing, so its
+// record needs no reader, and the router is Inert. Otherwise it does
+// nothing and reports false, and the caller runs Evaluate.
+func (r *Router) CreditStep(cycle int64) bool {
+	if !r.quiet || r.latchedRows|r.latchedCols|r.held != 0 {
+		return false
+	}
+	for w := r.staged; !w.IsZero(); {
+		var p int
+		p, w = w.NextBit()
+		if r.arriving[p] != nil {
+			return false
+		}
+	}
+	r.phaseBW(cycle)
+	return true
+}
+
 // Evaluate runs one cycle of the router pipeline. Phases execute in an
 // order that gives each flit at most one stage per cycle: buffer writes
 // and credit returns first (folded into the RC stage as in GARNET's
@@ -528,29 +592,39 @@ func (r *Router) applyRegisterUpsets(cycle int64) {
 // then SA, VA and RC. Departures are exposed via Signals().Departures
 // and credits via Credits().
 //
-// On a fast sweep each phase visits only the ports that have work (DESIGN.md
-// §3.1): BW the staged ones, ST the latched rows and columns, SA1, VA1 and RC
-// the ports with a non-idle VC, SA2 and VA2 the outputs the first round's
-// winners request. The reference sweep, and a router inside its own fault
-// window, visit every port it has.
+// On a fast sweep each phase visits only the ports and VCs that have work
+// (DESIGN.md §3.1): BW the staged ports, ST the latched rows and columns,
+// SA1 the ports with a buffered flit in a non-idle VC, VA1 and RC the ports
+// with a VC waiting for them and those VCs alone, SA2 and VA2 the outputs
+// the first round's winners request. The reference sweep, and a router
+// inside its own fault window, visit every port it has and every VC.
 func (r *Router) Evaluate(cycle int64) {
 	r.phaseBW(cycle)
 	r.phaseST(cycle)
-	// Every candidate of SA1, VA1 and RC is a non-idle VC: on a fast sweep
-	// the three visit the ports that hold one once BW and ST have run. (SA
-	// and VA make no idle VC non-idle: VA activates VCs VA1 found waiting.)
-	busy := r.ports
+	// The candidates of SA1, VA1 and RC are taken once BW and ST have run:
+	// SA moves no VC's state, VA turns waiting VCs active, and RC, last,
+	// serves the routing ones, which neither SA nor VA writes.
+	sa, va, rc := r.ports, r.ports, r.ports
 	if r.fastSweep {
-		busy = 0
-		for p := 0; p < P; p++ {
-			if r.st.NonIdle[p] != 0 {
-				busy |= 1 << uint(p)
+		sa, va, rc = 0, 0, 0
+		for w := r.held; !w.IsZero(); {
+			var p int
+			p, w = w.NextBit()
+			bit := bitvec.Vec(1) << uint(p)
+			if r.st.NonIdle[p]&r.st.Occupied[p] != 0 {
+				sa |= bit
+			}
+			if r.waitVA[p] != 0 {
+				va |= bit
+			}
+			if r.routing[p] != 0 {
+				rc |= bit
 			}
 		}
 	}
-	r.phaseSA(cycle, busy)
-	r.phaseVA(cycle, busy)
-	r.phaseRC(cycle, busy)
+	r.phaseSA(cycle, sa)
+	r.phaseVA(cycle, va)
+	r.phaseRC(cycle, rc)
 }
 
 // phaseBW latches arriving flits into VC buffers and absorbs returning
@@ -562,13 +636,19 @@ func (r *Router) phaseBW(cycle int64) {
 		if f := r.arriving[p]; f != nil {
 			r.arriving[p] = nil
 			r.touch(p)
-			r.writeFlit(cycle, p, f)
+			if r.quiet {
+				r.writeQuiet(p, f)
+			} else {
+				r.writeFlit(cycle, p, f)
+			}
 		}
 		staged := r.st.CreditIn[p]
 		cin := r.fVec(cycle, fault.CreditSig, p, -1, staged)
 		r.st.CreditIn[p] = 0
 		vec := bitvec.Vec(cin) & r.vcMask
-		r.sig.CreditsIn[p] = vec
+		if !r.quiet {
+			r.sig.CreditsIn[p] = vec
+		}
 		if staged|uint32(vec) != 0 {
 			r.touch(p) // the staged vector went, or a counter below moves
 		}
@@ -606,15 +686,14 @@ func (r *Router) writeFlit(cycle int64, p int, f *flit.Flit) {
 		v, w = w.NextBit()
 		i++
 		vc := &r.in[p].vcs[v]
-		ri := r.iv(p, v)
 		t := WriteTarget{
 			VC:          v,
 			FullBefore:  vc.full(r.cfg.BufDepth),
 			StateBefore: r.vcStateR(cycle, p, v),
 		}
-		if vc.hasLastWritten {
+		if vc.written.valid() {
 			t.HasPrev = true
-			t.PrevKind = vc.lastWritten.Kind
+			t.PrevKind = vc.written.kind
 		}
 		if !t.FullBefore {
 			stored := f
@@ -623,29 +702,49 @@ func (r *Router) writeFlit(cycle int64, p int, f *flit.Flit) {
 				// addressed buffer — spontaneous flit duplication.
 				stored = f.Clone()
 			}
-			r.push(p, v, stored)
-			if stored.Kind.IsHead() {
-				r.st.Arrived[ri] = 1
-				if VCState(r.st.VCState[ri]) == VCIdle {
-					r.setVCState(p, v, VCRouting)
-					r.st.PktID[ri] = stored.PacketID
-					r.st.VCRoute[ri] = rawInvalidDir
-					r.st.VCOutVC[ri] = 0
-				}
-				// A header landing on a busy VC is an atomicity breach;
-				// the resident wormhole's registers are left in place and
-				// the interloper mixes in behind it.
-			} else {
-				r.st.Arrived[ri]++
-			}
+			r.store(p, v, stored)
 		}
-		t.ArrivedAfter = int(r.st.Arrived[ri])
+		t.ArrivedAfter = int(r.st.Arrived[r.iv(p, v)])
 		r.targets = append(r.targets, t)
 	}
 	// Capped, so that nobody's append to one arrival's targets can write
 	// the next one's.
 	arr.Targets = r.targets[first:len(r.targets):len(r.targets)]
 	r.sig.Arrivals = append(r.sig.Arrivals, arr)
+}
+
+// writeQuiet is writeFlit on a quiet cycle: the router's fault window is
+// closed, so every consult answers the value it is given and the strobe is
+// the one VC the flit's field names; and nobody reads the Arrival, so none
+// is built.
+func (r *Router) writeQuiet(p int, f *flit.Flit) {
+	f.Kind &= 3
+	f.VC &= MaxVCs - 1
+	if v := f.VC; v < r.cfg.VCs && !r.in[p].vcs[v].full(r.cfg.BufDepth) {
+		r.store(p, v, f)
+	}
+}
+
+// store latches f into input VC (p,v), which has room: the buffer and
+// write latch, the arrival count, and for a header on a free VC the status
+// registers of the packet it opens.
+func (r *Router) store(p, v int, f *flit.Flit) {
+	r.push(p, v, f)
+	ri := r.iv(p, v)
+	if !f.Kind.IsHead() {
+		r.st.Arrived[ri]++
+		return
+	}
+	r.st.Arrived[ri] = 1
+	if VCState(r.st.VCState[ri]) == VCIdle {
+		r.setVCState(p, v, VCRouting)
+		r.st.PktID[ri] = f.PacketID
+		r.st.VCRoute[ri] = rawInvalidDir
+		r.st.VCOutVC[ri] = 0
+	}
+	// A header landing on a busy VC is an atomicity breach; the resident
+	// wormhole's registers are left in place and the interloper mixes in
+	// behind it.
 }
 
 // phaseST performs crossbar traversal for last cycle's switch grants:
@@ -674,7 +773,7 @@ func (r *Router) phaseST(cycle int64) {
 			ovc := r.vcOutVCR(cycle, p, vcSel)
 			if st != VCActive || ovc >= r.cfg.VCs || intended < 0 || r.creditR(cycle, intended, ovc) <= 0 {
 				nullified = true
-				if intended >= 0 {
+				if intended >= 0 && !r.quiet {
 					r.sig.XbarSpecNull = r.sig.XbarSpecNull.Set(intended)
 				}
 			} else {
@@ -720,7 +819,9 @@ func (r *Router) phaseST(cycle int64) {
 			rowFlit[p], rowGarbage[p] = selFlit, selGarbage
 			rows = rows.Set(p)
 		}
-		r.sig.Reads[p] = ReadSig{Strobe: strobe, EmptyBits: emptyBits}
+		if !r.quiet {
+			r.sig.Reads[p] = ReadSig{Strobe: strobe, EmptyBits: emptyBits}
+		}
 	}
 
 	var usedRows bitvec.Vec
@@ -737,7 +838,9 @@ func (r *Router) phaseST(cycle int64) {
 			r.touch(o)
 		}
 		col = bitvec.Vec(r.fVec(cycle, fault.XbarSel, o, -1, uint32(col))) & bitvec.Mask(P)
-		r.sig.XbarCol[o] = col
+		if !r.quiet {
+			r.sig.XbarCol[o] = col
+		}
 		took := false
 		for w := col; !w.IsZero(); {
 			var row int
@@ -761,9 +864,11 @@ func (r *Router) phaseST(cycle int64) {
 		}
 	}
 	r.latchedRows, r.latchedCols = 0, 0
-	r.sig.XbarRows = rows
-	r.sig.XbarIn = rows.Count()
-	r.sig.XbarOut = len(r.sig.Departures)
+	if !r.quiet {
+		r.sig.XbarRows = rows
+		r.sig.XbarIn = rows.Count()
+		r.sig.XbarOut = len(r.sig.Departures)
+	}
 }
 
 // teardown recycles an input VC after its tail flit departs.
@@ -893,17 +998,19 @@ func (r *Router) phaseSA(cycle int64, busy bitvec.Vec) {
 			r.latchedRows = r.latchedRows.Set(p)
 			vcSel := int(r.st.SA1Win[p])
 			ovc := r.vcOutVCR(cycle, p, vcSel)
-			latch := SALatch{OutPort: o, InPort: p, InVC: vcSel, OutVC: ovc, Speculative: spec}
-			if ovc < r.cfg.VCs {
-				latch.CreditsBefore = r.creditR(cycle, o, ovc)
-				if !spec {
-					// Reserve the downstream slot now; the datapath
-					// follows next cycle.
-					i := r.iv(o, ovc)
-					r.st.Credits[i] = (r.st.Credits[i] - 1) & r.crMask
+			if !r.quiet {
+				latch := SALatch{OutPort: o, InPort: p, InVC: vcSel, OutVC: ovc, Speculative: spec}
+				if ovc < r.cfg.VCs {
+					latch.CreditsBefore = r.creditR(cycle, o, ovc)
 				}
+				r.sig.SALatches = append(r.sig.SALatches, latch)
 			}
-			r.sig.SALatches = append(r.sig.SALatches, latch)
+			if ovc < r.cfg.VCs && !spec {
+				// Reserve the downstream slot now; the datapath follows
+				// next cycle.
+				i := r.iv(o, ovc)
+				r.st.Credits[i] = (r.st.Credits[i] - 1) & r.crMask
+			}
 		}
 	}
 }
@@ -918,9 +1025,8 @@ func (r *Router) phaseVA(cycle int64, busy bitvec.Vec) {
 		var p int
 		p, w = w.NextBit()
 		var req bitvec.Vec
-		// VA1 requests come from VCs in the WaitingVA state, a subset of
-		// the NonIdle mask by construction.
-		for vs := r.sweep(bitvec.Vec(r.st.NonIdle[p]), r.vcMask); !vs.IsZero(); {
+		// VA1 requests come from VCs in the WaitingVA state.
+		for vs := r.sweep(bitvec.Vec(r.waitVA[p]), r.vcMask); !vs.IsZero(); {
 			var v int
 			v, vs = vs.NextBit()
 			if r.vcStateR(cycle, p, v) == VCWaitingVA {
@@ -965,17 +1071,21 @@ func (r *Router) phaseVA(cycle int64, busy bitvec.Vec) {
 				code = chosen
 			}
 			code = r.fWord(cycle, fault.VA2OutVC, o, -1, code) & (MaxVCs - 1)
-			assign := VAAssign{OutPort: o, InPort: p, InVC: w, OutVC: code}
+			if !r.quiet {
+				assign := VAAssign{OutPort: o, InPort: p, InVC: w, OutVC: code}
+				if code < r.cfg.VCs {
+					i := r.iv(o, code)
+					assign.TargetFree = r.st.OutFlags[i]&soa.OutFree != 0
+					assign.TargetCredits = r.creditR(cycle, o, code)
+				}
+				r.sig.VAAssigns = append(r.sig.VAAssigns, assign)
+			}
 			if code < r.cfg.VCs {
-				i := r.iv(o, code)
-				assign.TargetFree = r.st.OutFlags[i]&soa.OutFree != 0
-				assign.TargetCredits = r.creditR(cycle, o, code)
-				r.st.OutFlags[i] &^= soa.OutFree | soa.OutTailSent
+				r.st.OutFlags[r.iv(o, code)] &^= soa.OutFree | soa.OutTailSent
 			}
 			i := r.iv(p, w)
 			r.st.VCOutVC[i] = uint8(code)
 			r.setVCState(p, w, VCActive)
-			r.sig.VAAssigns = append(r.sig.VAAssigns, assign)
 		}
 	}
 }
@@ -1017,8 +1127,7 @@ func (r *Router) phaseRC(cycle int64, busy bitvec.Vec) {
 	for w := busy; !w.IsZero(); {
 		var p int
 		p, w = w.NextBit()
-		// Routing-state VCs are a subset of the NonIdle mask.
-		for vs := r.sweep(bitvec.Vec(r.st.NonIdle[p]), r.vcMask); !vs.IsZero(); {
+		for vs := r.sweep(bitvec.Vec(r.routing[p]), r.vcMask); !vs.IsZero(); {
 			var v int
 			v, vs = vs.NextBit()
 			if r.vcStateR(cycle, p, v) != VCRouting {
@@ -1038,10 +1147,10 @@ func (r *Router) execRC(cycle int64, p, v int) {
 	switch {
 	case head != nil:
 		dx, dy, kind = head.DestX, head.DestY, head.Kind
-	case vc.hasLastRead:
+	case vc.read.valid():
 		// RC on an empty buffer consumes whatever the stale storage
 		// holds (an "empty" slot is not blank).
-		dx, dy, kind = vc.lastRead.DestX, vc.lastRead.DestY, vc.lastRead.Kind
+		dx, dy, kind = vc.read.f.DestX, vc.read.f.DestY, vc.read.kind
 	}
 	trueDX, trueDY := dx, dy
 	xMask := 1<<fault.BitsFor(r.cfg.Mesh.W-1) - 1
@@ -1054,6 +1163,9 @@ func (r *Router) execRC(cycle int64, p, v int) {
 	code = r.fWord(cycle, fault.RCOutDir, p, -1, code) & (1<<DirWidth - 1)
 	r.st.VCRoute[r.iv(p, v)] = uint8(code)
 	r.setVCState(p, v, VCWaitingVA)
+	if r.quiet {
+		return
+	}
 	r.sig.RCExecs = append(r.sig.RCExecs, RCExec{
 		Port: p, VC: v, HasHead: hasHead, HeadKind: kind,
 		DestX: dx, DestY: dy, TrueDestX: trueDX, TrueDestY: trueDY, OutDir: code,
@@ -1096,26 +1208,23 @@ func (r *Router) pickCandidate(cands []topology.Direction) topology.Direction {
 
 // rrArbitrate is the router's round-robin arbiter, a pure function over an
 // SoA priority pointer: the client after the most recent winner has highest
-// priority, and zero requests leave the pointer untouched.
+// priority, and zero requests leave the pointer untouched. The pointer is in
+// [0, width). The winner is the lowest request at or above the pointer, or
+// failing that the lowest request: one bit-scan.
 func rrArbitrate(req bitvec.Vec, width int, next *int32) bitvec.Vec {
 	req &= bitvec.Mask(width)
 	if req.IsZero() {
 		return 0
 	}
-	n := int(*next)
-	for i := 0; i < width; i++ {
-		idx := n + i
-		if idx >= width {
-			idx -= width
-		}
-		if req.Get(idx) {
-			nn := idx + 1
-			if nn >= width {
-				nn = 0
-			}
-			*next = int32(nn)
-			return bitvec.Vec(1) << uint(idx)
-		}
+	win := req &^ (1<<uint(*next) - 1)
+	if win.IsZero() {
+		win = req
 	}
-	return 0 // unreachable: req is non-zero within width
+	idx := win.First()
+	nn := idx + 1
+	if nn >= width {
+		nn = 0
+	}
+	*next = int32(nn)
+	return bitvec.Vec(1) << uint(idx)
 }

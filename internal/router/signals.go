@@ -178,7 +178,9 @@ func (pre *Pre) RecomputeActive() {
 
 // Signals is everything observable about one router in one cycle: the
 // pre-cycle architectural snapshot plus every control signal, all
-// post-fault. It is rebuilt (in place) every cycle.
+// post-fault. It is rebuilt (in place) every cycle; a quiet cycle
+// (Router.BeginUnobserved) rebuilds Router, Cycle, Departures, the arbiter
+// banks and Granted, and leaves the rest as the last full cycle did.
 type Signals struct {
 	Router int
 	Cycle  int64
@@ -244,6 +246,17 @@ func (s *Signals) SetArbiter(b, port int, rg ReqGnt) {
 	if !rg.Gnt.IsZero() {
 		s.Granted |= 1 << uint(b*P+port)
 	}
+}
+
+// resetQuiet is reset for a quiet cycle (Router.quiet): it clears what
+// the cycle writes and leaves the rest stale.
+func (s *Signals) resetQuiet(router int, cycle int64) {
+	s.Router = router
+	s.Cycle = cycle
+	s.Departures = s.Departures[:0]
+	s.VA1, s.SA1 = [P]ReqGnt{}, [P]ReqGnt{}
+	s.VA2, s.SA2 = [P]ReqGnt{}, [P]ReqGnt{}
+	s.Granted = 0
 }
 
 // reset clears the record for reuse, keeping allocated slices.

@@ -205,8 +205,10 @@ func requireSignalsEqual(t *testing.T, cycle int64, got, want *Signals) {
 	}
 }
 
-// requireWorkMasks holds the masks phaseBW and phaseST visit on a fast sweep
-// to the registers they stand for.
+// requireWorkMasks holds the masks the phases visit on a fast sweep — the
+// staged and latched ports of BW and ST, the non-idle, occupied, routing and
+// waiting-VA VCs of SA, VA and RC, the ports that hold something — to the
+// registers they stand for.
 func requireWorkMasks(t *testing.T, cycle int64, r *Router) {
 	t.Helper()
 	var staged, rows, cols bitvec.Vec
@@ -224,6 +226,30 @@ func requireWorkMasks(t *testing.T, cycle int64, r *Router) {
 	if staged != r.staged || rows != r.latchedRows || cols != r.latchedCols {
 		t.Fatalf("boundary %d: staged/latched masks %s %s %s, the registers say %s %s %s",
 			cycle+1, r.staged, r.latchedRows, r.latchedCols, staged, rows, cols)
+	}
+	for p := range r.in {
+		var nonIdle, occupied, routing, waitVA uint32
+		for v := range r.in[p].vcs {
+			bit := uint32(1) << uint(v)
+			switch VCState(r.st.VCState[r.iv(p, v)]) {
+			case VCIdle:
+			case VCRouting:
+				nonIdle, routing = nonIdle|bit, routing|bit
+			case VCWaitingVA:
+				nonIdle, waitVA = nonIdle|bit, waitVA|bit
+			default:
+				nonIdle |= bit
+			}
+			if !r.in[p].vcs[v].empty() {
+				occupied |= bit
+			}
+		}
+		if got, want := [4]uint32{r.st.NonIdle[p], r.st.Occupied[p], r.routing[p], r.waitVA[p]}, [4]uint32{nonIdle, occupied, routing, waitVA}; got != want {
+			t.Fatalf("boundary %d port %d: non-idle/occupied/routing/waiting-VA masks %04b, the registers say %04b", cycle+1, p, got, want)
+		}
+		if r.held.Get(p) != (nonIdle|occupied != 0) {
+			t.Fatalf("boundary %d port %d: held %t, the registers say %t", cycle+1, p, r.held.Get(p), nonIdle|occupied != 0)
+		}
 	}
 }
 

@@ -51,22 +51,50 @@ func (s VCState) String() string {
 // Router.st — that is what lets the per-cycle sweeps walk flat arrays
 // and campaign forks bulk-copy the register file.
 type inVC struct {
-	// buf is the FIFO buffer; buf[0] is the head.
-	buf []slot
-	// lastRead snapshots the most recently read flit as of read time. A
-	// read strobe hitting an empty buffer returns stale storage, not
-	// blanks — the mechanism by which the paper says "a new flit may be
-	// generated". It is a value, not a pointer: a hardware read latch
-	// holds the bits present when the read happened, so downstream
-	// rewrites of the departed flit (VC restamping per hop) must not
-	// alias back into it. hasLastRead gates validity.
-	lastRead    flit.Flit
-	hasLastRead bool
-	// lastWritten snapshots the most recently written flit at write
-	// time, used by the non-atomic mixing rule (a tail must be followed
-	// by a header). Value semantics for the same reason as lastRead.
-	lastWritten    flit.Flit
-	hasLastWritten bool
+	// buf is the FIFO buffer, buf[0] the head: a window over slots, the
+	// BufDepth slots allocated once. A pop moves the window's start and
+	// clears the slot it leaves; a push that finds the window at the end of
+	// the slots moves it back to the front first.
+	buf   []slot
+	slots []slot
+	// read holds the most recently read flit as of read time. A read
+	// strobe hitting an empty buffer returns stale storage, not blanks —
+	// the mechanism by which the paper says "a new flit may be generated".
+	read latch
+	// written holds the most recently written flit at write time, used by
+	// the non-atomic mixing rule (a tail must be followed by a header).
+	written latch
+}
+
+// latch is a read or write latch: the bits of a flit as they were when it
+// was latched. A hardware latch holds a value, and downstream rewrites of
+// the flit must not alias back into it; but of a flit only two fields are
+// ever rewritten — Kind where it arrives (a faulted kind field), VC where
+// it departs (restamped per hop) — so the latch keeps those two as they
+// were and the flit itself, whose other fields no one writes, for the
+// rest: a pointer and two words where a copy would be the whole flit.
+type latch struct {
+	f    *flit.Flit // nil until the first flit is latched
+	kind flit.Kind
+	vc   int
+}
+
+func (l *latch) set(f *flit.Flit) { l.f, l.kind, l.vc = f, f.Kind, f.VC }
+
+// valid reports whether a flit was ever latched.
+func (l *latch) valid() bool { return l.f != nil }
+
+// value returns the latched bits; the latch must be valid.
+func (l *latch) value() flit.Flit {
+	v := *l.f
+	v.Kind, v.VC = l.kind, l.vc
+	return v
+}
+
+// digest is value's flit.Digest.
+func (l *latch) digest() uint64 {
+	v := l.value()
+	return v.Digest()
 }
 
 // slot is one buffered flit and, once a state fold has taken it, the

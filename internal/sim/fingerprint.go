@@ -20,8 +20,8 @@ func (ni *NI) foldState(h uint64) uint64 {
 func (ni *NI) foldBody() uint64 {
 	h := statehash.FoldInt(statehash.Seed, ni.curVC)
 	h = statehash.FoldInt(h, len(ni.queue))
-	for _, p := range ni.queue {
-		h = p.FoldState(h)
+	for i := range ni.queue {
+		h = ni.queue[i].FoldState(h)
 	}
 	h = statehash.FoldInt(h, len(ni.cur))
 	for _, f := range ni.cur {

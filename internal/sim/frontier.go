@@ -383,8 +383,8 @@ func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
 				n.nis[id].flitArrived(d.Flit, t+1)
 				continue
 			}
-			nb, ok := n.mesh.Neighbor(id, dir)
-			if !ok {
+			nb := n.neighbor(id, dir)
+			if nb < 0 {
 				continue // fault-driven misroute off the fabric
 			}
 			if f.inF[nb] {
@@ -398,8 +398,8 @@ func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
 				n.nis[id].creditArrived(c.VC, t+1)
 				continue
 			}
-			nb, ok := n.mesh.Neighbor(id, c.Port)
-			if !ok {
+			nb := n.neighbor(id, c.Port)
+			if nb < 0 {
 				continue
 			}
 			if f.inF[nb] {
@@ -511,8 +511,7 @@ func (f *Frontier) stageRecorded(t int64, id int, fromMembers bool) {
 // sentByMember reports whether what lands on node id's input port came
 // from a frontier member.
 func (f *Frontier) sentByMember(id int, port uint8) bool {
-	src, _ := f.n.mesh.Neighbor(id, topology.Direction(port))
-	return f.inF[src]
+	return f.inF[f.n.neighbor(id, topology.Direction(port))]
 }
 
 // markJoin queues a node for frontier admission this cycle (idempotent

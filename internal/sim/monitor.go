@@ -15,7 +15,7 @@ type Monitor interface {
 	// has evaluated, with its full signal record.
 	RouterCycle(r *router.Router, s *router.Signals)
 	// PacketInjected is called when a source NI accepts a new packet
-	// into its injection queue.
+	// into its injection queue. p is the queue's copy, good for the call.
 	PacketInjected(cycle int64, node int, p *flit.Packet)
 	// FlitEjected is called when a destination NI ejects a flit.
 	FlitEjected(cycle int64, node int, f *flit.Flit)
@@ -24,12 +24,15 @@ type Monitor interface {
 	EndCycle(cycle int64)
 }
 
-// SignalsOnly is implemented by a monitor that reads nothing of the
-// pre-cycle snapshot (Signals.Pre): the cycle's control signals and
-// nothing else. While every
-// attached monitor says so — or none is attached — Network.Step takes no
-// snapshot on the fast engine (router.BeginUnobserved) and Pre is stale;
-// a monitor that does not implement it is taken to read everything.
+// SignalsOnly is implemented by a monitor that reads of a router's cycle
+// its Router and Cycle and the four arbiter banks with Signals.Granted,
+// and nothing else: no snapshot (Signals.Pre), no other signal. While
+// every attached monitor says so — or none is attached — Network.Step's
+// fast-engine cycles are quiet (router.BeginUnobserved): no snapshot is
+// taken, the record holds only the departures and those banks, and a
+// router with nothing to do but absorb returning credits does that alone
+// (router.CreditStep), granting nothing and shown to no monitor. A monitor
+// that does not implement it is taken to read everything.
 type SignalsOnly interface {
 	Monitor
 	SignalsOnly()

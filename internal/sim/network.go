@@ -53,6 +53,10 @@ type Network struct {
 	cfg  Config
 	rcfg *router.Config
 	mesh topology.Mesh
+	// nbr is the mesh's neighbour table, built once by New and shared by
+	// every clone: entry id*router.P+d is the node through port d of node
+	// id, or -1 where the router has no such port (and for Local).
+	nbr []int32
 
 	// st owns every router's and NI's register file as flat contiguous
 	// arrays; routers and NIs hold per-node views into it. Forks bulk-
@@ -92,8 +96,9 @@ type Network struct {
 	flitsInjected int64
 	flitsEjected  int64
 	pktsOffered   int64
-	// routerSteps and niTicks count the routers Step has evaluated and the
-	// NIs it has ticked since this network was built or cloned.
+	// routerSteps and niTicks count the router cycles Step has run (credit
+	// steps included) and the NIs it has ticked since this network was
+	// built or cloned.
 	routerSteps, niTicks int64
 
 	ejections []Ejection
@@ -128,8 +133,8 @@ func New(cfg Config, plane *fault.Plane) (*Network, error) {
 	if err := cfg.Router.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.InjectionRate < 0 {
-		return nil, fmt.Errorf("sim: negative injection rate %g", cfg.InjectionRate)
+	if !(cfg.InjectionRate >= 0 && cfg.InjectionRate <= 1) { // NaN fails both
+		return nil, fmt.Errorf("sim: injection rate %g is not a number of flits per node per cycle in [0, 1]", cfg.InjectionRate)
 	}
 	if cfg.Pattern == nil {
 		cfg.Pattern = traffic.Uniform{}
@@ -149,9 +154,20 @@ func New(cfg Config, plane *fault.Plane) (*Network, error) {
 		nic, nif := n.st.NIView(i)
 		n.nis[i] = newNI(i, n.rcfg, cfg.Seed, nic, nif)
 	}
+	n.nbr = make([]int32, nodes*router.P)
+	for i := range n.nbr {
+		n.nbr[i] = -1
+		if nb, ok := n.mesh.Neighbor(i/router.P, topology.Direction(i%router.P)); ok {
+			n.nbr[i] = int32(nb)
+		}
+	}
 	n.pktProb = cfg.InjectionRate / n.meanPacketLen()
 	return n, nil
 }
+
+// neighbor is topology.Mesh.Neighbor off the table: the node through port
+// d of node id, or -1.
+func (n *Network) neighbor(id int, d topology.Direction) int { return int(n.nbr[id*router.P+int(d)]) }
 
 // MustNew is New that panics on error, for tests and examples.
 func MustNew(cfg Config, plane *fault.Plane) *Network {
@@ -225,9 +241,10 @@ func (n *Network) notePreReaders() {
 	}
 }
 
-// RouterSteps returns how many router evaluations Step has run on this
-// network since it was built or cloned: the awake routers' on the fast
-// engine, every router's every cycle on the reference engine.
+// RouterSteps returns how many router cycles Step has run on this network
+// since it was built or cloned: the awake routers' on the fast engine, a
+// credit step (router.CreditStep) counting as one, every router's every
+// cycle on the reference engine.
 func (n *Network) RouterSteps() int64 { return n.routerSteps }
 
 // NITicks is RouterSteps for the network interfaces.
@@ -271,7 +288,7 @@ func (n *Network) Step() {
 				continue
 			}
 			class := n.pickClass(ni.gen)
-			p := &flit.Packet{
+			p := ni.enqueue(&flit.Packet{
 				ID:         n.nextPkt,
 				Src:        id,
 				Dest:       n.cfg.Pattern.Dest(n.mesh, id, ni.gen),
@@ -279,10 +296,9 @@ func (n *Network) Step() {
 				Length:     n.rcfg.PacketLen(class),
 				Payload:    ni.gen.Uint64(),
 				InjectedAt: t,
-			}
+			})
 			n.nextPkt++
 			n.pktsOffered++
-			ni.enqueue(p)
 			n.niAwake.set(id)
 			if n.rec != nil {
 				n.rec.recordGen(id, p)
@@ -332,7 +348,6 @@ func (n *Network) Step() {
 		}
 	}
 	stepped := n.steppedScratch
-	n.routerSteps += int64(len(stepped))
 
 	// Link traversal: distribute departures and credits for cycle t+1.
 	// Only stepped routers are visited — a skipped router's signal record
@@ -346,7 +361,7 @@ func (n *Network) Step() {
 				n.niAwake.set(id)
 				continue
 			}
-			if nb, ok := n.mesh.Neighbor(id, dir); ok {
+			if nb := n.neighbor(id, dir); nb >= 0 {
 				n.routers[nb].StageArrival(dir.Opposite(), d.Flit)
 				n.awake.set(nb)
 				if n.rec != nil {
@@ -363,7 +378,7 @@ func (n *Network) Step() {
 				n.niAwake.set(id)
 				continue
 			}
-			if nb, ok := n.mesh.Neighbor(id, c.Port); ok {
+			if nb := n.neighbor(id, c.Port); nb >= 0 {
 				n.routers[nb].StageCredit(c.Port.Opposite(), c.VC)
 				n.awake.set(nb)
 				if n.rec != nil {
@@ -414,14 +429,21 @@ func (n *Network) Step() {
 	}
 }
 
-// stepRouter runs router r's cycle t and notes it stepped. Without a
-// reader of snapshots among the monitors the fast sweep takes none
-// (router.BeginUnobserved).
+// stepRouter runs router r's cycle t and, unless the cycle was a credit
+// step, notes it stepped for the link traversal and the monitors. While
+// every attached monitor is a SignalsOnly the fast sweep's cycle is quiet
+// (router.BeginUnobserved): it takes no snapshot and writes of its record
+// only what those monitors and the links read, and a router with nothing
+// to do but absorb returning credits does that alone (router.CreditStep).
 func (n *Network) stepRouter(r *router.Router, t int64) {
+	n.routerSteps++
 	if n.preRead {
 		r.BeginCycle(t)
 	} else {
 		r.BeginUnobserved(t)
+		if r.CreditStep(t) {
+			return
+		}
 	}
 	r.Evaluate(t)
 	n.steppedScratch = append(n.steppedScratch, r)
@@ -588,7 +610,7 @@ func (n *Network) newCloneShell() *Network {
 func (c *Network) copyScalars(n *Network, plane *fault.Plane) {
 	c.cfg = n.cfg
 	c.rcfg = n.rcfg
-	c.mesh = n.mesh
+	c.mesh, c.nbr = n.mesh, n.nbr
 	c.plane = plane
 	c.soaOff = n.soaOff
 	c.planeInert = false

@@ -391,9 +391,10 @@ func TestAdaptiveRoutingDelivers(t *testing.T) {
 
 // TestInvalidConfigRejected: New surfaces configuration errors.
 func TestInvalidConfigRejected(t *testing.T) {
-	bad := cfg44(-0.1, 0)
-	if _, err := New(bad, nil); err == nil {
-		t.Fatal("negative rate accepted")
+	for _, rate := range []float64{-0.1, -0.5, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(cfg44(rate, 0), nil); err == nil {
+			t.Fatalf("injection rate %g accepted", rate)
+		}
 	}
 	rc := router.Default(topology.NewMesh(4, 4))
 	rc.VCs = 0
@@ -404,31 +405,34 @@ func TestInvalidConfigRejected(t *testing.T) {
 
 // TestStepAllocatesPerPacketNotPerFlit guards the warm-up's allocation
 // rate: 200 cycles of a warmed 8×8 mainline at the paper's 0.05 rate
-// allocate for the packets they generate (a packet, its flits) and for
-// nothing that happens once per flit per hop — a router's record of a
-// flit's arrival (router.Arrival.Targets) is a piece of a backing array
-// the router keeps. An allocation per arrival, which is what building
-// Targets by append on a nil slice was, is well over twice the bound.
+// allocate for the packets they generate — a packet's flits in one block
+// and the slice that points into them (the NI queues the packet itself by
+// value), two, with one of slack for the slices that grow — and for
+// nothing that happens once per flit per hop. The flits the cycles carry
+// are counted where they enter the fabric (FlitsInjected): the mainline's
+// record is quiet and holds no Arrivals. A flit allocated on its own (five
+// a packet, where the block is one) or an allocation per arrival is well
+// over the bound.
 func TestStepAllocatesPerPacketNotPerFlit(t *testing.T) {
 	n := MustNew(Config{Router: router.Default(topology.NewMesh(8, 8)), InjectionRate: 0.05, Seed: 3}, nil)
 	n.Run(2000)
 	n.ResetEjections()
-	arrivals, runs := 0, 0
+	flits, pkts := n.FlitsInjected(), n.PacketsOffered()
+	runs := 0
 	allocs := testing.AllocsPerRun(5, func() {
 		for i := 0; i < 200; i++ {
 			n.Step()
-			for _, r := range n.steppedScratch {
-				arrivals += len(r.Signals().Arrivals)
-			}
 		}
 		n.ResetEjections() // as the mainline does: the log is not what is measured
 		runs++
 	})
-	perRun := float64(arrivals) / float64(runs)
-	if perRun < 2000 {
-		t.Fatalf("%.0f flit arrivals in 200 cycles: the mesh is not carrying the load the bound is for", perRun)
+	perRun := float64(n.FlitsInjected()-flits) / float64(runs)
+	pktsPerRun := float64(n.PacketsOffered()-pkts) / float64(runs)
+	if perRun < 500 {
+		t.Fatalf("%.0f flits injected in 200 cycles: the mesh is not carrying the load the bound is for", perRun)
 	}
-	if allocs > perRun/2 {
-		t.Fatalf("%.0f allocations in 200 cycles with %.0f flit arrivals: want under one for every two arrivals", allocs, perRun)
+	if allocs > 3*pktsPerRun {
+		t.Fatalf("%.0f allocations in 200 cycles with %.0f packets generated (%.0f flits): want at most three a packet", allocs, pktsPerRun, perRun)
 	}
+	t.Logf("%.0f allocations, %.0f packets, %.0f flits in 200 cycles", allocs, pktsPerRun, perRun)
 }

@@ -36,15 +36,12 @@ type NI struct {
 	gen  *rng.PCG
 
 	// Injection side.
-	queue []*flit.Packet // packets waiting for a VC
-	cur   []*flit.Flit   // flits of the packet currently streaming
+	queue []flit.Packet // packets waiting for a VC, by value
+	cur   []*flit.Flit  // flits of the packet currently streaming
 	curVC int
 	// outCredits/outFlags are this node's SoA windows (see above).
 	outCredits []int32
 	outFlags   []uint8
-	// pktSlab backs queue entries in CloneInto targets so re-forks reuse
-	// packet storage instead of allocating per queued packet.
-	pktSlab []flit.Packet
 	// Ejection side.
 	inbox   []niArrival
 	credits []niCredit
@@ -91,10 +88,12 @@ func (ni *NI) busy() bool { return len(ni.queue) > 0 || len(ni.cur) > 0 || len(n
 // for, and no credit on its way in either.
 func (ni *NI) idle() bool { return !ni.busy() && len(ni.credits) == 0 }
 
-// enqueue accepts a packet for injection.
-func (ni *NI) enqueue(p *flit.Packet) {
-	ni.queue = append(ni.queue, p)
+// enqueue accepts a copy of the packet for injection and returns the copy,
+// good until the NI's queue next changes.
+func (ni *NI) enqueue(p *flit.Packet) *flit.Packet {
+	ni.queue = append(ni.queue, *p)
 	ni.bodyOK = false
+	return &ni.queue[len(ni.queue)-1]
 }
 
 // creditArrived registers a credit returned by the router for local
@@ -159,7 +158,7 @@ func (ni *NI) tickInject(cycle int64, r *router.Router, ejected *[]*flit.Flit) (
 		p := ni.queue[0]
 		vc := ni.pickFreeVC(p.Class)
 		if vc >= 0 {
-			ni.queue = ni.queue[1:]
+			ni.queue = ni.queue[:copy(ni.queue, ni.queue[1:])]
 			dx, dy := ni.cfg.Mesh.Coords(p.Dest)
 			ni.cur = p.Flits(dx, dy)
 			ni.curVC = vc
@@ -195,8 +194,6 @@ func (ni *NI) pickFreeVC(class int) int {
 
 // cloneInto deep-copies the NI into dst (nil allocates a fresh copy),
 // reusing dst's slices and drawing flit copies from the optional arena.
-// Queued packets are copied into a per-NI slab so re-forks allocate
-// nothing.
 func (ni *NI) cloneInto(dst *NI, ar *flit.Arena) *NI {
 	c := dst
 	if c == nil {
@@ -208,15 +205,7 @@ func (ni *NI) cloneInto(dst *NI, ar *flit.Arena) *NI {
 	c.node = ni.node
 	c.cfg = ni.cfg
 	c.curVC = ni.curVC
-	if cap(c.pktSlab) < len(ni.queue) {
-		c.pktSlab = make([]flit.Packet, len(ni.queue))
-	}
-	c.pktSlab = c.pktSlab[:len(ni.queue)]
-	c.queue = c.queue[:0]
-	for i, p := range ni.queue {
-		c.pktSlab[i] = *p
-		c.queue = append(c.queue, &c.pktSlab[i])
-	}
+	c.queue = append(c.queue[:0], ni.queue...)
 	c.cur = c.cur[:0]
 	for _, f := range ni.cur {
 		c.cur = append(c.cur, ar.CloneOf(f))

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"slices"
+	"unsafe"
 
 	"nocalert/internal/flit"
 	"nocalert/internal/statehash"
@@ -409,13 +410,13 @@ func (rc *Recording) closeCycle(n *Network) {
 	rc.ejectIdx = append(rc.ejectIdx, int32(len(rc.ejectNode)))
 }
 
-// Payload bytes per event of the transcript's flat storage (record_test.go
-// holds these to unsafe.Sizeof).
+// Payload bytes per event of the transcript's flat storage: the structs'
+// sizes on the target (a flit.Flit is 104 bytes on amd64, 64 on 386).
 const (
-	recGenBytes    = 24  // recGen
-	recLinkBytes   = 112 // recLink (embedded flit value)
-	recCreditBytes = 12  // recCredit
-	recEjectBytes  = 104 // flit.Flit
+	recGenBytes    = int64(unsafe.Sizeof(recGen{}))
+	recLinkBytes   = int64(unsafe.Sizeof(recLink{})) // embeds the flit value
+	recCreditBytes = int64(unsafe.Sizeof(recCredit{}))
+	recEjectBytes  = int64(unsafe.Sizeof(flit.Flit{}))
 )
 
 // ApproxFootprintBytes estimates the memory the transcript retains:
