@@ -147,25 +147,27 @@ golden:
 # identity proves the result-invisible switches invisible. The three
 # committed JSON report fixtures (the golden 4×4 campaign, the paper-scale
 # 8×8 one and the multi-cycle one whose runs overlap the golden warm-up)
-# must come out byte for byte by default, under -no-soa (the reference
-# sweep engine) and under -fullsim (the full-simulation reference run
-# path: no fast path, reconvergence, frontier or fast-forward); the 16×16
+# must come out byte for byte by default and under -fullsim (the
+# full-simulation reference run path: no fast path, reconvergence,
+# frontier or fast-forward). The reference sweep (every node stepped,
+# every port visited) is no flag: TestGoldenEngineIdentity and
+# TestMulticycleReportFixture hold it to the same reports in tier-1. The 16×16
 # campaign, where a run's drain and horizon are cheapest to get
 # wrong (256 routers replayed around a cone of three), must report the
 # same by default and under -fullsim. Faults that stay armed — only the
-# router that hosts one leaves the fast sweep and the inert skip; on the
-# frontier to the end of the run, fast-forwarded from the fixed point a
-# permanent fault settles in — are held to both references by the one
-# armed campaign the CLI spells, the Observation-3 table (40 permanent
-# SA1-grant faults, a third of them deadlocks), which must read the same
-# in all three modes (table lines only: the campaign summary line carries
-# a wall time), and through the test binary by the armed-fault report
-# fixture and the double-fault groups. Last, the fuzzer holds the frontier
+# router that hosts one visits its faults' ports whole and leaves the
+# inert skip; on the frontier to the end of the run, fast-forwarded from
+# the fixed point a permanent fault settles in — are held to the reference
+# run path by the one armed campaign the CLI spells, the Observation-3
+# table (40 permanent SA1-grant faults, a third of them deadlocks), which
+# must read the same in both modes (table lines only: the campaign summary
+# line carries a wall time), and through the test binary to the reference
+# sweep too by the armed-fault report fixture and the double-fault groups. Last, the fuzzer holds the frontier
 # to the full simulation in lockstep for 30 s. One shell, so the trap
 # removes .identity/ whether or not a cmp fails.
 identity:
 	@set -ex; rm -rf .identity; mkdir -p .identity; trap 'rm -rf .identity' EXIT; \
-	for mode in default no-soa fullsim; do \
+	for mode in default fullsim; do \
 		case $$mode in default) flags= ;; *) flags=-$$mode ;; esac; \
 		$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false $$flags \
 			-json .identity/4x4-$$mode.json; \

@@ -58,7 +58,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		figFlag  = flag.String("fig", "all", figHelp(mainFigureNames))
 		jsonPath = flag.String("json", "", "also export the aggregated results as JSON to this file")
-		noSoA    = flag.Bool("no-soa", false, "use the reference sweep engine (full-range VC sweeps, no inert-router skip); results are byte-identical to the default structure-of-arrays engine")
 		fullSim  = flag.Bool("fullsim", false, "run every fault on the full-simulation reference path (the whole mesh through window, drain and ForEVeR horizon; no fast path, reconvergence, divergence frontier or fast-forward); results are byte-identical to the default")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		progress = flag.Bool("progress", true, "print campaign progress to stderr")
@@ -184,7 +183,6 @@ func main() {
 		}
 		sro := campaign.ShardRunOptions{
 			Workers:       *workers,
-			DisableSoA:    *noSoA,
 			FullSim:       *fullSim,
 			VerifyResumed: *verifyN,
 			Tracer:        tracer,
@@ -205,7 +203,6 @@ func main() {
 	// exec is how this invocation executes a campaign, whatever its faults:
 	// the main one below, and the two behind the Observation 3 table.
 	exec := spec.Options()
-	exec.Sim.DisableSoA = *noSoA
 	exec.Workers, exec.FullSim, exec.Context = *workers, *fullSim, ctx
 	opts := exec
 	opts.Faults = faults
@@ -255,8 +252,8 @@ func writeFig7CDF(w io.Writer, rep *campaign.Report) {
 // grant signals: a transient "grant to nobody" is a one-cycle NOP
 // (benign), a permanent one starves the port into a protocol deadlock
 // (paper Observation 3). exec carries the invocation's execution options
-// (workers, -no-soa, -fullsim), so the permanent campaign — the one armed
-// campaign the CLI can spell — runs on the reference paths when asked to.
+// (workers, -fullsim), so the permanent campaign — the one armed
+// campaign the CLI can spell — runs on the reference run path when asked to.
 func obs3(w io.Writer, exec campaign.Options) {
 	inject := exec.InjectCycle
 	rc := exec.Sim.Router

@@ -130,13 +130,22 @@ func TestFigureNamesPrint(t *testing.T) {
 }
 
 // TestBadRateRefusedInEveryMode: an injection rate that is not a number in
-// [0, 1] is refused before anything runs — exit status 1 and the spec's
-// message, no panic, no report — in the plain, shard and dispatch modes
-// alike. (Dispatch refuses before it contacts a worker.)
+// [0, 1], and a VC count the router refuses, are refused before anything
+// runs — exit status 1 and the spec's message, no panic, no report, no
+// fault population — in the plain, shard and dispatch modes alike.
+// (Dispatch refuses before it contacts a worker.)
 func TestBadRateRefusedInEveryMode(t *testing.T) {
 	dir := t.TempDir()
 	spec := []string{"-mesh", "4x4", "-faults", "4", "-fig", "none", "-progress=false"}
+	type bad struct{ name, flag, value, want string }
+	var cases []bad
 	for _, rate := range []string{"NaN", "+Inf", "-Inf", "-0.5", "1.5"} {
+		cases = append(cases, bad{rate, "-rate", rate, "invalid injection rate"})
+	}
+	for _, vcs := range []string{"9", "33"} {
+		cases = append(cases, bad{"vcs" + vcs, "-vcs", vcs, "VCs must be in"})
+	}
+	for _, c := range cases {
 		for _, mode := range []struct {
 			name string
 			args []string
@@ -145,8 +154,8 @@ func TestBadRateRefusedInEveryMode(t *testing.T) {
 			{"shard", append([]string{"-shard", "0/2", "-checkpoint", filepath.Join(dir, "s.ndjson")}, spec...)},
 			{"dispatch", append([]string{"dispatch", "-workers", "http://127.0.0.1:1"}, spec...)},
 		} {
-			t.Run(mode.name+"/"+rate, func(t *testing.T) {
-				cmd := exec.Command(os.Args[0], append(mode.args, "-rate", rate)...)
+			t.Run(mode.name+"/"+c.name, func(t *testing.T) {
+				cmd := exec.Command(os.Args[0], append(mode.args, c.flag, c.value)...)
 				cmd.Env = append(os.Environ(), "FAULTCAMPAIGN_MAIN=1")
 				var stdout, stderr bytes.Buffer
 				cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -155,8 +164,8 @@ func TestBadRateRefusedInEveryMode(t *testing.T) {
 				if !ok || ee.ExitCode() != 1 {
 					t.Fatalf("exit %v, want status 1\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
 				}
-				if !strings.Contains(stderr.String(), "invalid injection rate") || strings.Contains(stderr.String(), "panic") {
-					t.Fatalf("stderr does not refuse the rate:\n%s", stderr.String())
+				if !strings.Contains(stderr.String(), c.want) || strings.Contains(stderr.String(), "panic") {
+					t.Fatalf("stderr does not refuse %s %s:\n%s", c.flag, c.value, stderr.String())
 				}
 				if stdout.Len() != 0 {
 					t.Fatalf("a refused spec printed:\n%s", stdout.String())

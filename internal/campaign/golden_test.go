@@ -206,36 +206,38 @@ func TestGoldenFixture16x16(t *testing.T) {
 	}
 }
 
-// TestGoldenEngineIdentity runs the golden 4×4 campaign once per sweep
-// engine and requires record-for-record identical results: verdicts,
-// outcomes, detection latencies and checker attributions must not move
-// when the reference engine replaces the SoA engine. This is the
-// in-tree half of the identity CI gate (the CI half compares the
-// CLI's whole JSON reports byte-for-byte on three campaigns).
+// TestGoldenEngineIdentity runs the golden 4×4 campaign and the
+// paper-scale 8×8 one on the production sweep and on the reference
+// (sim.Config.DisableSoA: every node stepped, every port visited) and
+// requires record-for-record identical results: verdicts, outcomes,
+// detection latencies and checker attributions must not move. This is the
+// in-tree half of the identity CI gate (the CI half compares the CLI's
+// whole JSON reports byte-for-byte by default and under -fullsim).
 func TestGoldenEngineIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
-	spec := GoldenSpec()
-	soa := NewFixture(spec, unshardedRecords(t, spec))
+	for _, spec := range []Spec{GoldenSpec(), Golden8x8Spec()} {
+		prod := NewFixture(spec, unshardedRecords(t, spec))
 
-	opts := spec.Options()
-	opts.Sim.DisableSoA = true
-	opts.Faults = spec.Universe()
-	recs := make([]trace.RunRecord, len(opts.Faults))
-	opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
-		recs[i] = RecordFor(i, res, wall, exit == ExitFastPath)
-	}
-	if _, err := Run(opts); err != nil {
-		t.Fatal(err)
-	}
-	ref := NewFixture(spec, recs)
-
-	if diffs := soa.Diff(ref); len(diffs) != 0 {
-		for _, d := range diffs {
-			t.Error(d)
+		opts := spec.Options()
+		opts.Sim.DisableSoA = true
+		opts.Faults = spec.Universe()
+		recs := make([]trace.RunRecord, len(opts.Faults))
+		opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
+			recs[i] = RecordFor(i, res, wall, exit == ExitFastPath)
 		}
-		t.Fatalf("%d fault(s) differ between the SoA and reference engines", len(diffs))
+		if _, err := Run(opts); err != nil {
+			t.Fatal(err)
+		}
+		ref := NewFixture(spec, recs)
+
+		if diffs := prod.Diff(ref); len(diffs) != 0 {
+			for _, d := range diffs {
+				t.Error(d)
+			}
+			t.Fatalf("%dx%d: %d fault(s) differ between the production sweep and the reference", spec.MeshW, spec.MeshH, len(diffs))
+		}
 	}
 }
 

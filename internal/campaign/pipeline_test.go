@@ -38,7 +38,7 @@ func multicycleSample(nFaults int) Options {
 // TestMulticycleReportFixture is the byte-identity gate for campaigns
 // with several injection cycles, the ones whose runs overlap the golden
 // warm-up: on one worker and on four, with no cache, a cold one or a warm
-// one, the report is the committed one.
+// one, and on the reference sweep, the report is the committed one.
 func TestMulticycleReportFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -57,6 +57,13 @@ func TestMulticycleReportFixture(t *testing.T) {
 		o := multicycleOptions()
 		o.Workers = 1
 		check(t, "one worker", mustRun(t, o))
+	})
+	// The reference (every node stepped, every port visited) reports the
+	// same bytes.
+	t.Run("reference", func(t *testing.T) {
+		o := multicycleOptions()
+		o.Sim.DisableSoA = true
+		check(t, "reference", mustRun(t, o))
 	})
 
 	// Cold on four workers, then warm on one.

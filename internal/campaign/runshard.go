@@ -28,10 +28,6 @@ const DefaultVerifyResumed = 2
 type ShardRunOptions struct {
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.
 	Workers int
-	// DisableSoA selects the reference sweep engine for every simulated
-	// network (see sim.Config.DisableSoA). Result-invisible either way —
-	// the identity CI gate holds this to byte-identical reports.
-	DisableSoA bool
 	// FullSim runs every fault on the full-simulation reference path (see
 	// Options.FullSim). Result-invisible either way — the identity CI
 	// gate holds this to byte-identical reports.
@@ -222,7 +218,6 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 	opts := sh.Spec.Options()
 	opts.Faults = faults
 	opts.Workers = o.Workers
-	opts.Sim.DisableSoA = o.DisableSoA
 	opts.FullSim = o.FullSim
 	opts.GoldenCache = o.GoldenCache
 	opts.Metrics = o.Metrics

@@ -73,7 +73,9 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("campaign: invalid injection cycle %d", c)
 		}
 	}
-	return nil
+	// What the router refuses (a VC count past router.MaxVCs) is refused here.
+	rc := s.RouterConfig()
+	return rc.Validate()
 }
 
 // Normalize fills in the fields the spec leaves unset with the values the

@@ -484,7 +484,8 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 // incomplete, duplicated or cross-campaign shard sets.
 // TestValidateRefusesBadRates: an injection rate is a number of flits per
 // node per cycle in [0, 1]; NaN, the infinities and anything outside the
-// range are refused, the ends of the range are not.
+// range are refused, the ends of the range are not. So is a VC count the
+// router refuses (router.Config.Validate), before anything runs.
 func TestValidateRefusesBadRates(t *testing.T) {
 	for _, tc := range []struct {
 		rate float64
@@ -497,6 +498,16 @@ func TestValidateRefusesBadRates(t *testing.T) {
 		spec.InjectionRate = tc.rate
 		if err := spec.Validate(); (err == nil) != tc.ok {
 			t.Errorf("rate %g: Validate() = %v", tc.rate, err)
+		}
+	}
+	for _, tc := range []struct {
+		vcs int
+		ok  bool
+	}{{1, true}, {2, true}, {8, true}, {9, false}, {33, false}} {
+		spec := shardTestSpec(4)
+		spec.VCs = tc.vcs
+		if err := spec.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%d VCs: Validate() = %v", tc.vcs, err)
 		}
 	}
 }

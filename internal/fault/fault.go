@@ -291,10 +291,12 @@ type Plane struct {
 	stationaryFrom int64
 }
 
-// window is one router's fault activity span, inclusive at both ends.
+// window is one router's fault activity span, inclusive at both ends, and
+// the ports its faults sit on, one bit a port.
 type window struct {
 	router   int
 	from, to int64
+	ports    uint32
 }
 
 // NewPlane returns a plane injecting the given faults.
@@ -308,10 +310,11 @@ func NewPlane(faults ...Fault) *Plane {
 		p.minCycle, p.maxCycle = min(p.minCycle, from), max(p.maxCycle, to)
 		p.kinds |= 1 << uint(f.Site.Kind)
 		p.stationaryFrom = max(p.stationaryFrom, f.stationaryFrom())
+		port := uint32(1) << uint(f.Site.Port) // 0 off [0, 32)
 		if w := p.windowOf(f.Site.Router); w != nil {
-			w.from, w.to = min(w.from, from), max(w.to, to)
+			w.from, w.to, w.ports = min(w.from, from), max(w.to, to), w.ports|port
 		} else {
-			p.windows = append(p.windows, window{router: f.Site.Router, from: from, to: to})
+			p.windows = append(p.windows, window{router: f.Site.Router, from: from, to: to, ports: port})
 		}
 	}
 	return p
@@ -415,6 +418,20 @@ func (p *Plane) LiveFor(cycle int64, router int) bool {
 	}
 	w := p.windowOf(router)
 	return w != nil && cycle >= w.from && cycle <= w.to
+}
+
+// Ports returns the ports the faults router hosts sit on, one bit a port
+// (Site.Port, input or output by kind; zero for a router that hosts none).
+// Every consult matches a fault's port exactly, so inside router's window a
+// consult at any other port answers the value it is given.
+func (p *Plane) Ports(router int) uint32 {
+	if p == nil {
+		return 0
+	}
+	if w := p.windowOf(router); w != nil {
+		return w.ports
+	}
+	return 0
 }
 
 // LiveFrom reports whether a fault hosted by router may be active at cycle

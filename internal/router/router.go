@@ -45,7 +45,7 @@ type Router struct {
 
 	// st is this router's window into the flat register file: VC status
 	// tables, credit counters, ST latches, arbiter priority pointers and
-	// the NonIdle/Occupied masks the fast sweeps iterate.
+	// the NonIdle/Occupied masks the phases iterate.
 	st soa.View
 
 	plane *fault.Plane
@@ -54,14 +54,13 @@ type Router struct {
 	// when this router's own fault window is closed — which, for a router
 	// that hosts no fault, is always.
 	planeLive bool
-	// sweepRef forces the reference full-VC-range sweeps in SA/VA/RC
-	// (the -no-soa engine); fastSweep, recomputed each BeginCycle, is
-	// true when the mask-driven sparse sweeps are in effect this cycle.
-	// The two engines share storage and per-register semantics — only
-	// the iteration sets differ, and the masks make them provably equal.
-	sweepRef  bool
-	fastSweep bool
-	// quiet, set by BeginUnobserved on a fast sweep, makes the cycle write
+	// visit, set by BeginCycle, is the ports every phase visits this cycle,
+	// with all their VCs, work or none: inside this router's fault window the
+	// ports its faults sit on (fault.Plane.Ports), under the reference
+	// (sweepRef) every port it has, otherwise none.
+	sweepRef bool
+	visit    bitvec.Vec
+	// quiet, set by BeginUnobserved outside the fault window, makes the cycle write
 	// of its signal record only what a sim.SignalsOnly monitor and the
 	// links read: Router, Cycle, Departures, the four arbiter banks and
 	// Granted (and the Credits). The rest of the record is stale.
@@ -69,17 +68,17 @@ type Router struct {
 	// preDirty[p] has bit v set when a snapshot-visible register of input
 	// VC (p,v) was written since the last BeginCycle: the sparse snapshot
 	// fill refreshes those entries and the occupied ones, and no other.
-	// preFull makes the next fill a full one instead: set wherever an
-	// entry may differ from its registers with no write to show for it —
-	// a fresh router or CloneInto target (the snapshot is not cloned),
-	// every cycle the sweep was not fast (inside the router's own fault
-	// window the snapshot is shown faulted reads, which are not what is
-	// stored) and every cycle no snapshot was taken (BeginUnobserved).
+	// A visited port's entries are filled whole and marked again, to be
+	// refilled once its visits end (they may show faulted reads). preFull
+	// makes the next fill a full one: set wherever an entry may differ from
+	// its registers with no write to show for it — a fresh router or
+	// CloneInto target (the snapshot is not cloned) and every cycle no
+	// snapshot was taken (BeginUnobserved).
 	preDirty [P]uint32
 	preFull  bool
 	// routing[p] and waitVA[p] have bit v set while input VC (p,v)'s state
 	// register holds VCRouting and VCWaitingVA: kept by setVCState beside
-	// the NonIdle mask, they are what RC and VA1 serve on a fast sweep.
+	// the NonIdle mask, they are what RC and VA1 serve at a port not visited.
 	// held has bit p set while input port p holds a packet or a flit (its
 	// NonIdle or Occupied mask is not zero), kept by setVCState, push and
 	// pop.
@@ -196,10 +195,10 @@ func (pre *Pre) init(cfg *Config) {
 // ID returns the router's node id.
 func (r *Router) ID() int { return r.id }
 
-// SetReferenceSweep selects the reference engine: full VC-range sweeps
-// every cycle instead of the mask-driven sparse sweeps. The two engines
-// produce identical behaviour — the CI identity gate proves it — so this
-// exists as the -no-soa escape hatch and as the lockstep test's baseline.
+// SetReferenceSweep selects the reference: every phase visits every port
+// and VC every cycle, and every cycle fills the whole snapshot. It is the
+// production sweep with every port in its visit set, not a second code
+// path, and the lockstep tests' oracle (sim.Config.DisableSoA).
 func (r *Router) SetReferenceSweep(on bool) { r.sweepRef = on }
 
 // Signals returns the current cycle's signal record. The record is
@@ -434,33 +433,38 @@ func (r *Router) creditFaulted(cycle int64, o, v int) int {
 // architectural snapshot is taken (through the faulted read path, the
 // same view the hardware checkers have).
 //
-// A fast sweep snapshots only the VCs that hold a packet or a flit
+// The fill snapshots only the VCs that hold a packet or a flit
 // (NonIdle|Occupied) and those written since the last snapshot
-// (preDirty), which covers the ones that have just gone free. Every other
-// entry is a free, empty VC's whose registers nothing has written since
-// the entry was filled, so it already holds what filling it again would
-// write.
+// (preDirty), which covers the ones that have just gone free, and every VC
+// of a visited port. Every other entry is a free, empty VC's whose
+// registers nothing has written since the entry was filled, so it already
+// holds what filling it again would write.
 //
 // planeLive is this router's own fault window (fault.Plane.LiveFor), not
-// the plane's: a fault armed in another router leaves this one on the
-// fast sweep with the sparse fill.
+// the plane's: a fault armed in another router leaves this one visiting
+// nothing but its work.
 func (r *Router) BeginCycle(cycle int64) { r.beginCycle(cycle, true) }
 
 // BeginUnobserved is BeginCycle for a cycle whose record is shown to
 // nobody but readers of its arbiter banks (sim.SignalsOnly) and the links,
-// which read its departures and credits. On a fast sweep the cycle is
-// quiet: it takes no snapshot — Pre keeps whatever it held, and preFull
-// makes the next BeginCycle fill every entry, as after a clone — and its
-// phases write nothing else of the record (Router.quiet). Off the fast
-// sweep the cycle is BeginCycle's: the reference engine fills every
-// snapshot and record, and inside the router's own fault window the
+// which read its departures and credits. Outside the router's own fault
+// window the cycle is quiet: it takes no snapshot — Pre keeps whatever it
+// held, and preFull makes the next BeginCycle fill every entry, as after a
+// clone — and its phases write nothing else of the record (Router.quiet).
+// Inside it, and under the reference, the cycle is BeginCycle's: the
+// reference fills every snapshot and record, and inside the window the
 // fill's consults are what mark a fault on an idle register fired.
 func (r *Router) BeginUnobserved(cycle int64) { r.beginCycle(cycle, false) }
 
 func (r *Router) beginCycle(cycle int64, observed bool) {
 	r.planeLive = r.plane.LiveFor(cycle, r.id)
-	r.fastSweep = !r.sweepRef && !r.planeLive
-	r.quiet = !observed && r.fastSweep
+	r.visit = 0
+	if r.sweepRef {
+		r.visit = r.ports
+	} else if r.planeLive {
+		r.visit = bitvec.Vec(r.plane.Ports(r.id)) & r.ports
+	}
+	r.quiet = !observed && !r.planeLive && !r.sweepRef
 	r.applyRegisterUpsets(cycle)
 	r.creditsOut = r.creditsOut[:0]
 	if r.quiet {
@@ -473,36 +477,36 @@ func (r *Router) beginCycle(cycle int64, observed bool) {
 	}
 	r.sig.reset(r.id, cycle)
 	r.targets = r.targets[:0]
-	full := r.preFull || !r.fastSweep
-	r.preFull = !r.fastSweep
+	full := r.preFull
+	r.preFull = false
 	for w := r.ports; !w.IsZero(); {
 		var p int
 		p, w = w.NextBit()
+		visited := r.visit.Get(p)
+		fill := bitvec.Vec(r.st.NonIdle[p] | r.st.Occupied[p] | r.preDirty[p])
+		r.preDirty[p] = 0
+		if full || visited {
+			fill = r.vcMask
+		}
 		var act bitvec.Vec
-		if full {
-			for v := range r.in[p].vcs {
-				if r.snapshotVC(cycle, p, v) {
-					act = act.Set(v)
-				}
-				if r.planeLive {
-					// The credit counters are not part of the snapshot, but a
-					// hardware checker's tap on one is a read like any other:
-					// consulting the plane here is what marks a credit-counter
-					// fault on a quiet output as fired.
-					r.creditFaulted(cycle, p, v)
-				}
+		for w := fill; !w.IsZero(); {
+			var v int
+			v, w = w.NextBit()
+			if r.snapshotVC(cycle, p, v) {
+				act = act.Set(v)
 			}
-		} else {
-			for w := bitvec.Vec(r.st.NonIdle[p] | r.st.Occupied[p] | r.preDirty[p]); !w.IsZero(); {
-				var v int
-				v, w = w.NextBit()
-				if r.snapshotVC(cycle, p, v) {
-					act = act.Set(v)
-				}
+			if visited {
+				// The credit counters are not part of the snapshot, but a
+				// hardware checker's tap on one is a read like any other:
+				// this consult is what marks a credit-counter fault on a
+				// quiet output as fired.
+				r.creditR(cycle, p, v)
 			}
 		}
 		r.sig.Pre.Active[p] = act
-		r.preDirty[p] = 0
+		if visited {
+			r.preDirty[p] = uint32(r.vcMask) // refilled once the visits end
+		}
 	}
 }
 
@@ -556,8 +560,8 @@ func (r *Router) applyRegisterUpsets(cycle int64) {
 			r.st.VCOutVC[i] = uint8((int(r.st.VCOutVC[i]) ^ bit) & (MaxVCs - 1))
 			r.wrote(s.Port, s.VC)
 		case fault.CreditCountReg:
-			// (The port is marked stale by this cycle's arbitration rounds:
-			// inside the router's fault window every one of them runs.)
+			// (The port is marked stale by this cycle's second-round
+			// arbitrations: the fault's port is visited, so they run.)
 			r.st.Credits[i] = (r.st.Credits[i] ^ int32(bit)) & r.crMask
 		}
 	}
@@ -592,34 +596,30 @@ func (r *Router) CreditStep(cycle int64) bool {
 // then SA, VA and RC. Departures are exposed via Signals().Departures
 // and credits via Credits().
 //
-// On a fast sweep each phase visits only the ports and VCs that have work
-// (DESIGN.md §3.1): BW the staged ports, ST the latched rows and columns,
-// SA1 the ports with a buffered flit in a non-idle VC, VA1 and RC the ports
-// with a VC waiting for them and those VCs alone, SA2 and VA2 the outputs
-// the first round's winners request. The reference sweep, and a router
-// inside its own fault window, visit every port it has and every VC.
+// Each phase visits the ports and VCs that have work (DESIGN.md §3.1) and
+// the visited ports (Router.visit) with all their VCs: BW the staged ports,
+// ST the latched rows and columns, SA1 the ports with a buffered flit in a
+// non-idle VC, VA1 and RC the ports with a VC waiting for them and those
+// VCs alone, SA2 and VA2 the outputs the first round's winners request.
 func (r *Router) Evaluate(cycle int64) {
 	r.phaseBW(cycle)
 	r.phaseST(cycle)
 	// The candidates of SA1, VA1 and RC are taken once BW and ST have run:
 	// SA moves no VC's state, VA turns waiting VCs active, and RC, last,
 	// serves the routing ones, which neither SA nor VA writes.
-	sa, va, rc := r.ports, r.ports, r.ports
-	if r.fastSweep {
-		sa, va, rc = 0, 0, 0
-		for w := r.held; !w.IsZero(); {
-			var p int
-			p, w = w.NextBit()
-			bit := bitvec.Vec(1) << uint(p)
-			if r.st.NonIdle[p]&r.st.Occupied[p] != 0 {
-				sa |= bit
-			}
-			if r.waitVA[p] != 0 {
-				va |= bit
-			}
-			if r.routing[p] != 0 {
-				rc |= bit
-			}
+	sa, va, rc := r.visit, r.visit, r.visit
+	for w := r.held; !w.IsZero(); {
+		var p int
+		p, w = w.NextBit()
+		bit := bitvec.Vec(1) << uint(p)
+		if r.st.NonIdle[p]&r.st.Occupied[p] != 0 {
+			sa |= bit
+		}
+		if r.waitVA[p] != 0 {
+			va |= bit
+		}
+		if r.routing[p] != 0 {
+			rc |= bit
 		}
 	}
 	r.phaseSA(cycle, sa)
@@ -630,7 +630,7 @@ func (r *Router) Evaluate(cycle int64) {
 // phaseBW latches arriving flits into VC buffers and absorbs returning
 // credits.
 func (r *Router) phaseBW(cycle int64) {
-	for w := r.sweep(r.staged, r.ports); !w.IsZero(); {
+	for w := r.staged | r.visit; !w.IsZero(); {
 		var p int
 		p, w = w.NextBit()
 		if f := r.arriving[p]; f != nil {
@@ -750,7 +750,7 @@ func (r *Router) store(p, v int, f *flit.Flit) {
 // phaseST performs crossbar traversal for last cycle's switch grants:
 // per-input read strobes pop the buffers, rows drive flits, and the
 // (possibly faulted) column control vectors connect rows to outputs. Only a
-// row SA2 latched a read enable on reads, on either sweep.
+// row SA2 latched a read enable on reads, visited or not.
 func (r *Router) phaseST(cycle int64) {
 	var rowFlit [P]*flit.Flit
 	var rowGarbage [P]bool
@@ -825,7 +825,7 @@ func (r *Router) phaseST(cycle int64) {
 	}
 
 	var usedRows bitvec.Vec
-	for w := r.sweep(r.latchedCols, r.ports); !w.IsZero(); {
+	for w := r.latchedCols | r.visit; !w.IsZero(); {
 		var o int
 		o, w = w.NextBit()
 		col := bitvec.Vec(r.st.StCol[o])
@@ -890,22 +890,22 @@ func (r *Router) teardown(p, v, intendedOut int, tail *flit.Flit) {
 	r.resetVC(p, v)
 }
 
-// vacant reports that a first-round arbitration (SA1, VA1) over req may be
-// skipped whole: nobody requests, and this router's fault window is closed,
-// so nothing can conjure a request or a grant: the round would leave its
-// signals at their reset zeros and its priority pointer where it is
-// (rrArbitrate moves none on an empty request). The reference sweep, and a
-// router inside its own fault window, run every round. A second round has
-// nothing to skip: its outputs are the ones the winners request.
-func (r *Router) vacant(req bitvec.Vec) bool { return r.fastSweep && req.IsZero() }
+// vacant reports that input port p's first-round arbitration (SA1, VA1)
+// over req may be skipped whole: nobody requests, and no fault sits on the
+// port, so nothing can conjure a request or a grant: the round would leave
+// its signals at their reset zeros and its priority pointer where it is
+// (rrArbitrate moves none on an empty request). A visited port runs every
+// round. A second round has nothing to skip: its outputs are the ones the
+// winners request, and the visited ones.
+func (r *Router) vacant(p int, req bitvec.Vec) bool { return req.IsZero() && !r.visit.Get(p) }
 
-// sweep returns what a phase iterates: on a fast sweep the ports or VCs that
-// have work (active, exact — see the phase comments), otherwise all of them.
-func (r *Router) sweep(active, all bitvec.Vec) bitvec.Vec {
-	if r.fastSweep {
-		return active
+// vcsAt returns the VCs a phase sweeps at input port p: work, or every VC
+// of a visited port.
+func (r *Router) vcsAt(p int, work uint32) bitvec.Vec {
+	if r.visit.Get(p) {
+		return r.vcMask
 	}
-	return all
+	return bitvec.Vec(work)
 }
 
 // phaseSA runs the separable switch allocation: SA1 picks one VC per
@@ -921,8 +921,8 @@ func (r *Router) phaseSA(cycle int64, busy bitvec.Vec) {
 		var specBits bitvec.Vec
 		// SA requests need a non-empty VC in the Active (or, speculatively,
 		// WaitingVA) state: exactly the Occupied∩NonIdle mask when the
-		// stored registers are the read values (no open fault window).
-		for vs := r.sweep(bitvec.Vec(r.st.Occupied[p]&r.st.NonIdle[p]), r.vcMask); !vs.IsZero(); {
+		// stored registers are the read values (no fault on the port).
+		for vs := r.vcsAt(p, r.st.Occupied[p]&r.st.NonIdle[p]); !vs.IsZero(); {
 			var v int
 			v, vs = vs.NextBit()
 			if r.in[p].vcs[v].empty() {
@@ -948,7 +948,7 @@ func (r *Router) phaseSA(cycle int64, busy bitvec.Vec) {
 				specBits = specBits.Set(v)
 			}
 		}
-		if r.vacant(req) {
+		if r.vacant(p, req) {
 			continue
 		}
 		r.touch(p) // the round moves the priority pointer and the winner latch
@@ -968,7 +968,7 @@ func (r *Router) phaseSA(cycle int64, busy bitvec.Vec) {
 			}
 		}
 	}
-	for w := r.sweep(outs, r.ports); !w.IsZero(); {
+	for w := outs | r.visit; !w.IsZero(); {
 		var o int
 		o, w = w.NextBit()
 		r.touch(o) // the pointer, the column latch, a credit counter
@@ -994,7 +994,8 @@ func (r *Router) phaseSA(cycle int64, busy bitvec.Vec) {
 				fl &^= soa.StSpec
 			}
 			r.st.StFlags[p] = fl
-			r.st.StOut[p] = int32(o) // (p is marked: its SA1 round ran)
+			r.st.StOut[p] = int32(o)
+			r.touch(p) // a grant the plane conjured has no SA1 round behind it
 			r.latchedRows = r.latchedRows.Set(p)
 			vcSel := int(r.st.SA1Win[p])
 			ovc := r.vcOutVCR(cycle, p, vcSel)
@@ -1026,14 +1027,14 @@ func (r *Router) phaseVA(cycle int64, busy bitvec.Vec) {
 		p, w = w.NextBit()
 		var req bitvec.Vec
 		// VA1 requests come from VCs in the WaitingVA state.
-		for vs := r.sweep(bitvec.Vec(r.waitVA[p]), r.vcMask); !vs.IsZero(); {
+		for vs := r.vcsAt(p, r.waitVA[p]); !vs.IsZero(); {
 			var v int
 			v, vs = vs.NextBit()
 			if r.vcStateR(cycle, p, v) == VCWaitingVA {
 				req = req.Set(v)
 			}
 		}
-		if r.vacant(req) {
+		if r.vacant(p, req) {
 			continue
 		}
 		r.touch(p) // the priority pointer, the winner latch
@@ -1053,7 +1054,7 @@ func (r *Router) phaseVA(cycle int64, busy bitvec.Vec) {
 			}
 		}
 	}
-	for w := r.sweep(outs, r.ports); !w.IsZero(); {
+	for w := outs | r.visit; !w.IsZero(); {
 		var o int
 		o, w = w.NextBit()
 		r.touch(o) // the pointer, an output VC's flags
@@ -1127,7 +1128,7 @@ func (r *Router) phaseRC(cycle int64, busy bitvec.Vec) {
 	for w := busy; !w.IsZero(); {
 		var p int
 		p, w = w.NextBit()
-		for vs := r.sweep(bitvec.Vec(r.routing[p]), r.vcMask); !vs.IsZero(); {
+		for vs := r.vcsAt(p, r.routing[p]); !vs.IsZero(); {
 			var v int
 			v, vs = vs.NextBit()
 			if r.vcStateR(cycle, p, v) != VCRouting {

@@ -1,11 +1,14 @@
 package router
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"nocalert/internal/fault"
 	"nocalert/internal/flit"
 	"nocalert/internal/soa"
+	"nocalert/internal/statehash"
 	"nocalert/internal/topology"
 )
 
@@ -174,29 +177,132 @@ func TestIdleCreditFaultFires(t *testing.T) {
 	}
 }
 
-// TestIdleRouterConsultsEveryPort: inside its own fault window a router's
-// phases visit every port it has, whether or not the port has work, so a
-// permanent fault on any per-port signal of an idle router fires on its
-// first live cycle — the credit-return vector BW takes, the crossbar column
-// ST drives, the request and grant vectors of all four arbitration rounds.
-// Outside the window a fast sweep visits only the ports with work; the
-// reference engine runs the same code inside it, so only this test, and the
-// report fixtures, see a window that lets a phase skip a port.
+// TestIdleRouterConsultsEveryPort holds the production sweep to the
+// reference in lockstep inside the fault window, where the two visit
+// different sets: production the ports and VCs with work and, whole, the
+// ports the router's faults sit on (Router.visit); the reference every port
+// and VC it has. On an idle router and on a busy one, with one fault on
+// every bit of every site the router has — every kind at every port, every
+// VC of the per-VC registers — armed for good, and again as a one-cycle
+// strike on the read path (an intermittent fault with no period), the two
+// must show the same signal record, snapshot included, the same credits,
+// the same state fold and the same FiredAt, cycle by cycle. A visit set
+// short of a fault's port would show a round, a consult or a snapshot entry
+// fewer.
+//
+// The two share every phase, so a phase or a fill that ignored the visit
+// set would skip the port on both; the idle router's onset cycle catches
+// that. A fault on any signal an idle router reads — the credit-return
+// vector BW takes, the crossbar column ST drives, the request and grant
+// vectors of all four arbitration rounds, the VC registers and the credit
+// counters the snapshot fill reads — fires on it, and a VC state read as
+// routing or as waiting for VA is served by RC or bid by VA1. The compound
+// planes — a VC's state read as active and its route as a port, on a VC
+// that holds a stray body flit — make SA1 request for an idle VC, which is
+// what its sweep over every VC of a visited port is for.
 func TestIdleRouterConsultsEveryPort(t *testing.T) {
+	const onset, cycles = 12, 40
 	cfg := Default(topology.NewMesh(3, 3))
-	for _, k := range []fault.Kind{fault.CreditSig, fault.XbarSel, fault.SA1Req, fault.SA1Gnt, fault.SA2Req, fault.SA2Gnt, fault.VA1Req, fault.VA1Gnt, fault.VA2Req, fault.VA2Gnt} {
-		for p := 0; p < P; p++ {
-			site := fault.Site{Router: 4, Kind: k, Port: p, VC: -1, Width: 1}
-			plane := fault.NewPlane(fault.Fault{Site: site, Bit: 0, Cycle: 5, Type: fault.Permanent})
-			g := &rig{t: t, r: New(4, &cfg, plane)}
-			for g.cycle <= 5 {
-				g.step()
+	params := fault.Params{Mesh: cfg.Mesh, VCs: cfg.VCs, BufDepth: cfg.BufDepth}
+	idleReads := map[fault.Kind]bool{
+		fault.CreditSig: true, fault.XbarSel: true,
+		fault.SA1Req: true, fault.SA1Gnt: true, fault.SA2Req: true, fault.SA2Gnt: true,
+		fault.VA1Req: true, fault.VA1Gnt: true, fault.VA2Req: true, fault.VA2Gnt: true,
+		fault.VCStateReg: true, fault.VCRouteReg: true, fault.VCOutVCReg: true, fault.CreditCountReg: true,
+	}
+	type plane struct {
+		faults []fault.Fault
+		stray  bool // a body flit sits in the first fault's VC, which is idle
+	}
+	var planes []plane
+	for _, s := range params.EnumerateRouterSites(4) {
+		for b := 0; b < s.Width; b++ {
+			for _, typ := range []fault.Type{fault.Permanent, fault.Intermittent} {
+				planes = append(planes, plane{faults: []fault.Fault{{Site: s, Bit: b, Cycle: onset, Type: typ}}})
 			}
-			if at := plane.FiredAt(0); at != 5 {
-				t.Errorf("%v at port %d of an idle router: FiredAt = %d, want its onset 5", k, p, at)
+		}
+		if s.Kind == fault.VCStateReg {
+			// Idle (0) reads as active (3), the reset route (7) as West (3).
+			route := s
+			route.Kind = fault.VCRouteReg
+			planes = append(planes, plane{stray: true, faults: []fault.Fault{
+				{Site: s, Bit: 0, Cycle: onset, Type: fault.Permanent},
+				{Site: s, Bit: 1, Cycle: onset, Type: fault.Permanent},
+				{Site: route, Bit: 2, Cycle: onset, Type: fault.Permanent},
+			}})
+		}
+	}
+	for _, busy := range []bool{false, true} {
+		for _, pl := range planes {
+			ref, prod := newRig(t, nil), newRig(t, nil)
+			ref.r.SetReferenceSweep(true)
+			refPlane, prodPlane := fault.NewPlane(pl.faults...), fault.NewPlane(pl.faults...)
+			ref.r.SetPlane(refPlane)
+			prod.r.SetPlane(prodPlane)
+			trs := [2]*traffic{newTraffic(ref), newTraffic(prod)}
+			f0 := pl.faults[0]
+			if pl.stray {
+				for _, tr := range trs {
+					f := tr.g.packet(99, 0, 2)[1]
+					f.VC = f0.Site.VC
+					tr.pending[f0.Site.Port] = []*flit.Flit{f}
+					if !busy {
+						tr.g.r.StageArrival(topology.Direction(f0.Site.Port), f)
+					}
+				}
+			}
+			name := fmt.Sprintf("busy=%t %v", busy, pl.faults)
+			for c := int64(0); c < cycles; c++ {
+				for _, tr := range trs {
+					if busy {
+						tr.cycle(4)
+					} else {
+						tr.g.step()
+					}
+				}
+				requireLockstep(t, name, c, prod.r, ref.r)
+				for i := range pl.faults {
+					if a, b := prodPlane.FiredAt(i), refPlane.FiredAt(i); a != b {
+						t.Fatalf("%s, cycle %d: fault %d fired at %d, on the reference at %d", name, c, i, a, b)
+					}
+				}
+				if busy || c != onset {
+					continue
+				}
+				s, sig := f0.Site, prod.r.Signals()
+				switch {
+				case pl.stray:
+					if !sig.SA1[s.Port].Req.Get(s.VC) {
+						t.Fatalf("%s: SA1 at port %d requests %s, not the idle VC read as active", name, s.Port, sig.SA1[s.Port].Req)
+					}
+				case idleReads[s.Kind] && prodPlane.FiredAt(0) != onset:
+					t.Fatalf("%s on an idle router: FiredAt = %d, want its onset %d", name, prodPlane.FiredAt(0), onset)
+				case s.Kind == fault.VCStateReg && f0.Bit == 0 && !sig.RCDone[s.Port].Get(s.VC):
+					t.Fatalf("%s: RC did not serve the idle VC read as routing", name)
+				case s.Kind == fault.VCStateReg && f0.Bit == 1 && !sig.VA1[s.Port].Req.Get(s.VC):
+					t.Fatalf("%s: VA1 at port %d requests %s, not the idle VC read as waiting", name, s.Port, sig.VA1[s.Port].Req)
+				}
 			}
 		}
 	}
+}
+
+// requireLockstep holds the production router to the reference after one
+// cycle: the whole signal record, the credits, the state fold, and the work
+// masks to the registers. name says which run it is.
+func requireLockstep(t *testing.T, name string, cycle int64, prod, ref *Router) {
+	t.Helper()
+	if !reflect.DeepEqual(prod.Signals(), ref.Signals()) {
+		t.Log(name)
+		requireSignalsEqual(t, cycle, prod.Signals(), ref.Signals())
+	}
+	if a, b := prod.Credits(), ref.Credits(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s, cycle %d: credits %v, the reference's %v", name, cycle, a, b)
+	}
+	if a, b := prod.FoldState(statehash.Seed), ref.FoldState(statehash.Seed); a != b {
+		t.Fatalf("%s, cycle %d: folds diverged (%#x, the reference's %#x)", name, cycle, a, b)
+	}
+	requireWorkMasks(t, cycle, prod)
 }
 
 // TestBackpressure: with zero downstream credits the flit must wait.

@@ -115,6 +115,8 @@ func TestJobAPI(t *testing.T) {
 			{"queue full", mustJSON(t, testSpec(24)), http.StatusTooManyRequests},
 			{"invalid mesh", `{"mesh_w":0,"mesh_h":4,"vcs":4}`, http.StatusBadRequest},
 			{"negative faults", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.NumFaults = -1; return s }()), http.StatusBadRequest},
+			{"9 VCs", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.VCs = 9; return s }()), http.StatusBadRequest},
+			{"33 VCs", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.VCs = 33; return s }()), http.StatusBadRequest},
 			{"unknown field", `{"mesh_w":4,"mesh_h":4,"vcs":4,"typo_field":1}`, http.StatusBadRequest},
 			{"not JSON", `mesh=4x4`, http.StatusBadRequest},
 		}
@@ -135,6 +137,15 @@ func TestJobAPI(t *testing.T) {
 				t.Errorf("%s: error body missing (%v)", c.name, err)
 			}
 			resp.Body.Close()
+		}
+		// A VC count the router refuses is the submitter's error, not a job
+		// that fails on its first run.
+		for _, vcs := range []int{9, 33} {
+			spec := testSpec(24)
+			spec.VCs = vcs
+			if j, _, err := s.SubmitJob(spec, SubmitOptions{}); err == nil || !strings.Contains(err.Error(), "VCs must be in") {
+				t.Errorf("SubmitJob with %d VCs: job %v, error %v", vcs, j, err)
+			}
 		}
 		// A rejected submission must leave no state residue.
 		if rej := s.reg.Counter(MetricJobsRejected).Value(); rej != 1 {

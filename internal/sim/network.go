@@ -31,12 +31,11 @@ type Config struct {
 	ClassWeights []float64
 	// Seed seeds all per-node generators.
 	Seed uint64
-	// DisableSoA selects the reference sweep engine: routers sweep the
-	// full VC range every cycle and the network steps every router, with
-	// no activity-mask shortcuts. Storage is identical either way (the
-	// structure-of-arrays state), so both engines produce bit-identical
-	// simulations; the reference engine exists as the comparison baseline
-	// for the identity gates. Campaigns thread the -no-soa flag here.
+	// DisableSoA selects the reference: every router stepped, every NI
+	// ticked and every port and VC visited (router.Router.SetReferenceSweep),
+	// every cycle. No command sets it: the lockstep tests hold production to
+	// it, and the benchmark's reference step probe (bench/probes.go) times
+	// it; it goes with that probe (ROADMAP.md item 1(f)).
 	DisableSoA bool
 }
 
@@ -65,13 +64,13 @@ type Network struct {
 	routers []*router.Router
 	nis     []*NI
 	// soaOff mirrors Config.DisableSoA (copied on clone): when set, Step
-	// visits every router and NI every cycle instead of the awake ones. It
-	// alone selects step-everything.
+	// puts every node in the active sets at entry (rebuildAwake), and the
+	// routers visit every port (router.Router.SetReferenceSweep).
 	soaOff bool
-	// awake and niAwake are the fast engine's active sets, one bit per
-	// router and per NI (DESIGN.md §3.2): at every Step entry awake holds
-	// every router that is not Inert and niAwake every NI that is not
-	// idle. Step visits the set bits only, in ascending id. Whatever
+	// awake and niAwake are the active sets, one bit per router and per NI
+	// (DESIGN.md §3.2): at every Step entry awake holds every router that
+	// is not Inert and niAwake every NI that is not idle (every node, under
+	// soaOff). Step visits the set bits only, in ascending id. Whatever
 	// stages into a node sets its bit (the wake sites in Step and
 	// InjectPacket), Step clears the bit of a node its own turn leaves
 	// with nothing to do, and a router that hosts a live fault is woken at
@@ -242,9 +241,9 @@ func (n *Network) notePreReaders() {
 }
 
 // RouterSteps returns how many router cycles Step has run on this network
-// since it was built or cloned: the awake routers' on the fast engine, a
-// credit step (router.CreditStep) counting as one, every router's every
-// cycle on the reference engine.
+// since it was built or cloned: the awake routers', a credit step
+// (router.CreditStep) counting as one; every router's every cycle on the
+// reference.
 func (n *Network) RouterSteps() int64 { return n.routerSteps }
 
 // NITicks is RouterSteps for the network interfaces.
@@ -276,7 +275,7 @@ func (n *Network) Step() {
 	if n.origin != nil {
 		panic("sim: Step on a network forked by CloneLazyInto; only a Frontier steps it")
 	}
-	if n.awakeStale {
+	if n.awakeStale || n.soaOff {
 		n.rebuildAwake()
 	}
 	t := n.cycle
@@ -309,9 +308,9 @@ func (n *Network) Step() {
 		}
 	}
 
-	// Router pipelines, in ascending id. The fast engine steps the awake
-	// routers and no other: stepping an Inert one is a provable no-op (no
-	// state write, no signal, no arbiter pointer movement), and at drain or
+	// Router pipelines, in ascending id. Step steps the awake routers and
+	// no other: stepping an Inert one is a provable no-op (no state write,
+	// no signal, no arbiter pointer movement), and at drain or
 	// low load most of the mesh is in that state and never looked at. A
 	// router found Inert once it has evaluated goes to sleep, until the
 	// link traversal or its NI, below, stage something into it. The
@@ -323,27 +322,21 @@ func (n *Network) Step() {
 	// here, cycle by cycle, and a fault armed in one router leaves every
 	// other asleep.
 	n.steppedScratch = n.steppedScratch[:0]
-	if n.soaOff {
-		for _, r := range n.routers {
-			n.stepRouter(r, t)
-		}
-	} else {
-		if n.plane != nil {
-			for id := range n.routers {
-				if n.plane.LiveFor(t, id) {
-					n.awake.set(id)
-				}
+	if n.plane != nil {
+		for id := range n.routers {
+			if n.plane.LiveFor(t, id) {
+				n.awake.set(id)
 			}
 		}
-		for w, word := range n.awake {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				r := n.routers[w<<6|b]
-				n.stepRouter(r, t)
-				if r.Inert() {
-					n.awake[w] &^= 1 << uint(b)
-				}
+	}
+	for w, word := range n.awake {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			r := n.routers[w<<6|b]
+			n.stepRouter(r, t)
+			if r.Inert() {
+				n.awake[w] &^= 1 << uint(b)
 			}
 		}
 	}
@@ -398,24 +391,18 @@ func (n *Network) Step() {
 		}
 	}
 
-	// Network interfaces, in ascending id: the awake ones, on the fast
-	// engine. An NI with no credit or arrival in flight, no packet
-	// streaming and none queued does nothing in its tick; one left so by
-	// its tick goes to sleep, until a generation or its router wakes it.
-	if n.soaOff {
-		for id := range n.nis {
+	// Network interfaces, in ascending id: the awake ones. An NI with no
+	// credit or arrival in flight, no packet streaming and none queued does
+	// nothing in its tick; one left so by its tick goes to sleep, until a
+	// generation or its router wakes it.
+	for w, word := range n.niAwake {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			id := w<<6 | b
 			n.tickNI(id, t)
-		}
-	} else {
-		for w, word := range n.niAwake {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				id := w<<6 | b
-				n.tickNI(id, t)
-				if n.nis[id].idle() {
-					n.niAwake[w] &^= 1 << uint(b)
-				}
+			if n.nis[id].idle() {
+				n.niAwake[w] &^= 1 << uint(b)
 			}
 		}
 	}
@@ -431,8 +418,8 @@ func (n *Network) Step() {
 
 // stepRouter runs router r's cycle t and, unless the cycle was a credit
 // step, notes it stepped for the link traversal and the monitors. While
-// every attached monitor is a SignalsOnly the fast sweep's cycle is quiet
-// (router.BeginUnobserved): it takes no snapshot and writes of its record
+// every attached monitor is a SignalsOnly a cycle outside the router's
+// fault window is quiet (router.BeginUnobserved): it takes no snapshot and writes of its record
 // only what those monitors and the links read, and a router with nothing
 // to do but absorb returning credits does that alone (router.CreditStep).
 func (n *Network) stepRouter(r *router.Router, t int64) {
