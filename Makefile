@@ -62,8 +62,9 @@ test: vet
 # updates, NDJSON writers, the daemon's queue/worker/event fan-out);
 # run them under the race detector, plus the step-loop packages (core,
 # router, soa, fault) whose shared-array state campaign workers mutate in
-# parallel, and statehash, whose test folds one shared snapshot from
-# several goroutines (a state fold may write the fold cache of a network
+# parallel, forever, whose golden monitor a split window's two goroutines
+# hand between them and campaign workers follow, and statehash, whose
+# test folds one shared snapshot from several goroutines (a state fold may write the fold cache of a network
 # its goroutine steps, never a snapshot's: DESIGN.md §3.2). Measured on the shared two-core box at PR 27: 4 min 27 s of
 # wall (`internal/campaign` 266 s race-enabled, which bounds it;
 # `internal/sim` 105 s, `internal/core` 107 s; uncached tier-1 `go test
@@ -77,7 +78,7 @@ race:
 	$(GO) test -race ./internal/campaign ./internal/sim ./internal/metrics \
 		./internal/trace ./internal/server ./internal/obs ./internal/coordinator \
 		./internal/core ./internal/router ./internal/soa ./internal/fault \
-		./internal/statehash
+		./internal/statehash ./internal/forever
 
 # cover enforces the coverage floor over ./internal/... and leaves the
 # profile in cover.out for inspection (`go tool cover -html=cover.out`).

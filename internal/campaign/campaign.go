@@ -597,73 +597,51 @@ feed:
 
 // buildGroupCtx runs the golden continuation of fork point fp — the
 // post-injection window, the drain, and the ForEVeR horizon — and derives
-// everything runs at that injection cycle share. fp.cont is the builder's
-// to step to its end; tw is the scratch worker the template's fork runs
-// in. gs, the injection cycle's group span, gets one child phase span per
-// part of the work (window, settle-horizon, template). Under FullSim
-// every run takes runSlow, which reads the snapshot, the golden log and
-// the golden monitor only: the continuation records nothing, carries no
-// engine, and no template is assembled.
-func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx, error) {
-	c, cont := fp.cycle, fp.cont
+// everything runs at that injection cycle share. The window is recorded
+// whole on fp.cont, which is the builder's to step to its end
+// (recordWhole), or, for a split window, in two segments on two networks
+// (recordSplit); counts gets what every network stepped for it evaluated.
+// tw is the scratch worker the template's fork runs in. gs, the injection
+// cycle's group span, gets one child phase span per part of the work
+// (window, settle-horizon, template; a split window has two window
+// spans). Under FullSim every run takes runSlow, which reads the
+// snapshot, the golden log and the golden monitor only: the continuation
+// records nothing, carries no engine, and no template is assembled.
+func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span, counts *stepCounts) (*groupCtx, error) {
+	c := fp.cycle
 	gc := &groupCtx{cycle: c, snap: fp.snap, forkFP: fp.forkFP}
-	var eng *core.Engine
-	win := gs.Child("phase", "window")
-	win.SetAttr("inject_cycle", c)
-	if !o.FullSim {
-		// The continuation is also the fault-free template run (see
-		// goldenTemplate), so it carries the NoCAlert engine a run would.
-		eng = core.NewEngine(cont.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
-		cont.AttachMonitor(eng)
-		// It records what the divergence frontier replays clean nodes from
-		// (the per-link signal transcript, whose running event counts are
-		// golden's flit counters too) and ForEVeR's per-node record, which
-		// the monitors of frontier runs follow instead of being shown the
-		// whole mesh.
-		cont.StartRecording(int(o.PostInjectRun))
-		findForever(cont).StartHistory(c)
+	var (
+		run goldenRun
+		err error
+	)
+	if fp.split != nil {
+		run, err = recordSplit(tw, gc, o, fp.split, gs, counts)
+	} else {
+		run, err = recordWhole(o, fp.cont, c, gs)
+		counts.add(fp.cont)
 	}
-	cont.Run(o.PostInjectRun)
-	win.End()
-	sh := gs.Child("phase", "settle-horizon")
-	sh.SetAttr("inject_cycle", c)
-	if !cont.Drain(o.DrainDeadline) {
-		sh.End()
-		return nil, fmt.Errorf("campaign: fault-free golden run failed to drain by cycle %d (inflight=%d)",
-			cont.Cycle(), cont.InFlight())
+	if err != nil {
+		return nil, err
 	}
-	// The transcript ran on through the drain and runs on until golden
-	// stops changing (the last flit's credits are still on their way home:
-	// a couple of cycles): from there it covers whatever a faulty run still
-	// needs (sim/record.go). Golden steps these cycles anyway to the
-	// ForEVeR horizon, which then bounds them: its monitor must see no
-	// cycle a run without the transcript would not show it.
-	horizon := foreverHorizon(cont.Cycle(), o.Forever)
-	if !o.FullSim {
-		gc.rec = cont.SettleRecording(horizon)
-	}
-	for cont.Cycle() < horizon {
-		cont.Step()
-	}
-	sh.SetAttr("golden_cycle", cont.Cycle())
-	sh.End()
-	gc.goldenLog = golden.FromEjections(cont.Ejections(), c)
+	gc.rec = run.rec
+	gc.goldenLog = golden.FromEjections(run.ejections, c)
 	gc.goldenEjections = gc.goldenLog.Total()
-	gc.gfv = findForever(cont)
+	gc.gfv = run.fv
 	goldenFd := gc.gfv.FirstDetectionAfter(c)
 	gc.goldenFvFP = goldenFd >= 0
 
 	if o.FullSim {
 		return gc, nil
 	}
-	tp := gs.Child("phase", "template")
-	tp.SetAttr("inject_cycle", c)
-	tmpl, err := goldenTemplate(tw, gc, o, eng, goldenFd, tp)
-	tp.End()
-	if err != nil {
-		return nil, err
+	tp := phaseSpan(gs, "template", c)
+	if fp.split == nil { // a split window was recorded on the verified fork
+		if _, err := tw.verifyFork(gc); err != nil {
+			tp.End()
+			return nil, err
+		}
 	}
-	gc.tmpl = tmpl
+	gc.tmpl = goldenTemplate(tw, gc, o, run.eng, run.silent, goldenFd, tp)
+	tp.End()
 
 	// The shortcuts rest on a clean golden continuation: no NoCAlert
 	// assertion anywhere in the fault-free template (so freezing the
@@ -676,14 +654,166 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 	// these hold for any sanely configured campaign; if one does not, the
 	// group's runs take the reference path (runSlow) and the transcript is
 	// dropped.
-	sound := !tmpl.Detected && tmpl.Drained && tmpl.Verdict.OK() && gc.rec != nil &&
+	sound := !gc.tmpl.Detected && gc.tmpl.Drained && gc.tmpl.Verdict.OK() && gc.rec != nil &&
 		len(gc.gfv.Detections()) < forever.DetectionCap && gc.gfv.Settled()
 	if sound {
-		gc.rc = &reconvergence{gfv: gc.gfv, verdict: tmpl.Verdict}
+		gc.rc = &reconvergence{gfv: gc.gfv, verdict: gc.tmpl.Verdict}
 	} else {
 		gc.rec = nil
 	}
 	return gc, nil
+}
+
+// goldenRun is what the golden continuation of an injection cycle leaves
+// the group: its ejections from the injection cycle on, its ForEVeR
+// monitor holding the record kept since then, the transcript (nil under
+// FullSim or when it did not settle), and whether every NoCAlert engine
+// it carried stayed silent, with one of them (nil under FullSim) for the
+// template.
+type goldenRun struct {
+	ejections []sim.Ejection
+	fv        *forever.Monitor
+	rec       *sim.Recording
+	eng       *core.Engine
+	silent    bool
+}
+
+// phaseSpan opens the phase span name of injection cycle c under the
+// group span gs.
+func phaseSpan(gs *obs.Span, name string, c int64) *obs.Span {
+	s := gs.Child("phase", name)
+	s.SetAttr("inject_cycle", c)
+	return s
+}
+
+// windowSpan opens a window span over cycles [from, to) of injection
+// cycle c's post-injection window: the whole of it, or one segment.
+func windowSpan(gs *obs.Span, c, from, to int64) *obs.Span {
+	s := phaseSpan(gs, "window", c)
+	s.SetAttr("from_cycle", from)
+	s.SetAttr("to_cycle", to)
+	return s
+}
+
+// startWindow attaches to n, at the boundary it stands at, what a recorded
+// window carries and returns the NoCAlert engine. The continuation is
+// also the fault-free template run (see goldenTemplate), so it carries the
+// engine a run would. It records what the divergence frontier replays
+// clean nodes from (the per-link signal transcript, sized for cycles more,
+// whose running event counts are golden's flit counters too) and
+// ForEVeR's per-node record, which the monitors of frontier runs follow
+// instead of being shown the whole mesh.
+func startWindow(n *sim.Network, o Options, cycles int64) *core.Engine {
+	eng := core.NewEngine(n.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
+	n.AttachMonitor(eng)
+	n.StartRecording(int(cycles))
+	findForever(n).StartHistory(n.Cycle())
+	return eng
+}
+
+// recordWhole steps the continuation cont of injection cycle c through
+// the whole window, then the drain, the settling and the horizon
+// (settleHorizon).
+func recordWhole(o Options, cont *sim.Network, c int64, gs *obs.Span) (run goldenRun, err error) {
+	win := windowSpan(gs, c, c, c+o.PostInjectRun)
+	if !o.FullSim {
+		run.eng = startWindow(cont, o, o.PostInjectRun)
+	}
+	cont.Run(o.PostInjectRun)
+	win.End()
+	run.rec, err = settleHorizon(cont, o, c, gs, (*sim.Network).SettleRecording)
+	run.ejections, run.fv = cont.Ejections(), findForever(cont)
+	run.silent = run.eng == nil || !run.eng.Detected()
+	return run, err
+}
+
+// recordSplit records the last injection cycle's window in two segments
+// (splitWindow). The builder forks the snapshot as a run does, verifies
+// the fork — the template's fork check — and records the first segment on
+// it, from the fork point to the split cycle, while the mainline steps
+// quietly to the split cycle and records the rest itself, through the
+// horizon. Its own segment done, the builder takes the mainline's and
+// checks the seam: the two networks' fingerprints and ForEVeR states at
+// the split cycle must agree, or the campaign fails as it does on a fork
+// that diverged. The run it returns joins the two segments — transcript,
+// ejections, ForEVeR record — into what recordWhole returns for the same
+// window; silent only if both engines were.
+func recordSplit(tw *worker, gc *groupCtx, o Options, sw *splitWindow, gs *obs.Span, counts *stepCounts) (run goldenRun, err error) {
+	c := gc.cycle
+	sw.span <- gs
+	// The fork is the scratch worker's network: once its ejections are in
+	// the golden log, a resimulated template may reuse it.
+	win := windowSpan(gs, c, c, sw.at)
+	head, err := tw.verifyFork(gc)
+	if err != nil {
+		win.End()
+		return run, err
+	}
+	eng := startWindow(head, o, o.PostInjectRun) // sized for the whole: the tail is appended to it
+	head.Run(sw.at - c)
+	seg := head.DetachSegment()
+	win.End()
+	counts.add(head)
+	fv := findForever(head)
+	seamFP, seamFV := head.Fingerprint(), fv.StateFold()
+
+	tail := <-sw.tail
+	if tail.err != nil {
+		return run, tail.err
+	}
+	counts.add(tail.net)
+	if tail.seamFP != seamFP || tail.seamFV != seamFV {
+		return run, fmt.Errorf("campaign: the two segments of the golden window of injection cycle %d disagree at split cycle %d", c, sw.at)
+	}
+	if tail.rec != nil {
+		run.rec = seg.Join(tail.rec)
+	}
+	run.ejections = append(head.Ejections(), tail.net.Ejections()...)
+	run.fv = findForever(tail.net)
+	run.fv.SpliceHistory(fv)
+	run.eng, run.silent = tail.eng, !eng.Detected() && !tail.eng.Detected()
+	return run, nil
+}
+
+// settleHorizon drains the continuation n of injection cycle c and steps
+// it on to the ForEVeR horizon, under a settle-horizon span. The
+// transcript, which ran on through the drain, runs on until golden stops
+// changing (settle: SettleRecording, or SettleSegment for a split window's
+// second segment; the last flit's credits are still on their way home: a
+// couple of cycles): from there it covers whatever a faulty run still
+// needs (sim/record.go). Golden steps these cycles anyway to the horizon,
+// which then bounds them: its monitor must see no cycle a run without the
+// transcript would not show it.
+func settleHorizon(n *sim.Network, o Options, c int64, gs *obs.Span, settle func(*sim.Network, int64) *sim.Recording) (*sim.Recording, error) {
+	sh := phaseSpan(gs, "settle-horizon", c)
+	defer sh.End()
+	if !n.Drain(o.DrainDeadline) {
+		return nil, fmt.Errorf("campaign: fault-free golden run failed to drain by cycle %d (inflight=%d)",
+			n.Cycle(), n.InFlight())
+	}
+	horizon := foreverHorizon(n.Cycle(), o.Forever)
+	var rec *sim.Recording
+	if !o.FullSim {
+		rec = settle(n, horizon)
+	}
+	for n.Cycle() < horizon {
+		n.Step()
+	}
+	sh.SetAttr("golden_cycle", n.Cycle())
+	return rec, nil
+}
+
+// verifyFork is what every fast-path result at gc's injection cycle rests
+// on, done once per injection cycle before any faulty run trusts the
+// template: clone the snapshot into w's network the way a run does, and
+// verify the clone against the mainline's fingerprint at the fork point.
+// A mismatch fails the campaign. It returns the clone, fault-free.
+func (w *worker) verifyFork(gc *groupCtx) (*sim.Network, error) {
+	w.net = gc.snap.CloneInto(w.net, nil)
+	if w.net.Fingerprint() != gc.forkFP {
+		return nil, fmt.Errorf("campaign: a fork at cycle %d diverged from the golden state", gc.cycle)
+	}
+	return w.net, nil
 }
 
 // goldenTemplate returns the fault-free template for the fast path: the
@@ -692,34 +822,27 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span) (*groupCtx
 // to that run, so its result can be copied instead of simulated (slices
 // are shared read-only across all fast-path results). That run is in
 // turn bit-identical to the golden continuation, stepped from the same
-// state with eng attached, so the template is assembled from the
-// continuation — its engine, its monitor's first flag goldenFd, its own
-// log judged against itself — and not simulated a second time. What is
-// still done once per injection cycle, before any faulty run trusts it,
-// is the fork: clone the snapshot and verify the clone against the
-// mainline's fingerprint at the fork point.
+// state with an engine attached, so the template is assembled from the
+// continuation — its engine eng, its monitor's first flag goldenFd, its
+// own log judged against itself — and not simulated a second time. The
+// fork it rests on has been verified (verifyFork).
 //
-// A continuation whose engine asserted, or whose ForEVeR monitor filled
-// its detection list, does not carry a run's result exactly: it is
+// A continuation whose engines were not silent, or whose ForEVeR monitor
+// filled its detection list, does not carry a run's result exactly: it is
 // stepped cycle by cycle where a run fast-forwards and, settling its
 // transcript with ForEVeR off, past where a run stops; a full detection
 // list may have dropped the run's first flag. Such a golden is unsound
 // for every shortcut built on the template anyway, and its template is
 // the honest second run (the span's "resimulated" attribute says so).
-func goldenTemplate(tw *worker, gc *groupCtx, o Options, eng *core.Engine, goldenFd int64, span *obs.Span) (RunResult, error) {
-	// The template has no run span; its fork verification guards every
-	// fast-path result at this cycle and fails the campaign on a mismatch.
-	var st runStats
-	resimulate := eng.Detected() || len(gc.gfv.Detections()) >= forever.DetectionCap
+func goldenTemplate(tw *worker, gc *groupCtx, o Options, eng *core.Engine, silent bool, goldenFd int64, span *obs.Span) RunResult {
+	resimulate := !silent || len(gc.gfv.Detections()) >= forever.DetectionCap
 	span.SetAttr("resimulated", resimulate)
 	if resimulate {
-		return runSlow(tw, gc, o, nil, &st, nil), nil
-	}
-	if n, _, _ := tw.forkRun(gc, o, nil, false, &st, nil); n.Fingerprint() != gc.forkFP {
-		return RunResult{}, fmt.Errorf("campaign: a fork at cycle %d diverged from the golden state", gc.cycle)
+		var st runStats
+		return runSlow(tw, gc, o, nil, &st, nil)
 	}
 	verdict := golden.Compare(gc.goldenLog, gc.goldenLog, true)
-	return assembleResult(eng, nil, nil, gc.cycle, verdict, true, goldenFd), nil
+	return assembleResult(eng, nil, nil, gc.cycle, verdict, true, goldenFd)
 }
 
 // foreverHorizon returns the cycle up to which a run must continue so
@@ -1107,18 +1230,22 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 // them when n is 0 or exceeds the population). The draw is
 // deterministic in seed. Sparse draws (2n < population) sample global
 // bit indices directly instead of materializing one Fault per location,
-// so sampling a few hundred faults from a large mesh stays O(sites+n)
-// rather than O(population).
+// and a drawn index is placed by per-router bit totals
+// (fault.Params.RouterBits) with only its router's sites enumerated, so
+// sampling a few hundred faults from a large mesh costs a pass over the
+// routers and the sites of the routers drawn, not of the mesh.
 func SampleFaults(p fault.Params, n int, seed uint64, cycle int64) []fault.Fault {
-	sites := p.EnumerateSites()
-	prefix := make([]int, len(sites)+1)
-	for i, s := range sites {
-		prefix[i+1] = prefix[i] + s.Width
+	// prefix[r] is the index of router r's first bit: the draw is over
+	// per-router bit totals, and only the routers drawn are enumerated.
+	nodes := p.Mesh.Nodes()
+	prefix := make([]int, nodes+1)
+	for r := 0; r < nodes; r++ {
+		prefix[r+1] = prefix[r] + p.RouterBits(r)
 	}
-	total := prefix[len(sites)]
+	total := prefix[nodes]
 	if n <= 0 || n >= total {
 		all := make([]fault.Fault, 0, total)
-		for _, s := range sites {
+		for _, s := range p.EnumerateSites() {
 			all = append(all, fault.BitFaults(s, cycle, fault.Transient)...)
 		}
 		return all
@@ -1140,11 +1267,26 @@ func SampleFaults(p fault.Params, n int, seed uint64, cycle int64) []fault.Fault
 			idx = append(idx, v)
 		}
 	}
+	// A drawn router's sites, and where each one's bits start in it.
+	type routerSites struct {
+		sites []fault.Site
+		first []int
+	}
+	drawn := make([]routerSites, nodes)
 	out := make([]fault.Fault, len(idx))
 	for i, v := range idx {
-		si := sort.SearchInts(prefix, v+1) - 1
-		s := sites[si]
-		out[i] = fault.Fault{Site: s, Bit: v - prefix[si], Cycle: cycle, Type: fault.Transient}
+		r := sort.SearchInts(prefix, v+1) - 1
+		rs := &drawn[r]
+		if rs.sites == nil {
+			rs.sites = p.EnumerateRouterSites(r)
+			rs.first = make([]int, len(rs.sites))
+			for k := 1; k < len(rs.sites); k++ {
+				rs.first[k] = rs.first[k-1] + rs.sites[k-1].Width
+			}
+		}
+		bit := v - prefix[r]
+		k := sort.SearchInts(rs.first, bit+1) - 1
+		out[i] = fault.Fault{Site: rs.sites[k], Bit: bit - rs.first[k], Cycle: cycle, Type: fault.Transient}
 	}
 	return out
 }

@@ -2,12 +2,15 @@ package campaign
 
 import (
 	"encoding/json"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"nocalert/internal/core"
 	"nocalert/internal/fault"
 	"nocalert/internal/forever"
+	"nocalert/internal/rng"
 	"nocalert/internal/router"
 	"nocalert/internal/sim"
 	"nocalert/internal/topology"
@@ -343,6 +346,90 @@ func TestReportRendering(t *testing.T) {
 	for _, want := range []string{"Figure 6", "Figure 7", "Figure 8", "Figure 9", "Observation 5", "NoCAlert", "ForEVeR"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report output missing %q", want)
+		}
+	}
+}
+
+// sampleByEnumeration is SampleFaults as it was before it drew over
+// per-router bit totals: the whole mesh's sites enumerated (sites) and a
+// drawn bit placed by a prefix over all of them. The oracle
+// TestSampleFaultsMatchesEnumeration holds SampleFaults to.
+func sampleByEnumeration(sites []fault.Site, n int, seed uint64, cycle int64) []fault.Fault {
+	prefix := make([]int, len(sites)+1)
+	for i, s := range sites {
+		prefix[i+1] = prefix[i] + s.Width
+	}
+	total := prefix[len(sites)]
+	if n <= 0 || n >= total {
+		all := make([]fault.Fault, 0, total)
+		for _, s := range sites {
+			all = append(all, fault.BitFaults(s, cycle, fault.Transient)...)
+		}
+		return all
+	}
+	g := rng.New(seed, 0xfa17)
+	idx := make([]int, 0, n)
+	if 2*n >= total {
+		idx = append(idx, g.Perm(total)[:n]...)
+	} else {
+		seen := make(map[int]struct{}, n)
+		for len(idx) < n {
+			v := g.Intn(total)
+			if _, dup := seen[v]; dup {
+				continue
+			}
+			seen[v] = struct{}{}
+			idx = append(idx, v)
+		}
+	}
+	out := make([]fault.Fault, len(idx))
+	for i, v := range idx {
+		si := sort.SearchInts(prefix, v+1) - 1
+		out[i] = fault.Fault{Site: sites[si], Bit: v - prefix[si], Cycle: cycle, Type: fault.Transient}
+	}
+	return out
+}
+
+// TestSampleFaultsMatchesEnumeration: drawing over per-router bit totals
+// and enumerating only the routers drawn gives the faults the whole-mesh
+// enumeration gives, fault for fault and in order, on every square mesh
+// from 1×1 to 16×16 and five rectangles, for n of 1, 7, 128, half the
+// population either side of the dense/sparse switch, and all of it, under
+// three seeds (one for the draws of half the population and more) and
+// three VC/depth settings. RouterBits is checked against the enumeration
+// on the way.
+func TestSampleFaultsMatchesEnumeration(t *testing.T) {
+	var meshes [][2]int
+	for k := 1; k <= 16; k++ {
+		meshes = append(meshes, [2]int{k, k})
+	}
+	meshes = append(meshes, [2]int{1, 16}, [2]int{16, 1}, [2]int{2, 7}, [2]int{5, 3}, [2]int{12, 9})
+	for _, m := range meshes {
+		for _, vd := range [][2]int{{4, 5}, {2, 3}, {3, 8}} {
+			p := fault.Params{Mesh: topology.NewMesh(m[0], m[1]), VCs: vd[0], BufDepth: vd[1]}
+			sites := p.EnumerateSites()
+			total := 0
+			for r := 0; r < p.Mesh.Nodes(); r++ {
+				bits := 0
+				for _, s := range p.EnumerateRouterSites(r) {
+					bits += s.Width
+				}
+				if got := p.RouterBits(r); got != bits {
+					t.Fatalf("%v %v router %d: RouterBits = %d, its sites hold %d bits", m, vd, r, got, bits)
+				}
+				total += bits
+			}
+			for _, n := range []int{1, 7, 128, total / 2, total/2 + 1, total} {
+				for _, seed := range []uint64{1, 3, 0xbeef} {
+					if 2*n >= total-1 && seed != 1 {
+						break // half the population or all of it: one seed is thousands of draws
+					}
+					want := sampleByEnumeration(sites, n, seed, 300)
+					if got := SampleFaults(p, n, seed, 300); !slices.Equal(got, want) {
+						t.Fatalf("%v %v n=%d seed=%d: the sample differs from the enumeration's", m, vd, n, seed)
+					}
+				}
+			}
 		}
 	}
 }

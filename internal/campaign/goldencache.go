@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"nocalert/internal/core"
 	"nocalert/internal/fault"
 	"nocalert/internal/forever"
 	"nocalert/internal/obs"
@@ -57,14 +58,9 @@ type Golden struct {
 	// logBytes is the estimated footprint of the golden reference logs,
 	// which no report field carries.
 	logBytes int64
-	// endCycle is where the golden mainline stopped: the last injection
-	// cycle plus the final continuation. routerSteps and niTicks are what
-	// stepping it there evaluated (sim.Network.RouterSteps, NITicks) and
-	// routersFolded and vcTermsFolded what folding it on the way took again
-	// (FoldCounts), which BenchmarkGoldenWarmup reports per cycle.
-	endCycle                     int64
-	routerSteps, niTicks         int64
-	routersFolded, vcTermsFolded int64
+	// stepCounts totals what the warm-up's networks evaluated, which
+	// BenchmarkGoldenWarmup reports per cycle.
+	stepCounts
 }
 
 // goldenGroup is one injection cycle's slot in the artefact: gc is set,
@@ -198,16 +194,86 @@ func (o *Options) goldenInputs() (cycles []int64, key goldenKey) {
 	return cycles, goldenKey(hex.EncodeToString(h.Sum(nil)))
 }
 
+// stepCounts totals what stepping networks evaluated: endCycle is the
+// furthest cycle one was stepped to (the mainline's, at the last
+// injection cycle's horizon), routerSteps and niTicks are the router
+// cycles and NI ticks they ran (sim.Network.RouterSteps, NITicks), and
+// routersFolded and vcTermsFolded what folding them took again
+// (FoldCounts).
+type stepCounts struct {
+	endCycle                     int64
+	routerSteps, niTicks         int64
+	routersFolded, vcTermsFolded int64
+}
+
+// add counts n, which nothing steps any more: every network is counted
+// once, for what it stepped since it was built or cloned.
+func (s *stepCounts) add(n *sim.Network) {
+	folded, terms := n.FoldCounts()
+	s.endCycle = max(s.endCycle, n.Cycle())
+	s.routerSteps += n.RouterSteps()
+	s.niTicks += n.NITicks()
+	s.routersFolded += folded
+	s.vcTermsFolded += terms
+}
+
 // forkPoint is what the golden mainline hands the group builder at an
 // injection cycle: the snapshot runs of that cycle fork from, the
 // mainline's fingerprint there (the template's fork is verified against
-// it) and the network that continues fault-free from it — a clone, or
-// for the last cycle the mainline itself.
+// it) and either the network that continues fault-free from it — a
+// clone, or for the last cycle the mainline itself — or, for a last
+// cycle whose window is split, the split.
 type forkPoint struct {
 	cycle  int64
 	snap   *sim.Network
 	forkFP uint64
 	cont   *sim.Network
+	split  *splitWindow
+}
+
+// splitFraction places the split cycle of a split window, that far into
+// the post-injection window: where the builder's recorded first segment
+// and the mainline's quiet run-ahead plus recorded rest balance.
+const splitFraction = 0.6
+
+// splitAt returns the cycle at which the window of post cycles after the
+// last injection cycle c is split, strictly inside the window, or c for
+// none: a window shorter than two cycles has no cycle inside it. A
+// variable so that tests can put the seam anywhere; no result depends on
+// where it is.
+var splitAt = func(c, post int64) int64 {
+	if post < 2 {
+		return c
+	}
+	return c + min(max(int64(splitFraction*float64(post)), 1), post-1)
+}
+
+// splitWindow is the last injection cycle's window recorded in two
+// segments, in time, on two cores: the builder records [cycle, at) on a
+// clone of the snapshot while the mainline, which does not stop at the
+// last fork point, steps quietly to at and records the rest — window,
+// drain, settling, horizon — itself (recordSplit, recordTail). span
+// carries the group span the mainline's phases go under, from the
+// builder to the mainline, and tail the mainline's segment back; each
+// holds one value, so neither side waits on a send.
+type splitWindow struct {
+	at   int64
+	span chan *obs.Span
+	tail chan windowTail
+}
+
+// windowTail is the mainline's segment of a split window: its
+// fingerprint and ForEVeR state fold at the split cycle (the seam), the
+// mainline itself, stepped to the horizon with its ejections since the
+// split cycle, the engine it carried from there, and the transcript
+// segment (unindexed; nil when it did not settle). err is set when the
+// segment could not be recorded.
+type windowTail struct {
+	seamFP, seamFV uint64
+	net            *sim.Network
+	eng            *core.Engine
+	rec            *sim.Recording
+	err            error
 }
 
 // startGolden launches the golden warm-up and returns the artefact it
@@ -219,6 +285,9 @@ type forkPoint struct {
 // runs of an early cycle execute while the mainline is on its way to the
 // later ones. The hand-off is unbuffered: at most one continuation waits
 // while one is being built, however many injection cycles there are.
+// The last window, with nothing left for the mainline to step towards,
+// is recorded by both (splitWindow), unless it is too short to split or
+// the campaign runs under FullSim, which keeps the single chain.
 //
 // The pipeline honours ctx between mainline cycles and between group
 // contexts; it has exited when g.done is closed, which whoever called
@@ -257,38 +326,37 @@ const ctxCheckCycles = 256
 
 // runMainline is the first pipeline stage. Each mainline span covers
 // everything done for one stretch: the steps to the injection cycle, the
-// snapshot there, the fork point and its hand-off.
+// snapshot there, the fork point and its hand-off; a split window's
+// quiet run-ahead is one more.
 func (g *Golden) runMainline(ctx context.Context, o *Options, cycles []int64, forks chan<- forkPoint, warm *obs.Span) error {
 	mainline, err := sim.New(o.Sim, nil)
 	if err != nil {
 		return err
 	}
 	mainline.AttachMonitor(forever.NewMonitor(mainline.RouterConfig(), o.Forever))
-	stretch := func(ci int, c int64) error {
-		ml := warm.Child("phase", "mainline")
+	last := cycles[len(cycles)-1]
+	var sw *splitWindow
+	if at := splitAt(last, o.PostInjectRun); at > last && !o.FullSim {
+		sw = &splitWindow{at: at, span: make(chan *obs.Span, 1), tail: make(chan windowTail, 1)}
+	}
+	stretch := func(c int64) error {
+		ml := mainlineSpan(warm, mainline.Cycle(), c)
 		defer ml.End()
-		ml.SetAttr("from_cycle", mainline.Cycle())
-		ml.SetAttr("to_cycle", c)
-		for mainline.Cycle() < c {
-			if mainline.Cycle()%ctxCheckCycles == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			mainline.Step()
-			// Nothing reads a mainline ejection: a continuation's golden
-			// log starts at its injection cycle and snapshots carry no log.
-			// Dropped as they come, they are not copied into every
-			// continuation either, nor pin 32 000 cycles of delivered flits.
-			mainline.ResetEjections()
+		if err := advance(ctx, mainline, c); err != nil {
+			return err
 		}
 		// The snapshot is its own allocation, never written after capture:
 		// groups published from it are read while the mainline moves on.
 		snap := mainline.CloneInto(nil, nil)
 		g.snapshotBytes += snap.ApproxFootprintBytes()
-		fp := forkPoint{cycle: c, snap: snap, forkFP: mainline.Fingerprint(), cont: mainline}
-		if ci < len(cycles)-1 {
+		fp := forkPoint{cycle: c, snap: snap, forkFP: mainline.Fingerprint()}
+		switch {
+		case c < last:
 			fp.cont = mainline.Clone(nil)
+		case sw != nil:
+			fp.split = sw
+		default:
+			fp.cont = mainline
 		}
 		select {
 		case forks <- fp:
@@ -297,12 +365,73 @@ func (g *Golden) runMainline(ctx context.Context, o *Options, cycles []int64, fo
 			return ctx.Err()
 		}
 	}
-	for ci, c := range cycles {
-		if err := stretch(ci, c); err != nil {
+	for _, c := range cycles {
+		if err := stretch(c); err != nil {
 			return err
 		}
 	}
+	if sw != nil {
+		recordTail(ctx, *o, mainline, last, sw, warm)
+	}
 	return nil
+}
+
+// mainlineSpan opens a mainline span over cycles [from, to].
+func mainlineSpan(warm *obs.Span, from, to int64) *obs.Span {
+	ml := warm.Child("phase", "mainline")
+	ml.SetAttr("from_cycle", from)
+	ml.SetAttr("to_cycle", to)
+	return ml
+}
+
+// advance steps the mainline to cycle to, looking at ctx every
+// ctxCheckCycles cycles. Nothing reads a mainline ejection: a
+// continuation's golden log starts at its injection cycle and snapshots
+// carry no log. Dropped as they come, they are not copied into every
+// continuation either, nor pin 32 000 cycles of delivered flits.
+func advance(ctx context.Context, mainline *sim.Network, to int64) error {
+	for mainline.Cycle() < to {
+		if mainline.Cycle()%ctxCheckCycles == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		mainline.Step()
+		mainline.ResetEjections()
+	}
+	return nil
+}
+
+// recordTail is the mainline's part of a split window, once it has handed
+// the last fork point (cycle c) over: it steps on quietly, ForEVeR only
+// and no transcript, to the split cycle (a mainline span), notes the seam
+// there, and records the second segment itself — transcript, NoCAlert
+// engine, ForEVeR record, ejections — through the drain, the settling and
+// the horizon, under the group span the builder sends it. The segment
+// goes to the builder whatever happens, a failure included.
+func recordTail(ctx context.Context, o Options, mainline *sim.Network, c int64, sw *splitWindow, warm *obs.Span) {
+	tail := windowTail{net: mainline}
+	defer func() { sw.tail <- tail }()
+	ml := mainlineSpan(warm, c, sw.at)
+	tail.err = advance(ctx, mainline, sw.at)
+	ml.End()
+	if tail.err != nil {
+		return
+	}
+	tail.seamFP, tail.seamFV = mainline.Fingerprint(), findForever(mainline).StateFold()
+	var gs *obs.Span
+	select {
+	case gs = <-sw.span:
+	case <-ctx.Done():
+		tail.err = ctx.Err()
+		return
+	}
+	end := c + o.PostInjectRun
+	win := windowSpan(gs, c, sw.at, end)
+	tail.eng = startWindow(mainline, o, end-sw.at)
+	mainline.Run(end - sw.at)
+	win.End()
+	tail.rec, tail.err = settleHorizon(mainline, o, c, gs, (*sim.Network).SettleSegment)
 }
 
 // buildGroups is the second pipeline stage: one groupCtx per fork point,
@@ -317,16 +446,13 @@ func (g *Golden) buildGroups(ctx context.Context, o *Options, forks <-chan forkP
 		}
 		gs := warm.Child("phase", "group")
 		gs.SetAttr("inject_cycle", fp.cycle)
-		gc, err := buildGroupCtx(&tw, *o, fp, gs)
+		gc, err := buildGroupCtx(&tw, *o, fp, gs, &g.stepCounts)
 		gs.End()
 		if err != nil {
 			return err
 		}
 		g.logBytes += gc.goldenLog.ApproxFootprintBytes()
 		g.timelineBytes += gc.rec.ApproxFootprintBytes() + gc.gfv.ApproxHistoryBytes()
-		// The last continuation is the mainline.
-		g.endCycle, g.routerSteps, g.niTicks = fp.cont.Cycle(), fp.cont.RouterSteps(), fp.cont.NITicks()
-		g.routersFolded, g.vcTermsFolded = fp.cont.FoldCounts()
 		s := g.groups[fp.cycle]
 		s.gc = gc
 		close(s.ready)

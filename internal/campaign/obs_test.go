@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"nocalert/internal/core"
 	"nocalert/internal/fault"
 	"nocalert/internal/forever"
 	"nocalert/internal/metrics"
@@ -285,11 +284,9 @@ func TestForkVerifyMismatchFails(t *testing.T) {
 	gc := &groupCtx{cycle: n.Cycle(), snap: n.CloneInto(nil, nil), forkFP: n.Fingerprint() ^ 0xdead, gfv: fv}
 
 	var w worker
-	_, err = goldenTemplate(&w, gc, Options{}, core.NewEngine(&rc, core.Options{}), -1, nil)
-	if err == nil {
+	if _, err := w.verifyFork(gc); err == nil {
 		t.Fatal("fork with corrupted fingerprint succeeded")
-	}
-	if want := fmt.Sprintf("cycle %d", gc.cycle); !strings.Contains(err.Error(), want) {
+	} else if want := fmt.Sprintf("cycle %d", gc.cycle); !strings.Contains(err.Error(), want) {
 		t.Errorf("fork-verify error %q does not name %q", err, want)
 	}
 }

@@ -77,6 +77,12 @@ func (c *client) apiError(resp *http.Response, op string) error {
 	return err
 }
 
+// maxViewBytes caps how much of a worker's response the client reads
+// for one job view: what the server accepts as a request body. A view is
+// a few hundred bytes; a body past the cap is a broken or hostile worker
+// and decodes as truncated, a transient error.
+const maxViewBytes = 1 << 20
+
 // submitShard dispatches shard i of n to the worker. Idempotent on the
 // worker side: a retry after a lost response lands on the same job.
 func (c *client) submitShard(ctx context.Context, specJSON []byte, i, n int) (server.View, error) {
@@ -95,7 +101,7 @@ func (c *client) submitShard(ctx context.Context, specJSON []byte, i, n int) (se
 	}
 	defer resp.Body.Close()
 	var v server.View
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxViewBytes)).Decode(&v); err != nil {
 		return server.View{}, transient("submit %s: decoding response: %v", c.base, err)
 	}
 	return v, nil
@@ -116,7 +122,7 @@ func (c *client) status(ctx context.Context, id string) (server.View, error) {
 	}
 	defer resp.Body.Close()
 	var v server.View
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxViewBytes)).Decode(&v); err != nil {
 		return server.View{}, transient("status %s: decoding response: %v", c.base, err)
 	}
 	return v, nil

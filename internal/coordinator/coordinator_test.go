@@ -3,8 +3,12 @@ package coordinator
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -279,5 +283,59 @@ func TestFleetBuildsGoldenOncePerWorker(t *testing.T) {
 	}
 	if int(hits) != by["hit"] || int(misses) != by["miss"] {
 		t.Errorf("daemon counters hits=%d misses=%d disagree with the spans %v", hits, misses, by)
+	}
+}
+
+// countingBody counts what a client reads of a response body.
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// countingTransport hands out response bodies that count what is read.
+type countingTransport struct{ n atomic.Int64 }
+
+func (t *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil {
+		resp.Body = countingBody{resp.Body, &t.n}
+	}
+	return resp, err
+}
+
+// TestClientBoundsViewResponses: a worker answering a submit or a status
+// request with a job view of 2 MiB — twice what the server accepts as a
+// request — gets a transient error from the client, which reads no more
+// than the 1 MiB cap of it.
+func TestClientBoundsViewResponses(t *testing.T) {
+	huge := `{"id":"` + strings.Repeat("x", 2<<20) + `"}`
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			w.WriteHeader(http.StatusCreated)
+		}
+		io.WriteString(w, huge)
+	}))
+	defer ts.Close()
+	for _, op := range []string{"submit", "status"} {
+		tr := &countingTransport{}
+		c := &client{base: ts.URL, hc: &http.Client{Transport: tr}}
+		var err error
+		if op == "submit" {
+			_, err = c.submitShard(context.Background(), []byte(`{}`), 0, 1)
+		} else {
+			_, err = c.status(context.Background(), "job")
+		}
+		if err == nil || !isTransient(err) {
+			t.Errorf("%s: a 2 MiB view gave error %v, want a transient one", op, err)
+		}
+		if n := tr.n.Load(); n > maxViewBytes {
+			t.Errorf("%s: the client read %d bytes of the response, past the %d cap", op, n, maxViewBytes)
+		}
 	}
 }

@@ -102,6 +102,33 @@ func (p Params) EnumerateRouterSites(id int) []Site {
 	return sites
 }
 
+// RouterBits returns the number of fault bits of the router at node id —
+// the widths of EnumerateRouterSites(id), summed — without enumerating
+// the sites: every port the router has instantiates the same kinds at
+// the same widths.
+func (p Params) RouterBits(id int) int {
+	perPort := 0
+	for _, k := range perInputPort {
+		perPort += p.width(k)
+	}
+	for _, k := range perInputVC {
+		perPort += p.VCs * p.width(k)
+	}
+	for _, k := range perOutputPort {
+		perPort += p.width(k)
+	}
+	for _, k := range perOutputVC {
+		perPort += p.VCs * p.width(k)
+	}
+	ports := 0
+	for d := topology.North; d < topology.NumPorts; d++ {
+		if p.Mesh.HasPort(id, d) {
+			ports++
+		}
+	}
+	return ports * perPort
+}
+
 // EnumerateSites returns every fault site in the mesh.
 func (p Params) EnumerateSites() []Site {
 	var sites []Site

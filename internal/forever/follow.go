@@ -43,8 +43,9 @@ type history struct {
 	arrivals [][]arrival
 	ejects   [][]ejection
 	// sent lists the notifications in generation order (those in flight at
-	// start first, as generated before it).
-	sent []sent
+	// start first, as generated before it; inFlight is how many those are).
+	sent     []sent
+	inFlight int
 	// zeroFrom is the first boundary from which every counter is zero for
 	// as long as the record runs: one past the last boundary that found a
 	// nonzero counter anywhere.
@@ -63,7 +64,31 @@ func (m *Monitor) StartHistory(cycle int64) {
 	for _, n := range m.pending {
 		h.send(cycle-1, n.at)
 	}
+	h.inFlight = len(h.sent)
 	m.hist = h
+}
+
+// SpliceHistory puts in front of m's record, kept since boundary s, the
+// record earlier kept from an earlier boundary up to s: the two halves of
+// one golden run's record, kept on two networks whose states met at s
+// (StateFold). m's record then reads as the one a monitor keeping it
+// since earlier's start would hold — what Follow needs of it. earlier's
+// record is consumed.
+func (m *Monitor) SpliceHistory(earlier *Monitor) {
+	a, b := earlier.hist, m.hist
+	for d := range a.arrivals {
+		a.arrivals[d] = append(a.arrivals[d], b.arrivals[d]...)
+		a.ejects[d] = append(a.ejects[d], b.ejects[d]...)
+	}
+	// b's notifications in flight at s are in a's list already, generated
+	// before s. b's later ones mature after s, so after every one of a's
+	// that had matured by then, and b's running maximum covers those in
+	// flight: its entries from inFlight on stand as they are.
+	a.sent = append(a.sent, b.sent[b.inFlight:]...)
+	if b.zeroFrom > b.start {
+		a.zeroFrom = b.zeroFrom
+	}
+	m.hist, earlier.hist = a, nil
 }
 
 // send records a notification generated on cycle gen that matures on

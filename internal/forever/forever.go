@@ -25,6 +25,7 @@ import (
 	"nocalert/internal/flit"
 	"nocalert/internal/router"
 	"nocalert/internal/sim"
+	"nocalert/internal/statehash"
 )
 
 // Options configures the ForEVeR monitor.
@@ -296,6 +297,32 @@ func (m *Monitor) endNode(i int, cycle int64, boundary bool) {
 		}
 		m.zeroSeen[i] = m.counters[i] == 0
 	}
+}
+
+// StateFold folds the monitor's state at the boundary it stands at —
+// counters, zero-crossing flags, notifications in flight, packets under
+// reassembly, detections — into one hash. Two monitors of one
+// configuration whose folds agree hold, up to hash collision, the same
+// state, and flag alike from there on under the same events. The record
+// (StartHistory) is not state and is not folded.
+func (m *Monitor) StateFold() uint64 {
+	h := statehash.FoldInt(statehash.Seed, len(m.counters))
+	for i, c := range m.counters {
+		h = statehash.FoldBool(statehash.Fold(h, uint64(c)), m.zeroSeen[i])
+	}
+	h = statehash.FoldInt(h, len(m.pending))
+	for _, n := range m.pending {
+		h = statehash.Fold(statehash.FoldInt(statehash.FoldInt(h, n.dest), n.amount), uint64(n.at))
+	}
+	h = statehash.FoldInt(h, len(m.open))
+	for _, o := range m.open {
+		h = statehash.FoldInt(statehash.Fold(h, o.pkt), int(o.seq))
+	}
+	h = statehash.FoldInt(h, len(m.detections))
+	for i, d := range m.detections {
+		h = statehash.FoldInt(statehash.Fold(h, uint64(d)), int(m.detNodes[i]))
+	}
+	return h
 }
 
 // DetectionCap bounds the recorded detection list. Its first entry is

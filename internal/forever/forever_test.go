@@ -1,6 +1,7 @@
 package forever
 
 import (
+	"reflect"
 	"testing"
 
 	"nocalert/internal/bitvec"
@@ -222,5 +223,171 @@ func TestDefaultsApplied(t *testing.T) {
 	d := DefaultOptions()
 	if d.Epoch != 1500 {
 		t.Fatalf("DefaultOptions = %+v", d)
+	}
+}
+
+// monitorOf returns the ForEVeR monitor attached to n.
+func monitorOf(n *sim.Network) *Monitor { return n.Monitors()[0].(*Monitor) }
+
+// TestSpliceHistoryIsWhole: a golden run's record kept in two pieces, on
+// two networks that met at the seam, and spliced (SpliceHistory) equals
+// the record kept whole on one network — and a follower of either answers
+// FirstDetectionAfter, ProjectFrozenDetection and PendingEmpty alike at
+// every boundary. In the "stuck" run a permanent fault the Allocation
+// Comparator cannot see leaves a counter stuck, which flags at every epoch
+// boundary from 899 on: its seams put detections on both sides and
+// notifications in flight across each; one sits between two boundaries,
+// and two on an epoch boundary, the boundary cycle ending the first piece
+// and opening the second. In the "drained" run injection stops and every
+// counter is back at zero before the seam, for good.
+func TestSpliceHistoryIsWhole(t *testing.T) {
+	const epoch, from, end = 300, 600, 1700
+	site := fault.Site{Router: 5, Kind: fault.RCOutDir, Port: int(topology.North), VC: -1, Width: 3}
+	for _, tc := range []struct {
+		name   string
+		plane  *fault.Plane
+		stopAt int64 // injection stops here (0: never)
+		seams  []int64
+	}{
+		{"stuck", fault.NewPlane(fault.Fault{Site: site, Bit: 0, Cycle: 500, Type: fault.Permanent}), 0, []int64{1051, 1199, 1200}},
+		{"drained", nil, 900, []int64{1300}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, _ := netWithForever(t, 0.12, Options{Epoch: epoch, HopLatency: 1}, tc.plane)
+			n.Run(from)
+			// net is a network with the plane it steps under.
+			type net struct {
+				*sim.Network
+				plane *fault.Plane
+			}
+			// fork clones at, its monitor keeping a record from there.
+			fork := func(at net) net {
+				c := net{plane: at.plane.Clone()}
+				c.Network = at.Clone(c.plane)
+				monitorOf(c.Network).StartHistory(c.Cycle())
+				return c
+			}
+			// run steps c to cycle to, stopping injection at tc.stopAt.
+			run := func(c net, to int64) net {
+				for c.Cycle() < to {
+					if c.Cycle() == tc.stopAt {
+						c.StopInjection()
+					}
+					c.Step()
+				}
+				return c
+			}
+			at := net{n, tc.plane}
+			whole := run(fork(at), end)
+			wm := monitorOf(whole.Network)
+			for _, seam := range tc.seams {
+				head := run(fork(at), seam)
+				hm := monitorOf(head.Network)
+				tail := fork(head)
+				tm := monitorOf(tail.Network)
+				if hm.StateFold() != tm.StateFold() {
+					t.Fatalf("seam %d: a clone's monitor folds differently", seam)
+				}
+				run(tail, end)
+				tm.SpliceHistory(hm)
+
+				if tc.stopAt == 0 {
+					if len(hm.pending) == 0 {
+						t.Fatalf("seam %d: no notification in flight across the seam", seam)
+					}
+					if d := wm.Detections(); len(d) == 0 || d[0] >= seam || d[len(d)-1] < seam {
+						t.Fatalf("seam %d: detections %v are not on both sides of it", seam, d)
+					}
+				} else if wm.hist.zeroFrom >= seam || tm.hist.zeroFrom != wm.hist.zeroFrom {
+					t.Fatalf("seam %d: counters last nonzero up to boundary %d, spliced record says %d", seam, wm.hist.zeroFrom, tm.hist.zeroFrom)
+				}
+				if !reflect.DeepEqual(tm.hist, wm.hist) {
+					t.Errorf("seam %d: the spliced record differs from the whole one", seam)
+				}
+				if !reflect.DeepEqual(tm.Detections(), wm.Detections()) || tm.StateFold() != wm.StateFold() {
+					t.Errorf("seam %d: the tail monitor ends in another state than the whole one", seam)
+				}
+				if hm.hist != nil {
+					t.Errorf("seam %d: the first piece still holds its record after the splice", seam)
+				}
+				followAlike(t, monitorOf(n), wm, tm, whole.Ejections(), from, end, seam)
+			}
+		})
+	}
+}
+
+// followAlike stands two followers where a run's monitor stands — clones
+// of start, at the records' start — one following a, the other b, shows
+// them the same ejections (ejs) at the nodes they track, which join
+// before, on and after the seam, and holds their answers equal at every
+// boundary up to end.
+func followAlike(t *testing.T, start, a, b *Monitor, ejs []sim.Ejection, from, end, seam int64) {
+	t.Helper()
+	fa, fb := start.CloneMonitor().(*Monitor), start.CloneMonitor().(*Monitor)
+	fa.Follow(a)
+	fb.Follow(b)
+	join := map[int64]int{from + 40: 5, seam: 10, seam + 30: 0}
+	tracked := map[int]bool{}
+	for cyc := from; cyc < end; cyc++ {
+		if node, ok := join[cyc]; ok {
+			fa.TrackNode(node)
+			fb.TrackNode(node)
+			tracked[node] = true
+		}
+		for ; len(ejs) > 0 && ejs[0].Cycle <= cyc; ejs = ejs[1:] {
+			if e := ejs[0]; e.Cycle == cyc && tracked[e.Node] {
+				fa.FlitEjected(cyc, e.Node, e.Flit)
+				fb.FlitEjected(cyc, e.Node, e.Flit)
+			}
+		}
+		fa.EndCycle(cyc)
+		fb.EndCycle(cyc)
+		for _, q := range []int64{from, cyc - 100, seam} {
+			if x, y := fa.FirstDetectionAfter(q), fb.FirstDetectionAfter(q); x != y {
+				t.Fatalf("seam %d, boundary %d: FirstDetectionAfter(%d) = %d following the whole record, %d the spliced", seam, cyc+1, q, x, y)
+			}
+		}
+		if x, y := fa.ProjectFrozenDetection(cyc+1, end), fb.ProjectFrozenDetection(cyc+1, end); x != y {
+			t.Fatalf("seam %d, boundary %d: ProjectFrozenDetection = %d following the whole record, %d the spliced", seam, cyc+1, x, y)
+		}
+		if x, y := fa.PendingEmpty(), fb.PendingEmpty(); x != y {
+			t.Fatalf("seam %d, boundary %d: PendingEmpty = %t following the whole record, %t the spliced", seam, cyc+1, x, y)
+		}
+	}
+}
+
+// TestStateFoldSeesEveryPart: changing any one part of a monitor's state
+// — a counter, a zero-crossing flag, a notification in flight, a packet
+// under reassembly, a detection — changes its fold, and a clone folds as
+// its original.
+func TestStateFoldSeesEveryPart(t *testing.T) {
+	rc := router.Default(topology.NewMesh(4, 4))
+	m := NewMonitor(&rc, Options{Epoch: 100})
+	m.PacketInjected(0, 0, &flit.Packet{ID: 1, Src: 0, Dest: 5, Length: 5})
+	m.PacketInjected(0, 1, &flit.Packet{ID: 2, Src: 1, Dest: 15, Length: 5})
+	m.EndCycle(3) // the first notification has matured, the second not
+	head := &flit.Flit{PacketID: 1, Seq: 0, Dest: 5, Kind: flit.Head}
+	head.SealEDC()
+	m.FlitEjected(4, 5, head)
+	m.EndCycle(4)
+	m.flag(4, 5)
+	base := m.StateFold()
+	for _, tc := range []struct {
+		name string
+		edit func(c *Monitor)
+	}{
+		{"counter", func(c *Monitor) { c.counters[3]++ }},
+		{"zero-crossing flag", func(c *Monitor) { c.zeroSeen[5] = !c.zeroSeen[5] }},
+		{"notification", func(c *Monitor) { c.pending[0].at++ }},
+		{"reassembly", func(c *Monitor) { c.open[0].seq++ }},
+		{"detection", func(c *Monitor) { c.detNodes[0]++ }},
+	} {
+		c := m.CloneMonitor().(*Monitor)
+		if c.StateFold() != base {
+			t.Fatalf("a clone folds differently")
+		}
+		if tc.edit(c); c.StateFold() == base {
+			t.Errorf("the fold does not see the %s", tc.name)
+		}
 	}
 }

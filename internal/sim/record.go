@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"unsafe"
@@ -485,10 +486,20 @@ func (n *Network) StartRecording(cycles int) {
 // that did not settle in time is of no use past its last cycle, and nil
 // is.
 func (n *Network) SettleRecording(limit int64) *Recording {
+	rec := n.SettleSegment(limit)
+	if rec != nil {
+		rec.index()
+	}
+	return rec
+}
+
+// SettleSegment is SettleRecording for the last segment of a transcript
+// recorded in two: the settled segment is detached unindexed, for Join.
+func (n *Network) SettleSegment(limit int64) *Recording {
 	for !n.rec.settled && n.cycle < limit {
 		n.Step()
 	}
-	if rec := n.StopRecording(); rec.settled {
+	if rec := n.DetachSegment(); rec.settled {
 		return rec
 	}
 	return nil
@@ -497,12 +508,63 @@ func (n *Network) SettleRecording(limit int64) *Recording {
 // StopRecording detaches and returns the transcript (nil if none was
 // attached), complete and indexed: what a Frontier reads.
 func (n *Network) StopRecording() *Recording {
-	rec := n.rec
-	n.rec = nil
+	rec := n.DetachSegment()
 	if rec != nil {
 		rec.index()
 	}
 	return rec
+}
+
+// DetachSegment detaches and returns the transcript (nil if none was
+// attached) as it stands, unindexed: the first segment of a transcript
+// recorded in two, which Join completes with the second.
+func (n *Network) DetachSegment() *Recording {
+	rec := n.rec
+	n.rec = nil
+	return rec
+}
+
+// Join appends later to rc and returns rc complete and indexed, as
+// StopRecording returns a whole transcript. Both are unindexed segments
+// (DetachSegment, SettleSegment) of one network's run recorded on two
+// networks: later was started at the boundary where rc ends, on a network
+// whose state there was the one rc's network reached (the caller checks
+// the two fingerprints), and inside the injection phase, where no cycle
+// settles — so every row and offset of the result is the one a single
+// transcript over both would hold.
+func (rc *Recording) Join(later *Recording) *Recording {
+	if end := rc.start + int64(rc.Cycles()); later.start != end || later.nodes != rc.nodes {
+		panic(fmt.Sprintf("sim: Join of a segment starting at cycle %d to one ending at %d", later.start, end))
+	}
+	shift := func(idx, more []int32) []int32 {
+		base := idx[len(idx)-1]
+		for _, v := range more[1:] {
+			idx = append(idx, base+v)
+		}
+		return idx
+	}
+	rc.genIdx = shift(rc.genIdx, later.genIdx)
+	rc.linkIdx = shift(rc.linkIdx, later.linkIdx)
+	rc.credIdx = shift(rc.credIdx, later.credIdx)
+	rc.sendIdx = shift(rc.sendIdx, later.sendIdx)
+	rc.ejectIdx = shift(rc.ejectIdx, later.ejectIdx)
+	rc.genNode = append(rc.genNode, later.genNode...)
+	rc.gens = append(rc.gens, later.gens...)
+	rc.linkSrc = append(rc.linkSrc, later.linkSrc...)
+	rc.links = append(rc.links, later.links...)
+	rc.creditSrc = append(rc.creditSrc, later.creditSrc...)
+	rc.credits = append(rc.credits, later.credits...)
+	rc.sends = append(rc.sends, later.sends...)
+	rc.ejectNode = append(rc.ejectNode, later.ejectNode...)
+	rc.ejectFlits = append(rc.ejectFlits, later.ejectFlits...)
+	rc.folds = append(rc.folds, later.folds...)
+	rc.foldSum = append(rc.foldSum, later.foldSum...)
+	rc.busy = append(rc.busy, later.busy...)
+	rc.busyN = append(rc.busyN, later.busyN...)
+	rc.injectEnd = min(rc.injectEnd, later.injectEnd)
+	rc.settled = later.settled
+	rc.index()
+	return rc
 }
 
 // index builds the node-major indices of the finished transcript and

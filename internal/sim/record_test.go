@@ -651,3 +651,52 @@ func TestRecordingOutgrowsItsEstimate(t *testing.T) {
 		})
 	}
 }
+
+// TestJoinedSegmentsAreTheWhole: a transcript recorded in two segments on
+// two networks — the first from the window's start to a split cycle, the
+// second on a clone of the first's network from there, through the drain,
+// until the network settles — and joined (Recording.Join) is the
+// transcript one network records whole: payloads, prefix offsets, fold and
+// busy rows, injectEnd, settled and the node-major indices, value for
+// value, for seams one cycle into the window, in its middle and one cycle
+// before its end. The first segment is sized for the whole window, as the
+// campaign sizes it, and the second appended to it in place.
+func TestJoinedSegmentsAreTheWhole(t *testing.T) {
+	const start, window = 200, 300
+	base := MustNew(Config{Router: router.Default(topology.NewMesh(6, 6)), InjectionRate: 0.08, Seed: 5}, nil)
+	base.Run(start)
+	settle := func(n *Network, cycles int64, seg bool) *Recording {
+		n.Run(cycles)
+		n.StopInjection()
+		if seg {
+			return n.SettleSegment(n.Cycle() + 5000)
+		}
+		return n.SettleRecording(n.Cycle() + 5000)
+	}
+	whole := base.Clone(nil)
+	whole.StartRecording(window)
+	want := settle(whole, window, false)
+	if want == nil || want.injectEnd != start+window {
+		t.Fatal("the whole transcript did not settle after the window")
+	}
+	for _, at := range []int64{start + 1, start + window/2, start + window - 1} {
+		head := base.Clone(nil)
+		head.StartRecording(window)
+		head.Run(at - start)
+		first := head.DetachSegment()
+		links := cap(first.links)
+		tail := head.Clone(nil)
+		tail.StartRecording(int(start + window - at))
+		later := settle(tail, start+window-at, true)
+		if later == nil {
+			t.Fatalf("seam %d: the second segment did not settle", at)
+		}
+		got := first.Join(later)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seam %d: the joined transcript differs from the whole one", at)
+		}
+		if cap(got.links) != links {
+			t.Errorf("seam %d: the join reallocated the link events (%d → %d)", at, links, cap(got.links))
+		}
+	}
+}
