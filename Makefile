@@ -114,6 +114,14 @@ REPORT_8X8_FLAGS = -mesh 8x8 -rate 0.05 -inject 300 -post 500 \
 REPORT_16X16_FLAGS = -mesh 16x16 -rate 0.02 -inject 300 -post 500 \
 	-drain 10000 -epoch 1500 -faults 32 -seed 3 -fig none -progress=false
 
+# A 4×4 campaign whose golden ForEVeR flags (an epoch of 25 cycles: every
+# run's ForEVeR answer is TP or FP): `make identity` holds the default run
+# path to -fullsim on it, where a fast-path or reconverged run's ForEVeR
+# answer comes from the golden monitor's recorded flags. No report is
+# committed; a 2048-fault sample keeps it to a few seconds.
+FLAGGING_FLAGS = -mesh 4x4 -rate 0.12 -inject 300 -post 200 -epoch 25 \
+	-seed 7 -faults 2048 -fig none -progress=false
+
 # The multi-cycle campaign behind testdata/report_8x8_multicycle_seed3.json
 # (and the repository benchmark's w8x8_fixedcost at full scale): the
 # paper's injection instants on the 8×8 mesh, the one committed report
@@ -155,7 +163,8 @@ golden:
 # TestMulticycleReportFixture hold it to the same reports in tier-1. The 16×16
 # campaign, where a run's drain and horizon are cheapest to get
 # wrong (256 routers replayed around a cone of three), must report the
-# same by default and under -fullsim. Faults that stay armed — only the
+# same by default and under -fullsim, and so must the 4×4 campaign whose
+# golden ForEVeR flags. Faults that stay armed — only the
 # router that hosts one visits its faults' ports whole and leaves the
 # inert skip; on the frontier to the end of the run, fast-forwarded from
 # the fixed point a permanent fault settles in — are held to the reference
@@ -184,6 +193,9 @@ identity:
 	$(GO) run ./cmd/faultcampaign $(REPORT_16X16_FLAGS) -json .identity/16x16-default.json; \
 	$(GO) run ./cmd/faultcampaign $(REPORT_16X16_FLAGS) -fullsim -json .identity/16x16-fullsim.json; \
 	cmp .identity/16x16-default.json .identity/16x16-fullsim.json; \
+	$(GO) run ./cmd/faultcampaign $(FLAGGING_FLAGS) -json .identity/flagging-default.json; \
+	$(GO) run ./cmd/faultcampaign $(FLAGGING_FLAGS) -fullsim -json .identity/flagging-fullsim.json; \
+	cmp .identity/flagging-default.json .identity/flagging-fullsim.json; \
 	$(GO) test -count=1 -run 'TestArmedFaultReportFixture|TestDoubleFaultGroupMatchesReference' ./internal/campaign; \
 	$(MAKE) fuzz-smoke
 

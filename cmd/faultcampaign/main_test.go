@@ -145,6 +145,9 @@ func TestBadRateRefusedInEveryMode(t *testing.T) {
 	for _, vcs := range []string{"9", "33"} {
 		cases = append(cases, bad{"vcs" + vcs, "-vcs", vcs, "VCs must be in"})
 	}
+	cases = append(cases,
+		bad{"mesh65536", "-mesh", "65536x65536", "over the spec budget"},
+		bad{"post1e9", "-post", "1000000000", "over the spec budget"})
 	for _, c := range cases {
 		for _, mode := range []struct {
 			name string

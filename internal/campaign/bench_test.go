@@ -123,7 +123,7 @@ func spanMean(spans []obs.SpanRecord, key string) float64 {
 // BenchmarkGoldenWarmup times the golden warm-up alone, in the two shapes
 // the repository benchmark gives it: the paper's injection points — the
 // fault-free mainline stepped to cycle 16 000 and one group context built
-// there (window, drain, settle, horizon, template), what w8x8_fixedcost and
+// there (window, drain, settle, horizon), what w8x8_fixedcost and
 // svc_fleet8 spend their time in — and the short injection the four
 // 300-cycle workloads run (-inject300: mainline to 300, one group context),
 // where the recorded window is most of the warm-up and the warm-up, at
@@ -194,8 +194,8 @@ func BenchmarkGoldenWarmup(b *testing.B) {
 			// What the active set and the fold cache buy, as counts that
 			// repeat exactly: the routers evaluated and NIs ticked by every
 			// network the warm-up stepped (the mainline, and the builder's
-			// clone for the first segment of the split window) per mainline
-			// cycle (64 and 64, or 256 and 256, would mean the mesh is polled
+			// fork each window, or a split window's first segment, is
+			// recorded on) per mainline cycle (64 and 64, or 256 and 256, would mean the mesh is polled
 			// again), the router folds
 			// per cycle that found the router written since the fold before
 			// and the input-VC terms they took again (every router of the

@@ -13,9 +13,9 @@
 // process; runs of an early injection cycle execute while the warm-up
 // steps towards the later ones. Runs execute on a small worker pool; each
 // worker reuses one clone arena (sim.Network.CloneInto) across all its
-// runs, and runs whose fault provably never fired short-circuit to a
-// precomputed fault-free template instead of simulating the remaining
-// drain and ForEVeR horizon.
+// runs, and runs whose fault provably never fired, or fired and washed
+// out, have their remaining window, drain and ForEVeR horizon synthesized
+// from the golden record instead of simulated.
 package campaign
 
 import (
@@ -79,7 +79,7 @@ const (
 	// horizon end to end.
 	ExitFull ExitPath = iota
 	// ExitFastPath: every fault of the group provably expired without
-	// firing; the result was copied from the fault-free template.
+	// firing; the tail was synthesized as a reconverged run's is.
 	ExitFastPath
 	// ExitReconverged: the fault fired but its perturbation washed out —
 	// the divergence frontier emptied mid window with a clean ejection
@@ -290,8 +290,8 @@ type Report struct {
 	// Results holds one entry per injected fault, in input order.
 	Results []RunResult
 	// FastPathHits counts runs resolved by the early-exit fast path
-	// (fault provably never fired; result synthesized from the
-	// fault-free template instead of simulating drain and horizon).
+	// (fault provably never fired; the tail synthesized from the golden
+	// record instead of simulating drain and horizon).
 	FastPathHits int
 	// ReconvergedHits counts runs whose fault fired but whose state
 	// reconverged with the golden run's before the post-injection window
@@ -347,10 +347,9 @@ var beforeRun func(*worker, *groupCtx)
 // run injecting at that cycle: the snapshot to fork from — the complete
 // golden network state at the injection cycle, every register, buffer,
 // latch, NI queue, RNG stream and cloneable monitor, never written after
-// capture — the golden fingerprint there (the template's fork is verified
+// capture — the golden fingerprint there (the builder's fork is verified
 // against it), the golden reference log and ForEVeR monitor of the
-// fault-free continuation, the fault-free template, and the reconvergence
-// context.
+// fault-free continuation, and the reconvergence context.
 type groupCtx struct {
 	cycle  int64
 	snap   *sim.Network
@@ -361,8 +360,7 @@ type groupCtx struct {
 	goldenFvFP      bool
 	goldenEjections int
 
-	tmpl RunResult
-	rc   *reconvergence
+	rc *reconvergence
 
 	// rec drives divergence-frontier delta stepping: the golden
 	// continuation's per-link signal transcript from the injection cycle
@@ -595,71 +593,46 @@ feed:
 	return report, nil
 }
 
-// buildGroupCtx runs the golden continuation of fork point fp — the
-// post-injection window, the drain, and the ForEVeR horizon — and derives
-// everything runs at that injection cycle share. The window is recorded
-// whole on fp.cont, which is the builder's to step to its end
-// (recordWhole), or, for a split window, in two segments on two networks
-// (recordSplit); counts gets what every network stepped for it evaluated.
-// tw is the scratch worker the template's fork runs in. gs, the injection
-// cycle's group span, gets one child phase span per part of the work
-// (window, settle-horizon, template; a split window has two window
-// spans). Under FullSim every run takes runSlow, which reads the
-// snapshot, the golden log and the golden monitor only: the continuation
-// records nothing, carries no engine, and no template is assembled.
+// buildGroupCtx records the golden continuation of fork point fp — the
+// post-injection window, the drain, and the ForEVeR horizon — on the
+// builder's fork of the snapshot (recordWindow) and derives everything
+// runs at that injection cycle share; counts gets what the fork stepped.
+// tw is the builder's worker, whose network every fork reuses. gs, the
+// injection cycle's group span, gets one child phase span per part of the
+// work (window, settle-horizon; a split window has two window spans).
+// Under FullSim every run takes runSlow, which reads the snapshot, the
+// golden log and the golden monitor only: the continuation records
+// nothing and carries no engine.
 func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span, counts *stepCounts) (*groupCtx, error) {
 	c := fp.cycle
 	gc := &groupCtx{cycle: c, snap: fp.snap, forkFP: fp.forkFP}
-	var (
-		run goldenRun
-		err error
-	)
-	if fp.split != nil {
-		run, err = recordSplit(tw, gc, o, fp.split, gs, counts)
-	} else {
-		run, err = recordWhole(o, fp.cont, c, gs)
-		counts.add(fp.cont)
-	}
+	run, err := recordWindow(tw, gc, o, fp.split, gs, counts)
 	if err != nil {
 		return nil, err
 	}
-	gc.rec = run.rec
 	gc.goldenLog = golden.FromEjections(run.ejections, c)
 	gc.goldenEjections = gc.goldenLog.Total()
 	gc.gfv = run.fv
-	goldenFd := gc.gfv.FirstDetectionAfter(c)
-	gc.goldenFvFP = goldenFd >= 0
-
+	gc.goldenFvFP = gc.gfv.FirstDetectionAfter(c) >= 0
 	if o.FullSim {
 		return gc, nil
 	}
-	tp := phaseSpan(gs, "template", c)
-	if fp.split == nil { // a split window was recorded on the verified fork
-		if _, err := tw.verifyFork(gc); err != nil {
-			tp.End()
-			return nil, err
-		}
-	}
-	gc.tmpl = goldenTemplate(tw, gc, o, run.eng, run.silent, goldenFd, tp)
-	tp.End()
 
 	// The shortcuts rest on a clean golden continuation: no NoCAlert
-	// assertion anywhere in the fault-free template (so freezing the
-	// engine at the reconvergence cycle loses nothing), a benign
-	// golden-vs-golden verdict, a transcript that settled, and a golden
-	// ForEVeR monitor whose detection list stayed under its cap (so the
-	// recorded tail is complete) and that ended with every counter at zero
-	// and no notification in flight (the state a node the fault never
-	// reaches is in once golden's record of it ends). All of
-	// these hold for any sanely configured campaign; if one does not, the
-	// group's runs take the reference path (runSlow) and the transcript is
-	// dropped.
-	sound := !gc.tmpl.Detected && gc.tmpl.Drained && gc.tmpl.Verdict.OK() && gc.rec != nil &&
-		len(gc.gfv.Detections()) < forever.DetectionCap && gc.gfv.Settled()
-	if sound {
-		gc.rc = &reconvergence{gfv: gc.gfv, verdict: gc.tmpl.Verdict}
-	} else {
-		gc.rec = nil
+	// assertion anywhere in it (so an engine frozen at the fast-path or
+	// reconvergence cycle loses nothing), a benign golden-vs-golden verdict,
+	// a transcript that settled, and a golden ForEVeR monitor whose
+	// detection list stayed under its cap (so the recorded tail is complete)
+	// and that ended with every counter at zero and no notification in
+	// flight (the state a node the fault never reaches is in once golden's
+	// record of it ends). All of these hold for any sanely configured
+	// campaign; if one does not, the group's runs take the reference path
+	// (runSlow) and the transcript is dropped.
+	verdict := golden.Compare(gc.goldenLog, gc.goldenLog, true)
+	if run.silent && verdict.OK() && run.rec != nil &&
+		len(gc.gfv.Detections()) < forever.DetectionCap && gc.gfv.Settled() {
+		gc.rec = run.rec
+		gc.rc = &reconvergence{gfv: gc.gfv, verdict: verdict}
 	}
 	return gc, nil
 }
@@ -668,13 +641,11 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span, counts *st
 // the group: its ejections from the injection cycle on, its ForEVeR
 // monitor holding the record kept since then, the transcript (nil under
 // FullSim or when it did not settle), and whether every NoCAlert engine
-// it carried stayed silent, with one of them (nil under FullSim) for the
-// template.
+// it carried stayed silent.
 type goldenRun struct {
 	ejections []sim.Ejection
 	fv        *forever.Monitor
 	rec       *sim.Recording
-	eng       *core.Engine
 	silent    bool
 }
 
@@ -696,9 +667,8 @@ func windowSpan(gs *obs.Span, c, from, to int64) *obs.Span {
 }
 
 // startWindow attaches to n, at the boundary it stands at, what a recorded
-// window carries and returns the NoCAlert engine. The continuation is
-// also the fault-free template run (see goldenTemplate), so it carries the
-// engine a run would. It records what the divergence frontier replays
+// window carries and returns the NoCAlert engine, which a run's shortcuts
+// need silent (buildGroupCtx). It records what the divergence frontier replays
 // clean nodes from (the per-link signal transcript, sized for cycles more,
 // whose running event counts are golden's flit counters too) and
 // ForEVeR's per-node record, which the monitors of frontier runs follow
@@ -711,67 +681,63 @@ func startWindow(n *sim.Network, o Options, cycles int64) *core.Engine {
 	return eng
 }
 
-// recordWhole steps the continuation cont of injection cycle c through
-// the whole window, then the drain, the settling and the horizon
-// (settleHorizon).
-func recordWhole(o Options, cont *sim.Network, c int64, gs *obs.Span) (run goldenRun, err error) {
-	win := windowSpan(gs, c, c, c+o.PostInjectRun)
-	if !o.FullSim {
-		run.eng = startWindow(cont, o, o.PostInjectRun)
+// recordWindow records the golden continuation of gc's injection cycle c
+// on the builder's verified fork of the snapshot (verifyFork, into tw's
+// reused network): the whole window, then the
+// drain, the settling and the horizon (settleHorizon). A split window (sw,
+// the last injection cycle's) is recorded there only up to the split
+// cycle, while the mainline steps quietly to the split cycle and records
+// the rest itself, through the horizon (recordTail). Its own segment
+// done, the builder takes the mainline's and checks the seam: the two
+// networks' fingerprints and ForEVeR states at the split cycle must
+// agree, or the campaign fails as it does on a fork that diverged. The
+// run it returns joins the two segments — transcript, ejections, ForEVeR
+// record — into what the single chain records; silent only if both
+// engines were. counts gets what the fork stepped.
+func recordWindow(tw *worker, gc *groupCtx, o Options, sw *splitWindow, gs *obs.Span, counts *stepCounts) (run goldenRun, err error) {
+	c, to := gc.cycle, gc.cycle+o.PostInjectRun
+	if sw != nil {
+		sw.span <- gs
+		to = sw.at
 	}
-	cont.Run(o.PostInjectRun)
-	win.End()
-	run.rec, err = settleHorizon(cont, o, c, gs, (*sim.Network).SettleRecording)
-	run.ejections, run.fv = cont.Ejections(), findForever(cont)
-	run.silent = run.eng == nil || !run.eng.Detected()
-	return run, err
-}
-
-// recordSplit records the last injection cycle's window in two segments
-// (splitWindow). The builder forks the snapshot as a run does, verifies
-// the fork — the template's fork check — and records the first segment on
-// it, from the fork point to the split cycle, while the mainline steps
-// quietly to the split cycle and records the rest itself, through the
-// horizon. Its own segment done, the builder takes the mainline's and
-// checks the seam: the two networks' fingerprints and ForEVeR states at
-// the split cycle must agree, or the campaign fails as it does on a fork
-// that diverged. The run it returns joins the two segments — transcript,
-// ejections, ForEVeR record — into what recordWhole returns for the same
-// window; silent only if both engines were.
-func recordSplit(tw *worker, gc *groupCtx, o Options, sw *splitWindow, gs *obs.Span, counts *stepCounts) (run goldenRun, err error) {
-	c := gc.cycle
-	sw.span <- gs
-	// The fork is the scratch worker's network: once its ejections are in
-	// the golden log, a resimulated template may reuse it.
-	win := windowSpan(gs, c, c, sw.at)
-	head, err := tw.verifyFork(gc)
+	win := windowSpan(gs, c, c, to)
+	n, err := tw.verifyFork(gc)
 	if err != nil {
 		win.End()
 		return run, err
 	}
-	eng := startWindow(head, o, o.PostInjectRun) // sized for the whole: the tail is appended to it
-	head.Run(sw.at - c)
-	seg := head.DetachSegment()
+	var eng *core.Engine
+	if !o.FullSim {
+		eng = startWindow(n, o, o.PostInjectRun) // sized for the whole window: a split one's tail is appended
+	}
+	n.Run(to - c)
 	win.End()
-	counts.add(head)
-	fv := findForever(head)
-	seamFP, seamFV := head.Fingerprint(), fv.StateFold()
+	if sw == nil {
+		run.rec, err = settleHorizon(n, o, c, gs, (*sim.Network).SettleRecording)
+		counts.add(n)
+		run.ejections, run.fv = n.Ejections(), findForever(n)
+		run.silent = eng == nil || !eng.Detected()
+		return run, err
+	}
+	seg := n.DetachSegment()
+	counts.add(n)
+	fv := findForever(n)
+	seamFP, seamFV := n.Fingerprint(), fv.StateFold()
 
 	tail := <-sw.tail
 	if tail.err != nil {
 		return run, tail.err
 	}
-	counts.add(tail.net)
 	if tail.seamFP != seamFP || tail.seamFV != seamFV {
 		return run, fmt.Errorf("campaign: the two segments of the golden window of injection cycle %d disagree at split cycle %d", c, sw.at)
 	}
 	if tail.rec != nil {
 		run.rec = seg.Join(tail.rec)
 	}
-	run.ejections = append(head.Ejections(), tail.net.Ejections()...)
+	run.ejections = append(n.Ejections(), tail.net.Ejections()...)
 	run.fv = findForever(tail.net)
 	run.fv.SpliceHistory(fv)
-	run.eng, run.silent = tail.eng, !eng.Detected() && !tail.eng.Detected()
+	run.silent = !eng.Detected() && !tail.eng.Detected()
 	return run, nil
 }
 
@@ -803,46 +769,18 @@ func settleHorizon(n *sim.Network, o Options, c int64, gs *obs.Span, settle func
 	return rec, nil
 }
 
-// verifyFork is what every fast-path result at gc's injection cycle rests
-// on, done once per injection cycle before any faulty run trusts the
-// template: clone the snapshot into w's network the way a run does, and
-// verify the clone against the mainline's fingerprint at the fork point.
-// A mismatch fails the campaign. It returns the clone, fault-free.
+// verifyFork is what every run at gc's injection cycle rests on, done once
+// per injection cycle, on the network the golden window is then recorded
+// on, before any run forks: clone the snapshot into w's network the way a
+// run does, and verify the clone against the mainline's fingerprint at
+// the fork point. A mismatch fails the campaign. It returns the clone,
+// fault-free.
 func (w *worker) verifyFork(gc *groupCtx) (*sim.Network, error) {
 	w.net = gc.snap.CloneInto(w.net, nil)
 	if w.net.Fingerprint() != gc.forkFP {
 		return nil, fmt.Errorf("campaign: a fork at cycle %d diverged from the golden state", gc.cycle)
 	}
 	return w.net, nil
-}
-
-// goldenTemplate returns the fault-free template for the fast path: the
-// result of one full run through the per-fault code path with an empty
-// fault plane. A run whose faults provably never fired is bit-identical
-// to that run, so its result can be copied instead of simulated (slices
-// are shared read-only across all fast-path results). That run is in
-// turn bit-identical to the golden continuation, stepped from the same
-// state with an engine attached, so the template is assembled from the
-// continuation — its engine eng, its monitor's first flag goldenFd, its
-// own log judged against itself — and not simulated a second time. The
-// fork it rests on has been verified (verifyFork).
-//
-// A continuation whose engines were not silent, or whose ForEVeR monitor
-// filled its detection list, does not carry a run's result exactly: it is
-// stepped cycle by cycle where a run fast-forwards and, settling its
-// transcript with ForEVeR off, past where a run stops; a full detection
-// list may have dropped the run's first flag. Such a golden is unsound
-// for every shortcut built on the template anyway, and its template is
-// the honest second run (the span's "resimulated" attribute says so).
-func goldenTemplate(tw *worker, gc *groupCtx, o Options, eng *core.Engine, silent bool, goldenFd int64, span *obs.Span) RunResult {
-	resimulate := !silent || len(gc.gfv.Detections()) >= forever.DetectionCap
-	span.SetAttr("resimulated", resimulate)
-	if resimulate {
-		var st runStats
-		return runSlow(tw, gc, o, nil, &st, nil)
-	}
-	verdict := golden.Compare(gc.goldenLog, gc.goldenLog, true)
-	return assembleResult(eng, nil, nil, gc.cycle, verdict, true, goldenFd)
 }
 
 // foreverHorizon returns the cycle up to which a run must continue so
@@ -933,8 +871,8 @@ func (w *worker) forkRun(gc *groupCtx, o Options, plane *fault.Plane, lazy bool,
 // other node is replayed from the golden signal transcript (see
 // sim.Frontier). It has three exits. When every fault of the group has
 // provably expired without firing, the run is bit-identical to the
-// fault-free continuation from the same forked state, so its result is the
-// fault-free template (ExitFastPath). When the plane is quiescent (fired,
+// fault-free continuation from the same forked state, so the rest of it is
+// synthesized as below (ExitFastPath). When the plane is quiescent (fired,
 // but can never fire again) and the frontier has shrunk to empty with a
 // clean ejection history and golden's counters, the faulty state is
 // golden's, so the rest of the window, the drain and the horizon are
@@ -972,13 +910,10 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 	for t := int64(0); t < o.PostInjectRun; t++ {
 		fr.Step()
 		if n.FaultsInert() {
-			res = gc.tmpl
-			res.Fault = group[0]
-			res.Group = group
 			st.simulated = n.Cycle() - gc.cycle
 			st.horizon = n.Cycle()
 			fa.End()
-			return res, ExitFastPath, 0
+			return synthesizeReconverged(n, eng, fv, rc, plane, gc.cycle, group), ExitFastPath, 0
 		}
 		if t == o.PostInjectRun-1 {
 			fr.RetireAll()
@@ -1004,15 +939,16 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 }
 
 // synthesizeReconverged builds the run's result at the reconvergence
-// cycle without simulating the rest of the window, the drain or the
-// ForEVeR horizon. Soundness: an empty frontier with a clean ejection
-// history and golden's counters proves the faulty run's past delivered
-// exactly golden's flits and its future will replay golden's cycles bit
-// for bit. Hence the
+// cycle, or at the cycle its faults went inert without firing, without
+// simulating the rest of the window, the drain or the ForEVeR horizon.
+// Soundness: a plane that never fired, or an empty frontier with a clean
+// ejection history and golden's counters, proves the faulty run's past
+// delivered exactly golden's flits and its future will replay golden's
+// cycles bit for bit. Hence the
 // verdict is the benign golden-vs-golden verdict; the drain succeeds
 // exactly as golden's did; the NoCAlert engine — whose checkers are
 // purely combinational per cycle — can assert nothing in the golden
-// replay (the fault-free template run detected nothing, a precondition
+// replay (the golden continuation asserted nothing, a precondition
 // checked in buildGroupCtx), so its aggregates are already final;
 // and ForEVeR's counter state, a function of the injection and ejection
 // histories alone, equals the golden monitor's, so its future flags are
@@ -1086,9 +1022,7 @@ func assembleResult(eng *core.Engine, plane *fault.Plane, group []fault.Fault, i
 
 // runSlow is the full-simulation reference run path: fork, step the
 // whole mesh through the window, then drain and horizon and compare in
-// finishRun, with no early exit and no fast-forward. A nil group runs
-// with an empty fault plane (a golden template that must be simulated
-// again, goldenTemplate).
+// finishRun, with no early exit and no fast-forward.
 func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) RunResult {
 	plane := fault.NewPlane(group...)
 	n, eng, fv := w.forkRun(gc, o, plane, false, st, ro)

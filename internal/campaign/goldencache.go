@@ -106,8 +106,8 @@ func (g *Golden) group(ctx context.Context, c int64) (gc *groupCtx, waited time.
 
 // footprint is what the artefact charges against a cache's budget: the
 // snapshots, the per-window records and the golden reference logs.
-// The ForEVeR monitor and result template of each injection cycle (a
-// few words per node) are not counted. Final once the build is.
+// The ForEVeR monitor of each injection cycle (a few words per node) is
+// not counted. Final once the build is.
 func (g *Golden) footprint() int64 { return g.snapshotBytes + g.timelineBytes + g.logBytes }
 
 // stamp writes the finished artefact's totals on a golden-warmup span.
@@ -219,15 +219,13 @@ func (s *stepCounts) add(n *sim.Network) {
 
 // forkPoint is what the golden mainline hands the group builder at an
 // injection cycle: the snapshot runs of that cycle fork from, the
-// mainline's fingerprint there (the template's fork is verified against
-// it) and either the network that continues fault-free from it — a
-// clone, or for the last cycle the mainline itself — or, for a last
-// cycle whose window is split, the split.
+// mainline's fingerprint there (the builder's fork, which records the
+// window, is verified against it) and, for a last cycle whose window is
+// split, the split.
 type forkPoint struct {
 	cycle  int64
 	snap   *sim.Network
 	forkFP uint64
-	cont   *sim.Network
 	split  *splitWindow
 }
 
@@ -249,10 +247,10 @@ var splitAt = func(c, post int64) int64 {
 }
 
 // splitWindow is the last injection cycle's window recorded in two
-// segments, in time, on two cores: the builder records [cycle, at) on a
-// clone of the snapshot while the mainline, which does not stop at the
+// segments, in time, on two cores: the builder records [cycle, at) on its
+// fork of the snapshot while the mainline, which does not stop at the
 // last fork point, steps quietly to at and records the rest — window,
-// drain, settling, horizon — itself (recordSplit, recordTail). span
+// drain, settling, horizon — itself (recordWindow, recordTail). span
 // carries the group span the mainline's phases go under, from the
 // builder to the mainline, and tail the mainline's segment back; each
 // holds one value, so neither side waits on a send.
@@ -280,14 +278,15 @@ type windowTail struct {
 // publishes into. The warm-up is a pipeline of two goroutines. The
 // mainline steps one fault-free network from cycle 0 to the last
 // injection cycle, and at every injection cycle captures a snapshot and
-// hands a forkPoint over; the group builder turns
-// each into that cycle's groupCtx (buildGroupCtx) and publishes it, so
-// runs of an early cycle execute while the mainline is on its way to the
-// later ones. The hand-off is unbuffered: at most one continuation waits
-// while one is being built, however many injection cycles there are.
-// The last window, with nothing left for the mainline to step towards,
-// is recorded by both (splitWindow), unless it is too short to split or
-// the campaign runs under FullSim, which keeps the single chain.
+// hands a forkPoint over; the group builder records each cycle's window
+// on its verified fork of the snapshot, turns it into that cycle's
+// groupCtx (buildGroupCtx) and publishes it, so runs of an early cycle
+// execute while the mainline is on its way to the later ones. The
+// hand-off is unbuffered: at most one snapshot waits while a window is
+// being recorded, however many injection cycles there are. The last
+// window, with nothing left for the mainline to step towards, is
+// recorded by both (splitWindow), unless it is too short to split or the
+// campaign runs under FullSim, which keeps the single chain.
 //
 // The pipeline honours ctx between mainline cycles and between group
 // contexts; it has exited when g.done is closed, which whoever called
@@ -299,10 +298,13 @@ func startGolden(ctx context.Context, o *Options, cycles []int64, key goldenKey,
 	g := newGolden(key, cycles, cache)
 	ctx, cancel := context.WithCancel(ctx)
 	forks := make(chan forkPoint)
-	var mainErr error
+	var (
+		mainline *sim.Network
+		mainErr  error
+	)
 	go func() {
 		defer close(forks)
-		mainErr = g.runMainline(ctx, o, cycles, forks, warm)
+		mainline, mainErr = g.runMainline(ctx, o, cycles, forks, warm)
 	}()
 	go func() {
 		err := g.buildGroups(ctx, o, forks, warm)
@@ -314,6 +316,9 @@ func startGolden(ctx context.Context, o *Options, cycles []int64, key goldenKey,
 		if err == nil {
 			err = mainErr
 		}
+		if err == nil {
+			g.stepCounts.add(mainline) // once, now that it has exited
+		}
 		g.finish(err, warm)
 	}()
 	return g
@@ -324,14 +329,14 @@ func startGolden(ctx context.Context, o *Options, cycles []int64, key goldenKey,
 // without the check showing up in the step loop.
 const ctxCheckCycles = 256
 
-// runMainline is the first pipeline stage. Each mainline span covers
-// everything done for one stretch: the steps to the injection cycle, the
-// snapshot there, the fork point and its hand-off; a split window's
-// quiet run-ahead is one more.
-func (g *Golden) runMainline(ctx context.Context, o *Options, cycles []int64, forks chan<- forkPoint, warm *obs.Span) error {
+// runMainline is the first pipeline stage; it returns the mainline once
+// it is done with it. Each mainline span covers everything done for one
+// stretch: the steps to the injection cycle, the snapshot there, the fork
+// point and its hand-off; a split window's quiet run-ahead is one more.
+func (g *Golden) runMainline(ctx context.Context, o *Options, cycles []int64, forks chan<- forkPoint, warm *obs.Span) (*sim.Network, error) {
 	mainline, err := sim.New(o.Sim, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	mainline.AttachMonitor(forever.NewMonitor(mainline.RouterConfig(), o.Forever))
 	last := cycles[len(cycles)-1]
@@ -350,13 +355,8 @@ func (g *Golden) runMainline(ctx context.Context, o *Options, cycles []int64, fo
 		snap := mainline.CloneInto(nil, nil)
 		g.snapshotBytes += snap.ApproxFootprintBytes()
 		fp := forkPoint{cycle: c, snap: snap, forkFP: mainline.Fingerprint()}
-		switch {
-		case c < last:
-			fp.cont = mainline.Clone(nil)
-		case sw != nil:
+		if c == last {
 			fp.split = sw
-		default:
-			fp.cont = mainline
 		}
 		select {
 		case forks <- fp:
@@ -367,13 +367,13 @@ func (g *Golden) runMainline(ctx context.Context, o *Options, cycles []int64, fo
 	}
 	for _, c := range cycles {
 		if err := stretch(c); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if sw != nil {
 		recordTail(ctx, *o, mainline, last, sw, warm)
 	}
-	return nil
+	return mainline, nil
 }
 
 // mainlineSpan opens a mainline span over cycles [from, to].
@@ -385,10 +385,9 @@ func mainlineSpan(warm *obs.Span, from, to int64) *obs.Span {
 }
 
 // advance steps the mainline to cycle to, looking at ctx every
-// ctxCheckCycles cycles. Nothing reads a mainline ejection: a
-// continuation's golden log starts at its injection cycle and snapshots
-// carry no log. Dropped as they come, they are not copied into every
-// continuation either, nor pin 32 000 cycles of delivered flits.
+// ctxCheckCycles cycles. Nothing reads a mainline ejection: a window's
+// golden log starts at its injection cycle and snapshots carry no log.
+// Dropped as they come, they do not pin 32 000 cycles of delivered flits.
 func advance(ctx context.Context, mainline *sim.Network, to int64) error {
 	for mainline.Cycle() < to {
 		if mainline.Cycle()%ctxCheckCycles == 0 {
@@ -435,8 +434,8 @@ func recordTail(ctx context.Context, o Options, mainline *sim.Network, c int64, 
 }
 
 // buildGroups is the second pipeline stage: one groupCtx per fork point,
-// published as soon as it is whole. It owns the scratch worker the
-// templates' forks run in and the footprint totals.
+// published as soon as it is whole. It owns the worker whose network every
+// window is recorded on, and the footprint totals.
 func (g *Golden) buildGroups(ctx context.Context, o *Options, forks <-chan forkPoint, warm *obs.Span) error {
 	var tw worker
 	began, first := time.Now(), true

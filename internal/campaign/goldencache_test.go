@@ -303,7 +303,7 @@ func TestGoldenKeyRefusesPointers(t *testing.T) {
 // cycle 0's while the mainline is still on its way to 16 000 and that
 // group is being built; at the end of the campaign, and again after two
 // more two-worker campaigns ran off the finished artefact at once (the
-// race detector watches the shared template slices, snapshots and
+// race detector watches the shared golden logs, monitors, snapshots and
 // transcripts), every group must still hash the same. Then the first
 // campaign is repeated: an artefact nobody writes gives the same report
 // again. Every third fault is permanent, so a good share of the runs

@@ -268,7 +268,7 @@ func TestSpanSamplingDeterministic(t *testing.T) {
 }
 
 // TestForkVerifyMismatchFails corrupts the recorded fork-point
-// fingerprint and checks the template's fork verification fails the
+// fingerprint and checks the group builder's fork verification fails the
 // campaign with an error naming the fork cycle: the engine's most
 // important trust boundary fails closed.
 func TestForkVerifyMismatchFails(t *testing.T) {

@@ -51,7 +51,8 @@ type Spec struct {
 	NumFaults int `json:"num_faults"`
 }
 
-// Validate rejects specs that cannot describe a campaign.
+// Validate rejects specs that cannot describe a campaign, or describe one
+// past specBudget.
 func (s *Spec) Validate() error {
 	if s.MeshW < 1 || s.MeshH < 1 {
 		return fmt.Errorf("campaign: invalid mesh %dx%d", s.MeshW, s.MeshH)
@@ -75,7 +76,69 @@ func (s *Spec) Validate() error {
 	}
 	// What the router refuses (a VC count past router.MaxVCs) is refused here.
 	rc := s.RouterConfig()
-	return rc.Validate()
+	if err := rc.Validate(); err != nil {
+		return err
+	}
+	return s.withinBudget(rc)
+}
+
+// specBudget caps what a spec may make a process allocate before its
+// first run can fail, in elements of the two things a spec sizes:
+//
+//   - The fault universe. SampleFaults holds one fault.Fault (80 bytes)
+//     per fault drawn — NumFaults, or every fault bit of the mesh when
+//     NumFaults is 0 or exceeds them — and a campaign one fault group and
+//     one RunResult (312 bytes) per fault besides.
+//   - The golden transcripts, one per distinct injection cycle.
+//     newRecording sizes each for rows = PostInjectRun + 4·(W+H) cycles
+//     (the window and a drain allowance): a fold array of rows × nodes
+//     words, and link and credit arrays of rows × the offered hops a
+//     cycle each — rate × nodes × the mean hop distance, about (W+H)/3 —
+//     so rows × nodes × (1 + rate·(W+H)) elements bound all three.
+//
+// 1<<22 elements keeps either under two gigabytes. It admits a 32×32 mesh
+// at the paper's rate and forty injection instants of the paper-scale
+// 8×8 campaign (2.6 M transcript elements), and refuses a 65536×65536
+// mesh or a billion-cycle window, which no process could plan.
+const specBudget = 1 << 22
+
+// withinBudget refuses a spec whose transcripts or fault universe exceed
+// specBudget (rc is the spec's valid router configuration). The
+// transcripts are counted first, in floating point so no product
+// overflows: their bound caps the mesh's node count, which the universe's
+// per-router sum then walks.
+func (s *Spec) withinBudget(rc router.Config) error {
+	post := s.PostInjectRun
+	if post <= 0 {
+		post = DefaultPostInjectRun
+	}
+	cycles := 1
+	if len(s.InjectCycles) > 0 {
+		distinct := make(map[int64]bool, len(s.InjectCycles))
+		for _, c := range s.InjectCycles {
+			distinct[c] = true
+		}
+		cycles = len(distinct)
+	}
+	w, h := float64(s.MeshW), float64(s.MeshH)
+	rows := float64(post) + 4*(w+h)
+	if cells := float64(cycles) * rows * w * h * (1 + s.InjectionRate*(w+h)); cells > specBudget {
+		return fmt.Errorf("campaign: spec needs %.3g transcript elements (%d injection cycles × %.0f rows on a %dx%d mesh), over the spec budget of %d",
+			cells, cycles, rows, s.MeshW, s.MeshH, specBudget)
+	}
+	params := fault.Params{Mesh: rc.Mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}
+	population := 0
+	for r := 0; r < rc.Mesh.Nodes(); r++ {
+		population += params.RouterBits(r)
+	}
+	faults := s.NumFaults
+	if faults == 0 || faults > population {
+		faults = population
+	}
+	if faults > specBudget {
+		return fmt.Errorf("campaign: spec draws %d faults, over the spec budget of %d", faults, specBudget)
+	}
+	return nil
 }
 
 // Normalize fills in the fields the spec leaves unset with the values the

@@ -510,6 +510,46 @@ func TestValidateRefusesBadRates(t *testing.T) {
 			t.Errorf("%d VCs: Validate() = %v", tc.vcs, err)
 		}
 	}
+	// The spec budget: what no process could plan is refused, what the
+	// repository runs is not.
+	instants := func(n int) []int64 {
+		c := make([]int64, n)
+		for i := range c {
+			c[i] = int64(1000 * (i + 1))
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Spec)
+		ok   bool
+	}{
+		{"65536x65536", func(s *Spec) { s.MeshW, s.MeshH = 65536, 65536 }, false},
+		{"1x1000000", func(s *Spec) { s.MeshW, s.MeshH = 1, 1000000 }, false},
+		{"max mesh", func(s *Spec) { s.MeshW, s.MeshH = math.MaxInt, math.MaxInt }, false},
+		{"billion-cycle window", func(s *Spec) { s.PostInjectRun = 1e9 }, false},
+		{"max window", func(s *Spec) { s.PostInjectRun = math.MaxInt64 }, false},
+		{"1000 instants", func(s *Spec) { s.InjectCycles = instants(1000) }, false},
+		{"80x80 population at 8 VCs", func(s *Spec) {
+			s.MeshW, s.MeshH, s.VCs, s.InjectionRate, s.PostInjectRun, s.NumFaults = 80, 80, 8, 0, 1, 0
+		}, false},
+		{"80x80 sample at 8 VCs", func(s *Spec) {
+			s.MeshW, s.MeshH, s.VCs, s.InjectionRate, s.PostInjectRun, s.NumFaults = 80, 80, 8, 0, 1, 1000
+		}, true},
+		{"32x32 at the paper's rate", func(s *Spec) { s.MeshW, s.MeshH, s.InjectionRate, s.PostInjectRun = 32, 32, 0.05, 500 }, true},
+		{"16x16 population", func(s *Spec) { s.MeshW, s.MeshH, s.NumFaults = 16, 16, 0 }, true},
+		{"forty 8x8 instants", func(s *Spec) {
+			s.MeshW, s.MeshH, s.InjectionRate, s.PostInjectRun, s.InjectCycles = 8, 8, 0.05, 500, instants(40)
+		}, true},
+		{"more faults than the population", func(s *Spec) { s.NumFaults = math.MaxInt }, true},
+	} {
+		spec := shardTestSpec(4)
+		tc.edit(&spec)
+		err := spec.Validate()
+		if (err == nil) != tc.ok || (err != nil && !strings.Contains(err.Error(), "over the spec budget")) {
+			t.Errorf("%s: Validate() = %v", tc.name, err)
+		}
+	}
 }
 
 func TestMergeShardsRejectsBadSets(t *testing.T) {

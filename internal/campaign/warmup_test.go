@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nocalert/internal/forever"
 	"nocalert/internal/obs"
@@ -16,47 +17,62 @@ import (
 	"nocalert/internal/traffic"
 )
 
-// TestTemplateFromContinuation holds the fault-free template the golden
-// warm-up assembles from the continuation it steps anyway to the one it
-// used to get by simulating the run a second time: runSlow with an empty
-// fault plane, through fork, window, drain, horizon and verdict, every
-// cycle stepped. Every field must agree, by default and with a ForEVeR
-// epoch short enough that the golden monitor flags (whose first flag the
-// template then carries), at every injection cycle of a multi-cycle
-// universe.
-func TestTemplateFromContinuation(t *testing.T) {
+// TestFastPathIsTheReference holds every run of a multi-cycle universe
+// that leaves by the fast path — its faults expired without firing, its
+// tail synthesized from its own engine and the golden ForEVeR record — to
+// the full-simulation reference run of the same group: runSlow, through
+// fork, window, drain, horizon and verdict, every cycle stepped. Every
+// field must agree, by default and with a ForEVeR epoch short enough that
+// the golden monitor flags (so the fast path's ForEVeR answer comes from
+// the recorded golden tail), at every injection cycle.
+func TestFastPathIsTheReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
 	for _, tc := range []struct {
 		name  string
-		setup func(o *Options)
+		epoch int64
 	}{
-		{"default", func(o *Options) {}},
-		{"epoch-20", func(o *Options) { o.Forever.Epoch = 20 }},
+		{"default", 300},
+		{"epoch-20", 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := multiCycleOptions(topology.NewMesh(4, 4), 6, 7, []int64{0, 150, 650}, 200, 2500, 300)
-			tc.setup(&opts)
+			cycles := []int64{0, 150, 650}
+			opts := multiCycleOptions(topology.NewMesh(4, 4), 96, 7, cycles, 200, 2500, tc.epoch)
 			o, err := opts.withDefaults()
 			if err != nil {
 				t.Fatal(err)
 			}
 			gold := builtGolden(t, &o)
-			var w worker
-			for _, c := range distinctCycles(o.FaultGroups) {
+			var fast, slow worker
+			hits := map[int64]int{}
+			flagged := 0
+			for i, group := range o.FaultGroups {
+				c := group[0].Cycle
 				gc := gold.groups[c].gc
-				var st runStats
-				want := runSlow(&w, gc, o, nil, &st, nil)
-				if !reflect.DeepEqual(gc.tmpl, want) {
-					t.Errorf("injection cycle %d: template assembled from the continuation\n %+v\nthe fault-free run gives\n %+v", c, gc.tmpl, want)
-				}
-				if tc.name != "epoch-20" {
+				res, exit, _, _ := runOne(&fast, gc, o, group, nil)
+				if exit != ExitFastPath {
 					continue
 				}
-				if n := len(gc.gfv.Detections()); n == 0 || n >= forever.DetectionCap || !gc.tmpl.ForeverDetected {
-					t.Errorf("injection cycle %d: golden monitor flagged %d times, template ForeverDetected = %t: want a flagging golden under the detection cap", c, n, gc.tmpl.ForeverDetected)
+				hits[c]++
+				var st runStats
+				if want := runSlow(&slow, gc, o, group, &st, nil); !reflect.DeepEqual(res, want) {
+					t.Errorf("run %d (%v): the fast path gives\n %+v\nthe reference run\n %+v", i, &group[0], res, want)
 				}
+				if res.ForeverDetected {
+					flagged++
+				}
+			}
+			for _, c := range cycles {
+				if hits[c] == 0 {
+					t.Errorf("injection cycle %d: no run took the fast path", c)
+				}
+				if n := len(gold.groups[c].gc.gfv.Detections()); tc.epoch == 20 && (n == 0 || n >= forever.DetectionCap) {
+					t.Errorf("injection cycle %d: golden monitor flagged %d times: want a flagging golden under the detection cap", c, n)
+				}
+			}
+			if tc.epoch == 20 && flagged == 0 {
+				t.Error("no fast-path result carries a ForEVeR flag under a flagging golden")
 			}
 		})
 	}
@@ -67,15 +83,13 @@ func TestTemplateFromContinuation(t *testing.T) {
 // quiet run-ahead into the split window — and every injection cycle has a
 // group span holding its window spans, which tile the post-injection
 // window (two segments for the last injection cycle, one for the others),
-// then settle-horizon after the window's last segment and template after
-// its first, ending last, all inside the group's. Chains of different
-// cycles, the mainline and a split window's two segments overlap each
-// other, so no sum of children is held to the parent; the parent ends with
-// the last group and says when the first was out. The template of a sound
-// golden is marked as not simulated again, and the one of a golden whose
-// ForEVeR monitor filled its detection list (an epoch far too short) as
-// simulated again — the fallback that keeps an unsound golden's template
-// exact.
+// and settle-horizon after the window's last segment, all inside the
+// group's. Chains of different cycles, the mainline and a split window's
+// two segments overlap each other, so no sum of children is held to the
+// parent; the parent ends with the last group and says when the first was
+// out. A golden whose ForEVeR monitor filled its detection list (an epoch
+// far too short) is unsound at every injection cycle: its runs take the
+// reference path and exit ExitFull.
 func TestWarmupPhaseSpans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -171,33 +185,34 @@ func TestWarmupPhaseSpans(t *testing.T) {
 		if got = append(got, to); !reflect.DeepEqual(got, want) {
 			t.Errorf("injection cycle %d: window spans start at and end %v, want %v", c, got, want)
 		}
-		sh, tp := phases["settle-horizon"], phases["template"]
-		if len(phases) != 2 || sh.SpanID == "" || tp.SpanID == "" {
-			t.Errorf("injection cycle %d: group span holds %v besides its windows, want settle-horizon and template", c, phases)
+		sh := phases["settle-horizon"]
+		if len(phases) != 1 || sh.SpanID == "" {
+			t.Errorf("injection cycle %d: group span holds %v besides its windows, want settle-horizon", c, phases)
 			continue
 		}
-		if len(windows) > 0 && (sh.StartNano < windows[len(windows)-1].EndNano || tp.StartNano < windows[0].EndNano || tp.EndNano < sh.EndNano) {
-			t.Errorf("injection cycle %d: settle-horizon does not follow the window's last segment, or template its first, or template does not end last", c)
-		}
-		if re, ok := tp.Attrs["resimulated"].(bool); !ok || re {
-			t.Errorf("template of injection cycle %d: resimulated = %t (present %t), want false", c, re, ok)
+		if len(windows) > 0 && sh.StartNano < windows[len(windows)-1].EndNano {
+			t.Errorf("injection cycle %d: settle-horizon does not follow the window's last segment", c)
 		}
 	}
 
 	opts.Forever.Epoch = 4 // nothing is delivered in four cycles: every node flags at every boundary
-	_, spans = tracedRun(t, opts)
-	templates := 0
-	for _, s := range spans {
-		if s.Name != "template" {
-			continue
-		}
-		templates++
-		if re, _ := s.Attrs["resimulated"].(bool); !re {
-			t.Errorf("template over a full ForEVeR detection list was not simulated again: %v", s.Attrs)
+	o, err := opts.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gold := builtGolden(t, &o)
+	for _, c := range cycles {
+		if gc := gold.groups[c].gc; gc.rc != nil || gc.rec != nil || len(gc.gfv.Detections()) < forever.DetectionCap {
+			t.Errorf("injection cycle %d: golden with %d ForEVeR detections kept its shortcuts", c, len(gc.gfv.Detections()))
 		}
 	}
-	if templates != len(cycles) {
-		t.Errorf("%d template spans, want %d", templates, len(cycles))
+	opts.OnResult = func(i int, _ *RunResult, _ time.Duration, exit ExitPath) {
+		if exit != ExitFull {
+			t.Errorf("run %d over an unsound golden exits %v, want full", i, exit)
+		}
+	}
+	if rep := mustRun(t, opts); rep.FrontierRuns != 0 {
+		t.Errorf("%d frontier runs over an unsound golden, want 0", rep.FrontierRuns)
 	}
 }
 
@@ -208,8 +223,8 @@ func TestWarmupPhaseSpans(t *testing.T) {
 // the one built as a single chain (no split) at every injection cycle:
 // the whole transcript (every array and prefix offset, the fold and busy
 // rows, injectEnd, settled and the node-major indices), the golden log,
-// the ForEVeR monitor (history and detections), the template, the
-// reconvergence context, the fork fingerprint and the ejection count; and
+// the ForEVeR monitor (history and detections), the reconvergence
+// context, the fork fingerprint and the ejection count; and
 // so do the campaign's report bytes. The epoch-20 campaign's golden
 // monitor flags on both sides of every seam.
 func TestSplitWindowIsInvisible(t *testing.T) {
@@ -257,7 +272,6 @@ func TestSplitWindowIsInvisible(t *testing.T) {
 						{"transcript", a.rec, b.rec},
 						{"golden log", a.goldenLog, b.goldenLog},
 						{"ForEVeR monitor", a.gfv, b.gfv},
-						{"template", a.tmpl, b.tmpl},
 						{"reconvergence context", a.rc, b.rc},
 						{"fork fingerprint", a.forkFP, b.forkFP},
 						{"golden ejections", a.goldenEjections, b.goldenEjections},

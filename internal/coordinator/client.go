@@ -83,6 +83,16 @@ func (c *client) apiError(resp *http.Response, op string) error {
 // and decodes as truncated, a transient error.
 const maxViewBytes = 1 << 20
 
+// maxRecordBytes bounds one record line of a shard checkpoint: a
+// trace.RunRecord's fixed fields with every integer at 20 digits come to
+// about 700 bytes, and its two checker lists to at most core.NumCheckers
+// (32) entries of two digits each. checkpointSlack is the manifest's
+// fields besides the spec it embeds, and the footer.
+const (
+	maxRecordBytes  = 2 << 10
+	checkpointSlack = 4 << 10
+)
+
 // submitShard dispatches shard i of n to the worker. Idempotent on the
 // worker side: a retry after a lost response lands on the same job.
 func (c *client) submitShard(ctx context.Context, specJSON []byte, i, n int) (server.View, error) {
@@ -172,8 +182,10 @@ func (c *client) events(ctx context.Context, id string) (<-chan server.Event, er
 	return ch, nil
 }
 
-// checkpoint fetches and parses the job's finalized shard checkpoint.
-func (c *client) checkpoint(ctx context.Context, id string) (*trace.CheckpointData, error) {
+// checkpoint fetches and parses the job's finalized shard checkpoint,
+// reading at most limit bytes of it: a longer body is a broken or hostile
+// worker, and a transient error.
+func (c *client) checkpoint(ctx context.Context, id string, limit int64) (*trace.CheckpointData, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/checkpoint", nil)
 	if err != nil {
 		return nil, err
@@ -186,7 +198,11 @@ func (c *client) checkpoint(ctx context.Context, id string) (*trace.CheckpointDa
 		return nil, c.apiError(resp, "checkpoint")
 	}
 	defer resp.Body.Close()
-	cd, err := trace.ReadCheckpoint(resp.Body)
+	cd, err := trace.ReadCheckpoint(http.MaxBytesReader(nil, resp.Body, limit))
+	var tooLong *http.MaxBytesError
+	if errors.As(err, &tooLong) {
+		return nil, transient("checkpoint %s job %s: longer than the %d bytes its shard can take", c.base, id, limit)
+	}
 	if err != nil {
 		// A truncated transfer reads like a torn checkpoint; refetch.
 		return nil, transient("checkpoint %s job %s: %v", c.base, id, err)

@@ -179,6 +179,11 @@ type run struct {
 	cfg      Config
 	specJSON []byte
 	shards   int
+	// The plan every returned checkpoint must match: the spec's and its
+	// universe's fingerprints and the universe's size, which fixes each
+	// shard's [Start, End).
+	specHash, universeHash string
+	total                  int
 
 	pending chan shardTicket
 	doneCh  chan struct{}
@@ -234,14 +239,17 @@ func Run(ctx context.Context, spec campaign.Spec, cfg Config) (*Result, error) {
 		seed = time.Now().UnixNano()
 	}
 	r := &run{
-		cfg:      cfg,
-		specJSON: specJSON,
-		shards:   cfg.Shards,
-		pending:  make(chan shardTicket, cfg.Shards),
-		doneCh:   make(chan struct{}),
-		results:  make(map[int]*trace.CheckpointData, cfg.Shards),
-		live:     len(cfg.Workers),
-		rng:      rand.New(rand.NewSource(seed)),
+		cfg:          cfg,
+		specJSON:     specJSON,
+		shards:       cfg.Shards,
+		specHash:     spec.Hash(),
+		universeHash: campaign.UniverseHash(universe),
+		total:        len(universe),
+		pending:      make(chan shardTicket, cfg.Shards),
+		doneCh:       make(chan struct{}),
+		results:      make(map[int]*trace.CheckpointData, cfg.Shards),
+		live:         len(cfg.Workers),
+		rng:          rand.New(rand.NewSource(seed)),
 	}
 	r.fleet.SetTotal(len(universe))
 	r.stats.Shards = cfg.Shards
@@ -402,7 +410,7 @@ func (r *run) dispatch(ctx context.Context, wi int, t shardTicket) error {
 			return err
 		}
 	}
-	cd, err := r.fetchCheckpoint(ctx, wi, v.ID)
+	cd, err := r.fetchCheckpoint(ctx, wi, v.ID, t.index)
 	if err != nil {
 		return err
 	}
@@ -469,10 +477,14 @@ func (r *run) watch(ctx context.Context, wi int, t shardTicket, id string) error
 	}
 }
 
-// fetchCheckpoint pulls the finalized shard checkpoint, retrying
-// transient fetch failures in place with backoff.
-func (r *run) fetchCheckpoint(ctx context.Context, wi int, id string) (*trace.CheckpointData, error) {
+// fetchCheckpoint pulls the finalized checkpoint of shard index,
+// retrying transient fetch failures in place with backoff. It reads no
+// more than the shard can take: the manifest with the spec it embeds, one
+// record line per fault of the shard, and the footer.
+func (r *run) fetchCheckpoint(ctx context.Context, wi int, id string, index int) (*trace.CheckpointData, error) {
 	w := r.workers[wi]
+	lo, hi := campaign.ShardRange(r.total, index, r.shards)
+	limit := int64(len(r.specJSON)) + checkpointSlack + int64(hi-lo)*maxRecordBytes
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
@@ -481,7 +493,7 @@ func (r *run) fetchCheckpoint(ctx context.Context, wi int, id string) (*trace.Ch
 				return nil, transient("run canceled")
 			}
 		}
-		cd, err := w.client.checkpoint(ctx, id)
+		cd, err := w.client.checkpoint(ctx, id, limit)
 		if err == nil {
 			return cd, nil
 		}
@@ -495,11 +507,19 @@ func (r *run) fetchCheckpoint(ctx context.Context, wi int, id string) (*trace.Ch
 
 // record stores a completed shard's checkpoint, guarding against the
 // duplicate-completion race (two workers finishing the same requeued
-// shard both produce identical records; first in wins).
+// shard both produce identical records; first in wins). A checkpoint that
+// is not the one dispatched — another shard, another spec or universe,
+// another range of the universe — is refused with a transient error, so
+// the shard is requeued: MergeShards checks the shards against each other
+// only, and would merge another campaign's checkpoints into its report.
 func (r *run) record(index, wi int, cd *trace.CheckpointData) error {
-	if cd.Manifest.Shard != index || cd.Manifest.Shards != r.shards {
-		return fmt.Errorf("coordinator: worker returned shard %d/%d, expected %d/%d",
-			cd.Manifest.Shard, cd.Manifest.Shards, index, r.shards)
+	m := &cd.Manifest
+	lo, hi := campaign.ShardRange(r.total, index, r.shards)
+	if m.Shard != index || m.Shards != r.shards || m.SpecHash != r.specHash ||
+		m.UniverseHash != r.universeHash || m.Start != lo || m.End != hi {
+		return transient("coordinator: worker returned shard %d/%d of spec %s, universe %s, faults [%d,%d); dispatched %d/%d of %s, %s, [%d,%d)",
+			m.Shard, m.Shards, m.SpecHash, m.UniverseHash, m.Start, m.End,
+			index, r.shards, r.specHash, r.universeHash, lo, hi)
 	}
 	w := r.workers[wi]
 	r.mu.Lock()

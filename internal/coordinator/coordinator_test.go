@@ -3,11 +3,17 @@ package coordinator
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,27 +45,7 @@ func testSpec(faults int) campaign.Spec {
 // reproduce exactly.
 func referenceReport(t *testing.T, spec campaign.Spec) []byte {
 	t.Helper()
-	spec.Normalize()
-	sh, err := campaign.PlanShard(spec, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sh.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ref.ckpt.ndjson")
-	cp, err := trace.CreateCheckpoint(path, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := campaign.RunShard(sh, cp, nil, campaign.ShardRunOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cd, err := trace.ReadCheckpointFile(path)
+	cd, err := trace.ReadCheckpoint(bytes.NewReader(shardCheckpoint(t, spec, 0, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +322,165 @@ func TestClientBoundsViewResponses(t *testing.T) {
 		}
 		if n := tr.n.Load(); n > maxViewBytes {
 			t.Errorf("%s: the client read %d bytes of the response, past the %d cap", op, n, maxViewBytes)
+		}
+	}
+}
+
+// shardCheckpoint runs shard i of n of spec on this machine and returns
+// its finalized checkpoint's bytes, as a worker serves them.
+func shardCheckpoint(t *testing.T, spec campaign.Spec, i, n int) []byte {
+	t.Helper()
+	spec.Normalize()
+	sh, err := campaign.PlanShard(spec, i, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sh.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "shard.ckpt.ndjson")
+	cp, err := trace.CreateCheckpoint(path, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := campaign.RunShard(sh, cp, nil, campaign.ShardRunOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// serveCheckpoints is a worker that takes every shard submitted to it as
+// a job already done, and answers the job's checkpoint with ckpts[shard].
+func serveCheckpoints(t *testing.T, ckpts [][]byte) *httptest.Server {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var i int
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			i, _ = strconv.Atoi(r.URL.Query().Get("shard"))
+			w.WriteHeader(http.StatusCreated)
+			json.NewEncoder(w).Encode(server.View{ID: fmt.Sprintf("j%d", i), Status: server.StatusDone})
+		default:
+			if _, err := fmt.Sscanf(r.URL.Path, "/v1/jobs/j%d/checkpoint", &i); err != nil || i >= len(ckpts) {
+				http.NotFound(w, r)
+				return
+			}
+			w.Write(ckpts[i])
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestDispatchRefusesForeignCheckpoints: a worker that answers every shard
+// with the finalized checkpoint of the same shard of another campaign — a
+// checkpoint MergeShards would take, its shards agreeing with each other
+// — gets its shards requeued, never merged. Alone, it fails the dispatch;
+// beside an honest worker, the honest one's checkpoints make the report,
+// the unsharded run's byte for byte.
+func TestDispatchRefusesForeignCheckpoints(t *testing.T) {
+	spec := testSpec(8)
+	other := spec
+	other.Seed = 4
+	foreign := serveCheckpoints(t, [][]byte{shardCheckpoint(t, other, 0, 2), shardCheckpoint(t, other, 1, 2)})
+	cfg := Config{
+		Shards:         2,
+		MaxInFlight:    1,
+		RetryBase:      time.Millisecond,
+		RetryMax:       10 * time.Millisecond,
+		DeathThreshold: 1,
+		Seed:           1,
+	}
+
+	var mu sync.Mutex
+	var log strings.Builder
+	cfg.Workers = []string{foreign.URL}
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(&log, format+"\n", args...)
+	}
+	if res, err := Run(context.Background(), spec, cfg); err == nil {
+		t.Fatalf("a fleet returning another campaign's checkpoints dispatched: %+v", res.Stats)
+	}
+	if !strings.Contains(log.String(), "dispatched 0/2") && !strings.Contains(log.String(), "dispatched 1/2") {
+		t.Errorf("the refusal does not name the shard dispatched:\n%s", log.String())
+	}
+
+	want := referenceReport(t, spec)
+	fleet := startFleet(t, 1, server.Config{Concurrency: 1})
+	cfg.Workers, cfg.Logf, cfg.DeathThreshold = []string{foreign.URL, fleet[0].ts.URL}, t.Logf, 2
+	res, err := Run(context.Background(), spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := res.Report.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("a fleet with a foreign worker reported other than the unsharded run")
+	}
+	if res.Stats.PerWorker[0].ShardsDone != 0 {
+		t.Errorf("the foreign worker is credited with %d shards", res.Stats.PerWorker[0].ShardsDone)
+	}
+}
+
+// TestClientBoundsCheckpoints: a shard checkpoint fits the bound the
+// coordinator reads it under, and so does a record line at its longest;
+// the same checkpoint padded with 2 MiB of blank lines, which
+// trace.ReadCheckpoint would skip, is a transient error of which the
+// client reads no more than the bound.
+func TestClientBoundsCheckpoints(t *testing.T) {
+	checkers := make([]int, 32)
+	for i := range checkers {
+		checkers[i] = i + 1
+	}
+	longest := trace.RunRecord{
+		Index: math.MaxInt64, Router: math.MaxInt64, Signal: strings.Repeat("x", 24), Port: math.MaxInt64,
+		VC: math.MinInt64, Bit: math.MaxInt64, FaultType: "intermittent", Cycle: math.MaxInt64,
+		Fired: true, Drained: true, FastPath: true, Malicious: true, Unbounded: true,
+		Outcome: "FN", Latency: math.MinInt64, CautiousOutcome: "FN", CautiousLatency: math.MinInt64,
+		ForeverOutcome: "FN", ForeverLatency: math.MinInt64,
+		CheckersFired: checkers, FirstCycleCheckers: checkers, WallSeconds: -math.MaxFloat64,
+	}
+	if b, _ := json.Marshal(&longest); len(b)+1 > maxRecordBytes {
+		t.Errorf("a record line of %d bytes does not fit maxRecordBytes = %d", len(b)+1, maxRecordBytes)
+	}
+
+	spec := testSpec(8)
+	spec.Normalize()
+	specJSON, err := specPayload(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := shardCheckpoint(t, spec, 0, 2)
+	limit := int64(len(specJSON)) + checkpointSlack + 4*maxRecordBytes // shard 0 of 2 of 8 faults
+	padded := append(append([]byte(nil), ckpt...), bytes.Repeat([]byte("\n"), 2<<20)...)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		ok   bool
+	}{{"finalized", ckpt, true}, {"padded", padded, false}} {
+		ts := serveCheckpoints(t, [][]byte{tc.body})
+		tr := &countingTransport{}
+		c := &client{base: ts.URL, hc: &http.Client{Transport: tr}}
+		cd, err := c.checkpoint(context.Background(), "j0", limit)
+		if tc.ok && (err != nil || len(cd.Records) != 4) {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !isTransient(err)) {
+			t.Errorf("%s: error %v, want a transient one", tc.name, err)
+		}
+		if n := tr.n.Load(); n > limit+1 {
+			t.Errorf("%s: the client read %d bytes, past the %d bound", tc.name, n, limit)
 		}
 	}
 }

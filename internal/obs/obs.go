@@ -146,8 +146,8 @@ func (t *Tracer) TraceID() string {
 }
 
 // Sampled reports whether run index i's spans are recorded under the
-// tracer's sampling rate. Negative indices (internal template runs) are
-// never sampled.
+// tracer's sampling rate. A negative index names no run and is never
+// sampled.
 func (t *Tracer) Sampled(i int) bool {
 	if t == nil || i < 0 {
 		return false

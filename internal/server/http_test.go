@@ -79,13 +79,17 @@ func TestJobAPI(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	post := func(body io.Reader) *http.Response {
+	postTo := func(query string, body io.Reader) *http.Response {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", body)
+		resp, err := http.Post(ts.URL+"/v1/jobs"+query, "application/json", body)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return resp
+	}
+	post := func(body io.Reader) *http.Response {
+		t.Helper()
+		return postTo("", body)
 	}
 
 	// Fill the queue: two accepted submissions.
@@ -107,21 +111,46 @@ func TestJobAPI(t *testing.T) {
 	}
 
 	t.Run("rejections", func(t *testing.T) {
+		overBudget := map[string]func(*campaign.Spec){
+			"65536x65536 mesh":     func(s *campaign.Spec) { s.MeshW, s.MeshH = 65536, 65536 },
+			"billion-cycle window": func(s *campaign.Spec) { s.PostInjectRun = 1e9 },
+			"1000 injection cycles": func(s *campaign.Spec) {
+				for c := int64(0); c < 1000; c++ {
+					s.InjectCycles = append(s.InjectCycles, c)
+				}
+			},
+		}
+		huge := func(name string) string {
+			s := testSpec(24)
+			overBudget[name](&s)
+			return mustJSON(t, s)
+		}
 		cases := []struct {
-			name string
-			body string
-			want int
+			name  string
+			query string
+			body  string
+			want  int
 		}{
-			{"queue full", mustJSON(t, testSpec(24)), http.StatusTooManyRequests},
-			{"invalid mesh", `{"mesh_w":0,"mesh_h":4,"vcs":4}`, http.StatusBadRequest},
-			{"negative faults", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.NumFaults = -1; return s }()), http.StatusBadRequest},
-			{"9 VCs", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.VCs = 9; return s }()), http.StatusBadRequest},
-			{"33 VCs", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.VCs = 33; return s }()), http.StatusBadRequest},
-			{"unknown field", `{"mesh_w":4,"mesh_h":4,"vcs":4,"typo_field":1}`, http.StatusBadRequest},
-			{"not JSON", `mesh=4x4`, http.StatusBadRequest},
+			{"queue full", "", mustJSON(t, testSpec(24)), http.StatusTooManyRequests},
+			{"invalid mesh", "", `{"mesh_w":0,"mesh_h":4,"vcs":4}`, http.StatusBadRequest},
+			{"negative faults", "", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.NumFaults = -1; return s }()), http.StatusBadRequest},
+			{"9 VCs", "", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.VCs = 9; return s }()), http.StatusBadRequest},
+			{"33 VCs", "", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.VCs = 33; return s }()), http.StatusBadRequest},
+			{"unknown field", "", `{"mesh_w":4,"mesh_h":4,"vcs":4,"typo_field":1}`, http.StatusBadRequest},
+			{"not JSON", "", `mesh=4x4`, http.StatusBadRequest},
+			// Specs no process could plan: refused, never persisted to crash
+			// every restart.
+			{"65536x65536 mesh", "", `{"mesh_w":65536,"mesh_h":65536}`, http.StatusBadRequest},
+			{"billion-cycle window", "", huge("billion-cycle window"), http.StatusBadRequest},
+			{"1000 injection cycles", "", huge("1000 injection cycles"), http.StatusBadRequest},
+			// Shard coordinates that name no shard are not a whole campaign.
+			{"shard 3 of 1", "?shard=3&shards=1", mustJSON(t, testSpec(24)), http.StatusBadRequest},
+			{"-2 shards", "?shard=0&shards=-2", mustJSON(t, testSpec(24)), http.StatusBadRequest},
+			{"shard -1 of 2", "?shard=-1&shards=2", mustJSON(t, testSpec(24)), http.StatusBadRequest},
+			{"shard 2 of 2", "?shard=2&shards=2", mustJSON(t, testSpec(24)), http.StatusBadRequest},
 		}
 		for _, c := range cases {
-			resp := post(strings.NewReader(c.body))
+			resp := postTo(c.query, strings.NewReader(c.body))
 			if resp.StatusCode != c.want {
 				t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
 			}
@@ -145,6 +174,19 @@ func TestJobAPI(t *testing.T) {
 			spec.VCs = vcs
 			if j, _, err := s.SubmitJob(spec, SubmitOptions{}); err == nil || !strings.Contains(err.Error(), "VCs must be in") {
 				t.Errorf("SubmitJob with %d VCs: job %v, error %v", vcs, j, err)
+			}
+		}
+		// Those specs fail on the budget, not on their JSON.
+		for name := range overBudget {
+			spec := testSpec(24)
+			overBudget[name](&spec)
+			if j, _, err := s.SubmitJob(spec, SubmitOptions{}); err == nil || !strings.Contains(err.Error(), "over the spec budget") {
+				t.Errorf("SubmitJob of a %s: job %v, error %v", name, j, err)
+			}
+		}
+		for _, o := range []SubmitOptions{{Shard: 3, Shards: 1}, {Shards: -2}, {Shard: -1, Shards: 2}, {Shard: 1}} {
+			if j, _, err := s.SubmitJob(testSpec(24), o); err == nil || !strings.Contains(err.Error(), "shard") {
+				t.Errorf("SubmitJob as shard %d/%d: job %v, error %v", o.Shard, o.Shards, j, err)
 			}
 		}
 		// A rejected submission must leave no state residue.

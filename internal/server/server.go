@@ -311,8 +311,9 @@ type SubmitOptions struct {
 	Tenant string
 	// Shard/Shards submit one slice of a larger campaign: the job runs
 	// PlanShard(spec, Shard, Shards) and its product is the finalized
-	// shard checkpoint rather than an aggregated report. Shards <= 1
-	// means a whole-campaign job.
+	// shard checkpoint rather than an aggregated report. 0/0 (the zero
+	// value) and 0/1 mean a whole-campaign job; a pair that names no shard
+	// — a count below 1, an index outside [0, Shards) — is refused.
 	Shard  int
 	Shards int
 }
@@ -328,9 +329,13 @@ func (s *Server) SubmitJob(spec campaign.Spec, o SubmitOptions) (j *Job, existin
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
-	if o.Shards <= 1 {
-		o.Shard, o.Shards = 0, 1
-	} else if o.Shard < 0 || o.Shard >= o.Shards {
+	if o.Shard == 0 && o.Shards == 0 {
+		o.Shards = 1
+	}
+	if o.Shards < 1 {
+		return nil, false, fmt.Errorf("server: shard count %d < 1", o.Shards)
+	}
+	if o.Shard < 0 || o.Shard >= o.Shards {
 		return nil, false, fmt.Errorf("server: shard index %d outside [0,%d)", o.Shard, o.Shards)
 	}
 	specJSON, err := json.Marshal(&spec)
