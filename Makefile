@@ -89,13 +89,15 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { if (t+0 < f+0) exit 1 }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# e2e builds the real nocalertd binary, SIGKILLs it mid-campaign over
-# HTTP, restarts it, and requires the resumed job's report to be
-# byte-identical to an uninterrupted run's (see e2e/restart_test.go).
+# e2e runs every test in ./e2e: it builds the real nocalertd binary,
+# SIGKILLs it mid-campaign over HTTP, restarts it, and requires the
+# resumed job's report to be byte-identical to an uninterrupted run's (see
+# e2e/restart_test.go), and runs the distributed gate below.
 e2e:
 	$(GO) test -tags e2e ./e2e -v -timeout 20m
 
-# e2e-dist is the distributed gate alone: a coordinator dispatching the
+# e2e-dist is the distributed gate alone, for a local run (CI's e2e job
+# runs it through make e2e): a coordinator dispatching the
 # golden campaign to a local 3-worker fleet, one worker SIGKILLed
 # mid-flight, merged report byte-identical to the unsharded run and the
 # committed fixture (see e2e/distributed_test.go).

@@ -275,18 +275,11 @@ type RunResult struct {
 	// Checker attribution.
 	CheckersFired      []core.CheckerID
 	FirstCycleCheckers []core.CheckerID
-	SimultaneityHist   []int64
 }
 
 // Report is the aggregated campaign output.
 type Report struct {
 	Opts Options
-	// GoldenEjections is the number of flits the golden run delivered
-	// after the injection cycle.
-	GoldenEjections int
-	// GoldenForeverFalsePositive reports whether ForEVeR flagged the
-	// fault-free golden continuation (an epoch-tuning artifact).
-	GoldenForeverFalsePositive bool
 	// Results holds one entry per injected fault, in input order.
 	Results []RunResult
 	// FastPathHits counts runs resolved by the early-exit fast path
@@ -349,25 +342,22 @@ var beforeRun func(*worker, *groupCtx)
 // latch, NI queue, RNG stream and cloneable monitor, never written after
 // capture — the golden fingerprint there (the builder's fork is verified
 // against it), the golden reference log and ForEVeR monitor of the
-// fault-free continuation, and the reconvergence context.
+// fault-free continuation, and the transcript the divergence frontier
+// replays.
 type groupCtx struct {
 	cycle  int64
 	snap   *sim.Network
 	forkFP uint64
 
-	goldenLog       *golden.Log
-	gfv             *forever.Monitor
-	goldenFvFP      bool
-	goldenEjections int
-
-	rc *reconvergence
+	goldenLog *golden.Log
+	gfv       *forever.Monitor
 
 	// rec drives divergence-frontier delta stepping: the golden
 	// continuation's per-link signal transcript from the injection cycle
 	// through the post-injection window and the drain until the network
-	// settled, which is as far as any faulty run can need it. Nil exactly
-	// when rc is (FullSim, or a golden the shortcuts cannot rest on);
-	// shared read-only across workers.
+	// settled, which is as far as any faulty run can need it. Nil under
+	// FullSim and for a golden the shortcuts cannot rest on (the group's
+	// runs then take the reference path); shared read-only across workers.
 	rec *sim.Recording
 }
 
@@ -569,9 +559,6 @@ feed:
 	// Every run has had its group, the last injection cycle's among
 	// them, so the artefact is whole and its totals follow at once.
 	<-gold.done
-	first := gold.groups[cycles[0]].gc
-	report.GoldenEjections = first.goldenEjections
-	report.GoldenForeverFalsePositive = first.goldenFvFP
 	report.SnapshotCount = len(gold.groups)
 	report.SnapshotBytes = gold.snapshotBytes
 	report.TimelineBytes = gold.timelineBytes
@@ -611,9 +598,7 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span, counts *st
 		return nil, err
 	}
 	gc.goldenLog = golden.FromEjections(run.ejections, c)
-	gc.goldenEjections = gc.goldenLog.Total()
 	gc.gfv = run.fv
-	gc.goldenFvFP = gc.gfv.FirstDetectionAfter(c) >= 0
 	if o.FullSim {
 		return gc, nil
 	}
@@ -632,7 +617,6 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span, counts *st
 	if run.silent && verdict.OK() && run.rec != nil &&
 		len(gc.gfv.Detections()) < forever.DetectionCap && gc.gfv.Settled() {
 		gc.rec = run.rec
-		gc.rc = &reconvergence{gfv: gc.gfv, verdict: verdict}
 	}
 	return gc, nil
 }
@@ -812,23 +796,13 @@ func findForever(n *sim.Network) *forever.Monitor {
 	return nil
 }
 
-// reconvergence bundles the golden-side state the shortcuts consult
-// besides the transcript: the golden ForEVeR monitor (for synthesizing
-// the detection tail) and the benign golden-vs-golden verdict reconverged
-// runs inherit. A group has one exactly when the shortcuts may rest on
-// its golden (buildGroupCtx).
-type reconvergence struct {
-	gfv     *forever.Monitor
-	verdict golden.Verdict
-}
-
 // runOne executes one fault group's run on one of the two run paths: the
 // divergence frontier with its exits (runFrontier) when the group's golden
 // carries the shortcuts, the full-simulation reference (runSlow) under
 // FullSim or when it does not. convCycles is the reconvergence latency
 // (cycles after injection); zero for the other exit paths.
 func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, st runStats) {
-	if gc.rc == nil {
+	if gc.rec == nil {
 		res = runSlow(w, gc, o, group, &st, ro)
 		return res, ExitFull, 0, st
 	}
@@ -905,7 +879,6 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 		st.nodesCloned += fr.Copied() // on top of the fork's
 	}()
 	ro.setFrontier(fr)
-	rc := gc.rc
 	fa := ro.phase("fault-armed")
 	for t := int64(0); t < o.PostInjectRun; t++ {
 		fr.Step()
@@ -913,7 +886,7 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 			st.simulated = n.Cycle() - gc.cycle
 			st.horizon = n.Cycle()
 			fa.End()
-			return synthesizeReconverged(n, eng, fv, rc, plane, gc.cycle, group), ExitFastPath, 0
+			return synthesizeReconverged(n.Cycle(), eng, fv, gc.gfv, plane, gc.cycle, group), ExitFastPath, 0
 		}
 		if t == o.PostInjectRun-1 {
 			fr.RetireAll()
@@ -929,7 +902,7 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 		rt.SetAttr("reconverged_cycle", n.Cycle())
 		rt.SetAttr("cycles_synthesized", gc.cycle+o.PostInjectRun-n.Cycle())
 		rt.End()
-		return synthesizeReconverged(n, eng, fv, rc, plane, gc.cycle, group),
+		return synthesizeReconverged(n.Cycle(), eng, fv, gc.gfv, plane, gc.cycle, group),
 			ExitReconverged, n.Cycle() - gc.cycle
 	}
 	fa.End()
@@ -938,38 +911,39 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 	return res, ExitFull, 0
 }
 
-// synthesizeReconverged builds the run's result at the reconvergence
-// cycle, or at the cycle its faults went inert without firing, without
-// simulating the rest of the window, the drain or the ForEVeR horizon.
-// Soundness: a plane that never fired, or an empty frontier with a clean
-// ejection history and golden's counters, proves the faulty run's past
-// delivered exactly golden's flits and its future will replay golden's
-// cycles bit for bit. Hence the
-// verdict is the benign golden-vs-golden verdict; the drain succeeds
-// exactly as golden's did; the NoCAlert engine — whose checkers are
-// purely combinational per cycle — can assert nothing in the golden
-// replay (the golden continuation asserted nothing, a precondition
-// checked in buildGroupCtx), so its aggregates are already final;
-// and ForEVeR's counter state, a function of the injection and ejection
-// histories alone, equals the golden monitor's, so its future flags are
-// the golden monitor's recorded tail.
-func synthesizeReconverged(n *sim.Network, eng *core.Engine, fv *forever.Monitor, rc *reconvergence, plane *fault.Plane, injectCycle int64, group []fault.Fault) RunResult {
+// synthesizeReconverged builds the run's result at cycle at — the
+// reconvergence cycle, or the cycle its faults went inert without firing —
+// without simulating the rest of the window, the drain or the ForEVeR
+// horizon. Soundness: a plane that never fired, or an empty frontier with
+// a clean ejection history and golden's counters, proves the faulty run's
+// past delivered exactly golden's flits and its future will replay
+// golden's cycles bit for bit. Hence the verdict is the benign
+// golden-vs-golden one, which is the zero Verdict (buildGroupCtx checked
+// it OK, and OK means every field is zero); the drain succeeds exactly as
+// golden's did; the NoCAlert engine — whose checkers are purely
+// combinational per cycle — can assert nothing in the golden replay (the
+// golden continuation asserted nothing, a precondition checked in
+// buildGroupCtx), so its first detections and fired sets are already
+// final; and ForEVeR's counter state, a function of the injection and
+// ejection histories alone, equals the golden monitor gfv's, so its
+// future flags are gfv's recorded tail from cycle at on.
+func synthesizeReconverged(at int64, eng *core.Engine, fv, gfv *forever.Monitor, plane *fault.Plane, injectCycle int64, group []fault.Fault) RunResult {
 	// Flags the faulty monitor raised during the divergent window come
 	// first; past the reconvergence cycle the faulty run would flag exactly
 	// when the golden monitor did, so the recorded golden tail completes the
 	// picture.
 	fd := fv.FirstDetectionAfter(injectCycle)
 	if fd < 0 {
-		fd = rc.gfv.FirstDetectionAfter(n.Cycle())
+		fd = gfv.FirstDetectionAfter(at)
 	}
-	return assembleResult(eng, plane, group, injectCycle, rc.verdict, true, fd)
+	return assembleResult(eng, plane, group, injectCycle, golden.Verdict{}, true, fd)
 }
 
 // assembleResult builds the result of a run that is over — stepped to its
 // end, or known from here on without stepping: whether the plane fired,
-// what the NoCAlert engine accumulated, and the three mechanisms'
-// classifications against the golden-reference verdict. fd is ForEVeR's
-// first flag at or after the injection cycle, -1 for none.
+// when and which of the NoCAlert engine's checkers asserted, and the three
+// mechanisms' classifications against the golden-reference verdict. fd is
+// ForEVeR's first flag at or after the injection cycle, -1 for none.
 func assembleResult(eng *core.Engine, plane *fault.Plane, group []fault.Fault, injectCycle int64, verdict golden.Verdict, drained bool, fd int64) RunResult {
 	malicious := !verdict.OK()
 	fired := false
@@ -990,7 +964,6 @@ func assembleResult(eng *core.Engine, plane *fault.Plane, group []fault.Fault, i
 
 		CheckersFired:      eng.FiredCheckers(),
 		FirstCycleCheckers: eng.FirstCycleCheckers(),
-		SimultaneityHist:   eng.SimultaneityHistogram(),
 	}
 	if len(group) > 0 {
 		res.Fault = group[0]
@@ -1056,10 +1029,10 @@ type stepper interface {
 // verdict is the deadline miss it was headed for; a frozen network
 // steps identically through the rest of the horizon, so all that is
 // left to compute is ForEVeR's epoch-boundary arithmetic (projected
-// from the frozen counters without mutating the monitor) and the
-// NoCAlert accumulators (the steady assertion pattern, replayed via
-// ffProbe.extend — a deadlocked router that keeps asserting still
-// freezes, it just fast-forwards its assertions along with its state).
+// from the frozen counters without mutating the monitor). A deadlocked
+// router that keeps asserting still freezes: what it asserts on every
+// later cycle it asserted in the confirming step, so the NoCAlert
+// engine's first detections and fired sets are already final.
 func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.Monitor, plane *fault.Plane, gc *groupCtx, o Options, group []fault.Fault, w *worker, st *runStats, ro *runObs) RunResult {
 	var s stepper = n
 	if fr != nil {
@@ -1076,7 +1049,7 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 			drained = true
 			break
 		}
-		if fr != nil && probe.frozen(fr, n, eng, fv) {
+		if fr != nil && probe.frozen(fr, n, fv) {
 			frozen = true
 			break
 		}
@@ -1098,7 +1071,7 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 	hz := ro.phase("horizon")
 	horizon := foreverHorizon(logical, o.Forever)
 	for !frozen && n.Cycle() < horizon {
-		if fr != nil && probe.frozen(fr, n, eng, fv) {
+		if fr != nil && probe.frozen(fr, n, fv) {
 			frozen = true
 			break
 		}
@@ -1112,10 +1085,6 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 	hz.SetAttr("frozen", frozen)
 	hz.End()
 	if frozen {
-		// The frozen state re-emits its assertion pattern on every
-		// synthesized cycle; fold all of them into the engine so the
-		// accumulators match a full simulation to the horizon.
-		probe.extend(eng, projectUntil-n.Cycle())
 		sp := ro.phase("fast-forward")
 		sp.SetAttr("frozen_cycle", n.Cycle())
 		if n.FaultsQuiescent() {

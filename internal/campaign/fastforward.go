@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"nocalert/internal/core"
 	"nocalert/internal/forever"
 	"nocalert/internal/sim"
 )
@@ -67,18 +66,17 @@ const ffBackoffCap = 64
 // will, so FiredAt is final; (b) extends the fixed point to ForEVeR's
 // verdict-relevant state. What remains is exactly reconstructible without
 // stepping: ForEVeR's epoch-boundary bookkeeping via
-// forever.Monitor.ProjectFrozenDetection, and the NoCAlert engine's
-// accumulators via core.Engine.AdvanceSteady —
-// a deadlocked router, or one under a permanent fault, re-emits the
-// identical assertion multiset every cycle (checkers are pure functions
-// of the signal record), and the probe captures that multiset across its
-// confirming step. A periodic intermittent fault, or a stuck signal that
+// forever.Monitor.ProjectFrozenDetection. The NoCAlert engine needs
+// nothing: its checkers are pure functions of the signal record, so a
+// deadlocked router, or one under a permanent fault, asserts on every later
+// cycle exactly what it asserted in the confirming step, and a run's
+// verdict reads only the first detections and the fired sets, which that
+// step already set. A periodic intermittent fault, or a stuck signal that
 // keeps a round-robin pointer turning, is an orbit and not a fixed point:
 // such a run steps to its horizon (DESIGN.md has the contract).
 type ffProbe struct {
 	fp      uint64
 	fpCycle int64 // boundary fp was taken at; -1 when not armed
-	mark    core.AccumMark
 	nextTry int64
 	gap     int64
 }
@@ -87,9 +85,8 @@ type ffProbe struct {
 // provably a fixed point; fr is the frontier that steps n and supplies
 // the fingerprint. Call it at every boundary of a phase
 // loop: it arms on one boundary and confirms on the next, backing off
-// after each failed pair. On confirmation p.mark spans exactly the
-// probed step, so extend can replay the steady assertion pattern.
-func (p *ffProbe) frozen(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.Monitor) bool {
+// after each failed pair.
+func (p *ffProbe) frozen(fr *sim.Frontier, n *sim.Network, fv *forever.Monitor) bool {
 	if p.gap == 0 {
 		p.gap, p.fpCycle = 1, -1
 	}
@@ -103,11 +100,10 @@ func (p *ffProbe) frozen(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv 
 	}
 	fp := fr.StaticFingerprint()
 	if p.fpCycle == t-1 {
-		if p.fp == fp && eng.AdvanceSteady(p.mark, 0) {
+		if p.fp == fp {
 			return true
 		}
-		// Still evolving (or the steady pattern can't be synthesized):
-		// back off before paying for the next pair.
+		// Still evolving: back off before paying for the next pair.
 		if p.gap < ffBackoffCap {
 			p.gap *= 2
 		}
@@ -115,14 +111,6 @@ func (p *ffProbe) frozen(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv 
 		p.fpCycle = -1
 		return false
 	}
-	p.fp, p.fpCycle, p.mark = fp, t, eng.Mark()
+	p.fp, p.fpCycle = fp, t
 	return false
-}
-
-// extend folds m synthesized cycles of the frozen state's assertion
-// pattern into the engine, keeping its accumulators bit-identical to a
-// full simulation of those cycles. Only valid after frozen returned
-// true (the mark spans the confirming step) with no steps since.
-func (p *ffProbe) extend(eng *core.Engine, m int64) {
-	eng.AdvanceSteady(p.mark, m)
 }

@@ -138,7 +138,7 @@ func TestFollowerForeverAgreesWithFullFeed(t *testing.T) {
 			}
 			for i, group := range groups {
 				gc := gold.groups[group[0].Cycle].gc
-				goldenFlags = goldenFlags || gc.goldenFvFP
+				goldenFlags = goldenFlags || gc.gfv.FirstDetectionAfter(gc.cycle) >= 0
 				var st runStats
 				na, _, fa := wa.forkRun(gc, o, fault.NewPlane(group...), false, &st, nil)
 				nb, _, fb := wb.forkRun(gc, o, fault.NewPlane(group...), false, &st, nil)

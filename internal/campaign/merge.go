@@ -93,9 +93,7 @@ func MergeShards(shards []*trace.CheckpointData) (*Merged, error) {
 				return nil, fmt.Errorf("campaign: duplicate record for fault index %d", rec.Index)
 			}
 			f := &universe[rec.Index]
-			if rec.Router != f.Site.Router || rec.Signal != f.Site.Kind.String() ||
-				rec.Port != f.Site.Port || rec.VC != f.Site.VC || rec.Bit != f.Bit ||
-				rec.FaultType != f.Type.String() || rec.Cycle != f.Cycle {
+			if !recordDescribes(rec, f) {
 				return nil, fmt.Errorf("campaign: record %d describes fault %s.bit%d, universe has %v",
 					rec.Index, rec.Signal, rec.Bit, f)
 			}

@@ -5,8 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"nocalert/internal/core"
 	"nocalert/internal/fault"
+	"nocalert/internal/flit"
 	"nocalert/internal/forever"
+	"nocalert/internal/golden"
 	"nocalert/internal/router"
 	"nocalert/internal/sim"
 	"nocalert/internal/topology"
@@ -116,8 +119,9 @@ func TestQuiescentVsInert(t *testing.T) {
 // TestReconvergenceOffGoldenPathUnchanged checks that the golden
 // continuation of a FullSim campaign — reconvergence off with every other
 // shortcut, stepped with nothing recorded and no engine attached — is the
-// one the shortcuts record: the two modes must agree on the golden-run
-// aggregates the report exposes.
+// one the shortcuts record: at every injection cycle the two artefacts'
+// golden logs must judge each other benign and their ForEVeR monitors
+// must first flag on the same cycle.
 func TestReconvergenceOffGoldenPathUnchanged(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
 	rc := router.Default(mesh)
@@ -131,19 +135,60 @@ func TestReconvergenceOffGoldenPathUnchanged(t *testing.T) {
 		Faults:        SampleFaults(params, 4, 11, 100),
 		Workers:       1,
 	}
-	onRep, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
+	var golds [2]*Golden
+	for i, fullSim := range []bool{false, true} {
+		opts.FullSim = fullSim
+		o, err := opts.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		golds[i] = builtGolden(t, &o)
 	}
-	opts.FullSim = true
-	offRep, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
+	on, off := golds[0], golds[1]
+	if len(on.groups) == 0 || len(on.groups) != len(off.groups) {
+		t.Fatalf("%d golden groups by default, %d under FullSim", len(on.groups), len(off.groups))
 	}
-	if onRep.GoldenEjections != offRep.GoldenEjections ||
-		onRep.GoldenForeverFalsePositive != offRep.GoldenForeverFalsePositive {
-		t.Fatalf("golden-run aggregates differ: by default {%d %v}, under FullSim {%d %v}",
-			onRep.GoldenEjections, onRep.GoldenForeverFalsePositive,
-			offRep.GoldenEjections, offRep.GoldenForeverFalsePositive)
+	for c, g := range on.groups {
+		a, b := g.gc, off.groups[c].gc
+		if a.rec == nil || b.rec != nil {
+			t.Errorf("injection cycle %d: transcript recorded by default %t, under FullSim %t", c, a.rec != nil, b.rec != nil)
+		}
+		if v := golden.Compare(a.goldenLog, b.goldenLog, true); !v.OK() {
+			t.Errorf("injection cycle %d: the FullSim golden log against the default's: %+v", c, v)
+		}
+		if fa, fb := a.gfv.FirstDetectionAfter(c), b.gfv.FirstDetectionAfter(c); fa != fb {
+			t.Errorf("injection cycle %d: golden ForEVeR first flags at %d by default, at %d under FullSim", c, fa, fb)
+		}
+	}
+}
+
+// TestReconvergedForeverTailStartsAtReconvergence: a reconverged run whose
+// own ForEVeR monitor never flagged takes golden's first flag from the
+// reconvergence cycle on. A golden flag between the injection and the
+// reconvergence cycle is not one the run raised: it may sit at a node of
+// the run's cone, whose counters were the run's own and not golden's.
+func TestReconvergedForeverTailStartsAtReconvergence(t *testing.T) {
+	mesh := topology.NewMesh(4, 4)
+	rc := router.Default(mesh)
+	opts := forever.Options{Epoch: 8, HopLatency: 1}
+	gfv := forever.NewMonitor(&rc, opts)
+	// One packet that is never delivered: its destination's counter stays
+	// nonzero, and golden's monitor flags the node at every epoch boundary.
+	gfv.PacketInjected(0, 0, &flit.Packet{ID: 1, Dest: 5, Length: 1})
+	for c := int64(0); c < 40; c++ {
+		gfv.EndCycle(c)
+	}
+	d := gfv.Detections()
+	if len(d) < 2 || d[1] <= d[0]+1 {
+		t.Fatalf("golden flags at %v: want two, more than a cycle apart", d)
+	}
+	inject, reconverged := d[0]-1, d[0]+1
+	params := fault.Params{Mesh: mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}
+	f := SampleFaults(params, 1, 11, inject)[0]
+	fv := forever.NewMonitor(&rc, opts) // the run's: it flagged nothing
+	res := synthesizeReconverged(reconverged, core.NewEngine(&rc, core.Options{}), fv, gfv, fault.NewPlane(f), inject, []fault.Fault{f})
+	if !res.ForeverDetected || res.ForeverLatency != d[1]-inject {
+		t.Fatalf("injected at %d, reconverged at %d, golden flags at %v: ForEVeR detected %t with latency %d, want golden's flag at %d (latency %d)",
+			inject, reconverged, d, res.ForeverDetected, res.ForeverLatency, d[1], d[1]-inject)
 	}
 }

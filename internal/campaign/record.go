@@ -75,13 +75,20 @@ func RecordFor(index int, res *RunResult, wall time.Duration, fastPath bool) tra
 	}
 }
 
+// recordDescribes reports whether rec carries f's identity: its site, bit,
+// type and injection cycle.
+func recordDescribes(rec *trace.RunRecord, f *fault.Fault) bool {
+	return rec.Router == f.Site.Router && rec.Signal == f.Site.Kind.String() &&
+		rec.Port == f.Site.Port && rec.VC == f.Site.VC && rec.Bit == f.Bit &&
+		rec.FaultType == f.Type.String() && rec.Cycle == f.Cycle
+}
+
 // resultFromRecord inverts RecordFor: it rebuilds the RunResult fields
-// the aggregated report reads. Fields the record does not carry (the
-// simultaneity histogram, the full verdict breakdown) stay zero; no
-// report aggregation consumes them. The synthetic Verdict reproduces
-// only OK() and Unbounded, which is all the reducers ask of it. The
-// record's own fault cycle anchors DetectCycle, so mixed-injection-cycle
-// universes rebuild correctly.
+// the aggregated report reads. The record does not carry the full verdict
+// breakdown, which no report aggregation consumes: the synthetic Verdict
+// reproduces only OK() and Unbounded, which is all the reducers ask of
+// it. The record's own fault cycle anchors DetectCycle, so
+// mixed-injection-cycle universes rebuild correctly.
 func resultFromRecord(rec *trace.RunRecord) (RunResult, error) {
 	kind, err := fault.ParseKind(rec.Signal)
 	if err != nil {

@@ -142,9 +142,7 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 			return nil, fmt.Errorf("campaign: checkpoint has duplicate record for index %d", rec.Index)
 		}
 		f := &sh.Faults[rec.Index-sh.Start]
-		if rec.Router != f.Site.Router || rec.Signal != f.Site.Kind.String() ||
-			rec.Port != f.Site.Port || rec.VC != f.Site.VC || rec.Bit != f.Bit ||
-			rec.FaultType != f.Type.String() || rec.Cycle != f.Cycle {
+		if !recordDescribes(rec, f) {
 			return nil, fmt.Errorf("campaign: checkpoint record %d describes fault %s.bit%d, shard plan has %v",
 				rec.Index, rec.Signal, rec.Bit, f)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -448,15 +449,24 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 		return out
 	}
 
-	// (a) Fault-identity tampering is caught by plan validation.
-	badID := tamper(t, func(rec map[string]any) { rec["router"] = rec["router"].(float64) + 1 })
+	// (a) Fault-identity tampering is caught by plan validation, and the
+	// error names the record and the fault the plan has there.
+	idx := -1
+	badID := tamper(t, func(rec map[string]any) {
+		idx = int(rec["index"].(float64))
+		rec["router"] = rec["router"].(float64) + 1
+	})
 	cpa, completed, err := trace.ResumeCheckpoint(badID, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cpa.Close()
-	if _, err := RunShard(sh, cpa, completed, ShardRunOptions{}); err == nil {
+	_, err = RunShard(sh, cpa, completed, ShardRunOptions{})
+	if err == nil {
 		t.Fatal("identity-tampered checkpoint resumed without error")
+	}
+	if f := &sh.Faults[idx-sh.Start]; !strings.Contains(err.Error(), fmt.Sprintf("record %d ", idx)) || !strings.Contains(err.Error(), f.String()) {
+		t.Fatalf("identity-tampered record %d (plan has %v): %v", idx, f, err)
 	}
 
 	// (b) Result tampering is caught by deterministic re-execution.
@@ -606,5 +616,19 @@ func TestMergeShardsRejectsBadSets(t *testing.T) {
 	short.Footer = &trace.Footer{Kind: "footer", Records: len(short.Records), Sum: trace.SumRecords(short.Records)}
 	if _, err := MergeShards([]*trace.CheckpointData{mkShard(0, 2), short}); err == nil {
 		t.Fatal("merge accepted a shard with missing records")
+	}
+
+	// A record whose fault is not the universe's at its index: the error
+	// names the index and the universe's fault.
+	other := mkShard(1, 2)
+	rec := &other.Records[0]
+	rec.Bit ^= 1
+	other.Footer = &trace.Footer{Kind: "footer", Records: len(other.Records), Sum: trace.SumRecords(other.Records)}
+	_, err := MergeShards([]*trace.CheckpointData{mkShard(0, 2), other})
+	if err == nil {
+		t.Fatal("merge accepted a record describing another fault")
+	}
+	if f := spec.Universe()[rec.Index]; !strings.Contains(err.Error(), fmt.Sprintf("record %d ", rec.Index)) || !strings.Contains(err.Error(), f.String()) {
+		t.Fatalf("record %d describing another fault (universe has %v): %v", rec.Index, &f, err)
 	}
 }

@@ -133,9 +133,9 @@ type Options struct {
 	// checker 27 is inapplicable with atomic buffers and self-disables
 	// regardless).
 	Disabled []CheckerID
-	// KeepViolations retains every Violation; otherwise only counters
-	// and first-detection bookkeeping are kept (campaigns run millions
-	// of cycles).
+	// KeepViolations retains every Violation; otherwise only the
+	// first-detection bookkeeping and the fired sets are kept (campaigns
+	// run millions of cycles).
 	KeepViolations bool
 	// MaxViolations caps retained violations when KeepViolations is
 	// set; 0 means unlimited.
@@ -152,20 +152,11 @@ type Engine struct {
 
 	violations []Violation
 
-	// Aggregates.
-	total         int64                  // assertions across all checkers
-	perChecker    [NumCheckers + 1]int64 // assertion-cycle counts per checker
-	firstCycle    int64                  // first assertion, -1 if none
-	firstHighRisk int64                  // first assertion from a non-low-risk checker
-	firedSet      [NumCheckers + 1]bool  // checkers that fired at least once
-	firstCycleSet [NumCheckers + 1]bool  // checkers asserted in the first detection cycle
-
-	// Per-cycle scratch for simultaneity accounting.
-	cycleSet   [NumCheckers + 1]bool
-	cycleDirty bool
-	// simulHist[k] counts assertion cycles during which exactly k
-	// distinct checkers fired (k >= 1).
-	simulHist []int64
+	// What a run's verdict reads.
+	firstCycle    int64                 // first assertion, -1 if none
+	firstHighRisk int64                 // first assertion from a non-low-risk checker
+	firedSet      [NumCheckers + 1]bool // checkers that fired at least once
+	firstCycleSet [NumCheckers + 1]bool // checkers asserted in the first detection cycle
 }
 
 // NewEngine returns a checker engine for networks built on cfg.
@@ -197,13 +188,7 @@ func (e *Engine) emit(id CheckerID, routerID int, cycle int64, port, vc int, for
 	if !e.enabled[id] {
 		return
 	}
-	e.total++
-	e.perChecker[id]++
 	e.firedSet[id] = true
-	if !e.cycleSet[id] {
-		e.cycleSet[id] = true
-		e.cycleDirty = true
-	}
 	if e.firstCycle < 0 {
 		e.firstCycle = cycle
 	}
@@ -231,77 +216,6 @@ func (e *Engine) RouterCycle(r *router.Router, s *router.Signals) {
 	e.checkBuffers(s)
 	e.checkPortLevel(s)
 	e.checkEndToEnd(s)
-}
-
-// EndCycle implements sim.Monitor: it closes the cycle's simultaneity
-// accounting.
-func (e *Engine) EndCycle(cycle int64) {
-	if !e.cycleDirty {
-		return
-	}
-	k := 0
-	for i := 1; i <= NumCheckers; i++ {
-		if e.cycleSet[i] {
-			k++
-			e.cycleSet[i] = false
-		}
-	}
-	e.cycleDirty = false
-	for len(e.simulHist) <= k {
-		e.simulHist = append(e.simulHist, 0)
-	}
-	e.simulHist[k]++
-}
-
-// AccumMark is a snapshot of the engine's assertion accumulators at a
-// cycle boundary; see AdvanceSteady.
-type AccumMark struct {
-	total      int64
-	perChecker [NumCheckers + 1]int64
-}
-
-// Mark snapshots the assertion accumulators at the current boundary.
-func (e *Engine) Mark() AccumMark {
-	return AccumMark{total: e.total, perChecker: e.perChecker}
-}
-
-// AdvanceSteady extends the accumulators by m extra cycles of the
-// assertion pattern observed since mark, which the caller guarantees
-// spans exactly one simulated cycle of a state the network can never
-// leave. The extrapolation is exact: every checker is a pure function
-// of the router signal record (the cycle number only stamps violation
-// text), so a network at a fixed point re-emits the identical
-// assertion multiset each subsequent cycle — same totals, same
-// per-checker counts, same simultaneity bucket. First-detection
-// fields need no update: any checker asserting in the steady state
-// already asserted during the observed cycle. A zero m performs only
-// the feasibility check. AdvanceSteady reports whether the advance
-// applies; it refuses when violation retention is on and the pattern
-// is non-empty, since the retained list would need m new entries.
-func (e *Engine) AdvanceSteady(mark AccumMark, m int64) bool {
-	dTotal := e.total - mark.total
-	if dTotal == 0 {
-		return true
-	}
-	if e.opts.KeepViolations {
-		return false
-	}
-	if m <= 0 {
-		return true
-	}
-	k := 0
-	for i := 1; i <= NumCheckers; i++ {
-		if d := e.perChecker[i] - mark.perChecker[i]; d > 0 {
-			e.perChecker[i] += d * m
-			k++
-		}
-	}
-	e.total += dTotal * m
-	for len(e.simulHist) <= k {
-		e.simulHist = append(e.simulHist, 0)
-	}
-	e.simulHist[k] += m
-	return true
 }
 
 // Violations returns retained violations (KeepViolations only).
@@ -339,10 +253,4 @@ func (e *Engine) FirstCycleCheckers() []CheckerID {
 		}
 	}
 	return out
-}
-
-// SimultaneityHistogram returns hist where hist[k] is the number of
-// assertion cycles with exactly k distinct checkers asserted.
-func (e *Engine) SimultaneityHistogram() []int64 {
-	return append([]int64(nil), e.simulHist...)
 }

@@ -68,18 +68,23 @@ func TestEngineEnables(t *testing.T) {
 	}
 }
 
+// countViolations tallies retained violations per checker.
+func countViolations(e *Engine) map[CheckerID]int {
+	n := map[CheckerID]int{}
+	for _, v := range e.Violations() {
+		n[v.Checker]++
+	}
+	return n
+}
+
 func TestEmitAggregation(t *testing.T) {
 	e := NewEngine(testConfig(), Options{KeepViolations: true})
 	// Cycle 10: checkers 4 and 17 fire (17 twice).
 	e.emit(GrantWithoutRequest, 1, 10, 0, -1, "a")
 	e.emit(ConsistentVCState, 1, 10, 0, 2, "b")
 	e.emit(ConsistentVCState, 2, 10, 1, 0, "c")
-	e.EndCycle(10)
 	// Cycle 11: only checker 5.
 	e.emit(GrantToNobody, 1, 11, 0, -1, "d")
-	e.EndCycle(11)
-	// Quiet cycle.
-	e.EndCycle(12)
 
 	if !e.Detected() || e.FirstDetection() != 10 {
 		t.Fatalf("FirstDetection = %d", e.FirstDetection())
@@ -87,24 +92,16 @@ func TestEmitAggregation(t *testing.T) {
 	if e.FirstHighRiskDetection() != 10 {
 		t.Fatalf("FirstHighRiskDetection = %d", e.FirstHighRiskDetection())
 	}
-	if e.perChecker[ConsistentVCState] != 2 || e.perChecker[GrantWithoutRequest] != 1 || e.total != 4 {
-		t.Fatal("per-checker counts wrong")
+	if n := countViolations(e); n[ConsistentVCState] != 2 || n[GrantWithoutRequest] != 1 || n[GrantToNobody] != 1 || len(e.Violations()) != 4 {
+		t.Fatalf("kept violations per checker %v, %d in all", n, len(e.Violations()))
 	}
 	fired := e.FiredCheckers()
-	if len(fired) != 3 {
+	if len(fired) != 3 || fired[0] != GrantWithoutRequest || fired[1] != GrantToNobody || fired[2] != ConsistentVCState {
 		t.Fatalf("FiredCheckers = %v", fired)
 	}
 	first := e.FirstCycleCheckers()
 	if len(first) != 2 || first[0] != GrantWithoutRequest || first[1] != ConsistentVCState {
 		t.Fatalf("FirstCycleCheckers = %v", first)
-	}
-	hist := e.SimultaneityHistogram()
-	// hist[2] == 1 (cycle 10: two distinct checkers), hist[1] == 1.
-	if len(hist) < 3 || hist[1] != 1 || hist[2] != 1 {
-		t.Fatalf("simultaneity hist = %v", hist)
-	}
-	if len(e.Violations()) != 4 {
-		t.Fatalf("kept %d violations", len(e.Violations()))
 	}
 	if got := e.Violations()[0].String(); !strings.Contains(got, "#4") {
 		t.Fatalf("violation renders %q", got)
@@ -114,41 +111,40 @@ func TestEmitAggregation(t *testing.T) {
 func TestLowRiskOnlyTracking(t *testing.T) {
 	e := NewEngine(testConfig(), Options{})
 	e.emit(IllegalTurn, 0, 5, 1, 2, "turn")
-	e.EndCycle(5)
 	if !e.Detected() || e.FirstHighRiskDetection() != -1 {
 		t.Fatal("high-risk detection set by a low-risk checker")
 	}
 	e.emit(NonMinimalRoute, 0, 6, 1, 2, "nonmin")
-	e.EndCycle(6)
 	if e.FirstHighRiskDetection() != -1 {
 		t.Fatal("both low-risk checkers should keep the cautious system quiet")
 	}
 	e.emit(EndToEndMisdelivery, 3, 9, 4, 0, "e2e")
-	e.EndCycle(9)
 	if e.FirstHighRiskDetection() != 9 {
 		t.Fatal("high-risk escalation broken")
 	}
 }
 
 func TestDisabledCheckersNeverCount(t *testing.T) {
-	e := NewEngine(testConfig(), Options{Disabled: []CheckerID{GrantWithoutRequest}})
+	e := NewEngine(testConfig(), Options{Disabled: []CheckerID{GrantWithoutRequest}, KeepViolations: true})
 	e.emit(GrantWithoutRequest, 0, 3, 0, -1, "suppressed")
-	e.EndCycle(3)
-	if e.Detected() || e.perChecker[GrantWithoutRequest] != 0 {
+	if e.Detected() || e.FirstHighRiskDetection() != -1 || len(e.FiredCheckers()) != 0 || len(e.Violations()) != 0 {
 		t.Fatal("disabled checker counted")
 	}
 }
 
 func TestMaxViolationsCap(t *testing.T) {
 	e := NewEngine(testConfig(), Options{KeepViolations: true, MaxViolations: 2})
-	for i := 0; i < 5; i++ {
+	e.emit(IllegalTurn, 0, 0, 0, -1, "v0")
+	for i := 1; i < 5; i++ {
 		e.emit(GrantToNobody, 0, int64(i), 0, -1, "v%d", i)
-		e.EndCycle(int64(i))
 	}
 	if len(e.Violations()) != 2 {
 		t.Fatalf("kept %d violations, want 2", len(e.Violations()))
 	}
-	if e.perChecker[GrantToNobody] != 5 {
-		t.Fatal("counters must keep counting past the retention cap")
+	// Past the retention cap the verdict's bookkeeping still sees every
+	// assertion.
+	e.emit(EndToEndMisdelivery, 0, 7, 0, -1, "v7")
+	if fired := e.FiredCheckers(); len(fired) != 3 || fired[2] != EndToEndMisdelivery || e.FirstDetection() != 0 || e.FirstHighRiskDetection() != 1 {
+		t.Fatalf("after the cap: fired %v, first detection %d, first high-risk %d", fired, e.FirstDetection(), e.FirstHighRiskDetection())
 	}
 }

@@ -32,7 +32,6 @@ func run(t *testing.T, cfg *router.Config, s *router.Signals) map[CheckerID]bool
 	s.Pre.RecomputeActive()
 	e := NewEngine(cfg, Options{KeepViolations: true})
 	e.RouterCycle(nil, s)
-	e.EndCycle(s.Cycle)
 	out := map[CheckerID]bool{}
 	for _, id := range e.FiredCheckers() {
 		out[id] = true
@@ -399,14 +398,14 @@ func TestCheckAllocationCountsWithoutAllocating(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { e.checkAllocation(s) }); allocs != 0 {
 		t.Errorf("checkAllocation allocates %.0f times on a record with two VA assignments, want 0", allocs)
 	}
-	if e.total != 0 {
+	if e.Detected() {
 		t.Fatalf("the healthy two-assignment record fired %v", e.FiredCheckers())
 	}
 
-	fired := func() int64 {
-		e := NewEngine(cfg, Options{})
+	fired := func() int {
+		e := NewEngine(cfg, Options{KeepViolations: true})
 		e.checkAllocation(s)
-		return e.perChecker[OneToOneVCAssignment]
+		return countViolations(e)[OneToOneVCAssignment]
 	}
 	s.VAAssigns[1].OutPort, s.Pre.In[3][0].Route = 2, 2 // both onto output VC (2,0)
 	s.VA2[2] = router.ReqGnt{Req: bitvec.New(0, 3), Gnt: bitvec.New(0, 3)}

@@ -94,9 +94,6 @@ func FromEjectionsInto(l *Log, ejs []sim.Ejection, since int64) *Log {
 	return l
 }
 
-// Total returns the number of indexed ejections.
-func (l *Log) Total() int { return l.total }
-
 // ApproxFootprintBytes estimates the memory the log retains. Like the
 // other Approx* footprints it is a deliberate estimate (a fixed cost
 // per indexed ejection, not a heap walk).

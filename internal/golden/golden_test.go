@@ -9,6 +9,9 @@ import (
 	"nocalert/internal/topology"
 )
 
+// Total returns the number of indexed ejections.
+func (l *Log) Total() int { return l.total }
+
 // mkEjections builds a well-formed ejection log: packets of the given
 // length delivered in order to their destinations.
 func mkEjections(pkts int, length int) []sim.Ejection {

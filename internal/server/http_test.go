@@ -9,12 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"nocalert/internal/campaign"
 	"nocalert/internal/metrics"
+	"nocalert/internal/trace"
 )
 
 // testSpec is a small but real campaign: the golden 4×4 workload with
@@ -680,6 +683,101 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if v := j2.view(); v.Status != StatusCanceled {
 		t.Fatalf("restart sees %s, want canceled", v.Status)
+	}
+}
+
+// watchTerminal follows job j from both sides a client sees it from —
+// view(), polled without pause, and the event stream — and the moment
+// either shows a terminal status reads the job-state file, which must
+// hold that status already: a client that sees the job over and restarts
+// the daemon must find it over. The channel gets the status view() showed
+// once both sides have seen it.
+func watchTerminal(t *testing.T, dir string, j *Job) <-chan Status {
+	t.Helper()
+	events, unsubscribe := j.subscribe(1 << 14)
+	durable := func(side string, st Status) {
+		js, err := trace.ReadJobState(trace.JobStatePath(dir, j.ID))
+		if err != nil {
+			t.Errorf("job %s: %s shows %s, the job-state file: %v", j.ID, side, st, err)
+		} else if Status(js.Status) != st {
+			t.Errorf("job %s: %s shows %s while the job-state file holds %s", j.ID, side, st, js.Status)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer unsubscribe()
+		for ev := range events {
+			if ev.Status.Terminal() {
+				durable("the event stream", ev.Status)
+				return
+			}
+		}
+		t.Errorf("job %s: the event stream ended without a terminal status", j.ID)
+	}()
+	out := make(chan Status, 1)
+	go func() {
+		deadline := time.Now().Add(2 * time.Minute)
+		v := j.view()
+		for ; !v.Status.Terminal(); v = j.view() {
+			if time.Now().After(deadline) {
+				t.Errorf("job %s: not over within two minutes", j.ID)
+				break
+			}
+			runtime.Gosched()
+		}
+		if v.Status.Terminal() {
+			durable("view()", v.Status)
+		}
+		wg.Wait()
+		out <- v.Status
+	}()
+	return out
+}
+
+// TestTerminalStatusIsDurableWhenSeen holds a job's terminal status to
+// being on disk before it is visible, for each way a job ends: canceled
+// while queued, canceled while running, and run to done. One daemon
+// worker runs the three jobs in turn.
+func TestTerminalStatusIsDurableWhenSeen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Dir: dir, QueueSize: 4, CampaignWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop(context.Background())
+	var jobs [3]*Job // running, then queued behind it, then run to done
+	for i, faults := range []int{512, 16, 8} {
+		if jobs[i], err = s.Submit(testSpec(faults)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	running, queued, done := jobs[0], jobs[1], jobs[2]
+	var seen [3]<-chan Status
+	for i, j := range jobs {
+		seen[i] = watchTerminal(t, dir, j)
+	}
+	if err := s.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	for running.view().Done < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("no progress")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := s.Cancel(running.ID); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []Status{StatusCanceled, StatusCanceled, StatusDone} {
+		if got := <-seen[i]; got != want {
+			t.Errorf("job %s ended %s, want %s", jobs[i].ID, got, want)
+		}
+	}
+	if v := done.view(); v.Done != v.Total {
+		t.Errorf("done job ran %d of %d", v.Done, v.Total)
 	}
 }
 

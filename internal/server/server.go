@@ -464,16 +464,24 @@ func (s *Server) Cancel(id string) error {
 			cancel()
 		}
 		return nil
-	default: // queued: terminal now; the worker skips it on dequeue
+	case j.canceled: // queued, its cancel already under way
+		j.mu.Unlock()
+		return nil
+	default: // queued: the worker skips it on dequeue from now on
 		j.canceled = true
+		errMsg := j.errMsg
+		j.mu.Unlock()
+		// Durable first: whoever sees the job canceled finds it so on disk.
+		finished := time.Now()
+		s.persistTerminal(j, StatusCanceled, errMsg, finished)
+		j.mu.Lock()
 		j.status = StatusCanceled
-		j.finished = time.Now()
+		j.finished = finished
 		j.publishLocked(Event{Type: "status", Job: j.ID, Status: StatusCanceled, Done: j.done, Total: j.total})
 		j.closeHubLocked()
 		j.mu.Unlock()
 		s.gQueued.Add(-1)
 		s.mCanceled.Inc()
-		s.persistTerminal(j)
 		s.jobLog(id).Info("job canceled while queued")
 		return nil
 	}
@@ -529,7 +537,7 @@ func (s *Server) runJob(j *Job) {
 
 	j.mu.Lock()
 	if j.canceled || j.status.Terminal() {
-		// Canceled while queued; Cancel already persisted the state.
+		// Canceled while queued; Cancel makes the state durable.
 		j.mu.Unlock()
 		return
 	}
@@ -547,14 +555,13 @@ func (s *Server) runJob(j *Job) {
 	j.mu.Lock()
 	canceled := j.canceled
 	j.cancelRun = nil
+	var st Status
+	errMsg := j.errMsg
 	switch {
 	case err == nil:
-		j.status = StatusDone
-		j.finished = time.Now()
-		j.errMsg = ""
+		st, errMsg = StatusDone, ""
 	case canceled && errors.Is(err, context.Canceled):
-		j.status = StatusCanceled
-		j.finished = time.Now()
+		st = StatusCanceled
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Daemon drain, not a user cancel: the job stays durable as
 		// queued and resumes on the next start. In-memory it goes back
@@ -564,16 +571,20 @@ func (s *Server) runJob(j *Job) {
 		s.jobLog(j.ID).Info("job interrupted by drain; checkpoint keeps completed runs", "done", j.done)
 		return
 	default:
-		j.status = StatusFailed
-		j.finished = time.Now()
-		j.errMsg = err.Error()
+		st, errMsg = StatusFailed, err.Error()
 	}
+	j.mu.Unlock()
+	// Durable first: whoever sees the terminal status below finds it on
+	// disk, so a restart cannot bring the job back.
+	finished := time.Now()
+	s.persistTerminal(j, st, errMsg, finished)
+	j.mu.Lock()
+	j.status, j.finished, j.errMsg = st, finished, errMsg
 	j.faultsPerSec = 0 // terminal: the live throughput gauge is over
 	final := Event{Type: "status", Job: j.ID, Status: j.status, Done: j.done, Total: j.total, Resumed: j.resumed,
 		FastPathHits: j.fastPath, Reconverged: j.reconverged, FullSim: j.fullSim, Forked: j.forked, Error: j.errMsg}
 	j.publishLocked(final)
 	j.closeHubLocked()
-	st := j.status
 	j.mu.Unlock()
 
 	switch st {
@@ -584,9 +595,8 @@ func (s *Server) runJob(j *Job) {
 	case StatusCanceled:
 		s.mCanceled.Inc()
 	}
-	s.persistTerminal(j)
 	if st == StatusFailed {
-		s.jobLog(j.ID).Error("job failed", "error", j.view().Error)
+		s.jobLog(j.ID).Error("job failed", "error", errMsg)
 	} else {
 		s.jobLog(j.ID).Info("job finished", "status", st)
 	}
@@ -719,9 +729,11 @@ func (s *Server) writeReport(j *Job, ckptPath string) error {
 	return trace.AtomicWriteFile(trace.JobReportPath(s.cfg.Dir, j.ID), buf.Bytes())
 }
 
-// persistTerminal rewrites the job manifest with its terminal state.
-func (s *Server) persistTerminal(j *Job) {
+// persistTerminal rewrites the job manifest with the terminal status st,
+// error errMsg and finish time finished, which the job does not show yet.
+func (s *Server) persistTerminal(j *Job, st Status, errMsg string, finished time.Time) {
 	v := j.view()
+	v.Status, v.Error, v.FinishedAt = st, errMsg, rfc3339(finished)
 	specJSON, err := json.Marshal(&v.Spec)
 	if err != nil {
 		s.jobLog(j.ID).Error("job state persist failed", "error", err)
