@@ -234,20 +234,6 @@ func main() {
 	}
 }
 
-// writeFig7CDF prints the full detection-delay CDF curves as plottable
-// (delay, cumulative%) series.
-func writeFig7CDF(w io.Writer, rep *campaign.Report) {
-	milestones := []int64{0, 1, 2, 4, 9, 16, 28, 64, 128, 256, 512, 1024, 1500, 3000, 6000, 12000}
-	t := stats.NewTable("Figure 7 — CDF series (cumulative % of true positives detected within N cycles)",
-		"Delay (cycles)", "NoCAlert", "ForEVeR")
-	na := rep.LatencyCDF(campaign.NoCAlert)
-	fv := rep.LatencyCDF(campaign.ForEVeR)
-	for _, m := range milestones {
-		t.AddRow(m, 100*na.AtOrBelow(m), 100*fv.AtOrBelow(m))
-	}
-	t.Render(w)
-}
-
 // obs3 contrasts transient and permanent faults on the same arbiter
 // grant signals: a transient "grant to nobody" is a one-cycle NOP
 // (benign), a permanent one starves the port into a protocol deadlock
@@ -284,13 +270,13 @@ func obs3(w io.Writer, exec campaign.Options) {
 		}
 		var det, mal, dead int
 		for _, r := range rep.Results {
-			if r.Detected {
+			if r.Outcome.Detected() {
 				det++
 			}
-			if !r.Verdict.OK() {
+			if r.Malicious {
 				mal++
 			}
-			if r.Verdict.Unbounded {
+			if r.Unbounded {
 				dead++
 			}
 		}

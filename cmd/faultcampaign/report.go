@@ -57,7 +57,7 @@ func printFigures(w io.Writer, rep *campaign.Report, figs figures) {
 			rep.WriteFig6(w)
 		case "7":
 			rep.WriteFig7(w)
-			writeFig7CDF(w, rep)
+			rep.WriteFig7CDF(w)
 		case "8":
 			rep.WriteFig8(w)
 		case "9":

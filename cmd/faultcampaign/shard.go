@@ -150,8 +150,8 @@ func writeShardSummary(shards []*trace.CheckpointData) {
 		wall := 0.0
 		for i := range sd.Records {
 			rec := &sd.Records[i]
-			tl.Add(rec.Outcome, 1)
-			if rec.Outcome == "TP" {
+			tl.Add(rec.Outcome.String(), 1)
+			if rec.Outcome == trace.TruePositive {
 				lat = append(lat, rec.Latency)
 			}
 			if rec.FastPath {

@@ -35,39 +35,8 @@ import (
 	"nocalert/internal/obs"
 	"nocalert/internal/rng"
 	"nocalert/internal/sim"
+	"nocalert/internal/trace"
 )
-
-// Outcome classifies one mechanism's behaviour on one injected fault,
-// following the paper's four categories (§5.4).
-type Outcome int
-
-const (
-	// TrueNegative: nothing detected, fault benign.
-	TrueNegative Outcome = iota
-	// TruePositive: detected, fault caused a network-correctness
-	// violation.
-	TruePositive
-	// FalsePositive: detected, fault benign.
-	FalsePositive
-	// FalseNegative: not detected, fault caused a violation — the
-	// outcome NoCAlert's design goal drives to zero.
-	FalseNegative
-)
-
-// String returns the outcome's abbreviation.
-func (o Outcome) String() string {
-	switch o {
-	case TrueNegative:
-		return "TN"
-	case TruePositive:
-		return "TP"
-	case FalsePositive:
-		return "FP"
-	case FalseNegative:
-		return "FN"
-	}
-	return fmt.Sprintf("Outcome(%d)", int(o))
-}
 
 // ExitPath identifies how a run reached its result. The three paths are
 // result-equivalent — reports are byte-identical whichever path resolves
@@ -99,19 +68,6 @@ func (e ExitPath) String() string {
 		return "reconverged"
 	}
 	return fmt.Sprintf("ExitPath(%d)", int(e))
-}
-
-func classify(detected, malicious bool) Outcome {
-	switch {
-	case detected && malicious:
-		return TruePositive
-	case detected && !malicious:
-		return FalsePositive
-	case !detected && malicious:
-		return FalseNegative
-	default:
-		return TrueNegative
-	}
 }
 
 // Options configures a campaign.
@@ -169,13 +125,13 @@ type Options struct {
 	// hot path free of any telemetry cost.
 	Metrics *metrics.Registry
 	// OnResult, when non-nil, is invoked after each completed run with
-	// the run's index in FaultGroups, its result, its wall time and the
-	// exit path that resolved it. Calls are serialized under the same
-	// mutex as Progress (and precede the Progress call for the same
-	// run); the result pointer is only valid during the call if the
-	// caller mutates the report afterwards — copy, don't retain. RunShard
-	// appends each run's checkpoint record from here.
-	OnResult func(index int, res *RunResult, wall time.Duration, exit ExitPath)
+	// the run's record — Index its position in FaultGroups, WallSeconds
+	// its wall time — and the exit path that resolved it. Calls are
+	// serialized under the same mutex as Progress (and precede the
+	// Progress call for the same run); the record is the report's own
+	// entry: copy it, don't retain or mutate it. RunShard appends each
+	// run's checkpoint record from here.
+	OnResult func(rec *trace.RunRecord, exit ExitPath)
 	// Context, when non-nil, cancels the campaign cooperatively: no new
 	// runs start after it is done and Run returns its error. Runs
 	// already in flight complete first.
@@ -185,7 +141,7 @@ type Options struct {
 	// reconverged/fast-forwarded tails) — carrying the cycle-accurate
 	// accounting runStats tracks. Run spans honor the tracer's sampling
 	// rate; the campaign span and golden-warmup phase never sample out.
-	// Tracing never touches RunResult or the report: serialized reports
+	// Tracing never touches a run's record or the report: serialized reports
 	// are byte-identical with tracing on or off (test-enforced).
 	Tracer *obs.Tracer
 	// TraceParent optionally parents the campaign span (the daemon's
@@ -241,47 +197,12 @@ func (o *Options) withDefaults() (Options, error) {
 	return out, nil
 }
 
-// RunResult is the outcome of one fault-injected run.
-type RunResult struct {
-	// Fault is the injected fault (the first of the group in
-	// multi-fault runs; see Group).
-	Fault fault.Fault
-	// Group holds every fault of a multi-fault run.
-	Group []fault.Fault
-	// Fired reports whether the fault actually corrupted a live signal
-	// (a fault on an idle module may never touch anything).
-	Fired bool
-	// Verdict is the golden-reference judgment.
-	Verdict golden.Verdict
-	// Drained reports whether the faulty network emptied in time.
-	Drained bool
-
-	// NoCAlert results.
-	Detected    bool
-	DetectCycle int64 // absolute cycle of first assertion
-	Latency     int64 // DetectCycle - injection cycle
-	Outcome     Outcome
-
-	// NoCAlert-Cautious results (low-risk checkers 1 and 3 deferred).
-	CautiousDetected bool
-	CautiousLatency  int64
-	CautiousOutcome  Outcome
-
-	// ForEVeR results.
-	ForeverDetected bool
-	ForeverLatency  int64
-	ForeverOutcome  Outcome
-
-	// Checker attribution.
-	CheckersFired      []core.CheckerID
-	FirstCycleCheckers []core.CheckerID
-}
-
 // Report is the aggregated campaign output.
 type Report struct {
 	Opts Options
-	// Results holds one entry per injected fault, in input order.
-	Results []RunResult
+	// Results holds one record per fault group, in input order; every
+	// figure is a fold over them.
+	Results []trace.RunRecord
 	// FastPathHits counts runs resolved by the early-exit fast path
 	// (fault provably never fired; the tail synthesized from the golden
 	// record instead of simulating drain and horizon).
@@ -294,10 +215,8 @@ type Report struct {
 	// ForkedRuns counts runs that warm-started from a golden snapshot
 	// above cycle 0, skipping their [0, injection cycle) prefix entirely.
 	ForkedRuns int
-	// SnapshotCount and SnapshotBytes describe the golden snapshots, one
-	// per distinct injection cycle: how many full-state snapshots the
-	// golden run recorded and their estimated memory footprint.
-	SnapshotCount int
+	// SnapshotBytes is the estimated memory footprint of the golden
+	// artefact's snapshots, one per distinct injection cycle.
 	SnapshotBytes int64
 	// SimulatedCycles counts cycles faulty runs actually stepped — the
 	// honest denominator for throughput.
@@ -419,7 +338,7 @@ func Run(opts Options) (_ *Report, err error) {
 		camp.End()
 	}()
 
-	report := &Report{Opts: o, Results: make([]RunResult, len(o.FaultGroups))}
+	report := &Report{Opts: o, Results: make([]trace.RunRecord, len(o.FaultGroups))}
 
 	var (
 		wg           sync.WaitGroup
@@ -489,13 +408,16 @@ func Run(opts Options) (_ *Report, err error) {
 				if beforeRun != nil {
 					beforeRun(&wk, gc)
 				}
-				res, exit, convCycles, st := runOne(&wk, gc, o, o.FaultGroups[i], ro)
-				var wall time.Duration
+				rec, exit, convCycles, st := runOne(&wk, gc, o, o.FaultGroups[i], ro)
 				if needTiming {
-					wall = time.Since(runStart)
+					rec.WallSeconds = time.Since(runStart).Seconds()
 				}
-				ro.finish(&res, exit, convCycles, &st, cycle)
-				report.Results[i] = res
+				// A reconverged run records fast_path=false like a fully
+				// simulated one: the record layout is part of the checkpoint
+				// identity contract, and reconvergence is result-invisible.
+				rec.Index, rec.FastPath = i, exit == ExitFastPath
+				ro.finish(&rec, exit, convCycles, &st)
+				report.Results[i] = rec
 				progMu.Lock()
 				done++
 				switch exit {
@@ -515,10 +437,10 @@ func Run(opts Options) (_ *Report, err error) {
 				synthSaved += st.synthesized
 				if inst != nil {
 					clock.move(0, -1)
-					inst.observe(&report.Results[i], wall, waited, exit, convCycles, &st, done, simCycles, clock.active())
+					inst.observe(&report.Results[i], waited, exit, convCycles, &st, done, simCycles, clock.active())
 				}
 				if o.OnResult != nil {
-					o.OnResult(i, &report.Results[i], wall, exit)
+					o.OnResult(&report.Results[i], exit)
 				}
 				if o.Progress != nil {
 					o.Progress(done, total)
@@ -559,7 +481,6 @@ feed:
 	// Every run has had its group, the last injection cycle's among
 	// them, so the artefact is whole and its totals follow at once.
 	<-gold.done
-	report.SnapshotCount = len(gold.groups)
 	report.SnapshotBytes = gold.snapshotBytes
 	report.TimelineBytes = gold.timelineBytes
 	report.FastPathHits = fastHits
@@ -799,15 +720,17 @@ func findForever(n *sim.Network) *forever.Monitor {
 // runOne executes one fault group's run on one of the two run paths: the
 // divergence frontier with its exits (runFrontier) when the group's golden
 // carries the shortcuts, the full-simulation reference (runSlow) under
-// FullSim or when it does not. convCycles is the reconvergence latency
-// (cycles after injection); zero for the other exit paths.
-func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, st runStats) {
+// FullSim or when it does not. The record it returns carries the run's
+// fault and verdict; the caller stamps where and how it ran (Index,
+// FastPath, WallSeconds). convCycles is the reconvergence latency (cycles
+// after injection); zero for the other exit paths.
+func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs) (rec trace.RunRecord, exit ExitPath, convCycles int64, st runStats) {
 	if gc.rec == nil {
-		res = runSlow(w, gc, o, group, &st, ro)
-		return res, ExitFull, 0, st
+		rec = runSlow(w, gc, o, group, &st, ro)
+		return rec, ExitFull, 0, st
 	}
-	res, exit, convCycles = runFrontier(w, gc, o, group, &st, ro)
-	return res, exit, convCycles, st
+	rec, exit, convCycles = runFrontier(w, gc, o, group, &st, ro)
+	return rec, exit, convCycles, st
 }
 
 // forkRun is the warm start both run paths share: the network at gc's
@@ -860,7 +783,7 @@ func (w *worker) forkRun(gc *groupCtx, o Options, plane *fault.Plane, lazy bool,
 // (permanent, intermittent): its members never retire, so it costs its
 // cone until finishRun's probe finds the cone has stopped changing
 // (ffProbe: a permanent fault is stationary) and fast-forwards.
-func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) (res RunResult, exit ExitPath, convCycles int64) {
+func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) (rec trace.RunRecord, exit ExitPath, convCycles int64) {
 	plane := fault.NewPlane(group...)
 	n, eng, fv := w.forkRun(gc, o, plane, true, st, ro)
 	w.seeds = w.seeds[:0]
@@ -886,7 +809,7 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 			st.simulated = n.Cycle() - gc.cycle
 			st.horizon = n.Cycle()
 			fa.End()
-			return synthesizeReconverged(n.Cycle(), eng, fv, gc.gfv, plane, gc.cycle, group), ExitFastPath, 0
+			return synthesizeReconverged(n.Cycle(), eng, fv, gc.gfv, plane, group), ExitFastPath, 0
 		}
 		if t == o.PostInjectRun-1 {
 			fr.RetireAll()
@@ -902,16 +825,16 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 		rt.SetAttr("reconverged_cycle", n.Cycle())
 		rt.SetAttr("cycles_synthesized", gc.cycle+o.PostInjectRun-n.Cycle())
 		rt.End()
-		return synthesizeReconverged(n.Cycle(), eng, fv, gc.gfv, plane, gc.cycle, group),
+		return synthesizeReconverged(n.Cycle(), eng, fv, gc.gfv, plane, group),
 			ExitReconverged, n.Cycle() - gc.cycle
 	}
 	fa.End()
-	res = finishRun(fr, n, eng, fv, plane, gc, o, group, w, st, ro)
+	rec = finishRun(fr, n, eng, fv, plane, gc, o, group, w, st, ro)
 	st.simulated = n.Cycle() - gc.cycle
-	return res, ExitFull, 0
+	return rec, ExitFull, 0
 }
 
-// synthesizeReconverged builds the run's result at cycle at — the
+// synthesizeReconverged builds the run's record at cycle at — the
 // reconvergence cycle, or the cycle its faults went inert without firing —
 // without simulating the rest of the window, the drain or the ForEVeR
 // horizon. Soundness: a plane that never fired, or an empty frontier with
@@ -927,84 +850,83 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 // final; and ForEVeR's counter state, a function of the injection and
 // ejection histories alone, equals the golden monitor gfv's, so its
 // future flags are gfv's recorded tail from cycle at on.
-func synthesizeReconverged(at int64, eng *core.Engine, fv, gfv *forever.Monitor, plane *fault.Plane, injectCycle int64, group []fault.Fault) RunResult {
+func synthesizeReconverged(at int64, eng *core.Engine, fv, gfv *forever.Monitor, plane *fault.Plane, group []fault.Fault) trace.RunRecord {
 	// Flags the faulty monitor raised during the divergent window come
 	// first; past the reconvergence cycle the faulty run would flag exactly
 	// when the golden monitor did, so the recorded golden tail completes the
 	// picture.
-	fd := fv.FirstDetectionAfter(injectCycle)
+	fd := fv.FirstDetectionAfter(group[0].Cycle)
 	if fd < 0 {
 		fd = gfv.FirstDetectionAfter(at)
 	}
-	return assembleResult(eng, plane, group, injectCycle, golden.Verdict{}, true, fd)
+	return assembleResult(eng, plane, group, golden.Verdict{}, true, fd)
 }
 
-// assembleResult builds the result of a run that is over — stepped to its
-// end, or known from here on without stepping: whether the plane fired,
-// when and which of the NoCAlert engine's checkers asserted, and the three
-// mechanisms' classifications against the golden-reference verdict. fd is
-// ForEVeR's first flag at or after the injection cycle, -1 for none.
-func assembleResult(eng *core.Engine, plane *fault.Plane, group []fault.Fault, injectCycle int64, verdict golden.Verdict, drained bool, fd int64) RunResult {
+// assembleResult builds the record of a run that is over — stepped to its
+// end, or known from here on without stepping: the group's first fault,
+// whether the plane fired, when and which of the NoCAlert engine's
+// checkers asserted, and the three mechanisms' classifications against
+// the golden-reference verdict. fd is ForEVeR's first flag at or after
+// the injection cycle, -1 for none.
+func assembleResult(eng *core.Engine, plane *fault.Plane, group []fault.Fault, verdict golden.Verdict, drained bool, fd int64) trace.RunRecord {
+	f := &group[0]
 	malicious := !verdict.OK()
-	fired := false
-	for i := range group {
-		if plane.FiredAt(i) >= 0 {
-			fired = true
-			break
-		}
-	}
-	res := RunResult{
-		Group:   group,
-		Fired:   fired,
-		Verdict: verdict,
-		Drained: drained,
+	rec := trace.RunRecord{
+		Router:    f.Site.Router,
+		Signal:    f.Site.Kind.String(),
+		Port:      f.Site.Port,
+		VC:        f.Site.VC,
+		Bit:       f.Bit,
+		FaultType: f.Type.String(),
+		Cycle:     f.Cycle,
 
-		Detected:    eng.Detected(),
-		DetectCycle: eng.FirstDetection(),
+		Drained:   drained,
+		Malicious: malicious,
+		Unbounded: verdict.Unbounded,
 
 		CheckersFired:      eng.FiredCheckers(),
 		FirstCycleCheckers: eng.FirstCycleCheckers(),
 	}
-	if len(group) > 0 {
-		res.Fault = group[0]
+	for i := range group {
+		if plane.FiredAt(i) >= 0 {
+			rec.Fired = true
+			break
+		}
 	}
-	res.Outcome = classify(res.Detected, malicious)
-	if res.Detected {
-		res.Latency = res.DetectCycle - injectCycle
-	} else {
-		res.Latency = -1
-	}
+	rec.Outcome, rec.Latency = judge(eng.FirstDetection(), f.Cycle, malicious)
+	rec.CautiousOutcome, rec.CautiousLatency = judge(eng.FirstHighRiskDetection(), f.Cycle, malicious)
+	rec.ForeverOutcome, rec.ForeverLatency = judge(fd, f.Cycle, malicious)
+	return rec
+}
 
-	res.CautiousDetected = eng.FirstHighRiskDetection() >= 0
-	res.CautiousOutcome = classify(res.CautiousDetected, malicious)
-	if res.CautiousDetected {
-		res.CautiousLatency = eng.FirstHighRiskDetection() - injectCycle
-	} else {
-		res.CautiousLatency = -1
+// judge classifies one mechanism on a run from the cycle it first
+// detected (-1: never) and the verdict, returning its outcome and its
+// detection latency after the injection cycle (-1 when it never detected).
+func judge(detectCycle, injectCycle int64, malicious bool) (trace.Outcome, int64) {
+	switch {
+	case detectCycle < 0 && malicious:
+		return trace.FalseNegative, -1
+	case detectCycle < 0:
+		return trace.TrueNegative, -1
+	case malicious:
+		return trace.TruePositive, detectCycle - injectCycle
+	default:
+		return trace.FalsePositive, detectCycle - injectCycle
 	}
-
-	res.ForeverDetected = fd >= 0
-	if res.ForeverDetected {
-		res.ForeverLatency = fd - injectCycle
-	} else {
-		res.ForeverLatency = -1
-	}
-	res.ForeverOutcome = classify(res.ForeverDetected, malicious)
-	return res
 }
 
 // runSlow is the full-simulation reference run path: fork, step the
 // whole mesh through the window, then drain and horizon and compare in
 // finishRun, with no early exit and no fast-forward.
-func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) RunResult {
+func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) trace.RunRecord {
 	plane := fault.NewPlane(group...)
 	n, eng, fv := w.forkRun(gc, o, plane, false, st, ro)
 	fa := ro.phase("fault-armed")
 	n.Run(o.PostInjectRun)
 	fa.End()
-	res := finishRun(nil, n, eng, fv, plane, gc, o, group, w, st, ro)
+	rec := finishRun(nil, n, eng, fv, plane, gc, o, group, w, st, ro)
 	st.simulated = n.Cycle() - gc.cycle
-	return res
+	return rec
 }
 
 // stepper is what finishRun drives a run's drain and horizon with: the
@@ -1033,7 +955,7 @@ type stepper interface {
 // router that keeps asserting still freezes: what it asserts on every
 // later cycle it asserted in the confirming step, so the NoCAlert
 // engine's first detections and fired sets are already final.
-func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.Monitor, plane *fault.Plane, gc *groupCtx, o Options, group []fault.Fault, w *worker, st *runStats, ro *runObs) RunResult {
+func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.Monitor, plane *fault.Plane, gc *groupCtx, o Options, group []fault.Fault, w *worker, st *runStats, ro *runObs) trace.RunRecord {
 	var s stepper = n
 	if fr != nil {
 		s = fr
@@ -1109,15 +1031,14 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 
 	vs := ro.phase("verdict")
 	defer vs.End()
-	var verdict golden.Verdict
 	if fr != nil {
 		// A frontier run exists only over a golden log that is OK()
 		// against itself (buildGroupCtx), which is what the delta verdict
 		// rests on.
-		verdict = w.delta.Compare(gc.goldenLog, fr.Replaced(), n.Ejections(), drained)
+		st.verdict = w.delta.Compare(gc.goldenLog, fr.Replaced(), n.Ejections(), drained)
 	} else {
 		w.flog = golden.FromEjectionsInto(w.flog, n.Ejections(), gc.cycle)
-		verdict = golden.Compare(gc.goldenLog, w.flog, drained)
+		st.verdict = golden.Compare(gc.goldenLog, w.flog, drained)
 	}
 	fd := fv.FirstDetectionAfter(gc.cycle)
 	if fd < 0 && projectUntil >= 0 {
@@ -1125,7 +1046,7 @@ func finishRun(fr *sim.Frontier, n *sim.Network, eng *core.Engine, fv *forever.M
 		// projectUntil): only the epoch-boundary checks remain.
 		fd = fv.ProjectFrozenDetection(n.Cycle(), projectUntil)
 	}
-	return assembleResult(eng, plane, group, gc.cycle, verdict, drained, fd)
+	return assembleResult(eng, plane, group, st.verdict, drained, fd)
 }
 
 // SampleFaults draws n distinct single-bit transient faults injecting

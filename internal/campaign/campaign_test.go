@@ -14,6 +14,7 @@ import (
 	"nocalert/internal/router"
 	"nocalert/internal/sim"
 	"nocalert/internal/topology"
+	"nocalert/internal/trace"
 )
 
 // repCache memoizes campaign reports across tests (each run costs
@@ -60,16 +61,16 @@ func TestObservation1ZeroFalseNegatives(t *testing.T) {
 	}
 	if fn := rep.FalseNegatives(NoCAlert); fn != 0 {
 		for _, r := range rep.Results {
-			if r.Outcome == FalseNegative {
-				t.Errorf("NoCAlert FN: %s verdict=%+v", r.Fault.String(), r.Verdict)
+			if r.Outcome == trace.FalseNegative {
+				t.Errorf("NoCAlert FN: %+v", r)
 			}
 		}
 		t.Fatalf("NoCAlert false negatives: %d", fn)
 	}
 	if fn := rep.FalseNegatives(ForEVeR); fn != 0 {
 		for _, r := range rep.Results {
-			if r.ForeverOutcome == FalseNegative {
-				t.Errorf("ForEVeR FN: %s verdict=%+v", r.Fault.String(), r.Verdict)
+			if r.ForeverOutcome == trace.FalseNegative {
+				t.Errorf("ForEVeR FN: %+v", r)
 			}
 		}
 		t.Fatalf("ForEVeR false negatives: %d", fn)
@@ -172,13 +173,13 @@ func TestObservation3PermanentGrantToNobody(t *testing.T) {
 			if r.Fired {
 				fired++
 			}
-			if !r.Verdict.OK() {
+			if r.Malicious {
 				malicious++
 			}
-			if r.Verdict.Unbounded {
+			if r.Unbounded {
 				deadlocked++
 			}
-			if r.Detected {
+			if r.Outcome.Detected() {
 				detected++
 			}
 		}
@@ -268,10 +269,11 @@ func TestSampleFaultsDeterministic(t *testing.T) {
 	}
 }
 
-// TestOutcomeStrings pins the outcome abbreviations used in reports.
+// TestOutcomeStrings pins the outcome abbreviations and mechanism names
+// used in reports.
 func TestOutcomeStrings(t *testing.T) {
-	for o, want := range map[Outcome]string{
-		TrueNegative: "TN", TruePositive: "TP", FalsePositive: "FP", FalseNegative: "FN",
+	for o, want := range map[trace.Outcome]string{
+		trace.TrueNegative: "TN", trace.TruePositive: "TP", trace.FalsePositive: "FP", trace.FalseNegative: "FN",
 	} {
 		if o.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(o), o.String(), want)
@@ -343,10 +345,23 @@ func TestReportRendering(t *testing.T) {
 	rep.WriteFig9(&sb)
 	rep.WriteObs5(&sb)
 	out := sb.String()
-	for _, want := range []string{"Figure 6", "Figure 7", "Figure 8", "Figure 9", "Observation 5", "NoCAlert", "ForEVeR"} {
+	for _, want := range []string{"Figure 6", "Figure 7", "Figure 8", "Figure 9", "Observation 5", "NoCAlert", "ForEVeR",
+		"(injection cycle 0, 60 faults)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report output missing %q", want)
 		}
+	}
+
+	// Figure 6's title names the injection cycles the runs inject at,
+	// whatever the options' InjectCycle says.
+	multi := fabricated()
+	for i, c := range []int64{32000, 0, 16000, 0} {
+		multi.Results[i].Cycle = c
+	}
+	sb.Reset()
+	multi.WriteFig6(&sb)
+	if want := "(injection cycles 0, 16000, 32000, 4 faults)"; !strings.Contains(sb.String(), want) {
+		t.Errorf("multi-cycle Figure 6 title lacks %q:\n%s", want, sb.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"nocalert/internal/forever"
+	"nocalert/internal/golden"
 	"nocalert/internal/sim"
 )
 
@@ -43,6 +44,10 @@ type runStats struct {
 	// have a network to step: the mesh for a fork that clones it, for a
 	// lazy one (worker.forkRun) the nodes the frontier ever tracked.
 	nodesCloned int
+	// verdict is the golden-reference verdict of a run compared at its
+	// end, counter by counter; a synthesized run's is the zero (benign)
+	// Verdict. Its record keeps only Malicious and Unbounded.
+	verdict golden.Verdict
 }
 
 // ffBackoffCap bounds the exponential backoff between fixed-point probe

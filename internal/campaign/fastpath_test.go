@@ -63,7 +63,7 @@ func TestFastPathMatchesSlowPathOnIdleSite(t *testing.T) {
 	if slowRep.Results[0].Fired {
 		t.Fatal("idle-site fault fired; the test premise is broken")
 	}
-	if !reflect.DeepEqual(fastRep.Results[0], slowRep.Results[0]) {
+	if !sameRun(fastRep.Results[0], slowRep.Results[0]) {
 		t.Fatalf("fast-path result differs from slow-path result:\nfast: %+v\nslow: %+v",
 			fastRep.Results[0], slowRep.Results[0])
 	}
@@ -100,9 +100,8 @@ func TestFastPathBitIdenticalCampaign(t *testing.T) {
 	}
 	for i := range fastRep.Results {
 		fr, sr := fastRep.Results[i], slowRep.Results[i]
-		if !reflect.DeepEqual(fr, sr) {
-			t.Fatalf("result %d (%v) differs between fast and slow paths:\nfast: %+v\nslow: %+v",
-				i, &fr.Fault, fr, sr)
+		if !sameRun(fr, sr) {
+			t.Fatalf("run %d differs between fast and slow paths:\nfast: %+v\nslow: %+v", i, fr, sr)
 		}
 	}
 	t.Logf("fast-path hits: %d of %d runs", fastRep.FastPathHits, len(fastRep.Results))

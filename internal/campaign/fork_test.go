@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"reflect"
 	"testing"
-	"time"
 
 	"nocalert/internal/fault"
 	"nocalert/internal/forever"
@@ -87,15 +85,14 @@ func TestForkByteIdentity(t *testing.T) {
 				aloneRep := mustRun(t, alone)
 				for k, i := range idx {
 					got, want := rep.Results[i], aloneRep.Results[k]
-					if !reflect.DeepEqual(got, want) {
+					if !sameRun(got, want) {
 						t.Errorf("run %d (%v): %+v in the multi-cycle campaign, %+v in one of cycle %d alone",
 							i, &o.Faults[i], got, want, c)
 					}
 				}
 			}
-			t.Logf("%s: %d/%d runs forked, %d prefix cycles skipped, %d snapshots (%d bytes)",
-				tc.name, rep.ForkedRuns, len(rep.Results), rep.WarmstartCyclesSaved,
-				rep.SnapshotCount, rep.SnapshotBytes)
+			t.Logf("%s: %d/%d runs forked, %d prefix cycles skipped, snapshots of %d bytes",
+				tc.name, rep.ForkedRuns, len(rep.Results), rep.WarmstartCyclesSaved, rep.SnapshotBytes)
 		})
 	}
 }
@@ -139,9 +136,16 @@ func TestEveryRunForksAtItsCycle(t *testing.T) {
 	o := spec.Options()
 	o.Faults = spec.Universe()
 	o.Workers = 2
+	o.GoldenCache = NewGoldenCache()
 	rep, runs := tracedRunSpans(t, o)
-	if rep.SnapshotCount != len(spec.InjectCycles) {
-		t.Errorf("%d snapshots for %d injection cycles", rep.SnapshotCount, len(spec.InjectCycles))
+	gold := artefactOf(t, o.GoldenCache, o).g
+	if len(gold.groups) != len(spec.InjectCycles) {
+		t.Errorf("%d golden groups for %d injection cycles", len(gold.groups), len(spec.InjectCycles))
+	}
+	for _, c := range spec.InjectCycles {
+		if g := gold.groups[c]; g == nil || g.gc.snap.Cycle() != c {
+			t.Errorf("no golden snapshot at injection cycle %d", c)
+		}
 	}
 	nodes := int64(spec.MeshW * spec.MeshH)
 	frontier := 0
@@ -166,7 +170,7 @@ func TestEveryRunForksAtItsCycle(t *testing.T) {
 		t.Errorf("report SHA-256 %x, want %s", sum, fortyEightCyclesDigest)
 	}
 	ref := o
-	ref.FullSim, ref.Tracer = true, nil
+	ref.FullSim, ref.Tracer, ref.GoldenCache = true, nil, nil
 	if want := reportBytes(t, mustRun(t, ref)); !bytes.Equal(got, want) {
 		t.Errorf("report differs from FullSim's:\n got: %s\nwant: %s", got, want)
 	}
@@ -253,9 +257,7 @@ func TestMultiCycleRecordRoundTrip(t *testing.T) {
 	opts.Faults = spec.Universe()
 	opts.Workers = 1
 	var recs []trace.RunRecord
-	opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
-		recs = append(recs, RecordFor(i, res, wall, exit == ExitFastPath))
-	}
+	opts.OnResult = func(rec *trace.RunRecord, _ ExitPath) { recs = append(recs, *rec) }
 	liveRep, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +271,7 @@ func TestMultiCycleRecordRoundTrip(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for _, r := range liveRep.Results {
-		seen[r.Fault.Cycle] = true
+		seen[r.Cycle] = true
 	}
 	for _, c := range spec.InjectCycles {
 		if !seen[c] {

@@ -37,6 +37,13 @@ func fixtureGolden(t *testing.T, spec Spec) (*Golden, Options) {
 	t.Helper()
 	opts := spec.Options()
 	opts.Faults = spec.Universe()
+	return optionsGolden(t, opts)
+}
+
+// optionsGolden builds the golden artefact of the campaign opts describes
+// and returns it with the defaulted options its runs execute under.
+func optionsGolden(t *testing.T, opts Options) (*Golden, Options) {
+	t.Helper()
 	o, err := opts.withDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -59,36 +66,54 @@ func goldenAt(gc *groupCtx, o Options, cycle int64) *sim.Network {
 }
 
 // TestDeltaVerdictOnFixtureRuns judges every run of the 4×4 fixture
-// campaign twice: by the delta verdict the campaign itself computes for a
-// frontier-driven run, and by golden.Compare over the run's full ejection
-// log, which MaterializeAll rebuilds from the frontier's difference log
-// and the transcript. The two must agree counter for counter.
+// campaign and of TestFrontierCampaignIdentity's three 8×8 fault sets
+// (transients, permanent faults, a double-fault group) twice: by the delta
+// verdict the campaign itself computes for a frontier-driven run, and by
+// golden.Compare over the run's full ejection log, which MaterializeAll
+// rebuilds from the frontier's difference log and the transcript. The two
+// must agree counter for counter; a record keeps only whether the verdict
+// was malicious or unbounded, so this is where its classes are compared.
 func TestDeltaVerdictOnFixtureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
-	gold, o := fixtureGolden(t, GoldenSpec())
-	var w worker
 	judged, violations := 0, 0
-	for i, group := range o.FaultGroups {
-		gc := gold.groups[group[0].Cycle].gc
-		if gc.rec == nil {
-			t.Fatal("fixture campaign has no transcript: the frontier is off")
+	judge := func(name string, opts Options) {
+		gold, o := optionsGolden(t, opts)
+		var w worker
+		for i, group := range o.FaultGroups {
+			gc := gold.groups[group[0].Cycle].gc
+			if gc.rec == nil {
+				t.Fatalf("%s: no transcript: the frontier is off", name)
+			}
+			rec, exit, _, st := runOne(&w, gc, o, group, nil)
+			if exit != ExitFull || !st.frontier {
+				continue
+			}
+			n := w.net
+			w.fr.MaterializeAll(goldenAt(gc, o, n.Cycle()))
+			full := golden.Compare(gc.goldenLog, golden.FromEjections(n.Ejections(), gc.cycle), rec.Drained)
+			if st.verdict != full {
+				t.Errorf("%s run %d (%v): delta verdict %+v, full compare %+v", name, i, &group[0], st.verdict, full)
+			}
+			if rec.Malicious != !full.OK() || rec.Unbounded != full.Unbounded {
+				t.Errorf("%s run %d (%v): record says malicious %t, unbounded %t; full compare %+v",
+					name, i, &group[0], rec.Malicious, rec.Unbounded, full)
+			}
+			judged++
+			if !full.OK() {
+				violations++
+			}
 		}
-		res, exit, _, st := runOne(&w, gc, o, group, nil)
-		if exit != ExitFull || !st.frontier {
-			continue
-		}
-		n := w.net
-		w.fr.MaterializeAll(goldenAt(gc, o, n.Cycle()))
-		full := golden.Compare(gc.goldenLog, golden.FromEjections(n.Ejections(), gc.cycle), res.Drained)
-		if res.Verdict != full {
-			t.Errorf("run %d (%v): delta verdict %+v, full compare %+v", i, &group[0], res.Verdict, full)
-		}
-		judged++
-		if !full.OK() {
-			violations++
-		}
+	}
+	spec, spec8 := GoldenSpec(), Golden8x8Spec()
+	fixture := spec.Options()
+	fixture.Faults = spec.Universe()
+	judge("4x4", fixture)
+	for _, set := range frontierSets() {
+		opts := spec8.Options()
+		set.setup(&opts)
+		judge("8x8 "+set.name, opts)
 	}
 	if judged == 0 || violations == 0 {
 		t.Fatalf("%d runs judged by the delta verdict, %d of them violations: the comparison is vacuous", judged, violations)

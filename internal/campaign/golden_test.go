@@ -6,9 +6,7 @@ import (
 	"flag"
 	"io"
 	"os"
-	"reflect"
 	"testing"
-	"time"
 
 	"nocalert/internal/fault"
 	"nocalert/internal/obs"
@@ -223,14 +221,7 @@ func TestGoldenEngineIdentity(t *testing.T) {
 		opts := spec.Options()
 		opts.Sim.DisableSoA = true
 		opts.Faults = spec.Universe()
-		recs := make([]trace.RunRecord, len(opts.Faults))
-		opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
-			recs[i] = RecordFor(i, res, wall, exit == ExitFastPath)
-		}
-		if _, err := Run(opts); err != nil {
-			t.Fatal(err)
-		}
-		ref := NewFixture(spec, recs)
+		ref := NewFixture(spec, mustRun(t, opts).Results)
 
 		if diffs := prod.Diff(ref); len(diffs) != 0 {
 			for _, d := range diffs {
@@ -257,14 +248,7 @@ func TestFrontierEngineIdentity(t *testing.T) {
 	opts := spec.Options()
 	opts.FullSim = true
 	opts.Faults = spec.Universe()
-	recs := make([]trace.RunRecord, len(opts.Faults))
-	opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
-		recs[i] = RecordFor(i, res, wall, exit == ExitFastPath)
-	}
-	if _, err := Run(opts); err != nil {
-		t.Fatal(err)
-	}
-	full := NewFixture(spec, recs)
+	full := NewFixture(spec, mustRun(t, opts).Results)
 	// A record's fast_path says which exit resolved the run, and the
 	// reference takes none; everything else must match.
 	for i := range frontier.Records {
@@ -310,7 +294,7 @@ func tracedRun(t *testing.T, opts Options) (*Report, []obs.SpanRecord) {
 func accountedRun(t *testing.T, opts Options) (*Report, []runAccount) {
 	t.Helper()
 	acct := make([]runAccount, max(len(opts.Faults), len(opts.FaultGroups)))
-	opts.OnResult = func(i int, _ *RunResult, _ time.Duration, exit ExitPath) { acct[i].exit = exit }
+	opts.OnResult = func(rec *trace.RunRecord, exit ExitPath) { acct[rec.Index].exit = exit }
 	rep, spans := tracedRun(t, opts)
 	seen := 0
 	for _, s := range spans {
@@ -334,21 +318,70 @@ func accountedRun(t *testing.T, opts Options) (*Report, []runAccount) {
 
 // TestFrontierCampaignIdentity holds the production run path — the
 // frontier and its exits — to the full-simulation reference (FullSim)
-// beyond the records TestFrontierEngineIdentity compares: whole
-// RunResults, and the cycle accounting of every run the default resolves
+// beyond the fixture TestFrontierEngineIdentity compares: whole records
+// (TestDeltaVerdictOnFixtureRuns compares the same runs' verdicts counter
+// for counter), and the cycle accounting of every run the default resolves
 // by the full exit. Such a run ends where the reference's does, so the
 // cycles it stepped and synthesized must add up to the cycles the
 // reference stepped: a drain or horizon that froze and projected its
-// remainder to the wrong end shows nowhere else. Three fault sets on the
-// 8×8 mesh: the golden spec's transients, permanent faults
-// (credit-counter bits as the benchmark draws them, and VA2/SA2 grant
-// lines, which wedge the fabric: the frontier carries those to the drain
-// deadline and through the horizon, the reference steps every cycle of
-// both), and one double-fault group.
+// remainder to the wrong end shows nowhere else. The three fault sets are
+// frontierSets' on the 8×8 mesh.
 func TestFrontierCampaignIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
+	spec := Golden8x8Spec()
+	undrained := 0
+	for _, set := range frontierSets() {
+		t.Run(set.name, func(t *testing.T) {
+			opts := spec.Options()
+			set.setup(&opts)
+			frontRep, front := accountedRun(t, opts)
+			opts.FullSim = true
+			fullRep, full := accountedRun(t, opts)
+
+			if frontRep.FrontierRuns == 0 || fullRep.FrontierRuns != 0 || fullRep.SynthesizedCycles != 0 {
+				t.Fatalf("the frontier drove %d runs by default and %d under FullSim, which synthesized %d cycles",
+					frontRep.FrontierRuns, fullRep.FrontierRuns, fullRep.SynthesizedCycles)
+			}
+			for i := range front {
+				ra, rb := frontRep.Results[i], fullRep.Results[i]
+				if !sameRun(ra, rb) {
+					t.Errorf("run %d: records differ\n frontier %+v\n full     %+v", i, ra, rb)
+				}
+				if !ra.Drained {
+					undrained++
+				}
+				a, b := front[i], full[i]
+				if b.exit != ExitFull {
+					t.Errorf("run %d: exit %v under FullSim", i, b.exit)
+				}
+				if a.exit == ExitFull && a.simulated+a.synthesized != b.simulated {
+					t.Errorf("run %d: %d cycles stepped + %d synthesized on the frontier, %d stepped by the reference",
+						i, a.simulated, a.synthesized, b.simulated)
+				}
+			}
+		})
+	}
+	if !t.Failed() && undrained == 0 {
+		t.Error("no run failed to drain: the frontier was never carried to a drain deadline")
+	}
+}
+
+// frontierSet is one fault set of the 8×8 golden spec's campaign, applied
+// to its options.
+type frontierSet struct {
+	name  string
+	setup func(o *Options)
+}
+
+// frontierSets are the fault sets TestFrontierCampaignIdentity and
+// TestDeltaVerdictOnFixtureRuns run on the 8×8 mesh: the golden spec's
+// transients, permanent faults (credit-counter bits as the benchmark draws
+// them, and VA2/SA2 grant lines, which wedge the fabric: the frontier
+// carries those to the drain deadline and through the horizon, the
+// reference steps every cycle of both), and one double-fault group.
+func frontierSets() []frontierSet {
 	spec := Golden8x8Spec()
 	transients := spec.Universe()
 
@@ -372,50 +405,11 @@ func TestFrontierCampaignIdentity(t *testing.T) {
 			permanents = append(permanents, pool[j])
 		}
 	}
-
-	sets := []struct {
-		name  string
-		setup func(o *Options)
-	}{
+	return []frontierSet{
 		{"transient", func(o *Options) { o.Faults = transients }},
 		// A shorter deadline and epoch: a wedged fabric steps every cycle
 		// of both, under either engine.
 		{"permanent", func(o *Options) { o.Faults, o.DrainDeadline, o.Forever.Epoch = permanents, 1000, 500 }},
 		{"double", func(o *Options) { o.FaultGroups = [][]fault.Fault{{transients[5], transients[40]}} }},
-	}
-	undrained := 0
-	for _, set := range sets {
-		t.Run(set.name, func(t *testing.T) {
-			opts := spec.Options()
-			set.setup(&opts)
-			frontRep, front := accountedRun(t, opts)
-			opts.FullSim = true
-			fullRep, full := accountedRun(t, opts)
-
-			if frontRep.FrontierRuns == 0 || fullRep.FrontierRuns != 0 || fullRep.SynthesizedCycles != 0 {
-				t.Fatalf("the frontier drove %d runs by default and %d under FullSim, which synthesized %d cycles",
-					frontRep.FrontierRuns, fullRep.FrontierRuns, fullRep.SynthesizedCycles)
-			}
-			for i := range front {
-				ra, rb := frontRep.Results[i], fullRep.Results[i]
-				if !reflect.DeepEqual(ra, rb) {
-					t.Errorf("run %d: results differ\n frontier %+v\n full     %+v", i, ra, rb)
-				}
-				if !ra.Drained {
-					undrained++
-				}
-				a, b := front[i], full[i]
-				if b.exit != ExitFull {
-					t.Errorf("run %d: exit %v under FullSim", i, b.exit)
-				}
-				if a.exit == ExitFull && a.simulated+a.synthesized != b.simulated {
-					t.Errorf("run %d: %d cycles stepped + %d synthesized on the frontier, %d stepped by the reference",
-						i, a.simulated, a.synthesized, b.simulated)
-				}
-			}
-		})
-	}
-	if !t.Failed() && undrained == 0 {
-		t.Error("no run failed to drain: the frontier was never carried to a drain deadline")
 	}
 }

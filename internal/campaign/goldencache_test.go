@@ -61,24 +61,22 @@ func TestGoldenCacheShardsMatchFixture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		part := make([]trace.RunRecord, len(sh.Faults))
 		opts := spec.Options()
 		opts.Faults = sh.Faults
 		opts.GoldenCache = cache
 		opts.Metrics = reg
-		opts.OnResult = func(k int, res *RunResult, wall time.Duration, exit ExitPath) {
-			part[k] = RecordFor(sh.Start+k, res, wall, exit == ExitFastPath)
-		}
 		rep := mustRun(t, opts)
-		recs = append(recs, part...)
+		for _, rec := range rep.Results {
+			rec.Index += sh.Start
+			recs = append(recs, rec)
+		}
 		if first == nil {
 			first = rep
 			continue
 		}
-		if rep.SnapshotCount != first.SnapshotCount || rep.SnapshotBytes != first.SnapshotBytes || rep.TimelineBytes != first.TimelineBytes {
-			t.Errorf("shard %d reports footprint %d/%d/%d, the building shard %d/%d/%d", i,
-				rep.SnapshotCount, rep.SnapshotBytes, rep.TimelineBytes,
-				first.SnapshotCount, first.SnapshotBytes, first.TimelineBytes)
+		if rep.SnapshotBytes != first.SnapshotBytes || rep.TimelineBytes != first.TimelineBytes {
+			t.Errorf("shard %d reports footprint %d/%d, the building shard %d/%d", i,
+				rep.SnapshotBytes, rep.TimelineBytes, first.SnapshotBytes, first.TimelineBytes)
 		}
 	}
 	if hits, misses := cacheCounts(reg); hits != shards-1 || misses != 1 {
@@ -226,7 +224,7 @@ func TestGoldenKeyCoversOptions(t *testing.T) {
 		"GoldenCache":      {{"", func(o *Options) { o.GoldenCache = NewGoldenCache() }, false}},
 		"Progress":         {{"", func(o *Options) { o.Progress = func(int, int) {} }, false}},
 		"Metrics":          {{"", func(o *Options) { o.Metrics = metrics.NewRegistry() }, false}},
-		"OnResult":         {{"", func(o *Options) { o.OnResult = func(int, *RunResult, time.Duration, ExitPath) {} }, false}},
+		"OnResult":         {{"", func(o *Options) { o.OnResult = func(*trace.RunRecord, ExitPath) {} }, false}},
 		"Context":          {{"", func(o *Options) { o.Context = context.TODO() }, false}},
 		"Tracer":           {{"", func(o *Options) { o.Tracer = obs.New(obs.Options{Retain: true}) }, false}},
 		"TraceParent":      {{"", func(o *Options) { o.TraceParent = obs.New(obs.Options{Retain: true}).Start(nil, "job", "job") }, false}},
@@ -343,8 +341,8 @@ func TestGoldenArtefactReadOnly(t *testing.T) {
 	t.Cleanup(func() { beforeRun = nil })
 	atPublication := map[int64]uint64{}
 	inFlightAtFirst := false
-	builder.OnResult = func(_ int, res *RunResult, _ time.Duration, _ ExitPath) {
-		c := res.Fault.Cycle
+	builder.OnResult = func(rec *trace.RunRecord, _ ExitPath) {
+		c := rec.Cycle
 		if _, done := atPublication[c]; done {
 			return
 		}

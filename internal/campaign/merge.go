@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 
+	"nocalert/internal/core"
+	"nocalert/internal/fault"
 	"nocalert/internal/trace"
 )
 
@@ -124,31 +126,62 @@ func (m *Merged) Report() (*Report, error) {
 	return ReportFromRecords(m.Spec, m.Records)
 }
 
-// ReportFromRecords reconstructs a Report from a complete record set
-// (one record per fault, indices 0..len-1 in any order). Everything
-// the report reducers and WriteJSON read is recovered; fields the
-// records do not carry (per-run simultaneity histograms, golden-run
-// metadata) stay zero.
+// ReportFromRecords builds the Report of a complete record set (one
+// record per fault of spec's universe, indices 0..len-1 in any order):
+// the records sorted by index, each checked against the fault the spec's
+// universe has at its index (checkRecord). It is the fold an unsharded
+// Run's report is, over the same records; what records do not carry —
+// the golden artefact's footprint and the run paths' cycle accounting —
+// stays zero.
 func ReportFromRecords(spec Spec, recs []trace.RunRecord) (*Report, error) {
 	sorted := append([]trace.RunRecord(nil), recs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-	rep := &Report{
-		Opts:    spec.Options(),
-		Results: make([]RunResult, len(sorted)),
+	universe := spec.Universe()
+	if len(sorted) != len(universe) {
+		return nil, fmt.Errorf("campaign: %d records for a universe of %d faults", len(sorted), len(universe))
 	}
+	rep := &Report{Opts: spec.Options(), Results: sorted}
 	for i := range sorted {
 		rec := &sorted[i]
 		if rec.Index != i {
 			return nil, fmt.Errorf("campaign: record set is not a gap-free index sequence (position %d has index %d)", i, rec.Index)
 		}
-		res, err := resultFromRecord(rec)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: record %d: %v", rec.Index, err)
+		if err := checkRecord(rec, &universe[i]); err != nil {
+			return nil, fmt.Errorf("campaign: record %d: %v", i, err)
 		}
-		rep.Results[i] = res
 		if rec.FastPath {
 			rep.FastPathHits++
 		}
 	}
 	return rep, nil
+}
+
+// recordDescribes reports whether rec carries f's identity: its site, bit,
+// type and injection cycle.
+func recordDescribes(rec *trace.RunRecord, f *fault.Fault) bool {
+	return rec.Router == f.Site.Router && rec.Signal == f.Site.Kind.String() &&
+		rec.Port == f.Site.Port && rec.VC == f.Site.VC && rec.Bit == f.Bit &&
+		rec.FaultType == f.Type.String() && rec.Cycle == f.Cycle
+}
+
+// checkRecord refuses a record the report cannot fold: one that does not
+// describe f, the fault at its index, or that carries an outcome other
+// than the four, or a checker outside Table 1.
+func checkRecord(rec *trace.RunRecord, f *fault.Fault) error {
+	if !recordDescribes(rec, f) {
+		return fmt.Errorf("describes fault %s.bit%d, the universe has %v", rec.Signal, rec.Bit, f)
+	}
+	for _, o := range []trace.Outcome{rec.Outcome, rec.CautiousOutcome, rec.ForeverOutcome} {
+		if !o.Known() {
+			return fmt.Errorf("unknown outcome %v", o)
+		}
+	}
+	for _, ids := range [][]core.CheckerID{rec.CheckersFired, rec.FirstCycleCheckers} {
+		for _, id := range ids {
+			if id < 1 || id > core.NumCheckers {
+				return fmt.Errorf("unknown checker %d", int(id))
+			}
+		}
+	}
+	return nil
 }

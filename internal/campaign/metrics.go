@@ -1,9 +1,11 @@
 package campaign
 
 import (
+	"strings"
 	"time"
 
 	"nocalert/internal/metrics"
+	"nocalert/internal/trace"
 )
 
 // Metric names Run publishes when Options.Metrics is set. Exported so
@@ -120,17 +122,14 @@ func observeGoldenCache(reg *metrics.Registry, hit bool, cacheBytes int64) {
 	reg.Gauge(MetricGoldenCacheBytes).Set(float64(cacheBytes))
 }
 
-// mechMetricNames and outcomeMetricNames spell the per-mechanism
-// outcome counters: campaign_outcome_<mechanism>_<outcome>_total.
-var (
-	mechMetricNames    = [...]string{"nocalert", "cautious", "forever"}
-	outcomeMetricNames = [...]string{"tn", "tp", "fp", "fn"} // Outcome iota order
-)
+// mechMetricNames spells the mechanism in the per-mechanism outcome
+// counters: campaign_outcome_<mechanism>_<outcome>_total.
+var mechMetricNames = [...]string{"nocalert", "cautious", "forever"}
 
 // OutcomeMetricName returns the counter name tracking outcome o of
 // mechanism m, e.g. campaign_outcome_nocalert_tp_total.
-func OutcomeMetricName(m Mechanism, o Outcome) string {
-	return "campaign_outcome_" + mechMetricNames[int(m)] + "_" + outcomeMetricNames[int(o)] + "_total"
+func OutcomeMetricName(m Mechanism, o trace.Outcome) string {
+	return "campaign_outcome_" + mechMetricNames[int(m)] + "_" + strings.ToLower(o.String()) + "_total"
 }
 
 // runSecondsBounds is the MetricRunSeconds bucket layout.
@@ -159,7 +158,7 @@ type instruments struct {
 	verdictOK     *metrics.Counter
 	verdictMal    *metrics.Counter
 	verdictUnb    *metrics.Counter
-	outcomes      [len(mechMetricNames)][len(outcomeMetricNames)]*metrics.Counter
+	outcomes      [len(mechMetricNames)][trace.FalseNegative + 1]*metrics.Counter
 	runSeconds    *metrics.Histogram
 	reconvCycles  *metrics.Histogram
 	detectLatency *metrics.Histogram
@@ -201,8 +200,8 @@ func newInstruments(reg *metrics.Registry, workers, totalRuns int) *instruments 
 		groupWait:     reg.Histogram(MetricGoldenGroupWait, runSecondsBounds),
 	}
 	for m := range in.outcomes {
-		for o := range in.outcomes[m] {
-			in.outcomes[m][o] = reg.Counter(OutcomeMetricName(Mechanism(m), Outcome(o)))
+		for o := trace.TrueNegative; o <= trace.FalseNegative; o++ {
+			in.outcomes[m][o] = reg.Counter(OutcomeMetricName(Mechanism(m), o))
 		}
 	}
 	reg.Gauge(MetricWorkers).Set(float64(workers))
@@ -216,7 +215,7 @@ func newInstruments(reg *metrics.Registry, workers, totalRuns int) *instruments 
 // honest cycle accounting and simCycles the campaign's running total of
 // really-simulated cycles — synthesized and skipped-prefix cycles feed
 // their own counters instead of inflating the live gauges.
-func (in *instruments) observe(res *RunResult, wall, groupWait time.Duration, exit ExitPath, convCycles int64, st *runStats, done int, simCycles int64, elapsed time.Duration) {
+func (in *instruments) observe(rec *trace.RunRecord, groupWait time.Duration, exit ExitPath, convCycles int64, st *runStats, done int, simCycles int64, elapsed time.Duration) {
 	in.runs.Inc()
 	in.groupWait.Observe(groupWait.Seconds())
 	if st.forked {
@@ -241,24 +240,25 @@ func (in *instruments) observe(res *RunResult, wall, groupWait time.Duration, ex
 		in.fastMisses.Inc()
 		in.fullRuns.Inc()
 	}
-	if res.Fired {
+	if rec.Fired {
 		in.fired.Inc()
 	}
-	if res.Verdict.OK() {
-		in.verdictOK.Inc()
-	} else {
+	if rec.Malicious {
 		in.verdictMal.Inc()
+	} else {
+		in.verdictOK.Inc()
 	}
-	if res.Verdict.Unbounded {
+	if rec.Unbounded {
 		in.verdictUnb.Inc()
 	}
-	in.outcomes[int(NoCAlert)][int(res.Outcome)].Inc()
-	in.outcomes[int(Cautious)][int(res.CautiousOutcome)].Inc()
-	in.outcomes[int(ForEVeR)][int(res.ForeverOutcome)].Inc()
-	if res.Detected && res.Latency >= 0 {
-		in.detectLatency.Observe(float64(res.Latency))
+	for m := range in.outcomes {
+		o, _ := Mechanism(m).of(rec)
+		in.outcomes[m][o].Inc()
 	}
-	in.runSeconds.Observe(wall.Seconds())
+	if rec.Outcome.Detected() && rec.Latency >= 0 {
+		in.detectLatency.Observe(float64(rec.Latency))
+	}
+	in.runSeconds.Observe(rec.WallSeconds)
 	if s := elapsed.Seconds(); s > 0 {
 		in.faultsPS.Set(float64(done) / s)
 		in.simCyclesPS.Set(float64(simCycles) / s)

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"testing"
-	"time"
 
 	"nocalert/internal/fault"
 	"nocalert/internal/forever"
@@ -10,6 +9,7 @@ import (
 	"nocalert/internal/router"
 	"nocalert/internal/sim"
 	"nocalert/internal/topology"
+	"nocalert/internal/trace"
 )
 
 // TestCampaignMetricsMatchReport runs an instrumented campaign and
@@ -23,7 +23,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	type seen struct {
-		wall time.Duration
+		wall float64
 		exit ExitPath
 	}
 	results := make(map[int]seen)
@@ -35,11 +35,11 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 		Forever:       forever.Options{Epoch: 250, HopLatency: 1},
 		Faults:        faults,
 		Metrics:       reg,
-		OnResult: func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
-			if _, dup := results[i]; dup {
-				t.Errorf("OnResult called twice for index %d", i)
+		OnResult: func(rec *trace.RunRecord, exit ExitPath) {
+			if _, dup := results[rec.Index]; dup {
+				t.Errorf("OnResult called twice for index %d", rec.Index)
 			}
-			results[i] = seen{wall: wall, exit: exit}
+			results[rec.Index] = seen{wall: rec.WallSeconds, exit: exit}
 		},
 	})
 	if err != nil {
@@ -52,7 +52,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	fastSeen, reconvSeen := 0, 0
 	for i, s := range results {
 		if s.wall <= 0 {
-			t.Fatalf("run %d has non-positive wall time %v", i, s.wall)
+			t.Fatalf("run %d has non-positive wall time %g s", i, s.wall)
 		}
 		switch s.exit {
 		case ExitFastPath:
@@ -99,9 +99,9 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	}
 	for _, m := range []Mechanism{NoCAlert, Cautious, ForEVeR} {
 		cov := rep.Coverage(m)
-		for o, want := range map[Outcome]int{
-			TruePositive: cov.TP, FalsePositive: cov.FP,
-			TrueNegative: cov.TN, FalseNegative: cov.FN,
+		for o, want := range map[trace.Outcome]int{
+			trace.TruePositive: cov.TP, trace.FalsePositive: cov.FP,
+			trace.TrueNegative: cov.TN, trace.FalseNegative: cov.FN,
 		} {
 			if got := counter(OutcomeMetricName(m, o)); got != int64(want) {
 				t.Fatalf("%s = %d, want %d", OutcomeMetricName(m, o), got, want)

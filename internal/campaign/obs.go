@@ -4,6 +4,7 @@ import (
 	"nocalert/internal/core"
 	"nocalert/internal/obs"
 	"nocalert/internal/sim"
+	"nocalert/internal/trace"
 )
 
 // runObs bundles the observability context one run threads through
@@ -42,18 +43,18 @@ func (ro *runObs) setFrontier(fr *sim.Frontier) {
 	}
 }
 
-// finish stamps the run span with the result and the honest cycle
+// finish stamps the run span with the run's record and the honest cycle
 // accounting and closes the span. The attribute invariant every exit
 // path satisfies (test-enforced):
 //
 //	fork_cycle + cycles_simulated + cycles_synthesized == horizon_cycle
-func (ro *runObs) finish(res *RunResult, exit ExitPath, convCycles int64, st *runStats, injectCycle int64) {
+func (ro *runObs) finish(rec *trace.RunRecord, exit ExitPath, convCycles int64, st *runStats) {
 	if ro == nil {
 		return
 	}
 	s := ro.span
 	s.SetAttr("run_index", ro.idx)
-	s.SetAttr("inject_cycle", injectCycle)
+	s.SetAttr("inject_cycle", rec.Cycle)
 	s.SetAttr("fork_cycle", st.warmSaved)
 	s.SetAttr("forked", st.forked)
 	s.SetAttr("nodes_cloned", st.nodesCloned)
@@ -66,15 +67,15 @@ func (ro *runObs) finish(res *RunResult, exit ExitPath, convCycles int64, st *ru
 		s.SetAttr("frontier_retire_probes", st.frontierProbes)
 	}
 	s.SetAttr("exit", exit.String())
-	s.SetAttr("fired", res.Fired)
-	s.SetAttr("drained", res.Drained)
-	s.SetAttr("verdict_ok", res.Verdict.OK())
-	s.SetAttr("outcome", res.Outcome.String())
-	s.SetAttr("detected", res.Detected)
-	if res.Detected {
-		s.SetAttr("detect_cycle", res.DetectCycle)
-		s.SetAttr("latency", res.Latency)
-		s.SetAttr("checkers_fired", checkerInts(res.CheckersFired))
+	s.SetAttr("fired", rec.Fired)
+	s.SetAttr("drained", rec.Drained)
+	s.SetAttr("verdict_ok", !rec.Malicious)
+	s.SetAttr("outcome", rec.Outcome.String())
+	s.SetAttr("detected", rec.Outcome.Detected())
+	if rec.Outcome.Detected() {
+		s.SetAttr("detect_cycle", rec.Cycle+rec.Latency)
+		s.SetAttr("latency", rec.Latency)
+		s.SetAttr("checkers_fired", checkerInts(rec.CheckersFired))
 	}
 	if exit == ExitReconverged {
 		s.SetAttr("reconverged_cycles", convCycles)

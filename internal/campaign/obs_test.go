@@ -13,6 +13,7 @@ import (
 	"nocalert/internal/router"
 	"nocalert/internal/sim"
 	"nocalert/internal/topology"
+	"nocalert/internal/trace"
 )
 
 // obsOpts returns the observability test campaign: a 4×4 mesh with
@@ -217,7 +218,7 @@ func TestSpanStreamGolden4x4(t *testing.T) {
 	}
 	detected := 0
 	for _, r := range traced.Results {
-		if r.Detected {
+		if r.Outcome.Detected() {
 			detected++
 		}
 	}
@@ -299,9 +300,9 @@ func TestMissedDetectionAnomaly(t *testing.T) {
 	var stream bytes.Buffer
 	tr := obs.New(obs.Options{Writer: &stream})
 	ro := &runObs{span: tr.Start(nil, "run", "run[3]"), idx: 3}
-	res := RunResult{Outcome: FalseNegative}
+	rec := trace.RunRecord{Cycle: 300, Outcome: trace.FalseNegative}
 	var st runStats
-	ro.finish(&res, ExitFull, 0, &st, 300)
+	ro.finish(&rec, ExitFull, 0, &st)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestMissedDetectionAnomaly(t *testing.T) {
 // nothing).
 func TestNilObsIsFree(t *testing.T) {
 	var ro *runObs
-	ro.finish(&RunResult{}, ExitFull, 0, &runStats{}, 0)
+	ro.finish(&trace.RunRecord{}, ExitFull, 0, &runStats{})
 	if s := ro.phase("p"); s != nil {
 		t.Fatal("nil runObs produced a span")
 	}

@@ -13,6 +13,7 @@ import (
 	"nocalert/internal/metrics"
 	"nocalert/internal/statehash"
 	"nocalert/internal/topology"
+	"nocalert/internal/trace"
 )
 
 const multicycleReportPath = "../../testdata/report_8x8_multicycle_seed3.json"
@@ -206,16 +207,16 @@ func TestLiveRateSkipsGroupWaits(t *testing.T) {
 	gauge := o.Metrics.Gauge(MetricFaultsPerSec)
 	var before, after, nextWall float64
 	nBefore := 0
-	o.OnResult = func(i int, res *RunResult, wall time.Duration, _ ExitPath) {
+	o.OnResult = func(rec *trace.RunRecord, _ ExitPath) {
 		fps := gauge.Value()
 		if _, ok := EstimateETA(1, fps); !ok {
-			t.Errorf("after run %d the gauge reads %g, which no ETA can be derived from", i, fps)
+			t.Errorf("after run %d the gauge reads %g, which no ETA can be derived from", rec.Index, fps)
 		}
 		switch {
-		case res.Fault.Cycle == 0:
+		case rec.Cycle == 0:
 			before, nBefore = fps, nBefore+1
 		case after == 0:
-			after, nextWall = fps, wall.Seconds()
+			after, nextWall = fps, rec.WallSeconds
 		}
 	}
 	mustRun(t, o)

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"nocalert/internal/core"
@@ -84,9 +83,8 @@ func TestReconvergedResultsMatchFullSimulation(t *testing.T) {
 	}
 	for i := range fastRep.Results {
 		fr, sr := fastRep.Results[i], slowRep.Results[i]
-		if !reflect.DeepEqual(fr, sr) {
-			t.Fatalf("result %d (%v) differs between reconvergence and full simulation:\nreconv: %+v\nfull:   %+v",
-				i, &fr.Fault, fr, sr)
+		if !sameRun(fr, sr) {
+			t.Fatalf("run %d differs between reconvergence and full simulation:\nreconv: %+v\nfull:   %+v", i, fr, sr)
 		}
 	}
 }
@@ -186,9 +184,9 @@ func TestReconvergedForeverTailStartsAtReconvergence(t *testing.T) {
 	params := fault.Params{Mesh: mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}
 	f := SampleFaults(params, 1, 11, inject)[0]
 	fv := forever.NewMonitor(&rc, opts) // the run's: it flagged nothing
-	res := synthesizeReconverged(reconverged, core.NewEngine(&rc, core.Options{}), fv, gfv, fault.NewPlane(f), inject, []fault.Fault{f})
-	if !res.ForeverDetected || res.ForeverLatency != d[1]-inject {
-		t.Fatalf("injected at %d, reconverged at %d, golden flags at %v: ForEVeR detected %t with latency %d, want golden's flag at %d (latency %d)",
-			inject, reconverged, d, res.ForeverDetected, res.ForeverLatency, d[1], d[1]-inject)
+	rec := synthesizeReconverged(reconverged, core.NewEngine(&rc, core.Options{}), fv, gfv, fault.NewPlane(f), []fault.Fault{f})
+	if !rec.ForeverOutcome.Detected() || rec.ForeverLatency != d[1]-inject {
+		t.Fatalf("injected at %d, reconverged at %d, golden flags at %v: ForEVeR %v with latency %d, want golden's flag at %d (latency %d)",
+			inject, reconverged, d, rec.ForeverOutcome, rec.ForeverLatency, d[1], d[1]-inject)
 	}
 }

@@ -3,9 +3,13 @@ package campaign
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
+	"strings"
 
 	"nocalert/internal/core"
 	"nocalert/internal/stats"
+	"nocalert/internal/trace"
 )
 
 // Mechanism selects whose outcomes a report aggregates.
@@ -34,25 +38,16 @@ func (m Mechanism) String() string {
 	return fmt.Sprintf("Mechanism(%d)", int(m))
 }
 
-func (r *RunResult) outcomeOf(m Mechanism) Outcome {
+// of returns the mechanism's outcome on a run and its detection latency
+// (-1 when it never detected).
+func (m Mechanism) of(r *trace.RunRecord) (trace.Outcome, int64) {
 	switch m {
 	case Cautious:
-		return r.CautiousOutcome
+		return r.CautiousOutcome, r.CautiousLatency
 	case ForEVeR:
-		return r.ForeverOutcome
+		return r.ForeverOutcome, r.ForeverLatency
 	default:
-		return r.Outcome
-	}
-}
-
-func (r *RunResult) latencyOf(m Mechanism) int64 {
-	switch m {
-	case Cautious:
-		return r.CautiousLatency
-	case ForEVeR:
-		return r.ForeverLatency
-	default:
-		return r.Latency
+		return r.Outcome, r.Latency
 	}
 }
 
@@ -69,14 +64,14 @@ type Coverage struct {
 func (r *Report) Coverage(m Mechanism) Coverage {
 	c := Coverage{Mechanism: m, Total: len(r.Results)}
 	for i := range r.Results {
-		switch r.Results[i].outcomeOf(m) {
-		case TruePositive:
+		switch o, _ := m.of(&r.Results[i]); o {
+		case trace.TruePositive:
 			c.TP++
-		case FalsePositive:
+		case trace.FalsePositive:
 			c.FP++
-		case TrueNegative:
+		case trace.TrueNegative:
 			c.TN++
-		case FalseNegative:
+		case trace.FalseNegative:
 			c.FN++
 		}
 	}
@@ -93,9 +88,8 @@ func (r *Report) Coverage(m Mechanism) Coverage {
 func (r *Report) LatencyCDF(m Mechanism) *stats.CDF {
 	var lat []int64
 	for i := range r.Results {
-		res := &r.Results[i]
-		if res.outcomeOf(m) == TruePositive {
-			lat = append(lat, res.latencyOf(m))
+		if o, l := m.of(&r.Results[i]); o == trace.TruePositive {
+			lat = append(lat, l)
 		}
 	}
 	return stats.NewCDF(lat)
@@ -124,7 +118,7 @@ func (r *Report) CheckerShares() []CheckerShare {
 	detected := 0
 	for i := range r.Results {
 		res := &r.Results[i]
-		if !res.Detected {
+		if !res.Outcome.Detected() {
 			continue
 		}
 		detected++
@@ -159,7 +153,7 @@ func (r *Report) SimultaneityDistribution() []int64 {
 	var hist []int64
 	for i := range r.Results {
 		res := &r.Results[i]
-		if !res.Detected {
+		if !res.Outcome.Detected() {
 			continue
 		}
 		k := len(res.CheckersFired)
@@ -197,19 +191,19 @@ func (r *Report) Observation5() Observation5 {
 	var o Observation5
 	for i := range r.Results {
 		res := &r.Results[i]
-		instant := res.Detected && res.Latency == 0
-		if instant {
+		detected := res.Outcome.Detected()
+		if detected && res.Latency == 0 {
 			continue
 		}
 		o.NonInstant++
-		if !res.Detected {
+		if !detected {
 			o.NeverViolated++
-			if res.Verdict.OK() {
+			if !res.Malicious {
 				o.NeverViolatedBenign++
 			}
 		} else {
 			o.LaterViolated++
-			if !res.Verdict.OK() {
+			if res.Malicious {
 				o.LaterCaughtMalicious++
 			}
 		}
@@ -239,11 +233,11 @@ func (r *Report) RecoveryExposure(m Mechanism) RecoveryExposure {
 	out := RecoveryExposure{Mechanism: m}
 	n := 0
 	for i := range r.Results {
-		res := &r.Results[i]
-		if res.outcomeOf(m) != TruePositive {
+		o, l := m.of(&r.Results[i])
+		if o != trace.TruePositive {
 			continue
 		}
-		lat := float64(res.latencyOf(m))
+		lat := float64(l)
 		risk := lat * flitsPerCycle
 		out.MeanFlitsAtRisk += risk
 		out.MeanLatency += lat
@@ -282,12 +276,12 @@ func (r *Report) WriteHeatmaps(w io.Writer) {
 	detected := stats.NewHeatmap("first assertions per asserting router", m.W, m.H)
 	for i := range r.Results {
 		res := &r.Results[i]
-		injected.Add(res.Fault.Site.Router, 1)
-		if !res.Verdict.OK() {
-			malicious.Add(res.Fault.Site.Router, 1)
+		injected.Add(res.Router, 1)
+		if res.Malicious {
+			malicious.Add(res.Router, 1)
 		}
-		if res.Detected {
-			detected.Add(res.Fault.Site.Router, 1)
+		if res.Outcome.Detected() {
+			detected.Add(res.Router, 1)
 		}
 	}
 	injected.Render(w)
@@ -300,7 +294,7 @@ func (r *Report) WriteHeatmaps(w io.Writer) {
 func (r *Report) FalseNegatives(m Mechanism) int {
 	n := 0
 	for i := range r.Results {
-		if r.Results[i].outcomeOf(m) == FalseNegative {
+		if o, _ := m.of(&r.Results[i]); o == trace.FalseNegative {
 			n++
 		}
 	}
@@ -312,7 +306,7 @@ func (r *Report) FalseNegatives(m Mechanism) int {
 func (r *Report) MaliciousCount() int {
 	n := 0
 	for i := range r.Results {
-		if !r.Results[i].Verdict.OK() {
+		if r.Results[i].Malicious {
 			n++
 		}
 	}
@@ -334,14 +328,34 @@ func (r *Report) FiredCount() int {
 // WriteFig6 renders the Figure 6 table.
 func (r *Report) WriteFig6(w io.Writer) {
 	t := stats.NewTable(
-		fmt.Sprintf("Figure 6 — fault coverage breakdown (injection cycle %d, %d faults)",
-			r.Opts.InjectCycle, len(r.Results)),
+		fmt.Sprintf("Figure 6 — fault coverage breakdown (%s, %d faults)",
+			r.injectionCycles(), len(r.Results)),
 		"Mechanism", "TP%", "FP%", "TN%", "FN%")
 	for _, m := range []Mechanism{NoCAlert, Cautious, ForEVeR} {
 		c := r.Coverage(m)
 		t.AddRow(m.String(), c.TPPct, c.FPPct, c.TNPct, c.FNPct)
 	}
 	t.Render(w)
+}
+
+// injectionCycles names the distinct injection cycles the runs inject at,
+// in ascending order: "injection cycle 300", "injection cycles 0, 16000,
+// 32000".
+func (r *Report) injectionCycles() string {
+	cycles := make([]int64, len(r.Results))
+	for i := range r.Results {
+		cycles[i] = r.Results[i].Cycle
+	}
+	slices.Sort(cycles)
+	cycles = slices.Compact(cycles)
+	if len(cycles) == 1 {
+		return fmt.Sprintf("injection cycle %d", cycles[0])
+	}
+	names := make([]string, len(cycles))
+	for i, c := range cycles {
+		names[i] = strconv.FormatInt(c, 10)
+	}
+	return "injection cycles " + strings.Join(names, ", ")
 }
 
 // WriteFig7 renders the Figure 7 latency CDF at the paper's milestones.
@@ -358,6 +372,19 @@ func (r *Report) WriteFig7(w io.Writer) {
 		t.AddRow(m.String(), cdf.N(),
 			100*cdf.AtOrBelow(0),
 			cdf.Percentile(0.50), cdf.Percentile(0.97), cdf.Percentile(0.99), cdf.Max())
+	}
+	t.Render(w)
+}
+
+// WriteFig7CDF renders the whole detection-delay CDF curves as plottable
+// (delay, cumulative%) series, at the milestones WriteJSON exports.
+func (r *Report) WriteFig7CDF(w io.Writer) {
+	t := stats.NewTable("Figure 7 — CDF series (cumulative % of true positives detected within N cycles)",
+		"Delay (cycles)", "NoCAlert", "ForEVeR")
+	na := r.LatencyCDF(NoCAlert)
+	fv := r.LatencyCDF(ForEVeR)
+	for _, d := range cdfMilestones {
+		t.AddRow(d, 100*na.AtOrBelow(d), 100*fv.AtOrBelow(d))
 	}
 	t.Render(w)
 }

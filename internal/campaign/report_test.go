@@ -1,53 +1,61 @@
 package campaign
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"nocalert/internal/core"
-	"nocalert/internal/golden"
 	"nocalert/internal/router"
 	"nocalert/internal/sim"
 	"nocalert/internal/topology"
+	"nocalert/internal/trace"
 )
 
-// fabricated builds a report from hand-written results so aggregation
+// fabricated builds a report from hand-written records so aggregation
 // math can be pinned without running campaigns.
 func fabricated() *Report {
 	rc := router.Default(topology.NewMesh(4, 4))
-	bad := golden.Verdict{Dropped: 1}
 	return &Report{
 		Opts: Options{InjectCycle: 100, Sim: sim.Config{Router: rc, InjectionRate: 0.1}},
-		Results: []RunResult{
+		Results: []trace.RunRecord{
 			{ // TP, instant, two checkers in the first cycle
-				Detected: true, DetectCycle: 100, Latency: 0, Outcome: TruePositive,
-				CautiousDetected: true, CautiousLatency: 0, CautiousOutcome: TruePositive,
-				ForeverDetected: true, ForeverLatency: 1400, ForeverOutcome: TruePositive,
-				Verdict:            bad,
+				Malicious: true,
+				Outcome:   trace.TruePositive, Latency: 0,
+				CautiousOutcome: trace.TruePositive, CautiousLatency: 0,
+				ForeverOutcome: trace.TruePositive, ForeverLatency: 1400,
 				CheckersFired:      []core.CheckerID{4, 17},
 				FirstCycleCheckers: []core.CheckerID{4, 17},
 			},
 			{ // FP, low-risk only → cautious TN
-				Detected: true, DetectCycle: 105, Latency: 5, Outcome: FalsePositive,
-				CautiousDetected: false, CautiousLatency: -1, CautiousOutcome: TrueNegative,
-				ForeverDetected: false, ForeverLatency: -1, ForeverOutcome: TrueNegative,
+				Outcome: trace.FalsePositive, Latency: 5,
+				CautiousOutcome: trace.TrueNegative, CautiousLatency: -1,
+				ForeverOutcome: trace.TrueNegative, ForeverLatency: -1,
 				CheckersFired:      []core.CheckerID{1},
 				FirstCycleCheckers: []core.CheckerID{1},
 			},
 			{ // TN all around
-				Outcome: TrueNegative, CautiousOutcome: TrueNegative, ForeverOutcome: TrueNegative,
+				Outcome: trace.TrueNegative, CautiousOutcome: trace.TrueNegative, ForeverOutcome: trace.TrueNegative,
 				Latency: -1, CautiousLatency: -1, ForeverLatency: -1,
 			},
 			{ // TP, delayed
-				Detected: true, DetectCycle: 110, Latency: 10, Outcome: TruePositive,
-				CautiousDetected: true, CautiousLatency: 10, CautiousOutcome: TruePositive,
-				ForeverDetected: true, ForeverLatency: 2900, ForeverOutcome: TruePositive,
-				Verdict:            bad,
+				Malicious: true,
+				Outcome:   trace.TruePositive, Latency: 10,
+				CautiousOutcome: trace.TruePositive, CautiousLatency: 10,
+				ForeverOutcome: trace.TruePositive, ForeverLatency: 2900,
 				CheckersFired:      []core.CheckerID{24},
 				FirstCycleCheckers: []core.CheckerID{24},
 			},
 		},
 	}
+}
+
+// sameRun reports whether two records describe the same run with the
+// same result: everything but where and how it ran — its index in its
+// campaign, whether the fast path resolved it, its wall time — must match.
+func sameRun(a, b trace.RunRecord) bool {
+	a.Index, a.FastPath, a.WallSeconds = b.Index, b.FastPath, b.WallSeconds
+	return reflect.DeepEqual(a, b)
 }
 
 func TestCoverageMath(t *testing.T) {

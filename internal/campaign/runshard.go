@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"nocalert/internal/fault"
 	"nocalert/internal/metrics"
@@ -222,16 +221,14 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 	opts.Context = ctx
 	opts.Tracer = o.Tracer
 	opts.TraceParent = sspan
-	opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
+	opts.OnResult = func(r *trace.RunRecord, exit ExitPath) {
 		// Serialized by the campaign's progress mutex.
 		if firstErr != nil {
 			return
 		}
-		j := jobs[i]
-		// Reconverged runs record fast_path=false like fully simulated
-		// ones: the record layout is part of the checkpoint identity
-		// contract, and reconvergence is result-invisible by design.
-		rec := RecordFor(j.global, res, wall, exit == ExitFastPath)
+		j := jobs[r.Index]
+		rec := *r
+		rec.Index = j.global
 		switch exit {
 		case ExitFastPath:
 			stats.FastPathHits++

@@ -88,7 +88,8 @@ func (s *Spec) Validate() error {
 //   - The fault universe. SampleFaults holds one fault.Fault (80 bytes)
 //     per fault drawn — NumFaults, or every fault bit of the mesh when
 //     NumFaults is 0 or exceeds them — and a campaign one fault group and
-//     one RunResult (312 bytes) per fault besides.
+//     one trace.RunRecord (192 bytes, and its checker lists) per
+//     fault besides.
 //   - The golden transcripts, one per distinct injection cycle.
 //     newRecording sizes each for rows = PostInjectRun + 4·(W+H) cycles
 //     (the window and a drain allowance): a fold array of rows × nodes
@@ -146,9 +147,11 @@ func (s *Spec) withinBudget(rc router.Config) error {
 // Options.withDefaults and ForEVeR's defaults. Whoever hashes or persists
 // a spec — the daemon, the coordinator, the CLI — normalizes it first, so
 // a campaign's durable identity is the effective spec, never an ambiguous
-// zero, and a fully specified spec keeps its hash.
+// zero, and a fully specified spec keeps its hash. It is safe on any
+// decoded spec: a mesh no router can have keeps VCs zero, for Validate to
+// refuse.
 func (s *Spec) Normalize() {
-	if s.VCs == 0 {
+	if s.VCs == 0 && s.MeshW >= 1 && s.MeshH >= 1 {
 		s.VCs = router.Default(topology.NewMesh(s.MeshW, s.MeshH)).VCs
 	}
 	if s.PostInjectRun <= 0 {

@@ -8,10 +8,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
+	"nocalert/internal/core"
 	"nocalert/internal/trace"
 )
 
@@ -109,13 +112,7 @@ func unshardedRecords(t *testing.T, spec Spec) []trace.RunRecord {
 	}
 	opts := spec.Options()
 	opts.Faults = spec.Universe()
-	recs := make([]trace.RunRecord, len(opts.Faults))
-	opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
-		recs[i] = RecordFor(i, res, wall, exit == ExitFastPath)
-	}
-	if _, err := Run(opts); err != nil {
-		t.Fatal(err)
-	}
+	recs := mustRun(t, opts).Results
 	recCache[spec.Hash()] = recs
 	return recs
 }
@@ -230,9 +227,7 @@ func TestReportFromRecordsMatchesLiveReport(t *testing.T) {
 	opts := spec.Options()
 	opts.Faults = spec.Universe()
 	recs := make([]trace.RunRecord, len(opts.Faults))
-	opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
-		recs[i] = RecordFor(i, res, wall, exit == ExitFastPath)
-	}
+	opts.OnResult = func(rec *trace.RunRecord, _ ExitPath) { recs[rec.Index] = *rec }
 	rep, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -253,6 +248,106 @@ func TestReportFromRecordsMatchesLiveReport(t *testing.T) {
 	}
 	if rebuilt.FastPathHits != rep.FastPathHits {
 		t.Fatalf("rebuilt fast-path hits %d, live %d", rebuilt.FastPathHits, rep.FastPathHits)
+	}
+}
+
+// FuzzSpecIntake holds the job API's spec boundary: bytes decoded as a
+// Spec the way the daemon decodes a submission (unknown fields refused),
+// then normalized and validated the way it and the coordinator take one
+// in. No input may panic, and a spec that validates must be a fixed point
+// of Normalize that keeps its Hash — the job's durable identity. It never
+// expands the spec (Universe, Options): a valid spec may still be millions
+// of faults. The seeds are TestJobAPI's rejection bodies, a valid spec,
+// and a zero-wide mesh left to the default VC count, which once panicked
+// in Normalize.
+func FuzzSpecIntake(f *testing.F) {
+	cycles := make([]string, 1000)
+	for c := range cycles {
+		cycles[c] = strconv.Itoa(c)
+	}
+	for _, body := range []string{
+		`{"mesh_w":4,"mesh_h":4,"vcs":4,"injection_rate":0.12,"seed":3,"inject_cycle":300,"post_inject_run":400,"drain_deadline":5000,"epoch":400,"hop_latency":1,"num_faults":96}`,
+		`{"mesh_w":0,"mesh_h":4,"vcs":4}`,
+		`{"mesh_w":0,"mesh_h":4}`,
+		`{"mesh_w":-3,"mesh_h":4}`,
+		`{"mesh_w":4,"mesh_h":4,"vcs":4,"num_faults":-1}`,
+		`{"mesh_w":4,"mesh_h":4,"vcs":9}`,
+		`{"mesh_w":4,"mesh_h":4,"vcs":33}`,
+		`{"mesh_w":4,"mesh_h":4,"vcs":4,"typo_field":1}`,
+		`mesh=4x4`,
+		`{"mesh_w":65536,"mesh_h":65536}`,
+		`{"mesh_w":4,"mesh_h":4,"vcs":4,"post_inject_run":1000000000}`,
+		`{"mesh_w":4,"mesh_h":4,"vcs":4,"inject_cycles":[` + strings.Join(cycles, ",") + `]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var spec Spec
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		spec.Normalize()
+		if spec.Validate() != nil {
+			return
+		}
+		again := spec
+		again.InjectCycles = slices.Clone(spec.InjectCycles)
+		again.Normalize()
+		if !reflect.DeepEqual(again, spec) || again.Hash() != spec.Hash() {
+			t.Errorf("a valid spec moved under a second Normalize:\n once %+v (hash %s)\ntwice %+v (hash %s)",
+				spec, spec.Hash(), again, again.Hash())
+		}
+	})
+}
+
+// TestReportFromRecordsRefusesForeignRecords: a record set that does not
+// describe the spec's campaign is refused, not folded. The records are
+// written from the spec's universe (every run a true negative); each
+// case damages one of them: an unknown outcome, signal, fault type or
+// checker, or an identity that is not the fault the universe has at the
+// record's index.
+func TestReportFromRecordsRefusesForeignRecords(t *testing.T) {
+	spec := shardTestSpec(24)
+	universe := spec.Universe()
+	records := func() []trace.RunRecord {
+		recs := make([]trace.RunRecord, len(universe))
+		for i := range universe {
+			f := &universe[i]
+			recs[i] = trace.RunRecord{
+				Index: i, Router: f.Site.Router, Signal: f.Site.Kind.String(), Port: f.Site.Port,
+				VC: f.Site.VC, Bit: f.Bit, FaultType: f.Type.String(), Cycle: f.Cycle, Drained: true,
+				Outcome: trace.TrueNegative, Latency: -1, CautiousOutcome: trace.TrueNegative, CautiousLatency: -1,
+				ForeverOutcome: trace.TrueNegative, ForeverLatency: -1,
+			}
+		}
+		return recs
+	}
+	if _, err := ReportFromRecords(spec, records()); err != nil {
+		t.Fatalf("the undamaged records: %v", err)
+	}
+	for name, damage := range map[string]func(r []trace.RunRecord){
+		"zero outcome":        func(r []trace.RunRecord) { r[3].Outcome = 0 },
+		"unknown outcome":     func(r []trace.RunRecord) { r[3].ForeverOutcome = trace.FalseNegative + 1 },
+		"unknown signal":      func(r []trace.RunRecord) { r[5].Signal = "no.such.signal" },
+		"unknown fault type":  func(r []trace.RunRecord) { r[5].FaultType = "cosmic" },
+		"unknown checker":     func(r []trace.RunRecord) { r[7].CheckersFired = []core.CheckerID{core.NumCheckers + 1} },
+		"checker zero":        func(r []trace.RunRecord) { r[7].FirstCycleCheckers = []core.CheckerID{0} },
+		"another fault's run": func(r []trace.RunRecord) { r[0], r[0].Index = r[1], 0 },
+		"wrong bit":           func(r []trace.RunRecord) { r[9].Bit++ },
+		"wrong cycle":         func(r []trace.RunRecord) { r[9].Cycle++ },
+		"swapped indices":     func(r []trace.RunRecord) { r[10].Index, r[11].Index = 11, 10 },
+		"missing record":      func(r []trace.RunRecord) { r[len(r)-1].Index = len(r) },
+	} {
+		recs := records()
+		damage(recs)
+		if _, err := ReportFromRecords(spec, recs); err == nil {
+			t.Errorf("%s: the record set was folded into a report", name)
+		}
+	}
+	if _, err := ReportFromRecords(spec, records()[1:]); err == nil {
+		t.Error("a record set one short of the universe was folded into a report")
 	}
 }
 

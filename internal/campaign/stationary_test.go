@@ -127,7 +127,7 @@ func TestStationaryFastForwardIdentity(t *testing.T) {
 					}
 					for i := range rep.Results {
 						ra, rb := rep.Results[i], want.Results[i]
-						if !reflect.DeepEqual(ra, rb) {
+						if !sameRun(ra, rb) {
 							t.Errorf("%s, %s: run %d differs\n got %+v\nwant %+v", set.name, arm.name, i, ra, rb)
 						}
 					}

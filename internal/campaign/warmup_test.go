@@ -8,12 +8,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"nocalert/internal/forever"
+	"nocalert/internal/golden"
 	"nocalert/internal/obs"
 	"nocalert/internal/rng"
 	"nocalert/internal/topology"
+	"nocalert/internal/trace"
 	"nocalert/internal/traffic"
 )
 
@@ -50,16 +51,16 @@ func TestFastPathIsTheReference(t *testing.T) {
 			for i, group := range o.FaultGroups {
 				c := group[0].Cycle
 				gc := gold.groups[c].gc
-				res, exit, _, _ := runOne(&fast, gc, o, group, nil)
+				rec, exit, _, _ := runOne(&fast, gc, o, group, nil)
 				if exit != ExitFastPath {
 					continue
 				}
 				hits[c]++
 				var st runStats
-				if want := runSlow(&slow, gc, o, group, &st, nil); !reflect.DeepEqual(res, want) {
-					t.Errorf("run %d (%v): the fast path gives\n %+v\nthe reference run\n %+v", i, &group[0], res, want)
+				if want := runSlow(&slow, gc, o, group, &st, nil); !reflect.DeepEqual(rec, want) || st.verdict != (golden.Verdict{}) {
+					t.Errorf("run %d (%v): the fast path gives\n %+v\nthe reference run\n %+v, verdict %+v", i, &group[0], rec, want, st.verdict)
 				}
-				if res.ForeverDetected {
+				if rec.ForeverOutcome.Detected() {
 					flagged++
 				}
 			}
@@ -206,9 +207,9 @@ func TestWarmupPhaseSpans(t *testing.T) {
 			t.Errorf("injection cycle %d: golden with %d ForEVeR detections kept its shortcuts", c, len(gc.gfv.Detections()))
 		}
 	}
-	opts.OnResult = func(i int, _ *RunResult, _ time.Duration, exit ExitPath) {
+	opts.OnResult = func(rec *trace.RunRecord, exit ExitPath) {
 		if exit != ExitFull {
-			t.Errorf("run %d over an unsound golden exits %v, want full", i, exit)
+			t.Errorf("run %d over an unsound golden exits %v, want full", rec.Index, exit)
 		}
 	}
 	if rep := mustRun(t, opts); rep.FrontierRuns != 0 {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"nocalert/internal/campaign"
+	"nocalert/internal/core"
 	"nocalert/internal/metrics"
 	"nocalert/internal/obs"
 	"nocalert/internal/server"
@@ -439,16 +440,16 @@ func TestDispatchRefusesForeignCheckpoints(t *testing.T) {
 // trace.ReadCheckpoint would skip, is a transient error of which the
 // client reads no more than the bound.
 func TestClientBoundsCheckpoints(t *testing.T) {
-	checkers := make([]int, 32)
+	checkers := make([]core.CheckerID, core.NumCheckers)
 	for i := range checkers {
-		checkers[i] = i + 1
+		checkers[i] = core.CheckerID(i + 1)
 	}
 	longest := trace.RunRecord{
 		Index: math.MaxInt64, Router: math.MaxInt64, Signal: strings.Repeat("x", 24), Port: math.MaxInt64,
 		VC: math.MinInt64, Bit: math.MaxInt64, FaultType: "intermittent", Cycle: math.MaxInt64,
 		Fired: true, Drained: true, FastPath: true, Malicious: true, Unbounded: true,
-		Outcome: "FN", Latency: math.MinInt64, CautiousOutcome: "FN", CautiousLatency: math.MinInt64,
-		ForeverOutcome: "FN", ForeverLatency: math.MinInt64,
+		Outcome: trace.FalseNegative, Latency: math.MinInt64, CautiousOutcome: trace.FalseNegative, CautiousLatency: math.MinInt64,
+		ForeverOutcome: trace.FalseNegative, ForeverLatency: math.MinInt64,
 		CheckersFired: checkers, FirstCycleCheckers: checkers, WallSeconds: -math.MaxFloat64,
 	}
 	if b, _ := json.Marshal(&longest); len(b)+1 > maxRecordBytes {

@@ -101,31 +101,6 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// ParseKind maps a dotted signal-path name (the String form) back to
-// its Kind — the inverse used when rebuilding fault sites from
-// serialized run records.
-func ParseKind(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if name == s {
-			return Kind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("fault: unknown signal kind %q", s)
-}
-
-// ParseType maps a fault type's name back to its Type.
-func ParseType(s string) (Type, error) {
-	switch s {
-	case "transient":
-		return Transient, nil
-	case "permanent":
-		return Permanent, nil
-	case "intermittent":
-		return Intermittent, nil
-	}
-	return 0, fmt.Errorf("fault: unknown fault type %q", s)
-}
-
 // IsRegister reports whether sites of this kind are storage elements:
 // a transient fault there flips the stored bit once and the corruption
 // persists until the register is rewritten, rather than lasting one

@@ -159,7 +159,7 @@ func TestCreditAccounting(t *testing.T) {
 // TestIdleCreditFaultFires: a permanent fault on a credit counter fires
 // on the plane's first live cycle even when the router never uses the
 // counter — the pre-cycle snapshot's consult of it is a read. Campaign
-// reports carry RunResult.Fired, so this is report-visible.
+// run records carry fired, so this is report-visible.
 func TestIdleCreditFaultFires(t *testing.T) {
 	cfg := Default(topology.NewMesh(3, 3))
 	site := fault.Site{Router: 4, Kind: fault.CreditCountReg, Port: int(topology.East), VC: 1, Width: fault.BitsFor(cfg.BufDepth)}

@@ -136,6 +136,10 @@ func TestJobAPI(t *testing.T) {
 		}{
 			{"queue full", "", mustJSON(t, testSpec(24)), http.StatusTooManyRequests},
 			{"invalid mesh", "", `{"mesh_w":0,"mesh_h":4,"vcs":4}`, http.StatusBadRequest},
+			// No VC count: the default is filled in before the mesh is
+			// checked, and must not be looked up for a mesh that cannot be.
+			{"zero-wide mesh, default VCs", "", `{"mesh_w":0,"mesh_h":4}`, http.StatusBadRequest},
+			{"negative mesh, default VCs", "", `{"mesh_w":-3,"mesh_h":4}`, http.StatusBadRequest},
 			{"negative faults", "", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.NumFaults = -1; return s }()), http.StatusBadRequest},
 			{"9 VCs", "", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.VCs = 9; return s }()), http.StatusBadRequest},
 			{"33 VCs", "", mustJSON(t, func() campaign.Spec { s := testSpec(24); s.VCs = 33; return s }()), http.StatusBadRequest},

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nocalert/internal/core"
 )
 
 func testManifest() *Manifest {
@@ -27,10 +29,61 @@ func testRecord(i int) RunRecord {
 	return RunRecord{
 		Index: i, Router: i % 4, Signal: "sa1.gnt", Port: 1, VC: -1, Bit: i % 3,
 		FaultType: "transient", Cycle: 100, Fired: true, Drained: true,
-		Outcome: "FP", Latency: 0, CautiousOutcome: "FP", CautiousLatency: 0,
-		ForeverOutcome: "TN", ForeverLatency: -1,
-		CheckersFired: []int{2, 7}, FirstCycleCheckers: []int{2},
+		Outcome: FalsePositive, Latency: 0, CautiousOutcome: FalsePositive, CautiousLatency: 0,
+		ForeverOutcome: TrueNegative, ForeverLatency: -1,
+		CheckersFired: []core.CheckerID{2, 7}, FirstCycleCheckers: []core.CheckerID{2},
 		WallSeconds: float64(i) * 0.001,
+	}
+}
+
+// TestOutcomeText: an outcome is written as its abbreviation and read
+// back as itself; a checkpoint record line carrying any other outcome
+// text — an unknown abbreviation, a lower-case one, a number, the empty
+// string — is refused when the checkpoint is read.
+func TestOutcomeText(t *testing.T) {
+	for o, want := range map[Outcome]string{TrueNegative: `"TN"`, TruePositive: `"TP"`, FalsePositive: `"FP"`, FalseNegative: `"FN"`} {
+		b, err := json.Marshal(o)
+		if err != nil || string(b) != want {
+			t.Errorf("%v marshals to %s (%v), want %s", o, b, err, want)
+		}
+		var back Outcome
+		if err := json.Unmarshal(b, &back); err != nil || back != o {
+			t.Errorf("%s reads back as %v (%v), want %v", b, back, err, o)
+		}
+		if !o.Known() || o.Detected() != (o == TruePositive || o == FalsePositive) {
+			t.Errorf("%v: Known %t, Detected %t", o, o.Known(), o.Detected())
+		}
+	}
+	if Outcome(0).Known() {
+		t.Error("the zero Outcome passes for one of the four")
+	}
+
+	path := filepath.Join(t.TempDir(), "shard.ndjson")
+	cp, err := CreateCheckpoint(path, testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord(10)
+	if err := cp.Append(&rec); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCheckpoint(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("the intact checkpoint: %v", err)
+	}
+	field := []byte(`"cautious_outcome":"FP"`)
+	if !bytes.Contains(raw, field) {
+		t.Fatalf("checkpoint lacks %s:\n%s", field, raw)
+	}
+	for _, bad := range []string{`"XX"`, `"tp"`, `2`, `""`} {
+		damaged := bytes.Replace(raw, field, []byte(`"cautious_outcome":`+bad), 1)
+		if _, err := ReadCheckpoint(bytes.NewReader(damaged)); err == nil {
+			t.Errorf("a record with cautious_outcome %s was read", bad)
+		}
 	}
 }
 
@@ -246,7 +299,7 @@ func TestSumRecordsOrderAndWallIndependent(t *testing.T) {
 		t.Fatal("record checksum misses a dropped record")
 	}
 	d := []RunRecord{testRecord(1), testRecord(2), testRecord(3)}
-	d[1].Outcome = "FN"
+	d[1].Outcome = FalseNegative
 	if SumRecords(a) == SumRecords(d) {
 		t.Fatal("record checksum misses an outcome drift")
 	}

@@ -168,7 +168,8 @@ func TestReadRunRecordsTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for i := 0; i < 3; i++ {
-		if err := enc.Encode(&trace.RunRecord{Index: i, Outcome: "TN"}); err != nil {
+		rec := trace.RunRecord{Index: i, Outcome: trace.TrueNegative, CautiousOutcome: trace.TrueNegative, ForeverOutcome: trace.TrueNegative}
+		if err := enc.Encode(&rec); err != nil {
 			t.Fatal(err)
 		}
 	}
