@@ -57,8 +57,7 @@ func (v Vec) First() int {
 }
 
 // NextBit returns the index of the lowest set bit and v with that bit
-// cleared, for allocation-free ascending iteration (Bits allocates a
-// slice per call, which adds up in per-cycle router and checker code):
+// cleared, for allocation-free ascending iteration:
 //
 //	for w := v; !w.IsZero(); {
 //		var i int
@@ -69,15 +68,6 @@ func (v Vec) First() int {
 // NextBit on a zero vector returns (32, 0).
 func (v Vec) NextBit() (int, Vec) {
 	return bits.TrailingZeros32(uint32(v)), v & (v - 1)
-}
-
-// Bits returns the indices of all set bits in ascending order.
-func (v Vec) Bits() []int {
-	out := make([]int, 0, v.Count())
-	for w := uint32(v); w != 0; w &= w - 1 {
-		out = append(out, bits.TrailingZeros32(w))
-	}
-	return out
 }
 
 // Mask returns a vector with the low width bits set.

@@ -17,9 +17,12 @@ import (
 // nodes-cloned/run, how many node copies a run made to have a network to
 // step (the run spans' nodes_cloned: the size of a run's cone, about two,
 // where a fork that cloned the mesh would show 64 and 256);
-// cycles-stepped/run, the mean of the run spans' cycles_simulated; and
-// reconverged-share, the report's reconverged runs over all runs — the two
-// that move when a run leaves the frontier sooner. It is the cmd-free way to
+// cycles-stepped/run, the mean of the run spans' cycles_simulated;
+// stall-skips/run, the mean of their stalled_skips, the member-cycles the
+// frontier did not step because the member would have repeated its last
+// cycle; and reconverged-share, the report's reconverged runs over all runs
+// — cycles-stepped and reconverged-share are the two that move when a run
+// leaves the frontier sooner. It is the cmd-free way to
 // read profile shares (the CI bench job uploads the 8×8 one):
 //
 //	go test -run '^$' -bench FrontierCampaign/8x8 -benchtime 4x \
@@ -60,6 +63,7 @@ func BenchmarkFrontierCampaign(b *testing.B) {
 			rep, runs := tracedRunSpans(b, opts)
 			b.ReportMetric(spanMean(runs, "nodes_cloned"), "nodes-cloned/run")
 			b.ReportMetric(spanMean(runs, "cycles_simulated"), "cycles-stepped/run")
+			b.ReportMetric(spanMean(runs, "stalled_skips"), "stall-skips/run")
 			b.ReportMetric(float64(rep.ReconvergedHits)/float64(len(runs)), "reconverged-share")
 		})
 	}

@@ -799,6 +799,7 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 	st.frontier = true
 	defer func() {
 		st.frontierPeak, st.frontierJoins, st.frontierProbes = fr.Peak(), fr.Joins(), fr.RetireProbes()
+		st.frontierStalls = fr.StallSkips()
 		st.nodesCloned += fr.Copied() // on top of the fork's
 	}()
 	ro.setFrontier(fr)

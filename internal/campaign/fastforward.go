@@ -29,8 +29,9 @@ type runStats struct {
 	// frontier reports the run was driven by the divergence-frontier
 	// delta engine; frontierPeak is the largest router count the
 	// frontier reached, frontierJoins how many lazy materializations
-	// it performed and frontierProbes how many member folds it computed
-	// looking for members to retire, over the whole run, drain and
+	// it performed, frontierProbes how many member folds it computed
+	// looking for members to retire and frontierStalls how many
+	// member-cycles it skipped as stalled, over the whole run, drain and
 	// horizon included.
 	// simulated stays cycle-based regardless (a frontier
 	// cycle counts as one simulated cycle however few routers stepped),
@@ -40,6 +41,7 @@ type runStats struct {
 	frontierPeak   int
 	frontierJoins  int64
 	frontierProbes int64
+	frontierStalls int64
 	// nodesCloned is how many node copies (router and NI) the run made to
 	// have a network to step: the mesh for a fork that clones it, for a
 	// lazy one (worker.forkRun) the nodes the frontier ever tracked.

@@ -48,6 +48,11 @@ func MergeShards(shards []*trace.CheckpointData) (*Merged, error) {
 	if h := spec.Hash(); h != ref.SpecHash {
 		return nil, fmt.Errorf("campaign: shard 0 spec hash %s does not match its embedded spec (%s)", ref.SpecHash, h)
 	}
+	// A spec that does not validate is refused before it is expanded: its
+	// mesh may not build, or its universe be past what a process may plan.
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("campaign: shard 0 manifest: %v", err)
+	}
 	universe := spec.Universe()
 	if h := UniverseHash(universe); h != ref.UniverseHash {
 		return nil, fmt.Errorf("campaign: universe hash %s does not match the spec's universe (%s) — site enumeration changed?", ref.UniverseHash, h)

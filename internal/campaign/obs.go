@@ -65,6 +65,7 @@ func (ro *runObs) finish(rec *trace.RunRecord, exit ExitPath, convCycles int64, 
 		s.SetAttr("frontier_peak_routers", st.frontierPeak)
 		s.SetAttr("frontier_joins", st.frontierJoins)
 		s.SetAttr("frontier_retire_probes", st.frontierProbes)
+		s.SetAttr("stalled_skips", st.frontierStalls)
 	}
 	s.SetAttr("exit", exit.String())
 	s.SetAttr("fired", rec.Fired)

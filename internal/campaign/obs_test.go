@@ -173,6 +173,9 @@ func TestSpanStreamGolden4x4(t *testing.T) {
 			if _, ok := s.Int("frontier_retire_probes"); !ok {
 				t.Errorf("frontier run %s has no frontier_retire_probes", id)
 			}
+			if _, ok := s.Int("stalled_skips"); !ok {
+				t.Errorf("frontier run %s has no stalled_skips", id)
+			}
 		}
 	}
 	// The frontier carries a run to its end, so the drain and horizon

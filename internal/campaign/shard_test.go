@@ -700,6 +700,32 @@ func TestMergeShardsRejectsBadSets(t *testing.T) {
 		t.Fatal("merge accepted shards from different campaigns")
 	}
 
+	// A manifest whose embedded spec does not validate, with a hash that
+	// matches it, is refused before its universe is expanded: a mesh zero
+	// nodes wide used to panic building the mesh, and a spec past the spec
+	// budget was enumerated (and, its universe unchanged, merged).
+	for _, tc := range []struct {
+		name, err string
+		edit      func(*Spec)
+	}{
+		{"zero-wide mesh", "mesh", func(s *Spec) { s.MeshW = 0 }},
+		{"billion-cycle window", "over the spec budget", func(s *Spec) { s.PostInjectRun = 1e9 }},
+	} {
+		bad := spec
+		tc.edit(&bad)
+		raw, err := json.Marshal(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := []*trace.CheckpointData{mkShard(0, 2), mkShard(1, 2)}
+		for _, sd := range set {
+			sd.Manifest.Spec, sd.Manifest.SpecHash = raw, bad.Hash()
+		}
+		if _, err := MergeShards(set); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s: merge of shards whose spec does not validate: %v, want an error naming %q", tc.name, err, tc.err)
+		}
+	}
+
 	unfinished := mkShard(1, 2)
 	unfinished.Footer = nil
 	if _, err := MergeShards([]*trace.CheckpointData{mkShard(0, 2), unfinished}); err == nil {

@@ -77,34 +77,32 @@ func stepsToward(cx, cy, dx, dy int, dir topology.Direction) bool {
 // a grant without a request, no grant despite requests, and multi-hot
 // grant vectors are impossible outputs of a healthy arbiter (the
 // paper's Figure 4 circuit checks exactly the first of these).
+// The sweep walks Signals.Arbiters, the arbiters whose request or grant is
+// not zero: an idle arbiter satisfies all three vacuously.
 func (e *Engine) checkArbiters(s *router.Signals) {
-	banks := [...]struct {
-		name string
-		rg   *[router.P]router.ReqGnt
-	}{
-		{"VA1", &s.VA1}, {"SA1", &s.SA1}, {"VA2", &s.VA2}, {"SA2", &s.SA2},
-	}
-	for _, b := range banks {
-		for p := 0; p < router.P; p++ {
-			rg := b.rg[p]
-			if rg.Req.IsZero() && rg.Gnt.IsZero() {
-				continue
-			}
-			if !(rg.Gnt &^ rg.Req).IsZero() {
-				e.emit(GrantWithoutRequest, s.Router, s.Cycle, p, -1,
-					"%s grant %s without request %s", b.name, rg.Gnt, rg.Req)
-			}
-			if !rg.Req.IsZero() && rg.Gnt.IsZero() {
-				e.emit(GrantToNobody, s.Router, s.Cycle, p, -1,
-					"%s requests %s but no grant", b.name, rg.Req)
-			}
-			if !rg.Gnt.AtMostOneHot() {
-				e.emit(GrantNotOneHot, s.Router, s.Cycle, p, -1,
-					"%s grant vector %s is multi-hot", b.name, rg.Gnt)
-			}
+	for w := s.Arbiters; !w.IsZero(); {
+		var i int
+		i, w = w.NextBit()
+		b, p := i/router.P, i%router.P
+		rg := s.Bank(b)[p]
+		name := bankNames[b]
+		if !(rg.Gnt &^ rg.Req).IsZero() {
+			e.emit(GrantWithoutRequest, s.Router, s.Cycle, p, -1,
+				"%s grant %s without request %s", name, rg.Gnt, rg.Req)
+		}
+		if !rg.Req.IsZero() && rg.Gnt.IsZero() {
+			e.emit(GrantToNobody, s.Router, s.Cycle, p, -1,
+				"%s requests %s but no grant", name, rg.Req)
+		}
+		if !rg.Gnt.AtMostOneHot() {
+			e.emit(GrantNotOneHot, s.Router, s.Cycle, p, -1,
+				"%s grant vector %s is multi-hot", name, rg.Gnt)
 		}
 	}
 }
+
+// bankNames names the arbiter banks, BankVA1 … BankSA2.
+var bankNames = [...]string{router.BankVA1: "VA1", router.BankSA1: "SA1", router.BankVA2: "VA2", router.BankSA2: "SA2"}
 
 // checkAllocation implements invariances 7–13, 19, 22 and 23: the
 // cross-module agreement rules between RC, VA and SA, plus the
@@ -246,9 +244,14 @@ func (e *Engine) checkAllocation(s *router.Signals) {
 // an SA request or local grant only for a VC whose VA is done (or
 // speculatively, still waiting, in speculative mode); and a global
 // request from a port must be backed by that port's local winner
-// routing to exactly that output.
+// routing to exactly that output. Each loop walks the ports whose arbiters
+// have a request or a grant (Signals.Arbiters): an idle one has no bit to
+// check.
 func (e *Engine) checkStageWires(s *router.Signals) {
-	for p := 0; p < router.P; p++ {
+	first := router.BankPorts(s.Arbiters, router.BankVA1) | router.BankPorts(s.Arbiters, router.BankSA1)
+	for ps := first; !ps.IsZero(); {
+		var p int
+		p, ps = ps.NextBit()
 		for w := s.VA1[p].Req | s.VA1[p].Gnt; !w.IsZero(); {
 			var v int
 			v, w = w.NextBit()
@@ -273,7 +276,10 @@ func (e *Engine) checkStageWires(s *router.Signals) {
 			}
 		}
 	}
-	for o := 0; o < router.P; o++ {
+	second := router.BankPorts(s.Arbiters, router.BankVA2) | router.BankPorts(s.Arbiters, router.BankSA2)
+	for outs := second; !outs.IsZero(); {
+		var o int
+		o, outs = outs.NextBit()
 		for rw := s.VA2[o].Req; !rw.IsZero(); {
 			var p int
 			p, rw = rw.NextBit()
@@ -317,14 +323,13 @@ func preVC(s *router.Signals, p, v int) *router.PreVC {
 
 // checkXbar implements invariances 14–16: each crossbar column and row
 // carries at most one connection, and flits are conserved across the
-// switch.
+// switch. It walks the columns that connect anything (Signals.XbarCols).
 func (e *Engine) checkXbar(s *router.Signals) {
 	var rowUse [router.P]int
-	for o := 0; o < router.P; o++ {
+	for outs := s.XbarCols; !outs.IsZero(); {
+		var o int
+		o, outs = outs.NextBit()
 		col := s.XbarCol[o]
-		if col.IsZero() {
-			continue
-		}
 		if !col.AtMostOneHot() {
 			e.emit(XbarColumnOneHot, s.Router, s.Cycle, o, -1,
 				"column %d control vector %s is multi-hot", o, col)
@@ -401,12 +406,14 @@ func (e *Engine) checkBuffers(s *router.Signals) {
 			}
 		}
 	}
-	// Invariance 24: reads from empty buffers.
-	for p := 0; p < router.P; p++ {
-		if eb := s.Reads[p].EmptyBits; !eb.IsZero() {
-			for _, v := range eb.Bits() {
-				e.emit(ReadFromEmptyBuffer, s.Router, s.Cycle, p, v, "read strobe on empty buffer")
-			}
+	// Invariance 24: reads from empty buffers, at the ports that read.
+	for ps := s.ReadPorts; !ps.IsZero(); {
+		var p int
+		p, ps = ps.NextBit()
+		for w := s.Reads[p].EmptyBits; !w.IsZero(); {
+			var v int
+			v, w = w.NextBit()
+			e.emit(ReadFromEmptyBuffer, s.Router, s.Cycle, p, v, "read strobe on empty buffer")
 		}
 	}
 	for i := range s.Arrivals {
@@ -465,9 +472,12 @@ func classOfArrival(cfg *router.Config, flitClass, vc int) int {
 }
 
 // checkPortLevel implements invariances 29–31: the single de-mux/mux
-// per port admits one read, one write and one RC completion per cycle.
+// per port admits one read, one write and one RC completion per cycle,
+// checked at the ports that read or completed RC.
 func (e *Engine) checkPortLevel(s *router.Signals) {
-	for p := 0; p < router.P; p++ {
+	for ps := s.ReadPorts | s.RCPorts; !ps.IsZero(); {
+		var p int
+		p, ps = ps.NextBit()
 		if s.Reads[p].Strobe.Count() > 1 {
 			e.emit(ConcurrentVCReads, s.Router, s.Cycle, p, -1,
 				"read strobes %s active concurrently", s.Reads[p].Strobe)

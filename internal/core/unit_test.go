@@ -27,9 +27,9 @@ func sig(cfg *router.Config, id int, cycle int64) *router.Signals {
 func run(t *testing.T, cfg *router.Config, s *router.Signals) map[CheckerID]bool {
 	t.Helper()
 	// Hand-built records don't maintain the activity masks inline the way
-	// BeginCycle does; rebuild them so the sparse buffer sweep sees the
+	// the router does; rebuild them so the sweeps over the masks see the
 	// injected anomaly.
-	s.Pre.RecomputeActive()
+	s.RecomputeMasks()
 	e := NewEngine(cfg, Options{KeepViolations: true})
 	e.RouterCycle(nil, s)
 	out := map[CheckerID]bool{}
@@ -393,7 +393,7 @@ func TestCheckAllocationCountsWithoutAllocating(t *testing.T) {
 		router.VAAssign{OutPort: 2, InPort: 0, InVC: 1, OutVC: 0, TargetFree: true, TargetCredits: cfg.BufDepth},
 		router.VAAssign{OutPort: 1, InPort: 3, InVC: 0, OutVC: 0, TargetFree: true, TargetCredits: cfg.BufDepth},
 	)
-	s.Pre.RecomputeActive()
+	s.RecomputeMasks()
 	e := NewEngine(cfg, Options{})
 	if allocs := testing.AllocsPerRun(100, func() { e.checkAllocation(s) }); allocs != 0 {
 		t.Errorf("checkAllocation allocates %.0f times on a record with two VA assignments, want 0", allocs)
@@ -403,6 +403,7 @@ func TestCheckAllocationCountsWithoutAllocating(t *testing.T) {
 	}
 
 	fired := func() int {
+		s.RecomputeMasks()
 		e := NewEngine(cfg, Options{KeepViolations: true})
 		e.checkAllocation(s)
 		return countViolations(e)[OneToOneVCAssignment]

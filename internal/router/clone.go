@@ -31,6 +31,7 @@ func (r *Router) CloneInto(dst *Router, plane *fault.Plane, ar *flit.Arena) *Rou
 	c.plane = plane
 	c.sweepRef = r.sweepRef
 	c.preFull = true // dst's snapshot is of whatever it held before
+	c.stalled = false
 	c.vcTerms, c.foldDirty, c.portTerms, c.portDirty, c.fold = r.vcTerms, r.foldDirty, r.portTerms, r.portDirty, r.fold
 	c.refolds, c.termFolds = 0, 0
 	// The whole register file — VC status tables, credits, ST latches,

@@ -88,6 +88,12 @@ type Router struct {
 	// left stale.
 	foldDirty [P]uint32
 	portDirty uint32
+	// moved, cleared by BeginCycle and set by every write (touch), says the
+	// cycle in progress has found something staged or written a register.
+	// stalled, set by Evaluate when its cycle did neither with the router's
+	// fault window closed, and cleared by every staging and every BeginCycle,
+	// says the next cycle would repeat that one (Stalled).
+	moved, stalled bool
 
 	// Per-cycle staging filled by the network before Evaluate.
 	arriving [P]*flit.Flit
@@ -218,6 +224,7 @@ func (r *Router) StageArrival(d topology.Direction, f *flit.Flit) {
 	}
 	r.arriving[p] = f
 	r.staged |= 1 << uint(p)
+	r.stalled = false
 	r.touch(p)
 }
 
@@ -225,6 +232,7 @@ func (r *Router) StageArrival(d topology.Direction, f *flit.Flit) {
 func (r *Router) StageCredit(d topology.Direction, vc int) {
 	r.st.CreditIn[int(d)] |= 1 << uint(vc)
 	r.staged |= 1 << uint(d)
+	r.stalled = false
 	r.touch(int(d))
 }
 
@@ -239,6 +247,18 @@ func (r *Router) StageCredit(d topology.Direction, vc int) {
 func (r *Router) Inert() bool {
 	return r.staged|r.latchedRows|r.latchedCols|r.held == 0
 }
+
+// Stalled reports whether the last cycle Evaluate ran, with the router's
+// fault window closed, found nothing staged and wrote no register, and
+// nothing has been staged since. Outside its fault window a router's cycle
+// is a function of its registers and its staged inputs, so its next cycle
+// would repeat that one: it would write nothing, and every arbitration round
+// that runs marks its port (touch), so it would arbitrate, read, route and
+// depart nothing and return no credit — its signal record would be its
+// pre-cycle snapshot alone, the one the last cycle showed. Like Inert it is
+// only meaningful outside the router's own fault window, and a skipped
+// cycle leaves Signals and Credits stale.
+func (r *Router) Stalled() bool { return r.stalled }
 
 // ---- SoA register helpers ----
 
@@ -290,8 +310,11 @@ func (r *Router) wrote(p, v int) {
 }
 
 // touch notes a write to port p's output-side registers or staging: the
-// port's fold term is stale.
-func (r *Router) touch(p int) { r.portDirty |= 1 << uint(p) }
+// port's fold term is stale, and the cycle in progress has moved.
+func (r *Router) touch(p int) {
+	r.portDirty |= 1 << uint(p)
+	r.moved = true
+}
 
 // resetVC returns the VC status registers to their free-VC values.
 func (r *Router) resetVC(p, v int) {
@@ -457,6 +480,7 @@ func (r *Router) BeginCycle(cycle int64) { r.beginCycle(cycle, true) }
 func (r *Router) BeginUnobserved(cycle int64) { r.beginCycle(cycle, false) }
 
 func (r *Router) beginCycle(cycle int64, observed bool) {
+	r.moved, r.stalled = false, false
 	r.planeLive = r.plane.LiveFor(cycle, r.id)
 	r.visit = 0
 	if r.sweepRef {
@@ -625,6 +649,7 @@ func (r *Router) Evaluate(cycle int64) {
 	r.phaseSA(cycle, sa)
 	r.phaseVA(cycle, va)
 	r.phaseRC(cycle, rc)
+	r.stalled = !r.moved && !r.planeLive
 }
 
 // phaseBW latches arriving flits into VC buffers and absorbs returning
@@ -820,7 +845,7 @@ func (r *Router) phaseST(cycle int64) {
 			rows = rows.Set(p)
 		}
 		if !r.quiet {
-			r.sig.Reads[p] = ReadSig{Strobe: strobe, EmptyBits: emptyBits}
+			r.sig.setRead(p, ReadSig{Strobe: strobe, EmptyBits: emptyBits})
 		}
 	}
 
@@ -839,7 +864,7 @@ func (r *Router) phaseST(cycle int64) {
 		}
 		col = bitvec.Vec(r.fVec(cycle, fault.XbarSel, o, -1, uint32(col))) & bitvec.Mask(P)
 		if !r.quiet {
-			r.sig.XbarCol[o] = col
+			r.sig.setXbarCol(o, col)
 		}
 		took := false
 		for w := col; !w.IsZero(); {
@@ -1171,7 +1196,7 @@ func (r *Router) execRC(cycle int64, p, v int) {
 		Port: p, VC: v, HasHead: hasHead, HeadKind: kind,
 		DestX: dx, DestY: dy, TrueDestX: trueDX, TrueDestY: trueDY, OutDir: code,
 	})
-	r.sig.RCDone[p] = r.sig.RCDone[p].Set(v)
+	r.sig.setRCDone(p, v)
 }
 
 // pickCandidate selects among the algorithm's permitted directions:

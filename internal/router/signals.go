@@ -161,26 +161,13 @@ type Pre struct {
 	Active [P]bitvec.Vec
 }
 
-// RecomputeActive rebuilds the Active masks from the snapshot values.
-// The simulator maintains the masks inline during BeginCycle; this
-// exists for tests that assemble a Pre by hand (core's TestUnitChecker*).
-func (pre *Pre) RecomputeActive() {
-	for p := 0; p < P; p++ {
-		var m bitvec.Vec
-		for v := range pre.In[p] {
-			if pre.In[p][v].State != VCIdle || pre.In[p][v].BufLen > 0 {
-				m = m.Set(v)
-			}
-		}
-		pre.Active[p] = m
-	}
-}
-
 // Signals is everything observable about one router in one cycle: the
 // pre-cycle architectural snapshot plus every control signal, all
 // post-fault. It is rebuilt (in place) every cycle; a quiet cycle
 // (Router.BeginUnobserved) rebuilds Router, Cycle, Departures, the arbiter
-// banks and Granted, and leaves the rest as the last full cycle did.
+// banks, Granted and Arbiters, and leaves the rest as the last full cycle
+// did. Each sparse field has a port mask its one writer keeps beside it,
+// which is what the checkers walk.
 type Signals struct {
 	Router int
 	Cycle  int64
@@ -190,8 +177,10 @@ type Signals struct {
 	// RC activity.
 	RCExecs []RCExec
 	// RCDone[p] has bit v set when VC v of input port p completed RC
-	// this cycle (invariance 31 wants at most one per port).
-	RCDone [P]bitvec.Vec
+	// this cycle (invariance 31 wants at most one per port). RCPorts has
+	// bit p set while RCDone[p] is not zero.
+	RCDone  [P]bitvec.Vec
+	RCPorts bitvec.Vec
 
 	// Arbiter activity; VA1/SA1 indexed by input port, VA2/SA2 by
 	// output port. SetArbiter writes them.
@@ -199,16 +188,18 @@ type Signals struct {
 	VA2, SA2 [P]ReqGnt
 	// Granted has bit bank*P+port set for every arbiter whose grant vector
 	// is not zero (bank BankVA1 … BankSA2): on most cycles none or one of
-	// the twenty.
-	Granted bitvec.Vec
+	// the twenty. Arbiters has the bit set for every arbiter whose request
+	// or grant vector is not zero: the ones a checker has anything to judge.
+	Granted, Arbiters bitvec.Vec
 
 	VAAssigns []VAAssign
 	SALatches []SALatch
 
 	// Crossbar activity: per-output column control vectors (post-
 	// fault), rows driving flits, and the flit conservation counts of
-	// invariance 16.
+	// invariance 16. XbarCols has bit o set while XbarCol[o] is not zero.
 	XbarCol  [P]bitvec.Vec
+	XbarCols bitvec.Vec
 	XbarRows bitvec.Vec
 	XbarIn   int
 	XbarOut  int
@@ -217,7 +208,10 @@ type Signals struct {
 	// speculative mode: the column is latched but no flit flows).
 	XbarSpecNull bitvec.Vec
 
+	// Reads[p] is input port p's buffer reads; ReadPorts has bit p set
+	// while they are not zero.
 	Reads      [P]ReadSig
+	ReadPorts  bitvec.Vec
 	Arrivals   []Arrival
 	Departures []Departure
 	// CreditsIn[o] is the post-fault credit-return vector from the
@@ -240,11 +234,72 @@ func (s *Signals) Bank(b int) *[P]ReqGnt {
 }
 
 // SetArbiter records arbiter port of bank b's request and grant vectors, and
-// in Granted whether it granted. It is the one writer of the four banks.
+// in Granted and Arbiters whether it granted and whether it did anything. It
+// is the one writer of the four banks.
 func (s *Signals) SetArbiter(b, port int, rg ReqGnt) {
 	s.Bank(b)[port] = rg
+	bit := bitvec.Vec(1) << uint(b*P+port)
 	if !rg.Gnt.IsZero() {
-		s.Granted |= 1 << uint(b*P+port)
+		s.Granted |= bit
+	}
+	if rg.Req|rg.Gnt != 0 {
+		s.Arbiters |= bit
+	}
+}
+
+// BankPorts returns the ports of bank b set in a mask of Granted's or
+// Arbiters' layout.
+func BankPorts(m bitvec.Vec, b int) bitvec.Vec { return m >> uint(b*P) & (1<<P - 1) }
+
+// setRCDone records that input VC (p,v) completed RC: the one writer of
+// RCDone.
+func (s *Signals) setRCDone(p, v int) {
+	s.RCDone[p] = s.RCDone[p].Set(v)
+	s.RCPorts = s.RCPorts.Set(p)
+}
+
+// setXbarCol records output o's crossbar column: the one writer of XbarCol.
+func (s *Signals) setXbarCol(o int, col bitvec.Vec) {
+	s.XbarCol[o] = col
+	if !col.IsZero() {
+		s.XbarCols = s.XbarCols.Set(o)
+	}
+}
+
+// setRead records input port p's buffer reads: the one writer of Reads.
+func (s *Signals) setRead(p int, rs ReadSig) {
+	s.Reads[p] = rs
+	if rs.Strobe|rs.EmptyBits != 0 {
+		s.ReadPorts = s.ReadPorts.Set(p)
+	}
+}
+
+// RecomputeMasks rebuilds the record's activity masks — Granted, Arbiters,
+// RCPorts, XbarCols, ReadPorts and the snapshot's Active — from the fields
+// they stand for, running each field's writer over it again. The router
+// keeps them where it writes those fields; this is for tests that assemble
+// a record by hand, and for the lockstep tests that hold the kept masks to
+// it.
+func (s *Signals) RecomputeMasks() {
+	s.Granted, s.Arbiters, s.RCPorts, s.XbarCols, s.ReadPorts = 0, 0, 0, 0, 0
+	for b := BankVA1; b <= BankSA2; b++ {
+		for p, rg := range s.Bank(b) {
+			s.SetArbiter(b, p, rg)
+		}
+	}
+	for p := 0; p < P; p++ {
+		if !s.RCDone[p].IsZero() {
+			s.RCPorts = s.RCPorts.Set(p)
+		}
+		s.setXbarCol(p, s.XbarCol[p])
+		s.setRead(p, s.Reads[p])
+		var act bitvec.Vec
+		for v, pv := range s.Pre.In[p] {
+			if pv.State != VCIdle || pv.BufLen > 0 {
+				act = act.Set(v)
+			}
+		}
+		s.Pre.Active[p] = act
 	}
 }
 
@@ -256,7 +311,7 @@ func (s *Signals) resetQuiet(router int, cycle int64) {
 	s.Departures = s.Departures[:0]
 	s.VA1, s.SA1 = [P]ReqGnt{}, [P]ReqGnt{}
 	s.VA2, s.SA2 = [P]ReqGnt{}, [P]ReqGnt{}
-	s.Granted = 0
+	s.Granted, s.Arbiters = 0, 0
 }
 
 // reset clears the record for reuse, keeping allocated slices.
@@ -270,12 +325,12 @@ func (s *Signals) reset(router int, cycle int64) {
 	s.Departures = s.Departures[:0]
 	// Whole arrays at a time: a handful of wide stores, where a loop over
 	// the ports is eight narrow ones a port.
-	s.RCDone = [P]bitvec.Vec{}
+	s.RCDone, s.RCPorts = [P]bitvec.Vec{}, 0
 	s.VA1, s.SA1 = [P]ReqGnt{}, [P]ReqGnt{}
 	s.VA2, s.SA2 = [P]ReqGnt{}, [P]ReqGnt{}
-	s.Granted = 0
-	s.XbarCol = [P]bitvec.Vec{}
-	s.Reads = [P]ReadSig{}
+	s.Granted, s.Arbiters = 0, 0
+	s.XbarCol, s.XbarCols = [P]bitvec.Vec{}, 0
+	s.Reads, s.ReadPorts = [P]ReadSig{}, 0
 	s.CreditsIn = [P]bitvec.Vec{}
 	s.XbarRows = 0
 	s.XbarIn = 0

@@ -208,9 +208,17 @@ func requireSignalsEqual(t *testing.T, cycle int64, got, want *Signals) {
 // requireWorkMasks holds the masks the phases visit on a fast sweep — the
 // staged and latched ports of BW and ST, the non-idle, occupied, routing and
 // waiting-VA VCs of SA, VA and RC, the ports that hold something — to the
-// registers they stand for.
+// registers they stand for, and the activity masks the signal record keeps
+// for the checkers' sweeps to the record's fields.
 func requireWorkMasks(t *testing.T, cycle int64, r *Router) {
 	t.Helper()
+	rec := r.sig
+	rec.RecomputeMasks()
+	kept := [...]bitvec.Vec{r.sig.Granted, r.sig.Arbiters, r.sig.RCPorts, r.sig.XbarCols, r.sig.ReadPorts}
+	if want := [...]bitvec.Vec{rec.Granted, rec.Arbiters, rec.RCPorts, rec.XbarCols, rec.ReadPorts}; kept != want || r.sig.Pre.Active != rec.Pre.Active {
+		t.Fatalf("cycle %d: kept masks (granted, arbiters, RC, columns, reads) %v, active %v; the record says %v, %v",
+			cycle, kept, r.sig.Pre.Active, want, rec.Pre.Active)
+	}
 	var staged, rows, cols bitvec.Vec
 	for p := 0; p < P; p++ {
 		if r.arriving[p] != nil || r.st.CreditIn[p] != 0 {

@@ -102,7 +102,7 @@ type Frontier struct {
 
 	// cur holds the transcript cursors, one per view and node (see
 	// Recording.events): entry view*nodes+id.
-	cur []int32
+	cur []cursor
 	// copied counts the nodes copied into the network (see Copied).
 	copied int
 
@@ -119,6 +119,7 @@ type Frontier struct {
 	peak   int
 	joins  int64
 	probes int64
+	stalls int64
 
 	// per-cycle scratch
 	steppedS  []int
@@ -195,7 +196,7 @@ func (f *Frontier) Reset(n *Network, rec *Recording, seeds []int) {
 	f.members, f.tracked, f.trackers = f.members[:0], f.tracked[:0], f.trackers[:0]
 	f.logBase, f.replaced = len(n.ejections), f.replaced[:0]
 	f.forkInjected, f.forkEjected = n.flitsInjected, n.flitsEjected
-	f.peak, f.joins, f.probes = 0, 0, 0
+	f.peak, f.joins, f.probes, f.stalls = 0, 0, 0, 0
 	for _, m := range n.monitors {
 		if nt, ok := m.(NodeTracker); ok {
 			f.trackers = append(f.trackers, nt)
@@ -269,6 +270,10 @@ func (f *Frontier) Joins() int64 { return f.joins }
 // RetireProbes returns how many member folds retire has computed.
 func (f *Frontier) RetireProbes() int64 { return f.probes }
 
+// StallSkips returns how many member-cycles Step skipped because the member
+// was stalled (router.Router.Stalled) and not inert.
+func (f *Frontier) StallSkips() int64 { return f.stalls }
+
 // Step simulates one cycle of the faulty network, stepping only
 // frontier members and taking every other node's part in it from the
 // golden transcript. It mirrors Network.Step phase for phase.
@@ -290,12 +295,25 @@ func (f *Frontier) Step() {
 
 	// Router pipelines: members only, in ascending node order, with the
 	// same inert-router skip Network.Step applies (an inert member
-	// outside its own fault window is a provable no-op).
+	// outside its own fault window is a provable no-op), and a stalled
+	// member skipped as well: outside its fault window it would repeat its
+	// last cycle, which changed nothing, and its record would be that
+	// cycle's snapshot again. The checkers have made that snapshot's
+	// assertions already — or, for a node whose last cycle was replayNode's,
+	// the snapshot is golden's, which asserts nothing — and a repeated
+	// assertion moves nothing a verdict reads; ForEVeR reads grants, and
+	// there are none. Network.Step, the reference, takes no such skip.
 	steppedIDs := f.steppedS[:0]
 	for _, id := range f.members {
 		r := n.routers[id]
-		if !n.soaOff && r.Inert() && !n.plane.LiveFor(t, id) {
-			continue
+		if !n.soaOff {
+			inert := r.Inert()
+			if (inert || r.Stalled()) && !n.plane.LiveFor(t, id) {
+				if !inert {
+					f.stalls++
+				}
+				continue
+			}
 		}
 		r.BeginCycle(t)
 		r.Evaluate(t)

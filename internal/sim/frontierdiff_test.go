@@ -112,6 +112,11 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 	var refFP, frFP uint64
 	wasIn, everIn := make([]bool, len(fn.routers)), make([]bool, len(fn.routers))
 	step := func() {
+		for _, id := range fr.members {
+			if r := fn.routers[id]; r.Stalled() && !r.Inert() && fn.plane.LiveFor(fn.Cycle(), id) {
+				joins.liveStalled++
+			}
+		}
 		ref.Step()
 		fr.Step()
 		oracle.Step()
@@ -207,6 +212,7 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 		}
 	}
 	joins.late = fr.Joins() - windowJoins
+	joins.stalls = fr.StallSkips()
 	return joins
 }
 
@@ -219,11 +225,14 @@ func frontierLockstep(t *testing.T, cfg Config, plane *fault.Plane, fork, window
 // neighbour of it asleep. Under a plane that never goes
 // quiescent, held is the frontier's size at the end of the horizon (its
 // members never retire) and wedged whether the drain ended frozen short of
-// quiet.
+// quiet. stalls is how many member-cycles the frontier skipped as stalled,
+// liveStalled how many it stepped although the member was stalled, its
+// fault window being open.
 type lockstepJoins struct {
 	late, again, asleep int64
 	held                int
 	wedged              bool
+	stalls, liveStalled int64
 }
 
 // asleepAround reports whether node id and its neighbours are all asleep
@@ -345,6 +354,14 @@ func FuzzFrontierLockstep(f *testing.F) {
 	// (TestFuzzSeedsRejoin holds them to it).
 	for _, sd := range rejoinFuzzSeeds {
 		f.Add(sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site, sd.bit, uint8(0), sd.delay, uint8(0), uint8(0), uint32(0), uint8(0), uint32(0), uint8(0))
+	}
+	// One transient VA2 or SA2 grant fault that wedges a VC: the packet
+	// behind it can no longer move, and the members around it stall, the
+	// frontier skipping them until something is staged into them — or,
+	// under the last entry, until a second fault's window opens on one
+	// (TestFuzzSeedsStall holds them to it).
+	for _, sd := range stallFuzzSeeds {
+		f.Add(sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site, sd.bit, uint8(0), sd.delay, uint8(0), uint8(0), sd.site2, sd.typ2, uint32(0), uint8(0))
 	}
 	// One permanent fault whose cone the frontier carries, members never
 	// retiring, through the drain — wedged or not — and the horizon, with
@@ -483,6 +500,45 @@ func TestFuzzSeedsRejoin(t *testing.T) {
 	}
 	if late == 0 {
 		t.Error("no rejoin corpus entry has a join after the window end")
+	}
+}
+
+// stallFuzzSeeds are FuzzFrontierLockstep's corpus entries for a wedged
+// VC: a transient grant fault of a second-round arbiter, VA2 under XY and
+// West-First, SA2 under the adaptive algorithm, on a 4×4 mesh. The last
+// adds a second transient fault (typ2 1), a VA2 grant on router 6, which
+// strikes 17 cycles after the first, router 6 stalled behind the wedge.
+var stallFuzzSeeds = []struct {
+	w, h, vcs, rate, alg uint8
+	seed                 uint64
+	site, site2          uint32
+	bit, delay, typ2     uint8
+}{
+	{w: 3, h: 3, vcs: 2, rate: 12, alg: 0, seed: 1, site: 840, bit: 1, delay: 5},
+	{w: 3, h: 3, vcs: 2, rate: 12, alg: 1, seed: 1, site: 1316, bit: 1, delay: 5},
+	{w: 3, h: 3, vcs: 2, rate: 12, alg: 2, seed: 2, site: 707, bit: 1, delay: 5},
+	{w: 3, h: 3, vcs: 2, rate: 12, alg: 2, seed: 2, site: 707, bit: 1, delay: 5, site2: 806, typ2: 1},
+}
+
+// TestFuzzSeedsStall keeps the wedged-VC corpus entries what they are
+// there for: each is a VA2 or SA2 grant fault whose drain ends on a fabric
+// that has stopped changing short of quiet, under each the frontier
+// skipped stalled members, and under the one with a second fault it
+// stepped a stalled member whose fault window had opened — held, like
+// every entry, to the full simulation cycle by cycle.
+func TestFuzzSeedsStall(t *testing.T) {
+	for i, sd := range stallFuzzSeeds {
+		_, sites := fuzzConfig(sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed)
+		if k := sites[int(sd.site)%len(sites)].Kind; k != fault.VA2Gnt && k != fault.SA2Gnt {
+			t.Errorf("seed %d: a fault on %v, want a VA2 or SA2 grant", i, k)
+		}
+		j := fuzzLockstep(t, sd.w, sd.h, sd.vcs, sd.rate, sd.alg, sd.seed, sd.site, sd.bit, 0, sd.delay, 0, 0, sd.site2, sd.typ2, 0, 0)
+		if !j.wedged || j.stalls == 0 {
+			t.Errorf("seed %d: drain wedged %t, %d member-cycles skipped as stalled", i, j.wedged, j.stalls)
+		}
+		if sd.typ2 != 0 && j.liveStalled == 0 {
+			t.Errorf("seed %d: the second fault's window opened on no stalled member", i)
+		}
 	}
 }
 
@@ -739,13 +795,13 @@ var besideRetiredSeeds = []struct {
 // recordedInto reports whether golden's transcript has a flit or credit
 // landing on node id's input port d in cycle tb.
 func recordedInto(rec *Recording, tb int64, id int, d topology.Direction) bool {
-	var cur int32
+	var cur cursor
 	for _, k := range rec.events(byLinkTo, &cur, tb, id) {
 		if topology.Direction(rec.links[k].dstPort) == d {
 			return true
 		}
 	}
-	cur = 0
+	cur = cursor{}
 	for _, k := range rec.events(byCreditTo, &cur, tb, id) {
 		if topology.Direction(rec.credits[k].dstPort) == d {
 			return true

@@ -47,12 +47,14 @@ import (
 // is complete StopRecording turns the keys into node-major indices
 // (nodeIndex): per emitter the ids of its generations, link flits, credit
 // masks, send strobes and ejections, and per destination the ids of the
-// link and credit events that land on it. An id is an event's position in
-// its payload array, so ids ascend with cycle, and whoever reads one
-// node's events cycle after cycle — the frontier, for its members and the
-// nodes it replays — keeps a cursor into the node's list and finds a
-// cycle's events next to the last cycle's, without searching
-// (Recording.events). The key arrays nothing reads any more are dropped.
+// link and credit events that land on it, and per event kind each event's
+// cycle. An id is an event's position in its payload array, so ids ascend
+// with cycle, and whoever reads one node's events cycle after cycle — the
+// frontier, for its members and the nodes it replays — keeps a cursor into
+// the node's list and finds a cycle's events next to the last cycle's,
+// without searching, and a cycle between two of the node's events empty
+// by comparing it with their cycles (Recording.events). The key arrays
+// nothing reads any more are dropped.
 
 // recGen is one packet generation event: the keyed NI drew a Bernoulli
 // hit at the record's cycle. The RNG-derived fields are stored so a
@@ -152,19 +154,34 @@ const (
 // nodeIndex is a node-major index of one event kind over its cycle-major
 // payload array: ids[off[i]:off[i+1]] are the ids of node i's events,
 // ascending. cycle is the kind's per-cycle prefix offsets (genIdx,
-// linkIdx, …), which say where in the ids a cycle begins.
+// linkIdx, …), which say where in the ids a cycle begins, and at[k] is
+// event k's cycle, counted from the transcript's start (the two views of
+// one kind share it).
 type nodeIndex struct {
 	off   []int32
 	ids   []int32
 	cycle []int32
+	at    []int32
+}
+
+// eventCycles returns each event's cycle, counted from the transcript's
+// start, under the given per-cycle prefix offsets.
+func eventCycles(cycle []int32) []int32 {
+	at := make([]int32, cycle[len(cycle)-1])
+	for c := 0; c+1 < len(cycle); c++ {
+		for k := cycle[c]; k < cycle[c+1]; k++ {
+			at[k] = int32(c)
+		}
+	}
+	return at
 }
 
 // indexBy builds the node-major index of count events, key(k) naming the
 // node event k belongs to, by one counting sort (stable, so every node's
-// ids ascend).
-func indexBy(nodes int, cycle []int32, key func(k int) int32) nodeIndex {
+// ids ascend). at is the kind's eventCycles.
+func indexBy(nodes int, cycle, at []int32, key func(k int) int32) nodeIndex {
 	count := int(cycle[len(cycle)-1])
-	x := nodeIndex{off: make([]int32, nodes+1), ids: make([]int32, count), cycle: cycle}
+	x := nodeIndex{off: make([]int32, nodes+1), ids: make([]int32, count), cycle: cycle, at: at}
 	for k := 0; k < count; k++ {
 		x.off[key(k)+1]++
 	}
@@ -264,15 +281,39 @@ func (rc *Recording) seg(idx []int32, t int64) (int, int) {
 	return int(idx[c]), int(idx[c+1])
 }
 
+// cursor is a reader's place in one node's id list of one view
+// (Recording.events): pos is a position in the list, and the n cycles from
+// cycle lo on are the ones strictly between the events either side of it,
+// list[pos-1] and list[pos] — from the transcript's start where there is
+// no list[pos-1], for ever where there is no list[pos]. No event of the
+// list falls on them. The zero cursor is a fresh one: at the list's start,
+// with no such cycle.
+type cursor struct {
+	pos int32
+	n   uint32
+	lo  int64
+}
+
 // events returns the ids of node's events of cycle t in one view (empty
 // past the stored cycles of a settled transcript, like seg). cur is the
-// reader's cursor for this view and node: a position in the node's id
-// list, zero before the first lookup, which events leaves on the first of
-// the node's events not before cycle t. A reader that asks for
-// non-decreasing cycles — and every reader of the frontier does, node by
-// node — therefore pays for the events it passes over and nothing else; a
-// cursor found ahead of cycle t is put right by binary search.
-func (rc *Recording) events(view int, cur *int32, t int64, node int) []int32 {
+// reader's cursor for this view and node, which events leaves just past
+// the node's events of cycle t. A cycle between the events either side of
+// the cursor has none, and costs the one compare that says so — the common
+// lookup, since a node has events on few of the cycles it is asked about.
+// A reader that asks for non-decreasing cycles — and every reader of the
+// frontier does, node by node — otherwise pays for the events it passes
+// over and nothing else; a cursor found ahead of cycle t is put right by
+// binary search.
+func (rc *Recording) events(view int, cur *cursor, t int64, node int) []int32 {
+	if uint64(t-cur.lo) < uint64(cur.n) {
+		return nil
+	}
+	return rc.seek(view, cur, t, node)
+}
+
+// seek is events past its compare with the cursor's bounds: kept apart so
+// that the compare inlines into the reader.
+func (rc *Recording) seek(view int, cur *cursor, t int64, node int) []int32 {
 	c := int(t - rc.start)
 	if c >= rc.Cycles() {
 		return nil
@@ -283,17 +324,23 @@ func (rc *Recording) events(view int, cur *int32, t int64, node int) []int32 {
 		return nil
 	}
 	list := x.ids[x.off[node]:x.off[node+1]]
-	a := int(*cur)
+	a := int(cur.pos)
 	if a > 0 && list[a-1] >= lo {
 		a, _ = slices.BinarySearch(list, lo)
 	}
 	for a < len(list) && list[a] < lo {
 		a++
 	}
-	*cur = int32(a)
 	b := a
 	for b < len(list) && list[b] < hi {
 		b++
+	}
+	cur.pos, cur.lo, cur.n = int32(b), rc.start, math.MaxUint32
+	if b > 0 {
+		cur.lo = rc.start + int64(x.at[list[b-1]]) + 1
+	}
+	if b < len(list) {
+		cur.n = uint32(rc.start + int64(x.at[list[b]]) - cur.lo)
 	}
 	return list[a:b]
 }
@@ -440,6 +487,11 @@ func (rc *Recording) ApproxFootprintBytes() int64 {
 	for i := range rc.by {
 		b += int64(cap(rc.by[i].off)+cap(rc.by[i].ids)) * 4
 	}
+	// The event cycles, one array a kind: the inbox views share theirs with
+	// the emitters'.
+	for i := byGen; i <= byEject; i++ {
+		b += int64(cap(rc.by[i].at)) * 4
+	}
 	return b
 }
 
@@ -571,16 +623,17 @@ func (rc *Recording) Join(later *Recording) *Recording {
 // drops the key arrays they stand in for.
 func (rc *Recording) index() {
 	emitter := func(cycle, keys []int32) nodeIndex {
-		return indexBy(rc.nodes, cycle, func(k int) int32 { return keys[k] })
+		return indexBy(rc.nodes, cycle, eventCycles(cycle), func(k int) int32 { return keys[k] })
 	}
+	linkFrom, creditFrom := emitter(rc.linkIdx, rc.linkSrc), emitter(rc.credIdx, rc.creditSrc)
 	rc.by = [views]nodeIndex{
 		byGen:        emitter(rc.genIdx, rc.genNode),
-		byLinkFrom:   emitter(rc.linkIdx, rc.linkSrc),
-		byCreditFrom: emitter(rc.credIdx, rc.creditSrc),
+		byLinkFrom:   linkFrom,
+		byCreditFrom: creditFrom,
 		bySend:       emitter(rc.sendIdx, rc.sends),
 		byEject:      emitter(rc.ejectIdx, rc.ejectNode),
-		byLinkTo:     indexBy(rc.nodes, rc.linkIdx, func(k int) int32 { return rc.links[k].dst }),
-		byCreditTo:   indexBy(rc.nodes, rc.credIdx, func(k int) int32 { return rc.credits[k].dst }),
+		byLinkTo:     indexBy(rc.nodes, rc.linkIdx, linkFrom.at, func(k int) int32 { return rc.links[k].dst }),
+		byCreditTo:   indexBy(rc.nodes, rc.credIdx, creditFrom.at, func(k int) int32 { return rc.credits[k].dst }),
 	}
 	rc.genNode, rc.linkSrc, rc.creditSrc, rc.sends = nil, nil, nil, nil
 }

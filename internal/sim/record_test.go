@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -20,7 +21,8 @@ import (
 // its documented arithmetic: every slice the transcript retains, at
 // capacity, times its element size — event payloads, the one key array a
 // stopped transcript keeps, the seven node-major indices (offsets and
-// ids), the prefix offsets, the fold table and its row digests, the
+// ids), each event's cycle (one array a kind, the inbox views sharing
+// their kind's), the prefix offsets, the fold table and its row digests, the
 // busy-NI bits and their row counts — each event payload at its
 // struct's size on the target (a flit is 104 bytes on amd64, 64 on 386). The key arrays the indices
 // replace must be gone, or they would be retained and not counted for. The campaign's campaign_timeline_bytes gauge,
@@ -63,13 +65,20 @@ func TestRecordingFootprintPinned(t *testing.T) {
 		int64(cap(rc.genIdx)+cap(rc.linkIdx)+cap(rc.credIdx)+cap(rc.sendIdx)+cap(rc.ejectIdx))*4
 	events := rc.genIdx[40] + 2*rc.linkIdx[40] + 2*rc.credIdx[40] + rc.sendIdx[40] + rc.ejectIdx[40]
 	want += (int64(events) + 7*(16+1)) * 4 // ids, and nodes+1 offsets an index
+	// and one cycle an event, an array a kind
+	want += int64(rc.genIdx[40]+rc.linkIdx[40]+rc.credIdx[40]+rc.sendIdx[40]+rc.ejectIdx[40]) * 4
 	if got := rc.ApproxFootprintBytes(); got != want {
 		t.Fatalf("Recording.ApproxFootprintBytes() = %d, want %d", got, want)
 	}
 	for _, x := range rc.by {
-		if len(x.off) != cap(x.off) || len(x.ids) != cap(x.ids) {
-			t.Fatalf("an index holds %d offsets in %d and %d ids in %d: built to size, it has no slack", len(x.off), cap(x.off), len(x.ids), cap(x.ids))
+		if len(x.off) != cap(x.off) || len(x.ids) != cap(x.ids) || len(x.at) != cap(x.at) || len(x.at) != len(x.ids) {
+			t.Fatalf("an index holds %d offsets in %d, %d ids in %d and %d event cycles in %d: built to size, it has no slack", len(x.off), cap(x.off), len(x.ids), cap(x.ids), len(x.at), cap(x.at))
 		}
+	}
+	// The inbox views read their kind's event cycles, not copies the
+	// footprint would not count.
+	if &rc.by[byLinkTo].at[0] != &rc.by[byLinkFrom].at[0] || &rc.by[byCreditTo].at[0] != &rc.by[byCreditFrom].at[0] {
+		t.Fatal("an inbox view keeps event cycles of its own")
 	}
 	if len(rc.foldSum) != 40 || len(rc.busyN) != 40 {
 		t.Fatalf("row digests %d, busy counts %d: want 40, 40", len(rc.foldSum), len(rc.busyN))
@@ -320,7 +329,7 @@ func TestRecordingKeyedLookups(t *testing.T) {
 					// Walked cycle by cycle the cursor finds what the oracle
 					// finds, which also says the list holds the node's events
 					// and no others: every id was seen once, above.
-					var cur int32
+					var cur cursor
 					for c := 0; c < rc.Cycles(); c++ {
 						cyc := rc.start + int64(c)
 						lo, hi := rc.seg(x.cycle, cyc)
@@ -328,8 +337,8 @@ func TestRecordingKeyedLookups(t *testing.T) {
 							t.Fatalf("%s cycle %d node %d: cursor finds %v, the cycle's scan %v", kind.name, cyc, node, got, want)
 						}
 					}
-					if int(cur) > len(list) {
-						t.Fatalf("%s node %d: cursor %d ran past the node's %d events", kind.name, node, cur, len(list))
+					if int(cur.pos) > len(list) {
+						t.Fatalf("%s node %d: cursor %d ran past the node's %d events", kind.name, node, cur.pos, len(list))
 					}
 					// Past the stored cycles of a transcript every lookup is empty.
 					if got := rc.events(view, &cur, rc.start+int64(rc.Cycles()), node); len(got) != 0 {
@@ -528,8 +537,8 @@ func TestCursorLookupsMatchTheScan(t *testing.T) {
 		seq  []lookup
 	}{{"rejoin", rejoin}, {"two members beside a clean node", beside}, {"replay across injectEnd", replay}, {"behind the cursor", behind}, {"random", random}} {
 		t.Run(sc.name, func(t *testing.T) {
-			cur := make([]int32, views*rc.nodes)
-			found := 0
+			cur := make([]cursor, views*rc.nodes)
+			found, between := 0, 0
 			for _, lk := range sc.seq {
 				cyc := start + lk.c
 				for view, kind := range oracles {
@@ -538,15 +547,37 @@ func TestCursorLookupsMatchTheScan(t *testing.T) {
 						lo, hi := rc.seg(rc.by[view].cycle, cyc)
 						want = kind.ids(lo, hi, lk.node)
 					}
-					got := rc.events(view, &cur[view*rc.nodes+lk.node], cyc, lk.node)
+					cu := &cur[view*rc.nodes+lk.node]
+					if cu.lo <= cyc && cyc-cu.lo < int64(cu.n) {
+						between++
+					}
+					got := rc.events(view, cu, cyc, lk.node)
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s of node %d at cycle %d: cursor finds %v, the cycle's scan %v", kind.name, lk.node, cyc, got, want)
 					}
 					found += len(got)
+					// The cursor's cycles without an event, once it has any,
+					// are the ones between the events either side of its
+					// place.
+					if *cu == (cursor{}) {
+						continue
+					}
+					x := &rc.by[view]
+					list := x.ids[x.off[lk.node]:x.off[lk.node+1]]
+					lo, n := start, uint32(math.MaxUint32)
+					if cu.pos > 0 {
+						lo = start + int64(x.at[list[cu.pos-1]]) + 1
+					}
+					if int(cu.pos) < len(list) {
+						n = uint32(start + int64(x.at[list[cu.pos]]) - lo)
+					}
+					if cu.lo != lo || cu.n != n {
+						t.Fatalf("%s of node %d at cycle %d: cursor at %d says %d cycles from %d have no event, its neighbours say %d from %d", kind.name, lk.node, cyc, cu.pos, cu.n, cu.lo, n, lo)
+					}
 				}
 			}
-			if found == 0 {
-				t.Fatal("no lookup found an event: the comparison is vacuous")
+			if found == 0 || between == 0 {
+				t.Fatalf("%d lookups found an event and %d fell between a cursor's bounds: the comparison is vacuous", found, between)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nocalert/internal/bitvec"
 	"nocalert/internal/fault"
 	"nocalert/internal/flit"
 	"nocalert/internal/rng"
@@ -44,6 +45,8 @@ func stepLockstep(t *testing.T, ref, soa *Network, n int) {
 	for i := 0; i < n; i++ {
 		ref.Step()
 		soa.Step()
+		requireKeptMasks(t, "reference engine", ref)
+		requireKeptMasks(t, "SoA engine", soa)
 		if rf, sf := ref.Fingerprint(), soa.Fingerprint(); rf != sf {
 			t.Fatalf("cycle %d: engines diverged (reference %#x, SoA %#x)", ref.Cycle(), rf, sf)
 		}
@@ -163,6 +166,24 @@ func requirePreEqual(t *testing.T, what string, got, want *router.Signals) {
 	}
 }
 
+// requireKeptMasks holds the activity masks every router of n keeps in its
+// signal record as it writes it — the ones the checkers' sweeps walk — to
+// the masks RecomputeMasks derives from the record's fields.
+func requireKeptMasks(t *testing.T, what string, n *Network) {
+	t.Helper()
+	for _, r := range n.routers {
+		s := r.Signals()
+		c := *s
+		c.RecomputeMasks()
+		kept := [...]bitvec.Vec{s.Granted, s.Arbiters, s.RCPorts, s.XbarCols, s.ReadPorts}
+		want := [...]bitvec.Vec{c.Granted, c.Arbiters, c.RCPorts, c.XbarCols, c.ReadPorts}
+		if kept != want || s.Pre.Active != c.Pre.Active {
+			t.Fatalf("%s: cycle %d router %d: kept masks (granted, arbiters, RC, columns, reads) %v, active %v; the record says %v, %v",
+				what, s.Cycle, r.ID(), kept, s.Pre.Active, want, c.Pre.Active)
+		}
+	}
+}
+
 // preReader is a monitor that does nothing but stand for a reader of the
 // pre-cycle snapshot — what any monitor that is not a SignalsOnly is taken
 // for — through every clone: the fast engine takes snapshots only while
@@ -181,6 +202,8 @@ func stepPreLockstep(t *testing.T, what string, ref, fast *Network, n int) {
 	for i := 0; i < n; i++ {
 		ref.Step()
 		fast.Step()
+		requireKeptMasks(t, what+", reference engine", ref)
+		requireKeptMasks(t, what+", fast engine", fast)
 		for _, r := range fast.steppedScratch {
 			requirePreEqual(t, what, r.Signals(), ref.routers[r.ID()].Signals())
 		}
@@ -604,6 +627,8 @@ func (p *awakePair) step(t *testing.T, what string, n int) (evaluated int) {
 		}
 		ref.Step()
 		fast.Step()
+		requireKeptMasks(t, what+", reference engine", ref)
+		requireKeptMasks(t, what+", fast engine", fast)
 		if len(ref.steppedScratch) != len(ref.routers) {
 			t.Fatalf("%s: cycle %d: the reference engine stepped %d routers of %d", what, c, len(ref.steppedScratch), len(ref.routers))
 		}
