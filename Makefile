@@ -14,7 +14,7 @@ GOLDEN_FLAGS = -mesh 4x4 -vcs 4 -rate 0.12 -seed 3 -inject 300 -post 400 \
 # merge — add tests instead.
 COVER_FLOOR = 89.0
 
-.PHONY: all build fmt vet lint deadcode test race cover e2e e2e-dist benchfleet ci golden shardcheck identity fuzz-smoke build386 test386
+.PHONY: all build fmt vet lint deadcode test race cover e2e e2e-dist benchfleet ci golden paper shardcheck identity fuzz-smoke build386 test386
 
 all: ci
 
@@ -154,6 +154,35 @@ golden:
 		-json testdata/report_8x8_seed3.json
 	$(GO) run ./cmd/faultcampaign $(MULTICYCLE_FLAGS) \
 		-json testdata/report_8x8_multicycle_seed3.json
+
+# The paper's campaign spec (§5.1): the 8×8 mesh at the 0.05 injection
+# rate. `make paper` injects every one of its 32 256 fault locations
+# (-faults 0) at each of PAPER_CYCLES and TestPaperPopulation re-runs
+# cycle 0; keep the test's paperFlags in sync.
+PAPER_FLAGS = -mesh 8x8 -rate 0.05 -seed 1
+PAPER_CYCLES = 0 16000 32000
+
+# paper regenerates testdata/paper/, the files EXPERIMENTS.md quotes
+# (docs_test.go holds the quotes to them): for each of the paper's
+# injection instants one full-population campaign through a checkpoint and
+# merge (cycleC.json, the report; cycleC.txt, merge's stdout with the
+# records checksum), the Observation-3 table lines on the same spec
+# (obs3.txt: 40 transient and 40 permanent SA1-grant faults at cycle
+# 32 000) and the hardware model's Figure 10 and §5.5 (hwcost.txt). About
+# 20 s on two cores; run it after an intentional behaviour change and
+# commit the diff it produces. The checkpoints, every run's record, stay
+# in .paper/ for folds over the population.
+paper:
+	rm -rf .paper && mkdir -p .paper testdata/paper
+	$(GO) build -o .paper/faultcampaign ./cmd/faultcampaign
+	for c in $(PAPER_CYCLES); do \
+		.paper/faultcampaign $(PAPER_FLAGS) -faults 0 -inject $$c -checkpoint .paper/c$$c.ndjson || exit 1; \
+		.paper/faultcampaign merge -out testdata/paper/cycle$$c.json .paper/c$$c.ndjson \
+			> testdata/paper/cycle$$c.txt || exit 1; \
+	done
+	.paper/faultcampaign $(PAPER_FLAGS) -faults 1 -inject 32000 -fig obs3 -progress=false > .paper/obs3.out
+	sed -n '/^== Observation 3/,/^$$/p' .paper/obs3.out > testdata/paper/obs3.txt
+	$(GO) run ./cmd/hwcost > testdata/paper/hwcost.txt
 
 # identity proves the result-invisible switches invisible. The three
 # committed JSON report fixtures (the golden 4×4 campaign, the paper-scale

@@ -6,7 +6,8 @@
 //	Figure 7 — cumulative fault-detection delay distribution;
 //	Figure 8 — share of violations per invariance checker;
 //	Figure 9 — simultaneously asserted checkers per fault;
-//	Obs. 3  — transient vs permanent behaviour of invariance 5;
+//	Obs. 3  — transient vs permanent behaviour of invariance 5
+//	          (printed only when named: -fig obs3);
 //	Obs. 5  — the fate of faults with no same-cycle assertion.
 //
 // Usage:
@@ -16,8 +17,10 @@
 //
 // The paper evaluates its full fault population (11,808 locations at
 // its RTL granularity; this model enumerates 32,256 bit-level locations
-// for the same 8×8 mesh); pass -faults 0 to do the same (hours of CPU),
-// or a sample size for a quicker statistically representative run.
+// for the same 8×8 mesh); pass -faults 0 to do the same (5–6 s an
+// injection instant on two cores), or a sample size for a quicker run.
+// `make paper` runs the population at the paper's three instants into
+// testdata/paper/, the files EXPERIMENTS.md quotes.
 package main
 
 import (

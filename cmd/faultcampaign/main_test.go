@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -27,7 +29,20 @@ func TestMain(m *testing.M) {
 // failing the test on a non-zero exit.
 func faultcampaign(t *testing.T, args ...string) string {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
+	return faultcampaignIn(t, "", args...)
+}
+
+// faultcampaignIn is faultcampaign run in directory dir ("" for the
+// package directory), so relative paths in args and in what the command
+// prints resolve under dir.
+func faultcampaignIn(t *testing.T, dir string, args ...string) string {
+	t.Helper()
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(self, args...)
+	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "FAULTCAMPAIGN_MAIN=1")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -73,9 +88,108 @@ func TestCheckpointAloneMergesToPlainJSON(t *testing.T) {
 	}
 }
 
+// TestMergeOutputIsTheRecords merges two independently run checkpoints of
+// the golden 4×4 campaign, one run on one worker and one on two, and
+// requires the same stdout: what merge prints is a function of the
+// records. A record's wall time is the one field a re-run changes, and it
+// stays out of the records checksum; so that the two differ for certain and
+// not by chance, the second checkpoint's are rewritten to one second a run
+// before it is merged.
+func TestMergeOutputIsTheRecords(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	dir := t.TempDir()
+	var outs []string
+	for i, workers := range []string{"1", "2"} {
+		ckpt := filepath.Join(dir, "runs"+workers+".ndjson")
+		faultcampaign(t, append(golden4x4, "-progress=false", "-workers", workers, "-checkpoint", ckpt)...)
+		if i == 1 {
+			b, err := os.ReadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wall := regexp.MustCompile(`"wall_seconds":[^,}]*`)
+			if len(wall.FindAll(b, -1)) != 96 {
+				t.Fatalf("checkpoint %s: want 96 records with a wall time:\n%s", ckpt, b)
+			}
+			if err := os.WriteFile(ckpt, wall.ReplaceAll(b, []byte(`"wall_seconds":1`)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		outs = append(outs, faultcampaign(t, "merge", ckpt))
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("merge printed different output for the same records:\n%s\n---\n%s", outs[0], outs[1])
+	}
+}
+
+// paperFlags is the spec `make paper` runs at each injection instant; keep
+// it in sync with the Makefile's PAPER_FLAGS.
+var paperFlags = []string{"-mesh", "8x8", "-rate", "0.05", "-seed", "1"}
+
+// TestPaperPopulation re-runs the cheapest of `make paper`'s instants,
+// every fault location of the 8×8 mesh injected at cycle 0, through the
+// same checkpoint and merge, and requires the report and merge's stdout
+// to be byte-identical to the committed testdata/paper/cycle0.json and
+// cycle0.txt, which EXPERIMENTS.md quotes. Every committed instant's
+// report must show no false negative for any mechanism (Observation 1).
+func TestPaperPopulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-population campaign in -short mode")
+	}
+	paper := filepath.Join("..", "..", "testdata", "paper")
+	for _, c := range []string{"0", "16000", "32000"} {
+		b, err := os.ReadFile(filepath.Join(paper, "cycle"+c+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			Faults int `json:"faults"`
+			Fig6   []struct {
+				Mechanism string  `json:"mechanism"`
+				FN        float64 `json:"fn_pct"`
+			} `json:"fig6_coverage"`
+		}
+		if err := json.Unmarshal(b, &rep); err != nil {
+			t.Fatalf("cycle%s.json: %v", c, err)
+		}
+		if rep.Faults != 32256 || len(rep.Fig6) != 3 {
+			t.Fatalf("cycle%s.json: %d faults and %d Figure 6 rows, want the 32256-location population and 3 mechanisms", c, rep.Faults, len(rep.Fig6))
+		}
+		for _, m := range rep.Fig6 {
+			if m.FN != 0 {
+				t.Errorf("cycle%s.json: %s false negatives %.2f%%, want 0", c, m.Mechanism, m.FN)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	for _, d := range []string{".paper", filepath.Join("testdata", "paper")} {
+		if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faultcampaignIn(t, dir, append(paperFlags, "-faults", "0", "-inject", "0", "-progress=false", "-checkpoint", ".paper/c0.ndjson")...)
+	txt := faultcampaignIn(t, dir, "merge", "-out", "testdata/paper/cycle0.json", ".paper/c0.ndjson")
+	gotJSON, err := os.ReadFile(filepath.Join(dir, "testdata", "paper", "cycle0.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]byte{"cycle0.json": gotJSON, "cycle0.txt": []byte(txt)} {
+		want, err := os.ReadFile(filepath.Join(paper, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("the cycle-0 population's %s differs from testdata/paper/%s (`make paper` regenerates it)", name, name)
+		}
+	}
+}
+
 // TestFigureNamesPrint holds the -fig help to printFigures and obs3:
 // every name a mode's help lists prints something, 'all' prints every
-// one but heatmap, and 'none' prints nothing.
+// one but heatmap and obs3, and 'none' prints nothing.
 func TestFigureNamesPrint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -107,20 +221,20 @@ func TestFigureNamesPrint(t *testing.T) {
 		return buf.String()
 	}
 
-	var all string // every figure's output but heatmap's, in print order
+	var all string // every figure's output but heatmap's and obs3's, in print order
 	for _, name := range strings.Split(mainFigureNames, ",") {
 		t.Run(name, func(t *testing.T) {
 			out := render(name)
 			if strings.TrimSpace(out) == "" {
 				t.Fatalf("-fig %s prints nothing", name)
 			}
-			if name != "heatmap" {
+			if name != "heatmap" && name != "obs3" {
 				all += out
 			}
 		})
 	}
 	if got := render("all"); got != all {
-		t.Error("-fig all does not print every figure but heatmap")
+		t.Error("-fig all does not print every figure but heatmap and obs3")
 	}
 	for _, figs := range []string{"none", "6,none"} {
 		if got := render(figs); got != "" {

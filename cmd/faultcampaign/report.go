@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"nocalert/internal/campaign"
@@ -19,9 +20,20 @@ const (
 	mainFigureNames   = reportFigureNames + ",obs3"
 )
 
+// namedOnly lists the figures 'all' leaves out: the heatmap, and the
+// Observation 3 table, which runs campaigns of its own. They print only
+// when named.
+var namedOnly = []string{"heatmap", "obs3"}
+
 // figHelp is the -fig usage of a mode that prints the named figures.
 func figHelp(names string) string {
-	return "figures to print: comma list of " + names + " or 'all' (every one but heatmap) or 'none'"
+	var but []string
+	for _, name := range namedOnly {
+		if slices.Contains(strings.Split(names, ","), name) {
+			but = append(but, name)
+		}
+	}
+	return "figures to print: comma list of " + names + " or 'all' (every one but " + strings.Join(but, " and ") + ") or 'none'"
 }
 
 // figures is a parsed -fig selection.
@@ -37,12 +49,12 @@ func parseFigures(s string) figures {
 }
 
 // has reports whether the selection prints the named figure: 'none'
-// prints nothing, and 'all' prints every figure but the heatmap.
+// prints nothing, and 'all' prints every figure but namedOnly's.
 func (f figures) has(name string) bool {
 	if f["none"] {
 		return false
 	}
-	return f[name] || f["all"] && name != "heatmap"
+	return f[name] || f["all"] && !slices.Contains(namedOnly, name)
 }
 
 // printFigures renders the selected report figures (shared by the

@@ -138,16 +138,14 @@ func mergeMain(args []string) {
 // totals with the mergeable reducers the merge gate relies on.
 func writeShardSummary(shards []*trace.CheckpointData) {
 	t := stats.NewTable("Per-shard summary (NoCAlert outcomes)",
-		"Shard", "Faults", "TP", "FP", "TN", "FN", "Fast-path", "Wall (s)")
+		"Shard", "Faults", "TP", "FP", "TN", "FN", "Fast-path")
 	var total stats.Tally
 	var cdfs []*stats.CDF
 	var totalFast int
-	var totalWall float64
 	for _, sd := range shards {
 		var tl stats.Tally
 		var lat []int64
 		fast := 0
-		wall := 0.0
 		for i := range sd.Records {
 			rec := &sd.Records[i]
 			tl.Add(rec.Outcome.String(), 1)
@@ -157,18 +155,16 @@ func writeShardSummary(shards []*trace.CheckpointData) {
 			if rec.FastPath {
 				fast++
 			}
-			wall += rec.WallSeconds
 		}
 		t.AddRow(fmt.Sprintf("%d/%d [%d,%d)", sd.Manifest.Shard, sd.Manifest.Shards, sd.Manifest.Start, sd.Manifest.End),
 			int64(len(sd.Records)), tl.Get("TP"), tl.Get("FP"), tl.Get("TN"), tl.Get("FN"),
-			int64(fast), fmt.Sprintf("%.2f", wall))
+			int64(fast))
 		total.Merge(&tl)
 		cdfs = append(cdfs, stats.NewCDF(lat))
 		totalFast += fast
-		totalWall += wall
 	}
 	t.AddRow("merged", total.Total(), total.Get("TP"), total.Get("FP"), total.Get("TN"), total.Get("FN"),
-		int64(totalFast), fmt.Sprintf("%.2f", totalWall))
+		int64(totalFast))
 	t.Render(os.Stdout)
 	if cdf := stats.MergeCDFs(cdfs...); cdf.N() > 0 {
 		fmt.Printf("NoCAlert detection latency over %d true positives: p50=%d p95=%d max=%d cycles\n",

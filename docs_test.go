@@ -268,3 +268,70 @@ func TestReadmeFlagsAreRegistered(t *testing.T) {
 		t.Fatalf("found only %d flags in README.md code spans: the scan misses them", seen)
 	}
 }
+
+// TestExperimentsQuotesThePaperFiles holds EXPERIMENTS.md's paper section
+// (everything before "## Campaign performance") to the files `make paper`
+// writes: every fenced block in it but the `sh` commands that regenerate
+// them is a verbatim run of whole lines of the testdata/paper/ file the line
+// before it names ("From `testdata/paper/cycle0.txt`:"), and every text file
+// there is quoted at least once. A measured number in the section is one a
+// block quotes.
+func TestExperimentsQuotesThePaperFiles(t *testing.T) {
+	b, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, _, ok := strings.Cut(string(b), "\n## Campaign performance\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Campaign performance section")
+	}
+	source := regexp.MustCompile("`(testdata/paper/[^`]+)`:$")
+	lines := strings.Split(sec, "\n")
+	quoted := map[string]bool{}
+	for i := 0; i < len(lines); i++ {
+		info, ok := strings.CutPrefix(lines[i], "```")
+		if !ok {
+			continue
+		}
+		open := i
+		for i++; i < len(lines) && lines[i] != "```"; i++ {
+		}
+		if i == len(lines) {
+			t.Fatalf("EXPERIMENTS.md:%d: unclosed code block", open+1)
+		}
+		block := lines[open+1 : i]
+		if info == "sh" {
+			continue
+		}
+		k := open - 1
+		for k >= 0 && strings.TrimSpace(lines[k]) == "" {
+			k--
+		}
+		var m []string
+		if k >= 0 {
+			m = source.FindStringSubmatch(lines[k])
+		}
+		if m == nil {
+			t.Errorf("EXPERIMENTS.md:%d: the block does not follow a line naming the testdata/paper/ file it quotes", open+1)
+			continue
+		}
+		file, err := os.ReadFile(m[1])
+		if err != nil {
+			t.Errorf("EXPERIMENTS.md:%d: %v", open+1, err)
+			continue
+		}
+		if len(block) == 0 || !strings.Contains("\n"+string(file), "\n"+strings.Join(block, "\n")+"\n") {
+			t.Errorf("EXPERIMENTS.md:%d: the block is not a verbatim quote of %s (`make paper` regenerates it)", open+1, m[1])
+		}
+		quoted[m[1]] = true
+	}
+	files, err := filepath.Glob("testdata/paper/*.txt")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata/paper/*.txt files (%v)", err)
+	}
+	for _, f := range files {
+		if !quoted[f] {
+			t.Errorf("EXPERIMENTS.md's paper section quotes nothing of %s", f)
+		}
+	}
+}
