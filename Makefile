@@ -166,12 +166,14 @@ PAPER_CYCLES = 0 16000 32000
 # (docs_test.go holds the quotes to them): for each of the paper's
 # injection instants one full-population campaign through a checkpoint and
 # merge (cycleC.json, the report; cycleC.txt, merge's stdout with the
-# records checksum), the Observation-3 table lines on the same spec
-# (obs3.txt: 40 transient and 40 permanent SA1-grant faults at cycle
-# 32 000) and the hardware model's Figure 10 and §5.5 (hwcost.txt). About
-# 20 s on two cores; run it after an intentional behaviour change and
-# commit the diff it produces. The checkpoints, every run's record, stay
-# in .paper/ for folds over the population.
+# records checksum; merge exits 1, and the recipe stops, on a NoCAlert
+# false negative), the Observation-3 table on the same spec, which
+# `-fig obs3` alone prints without a main campaign (obs3.txt: 40
+# transient and 40 permanent SA1-grant faults at cycle 32 000), and the
+# hardware model's Figure 10 and §5.5 (hwcost.txt). About 20 s on two
+# cores; run it after an intentional behaviour change and commit the diff
+# it produces. The checkpoints, every run's record, stay in .paper/ for
+# folds over the population.
 paper:
 	rm -rf .paper && mkdir -p .paper testdata/paper
 	$(GO) build -o .paper/faultcampaign ./cmd/faultcampaign
@@ -180,8 +182,7 @@ paper:
 		.paper/faultcampaign merge -out testdata/paper/cycle$$c.json .paper/c$$c.ndjson \
 			> testdata/paper/cycle$$c.txt || exit 1; \
 	done
-	.paper/faultcampaign $(PAPER_FLAGS) -faults 1 -inject 32000 -fig obs3 -progress=false > .paper/obs3.out
-	sed -n '/^== Observation 3/,/^$$/p' .paper/obs3.out > testdata/paper/obs3.txt
+	.paper/faultcampaign $(PAPER_FLAGS) -inject 32000 -fig obs3 -progress=false > testdata/paper/obs3.txt
 	$(GO) run ./cmd/hwcost > testdata/paper/hwcost.txt
 
 # identity proves the result-invisible switches invisible. The three
@@ -200,9 +201,9 @@ paper:
 # inert skip; on the frontier to the end of the run, fast-forwarded from
 # the fixed point a permanent fault settles in — are held to the reference
 # run path by the one armed campaign the CLI spells, the Observation-3
-# table (40 permanent SA1-grant faults, a third of them deadlocks), which
-# must read the same in both modes (table lines only: the campaign summary
-# line carries a wall time), and through the test binary to the reference
+# table (40 permanent SA1-grant faults, a third of them deadlocks; named
+# alone, -fig obs3 runs no main campaign and prints the table only), which
+# must read the same in both modes, and through the test binary to the reference
 # sweep too by the armed-fault report fixture and the double-fault groups. Last, the fuzzers search for
 # 45 s (fuzz-smoke), one of them holding the frontier to the full simulation in lockstep. One shell, so the trap
 # removes .identity/ whether or not a cmp fails.
@@ -217,7 +218,7 @@ identity:
 		cmp .identity/8x8-$$mode.json testdata/report_8x8_seed3.json; \
 		$(GO) run ./cmd/faultcampaign $(MULTICYCLE_FLAGS) $$flags -json .identity/multicycle-$$mode.json; \
 		cmp .identity/multicycle-$$mode.json testdata/report_8x8_multicycle_seed3.json; \
-		$(GO) run ./cmd/faultcampaign $(REPORT_8X8_FLAGS) -fig obs3 $$flags | grep -v '^campaign:' > .identity/obs3-$$mode.txt; \
+		$(GO) run ./cmd/faultcampaign $(REPORT_8X8_FLAGS) -fig obs3 $$flags > .identity/obs3-$$mode.txt; \
 		cmp .identity/obs3-default.txt .identity/obs3-$$mode.txt; \
 	done; \
 	grep -q '^permanent ' .identity/obs3-default.txt; \

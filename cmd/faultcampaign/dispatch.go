@@ -18,8 +18,9 @@ import (
 
 // dispatchMain is the `faultcampaign dispatch` subcommand: run one
 // campaign across a fleet of nocalertd workers and print the same
-// figures (and pass the same golden gate) a single-machine run would —
-// the merged report is byte-identical or the merge gate refuses.
+// figures (and pass the same golden and Observation 1 gates) a
+// single-machine run would — the merged report is byte-identical or the
+// merge gate refuses.
 func dispatchMain(args []string) {
 	fs := flag.NewFlagSet("dispatch", flag.ExitOnError)
 	sf := addSpecFlags(fs)
@@ -130,12 +131,5 @@ func dispatchMain(args []string) {
 		fmt.Printf("  worker %d %s: %d shards%s\n", i, w.URL, w.ShardsDone, note)
 	}
 
-	printFigures(os.Stdout, res.Report, parseFigures(*figs))
-
-	if *out != "" {
-		writeReportJSON(res.Report, *out)
-	}
-	if *goldenPath != "" {
-		checkGolden("dispatch", res.Merged, *goldenPath)
-	}
+	writeReport("dispatch", res.Merged.Spec, res.Report, parseFigures(*figs), *out, *goldenPath)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"nocalert/internal/campaign"
+	"nocalert/internal/trace"
 )
 
 // TestMain runs the command itself when the test binary is re-executed
@@ -29,27 +30,22 @@ func TestMain(m *testing.M) {
 // failing the test on a non-zero exit.
 func faultcampaign(t *testing.T, args ...string) string {
 	t.Helper()
-	return faultcampaignIn(t, "", args...)
+	stdout, stderr, err := runFaultcampaign(args...)
+	if err != nil {
+		t.Fatalf("faultcampaign %s: %v\n%s", strings.Join(args, " "), err, stderr)
+	}
+	return stdout
 }
 
-// faultcampaignIn is faultcampaign run in directory dir ("" for the
-// package directory), so relative paths in args and in what the command
-// prints resolve under dir.
-func faultcampaignIn(t *testing.T, dir string, args ...string) string {
-	t.Helper()
-	self, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(self, args...)
-	cmd.Dir = dir
+// runFaultcampaign runs the command with args and returns what it printed
+// and how it exited.
+func runFaultcampaign(args ...string) (stdout, stderr string, err error) {
+	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "FAULTCAMPAIGN_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("faultcampaign %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
-	}
-	return stdout.String()
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
 }
 
 // golden4x4 is the spec of testdata/golden_4x4_seed3.json.
@@ -124,6 +120,82 @@ func TestMergeOutputIsTheRecords(t *testing.T) {
 	}
 }
 
+// TestMergeFailsOnFalseNegative runs the golden 4×4 campaign into a
+// checkpoint, rewrites one benign run that no mechanism flagged into a
+// false negative of all three — the network's verdict malicious, nothing
+// detected — and finalizes the rewritten records into a valid checkpoint
+// of the same campaign. merge must fold it, print the Observation 1 line
+// with the one false negative, and exit 1: the paper's claim is that there
+// are none, and a merged report is where `make paper` reads its tables.
+func TestMergeFailsOnFalseNegative(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "runs.ndjson")
+	faultcampaign(t, append(golden4x4, "-progress=false", "-checkpoint", ckpt)...)
+	cd, err := trace.ReadCheckpointFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "fn.ndjson")
+	cp, err := trace.CreateCheckpoint(bad, &cd.Manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := false
+	for i := range cd.Records {
+		rec := &cd.Records[i]
+		tn := trace.TrueNegative
+		if !rewritten && rec.Outcome == tn && rec.CautiousOutcome == tn && rec.ForeverOutcome == tn {
+			fn := trace.FalseNegative
+			rec.Malicious, rec.Outcome, rec.CautiousOutcome, rec.ForeverOutcome = true, fn, fn, fn
+			rewritten = true
+		}
+		if err := cp.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !rewritten {
+		t.Fatal("no true negative to rewrite in the golden campaign")
+	}
+	if err := cp.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	stdout, stderr, err := runFaultcampaign("merge", "-fig", "6", bad)
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("merge of a checkpoint with a NoCAlert false negative: exit %v, want status 1\nstdout:\n%s\nstderr:\n%s", err, stdout, stderr)
+	}
+	if !strings.Contains(stdout, "Observation 1 — NoCAlert false negatives: 1 ") || !strings.Contains(stdout, "== Figure 6") {
+		t.Errorf("merge did not print the figures and the Observation 1 line before failing:\n%s", stdout)
+	}
+	if out := faultcampaign(t, "merge", "-fig", "none", ckpt); !strings.Contains(out, "Observation 1 — NoCAlert false negatives: 0 ") {
+		t.Errorf("merge of the campaign as run:\n%s", out)
+	}
+}
+
+// TestObs3RunsAlone: -fig obs3 with no other figure and no -json prints
+// the Observation 3 table and nothing else — no main campaign runs — while
+// -fig none still runs the campaign (its summary line and the Observation
+// 1 line) and prints no figure.
+func TestObs3RunsAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	out := faultcampaign(t, append(golden4x4, "-progress=false", "-fig", "obs3")...)
+	if !strings.HasPrefix(out, "== Observation 3") || strings.Count(out, "\n\n") != 1 || !strings.HasSuffix(out, "\n\n") {
+		t.Errorf("-fig obs3 printed more than its table:\n%s", out)
+	}
+	out = faultcampaign(t, append(golden4x4, "-progress=false", "-fig", "none")...)
+	if !strings.Contains(out, "\ncampaign: 96 runs") || !strings.Contains(out, "Observation 1") || strings.Contains(out, "== ") {
+		t.Errorf("-fig none did not run the campaign alone:\n%s", out)
+	}
+}
+
 // paperFlags is the spec `make paper` runs at each injection instant; keep
 // it in sync with the Makefile's PAPER_FLAGS.
 var paperFlags = []string{"-mesh", "8x8", "-rate", "0.05", "-seed", "1"}
@@ -165,14 +237,10 @@ func TestPaperPopulation(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	for _, d := range []string{".paper", filepath.Join("testdata", "paper")} {
-		if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	faultcampaignIn(t, dir, append(paperFlags, "-faults", "0", "-inject", "0", "-progress=false", "-checkpoint", ".paper/c0.ndjson")...)
-	txt := faultcampaignIn(t, dir, "merge", "-out", "testdata/paper/cycle0.json", ".paper/c0.ndjson")
-	gotJSON, err := os.ReadFile(filepath.Join(dir, "testdata", "paper", "cycle0.json"))
+	ckpt, out := filepath.Join(dir, "c0.ndjson"), filepath.Join(dir, "cycle0.json")
+	faultcampaign(t, append(paperFlags, "-faults", "0", "-inject", "0", "-progress=false", "-checkpoint", ckpt)...)
+	txt := faultcampaign(t, "merge", "-out", out, ckpt)
+	gotJSON, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,20 +340,16 @@ func TestBadRateRefusedInEveryMode(t *testing.T) {
 			{"dispatch", append([]string{"dispatch", "-workers", "http://127.0.0.1:1"}, spec...)},
 		} {
 			t.Run(mode.name+"/"+c.name, func(t *testing.T) {
-				cmd := exec.Command(os.Args[0], append(mode.args, c.flag, c.value)...)
-				cmd.Env = append(os.Environ(), "FAULTCAMPAIGN_MAIN=1")
-				var stdout, stderr bytes.Buffer
-				cmd.Stdout, cmd.Stderr = &stdout, &stderr
-				err := cmd.Run()
+				stdout, stderr, err := runFaultcampaign(append(mode.args, c.flag, c.value)...)
 				ee, ok := err.(*exec.ExitError)
 				if !ok || ee.ExitCode() != 1 {
-					t.Fatalf("exit %v, want status 1\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
+					t.Fatalf("exit %v, want status 1\nstdout:\n%s\nstderr:\n%s", err, stdout, stderr)
 				}
-				if !strings.Contains(stderr.String(), c.want) || strings.Contains(stderr.String(), "panic") {
-					t.Fatalf("stderr does not refuse %s %s:\n%s", c.flag, c.value, stderr.String())
+				if !strings.Contains(stderr, c.want) || strings.Contains(stderr, "panic") {
+					t.Fatalf("stderr does not refuse %s %s:\n%s", c.flag, c.value, stderr)
 				}
-				if stdout.Len() != 0 {
-					t.Fatalf("a refused spec printed:\n%s", stdout.String())
+				if stdout != "" {
+					t.Fatalf("a refused spec printed:\n%s", stdout)
 				}
 			})
 		}

@@ -14,14 +14,14 @@ import (
 
 // reportFigureNames lists, in print order, the -fig names printFigures
 // renders from an aggregated report: what merge and dispatch print. The
-// main command also prints obs3, which runs campaigns of its own.
+// main command also prints obs3, which runs a campaign of its own.
 const (
 	reportFigureNames = "6,7,8,9,obs5,recovery,heatmap"
 	mainFigureNames   = reportFigureNames + ",obs3"
 )
 
 // namedOnly lists the figures 'all' leaves out: the heatmap, and the
-// Observation 3 table, which runs campaigns of its own. They print only
+// Observation 3 table, which runs a campaign of its own. They print only
 // when named.
 var namedOnly = []string{"heatmap", "obs3"}
 
@@ -57,8 +57,36 @@ func (f figures) has(name string) bool {
 	return f[name] || f["all"] && !slices.Contains(namedOnly, name)
 }
 
-// printFigures renders the selected report figures (shared by the
-// unsharded path and the merge and dispatch subcommands).
+// obs3Alone reports whether the selection is the Observation 3 table and
+// no figure of the report: the table runs a campaign of its own, so the
+// main campaign has nothing to print.
+func (f figures) obs3Alone() bool {
+	return f.has("obs3") && !slices.ContainsFunc(strings.Split(reportFigureNames, ","), f.has)
+}
+
+// writeReport is the one way a report leaves the command, whichever mode
+// folded it (plain, merge, dispatch): the selected figures on stdout, the
+// JSON report to jsonPath and the golden check at goldenPath when set,
+// and last the Observation 1 line. The paper claims NoCAlert has no false
+// negative, so one exits the command with status 1; mode prefixes the
+// messages.
+func writeReport(mode string, spec campaign.Spec, rep *campaign.Report, figs figures, jsonPath, goldenPath string) {
+	printFigures(os.Stdout, rep, figs)
+	if jsonPath != "" {
+		writeReportJSON(rep, jsonPath)
+	}
+	if goldenPath != "" {
+		checkGolden(mode, spec, rep, goldenPath)
+	}
+	fn := rep.FalseNegatives(campaign.NoCAlert)
+	fmt.Printf("Observation 1 — NoCAlert false negatives: %d (ForEVeR: %d)\n",
+		fn, rep.FalseNegatives(campaign.ForEVeR))
+	if fn != 0 {
+		log.Fatalf("%s: %d NoCAlert false negative(s): Observation 1 does not hold", mode, fn)
+	}
+}
+
+// printFigures renders the selected report figures.
 func printFigures(w io.Writer, rep *campaign.Report, figs figures) {
 	for _, name := range strings.Split(reportFigureNames, ",") {
 		if !figs.has(name) {
@@ -85,7 +113,8 @@ func printFigures(w io.Writer, rep *campaign.Report, figs figures) {
 	}
 }
 
-// writeReportJSON writes the aggregated report as JSON to path.
+// writeReportJSON writes the aggregated report as JSON to path and says
+// so on stderr: stdout is a function of the records alone.
 func writeReportJSON(rep *campaign.Report, path string) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -97,13 +126,13 @@ func writeReportJSON(rep *campaign.Report, path string) {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("JSON results written to %s\n\n", path)
+	fmt.Fprintf(os.Stderr, "JSON results written to %s\n", path)
 }
 
-// checkGolden compares the merged records against the committed
+// checkGolden compares the report's records against the committed
 // fixture at path and exits non-zero on drift; mode prefixes the
 // messages.
-func checkGolden(mode string, merged *campaign.Merged, path string) {
+func checkGolden(mode string, spec campaign.Spec, rep *campaign.Report, path string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatalf("%s: golden fixture: %v", mode, err)
@@ -112,7 +141,7 @@ func checkGolden(mode string, merged *campaign.Merged, path string) {
 	if err != nil {
 		log.Fatalf("%s: %s: %v", mode, path, err)
 	}
-	got := campaign.NewFixture(merged.Spec, merged.Records)
+	got := campaign.NewFixture(spec, rep.Results)
 	if diffs := golden.Diff(got); len(diffs) != 0 {
 		for _, d := range diffs {
 			fmt.Fprintln(os.Stderr, d)

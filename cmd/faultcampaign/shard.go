@@ -123,14 +123,7 @@ func mergeMain(args []string) {
 	if err != nil {
 		log.Fatalf("merge: %v", err)
 	}
-	printFigures(os.Stdout, rep, parseFigures(*figs))
-
-	if *out != "" {
-		writeReportJSON(rep, *out)
-	}
-	if *goldenPath != "" {
-		checkGolden("merge", merged, *goldenPath)
-	}
+	writeReport("merge", merged.Spec, rep, parseFigures(*figs), *out, *goldenPath)
 }
 
 // writeShardSummary prints the per-shard outcome breakdown and folds

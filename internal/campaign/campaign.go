@@ -38,7 +38,7 @@ import (
 	"nocalert/internal/trace"
 )
 
-// ExitPath identifies how a run reached its result. The three paths are
+// ExitPath identifies how a run reached its result. The two paths are
 // result-equivalent — reports are byte-identical whichever path resolves
 // a run — but differ enormously in cost, so campaigns count them.
 type ExitPath int
@@ -47,13 +47,11 @@ const (
 	// ExitFull: the run simulated PostInjectRun, drain and ForEVeR
 	// horizon end to end.
 	ExitFull ExitPath = iota
-	// ExitFastPath: every fault of the group provably expired without
-	// firing; the tail was synthesized as a reconverged run's is.
-	ExitFastPath
-	// ExitReconverged: the fault fired but its perturbation washed out —
-	// the divergence frontier emptied mid window with a clean ejection
+	// ExitReconverged: the faulty state is golden's again — the
+	// divergence frontier emptied mid window with a clean ejection
 	// history and golden's counters, so the tail was synthesized instead
-	// of simulated.
+	// of simulated. A run whose faults never fired never diverged, and
+	// ends here too: it is the record's fast path (RunRecord.FastPath).
 	ExitReconverged
 )
 
@@ -62,8 +60,6 @@ func (e ExitPath) String() string {
 	switch e {
 	case ExitFull:
 		return "full"
-	case ExitFastPath:
-		return "fastpath"
 	case ExitReconverged:
 		return "reconverged"
 	}
@@ -100,9 +96,10 @@ type Options struct {
 	CheckersDisabled []core.CheckerID
 	// FullSim runs every fault on the full-simulation reference path
 	// (runSlow): fork, step the whole mesh through the window, the drain
-	// and the ForEVeR horizon, compare. No run takes the fast path, the
-	// reconvergence exit, the divergence frontier or the frozen-state
-	// fast-forward, and the golden warm-up records nothing those read.
+	// and the ForEVeR horizon, compare. No run takes the reconvergence
+	// exit (so none the fast path), the divergence frontier or the
+	// frozen-state fast-forward, and the golden warm-up records nothing
+	// those read.
 	// Reports are byte-identical either way (test-enforced); the switch
 	// is the oracle the shortcuts are held to and the baseline their win
 	// is measured against.
@@ -203,9 +200,8 @@ type Report struct {
 	// Results holds one record per fault group, in input order; every
 	// figure is a fold over them.
 	Results []trace.RunRecord
-	// FastPathHits counts runs resolved by the early-exit fast path
-	// (fault provably never fired; the tail synthesized from the golden
-	// record instead of simulating drain and horizon).
+	// FastPathHits counts the fast-path runs: the faults never fired, so
+	// the run reconverged without diverging (RunRecord.FastPath).
 	FastPathHits int
 	// ReconvergedHits counts runs whose fault fired but whose state
 	// reconverged with the golden run's before the post-injection window
@@ -412,18 +408,20 @@ func Run(opts Options) (_ *Report, err error) {
 				if needTiming {
 					rec.WallSeconds = time.Since(runStart).Seconds()
 				}
-				// A reconverged run records fast_path=false like a fully
-				// simulated one: the record layout is part of the checkpoint
-				// identity contract, and reconvergence is result-invisible.
-				rec.Index, rec.FastPath = i, exit == ExitFastPath
+				// The fast path is derived here and nowhere else: a run
+				// that reconverged without its faults ever firing. A fired
+				// run that reconverged records fast_path=false like a fully
+				// simulated one, and so does an unfired permanent fault,
+				// which never goes quiescent and ends ExitFull.
+				rec.Index, rec.FastPath = i, exit == ExitReconverged && !rec.Fired
 				ro.finish(&rec, exit, convCycles, &st)
 				report.Results[i] = rec
 				progMu.Lock()
 				done++
-				switch exit {
-				case ExitFastPath:
+				switch {
+				case rec.FastPath:
 					fastHits++
-				case ExitReconverged:
+				case exit == ExitReconverged:
 					reconvHits++
 				}
 				if st.forked {
@@ -525,8 +523,8 @@ func buildGroupCtx(tw *worker, o Options, fp forkPoint, gs *obs.Span, counts *st
 	}
 
 	// The shortcuts rest on a clean golden continuation: no NoCAlert
-	// assertion anywhere in it (so an engine frozen at the fast-path or
-	// reconvergence cycle loses nothing), a benign golden-vs-golden verdict,
+	// assertion anywhere in it (so an engine frozen at the reconvergence
+	// cycle loses nothing), a benign golden-vs-golden verdict,
 	// a transcript that settled, and a golden ForEVeR monitor whose
 	// detection list stayed under its cap (so the recorded tail is complete)
 	// and that ended with every counter at zero and no notification in
@@ -723,7 +721,7 @@ func findForever(n *sim.Network) *forever.Monitor {
 // FullSim or when it does not. The record it returns carries the run's
 // fault and verdict; the caller stamps where and how it ran (Index,
 // FastPath, WallSeconds). convCycles is the reconvergence latency (cycles
-// after injection); zero for the other exit paths.
+// after injection); zero for ExitFull.
 func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs) (rec trace.RunRecord, exit ExitPath, convCycles int64, st runStats) {
 	if gc.rec == nil {
 		rec = runSlow(w, gc, o, group, &st, ro)
@@ -766,19 +764,18 @@ func (w *worker) forkRun(gc *groupCtx, o Options, plane *fault.Plane, lazy bool,
 // runFrontier drives one forked faulty run with the divergence-frontier
 // delta engine: only the fault's cone of influence is stepped, every
 // other node is replayed from the golden signal transcript (see
-// sim.Frontier). It has three exits. When every fault of the group has
-// provably expired without firing, the run is bit-identical to the
-// fault-free continuation from the same forked state, so the rest of it is
-// synthesized as below (ExitFastPath). When the plane is quiescent (fired,
-// but can never fire again) and the frontier has shrunk to empty with a
-// clean ejection history and golden's counters, the faulty state is
-// golden's, so the rest of the window, the drain and the horizon are
-// synthesized (ExitReconverged): a few flag and counter compares a cycle.
-// (The frontier looks at a member's state on a backoff of its own; on the
-// window's last cycle, where emptiness decides between this exit and the
-// next, it is made to look at them all.) A run still divergent at window
-// end finishes (drain, horizon, verdict) in finishRun, stepped by the
-// frontier: the transcript covers golden's drain and everything after it.
+// sim.Frontier). It has two exits. When the plane is quiescent (it can
+// never fire again, whether or not it did) and the frontier has shrunk to
+// empty with a clean ejection history and golden's counters, the faulty
+// state is golden's, so the rest of the window, the drain and the horizon
+// are synthesized (ExitReconverged): a few flag and counter compares a
+// cycle. A run whose faults never fired diverged nowhere and takes this
+// exit too. (The frontier looks at a member's state on a backoff of its
+// own; on the window's last cycle, where emptiness decides between this
+// exit and the other, it is made to look at them all.) A run still
+// divergent at window end finishes (drain, horizon, verdict) in finishRun,
+// stepped by the frontier: the transcript covers golden's drain and
+// everything after it.
 // That holds for a run whose fault is still armed at window end too
 // (permanent, intermittent): its members never retire, so it costs its
 // cone until finishRun's probe finds the cone has stopped changing
@@ -806,12 +803,6 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 	fa := ro.phase("fault-armed")
 	for t := int64(0); t < o.PostInjectRun; t++ {
 		fr.Step()
-		if n.FaultsInert() {
-			st.simulated = n.Cycle() - gc.cycle
-			st.horizon = n.Cycle()
-			fa.End()
-			return synthesizeReconverged(n.Cycle(), eng, fv, gc.gfv, plane, group), ExitFastPath, 0
-		}
 		if t == o.PostInjectRun-1 {
 			fr.RetireAll()
 		}
@@ -835,13 +826,12 @@ func runFrontier(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *ru
 	return rec, ExitFull, 0
 }
 
-// synthesizeReconverged builds the run's record at cycle at — the
-// reconvergence cycle, or the cycle its faults went inert without firing —
-// without simulating the rest of the window, the drain or the ForEVeR
-// horizon. Soundness: a plane that never fired, or an empty frontier with
-// a clean ejection history and golden's counters, proves the faulty run's
-// past delivered exactly golden's flits and its future will replay
-// golden's cycles bit for bit. Hence the verdict is the benign
+// synthesizeReconverged builds the run's record at cycle at, the
+// reconvergence cycle, without simulating the rest of the window, the
+// drain or the ForEVeR horizon. Soundness: an empty frontier with a clean
+// ejection history and golden's counters proves the faulty run's past
+// delivered exactly golden's flits and its future will replay golden's
+// cycles bit for bit. Hence the verdict is the benign
 // golden-vs-golden one, which is the zero Verdict (buildGroupCtx checked
 // it OK, and OK means every field is zero); the drain succeeds exactly as
 // golden's did; the NoCAlert engine — whose checkers are purely

@@ -10,6 +10,7 @@ import (
 	"nocalert/internal/router"
 	"nocalert/internal/sim"
 	"nocalert/internal/topology"
+	"nocalert/internal/trace"
 )
 
 // idleRCFault returns a transient fault on an RC destination-wire site.
@@ -29,28 +30,44 @@ func idleRCFault(t *testing.T, rc *router.Config, cycle int64) fault.Fault {
 }
 
 // TestFastPathMatchesSlowPathOnIdleSite injects a fault at a site the
-// idle network never consults and checks the early-exit result is
-// byte-identical to the one the full-simulation reference gives.
+// idle network never consults and checks the fast-path result is
+// byte-identical to the one the full-simulation reference gives. The
+// same site under a permanent fault never fires either, but its plane
+// never goes quiescent: that run ends ExitFull and is no fast path.
 func TestFastPathMatchesSlowPathOnIdleSite(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
 	rc := router.Default(mesh)
+	transient := idleRCFault(t, &rc, 50)
+	permanent := transient
+	permanent.Type = fault.Permanent
+	faults := []fault.Fault{transient, permanent}
+	exits := map[fault.Type]ExitPath{}
 	opts := Options{
 		Sim:           sim.Config{Router: rc, InjectionRate: 0, Seed: 2},
 		InjectCycle:   50,
 		PostInjectRun: 200,
 		DrainDeadline: 2000,
 		Forever:       forever.Options{Epoch: 200, HopLatency: 1},
-		Faults:        []fault.Fault{idleRCFault(t, &rc, 50)},
+		Faults:        faults,
 		Workers:       1,
+		OnResult: func(rec *trace.RunRecord, exit ExitPath) {
+			exits[faults[rec.Index].Type] = exit
+		},
 	}
 
 	fastRep, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fastRep.FastPathHits != 1 {
-		t.Fatalf("FastPathHits = %d, want 1 (idle-site fault must take the fast path)", fastRep.FastPathHits)
+	if !fastRep.Results[0].FastPath || exits[fault.Transient] != ExitReconverged || fastRep.ReconvergedHits != 0 {
+		t.Fatalf("unfired transient: fast_path %t, exit %v, %d reconverged hits: want the fast path, ExitReconverged and none",
+			fastRep.Results[0].FastPath, exits[fault.Transient], fastRep.ReconvergedHits)
 	}
+	if fastRep.Results[1].FastPath || exits[fault.Permanent] != ExitFull || fastRep.FastPathHits != 1 {
+		t.Fatalf("unfired permanent: fast_path %t, exit %v, %d fast-path hits: want no fast path, ExitFull and one hit (the transient's)",
+			fastRep.Results[1].FastPath, exits[fault.Permanent], fastRep.FastPathHits)
+	}
+	opts.OnResult = nil
 
 	opts.FullSim = true
 	slowRep, err := Run(opts)
@@ -60,12 +77,14 @@ func TestFastPathMatchesSlowPathOnIdleSite(t *testing.T) {
 	if slowRep.FastPathHits != 0 {
 		t.Fatalf("FastPathHits = %d under FullSim, want 0", slowRep.FastPathHits)
 	}
-	if slowRep.Results[0].Fired {
-		t.Fatal("idle-site fault fired; the test premise is broken")
-	}
-	if !sameRun(fastRep.Results[0], slowRep.Results[0]) {
-		t.Fatalf("fast-path result differs from slow-path result:\nfast: %+v\nslow: %+v",
-			fastRep.Results[0], slowRep.Results[0])
+	for i, sr := range slowRep.Results {
+		if sr.Fired {
+			t.Fatalf("idle-site %s fault fired; the test premise is broken", sr.FaultType)
+		}
+		if !sameRun(fastRep.Results[i], sr) {
+			t.Fatalf("%s: default result differs from the full-simulation one:\nfast: %+v\nslow: %+v",
+				sr.FaultType, fastRep.Results[i], sr)
+		}
 	}
 }
 
@@ -90,8 +109,22 @@ func TestFastPathBitIdenticalCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fastRep.FastPathHits == 0 {
-		t.Fatal("no run took the fast path; the test premise is broken")
+	if fastRep.FastPathHits == 0 || fastRep.ReconvergedHits == 0 {
+		t.Fatalf("%d fast-path and %d reconverged runs; the test premise is broken", fastRep.FastPathHits, fastRep.ReconvergedHits)
+	}
+	// A run whose fault fired is never on the fast path, however it ends;
+	// every unfired one is.
+	unfired := 0
+	for i, r := range fastRep.Results {
+		if r.FastPath == r.Fired {
+			t.Errorf("run %d: fired %t but fast_path %t", i, r.Fired, r.FastPath)
+		}
+		if !r.Fired {
+			unfired++
+		}
+	}
+	if unfired != fastRep.FastPathHits {
+		t.Errorf("%d unfired runs but %d fast-path hits", unfired, fastRep.FastPathHits)
 	}
 	opts.FullSim = true
 	slowRep, err := Run(opts)

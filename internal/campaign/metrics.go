@@ -19,9 +19,10 @@ const (
 	// report.
 	MetricRunsExpected = "campaign_runs_expected"
 	// MetricFastPathHits / MetricFastPathMisses split completed runs by
-	// whether the early-exit fast path resolved them. Reconverged runs
-	// count as fast-path misses (their fault fired); the two counters
-	// below split the misses further.
+	// whether they took the fast path: faults that never fired, so the
+	// run reconverged without diverging (RunRecord.FastPath). Runs that
+	// reconverged after their fault fired count as fast-path misses; the
+	// two counters below split the misses further.
 	MetricFastPathHits   = "campaign_fastpath_hits_total"
 	MetricFastPathMisses = "campaign_fastpath_misses_total"
 	// MetricReconvergenceHits counts runs ended early because their
@@ -229,10 +230,10 @@ func (in *instruments) observe(rec *trace.RunRecord, groupWait time.Duration, ex
 		in.frontierJoins.Add(st.frontierJoins)
 		in.frontierSize.Observe(float64(st.frontierPeak))
 	}
-	switch exit {
-	case ExitFastPath:
+	switch {
+	case rec.FastPath:
 		in.fastHits.Inc()
-	case ExitReconverged:
+	case exit == ExitReconverged:
 		in.fastMisses.Inc()
 		in.reconvHits.Inc()
 		in.reconvCycles.Observe(float64(convCycles))

@@ -25,6 +25,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	type seen struct {
 		wall float64
 		exit ExitPath
+		fast bool
 	}
 	results := make(map[int]seen)
 	rep, err := Run(Options{
@@ -39,7 +40,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 			if _, dup := results[rec.Index]; dup {
 				t.Errorf("OnResult called twice for index %d", rec.Index)
 			}
-			results[rec.Index] = seen{wall: rec.WallSeconds, exit: exit}
+			results[rec.Index] = seen{wall: rec.WallSeconds, exit: exit, fast: rec.FastPath}
 		},
 	})
 	if err != nil {
@@ -54,10 +55,10 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 		if s.wall <= 0 {
 			t.Fatalf("run %d has non-positive wall time %g s", i, s.wall)
 		}
-		switch s.exit {
-		case ExitFastPath:
+		switch {
+		case s.fast:
 			fastSeen++
-		case ExitReconverged:
+		case s.exit == ExitReconverged:
 			reconvSeen++
 		}
 	}

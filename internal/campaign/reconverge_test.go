@@ -90,9 +90,9 @@ func TestReconvergedResultsMatchFullSimulation(t *testing.T) {
 }
 
 // TestQuiescentVsInert pins the fault-plane predicate the reconvergence
-// gate relies on: a fired transient is quiescent (it can never fire
-// again) but not inert (it did fire), while a permanent fault is never
-// quiescent.
+// gate relies on: a transient is quiescent once its cycle has passed (it
+// can never fire again, whether or not it did), while a permanent fault
+// is never quiescent.
 func TestQuiescentVsInert(t *testing.T) {
 	params := fault.Params{Mesh: topology.NewMesh(2, 2), VCs: 2, BufDepth: 4}
 	site := params.EnumerateSites()[0]

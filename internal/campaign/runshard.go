@@ -73,10 +73,11 @@ type ShardRunStats struct {
 	Verified int
 	// Executed counts newly executed (and recorded) runs.
 	Executed int
-	// FastPathHits counts early-exited runs among Executed+Verified.
+	// FastPathHits counts fast-path runs (RunRecord.FastPath) among
+	// Executed+Verified.
 	FastPathHits int
-	// Reconverged counts runs among Executed+Verified ended early by
-	// golden-state reconvergence.
+	// Reconverged counts runs among Executed+Verified whose faults fired
+	// and that were ended early by golden-state reconvergence.
 	Reconverged int
 	// FullSim counts runs among Executed+Verified that simulated their
 	// window, drain and horizon end to end (no early exit).
@@ -229,10 +230,10 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 		j := jobs[r.Index]
 		rec := *r
 		rec.Index = j.global
-		switch exit {
-		case ExitFastPath:
+		switch {
+		case rec.FastPath:
 			stats.FastPathHits++
-		case ExitReconverged:
+		case exit == ExitReconverged:
 			stats.Reconverged++
 		default:
 			stats.FullSim++

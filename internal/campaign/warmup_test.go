@@ -18,14 +18,16 @@ import (
 	"nocalert/internal/traffic"
 )
 
-// TestFastPathIsTheReference holds every run of a multi-cycle universe
-// that leaves by the fast path — its faults expired without firing, its
-// tail synthesized from its own engine and the golden ForEVeR record — to
-// the full-simulation reference run of the same group: runSlow, through
-// fork, window, drain, horizon and verdict, every cycle stepped. Every
-// field must agree, by default and with a ForEVeR epoch short enough that
-// the golden monitor flags (so the fast path's ForEVeR answer comes from
-// the recorded golden tail), at every injection cycle.
+// TestFastPathIsTheReference holds every run of a multi-cycle transient
+// universe whose faults expired without firing to two statements: it
+// leaves the frontier by the reconvergence exit (nothing diverged, so the
+// frontier empties), and its record — the tail synthesized from its own
+// engine and the golden ForEVeR record — is the full-simulation reference
+// run's of the same group: runSlow, through fork, window, drain, horizon
+// and verdict, every cycle stepped. Every field must agree, by default and
+// with a ForEVeR epoch short enough that the golden monitor flags (so the
+// unfired run's ForEVeR answer comes from the recorded golden tail), at
+// every injection cycle.
 func TestFastPathIsTheReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -52,13 +54,16 @@ func TestFastPathIsTheReference(t *testing.T) {
 				c := group[0].Cycle
 				gc := gold.groups[c].gc
 				rec, exit, _, _ := runOne(&fast, gc, o, group, nil)
-				if exit != ExitFastPath {
+				if rec.Fired {
 					continue
 				}
 				hits[c]++
+				if exit != ExitReconverged {
+					t.Errorf("run %d (%v): faults never fired, but the run exits %v", i, &group[0], exit)
+				}
 				var st runStats
 				if want := runSlow(&slow, gc, o, group, &st, nil); !reflect.DeepEqual(rec, want) || st.verdict != (golden.Verdict{}) {
-					t.Errorf("run %d (%v): the fast path gives\n %+v\nthe reference run\n %+v, verdict %+v", i, &group[0], rec, want, st.verdict)
+					t.Errorf("run %d (%v): the unfired frontier run gives\n %+v\nthe reference run\n %+v, verdict %+v", i, &group[0], rec, want, st.verdict)
 				}
 				if rec.ForeverOutcome.Detected() {
 					flagged++
@@ -66,14 +71,14 @@ func TestFastPathIsTheReference(t *testing.T) {
 			}
 			for _, c := range cycles {
 				if hits[c] == 0 {
-					t.Errorf("injection cycle %d: no run took the fast path", c)
+					t.Errorf("injection cycle %d: every fault fired: the test checks nothing there", c)
 				}
 				if n := len(gold.groups[c].gc.gfv.Detections()); tc.epoch == 20 && (n == 0 || n >= forever.DetectionCap) {
 					t.Errorf("injection cycle %d: golden monitor flagged %d times: want a flagging golden under the detection cap", c, n)
 				}
 			}
 			if tc.epoch == 20 && flagged == 0 {
-				t.Error("no fast-path result carries a ForEVeR flag under a flagging golden")
+				t.Error("no unfired run's result carries a ForEVeR flag under a flagging golden")
 			}
 		})
 	}

@@ -203,8 +203,8 @@ func (f *Fault) ActiveAt(cycle int64) bool {
 // intermittent without a period (a single strike on the read path),
 // close on their injection cycle; a permanent and a periodic
 // intermittent never do. It is the one place that decides what closes —
-// the plane's windows, Inert and Quiescent all read it — and ActiveAt is
-// false on every cycle past it.
+// the plane's windows, Quiescent and Stationary all read it — and
+// ActiveAt is false on every cycle past it.
 func (f *Fault) lastActive() int64 {
 	if f.Type == Transient || (f.Type == Intermittent && f.Period <= 0) {
 		return f.Cycle
@@ -322,47 +322,16 @@ func (p *Plane) FiredAt(i int) int64 {
 	return p.firedAt[i]
 }
 
-// Inert reports whether the plane can no longer influence a simulation
-// from the given cycle onward: every fault's window has closed (see
-// Fault.lastActive) without the fault ever corrupting a consulted
-// signal. Since a fault alters state only through xorMask or
-// TransientRegisterFlips — both of which record firing — an inert
-// plane's run is bit-identical to the fault-free continuation from the
-// fork point, which is what lets campaigns short-circuit the remaining
-// cycles. A nil or empty plane is trivially inert.
-//
-// Inert is monotone: once true at some cycle it is true at every later
-// cycle (a window that has closed stays closed, and a never-fired fault
-// past its last active cycle can never fire).
-func (p *Plane) Inert(cycle int64) bool {
-	if p == nil {
-		return true
-	}
-	for i := range p.faults {
-		f := &p.faults[i]
-		if p.firedAt[i] >= 0 {
-			return false
-		}
-		// Permanent and periodic intermittent faults can always strike
-		// again. Transient register upsets are applied (and marked
-		// fired) at f.Cycle, so they too are covered by the window check.
-		if cycle <= f.lastActive() {
-			return false
-		}
-	}
-	return true
-}
-
 // Quiescent reports whether the plane can no longer fire from the given
 // cycle onward, regardless of whether it already did: every fault is a
-// one-shot (Fault.lastActive) whose window has closed. Unlike Inert it
-// stays true for planes that corrupted state — exactly the population the
-// reconvergence fast path targets: the fault hit, the perturbation is
-// in flight, and the only open question is whether it washes out.
+// one-shot (Fault.lastActive) whose window has closed. That is what the
+// reconvergence exit needs: a plane that fired has its perturbation in
+// flight, and the only open question is whether it washes out; one that
+// never fired changed nothing, so its run reconverges.
 //
-// Quiescent is monotone for the same reason Inert is: windows only
-// close. maxCycle is the last of the faults' last active cycles (an empty
-// plane's is math.MinInt64), so the query is one compare.
+// Quiescent is monotone: windows only close. maxCycle is the last of the
+// faults' last active cycles (an empty plane's is math.MinInt64), so the
+// query is one compare.
 func (p *Plane) Quiescent(cycle int64) bool {
 	return p == nil || cycle > p.maxCycle
 }

@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// TestWhatCloses holds the plane's three predicates about a fault's end —
-// its windows (LiveFor), Quiescent and Inert — to one answer per fault,
+// TestWhatCloses holds the plane's two predicates about a fault's end —
+// its windows (LiveFor) and Quiescent — to one answer per fault,
 // Fault.lastActive, and that answer to ActiveAt on every cycle of a short
 // range: the three types, with and without a period, before, on and after
 // the injection cycle. A one-shot intermittent (no period) closes like a
-// transient; NewPlane always said so, Quiescent and Inert used to call it
-// armed for ever.
+// transient.
 func TestWhatCloses(t *testing.T) {
 	const strike, never = 10, math.MaxInt64
 	site := Site{Router: 5, Kind: SA1Gnt, Port: 0, VC: -1, Width: 4}
@@ -49,29 +48,49 @@ func TestWhatCloses(t *testing.T) {
 				if got := p.Quiescent(c); got != (c > tc.last) {
 					t.Errorf("cycle %d: Quiescent = %t, want %t", c, got, c > tc.last)
 				}
-				if got := p.Inert(c); got != (c > tc.last) {
-					t.Errorf("cycle %d: Inert (never consulted) = %t, want %t", c, got, c > tc.last)
-				}
 			}
 			if !sawActive || !f.ActiveAt(strike) {
 				t.Error("the fault was never active: the table checks nothing")
 			}
 
 			// Consulted on every cycle, the fault fires on its strike cycle;
-			// a fired plane is never inert, and quiescent as before.
+			// a fired plane is quiescent as before: firing closes nothing.
 			for c := int64(0); c < 40; c++ {
 				p.Vec(c, site.Router, site.Kind, site.Port, site.VC, 0)
 			}
 			if p.FiredAt(0) != strike {
 				t.Fatalf("FiredAt = %d, want %d", p.FiredAt(0), strike)
 			}
-			if p.Inert(39) {
-				t.Error("a fired plane reports inert")
-			}
 			if got := p.Quiescent(39); got != (39 > tc.last) {
 				t.Errorf("Quiescent after firing = %t, want %t", got, 39 > tc.last)
 			}
 		})
+	}
+}
+
+// TestQuiescentWaitsForEveryFault: a nil or empty plane is quiescent from
+// the start, and a group is quiescent only once the last of its faults'
+// windows has closed, whether or not an earlier one fired.
+func TestQuiescentWaitsForEveryFault(t *testing.T) {
+	var nilPlane *Plane
+	if !nilPlane.Quiescent(0) || !NewPlane().Quiescent(0) {
+		t.Fatal("a nil or empty plane must be quiescent")
+	}
+	s := Site{Router: 0, Kind: VA1Gnt, Port: 0, VC: -1, Width: 4}
+	p := NewPlane(
+		Fault{Site: s, Bit: 0, Cycle: 10, Type: Transient},
+		Fault{Site: s, Bit: 1, Cycle: 50, Type: Transient},
+	)
+	if p.Vec(10, 0, VA1Gnt, 0, -1, 0) == 0 || p.FiredAt(0) != 10 {
+		t.Fatal("the first fault did not fire on its cycle")
+	}
+	for _, c := range []int64{11, 20, 50} {
+		if p.Quiescent(c) {
+			t.Errorf("cycle %d: quiescent with a fault still pending at cycle 50", c)
+		}
+	}
+	if !p.Quiescent(51) || !p.Quiescent(1000) {
+		t.Error("the group must be quiescent once every window has closed")
 	}
 }
 

@@ -121,9 +121,6 @@ type Network struct {
 	// here only once copyNode has fetched them. Only a Frontier steps such
 	// a network.
 	origin *Network
-	// planeInert caches Plane.Inert once it turns true (the property is
-	// monotone), so the per-cycle fast-path check is a bool load.
-	planeInert bool
 }
 
 // New builds a network from the configuration. The fault plane may be
@@ -562,20 +559,6 @@ func (n *Network) ApproxFootprintBytes() int64 {
 	return total
 }
 
-// FaultsInert reports whether the attached fault plane can no longer
-// influence this network from the current cycle onward — every fault
-// window has closed without corrupting a consulted signal (see
-// fault.Plane.Inert). Campaigns poll this after each Step to
-// short-circuit runs whose remainder is bit-identical to the fault-free
-// golden continuation. The property is monotone, so the result is
-// cached once true.
-func (n *Network) FaultsInert() bool {
-	if !n.planeInert && n.plane.Inert(n.cycle) {
-		n.planeInert = true
-	}
-	return n.planeInert
-}
-
 // newCloneShell builds an empty network whose routers and NIs are
 // clone targets bound to a fresh shared SoA state of this network's
 // geometry; Clone and CloneInto fill it in.
@@ -600,7 +583,6 @@ func (c *Network) copyScalars(n *Network, plane *fault.Plane) {
 	c.mesh, c.nbr = n.mesh, n.nbr
 	c.plane = plane
 	c.soaOff = n.soaOff
-	c.planeInert = false
 	c.cycle = n.cycle
 	c.nextPkt = n.nextPkt
 	c.injecting = n.injecting

@@ -86,8 +86,9 @@ type RunRecord struct {
 	Cycle     int64  `json:"inject_cycle"`
 
 	// Run behaviour: whether the fault corrupted a live signal, whether
-	// the faulty network emptied in time, and whether the run was
-	// resolved by the fast path (its faults never fired).
+	// the faulty network emptied in time, and whether the run took the
+	// fast path: its faults never fired, so it reconverged with golden
+	// without diverging.
 	Fired    bool `json:"fired"`
 	Drained  bool `json:"drained"`
 	FastPath bool `json:"fast_path"`
