@@ -68,14 +68,50 @@ func TestWhatCloses(t *testing.T) {
 	}
 }
 
-// TestQuiescentWaitsForEveryFault: a nil or empty plane is quiescent from
-// the start, and a group is quiescent only once the last of its faults'
-// windows has closed, whether or not an earlier one fired.
-func TestQuiescentWaitsForEveryFault(t *testing.T) {
-	var nilPlane *Plane
-	if !nilPlane.Quiescent(0) || !NewPlane().Quiescent(0) {
-		t.Fatal("a nil or empty plane must be quiescent")
+// inert reports whether a plane can no longer have influenced a run from
+// cycle on: it is quiescent and none of its faults ever fired. That is
+// the condition under which a campaign's reconverged run is a fast path
+// (RunRecord.FastPath: reconverged and never fired).
+func inert(p *Plane, cycle int64) bool {
+	for i := range p.Faults() {
+		if p.FiredAt(i) >= 0 {
+			return false
+		}
 	}
+	return p.Quiescent(cycle)
+}
+
+// TestInertNilAndEmptyPlane: a nil or empty plane is quiescent from the
+// start and has nothing that could fire.
+func TestInertNilAndEmptyPlane(t *testing.T) {
+	var nilPlane *Plane
+	if !nilPlane.Quiescent(0) || !inert(nilPlane, 0) {
+		t.Fatal("a nil plane must be quiescent and inert")
+	}
+	if !NewPlane().Quiescent(0) || !inert(NewPlane(), 0) {
+		t.Fatal("an empty plane must be quiescent and inert")
+	}
+}
+
+// TestInertMixedGroup: a group with one window closed and one still
+// pending is not inert; once every window has closed unfired it is.
+func TestInertMixedGroup(t *testing.T) {
+	s := Site{Router: 0, Kind: VA1Gnt, Port: 0, VC: -1, Width: 4}
+	expired := Fault{Site: s, Bit: 0, Cycle: 10, Type: Transient}
+	pending := Fault{Site: s, Bit: 1, Cycle: 50, Type: Transient}
+	p := NewPlane(expired, pending)
+	if inert(p, 20) || p.Quiescent(20) {
+		t.Fatal("a group with a pending fault must be neither quiescent nor inert")
+	}
+	if !inert(p, 51) || !inert(p, 1000) {
+		t.Fatal("the group must be inert once every window has closed unfired")
+	}
+}
+
+// TestQuiescentWaitsForEveryFault: a group is quiescent only once the
+// last of its faults' windows has closed, even when an earlier one fired;
+// a fired group is never inert.
+func TestQuiescentWaitsForEveryFault(t *testing.T) {
 	s := Site{Router: 0, Kind: VA1Gnt, Port: 0, VC: -1, Width: 4}
 	p := NewPlane(
 		Fault{Site: s, Bit: 0, Cycle: 10, Type: Transient},
@@ -91,6 +127,9 @@ func TestQuiescentWaitsForEveryFault(t *testing.T) {
 	}
 	if !p.Quiescent(51) || !p.Quiescent(1000) {
 		t.Error("the group must be quiescent once every window has closed")
+	}
+	if inert(p, 1000) {
+		t.Error("a group whose fault fired must never be inert")
 	}
 }
 
