@@ -14,7 +14,7 @@ GOLDEN_FLAGS = -mesh 4x4 -vcs 4 -rate 0.12 -seed 3 -inject 300 -post 400 \
 # merge — add tests instead.
 COVER_FLOOR = 89.0
 
-.PHONY: all build fmt vet lint deadcode test race cover e2e e2e-dist benchfleet ci golden paper shardcheck identity fuzz-smoke build386 test386
+.PHONY: all build fmt vet lint deadcode test race cover e2e e2e-dist benchfleet ci golden paper paper-fleet shardcheck identity fuzz-smoke build386 test386
 
 all: ci
 
@@ -184,6 +184,34 @@ paper:
 	done
 	.paper/faultcampaign $(PAPER_FLAGS) -inject 32000 -fig obs3 -progress=false > testdata/paper/obs3.txt
 	$(GO) run ./cmd/hwcost > testdata/paper/hwcost.txt
+
+# paper-fleet is make paper's cycle-32 000 campaign through the fleet: two
+# local nocalertd daemons, started and found as CI's scrape step starts
+# one, the spec dispatched over them as two shards (each daemon warms its
+# own golden reference up), and the merged report compared byte for byte
+# with testdata/paper/cycle32000.json. The trap kills both daemons and
+# removes .paper-fleet/ on every exit path, an interrupt included. It needs
+# make paper's committed output, not its .paper/ checkpoints, and is no part
+# of ci.
+paper-fleet:
+	@set -e; rm -rf .paper-fleet; mkdir -p .paper-fleet; \
+	trap 'trap "" INT TERM HUP; kill $$(cat .paper-fleet/*.pid 2>/dev/null) 2>/dev/null; wait; rm -rf .paper-fleet' EXIT; \
+	trap 'exit 1' INT TERM HUP; \
+	$(GO) build -o .paper-fleet/nocalertd ./cmd/nocalertd; \
+	$(GO) build -o .paper-fleet/faultcampaign ./cmd/faultcampaign; \
+	workers=; for d in 0 1; do \
+		.paper-fleet/nocalertd -addr localhost:0 -dir .paper-fleet/state$$d \
+			> .paper-fleet/daemon$$d.out 2> .paper-fleet/daemon$$d.err & echo $$! > .paper-fleet/daemon$$d.pid; \
+		for i in $$(seq 1 50); do grep -q 'listening on' .paper-fleet/daemon$$d.out && break; sleep 0.1; done; \
+		addr="$$(sed -n 's/^nocalertd: listening on \([^ ]*\).*/\1/p' .paper-fleet/daemon$$d.out)"; \
+		test -n "$$addr" || { echo "daemon $$d never came up"; cat .paper-fleet/daemon$$d.err; exit 1; }; \
+		workers="$$workers$${workers:+,}http://$$addr"; \
+	done; \
+	.paper-fleet/faultcampaign dispatch -workers "$$workers" $(PAPER_FLAGS) -faults 0 -inject 32000 \
+		-progress=false -out .paper-fleet/cycle32000.json > .paper-fleet/dispatch.txt || { cat .paper-fleet/dispatch.txt; exit 1; }; \
+	head -1 .paper-fleet/dispatch.txt; tail -1 .paper-fleet/dispatch.txt; \
+	cmp .paper-fleet/cycle32000.json testdata/paper/cycle32000.json; \
+	echo "paper-fleet: the fleet's report is testdata/paper/cycle32000.json"
 
 # identity proves the result-invisible switches invisible. The three
 # committed JSON report fixtures (the golden 4×4 campaign, the paper-scale

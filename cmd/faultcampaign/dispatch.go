@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"nocalert/internal/coordinator"
-	"nocalert/internal/metrics"
 	"nocalert/internal/obs"
 )
 
@@ -58,7 +57,6 @@ func dispatchMain(args []string) {
 		log.Fatal(err)
 	}
 
-	reg := metrics.NewRegistry()
 	var tracer *obs.Tracer
 	if *spanOut != "" {
 		f, err := os.Create(*spanOut)
@@ -66,7 +64,7 @@ func dispatchMain(args []string) {
 			log.Fatalf("dispatch: trace-spans: %v", err)
 		}
 		defer f.Close()
-		tracer = obs.New(obs.Options{Writer: f, Service: "faultcampaign-dispatch", Metrics: reg})
+		tracer = obs.New(obs.Options{Writer: f, Service: "faultcampaign-dispatch"})
 		defer tracer.Close()
 	}
 
@@ -77,7 +75,6 @@ func dispatchMain(args []string) {
 		MaxInFlight:  *inflight,
 		LeaseTimeout: *lease,
 		MaxAttempts:  *attempts,
-		Metrics:      reg,
 		Tracer:       tracer,
 	}
 	if *verbose {

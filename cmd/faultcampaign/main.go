@@ -144,7 +144,7 @@ func main() {
 	var tracer *obs.Tracer
 	var spanFile *os.File
 	if *spanOut != "" || *otlpOut != "" {
-		topts := obs.Options{SampleEvery: *spanN, Retain: *otlpOut != "", Service: "faultcampaign", Metrics: reg}
+		topts := obs.Options{SampleEvery: *spanN, Retain: *otlpOut != "", Service: "faultcampaign"}
 		if *spanOut != "" {
 			spanFile, err = os.Create(*spanOut)
 			if err != nil {

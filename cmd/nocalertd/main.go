@@ -104,7 +104,7 @@ func main() {
 			fatal("trace-spans open", err)
 		}
 		defer f.Close()
-		tracer = obs.New(obs.Options{Writer: f, SampleEvery: *spanN, Service: "nocalertd", Metrics: reg})
+		tracer = obs.New(obs.Options{Writer: f, SampleEvery: *spanN, Service: "nocalertd"})
 		defer tracer.Close()
 		logger = logger.With("trace_id", tracer.TraceID())
 	}

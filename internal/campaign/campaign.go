@@ -115,11 +115,11 @@ type Options struct {
 	// the number of finished runs and the total. Calls are serialized;
 	// the callback must not call back into the campaign.
 	Progress func(done, total int)
-	// Metrics, when non-nil, receives campaign telemetry: run counts,
-	// per-run wall-time histograms, fast-path hit/miss counters,
-	// outcome and verdict-class counters, and a live faults/sec gauge
-	// (see the Metric* name constants). Nil — the default — keeps the
-	// hot path free of any telemetry cost.
+	// Metrics, when non-nil, receives the campaign telemetry something
+	// reads live: the run-path and cycle counters, the golden footprint
+	// and cache families, the group-wait histogram and a live faults/sec
+	// gauge (see the Metric* name constants). Nil — the default — keeps
+	// the hot path free of any telemetry cost.
 	Metrics *metrics.Registry
 	// OnResult, when non-nil, is invoked after each completed run with
 	// the run's record — Index its position in FaultGroups, WallSeconds
@@ -352,12 +352,12 @@ func Run(opts Options) (_ *Report, err error) {
 	total := len(o.FaultGroups)
 	var inst *instruments
 	if o.Metrics != nil {
-		inst = newInstruments(o.Metrics, o.Workers, total)
+		inst = newInstruments(o.Metrics)
 	}
-	// Per-run wall clocks are only read when someone is listening, and
-	// the rate clock only moves under Metrics: the metrics-off loop takes
-	// no time but the group waits'.
-	needTiming := inst != nil || o.OnResult != nil
+	// Per-run wall clocks are only read when someone is listening to the
+	// records, and the rate clock only moves under Metrics: the
+	// metrics-off loop takes no time but the group waits'.
+	needTiming := o.OnResult != nil
 	// clock is what the live rates divide by. Guarded by progMu, like
 	// everything else the workers share.
 	clock := rateClock{start: time.Now()}
@@ -435,7 +435,7 @@ func Run(opts Options) (_ *Report, err error) {
 				synthSaved += st.synthesized
 				if inst != nil {
 					clock.move(0, -1)
-					inst.observe(&report.Results[i], waited, exit, convCycles, &st, done, simCycles, clock.active())
+					inst.observe(&report.Results[i], waited, exit, &st, done, clock.active())
 				}
 				if o.OnResult != nil {
 					o.OnResult(&report.Results[i], exit)

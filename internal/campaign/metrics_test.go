@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"nocalert/internal/fault"
@@ -70,53 +72,103 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	}
 
 	counter := func(name string) int64 { return reg.Counter(name).Value() }
-	if got := counter(MetricRuns); got != int64(len(faults)) {
-		t.Fatalf("%s = %d, want %d", MetricRuns, got, len(faults))
-	}
-	if got := counter(MetricFastPathHits); got != int64(rep.FastPathHits) {
-		t.Fatalf("%s = %d, want %d", MetricFastPathHits, got, rep.FastPathHits)
-	}
-	if got := counter(MetricFastPathMisses); got != int64(len(faults)-rep.FastPathHits) {
-		t.Fatalf("%s = %d, want %d", MetricFastPathMisses, got, len(faults)-rep.FastPathHits)
-	}
-	if got := counter(MetricReconvergenceHits); got != int64(rep.ReconvergedHits) {
-		t.Fatalf("%s = %d, want %d", MetricReconvergenceHits, got, rep.ReconvergedHits)
-	}
 	wantFull := len(faults) - rep.FastPathHits - rep.ReconvergedHits
-	if got := counter(MetricFullSimRuns); got != int64(wantFull) {
-		t.Fatalf("%s = %d, want %d", MetricFullSimRuns, got, wantFull)
-	}
-	if got := reg.Histogram(MetricReconvergenceCycles, reconvCyclesBounds).Count(); got != int64(rep.ReconvergedHits) {
-		t.Fatalf("%s count = %d, want %d", MetricReconvergenceCycles, got, rep.ReconvergedHits)
-	}
-	if got := counter(MetricFired); got != int64(rep.FiredCount()) {
-		t.Fatalf("%s = %d, want %d", MetricFired, got, rep.FiredCount())
-	}
-	if got := counter(MetricVerdictMalicious); got != int64(rep.MaliciousCount()) {
-		t.Fatalf("%s = %d, want %d", MetricVerdictMalicious, got, rep.MaliciousCount())
-	}
-	if got := counter(MetricVerdictOK); got != int64(len(faults)-rep.MaliciousCount()) {
-		t.Fatalf("%s = %d, want %d", MetricVerdictOK, got, len(faults)-rep.MaliciousCount())
-	}
-	for _, m := range []Mechanism{NoCAlert, Cautious, ForEVeR} {
-		cov := rep.Coverage(m)
-		for o, want := range map[trace.Outcome]int{
-			trace.TruePositive: cov.TP, trace.FalsePositive: cov.FP,
-			trace.TrueNegative: cov.TN, trace.FalseNegative: cov.FN,
-		} {
-			if got := counter(OutcomeMetricName(m, o)); got != int64(want) {
-				t.Fatalf("%s = %d, want %d", OutcomeMetricName(m, o), got, want)
-			}
+	for name, want := range map[string]int64{
+		MetricFastPathHits:      int64(rep.FastPathHits),
+		MetricReconvergenceHits: int64(rep.ReconvergedHits),
+		MetricFullSimRuns:       int64(wantFull),
+		MetricForkedRuns:        int64(rep.ForkedRuns),
+		MetricFrontierRuns:      int64(rep.FrontierRuns),
+		MetricSimulatedCycles:   rep.SimulatedCycles,
+		MetricSynthesizedCycles: rep.SynthesizedCycles,
+		MetricWarmstartSaved:    rep.WarmstartCyclesSaved,
+	} {
+		if got := counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if got := reg.Histogram(MetricRunSeconds, runSecondsBounds).Count(); got != int64(len(faults)) {
-		t.Fatalf("%s count = %d, want %d", MetricRunSeconds, got, len(faults))
+	for name, want := range map[string]int64{
+		MetricSnapshotBytes: rep.SnapshotBytes,
+		MetricTimelineBytes: rep.TimelineBytes,
+	} {
+		if got := int64(reg.Gauge(name).Value()); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := reg.Histogram(MetricGoldenGroupWait, groupWaitBounds).Count(); got != int64(len(faults)) {
+		t.Fatalf("%s count = %d, want %d", MetricGoldenGroupWait, got, len(faults))
 	}
 	if fps := reg.Gauge(MetricFaultsPerSec).Value(); fps <= 0 {
 		t.Fatalf("%s = %g, want > 0 after a finished campaign", MetricFaultsPerSec, fps)
 	}
-	if workers := reg.Gauge(MetricWorkers).Value(); workers < 1 {
-		t.Fatalf("%s = %g, want >= 1", MetricWorkers, workers)
+}
+
+// metricReaders is the registry's whole family list, each family with
+// what reads it outside its own test. A per-run number that the run
+// record or the run span already carries has no place here: its readers
+// read those.
+var metricReaders = map[string]string{
+	MetricFaultsPerSec:      "the CLI's ETA (cmd/faultcampaign/progress.go) and the daemon's progress events (internal/server)",
+	MetricFastPathHits:      "bench/fleet.go's fleet totals",
+	MetricReconvergenceHits: "bench/fleet.go's fleet totals",
+	MetricFullSimRuns:       "bench/fleet.go's fleet totals",
+	MetricForkedRuns:        "bench/fleet.go's fleet totals",
+	MetricFrontierRuns:      "bench/fleet.go's fleet totals",
+	MetricSimulatedCycles:   "bench/fleet.go's fleet totals",
+	MetricSynthesizedCycles: "bench/fleet.go's fleet totals",
+	MetricWarmstartSaved:    "bench/fleet.go's fleet totals",
+	MetricSnapshotBytes:     "bench/fleet.go's fleet totals",
+	MetricTimelineBytes:     "bench/fleet.go's fleet totals",
+	MetricGoldenCacheHits:   "CI's scrape of a live daemon and e2e/distributed_test.go",
+	MetricGoldenCacheMisses: "CI's scrape of a live daemon and e2e/distributed_test.go",
+	MetricGoldenCacheBytes:  "CI's scrape of a live daemon and e2e/distributed_test.go",
+	MetricGoldenGroupWait:   "CI's scrape of a live daemon and pipeline_test.go",
+}
+
+// TestMetricFamiliesHaveReaders holds the registry a campaign fills to
+// metricReaders: a family is exported only while something reads it. It
+// runs the golden 4×4 campaign with a registry and requires the families
+// of its OpenMetrics exposition to be the table's, no more and no fewer.
+// A new family comes with its reader in the table; one whose last reader
+// goes, goes with it.
+func TestMetricFamiliesHaveReaders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	spec := GoldenSpec()
+	opts := spec.Options()
+	opts.Faults = spec.Universe()
+	opts.Metrics = metrics.NewRegistry()
+	if _, err := Run(opts); err != nil {
+		t.Fatal(err)
+	}
+	var exp bytes.Buffer
+	if err := opts.Metrics.WriteOpenMetrics(&exp); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, line := range strings.Split(exp.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			got[f[2]] = true
+		}
+	}
+	want := map[string]bool{}
+	for name, reader := range metricReaders {
+		if reader == "" {
+			t.Errorf("%s names no reader", name)
+		}
+		// A counter's family drops the _total its sample carries.
+		want[strings.TrimSuffix(name, "_total")] = true
+	}
+	for f := range got {
+		if !want[f] {
+			t.Errorf("the registry exports %s, which no reader reads", f)
+		}
+	}
+	for f := range want {
+		if !got[f] {
+			t.Errorf("%s has a reader but the campaign never exports it", f)
+		}
 	}
 }
 

@@ -80,10 +80,9 @@ func TestSpanStreamGolden4x4(t *testing.T) {
 	}
 
 	var stream bytes.Buffer
-	reg := metrics.NewRegistry()
-	tr := obs.New(obs.Options{Writer: &stream, Metrics: reg})
+	tr := obs.New(obs.Options{Writer: &stream})
 	o := obsOpts(nFaults)
-	o.Metrics = reg
+	o.Metrics = metrics.NewRegistry()
 	o.Tracer = tr
 	traced, err := Run(o)
 	if err != nil {
@@ -211,24 +210,27 @@ func TestSpanStreamGolden4x4(t *testing.T) {
 		t.Errorf("campaign too uniform to exercise exits: %v, %d unfired", exitCounts, unfired)
 	}
 
-	// The phase-duration histograms fed from phase spans and the new
-	// detection-latency histogram must be live in the registry.
-	snap := reg.Snapshot()
-	hist := map[string]int64{}
-	for _, h := range snap.Histograms {
-		hist[h.Name] = h.Count
-	}
-	if hist[obs.PhaseMetricName("drain")] == 0 {
-		t.Error("campaign_phase_drain_seconds histogram never fed")
-	}
+	// A run span's detection is its record's: detected or not, and
+	// when detected, the same latency.
 	detected := 0
-	for _, r := range traced.Results {
-		if r.Outcome.Detected() {
-			detected++
+	for id, s := range runSpans {
+		idx, _ := s.Int("run_index")
+		rec := &traced.Results[idx]
+		det, _ := s.Attrs["detected"].(bool)
+		if det != rec.Outcome.Detected() {
+			t.Errorf("run span %s (run %d): detected %t, record %s", id, idx, det, rec.Outcome)
+			continue
+		}
+		if !det {
+			continue
+		}
+		detected++
+		if lat, ok := s.Int("latency"); !ok || lat != int64(rec.Latency) {
+			t.Errorf("run span %s (run %d): latency %d (present %t), record %d", id, idx, lat, ok, rec.Latency)
 		}
 	}
-	if hist[MetricDetectionLatency] != int64(detected) {
-		t.Errorf("detection-latency count %d != detected runs %d", hist[MetricDetectionLatency], detected)
+	if detected == 0 {
+		t.Error("no run span carries a detection")
 	}
 }
 

@@ -78,7 +78,7 @@ func TestMulticycleReportFixture(t *testing.T) {
 			o.Workers, o.GoldenCache, o.Metrics = tc.workers, cache, metrics.NewRegistry()
 			check(t, tc.how+" cache", mustRun(t, o))
 			hits, misses := cacheCounts(o.Metrics)
-			wait := o.Metrics.Histogram(MetricGoldenGroupWait, runSecondsBounds)
+			wait := o.Metrics.Histogram(MetricGoldenGroupWait, groupWaitBounds)
 			if wait.Count() != int64(len(o.Faults)) {
 				t.Errorf("%s cache: %s has %d observations, want one per run", tc.how, MetricGoldenGroupWait, wait.Count())
 			}
@@ -222,7 +222,7 @@ func TestLiveRateSkipsGroupWaits(t *testing.T) {
 	mustRun(t, o)
 	n := float64(nBefore)
 	active := n / before
-	waited := o.Metrics.Histogram(MetricGoldenGroupWait, runSecondsBounds).Sum()
+	waited := o.Metrics.Histogram(MetricGoldenGroupWait, groupWaitBounds).Sum()
 	if waited < 2*active {
 		t.Fatalf("the runs waited %.3f s for their groups and ran %.3f s before the far one: the warm-up was to dwarf them", waited, active)
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"nocalert/internal/campaign"
 	"nocalert/internal/server"
@@ -233,7 +232,3 @@ func (c *client) cancel(ctx context.Context, id string) error {
 func specPayload(spec campaign.Spec) ([]byte, error) {
 	return json.Marshal(&spec)
 }
-
-// workerLabel renders a stable per-worker metric-name fragment:
-// "worker" + index (the flat-name registry has no labels).
-func workerLabel(i int) string { return "worker" + strconv.Itoa(i) }

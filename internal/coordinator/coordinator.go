@@ -30,22 +30,8 @@ import (
 	"time"
 
 	"nocalert/internal/campaign"
-	"nocalert/internal/metrics"
 	"nocalert/internal/obs"
 	"nocalert/internal/trace"
-)
-
-// Metric names the coordinator registers (flat names; per-worker
-// series are index-suffixed because the registry has no labels).
-const (
-	MetricShards       = "coord_shards"
-	MetricShardsDone   = "coord_shards_done_total"
-	MetricRequeues     = "coord_shard_requeues_total"
-	MetricRetries      = "coord_retries_total"
-	MetricWorkersDead  = "coord_workers_dead_total"
-	MetricRunsDone     = "coord_runs_done"
-	MetricFleetRate    = "coord_fleet_faults_per_sec"
-	MetricWorkerPrefix = "coord_" // + workerN_shards_done_total / workerN_inflight
 )
 
 // Config describes the fleet and the dispatch policy. Zero-value
@@ -77,8 +63,6 @@ type Config struct {
 	// worker dead (its slots stop taking shards); default 3.
 	DeathThreshold int
 
-	// Metrics, when set, receives the coord_* series.
-	Metrics *metrics.Registry
 	// Tracer/TraceParent thread the dispatch into a span hierarchy:
 	// one "coordinator" span for the run, a "dispatch" child per shard
 	// attempt. Both optional.
@@ -171,8 +155,6 @@ type workerState struct {
 	client     *client
 	consecFail int
 	dead       bool
-	inflight   *metrics.Gauge
-	shardsDone *metrics.Counter
 }
 
 type run struct {
@@ -198,10 +180,6 @@ type run struct {
 	live     int // workers not yet dead
 
 	rng *rand.Rand
-
-	reg                                     *metrics.Registry
-	mShardsDone, mRequeues, mRetries, mDead *metrics.Counter
-	gRunsDone, gRate                        *metrics.Gauge
 
 	span *obs.Span
 }
@@ -254,11 +232,11 @@ func Run(ctx context.Context, spec campaign.Spec, cfg Config) (*Result, error) {
 	r.fleet.SetTotal(len(universe))
 	r.stats.Shards = cfg.Shards
 	r.stats.PerWorker = make([]WorkerStats, len(cfg.Workers))
+	r.workers = make([]*workerState, len(cfg.Workers))
 	for i, u := range cfg.Workers {
 		r.stats.PerWorker[i].URL = u
+		r.workers[i] = &workerState{client: &client{base: u, token: cfg.Token, hc: cfg.HTTPClient}}
 	}
-	r.initMetrics()
-	r.initWorkers()
 
 	r.span = cfg.Tracer.Start(cfg.TraceParent, "coordinator", "dispatch")
 	r.span.SetAttr("shards", cfg.Shards)
@@ -317,32 +295,6 @@ func Run(ctx context.Context, spec campaign.Spec, cfg Config) (*Result, error) {
 	return &Result{Merged: merged, Report: report, Stats: stats}, nil
 }
 
-func (r *run) initMetrics() {
-	reg := r.cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry() // throwaway: keeps call sites unconditional
-	}
-	reg.Gauge(MetricShards).Set(float64(r.shards))
-	r.mShardsDone = reg.Counter(MetricShardsDone)
-	r.mRequeues = reg.Counter(MetricRequeues)
-	r.mRetries = reg.Counter(MetricRetries)
-	r.mDead = reg.Counter(MetricWorkersDead)
-	r.gRunsDone = reg.Gauge(MetricRunsDone)
-	r.gRate = reg.Gauge(MetricFleetRate)
-	r.reg = reg
-}
-
-func (r *run) initWorkers() {
-	r.workers = make([]*workerState, len(r.cfg.Workers))
-	for i, u := range r.cfg.Workers {
-		r.workers[i] = &workerState{
-			client:     &client{base: u, token: r.cfg.Token, hc: r.cfg.HTTPClient},
-			inflight:   r.reg.Gauge(MetricWorkerPrefix + workerLabel(i) + "_inflight"),
-			shardsDone: r.reg.Counter(MetricWorkerPrefix + workerLabel(i) + "_shards_done_total"),
-		}
-	}
-}
-
 // agent is one dispatch slot of one worker: it pulls pending shards
 // and runs them against its worker until the run ends or the worker is
 // declared dead.
@@ -358,9 +310,7 @@ func (r *run) agent(ctx context.Context, wi int) {
 		case <-r.doneCh:
 			return
 		case t := <-r.pending:
-			w.inflight.Add(1)
 			err := r.dispatch(ctx, wi, t)
-			w.inflight.Add(-1)
 			switch {
 			case err == nil:
 				r.workerOK(wi)
@@ -521,14 +471,11 @@ func (r *run) record(index, wi int, cd *trace.CheckpointData) error {
 			m.Shard, m.Shards, m.SpecHash, m.UniverseHash, m.Start, m.End,
 			index, r.shards, r.specHash, r.universeHash, lo, hi)
 	}
-	w := r.workers[wi]
 	r.mu.Lock()
 	if _, dup := r.results[index]; !dup {
 		r.results[index] = cd
 		r.stats.PerWorker[wi].ShardsDone++
 		r.fleet.Finish(index)
-		r.mShardsDone.Inc()
-		w.shardsDone.Inc()
 		done := len(r.results) == r.shards
 		r.publishProgressLocked()
 		if done && !r.finished {
@@ -548,21 +495,17 @@ func (r *run) progress(shard, done, total int, rate float64) {
 	r.mu.Unlock()
 }
 
-// publishProgressLocked pushes the aggregate to gauges and the
-// Progress callback. Caller holds r.mu.
+// publishProgressLocked pushes the aggregate to the Progress callback.
+// Caller holds r.mu.
 func (r *run) publishProgressLocked() {
-	done, total := r.fleet.Done(), r.fleet.Total()
-	rate := r.fleet.Rate()
-	r.gRunsDone.Set(float64(done))
-	r.gRate.Set(rate)
 	if r.cfg.Progress == nil {
 		return
 	}
 	eta, ok := r.fleet.ETA()
 	r.cfg.Progress(ProgressUpdate{
-		Done: done, Total: total,
+		Done: r.fleet.Done(), Total: r.fleet.Total(),
 		ShardsDone: len(r.results), Shards: r.shards,
-		Rate: rate, ETA: eta, ETAOK: ok,
+		Rate: r.fleet.Rate(), ETA: eta, ETAOK: ok,
 	})
 }
 
@@ -578,7 +521,6 @@ func (r *run) requeue(t shardTicket, why string) {
 	}
 	t.attempts++
 	r.stats.Requeued++
-	r.mRequeues.Inc()
 	out := t.attempts >= r.cfg.MaxAttempts
 	r.mu.Unlock()
 	if out {
@@ -625,9 +567,8 @@ func (r *run) workerFailed(ctx context.Context, wi int) {
 		r.live--
 		noneLeft := r.live == 0
 		r.mu.Unlock()
-		r.mDead.Inc()
 		r.cfg.Logf("coordinator: worker %s declared dead after %d consecutive failures", w.client.base, fails)
-		r.span.SetAttr(fmt.Sprintf("%s_dead", workerLabel(wi)), true)
+		r.span.SetAttr(fmt.Sprintf("worker%d_dead", wi), true)
 		if noneLeft {
 			r.fail(fmt.Errorf("coordinator: all %d workers dead", len(r.workers)))
 		}
@@ -648,7 +589,6 @@ func (r *run) countRetry() {
 	r.mu.Lock()
 	r.stats.Retries++
 	r.mu.Unlock()
-	r.mRetries.Inc()
 }
 
 // backoff is the exponential retry delay with [0.5,1.5)× jitter, so a

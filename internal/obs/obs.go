@@ -1,8 +1,9 @@
 // Package obs is the campaign stack's observability layer: a
 // hierarchical span tracer (campaign → shard → run → phase, with the
-// daemon's job span on top). The span stream is the per-run timeline;
-// the durable per-run record is the shard checkpoint (internal/trace)
-// and the live aggregates are the metrics registry (internal/metrics).
+// daemon's job span on top). The span stream is the per-run timeline and
+// the durable per-run record is the shard checkpoint (internal/trace);
+// phase durations are read from the spans themselves, not copied into
+// the metrics registry.
 //
 // Spans carry the cycle-accurate accounting the engine already tracks —
 // injection cycle, fork source snapshot, cycles simulated versus
@@ -29,12 +30,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"nocalert/internal/metrics"
 	"nocalert/internal/trace"
 )
 
@@ -90,13 +89,7 @@ type Options struct {
 	// Service names the emitting process in the OTLP resource
 	// (service.name); defaults to "nocalert".
 	Service string
-	// Metrics, when non-nil, receives one phase-duration histogram per
-	// phase name (campaign_phase_<name>_seconds), fed at phase-span end.
-	Metrics *metrics.Registry
 }
-
-// phaseBounds is the phase-duration histogram layout: 1 µs … ~17 min.
-var phaseBounds = metrics.ExponentialBounds(1e-6, 4, 16)
 
 // Tracer emits spans for one process-wide trace. All methods are safe
 // for concurrent use and nil-safe: a nil *Tracer records nothing.
@@ -109,7 +102,6 @@ type Tracer struct {
 	bw       *bufio.Writer
 	enc      *json.Encoder
 	retained []SpanRecord
-	phaseHis map[string]*metrics.Histogram
 	spans    int
 	err      error
 }
@@ -130,9 +122,6 @@ func New(o Options) *Tracer {
 	if o.Writer != nil {
 		t.bw = bufio.NewWriter(o.Writer)
 		t.enc = json.NewEncoder(t.bw)
-	}
-	if o.Metrics != nil {
-		t.phaseHis = make(map[string]*metrics.Histogram)
 	}
 	return t
 }
@@ -203,8 +192,7 @@ func (t *Tracer) Close() error {
 	return t.err
 }
 
-// end records a completed span: stream it, retain it, and feed the
-// phase-duration histogram when it is a phase span.
+// end records a completed span: stream it and retain it.
 func (t *Tracer) end(rec *SpanRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -221,28 +209,6 @@ func (t *Tracer) end(rec *SpanRecord) {
 	if t.opts.Retain {
 		t.retained = append(t.retained, *rec)
 	}
-	if t.phaseHis != nil && rec.Kind == "phase" {
-		h, ok := t.phaseHis[rec.Name]
-		if !ok {
-			h = t.opts.Metrics.Histogram(PhaseMetricName(rec.Name), phaseBounds)
-			t.phaseHis[rec.Name] = h
-		}
-		h.Observe(float64(rec.EndNano-rec.StartNano) / 1e9)
-	}
-}
-
-// PhaseMetricName returns the phase-duration histogram name for a phase
-// span name, e.g. "warm-start" → "campaign_phase_warm_start_seconds".
-func PhaseMetricName(phase string) string {
-	sanitized := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		default:
-			return '_'
-		}
-	}, phase)
-	return "campaign_phase_" + sanitized + "_seconds"
 }
 
 // Span is one in-flight span. A span is owned by one goroutine until

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"nocalert/internal/metrics"
 )
 
 func TestNilTracerAndSpanAreNoOps(t *testing.T) {
@@ -117,32 +115,6 @@ func TestSampling(t *testing.T) {
 		if !one.Sampled(i) {
 			t.Errorf("default tracer dropped run %d", i)
 		}
-	}
-}
-
-func TestPhaseDurationHistogram(t *testing.T) {
-	reg := metrics.NewRegistry()
-	tr := New(Options{Metrics: reg, Retain: true})
-	root := tr.Start(nil, "run", "run[0]")
-	for _, name := range []string{"warm-start", "drain", "warm-start"} {
-		p := root.Child("phase", name)
-		p.End()
-	}
-	root.End()
-
-	s := reg.Snapshot()
-	byName := map[string]int64{}
-	for _, h := range s.Histograms {
-		byName[h.Name] = h.Count
-	}
-	if byName["campaign_phase_warm_start_seconds"] != 2 {
-		t.Errorf("warm_start count = %d, want 2", byName["campaign_phase_warm_start_seconds"])
-	}
-	if byName["campaign_phase_drain_seconds"] != 1 {
-		t.Errorf("drain count = %d, want 1", byName["campaign_phase_drain_seconds"])
-	}
-	if got := PhaseMetricName("fault-armed"); got != "campaign_phase_fault_armed_seconds" {
-		t.Errorf("PhaseMetricName = %q", got)
 	}
 }
 

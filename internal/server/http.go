@@ -291,8 +291,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleOpenMetrics is the Prometheus/OpenMetrics exposition of the
-// whole registry — queue gauges, campaign counters and the span-fed
-// phase-duration histograms alike — for standard scrapers.
+// whole registry — queue gauges and campaign counters alike — for
+// standard scrapers.
 func (s *Server) handleOpenMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", metrics.OpenMetricsContentType)
 	s.reg.WriteOpenMetrics(w)

@@ -17,6 +17,7 @@ import (
 
 	"nocalert/internal/campaign"
 	"nocalert/internal/metrics"
+	"nocalert/internal/obs"
 	"nocalert/internal/trace"
 )
 
@@ -544,10 +545,12 @@ func TestRestartResume(t *testing.T) {
 	wantReport := readFileT(t, ref.ReportPath(rj.ID))
 	ref.Stop(context.Background())
 
-	// Interrupted run: single campaign worker for a long kill window,
-	// drained as soon as progress shows completed runs.
+	// Interrupted run: one campaign worker, held on the gate while it
+	// ends its fourth run, three runs into the job; the drain is issued
+	// while it is held, so the job cannot finish first.
 	dir := t.TempDir()
-	s1, err := New(Config{Dir: dir, QueueSize: 4, CampaignWorkers: 1})
+	gate := &runGate{after: 3, held: make(chan struct{}), release: make(chan struct{})}
+	s1, err := New(Config{Dir: dir, QueueSize: 4, CampaignWorkers: 1, Tracer: obs.New(obs.Options{Writer: gate})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,25 +558,25 @@ func TestRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("no progress before deadline")
-		}
-		v := j.view()
-		if v.Status.Terminal() {
-			t.Fatalf("job finished before it could be interrupted (%s); shrink the interrupt window", v.Status)
-		}
-		if v.Done >= 3 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-gate.held:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("the job never reached its fourth run")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	if err := s1.Stop(ctx); err != nil {
+	if v := j.view(); v.Status != StatusRunning || v.Done != 3 {
+		t.Fatalf("held job is %s at %d/%d, want running at 3", v.Status, v.Done, v.Total)
+	}
+	stopped := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		stopped <- s1.Stop(ctx)
+	}()
+	<-s1.baseCtx.Done() // Stop has canceled every running job
+	close(gate.release)
+	if err := <-stopped; err != nil {
 		t.Fatal(err)
 	}
-	cancel()
 	interrupted := j.view()
 	if interrupted.Status != StatusQueued {
 		t.Fatalf("drained job is %s, want queued for resume", interrupted.Status)
@@ -606,6 +609,26 @@ func TestRestartResume(t *testing.T) {
 	if !bytes.Equal(got, wantReport) {
 		t.Fatalf("resumed report differs from uninterrupted run (%d vs %d bytes)", len(got), len(wantReport))
 	}
+}
+
+// runGate is a span sink that blocks the write of run span after+1 until
+// the test closes release: with one campaign worker, the job has recorded
+// its first after runs and not the next one. The tracer serializes its
+// writes.
+type runGate struct {
+	after         int
+	runs          int
+	held, release chan struct{}
+}
+
+func (g *runGate) Write(p []byte) (int, error) {
+	if n := bytes.Count(p, []byte(`"kind":"run"`)); n > 0 && g.runs <= g.after {
+		if g.runs += n; g.runs > g.after {
+			close(g.held)
+			<-g.release
+		}
+	}
+	return len(p), nil
 }
 
 // TestRecoverRebuildsMissingReport covers the crash window between
