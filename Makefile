@@ -4,8 +4,9 @@
 
 GO ?= go
 
-# The golden campaign: the spec behind testdata/golden_4x4_seed3.json,
-# the CI shard matrix and `make shardcheck`. Keep all four in sync.
+# The golden campaign: the spec behind testdata/golden_4x4_seed3.json
+# and `make shardcheck` (CI's shard job); cmd/faultcampaign's golden4x4
+# and e2e's goldenArgs spell it too. Keep them in sync.
 GOLDEN_FLAGS = -mesh 4x4 -vcs 4 -rate 0.12 -seed 3 -inject 300 -post 400 \
 	-drain 5000 -epoch 400 -faults 96
 
@@ -166,8 +167,8 @@ PAPER_CYCLES = 0 16000 32000
 # (docs_test.go holds the quotes to them): for each of the paper's
 # injection instants one full-population campaign through a checkpoint and
 # merge (cycleC.json, the report; cycleC.txt, merge's stdout with the
-# records checksum; merge exits 1, and the recipe stops, on a NoCAlert
-# false negative), the Observation-3 table on the same spec, which
+# records checksum; the campaign and merge each exit 1, and the recipe
+# stops, on a NoCAlert false negative), the Observation-3 table on the same spec, which
 # `-fig obs3` alone prints without a main campaign (obs3.txt: 40
 # transient and 40 permanent SA1-grant faults at cycle 32 000), and the
 # hardware model's Figure 10 and §5.5 (hwcost.txt). About 20 s on two
@@ -290,18 +291,24 @@ TEST386_PKGS = ./internal/bitvec ./internal/rng ./internal/flit ./internal/route
 test386:
 	GOARCH=386 $(GO) test -short $(TEST386_PKGS)
 
-# shardcheck reproduces the CI merge gate locally: run the golden
-# campaign as 4 independent shards, merge the checkpoints, and require
-# the result to be bit-identical to the committed fixture.
+# shardcheck is CI's shard job: run the golden campaign as 4 independent
+# shards, merge the checkpoints, and require the merged records to be
+# bit-identical to the committed fixture and the merged report to be
+# byte-identical to an unsharded run's -json. The merged report stays in
+# .shardcheck/merged_report.json, which CI uploads.
 shardcheck:
 	rm -rf .shardcheck && mkdir -p .shardcheck
+	$(GO) build -o .shardcheck/faultcampaign ./cmd/faultcampaign
 	for i in 0 1 2 3; do \
-		$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -progress=false \
+		.shardcheck/faultcampaign $(GOLDEN_FLAGS) -progress=false \
 			-shard $$i/4 -checkpoint .shardcheck/shard$$i.ndjson || exit 1; \
 	done
-	$(GO) run ./cmd/faultcampaign merge -fig none \
-		-golden testdata/golden_4x4_seed3.json .shardcheck/shard*.ndjson
-	rm -rf .shardcheck
+	.shardcheck/faultcampaign merge -fig none -golden testdata/golden_4x4_seed3.json \
+		-out .shardcheck/merged_report.json .shardcheck/shard*.ndjson
+	.shardcheck/faultcampaign $(GOLDEN_FLAGS) -progress=false -fig none \
+		-json .shardcheck/unsharded_report.json
+	cmp .shardcheck/merged_report.json .shardcheck/unsharded_report.json
+	@echo "shardcheck: the merged report is bit-identical to the unsharded run"
 
 # ci mirrors the CI test and lint jobs and then races, running every test
 # once: the dead-code gate, the 386 cross-build and short 386 tests, ./internal/... under the coverage floor, every other

@@ -22,6 +22,12 @@
 // injection instant on two cores), or a sample size for a quicker run.
 // `make paper` runs the population at the paper's three instants into
 // testdata/paper/, the files EXPERIMENTS.md quotes.
+//
+// Every invocation runs one shard of the campaign, 0/1 — the whole of
+// it — unless -shard names another, and folds the whole campaign's run
+// records into the report. -checkpoint picks where the records are kept,
+// and so whether the run can be resumed; a shard of several prints no
+// report, and `faultcampaign merge` folds the shards' checkpoints.
 package main
 
 import (
@@ -37,7 +43,6 @@ import (
 	"os/signal"
 	"runtime/pprof"
 	"syscall"
-	"time"
 
 	"nocalert/internal/campaign"
 	"nocalert/internal/fault"
@@ -69,8 +74,8 @@ func main() {
 		spanOut  = flag.String("trace-spans", "", "stream campaign/run/phase spans as NDJSON to this file")
 		otlpOut  = flag.String("spans-otlp", "", "write the completed spans as an OTLP/JSON dump to this file (implies span retention)")
 		spanN    = flag.Int("span-sample", 1, "record every Nth run's spans (campaign-level spans are always recorded)")
-		shardStr = flag.String("shard", "", "run only shard i/N of the campaign (0-based, e.g. 0/4) against a resumable checkpoint; requires -checkpoint")
-		ckptPath = flag.String("checkpoint", "", "record every run to this shard checkpoint (NDJSON) and print no figures; an existing one is resumed, a finished one is a no-op; without -shard the whole campaign is shard 0/1")
+		shardStr = flag.String("shard", "", "run only shard `i/N` of the campaign (0-based, e.g. 0/4) and print no report; requires -checkpoint, which faultcampaign merge folds with the other shards'")
+		ckptPath = flag.String("checkpoint", "", "keep every run's record in this checkpoint (NDJSON), so the run can be resumed: an existing one is resumed, a finished one is not run again; the whole campaign (no -shard) prints its report all the same")
 		verifyN  = flag.Int("verify-resumed", 0, "recorded runs to re-execute and compare when resuming a checkpoint (0 = default sample, -1 = none)")
 	)
 	flag.Parse()
@@ -80,9 +85,16 @@ func main() {
 	if *shardStr != "" && *ckptPath == "" {
 		log.Fatal("-shard requires -checkpoint FILE")
 	}
+	idx, n, err := parseShardFlag(*shardStr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if n > 1 && *jsonPath != "" {
+		log.Fatal("-json needs the whole campaign; merge the shards' checkpoints with `faultcampaign merge -out`")
+	}
 
 	// SIGINT/SIGTERM cancel the campaign cooperatively: in-flight runs
-	// finish, then RunCampaign returns context.Canceled.
+	// finish, then RunShard returns context.Canceled.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -110,8 +122,8 @@ func main() {
 	}
 
 	figs := parseFigures(*figFlag)
-	// exec is how this invocation executes a campaign, whatever its faults:
-	// the main one below, and the one behind the Observation 3 table.
+	// exec is how the Observation 3 table's campaign executes: on the
+	// invocation's workers and run path, like the main one.
 	exec := spec.Options()
 	exec.Workers, exec.FullSim, exec.Context = *workers, *fullSim, ctx
 	if figs.obs3Alone() && *jsonPath == "" && *ckptPath == "" {
@@ -119,18 +131,14 @@ func main() {
 		return
 	}
 
-	faults := spec.Universe()
 	fmt.Printf("fault population: %d single-bit locations (%d sites); injecting %d at cycle(s) %s\n",
-		totalBits(params), len(params.EnumerateSites()), len(faults), *sf.inject)
+		totalBits(params), len(params.EnumerateSites()), len(spec.Universe()), *sf.inject)
 
-	// Telemetry: one registry feeds the progress line's ETA, the
-	// /metrics endpoint and the live faults/sec gauge. It stays nil —
-	// zero cost — when neither consumer is active.
+	// Telemetry: the registry behind /metrics. It stays nil — zero cost —
+	// without -telemetry.
 	var reg *metrics.Registry
-	if *progress || *telAddr != "" {
-		reg = metrics.NewRegistry()
-	}
 	if *telAddr != "" {
+		reg = metrics.NewRegistry()
 		addr, err := serveTelemetry(*telAddr, reg)
 		if err != nil {
 			log.Fatal(err)
@@ -138,9 +146,8 @@ func main() {
 		fmt.Printf("telemetry: http://%s/metrics (pprof /debug/pprof/)\n", addr)
 	}
 
-	// Span tracing is result-invisible (the traced report is
-	// byte-identical) and works in shard mode too, so it is wired before
-	// the mode split.
+	// Span tracing is result-invisible: the traced report is
+	// byte-identical.
 	var tracer *obs.Tracer
 	var spanFile *os.File
 	if *spanOut != "" || *otlpOut != "" {
@@ -154,13 +161,21 @@ func main() {
 		}
 		tracer = obs.New(topts)
 	}
-	// closeObs finishes the span sinks after the campaign (or shard)
-	// completes: flush and close the span stream and render the OTLP
-	// dump from the retained spans.
-	closeObs := func() {
-		if tracer == nil {
-			return
-		}
+
+	recs, err := runShard(spec, idx, n, *ckptPath, campaign.ShardRunOptions{
+		Workers:       *workers,
+		FullSim:       *fullSim,
+		VerifyResumed: *verifyN,
+		Metrics:       reg,
+		Context:       ctx,
+		Tracer:        tracer,
+	}, *progress)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Finish the span sinks: flush and close the span stream and render
+	// the OTLP dump from the retained spans.
+	if tracer != nil {
 		if err := tracer.Close(); err != nil {
 			log.Fatalf("trace-spans: %v", err)
 		}
@@ -184,47 +199,16 @@ func main() {
 			fmt.Printf("OTLP span dump written to %s\n", *otlpOut)
 		}
 	}
-
-	if *ckptPath != "" {
-		if *jsonPath != "" {
-			log.Fatal("-checkpoint is incompatible with -json; finalize the shards and use `faultcampaign merge`")
-		}
-		shard := *shardStr
-		if shard == "" {
-			shard = "0/1"
-		}
-		sro := campaign.ShardRunOptions{
-			Workers:       *workers,
-			FullSim:       *fullSim,
-			VerifyResumed: *verifyN,
-			Tracer:        tracer,
-		}
-		if err := runShardMode(ctx, spec, shard, *ckptPath, sro, *progress, reg); err != nil {
-			log.Fatal(err)
-		}
-		closeObs()
+	if n > 1 {
+		// A shard is part of a campaign: merge folds its checkpoint with
+		// the other shards' into the report.
 		return
 	}
-
-	var report func(done, total int)
-	if *progress {
-		report = progressPrinter(os.Stderr, "campaign", reg)
-		report(0, len(faults)) // the 0% line must appear before the first run completes
-	}
-	start := time.Now()
-	opts := exec
-	opts.Faults = faults
-	opts.Progress, opts.Metrics, opts.Tracer = report, reg, tracer
-	rep, err := campaign.Run(opts)
+	rep, err := campaign.ReportFromRecords(spec, recs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	closeObs()
-	wall := time.Since(start)
-	fmt.Printf("campaign: %d runs in %v; %d faults fired, %d caused network-correctness violations, %d fast-path exits, %d reconverged, %d forked (%d prefix cycles skipped, %d synthesized)\n\n",
-		len(rep.Results), wall.Round(time.Millisecond), rep.FiredCount(), rep.MaliciousCount(), rep.FastPathHits, rep.ReconvergedHits,
-		rep.ForkedRuns, rep.WarmstartCyclesSaved, rep.SynthesizedCycles)
-
+	fmt.Println()
 	writeReport("campaign", spec, rep, figs, *jsonPath, "")
 	if figs.has("obs3") {
 		obs3(os.Stdout, exec)

@@ -52,35 +52,77 @@ func runFaultcampaign(args ...string) (stdout, stderr string, err error) {
 var golden4x4 = []string{"-mesh", "4x4", "-vcs", "4", "-rate", "0.12", "-seed", "3",
 	"-inject", "300", "-post", "400", "-drain", "5000", "-epoch", "400", "-faults", "96"}
 
-// TestCheckpointAloneMergesToPlainJSON runs the golden 4×4 campaign with
-// -checkpoint and no -shard: it runs as shard 0/1, and merging its one
-// checkpoint yields a report byte-identical to a plain run's -json and
-// records that pass the committed fixture.
+// TestCheckpointAloneMergesToPlainJSON runs the golden 4×4 campaign three
+// ways: plain, with -checkpoint and no -shard (shard 0/1, whose records
+// are kept), and as merge of that checkpoint. All three print the same
+// figure block, from the first figure through the Observation 1 line, and
+// write the same -json; the checkpoint's records pass the committed
+// fixture.
 func TestCheckpointAloneMergesToPlainJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
 	dir := t.TempDir()
-	plain := filepath.Join(dir, "plain.json")
 	ckpt := filepath.Join(dir, "runs.ndjson")
-	merged := filepath.Join(dir, "merged.json")
-	faultcampaign(t, append(golden4x4, "-fig", "none", "-progress=false", "-json", plain)...)
-	out := faultcampaign(t, append(golden4x4, "-progress=false", "-checkpoint", ckpt)...)
-	if !strings.Contains(out, "shard 0/1:") || !strings.Contains(out, "checkpoint finalized") {
+	report := func(name string) string { return filepath.Join(dir, name+".json") }
+	outs := map[string]string{
+		"plain": faultcampaign(t, append(golden4x4, "-progress=false", "-json", report("plain"))...),
+		"checkpoint": faultcampaign(t, append(golden4x4, "-progress=false", "-checkpoint", ckpt,
+			"-json", report("checkpoint"))...),
+	}
+	if out := outs["checkpoint"]; !strings.Contains(out, "shard 0/1: 96/96 runs") || !strings.Contains(out, "checkpoint finalized") {
 		t.Fatalf("-checkpoint alone did not run and finalize shard 0/1:\n%s", out)
 	}
-	faultcampaign(t, "merge", "-fig", "none", "-golden", filepath.Join("..", "..", "testdata", "golden_4x4_seed3.json"),
-		"-out", merged, ckpt)
-	want, err := os.ReadFile(plain)
+	outs["merge"] = faultcampaign(t, "merge", "-out", report("merge"), ckpt)
+	faultcampaign(t, "merge", "-fig", "none", "-golden", filepath.Join("..", "..", "testdata", "golden_4x4_seed3.json"), ckpt)
+
+	// block is the figures through the Observation 1 line (merge prints its
+	// per-shard summary before them).
+	block := func(mode string) string {
+		out := outs[mode]
+		from, to := strings.Index(out, "\n== Figure"), strings.Index(out, "Observation 1 — ")
+		if from < 0 || to < from {
+			t.Fatalf("%s printed no figures before the Observation 1 line:\n%s", mode, out)
+		}
+		return out[from : to+strings.Index(out[to:], "\n")]
+	}
+	want, err := os.ReadFile(report("plain"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(merged)
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range []string{"checkpoint", "merge"} {
+		if block(mode) != block("plain") {
+			t.Errorf("%s printed other figures than the plain run:\n%s\n--- plain:\n%s", mode, block(mode), block("plain"))
+		}
+		got, err := os.ReadFile(report(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s wrote a report other than the plain run's -json", mode)
+		}
 	}
-	if !bytes.Equal(got, want) {
-		t.Error("merged checkpoint report differs from the plain run's -json")
+}
+
+// TestShardRefusesJSON: a shard of several is part of a campaign, so
+// -json with -shard i/N (N > 1) is refused before anything runs, while
+// -shard 0/1 is the whole campaign and writes it.
+func TestShardRefusesJSON(t *testing.T) {
+	dir := t.TempDir()
+	ckpt, report := filepath.Join(dir, "s.ndjson"), filepath.Join(dir, "r.json")
+	stdout, stderr, err := runFaultcampaign(append(golden4x4, "-progress=false", "-shard", "1/2", "-checkpoint", ckpt, "-json", report)...)
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(stderr, "-json needs the whole campaign") {
+		t.Fatalf("-shard 1/2 -json: exit %v, want status 1\nstdout:\n%s\nstderr:\n%s", err, stdout, stderr)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("a refused shard left a checkpoint behind (%v)", err)
+	}
+	if testing.Short() {
+		return
+	}
+	faultcampaign(t, append(golden4x4, "-progress=false", "-fig", "none", "-shard", "0/1", "-checkpoint", ckpt, "-json", report)...)
+	if _, err := os.Stat(report); err != nil {
+		t.Errorf("-shard 0/1 -json wrote no report: %v", err)
 	}
 }
 
@@ -191,7 +233,7 @@ func TestObs3RunsAlone(t *testing.T) {
 		t.Errorf("-fig obs3 printed more than its table:\n%s", out)
 	}
 	out = faultcampaign(t, append(golden4x4, "-progress=false", "-fig", "none")...)
-	if !strings.Contains(out, "\ncampaign: 96 runs") || !strings.Contains(out, "Observation 1") || strings.Contains(out, "== ") {
+	if !strings.Contains(out, "\nshard 0/1: 96/96 runs") || !strings.Contains(out, "Observation 1") || strings.Contains(out, "== ") {
 		t.Errorf("-fig none did not run the campaign alone:\n%s", out)
 	}
 }

@@ -65,11 +65,11 @@ func (f figures) obs3Alone() bool {
 }
 
 // writeReport is the one way a report leaves the command, whichever mode
-// folded it (plain, merge, dispatch): the selected figures on stdout, the
-// JSON report to jsonPath and the golden check at goldenPath when set,
-// and last the Observation 1 line. The paper claims NoCAlert has no false
-// negative, so one exits the command with status 1; mode prefixes the
-// messages.
+// folded it from the records (a whole-campaign run, merge, dispatch): the
+// selected figures on stdout, the JSON report to jsonPath and the golden
+// check at goldenPath when set, and last the Observation 1 line. The paper
+// claims NoCAlert has no false negative, so one exits the command with
+// status 1; mode prefixes the messages.
 func writeReport(mode string, spec campaign.Spec, rep *campaign.Report, figs figures, jsonPath, goldenPath string) {
 	printFigures(os.Stdout, rep, figs)
 	if jsonPath != "" {

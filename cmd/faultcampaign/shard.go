@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -10,13 +9,16 @@ import (
 	"time"
 
 	"nocalert/internal/campaign"
-	"nocalert/internal/metrics"
 	"nocalert/internal/stats"
 	"nocalert/internal/trace"
 )
 
-// parseShardFlag parses "-shard i/N" (0-based index).
+// parseShardFlag parses "-shard i/N" (0-based index); no -shard is 0/1,
+// the whole campaign.
 func parseShardFlag(s string) (i, n int, err error) {
+	if s == "" {
+		return 0, 1, nil
+	}
 	if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d/%d", &i, &n); err != nil {
 		return 0, 0, fmt.Errorf("invalid -shard %q (want i/N, e.g. 0/4)", s)
 	}
@@ -26,61 +28,59 @@ func parseShardFlag(s string) (i, n int, err error) {
 	return i, n, nil
 }
 
-// runShardMode executes one shard of the campaign against a resumable
-// checkpoint file. Figures are not printed here — a shard is a partial
-// campaign; fold the finalized checkpoints with `faultcampaign merge`.
-// sro carries the execution knobs; its Progress, Metrics and Context
-// fields are filled in here.
-func runShardMode(ctx context.Context, spec campaign.Spec, shard, path string, sro campaign.ShardRunOptions, progress bool, reg *metrics.Registry) error {
-	idx, n, err := parseShardFlag(shard)
-	if err != nil {
-		return err
-	}
+// runShard runs shard idx/n of the campaign, 0/1 being the whole of it,
+// and hands back its records. When path names a checkpoint the records
+// are kept there, and only that makes the run resumable: an existing
+// checkpoint is resumed, a finalized one is not run again. sro carries
+// the execution knobs; its Progress field is filled in here.
+func runShard(spec campaign.Spec, idx, n int, path string, sro campaign.ShardRunOptions, progress bool) ([]trace.RunRecord, error) {
 	sh, err := campaign.PlanShard(spec, idx, n)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m, err := sh.Manifest()
-	if err != nil {
-		return err
-	}
-	cp, completed, err := trace.ResumeCheckpoint(path, m)
-	if err != nil {
-		return err
-	}
-	defer cp.Close()
-	fmt.Printf("shard %d/%d: fault indices [%d,%d) of the %d-fault universe; checkpoint %s holds %d recorded runs\n",
-		idx, n, sh.Start, sh.End, len(spec.Universe()), path, len(completed))
-
-	var report func(done, total int)
-	if progress {
-		report = progressPrinter(os.Stderr, fmt.Sprintf("shard %d/%d", idx, n), reg)
-		sro.Progress = func(done, total int, _ campaign.ShardRunStats) {
-			report(done, total)
+	var cp *trace.Checkpoint
+	var completed []trace.RunRecord
+	if path != "" {
+		m, err := sh.Manifest()
+		if err != nil {
+			return nil, err
 		}
+		if cp, completed, err = trace.ResumeCheckpoint(path, m); err != nil {
+			return nil, err
+		}
+		defer cp.Close()
 	}
 
+	label := fmt.Sprintf("shard %d/%d", idx, n)
+	if progress {
+		sro.Progress = progressPrinter(os.Stderr, label)
+		// The first line appears before the first run completes.
+		sro.Progress(len(completed), sh.End-sh.Start, campaign.ShardRunStats{})
+	}
 	start := time.Now()
-	sro.Metrics = reg
-	sro.Context = ctx
-	st, err := campaign.RunShard(sh, cp, completed, sro)
-	if progress && report != nil {
-		fmt.Fprintln(os.Stderr)
-	}
+	recs, st, err := campaign.RunShard(sh, cp, completed, sro)
 	if err != nil {
-		return fmt.Errorf("shard %d/%d: %w (checkpoint %s keeps the %d completed runs)", idx, n, err, path, st.Resumed+st.Executed)
+		if progress {
+			fmt.Fprintln(os.Stderr)
+		}
+		if cp != nil {
+			err = fmt.Errorf("%w (checkpoint %s keeps the %d completed runs)", err, path, st.Resumed+st.Executed)
+		}
+		return nil, fmt.Errorf("%s: %w", label, err)
 	}
-	fmt.Printf("shard %d/%d: %d/%d runs in %v (%d resumed from checkpoint, %d of those re-executed and verified, %d newly executed, %d fast-path exits, %d reconverged, %d full-sim, %d forked)\n",
-		idx, n, st.Resumed+st.Executed, st.Total, time.Since(start).Round(time.Millisecond),
+	fmt.Printf("%s: %d/%d runs in %v (%d resumed from checkpoint, %d of those re-executed and verified, %d newly executed, %d fast-path exits, %d reconverged, %d full-sim, %d forked)\n",
+		label, st.Resumed+st.Executed, st.Total, time.Since(start).Round(time.Millisecond),
 		st.Resumed, st.Verified, st.Executed, st.FastPathHits, st.Reconverged, st.FullSim, st.Forked)
 	if !st.Complete {
-		return fmt.Errorf("shard %d/%d did not complete", idx, n)
+		return nil, fmt.Errorf("%s did not complete", label)
 	}
-	if err := cp.Close(); err != nil {
-		return err
+	if cp != nil {
+		if err := cp.Close(); err != nil {
+			return nil, err
+		}
+		fmt.Printf("checkpoint finalized: %s\n", path)
 	}
-	fmt.Printf("checkpoint finalized: %s\n", path)
-	return nil
+	return recs, nil
 }
 
 // mergeMain is the `faultcampaign merge` subcommand: fold finalized

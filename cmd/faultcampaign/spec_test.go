@@ -30,7 +30,7 @@ func TestShardMergesWithDaemonShard(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cliPath := filepath.Join(dir, "cli-shard0.ndjson")
-	if err := runShardMode(context.Background(), spec, "0/2", cliPath, campaign.ShardRunOptions{Workers: 1}, false, nil); err != nil {
+	if _, err := runShard(spec, 0, 2, cliPath, campaign.ShardRunOptions{Workers: 1}, false); err != nil {
 		t.Fatal(err)
 	}
 

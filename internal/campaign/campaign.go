@@ -117,9 +117,9 @@ type Options struct {
 	Progress func(done, total int)
 	// Metrics, when non-nil, receives the campaign telemetry something
 	// reads live: the run-path and cycle counters, the golden footprint
-	// and cache families, the group-wait histogram and a live faults/sec
-	// gauge (see the Metric* name constants). Nil — the default — keeps
-	// the hot path free of any telemetry cost.
+	// and cache families and the group-wait histogram (see the Metric*
+	// name constants). Nil — the default — keeps the hot path free of
+	// any telemetry cost.
 	Metrics *metrics.Registry
 	// OnResult, when non-nil, is invoked after each completed run with
 	// the run's record — Index its position in FaultGroups, WallSeconds
@@ -145,6 +145,12 @@ type Options struct {
 	// job span, or a shard span), threading one correlation ID from a
 	// nocalertd job down to every run it executes.
 	TraceParent *obs.Span
+
+	// rate, when non-nil, receives this Run's live faults/sec after each
+	// completed run, just before OnResult: the runs completed over
+	// rateClock's time. RunShard sets it, and carries the value on the
+	// stats it hands its Progress callback.
+	rate func(perSec float64)
 }
 
 // DefaultPostInjectRun and DefaultDrainDeadline are what a campaign runs
@@ -355,10 +361,11 @@ func Run(opts Options) (_ *Report, err error) {
 		inst = newInstruments(o.Metrics)
 	}
 	// Per-run wall clocks are only read when someone is listening to the
-	// records, and the rate clock only moves under Metrics: the
-	// metrics-off loop takes no time but the group waits'.
+	// records, and the rate clock only moves when someone reads the rate:
+	// a loop with neither takes no time but the group waits'.
 	needTiming := o.OnResult != nil
-	// clock is what the live rates divide by. Guarded by progMu, like
+	timed := o.rate != nil
+	// clock is what the live rate divides by. Guarded by progMu, like
 	// everything else the workers share.
 	clock := rateClock{start: time.Now()}
 	jobs := make(chan int)
@@ -370,7 +377,7 @@ func Run(opts Options) (_ *Report, err error) {
 			for i := range jobs {
 				progMu.Lock()
 				failed := groupErr != nil
-				if inst != nil && !failed {
+				if timed && !failed {
 					clock.move(+1, 0)
 				}
 				progMu.Unlock()
@@ -388,7 +395,7 @@ func Run(opts Options) (_ *Report, err error) {
 					progMu.Unlock()
 					continue
 				}
-				if inst != nil {
+				if timed {
 					progMu.Lock()
 					clock.move(-1, +1)
 					progMu.Unlock()
@@ -434,8 +441,13 @@ func Run(opts Options) (_ *Report, err error) {
 				warmSaved += st.warmSaved
 				synthSaved += st.synthesized
 				if inst != nil {
+					inst.observe(&report.Results[i], waited, exit, &st)
+				}
+				if timed {
 					clock.move(0, -1)
-					inst.observe(&report.Results[i], waited, exit, &st, done, clock.active())
+					if s := clock.active().Seconds(); s > 0 {
+						o.rate(float64(done) / s)
+					}
 				}
 				if o.OnResult != nil {
 					o.OnResult(&report.Results[i], exit)

@@ -228,6 +228,7 @@ func TestGoldenKeyCoversOptions(t *testing.T) {
 		"Context":          {{"", func(o *Options) { o.Context = context.TODO() }, false}},
 		"Tracer":           {{"", func(o *Options) { o.Tracer = obs.New(obs.Options{Retain: true}) }, false}},
 		"TraceParent":      {{"", func(o *Options) { o.TraceParent = obs.New(obs.Options{Retain: true}).Start(nil, "job", "job") }, false}},
+		"rate":             {{"", func(o *Options) { o.rate = func(float64) {} }, false}},
 	}
 	k0 := keyOf(base())
 	if keyOf(base()) != k0 {

@@ -46,15 +46,6 @@ const (
 	// footprint of the golden signal transcripts (window and drain)
 	// backing the frontier engine.
 	MetricTimelineBytes = "campaign_timeline_bytes"
-	// MetricFaultsPerSec is the live throughput gauge, updated under
-	// the progress mutex after every completed run. It is wall-clock
-	// honest (completed runs over elapsed seconds) no matter how many
-	// cycles the fast paths skipped. The seconds it divides by run from
-	// the moment the first golden group is ready and leave out the
-	// stretches the whole pool stood waiting for a later one
-	// (rateClock): the rate says what the runs cost, so that an ETA
-	// drawn from it does not sag at every injection cycle.
-	MetricFaultsPerSec = "campaign_faults_per_sec"
 	// MetricGoldenCacheHits / Misses count campaigns by how they came by
 	// their golden artefact: found built in the GoldenCache, or built it
 	// themselves (every campaign without a cache, and one whose key's
@@ -100,7 +91,6 @@ type instruments struct {
 	warmSaved    *metrics.Counter
 	simCycles    *metrics.Counter
 	synthCycles  *metrics.Counter
-	faultsPS     *metrics.Gauge
 	groupWait    *metrics.Histogram
 }
 
@@ -114,17 +104,15 @@ func newInstruments(reg *metrics.Registry) *instruments {
 		warmSaved:    reg.Counter(MetricWarmstartSaved),
 		simCycles:    reg.Counter(MetricSimulatedCycles),
 		synthCycles:  reg.Counter(MetricSynthesizedCycles),
-		faultsPS:     reg.Gauge(MetricFaultsPerSec),
 		groupWait:    reg.Histogram(MetricGoldenGroupWait, groupWaitBounds),
 	}
 }
 
-// observe records one completed run. Called under the progress mutex,
-// so done and elapsed form a consistent throughput sample; the
-// instruments themselves are atomic and need no lock. st is the run's
-// honest cycle accounting: synthesized and skipped-prefix cycles feed
-// their own counters instead of the simulated one.
-func (in *instruments) observe(rec *trace.RunRecord, groupWait time.Duration, exit ExitPath, st *runStats, done int, elapsed time.Duration) {
+// observe records one completed run; the instruments are atomic and need
+// no lock. st is the run's honest cycle accounting: synthesized and
+// skipped-prefix cycles feed their own counters instead of the simulated
+// one.
+func (in *instruments) observe(rec *trace.RunRecord, groupWait time.Duration, exit ExitPath, st *runStats) {
 	in.groupWait.Observe(groupWait.Seconds())
 	if st.forked {
 		in.forkedRuns.Inc()
@@ -143,19 +131,17 @@ func (in *instruments) observe(rec *trace.RunRecord, groupWait time.Duration, ex
 	default:
 		in.fullRuns.Inc()
 	}
-	if s := elapsed.Seconds(); s > 0 {
-		in.faultsPS.Set(float64(done) / s)
-	}
 }
 
-// rateClock is what a Run's live rates divide by: the time since its
+// rateClock is what a Run's live rate divides by: the time since its
 // worker pool started less its stalls, the stretches in which a worker
 // stood blocked on a golden group the warm-up had not published yet and
 // none was executing a run. The wait for the first group is the first
 // stall, so the clock in effect starts when that group is ready; with
-// the stalls left in, a rate would sag at every later injection cycle
+// the stalls left in, the rate would sag at every later injection cycle
 // while nothing is wrong, and every ETA derived from it with it. The
-// caller serializes the calls.
+// rate says what the runs cost, however many cycles the fast paths
+// skipped. The caller serializes the calls.
 type rateClock struct {
 	start            time.Time
 	blocked, running int
@@ -178,7 +164,7 @@ func (c *rateClock) move(blocked, running int) {
 	}
 }
 
-// active is the time the rates divide by.
+// active is the time the rate divides by.
 func (c *rateClock) active() time.Duration {
 	d := time.Since(c.start) - c.stalled
 	if c.stalling() {

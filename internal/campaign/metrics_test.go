@@ -98,9 +98,6 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	if got := reg.Histogram(MetricGoldenGroupWait, groupWaitBounds).Count(); got != int64(len(faults)) {
 		t.Fatalf("%s count = %d, want %d", MetricGoldenGroupWait, got, len(faults))
 	}
-	if fps := reg.Gauge(MetricFaultsPerSec).Value(); fps <= 0 {
-		t.Fatalf("%s = %g, want > 0 after a finished campaign", MetricFaultsPerSec, fps)
-	}
 }
 
 // metricReaders is the registry's whole family list, each family with
@@ -108,7 +105,6 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 // record or the run span already carries has no place here: its readers
 // read those.
 var metricReaders = map[string]string{
-	MetricFaultsPerSec:      "the CLI's ETA (cmd/faultcampaign/progress.go) and the daemon's progress events (internal/server)",
 	MetricFastPathHits:      "bench/fleet.go's fleet totals",
 	MetricReconvergenceHits: "bench/fleet.go's fleet totals",
 	MetricFullSimRuns:       "bench/fleet.go's fleet totals",

@@ -13,7 +13,6 @@ import (
 	"nocalert/internal/metrics"
 	"nocalert/internal/statehash"
 	"nocalert/internal/topology"
-	"nocalert/internal/trace"
 )
 
 const multicycleReportPath = "../../testdata/report_8x8_multicycle_seed3.json"
@@ -190,45 +189,54 @@ func TestRunWaitsForItsPipeline(t *testing.T) {
 	})
 }
 
-// TestLiveRateSkipsGroupWaits holds the live faults/sec gauge across the
-// wait for a far injection cycle's group. Eight cycle-0 runs take some
-// milliseconds; the one worker then stands blocked while the mainline
-// steps 200 000 cycles. The gauge after the next run must be what the
-// runs themselves account for — the rate after the last cycle-0 run,
-// moved by one more run's own wall time — and not that diluted by the
-// wait, from which every ETA downstream would inherit a collapse.
+// TestLiveRateSkipsGroupWaits holds the live faults/sec RunShard reports
+// (ShardRunStats.FaultsPerSec) across the wait for a far injection
+// cycle's group. Eight cycle-0 runs take some milliseconds; the one
+// worker then stands blocked while the mainline steps 200 000 cycles. The
+// rate after the next run must be what the runs themselves account for —
+// the rate after the last cycle-0 run, moved by one more run's own wall
+// time — and not that diluted by the wait, from which every ETA
+// downstream would inherit a collapse.
 func TestLiveRateSkipsGroupWaits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
 	const far = 200_000
-	o := multiCycleOptions(topology.NewMesh(4, 4), 16, 7, []int64{0, far}, 200, 2500, 300)
-	o.Metrics = metrics.NewRegistry()
-	gauge := o.Metrics.Gauge(MetricFaultsPerSec)
-	var before, after, nextWall float64
-	nBefore := 0
-	o.OnResult = func(rec *trace.RunRecord, _ ExitPath) {
-		fps := gauge.Value()
-		if _, ok := EstimateETA(1, fps); !ok {
-			t.Errorf("after run %d the gauge reads %g, which no ETA can be derived from", rec.Index, fps)
-		}
-		switch {
-		case rec.Cycle == 0:
-			before, nBefore = fps, nBefore+1
-		case after == 0:
-			after, nextWall = fps, rec.WallSeconds
-		}
+	spec := Spec{MeshW: 4, MeshH: 4, InjectionRate: 0.12, Seed: 7, InjectCycles: []int64{0, far},
+		PostInjectRun: 200, DrainDeadline: 2500, Epoch: 300, HopLatency: 1, NumFaults: 16}
+	spec.Normalize()
+	sh, err := PlanShard(spec, 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustRun(t, o)
-	n := float64(nBefore)
+	reg := metrics.NewRegistry()
+	// One worker runs the faults in injection-cycle order: the universe
+	// alternates its two cycles, so the eight of cycle 0 come first.
+	var rates []float64
+	recs, _, err := RunShard(sh, nil, nil, ShardRunOptions{Workers: 1, Metrics: reg,
+		Progress: func(done, _ int, st ShardRunStats) {
+			if _, ok := EstimateETA(1, st.FaultsPerSec); !ok {
+				t.Errorf("after run %d the rate reads %g, which no ETA can be derived from", done, st.FaultsPerSec)
+			}
+			rates = append(rates, st.FaultsPerSec)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	before, after := rates[n-1], rates[n]
+	nextWall := recs[n].WallSeconds
+	if recs[n-1].Cycle != 0 || recs[n].Cycle != far {
+		t.Fatalf("runs %d and %d inject at cycles %d and %d, want 0 and %d", n-1, n, recs[n-1].Cycle, recs[n].Cycle, far)
+	}
 	active := n / before
-	waited := o.Metrics.Histogram(MetricGoldenGroupWait, groupWaitBounds).Sum()
+	waited := reg.Histogram(MetricGoldenGroupWait, groupWaitBounds).Sum()
 	if waited < 2*active {
 		t.Fatalf("the runs waited %.3f s for their groups and ran %.3f s before the far one: the warm-up was to dwarf them", waited, active)
 	}
 	if want := (n + 1) / (active + nextWall); after < 0.5*want {
-		t.Errorf("%s fell from %.0f after the last cycle-0 run to %.0f after the first of cycle %d (one more run of %.4f s gives %.0f): the %.3f s wait for its group went into the rate",
-			MetricFaultsPerSec, before, after, far, nextWall, want, waited)
+		t.Errorf("the rate fell from %.0f after the last cycle-0 run to %.0f after the first of cycle %d (one more run of %.4f s gives %.0f): the %.3f s wait for its group went into the rate",
+			before, after, far, nextWall, want, waited)
 	}
 }
 

@@ -82,6 +82,11 @@ type ShardRunStats struct {
 	// FullSim counts runs among Executed+Verified that simulated their
 	// window, drain and horizon end to end (no early exit).
 	FullSim int
+	// FaultsPerSec is the shard's own live throughput: the runs its
+	// campaign completed over the seconds they took, the waits of the
+	// whole pool for a golden group left out (rateClock). Zero until a
+	// run of this execution completes, whatever the checkpoint resumed.
+	FaultsPerSec float64
 	// Forked counts runs that warm-started from a golden snapshot above
 	// cycle 0. Filled in when the underlying campaign finishes (the
 	// per-run callback does not see fork decisions).
@@ -96,16 +101,19 @@ type ShardRunStats struct {
 // those runs are skipped (after validating they belong to this shard
 // fault-for-fault, and re-executing a deterministic sample to prove
 // the records reproduce). When the checkpoint ends up covering the
-// whole shard, RunShard finalizes it with the integrity footer.
+// whole shard, RunShard finalizes it with the integrity footer. A nil
+// cp is a run nobody resumes: completed is empty, and nothing is
+// validated, verified, appended or finalized.
+//
+// RunShard hands back the shard's records, the resumed ones and the
+// newly executed ones, in no particular order (the whole shard when
+// stats.Complete is set), and its stats, on an error too.
 //
 // Determinism contract: the records a killed-then-resumed shard
 // accumulates are canonical-byte-identical to an uninterrupted run's,
 // because every run forks from the same warmed base state and nothing
 // about resume order feeds back into simulation.
-func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o ShardRunOptions) (*ShardRunStats, error) {
-	if cp == nil {
-		return nil, fmt.Errorf("campaign: RunShard needs a checkpoint")
-	}
+func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o ShardRunOptions) ([]trace.RunRecord, *ShardRunStats, error) {
 	stats := &ShardRunStats{Total: sh.End - sh.Start}
 	sspan := o.Tracer.Start(o.TraceParent, "shard", fmt.Sprintf("shard[%d/%d]", sh.Index, sh.Count))
 	sspan.SetAttr("shard_index", sh.Index)
@@ -119,12 +127,12 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 		sspan.SetAttr("complete", stats.Complete)
 		sspan.End()
 	}()
-	if cp.Finalized() {
+	if cp != nil && cp.Finalized() {
 		// Nothing to do: a finalized checkpoint was already verified
 		// against its footer checksum when it was read back.
 		stats.Resumed = len(completed)
 		stats.Complete = true
-		return stats, nil
+		return completed, stats, nil
 	}
 
 	// Validate the recovered records: in range, no duplicates, and each
@@ -135,15 +143,15 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 	for i := range completed {
 		rec := &completed[i]
 		if rec.Index < sh.Start || rec.Index >= sh.End {
-			return nil, fmt.Errorf("campaign: checkpoint record index %d outside shard range [%d,%d)",
+			return nil, stats, fmt.Errorf("campaign: checkpoint record index %d outside shard range [%d,%d)",
 				rec.Index, sh.Start, sh.End)
 		}
 		if _, dup := recorded[rec.Index]; dup {
-			return nil, fmt.Errorf("campaign: checkpoint has duplicate record for index %d", rec.Index)
+			return nil, stats, fmt.Errorf("campaign: checkpoint has duplicate record for index %d", rec.Index)
 		}
 		f := &sh.Faults[rec.Index-sh.Start]
 		if !recordDescribes(rec, f) {
-			return nil, fmt.Errorf("campaign: checkpoint record %d describes fault %s.bit%d, shard plan has %v",
+			return nil, stats, fmt.Errorf("campaign: checkpoint record %d describes fault %s.bit%d, shard plan has %v",
 				rec.Index, rec.Signal, rec.Bit, f)
 		}
 		recorded[rec.Index] = rec
@@ -199,9 +207,16 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 		jobs = append(jobs, job{global, false})
 		faults = append(faults, sh.Faults[k])
 	}
-	if len(jobs) == 0 {
+	// finish marks the shard complete and finalizes its checkpoint.
+	finish := func() error {
 		stats.Complete = true
-		return stats, cp.Finalize()
+		if cp == nil {
+			return nil
+		}
+		return cp.Finalize()
+	}
+	if len(jobs) == 0 {
+		return completed, stats, finish()
 	}
 
 	ctx := o.Context
@@ -213,6 +228,7 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 
 	var firstErr error
 	shardDone := stats.Resumed
+	records := append(make([]trace.RunRecord, 0, stats.Total), completed...)
 	opts := sh.Spec.Options()
 	opts.Faults = faults
 	opts.Workers = o.Workers
@@ -222,6 +238,7 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 	opts.Context = ctx
 	opts.Tracer = o.Tracer
 	opts.TraceParent = sspan
+	opts.rate = func(perSec float64) { stats.FaultsPerSec = perSec }
 	opts.OnResult = func(r *trace.RunRecord, exit ExitPath) {
 		// Serialized by the campaign's progress mutex.
 		if firstErr != nil {
@@ -248,11 +265,14 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 			}
 			return
 		}
-		if err := cp.Append(&rec); err != nil {
-			firstErr = fmt.Errorf("campaign: checkpoint append: %w", err)
-			cancel()
-			return
+		if cp != nil {
+			if err := cp.Append(&rec); err != nil {
+				firstErr = fmt.Errorf("campaign: checkpoint append: %w", err)
+				cancel()
+				return
+			}
 		}
+		records = append(records, rec)
 		stats.Executed++
 		shardDone++
 		if o.Progress != nil {
@@ -261,15 +281,14 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 	}
 	rep, err := Run(opts)
 	if firstErr != nil {
-		return stats, firstErr
+		return records, stats, firstErr
 	}
 	if err != nil {
-		return stats, err
+		return records, stats, err
 	}
 	stats.Forked = rep.ForkedRuns
 	if stats.Resumed+stats.Executed == stats.Total {
-		stats.Complete = true
-		return stats, cp.Finalize()
+		err = finish()
 	}
-	return stats, nil
+	return records, stats, err
 }

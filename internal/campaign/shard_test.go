@@ -134,7 +134,7 @@ func runShardToFile(t *testing.T, spec Spec, i, n int, dir string) string {
 		t.Fatal(err)
 	}
 	defer cp.Close()
-	stats, err := RunShard(sh, cp, completed, ShardRunOptions{})
+	_, stats, err := RunShard(sh, cp, completed, ShardRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestInterruptedShardResume(t *testing.T) {
 	// and let RunShard surface the context error.
 	ctx, cancel := context.WithCancel(context.Background())
 	killAfter := (sh.End - sh.Start) / 3
-	stats, err := RunShard(sh, cp, completed, ShardRunOptions{
+	_, stats, err := RunShard(sh, cp, completed, ShardRunOptions{
 		Workers: 1,
 		Context: ctx,
 		Progress: func(done, total int, _ ShardRunStats) {
@@ -424,7 +424,7 @@ func TestInterruptedShardResume(t *testing.T) {
 	if len(completed2) != len(partial.Records) {
 		t.Fatalf("resume recovered %d records, file has %d", len(completed2), len(partial.Records))
 	}
-	stats2, err := RunShard(sh, cp2, completed2, ShardRunOptions{})
+	recs2, stats2, err := RunShard(sh, cp2, completed2, ShardRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,6 +462,11 @@ func TestInterruptedShardResume(t *testing.T) {
 	if final.Footer.Sum != trace.SumRecords(wantShard) {
 		t.Fatalf("resumed checksum %s != uninterrupted %s", final.Footer.Sum, trace.SumRecords(wantShard))
 	}
+	// What RunShard hands back is the shard's records, the resumed ones
+	// included: the checkpoint's.
+	if got := trace.SumRecords(sortedByIndex(recs2)); got != final.Footer.Sum {
+		t.Fatalf("the resumed shard handed back records summing to %s, its checkpoint %s", got, final.Footer.Sum)
+	}
 
 	// Resuming a finalized checkpoint is a no-op.
 	cp3, completed3, err := trace.ResumeCheckpoint(path, m)
@@ -469,12 +474,58 @@ func TestInterruptedShardResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cp3.Close()
-	stats3, err := RunShard(sh, cp3, completed3, ShardRunOptions{})
+	recs3, stats3, err := RunShard(sh, cp3, completed3, ShardRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !stats3.Complete || stats3.Executed != 0 {
 		t.Fatalf("finalized shard re-ran work: %+v", stats3)
+	}
+	if got := trace.SumRecords(sortedByIndex(recs3)); got != final.Footer.Sum {
+		t.Fatalf("the finalized shard handed back records summing to %s, its checkpoint %s", got, final.Footer.Sum)
+	}
+}
+
+// sortedByIndex returns recs in index order.
+func sortedByIndex(recs []trace.RunRecord) []trace.RunRecord {
+	out := slices.Clone(recs)
+	slices.SortFunc(out, func(a, b trace.RunRecord) int { return a.Index - b.Index })
+	return out
+}
+
+// TestRunShardWithoutCheckpoint runs the whole campaign as shard 0/1 with
+// no checkpoint, the CLI's plain run: the records RunShard hands back must
+// fold into the report Run gives, byte for byte.
+func TestRunShardWithoutCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	spec := shardTestSpec(48)
+	sh, err := PlanShard(spec, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, stats, err := RunShard(sh, nil, nil, ShardRunOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Complete || stats.Executed != len(recs) || stats.Resumed != 0 || stats.Verified != 0 {
+		t.Fatalf("a run without a checkpoint: %+v, %d records", stats, len(recs))
+	}
+	rep, err := ReportFromRecords(spec, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Report{Opts: spec.Options(), Results: unshardedRecords(t, spec)}
+	var got, wantJSON bytes.Buffer
+	if err := rep.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteJSON(&wantJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), wantJSON.Bytes()) {
+		t.Error("the records of a run without a checkpoint fold into a report other than Run's")
 	}
 }
 
@@ -502,7 +553,7 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	_, runErr := RunShard(sh, cp, nil, ShardRunOptions{
+	_, _, runErr := RunShard(sh, cp, nil, ShardRunOptions{
 		Workers: 1,
 		Context: ctx,
 		Progress: func(done, total int, _ ShardRunStats) {
@@ -556,7 +607,7 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cpa.Close()
-	_, err = RunShard(sh, cpa, completed, ShardRunOptions{})
+	_, _, err = RunShard(sh, cpa, completed, ShardRunOptions{})
 	if err == nil {
 		t.Fatal("identity-tampered checkpoint resumed without error")
 	}
@@ -576,7 +627,7 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 	defer cpb.Close()
 	// Verify every recorded run so the tampered one is certainly
 	// replayed.
-	_, err = RunShard(sh, cpb, completedB, ShardRunOptions{VerifyResumed: 1 << 20})
+	_, _, err = RunShard(sh, cpb, completedB, ShardRunOptions{VerifyResumed: 1 << 20})
 	if err == nil {
 		t.Fatal("result-tampered checkpoint resumed without error")
 	}

@@ -331,7 +331,7 @@ func shardCheckpoint(t *testing.T, spec campaign.Spec, i, n int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := campaign.RunShard(sh, cp, nil, campaign.ShardRunOptions{Workers: 2}); err != nil {
+	if _, _, err := campaign.RunShard(sh, cp, nil, campaign.ShardRunOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Close(); err != nil {

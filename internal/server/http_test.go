@@ -844,3 +844,78 @@ func TestShardsShareGoldenArtefact(t *testing.T) {
 		t.Error("the daemon retains no golden artefact after its jobs")
 	}
 }
+
+// TestJobRatesAreTheirOwn runs two jobs at once on one daemon, and so on
+// one registry: a cheap 4×4 campaign and an 8×8 one whose runs cost
+// several times more. Every progress event's faults/sec must be its own
+// job's. With one campaign worker a job's rate divides the runs it has
+// completed by a time no shorter than their wall times summed (its
+// checkpoint records them in the order they ran) and no longer than the
+// job had been running when the event arrived; the other job's rate
+// breaks one bound or the other.
+func TestJobRatesAreTheirOwn(t *testing.T) {
+	s := queuedServer(t, Config{QueueSize: 4, Concurrency: 2, CampaignWorkers: 1})
+	defer s.Stop(context.Background())
+	dear := campaign.Spec{MeshW: 8, MeshH: 8, VCs: 4, InjectionRate: 0.1, Seed: 3, InjectCycle: 300,
+		PostInjectRun: 1500, DrainDeadline: 10000, Epoch: 1500, HopLatency: 1, NumFaults: 48}
+	type sample struct {
+		done int
+		fps  float64
+		at   time.Time
+	}
+	var (
+		jobs    []*Job
+		samples = make([][]sample, 2)
+		wg      sync.WaitGroup
+	)
+	for i, spec := range []campaign.Spec{testSpec(192), dear} {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+		events, _ := j.subscribe(4096)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ev := range events {
+				if ev.Type == "progress" && ev.FaultsPerSec > 0 {
+					samples[i] = append(samples[i], sample{ev.Done, ev.FaultsPerSec, time.Now()})
+				}
+			}
+		}()
+	}
+	s.startWorkers()
+	for _, j := range jobs {
+		if v := waitJob(t, s, j.ID, 2*time.Minute); v.Status != StatusDone {
+			t.Fatalf("job %s finished as %s (%s)", j.ID, v.Status, v.Error)
+		}
+	}
+	wg.Wait()
+
+	var mean [2]float64
+	for i, j := range jobs {
+		cd, err := trace.ReadCheckpointFile(s.checkpointPath(j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := make([]float64, len(cd.Records)+1) // ran[k]: the first k runs' wall times summed
+		for k, rec := range cd.Records {
+			ran[k+1] = ran[k] + rec.WallSeconds
+		}
+		if len(samples[i]) == 0 {
+			t.Fatalf("job %d published no rate", i)
+		}
+		for _, sm := range samples[i] {
+			hi := float64(sm.done) / ran[sm.done]
+			lo := float64(sm.done) / sm.at.Sub(j.started).Seconds()
+			if sm.fps > 1.01*hi || sm.fps < 0.99*lo {
+				t.Errorf("job %d after %d runs: %.0f faults/sec, its own runs allow %.0f to %.0f", i, sm.done, sm.fps, lo, hi)
+			}
+		}
+		mean[i] = float64(len(cd.Records)) / ran[len(cd.Records)]
+	}
+	if mean[0] < 3*mean[1] {
+		t.Errorf("the cheap job ran %.0f faults/sec and the dear one %.0f: too close for a rate to tell them apart", mean[0], mean[1])
+	}
+}

@@ -110,9 +110,10 @@ type Job struct {
 	reconverged int
 	fullSim     int
 	forked      int
-	// faultsPerSec is the campaign's live throughput gauge at the last
-	// progress callback; droppedEvents counts events any subscriber
-	// missed because its stream buffer was full. Both surface in View.
+	// faultsPerSec is the job's own live throughput at the last progress
+	// callback (campaign.ShardRunStats.FaultsPerSec); droppedEvents counts
+	// events any subscriber missed because its stream buffer was full.
+	// Both surface in View.
 	faultsPerSec  float64
 	droppedEvents int
 	errMsg        string

@@ -580,7 +580,7 @@ func (s *Server) runJob(j *Job) {
 	s.persistTerminal(j, st, errMsg, finished)
 	j.mu.Lock()
 	j.status, j.finished, j.errMsg = st, finished, errMsg
-	j.faultsPerSec = 0 // terminal: the live throughput gauge is over
+	j.faultsPerSec = 0 // terminal: the live throughput is over
 	final := Event{Type: "status", Job: j.ID, Status: j.status, Done: j.done, Total: j.total, Resumed: j.resumed,
 		FastPathHits: j.fastPath, Reconverged: j.reconverged, FullSim: j.fullSim, Forked: j.forked, Error: j.errMsg}
 	j.publishLocked(final)
@@ -654,7 +654,7 @@ func (s *Server) executeShard(ctx context.Context, j *Job, jspan *obs.Span) erro
 		s.jobLog(j.ID).Info("resuming checkpoint", "recorded", len(completed), "total", total)
 	}
 
-	stats, err := campaign.RunShard(sh, cp, completed, campaign.ShardRunOptions{
+	_, stats, err := campaign.RunShard(sh, cp, completed, campaign.ShardRunOptions{
 		Workers:       s.cfg.CampaignWorkers,
 		GoldenCache:   s.golden,
 		Metrics:       s.reg,
@@ -663,11 +663,10 @@ func (s *Server) executeShard(ctx context.Context, j *Job, jspan *obs.Span) erro
 		Tracer:        s.cfg.Tracer,
 		TraceParent:   jspan,
 		Progress: func(done, total int, st campaign.ShardRunStats) {
-			fps := s.reg.Gauge(campaign.MetricFaultsPerSec).Value()
 			ev := Event{Type: "progress", Job: j.ID, Status: StatusRunning, Done: done, Total: total,
 				FastPathHits: st.FastPathHits, Reconverged: st.Reconverged, FullSim: st.FullSim}
-			if eta, ok := campaign.EstimateETA(total-done, fps); ok {
-				ev.FaultsPerSec = fps
+			if eta, ok := campaign.EstimateETA(total-done, st.FaultsPerSec); ok {
+				ev.FaultsPerSec = st.FaultsPerSec
 				ev.ETASeconds = eta.Seconds()
 			}
 			j.mu.Lock()
@@ -675,22 +674,20 @@ func (s *Server) executeShard(ctx context.Context, j *Job, jspan *obs.Span) erro
 			j.fastPath = st.FastPathHits
 			j.reconverged = st.Reconverged
 			j.fullSim = st.FullSim
-			j.faultsPerSec = fps
+			j.faultsPerSec = st.FaultsPerSec
 			ev.Resumed = j.resumed
 			j.publishLocked(ev)
 			j.mu.Unlock()
 		},
 	})
-	if stats != nil {
-		j.mu.Lock()
-		j.executed = stats.Executed
-		j.verified = stats.Verified
-		j.fastPath = stats.FastPathHits
-		j.reconverged = stats.Reconverged
-		j.fullSim = stats.FullSim
-		j.forked = stats.Forked
-		j.mu.Unlock()
-	}
+	j.mu.Lock()
+	j.executed = stats.Executed
+	j.verified = stats.Verified
+	j.fastPath = stats.FastPathHits
+	j.reconverged = stats.Reconverged
+	j.fullSim = stats.FullSim
+	j.forked = stats.Forked
+	j.mu.Unlock()
 	if err != nil {
 		return err
 	}
