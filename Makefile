@@ -234,7 +234,7 @@ paper-fleet:
 # alone, -fig obs3 runs no main campaign and prints the table only), which
 # must read the same in both modes, and through the test binary to the reference
 # sweep too by the armed-fault report fixture and the double-fault groups. Last, the fuzzers search for
-# 45 s (fuzz-smoke), one of them holding the frontier to the full simulation in lockstep. One shell, so the trap
+# 60 s (fuzz-smoke), one of them holding the frontier to the full simulation in lockstep. One shell, so the trap
 # removes .identity/ whether or not a cmp fails.
 identity:
 	@set -ex; rm -rf .identity; mkdir -p .identity; trap 'rm -rf .identity' EXIT; \
@@ -260,7 +260,7 @@ identity:
 	$(GO) test -count=1 -run 'TestArmedFaultReportFixture|TestDoubleFaultGroupMatchesReference' ./internal/campaign; \
 	$(MAKE) fuzz-smoke
 
-# fuzz-smoke lets the fuzzers search on for 45 s between them from their
+# fuzz-smoke lets the fuzzers search on for 60 s between them from their
 # seed corpora (which plain `go test` already runs). FuzzFrontierLockstep
 # picks meshes up to 6×6, VC counts, rates, routing algorithms and faults,
 # the frontier held to the full simulation cycle by cycle;
@@ -268,12 +268,16 @@ identity:
 # which must then read without a panic and, once resumed, take an append
 # and read back whole; FuzzSpecIntake decodes bytes as a job's spec the way
 # the daemon does, which must normalize and validate without a panic, and,
-# once valid, keep its hash under a second normalization. A failing input
+# once valid, keep its hash under a second normalization; FuzzJobStateRecover
+# writes bytes as a job's state manifest and rebuilds the daemon's job table
+# from it, which must refuse it or recover jobs whose spec hashes to the
+# manifest's recorded spec_hash, without a panic. A failing input
 # is written under the package's testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrontierLockstep -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 15s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSpecIntake -fuzztime 15s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz FuzzJobStateRecover -fuzztime 15s ./internal/server
 
 # build386 is a build-only cross-compile of the whole module for a
 # 32-bit target: the SoA state uses explicitly sized element types

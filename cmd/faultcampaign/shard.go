@@ -34,36 +34,17 @@ func parseShardFlag(s string) (i, n int, err error) {
 // checkpoint is resumed, a finalized one is not run again. sro carries
 // the execution knobs; its Progress field is filled in here.
 func runShard(spec campaign.Spec, idx, n int, path string, sro campaign.ShardRunOptions, progress bool) ([]trace.RunRecord, error) {
-	sh, err := campaign.PlanShard(spec, idx, n)
-	if err != nil {
-		return nil, err
-	}
-	var cp *trace.Checkpoint
-	var completed []trace.RunRecord
-	if path != "" {
-		m, err := sh.Manifest()
-		if err != nil {
-			return nil, err
-		}
-		if cp, completed, err = trace.ResumeCheckpoint(path, m); err != nil {
-			return nil, err
-		}
-		defer cp.Close()
-	}
-
 	label := fmt.Sprintf("shard %d/%d", idx, n)
 	if progress {
 		sro.Progress = progressPrinter(os.Stderr, label)
-		// The first line appears before the first run completes.
-		sro.Progress(len(completed), sh.End-sh.Start, campaign.ShardRunStats{})
 	}
 	start := time.Now()
-	recs, st, err := campaign.RunShard(sh, cp, completed, sro)
+	recs, st, err := campaign.RunShard(spec, idx, n, path, sro)
 	if err != nil {
 		if progress {
 			fmt.Fprintln(os.Stderr)
 		}
-		if cp != nil {
+		if path != "" {
 			err = fmt.Errorf("%w (checkpoint %s keeps the %d completed runs)", err, path, st.Resumed+st.Executed)
 		}
 		return nil, fmt.Errorf("%s: %w", label, err)
@@ -71,13 +52,7 @@ func runShard(spec campaign.Spec, idx, n int, path string, sro campaign.ShardRun
 	fmt.Printf("%s: %d/%d runs in %v (%d resumed from checkpoint, %d of those re-executed and verified, %d newly executed, %d fast-path exits, %d reconverged, %d full-sim, %d forked)\n",
 		label, st.Resumed+st.Executed, st.Total, time.Since(start).Round(time.Millisecond),
 		st.Resumed, st.Verified, st.Executed, st.FastPathHits, st.Reconverged, st.FullSim, st.Forked)
-	if !st.Complete {
-		return nil, fmt.Errorf("%s did not complete", label)
-	}
-	if cp != nil {
-		if err := cp.Close(); err != nil {
-			return nil, err
-		}
+	if path != "" {
 		fmt.Printf("checkpoint finalized: %s\n", path)
 	}
 	return recs, nil

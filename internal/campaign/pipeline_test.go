@@ -205,16 +205,15 @@ func TestLiveRateSkipsGroupWaits(t *testing.T) {
 	spec := Spec{MeshW: 4, MeshH: 4, InjectionRate: 0.12, Seed: 7, InjectCycles: []int64{0, far},
 		PostInjectRun: 200, DrainDeadline: 2500, Epoch: 300, HopLatency: 1, NumFaults: 16}
 	spec.Normalize()
-	sh, err := PlanShard(spec, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := metrics.NewRegistry()
 	// One worker runs the faults in injection-cycle order: the universe
 	// alternates its two cycles, so the eight of cycle 0 come first.
 	var rates []float64
-	recs, _, err := RunShard(sh, nil, nil, ShardRunOptions{Workers: 1, Metrics: reg,
+	recs, _, err := RunShard(spec, 0, 1, "", ShardRunOptions{Workers: 1, Metrics: reg,
 		Progress: func(done, _ int, st ShardRunStats) {
+			if st.Executed == 0 {
+				return // the call before the first run: nothing measured yet
+			}
 			if _, ok := EstimateETA(1, st.FaultsPerSec); !ok {
 				t.Errorf("after run %d the rate reads %g, which no ETA can be derived from", done, st.FaultsPerSec)
 			}

@@ -34,11 +34,11 @@ type ShardRunOptions struct {
 	// GoldenCache, when non-nil, shares the golden warm-up with the other
 	// shards and jobs run off the same cache (see Options.GoldenCache).
 	GoldenCache *GoldenCache
-	// Progress, when non-nil, is invoked after each newly executed run
-	// with the shard-level completion count (resumed runs included), the
-	// shard's total run count and a snapshot of the running stats (for
-	// live exit-path breakdowns; the snapshot's Complete field is only
-	// meaningful on the final call).
+	// Progress, when non-nil, is invoked once before the first run,
+	// with the resumed count (Executed is 0), and then after each newly
+	// executed run, with the shard-level completion count (resumed runs
+	// included), the shard's total run count and a snapshot of the
+	// running stats (for live exit-path breakdowns).
 	Progress func(done, total int, stats ShardRunStats)
 	// Metrics, when non-nil, receives the campaign telemetry.
 	Metrics *metrics.Registry
@@ -91,30 +91,49 @@ type ShardRunStats struct {
 	// cycle 0. Filled in when the underlying campaign finishes (the
 	// per-run callback does not see fork decisions).
 	Forked int
-	// Complete reports whether the checkpoint now covers the whole
-	// shard (and carries its integrity footer).
-	Complete bool
 }
 
-// RunShard executes a shard, streaming every completed run into the
-// checkpoint. completed is the record set ResumeCheckpoint recovered;
-// those runs are skipped (after validating they belong to this shard
-// fault-for-fault, and re-executing a deterministic sample to prove
-// the records reproduce). When the checkpoint ends up covering the
-// whole shard, RunShard finalizes it with the integrity footer. A nil
-// cp is a run nobody resumes: completed is empty, and nothing is
+// RunShard executes shard i of n of the spec, 0/1 being the whole
+// campaign. When path names a checkpoint the shard's records are kept
+// there: a missing one is created; an existing one is resumed, its
+// records validated against the plan fault for fault and a
+// deterministic sample of them re-executed to prove they reproduce;
+// every newly executed run is appended; the checkpoint is finalized
+// with its integrity footer once it covers the shard, and closed on
+// every return. An empty path is a run nobody resumes: nothing is
 // validated, verified, appended or finalized.
 //
 // RunShard hands back the shard's records, the resumed ones and the
-// newly executed ones, in no particular order (the whole shard when
-// stats.Complete is set), and its stats, on an error too.
+// newly executed ones, in no particular order, and its stats, on an
+// error too. A nil error means every run of the shard is recorded.
 //
 // Determinism contract: the records a killed-then-resumed shard
 // accumulates are canonical-byte-identical to an uninterrupted run's,
 // because every run forks from the same warmed base state and nothing
 // about resume order feeds back into simulation.
-func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o ShardRunOptions) ([]trace.RunRecord, *ShardRunStats, error) {
-	stats := &ShardRunStats{Total: sh.End - sh.Start}
+func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.RunRecord, stats *ShardRunStats, err error) {
+	stats = &ShardRunStats{}
+	sh, err := PlanShard(spec, i, n)
+	if err != nil {
+		return nil, stats, err
+	}
+	stats.Total = sh.End - sh.Start
+	var cp *trace.Checkpoint
+	var completed []trace.RunRecord
+	if path != "" {
+		var m *trace.Manifest
+		if m, err = sh.Manifest(); err != nil {
+			return nil, stats, err
+		}
+		if cp, completed, err = trace.ResumeCheckpoint(path, m); err != nil {
+			return nil, stats, err
+		}
+		defer func() {
+			if cerr := cp.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
 	sspan := o.Tracer.Start(o.TraceParent, "shard", fmt.Sprintf("shard[%d/%d]", sh.Index, sh.Count))
 	sspan.SetAttr("shard_index", sh.Index)
 	sspan.SetAttr("shard_count", sh.Count)
@@ -124,16 +143,9 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 		sspan.SetAttr("resumed", stats.Resumed)
 		sspan.SetAttr("verified", stats.Verified)
 		sspan.SetAttr("executed", stats.Executed)
-		sspan.SetAttr("complete", stats.Complete)
+		sspan.SetAttr("complete", err == nil)
 		sspan.End()
 	}()
-	if cp != nil && cp.Finalized() {
-		// Nothing to do: a finalized checkpoint was already verified
-		// against its footer checksum when it was read back.
-		stats.Resumed = len(completed)
-		stats.Complete = true
-		return completed, stats, nil
-	}
 
 	// Validate the recovered records: in range, no duplicates, and each
 	// one's fault identity matching the planned universe slice. Any
@@ -157,6 +169,14 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 		recorded[rec.Index] = rec
 	}
 	stats.Resumed = len(recorded)
+	if o.Progress != nil {
+		o.Progress(stats.Resumed, stats.Total, *stats)
+	}
+	if cp != nil && cp.Finalized() {
+		// Nothing to run: a finalized checkpoint was already verified
+		// against its footer checksum when it was read back.
+		return completed, stats, nil
+	}
 
 	// Deterministic re-execution sample: which recorded runs to replay
 	// and compare. The stream is derived from (seed, shard coordinates)
@@ -207,16 +227,8 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 		jobs = append(jobs, job{global, false})
 		faults = append(faults, sh.Faults[k])
 	}
-	// finish marks the shard complete and finalizes its checkpoint.
-	finish := func() error {
-		stats.Complete = true
-		if cp == nil {
-			return nil
-		}
-		return cp.Finalize()
-	}
 	if len(jobs) == 0 {
-		return completed, stats, finish()
+		return completed, stats, finalize(cp)
 	}
 
 	ctx := o.Context
@@ -227,7 +239,6 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 	defer cancel()
 
 	var firstErr error
-	shardDone := stats.Resumed
 	records := append(make([]trace.RunRecord, 0, stats.Total), completed...)
 	opts := sh.Spec.Options()
 	opts.Faults = faults
@@ -274,9 +285,8 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 		}
 		records = append(records, rec)
 		stats.Executed++
-		shardDone++
 		if o.Progress != nil {
-			o.Progress(shardDone, stats.Total, *stats)
+			o.Progress(stats.Resumed+stats.Executed, stats.Total, *stats)
 		}
 	}
 	rep, err := Run(opts)
@@ -287,8 +297,17 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 		return records, stats, err
 	}
 	stats.Forked = rep.ForkedRuns
-	if stats.Resumed+stats.Executed == stats.Total {
-		err = finish()
+	if stats.Resumed+stats.Executed != stats.Total {
+		return records, stats, fmt.Errorf("campaign: shard %d/%d recorded %d of its %d runs",
+			sh.Index, sh.Count, stats.Resumed+stats.Executed, stats.Total)
 	}
-	return records, stats, err
+	return records, stats, finalize(cp)
+}
+
+// finalize writes cp's integrity footer; a nil cp keeps no records.
+func finalize(cp *trace.Checkpoint) error {
+	if cp == nil {
+		return nil
+	}
+	return cp.Finalize()
 }

@@ -120,28 +120,78 @@ func unshardedRecords(t *testing.T, spec Spec) []trace.RunRecord {
 // runShardToFile plans and executes one shard, checkpointing to dir.
 func runShardToFile(t *testing.T, spec Spec, i, n int, dir string) string {
 	t.Helper()
-	sh, err := PlanShard(spec, i, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sh.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(dir, "shard.ndjson")
-	cp, completed, err := trace.ResumeCheckpoint(path, m)
-	if err != nil {
+	if _, _, err := RunShard(spec, i, n, path, ShardRunOptions{}); err != nil {
 		t.Fatal(err)
-	}
-	defer cp.Close()
-	_, stats, err := RunShard(sh, cp, completed, ShardRunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Complete {
-		t.Fatalf("shard %d/%d did not complete: %+v", i, n, stats)
 	}
 	return path
+}
+
+// firstProgress records RunShard's Progress calls and checks the first:
+// it comes before any run, with the resumed count.
+type firstProgress struct {
+	calls   int
+	done    int
+	first   ShardRunStats
+	forward func(done, total int, st ShardRunStats)
+}
+
+func (p *firstProgress) progress(done, total int, st ShardRunStats) {
+	if p.calls == 0 {
+		p.done, p.first = done, st
+	}
+	p.calls++
+	if p.forward != nil {
+		p.forward(done, total, st)
+	}
+}
+
+func (p *firstProgress) check(t *testing.T, resumed int) {
+	t.Helper()
+	if p.calls == 0 {
+		t.Fatal("RunShard never called Progress")
+	}
+	if p.first.Executed != 0 || p.first.Verified != 0 || p.first.Resumed != resumed || p.done != resumed {
+		t.Fatalf("first Progress call: done %d, stats %+v; want it before any run, with %d resumed", p.done, p.first, resumed)
+	}
+}
+
+// openFDs counts this process's open descriptors on path; -1 where the
+// platform does not list them.
+func openFDs(t *testing.T, path string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	abs, err := filepath.Abs(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == abs {
+			n++
+		}
+	}
+	return n
+}
+
+// wantFinalizedAndClosed fails unless the checkpoint at path carries its
+// footer and RunShard left no descriptor open on it.
+func wantFinalizedAndClosed(t *testing.T, path string) *trace.CheckpointData {
+	t.Helper()
+	cd, err := trace.ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cd.Footer == nil {
+		t.Fatalf("%s: RunShard returned nil with no footer on the checkpoint", path)
+	}
+	if n := openFDs(t, path); n > 0 {
+		t.Fatalf("%s: RunShard returned with %d descriptors open on the checkpoint", path, n)
+	}
+	return cd
 }
 
 func canonicalSet(recs []trace.RunRecord) map[int]string {
@@ -367,41 +417,29 @@ func TestInterruptedShardResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sh.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "interrupted.ndjson")
-	cp, completed, err := trace.ResumeCheckpoint(path, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(completed) != 0 {
-		t.Fatalf("fresh checkpoint claims %d completed runs", len(completed))
-	}
 
 	// Kill the shard after a third of its runs: cancel cooperatively
 	// and let RunShard surface the context error.
 	ctx, cancel := context.WithCancel(context.Background())
 	killAfter := (sh.End - sh.Start) / 3
-	_, stats, err := RunShard(sh, cp, completed, ShardRunOptions{
-		Workers: 1,
-		Context: ctx,
-		Progress: func(done, total int, _ ShardRunStats) {
-			if done >= killAfter {
-				cancel()
-			}
-		},
+	fresh := firstProgress{forward: func(done, total int, _ ShardRunStats) {
+		if done >= killAfter {
+			cancel()
+		}
+	}}
+	_, stats, err := RunShard(spec, idx, n, path, ShardRunOptions{
+		Workers:  1,
+		Context:  ctx,
+		Progress: fresh.progress,
 	})
 	cancel()
 	if err == nil {
 		t.Fatalf("interrupted shard returned no error (stats %+v)", stats)
 	}
-	if stats.Complete {
-		t.Fatal("interrupted shard claims completion")
-	}
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
+	fresh.check(t, 0)
+	if n := openFDs(t, path); n > 0 {
+		t.Fatalf("the interrupted shard left %d descriptors open on its checkpoint", n)
 	}
 	partial, err := trace.ReadCheckpointFile(path)
 	if err != nil {
@@ -416,22 +454,13 @@ func TestInterruptedShardResume(t *testing.T) {
 	}
 
 	// Resume: skip-and-verify the recorded runs, execute the rest.
-	cp2, completed2, err := trace.ResumeCheckpoint(path, m)
+	var resumed firstProgress
+	recs2, stats2, err := RunShard(spec, idx, n, path, ShardRunOptions{Progress: resumed.progress})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp2.Close()
-	if len(completed2) != len(partial.Records) {
-		t.Fatalf("resume recovered %d records, file has %d", len(completed2), len(partial.Records))
-	}
-	recs2, stats2, err := RunShard(sh, cp2, completed2, ShardRunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats2.Complete {
-		t.Fatalf("resumed shard did not complete: %+v", stats2)
-	}
-	if stats2.Resumed != len(completed2) || stats2.Resumed+stats2.Executed != sh.End-sh.Start {
+	resumed.check(t, len(partial.Records))
+	if stats2.Resumed != len(partial.Records) || stats2.Resumed+stats2.Executed != sh.End-sh.Start {
 		t.Fatalf("resume accounting off: %+v", stats2)
 	}
 	if stats2.Verified == 0 {
@@ -440,11 +469,8 @@ func TestInterruptedShardResume(t *testing.T) {
 
 	// The resumed checkpoint must carry exactly the uninterrupted
 	// run's records (canonical bytes) and checksum.
-	final, err := trace.ReadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(final.Records) != sh.End-sh.Start || final.Footer == nil {
+	final := wantFinalizedAndClosed(t, path)
+	if len(final.Records) != sh.End-sh.Start {
 		t.Fatalf("resumed checkpoint: %d records, footer %v", len(final.Records), final.Footer)
 	}
 	wantSet := canonicalSet(want)
@@ -469,18 +495,16 @@ func TestInterruptedShardResume(t *testing.T) {
 	}
 
 	// Resuming a finalized checkpoint is a no-op.
-	cp3, completed3, err := trace.ResumeCheckpoint(path, m)
+	var again firstProgress
+	recs3, stats3, err := RunShard(spec, idx, n, path, ShardRunOptions{Progress: again.progress})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp3.Close()
-	recs3, stats3, err := RunShard(sh, cp3, completed3, ShardRunOptions{})
-	if err != nil {
-		t.Fatal(err)
+	again.check(t, sh.End-sh.Start)
+	if again.calls != 1 || stats3.Executed != 0 || stats3.Verified != 0 {
+		t.Fatalf("finalized shard re-ran work: %d Progress calls, %+v", again.calls, stats3)
 	}
-	if !stats3.Complete || stats3.Executed != 0 {
-		t.Fatalf("finalized shard re-ran work: %+v", stats3)
-	}
+	wantFinalizedAndClosed(t, path)
 	if got := trace.SumRecords(sortedByIndex(recs3)); got != final.Footer.Sum {
 		t.Fatalf("the finalized shard handed back records summing to %s, its checkpoint %s", got, final.Footer.Sum)
 	}
@@ -501,15 +525,16 @@ func TestRunShardWithoutCheckpoint(t *testing.T) {
 		t.Skip("campaign test in -short mode")
 	}
 	spec := shardTestSpec(48)
-	sh, err := PlanShard(spec, 0, 1)
+	var p firstProgress
+	recs, stats, err := RunShard(spec, 0, 1, "", ShardRunOptions{Workers: 2, Progress: p.progress})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, stats, err := RunShard(sh, nil, nil, ShardRunOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	p.check(t, 0)
+	if p.calls != len(recs)+1 {
+		t.Fatalf("%d Progress calls for %d runs, want one before them and one after each", p.calls, len(recs))
 	}
-	if !stats.Complete || stats.Executed != len(recs) || stats.Resumed != 0 || stats.Verified != 0 {
+	if stats.Executed != len(recs) || stats.Total != len(recs) || stats.Resumed != 0 || stats.Verified != 0 {
 		t.Fatalf("a run without a checkpoint: %+v, %d records", stats, len(recs))
 	}
 	rep, err := ReportFromRecords(spec, recs)
@@ -542,18 +567,9 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sh.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "shard.ndjson")
-	cp, _, err := trace.ResumeCheckpoint(path, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "shard.ndjson")
 	ctx, cancel := context.WithCancel(context.Background())
-	_, _, runErr := RunShard(sh, cp, nil, ShardRunOptions{
+	_, _, runErr := RunShard(spec, 0, 1, path, ShardRunOptions{
 		Workers: 1,
 		Context: ctx,
 		Progress: func(done, total int, _ ShardRunStats) {
@@ -566,7 +582,6 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 	if runErr == nil {
 		t.Fatal("expected interruption")
 	}
-	cp.Close()
 
 	tamper := func(t *testing.T, mutate func(rec map[string]any)) string {
 		t.Helper()
@@ -602,12 +617,7 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 		idx = int(rec["index"].(float64))
 		rec["router"] = rec["router"].(float64) + 1
 	})
-	cpa, completed, err := trace.ResumeCheckpoint(badID, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cpa.Close()
-	_, _, err = RunShard(sh, cpa, completed, ShardRunOptions{})
+	_, _, err = RunShard(spec, 0, 1, badID, ShardRunOptions{})
 	if err == nil {
 		t.Fatal("identity-tampered checkpoint resumed without error")
 	}
@@ -620,14 +630,9 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 		rec["fired"] = rec["fired"] != true
 		rec["nocalert_outcome"] = "FN"
 	})
-	cpb, completedB, err := trace.ResumeCheckpoint(badRes, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cpb.Close()
 	// Verify every recorded run so the tampered one is certainly
 	// replayed.
-	_, _, err = RunShard(sh, cpb, completedB, ShardRunOptions{VerifyResumed: 1 << 20})
+	_, _, err = RunShard(spec, 0, 1, badRes, ShardRunOptions{VerifyResumed: 1 << 20})
 	if err == nil {
 		t.Fatal("result-tampered checkpoint resumed without error")
 	}

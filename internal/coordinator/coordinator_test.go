@@ -318,23 +318,8 @@ func TestClientBoundsViewResponses(t *testing.T) {
 func shardCheckpoint(t *testing.T, spec campaign.Spec, i, n int) []byte {
 	t.Helper()
 	spec.Normalize()
-	sh, err := campaign.PlanShard(spec, i, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sh.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "shard.ckpt.ndjson")
-	cp, err := trace.CreateCheckpoint(path, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := campaign.RunShard(sh, cp, nil, campaign.ShardRunOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Close(); err != nil {
+	if _, _, err := campaign.RunShard(spec, i, n, path, campaign.ShardRunOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)

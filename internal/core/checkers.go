@@ -20,7 +20,7 @@ func (e *Engine) checkRC(s *router.Signals) {
 		x := &s.RCExecs[i]
 		out := x.OutDir
 		in := topology.Direction(x.Port)
-		if out > maxLegalDir || !m.HasPort(s.Router, topology.Direction(out)) {
+		if out > maxLegalDir || !s.Ports.Get(out) {
 			// Invariance 2: impossible code, or a port this router does
 			// not have.
 			e.emit(InvalidRCOutput, s.Router, s.Cycle, x.Port, x.VC,
@@ -393,7 +393,7 @@ func (e *Engine) checkBuffers(s *router.Signals) {
 			// output port (the register holds the RC output; an illegal
 			// value there is invariance 2 in stored form).
 			if st == router.VCWaitingVA || st == router.VCActive {
-				if pre.Route > maxLegalDir || !e.cfg.Mesh.HasPort(s.Router, topology.Direction(pre.Route)) {
+				if pre.Route > maxLegalDir || !s.Ports.Get(pre.Route) {
 					e.emit(InvalidRCOutput, s.Router, s.Cycle, p, v,
 						"route register holds invalid direction %d in state %s", pre.Route, st)
 				}

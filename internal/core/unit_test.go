@@ -13,6 +13,11 @@ import (
 // 4×4 default-config network, ready to have one anomaly injected.
 func sig(cfg *router.Config, id int, cycle int64) *router.Signals {
 	s := &router.Signals{Router: id, Cycle: cycle}
+	for d := topology.North; d < topology.NumPorts; d++ {
+		if cfg.Mesh.HasPort(id, d) {
+			s.Ports = s.Ports.Set(int(d))
+		}
+	}
 	for p := 0; p < router.P; p++ {
 		s.Pre.In[p] = make([]router.PreVC, cfg.VCs)
 		for v := 0; v < cfg.VCs; v++ {

@@ -26,6 +26,7 @@ func (r *Router) CloneInto(dst *Router, plane *fault.Plane, ar *flit.Arena) *Rou
 	c.id, c.x, c.y, c.cfg = r.id, r.x, r.y, r.cfg
 	c.crMask, c.vcClass = r.crMask, r.vcClass
 	c.ports, c.vcMask = r.ports, r.vcMask
+	c.sig.Ports = r.ports
 	c.staged, c.latchedRows, c.latchedCols = r.staged, r.latchedRows, r.latchedCols
 	c.routing, c.waitVA, c.held = r.routing, r.waitVA, r.held
 	c.plane = plane

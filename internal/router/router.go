@@ -178,6 +178,7 @@ func NewInState(id int, cfg *Config, plane *fault.Plane, st soa.View) *Router {
 	for p := 0; p < P; p++ {
 		st.StOut[p] = -1
 	}
+	r.sig.Ports = r.ports
 	r.sig.Pre.init(cfg)
 	r.preFull = true
 	return r

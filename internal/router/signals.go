@@ -171,6 +171,9 @@ type Pre struct {
 type Signals struct {
 	Router int
 	Cycle  int64
+	// Ports is the set of ports the router has, fixed by its place in
+	// the mesh (invariance 2 refuses a route to any other).
+	Ports bitvec.Vec
 
 	Pre Pre
 

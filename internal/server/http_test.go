@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -608,6 +609,73 @@ func TestRestartResume(t *testing.T) {
 	got := readFileT(t, s2.ReportPath(j.ID))
 	if !bytes.Equal(got, wantReport) {
 		t.Fatalf("resumed report differs from uninterrupted run (%d vs %d bytes)", len(got), len(wantReport))
+	}
+}
+
+// TestResumeJumpPrecedesProgress: a job whose checkpoint already holds
+// runs tells its subscribers so before any new run: one snapshot event
+// carrying the checkpoint's record count as resumed, ahead of every
+// progress event.
+func TestResumeJumpPrecedesProgress(t *testing.T) {
+	s := queuedServer(t, Config{QueueSize: 4, CampaignWorkers: 1})
+	defer s.Stop(context.Background())
+	j, err := s.Submit(testSpec(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leave a partial checkpoint where the job keeps its records.
+	path := s.checkpointPath(j)
+	ctx, cancel := context.WithCancel(context.Background())
+	_, _, err = campaign.RunShard(j.Spec, 0, 1, path, campaign.ShardRunOptions{Workers: 1, Context: ctx,
+		Progress: func(done, _ int, _ campaign.ShardRunStats) {
+			if done >= 5 {
+				cancel()
+			}
+		}})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("the partial run ended with %v, want it canceled", err)
+	}
+	cd, err := trace.ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := len(cd.Records)
+	if recorded == 0 || recorded >= cd.Manifest.End-cd.Manifest.Start {
+		t.Fatalf("the partial checkpoint holds %d records; test premise broken", recorded)
+	}
+
+	events, _ := j.subscribe(256)
+	s.startWorkers()
+	var jumps, progress int
+	for ev := range events {
+		switch ev.Type {
+		case "snapshot":
+			if ev.Resumed == 0 {
+				continue // the job starting, before its checkpoint is read
+			}
+			if jumps++; ev.Resumed != recorded || ev.Done != recorded {
+				t.Errorf("resume jump %+v, want done and resumed %d", ev, recorded)
+			}
+			if progress > 0 {
+				t.Errorf("the resume jump came after %d progress events", progress)
+			}
+		case "progress":
+			if jumps == 0 {
+				t.Fatalf("progress event %+v before the resume jump", ev)
+			}
+			progress++
+		case "status":
+			if ev.Status != StatusDone {
+				t.Fatalf("job finished %s (%s)", ev.Status, ev.Error)
+			}
+		}
+		if ev.Dropped > 0 {
+			t.Fatalf("the stream dropped %d events", ev.Dropped)
+		}
+	}
+	if jumps != 1 || progress == 0 {
+		t.Fatalf("%d resume jumps and %d progress events, want one jump and then progress", jumps, progress)
 	}
 }
 

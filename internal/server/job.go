@@ -99,22 +99,16 @@ type Job struct {
 	ShardIndex int
 	ShardCount int
 
-	mu          sync.Mutex
-	status      Status
-	done        int // completed runs, resumed included
-	total       int // planned run count (spec.NumFaults until planned)
-	resumed     int
-	executed    int
-	verified    int
-	fastPath    int
-	reconverged int
-	fullSim     int
-	forked      int
-	// faultsPerSec is the job's own live throughput at the last progress
-	// callback (campaign.ShardRunStats.FaultsPerSec); droppedEvents counts
-	// events any subscriber missed because its stream buffer was full.
-	// Both surface in View.
-	faultsPerSec  float64
+	mu     sync.Mutex
+	status Status
+	done   int // completed runs, resumed included
+	total  int // planned run count (spec.NumFaults until planned)
+	// stats is the shard's, as RunShard last handed them over: at each
+	// progress callback and when it returns. Its FaultsPerSec is the
+	// job's own live throughput, zeroed at the terminal transition.
+	stats campaign.ShardRunStats
+	// droppedEvents counts events any subscriber missed because its
+	// stream buffer was full; it surfaces in View.
 	droppedEvents int
 	errMsg        string
 	submitted     time.Time
@@ -204,14 +198,14 @@ func (j *Job) view() View {
 		Tenant:          j.Tenant,
 		Done:            j.done,
 		Total:           j.total,
-		Resumed:         j.resumed,
-		Executed:        j.executed,
-		Verified:        j.verified,
-		FastPathHits:    j.fastPath,
-		ReconvergedHits: j.reconverged,
-		FullSimRuns:     j.fullSim,
-		ForkedRuns:      j.forked,
-		FaultsPerSec:    j.faultsPerSec,
+		Resumed:         j.stats.Resumed,
+		Executed:        j.stats.Executed,
+		Verified:        j.stats.Verified,
+		FastPathHits:    j.stats.FastPathHits,
+		ReconvergedHits: j.stats.Reconverged,
+		FullSimRuns:     j.stats.FullSim,
+		ForkedRuns:      j.stats.Forked,
+		FaultsPerSec:    j.stats.FaultsPerSec,
 		DroppedEvents:   j.droppedEvents,
 		Error:           j.errMsg,
 		SubmittedAt:     rfc3339(j.submitted),
@@ -228,17 +222,23 @@ func (j *Job) view() View {
 func (j *Job) snapshotEvent() Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.eventLocked("snapshot")
+}
+
+// eventLocked renders the job's current state as a stream event of
+// type typ. Called with j.mu held.
+func (j *Job) eventLocked(typ string) Event {
 	return Event{
-		Type:         "snapshot",
+		Type:         typ,
 		Job:          j.ID,
 		Status:       j.status,
 		Done:         j.done,
 		Total:        j.total,
-		Resumed:      j.resumed,
-		FastPathHits: j.fastPath,
-		Reconverged:  j.reconverged,
-		FullSim:      j.fullSim,
-		Forked:       j.forked,
+		Resumed:      j.stats.Resumed,
+		FastPathHits: j.stats.FastPathHits,
+		Reconverged:  j.stats.Reconverged,
+		FullSim:      j.stats.FullSim,
+		Forked:       j.stats.Forked,
 		Error:        j.errMsg,
 	}
 }

@@ -338,11 +338,6 @@ func (s *Server) SubmitJob(spec campaign.Spec, o SubmitOptions) (j *Job, existin
 	if o.Shard < 0 || o.Shard >= o.Shards {
 		return nil, false, fmt.Errorf("server: shard index %d outside [0,%d)", o.Shard, o.Shards)
 	}
-	specJSON, err := json.Marshal(&spec)
-	if err != nil {
-		return nil, false, err
-	}
-
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -387,18 +382,7 @@ func (s *Server) SubmitJob(spec campaign.Spec, o SubmitOptions) (j *Job, existin
 	// The manifest must be durable before the job is visible or
 	// runnable: a daemon killed right after the 201 response still
 	// knows the job on restart.
-	js := &trace.JobState{
-		ID:          j.ID,
-		Spec:        specJSON,
-		SpecHash:    j.SpecHash,
-		Tenant:      j.Tenant,
-		Status:      trace.JobQueued,
-		SubmittedAt: rfc3339(j.submitted),
-	}
-	if o.Shards > 1 {
-		js.Shard, js.Shards = o.Shard, o.Shards
-	}
-	if err := trace.WriteJobState(s.cfg.Dir, js); err != nil {
+	if err := s.persistJob(j, StatusQueued, "", time.Time{}); err != nil {
 		s.mu.Unlock()
 		return nil, false, err
 	}
@@ -477,7 +461,7 @@ func (s *Server) Cancel(id string) error {
 		j.mu.Lock()
 		j.status = StatusCanceled
 		j.finished = finished
-		j.publishLocked(Event{Type: "status", Job: j.ID, Status: StatusCanceled, Done: j.done, Total: j.total})
+		j.publishLocked(j.eventLocked("status"))
 		j.closeHubLocked()
 		j.mu.Unlock()
 		s.gQueued.Add(-1)
@@ -544,7 +528,7 @@ func (s *Server) runJob(j *Job) {
 	j.status = StatusRunning
 	j.started = time.Now()
 	j.cancelRun = cancel
-	j.publishLocked(Event{Type: "snapshot", Job: j.ID, Status: StatusRunning, Done: j.done, Total: j.total})
+	j.publishLocked(j.eventLocked("snapshot"))
 	j.mu.Unlock()
 	s.gQueued.Add(-1)
 	s.gRunning.Add(1)
@@ -580,10 +564,8 @@ func (s *Server) runJob(j *Job) {
 	s.persistTerminal(j, st, errMsg, finished)
 	j.mu.Lock()
 	j.status, j.finished, j.errMsg = st, finished, errMsg
-	j.faultsPerSec = 0 // terminal: the live throughput is over
-	final := Event{Type: "status", Job: j.ID, Status: j.status, Done: j.done, Total: j.total, Resumed: j.resumed,
-		FastPathHits: j.fastPath, Reconverged: j.reconverged, FullSim: j.fullSim, Forked: j.forked, Error: j.errMsg}
-	j.publishLocked(final)
+	j.stats.FaultsPerSec = 0 // terminal: the live throughput is over
+	j.publishLocked(j.eventLocked("status"))
 	j.closeHubLocked()
 	j.mu.Unlock()
 
@@ -602,59 +584,17 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// execute plans the job as shard 0/1, resumes its checkpoint, runs the
-// remainder and writes the final report. Any error leaves the
-// checkpoint consistent for the next attempt. When tracing is on the
-// whole execution runs under a job span, the root of the job → shard →
-// run hierarchy RunShard and the campaign extend.
+// execute runs the job's shard against its checkpoint, resuming what
+// an earlier attempt left there, and writes a whole-campaign job's
+// report. Any error leaves the checkpoint consistent for the next
+// attempt. When tracing is on the whole execution runs under a job
+// span, the root of the job → shard → run hierarchy RunShard and the
+// campaign extend.
 func (s *Server) execute(ctx context.Context, j *Job) error {
 	jspan := s.cfg.Tracer.Start(nil, "job", "job["+j.ID+"]")
 	jspan.SetAttr("job_id", j.ID)
 	jspan.SetAttr("spec_hash", j.SpecHash)
-	err := s.executeShard(ctx, j, jspan)
-	if err != nil {
-		jspan.SetAttr("error", err.Error())
-	}
-	jspan.End()
-	return err
-}
-
-// executeShard is execute's body, split out so the job span brackets
-// every exit path.
-func (s *Server) executeShard(ctx context.Context, j *Job, jspan *obs.Span) error {
-	sh, err := campaign.PlanShard(j.Spec, j.ShardIndex, j.ShardCount)
-	if err != nil {
-		return err
-	}
-	m, err := sh.Manifest()
-	if err != nil {
-		return err
-	}
-	ckptPath := s.checkpointPath(j)
-	cp, completed, err := trace.ResumeCheckpoint(ckptPath, m)
-	if err != nil {
-		return err
-	}
-	defer cp.Close()
-
-	total := sh.End - sh.Start
-	j.mu.Lock()
-	j.total = total
-	j.resumed = len(completed)
-	j.done = len(completed)
-	if len(completed) > 0 {
-		// The resume jump: subscribers see the checkpoint's progress
-		// restored before any new run executes. No throughput fields —
-		// nothing has been measured yet (see campaign.EstimateETA).
-		j.publishLocked(Event{Type: "snapshot", Job: j.ID, Status: StatusRunning,
-			Done: j.done, Total: total, Resumed: j.resumed})
-	}
-	j.mu.Unlock()
-	if len(completed) > 0 {
-		s.jobLog(j.ID).Info("resuming checkpoint", "recorded", len(completed), "total", total)
-	}
-
-	_, stats, err := campaign.RunShard(sh, cp, completed, campaign.ShardRunOptions{
+	recs, stats, err := campaign.RunShard(j.Spec, j.ShardIndex, j.ShardCount, s.checkpointPath(j), campaign.ShardRunOptions{
 		Workers:       s.cfg.CampaignWorkers,
 		GoldenCache:   s.golden,
 		Metrics:       s.reg,
@@ -662,60 +602,57 @@ func (s *Server) executeShard(ctx context.Context, j *Job, jspan *obs.Span) erro
 		VerifyResumed: s.cfg.VerifyResumed,
 		Tracer:        s.cfg.Tracer,
 		TraceParent:   jspan,
-		Progress: func(done, total int, st campaign.ShardRunStats) {
-			ev := Event{Type: "progress", Job: j.ID, Status: StatusRunning, Done: done, Total: total,
-				FastPathHits: st.FastPathHits, Reconverged: st.Reconverged, FullSim: st.FullSim}
-			if eta, ok := campaign.EstimateETA(total-done, st.FaultsPerSec); ok {
-				ev.FaultsPerSec = st.FaultsPerSec
-				ev.ETASeconds = eta.Seconds()
-			}
-			j.mu.Lock()
-			j.done = done
-			j.fastPath = st.FastPathHits
-			j.reconverged = st.Reconverged
-			j.fullSim = st.FullSim
-			j.faultsPerSec = st.FaultsPerSec
-			ev.Resumed = j.resumed
-			j.publishLocked(ev)
-			j.mu.Unlock()
-		},
+		Progress:      func(done, total int, st campaign.ShardRunStats) { s.progress(j, done, total, st) },
 	})
 	j.mu.Lock()
-	j.executed = stats.Executed
-	j.verified = stats.Verified
-	j.fastPath = stats.FastPathHits
-	j.reconverged = stats.Reconverged
-	j.fullSim = stats.FullSim
-	j.forked = stats.Forked
+	j.stats = *stats
 	j.mu.Unlock()
+	// A shard job's product is its finalized checkpoint; the aggregated
+	// report only exists once a coordinator folds every shard through
+	// the merge gate.
+	if err == nil && j.ShardCount == 1 {
+		err = s.writeReport(j, recs)
+	}
 	if err != nil {
-		return err
+		jspan.SetAttr("error", err.Error())
 	}
-	if !stats.Complete {
-		return fmt.Errorf("server: job %s checkpoint is incomplete after a clean run", j.ID)
-	}
-	if err := cp.Close(); err != nil {
-		return err
-	}
-	if j.ShardCount > 1 {
-		// A shard job's product is its finalized checkpoint; the
-		// aggregated report only exists once a coordinator folds every
-		// shard through the merge gate.
-		return nil
-	}
-	return s.writeReport(j, ckptPath)
+	jspan.End()
+	return err
 }
 
-// writeReport rebuilds the aggregated report from the finalized
-// checkpoint — the exact path a shard merge takes, which is what makes
-// the report byte-identical to an uninterrupted (or unsharded CLI)
-// run's WriteJSON output — and lands it atomically.
-func (s *Server) writeReport(j *Job, ckptPath string) error {
-	cd, err := trace.ReadCheckpointFile(ckptPath)
-	if err != nil {
-		return err
+// progress publishes one RunShard progress callback to the job's
+// subscribers. The first call, before any run, is the resume jump: a
+// resumed job's subscribers see the checkpoint's progress restored in a
+// snapshot, with no throughput fields, since nothing has been measured
+// yet (see campaign.EstimateETA). Every later call is one newly
+// executed run.
+func (s *Server) progress(j *Job, done, total int, st campaign.ShardRunStats) {
+	if st.Executed == 0 && st.Resumed > 0 {
+		s.jobLog(j.ID).Info("resuming checkpoint", "recorded", st.Resumed, "total", total)
 	}
-	rep, err := campaign.ReportFromRecords(j.Spec, cd.Records)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.done, j.total, j.stats = done, total, st
+	if st.Executed == 0 {
+		if st.Resumed > 0 {
+			j.publishLocked(j.eventLocked("snapshot"))
+		}
+		return
+	}
+	ev := j.eventLocked("progress")
+	if eta, ok := campaign.EstimateETA(total-done, st.FaultsPerSec); ok {
+		ev.FaultsPerSec = st.FaultsPerSec
+		ev.ETASeconds = eta.Seconds()
+	}
+	j.publishLocked(ev)
+}
+
+// writeReport folds the job's records into the aggregated report — the
+// exact fold a shard merge takes, which is what makes the report
+// byte-identical to an uninterrupted (or unsharded CLI) run's WriteJSON
+// output — and lands it atomically.
+func (s *Server) writeReport(j *Job, recs []trace.RunRecord) error {
+	rep, err := campaign.ReportFromRecords(j.Spec, recs)
 	if err != nil {
 		return err
 	}
@@ -726,30 +663,39 @@ func (s *Server) writeReport(j *Job, ckptPath string) error {
 	return trace.AtomicWriteFile(trace.JobReportPath(s.cfg.Dir, j.ID), buf.Bytes())
 }
 
-// persistTerminal rewrites the job manifest with the terminal status st,
-// error errMsg and finish time finished, which the job does not show yet.
+// persistTerminal writes the job's terminal manifest, logging a failure:
+// the job's status moves on regardless.
 func (s *Server) persistTerminal(j *Job, st Status, errMsg string, finished time.Time) {
-	v := j.view()
-	v.Status, v.Error, v.FinishedAt = st, errMsg, rfc3339(finished)
-	specJSON, err := json.Marshal(&v.Spec)
-	if err != nil {
+	if err := s.persistJob(j, st, errMsg, finished); err != nil {
 		s.jobLog(j.ID).Error("job state persist failed", "error", err)
-		return
 	}
-	if err := trace.WriteJobState(s.cfg.Dir, &trace.JobState{
+}
+
+// persistJob writes the job's state manifest with status st, error
+// errMsg and finish time finished, which the job does not show yet. A
+// terminal manifest also records the job's run counts.
+func (s *Server) persistJob(j *Job, st Status, errMsg string, finished time.Time) error {
+	specJSON, err := json.Marshal(&j.Spec)
+	if err != nil {
+		return err
+	}
+	js := &trace.JobState{
 		ID:          j.ID,
 		Spec:        specJSON,
-		SpecHash:    v.SpecHash,
-		Tenant:      v.Tenant,
-		Shard:       v.Shard,
-		Shards:      v.Shards,
-		Done:        v.Done,
-		Total:       v.Total,
-		Status:      string(v.Status),
-		Error:       v.Error,
-		SubmittedAt: v.SubmittedAt,
-		FinishedAt:  v.FinishedAt,
-	}); err != nil {
-		s.jobLog(j.ID).Error("job state persist failed", "error", err)
+		SpecHash:    j.SpecHash,
+		Tenant:      j.Tenant,
+		Status:      string(st),
+		Error:       errMsg,
+		SubmittedAt: rfc3339(j.submitted),
+		FinishedAt:  rfc3339(finished),
 	}
+	if j.ShardCount > 1 {
+		js.Shard, js.Shards = j.ShardIndex, j.ShardCount
+	}
+	if st.Terminal() {
+		j.mu.Lock()
+		js.Done, js.Total = j.done, j.total
+		j.mu.Unlock()
+	}
+	return trace.WriteJobState(s.cfg.Dir, js)
 }
