@@ -270,8 +270,9 @@ identity:
 # the daemon does, which must normalize and validate without a panic, and,
 # once valid, keep its hash under a second normalization; FuzzJobStateRecover
 # writes bytes as a job's state manifest and rebuilds the daemon's job table
-# from it, which must refuse it or recover jobs whose spec hashes to the
-# manifest's recorded spec_hash, without a panic. A failing input
+# from it, which must, without a panic, refuse it or recover only jobs a
+# submission would take: spec hashing to the manifest's recorded spec_hash,
+# spec validating, shard index inside [0, shards). A failing input
 # is written under the package's testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrontierLockstep -fuzztime 15s ./internal/sim

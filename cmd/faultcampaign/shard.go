@@ -51,7 +51,7 @@ func runShard(spec campaign.Spec, idx, n int, path string, sro campaign.ShardRun
 	}
 	fmt.Printf("%s: %d/%d runs in %v (%d resumed from checkpoint, %d of those re-executed and verified, %d newly executed, %d fast-path exits, %d reconverged, %d full-sim, %d forked)\n",
 		label, st.Resumed+st.Executed, st.Total, time.Since(start).Round(time.Millisecond),
-		st.Resumed, st.Verified, st.Executed, st.FastPathHits, st.Reconverged, st.FullSim, st.Forked)
+		st.Resumed, st.Verified, st.Executed, st.FastPathHits, st.ReconvergedHits, st.FullSimRuns, st.ForkedRuns)
 	if path != "" {
 		fmt.Printf("checkpoint finalized: %s\n", path)
 	}

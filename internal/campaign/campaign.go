@@ -71,10 +71,10 @@ type Options struct {
 	// Sim is the network and workload under test.
 	Sim sim.Config
 	// InjectCycle is the cycle SampleFaults-style universes inject at
-	// (the paper uses 0, 32K and 64K). Each fault's own Cycle field is
-	// authoritative: groups may inject at different cycles within one
-	// campaign, and the golden run snapshots/forks at every distinct
-	// injection cycle it encounters.
+	// (`make paper` and EXPERIMENTS.md use 0, 16 000 and 32 000). Each
+	// fault's own Cycle field is authoritative: groups may inject at
+	// different cycles within one campaign, and the golden run
+	// snapshots/forks at every distinct injection cycle it encounters.
 	InjectCycle int64
 	// PostInjectRun is how many cycles injection continues after the
 	// fault, giving the perturbation live traffic to interact with.
@@ -88,7 +88,8 @@ type Options struct {
 	Faults []fault.Fault
 	// FaultGroups, when non-empty, replaces Faults: each group injects
 	// together in one run — the multi-fault extension the paper leaves
-	// as future work. All faults of a group must inject at InjectCycle.
+	// as future work. The faults of a group must share one injection
+	// cycle; groups may differ.
 	FaultGroups [][]fault.Fault
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.
 	Workers int
@@ -122,13 +123,15 @@ type Options struct {
 	// any telemetry cost.
 	Metrics *metrics.Registry
 	// OnResult, when non-nil, is invoked after each completed run with
-	// the run's record — Index its position in FaultGroups, WallSeconds
-	// its wall time — and the exit path that resolved it. Calls are
-	// serialized under the same mutex as Progress (and precede the
-	// Progress call for the same run); the record is the report's own
-	// entry: copy it, don't retain or mutate it. RunShard appends each
-	// run's checkpoint record from here.
-	OnResult func(rec *trace.RunRecord, exit ExitPath)
+	// the run's record (Index its position in FaultGroups, WallSeconds
+	// its wall time), the run's RunCounts and this Run's live
+	// faults/sec: the runs completed so far over rateClock's time, a
+	// clock that only runs while OnResult is set. Calls are serialized
+	// under the same mutex as Progress (and precede the Progress call for
+	// the same run); the record is the report's own entry: copy it, don't
+	// retain or mutate it. RunShard appends each run's checkpoint record
+	// and sums its stats from here.
+	OnResult func(rec *trace.RunRecord, c RunCounts, faultsPerSec float64)
 	// Context, when non-nil, cancels the campaign cooperatively: no new
 	// runs start after it is done and Run returns its error. Runs
 	// already in flight complete first.
@@ -145,12 +148,6 @@ type Options struct {
 	// job span, or a shard span), threading one correlation ID from a
 	// nocalertd job down to every run it executes.
 	TraceParent *obs.Span
-
-	// rate, when non-nil, receives this Run's live faults/sec after each
-	// completed run, just before OnResult: the runs completed over
-	// rateClock's time. RunShard sets it, and carries the value on the
-	// stats it hands its Progress callback.
-	rate func(perSec float64)
 }
 
 // DefaultPostInjectRun and DefaultDrainDeadline are what a campaign runs
@@ -206,36 +203,83 @@ type Report struct {
 	// Results holds one record per fault group, in input order; every
 	// figure is a fold over them.
 	Results []trace.RunRecord
+	// RunCounts sums the runs' exit paths and cycle accounting. It does
+	// not alter the serialized report; a report folded from records
+	// (ReportFromRecords) fills in FastPathHits alone.
+	RunCounts
+	// SnapshotBytes is the estimated memory footprint of the golden
+	// artefact's snapshots, one per distinct injection cycle;
+	// TimelineBytes that of the golden-side per-run records: the signal
+	// transcripts (window and drain) backing the frontier and the golden
+	// ForEVeR monitors' per-node records. Neither alters the serialized
+	// report.
+	SnapshotBytes int64
+	TimelineBytes int64
+}
+
+// RunCounts says how runs ended and what they cost, for one run
+// (countRun) or summed over many (Add). The report, the shard stats, the
+// metric counters, the campaign span and the daemon's job views and
+// events all read it; the JSON names are the daemon's.
+type RunCounts struct {
 	// FastPathHits counts the fast-path runs: the faults never fired, so
 	// the run reconverged without diverging (RunRecord.FastPath).
-	FastPathHits int
 	// ReconvergedHits counts runs whose fault fired but whose state
 	// reconverged with the golden run's before the post-injection window
 	// ended; their tails were synthesized from the golden record instead
-	// of simulated.
-	ReconvergedHits int
+	// of simulated. FullSimRuns counts the rest, which simulated window,
+	// drain and horizon (ExitFull). The three sum to the runs.
+	FastPathHits    int `json:"fast_path_hits,omitempty"`
+	ReconvergedHits int `json:"reconverged_hits,omitempty"`
+	FullSimRuns     int `json:"full_sim_runs,omitempty"`
 	// ForkedRuns counts runs that warm-started from a golden snapshot
-	// above cycle 0, skipping their [0, injection cycle) prefix entirely.
-	ForkedRuns int
-	// SnapshotBytes is the estimated memory footprint of the golden
-	// artefact's snapshots, one per distinct injection cycle.
-	SnapshotBytes int64
-	// SimulatedCycles counts cycles faulty runs actually stepped — the
-	// honest denominator for throughput.
-	// WarmstartCyclesSaved counts prefix cycles skipped by forking;
-	// SynthesizedCycles counts cycles whose outcome was synthesized
-	// (reconvergence tails, frozen drains and horizons) rather than
-	// stepped. None of these alter the serialized report.
-	SimulatedCycles      int64
-	WarmstartCyclesSaved int64
-	SynthesizedCycles    int64
+	// above cycle 0, skipping their [0, injection cycle) prefix entirely;
 	// FrontierRuns counts runs driven by the divergence-frontier delta
-	// engine; TimelineBytes is the estimated memory footprint of the
-	// golden-side per-run records: the signal transcripts (window and
-	// drain) backing the frontier and the golden ForEVeR monitors'
-	// per-node records. Neither alters the serialized report.
-	FrontierRuns  int
-	TimelineBytes int64
+	// engine.
+	ForkedRuns   int `json:"forked_runs,omitempty"`
+	FrontierRuns int `json:"frontier_runs,omitempty"`
+	// SimulatedCycles counts cycles faulty runs actually stepped — the
+	// honest denominator for throughput. SynthesizedCycles counts cycles
+	// whose outcome was synthesized (reconvergence tails, frozen drains
+	// and horizons) rather than stepped; WarmstartCyclesSaved counts
+	// prefix cycles skipped by forking.
+	SimulatedCycles      int64 `json:"simulated_cycles,omitempty"`
+	SynthesizedCycles    int64 `json:"synthesized_cycles,omitempty"`
+	WarmstartCyclesSaved int64 `json:"warmstart_cycles_saved,omitempty"`
+}
+
+// countRun is one run's RunCounts: its exit path, from the record's fast
+// path and exit, and what its runStats say it forked, stepped and
+// synthesized.
+func countRun(rec *trace.RunRecord, exit ExitPath, st *runStats) RunCounts {
+	c := RunCounts{SimulatedCycles: st.simulated, SynthesizedCycles: st.synthesized, WarmstartCyclesSaved: st.warmSaved}
+	switch {
+	case rec.FastPath:
+		c.FastPathHits = 1
+	case exit == ExitReconverged:
+		c.ReconvergedHits = 1
+	default:
+		c.FullSimRuns = 1
+	}
+	if st.forked {
+		c.ForkedRuns = 1
+	}
+	if st.frontier {
+		c.FrontierRuns = 1
+	}
+	return c
+}
+
+// Add sums d into c.
+func (c *RunCounts) Add(d RunCounts) {
+	c.FastPathHits += d.FastPathHits
+	c.ReconvergedHits += d.ReconvergedHits
+	c.FullSimRuns += d.FullSimRuns
+	c.ForkedRuns += d.ForkedRuns
+	c.FrontierRuns += d.FrontierRuns
+	c.SimulatedCycles += d.SimulatedCycles
+	c.SynthesizedCycles += d.SynthesizedCycles
+	c.WarmstartCyclesSaved += d.WarmstartCyclesSaved
 }
 
 // worker holds the per-worker reusable state: a CloneInto target
@@ -343,28 +387,20 @@ func Run(opts Options) (_ *Report, err error) {
 	report := &Report{Opts: o, Results: make([]trace.RunRecord, len(o.FaultGroups))}
 
 	var (
-		wg           sync.WaitGroup
-		progMu       sync.Mutex
-		done         int
-		fastHits     int
-		reconvHits   int
-		forkedRuns   int
-		frontierRuns int
-		simCycles    int64
-		warmSaved    int64
-		synthSaved   int64
-		groupErr     error
+		wg       sync.WaitGroup
+		progMu   sync.Mutex
+		done     int
+		groupErr error
 	)
 	total := len(o.FaultGroups)
 	var inst *instruments
 	if o.Metrics != nil {
 		inst = newInstruments(o.Metrics)
 	}
-	// Per-run wall clocks are only read when someone is listening to the
-	// records, and the rate clock only moves when someone reads the rate:
-	// a loop with neither takes no time but the group waits'.
-	needTiming := o.OnResult != nil
-	timed := o.rate != nil
+	// Per-run wall clocks and the rate clock are only read when someone
+	// is listening to the records: a loop without OnResult takes no time
+	// but the group waits'.
+	timed := o.OnResult != nil
 	// clock is what the live rate divides by. Guarded by progMu, like
 	// everything else the workers share.
 	clock := rateClock{start: time.Now()}
@@ -401,7 +437,7 @@ func Run(opts Options) (_ *Report, err error) {
 					progMu.Unlock()
 				}
 				var runStart time.Time
-				if needTiming {
+				if timed {
 					runStart = time.Now()
 				}
 				var ro *runObs
@@ -412,7 +448,7 @@ func Run(opts Options) (_ *Report, err error) {
 					beforeRun(&wk, gc)
 				}
 				rec, exit, convCycles, st := runOne(&wk, gc, o, o.FaultGroups[i], ro)
-				if needTiming {
+				if timed {
 					rec.WallSeconds = time.Since(runStart).Seconds()
 				}
 				// The fast path is derived here and nowhere else: a run
@@ -422,35 +458,21 @@ func Run(opts Options) (_ *Report, err error) {
 				// which never goes quiescent and ends ExitFull.
 				rec.Index, rec.FastPath = i, exit == ExitReconverged && !rec.Fired
 				ro.finish(&rec, exit, convCycles, &st)
+				c := countRun(&rec, exit, &st)
 				report.Results[i] = rec
 				progMu.Lock()
 				done++
-				switch {
-				case rec.FastPath:
-					fastHits++
-				case exit == ExitReconverged:
-					reconvHits++
-				}
-				if st.forked {
-					forkedRuns++
-				}
-				if st.frontier {
-					frontierRuns++
-				}
-				simCycles += st.simulated
-				warmSaved += st.warmSaved
-				synthSaved += st.synthesized
+				report.RunCounts.Add(c)
 				if inst != nil {
-					inst.observe(&report.Results[i], waited, exit, &st)
+					inst.observe(waited, &c)
 				}
 				if timed {
 					clock.move(0, -1)
+					var perSec float64
 					if s := clock.active().Seconds(); s > 0 {
-						o.rate(float64(done) / s)
+						perSec = float64(done) / s
 					}
-				}
-				if o.OnResult != nil {
-					o.OnResult(&report.Results[i], exit)
+					o.OnResult(&report.Results[i], c, perSec)
 				}
 				if o.Progress != nil {
 					o.Progress(done, total)
@@ -493,21 +515,15 @@ feed:
 	<-gold.done
 	report.SnapshotBytes = gold.snapshotBytes
 	report.TimelineBytes = gold.timelineBytes
-	report.FastPathHits = fastHits
-	report.ReconvergedHits = reconvHits
-	report.ForkedRuns = forkedRuns
-	report.FrontierRuns = frontierRuns
-	report.SimulatedCycles = simCycles
-	report.WarmstartCyclesSaved = warmSaved
-	report.SynthesizedCycles = synthSaved
+	c := &report.RunCounts
 	camp.SetAttr("runs", total)
-	camp.SetAttr("fastpath_hits", fastHits)
-	camp.SetAttr("reconverged_hits", reconvHits)
-	camp.SetAttr("forked_runs", forkedRuns)
-	camp.SetAttr("frontier_runs", frontierRuns)
-	camp.SetAttr("cycles_simulated", simCycles)
-	camp.SetAttr("cycles_synthesized", synthSaved)
-	camp.SetAttr("warmstart_cycles_saved", warmSaved)
+	camp.SetAttr("fastpath_hits", c.FastPathHits)
+	camp.SetAttr("reconverged_hits", c.ReconvergedHits)
+	camp.SetAttr("forked_runs", c.ForkedRuns)
+	camp.SetAttr("frontier_runs", c.FrontierRuns)
+	camp.SetAttr("cycles_simulated", c.SimulatedCycles)
+	camp.SetAttr("cycles_synthesized", c.SynthesizedCycles)
+	camp.SetAttr("warmstart_cycles_saved", c.WarmstartCyclesSaved)
 	return report, nil
 }
 

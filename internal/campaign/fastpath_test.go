@@ -29,6 +29,14 @@ func idleRCFault(t *testing.T, rc *router.Config, cycle int64) fault.Fault {
 	return fault.Fault{}
 }
 
+// exitOf is the exit path one run's counts record.
+func exitOf(c RunCounts) ExitPath {
+	if c.FastPathHits+c.ReconvergedHits > 0 {
+		return ExitReconverged
+	}
+	return ExitFull
+}
+
 // TestFastPathMatchesSlowPathOnIdleSite injects a fault at a site the
 // idle network never consults and checks the fast-path result is
 // byte-identical to the one the full-simulation reference gives. The
@@ -50,8 +58,8 @@ func TestFastPathMatchesSlowPathOnIdleSite(t *testing.T) {
 		Forever:       forever.Options{Epoch: 200, HopLatency: 1},
 		Faults:        faults,
 		Workers:       1,
-		OnResult: func(rec *trace.RunRecord, exit ExitPath) {
-			exits[faults[rec.Index].Type] = exit
+		OnResult: func(rec *trace.RunRecord, c RunCounts, _ float64) {
+			exits[faults[rec.Index].Type] = exitOf(c)
 		},
 	}
 

@@ -257,7 +257,7 @@ func TestMultiCycleRecordRoundTrip(t *testing.T) {
 	opts.Faults = spec.Universe()
 	opts.Workers = 1
 	var recs []trace.RunRecord
-	opts.OnResult = func(rec *trace.RunRecord, _ ExitPath) { recs = append(recs, *rec) }
+	opts.OnResult = func(rec *trace.RunRecord, _ RunCounts, _ float64) { recs = append(recs, *rec) }
 	liveRep, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -294,7 +294,7 @@ func tracedRun(t *testing.T, opts Options) (*Report, []obs.SpanRecord) {
 func accountedRun(t *testing.T, opts Options) (*Report, []runAccount) {
 	t.Helper()
 	acct := make([]runAccount, max(len(opts.Faults), len(opts.FaultGroups)))
-	opts.OnResult = func(rec *trace.RunRecord, exit ExitPath) { acct[rec.Index].exit = exit }
+	opts.OnResult = func(rec *trace.RunRecord, c RunCounts, _ float64) { acct[rec.Index].exit = exitOf(c) }
 	rep, spans := tracedRun(t, opts)
 	seen := 0
 	for _, s := range spans {

@@ -224,11 +224,10 @@ func TestGoldenKeyCoversOptions(t *testing.T) {
 		"GoldenCache":      {{"", func(o *Options) { o.GoldenCache = NewGoldenCache() }, false}},
 		"Progress":         {{"", func(o *Options) { o.Progress = func(int, int) {} }, false}},
 		"Metrics":          {{"", func(o *Options) { o.Metrics = metrics.NewRegistry() }, false}},
-		"OnResult":         {{"", func(o *Options) { o.OnResult = func(*trace.RunRecord, ExitPath) {} }, false}},
+		"OnResult":         {{"", func(o *Options) { o.OnResult = func(*trace.RunRecord, RunCounts, float64) {} }, false}},
 		"Context":          {{"", func(o *Options) { o.Context = context.TODO() }, false}},
 		"Tracer":           {{"", func(o *Options) { o.Tracer = obs.New(obs.Options{Retain: true}) }, false}},
 		"TraceParent":      {{"", func(o *Options) { o.TraceParent = obs.New(obs.Options{Retain: true}).Start(nil, "job", "job") }, false}},
-		"rate":             {{"", func(o *Options) { o.rate = func(float64) {} }, false}},
 	}
 	k0 := keyOf(base())
 	if keyOf(base()) != k0 {
@@ -342,7 +341,7 @@ func TestGoldenArtefactReadOnly(t *testing.T) {
 	t.Cleanup(func() { beforeRun = nil })
 	atPublication := map[int64]uint64{}
 	inFlightAtFirst := false
-	builder.OnResult = func(rec *trace.RunRecord, _ ExitPath) {
+	builder.OnResult = func(rec *trace.RunRecord, _ RunCounts, _ float64) {
 		c := rec.Cycle
 		if _, done := atPublication[c]; done {
 			return

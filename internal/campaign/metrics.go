@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"nocalert/internal/metrics"
-	"nocalert/internal/trace"
 )
 
 // Metric names Run publishes when Options.Metrics is set. A family is
@@ -108,29 +107,18 @@ func newInstruments(reg *metrics.Registry) *instruments {
 	}
 }
 
-// observe records one completed run; the instruments are atomic and need
-// no lock. st is the run's honest cycle accounting: synthesized and
-// skipped-prefix cycles feed their own counters instead of the simulated
-// one.
-func (in *instruments) observe(rec *trace.RunRecord, groupWait time.Duration, exit ExitPath, st *runStats) {
+// observe records one completed run, its group wait and its counts; the
+// instruments are atomic and need no lock.
+func (in *instruments) observe(groupWait time.Duration, c *RunCounts) {
 	in.groupWait.Observe(groupWait.Seconds())
-	if st.forked {
-		in.forkedRuns.Inc()
-	}
-	if st.frontier {
-		in.frontierRuns.Inc()
-	}
-	in.warmSaved.Add(st.warmSaved)
-	in.simCycles.Add(st.simulated)
-	in.synthCycles.Add(st.synthesized)
-	switch {
-	case rec.FastPath:
-		in.fastHits.Inc()
-	case exit == ExitReconverged:
-		in.reconvHits.Inc()
-	default:
-		in.fullRuns.Inc()
-	}
+	in.fastHits.Add(int64(c.FastPathHits))
+	in.reconvHits.Add(int64(c.ReconvergedHits))
+	in.fullRuns.Add(int64(c.FullSimRuns))
+	in.forkedRuns.Add(int64(c.ForkedRuns))
+	in.frontierRuns.Add(int64(c.FrontierRuns))
+	in.warmSaved.Add(c.WarmstartCyclesSaved)
+	in.simCycles.Add(c.SimulatedCycles)
+	in.synthCycles.Add(c.SynthesizedCycles)
 }
 
 // rateClock is what a Run's live rate divides by: the time since its

@@ -24,12 +24,8 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	faults := SampleFaults(params, 40, 11, 100)
 
 	reg := metrics.NewRegistry()
-	type seen struct {
-		wall float64
-		exit ExitPath
-		fast bool
-	}
-	results := make(map[int]seen)
+	walls := make(map[int]float64)
+	var summed RunCounts
 	rep, err := Run(Options{
 		Sim:           sim.Config{Router: rc, InjectionRate: 0.12, Seed: 3},
 		InjectCycle:   100,
@@ -38,45 +34,42 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 		Forever:       forever.Options{Epoch: 250, HopLatency: 1},
 		Faults:        faults,
 		Metrics:       reg,
-		OnResult: func(rec *trace.RunRecord, exit ExitPath) {
-			if _, dup := results[rec.Index]; dup {
+		OnResult: func(rec *trace.RunRecord, c RunCounts, _ float64) {
+			if _, dup := walls[rec.Index]; dup {
 				t.Errorf("OnResult called twice for index %d", rec.Index)
 			}
-			results[rec.Index] = seen{wall: rec.WallSeconds, exit: exit, fast: rec.FastPath}
+			walls[rec.Index] = rec.WallSeconds
+			if c.FastPathHits+c.ReconvergedHits+c.FullSimRuns != 1 || c.ForkedRuns > 1 || c.FrontierRuns > 1 ||
+				(c.FastPathHits == 1) != rec.FastPath {
+				t.Errorf("run %d (fast_path %t) counted as %+v, want one run on one exit path", rec.Index, rec.FastPath, c)
+			}
+			summed.Add(c)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if len(results) != len(faults) {
-		t.Fatalf("OnResult fired for %d runs, want %d", len(results), len(faults))
+	if len(walls) != len(faults) {
+		t.Fatalf("OnResult fired for %d runs, want %d", len(walls), len(faults))
 	}
-	fastSeen, reconvSeen := 0, 0
-	for i, s := range results {
-		if s.wall <= 0 {
-			t.Fatalf("run %d has non-positive wall time %g s", i, s.wall)
-		}
-		switch {
-		case s.fast:
-			fastSeen++
-		case s.exit == ExitReconverged:
-			reconvSeen++
+	for i, wall := range walls {
+		if wall <= 0 {
+			t.Fatalf("run %d has non-positive wall time %g s", i, wall)
 		}
 	}
-	if fastSeen != rep.FastPathHits {
-		t.Fatalf("OnResult fastPath count %d != report FastPathHits %d", fastSeen, rep.FastPathHits)
+	if summed != rep.RunCounts {
+		t.Fatalf("the runs' counts sum to %+v, the report has %+v", summed, rep.RunCounts)
 	}
-	if reconvSeen != rep.ReconvergedHits {
-		t.Fatalf("OnResult reconverged count %d != report ReconvergedHits %d", reconvSeen, rep.ReconvergedHits)
+	if n := rep.FastPathHits + rep.ReconvergedHits + rep.FullSimRuns; n != len(faults) || rep.FastPathHits == 0 || rep.ForkedRuns != n {
+		t.Fatalf("report counts %+v over %d runs injecting at cycle 100: want every run on one exit path, some fast, all forked", rep.RunCounts, len(faults))
 	}
 
 	counter := func(name string) int64 { return reg.Counter(name).Value() }
-	wantFull := len(faults) - rep.FastPathHits - rep.ReconvergedHits
 	for name, want := range map[string]int64{
 		MetricFastPathHits:      int64(rep.FastPathHits),
 		MetricReconvergenceHits: int64(rep.ReconvergedHits),
-		MetricFullSimRuns:       int64(wantFull),
+		MetricFullSimRuns:       int64(rep.FullSimRuns),
 		MetricForkedRuns:        int64(rep.ForkedRuns),
 		MetricFrontierRuns:      int64(rep.FrontierRuns),
 		MetricSimulatedCycles:   rep.SimulatedCycles,

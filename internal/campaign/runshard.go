@@ -73,24 +73,14 @@ type ShardRunStats struct {
 	Verified int
 	// Executed counts newly executed (and recorded) runs.
 	Executed int
-	// FastPathHits counts fast-path runs (RunRecord.FastPath) among
-	// Executed+Verified.
-	FastPathHits int
-	// Reconverged counts runs among Executed+Verified whose faults fired
-	// and that were ended early by golden-state reconvergence.
-	Reconverged int
-	// FullSim counts runs among Executed+Verified that simulated their
-	// window, drain and horizon end to end (no early exit).
-	FullSim int
+	// RunCounts sums the exit paths and cycles of the runs among
+	// Executed+Verified, run by run as they complete.
+	RunCounts
 	// FaultsPerSec is the shard's own live throughput: the runs its
 	// campaign completed over the seconds they took, the waits of the
 	// whole pool for a golden group left out (rateClock). Zero until a
 	// run of this execution completes, whatever the checkpoint resumed.
 	FaultsPerSec float64
-	// Forked counts runs that warm-started from a golden snapshot above
-	// cycle 0. Filled in when the underlying campaign finishes (the
-	// per-run callback does not see fork decisions).
-	Forked int
 }
 
 // RunShard executes shard i of n of the spec, 0/1 being the whole
@@ -249,8 +239,7 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 	opts.Context = ctx
 	opts.Tracer = o.Tracer
 	opts.TraceParent = sspan
-	opts.rate = func(perSec float64) { stats.FaultsPerSec = perSec }
-	opts.OnResult = func(r *trace.RunRecord, exit ExitPath) {
+	opts.OnResult = func(r *trace.RunRecord, c RunCounts, faultsPerSec float64) {
 		// Serialized by the campaign's progress mutex.
 		if firstErr != nil {
 			return
@@ -258,14 +247,8 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 		j := jobs[r.Index]
 		rec := *r
 		rec.Index = j.global
-		switch {
-		case rec.FastPath:
-			stats.FastPathHits++
-		case exit == ExitReconverged:
-			stats.Reconverged++
-		default:
-			stats.FullSim++
-		}
+		stats.RunCounts.Add(c)
+		stats.FaultsPerSec = faultsPerSec
 		if j.verify {
 			stats.Verified++
 			want := recorded[j.global]
@@ -289,14 +272,13 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 			o.Progress(stats.Resumed+stats.Executed, stats.Total, *stats)
 		}
 	}
-	rep, err := Run(opts)
+	_, err = Run(opts)
 	if firstErr != nil {
 		return records, stats, firstErr
 	}
 	if err != nil {
 		return records, stats, err
 	}
-	stats.Forked = rep.ForkedRuns
 	if stats.Resumed+stats.Executed != stats.Total {
 		return records, stats, fmt.Errorf("campaign: shard %d/%d recorded %d of its %d runs",
 			sh.Index, sh.Count, stats.Resumed+stats.Executed, stats.Total)

@@ -277,7 +277,7 @@ func TestReportFromRecordsMatchesLiveReport(t *testing.T) {
 	opts := spec.Options()
 	opts.Faults = spec.Universe()
 	recs := make([]trace.RunRecord, len(opts.Faults))
-	opts.OnResult = func(rec *trace.RunRecord, _ ExitPath) { recs[rec.Index] = *rec }
+	opts.OnResult = func(rec *trace.RunRecord, _ RunCounts, _ float64) { recs[rec.Index] = *rec }
 	rep, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)

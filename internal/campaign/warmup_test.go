@@ -212,8 +212,8 @@ func TestWarmupPhaseSpans(t *testing.T) {
 			t.Errorf("injection cycle %d: golden with %d ForEVeR detections kept its shortcuts", c, len(gc.gfv.Detections()))
 		}
 	}
-	opts.OnResult = func(rec *trace.RunRecord, exit ExitPath) {
-		if exit != ExitFull {
+	opts.OnResult = func(rec *trace.RunRecord, c RunCounts, _ float64) {
+		if exit := exitOf(c); exit != ExitFull {
 			t.Errorf("run %d over an unsound golden exits %v, want full", rec.Index, exit)
 		}
 	}

@@ -679,6 +679,55 @@ func TestResumeJumpPrecedesProgress(t *testing.T) {
 	}
 }
 
+// TestProgressEventsCarryLiveCounts: every progress event of a fresh job
+// carries the shard's run counts so far, under the job view's names: each
+// run on one exit path (fast_path_hits + reconverged_hits + full_sim_runs
+// == done) and, the spec injecting above cycle 0, every run forked
+// (forked_runs == done) as it completes, not only once the campaign ends.
+func TestProgressEventsCarryLiveCounts(t *testing.T) {
+	s := queuedServer(t, Config{QueueSize: 4, CampaignWorkers: 1})
+	defer s.Stop(context.Background())
+	j, err := s.Submit(testSpec(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := j.subscribe(256)
+	s.startWorkers()
+	progress := 0
+	for ev := range events {
+		if ev.Dropped > 0 {
+			t.Fatalf("the stream dropped %d events", ev.Dropped)
+		}
+		if ev.Type == "status" && ev.Status != StatusDone {
+			t.Fatalf("job finished %s (%s)", ev.Status, ev.Error)
+		}
+		if ev.Type != "progress" {
+			continue
+		}
+		progress++
+		b, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c struct {
+			Done        int `json:"done"`
+			Fast        int `json:"fast_path_hits"`
+			Reconverged int `json:"reconverged_hits"`
+			Full        int `json:"full_sim_runs"`
+			Forked      int `json:"forked_runs"`
+		}
+		if err := json.Unmarshal(b, &c); err != nil {
+			t.Fatal(err)
+		}
+		if c.Fast+c.Reconverged+c.Full != c.Done || c.Forked != c.Done {
+			t.Fatalf("progress event %s: want fast_path_hits + reconverged_hits + full_sim_runs and forked_runs equal to done", b)
+		}
+	}
+	if v := j.view(); progress != v.Total || v.ForkedRuns != v.Total {
+		t.Fatalf("%d progress events, final view %+v: want one a run, every run forked", progress, v)
+	}
+}
+
 // runGate is a span sink that blocks the write of run span after+1 until
 // the test closes release: with one campaign worker, the job has recorded
 // its first after runs and not the next one. The tracer serializes its

@@ -60,15 +60,11 @@ type Event struct {
 	// campaign has a live throughput sample (see campaign.EstimateETA).
 	FaultsPerSec float64 `json:"faults_per_sec,omitempty"`
 	ETASeconds   float64 `json:"eta_seconds,omitempty"`
-	// FastPathHits/Reconverged/FullSim are the running exit-path counts
-	// among the newly executed runs (progress events only). Forked
-	// counts warm-started runs; the campaign reports it when it
-	// finishes, so it appears on the final event.
-	FastPathHits int    `json:"fast_path_hits,omitempty"`
-	Reconverged  int    `json:"reconverged,omitempty"`
-	FullSim      int    `json:"full_sim,omitempty"`
-	Forked       int    `json:"forked,omitempty"`
-	Error        string `json:"error,omitempty"`
+	// RunCounts are the shard's running exit-path and cycle counts over
+	// the runs this process executed or verified, one run more on each
+	// progress event.
+	campaign.RunCounts
+	Error string `json:"error,omitempty"`
 	// Dropped counts events this subscriber missed immediately before
 	// this one because it consumed too slowly (the stream truncates
 	// rather than stall the campaign).
@@ -155,17 +151,16 @@ type View struct {
 	// Shard/Shards are the job's shard coordinates when it runs one
 	// slice of a coordinator-dispatched campaign (Shards > 1); both
 	// absent for whole-campaign jobs.
-	Shard           int `json:"shard,omitempty"`
-	Shards          int `json:"shards,omitempty"`
-	Done            int `json:"done"`
-	Total           int `json:"total"`
-	Resumed         int `json:"resumed,omitempty"`
-	Executed        int `json:"executed,omitempty"`
-	Verified        int `json:"verified,omitempty"`
-	FastPathHits    int `json:"fast_path_hits,omitempty"`
-	ReconvergedHits int `json:"reconverged_hits,omitempty"`
-	FullSimRuns     int `json:"full_sim_runs,omitempty"`
-	ForkedRuns      int `json:"forked_runs,omitempty"`
+	Shard    int `json:"shard,omitempty"`
+	Shards   int `json:"shards,omitempty"`
+	Done     int `json:"done"`
+	Total    int `json:"total"`
+	Resumed  int `json:"resumed,omitempty"`
+	Executed int `json:"executed,omitempty"`
+	Verified int `json:"verified,omitempty"`
+	// RunCounts are the shard's exit-path and cycle counts, as on the
+	// job's events.
+	campaign.RunCounts
 	// FaultsPerSec is the live campaign throughput while the job runs
 	// (zero until the first progress sample, and after terminal states).
 	FaultsPerSec float64 `json:"faults_per_sec,omitempty"`
@@ -191,26 +186,23 @@ func (j *Job) view() View {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := View{
-		ID:              j.ID,
-		Status:          j.status,
-		Spec:            j.Spec,
-		SpecHash:        j.SpecHash,
-		Tenant:          j.Tenant,
-		Done:            j.done,
-		Total:           j.total,
-		Resumed:         j.stats.Resumed,
-		Executed:        j.stats.Executed,
-		Verified:        j.stats.Verified,
-		FastPathHits:    j.stats.FastPathHits,
-		ReconvergedHits: j.stats.Reconverged,
-		FullSimRuns:     j.stats.FullSim,
-		ForkedRuns:      j.stats.Forked,
-		FaultsPerSec:    j.stats.FaultsPerSec,
-		DroppedEvents:   j.droppedEvents,
-		Error:           j.errMsg,
-		SubmittedAt:     rfc3339(j.submitted),
-		StartedAt:       rfc3339(j.started),
-		FinishedAt:      rfc3339(j.finished),
+		ID:            j.ID,
+		Status:        j.status,
+		Spec:          j.Spec,
+		SpecHash:      j.SpecHash,
+		Tenant:        j.Tenant,
+		Done:          j.done,
+		Total:         j.total,
+		Resumed:       j.stats.Resumed,
+		Executed:      j.stats.Executed,
+		Verified:      j.stats.Verified,
+		RunCounts:     j.stats.RunCounts,
+		FaultsPerSec:  j.stats.FaultsPerSec,
+		DroppedEvents: j.droppedEvents,
+		Error:         j.errMsg,
+		SubmittedAt:   rfc3339(j.submitted),
+		StartedAt:     rfc3339(j.started),
+		FinishedAt:    rfc3339(j.finished),
 	}
 	if j.ShardCount > 1 {
 		v.Shard, v.Shards = j.ShardIndex, j.ShardCount
@@ -229,17 +221,14 @@ func (j *Job) snapshotEvent() Event {
 // type typ. Called with j.mu held.
 func (j *Job) eventLocked(typ string) Event {
 	return Event{
-		Type:         typ,
-		Job:          j.ID,
-		Status:       j.status,
-		Done:         j.done,
-		Total:        j.total,
-		Resumed:      j.stats.Resumed,
-		FastPathHits: j.stats.FastPathHits,
-		Reconverged:  j.stats.Reconverged,
-		FullSim:      j.stats.FullSim,
-		Forked:       j.stats.Forked,
-		Error:        j.errMsg,
+		Type:      typ,
+		Job:       j.ID,
+		Status:    j.status,
+		Done:      j.done,
+		Total:     j.total,
+		Resumed:   j.stats.Resumed,
+		RunCounts: j.stats.RunCounts,
+		Error:     j.errMsg,
 	}
 }
 

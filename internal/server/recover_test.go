@@ -2,20 +2,74 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 
 	"nocalert/internal/trace"
 )
 
+// TestRecoverRefusesWhatSubmitRefuses: a restarted daemon takes a job's
+// manifest through the check a submission passes, so a manifest whose
+// spec hashes right but does not validate, or whose shard coordinates
+// name no shard, stops the daemon at start instead of failing the job
+// when a worker plans it.
+func TestRecoverRefusesWhatSubmitRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(js *trace.JobState)
+	}{
+		{"shard 7 of 2", "shard index 7 outside [0,2)", func(js *trace.JobState) { js.Shard, js.Shards = 7, 2 }},
+		{"shard 1 of -2", "shard count -2 < 1", func(js *trace.JobState) { js.Shard, js.Shards = 1, -2 }},
+		{"9 VCs, hash recomputed", "VC", func(js *trace.JobState) {
+			spec := testSpec(24)
+			spec.Normalize()
+			spec.VCs = 9
+			js.Spec, _ = json.Marshal(&spec)
+			js.SpecHash = spec.Hash()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := queuedServer(t, Config{Dir: dir})
+			j, _, err := s.SubmitJob(testSpec(24), SubmitOptions{Shard: 1, Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Stop(context.Background())
+			js, err := trace.ReadJobState(trace.JobStatePath(dir, j.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := build(Config{Dir: dir}); err != nil {
+				t.Fatalf("the unedited manifest is refused: %v", err)
+			}
+			tc.edit(js)
+			if err := trace.WriteJobState(dir, js); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := build(Config{Dir: dir}); err == nil {
+				s.Stop(context.Background())
+				t.Fatalf("recovered %+v", s.JobViews())
+			} else if !strings.Contains(err.Error(), j.ID) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("refused with %q, want the job ID and %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // FuzzJobStateRecover holds the daemon's job-state intake: bytes written
 // as a job's manifest in the state directory, then the job table rebuilt
 // from it the way a restarted daemon does (no workers, so no campaign
 // runs). No input may panic, and the rebuild either refuses the
-// directory or recovers jobs whose spec hashes to the manifest's
-// recorded spec_hash — the identity their checkpoint is keyed and
-// checked by. The seeds are the manifests the daemon writes (queued,
-// done, a coordinator-dispatched shard, failed) and damaged ones.
+// directory or recovers jobs a submission would have taken: the spec
+// hashes to the manifest's recorded spec_hash — the identity their
+// checkpoint is keyed and checked by —, validates, and the shard
+// coordinates name a shard of it. The seeds are the manifests the daemon
+// writes (queued, done, a coordinator-dispatched shard, failed), the
+// shard's with its coordinates out of range (hash intact), and damaged
+// ones.
 func FuzzJobStateRecover(f *testing.F) {
 	dir := f.TempDir()
 	s, err := build(Config{Dir: dir})
@@ -30,22 +84,30 @@ func FuzzJobStateRecover(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, j := range []*Job{whole, shard} {
-		b, err := os.ReadFile(trace.JobStatePath(dir, j.ID))
+	// The daemon's own manifests, renamed to the job the fuzzed bytes are
+	// written as (the state directory refuses a manifest naming another).
+	seed := func(j *Job, edit func(*trace.JobState)) {
+		js, err := trace.ReadJobState(trace.JobStatePath(dir, j.ID))
+		if err != nil {
+			f.Fatal(err)
+		}
+		js.ID = "jfuzz"
+		edit(js)
+		b, err := json.Marshal(js)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
 	}
+	same := func(*trace.JobState) {}
+	seed(whole, same)
+	seed(shard, same)
+	// The shard's manifest, its spec hash intact, naming shard 7 of 2.
+	seed(shard, func(js *trace.JobState) { js.Shard, js.Shards = 7, 2 })
 	s.persistTerminal(whole, StatusDone, "", whole.submitted)
 	s.persistTerminal(shard, StatusFailed, "server: shard 1/4: boom", shard.submitted)
-	for _, j := range []*Job{whole, shard} {
-		b, err := os.ReadFile(trace.JobStatePath(dir, j.ID))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-	}
+	seed(whole, same)
+	seed(shard, same)
 	for _, body := range []string{
 		`{"kind":"job","version":1,"id":"jfuzz","spec":{"mesh_w":4},"spec_hash":"0000000000000000","status":"queued","submitted_at":""}`,
 		`{"kind":"job","version":1,"id":"jfuzz","spec":null,"spec_hash":"","status":"done","submitted_at":"x"}`,
@@ -81,6 +143,12 @@ func FuzzJobStateRecover(f *testing.F) {
 			j, _ := s.Job(v.ID)
 			if h := j.Spec.Hash(); h != js.SpecHash || j.SpecHash != js.SpecHash {
 				t.Fatalf("job %s recovered with spec hash %s (carried %s), its manifest records %s", v.ID, h, j.SpecHash, js.SpecHash)
+			}
+			if err := j.Spec.Validate(); err != nil {
+				t.Fatalf("job %s recovered with a spec that does not validate: %v", v.ID, err)
+			}
+			if j.ShardCount < 1 || j.ShardIndex < 0 || j.ShardIndex >= j.ShardCount {
+				t.Fatalf("job %s recovered as shard %d of %d", v.ID, j.ShardIndex, j.ShardCount)
 			}
 		}
 	})

@@ -229,11 +229,13 @@ func (s *Server) recover() error {
 		if h := spec.Hash(); h != js.SpecHash {
 			return fmt.Errorf("server: job %s: spec hash %s does not match its spec (%s)", js.ID, js.SpecHash, h)
 		}
+		shards, err := checkJob(&spec, js.Shard, js.Shards)
+		if err != nil {
+			return fmt.Errorf("server: job %s: %v", js.ID, err)
+		}
 		j := newJob(js.ID, spec, parseRFC3339(js.SubmittedAt))
 		j.Tenant = js.Tenant
-		if js.Shards > 1 {
-			j.ShardIndex, j.ShardCount = js.Shard, js.Shards
-		}
+		j.ShardIndex, j.ShardCount = js.Shard, shards
 		j.status = Status(js.Status)
 		j.errMsg = js.Error
 		j.finished = parseRFC3339(js.FinishedAt)
@@ -318,6 +320,25 @@ type SubmitOptions struct {
 	Shards int
 }
 
+// checkJob is the intake check of a job, submitted or recovered from its
+// manifest: the spec validates and shard/shards name a shard of it, 0/0
+// meaning the whole campaign. It returns the shard count, 0/0 as 1.
+func checkJob(spec *campaign.Spec, shard, shards int) (int, error) {
+	if err := spec.Validate(); err != nil {
+		return 0, err
+	}
+	if shard == 0 && shards == 0 {
+		shards = 1
+	}
+	if shards < 1 {
+		return 0, fmt.Errorf("server: shard count %d < 1", shards)
+	}
+	if shard < 0 || shard >= shards {
+		return 0, fmt.Errorf("server: shard index %d outside [0,%d)", shard, shards)
+	}
+	return shards, nil
+}
+
 // SubmitJob validates, persists and enqueues a new job. Sharded
 // submissions are idempotent on (spec, shard): when an active or done
 // job for the same shard of the same campaign already exists, that job
@@ -326,17 +347,8 @@ type SubmitOptions struct {
 // (or re-dispatch after its own restart) without doubling work.
 func (s *Server) SubmitJob(spec campaign.Spec, o SubmitOptions) (j *Job, existing bool, err error) {
 	spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	if o.Shards, err = checkJob(&spec, o.Shard, o.Shards); err != nil {
 		return nil, false, err
-	}
-	if o.Shard == 0 && o.Shards == 0 {
-		o.Shards = 1
-	}
-	if o.Shards < 1 {
-		return nil, false, fmt.Errorf("server: shard count %d < 1", o.Shards)
-	}
-	if o.Shard < 0 || o.Shard >= o.Shards {
-		return nil, false, fmt.Errorf("server: shard index %d outside [0,%d)", o.Shard, o.Shards)
 	}
 	s.mu.Lock()
 	if s.draining {
