@@ -272,13 +272,19 @@ identity:
 # writes bytes as a job's state manifest and rebuilds the daemon's job table
 # from it, which must, without a panic, refuse it or recover only jobs a
 # submission would take: spec hashing to the manifest's recorded spec_hash,
-# spec validating, shard index inside [0, shards). A failing input
+# spec validating, shard index inside [0, shards); FuzzMergeShards reads
+# bytes as one shard's checkpoint and merges it beside its honest sibling
+# into a report, which must, without a panic, be refused or name, record
+# by record, the fault the campaign's universe has at that index. Its
+# seed is a 19 KB checkpoint, whose minimization would take the whole
+# 12 s, so it is capped at 2 s. A failing input
 # is written under the package's testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzFrontierLockstep -fuzztime 15s ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 15s ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzSpecIntake -fuzztime 15s ./internal/campaign
-	$(GO) test -run '^$$' -fuzz FuzzJobStateRecover -fuzztime 15s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzFrontierLockstep -fuzztime 12s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 12s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzSpecIntake -fuzztime 12s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz FuzzJobStateRecover -fuzztime 12s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzMergeShards -fuzztime 12s -fuzzminimizetime 2s ./internal/campaign
 
 # build386 is a build-only cross-compile of the whole module for a
 # 32-bit target: the SoA state uses explicitly sized element types

@@ -39,72 +39,3 @@ func TestEstimateETAGuards(t *testing.T) {
 		t.Fatalf("ETA = %v, want %v", eta, want)
 	}
 }
-
-// TestFleetProgressMonotonicUnderRequeue is the coordinator-level
-// extension of the ETA guard: when a shard is requeued onto a survivor
-// after its worker dies, the replacement job reports done=0 again and
-// (while replaying the checkpoint) can sample a +Inf rate. The fleet
-// aggregate must never move backward and must never emit a negative or
-// non-finite ETA.
-func TestFleetProgressMonotonicUnderRequeue(t *testing.T) {
-	var f FleetProgress
-	f.SetTotal(96)
-
-	f.Update(0, 20, 32, 10)
-	f.Update(1, 16, 32, 8)
-	f.Update(2, 30, 32, 12)
-	if got := f.Done(); got != 66 {
-		t.Fatalf("Done = %d, want 66", got)
-	}
-	if eta, ok := f.ETA(); !ok || eta <= 0 {
-		t.Fatalf("healthy fleet: ETA = %v ok=%v, want positive estimate", eta, ok)
-	}
-
-	// Shard 1's worker dies; the requeued job restarts at zero with no
-	// live rate. Done must hold shard 1's high-water mark.
-	f.Update(1, 0, 32, 0)
-	if got := f.Done(); got != 66 {
-		t.Fatalf("Done after requeue = %d, want 66 (monotonic)", got)
-	}
-
-	// The resumed shard replays its checkpoint in ~0 wall time: +Inf
-	// rate sample. The aggregate rate must stay finite.
-	f.Update(1, 24, 32, math.Inf(1))
-	if r := f.Rate(); math.IsInf(r, 0) || math.IsNaN(r) || r < 0 {
-		t.Fatalf("Rate = %v, want finite non-negative", r)
-	}
-	if eta, ok := f.ETA(); ok && (eta < 0 || eta > 24*time.Hour) {
-		t.Fatalf("ETA after +Inf sample = %v, want sane or no estimate", eta)
-	}
-
-	// NaN sample likewise.
-	f.Update(2, 31, 32, math.NaN())
-	if r := f.Rate(); math.IsNaN(r) {
-		t.Fatal("NaN shard sample leaked into aggregate rate")
-	}
-
-	// All shards finish: done snaps to total, no ETA.
-	for i := 0; i < 3; i++ {
-		f.Finish(i)
-	}
-	if got := f.Done(); got != 96 {
-		t.Fatalf("Done after finish = %d, want 96", got)
-	}
-	if eta, ok := f.ETA(); ok {
-		t.Fatalf("finished fleet: ETA = %v, want none", eta)
-	}
-}
-
-// TestFleetProgressTotalsFromShards checks Total accumulates per-shard
-// totals when no campaign-wide total was declared.
-func TestFleetProgressTotalsFromShards(t *testing.T) {
-	var f FleetProgress
-	f.Update(0, 1, 10, 0)
-	f.Update(1, 2, 12, 0)
-	if got := f.Total(); got != 22 {
-		t.Fatalf("Total = %d, want 22", got)
-	}
-	if _, ok := f.ETA(); ok {
-		t.Fatal("no live rate: want no ETA")
-	}
-}

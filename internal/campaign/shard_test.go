@@ -352,6 +352,81 @@ func FuzzSpecIntake(f *testing.F) {
 	})
 }
 
+// FuzzMergeShards holds the merge gate's intake: the bytes `faultcampaign
+// merge` reads from a file, and the coordinator from a worker, go through
+// trace.ReadCheckpoint, MergeShards and Merged.Report. The fuzzed bytes are
+// shard 0's checkpoint of the golden 4×4 campaign, merged ahead of its
+// honest sibling, shard 1, so the merge plans from the fuzzed manifest. No
+// input may panic, and the set is either refused or reports one record per
+// fault of the campaign's universe, each naming the fault at its index. The
+// seeds are the real checkpoint and the same one with a zero-wide mesh and
+// its spec hash recomputed, which once panicked MergeShards.
+func FuzzMergeShards(f *testing.F) {
+	spec := shardTestSpec(96)
+	dir := f.TempDir()
+	ckpts := make([][]byte, 2)
+	for i := range ckpts {
+		path := filepath.Join(dir, fmt.Sprintf("shard%d.ndjson", i))
+		if _, _, err := RunShard(spec, i, 2, path, ShardRunOptions{}); err != nil {
+			f.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		ckpts[i] = b
+	}
+	sibling, err := trace.ReadCheckpoint(bytes.NewReader(ckpts[1]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpts[0])
+
+	head, rest, _ := bytes.Cut(ckpts[0], []byte("\n"))
+	var m trace.Manifest
+	if err := json.Unmarshal(head, &m); err != nil {
+		f.Fatal(err)
+	}
+	zeroWide := spec
+	zeroWide.MeshW = 0
+	if m.Spec, err = json.Marshal(&zeroWide); err != nil {
+		f.Fatal(err)
+	}
+	m.SpecHash = zeroWide.Hash()
+	line, err := json.Marshal(&m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append(line, '\n'), rest...))
+
+	universe := spec.Universe()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cd, err := trace.ReadCheckpoint(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		merged, err := MergeShards([]*trace.CheckpointData{cd, sibling})
+		if err != nil {
+			return
+		}
+		rep, err := merged.Report()
+		if err != nil {
+			return
+		}
+		if len(rep.Results) != len(universe) {
+			t.Fatalf("merged %d records for a universe of %d faults", len(rep.Results), len(universe))
+		}
+		for i := range rep.Results {
+			rec, want := &rep.Results[i], &universe[i]
+			if rec.Index != i || rec.Router != want.Site.Router || rec.Signal != want.Site.Kind.String() ||
+				rec.Port != want.Site.Port || rec.VC != want.Site.VC || rec.Bit != want.Bit ||
+				rec.FaultType != want.Type.String() || rec.Cycle != want.Cycle {
+				t.Fatalf("merged record %d (%+v) does not name the universe's fault %v", i, rec, want)
+			}
+		}
+	})
+}
+
 // TestReportFromRecordsRefusesForeignRecords: a record set that does not
 // describe the spec's campaign is refused, not folded. The records are
 // written from the spec's universe (every run a true negative); each

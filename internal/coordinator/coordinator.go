@@ -24,6 +24,7 @@ package coordinator
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -63,14 +64,10 @@ type Config struct {
 	// worker dead (its slots stop taking shards); default 3.
 	DeathThreshold int
 
-	// Tracer/TraceParent thread the dispatch into a span hierarchy:
-	// one "coordinator" span for the run, a "dispatch" child per shard
-	// attempt. Both optional.
-	Tracer      *obs.Tracer
-	TraceParent *obs.Span
-	// HTTPClient overrides the default client (no global timeout; every
-	// request carries a context deadline where one is needed).
-	HTTPClient *http.Client
+	// Tracer, when set, records the dispatch as a span tree: one root
+	// "coordinator" span for the run, a "dispatch" child per shard
+	// attempt.
+	Tracer *obs.Tracer
 	// Logf, when set, receives one line per dispatch decision.
 	Logf func(format string, args ...any)
 	// Progress, when set, is called after every fleet progress change.
@@ -101,18 +98,16 @@ func (c Config) withDefaults() Config {
 	if c.DeathThreshold <= 0 {
 		c.DeathThreshold = 3
 	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
 
-// ProgressUpdate is one campaign-level progress sample, aggregated
-// across the fleet with campaign.FleetProgress's monotonicity and
-// finite-ETA guarantees.
+// ProgressUpdate is one campaign-level progress sample, folded from
+// the shards' events: Done never goes down when a shard is requeued,
+// Rate is always finite, and there is no ETA once every shard is
+// merged.
 type ProgressUpdate struct {
 	Done, Total        int
 	ShardsDone, Shards int
@@ -170,10 +165,15 @@ type run struct {
 	pending chan shardTicket
 	doneCh  chan struct{}
 
-	mu       sync.Mutex
-	workers  []*workerState
-	results  map[int]*trace.CheckpointData
-	fleet    campaign.FleetProgress
+	mu      sync.Mutex
+	workers []*workerState
+	results map[int]*trace.CheckpointData
+	// Per shard, the high-water run count its events reported (a
+	// requeued shard restarting at 0 keeps it; a merged one holds its
+	// planned size) and its last finite positive faults/sec sample (0
+	// when it has none).
+	done     []int
+	rate     []float64
 	stats    Stats
 	fatalErr error
 	finished bool
@@ -226,19 +226,20 @@ func Run(ctx context.Context, spec campaign.Spec, cfg Config) (*Result, error) {
 		pending:      make(chan shardTicket, cfg.Shards),
 		doneCh:       make(chan struct{}),
 		results:      make(map[int]*trace.CheckpointData, cfg.Shards),
+		done:         make([]int, cfg.Shards),
+		rate:         make([]float64, cfg.Shards),
 		live:         len(cfg.Workers),
 		rng:          rand.New(rand.NewSource(seed)),
 	}
-	r.fleet.SetTotal(len(universe))
 	r.stats.Shards = cfg.Shards
 	r.stats.PerWorker = make([]WorkerStats, len(cfg.Workers))
 	r.workers = make([]*workerState, len(cfg.Workers))
 	for i, u := range cfg.Workers {
 		r.stats.PerWorker[i].URL = u
-		r.workers[i] = &workerState{client: &client{base: u, token: cfg.Token, hc: cfg.HTTPClient}}
+		r.workers[i] = &workerState{client: &client{base: u, token: cfg.Token, hc: &http.Client{}}}
 	}
 
-	r.span = cfg.Tracer.Start(cfg.TraceParent, "coordinator", "dispatch")
+	r.span = cfg.Tracer.Start(nil, "coordinator", "dispatch")
 	r.span.SetAttr("shards", cfg.Shards)
 	r.span.SetAttr("workers", len(cfg.Workers))
 	defer r.span.End()
@@ -416,7 +417,7 @@ func (r *run) watch(ctx context.Context, wi int, t shardTicket, id string) error
 				}
 			}
 			lease.Reset(r.cfg.LeaseTimeout)
-			r.progress(t.index, ev.Done, ev.Total, ev.FaultsPerSec)
+			r.progress(t.index, ev.Done, ev.FaultsPerSec)
 			if ev.Status == "done" {
 				return nil
 			}
@@ -475,7 +476,7 @@ func (r *run) record(index, wi int, cd *trace.CheckpointData) error {
 	if _, dup := r.results[index]; !dup {
 		r.results[index] = cd
 		r.stats.PerWorker[wi].ShardsDone++
-		r.fleet.Finish(index)
+		r.done[index], r.rate[index] = hi-lo, 0
 		done := len(r.results) == r.shards
 		r.publishProgressLocked()
 		if done && !r.finished {
@@ -487,25 +488,38 @@ func (r *run) record(index, wi int, cd *trace.CheckpointData) error {
 	return nil
 }
 
-// progress folds one shard event into the fleet aggregate.
-func (r *run) progress(shard, done, total int, rate float64) {
+// progress folds one shard event into the fleet's progress. A done
+// count below the shard's high-water mark (a requeued shard starting
+// over) is ignored; a rate that is not finite and positive (a resumed
+// shard replaying its checkpoint in no time) retires the shard's sample.
+func (r *run) progress(shard, done int, rate float64) {
 	r.mu.Lock()
-	r.fleet.Update(shard, done, total, rate)
+	r.done[shard] = max(r.done[shard], done)
+	if rate > 0 && !math.IsInf(rate, 1) {
+		r.rate[shard] = rate
+	} else {
+		r.rate[shard] = 0
+	}
 	r.publishProgressLocked()
 	r.mu.Unlock()
 }
 
-// publishProgressLocked pushes the aggregate to the Progress callback.
-// Caller holds r.mu.
+// publishProgressLocked pushes the fleet's progress to the Progress
+// callback. Caller holds r.mu.
 func (r *run) publishProgressLocked() {
 	if r.cfg.Progress == nil {
 		return
 	}
-	eta, ok := r.fleet.ETA()
+	done, rate := 0, 0.0
+	for i := range r.done {
+		done += r.done[i]
+		rate += r.rate[i]
+	}
+	eta, ok := campaign.EstimateETA(r.total-done, rate)
 	r.cfg.Progress(ProgressUpdate{
-		Done: r.fleet.Done(), Total: r.fleet.Total(),
+		Done: done, Total: r.total,
 		ShardsDone: len(r.results), Shards: r.shards,
-		Rate: r.fleet.Rate(), ETA: eta, ETAOK: ok,
+		Rate: rate, ETA: eta, ETAOK: ok,
 	})
 }
 

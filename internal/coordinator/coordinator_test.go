@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -454,5 +455,155 @@ func TestClientBoundsCheckpoints(t *testing.T) {
 		if n := tr.n.Load(); n > limit+1 {
 			t.Errorf("%s: the client read %d bytes, past the %d bound", tc.name, n, limit)
 		}
+	}
+}
+
+// TestProgressMonotonicUnderRequeue holds the fleet's progress fold to
+// its promises. A requeued shard starting over at 0 keeps its high-water
+// mark, so Done never goes down; a +Inf or NaN rate sample (a resumed
+// shard replaying its checkpoint at t≈0) never reaches Rate; a merged
+// shard counts its planned size and no rate; and once every shard is
+// merged there is no ETA.
+func TestProgressMonotonicUnderRequeue(t *testing.T) {
+	var seen []ProgressUpdate
+	r := &run{
+		cfg:     Config{Progress: func(u ProgressUpdate) { seen = append(seen, u) }},
+		shards:  3,
+		total:   96,
+		doneCh:  make(chan struct{}),
+		results: map[int]*trace.CheckpointData{},
+		done:    make([]int, 3),
+		rate:    make([]float64, 3),
+		stats:   Stats{PerWorker: make([]WorkerStats, 1)},
+	}
+	check := func(what string, done int, rate float64) {
+		t.Helper()
+		if u := seen[len(seen)-1]; u.Done != done || u.Total != 96 || u.Rate != rate {
+			t.Fatalf("%s: %+v, want Done %d of 96 at %v faults/sec", what, u, done, rate)
+		}
+	}
+
+	r.progress(0, 20, 10)
+	r.progress(1, 16, 8)
+	r.progress(2, 30, 12)
+	check("healthy fleet", 66, 30)
+	if u := seen[len(seen)-1]; !u.ETAOK || u.ETA != time.Second {
+		t.Fatalf("healthy fleet: ETA %v ok=%v, want 1s (30 runs at 30 faults/sec)", u.ETA, u.ETAOK)
+	}
+
+	r.progress(1, 0, 0)
+	check("shard 1 requeued, starting over", 66, 22)
+	r.progress(1, 24, math.Inf(1))
+	check("+Inf sample", 74, 22)
+	r.progress(2, 31, math.NaN())
+	check("NaN sample", 75, 10)
+
+	for i := 0; i < 3; i++ {
+		lo, hi := campaign.ShardRange(96, i, 3)
+		if err := r.record(i, 0, &trace.CheckpointData{Manifest: trace.Manifest{Shard: i, Shards: 3, Start: lo, End: hi}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("every shard merged", 96, 0)
+	if u := seen[len(seen)-1]; u.ShardsDone != 3 || u.ETAOK {
+		t.Fatalf("every shard merged: %+v, want 3 shards done and no ETA", u)
+	}
+	for i, u := range seen {
+		if i > 0 && u.Done < seen[i-1].Done {
+			t.Errorf("update %d: Done went down from %d to %d", i, seen[i-1].Done, u.Done)
+		}
+		if math.IsInf(u.Rate, 0) || math.IsNaN(u.Rate) || u.Rate < 0 {
+			t.Errorf("update %d: Rate %v", i, u.Rate)
+		}
+	}
+}
+
+// waitJobsDone polls the worker until n jobs are on it, every one done.
+func waitJobsDone(t *testing.T, s *server.Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		views := s.JobViews()
+		done := 0
+		for _, v := range views {
+			if v.Status == server.StatusDone {
+				done++
+			}
+		}
+		if len(views) == n && done == n {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("the worker did not finish %d jobs: %+v", n, s.JobViews())
+}
+
+// TestProgressCountsShardsFoundDone: a shard the worker has already
+// finished (a dispatch re-run after the coordinator died) is taken as a
+// dedupe hit without a single event, and still counts toward Done, so
+// the last update reads the whole campaign.
+func TestProgressCountsShardsFoundDone(t *testing.T) {
+	spec := testSpec(24)
+	fleet := startFleet(t, 1, server.Config{Concurrency: 1})
+	for i := 0; i < 3; i++ {
+		if _, _, err := fleet[0].srv.SubmitJob(spec, server.SubmitOptions{Shard: i, Shards: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitJobsDone(t, fleet[0].srv, 3)
+
+	var last ProgressUpdate
+	if _, err := Run(context.Background(), spec, Config{
+		Workers:  urls(fleet),
+		Shards:   3,
+		Seed:     1,
+		Logf:     t.Logf,
+		Progress: func(u ProgressUpdate) { last = u },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if last.Done != last.Total || last.Total != 24 || last.ShardsDone != 3 {
+		t.Fatalf("last progress update %+v, want Done == Total == 24 and 3 shards done", last)
+	}
+}
+
+// TestRedispatchReattaches: a dispatch canceled with two of six shards
+// done, then run again with the same spec and shard count, reattaches to
+// every shard the worker holds. Nothing runs twice (six jobs on the
+// worker, nothing requeued) and the report is the unsharded run's, byte
+// for byte: the plan is a function of the spec and the shard count, and
+// what the coordinator would persist the worker already keeps.
+func TestRedispatchReattaches(t *testing.T) {
+	spec := testSpec(24)
+	want := referenceReport(t, spec)
+	fleet := startFleet(t, 1, server.Config{Concurrency: 1})
+	cfg := Config{Workers: urls(fleet), Shards: 6, Seed: 1, Logf: t.Logf}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Progress = func(u ProgressUpdate) {
+		if u.ShardsDone >= 2 {
+			cancel()
+		}
+	}
+	if _, err := Run(ctx, spec, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled dispatch returned %v, want context.Canceled", err)
+	}
+	t.Logf("%d jobs on the worker after the canceled dispatch", len(fleet[0].srv.JobViews()))
+
+	cfg.Progress = nil
+	res, err := Run(context.Background(), spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := res.Report.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("the re-dispatched report differs from the single-machine run")
+	}
+	if n := len(fleet[0].srv.JobViews()); n != 6 || res.Stats.Requeued != 0 {
+		t.Fatalf("%d jobs on the worker and %d requeued after the re-dispatch, want 6 and 0", n, res.Stats.Requeued)
 	}
 }
