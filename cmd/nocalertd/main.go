@@ -4,12 +4,15 @@
 // reports that are byte-identical to the equivalent unsharded
 // `faultcampaign -json` output.
 //
-// Every job is durable. Submissions are persisted as a job manifest
-// plus a resumable shard checkpoint in the state directory before the
-// 201 response is written, so a daemon killed at any instant — SIGKILL
-// included — restarts with its whole job table and resumes every
-// unfinished campaign from its checkpoint, re-verifying a sample of
-// the recorded runs instead of re-executing them.
+// Every job is shard i of n of its spec (0/1 unless the submit names
+// one), and an identical submit returns the same job. Every job is
+// durable: its manifest is in the state directory before the 201
+// response is written, and its runs land in a resumable shard checkpoint
+// named by spec hash and shard, so a daemon killed at any instant —
+// SIGKILL included — restarts with its whole job table and resumes every
+// unfinished campaign from its checkpoint, re-verifying a sample of the
+// recorded runs instead of re-executing them. A done job's report is
+// folded from its checkpoint on request.
 //
 // Usage:
 //
@@ -17,12 +20,15 @@
 //
 // Endpoints:
 //
-//	POST   /v1/jobs             submit a spec (429 when the queue is full)
+//	POST   /v1/jobs             submit a spec, ?shard=i&shards=n (200 and
+//	                            the existing job when it is resubmitted,
+//	                            429 when the queue is full)
 //	GET    /v1/jobs             list jobs
 //	GET    /v1/jobs/{id}        job status
 //	GET    /v1/jobs/{id}/events NDJSON progress stream (SSE with
 //	                            Accept: text/event-stream)
-//	GET    /v1/jobs/{id}/report final aggregated report
+//	GET    /v1/jobs/{id}/report final aggregated report of a 0/1 job
+//	GET    /v1/jobs/{id}/checkpoint finalized shard checkpoint
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /metrics             OpenMetrics/Prometheus exposition
 //	GET    /healthz /debug/pprof/
@@ -62,7 +68,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "localhost:8377", "HTTP listen address (host:0 picks a free port)")
-		dir       = flag.String("dir", "nocalertd-state", "state directory: job manifests, checkpoints and reports")
+		dir       = flag.String("dir", "nocalertd-state", "state directory: job manifests and shard checkpoints")
 		queue     = flag.Int("queue", 16, "submission queue bound; beyond it POST /v1/jobs returns 429")
 		jobs      = flag.Int("jobs", 1, "jobs running concurrently (each job is internally parallel)")
 		workers   = flag.Int("workers", 0, "per-campaign worker pool size (0 = GOMAXPROCS)")

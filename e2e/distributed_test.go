@@ -14,6 +14,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -77,11 +78,14 @@ func TestDistributedCampaignSurvivesWorkerKill(t *testing.T) {
 	// Declaring a worker dead takes three consecutive failures a backoff
 	// apart (some 300 ms), and only a slot that finds a pending shard can
 	// fail. Twelve shards off one cached golden reference take the
-	// survivors half that, so they first get another tenant's campaign
-	// to finish: the fleet's shards queue behind it while the victim,
-	// idle, starts its own at once and is killed.
-	for _, w := range []*daemon{workers[0], workers[2]} {
-		occupy(t, w, "tok-ops")
+	// survivors half that, so they first get another tenant's campaign,
+	// one that cannot finish first: the fleet's shards queue behind it
+	// while the victim, idle, starts its own at once and is killed. Once
+	// dispatch logs the death, the holds are canceled.
+	survivors := []*daemon{workers[0], workers[2]}
+	holds := make([]string, len(survivors))
+	for i, w := range survivors {
+		holds[i] = occupy(t, w, "tok-ops")
 	}
 
 	// SIGKILL the victim the moment it is running a shard, so at least
@@ -116,11 +120,25 @@ func TestDistributedCampaignSurvivesWorkerKill(t *testing.T) {
 		"-golden", filepath.Join("..", "testdata", "golden_4x4_seed3.json"),
 	}, goldenArgs...)
 	dispatch := exec.Command(cliBin, args...)
-	var stdout, stderr bytes.Buffer
-	dispatch.Stdout = io.MultiWriter(&stdout)
-	dispatch.Stderr = &stderr
-	if err := dispatch.Run(); err != nil {
-		t.Fatalf("dispatch: %v\nstdout:\n%s\nstderr:\n%s", err, &stdout, &stderr)
+	var stdout bytes.Buffer
+	stderr := &watchWriter{want: []byte("declared dead"), seen: make(chan struct{})}
+	dispatch.Stdout = &stdout
+	dispatch.Stderr = stderr
+	if err := dispatch.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ended := make(chan error, 1)
+	go func() { ended <- dispatch.Wait() }()
+	select {
+	case <-stderr.seen:
+		for i, w := range survivors {
+			release(t, w, "tok-ops", holds[i])
+		}
+		err = <-ended
+	case err = <-ended:
+	}
+	if err != nil {
+		t.Fatalf("dispatch: %v\nstdout:\n%s\nstderr:\n%s", err, &stdout, stderr)
 	}
 	<-killed
 
@@ -146,7 +164,7 @@ func TestDistributedCampaignSurvivesWorkerKill(t *testing.T) {
 	requeued, _ := strconv.Atoi(string(sum[2]))
 	died, _ := strconv.Atoi(string(sum[4]))
 	if requeued < 1 {
-		t.Fatalf("worker was SIGKILLed mid-campaign but nothing was requeued\nstdout:\n%s\nstderr:\n%s", &stdout, &stderr)
+		t.Fatalf("worker was SIGKILLed mid-campaign but nothing was requeued\nstdout:\n%s\nstderr:\n%s", &stdout, stderr)
 	}
 	if died != 1 {
 		t.Fatalf("workers died = %d, want exactly the victim\nstdout:\n%s", died, &stdout)
@@ -196,14 +214,17 @@ func TestDistributedCampaignSurvivesWorkerKill(t *testing.T) {
 	fmt.Printf("distributed gate: %d requeued, survivors absorbed the victim's shards, %v golden-cache hits\n", requeued, hits)
 }
 
-// occupySpec is the paper-scale 8×8 campaign with a sample large enough
-// to keep a single-worker daemon busy for about two seconds.
+// occupySpec is the paper-scale 8×8 campaign over every fault location
+// (32 256 runs) with a 5000-cycle window: about 80 s of a single-worker
+// daemon on a two-core host, some hundred times what the fleet takes to
+// declare a worker dead.
 const occupySpec = `{"mesh_w":8,"mesh_h":8,"vcs":4,"injection_rate":0.05,"seed":3,` +
-	`"inject_cycle":300,"post_inject_run":500,"drain_deadline":10000,` +
-	`"epoch":1500,"hop_latency":1,"num_faults":640}`
+	`"inject_cycle":300,"post_inject_run":5000,"drain_deadline":10000,` +
+	`"epoch":1500,"hop_latency":1,"num_faults":0}`
 
-// occupy submits occupySpec to an authed worker as another tenant.
-func occupy(t *testing.T, w *daemon, token string) {
+// occupy submits occupySpec to an authed worker as another tenant and
+// returns the job's ID.
+func occupy(t *testing.T, w *daemon, token string) string {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, w.base+"/v1/jobs", strings.NewReader(occupySpec))
 	if err != nil {
@@ -215,10 +236,60 @@ func occupy(t *testing.T, w *daemon, token string) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusCreated {
-		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("occupy %s: got %d, want 201; body: %s", w.base, resp.StatusCode, body)
 	}
+	var v view
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("occupy %s: %v\n%s", w.base, err, body)
+	}
+	return v.ID
+}
+
+// release cancels an occupying job.
+func release(t *testing.T, w *daemon, token, id string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, w.base+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("release %s job %s: got %d; body: %s", w.base, id, resp.StatusCode, body)
+	}
+}
+
+// watchWriter keeps what is written to it and closes seen once that
+// holds want. It is safe for a writer and a reader at once.
+type watchWriter struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	want []byte
+	seen chan struct{}
+}
+
+func (w *watchWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	had := bytes.Contains(w.buf.Bytes(), w.want)
+	w.buf.Write(p)
+	if !had && bytes.Contains(w.buf.Bytes(), w.want) {
+		close(w.seen)
+	}
+	return len(p), nil
+}
+
+func (w *watchWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
 }
 
 // scrapeMetric returns an unlabelled sample's value from a worker's

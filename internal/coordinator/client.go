@@ -93,7 +93,9 @@ const (
 )
 
 // submitShard dispatches shard i of n to the worker. Idempotent on the
-// worker side: a retry after a lost response lands on the same job.
+// worker side for every n, 1 included: the worker keys a job by spec hash
+// and shard, so a retry after a lost response, or a re-run dispatch, lands
+// on the same queued, running or done job (200 instead of 201).
 func (c *client) submitShard(ctx context.Context, specJSON []byte, i, n int) (server.View, error) {
 	u := fmt.Sprintf("%s/v1/jobs?shard=%d&shards=%d", c.base, i, n)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(specJSON))

@@ -13,12 +13,13 @@
 // worker renews with every progress event; a worker that dies (stream
 // breaks, probes fail) or hangs (no event within LeaseTimeout) forfeits
 // the shard, which is requeued onto a surviving worker with exponential
-// backoff + jitter. Submissions are idempotent on (spec, shard) — the
-// worker dedupes — so a retried submit after a lost response, or a
-// requeue that lands back on the original worker, reattaches to the
-// live job instead of doubling work; a worker that restarted from
-// SIGKILL resumes its shard from the durable checkpoint through
-// RunShard's skip-and-verify path.
+// backoff + jitter. Submissions are idempotent on (spec, shard), a
+// one-shard dispatch's included — the worker dedupes every job on its
+// spec hash and shard — so a retried submit after a lost response, a
+// requeue that lands back on the original worker, or a re-run dispatch
+// reattaches to the live or done job instead of doubling work; a worker
+// that restarted from SIGKILL resumes its shard from the durable
+// checkpoint through RunShard's skip-and-verify path.
 package coordinator
 
 import (

@@ -567,43 +567,55 @@ func TestProgressCountsShardsFoundDone(t *testing.T) {
 	}
 }
 
-// TestRedispatchReattaches: a dispatch canceled with two of six shards
-// done, then run again with the same spec and shard count, reattaches to
-// every shard the worker holds. Nothing runs twice (six jobs on the
-// worker, nothing requeued) and the report is the unsharded run's, byte
-// for byte: the plan is a function of the spec and the shard count, and
-// what the coordinator would persist the worker already keeps.
+// TestRedispatchReattaches: a dispatch run again with the same spec and
+// shard count reattaches to every shard the worker holds, whether the
+// first dispatch was canceled with two of six shards done or ran one shard
+// to the end. Nothing runs twice (one job a shard on the worker, nothing
+// requeued) and the report is the unsharded run's, byte for byte: the plan
+// is a function of the spec and the shard count, and what the coordinator
+// would persist the worker already keeps.
 func TestRedispatchReattaches(t *testing.T) {
 	spec := testSpec(24)
 	want := referenceReport(t, spec)
-	fleet := startFleet(t, 1, server.Config{Concurrency: 1})
-	cfg := Config{Workers: urls(fleet), Shards: 6, Seed: 1, Logf: t.Logf}
+	for _, c := range []struct {
+		name     string
+		shards   int
+		cancelAt int // shards done when the first dispatch is canceled; 0 runs it to the end
+	}{{"six shards, canceled at two", 6, 2}, {"one shard, run to the end", 1, 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			fleet := startFleet(t, 1, server.Config{Concurrency: 1})
+			cfg := Config{Workers: urls(fleet), Shards: c.shards, Seed: 1, Logf: t.Logf}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if c.cancelAt > 0 {
+				cfg.Progress = func(u ProgressUpdate) {
+					if u.ShardsDone >= c.cancelAt {
+						cancel()
+					}
+				}
+				if _, err := Run(ctx, spec, cfg); !errors.Is(err, context.Canceled) {
+					t.Fatalf("canceled dispatch returned %v, want context.Canceled", err)
+				}
+			} else if _, err := Run(ctx, spec, cfg); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d jobs on the worker after the first dispatch", len(fleet[0].srv.JobViews()))
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg.Progress = func(u ProgressUpdate) {
-		if u.ShardsDone >= 2 {
-			cancel()
-		}
-	}
-	if _, err := Run(ctx, spec, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled dispatch returned %v, want context.Canceled", err)
-	}
-	t.Logf("%d jobs on the worker after the canceled dispatch", len(fleet[0].srv.JobViews()))
-
-	cfg.Progress = nil
-	res, err := Run(context.Background(), spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := res.Report.WriteJSON(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatal("the re-dispatched report differs from the single-machine run")
-	}
-	if n := len(fleet[0].srv.JobViews()); n != 6 || res.Stats.Requeued != 0 {
-		t.Fatalf("%d jobs on the worker and %d requeued after the re-dispatch, want 6 and 0", n, res.Stats.Requeued)
+			cfg.Progress = nil
+			res, err := Run(context.Background(), spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := res.Report.WriteJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatal("the re-dispatched report differs from the single-machine run")
+			}
+			if n := len(fleet[0].srv.JobViews()); n != c.shards || res.Stats.Requeued != 0 {
+				t.Fatalf("%d jobs on the worker and %d requeued after the re-dispatch, want %d and 0", n, res.Stats.Requeued, c.shards)
+			}
+		})
 	}
 }

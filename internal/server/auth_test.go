@@ -24,9 +24,11 @@ func authedServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func authedPost(t *testing.T, url, token string) *http.Response {
+// authedPost submits testSpec(faults) with the token; an identical spec
+// is the same job, so a test after two jobs submits two fault counts.
+func authedPost(t *testing.T, url, token string, faults int) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", specBody(t, testSpec(24)))
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", specBody(t, testSpec(faults)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestAuthRequired(t *testing.T) {
 		{"empty bearer", " "},
 	}
 	for _, c := range cases {
-		resp := authedPost(t, ts.URL, c.token)
+		resp := authedPost(t, ts.URL, c.token, 24)
 		if resp.StatusCode != http.StatusUnauthorized {
 			t.Errorf("%s: status %d, want 401", c.name, resp.StatusCode)
 		}
@@ -70,7 +72,7 @@ func TestAuthRequired(t *testing.T) {
 	}
 
 	// A valid token submits fine and the job records its tenant.
-	resp := authedPost(t, ts.URL, "tok-alpha")
+	resp := authedPost(t, ts.URL, "tok-alpha", 24)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("valid token: status %d, want 201", resp.StatusCode)
 	}
@@ -114,13 +116,13 @@ func TestRateLimit429(t *testing.T) {
 	s.limiter.now = func() time.Time { return now }
 
 	for i := 0; i < 3; i++ {
-		resp := authedPost(t, ts.URL, "tok-alpha")
+		resp := authedPost(t, ts.URL, "tok-alpha", 24+i)
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("burst request %d: status %d, want 201", i, resp.StatusCode)
 		}
 		resp.Body.Close()
 	}
-	resp := authedPost(t, ts.URL, "tok-alpha")
+	resp := authedPost(t, ts.URL, "tok-alpha", 27)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("exhausted bucket: status %d, want 429", resp.StatusCode)
 	}
@@ -135,7 +137,7 @@ func TestRateLimit429(t *testing.T) {
 	}
 
 	// The other tenant still has its full burst.
-	respB := authedPost(t, ts.URL, "tok-beta")
+	respB := authedPost(t, ts.URL, "tok-beta", 28)
 	if respB.StatusCode != http.StatusCreated {
 		t.Fatalf("other tenant caught in alpha's limit: status %d", respB.StatusCode)
 	}
@@ -144,13 +146,13 @@ func TestRateLimit429(t *testing.T) {
 	// At 2 tokens/sec, one second buys two more requests.
 	now = now.Add(time.Second)
 	for i := 0; i < 2; i++ {
-		resp := authedPost(t, ts.URL, "tok-alpha")
+		resp := authedPost(t, ts.URL, "tok-alpha", 29+i)
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("post-refill request %d: status %d, want 201", i, resp.StatusCode)
 		}
 		resp.Body.Close()
 	}
-	resp = authedPost(t, ts.URL, "tok-alpha")
+	resp = authedPost(t, ts.URL, "tok-alpha", 31)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("refilled exactly 2 tokens, third request: status %d, want 429", resp.StatusCode)
 	}
@@ -162,14 +164,14 @@ func TestRateLimit429(t *testing.T) {
 func TestTenantQuota429(t *testing.T) {
 	s, ts := authedServer(t, Config{QueueSize: 8, TenantQuota: 1})
 
-	resp := authedPost(t, ts.URL, "tok-alpha")
+	resp := authedPost(t, ts.URL, "tok-alpha", 24)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first job: status %d", resp.StatusCode)
 	}
 	v := decodeView(t, resp.Body)
 	resp.Body.Close()
 
-	resp = authedPost(t, ts.URL, "tok-alpha")
+	resp = authedPost(t, ts.URL, "tok-alpha", 25)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("at quota: status %d, want 429", resp.StatusCode)
 	}
@@ -182,7 +184,7 @@ func TestTenantQuota429(t *testing.T) {
 	}
 
 	// Beta has its own quota.
-	respB := authedPost(t, ts.URL, "tok-beta")
+	respB := authedPost(t, ts.URL, "tok-beta", 26)
 	if respB.StatusCode != http.StatusCreated {
 		t.Fatalf("other tenant blocked by alpha's quota: status %d", respB.StatusCode)
 	}
@@ -192,7 +194,7 @@ func TestTenantQuota429(t *testing.T) {
 	if err := s.Cancel(v.ID); err != nil {
 		t.Fatal(err)
 	}
-	resp = authedPost(t, ts.URL, "tok-alpha")
+	resp = authedPost(t, ts.URL, "tok-alpha", 25)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("after cancel: status %d, want 201", resp.StatusCode)
 	}
@@ -205,9 +207,11 @@ func TestTenantQuota429(t *testing.T) {
 func TestFairQueueRoundRobin(t *testing.T) {
 	s := queuedServer(t, Config{QueueSize: 8})
 
+	faults := 24
 	submit := func(tenant string) *Job {
 		t.Helper()
-		j, _, err := s.SubmitJob(testSpec(24), SubmitOptions{Tenant: tenant})
+		faults++ // one spec a job: an identical one is the same job
+		j, _, err := s.SubmitJob(testSpec(faults), SubmitOptions{Tenant: tenant})
 		if err != nil {
 			t.Fatal(err)
 		}

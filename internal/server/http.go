@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,21 +13,27 @@ import (
 
 	"nocalert/internal/campaign"
 	"nocalert/internal/metrics"
+	"nocalert/internal/trace"
 )
 
 // API surface:
 //
-//	POST   /v1/jobs             submit a campaign.Spec; 201 + job view,
-//	                            429 when the queue is full
+//	POST   /v1/jobs             submit a campaign.Spec (?shard=i&shards=n,
+//	                            default 0/1); 201 + job view, 200 + the
+//	                            existing job's view when a queued, running
+//	                            or done job of the same spec and shard
+//	                            exists, 429 when the queue is full
 //	GET    /v1/jobs             list jobs in submission order
 //	GET    /v1/jobs/{id}        one job's status
 //	DELETE /v1/jobs/{id}        cancel (202 running, 200 queued,
 //	                            409 terminal)
 //	GET    /v1/jobs/{id}/events progress stream: NDJSON by default,
 //	                            SSE framing with Accept: text/event-stream
-//	GET    /v1/jobs/{id}/report final aggregated report JSON (409 until
+//	GET    /v1/jobs/{id}/report a done 0/1 job's report JSON, folded from
+//	                            its checkpoint (409 for n > 1 or until
 //	                            done — byte-identical to the equivalent
 //	                            unsharded faultcampaign -json output)
+//	GET    /v1/jobs/{id}/checkpoint a done job's finalized checkpoint
 //	GET    /healthz             liveness + queue summary
 //	GET    /metrics             OpenMetrics/Prometheus text exposition
 //	GET    /debug/pprof/        live profiling
@@ -126,7 +133,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	code := http.StatusCreated
 	if existing {
-		// Idempotent shard re-submission: same spec hash and shard
+		// Idempotent re-submission: same spec hash and shard
 		// coordinates as a live or completed job.
 		code = http.StatusOK
 	}
@@ -182,8 +189,22 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job %s is %s; the report exists once it is done", j.ID, v.Status)
 		return
 	}
+	// The fold a shard merge takes, over the job's finalized checkpoint:
+	// the bytes an unsharded run's WriteJSON writes.
+	var buf bytes.Buffer
+	cd, err := trace.ReadCheckpointFile(s.checkpointPath(j))
+	if err == nil {
+		var rep *campaign.Report
+		if rep, err = campaign.ReportFromRecords(j.Spec, cd.Records); err == nil {
+			err = rep.WriteJSON(&buf)
+		}
+	}
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "job %s: folding its checkpoint: %v", j.ID, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	http.ServeFile(w, r, s.ReportPath(j.ID))
+	w.Write(buf.Bytes())
 }
 
 // handleCheckpoint serves a done job's finalized shard checkpoint —

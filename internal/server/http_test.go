@@ -97,10 +97,11 @@ func TestJobAPI(t *testing.T) {
 		return postTo("", body)
 	}
 
-	// Fill the queue: two accepted submissions.
+	// Fill the queue: two accepted submissions, two specs (an identical
+	// one is the same job).
 	var ids []string
 	for i := 0; i < 2; i++ {
-		resp := post(specBody(t, testSpec(24)))
+		resp := post(specBody(t, testSpec(24+i)))
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
 		}
@@ -136,7 +137,7 @@ func TestJobAPI(t *testing.T) {
 			body  string
 			want  int
 		}{
-			{"queue full", "", mustJSON(t, testSpec(24)), http.StatusTooManyRequests},
+			{"queue full", "", mustJSON(t, testSpec(26)), http.StatusTooManyRequests},
 			{"invalid mesh", "", `{"mesh_w":0,"mesh_h":4,"vcs":4}`, http.StatusBadRequest},
 			// No VC count: the default is filled in before the mesh is
 			// checked, and must not be looked up for a mesh that cannot be.
@@ -368,7 +369,7 @@ func mustJSON(t *testing.T, v any) string {
 // events rather than stalling the campaign, and the gap surfaces in
 // the next delivered event's Dropped count.
 func TestStreamTruncation(t *testing.T) {
-	j := newJob("jtest", testSpec(8), time.Now())
+	j := newJob("jtest", testSpec(8), 0, 1, time.Now())
 	ch, unsubscribe := j.subscribe(1)
 	defer unsubscribe()
 
@@ -543,7 +544,7 @@ func TestRestartResume(t *testing.T) {
 	if v := waitJob(t, ref, rj.ID, 2*time.Minute); v.Status != StatusDone {
 		t.Fatalf("reference job: %s (%s)", v.Status, v.Error)
 	}
-	wantReport := readFileT(t, ref.ReportPath(rj.ID))
+	wantReport := reportT(t, ref, rj.ID)
 	ref.Stop(context.Background())
 
 	// Interrupted run: one campaign worker, held on the gate while it
@@ -606,7 +607,7 @@ func TestRestartResume(t *testing.T) {
 	if final.Verified == 0 {
 		t.Fatal("no resumed runs were re-executed for verification")
 	}
-	got := readFileT(t, s2.ReportPath(j.ID))
+	got := reportT(t, s2, j.ID)
 	if !bytes.Equal(got, wantReport) {
 		t.Fatalf("resumed report differs from uninterrupted run (%d vs %d bytes)", len(got), len(wantReport))
 	}
@@ -748,10 +749,11 @@ func (g *runGate) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestRecoverRebuildsMissingReport covers the crash window between
-// checkpoint finalize and report write: a manifest saying done with no
-// report on disk re-enqueues, and the rebuild is pure resume.
-func TestRecoverRebuildsMissingReport(t *testing.T) {
+// TestRecoverRerunsDoneJobWithoutCheckpoint: a done job's finalized
+// checkpoint is its only product, so a restart that finds the manifest
+// done and the checkpoint gone queues the job to run again, and its report
+// is the first one byte for byte.
+func TestRecoverRerunsDoneJobWithoutCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := New(Config{Dir: dir, QueueSize: 4})
 	if err != nil {
@@ -764,10 +766,10 @@ func TestRecoverRebuildsMissingReport(t *testing.T) {
 	if v := waitJob(t, s1, j.ID, 2*time.Minute); v.Status != StatusDone {
 		t.Fatalf("job: %s (%s)", v.Status, v.Error)
 	}
-	want := readFileT(t, s1.ReportPath(j.ID))
+	want := reportT(t, s1, j.ID)
 	s1.Stop(context.Background())
 
-	if err := os.Remove(s1.ReportPath(j.ID)); err != nil {
+	if err := os.Remove(s1.checkpointPath(j)); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := New(Config{Dir: dir, QueueSize: 4})
@@ -777,13 +779,90 @@ func TestRecoverRebuildsMissingReport(t *testing.T) {
 	defer s2.Stop(context.Background())
 	final := waitJob(t, s2, j.ID, 2*time.Minute)
 	if final.Status != StatusDone {
-		t.Fatalf("rebuild: %s (%s)", final.Status, final.Error)
+		t.Fatalf("rerun: %s (%s)", final.Status, final.Error)
 	}
-	if final.Resumed != final.Total {
-		t.Fatalf("rebuild re-executed runs: resumed %d of %d", final.Resumed, final.Total)
+	if final.Executed != final.Total || final.Resumed != 0 {
+		t.Fatalf("rerun executed %d and resumed %d of %d, want every run executed", final.Executed, final.Resumed, final.Total)
 	}
-	if got := readFileT(t, s2.ReportPath(j.ID)); !bytes.Equal(got, want) {
-		t.Fatal("rebuilt report differs")
+	if got := reportT(t, s2, j.ID); !bytes.Equal(got, want) {
+		t.Fatal("the rerun's report differs from the first run's")
+	}
+}
+
+// TestResubmitIsTheSameJob: a job is shard i of n of its spec, and that
+// is its identity. An identical submit of a queued, running or done job
+// returns it (200 over HTTP) for a whole campaign, 0/0 or 0/1, as for a
+// shard; a canceled job does not block a new one, which resumes the
+// checkpoint the canceled one left.
+func TestResubmitIsTheSameJob(t *testing.T) {
+	s := queuedServer(t, Config{QueueSize: 8, CampaignWorkers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		query  string
+		o      SubmitOptions
+		faults int // one spec a case
+	}{
+		{"", SubmitOptions{}, 24},
+		{"?shard=0&shards=1", SubmitOptions{Shards: 1}, 25},
+		{"?shard=1&shards=2", SubmitOptions{Shard: 1, Shards: 2}, 26},
+	} {
+		spec := testSpec(c.faults)
+		j, existing, err := s.SubmitJob(spec, c.o)
+		if err != nil || existing {
+			t.Fatalf("%q: first submit: existing=%v err=%v", c.query, existing, err)
+		}
+		again, existing, err := s.SubmitJob(spec, c.o)
+		if err != nil || !existing || again.ID != j.ID {
+			t.Fatalf("%q: resubmit: existing=%v err=%v, want job %s back", c.query, existing, err, j.ID)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs"+c.query, "application/json", specBody(t, spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := decodeView(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || v.ID != j.ID {
+			t.Fatalf("%q: HTTP resubmit: status %d, job %s, want 200 and %s", c.query, resp.StatusCode, v.ID, j.ID)
+		}
+	}
+	if n := len(s.JobViews()); n != 3 {
+		t.Fatalf("%d jobs after three submits of three jobs each", n)
+	}
+
+	// A whole campaign canceled part way; its resubmit is a new job that
+	// resumes the runs the canceled one recorded. The three jobs above are
+	// canceled first, so the one worker starts on it.
+	spec := testSpec(512)
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range s.JobViews()[:3] {
+		if err := s.Cancel(q.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.startWorkers()
+	defer s.Stop(context.Background())
+	for deadline := time.Now().Add(2 * time.Minute); j.view().Done < 2; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) || j.view().Status.Terminal() {
+			t.Fatalf("no cancel window: %+v", j.view())
+		}
+	}
+	if err := s.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	if v := waitJob(t, s, j.ID, time.Minute); v.Status != StatusCanceled {
+		t.Fatalf("canceled job ended %s", v.Status)
+	}
+	again, existing, err := s.SubmitJob(spec, SubmitOptions{Shards: 1})
+	if err != nil || existing || again.ID == j.ID {
+		t.Fatalf("resubmit after cancel: existing=%v err=%v, want a new job", existing, err)
+	}
+	final := waitJob(t, s, again.ID, 2*time.Minute)
+	if final.Status != StatusDone || final.Resumed == 0 || final.Resumed+final.Executed != final.Total {
+		t.Fatalf("the new job ended %+v, want done resuming the canceled job's runs", final)
 	}
 }
 
@@ -925,13 +1004,15 @@ func TestTerminalStatusIsDurableWhenSeen(t *testing.T) {
 	}
 }
 
-func readFileT(t *testing.T, path string) []byte {
+// reportT fetches a done job's report through the API.
+func reportT(t *testing.T, s *Server, id string) []byte {
 	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/report", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("report of job %s: %d %s", id, rec.Code, rec.Body)
 	}
-	return b
+	return rec.Body.Bytes()
 }
 
 // TestShardsShareGoldenArtefact runs two shards of one campaign on one

@@ -4,15 +4,16 @@
 // report) layered over a bounded in-process queue and the existing
 // campaign engine.
 //
-// Durability is the point. Every job is persisted in the state
-// directory as a PR-3 shard checkpoint (the whole campaign planned as
-// shard 0/1) plus a job-state manifest, so a daemon killed at any
-// instant — SIGKILL included — restarts with its full job table and
-// resumes every unfinished campaign through RunShard's skip-and-verify
-// path. The resumed job's final report is byte-identical to an
-// uninterrupted run's, because completed runs are replayed from the
-// checkpoint rather than re-executed, and the report is rebuilt from
-// the full record set exactly like a shard merge.
+// A job is shard i of n of its spec (0/1 for a whole campaign), and
+// (spec hash, i, n) is its identity: an identical submit returns the
+// same job, and it names the job's checkpoint. Durability is the point.
+// Every job is persisted in the state directory as that checkpoint plus
+// a job-state manifest, so a daemon killed at any instant — SIGKILL
+// included — restarts with its full job table and resumes every
+// unfinished campaign through RunShard's skip-and-verify path. A done
+// job's finalized checkpoint is its only product: a 0/1 job's report is
+// folded from it on request exactly like a shard merge, byte-identical
+// to an uninterrupted run's.
 package server
 
 import (
@@ -89,16 +90,16 @@ type Job struct {
 	// Tenant names the submitter (resolved from the auth table); ""
 	// for anonymous/local submissions.
 	Tenant string
-	// ShardIndex/ShardCount are the job's shard coordinates: a
-	// coordinator-dispatched slice of a larger campaign runs shard
-	// ShardIndex of ShardCount; a whole-campaign job runs 0 of 1.
+	// ShardIndex/ShardCount are the job's shard coordinates: it runs
+	// shard ShardIndex of ShardCount of Spec, 0 of 1 for a whole
+	// campaign. With SpecHash they are the job's identity.
 	ShardIndex int
 	ShardCount int
 
 	mu     sync.Mutex
 	status Status
 	done   int // completed runs, resumed included
-	total  int // planned run count (spec.NumFaults until planned)
+	total  int // planned run count (the shard's ShardRange until planned)
 	// stats is the shard's, as RunShard last handed them over: at each
 	// progress callback and when it returns. Its FaultsPerSec is the
 	// job's own live throughput, zeroed at the terminal transition.
@@ -118,14 +119,20 @@ type Job struct {
 	closed    bool // terminal: hub closed, no further events
 }
 
-func newJob(id string, spec campaign.Spec, submitted time.Time) *Job {
+// newJob returns a queued job running shard i of n of spec. Its run count
+// is the shard's slice of the universe (exact once planned; 0 when
+// NumFaults means "every location" and the universe size is not yet
+// known).
+func newJob(id string, spec campaign.Spec, i, n int, submitted time.Time) *Job {
+	lo, hi := campaign.ShardRange(spec.NumFaults, i, n)
 	return &Job{
 		ID:         id,
 		Spec:       spec,
 		SpecHash:   spec.Hash(),
-		ShardCount: 1,
+		ShardIndex: i,
+		ShardCount: n,
 		status:     StatusQueued,
-		total:      spec.NumFaults,
+		total:      hi - lo,
 		submitted:  submitted,
 		subs:       make(map[*subscriber]struct{}),
 	}
@@ -148,11 +155,10 @@ type View struct {
 	SpecHash string        `json:"spec_hash"`
 	// Tenant is the submitting tenant (empty for anonymous/local).
 	Tenant string `json:"tenant,omitempty"`
-	// Shard/Shards are the job's shard coordinates when it runs one
-	// slice of a coordinator-dispatched campaign (Shards > 1); both
-	// absent for whole-campaign jobs.
-	Shard    int `json:"shard,omitempty"`
-	Shards   int `json:"shards,omitempty"`
+	// Shard/Shards are the job's shard coordinates, 0/1 for a whole
+	// campaign.
+	Shard    int `json:"shard"`
+	Shards   int `json:"shards"`
 	Done     int `json:"done"`
 	Total    int `json:"total"`
 	Resumed  int `json:"resumed,omitempty"`
@@ -185,12 +191,14 @@ func rfc3339(t time.Time) string {
 func (j *Job) view() View {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	v := View{
+	return View{
 		ID:            j.ID,
 		Status:        j.status,
 		Spec:          j.Spec,
 		SpecHash:      j.SpecHash,
 		Tenant:        j.Tenant,
+		Shard:         j.ShardIndex,
+		Shards:        j.ShardCount,
 		Done:          j.done,
 		Total:         j.total,
 		Resumed:       j.stats.Resumed,
@@ -204,10 +212,6 @@ func (j *Job) view() View {
 		StartedAt:     rfc3339(j.started),
 		FinishedAt:    rfc3339(j.finished),
 	}
-	if j.ShardCount > 1 {
-		v.Shard, v.Shards = j.ShardIndex, j.ShardCount
-	}
-	return v
 }
 
 // snapshotEvent renders the job's current state as a stream event.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"nocalert/internal/trace"
 )
@@ -56,6 +57,77 @@ func TestRecoverRefusesWhatSubmitRefuses(t *testing.T) {
 				t.Fatalf("refused with %q, want the job ID and %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestOldManifestLoadsAsShard0Of1: a manifest that names no shard, 0/0
+// as daemons wrote a whole-campaign job before every job carried its
+// shard, loads as shard 0/1, the identity an identical submit finds.
+func TestOldManifestLoadsAsShard0Of1(t *testing.T) {
+	dir := t.TempDir()
+	j, err := queuedServer(t, Config{Dir: dir}).Submit(testSpec(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := trace.ReadJobState(trace.JobStatePath(dir, j.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	js.Shard, js.Shards = 0, 0
+	if err := trace.WriteJobState(dir, js); err != nil {
+		t.Fatal(err)
+	}
+	s := queuedServer(t, Config{Dir: dir})
+	again, existing, err := s.SubmitJob(testSpec(24), SubmitOptions{})
+	if err != nil || !existing || again.ID != j.ID {
+		t.Fatalf("submit over the 0/0 manifest: existing=%v err=%v, want job %s back", existing, err, j.ID)
+	}
+	if v := again.view(); v.Shard != 0 || v.Shards != 1 {
+		t.Fatalf("the 0/0 manifest loaded as shard %d/%d, want 0/1", v.Shard, v.Shards)
+	}
+}
+
+// TestRecoveredTwinsTakeTurns: a state directory from before every job was
+// a shard can hold two whole-campaign jobs of one spec. Both are recovered
+// queued and share one checkpoint, so even on two job slots they run in
+// turn: each ends done, the second resuming what the first recorded, and
+// the checkpoint reads back whole.
+func TestRecoveredTwinsTakeTurns(t *testing.T) {
+	dir := t.TempDir()
+	j, err := queuedServer(t, Config{Dir: dir}).Submit(testSpec(96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := trace.ReadJobState(trace.JobStatePath(dir, j.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	js.ID, js.Shard, js.Shards = "jtwin", 0, 0
+	if err := trace.WriteJobState(dir, js); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Dir: dir, Concurrency: 2, CampaignWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop(context.Background())
+	resumed := 0
+	for _, id := range []string{j.ID, "jtwin"} {
+		v := waitJob(t, s, id, 2*time.Minute)
+		if v.Status != StatusDone {
+			t.Fatalf("job %s ended %s (%s)", id, v.Status, v.Error)
+		}
+		resumed += v.Resumed
+	}
+	if resumed != 96 {
+		t.Errorf("the twins resumed %d runs between them, want the second to resume all 96", resumed)
+	}
+	cd, err := trace.ReadCheckpointFile(s.checkpointPath(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cd.Records) != 96 || cd.Footer == nil {
+		t.Fatalf("the shared checkpoint holds %d records (finalized: %v), want 96 and a footer", len(cd.Records), cd.Footer != nil)
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,8 +33,8 @@ const (
 
 // Config tunes a Server. Zero values get serviceable defaults.
 type Config struct {
-	// Dir is the state directory: job manifests, shard checkpoints and
-	// final reports all live here (see trace.JobStatePath and friends).
+	// Dir is the state directory: job manifests and shard checkpoints
+	// live here (see trace.JobStatePath and trace.ShardCheckpointPath).
 	// Required.
 	Dir string
 	// QueueSize bounds the submission queue; a submit beyond it is
@@ -112,6 +111,10 @@ type Server struct {
 	mu    sync.Mutex
 	jobs  map[string]*Job
 	order []string // submission order, for listings
+	// writers holds a lock per checkpoint path, one writer a checkpoint.
+	// Only jobs recovered from a state directory older than the shard
+	// identity (two whole-campaign jobs of one spec) ever wait on one.
+	writers map[string]*sync.Mutex
 
 	// golden keeps the golden artefacts of recent campaigns, so the
 	// shards and resumed jobs of one campaign this daemon runs build the
@@ -139,9 +142,8 @@ type Server struct {
 // New builds a Server over the state directory, rebuilds the job table
 // from the manifests found there, re-enqueues every unfinished job
 // (oldest first) and starts the worker pool. A job whose manifest says
-// "done" but whose report file is missing — a crash between finalizing
-// the checkpoint and writing the report — is re-enqueued too; its
-// finalized checkpoint makes the re-run a pure report rebuild.
+// "done" but whose checkpoint, its only product, is gone is re-enqueued
+// too and runs again.
 func New(cfg Config) (*Server, error) {
 	s, err := build(cfg)
 	if err != nil {
@@ -166,6 +168,7 @@ func build(cfg Config) (*Server, error) {
 		cfg:          cfg,
 		reg:          cfg.Registry,
 		jobs:         make(map[string]*Job),
+		writers:      make(map[string]*sync.Mutex),
 		golden:       campaign.NewGoldenCache(),
 		queue:        newFairQueue(cfg.QueueSize),
 		baseCtx:      ctx,
@@ -233,29 +236,21 @@ func (s *Server) recover() error {
 		if err != nil {
 			return fmt.Errorf("server: job %s: %v", js.ID, err)
 		}
-		j := newJob(js.ID, spec, parseRFC3339(js.SubmittedAt))
+		j := newJob(js.ID, spec, js.Shard, shards, parseRFC3339(js.SubmittedAt))
 		j.Tenant = js.Tenant
-		j.ShardIndex, j.ShardCount = js.Shard, shards
 		j.status = Status(js.Status)
 		j.errMsg = js.Error
 		j.finished = parseRFC3339(js.FinishedAt)
 		if js.Status == trace.JobDone {
-			// A done job's product must still exist: the aggregated
-			// report for a whole-campaign job, the finalized checkpoint
-			// for a coordinator-dispatched shard. A crash between
-			// checkpoint finalize and product write re-enqueues the job;
-			// its checkpoint makes the re-run a pure rebuild.
-			product := trace.JobReportPath(s.cfg.Dir, js.ID)
-			if j.ShardCount > 1 {
-				product = s.checkpointPath(j)
-			}
-			if _, err := os.Stat(product); err != nil {
+			// A done job's product is its finalized checkpoint; a job
+			// whose checkpoint is gone runs again.
+			if _, err := os.Stat(s.checkpointPath(j)); err != nil {
 				j.status = StatusQueued
 				j.finished = time.Time{}
 			} else if js.Total > 0 {
 				j.done, j.total = js.Done, js.Total
 			} else {
-				j.done, j.total = spec.NumFaults, spec.NumFaults
+				j.done = j.total
 			}
 		}
 		s.jobs[j.ID] = j
@@ -276,16 +271,12 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// checkpointPath returns the job's shard-checkpoint location: keyed by
-// job ID for whole-campaign jobs (the PR-4 layout), and by campaign
-// identity + shard coordinates for coordinator-dispatched shards, so a
-// re-submitted shard resumes the partial checkpoint an earlier attempt
-// left behind (RunShard's skip-and-verify path proves it first).
+// checkpointPath returns the job's checkpoint location, keyed by its
+// identity (spec hash and shard coordinates), so a re-submitted job
+// resumes the partial checkpoint an earlier attempt left behind
+// (RunShard's skip-and-verify path proves it first).
 func (s *Server) checkpointPath(j *Job) string {
-	if j.ShardCount > 1 {
-		return trace.ShardCheckpointPath(s.cfg.Dir, j.SpecHash, j.ShardIndex, j.ShardCount)
-	}
-	return trace.JobCheckpointPath(s.cfg.Dir, j.ID)
+	return trace.ShardCheckpointPath(s.cfg.Dir, j.SpecHash, j.ShardIndex, j.ShardCount)
 }
 
 func parseRFC3339(s string) time.Time {
@@ -311,10 +302,9 @@ var errDraining = errors.New("server: draining, not accepting jobs")
 type SubmitOptions struct {
 	// Tenant is the submitting tenant (resolved by the auth layer).
 	Tenant string
-	// Shard/Shards submit one slice of a larger campaign: the job runs
-	// PlanShard(spec, Shard, Shards) and its product is the finalized
-	// shard checkpoint rather than an aggregated report. 0/0 (the zero
-	// value) and 0/1 mean a whole-campaign job; a pair that names no shard
+	// Shard/Shards name the job's shard: it runs PlanShard(spec, Shard,
+	// Shards) and its product is the finalized shard checkpoint. 0/0 (the
+	// zero value) is 0/1, the whole campaign; a pair that names no shard
 	// — a count below 1, an index outside [0, Shards) — is refused.
 	Shard  int
 	Shards int
@@ -339,12 +329,12 @@ func checkJob(spec *campaign.Spec, shard, shards int) (int, error) {
 	return shards, nil
 }
 
-// SubmitJob validates, persists and enqueues a new job. Sharded
-// submissions are idempotent on (spec, shard): when an active or done
-// job for the same shard of the same campaign already exists, that job
-// is returned with existing=true instead of queueing a duplicate —
-// which is what lets a coordinator retry a submit over a flaky link
-// (or re-dispatch after its own restart) without doubling work.
+// SubmitJob validates, persists and enqueues a new job. Submissions are
+// idempotent on the job's identity, (spec hash, shard, shards): when a
+// queued, running or done job of the same identity already exists, that
+// job is returned with existing=true instead of queueing a duplicate —
+// which is what lets a client retry a submit over a flaky link (or a
+// coordinator re-dispatch after its own restart) without doubling work.
 func (s *Server) SubmitJob(spec campaign.Spec, o SubmitOptions) (j *Job, existing bool, err error) {
 	spec.Normalize()
 	if o.Shards, err = checkJob(&spec, o.Shard, o.Shards); err != nil {
@@ -356,41 +346,31 @@ func (s *Server) SubmitJob(spec campaign.Spec, o SubmitOptions) (j *Job, existin
 		return nil, false, errDraining
 	}
 	specHash := spec.Hash()
-	if o.Shards > 1 {
-		for _, id := range s.order {
-			cand := s.jobs[id]
-			if cand.SpecHash != specHash || cand.ShardIndex != o.Shard || cand.ShardCount != o.Shards {
-				continue
-			}
-			cand.mu.Lock()
-			st := cand.status
-			cand.mu.Unlock()
-			// Failed and canceled attempts do not block a retry; their
-			// partial checkpoint is resumed by the new job.
-			if st == StatusFailed || st == StatusCanceled {
-				continue
-			}
-			s.mu.Unlock()
-			s.jobLog(cand.ID).Info("shard submit deduplicated onto existing job",
-				"spec", specHash, "shard", o.Shard, "shards", o.Shards, "status", st)
-			return cand, true, nil
+	for _, id := range s.order {
+		cand := s.jobs[id]
+		if cand.SpecHash != specHash || cand.ShardIndex != o.Shard || cand.ShardCount != o.Shards {
+			continue
 		}
+		cand.mu.Lock()
+		st := cand.status
+		cand.mu.Unlock()
+		// Failed and canceled attempts do not block a retry; their
+		// partial checkpoint is resumed by the new job.
+		if st == StatusFailed || st == StatusCanceled {
+			continue
+		}
+		s.mu.Unlock()
+		s.jobLog(cand.ID).Info("submit deduplicated onto existing job",
+			"spec", specHash, "shard", o.Shard, "shards", o.Shards, "status", st)
+		return cand, true, nil
 	}
 	if s.cfg.TenantQuota > 0 && s.activeJobsLocked(o.Tenant) >= s.cfg.TenantQuota {
 		s.mu.Unlock()
 		s.mQuotaDenied.Inc()
 		return nil, false, ErrQuotaExceeded
 	}
-	j = newJob(newJobID(), spec, time.Now())
+	j = newJob(newJobID(), spec, o.Shard, o.Shards, time.Now())
 	j.Tenant = o.Tenant
-	j.ShardIndex, j.ShardCount = o.Shard, o.Shards
-	if o.Shards > 1 {
-		// A shard job's run count is its slice of the universe, not the
-		// whole campaign's (exact once planned; 0 when NumFaults means
-		// "every location" and the universe size is not yet known).
-		lo, hi := campaign.ShardRange(spec.NumFaults, o.Shard, o.Shards)
-		j.total = hi - lo
-	}
 	// The manifest must be durable before the job is visible or
 	// runnable: a daemon killed right after the 201 response still
 	// knows the job on restart.
@@ -483,9 +463,6 @@ func (s *Server) Cancel(id string) error {
 	}
 }
 
-// ReportPath returns the final report location for a done job.
-func (s *Server) ReportPath(id string) string { return trace.JobReportPath(s.cfg.Dir, id) }
-
 // Stop drains the server: no new submissions, running campaigns are
 // canceled cooperatively (every completed run is already durable in
 // its checkpoint, so nothing is lost), and the worker pool exits. The
@@ -526,8 +503,19 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job end to end against its durable checkpoint.
+// runJob executes one job end to end against its durable checkpoint,
+// after any other job of its identity.
 func (s *Server) runJob(j *Job) {
+	s.mu.Lock()
+	w := s.writers[s.checkpointPath(j)]
+	if w == nil {
+		w = new(sync.Mutex)
+		s.writers[s.checkpointPath(j)] = w
+	}
+	s.mu.Unlock()
+	w.Lock()
+	defer w.Unlock()
+
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 
@@ -597,16 +585,15 @@ func (s *Server) runJob(j *Job) {
 }
 
 // execute runs the job's shard against its checkpoint, resuming what
-// an earlier attempt left there, and writes a whole-campaign job's
-// report. Any error leaves the checkpoint consistent for the next
-// attempt. When tracing is on the whole execution runs under a job
+// an earlier attempt left there. Any error leaves the checkpoint
+// consistent for the next attempt. When tracing is on the whole execution runs under a job
 // span, the root of the job → shard → run hierarchy RunShard and the
 // campaign extend.
 func (s *Server) execute(ctx context.Context, j *Job) error {
 	jspan := s.cfg.Tracer.Start(nil, "job", "job["+j.ID+"]")
 	jspan.SetAttr("job_id", j.ID)
 	jspan.SetAttr("spec_hash", j.SpecHash)
-	recs, stats, err := campaign.RunShard(j.Spec, j.ShardIndex, j.ShardCount, s.checkpointPath(j), campaign.ShardRunOptions{
+	_, stats, err := campaign.RunShard(j.Spec, j.ShardIndex, j.ShardCount, s.checkpointPath(j), campaign.ShardRunOptions{
 		Workers:       s.cfg.CampaignWorkers,
 		GoldenCache:   s.golden,
 		Metrics:       s.reg,
@@ -619,12 +606,6 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	j.mu.Lock()
 	j.stats = *stats
 	j.mu.Unlock()
-	// A shard job's product is its finalized checkpoint; the aggregated
-	// report only exists once a coordinator folds every shard through
-	// the merge gate.
-	if err == nil && j.ShardCount == 1 {
-		err = s.writeReport(j, recs)
-	}
 	if err != nil {
 		jspan.SetAttr("error", err.Error())
 	}
@@ -659,22 +640,6 @@ func (s *Server) progress(j *Job, done, total int, st campaign.ShardRunStats) {
 	j.publishLocked(ev)
 }
 
-// writeReport folds the job's records into the aggregated report — the
-// exact fold a shard merge takes, which is what makes the report
-// byte-identical to an uninterrupted (or unsharded CLI) run's WriteJSON
-// output — and lands it atomically.
-func (s *Server) writeReport(j *Job, recs []trace.RunRecord) error {
-	rep, err := campaign.ReportFromRecords(j.Spec, recs)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		return err
-	}
-	return trace.AtomicWriteFile(trace.JobReportPath(s.cfg.Dir, j.ID), buf.Bytes())
-}
-
 // persistTerminal writes the job's terminal manifest, logging a failure:
 // the job's status moves on regardless.
 func (s *Server) persistTerminal(j *Job, st Status, errMsg string, finished time.Time) {
@@ -698,11 +663,10 @@ func (s *Server) persistJob(j *Job, st Status, errMsg string, finished time.Time
 		Tenant:      j.Tenant,
 		Status:      string(st),
 		Error:       errMsg,
+		Shard:       j.ShardIndex,
+		Shards:      j.ShardCount,
 		SubmittedAt: rfc3339(j.submitted),
 		FinishedAt:  rfc3339(finished),
-	}
-	if j.ShardCount > 1 {
-		js.Shard, js.Shards = j.ShardIndex, j.ShardCount
 	}
 	if st.Terminal() {
 		j.mu.Lock()

@@ -10,14 +10,19 @@ import (
 )
 
 // A job-state manifest is the durable identity of one daemon-managed
-// campaign job: which spec it runs, where its shard checkpoint lives,
-// and the last durable point of its lifecycle. It sits alongside the
+// campaign job: which spec it runs, which shard of it, and the last
+// durable point of its lifecycle. It sits alongside the job's shard
 // checkpoint in the same state directory, so the directory alone is
 // enough for a restarted daemon to rebuild its whole job table:
 //
-//	<dir>/<id>.job.json    — this manifest (atomic rewrite on change)
-//	<dir>/<id>.ckpt.ndjson — the PR-3 shard checkpoint (append-only)
-//	<dir>/<id>.report.json — the final aggregated report (atomic write)
+//	<dir>/<id>.job.json                    — this manifest (atomic rewrite on change)
+//	<dir>/<spec-hash>.s<i>of<n>.ckpt.ndjson — the shard checkpoint (append-only)
+//
+// The checkpoint is named by the job's identity, spec hash and shard,
+// not by its ID: a job resubmitted after a failure or cancel resumes the
+// checkpoint an earlier job of the same identity left behind, and a done
+// job's finalized checkpoint is its only product (the daemon folds its
+// report from it on request).
 //
 // Only durable transitions are recorded: a job is written as "queued"
 // at submit and rewritten when it reaches a terminal state. "running"
@@ -40,7 +45,7 @@ const (
 type JobState struct {
 	Kind    string `json:"kind"` // always "job"
 	Version int    `json:"version"`
-	// ID names the job and prefixes its checkpoint and report files.
+	// ID names the job and its manifest file.
 	ID string `json:"id"`
 	// Spec is the full campaign specification (campaign.Spec JSON),
 	// embedded opaquely so this package does not depend on the campaign
@@ -53,11 +58,11 @@ type JobState struct {
 	// for anonymous/local submissions. Persisted so quota accounting and
 	// fair queueing survive a restart.
 	Tenant string `json:"tenant,omitempty"`
-	// Shard/Shards are the job's shard coordinates when a coordinator
-	// submitted one slice of a larger campaign (Shards > 1). Both zero
-	// for a whole-campaign job, which the runner plans as shard 0/1.
-	Shard  int `json:"shard,omitempty"`
-	Shards int `json:"shards,omitempty"`
+	// Shard/Shards are the job's shard coordinates: shard i of n of the
+	// spec, 0/1 for a whole campaign. Manifests written before every job
+	// carried them hold 0/0, which the daemon reads as 0/1.
+	Shard  int `json:"shard"`
+	Shards int `json:"shards"`
 	// Done/Total record the job's final run counts at its terminal
 	// transition, so a restarted daemon can report them without
 	// re-deriving the fault universe.
@@ -78,26 +83,19 @@ const jobStateSuffix = ".job.json"
 // JobStatePath returns the manifest path for job id in dir.
 func JobStatePath(dir, id string) string { return filepath.Join(dir, id+jobStateSuffix) }
 
-// JobCheckpointPath returns the shard-checkpoint path for job id.
-func JobCheckpointPath(dir, id string) string { return filepath.Join(dir, id+".ckpt.ndjson") }
-
-// JobReportPath returns the final-report path for job id.
-func JobReportPath(dir, id string) string { return filepath.Join(dir, id+".report.json") }
-
 // ShardCheckpointPath returns the checkpoint path for shard i of n of
-// the campaign fingerprinted by specHash. Unlike JobCheckpointPath it
-// is keyed on the campaign identity rather than the job ID, so a
-// re-submitted shard (a coordinator requeueing work onto a restarted
-// worker) resumes the partial checkpoint an earlier job left behind
-// instead of starting over.
+// the campaign fingerprinted by specHash. It is keyed on the campaign
+// identity rather than a job ID, so a re-submitted shard (a coordinator
+// requeueing work onto a restarted worker) resumes the partial checkpoint
+// an earlier job left behind instead of starting over.
 func ShardCheckpointPath(dir, specHash string, i, n int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s.s%dof%d.ckpt.ndjson", specHash, i, n))
 }
 
 // WriteJobState durably writes the manifest for js.ID in dir: the
-// bytes land in a temp file first and are renamed into place, so a
-// kill at any instant leaves either the old manifest or the new one,
-// never a torn half-written line.
+// bytes land in a same-directory temp file first and are renamed into
+// place, so a kill at any instant leaves either the old manifest or the
+// new one, never a torn half-written line.
 func WriteJobState(dir string, js *JobState) error {
 	if js.ID == "" {
 		return fmt.Errorf("trace: job state has no ID")
@@ -113,34 +111,22 @@ func WriteJobState(dir string, js *JobState) error {
 		return err
 	}
 	b = append(b, '\n')
-	return AtomicWriteFile(JobStatePath(dir, js.ID), b)
-}
-
-// AtomicWriteFile writes data to path via a same-directory temp file
-// and rename, the standard crash-safe replacement idiom: a kill at any
-// instant leaves either the old file or the complete new one. The job
-// runner uses it for manifests and final reports alike.
-func AtomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
+	path := JobStatePath(dir, js.ID)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err != nil {
+		os.Remove(tmp.Name())
 	}
-	return nil
+	return err
 }
 
 // ReadJobState parses the manifest at path.
