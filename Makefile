@@ -93,9 +93,11 @@ cover:
 # e2e runs every test in ./e2e: it builds the real nocalertd binary,
 # SIGKILLs it mid-campaign over HTTP, restarts it, and requires the
 # resumed job's report to be byte-identical to an uninterrupted run's (see
-# e2e/restart_test.go), and runs the distributed gate below.
+# e2e/restart_test.go), and runs the distributed gate below. -count=1:
+# the tests drive daemons go's test cache cannot see, so a repeated run
+# runs them again instead of reporting the cached pass.
 e2e:
-	$(GO) test -tags e2e ./e2e -v -timeout 20m
+	$(GO) test -tags e2e ./e2e -count=1 -v -timeout 20m
 
 # e2e-dist is the distributed gate alone, for a local run (CI's e2e job
 # runs it through make e2e): a coordinator dispatching the
@@ -103,7 +105,7 @@ e2e:
 # mid-flight, merged report byte-identical to the unsharded run and the
 # committed fixture (see e2e/distributed_test.go).
 e2e-dist:
-	$(GO) test -tags e2e ./e2e -run TestDistributed -v -timeout 20m
+	$(GO) test -tags e2e ./e2e -run TestDistributed -count=1 -v -timeout 20m
 
 # The paper-scale 8×8 campaign behind testdata/report_8x8_seed3.json: the
 # 0.05 injection rate, a 64-fault sample at cycle 300. `make identity` also

@@ -15,9 +15,10 @@ import (
 // of this process completes (on a resumed shard the first line already
 // counts the checkpoint's runs), and campaign.EstimateETA screens it and
 // the degenerate rates, such as +Inf from a microsecond fast-path burst.
-func progressPrinter(w io.Writer, label string) func(done, total int, st campaign.ShardRunStats) {
+func progressPrinter(w io.Writer, label string) func(st campaign.ShardRunStats) {
 	lastBucket := -1
-	return func(done, total int, st campaign.ShardRunStats) {
+	return func(st campaign.ShardRunStats) {
+		done, total := st.Done, st.Total
 		pct := 0
 		if total > 0 {
 			pct = done * 100 / total

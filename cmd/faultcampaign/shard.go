@@ -45,12 +45,12 @@ func runShard(spec campaign.Spec, idx, n int, path string, sro campaign.ShardRun
 			fmt.Fprintln(os.Stderr)
 		}
 		if path != "" {
-			err = fmt.Errorf("%w (checkpoint %s keeps the %d completed runs)", err, path, st.Resumed+st.Executed)
+			err = fmt.Errorf("%w (checkpoint %s keeps the %d completed runs)", err, path, st.Done)
 		}
 		return nil, fmt.Errorf("%s: %w", label, err)
 	}
 	fmt.Printf("%s: %d/%d runs in %v (%d resumed from checkpoint, %d of those re-executed and verified, %d newly executed, %d fast-path exits, %d reconverged, %d full-sim, %d forked)\n",
-		label, st.Resumed+st.Executed, st.Total, time.Since(start).Round(time.Millisecond),
+		label, st.Done, st.Total, time.Since(start).Round(time.Millisecond),
 		st.Resumed, st.Verified, st.Executed, st.FastPathHits, st.ReconvergedHits, st.FullSimRuns, st.ForkedRuns)
 	if path != "" {
 		fmt.Printf("checkpoint finalized: %s\n", path)

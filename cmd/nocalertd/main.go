@@ -5,8 +5,9 @@
 // `faultcampaign -json` output.
 //
 // Every job is shard i of n of its spec (0/1 unless the submit names
-// one), and an identical submit returns the same job. Every job is
-// durable: its manifest is in the state directory before the 201
+// one) for the tenant that submitted it, and an identical submit by that
+// tenant returns the same job; another tenant's is a job of its own,
+// which resumes the shard's shared checkpoint. Every job is durable: its manifest is in the state directory before the 201
 // response is written, and its runs land in a resumable shard checkpoint
 // named by spec hash and shard, so a daemon killed at any instant —
 // SIGKILL included — restarts with its whole job table and resumes every
@@ -29,16 +30,19 @@
 //	                            Accept: text/event-stream)
 //	GET    /v1/jobs/{id}/report final aggregated report of a 0/1 job
 //	GET    /v1/jobs/{id}/checkpoint finalized shard checkpoint
-//	DELETE /v1/jobs/{id}        cancel
+//	DELETE /v1/jobs/{id}        cancel (the owning tenant's only, with
+//	                            -auth)
 //	GET    /metrics             OpenMetrics/Prometheus exposition
 //	GET    /healthz /debug/pprof/
 //
-// Observability: job transitions log through log/slog (text by
-// default, `-log-json` for machine-readable records), every record
-// carrying the job ID. `-trace-spans` streams the job → shard → run
-// span hierarchy as NDJSON, each job's shard checkpoint under `-dir` is
-// its per-run record, and /metrics serves the whole registry to standard
-// scrapers.
+// Observability: every job status change — queued, running, done,
+// failed, canceled, back to queued on a drain — is made in one place,
+// which writes the job's manifest, view, stream event, the queued and
+// running gauges, a counter and one log/slog record (text by default,
+// `-log-json` for machine-readable records) carrying the job ID.
+// `-trace-spans` streams the job → shard → run span hierarchy as
+// NDJSON, each job's shard checkpoint under `-dir` is its per-run
+// record, and /metrics serves the whole registry to standard scrapers.
 //
 // SIGTERM/SIGINT drain gracefully: the listener closes, running
 // campaigns stop after their in-flight faults (every completed run is

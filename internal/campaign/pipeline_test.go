@@ -210,12 +210,12 @@ func TestLiveRateSkipsGroupWaits(t *testing.T) {
 	// alternates its two cycles, so the eight of cycle 0 come first.
 	var rates []float64
 	recs, _, err := RunShard(spec, 0, 1, "", ShardRunOptions{Workers: 1, Metrics: reg,
-		Progress: func(done, _ int, st ShardRunStats) {
+		Progress: func(st ShardRunStats) {
 			if st.Executed == 0 {
 				return // the call before the first run: nothing measured yet
 			}
 			if _, ok := EstimateETA(1, st.FaultsPerSec); !ok {
-				t.Errorf("after run %d the rate reads %g, which no ETA can be derived from", done, st.FaultsPerSec)
+				t.Errorf("after run %d the rate reads %g, which no ETA can be derived from", st.Done, st.FaultsPerSec)
 			}
 			rates = append(rates, st.FaultsPerSec)
 		}})

@@ -35,11 +35,9 @@ type ShardRunOptions struct {
 	// shards and jobs run off the same cache (see Options.GoldenCache).
 	GoldenCache *GoldenCache
 	// Progress, when non-nil, is invoked once before the first run,
-	// with the resumed count (Executed is 0), and then after each newly
-	// executed run, with the shard-level completion count (resumed runs
-	// included), the shard's total run count and a snapshot of the
-	// running stats (for live exit-path breakdowns).
-	Progress func(done, total int, stats ShardRunStats)
+	// with the resumed runs done (Executed is 0), and then after each
+	// newly executed run, with a snapshot of the running stats.
+	Progress func(stats ShardRunStats)
 	// Metrics, when non-nil, receives the campaign telemetry.
 	Metrics *metrics.Registry
 	// Context cancels the shard cooperatively; completed runs are
@@ -61,26 +59,30 @@ type ShardRunOptions struct {
 	TraceParent *obs.Span
 }
 
-// ShardRunStats summarizes one RunShard execution.
+// ShardRunStats summarizes one RunShard execution. Its JSON form is the
+// progress part of a daemon job's view.
 type ShardRunStats struct {
+	// Done counts the shard's recorded runs, Resumed + Executed.
+	Done int `json:"done"`
 	// Total is the shard's run count (End - Start).
-	Total int
+	Total int `json:"total"`
 	// Resumed counts runs found already recorded in the checkpoint and
 	// skipped.
-	Resumed int
+	Resumed int `json:"resumed,omitempty"`
 	// Verified counts resumed runs re-executed and matched against
 	// their recorded canonical bytes.
-	Verified int
+	Verified int `json:"verified,omitempty"`
 	// Executed counts newly executed (and recorded) runs.
-	Executed int
+	Executed int `json:"executed,omitempty"`
 	// RunCounts sums the exit paths and cycles of the runs among
 	// Executed+Verified, run by run as they complete.
 	RunCounts
 	// FaultsPerSec is the shard's own live throughput: the runs its
 	// campaign completed over the seconds they took, the waits of the
 	// whole pool for a golden group left out (rateClock). Zero until a
-	// run of this execution completes, whatever the checkpoint resumed.
-	FaultsPerSec float64
+	// run of this execution completes, whatever the checkpoint resumed;
+	// always finite.
+	FaultsPerSec float64 `json:"faults_per_sec,omitempty"`
 }
 
 // RunShard executes shard i of n of the spec, 0/1 being the whole
@@ -159,8 +161,9 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 		recorded[rec.Index] = rec
 	}
 	stats.Resumed = len(recorded)
+	stats.Done = stats.Resumed
 	if o.Progress != nil {
-		o.Progress(stats.Resumed, stats.Total, *stats)
+		o.Progress(*stats)
 	}
 	if cp != nil && cp.Finalized() {
 		// Nothing to run: a finalized checkpoint was already verified
@@ -268,8 +271,9 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 		}
 		records = append(records, rec)
 		stats.Executed++
+		stats.Done++
 		if o.Progress != nil {
-			o.Progress(stats.Resumed+stats.Executed, stats.Total, *stats)
+			o.Progress(*stats)
 		}
 	}
 	_, err = Run(opts)
@@ -279,9 +283,9 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 	if err != nil {
 		return records, stats, err
 	}
-	if stats.Resumed+stats.Executed != stats.Total {
+	if stats.Done != stats.Total {
 		return records, stats, fmt.Errorf("campaign: shard %d/%d recorded %d of its %d runs",
-			sh.Index, sh.Count, stats.Resumed+stats.Executed, stats.Total)
+			sh.Index, sh.Count, stats.Done, stats.Total)
 	}
 	return records, stats, finalize(cp)
 }

@@ -133,16 +133,16 @@ type firstProgress struct {
 	calls   int
 	done    int
 	first   ShardRunStats
-	forward func(done, total int, st ShardRunStats)
+	forward func(st ShardRunStats)
 }
 
-func (p *firstProgress) progress(done, total int, st ShardRunStats) {
+func (p *firstProgress) progress(st ShardRunStats) {
 	if p.calls == 0 {
-		p.done, p.first = done, st
+		p.done, p.first = st.Done, st
 	}
 	p.calls++
 	if p.forward != nil {
-		p.forward(done, total, st)
+		p.forward(st)
 	}
 }
 
@@ -498,8 +498,8 @@ func TestInterruptedShardResume(t *testing.T) {
 	// and let RunShard surface the context error.
 	ctx, cancel := context.WithCancel(context.Background())
 	killAfter := (sh.End - sh.Start) / 3
-	fresh := firstProgress{forward: func(done, total int, _ ShardRunStats) {
-		if done >= killAfter {
+	fresh := firstProgress{forward: func(st ShardRunStats) {
+		if st.Done >= killAfter {
 			cancel()
 		}
 	}}
@@ -647,8 +647,8 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 	_, _, runErr := RunShard(spec, 0, 1, path, ShardRunOptions{
 		Workers: 1,
 		Context: ctx,
-		Progress: func(done, total int, _ ShardRunStats) {
-			if done >= 3 {
+		Progress: func(st ShardRunStats) {
+			if st.Done >= 3 {
 				cancel()
 			}
 		},

@@ -71,7 +71,11 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Logf, when set, receives one line per dispatch decision.
 	Logf func(format string, args ...any)
-	// Progress, when set, is called after every fleet progress change.
+	// Progress, when set, is called with the fleet's progress after it
+	// changes, from a goroutine of its own, so no dispatch slot waits on
+	// it: updates arrive in order, one that lands while the last is still
+	// being handled replaces any older one not yet delivered, and the
+	// last reaches Progress before Run returns.
 	Progress func(ProgressUpdate)
 	// Seed seeds the backoff jitter; 0 means time-seeded.
 	Seed int64
@@ -180,6 +184,14 @@ type run struct {
 	finished bool
 	live     int // workers not yet dead
 
+	// next is the fleet progress not yet handed to Config.Progress
+	// (unsent says there is one); delivering says a deliver goroutine
+	// runs, which delivered counts.
+	next       ProgressUpdate
+	unsent     bool
+	delivering bool
+	delivered  sync.WaitGroup
+
 	rng *rand.Rand
 
 	span *obs.Span
@@ -266,6 +278,7 @@ func Run(ctx context.Context, spec campaign.Spec, cfg Config) (*Result, error) {
 	case <-r.doneCh:
 	}
 	wg.Wait()
+	r.delivered.Wait()
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -505,8 +518,9 @@ func (r *run) progress(shard, done int, rate float64) {
 	r.mu.Unlock()
 }
 
-// publishProgressLocked pushes the fleet's progress to the Progress
-// callback. Caller holds r.mu.
+// publishProgressLocked leaves the fleet's progress for the Progress
+// callback and starts the goroutine that delivers it if none runs.
+// Caller holds r.mu.
 func (r *run) publishProgressLocked() {
 	if r.cfg.Progress == nil {
 		return
@@ -517,11 +531,33 @@ func (r *run) publishProgressLocked() {
 		rate += r.rate[i]
 	}
 	eta, ok := campaign.EstimateETA(r.total-done, rate)
-	r.cfg.Progress(ProgressUpdate{
+	r.next = ProgressUpdate{
 		Done: done, Total: r.total,
 		ShardsDone: len(r.results), Shards: r.shards,
 		Rate: rate, ETA: eta, ETAOK: ok,
-	})
+	}
+	r.unsent = true
+	if !r.delivering {
+		r.delivering = true
+		r.delivered.Add(1)
+		go r.deliver()
+	}
+}
+
+// deliver calls Progress with the newest update until none is left,
+// outside r.mu.
+func (r *run) deliver() {
+	defer r.delivered.Done()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.unsent {
+		u := r.next
+		r.unsent = false
+		r.mu.Unlock()
+		r.cfg.Progress(u)
+		r.mu.Lock()
+	}
+	r.delivering = false
 }
 
 // requeue puts a forfeited shard back on the queue, or fails the run

@@ -478,6 +478,7 @@ func TestProgressMonotonicUnderRequeue(t *testing.T) {
 	}
 	check := func(what string, done int, rate float64) {
 		t.Helper()
+		r.delivered.Wait()
 		if u := seen[len(seen)-1]; u.Done != done || u.Total != 96 || u.Rate != rate {
 			t.Fatalf("%s: %+v, want Done %d of 96 at %v faults/sec", what, u, done, rate)
 		}
@@ -515,6 +516,87 @@ func TestProgressMonotonicUnderRequeue(t *testing.T) {
 		if math.IsInf(u.Rate, 0) || math.IsNaN(u.Rate) || u.Rate < 0 {
 			t.Errorf("update %d: Rate %v", i, u.Rate)
 		}
+	}
+}
+
+// TestProgressCallbackHoldsNoSlot: the Progress callback runs outside
+// the dispatch slots. A worker runs two shards, each job sending one
+// progress event and then its done status; the first update's callback
+// blocks until both shards' checkpoints have been fetched, which the two
+// slots do only if neither waits on it. Updates still arrive in order, and
+// the last, the whole campaign merged, before Run returns.
+func TestProgressCallbackHoldsNoSlot(t *testing.T) {
+	spec := testSpec(8)
+	ckpts := [][]byte{shardCheckpoint(t, spec, 0, 2), shardCheckpoint(t, spec, 1, 2)}
+	var fetches atomic.Int32
+	bothFetched := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var i int
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			i, _ = strconv.Atoi(r.URL.Query().Get("shard"))
+			w.WriteHeader(http.StatusCreated)
+			json.NewEncoder(w).Encode(server.View{ID: fmt.Sprintf("j%d", i), Status: server.StatusRunning})
+		case strings.HasSuffix(r.URL.Path, "/events"):
+			fmt.Sscanf(r.URL.Path, "/v1/jobs/j%d/events", &i)
+			enc := json.NewEncoder(w)
+			enc.Encode(server.Event{Type: "progress", Status: server.StatusRunning, Done: 1, Total: 4, FaultsPerSec: 10})
+			enc.Encode(server.Event{Type: "status", Status: server.StatusDone, Done: 4, Total: 4})
+		default:
+			if _, err := fmt.Sscanf(r.URL.Path, "/v1/jobs/j%d/checkpoint", &i); err != nil || i >= len(ckpts) {
+				http.NotFound(w, r)
+				return
+			}
+			if fetches.Add(1) == 2 {
+				close(bothFetched)
+			}
+			w.Write(ckpts[i])
+		}
+	}))
+	defer ts.Close()
+
+	var (
+		mu       sync.Mutex
+		seen     []ProgressUpdate
+		returned bool
+	)
+	_, err := Run(context.Background(), spec, Config{
+		Workers:     []string{ts.URL},
+		Shards:      2,
+		MaxInFlight: 2,
+		Seed:        1,
+		Logf:        t.Logf,
+		Progress: func(u ProgressUpdate) {
+			mu.Lock()
+			first := len(seen) == 0
+			seen = append(seen, u)
+			if returned {
+				t.Errorf("update %+v after Run returned", u)
+			}
+			mu.Unlock()
+			if !first {
+				return
+			}
+			select {
+			case <-bothFetched:
+			case <-time.After(20 * time.Second):
+				t.Error("the second checkpoint was not fetched while the Progress callback ran: a dispatch slot waits on it")
+			}
+		},
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	returned = true
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range seen {
+		if i > 0 && (u.Done < seen[i-1].Done || u.ShardsDone < seen[i-1].ShardsDone) {
+			t.Errorf("update %d %+v goes back from %+v", i, u, seen[i-1])
+		}
+	}
+	if last := seen[len(seen)-1]; last.Done != 8 || last.Total != 8 || last.ShardsDone != 2 {
+		t.Errorf("last update before Run returned: %+v, want 8 of 8 runs and both shards", last)
 	}
 }
 

@@ -75,8 +75,8 @@ func (s *Server) lookupTenant(token string) (string, bool) {
 }
 
 // requireAuth wraps a mutating handler with the auth → rate-limit
-// chain. The quota check lives in SubmitJob (it needs the job table
-// lock), not here.
+// chain. The quota check lives in SubmitJob (it counts the tenant's jobs
+// under the job table lock), not here.
 func (s *Server) requireAuth(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant := ""
@@ -168,18 +168,4 @@ func (l *rateLimiter) allow(tenant string) (retryAfter time.Duration, ok bool) {
 		return 0, true
 	}
 	return time.Duration((1 - b.tokens) / l.rate * float64(time.Second)), false
-}
-
-// activeJobsLocked counts tenant's queued + running jobs. Caller holds
-// s.mu.
-func (s *Server) activeJobsLocked(tenant string) int {
-	n := 0
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		if j.Tenant == tenant && !j.status.Terminal() {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -266,5 +268,71 @@ func TestShardSubmitIdempotent(t *testing.T) {
 	v := j1.view()
 	if v.Shard != 1 || v.Shards != 4 || v.Total != 6 {
 		t.Fatalf("shard view %+v, want shard 1/4 of 24 faults (total 6)", v)
+	}
+}
+
+// TestTenantsShareNoJob: a job's identity includes its tenant. Tenant
+// beta's submit of alpha's spec and shard is a job of its own, charged to
+// beta's quota; beta cannot cancel alpha's job (403) while alpha can; and
+// the two jobs share the shard's checkpoint, so the one that runs second
+// resumes every run the first recorded.
+func TestTenantsShareNoJob(t *testing.T) {
+	s, ts := authedServer(t, Config{QueueSize: 8, TenantQuota: 1, CampaignWorkers: 1})
+	defer s.Stop(context.Background())
+	var views [2]View
+	for i, tok := range []string{"tok-alpha", "tok-beta"} {
+		resp := authedPost(t, ts.URL, tok, 24)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s: status %d, want 201 for a job of its own", tok, resp.StatusCode)
+		}
+		views[i] = decodeView(t, resp.Body)
+		resp.Body.Close()
+	}
+	alpha, beta := views[0], views[1]
+	if alpha.ID == beta.ID || beta.Tenant != "beta" {
+		t.Fatalf("beta's submit of alpha's spec answered job %s of tenant %q, alpha's is %s", beta.ID, beta.Tenant, alpha.ID)
+	}
+	// Beta's job counts against beta's quota.
+	resp := authedPost(t, ts.URL, "tok-beta", 25)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("beta's second job: status %d, want 429 at quota 1", resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	cancel := func(tok, id string) int {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+		req.Header.Set("Authorization", "Bearer "+tok)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := cancel("tok-beta", alpha.ID); code != http.StatusForbidden {
+		t.Fatalf("beta canceling alpha's job: status %d, want 403", code)
+	}
+	if j, _ := s.Job(alpha.ID); j.view().Status != StatusQueued {
+		t.Fatalf("alpha's job is %s after beta's refused cancel", j.view().Status)
+	}
+
+	s.startWorkers()
+	resumed := 0
+	for _, v := range views {
+		final := waitJob(t, s, v.ID, 2*time.Minute)
+		if final.Status != StatusDone {
+			t.Fatalf("job %s ended %s (%s)", v.ID, final.Status, final.Error)
+		}
+		resumed += final.Resumed
+	}
+	if resumed != 24 {
+		t.Errorf("the two tenants' jobs resumed %d runs between them, want the second to resume all 24", resumed)
+	}
+	if !bytes.Equal(reportT(t, s, alpha.ID), reportT(t, s, beta.ID)) {
+		t.Error("the two tenants' reports of one spec differ")
+	}
+	if code := cancel("tok-alpha", alpha.ID); code != http.StatusConflict {
+		t.Errorf("alpha canceling its own done job: status %d, want 409", code)
 	}
 }

@@ -26,7 +26,8 @@ import (
 //	GET    /v1/jobs             list jobs in submission order
 //	GET    /v1/jobs/{id}        one job's status
 //	DELETE /v1/jobs/{id}        cancel (202 running, 200 queued,
-//	                            409 terminal)
+//	                            409 terminal; 403 another tenant's job
+//	                            when auth is on)
 //	GET    /v1/jobs/{id}/events progress stream: NDJSON by default,
 //	                            SSE framing with Accept: text/event-stream
 //	GET    /v1/jobs/{id}/report a done 0/1 job's report JSON, folded from
@@ -47,6 +48,11 @@ const DefaultRequestTimeout = 30 * time.Second
 
 // DefaultStreamTimeout bounds one events-stream connection.
 const DefaultStreamTimeout = 4 * time.Hour
+
+// eventBuffer is each events stream's channel depth; a consumer that
+// falls further behind has events dropped (and counted) rather than
+// stalling the campaign.
+const eventBuffer = 64
 
 // httpError is the JSON error body every failure path returns.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -117,7 +123,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusTooManyRequests, "job queue is full (%d queued); retry later", s.queue.cap())
+		httpError(w, http.StatusTooManyRequests, "job queue is full (%d queued); retry later", s.cfg.QueueSize)
 		return
 	case errors.Is(err, ErrQuotaExceeded):
 		w.Header().Set("Retry-After", "5")
@@ -161,6 +167,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobOr404(w, r)
 	if !ok {
+		return
+	}
+	if len(s.cfg.AuthTokens) > 0 && j.Tenant != tenantFrom(r) {
+		httpError(w, http.StatusForbidden, "job %s is not tenant %q's to cancel", j.ID, tenantFrom(r))
 		return
 	}
 	wasRunning := j.view().Status == StatusRunning
@@ -266,9 +276,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	// Subscribe before the snapshot so no transition between the two is
 	// lost; the snapshot then establishes the baseline.
-	events, unsubscribe := j.subscribe(s.cfg.EventBuffer)
+	events, unsubscribe := j.subscribe(eventBuffer)
 	defer unsubscribe()
-	if !writeEvent(j.snapshotEvent()) {
+	last := j.event("snapshot")
+	if !writeEvent(last) {
 		return
 	}
 	deadline := time.NewTimer(DefaultStreamTimeout)
@@ -281,16 +292,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		case ev, open := <-events:
 			if !open {
-				// Terminal: the hub closed. Emit the final state so the
-				// client always sees it, even after dropped events.
-				writeEvent(func() Event {
-					ev := j.snapshotEvent()
-					ev.Type = "status"
-					return ev
-				}())
+				// Terminal: the hub closed. Emit the final state unless
+				// it was the last event sent, so the client sees it once,
+				// even after dropped events.
+				if last.Type != "status" {
+					writeEvent(j.event("status"))
+				}
 				return
 			}
-			if !writeEvent(ev) {
+			if last = ev; !writeEvent(ev) {
 				return
 			}
 		}
@@ -306,8 +316,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status":   "ok",
 		"draining": draining,
 		"jobs":     jobs,
-		"queued":   s.gQueued.Value(),
-		"running":  s.gRunning.Value(),
+		"queued":   s.gauges[StatusQueued].Value(),
+		"running":  s.gauges[StatusRunning].Value(),
 	})
 }
 

@@ -369,7 +369,7 @@ func mustJSON(t *testing.T, v any) string {
 // events rather than stalling the campaign, and the gap surfaces in
 // the next delivered event's Dropped count.
 func TestStreamTruncation(t *testing.T) {
-	j := newJob("jtest", testSpec(8), 0, 1, time.Now())
+	j := newJob("jtest", "", testSpec(8), 0, 1, time.Now(), statusNew)
 	ch, unsubscribe := j.subscribe(1)
 	defer unsubscribe()
 
@@ -628,8 +628,8 @@ func TestResumeJumpPrecedesProgress(t *testing.T) {
 	path := s.checkpointPath(j)
 	ctx, cancel := context.WithCancel(context.Background())
 	_, _, err = campaign.RunShard(j.Spec, 0, 1, path, campaign.ShardRunOptions{Workers: 1, Context: ctx,
-		Progress: func(done, _ int, _ campaign.ShardRunStats) {
-			if done >= 5 {
+		Progress: func(st campaign.ShardRunStats) {
+			if st.Done >= 5 {
 				cancel()
 			}
 		}})

@@ -4,9 +4,11 @@
 // report) layered over a bounded in-process queue and the existing
 // campaign engine.
 //
-// A job is shard i of n of its spec (0/1 for a whole campaign), and
-// (spec hash, i, n) is its identity: an identical submit returns the
-// same job, and it names the job's checkpoint. Durability is the point.
+// A job is shard i of n of its spec (0/1 for a whole campaign) for one
+// tenant, and (tenant, spec hash, i, n) is its identity: an identical
+// submit by the same tenant returns the same job. (spec hash, i, n)
+// names the job's checkpoint, which two tenants' jobs of one shard share,
+// one writer at a time. Durability is the point.
 // Every job is persisted in the state directory as that checkpoint plus
 // a job-state manifest, so a daemon killed at any instant — SIGKILL
 // included — restarts with its full job table and resumes every
@@ -40,6 +42,13 @@ const (
 	StatusCanceled Status = trace.JobCanceled
 )
 
+// A job enters the table from one of two statuses no view shows: a
+// submit's from statusNew, recover's from statusRecovered.
+const (
+	statusNew       Status = ""
+	statusRecovered Status = "recovered"
+)
+
 // Terminal reports whether the status can never change again.
 func (s Status) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCanceled
@@ -47,8 +56,9 @@ func (s Status) Terminal() bool {
 
 // Event is one line of a job's progress stream.
 type Event struct {
-	// Type is "snapshot" (stream opening and resume jumps), "progress"
-	// (one newly executed run) or "status" (terminal transition).
+	// Type is "snapshot" (stream opening, resume jumps, and the
+	// transitions to running and back to queued), "progress" (one newly
+	// executed run) or "status" (terminal transition).
 	Type   string `json:"type"`
 	Job    string `json:"job"`
 	Status Status `json:"status"`
@@ -96,13 +106,16 @@ type Job struct {
 	ShardIndex int
 	ShardCount int
 
+	// mu guards everything below; Server.transition alone changes
+	// status.
 	mu     sync.Mutex
 	status Status
-	done   int // completed runs, resumed included
-	total  int // planned run count (the shard's ShardRange until planned)
-	// stats is the shard's, as RunShard last handed them over: at each
-	// progress callback and when it returns. Its FaultsPerSec is the
-	// job's own live throughput, zeroed at the terminal transition.
+	// stats is the job's progress, as RunShard last handed it over: at
+	// each progress callback and when it returns. Until then Total is the
+	// shard's ShardRange (0 when NumFaults means "every location", whose
+	// universe is sized at planning); a recovered done job carries the
+	// Done and Total its manifest records. FaultsPerSec is the job's own
+	// live throughput, zeroed at the terminal transition.
 	stats campaign.ShardRunStats
 	// droppedEvents counts events any subscriber missed because its
 	// stream buffer was full; it surfaces in View.
@@ -111,28 +124,26 @@ type Job struct {
 	submitted     time.Time
 	started       time.Time
 	finished      time.Time
-	// cancelRun cancels the running campaign's context; canceled marks
-	// a user cancellation (as opposed to a daemon drain).
-	cancelRun context.CancelFunc
-	canceled  bool
+	// cancelRun cancels the context of the job's run, set before the job
+	// starts running.
+	cancelRun context.CancelCauseFunc
 	subs      map[*subscriber]struct{}
 	closed    bool // terminal: hub closed, no further events
 }
 
-// newJob returns a queued job running shard i of n of spec. Its run count
-// is the shard's slice of the universe (exact once planned; 0 when
-// NumFaults means "every location" and the universe size is not yet
-// known).
-func newJob(id string, spec campaign.Spec, i, n int, submitted time.Time) *Job {
+// newJob returns a job of tenant running shard i of n of spec, in status
+// from (statusNew or statusRecovered) until Server.transition queues it.
+func newJob(id, tenant string, spec campaign.Spec, i, n int, submitted time.Time, from Status) *Job {
 	lo, hi := campaign.ShardRange(spec.NumFaults, i, n)
 	return &Job{
 		ID:         id,
 		Spec:       spec,
 		SpecHash:   spec.Hash(),
+		Tenant:     tenant,
 		ShardIndex: i,
 		ShardCount: n,
-		status:     StatusQueued,
-		total:      hi - lo,
+		status:     from,
+		stats:      campaign.ShardRunStats{Total: hi - lo},
 		submitted:  submitted,
 		subs:       make(map[*subscriber]struct{}),
 	}
@@ -157,19 +168,12 @@ type View struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Shard/Shards are the job's shard coordinates, 0/1 for a whole
 	// campaign.
-	Shard    int `json:"shard"`
-	Shards   int `json:"shards"`
-	Done     int `json:"done"`
-	Total    int `json:"total"`
-	Resumed  int `json:"resumed,omitempty"`
-	Executed int `json:"executed,omitempty"`
-	Verified int `json:"verified,omitempty"`
-	// RunCounts are the shard's exit-path and cycle counts, as on the
-	// job's events.
-	campaign.RunCounts
-	// FaultsPerSec is the live campaign throughput while the job runs
-	// (zero until the first progress sample, and after terminal states).
-	FaultsPerSec float64 `json:"faults_per_sec,omitempty"`
+	Shard  int `json:"shard"`
+	Shards int `json:"shards"`
+	// ShardRunStats is the job's progress: its run and exit-path counts,
+	// as on its events, and its live throughput while it runs (zero
+	// until the first progress sample, and after terminal states).
+	campaign.ShardRunStats
 	// DroppedEvents counts progress events slow subscribers missed —
 	// the event hub truncates rather than stall the campaign, and this
 	// total makes that loss observable.
@@ -199,13 +203,7 @@ func (j *Job) view() View {
 		Tenant:        j.Tenant,
 		Shard:         j.ShardIndex,
 		Shards:        j.ShardCount,
-		Done:          j.done,
-		Total:         j.total,
-		Resumed:       j.stats.Resumed,
-		Executed:      j.stats.Executed,
-		Verified:      j.stats.Verified,
-		RunCounts:     j.stats.RunCounts,
-		FaultsPerSec:  j.stats.FaultsPerSec,
+		ShardRunStats: j.stats,
 		DroppedEvents: j.droppedEvents,
 		Error:         j.errMsg,
 		SubmittedAt:   rfc3339(j.submitted),
@@ -214,11 +212,11 @@ func (j *Job) view() View {
 	}
 }
 
-// snapshotEvent renders the job's current state as a stream event.
-func (j *Job) snapshotEvent() Event {
+// event renders the job's current state as a stream event of type typ.
+func (j *Job) event(typ string) Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.eventLocked("snapshot")
+	return j.eventLocked(typ)
 }
 
 // eventLocked renders the job's current state as a stream event of
@@ -228,8 +226,8 @@ func (j *Job) eventLocked(typ string) Event {
 		Type:      typ,
 		Job:       j.ID,
 		Status:    j.status,
-		Done:      j.done,
-		Total:     j.total,
+		Done:      j.stats.Done,
+		Total:     j.stats.Total,
 		Resumed:   j.stats.Resumed,
 		RunCounts: j.stats.RunCounts,
 		Error:     j.errMsg,
@@ -242,15 +240,12 @@ func (j *Job) eventLocked(typ string) Event {
 func (j *Job) subscribe(buffer int) (<-chan Event, func()) {
 	sub := &subscriber{ch: make(chan Event, buffer)}
 	j.mu.Lock()
-	closed := j.closed
-	if !closed {
-		j.subs[sub] = struct{}{}
-	}
-	j.mu.Unlock()
-	if closed {
+	defer j.mu.Unlock()
+	if j.closed {
 		close(sub.ch)
 		return sub.ch, func() {}
 	}
+	j.subs[sub] = struct{}{}
 	return sub.ch, func() {
 		j.mu.Lock()
 		defer j.mu.Unlock()
@@ -266,11 +261,7 @@ func (j *Job) subscribe(buffer int) (<-chan Event, func()) {
 // delivered event's Dropped count. Called with j.mu held.
 func (j *Job) publishLocked(ev Event) {
 	for sub := range j.subs {
-		if sub.dropped > 0 {
-			ev.Dropped = sub.dropped
-		} else {
-			ev.Dropped = 0
-		}
+		ev.Dropped = sub.dropped
 		select {
 		case sub.ch <- ev:
 			sub.dropped = 0
@@ -282,11 +273,8 @@ func (j *Job) publishLocked(ev Event) {
 }
 
 // closeHubLocked ends every subscriber stream. Called with j.mu held,
-// after the terminal state is set.
+// once the job is terminal.
 func (j *Job) closeHubLocked() {
-	if j.closed {
-		return
-	}
 	j.closed = true
 	for sub := range j.subs {
 		delete(j.subs, sub)

@@ -1,6 +1,9 @@
 package server
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // fairQueue is the submission queue behind the job API: a bounded
 // multi-tenant queue that dequeues round-robin across tenants instead
@@ -34,17 +37,17 @@ func newFairQueue(limit int) *fairQueue {
 	}
 }
 
-// cap returns the queue bound.
-func (q *fairQueue) cap() int { return q.limit }
-
-// push enqueues j under its tenant, reporting false when the queue is
-// at capacity.
-func (q *fairQueue) push(j *Job) bool {
+// full reports whether the queue is at capacity.
+func (q *fairQueue) full() bool {
 	q.mu.Lock()
-	if q.size >= q.limit {
-		q.mu.Unlock()
-		return false
-	}
+	defer q.mu.Unlock()
+	return q.size >= q.limit
+}
+
+// push enqueues j under its tenant. The caller has seen the queue not
+// full, with no push since.
+func (q *fairQueue) push(j *Job) {
+	q.mu.Lock()
 	if _, ok := q.byTenant[j.Tenant]; !ok {
 		q.ring = append(q.ring, j.Tenant)
 	}
@@ -55,7 +58,6 @@ func (q *fairQueue) push(j *Job) bool {
 	case q.notify <- struct{}{}:
 	default:
 	}
-	return true
 }
 
 // pop dequeues the next job round-robin across tenants, or nil when
@@ -82,4 +84,27 @@ func (q *fairQueue) pop() *Job {
 	}
 	q.size--
 	return j
+}
+
+// remove takes a job canceled while queued out of the queue, freeing its
+// slot. A job a worker popped first is no longer there and is left alone.
+func (q *fairQueue) remove(j *Job) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	jobs := q.byTenant[j.Tenant]
+	k := slices.Index(jobs, j)
+	if k < 0 {
+		return
+	}
+	q.size--
+	if len(jobs) > 1 {
+		q.byTenant[j.Tenant] = slices.Delete(jobs, k, k+1)
+		return
+	}
+	delete(q.byTenant, j.Tenant)
+	r := slices.Index(q.ring, j.Tenant)
+	q.ring = slices.Delete(q.ring, r, r+1)
+	if r < q.next {
+		q.next-- // keep pointing at the tenant to serve next
+	}
 }

@@ -176,8 +176,12 @@ func FuzzJobStateRecover(f *testing.F) {
 	seed(shard, same)
 	// The shard's manifest, its spec hash intact, naming shard 7 of 2.
 	seed(shard, func(js *trace.JobState) { js.Shard, js.Shards = 7, 2 })
-	s.persistTerminal(whole, StatusDone, "", whole.submitted)
-	s.persistTerminal(shard, StatusFailed, "server: shard 1/4: boom", shard.submitted)
+	if err := s.persistJob(whole, StatusDone, "", whole.submitted); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.persistJob(shard, StatusFailed, "server: shard 1/4: boom", shard.submitted); err != nil {
+		f.Fatal(err)
+	}
 	seed(whole, same)
 	seed(shard, same)
 	for _, body := range []string{

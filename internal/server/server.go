@@ -50,10 +50,6 @@ type Config struct {
 	// VerifyResumed is passed through to RunShard when a job resumes a
 	// non-empty checkpoint (0 = default sample, -1 = none).
 	VerifyResumed int
-	// EventBuffer is each progress stream's channel depth; a consumer
-	// that falls further behind has events dropped (and counted) rather
-	// than stalling the campaign. Default 64.
-	EventBuffer int
 	// Registry receives job-queue and campaign telemetry; one is
 	// created when nil.
 	Registry *metrics.Registry
@@ -88,9 +84,6 @@ func (c Config) withDefaults() Config {
 	if c.Concurrency <= 0 {
 		c.Concurrency = 1
 	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 64
-	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
 	}
@@ -112,9 +105,10 @@ type Server struct {
 	jobs  map[string]*Job
 	order []string // submission order, for listings
 	// writers holds a lock per checkpoint path, one writer a checkpoint.
-	// Only jobs recovered from a state directory older than the shard
-	// identity (two whole-campaign jobs of one spec) ever wait on one.
-	writers map[string]*sync.Mutex
+	// Jobs of one spec and shard wait on one: two tenants' jobs, and two
+	// whole-campaign jobs recovered from a state directory older than the
+	// shard identity. The later one resumes what the earlier recorded.
+	writers sync.Map // path → *sync.Mutex
 
 	// golden keeps the golden artefacts of recent campaigns, so the
 	// shards and resumed jobs of one campaign this daemon runs build the
@@ -136,7 +130,8 @@ type Server struct {
 	mRecovered                *metrics.Counter
 	mAuthFail, mRateLimited   *metrics.Counter
 	mQuotaDenied              *metrics.Counter
-	gQueued, gRunning         *metrics.Gauge
+	// gauges counts the jobs in each status that has a gauge.
+	gauges map[Status]*metrics.Gauge
 }
 
 // New builds a Server over the state directory, rebuilds the job table
@@ -168,7 +163,6 @@ func build(cfg Config) (*Server, error) {
 		cfg:          cfg,
 		reg:          cfg.Registry,
 		jobs:         make(map[string]*Job),
-		writers:      make(map[string]*sync.Mutex),
 		golden:       campaign.NewGoldenCache(),
 		queue:        newFairQueue(cfg.QueueSize),
 		baseCtx:      ctx,
@@ -182,8 +176,10 @@ func build(cfg Config) (*Server, error) {
 		mAuthFail:    cfg.Registry.Counter(MetricAuthFailures),
 		mRateLimited: cfg.Registry.Counter(MetricRateLimited),
 		mQuotaDenied: cfg.Registry.Counter(MetricQuotaDenied),
-		gQueued:      cfg.Registry.Gauge(MetricJobsQueued),
-		gRunning:     cfg.Registry.Gauge(MetricJobsRunning),
+		gauges: map[Status]*metrics.Gauge{
+			StatusQueued:  cfg.Registry.Gauge(MetricJobsQueued),
+			StatusRunning: cfg.Registry.Gauge(MetricJobsRunning),
+		},
 	}
 	if cfg.RateLimit > 0 {
 		s.limiter = newRateLimiter(cfg.RateLimit, cfg.RateBurst, nil)
@@ -217,7 +213,9 @@ func (s *Server) jobLog(id string) *slog.Logger {
 	return l
 }
 
-// recover rebuilds the job table from the state directory.
+// recover rebuilds the job table from the state directory. A terminal
+// job is loaded as its manifest says; an unfinished one, and a done one
+// whose checkpoint, its only product, is gone, is queued again.
 func (s *Server) recover() error {
 	states, err := trace.ListJobStates(s.cfg.Dir)
 	if err != nil {
@@ -236,37 +234,32 @@ func (s *Server) recover() error {
 		if err != nil {
 			return fmt.Errorf("server: job %s: %v", js.ID, err)
 		}
-		j := newJob(js.ID, spec, js.Shard, shards, parseRFC3339(js.SubmittedAt))
-		j.Tenant = js.Tenant
-		j.status = Status(js.Status)
-		j.errMsg = js.Error
-		j.finished = parseRFC3339(js.FinishedAt)
-		if js.Status == trace.JobDone {
-			// A done job's product is its finalized checkpoint; a job
-			// whose checkpoint is gone runs again.
-			if _, err := os.Stat(s.checkpointPath(j)); err != nil {
-				j.status = StatusQueued
-				j.finished = time.Time{}
-			} else if js.Total > 0 {
-				j.done, j.total = js.Done, js.Total
-			} else {
-				j.done = j.total
-			}
-		}
+		j := newJob(js.ID, js.Tenant, spec, js.Shard, shards, parseRFC3339(js.SubmittedAt), statusRecovered)
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
-		if j.status == StatusQueued {
+		if js.Status == trace.JobQueued {
 			requeue = append(requeue, j)
+			continue
 		}
+		if js.Status == trace.JobDone {
+			if _, err := os.Stat(s.checkpointPath(j)); err != nil {
+				requeue = append(requeue, j)
+				continue
+			}
+			if js.Total > 0 {
+				j.stats.Done, j.stats.Total = js.Done, js.Total
+			} else {
+				j.stats.Done = j.stats.Total
+			}
+		}
+		j.status, j.errMsg, j.finished, j.closed = Status(js.Status), js.Error, parseRFC3339(js.FinishedAt), true
 	}
-	if len(requeue) > s.queue.cap() {
-		return fmt.Errorf("server: %d unfinished jobs to recover, queue holds %d — raise QueueSize", len(requeue), s.queue.cap())
+	if len(requeue) > s.cfg.QueueSize {
+		return fmt.Errorf("server: %d unfinished jobs to recover, queue holds %d — raise QueueSize", len(requeue), s.cfg.QueueSize)
 	}
 	for _, j := range requeue {
+		s.transition(j, statusRecovered, StatusQueued, "")
 		s.queue.push(j)
-		s.gQueued.Add(1)
-		s.mRecovered.Inc()
-		s.jobLog(j.ID).Info("job recovered as queued", "spec", j.SpecHash)
 	}
 	return nil
 }
@@ -279,14 +272,9 @@ func (s *Server) checkpointPath(j *Job) string {
 	return trace.ShardCheckpointPath(s.cfg.Dir, j.SpecHash, j.ShardIndex, j.ShardCount)
 }
 
+// parseRFC3339 reads a manifest's time; a missing or bad one is zero.
 func parseRFC3339(s string) time.Time {
-	if s == "" {
-		return time.Time{}
-	}
-	t, err := time.Parse(time.RFC3339Nano, s)
-	if err != nil {
-		return time.Time{}
-	}
+	t, _ := time.Parse(time.RFC3339Nano, s)
 	return t
 }
 
@@ -296,6 +284,10 @@ var ErrQueueFull = errors.New("server: job queue is full")
 
 // errDraining is returned when the daemon is shutting down.
 var errDraining = errors.New("server: draining, not accepting jobs")
+
+// errCanceled is the cause Cancel cancels a running job's context with,
+// which tells a user's cancel from a drain.
+var errCanceled = errors.New("server: job canceled")
 
 // SubmitOptions carries a submission's multi-tenant and shard
 // context. The zero value is an anonymous whole-campaign job.
@@ -330,11 +322,14 @@ func checkJob(spec *campaign.Spec, shard, shards int) (int, error) {
 }
 
 // SubmitJob validates, persists and enqueues a new job. Submissions are
-// idempotent on the job's identity, (spec hash, shard, shards): when a
-// queued, running or done job of the same identity already exists, that
-// job is returned with existing=true instead of queueing a duplicate —
+// idempotent on the job's identity, (tenant, spec hash, shard, shards):
+// when a queued, running or done job of the same identity already exists,
+// that job is returned with existing=true instead of queueing a duplicate —
 // which is what lets a client retry a submit over a flaky link (or a
 // coordinator re-dispatch after its own restart) without doubling work.
+// Another tenant's identical submit is a job of its own, charged to its
+// quota; the two share the shard's checkpoint, so the later one to run
+// resumes what the earlier recorded.
 func (s *Server) SubmitJob(spec campaign.Spec, o SubmitOptions) (j *Job, existing bool, err error) {
 	spec.Normalize()
 	if o.Shards, err = checkJob(&spec, o.Shard, o.Shards); err != nil {
@@ -345,18 +340,22 @@ func (s *Server) SubmitJob(spec campaign.Spec, o SubmitOptions) (j *Job, existin
 		s.mu.Unlock()
 		return nil, false, errDraining
 	}
-	specHash := spec.Hash()
+	specHash, active := spec.Hash(), 0 // the tenant's queued and running jobs
 	for _, id := range s.order {
 		cand := s.jobs[id]
-		if cand.SpecHash != specHash || cand.ShardIndex != o.Shard || cand.ShardCount != o.Shards {
+		if cand.Tenant != o.Tenant {
 			continue
 		}
 		cand.mu.Lock()
 		st := cand.status
 		cand.mu.Unlock()
+		if !st.Terminal() {
+			active++
+		}
 		// Failed and canceled attempts do not block a retry; their
 		// partial checkpoint is resumed by the new job.
-		if st == StatusFailed || st == StatusCanceled {
+		if cand.SpecHash != specHash || cand.ShardIndex != o.Shard || cand.ShardCount != o.Shards ||
+			st == StatusFailed || st == StatusCanceled {
 			continue
 		}
 		s.mu.Unlock()
@@ -364,13 +363,19 @@ func (s *Server) SubmitJob(spec campaign.Spec, o SubmitOptions) (j *Job, existin
 			"spec", specHash, "shard", o.Shard, "shards", o.Shards, "status", st)
 		return cand, true, nil
 	}
-	if s.cfg.TenantQuota > 0 && s.activeJobsLocked(o.Tenant) >= s.cfg.TenantQuota {
+	if s.cfg.TenantQuota > 0 && active >= s.cfg.TenantQuota {
 		s.mu.Unlock()
 		s.mQuotaDenied.Inc()
 		return nil, false, ErrQuotaExceeded
 	}
-	j = newJob(newJobID(), spec, o.Shard, o.Shards, time.Now())
-	j.Tenant = o.Tenant
+	// Only a submit pushes, under s.mu: a queue with room now has room
+	// at the push below.
+	if s.queue.full() {
+		s.mu.Unlock()
+		s.mRejected.Inc()
+		return nil, false, ErrQueueFull
+	}
+	j = newJob(newJobID(), o.Tenant, spec, o.Shard, o.Shards, time.Now(), statusNew)
 	// The manifest must be durable before the job is visible or
 	// runnable: a daemon killed right after the 201 response still
 	// knows the job on restart.
@@ -378,19 +383,11 @@ func (s *Server) SubmitJob(spec campaign.Spec, o SubmitOptions) (j *Job, existin
 		s.mu.Unlock()
 		return nil, false, err
 	}
-	if !s.queue.push(j) {
-		s.mu.Unlock()
-		os.Remove(trace.JobStatePath(s.cfg.Dir, j.ID))
-		s.mRejected.Inc()
-		return nil, false, ErrQueueFull
-	}
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
+	s.transition(j, statusNew, StatusQueued, "")
+	s.queue.push(j)
 	s.mu.Unlock()
-	s.mSubmitted.Inc()
-	s.gQueued.Add(1)
-	s.jobLog(j.ID).Info("job queued", "spec", j.SpecHash, "faults", spec.NumFaults,
-		"tenant", j.Tenant, "shard", j.ShardIndex, "shards", j.ShardCount)
 	return j, false, nil
 }
 
@@ -405,10 +402,9 @@ func (s *Server) Job(id string) (*Job, bool) {
 // JobViews lists every known job in submission order.
 func (s *Server) JobViews() []View {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, s.jobs[id])
+	jobs := make([]*Job, len(s.order))
+	for i, id := range s.order {
+		jobs[i] = s.jobs[id]
 	}
 	s.mu.Unlock()
 	out := make([]View, len(jobs))
@@ -418,48 +414,33 @@ func (s *Server) JobViews() []View {
 	return out
 }
 
-// Cancel requests cancellation. A queued job goes terminal
-// immediately; a running one is canceled cooperatively (its completed
-// runs stay durable in the checkpoint). Terminal jobs return an error.
+// Cancel requests cancellation. A queued job goes terminal immediately
+// and leaves the queue; a running one is canceled cooperatively (its
+// completed runs stay durable in the checkpoint). Terminal jobs return
+// an error.
 func (s *Server) Cancel(id string) error {
 	j, ok := s.Job(id)
 	if !ok {
 		return fmt.Errorf("server: no job %s", id)
 	}
-	j.mu.Lock()
-	switch {
-	case j.status.Terminal():
-		st := j.status
-		j.mu.Unlock()
-		return fmt.Errorf("server: job %s is already %s", id, st)
-	case j.status == StatusRunning:
-		j.canceled = true
-		cancel := j.cancelRun
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
+	for {
+		if s.transition(j, StatusQueued, StatusCanceled, "") {
+			s.queue.remove(j)
+			return nil
 		}
-		return nil
-	case j.canceled: // queued, its cancel already under way
-		j.mu.Unlock()
-		return nil
-	default: // queued: the worker skips it on dequeue from now on
-		j.canceled = true
-		errMsg := j.errMsg
-		j.mu.Unlock()
-		// Durable first: whoever sees the job canceled finds it so on disk.
-		finished := time.Now()
-		s.persistTerminal(j, StatusCanceled, errMsg, finished)
 		j.mu.Lock()
-		j.status = StatusCanceled
-		j.finished = finished
-		j.publishLocked(j.eventLocked("status"))
-		j.closeHubLocked()
+		st := j.status
+		if st == StatusRunning {
+			j.cancelRun(errCanceled)
+		}
 		j.mu.Unlock()
-		s.gQueued.Add(-1)
-		s.mCanceled.Inc()
-		s.jobLog(id).Info("job canceled while queued")
-		return nil
+		switch {
+		case st.Terminal():
+			return fmt.Errorf("server: job %s is already %s", id, st)
+		case st == StatusRunning:
+			return nil
+		}
+		// Queued again: a drain took it off its worker meanwhile.
 	}
 }
 
@@ -487,108 +468,59 @@ func (s *Server) Stop(ctx context.Context) error {
 }
 
 // worker pulls jobs off the queue until drain, parking on the queue's
-// notify channel when it is empty.
+// notify channel when it is empty. A draining worker takes no new job.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
+	for s.baseCtx.Err() == nil {
 		if j := s.queue.pop(); j != nil {
 			s.runJob(j)
 			continue
 		}
 		select {
 		case <-s.baseCtx.Done():
-			return
 		case <-s.queue.notify:
 		}
 	}
 }
 
 // runJob executes one job end to end against its durable checkpoint,
-// after any other job of its identity.
+// after any other job of its checkpoint.
 func (s *Server) runJob(j *Job) {
-	s.mu.Lock()
-	w := s.writers[s.checkpointPath(j)]
-	if w == nil {
-		w = new(sync.Mutex)
-		s.writers[s.checkpointPath(j)] = w
-	}
-	s.mu.Unlock()
-	w.Lock()
-	defer w.Unlock()
+	w, _ := s.writers.LoadOrStore(s.checkpointPath(j), new(sync.Mutex))
+	w.(*sync.Mutex).Lock()
+	defer w.(*sync.Mutex).Unlock()
 
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-
+	ctx, cancel := context.WithCancelCause(s.baseCtx)
+	defer cancel(nil)
+	// Set before the job shows running, so a Cancel that sees it running
+	// reaches the run.
 	j.mu.Lock()
-	if j.canceled || j.status.Terminal() {
-		// Canceled while queued; Cancel makes the state durable.
-		j.mu.Unlock()
-		return
-	}
-	j.status = StatusRunning
-	j.started = time.Now()
 	j.cancelRun = cancel
-	j.publishLocked(j.eventLocked("snapshot"))
 	j.mu.Unlock()
-	s.gQueued.Add(-1)
-	s.gRunning.Add(1)
-	defer s.gRunning.Add(-1)
+	if !s.transition(j, StatusQueued, StatusRunning, "") {
+		return // canceled while queued
+	}
 
-	err := s.execute(ctx, j)
-
-	j.mu.Lock()
-	canceled := j.canceled
-	j.cancelRun = nil
-	var st Status
-	errMsg := j.errMsg
-	switch {
+	switch err := s.execute(ctx, j); {
 	case err == nil:
-		st, errMsg = StatusDone, ""
-	case canceled && errors.Is(err, context.Canceled):
-		st = StatusCanceled
+		s.transition(j, StatusRunning, StatusDone, "")
+	case context.Cause(ctx) == errCanceled && errors.Is(err, context.Canceled):
+		s.transition(j, StatusRunning, StatusCanceled, "")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Daemon drain, not a user cancel: the job stays durable as
 		// queued and resumes on the next start. In-memory it goes back
 		// to queued too, for a truthful /v1/jobs during shutdown.
-		j.status = StatusQueued
-		j.mu.Unlock()
-		s.jobLog(j.ID).Info("job interrupted by drain; checkpoint keeps completed runs", "done", j.done)
-		return
+		s.transition(j, StatusRunning, StatusQueued, "")
 	default:
-		st, errMsg = StatusFailed, err.Error()
-	}
-	j.mu.Unlock()
-	// Durable first: whoever sees the terminal status below finds it on
-	// disk, so a restart cannot bring the job back.
-	finished := time.Now()
-	s.persistTerminal(j, st, errMsg, finished)
-	j.mu.Lock()
-	j.status, j.finished, j.errMsg = st, finished, errMsg
-	j.stats.FaultsPerSec = 0 // terminal: the live throughput is over
-	j.publishLocked(j.eventLocked("status"))
-	j.closeHubLocked()
-	j.mu.Unlock()
-
-	switch st {
-	case StatusDone:
-		s.mDone.Inc()
-	case StatusFailed:
-		s.mFailed.Inc()
-	case StatusCanceled:
-		s.mCanceled.Inc()
-	}
-	if st == StatusFailed {
-		s.jobLog(j.ID).Error("job failed", "error", errMsg)
-	} else {
-		s.jobLog(j.ID).Info("job finished", "status", st)
+		s.transition(j, StatusRunning, StatusFailed, err.Error())
 	}
 }
 
 // execute runs the job's shard against its checkpoint, resuming what
-// an earlier attempt left there. Any error leaves the checkpoint
-// consistent for the next attempt. When tracing is on the whole execution runs under a job
-// span, the root of the job → shard → run hierarchy RunShard and the
-// campaign extend.
+// an earlier attempt left there, and keeps the stats RunShard returns.
+// Any error leaves the checkpoint consistent for the next attempt. When
+// tracing is on the whole execution runs under a job span, the root of
+// the job → shard → run hierarchy RunShard and the campaign extend.
 func (s *Server) execute(ctx context.Context, j *Job) error {
 	jspan := s.cfg.Tracer.Start(nil, "job", "job["+j.ID+"]")
 	jspan.SetAttr("job_id", j.ID)
@@ -601,10 +533,12 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		VerifyResumed: s.cfg.VerifyResumed,
 		Tracer:        s.cfg.Tracer,
 		TraceParent:   jspan,
-		Progress:      func(done, total int, st campaign.ShardRunStats) { s.progress(j, done, total, st) },
+		Progress:      func(st campaign.ShardRunStats) { s.progress(j, st) },
 	})
 	j.mu.Lock()
-	j.stats = *stats
+	if stats.Total > 0 { // else the shard was not planned
+		j.stats = *stats
+	}
 	j.mu.Unlock()
 	if err != nil {
 		jspan.SetAttr("error", err.Error())
@@ -619,13 +553,13 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 // snapshot, with no throughput fields, since nothing has been measured
 // yet (see campaign.EstimateETA). Every later call is one newly
 // executed run.
-func (s *Server) progress(j *Job, done, total int, st campaign.ShardRunStats) {
+func (s *Server) progress(j *Job, st campaign.ShardRunStats) {
 	if st.Executed == 0 && st.Resumed > 0 {
-		s.jobLog(j.ID).Info("resuming checkpoint", "recorded", st.Resumed, "total", total)
+		s.jobLog(j.ID).Info("resuming checkpoint", "recorded", st.Resumed, "total", st.Total)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.done, j.total, j.stats = done, total, st
+	j.stats = st
 	if st.Executed == 0 {
 		if st.Resumed > 0 {
 			j.publishLocked(j.eventLocked("snapshot"))
@@ -633,24 +567,80 @@ func (s *Server) progress(j *Job, done, total int, st campaign.ShardRunStats) {
 		return
 	}
 	ev := j.eventLocked("progress")
-	if eta, ok := campaign.EstimateETA(total-done, st.FaultsPerSec); ok {
+	if eta, ok := campaign.EstimateETA(st.Total-st.Done, st.FaultsPerSec); ok {
 		ev.FaultsPerSec = st.FaultsPerSec
 		ev.ETASeconds = eta.Seconds()
 	}
 	j.publishLocked(ev)
 }
 
-// persistTerminal writes the job's terminal manifest, logging a failure:
-// the job's status moves on regardless.
-func (s *Server) persistTerminal(j *Job, st Status, errMsg string, finished time.Time) {
-	if err := s.persistJob(j, st, errMsg, finished); err != nil {
-		s.jobLog(j.ID).Error("job state persist failed", "error", err)
+// transition is the one place a job's status changes. It moves j from
+// status from to status to and reports whether it did; a job no longer
+// in status from (Cancel and a worker race for a queued job) is left
+// alone. In this order it writes the manifest of a terminal status, so
+// whoever sees the job over finds it so on disk; the job's fields; the
+// event announcing the status; the closed hub of a terminal job; the
+// queued and running gauges; the job counter; the log line.
+func (s *Server) transition(j *Job, from, to Status, errMsg string) bool {
+	j.mu.Lock()
+	if j.status != from {
+		j.mu.Unlock()
+		return false
 	}
+	now := time.Now()
+	if to.Terminal() {
+		if err := s.persistJob(j, to, errMsg, now); err != nil {
+			s.jobLog(j.ID).Error("job state persist failed", "error", err)
+		}
+	}
+	j.status, j.errMsg = to, errMsg
+	if to == StatusRunning {
+		j.started = now
+	}
+	if !to.Terminal() {
+		j.publishLocked(j.eventLocked("snapshot"))
+	} else {
+		j.finished = now
+		j.stats.FaultsPerSec = 0 // the live throughput is over
+		j.publishLocked(j.eventLocked("status"))
+		j.closeHubLocked()
+	}
+	if g := s.gauges[from]; g != nil {
+		g.Add(-1)
+	}
+	if g := s.gauges[to]; g != nil {
+		g.Add(1)
+	}
+	log := s.jobLog(j.ID)
+	switch {
+	case from == statusNew:
+		s.mSubmitted.Inc()
+		log.Info("job queued", "spec", j.SpecHash, "faults", j.Spec.NumFaults,
+			"tenant", j.Tenant, "shard", j.ShardIndex, "shards", j.ShardCount)
+	case from == statusRecovered:
+		s.mRecovered.Inc()
+		log.Info("job recovered as queued", "spec", j.SpecHash)
+	case to == StatusRunning:
+		log.Info("job running")
+	case to == StatusQueued:
+		log.Info("job interrupted by drain; checkpoint keeps completed runs", "done", j.stats.Done)
+	case to == StatusDone:
+		s.mDone.Inc()
+		log.Info("job finished", "status", to)
+	case to == StatusFailed:
+		s.mFailed.Inc()
+		log.Error("job failed", "error", errMsg)
+	default:
+		s.mCanceled.Inc()
+		log.Info("job finished", "status", to, "was", from)
+	}
+	j.mu.Unlock()
+	return true
 }
 
 // persistJob writes the job's state manifest with status st, error
-// errMsg and finish time finished, which the job does not show yet. A
-// terminal manifest also records the job's run counts.
+// errMsg and finish time finished. A terminal manifest also records the
+// job's run counts. The caller holds j.mu, or j is not in the table yet.
 func (s *Server) persistJob(j *Job, st Status, errMsg string, finished time.Time) error {
 	specJSON, err := json.Marshal(&j.Spec)
 	if err != nil {
@@ -669,9 +659,7 @@ func (s *Server) persistJob(j *Job, st Status, errMsg string, finished time.Time
 		FinishedAt:  rfc3339(finished),
 	}
 	if st.Terminal() {
-		j.mu.Lock()
-		js.Done, js.Total = j.done, j.total
-		j.mu.Unlock()
+		js.Done, js.Total = j.stats.Done, j.stats.Total
 	}
 	return trace.WriteJobState(s.cfg.Dir, js)
 }
