@@ -90,51 +90,38 @@ func mergeMain(args []string) {
 	if err != nil {
 		log.Fatalf("merge: %v", err)
 	}
-	fmt.Printf("merged %d shards: %d records, checksum %s\n\n",
-		merged.Shards, len(merged.Records), trace.SumRecords(merged.Records))
-	writeShardSummary(shards)
-
 	rep, err := merged.Report()
 	if err != nil {
 		log.Fatalf("merge: %v", err)
 	}
+	fmt.Printf("merged %d shards: %d records, checksum %s\n\n",
+		merged.Shards, len(merged.Records), trace.SumRecords(merged.Records))
+	writeShardSummary(merged.Shards, rep)
 	writeReport("merge", merged.Spec, rep, parseFigures(*figs), *out, *goldenPath)
 }
 
-// writeShardSummary prints the per-shard outcome breakdown and folds
-// the per-shard accumulators (tallies, latency CDFs) into campaign
-// totals with the mergeable reducers the merge gate relies on.
-func writeShardSummary(shards []*trace.CheckpointData) {
+// writeShardSummary prints the NoCAlert outcome breakdown of each of the
+// merged report's n shards and of the whole, and its detection latency.
+func writeShardSummary(n int, rep *campaign.Report) {
 	t := stats.NewTable("Per-shard summary (NoCAlert outcomes)",
 		"Shard", "Faults", "TP", "FP", "TN", "FN", "Fast-path")
-	var total stats.Tally
-	var cdfs []*stats.CDF
-	var totalFast int
-	for _, sd := range shards {
-		var tl stats.Tally
-		var lat []int64
+	row := func(label string, r *campaign.Report) {
+		c := r.Coverage(campaign.NoCAlert)
 		fast := 0
-		for i := range sd.Records {
-			rec := &sd.Records[i]
-			tl.Add(rec.Outcome.String(), 1)
-			if rec.Outcome == trace.TruePositive {
-				lat = append(lat, rec.Latency)
-			}
-			if rec.FastPath {
+		for i := range r.Results {
+			if r.Results[i].FastPath {
 				fast++
 			}
 		}
-		t.AddRow(fmt.Sprintf("%d/%d [%d,%d)", sd.Manifest.Shard, sd.Manifest.Shards, sd.Manifest.Start, sd.Manifest.End),
-			int64(len(sd.Records)), tl.Get("TP"), tl.Get("FP"), tl.Get("TN"), tl.Get("FN"),
-			int64(fast))
-		total.Merge(&tl)
-		cdfs = append(cdfs, stats.NewCDF(lat))
-		totalFast += fast
+		t.AddRow(label, c.Total, c.TP, c.FP, c.TN, c.FN, fast)
 	}
-	t.AddRow("merged", total.Total(), total.Get("TP"), total.Get("FP"), total.Get("TN"), total.Get("FN"),
-		int64(totalFast))
+	for i := 0; i < n; i++ {
+		lo, hi := campaign.ShardRange(len(rep.Results), i, n)
+		row(fmt.Sprintf("%d/%d [%d,%d)", i, n, lo, hi), &campaign.Report{Results: rep.Results[lo:hi]})
+	}
+	row("merged", rep)
 	t.Render(os.Stdout)
-	if cdf := stats.MergeCDFs(cdfs...); cdf.N() > 0 {
+	if cdf := rep.LatencyCDF(campaign.NoCAlert); cdf.N() > 0 {
 		fmt.Printf("NoCAlert detection latency over %d true positives: p50=%d p95=%d max=%d cycles\n",
 			cdf.N(), cdf.Percentile(0.50), cdf.Percentile(0.95), cdf.Max())
 	}

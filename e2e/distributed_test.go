@@ -214,6 +214,86 @@ func TestDistributedCampaignSurvivesWorkerKill(t *testing.T) {
 	fmt.Printf("distributed gate: %d requeued, survivors absorbed the victim's shards, %v golden-cache hits\n", requeued, hits)
 }
 
+// TestDistributedRedispatchAfterCoordinatorKill: the coordinator keeps
+// no state of its own, so a dispatch SIGKILLed mid-campaign loses
+// nothing. One worker runs six shards of the golden campaign one at a
+// time; the dispatch is killed once some, but not all, of them are done
+// there. Re-running the same dispatch reattaches to the worker's jobs and
+// runs the rest: the merged records pass the golden fixture, and the
+// worker holds exactly six jobs, all done.
+func TestDistributedRedispatchAfterCoordinatorKill(t *testing.T) {
+	daemonBin, cliBin := binaries(t)
+	w := startDaemon(t, daemonBin, t.TempDir(), "-jobs", "1", "-workers", "1")
+	doneJobs := func() (jobs, done int) {
+		for _, v := range fleetJobs(t, w.base) {
+			jobs++
+			if v.Status == "done" {
+				done++
+			}
+		}
+		return jobs, done
+	}
+	args := append([]string{"dispatch",
+		"-workers", w.base,
+		"-shards", "6",
+		"-max-inflight", "1",
+		"-progress=false", "-v",
+		"-fig", "none",
+		"-golden", filepath.Join("..", "testdata", "golden_4x4_seed3.json"),
+	}, goldenArgs...)
+
+	// With one shard in flight at a time, a kill that lands after the
+	// first shard is done leaves at most one more to finish on the worker.
+	first := exec.Command(cliBin, args...)
+	var firstOut bytes.Buffer
+	first.Stdout, first.Stderr = &firstOut, &firstOut
+	if err := first.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for deadline := time.Now().Add(2 * time.Minute); done == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			first.Process.Kill()
+			first.Wait()
+			t.Fatalf("no shard done on the worker after 2m; dispatch output:\n%s", &firstOut)
+		}
+		_, done = doneJobs()
+	}
+	if err := first.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Wait(); err == nil {
+		t.Fatalf("the dispatch finished before it was killed:\n%s", &firstOut)
+	}
+	atKill := done
+	if atKill >= 6 {
+		t.Fatalf("all six shards were done when the dispatch was killed; test premise broken")
+	}
+
+	// The worker finishes the job in flight; nothing submits the others.
+	var jobs int
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		if jobs, done = doneJobs(); jobs == done || time.Now().After(deadline) {
+			break
+		}
+	}
+	if jobs != done || jobs >= 6 {
+		t.Fatalf("after the kill the worker holds %d jobs, %d done; want fewer than six, all done", jobs, done)
+	}
+
+	out, err := exec.Command(cliBin, args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("re-run dispatch: %v\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte("golden check: merged records are bit-identical")) {
+		t.Fatalf("the re-run's merged records did not pass the golden fixture:\n%s", out)
+	}
+	if jobs, done := doneJobs(); jobs != 6 || done != 6 {
+		t.Fatalf("after the re-run the worker holds %d jobs, %d done; want six, all done\n%s", jobs, done, out)
+	}
+	fmt.Printf("coordinator kill: %d of 6 shards done at the kill, %d after it; the re-run ran the rest\n", atKill, jobs)
+}
+
 // occupySpec is the paper-scale 8×8 campaign over every fault location
 // (32 256 runs) with a 5000-cycle window: about 80 s of a single-worker
 // daemon on a two-core host, some hundred times what the fleet takes to

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 
 	"nocalert/internal/fault"
 	"nocalert/internal/metrics"
@@ -88,7 +87,8 @@ type ShardRunStats struct {
 // RunShard executes shard i of n of the spec, 0/1 being the whole
 // campaign. When path names a checkpoint the shard's records are kept
 // there: a missing one is created; an existing one is resumed, its
-// records validated against the plan fault for fault and a
+// manifest and records passing the shard's gate (Shard.Check, every
+// index required once it is finalized) before any run starts and a
 // deterministic sample of them re-executed to prove they reproduce;
 // every newly executed run is appended; the checkpoint is finalized
 // with its integrity footer once it covers the shard, and closed on
@@ -125,6 +125,11 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 				err = cerr
 			}
 		}()
+		// A checkpoint that does not belong to the shard, or is finalized
+		// short of it, must not be extended or handed back.
+		if err = sh.Check(m, completed, cp.Finalized()); err != nil {
+			return nil, stats, err
+		}
 	}
 	sspan := o.Tracer.Start(o.TraceParent, "shard", fmt.Sprintf("shard[%d/%d]", sh.Index, sh.Count))
 	sspan.SetAttr("shard_index", sh.Index)
@@ -139,28 +144,12 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 		sspan.End()
 	}()
 
-	// Validate the recovered records: in range, no duplicates, and each
-	// one's fault identity matching the planned universe slice. Any
-	// mismatch means the checkpoint belongs to different code or data
-	// and must not be silently extended.
-	recorded := make(map[int]*trace.RunRecord, len(completed))
+	// recorded[k] is the resumed record of the shard's fault k.
+	recorded := make([]*trace.RunRecord, sh.End-sh.Start)
 	for i := range completed {
-		rec := &completed[i]
-		if rec.Index < sh.Start || rec.Index >= sh.End {
-			return nil, stats, fmt.Errorf("campaign: checkpoint record index %d outside shard range [%d,%d)",
-				rec.Index, sh.Start, sh.End)
-		}
-		if _, dup := recorded[rec.Index]; dup {
-			return nil, stats, fmt.Errorf("campaign: checkpoint has duplicate record for index %d", rec.Index)
-		}
-		f := &sh.Faults[rec.Index-sh.Start]
-		if !recordDescribes(rec, f) {
-			return nil, stats, fmt.Errorf("campaign: checkpoint record %d describes fault %s.bit%d, shard plan has %v",
-				rec.Index, rec.Signal, rec.Bit, f)
-		}
-		recorded[rec.Index] = rec
+		recorded[completed[i].Index-sh.Start] = &completed[i]
 	}
-	stats.Resumed = len(recorded)
+	stats.Resumed = len(completed)
 	stats.Done = stats.Resumed
 	if o.Progress != nil {
 		o.Progress(*stats)
@@ -179,24 +168,18 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 	if verifyCount == 0 {
 		verifyCount = DefaultVerifyResumed
 	}
-	if verifyCount < 0 {
-		verifyCount = 0
-	}
-	if verifyCount > len(recorded) {
-		verifyCount = len(recorded)
-	}
-	verifyIdx := make(map[int]bool, verifyCount)
+	verifyCount = max(0, min(verifyCount, len(completed)))
+	verify := make([]bool, len(recorded))
 	if verifyCount > 0 {
-		sorted := make([]int, 0, len(recorded))
-		for idx := range recorded {
-			sorted = append(sorted, idx)
+		var held []int // the resumed faults, in order
+		for k, rec := range recorded {
+			if rec != nil {
+				held = append(held, k)
+			}
 		}
-		// Map iteration order is random; sort before drawing so the
-		// derived stream picks the same runs every time.
-		sort.Ints(sorted)
 		g := rng.NewDerived(sh.Spec.Seed, shardVerifyTag, uint64(sh.Index), uint64(sh.Count))
-		for _, p := range g.Perm(len(sorted))[:verifyCount] {
-			verifyIdx[sorted[p]] = true
+		for _, p := range g.Perm(len(held))[:verifyCount] {
+			verify[held[p]] = true
 		}
 	}
 
@@ -209,16 +192,10 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 	var jobs []job
 	var faults []fault.Fault
 	for k := range sh.Faults {
-		global := sh.Start + k
-		if _, done := recorded[global]; done {
-			if verifyIdx[global] {
-				jobs = append(jobs, job{global, true})
-				faults = append(faults, sh.Faults[k])
-			}
-			continue
+		if recorded[k] == nil || verify[k] {
+			jobs = append(jobs, job{sh.Start + k, verify[k]})
+			faults = append(faults, sh.Faults[k])
 		}
-		jobs = append(jobs, job{global, false})
-		faults = append(faults, sh.Faults[k])
 	}
 	if len(jobs) == 0 {
 		return completed, stats, finalize(cp)
@@ -254,7 +231,7 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 		stats.FaultsPerSec = faultsPerSec
 		if j.verify {
 			stats.Verified++
-			want := recorded[j.global]
+			want := recorded[j.global-sh.Start]
 			if !bytes.Equal(rec.CanonicalBytes(), want.CanonicalBytes()) {
 				firstErr = fmt.Errorf("campaign: checkpoint diverges from deterministic re-execution at index %d:\n  recorded: %s\n  replayed: %s",
 					j.global, want.CanonicalBytes(), rec.CanonicalBytes())

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"nocalert/internal/core"
 	"nocalert/internal/fault"
 	"nocalert/internal/forever"
 	"nocalert/internal/router"
@@ -79,7 +80,7 @@ func (s *Spec) Validate() error {
 	if err := rc.Validate(); err != nil {
 		return err
 	}
-	return s.withinBudget(rc)
+	return s.withinBudget()
 }
 
 // specBudget caps what a spec may make a process allocate before its
@@ -104,11 +105,11 @@ func (s *Spec) Validate() error {
 const specBudget = 1 << 22
 
 // withinBudget refuses a spec whose transcripts or fault universe exceed
-// specBudget (rc is the spec's valid router configuration). The
-// transcripts are counted first, in floating point so no product
-// overflows: their bound caps the mesh's node count, which the universe's
-// per-router sum then walks.
-func (s *Spec) withinBudget(rc router.Config) error {
+// specBudget; the spec's router configuration is valid. The transcripts
+// are counted first, in floating point so no product overflows: their
+// bound caps the mesh's node count, which the universe's per-router sum
+// (UniverseSize) then walks.
+func (s *Spec) withinBudget() error {
 	post := s.PostInjectRun
 	if post <= 0 {
 		post = DefaultPostInjectRun
@@ -127,19 +128,27 @@ func (s *Spec) withinBudget(rc router.Config) error {
 		return fmt.Errorf("campaign: spec needs %.3g transcript elements (%d injection cycles × %.0f rows on a %dx%d mesh), over the spec budget of %d",
 			cells, cycles, rows, s.MeshW, s.MeshH, specBudget)
 	}
+	if faults := s.UniverseSize(); faults > specBudget {
+		return fmt.Errorf("campaign: spec draws %d faults, over the spec budget of %d", faults, specBudget)
+	}
+	return nil
+}
+
+// UniverseSize is the number of faults the spec's universe holds:
+// NumFaults, or every fault bit of the mesh when NumFaults is 0 or
+// exceeds them. It walks the routers without drawing a fault, so the
+// spec's router configuration must be valid.
+func (s *Spec) UniverseSize() int {
+	rc := s.RouterConfig()
 	params := fault.Params{Mesh: rc.Mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}
 	population := 0
 	for r := 0; r < rc.Mesh.Nodes(); r++ {
 		population += params.RouterBits(r)
 	}
-	faults := s.NumFaults
-	if faults == 0 || faults > population {
-		faults = population
+	if s.NumFaults == 0 || s.NumFaults > population {
+		return population
 	}
-	if faults > specBudget {
-		return fmt.Errorf("campaign: spec draws %d faults, over the spec budget of %d", faults, specBudget)
-	}
-	return nil
+	return s.NumFaults
 }
 
 // Normalize fills in the fields the spec leaves unset with the values the
@@ -216,10 +225,10 @@ func (s *Spec) Hash() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// UniverseHash fingerprints the exact fault list the spec expands to,
+// universeHash fingerprints the exact fault list the spec expands to,
 // so a merger can prove two shards partitioned the same universe even
 // if the enumeration code changed between their runs.
-func UniverseHash(faults []fault.Fault) string {
+func universeHash(faults []fault.Fault) string {
 	h := fnv.New64a()
 	for i := range faults {
 		f := &faults[i]
@@ -253,28 +262,48 @@ type Shard struct {
 
 // PlanShard deterministically plans shard i of n for the spec.
 func PlanShard(spec Spec, i, n int) (*Shard, error) {
+	cut, err := planner(spec, n)
+	if err != nil {
+		return nil, err
+	}
+	if i < 0 || i >= n {
+		return nil, fmt.Errorf("campaign: shard index %d outside [0,%d)", i, n)
+	}
+	return cut(i), nil
+}
+
+// PlanShards plans every shard of an n-way split of the spec, all cut
+// from one expansion of its universe. It holds one Shard per index, so
+// the caller bounds n.
+func PlanShards(spec Spec, n int) ([]*Shard, error) {
+	cut, err := planner(spec, n)
+	if err != nil {
+		return nil, err
+	}
+	plan := make([]*Shard, n)
+	for i := range plan {
+		plan[i] = cut(i)
+	}
+	return plan, nil
+}
+
+// planner validates the spec and the shard count and expands the
+// universe once; cut plans shard i of n from it.
+func planner(spec Spec, n int) (cut func(i int) *Shard, err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("campaign: shard count %d < 1", n)
 	}
-	if i < 0 || i >= n {
-		return nil, fmt.Errorf("campaign: shard index %d outside [0,%d)", i, n)
-	}
 	universe := spec.Universe()
 	if len(universe) == 0 {
 		return nil, fmt.Errorf("campaign: spec yields an empty fault universe")
 	}
-	lo, hi := ShardRange(len(universe), i, n)
-	return &Shard{
-		Spec:         spec,
-		Index:        i,
-		Count:        n,
-		Start:        lo,
-		End:          hi,
-		Faults:       universe[lo:hi],
-		UniverseHash: UniverseHash(universe),
+	hash := universeHash(universe)
+	return func(i int) *Shard {
+		lo, hi := ShardRange(len(universe), i, n)
+		return &Shard{Spec: spec, Index: i, Count: n, Start: lo, End: hi, Faults: universe[lo:hi], UniverseHash: hash}
 	}, nil
 }
 
@@ -295,4 +324,69 @@ func (sh *Shard) Manifest() (*trace.Manifest, error) {
 		Start:        sh.Start,
 		End:          sh.End,
 	}, nil
+}
+
+// Check is the one gate between a checkpoint and its campaign: it decides
+// whether manifest m and records recs belong to the shard. m must be
+// Compatible with the shard's own manifest; every record must fall in
+// [Start, End), appear once and pass checkRecord against the fault the
+// plan has at its index; and a finished shard must record every index.
+// RunShard's resume, MergeShards, the coordinator's fetch and
+// ReportFromRecords all take records through it.
+func (sh *Shard) Check(m *trace.Manifest, recs []trace.RunRecord, finished bool) error {
+	own, err := sh.Manifest()
+	if err != nil {
+		return err
+	}
+	if !own.Compatible(m) {
+		return fmt.Errorf("campaign: checkpoint is shard %d/%d [%d,%d) of spec %s (universe %s), not the plan's %d/%d [%d,%d) of spec %s (universe %s)",
+			m.Shard, m.Shards, m.Start, m.End, m.SpecHash, m.UniverseHash,
+			own.Shard, own.Shards, own.Start, own.End, own.SpecHash, own.UniverseHash)
+	}
+	seen := make([]bool, sh.End-sh.Start)
+	for i := range recs {
+		rec := &recs[i]
+		if rec.Index < sh.Start || rec.Index >= sh.End {
+			return fmt.Errorf("campaign: record index %d outside shard %d/%d's range [%d,%d)",
+				rec.Index, sh.Index, sh.Count, sh.Start, sh.End)
+		}
+		k := rec.Index - sh.Start
+		if seen[k] {
+			return fmt.Errorf("campaign: duplicate record for fault index %d", rec.Index)
+		}
+		seen[k] = true
+		if err := checkRecord(rec, &sh.Faults[k]); err != nil {
+			return fmt.Errorf("campaign: record %d %v", rec.Index, err)
+		}
+	}
+	if finished && len(recs) != len(seen) {
+		return fmt.Errorf("campaign: shard %d/%d is finished with %d of its %d records",
+			sh.Index, sh.Count, len(recs), len(seen))
+	}
+	return nil
+}
+
+// checkRecord refuses a record the report cannot fold: one that does not
+// carry f's identity (its site, bit, type and injection cycle), or that
+// carries an outcome other than the four, or a checker outside Table 1.
+// Its errors follow "record N".
+func checkRecord(rec *trace.RunRecord, f *fault.Fault) error {
+	if rec.Router != f.Site.Router || rec.Signal != f.Site.Kind.String() ||
+		rec.Port != f.Site.Port || rec.VC != f.Site.VC || rec.Bit != f.Bit ||
+		rec.FaultType != f.Type.String() || rec.Cycle != f.Cycle {
+		return fmt.Errorf("describes fault %s.bit%d, the plan has %v", rec.Signal, rec.Bit, f)
+	}
+	for _, o := range []trace.Outcome{rec.Outcome, rec.CautiousOutcome, rec.ForeverOutcome} {
+		if !o.Known() {
+			return fmt.Errorf("carries unknown outcome %v", o)
+		}
+	}
+	for _, ids := range [][]core.CheckerID{rec.CheckersFired, rec.FirstCycleCheckers} {
+		for _, id := range ids {
+			if id < 1 || id > core.NumCheckers {
+				return fmt.Errorf("lists unknown checker %d", int(id))
+			}
+		}
+	}
+	return nil
 }

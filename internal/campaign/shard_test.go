@@ -70,7 +70,7 @@ func TestPlanShardTilesUniverse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sh.UniverseHash != UniverseHash(universe) {
+			if sh.UniverseHash != universeHash(universe) {
 				t.Fatalf("n=%d shard %d: universe hash differs", n, i)
 			}
 			for k, f := range sh.Faults {
@@ -642,21 +642,7 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "shard.ndjson")
-	ctx, cancel := context.WithCancel(context.Background())
-	_, _, runErr := RunShard(spec, 0, 1, path, ShardRunOptions{
-		Workers: 1,
-		Context: ctx,
-		Progress: func(st ShardRunStats) {
-			if st.Done >= 3 {
-				cancel()
-			}
-		},
-	})
-	cancel()
-	if runErr == nil {
-		t.Fatal("expected interruption")
-	}
+	path, _ := interruptedShard(t, spec, 3)
 
 	tamper := func(t *testing.T, mutate func(rec map[string]any)) string {
 		t.Helper()
@@ -716,8 +702,121 @@ func TestResumeDetectsTamperedCheckpoint(t *testing.T) {
 	}
 }
 
-// TestMergeShardsRejectsBadSets: the merge reducer must refuse
-// incomplete, duplicated or cross-campaign shard sets.
+// interruptedShard runs shard 0/1 of spec into a checkpoint on one
+// worker, canceled once after runs are recorded, and returns the
+// checkpoint's path and what it holds.
+func interruptedShard(t *testing.T, spec Spec, after int) (string, *trace.CheckpointData) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "shard.ndjson")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, _, err := RunShard(spec, 0, 1, path, ShardRunOptions{
+		Workers: 1,
+		Context: ctx,
+		Progress: func(st ShardRunStats) {
+			if st.Done >= after {
+				cancel()
+			}
+		},
+	})
+	if err == nil {
+		t.Fatal("expected interruption")
+	}
+	cd, err := trace.ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cd.Records); n < after || n >= spec.UniverseSize() {
+		t.Fatalf("interruption after %d runs recorded %d of %d; test premise broken", after, n, spec.UniverseSize())
+	}
+	return path, cd
+}
+
+// rewriteCheckpoint writes cd's manifest and records, each through edit
+// when it is set, to a new checkpoint file, and a footer over the written
+// records when finalize is set. It returns the file's path and bytes.
+func rewriteCheckpoint(t *testing.T, cd *trace.CheckpointData, edit func(*trace.RunRecord), finalize bool) (string, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "rewritten.ndjson")
+	cp, err := trace.CreateCheckpoint(path, &cd.Manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range cd.Records {
+		if edit != nil {
+			edit(&rec)
+		}
+		if err := cp.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if finalize {
+		if err := cp.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, b
+}
+
+// TestResumeRefusesUnknownChecker: a checkpoint one of whose records lists
+// a checker outside Table 1 — record 4 listing checker 37, its identity
+// intact — is refused before any run starts, and left as it was. The
+// report fold refuses such a record, so a shard that extended and
+// finalized the checkpoint would keep a report nobody can fold.
+func TestResumeRefusesUnknownChecker(t *testing.T) {
+	spec := shardTestSpec(24)
+	_, partial := interruptedShard(t, spec, 10)
+	idx := partial.Records[0].Index
+	for _, rec := range partial.Records {
+		if rec.Index == 4 {
+			idx = 4
+		}
+	}
+	bad := core.CheckerID(core.NumCheckers + 5)
+	path, before := rewriteCheckpoint(t, partial, func(rec *trace.RunRecord) {
+		if rec.Index == idx {
+			rec.CheckersFired = append(rec.CheckersFired, bad)
+		}
+	}, false)
+	var p firstProgress
+	_, stats, err := RunShard(spec, 0, 1, path, ShardRunOptions{Workers: 1, Progress: p.progress})
+	if err == nil {
+		t.Fatalf("a checkpoint whose record %d lists checker %d was resumed: %+v", idx, bad, stats)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("record %d ", idx)) || !strings.Contains(err.Error(), fmt.Sprintf("checker %d", bad)) {
+		t.Errorf("the refusal does not name record %d and checker %d: %v", idx, bad, err)
+	}
+	if p.calls != 0 || stats.Executed != 0 || stats.Verified != 0 {
+		t.Errorf("the refused checkpoint got %d Progress calls and %+v; want none, before any run", p.calls, stats)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the refused checkpoint was written to (%v)", err)
+	}
+}
+
+// TestRunShardRefusesShortFinalizedCheckpoint: a finalized checkpoint that
+// holds 10 of the shard's 24 records is refused, not handed back as the
+// whole shard.
+func TestRunShardRefusesShortFinalizedCheckpoint(t *testing.T) {
+	spec := shardTestSpec(24)
+	_, partial := interruptedShard(t, spec, 10)
+	path, _ := rewriteCheckpoint(t, partial, nil, true)
+	recs, _, err := RunShard(spec, 0, 1, path, ShardRunOptions{})
+	if err == nil {
+		t.Fatalf("a finalized checkpoint of %d of the shard's 24 records was handed back as the shard (%d records)", len(partial.Records), len(recs))
+	}
+	if want := fmt.Sprintf("%d of its 24 records", len(partial.Records)); !strings.Contains(err.Error(), want) {
+		t.Errorf("the refusal does not say %q: %v", want, err)
+	}
+}
+
 // TestValidateRefusesBadRates: an injection rate is a number of flits per
 // node per cycle in [0, 1]; NaN, the infinities and anything outside the
 // range are refused, the ends of the range are not. So is a VC count the
@@ -788,6 +887,8 @@ func TestValidateRefusesBadRates(t *testing.T) {
 	}
 }
 
+// TestMergeShardsRejectsBadSets: the merge reducer must refuse
+// incomplete, duplicated or cross-campaign shard sets.
 func TestMergeShardsRejectsBadSets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")

@@ -3,10 +3,11 @@
 // single-machine one.
 //
 // The coordinator plans the campaign as N shards (the same
-// campaign.PlanShard partition the CLI's -shard flag uses), submits
+// campaign.PlanShards partition the CLI's -shard flag uses), submits
 // each shard over the workers' HTTP job API, watches every shard's
-// NDJSON event stream as its heartbeat, and folds the finalized shard
-// checkpoints through campaign.MergeShards — so the merged report is
+// NDJSON event stream as its heartbeat, checks each finalized shard
+// checkpoint it fetches against its planned shard (campaign.Shard.Check),
+// and folds them through campaign.MergeShards — so the merged report is
 // byte-identical to an unsharded run, or the merge gate refuses.
 //
 // Robustness is lease-based. A shard dispatch holds a lease that the
@@ -160,12 +161,11 @@ type workerState struct {
 type run struct {
 	cfg      Config
 	specJSON []byte
-	shards   int
-	// The plan every returned checkpoint must match: the spec's and its
-	// universe's fingerprints and the universe's size, which fixes each
-	// shard's [Start, End).
-	specHash, universeHash string
-	total                  int
+	// plan is every shard of the campaign, cut from one expansion of its
+	// universe; a fetched checkpoint must pass its shard's gate
+	// (campaign.Shard.Check). total is the universe's size.
+	plan  []*campaign.Shard
+	total int
 
 	pending chan shardTicket
 	doneCh  chan struct{}
@@ -214,11 +214,15 @@ func Run(ctx context.Context, spec campaign.Spec, cfg Config) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	// Plan locally once: validates the shard count against the
-	// universe and fixes the campaign-wide total.
-	universe := spec.Universe()
-	if cfg.Shards > len(universe) {
-		return nil, fmt.Errorf("coordinator: %d shards for a %d-fault universe", cfg.Shards, len(universe))
+	// Plan every shard once, after bounding the shard count by the
+	// universe: the plan fixes the campaign-wide total and gates every
+	// checkpoint a worker returns.
+	if size := spec.UniverseSize(); cfg.Shards > size {
+		return nil, fmt.Errorf("coordinator: %d shards for a %d-fault universe", cfg.Shards, size)
+	}
+	plan, err := campaign.PlanShards(spec, cfg.Shards)
+	if err != nil {
+		return nil, err
 	}
 	specJSON, err := specPayload(spec)
 	if err != nil {
@@ -230,19 +234,17 @@ func Run(ctx context.Context, spec campaign.Spec, cfg Config) (*Result, error) {
 		seed = time.Now().UnixNano()
 	}
 	r := &run{
-		cfg:          cfg,
-		specJSON:     specJSON,
-		shards:       cfg.Shards,
-		specHash:     spec.Hash(),
-		universeHash: campaign.UniverseHash(universe),
-		total:        len(universe),
-		pending:      make(chan shardTicket, cfg.Shards),
-		doneCh:       make(chan struct{}),
-		results:      make(map[int]*trace.CheckpointData, cfg.Shards),
-		done:         make([]int, cfg.Shards),
-		rate:         make([]float64, cfg.Shards),
-		live:         len(cfg.Workers),
-		rng:          rand.New(rand.NewSource(seed)),
+		cfg:      cfg,
+		specJSON: specJSON,
+		plan:     plan,
+		total:    plan[len(plan)-1].End,
+		pending:  make(chan shardTicket, cfg.Shards),
+		doneCh:   make(chan struct{}),
+		results:  make(map[int]*trace.CheckpointData, cfg.Shards),
+		done:     make([]int, cfg.Shards),
+		rate:     make([]float64, cfg.Shards),
+		live:     len(cfg.Workers),
+		rng:      rand.New(rand.NewSource(seed)),
 	}
 	r.stats.Shards = cfg.Shards
 	r.stats.PerWorker = make([]WorkerStats, len(cfg.Workers))
@@ -289,8 +291,8 @@ func Run(ctx context.Context, spec campaign.Spec, cfg Config) (*Result, error) {
 		return nil, r.fatalErr
 	}
 
-	ordered := make([]*trace.CheckpointData, 0, r.shards)
-	for i := 0; i < r.shards; i++ {
+	ordered := make([]*trace.CheckpointData, 0, len(r.plan))
+	for i := range r.plan {
 		cd, ok := r.results[i]
 		if !ok {
 			return nil, fmt.Errorf("coordinator: shard %d missing after completion", i)
@@ -361,12 +363,12 @@ func (r *run) dispatch(ctx context.Context, wi int, t shardTicket) error {
 		span.End()
 	}()
 
-	v, err := w.client.submitShard(ctx, r.specJSON, t.index, r.shards)
+	v, err := w.client.submitShard(ctx, r.specJSON, t.index, len(r.plan))
 	if err != nil {
 		return err
 	}
 	r.cfg.Logf("coordinator: shard %d/%d -> %s job %s (attempt %d)",
-		t.index, r.shards, w.client.base, v.ID, t.attempts+1)
+		t.index, len(r.plan), w.client.base, v.ID, t.attempts+1)
 	span.SetAttr("job", v.ID)
 
 	// A dedupe hit on an already-done shard job skips the stream.
@@ -448,8 +450,8 @@ func (r *run) watch(ctx context.Context, wi int, t shardTicket, id string) error
 // record line per fault of the shard, and the footer.
 func (r *run) fetchCheckpoint(ctx context.Context, wi int, id string, index int) (*trace.CheckpointData, error) {
 	w := r.workers[wi]
-	lo, hi := campaign.ShardRange(r.total, index, r.shards)
-	limit := int64(len(r.specJSON)) + checkpointSlack + int64(hi-lo)*maxRecordBytes
+	sh := r.plan[index]
+	limit := int64(len(r.specJSON)) + checkpointSlack + int64(sh.End-sh.Start)*maxRecordBytes
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
@@ -473,25 +475,20 @@ func (r *run) fetchCheckpoint(ctx context.Context, wi int, id string, index int)
 // record stores a completed shard's checkpoint, guarding against the
 // duplicate-completion race (two workers finishing the same requeued
 // shard both produce identical records; first in wins). A checkpoint that
-// is not the one dispatched — another shard, another spec or universe,
-// another range of the universe — is refused with a transient error, so
-// the shard is requeued: MergeShards checks the shards against each other
-// only, and would merge another campaign's checkpoints into its report.
+// fails the gate of the shard dispatched — another shard, campaign or
+// range, or a record that is not the run the plan has at its index — is
+// refused with a transient error, so the shard is requeued.
 func (r *run) record(index, wi int, cd *trace.CheckpointData) error {
-	m := &cd.Manifest
-	lo, hi := campaign.ShardRange(r.total, index, r.shards)
-	if m.Shard != index || m.Shards != r.shards || m.SpecHash != r.specHash ||
-		m.UniverseHash != r.universeHash || m.Start != lo || m.End != hi {
-		return transient("coordinator: worker returned shard %d/%d of spec %s, universe %s, faults [%d,%d); dispatched %d/%d of %s, %s, [%d,%d)",
-			m.Shard, m.Shards, m.SpecHash, m.UniverseHash, m.Start, m.End,
-			index, r.shards, r.specHash, r.universeHash, lo, hi)
+	sh := r.plan[index]
+	if err := sh.Check(&cd.Manifest, cd.Records, true); err != nil {
+		return transient("the checkpoint returned is not the shard dispatched %d/%d: %v", index, len(r.plan), err)
 	}
 	r.mu.Lock()
 	if _, dup := r.results[index]; !dup {
 		r.results[index] = cd
 		r.stats.PerWorker[wi].ShardsDone++
-		r.done[index], r.rate[index] = hi-lo, 0
-		done := len(r.results) == r.shards
+		r.done[index], r.rate[index] = sh.End-sh.Start, 0
+		done := len(r.results) == len(r.plan)
 		r.publishProgressLocked()
 		if done && !r.finished {
 			r.finished = true
@@ -533,7 +530,7 @@ func (r *run) publishProgressLocked() {
 	eta, ok := campaign.EstimateETA(r.total-done, rate)
 	r.next = ProgressUpdate{
 		Done: done, Total: r.total,
-		ShardsDone: len(r.results), Shards: r.shards,
+		ShardsDone: len(r.results), Shards: len(r.plan),
 		Rate: rate, ETA: eta, ETAOK: ok,
 	}
 	r.unsent = true
@@ -562,7 +559,7 @@ func (r *run) deliver() {
 
 // requeue puts a forfeited shard back on the queue, or fails the run
 // when the shard is out of attempts. The pending channel holds
-// r.shards entries and a shard is never queued twice concurrently, so
+// len(r.plan) entries and a shard is never queued twice concurrently, so
 // the send cannot block.
 func (r *run) requeue(t shardTicket, why string) {
 	r.mu.Lock()

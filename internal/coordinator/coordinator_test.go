@@ -406,6 +406,89 @@ func TestDispatchRefusesForeignCheckpoints(t *testing.T) {
 	}
 }
 
+// tamperedCheckpoint returns ckpt, a finalized shard checkpoint, with the
+// record of fault index moved to its bit's neighbour and the footer
+// recomputed: the manifest is right and the file verifies, but the record
+// names a fault the plan does not have there.
+func tamperedCheckpoint(t *testing.T, ckpt []byte, index int) []byte {
+	t.Helper()
+	cd, err := trace.ReadCheckpoint(bytes.NewReader(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tampered.ndjson")
+	cp, err := trace.CreateCheckpoint(path, &cd.Manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range cd.Records {
+		if rec.Index == index {
+			rec.Bit ^= 1
+		}
+		if err := cp.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cp.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDispatchRequeuesForeignRecords: a worker that answers each shard
+// with its finalized checkpoint, manifest right, but one record naming
+// another fault (record 6 of shard 1, record 2 of shard 0), gets the shard
+// requeued, the refusal naming the shard dispatched; beside an honest
+// worker the dispatch succeeds with the unsharded run's report.
+func TestDispatchRequeuesForeignRecords(t *testing.T) {
+	spec := testSpec(8)
+	tampered := serveCheckpoints(t, [][]byte{
+		tamperedCheckpoint(t, shardCheckpoint(t, spec, 0, 2), 2),
+		tamperedCheckpoint(t, shardCheckpoint(t, spec, 1, 2), 6),
+	})
+	fleet := startFleet(t, 1, server.Config{Concurrency: 1})
+	var mu sync.Mutex
+	var log strings.Builder
+	res, err := Run(context.Background(), spec, Config{
+		Workers:        []string{tampered.URL, fleet[0].ts.URL},
+		Shards:         2,
+		MaxInFlight:    1,
+		RetryBase:      time.Millisecond,
+		RetryMax:       10 * time.Millisecond,
+		DeathThreshold: 2,
+		Seed:           1,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(&log, format+"\n", args...)
+		},
+	})
+	if err != nil {
+		t.Fatalf("%v\n%s", err, log.String())
+	}
+	var got bytes.Buffer
+	if err := res.Report.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), referenceReport(t, spec)) {
+		t.Fatal("a fleet with a worker returning foreign records reported other than the unsharded run")
+	}
+	if res.Stats.Requeued < 1 || res.Stats.PerWorker[0].ShardsDone != 0 {
+		t.Errorf("the tampered worker's shards: %d requeued, %d credited to it; want at least one requeued and none credited",
+			res.Stats.Requeued, res.Stats.PerWorker[0].ShardsDone)
+	}
+	if !strings.Contains(log.String(), "dispatched 0/2") && !strings.Contains(log.String(), "dispatched 1/2") {
+		t.Errorf("the refusal does not name the shard dispatched:\n%s", log.String())
+	}
+}
+
 // TestClientBoundsCheckpoints: a shard checkpoint fits the bound the
 // coordinator reads it under, and so does a record line at its longest;
 // the same checkpoint padded with 2 MiB of blank lines, which
@@ -462,13 +545,19 @@ func TestClientBoundsCheckpoints(t *testing.T) {
 // its promises. A requeued shard starting over at 0 keeps its high-water
 // mark, so Done never goes down; a +Inf or NaN rate sample (a resumed
 // shard replaying its checkpoint at t≈0) never reaches Rate; a merged
-// shard counts its planned size and no rate; and once every shard is
-// merged there is no ETA.
+// shard, its real checkpoint through the gate, counts its planned size
+// and no rate; and once every shard is merged there is no ETA.
 func TestProgressMonotonicUnderRequeue(t *testing.T) {
+	spec := testSpec(96)
+	spec.Normalize()
+	plan, err := campaign.PlanShards(spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var seen []ProgressUpdate
 	r := &run{
 		cfg:     Config{Progress: func(u ProgressUpdate) { seen = append(seen, u) }},
-		shards:  3,
+		plan:    plan,
 		total:   96,
 		doneCh:  make(chan struct{}),
 		results: map[int]*trace.CheckpointData{},
@@ -500,8 +589,11 @@ func TestProgressMonotonicUnderRequeue(t *testing.T) {
 	check("NaN sample", 75, 10)
 
 	for i := 0; i < 3; i++ {
-		lo, hi := campaign.ShardRange(96, i, 3)
-		if err := r.record(i, 0, &trace.CheckpointData{Manifest: trace.Manifest{Shard: i, Shards: 3, Start: lo, End: hi}}); err != nil {
+		cd, err := trace.ReadCheckpoint(bytes.NewReader(shardCheckpoint(t, spec, i, 3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.record(i, 0, cd); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -365,6 +365,27 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
+// TestQueuedJobTotalIsItsShard: a queued job's total is the size of its
+// shard before its run first reports, for a whole-population spec (no
+// fault count) and for one asking for more faults than the mesh has.
+func TestQueuedJobTotalIsItsShard(t *testing.T) {
+	s := queuedServer(t, Config{QueueSize: 4})
+	for _, faults := range []int{0, 1 << 20} {
+		j, _, err := s.SubmitJob(testSpec(faults), SubmitOptions{Shard: 1, Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := campaign.PlanShard(j.Spec, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := j.view(); v.Status != StatusQueued || v.Total != sh.End-sh.Start {
+			t.Errorf("%d faults: shard 1/3 is %s with total %d, want queued with its %d faults",
+				faults, v.Status, v.Total, sh.End-sh.Start)
+		}
+	}
+}
+
 // TestStreamTruncation pins the slow-consumer contract: the hub drops
 // events rather than stalling the campaign, and the gap surfaces in
 // the next delivered event's Dropped count.

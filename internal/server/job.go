@@ -112,10 +112,10 @@ type Job struct {
 	status Status
 	// stats is the job's progress, as RunShard last handed it over: at
 	// each progress callback and when it returns. Until then Total is the
-	// shard's ShardRange (0 when NumFaults means "every location", whose
-	// universe is sized at planning); a recovered done job carries the
-	// Done and Total its manifest records. FaultsPerSec is the job's own
-	// live throughput, zeroed at the terminal transition.
+	// shard's size, its ShardRange over the spec's UniverseSize; a
+	// recovered done job carries the Done and Total its manifest records.
+	// FaultsPerSec is the job's own live throughput, zeroed at the
+	// terminal transition.
 	stats campaign.ShardRunStats
 	// droppedEvents counts events any subscriber missed because its
 	// stream buffer was full; it surfaces in View.
@@ -134,7 +134,7 @@ type Job struct {
 // newJob returns a job of tenant running shard i of n of spec, in status
 // from (statusNew or statusRecovered) until Server.transition queues it.
 func newJob(id, tenant string, spec campaign.Spec, i, n int, submitted time.Time, from Status) *Job {
-	lo, hi := campaign.ShardRange(spec.NumFaults, i, n)
+	lo, hi := campaign.ShardRange(spec.UniverseSize(), i, n)
 	return &Job{
 		ID:         id,
 		Spec:       spec,

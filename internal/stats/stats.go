@@ -76,79 +76,6 @@ func (c *CDF) Mean() float64 {
 	return sum / float64(len(c.sorted))
 }
 
-// Merge returns a CDF over the union of both sample sets. Because a
-// CDF is fully determined by its sample multiset, merging per-shard
-// CDFs yields exactly the CDF of the unsharded sample list — the
-// property sharded campaign reports rely on. Neither input is
-// modified.
-func (c *CDF) Merge(o *CDF) *CDF {
-	if o == nil || len(o.sorted) == 0 {
-		return &CDF{sorted: append([]int64(nil), c.sorted...)}
-	}
-	if len(c.sorted) == 0 {
-		return &CDF{sorted: append([]int64(nil), o.sorted...)}
-	}
-	out := make([]int64, 0, len(c.sorted)+len(o.sorted))
-	i, j := 0, 0
-	for i < len(c.sorted) && j < len(o.sorted) {
-		if c.sorted[i] <= o.sorted[j] {
-			out = append(out, c.sorted[i])
-			i++
-		} else {
-			out = append(out, o.sorted[j])
-			j++
-		}
-	}
-	out = append(out, c.sorted[i:]...)
-	out = append(out, o.sorted[j:]...)
-	return &CDF{sorted: out}
-}
-
-// MergeCDFs folds any number of CDFs into one (empty when given none).
-func MergeCDFs(cs ...*CDF) *CDF {
-	out := &CDF{}
-	for _, c := range cs {
-		if c != nil {
-			out = out.Merge(c)
-		}
-	}
-	return out
-}
-
-// Tally is a mergeable counter map keyed by label — the reduction
-// shape shard merging needs for outcome and verdict counts. The zero
-// value is ready to use.
-type Tally struct {
-	counts map[string]int64
-}
-
-// Add increments key by n.
-func (t *Tally) Add(key string, n int64) {
-	if t.counts == nil {
-		t.counts = make(map[string]int64)
-	}
-	t.counts[key] += n
-}
-
-// Get returns key's count (0 when absent).
-func (t *Tally) Get(key string) int64 { return t.counts[key] }
-
-// Total returns the sum of all counts.
-func (t *Tally) Total() int64 {
-	var n int64
-	for _, v := range t.counts {
-		n += v
-	}
-	return n
-}
-
-// Merge folds another tally into this one.
-func (t *Tally) Merge(o *Tally) {
-	for k, v := range o.counts {
-		t.Add(k, v)
-	}
-}
-
 // Pct renders part/whole as a percentage (0 when whole is 0).
 func Pct(part, whole int64) float64 {
 	if whole == 0 {
