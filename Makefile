@@ -93,7 +93,9 @@ cover:
 # e2e runs every test in ./e2e: it builds the real nocalertd binary,
 # SIGKILLs it mid-campaign over HTTP, restarts it, and requires the
 # resumed job's report to be byte-identical to an uninterrupted run's (see
-# e2e/restart_test.go), and runs the distributed gate below. -count=1:
+# e2e/restart_test.go), runs the distributed gate below, and scrapes a
+# fresh daemon's /metrics after two shards of one campaign through omlint
+# (e2e/metrics_test.go: golden-cache hit and miss, group-wait count). -count=1:
 # the tests drive daemons go's test cache cannot see, so a repeated run
 # runs them again instead of reporting the cached pass.
 e2e:
@@ -189,8 +191,8 @@ paper:
 	$(GO) run ./cmd/hwcost > testdata/paper/hwcost.txt
 
 # paper-fleet is make paper's cycle-32 000 campaign through the fleet: two
-# local nocalertd daemons, started and found as CI's scrape step starts
-# one, the spec dispatched over them as two shards (each daemon warms its
+# local nocalertd daemons, each started and found by its listen line on
+# stdout, the spec dispatched over them as two shards (each daemon warms its
 # own golden reference up), and the merged report compared byte for byte
 # with testdata/paper/cycle32000.json. The trap kills both daemons and
 # removes .paper-fleet/ on every exit path, an interrupt included. It needs
@@ -236,7 +238,7 @@ paper-fleet:
 # alone, -fig obs3 runs no main campaign and prints the table only), which
 # must read the same in both modes, and through the test binary to the reference
 # sweep too by the armed-fault report fixture and the double-fault groups. Last, the fuzzers search for
-# 60 s (fuzz-smoke), one of them holding the frontier to the full simulation in lockstep. One shell, so the trap
+# 72 s (fuzz-smoke), one of them holding the frontier to the full simulation in lockstep. One shell, so the trap
 # removes .identity/ whether or not a cmp fails.
 identity:
 	@set -ex; rm -rf .identity; mkdir -p .identity; trap 'rm -rf .identity' EXIT; \
@@ -262,7 +264,7 @@ identity:
 	$(GO) test -count=1 -run 'TestArmedFaultReportFixture|TestDoubleFaultGroupMatchesReference' ./internal/campaign; \
 	$(MAKE) fuzz-smoke
 
-# fuzz-smoke lets the fuzzers search on for 60 s between them from their
+# fuzz-smoke lets the six fuzzers search on for 72 s between them from their
 # seed corpora (which plain `go test` already runs). FuzzFrontierLockstep
 # picks meshes up to 6×6, VC counts, rates, routing algorithms and faults,
 # the frontier held to the full simulation cycle by cycle;
@@ -279,7 +281,10 @@ identity:
 # into a report, which must, without a panic, be refused or name, record
 # by record, the fault the campaign's universe has at that index. Its
 # seed is a 19 KB checkpoint, whose minimization would take the whole
-# 12 s, so it is capped at 2 s. A failing input
+# 12 s, so it is capped at 2 s. FuzzOpenMetricsExposition registers
+# counters, gauges and histograms under colliding and invalid names, adds,
+# sets (NaN and ±Inf included) and observes, and holds the exposition of
+# whatever the registry took to ValidateOpenMetrics. A failing input
 # is written under the package's testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrontierLockstep -fuzztime 12s ./internal/sim
@@ -287,6 +292,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpecIntake -fuzztime 12s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz FuzzJobStateRecover -fuzztime 12s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzMergeShards -fuzztime 12s -fuzzminimizetime 2s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz FuzzOpenMetricsExposition -fuzztime 12s ./internal/metrics
 
 # build386 is a build-only cross-compile of the whole module for a
 # 32-bit target: the SoA state uses explicitly sized element types

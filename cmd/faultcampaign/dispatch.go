@@ -18,8 +18,8 @@ import (
 // dispatchMain is the `faultcampaign dispatch` subcommand: run one
 // campaign across a fleet of nocalertd workers and print the same
 // figures (and pass the same golden and Observation 1 gates) a
-// single-machine run would — the merged report is byte-identical or the
-// merge gate refuses.
+// single-machine run would — the merged report is byte-identical, or the
+// coordinator's gate refuses a worker's shard and requeues it.
 func dispatchMain(args []string) {
 	fs := flag.NewFlagSet("dispatch", flag.ExitOnError)
 	sf := addSpecFlags(fs)
@@ -98,12 +98,7 @@ func dispatchMain(args []string) {
 		}
 	}
 
-	fmt.Printf("dispatching %d shards over %d workers\n", func() int {
-		if *shards > 0 {
-			return *shards
-		}
-		return len(fleet)
-	}(), len(fleet))
+	fmt.Printf("dispatching over %d workers\n", len(fleet))
 
 	start := time.Now()
 	res, err := coordinator.Run(ctx, spec, cfg)

@@ -122,24 +122,23 @@ func main() {
 	}
 
 	figs := parseFigures(*figFlag)
-	// exec is how the Observation 3 table's campaign executes: on the
-	// invocation's workers and run path, like the main one.
-	exec := spec.Options()
-	exec.Workers, exec.FullSim, exec.Context = *workers, *fullSim, ctx
+	// exec is how the campaign executes — on the invocation's workers and
+	// run path, under its signal context — and, below, where its telemetry
+	// goes. The Observation 3 table runs on the same workers and run path.
+	exec := campaign.Exec{Workers: *workers, FullSim: *fullSim, Context: ctx}
 	if figs.obs3Alone() && *jsonPath == "" && *ckptPath == "" {
-		obs3(os.Stdout, exec)
+		obs3(os.Stdout, spec, exec)
 		return
 	}
 
 	fmt.Printf("fault population: %d single-bit locations (%d sites); injecting %d at cycle(s) %s\n",
-		totalBits(params), len(params.EnumerateSites()), len(spec.Universe()), *sf.inject)
+		totalBits(params), len(params.EnumerateSites()), spec.UniverseSize(), *sf.inject)
 
 	// Telemetry: the registry behind /metrics. It stays nil — zero cost —
 	// without -telemetry.
-	var reg *metrics.Registry
 	if *telAddr != "" {
-		reg = metrics.NewRegistry()
-		addr, err := serveTelemetry(*telAddr, reg)
+		exec.Metrics = metrics.NewRegistry()
+		addr, err := serveTelemetry(*telAddr, exec.Metrics)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -148,7 +147,6 @@ func main() {
 
 	// Span tracing is result-invisible: the traced report is
 	// byte-identical.
-	var tracer *obs.Tracer
 	var spanFile *os.File
 	if *spanOut != "" || *otlpOut != "" {
 		topts := obs.Options{SampleEvery: *spanN, Retain: *otlpOut != "", Service: "faultcampaign"}
@@ -159,23 +157,16 @@ func main() {
 			}
 			topts.Writer = spanFile
 		}
-		tracer = obs.New(topts)
+		exec.Tracer = obs.New(topts)
 	}
 
-	recs, err := runShard(spec, idx, n, *ckptPath, campaign.ShardRunOptions{
-		Workers:       *workers,
-		FullSim:       *fullSim,
-		VerifyResumed: *verifyN,
-		Metrics:       reg,
-		Context:       ctx,
-		Tracer:        tracer,
-	}, *progress)
+	recs, err := runShard(spec, idx, n, *ckptPath, campaign.ShardRunOptions{Exec: exec, VerifyResumed: *verifyN}, *progress)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Finish the span sinks: flush and close the span stream and render
 	// the OTLP dump from the retained spans.
-	if tracer != nil {
+	if tracer := exec.Tracer; tracer != nil {
 		if err := tracer.Close(); err != nil {
 			log.Fatalf("trace-spans: %v", err)
 		}
@@ -211,7 +202,7 @@ func main() {
 	fmt.Println()
 	writeReport("campaign", spec, rep, figs, *jsonPath, "")
 	if figs.has("obs3") {
-		obs3(os.Stdout, exec)
+		obs3(os.Stdout, spec, exec)
 	}
 }
 
@@ -219,13 +210,16 @@ func main() {
 // grant signals: a transient "grant to nobody" is a one-cycle NOP
 // (benign), a permanent one starves the port into a protocol deadlock
 // (paper Observation 3). Both kinds run as one campaign, and the table
-// splits its records by fault type. exec carries the invocation's
-// execution options (workers, -fullsim), so the permanent faults — the
-// one armed campaign the CLI can spell — run on the reference run path
-// when asked to.
-func obs3(w io.Writer, exec campaign.Options) {
-	inject := exec.InjectCycle
-	rc := exec.Sim.Router
+// splits its records by fault type. The table's campaign takes the
+// invocation's workers, run path (-fullsim) and context from exec, so the
+// permanent faults — the one armed campaign the CLI can spell — run on
+// the reference run path when asked to; exec's telemetry sinks are the
+// main campaign's, closed before the table runs.
+func obs3(w io.Writer, spec campaign.Spec, exec campaign.Exec) {
+	opts := spec.Options()
+	opts.Workers, opts.FullSim, opts.Context = exec.Workers, exec.FullSim, exec.Context
+	inject := opts.InjectCycle
+	rc := opts.Sim.Router
 	params := fault.Params{Mesh: rc.Mesh, VCs: rc.VCs, BufDepth: rc.BufDepth}
 	var tr, pm []fault.Fault
 	for _, s := range params.EnumerateSites() {
@@ -240,8 +234,8 @@ func obs3(w io.Writer, exec campaign.Options) {
 			break
 		}
 	}
-	exec.Faults = append(tr, pm...)
-	rep, err := campaign.Run(exec)
+	opts.Faults = append(tr, pm...)
+	rep, err := campaign.Run(opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -313,8 +313,7 @@ func TestFigureNamesPrint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	execOpts := spec.Options()
-	opts := execOpts
+	opts := spec.Options()
 	opts.Faults = spec.Universe()
 	rep, err := campaign.Run(opts)
 	if err != nil {
@@ -326,7 +325,7 @@ func TestFigureNamesPrint(t *testing.T) {
 		var buf bytes.Buffer
 		printFigures(&buf, rep, parseFigures(figs))
 		if parseFigures(figs).has("obs3") {
-			obs3(&buf, execOpts)
+			obs3(&buf, spec, campaign.Exec{})
 		}
 		return buf.String()
 	}

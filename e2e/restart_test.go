@@ -40,9 +40,12 @@ var (
 	buildErr   error
 	daemonBin  string
 	climateBin string // faultcampaign binary (CLI cross-check)
+	lintBin    string // omlint binary (OpenMetrics validator)
 )
 
-// binaries builds nocalertd and faultcampaign once per test process.
+// binaries builds nocalertd, faultcampaign and omlint once per test
+// process and returns the daemon's and the CLI's paths (omlint returns
+// the linter's).
 func binaries(t *testing.T) (daemon, cli string) {
 	t.Helper()
 	buildOnce.Do(func() {
@@ -53,9 +56,11 @@ func binaries(t *testing.T) (daemon, cli string) {
 		}
 		daemonBin = filepath.Join(dir, "nocalertd")
 		climateBin = filepath.Join(dir, "faultcampaign")
+		lintBin = filepath.Join(dir, "omlint")
 		for bin, pkg := range map[string]string{
 			daemonBin:  "./cmd/nocalertd",
 			climateBin: "./cmd/faultcampaign",
+			lintBin:    "./cmd/omlint",
 		} {
 			cmd := exec.Command("go", "build", "-o", bin, pkg)
 			cmd.Dir = ".." // repo root
@@ -69,6 +74,13 @@ func binaries(t *testing.T) (daemon, cli string) {
 		t.Fatal(buildErr)
 	}
 	return daemonBin, climateBin
+}
+
+// omlint returns the omlint binary binaries built.
+func omlint(t *testing.T) string {
+	t.Helper()
+	binaries(t)
+	return lintBin
 }
 
 // daemon is one running nocalertd process.
@@ -142,9 +154,11 @@ type view struct {
 	Error    string `json:"error"`
 }
 
-func (d *daemon) submit(spec string) view {
+// submit posts spec as a job; query, when not empty, names its shard
+// ("?shard=i&shards=n").
+func (d *daemon) submit(spec, query string) view {
 	d.t.Helper()
-	resp, err := http.Post(d.base+"/v1/jobs", "application/json", strings.NewReader(spec))
+	resp, err := http.Post(d.base+"/v1/jobs"+query, "application/json", strings.NewReader(spec))
 	if err != nil {
 		d.t.Fatalf("submit: %v", err)
 	}
@@ -234,7 +248,7 @@ func TestKillRestartByteIdenticalReport(t *testing.T) {
 
 	// Reference 2: an uninterrupted daemon run.
 	calm := startDaemon(t, daemonBin, t.TempDir())
-	calmJob := calm.submit(specJSON)
+	calmJob := calm.submit(specJSON, "")
 	calm.waitDone(calmJob.ID, 5*time.Minute)
 	if got := calm.report(calmJob.ID); !bytes.Equal(got, want) {
 		t.Fatalf("uninterrupted daemon report differs from CLI output (%d vs %d bytes)", len(got), len(want))
@@ -243,7 +257,7 @@ func TestKillRestartByteIdenticalReport(t *testing.T) {
 	// The gate: submit, SIGKILL mid-campaign, restart, resume.
 	stateDir := t.TempDir()
 	victim := startDaemon(t, daemonBin, stateDir, "-workers", "1")
-	job := victim.submit(specJSON)
+	job := victim.submit(specJSON, "")
 	killDeadline := time.Now().Add(5 * time.Minute)
 	for {
 		v := victim.status(job.ID)
@@ -290,7 +304,7 @@ func TestDrainKeepsJobResumable(t *testing.T) {
 	daemonBin, _ := binaries(t)
 	stateDir := t.TempDir()
 	d := startDaemon(t, daemonBin, stateDir, "-workers", "1")
-	job := d.submit(specJSON)
+	job := d.submit(specJSON, "")
 	deadline := time.Now().Add(5 * time.Minute)
 	for d.status(job.ID).Done < 3 {
 		if time.Now().After(deadline) {

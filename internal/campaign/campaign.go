@@ -66,6 +66,53 @@ func (e ExitPath) String() string {
 	return fmt.Sprintf("ExitPath(%d)", int(e))
 }
 
+// Exec holds how a campaign executes: the knobs that never change a run
+// record or the report. Options embeds it, and RunShard's callers hand
+// theirs down whole.
+type Exec struct {
+	// Workers is the worker-pool size; 0 means GOMAXPROCS.
+	Workers int
+	// FullSim runs every fault on the full-simulation reference path
+	// (runSlow): fork, step the whole mesh through the window, the drain
+	// and the ForEVeR horizon, compare. No run takes the reconvergence
+	// exit (so none the fast path), the divergence frontier or the
+	// frozen-state fast-forward, and the golden warm-up records nothing
+	// those read.
+	// Reports are byte-identical either way (test-enforced); the switch
+	// is the oracle the shortcuts are held to and the baseline their win
+	// is measured against.
+	FullSim bool
+	// GoldenCache, when non-nil, shares the golden half of the campaign
+	// (warm-up mainline, per-injection-cycle snapshots and golden
+	// continuations) with every later Run handed the same cache: a Run
+	// whose artefact is already there does not build it again. Nil — the
+	// default — builds it for this Run alone. Reports are byte-identical
+	// either way (test-enforced).
+	GoldenCache *GoldenCache
+	// Metrics, when non-nil, receives the campaign telemetry something
+	// reads live: the run-path and cycle counters, the golden footprint
+	// and cache families and the group-wait histogram (see the Metric*
+	// name constants). Nil — the default — keeps the hot path free of
+	// any telemetry cost.
+	Metrics *metrics.Registry
+	// Context, when non-nil, cancels the campaign cooperatively: no new
+	// runs start after it is done and Run returns its error. Runs
+	// already in flight complete first.
+	Context context.Context
+	// Tracer, when non-nil, emits hierarchical spans — campaign →
+	// run → phase (warm-start, fault-armed, drain, horizon, and the
+	// reconverged/fast-forwarded tails) — carrying the cycle-accurate
+	// accounting runStats tracks. Run spans honor the tracer's sampling
+	// rate; the campaign span and golden-warmup phase never sample out.
+	// Tracing never touches a run's record or the report: serialized reports
+	// are byte-identical with tracing on or off (test-enforced).
+	Tracer *obs.Tracer
+	// TraceParent optionally parents the campaign span (the daemon's
+	// job span, or a shard span), threading one correlation ID from a
+	// nocalertd job down to every run it executes.
+	TraceParent *obs.Span
+}
+
 // Options configures a campaign.
 type Options struct {
 	// Sim is the network and workload under test.
@@ -91,37 +138,13 @@ type Options struct {
 	// as future work. The faults of a group must share one injection
 	// cycle; groups may differ.
 	FaultGroups [][]fault.Fault
-	// Workers is the worker-pool size; 0 means GOMAXPROCS.
-	Workers int
 	// CheckersDisabled optionally ablates NoCAlert checkers.
 	CheckersDisabled []core.CheckerID
-	// FullSim runs every fault on the full-simulation reference path
-	// (runSlow): fork, step the whole mesh through the window, the drain
-	// and the ForEVeR horizon, compare. No run takes the reconvergence
-	// exit (so none the fast path), the divergence frontier or the
-	// frozen-state fast-forward, and the golden warm-up records nothing
-	// those read.
-	// Reports are byte-identical either way (test-enforced); the switch
-	// is the oracle the shortcuts are held to and the baseline their win
-	// is measured against.
-	FullSim bool
-	// GoldenCache, when non-nil, shares the golden half of the campaign
-	// (warm-up mainline, per-injection-cycle snapshots and golden
-	// continuations) with every later Run handed the same cache: a Run
-	// whose artefact is already there does not build it again. Nil — the
-	// default — builds it for this Run alone. Reports are byte-identical
-	// either way (test-enforced).
-	GoldenCache *GoldenCache
+	Exec
 	// Progress, when non-nil, is invoked after each completed run with
 	// the number of finished runs and the total. Calls are serialized;
 	// the callback must not call back into the campaign.
 	Progress func(done, total int)
-	// Metrics, when non-nil, receives the campaign telemetry something
-	// reads live: the run-path and cycle counters, the golden footprint
-	// and cache families and the group-wait histogram (see the Metric*
-	// name constants). Nil — the default — keeps the hot path free of
-	// any telemetry cost.
-	Metrics *metrics.Registry
 	// OnResult, when non-nil, is invoked after each completed run with
 	// the run's record (Index its position in FaultGroups, WallSeconds
 	// its wall time), the run's RunCounts and this Run's live
@@ -132,22 +155,6 @@ type Options struct {
 	// retain or mutate it. RunShard appends each run's checkpoint record
 	// and sums its stats from here.
 	OnResult func(rec *trace.RunRecord, c RunCounts, faultsPerSec float64)
-	// Context, when non-nil, cancels the campaign cooperatively: no new
-	// runs start after it is done and Run returns its error. Runs
-	// already in flight complete first.
-	Context context.Context
-	// Tracer, when non-nil, emits hierarchical spans — campaign →
-	// run → phase (warm-start, fault-armed, drain, horizon, and the
-	// reconverged/fast-forwarded tails) — carrying the cycle-accurate
-	// accounting runStats tracks. Run spans honor the tracer's sampling
-	// rate; the campaign span and golden-warmup phase never sample out.
-	// Tracing never touches a run's record or the report: serialized reports
-	// are byte-identical with tracing on or off (test-enforced).
-	Tracer *obs.Tracer
-	// TraceParent optionally parents the campaign span (the daemon's
-	// job span, or a shard span), threading one correlation ID from a
-	// nocalertd job down to every run it executes.
-	TraceParent *obs.Span
 }
 
 // DefaultPostInjectRun and DefaultDrainDeadline are what a campaign runs

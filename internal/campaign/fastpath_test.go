@@ -57,7 +57,7 @@ func TestFastPathMatchesSlowPathOnIdleSite(t *testing.T) {
 		DrainDeadline: 2000,
 		Forever:       forever.Options{Epoch: 200, HopLatency: 1},
 		Faults:        faults,
-		Workers:       1,
+		Exec:          Exec{Workers: 1},
 		OnResult: func(rec *trace.RunRecord, c RunCounts, _ float64) {
 			exits[faults[rec.Index].Type] = exitOf(c)
 		},
@@ -201,8 +201,7 @@ func TestContextCancellation(t *testing.T) {
 		DrainDeadline: 2000,
 		Forever:       forever.Options{Epoch: 200, HopLatency: 1},
 		Faults:        faults,
-		Workers:       1,
-		Context:       ctx,
+		Exec:          Exec{Workers: 1, Context: ctx},
 	})
 	if err != context.Canceled {
 		t.Fatalf("Run with cancelled context returned %v, want context.Canceled", err)

@@ -42,7 +42,7 @@ func multiCycleOptions(mesh topology.Mesh, nFaults int, seed uint64, cycles []in
 		DrainDeadline: drain,
 		Forever:       forever.Options{Epoch: epoch, HopLatency: 1},
 		Faults:        faults,
-		Workers:       1,
+		Exec:          Exec{Workers: 1},
 	}
 }
 

@@ -174,7 +174,8 @@ func distinctCycles(groups [][]fault.Fault) []int64 {
 // goldenInputs resolves what the golden artefact is a function of: the
 // distinct injection cycles and the key naming them together with every
 // option the warm-up reads. The fault list enters only through the cycle
-// set; Workers, the hooks and the context never do. %#v spells Sim and
+// set. Of Exec's knobs only FullSim enters, since it decides what the
+// warm-up records; the others, and the hooks, never do. %#v spells Sim and
 // Forever out field by field with the dynamic types of the routing
 // algorithm and traffic pattern, so a value field added to either config
 // changes the key without an edit here. That holds for configs made of

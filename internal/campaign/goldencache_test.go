@@ -166,10 +166,11 @@ func TestGoldenCacheOverlappingRuns(t *testing.T) {
 	}
 }
 
-// TestGoldenKeyCoversOptions classifies every field of Options: changing
-// one the golden artefact depends on must change the key, changing any
-// other must not. A field this table does not name fails the test, so a
-// new option cannot silently make two different artefacts share a key.
+// TestGoldenKeyCoversOptions classifies every field of Options and of the
+// Exec it embeds: changing one the golden artefact depends on must change
+// the key, changing any other must not. A field this table does not name
+// fails the test, so a new option cannot silently make two different
+// artefacts share a key. Of Exec's fields only FullSim changes it.
 func TestGoldenKeyCoversOptions(t *testing.T) {
 	base := func() Options {
 		o := obsOpts(8)
@@ -233,9 +234,13 @@ func TestGoldenKeyCoversOptions(t *testing.T) {
 	if keyOf(base()) != k0 {
 		t.Fatal("key is not a function of the options")
 	}
-	typ := reflect.TypeOf(Options{})
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
+	var fields []string // every field of Options, Exec's spelled out
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		if !f.Anonymous {
+			fields = append(fields, f.Name)
+		}
+	}
+	for _, name := range fields {
 		fl, ok := flips[name]
 		if !ok {
 			t.Errorf("Options.%s is not classified: say here whether the golden artefact depends on it, and hash it in goldenInputs if it does", name)

@@ -7,15 +7,16 @@ import (
 	"nocalert/internal/trace"
 )
 
-// Merged is the folded output of a complete shard set: the campaign
+// Merged is the output of a complete, gated shard set: the campaign
 // spec the shards agree on and every run record, in global index
-// order. Report() turns it into the same aggregated Report an
+// order. Report() folds it into the same aggregated Report an
 // unsharded run produces.
 type Merged struct {
 	Spec   Spec
 	Shards int
 	// Records holds one record per fault of the universe, sorted by
-	// global index (0..len-1, gap-free — MergeShards guarantees it).
+	// global index (0..len-1, gap-free — whoever gated the shards
+	// guarantees it).
 	Records []trace.RunRecord
 }
 
@@ -78,19 +79,22 @@ func MergeShards(shards []*trace.CheckpointData) (*Merged, error) {
 	return out, nil
 }
 
-// Report rebuilds the aggregated campaign report from the merged
-// records. The result renders bit-identically to the report of the
-// equivalent unsharded run (same figures, same WriteJSON bytes).
-func (m *Merged) Report() (*Report, error) {
-	return ReportFromRecords(m.Spec, m.Records)
+// Report folds the merged records into the aggregated campaign report.
+// It neither plans nor gates: whoever built m gated every shard against
+// one plan (MergeShards, or the coordinator at each fetch). The result
+// renders bit-identically to the report of the equivalent unsharded run
+// (same figures, same WriteJSON bytes).
+func (m *Merged) Report() *Report {
+	return foldRecords(m.Spec, m.Records)
 }
 
 // ReportFromRecords builds the Report of a complete record set (one
 // record per fault of spec's universe, indices 0..len-1 in any order):
 // the records pass the gate of the spec's shard 0/1 (Shard.Check) and
-// are placed in index order. It is the fold an unsharded Run's report
-// is, over the same records; what records do not carry — the golden
-// artefact's footprint and the run paths' cycle accounting — stays zero.
+// are folded as Merged.Report folds. It is the fold an unsharded Run's
+// report is, over the same records; what records do not carry — the
+// golden artefact's footprint and the run paths' cycle accounting — stays
+// zero.
 func ReportFromRecords(spec Spec, recs []trace.RunRecord) (*Report, error) {
 	sh, err := PlanShard(spec, 0, 1)
 	if err != nil {
@@ -103,6 +107,12 @@ func ReportFromRecords(spec Spec, recs []trace.RunRecord) (*Report, error) {
 	if err := sh.Check(m, recs, true); err != nil {
 		return nil, err
 	}
+	return foldRecords(spec, recs), nil
+}
+
+// foldRecords places a gated, complete record set in index order under
+// the spec's options and counts its fast-path runs.
+func foldRecords(spec Spec, recs []trace.RunRecord) *Report {
 	rep := &Report{Opts: spec.Options(), Results: make([]trace.RunRecord, len(recs))}
 	for i := range recs {
 		rep.Results[recs[i].Index] = recs[i]
@@ -110,5 +120,5 @@ func ReportFromRecords(spec Spec, recs []trace.RunRecord) (*Report, error) {
 			rep.FastPathHits++
 		}
 	}
-	return rep, nil
+	return rep
 }

@@ -33,7 +33,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 		DrainDeadline: 3000,
 		Forever:       forever.Options{Epoch: 250, HopLatency: 1},
 		Faults:        faults,
-		Metrics:       reg,
+		Exec:          Exec{Metrics: reg},
 		OnResult: func(rec *trace.RunRecord, c RunCounts, _ float64) {
 			if _, dup := walls[rec.Index]; dup {
 				t.Errorf("OnResult called twice for index %d", rec.Index)
@@ -108,10 +108,10 @@ var metricReaders = map[string]string{
 	MetricWarmstartSaved:    "bench/fleet.go's fleet totals",
 	MetricSnapshotBytes:     "bench/fleet.go's fleet totals",
 	MetricTimelineBytes:     "bench/fleet.go's fleet totals",
-	MetricGoldenCacheHits:   "CI's scrape of a live daemon and e2e/distributed_test.go",
-	MetricGoldenCacheMisses: "CI's scrape of a live daemon and e2e/distributed_test.go",
-	MetricGoldenCacheBytes:  "CI's scrape of a live daemon and e2e/distributed_test.go",
-	MetricGoldenGroupWait:   "CI's scrape of a live daemon and pipeline_test.go",
+	MetricGoldenCacheHits:   "e2e/metrics_test.go and e2e/distributed_test.go",
+	MetricGoldenCacheMisses: "e2e/metrics_test.go and e2e/distributed_test.go",
+	MetricGoldenCacheBytes:  "e2e/metrics_test.go and e2e/distributed_test.go",
+	MetricGoldenGroupWait:   "e2e/metrics_test.go and pipeline_test.go",
 }
 
 // TestMetricFamiliesHaveReaders holds the registry a campaign fills to

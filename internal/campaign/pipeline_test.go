@@ -209,7 +209,7 @@ func TestLiveRateSkipsGroupWaits(t *testing.T) {
 	// One worker runs the faults in injection-cycle order: the universe
 	// alternates its two cycles, so the eight of cycle 0 come first.
 	var rates []float64
-	recs, _, err := RunShard(spec, 0, 1, "", ShardRunOptions{Workers: 1, Metrics: reg,
+	recs, _, err := RunShard(spec, 0, 1, "", ShardRunOptions{Exec: Exec{Workers: 1, Metrics: reg},
 		Progress: func(st ShardRunStats) {
 			if st.Executed == 0 {
 				return // the call before the first run: nothing measured yet

@@ -131,7 +131,7 @@ func TestReconvergenceOffGoldenPathUnchanged(t *testing.T) {
 		DrainDeadline: 2500,
 		Forever:       forever.Options{Epoch: 250, HopLatency: 1},
 		Faults:        SampleFaults(params, 4, 11, 100),
-		Workers:       1,
+		Exec:          Exec{Workers: 1},
 	}
 	var golds [2]*Golden
 	for i, fullSim := range []bool{false, true} {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 
 	"nocalert/internal/fault"
-	"nocalert/internal/metrics"
-	"nocalert/internal/obs"
 	"nocalert/internal/rng"
 	"nocalert/internal/trace"
 )
@@ -20,29 +18,21 @@ const shardVerifyTag = 0x5e71f7
 // re-executes and compares against the checkpoint by default.
 const DefaultVerifyResumed = 2
 
-// ShardRunOptions configures RunShard's execution knobs — everything
-// that may differ between two executions of the same shard without
-// affecting its results.
+// ShardRunOptions configures RunShard's execution: everything that may
+// differ between two executions of the same shard without affecting its
+// results.
 type ShardRunOptions struct {
-	// Workers is the worker-pool size; 0 means GOMAXPROCS.
-	Workers int
-	// FullSim runs every fault on the full-simulation reference path (see
-	// Options.FullSim). Result-invisible either way — the identity CI
-	// gate holds this to byte-identical reports.
-	FullSim bool
-	// GoldenCache, when non-nil, shares the golden warm-up with the other
-	// shards and jobs run off the same cache (see Options.GoldenCache).
-	GoldenCache *GoldenCache
+	// Exec is how the shard's campaign executes. Its Context cancels the
+	// shard cooperatively: completed runs are already durable in the
+	// checkpoint when RunShard returns the context's error. Its Tracer
+	// wraps the campaign in a shard span, parented to TraceParent
+	// (typically the daemon's job span), so the job → shard → run
+	// correlation ID threads end to end.
+	Exec
 	// Progress, when non-nil, is invoked once before the first run,
 	// with the resumed runs done (Executed is 0), and then after each
 	// newly executed run, with a snapshot of the running stats.
 	Progress func(stats ShardRunStats)
-	// Metrics, when non-nil, receives the campaign telemetry.
-	Metrics *metrics.Registry
-	// Context cancels the shard cooperatively; completed runs are
-	// already durable in the checkpoint when RunShard returns the
-	// context's error.
-	Context context.Context
 	// VerifyResumed is how many already-recorded runs to re-execute and
 	// compare against the checkpoint when resuming: deterministic
 	// re-execution is what makes a partial checkpoint trustworthy. 0
@@ -50,12 +40,6 @@ type ShardRunOptions struct {
 	// is drawn from a stream derived from (seed, shard) so it does not
 	// depend on how many times the shard was interrupted.
 	VerifyResumed int
-	// Tracer, when non-nil, wraps the shard's campaign in a shard span
-	// (parented to TraceParent — typically the daemon's job span) so
-	// the job → shard → run correlation ID threads end to end.
-	Tracer *obs.Tracer
-	// TraceParent optionally parents the shard span.
-	TraceParent *obs.Span
 }
 
 // ShardRunStats summarizes one RunShard execution. Its JSON form is the
@@ -212,13 +196,8 @@ func RunShard(spec Spec, i, n int, path string, o ShardRunOptions) (_ []trace.Ru
 	records := append(make([]trace.RunRecord, 0, stats.Total), completed...)
 	opts := sh.Spec.Options()
 	opts.Faults = faults
-	opts.Workers = o.Workers
-	opts.FullSim = o.FullSim
-	opts.GoldenCache = o.GoldenCache
-	opts.Metrics = o.Metrics
-	opts.Context = ctx
-	opts.Tracer = o.Tracer
-	opts.TraceParent = sspan
+	opts.Exec = o.Exec
+	opts.Context, opts.TraceParent = ctx, sspan
 	opts.OnResult = func(r *trace.RunRecord, c RunCounts, faultsPerSec float64) {
 		// Serialized by the campaign's progress mutex.
 		if firstErr != nil {

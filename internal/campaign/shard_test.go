@@ -250,10 +250,7 @@ func TestShardedMergeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergedRep, err := merged.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mergedRep := merged.Report()
 	var a, b bytes.Buffer
 	if err := unshardedRep.WriteJSON(&a); err != nil {
 		t.Fatal(err)
@@ -353,8 +350,8 @@ func FuzzSpecIntake(f *testing.F) {
 }
 
 // FuzzMergeShards holds the merge gate's intake: the bytes `faultcampaign
-// merge` reads from a file, and the coordinator from a worker, go through
-// trace.ReadCheckpoint, MergeShards and Merged.Report. The fuzzed bytes are
+// merge` reads from a file go through trace.ReadCheckpoint, MergeShards
+// and Merged.Report, the fold MergeShards' gate alone guards. The fuzzed bytes are
 // shard 0's checkpoint of the golden 4×4 campaign, merged ahead of its
 // honest sibling, shard 1, so the merge plans from the fuzzed manifest. No
 // input may panic, and the set is either refused or reports one record per
@@ -409,10 +406,7 @@ func FuzzMergeShards(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rep, err := merged.Report()
-		if err != nil {
-			return
-		}
+		rep := merged.Report()
 		if len(rep.Results) != len(universe) {
 			t.Fatalf("merged %d records for a universe of %d faults", len(rep.Results), len(universe))
 		}
@@ -504,8 +498,7 @@ func TestInterruptedShardResume(t *testing.T) {
 		}
 	}}
 	_, stats, err := RunShard(spec, idx, n, path, ShardRunOptions{
-		Workers:  1,
-		Context:  ctx,
+		Exec:     Exec{Workers: 1, Context: ctx},
 		Progress: fresh.progress,
 	})
 	cancel()
@@ -601,7 +594,7 @@ func TestRunShardWithoutCheckpoint(t *testing.T) {
 	}
 	spec := shardTestSpec(48)
 	var p firstProgress
-	recs, stats, err := RunShard(spec, 0, 1, "", ShardRunOptions{Workers: 2, Progress: p.progress})
+	recs, stats, err := RunShard(spec, 0, 1, "", ShardRunOptions{Exec: Exec{Workers: 2}, Progress: p.progress})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,8 +704,7 @@ func interruptedShard(t *testing.T, spec Spec, after int) (string, *trace.Checkp
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, _, err := RunShard(spec, 0, 1, path, ShardRunOptions{
-		Workers: 1,
-		Context: ctx,
+		Exec: Exec{Workers: 1, Context: ctx},
 		Progress: func(st ShardRunStats) {
 			if st.Done >= after {
 				cancel()
@@ -786,7 +778,7 @@ func TestResumeRefusesUnknownChecker(t *testing.T) {
 		}
 	}, false)
 	var p firstProgress
-	_, stats, err := RunShard(spec, 0, 1, path, ShardRunOptions{Workers: 1, Progress: p.progress})
+	_, stats, err := RunShard(spec, 0, 1, path, ShardRunOptions{Exec: Exec{Workers: 1}, Progress: p.progress})
 	if err == nil {
 		t.Fatalf("a checkpoint whose record %d lists checker %d was resumed: %+v", idx, bad, stats)
 	}

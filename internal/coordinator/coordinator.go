@@ -6,9 +6,10 @@
 // campaign.PlanShards partition the CLI's -shard flag uses), submits
 // each shard over the workers' HTTP job API, watches every shard's
 // NDJSON event stream as its heartbeat, checks each finalized shard
-// checkpoint it fetches against its planned shard (campaign.Shard.Check),
-// and folds them through campaign.MergeShards — so the merged report is
-// byte-identical to an unsharded run, or the merge gate refuses.
+// checkpoint it fetches against its planned shard (campaign.Shard.Check,
+// a dispatch's only gate), and places the gated records into one
+// campaign.Merged — so the merged report is byte-identical to an
+// unsharded run, or the gate refuses the shard and it is requeued.
 //
 // Robustness is lease-based. A shard dispatch holds a lease that the
 // worker renews with every progress event; a worker that dies (stream
@@ -291,25 +292,17 @@ func Run(ctx context.Context, spec campaign.Spec, cfg Config) (*Result, error) {
 		return nil, r.fatalErr
 	}
 
-	ordered := make([]*trace.CheckpointData, 0, len(r.plan))
-	for i := range r.plan {
-		cd, ok := r.results[i]
-		if !ok {
-			return nil, fmt.Errorf("coordinator: shard %d missing after completion", i)
+	// The run finished with every shard recorded, each past its planned
+	// shard's gate at fetch, so the records go into place as they are.
+	merged := &campaign.Merged{Spec: spec, Shards: len(r.plan), Records: make([]trace.RunRecord, r.total)}
+	for _, cd := range r.results {
+		for _, rec := range cd.Records {
+			merged.Records[rec.Index] = rec
 		}
-		ordered = append(ordered, cd)
-	}
-	merged, err := campaign.MergeShards(ordered)
-	if err != nil {
-		return nil, fmt.Errorf("coordinator: merge gate refused the fleet's shards: %w", err)
-	}
-	report, err := merged.Report()
-	if err != nil {
-		return nil, err
 	}
 	stats := r.stats
 	stats.PerWorker = append([]WorkerStats(nil), r.stats.PerWorker...)
-	return &Result{Merged: merged, Report: report, Stats: stats}, nil
+	return &Result{Merged: merged, Report: merged.Report(), Stats: stats}, nil
 }
 
 // agent is one dispatch slot of one worker: it pulls pending shards

@@ -54,12 +54,8 @@ func referenceReport(t *testing.T, spec campaign.Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := merged.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := merged.Report().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -320,7 +316,7 @@ func shardCheckpoint(t *testing.T, spec campaign.Spec, i, n int) []byte {
 	t.Helper()
 	spec.Normalize()
 	path := filepath.Join(t.TempDir(), "shard.ckpt.ndjson")
-	if _, _, err := campaign.RunShard(spec, i, n, path, campaign.ShardRunOptions{Workers: 2}); err != nil {
+	if _, _, err := campaign.RunShard(spec, i, n, path, campaign.ShardRunOptions{Exec: campaign.Exec{Workers: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)

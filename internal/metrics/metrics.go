@@ -130,9 +130,14 @@ func ExponentialBounds(start, factor float64, count int) []float64 {
 }
 
 // Registry is a named collection of instruments. Instruments are
-// created on first use and shared thereafter; using one name for two
-// different instrument kinds (or two different histogram layouts)
-// panics, since it is a programming error no caller can recover from.
+// created on first use and shared thereafter. A name the OpenMetrics
+// exposition could not carry panics at registration, since it is a
+// programming error no caller can recover from: one that is no valid
+// metric name, one registered for two different instrument kinds (or two
+// different histogram layouts), and one whose family or sample names
+// (see WriteOpenMetrics) another instrument already writes, such as the
+// counters "foo" and "foo_total", or the histogram "h" and the gauge
+// "h_count".
 //
 // A nil *Registry is the "telemetry off" convention used throughout the
 // repository; packages accepting a registry must nil-check before
@@ -142,6 +147,9 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	// written maps every name the exposition writes, family and sample
+	// names alike, to the instrument that writes it.
+	written map[string]string
 }
 
 // NewRegistry returns an empty registry.
@@ -150,18 +158,40 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
+		written:    make(map[string]string),
 	}
 }
 
-func (r *Registry) checkName(name, want string) {
-	if _, ok := r.counters[name]; ok && want != "counter" {
-		panic(fmt.Sprintf("metrics: %q already registered as a counter", name))
+// exposedNames lists what the exposition of an instrument of the given
+// kind registered as name writes: its family name first, then its
+// sample names.
+func exposedNames(kind, name string) []string {
+	switch kind {
+	case "counter":
+		family := counterFamily(name)
+		return []string{family, family + "_total"}
+	case "histogram":
+		return []string{name, name + "_bucket", name + "_sum", name + "_count"}
 	}
-	if _, ok := r.gauges[name]; ok && want != "gauge" {
-		panic(fmt.Sprintf("metrics: %q already registered as a gauge", name))
+	return []string{name}
+}
+
+// claim reserves the names a new instrument's exposition writes, or
+// panics when its family is no valid metric name or another instrument
+// writes one of them already.
+func (r *Registry) claim(kind, name string) {
+	names := exposedNames(kind, name)
+	if !omNameRe.MatchString(names[0]) {
+		panic(fmt.Sprintf("metrics: %s %q has the invalid family name %q", kind, name, names[0]))
 	}
-	if _, ok := r.histograms[name]; ok && want != "histogram" {
-		panic(fmt.Sprintf("metrics: %q already registered as a histogram", name))
+	for _, n := range names {
+		if owner, ok := r.written[n]; ok {
+			panic(fmt.Sprintf("metrics: %s %q would write %q, which the %s already writes", kind, name, n, owner))
+		}
+	}
+	owner := fmt.Sprintf("%s %q", kind, name)
+	for _, n := range names {
+		r.written[n] = owner
 	}
 }
 
@@ -173,7 +203,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	r.checkName(name, "counter")
+	r.claim("counter", name)
 	c := &Counter{}
 	r.counters[name] = c
 	return c
@@ -187,16 +217,16 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
-	r.checkName(name, "gauge")
+	r.claim("gauge", name)
 	g := &Gauge{}
 	r.gauges[name] = g
 	return g
 }
 
 // Histogram returns the histogram registered under name, creating it
-// with the given bucket upper bounds (which must be strictly
-// increasing) on first use. Re-registering with different bounds
-// panics.
+// with the given bucket upper bounds (which must be finite and strictly
+// increasing; the +Inf bucket is implicit) on first use. Re-registering
+// with different bounds panics.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -211,15 +241,15 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		}
 		return h
 	}
-	r.checkName(name, "histogram")
 	if len(bounds) == 0 {
 		panic(fmt.Sprintf("metrics: histogram %q needs at least one bucket bound", name))
 	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: histogram %q bounds not strictly increasing", name))
+	for i, b := range bounds {
+		if math.IsNaN(b) || math.IsInf(b, 0) || i > 0 && b <= bounds[i-1] {
+			panic(fmt.Sprintf("metrics: histogram %q bounds not finite and strictly increasing", name))
 		}
 	}
+	r.claim("histogram", name)
 	h := &Histogram{
 		bounds:  append([]float64(nil), bounds...),
 		buckets: make([]atomic.Int64, len(bounds)+1),

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -112,6 +113,44 @@ func TestRegistryReuseAndMismatch(t *testing.T) {
 	mustPanic(t, "counter as gauge", func() { reg.Gauge("x") })
 	mustPanic(t, "histogram bounds mismatch", func() { reg.Histogram("h", []float64{1, 3}) })
 	mustPanic(t, "unsorted bounds", func() { reg.Histogram("bad", []float64{2, 1}) })
+}
+
+// TestRegistryRefusesCollidingNames: two instruments whose expositions
+// would write one family name, or one sample name, are refused like a
+// kind mismatch, in either registration order; so are a family name no
+// scraper takes and a bound that is not finite. What the registry kept
+// still writes an exposition its validator takes.
+func TestRegistryRefusesCollidingNames(t *testing.T) {
+	for _, pair := range []struct {
+		what        string
+		first, then func(r *Registry)
+	}{
+		{"counter foo_total and gauge foo", func(r *Registry) { r.Counter("foo_total") }, func(r *Registry) { r.Gauge("foo") }},
+		{"counters bar and bar_total", func(r *Registry) { r.Counter("bar") }, func(r *Registry) { r.Counter("bar_total") }},
+		{"histogram h and gauge h_count", func(r *Registry) { r.Histogram("h", []float64{1}) }, func(r *Registry) { r.Gauge("h_count") }},
+		{"counter x and gauge x_total", func(r *Registry) { r.Counter("x") }, func(r *Registry) { r.Gauge("x_total") }},
+		{"histogram h and counter h_sum", func(r *Registry) { r.Histogram("h", []float64{1}) }, func(r *Registry) { r.Counter("h_sum") }},
+	} {
+		for _, order := range [][2]func(*Registry){{pair.first, pair.then}, {pair.then, pair.first}} {
+			reg := NewRegistry()
+			order[0](reg)
+			mustPanic(t, pair.what, func() { order[1](reg) })
+			var buf bytes.Buffer
+			if err := reg.WriteOpenMetrics(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ValidateOpenMetrics(&buf); err != nil {
+				t.Errorf("%s: the registry kept an exposition its validator refuses: %v", pair.what, err)
+			}
+		}
+	}
+	reg := NewRegistry()
+	mustPanic(t, "counter _total (family \"\")", func() { reg.Counter("_total") })
+	mustPanic(t, "gauge a-b", func() { reg.Gauge("a-b") })
+	mustPanic(t, "a +Inf bound", func() { reg.Histogram("inf", []float64{1, math.Inf(1)}) })
+	mustPanic(t, "a NaN bound", func() { reg.Histogram("nan", []float64{math.NaN(), 1}) })
+	// A refused registration claims no name.
+	reg.Histogram("inf", []float64{1, 2})
 }
 
 func mustPanic(t *testing.T, what string, f func()) {

@@ -23,12 +23,15 @@ const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 // Family naming: a counter registered as "foo_total" is the family
 // "foo" with sample "foo_total"; a counter without the suffix becomes
 // the family as-is with "_total" appended to its sample, so every
-// counter exposition is spec-clean either way.
+// counter exposition is spec-clean either way. The registry refuses a
+// second instrument that would write a family or sample name already
+// written, so every family appears once and every sample name is its
+// own family's.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	s := r.Snapshot()
 	bw := bufio.NewWriter(w)
 	for _, c := range s.Counters {
-		family := strings.TrimSuffix(c.Name, "_total")
+		family := counterFamily(c.Name)
 		fmt.Fprintf(bw, "# TYPE %s counter\n", family)
 		fmt.Fprintf(bw, "%s_total %d\n", family, c.Value)
 	}
@@ -49,6 +52,11 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	}
 	fmt.Fprintf(bw, "# EOF\n")
 	return bw.Flush()
+}
+
+// counterFamily is the family a counter registered as name exposes.
+func counterFamily(name string) string {
+	return strings.TrimSuffix(name, "_total")
 }
 
 // formatOMValue renders a float in OpenMetrics' number syntax (shortest

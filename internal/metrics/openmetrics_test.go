@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -128,4 +129,76 @@ func TestValidateOpenMetricsTrailingHistogram(t *testing.T) {
 	if _, err := ValidateOpenMetrics(strings.NewReader(in)); err == nil {
 		t.Fatal("validator missed a trailing histogram with no +Inf bucket")
 	}
+}
+
+// The names and values FuzzOpenMetricsExposition draws from: stems under
+// every suffix an exposition writes, so registrations collide as often as
+// they can, besides names no scraper takes; and values in an order whose
+// runs are often, not always, valid histogram bounds.
+var (
+	fuzzStems    = []string{"a", "h", "a_total", "", "9a", "a-b"}
+	fuzzSuffixes = []string{"", "_total", "_count", "_sum", "_bucket", "_created"}
+	fuzzValues   = []float64{-1, 0, 0.5, 1, 2, 3, 1e300, math.Inf(1), math.NaN(), math.Inf(-1), math.Copysign(0, -1)}
+)
+
+// maxFuzzOps bounds FuzzOpenMetricsExposition's input: a registry of a few
+// dozen names already holds every collision, and a longer input only slows
+// the minimizer down.
+const maxFuzzOps = 64
+
+// FuzzOpenMetricsExposition holds the OpenMetrics writer to its validator:
+// the input is a list of four-byte operations (kind, name, a, b), each a
+// counter add of a, a gauge set of value a, or a histogram registered with
+// bounds drawn from a and observing value b. A registration the registry
+// refuses (it panics) is skipped; the exposition of everything it took
+// must pass ValidateOpenMetrics. Inputs past maxFuzzOps operations are
+// skipped.
+func FuzzOpenMetricsExposition(f *testing.F) {
+	f.Add([]byte{0, 0, 5, 0, 1, 1, 3, 0, 2, 7, 1, 4, 2, 7, 1, 2})                         // counter a, gauge h, histogram h_total
+	f.Add([]byte{0, 6, 1, 0, 0, 0, 1, 0, 2, 1, 0, 0, 1, 13, 7, 0})                        // counters a_total, a; gauge h_count beside histogram h
+	f.Add([]byte{2, 1, 4, 7, 2, 1, 4, 8, 2, 1, 4, 9, 1, 0, 8, 0, 1, 2, 7, 0, 1, 4, 9, 0}) // NaN and ±Inf observations and gauge values, name 9a
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4*maxFuzzOps {
+			return
+		}
+		reg := NewRegistry()
+		for ; len(ops) >= 4; ops = ops[4:] {
+			kind, a, b := ops[0]%3, int(ops[2]), int(ops[3])
+			name := fuzzStems[int(ops[1])%len(fuzzStems)] + fuzzSuffixes[int(ops[1])/len(fuzzStems)%len(fuzzSuffixes)]
+			unlessRefused(func() {
+				switch kind {
+				case 0:
+					reg.Counter(name).Add(int64(a))
+				case 1:
+					reg.Gauge(name).Set(fuzzValues[a%len(fuzzValues)])
+				case 2:
+					bounds := make([]float64, 1+a%4)
+					for i := range bounds {
+						bounds[i] = fuzzValues[(a/4+i)%len(fuzzValues)]
+					}
+					reg.Histogram(name, bounds).Observe(fuzzValues[b%len(fuzzValues)])
+				}
+			})
+		}
+		var buf bytes.Buffer
+		if err := reg.WriteOpenMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ValidateOpenMetrics(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("the registry wrote an exposition its validator refuses: %v\n%s", err, buf.Bytes())
+		}
+	})
+}
+
+// unlessRefused runs a registration and its update; a registration the
+// registry refuses is skipped, any other panic is not.
+func unlessRefused(f func()) {
+	defer func() {
+		if p := recover(); p != nil {
+			if msg, ok := p.(string); !ok || !strings.HasPrefix(msg, "metrics: ") {
+				panic(p)
+			}
+		}
+	}()
+	f()
 }

@@ -218,7 +218,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCheckpoint serves a done job's finalized shard checkpoint —
-// the NDJSON artifact a coordinator feeds through MergeShards. Like
+// the NDJSON artifact `faultcampaign merge` and a coordinator fold. Like
 // the report it exists only once the job is done.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobOr404(w, r)

@@ -648,7 +648,7 @@ func TestResumeJumpPrecedesProgress(t *testing.T) {
 	// Leave a partial checkpoint where the job keeps its records.
 	path := s.checkpointPath(j)
 	ctx, cancel := context.WithCancel(context.Background())
-	_, _, err = campaign.RunShard(j.Spec, 0, 1, path, campaign.ShardRunOptions{Workers: 1, Context: ctx,
+	_, _, err = campaign.RunShard(j.Spec, 0, 1, path, campaign.ShardRunOptions{Exec: campaign.Exec{Workers: 1, Context: ctx},
 		Progress: func(st campaign.ShardRunStats) {
 			if st.Done >= 5 {
 				cancel()

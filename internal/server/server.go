@@ -526,13 +526,15 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	jspan.SetAttr("job_id", j.ID)
 	jspan.SetAttr("spec_hash", j.SpecHash)
 	_, stats, err := campaign.RunShard(j.Spec, j.ShardIndex, j.ShardCount, s.checkpointPath(j), campaign.ShardRunOptions{
-		Workers:       s.cfg.CampaignWorkers,
-		GoldenCache:   s.golden,
-		Metrics:       s.reg,
-		Context:       ctx,
+		Exec: campaign.Exec{
+			Workers:     s.cfg.CampaignWorkers,
+			GoldenCache: s.golden,
+			Metrics:     s.reg,
+			Context:     ctx,
+			Tracer:      s.cfg.Tracer,
+			TraceParent: jspan,
+		},
 		VerifyResumed: s.cfg.VerifyResumed,
-		Tracer:        s.cfg.Tracer,
-		TraceParent:   jspan,
 		Progress:      func(st campaign.ShardRunStats) { s.progress(j, st) },
 	})
 	j.mu.Lock()
