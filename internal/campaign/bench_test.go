@@ -135,6 +135,10 @@ func spanMean(spans []obs.SpanRecord, key string) float64 {
 //
 //	go test -run '^$' -bench GoldenWarmup/8x8 -benchtime 4x \
 //	    -cpuprofile cpu.out ./internal/campaign
+//
+// Besides its timings and counts it reports transcript-B/cycle, the
+// footprint of the golden transcript the group recorded over its cycles:
+// what the frontier's replay costs in memory, an exact number.
 func BenchmarkGoldenWarmup(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -217,6 +221,10 @@ func BenchmarkGoldenWarmup(b *testing.B) {
 			b.ReportMetric(float64(gold.vcTermsFolded)/cycles, "vc-terms-recomputed/cycle")
 			b.ReportMetric(perWarmup/(cycles*float64(bc.w*bc.h)), "ns/router-cycle")
 			b.ReportMetric(perWarmup/float64(gold.routerSteps), "ns/router-step")
+			// And the golden transcript the group's runs replay, in bytes
+			// (sim.Recording.ApproxFootprintBytes) per cycle it recorded.
+			rec := gold.groups[bc.inject].gc.rec
+			b.ReportMetric(float64(rec.ApproxFootprintBytes())/float64(rec.Cycles()), "transcript-B/cycle")
 		})
 	}
 }

@@ -491,8 +491,8 @@ func msSince(t time.Time) float64 { return float64(time.Since(t).Microseconds())
 
 // goldenCacheBudget caps the estimated bytes (Golden.footprint:
 // snapshots, per-window records, golden logs) a GoldenCache retains. A
-// paper-scale 8×8 artefact is about 3 MB per injection cycle and a
-// 16×16 one about 10 MB, so the budget holds the artefacts of a few
+// paper-scale 8×8 artefact is about 2 MB per injection cycle and a
+// 16×16 one about 6.5 MB, so the budget holds the artefacts of a few
 // dozen recent campaigns; past it the least recently used go, and an
 // artefact larger than the whole budget is handed to its campaign
 // without being kept.

@@ -43,6 +43,20 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
+// KindAt is the kind of flit seq of a packet of length flits, as Flits
+// segments it.
+func KindAt(seq, length int) Kind {
+	switch {
+	case length == 1:
+		return HeadTail
+	case seq == 0:
+		return Head
+	case seq == length-1:
+		return Tail
+	}
+	return Body
+}
+
 // IsHead reports whether the flit opens a packet (Head or HeadTail).
 func (k Kind) IsHead() bool { return k == Head || k == HeadTail }
 
@@ -163,20 +177,11 @@ func (p *Packet) Flits(destX, destY int) []*Flit {
 	block := make([]Flit, p.Length)
 	out := make([]*Flit, p.Length)
 	for i := 0; i < p.Length; i++ {
-		kind := Body
-		switch {
-		case p.Length == 1:
-			kind = HeadTail
-		case i == 0:
-			kind = Head
-		case i == p.Length-1:
-			kind = Tail
-		}
 		payload := p.Payload + uint64(i)
 		block[i] = Flit{
 			PacketID:   p.ID,
 			Seq:        i,
-			Kind:       kind,
+			Kind:       KindAt(i, p.Length),
 			Src:        p.Src,
 			Dest:       p.Dest,
 			DestX:      destX,

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -87,9 +89,12 @@ var omSuffixes = map[string][]string{
 // ValidateOpenMetrics is a promtool-style lint over an OpenMetrics text
 // exposition, strict enough to catch the mistakes that break real
 // scrapers: missing or non-final `# EOF`, samples not belonging to the
-// preceding TYPE family, interleaved or repeated families, counter
-// samples without `_total`, histograms without a `+Inf` bucket or with
-// non-cumulative bucket counts, and unparseable values.
+// preceding TYPE family, interleaved or repeated families, a sample
+// repeated within its family (same name and labels), counter samples
+// without `_total`, histograms without a `+Inf` bucket, with `le` bounds
+// that repeat or do not increase, or with non-cumulative bucket counts,
+// and unparseable values. A histogram's checks hold per series: its
+// samples' labels without `le`.
 func ValidateOpenMetrics(r io.Reader) (OMStats, error) {
 	var st OMStats
 	sc := bufio.NewScanner(r)
@@ -101,6 +106,7 @@ func ValidateOpenMetrics(r io.Reader) (OMStats, error) {
 	lineNo := 0
 
 	type histState struct {
+		lastLE     float64
 		lastBucket int64
 		haveBucket bool
 		haveInf    bool
@@ -108,16 +114,23 @@ func ValidateOpenMetrics(r io.Reader) (OMStats, error) {
 		count      int64
 		haveCount  bool
 	}
-	var hist histState
+	// The current family's samples (name and labels), and its histogram
+	// series by labels without le, in the order they first appeared.
+	samples := make(map[string]bool)
+	hists := make(map[string]*histState)
+	var series []string
 	finishHistogram := func() error {
-		if ftype != "histogram" || !hist.haveBucket {
-			return nil
-		}
-		if !hist.haveInf {
-			return fmt.Errorf("histogram %q has buckets but no le=\"+Inf\" bucket", family)
-		}
-		if hist.haveCount && hist.count != hist.infValue {
-			return fmt.Errorf("histogram %q: _count %d != +Inf bucket %d", family, hist.count, hist.infValue)
+		for _, key := range series {
+			hist := hists[key]
+			if !hist.haveBucket {
+				continue
+			}
+			if !hist.haveInf {
+				return fmt.Errorf("histogram %q%s has buckets but no le=\"+Inf\" bucket", family, key)
+			}
+			if hist.haveCount && hist.count != hist.infValue {
+				return fmt.Errorf("histogram %q%s: _count %d != +Inf bucket %d", family, key, hist.count, hist.infValue)
+			}
 		}
 		return nil
 	}
@@ -160,7 +173,9 @@ func ValidateOpenMetrics(r io.Reader) (OMStats, error) {
 				}
 				seen[name] = true
 				family, ftype = name, typ
-				hist = histState{}
+				clear(samples)
+				clear(hists)
+				series = series[:0]
 				st.Families++
 			case "HELP", "UNIT":
 				if len(parts) < 3 || !omNameRe.MatchString(parts[2]) {
@@ -196,24 +211,44 @@ func ValidateOpenMetrics(r io.Reader) (OMStats, error) {
 			return st, fmt.Errorf("line %d: sample %q does not belong to %s family %q", lineNo, name, ftype, family)
 		}
 		st.Samples++
+		sample := name + omLabelKey(labels, "")
+		if samples[sample] {
+			return st, fmt.Errorf("line %d: sample %s repeated in family %q", lineNo, sample, family)
+		}
+		samples[sample] = true
 
+		var hist *histState
+		if ftype == "histogram" {
+			key := omLabelKey(labels, "le")
+			if hist = hists[key]; hist == nil {
+				hist = &histState{}
+				hists[key] = hist
+				series = append(series, key)
+			}
+		}
 		if ftype == "histogram" && suffix == "_bucket" {
 			le, ok := labels["le"]
 			if !ok {
 				return st, fmt.Errorf("line %d: histogram bucket %q without an le label", lineNo, name)
 			}
+			bound, err := strconv.ParseFloat(le, 64)
+			if err != nil || math.IsNaN(bound) {
+				return st, fmt.Errorf("line %d: unparseable le bound %q", lineNo, le)
+			}
+			if hist.haveBucket && bound <= hist.lastLE {
+				return st, fmt.Errorf("line %d: histogram %q le bound %q does not increase on %s", lineNo, family, le, formatOMValue(hist.lastLE))
+			}
 			iv := int64(val)
 			if le == "+Inf" {
 				hist.haveInf = true
 				hist.infValue = iv
-			} else if _, err := strconv.ParseFloat(le, 64); err != nil {
-				return st, fmt.Errorf("line %d: unparseable le bound %q", lineNo, le)
 			}
 			if hist.haveBucket && iv < hist.lastBucket {
 				return st, fmt.Errorf("line %d: histogram %q bucket counts not cumulative (%d after %d)",
 					lineNo, family, iv, hist.lastBucket)
 			}
 			hist.haveBucket = true
+			hist.lastLE = bound
 			hist.lastBucket = iv
 		}
 		if ftype == "histogram" && suffix == "_count" {
@@ -249,6 +284,29 @@ func omSampleSuffix(name, family, ftype string) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// omLabelKey renders a label set, less the label skip, in one canonical
+// form: sorted by name, values quoted, "" for an empty set.
+func omLabelKey(labels map[string]string, skip string) string {
+	names := make([]string, 0, len(labels))
+	for k := range labels {
+		if k != skip {
+			names = append(names, k)
+		}
+	}
+	if len(names) == 0 {
+		return ""
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for i, k := range names {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(k + "=" + strconv.Quote(labels[k]))
+	}
+	return "{" + b.String() + "}"
 }
 
 // splitOMSample splits a sample line into name, parsed labels and the

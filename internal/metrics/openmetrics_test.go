@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -90,6 +91,12 @@ func TestValidateOpenMetricsRejects(t *testing.T) {
 		{"missing Inf bucket", "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_sum 2\nh_count 2\n# EOF\n", "no le=\"+Inf\""},
 		{"count mismatch", "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 2\nh_sum 2\nh_count 3\n# EOF\n", "_count 3 != +Inf bucket 2"},
 		{"unterminated labels", "# TYPE a gauge\na{x=\"1 2\n# EOF\n", "unterminated"},
+		{"repeated sample", "# TYPE g gauge\ng 1\ng 2\n# EOF\n", "repeated"},
+		{"repeated le", "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n# EOF\n", "repeated"},
+		{"le out of order", "# TYPE h histogram\nh_bucket{le=\"2\"} 0\nh_bucket{le=\"1\"} 0\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n# EOF\n", "does not increase"},
+		{"repeated labelled sample", "# TYPE g gauge\ng{b=\"2\",a=\"1\"} 1\ng{a=\"1\",b=\"2\"} 2\n# EOF\n", "repeated"},
+		{"bucket after Inf", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_bucket{le=\"5\"} 1\n# EOF\n", "does not increase"},
+		{"series without Inf", "# TYPE h histogram\nh_bucket{le=\"1\",s=\"a\"} 1\nh_bucket{le=\"+Inf\",s=\"a\"} 1\nh_bucket{le=\"1\",s=\"b\"} 1\n# EOF\n", "h\"{s=\"b\"} has buckets but no"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,14 +111,18 @@ func TestValidateOpenMetricsRejects(t *testing.T) {
 	}
 }
 
+// TestValidateOpenMetricsAcceptsLabelsAndEscapes: a labelled histogram
+// series, its label value escaped, is one series wherever the labels stand
+// beside le.
 func TestValidateOpenMetricsAcceptsLabelsAndEscapes(t *testing.T) {
+	const shard = "shard=\"a\\\"b\\\\c\\n\""
 	in := "# TYPE h histogram\n" +
 		"# HELP h latency\n" +
 		"# UNIT h seconds\n" +
-		"h_bucket{le=\"0.5\",shard=\"a\\\"b\\\\c\\n\"} 1\n" +
-		"h_bucket{le=\"+Inf\"} 2\n" +
-		"h_sum 1.5\n" +
-		"h_count 2\n" +
+		"h_bucket{le=\"0.5\"," + shard + "} 1\n" +
+		"h_bucket{" + shard + ",le=\"+Inf\"} 2\n" +
+		"h_sum{" + shard + "} 1.5\n" +
+		"h_count{" + shard + "} 2\n" +
 		"# EOF\n"
 	st, err := ValidateOpenMetrics(strings.NewReader(in))
 	if err != nil {
@@ -119,6 +130,19 @@ func TestValidateOpenMetricsAcceptsLabelsAndEscapes(t *testing.T) {
 	}
 	if st.Families != 1 || st.Samples != 4 {
 		t.Fatalf("stats = %+v, want 1 family / 4 samples", st)
+	}
+}
+
+// TestValidateOpenMetricsPerSeries: a histogram's bounds, cumulative
+// counts, +Inf bucket and _count are checked series by series (its labels
+// without le), so two series of one family each start their bounds afresh.
+func TestValidateOpenMetricsPerSeries(t *testing.T) {
+	in := "# TYPE h histogram\n" +
+		"h_bucket{le=\"1\",s=\"a\"} 3\nh_bucket{le=\"+Inf\",s=\"a\"} 4\nh_count{s=\"a\"} 4\n" +
+		"h_bucket{le=\"1\",s=\"b\"} 1\nh_bucket{le=\"+Inf\",s=\"b\"} 1\nh_count{s=\"b\"} 1\n" +
+		"# EOF\n"
+	if _, err := ValidateOpenMetrics(strings.NewReader(in)); err != nil {
+		t.Fatalf("validator rejected two valid series of one histogram: %v", err)
 	}
 }
 
@@ -152,12 +176,16 @@ const maxFuzzOps = 64
 // bounds drawn from a and observing value b. A registration the registry
 // refuses (it panics) is skipped; the exposition of everything it took
 // must pass ValidateOpenMetrics. Inputs past maxFuzzOps operations are
-// skipped.
+// skipped. A nonzero tamper then damages the exposition (tampered) and
+// the validator must refuse what it makes of it.
 func FuzzOpenMetricsExposition(f *testing.F) {
-	f.Add([]byte{0, 0, 5, 0, 1, 1, 3, 0, 2, 7, 1, 4, 2, 7, 1, 2})                         // counter a, gauge h, histogram h_total
-	f.Add([]byte{0, 6, 1, 0, 0, 0, 1, 0, 2, 1, 0, 0, 1, 13, 7, 0})                        // counters a_total, a; gauge h_count beside histogram h
-	f.Add([]byte{2, 1, 4, 7, 2, 1, 4, 8, 2, 1, 4, 9, 1, 0, 8, 0, 1, 2, 7, 0, 1, 4, 9, 0}) // NaN and ±Inf observations and gauge values, name 9a
-	f.Fuzz(func(t *testing.T, ops []byte) {
+	f.Add([]byte{0, 0, 5, 0, 1, 1, 3, 0, 2, 7, 1, 4, 2, 7, 1, 2}, byte(0))                         // counter a, gauge h, histogram h_total
+	f.Add([]byte{0, 6, 1, 0, 0, 0, 1, 0, 2, 1, 0, 0, 1, 13, 7, 0}, byte(0))                        // counters a_total, a; gauge h_count beside histogram h
+	f.Add([]byte{2, 1, 4, 7, 2, 1, 4, 8, 2, 1, 4, 9, 1, 0, 8, 0, 1, 2, 7, 0, 1, 4, 9, 0}, byte(0)) // NaN and ±Inf observations and gauge values, name 9a
+	f.Add([]byte{1, 1, 3, 0}, byte(1))                                                             // gauge h's sample repeated
+	f.Add([]byte{2, 1, 5, 6}, byte(3))                                                             // histogram h's le="0.5" bucket repeated
+	f.Add([]byte{2, 1, 5, 6}, byte(4))                                                             // histogram h's le="0" and le="0.5" buckets swapped
+	f.Fuzz(func(t *testing.T, ops []byte, tamper byte) {
 		if len(ops) > 4*maxFuzzOps {
 			return
 		}
@@ -187,7 +215,39 @@ func FuzzOpenMetricsExposition(f *testing.F) {
 		if _, err := ValidateOpenMetrics(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("the registry wrote an exposition its validator refuses: %v\n%s", err, buf.Bytes())
 		}
+		if bad, ok := tampered(buf.String(), tamper); ok {
+			if _, err := ValidateOpenMetrics(strings.NewReader(bad)); err == nil {
+				t.Fatalf("the validator accepts an exposition with a sample repeated or two buckets swapped:\n%s", bad)
+			}
+		}
 	})
+}
+
+// tampered damages a valid exposition as tamper says: an odd tamper
+// repeats sample line tamper/2 (modulo their number), an even nonzero one
+// swaps bucket line tamper/2 (modulo) with the bucket line after it in its
+// histogram. It reports false when tamper is 0 or there is no such line.
+func tampered(exp string, tamper byte) (string, bool) {
+	lines := strings.SplitAfter(exp, "\n")
+	var at []int // the lines tamper picks from
+	for i, l := range lines {
+		switch {
+		case tamper%2 == 1 && l != "" && !strings.HasPrefix(l, "#"):
+			at = append(at, i)
+		case tamper%2 == 0 && strings.Contains(l, "_bucket{") && strings.Contains(lines[i+1], "_bucket{"):
+			at = append(at, i)
+		}
+	}
+	if tamper == 0 || len(at) == 0 {
+		return "", false
+	}
+	i := at[int(tamper/2)%len(at)]
+	if tamper%2 == 1 {
+		lines = slices.Insert(lines, i, lines[i])
+	} else {
+		lines[i], lines[i+1] = lines[i+1], lines[i]
+	}
+	return strings.Join(lines, ""), true
 }
 
 // unlessRefused runs a registration and its update; a registration the

@@ -367,7 +367,7 @@ func (f *Frontier) generate(id int, s int64) {
 	if !ni.gen.Bernoulli(n.pktProb) {
 		return
 	}
-	gens := f.events(byGen, s, id)
+	gens := f.rec.events(byGen, f.cursor(byGen, id), s, id)
 	if len(gens) == 0 {
 		panic(fmt.Sprintf("sim: node %d drew a generation at cycle %d with no golden record", id, s))
 	}
@@ -434,15 +434,15 @@ func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
 	// is missing or altered), and a live one the record does not have.
 	f.joinList = f.joinList[:0]
 	for _, id := range f.members {
-		for _, k := range f.events(byLinkFrom, t, id) {
+		for _, k := range rec.events(byLinkFrom, f.cursor(byLinkFrom, id), t, id) {
 			l := &rec.links[k]
 			if dst := int(l.dst); !f.inF[dst] {
-				if pf := f.takePendFlit(id, dst); pf == nil || *pf.f != l.flit {
+				if pf := f.takePendFlit(id, dst); pf == nil || *pf.f != rec.linkFlit(l) {
 					f.markJoin(dst)
 				}
 			}
 		}
-		for _, k := range f.events(byCreditFrom, t, id) {
+		for _, k := range rec.events(byCreditFrom, f.cursor(byCreditFrom, id), t, id) {
 			c := &rec.credits[k]
 			if dst := int(c.dst); !f.inF[dst] {
 				if pc := f.takePendCredit(id, dst); pc == nil || pc.mask != c.mask {
@@ -475,10 +475,11 @@ func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
 	}
 }
 
-// events returns the ids of node id's events of cycle t in one view of
-// the transcript, through the frontier's cursor for that view and node.
-func (f *Frontier) events(view int, t int64, id int) []int32 {
-	return f.rec.events(view, &f.cur[view*len(f.inF)+id], t, id)
+// cursor returns the frontier's transcript cursor for one view of node id,
+// which a reader hands to Recording.events. Both inline into the reader, so
+// a lookup the cursor's gap answers is one compare and no call.
+func (f *Frontier) cursor(view, id int) *cursor {
+	return &f.cur[view*len(f.inF)+id]
 }
 
 // takePendFlit returns the live flit src sent toward the clean node dst
@@ -512,13 +513,14 @@ func (f *Frontier) takePendCredit(src, dst int) *pendCred {
 func (f *Frontier) stageRecorded(t int64, id int, fromMembers bool) {
 	n, rec := f.n, f.rec
 	r := n.routers[id]
-	for _, k := range f.events(byLinkTo, t, id) {
+	for _, k := range rec.events(byLinkTo, f.cursor(byLinkTo, id), t, id) {
 		l := &rec.links[k]
 		if fromMembers || !f.sentByMember(id, l.dstPort) {
-			r.StageArrival(topology.Direction(l.dstPort), n.arena.CloneOf(&l.flit))
+			fl := rec.linkFlit(l)
+			r.StageArrival(topology.Direction(l.dstPort), n.arena.CloneOf(&fl))
 		}
 	}
-	for _, k := range f.events(byCreditTo, t, id) {
+	for _, k := range rec.events(byCreditTo, f.cursor(byCreditTo, id), t, id) {
 		c := &rec.credits[k]
 		if fromMembers || !f.sentByMember(id, c.dstPort) {
 			stageCreditMask(r, topology.Direction(c.dstPort), c.mask)
@@ -590,10 +592,10 @@ func (f *Frontier) stepNIs(t int64) {
 		if sent, _ := n.nis[id].tickInject(t, n.routers[id], &f.ejScratch); sent {
 			injected++
 		}
-		if len(f.events(bySend, t, id)) > 0 {
+		if len(rec.events(bySend, f.cursor(bySend, id), t, id)) > 0 {
 			injected-- // the live strobe stands for golden's
 		}
-		golden := f.events(byEject, t, id)
+		golden := rec.events(byEject, f.cursor(byEject, id), t, id)
 		ejected += len(f.ejScratch) - len(golden)
 		same := len(f.ejScratch) == len(golden)
 		for i := 0; same && i < len(golden); i++ {
@@ -622,7 +624,7 @@ func (f *Frontier) stepNIs(t int64) {
 		if f.inF[id] {
 			continue
 		}
-		for _, k := range f.events(byEject, t, id) {
+		for _, k := range rec.events(byEject, f.cursor(byEject, id), t, id) {
 			for _, m := range n.monitors {
 				m.FlitEjected(t, id, &rec.ejectFlits[k])
 			}

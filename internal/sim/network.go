@@ -35,7 +35,8 @@ type Config struct {
 	// ticked and every port and VC visited (router.Router.SetReferenceSweep),
 	// every cycle. No command sets it: the lockstep tests hold production to
 	// it, and the benchmark's reference step probe (bench/probes.go) times
-	// it; it goes with that probe (ROADMAP.md item 1(f)).
+	// it. The probe goes under ROADMAP.md item 1(b), the field under item
+	// 27(c).
 	DisableSoA bool
 }
 

@@ -33,11 +33,19 @@ import (
 // cycles are never stored; seg, foldRow and busyRow answer them from the
 // last recorded one.
 //
-// The record is value-based throughout (flit values, not pointers), so
-// replaying it cannot alias the golden network's state, and it covers
-// inter-node signals only: everything that happens strictly inside one
-// node (buffer reads, arbitration, the NI's own credit maturation) is
-// recomputed, never recorded.
+// The record is value-based throughout (no pointer into the golden
+// network), so replaying it cannot alias the golden network's state, and it
+// covers inter-node signals only: everything that happens strictly inside
+// one node (buffer reads, arbitration, the NI's own credit maturation) is
+// recomputed, never recorded. A flit on a fault-free link is its packet's
+// but for its sequence number, its VC and its error-detecting code, so a
+// link event holds those and an index into a per-transcript packet table
+// (recLink, recPacket), and a reader rebuilds the flit (linkFlit). Every
+// flit recordLink stores is rebuilt and compared with the one on the wire
+// at once: a flit a fault altered, or one with a field the encoding cannot
+// hold, leaves the transcript broken, and a broken transcript is never
+// handed out (the campaign then runs without one). An ejection is stored as
+// the flit value, since readers are handed pointers to it.
 
 // Every event kind is stored cycle-major in a flat payload array, a
 // cycle's events in ascending emitter order (Step walks NIs and stepped
@@ -66,13 +74,30 @@ type recGen struct {
 	payload uint64
 }
 
-// recLink is one flit crossing the link from the keyed router to dst:
-// the value the flit had on the wire (post any sender-side mutation) and
-// the input port it lands on at dst.
+// recLink is one flit crossing the link from the keyed router to dst,
+// landing on dst's input port dstPort: its packet, as an index into the
+// transcript's packet table, and what the flit does not share with the
+// rest of its packet — its place in the packet, the VC it travels on and
+// its error-detecting code. linkFlit rebuilds the flit from it.
 type recLink struct {
 	dst     int32
+	pkt     int32
+	edc     uint32
+	seq     uint16
 	dstPort uint8
-	flit    flit.Flit
+	vc      uint8
+}
+
+// recPacket is one entry of a transcript's packet table: the fields every
+// flit of the packet carries unchanged on a fault-free wire, taken from
+// the first of its flits to cross a link. payload is the packet's base
+// payload; flit seq carries payload+seq.
+type recPacket struct {
+	id, payload   uint64
+	injectedAt    int64
+	src, dest     int32
+	destX, destY  int32
+	class, length int32
 }
 
 // recCredit is the credit traffic on the credit link from the keyed
@@ -101,7 +126,8 @@ type Recording struct {
 	settled bool
 
 	// Events: key array (emitting node) and payload array, index for
-	// index. sends has a key only; an ejection's payload is the flit.
+	// index. sends has a key only; an ejection's payload is the flit, a
+	// link's names its packet in pkts.
 	// genNode, linkSrc, creditSrc and sends exist while recording only:
 	// the indices below replace them (a link's or credit's emitter is the
 	// mesh neighbour of dst through dstPort). ejectNode stays, for
@@ -115,6 +141,16 @@ type Recording struct {
 	sends      []int32
 	ejectNode  []int32
 	ejectFlits []flit.Flit
+	// pkts is the packet table the link events index, in the order the
+	// packets first crossed a link. While recording, pktSlot finds a
+	// packet's entry by id: pktSlot[id-pktBase] is its index plus one, 0
+	// for a packet not yet seen. It goes with the key arrays.
+	pkts    []recPacket
+	pktSlot []int32
+	pktBase uint64
+	// broken reports that a recorded link flit does not rebuild from its
+	// event (linkFlit). Nothing hands a broken transcript to a reader.
+	broken bool
 	// by holds the node-major indices over the event arrays, one a view,
 	// built by StopRecording.
 	by [views]nodeIndex
@@ -244,6 +280,10 @@ func newRecording(start int64, mesh topology.Mesh, cycles int, load recLoad) *Re
 	r.gens = make([]recGen, 0, gens)
 	r.linkSrc = make([]int32, 0, events(load.hops))
 	r.links = make([]recLink, 0, events(load.hops))
+	// The window's packets, and those already on their way at its start:
+	// about a mean packet latency's worth, under two cycles per hop of the
+	// mesh's diameter.
+	r.pkts = make([]recPacket, 0, gens+int(load.pkts*float64(2*(mesh.W+mesh.H))))
 	// A flit that crossed a link sends one credit back over it.
 	r.creditSrc = make([]int32, 0, events(load.hops))
 	r.credits = make([]recCredit, 0, events(load.hops))
@@ -382,10 +422,66 @@ func (rc *Recording) recordGen(node int, p *flit.Packet) {
 }
 
 // recordLink appends a flit crossing src→dst, landing on dst's input
-// port dstPort.
+// port dstPort, entering its packet in the packet table the first time.
+// An event that does not rebuild to f breaks the transcript.
 func (rc *Recording) recordLink(src, dst, dstPort int, f *flit.Flit) {
+	slot := rc.slotOf(f.PacketID)
+	if *slot == 0 {
+		rc.pkts = append(rc.pkts, recPacket{
+			id: f.PacketID, payload: f.Payload - uint64(f.Seq), injectedAt: f.InjectedAt,
+			src: int32(f.Src), dest: int32(f.Dest), destX: int32(f.DestX), destY: int32(f.DestY),
+			class: int32(f.Class), length: int32(f.Length),
+		})
+		*slot = int32(len(rc.pkts))
+	}
+	l := recLink{dst: int32(dst), pkt: *slot - 1, edc: f.EDC, seq: uint16(f.Seq), dstPort: uint8(dstPort), vc: uint8(f.VC)}
+	if rc.linkFlit(&l) != *f {
+		rc.broken = true
+	}
 	rc.linkSrc = append(rc.linkSrc, int32(src))
-	rc.links = append(rc.links, recLink{dst: int32(dst), dstPort: uint8(dstPort), flit: *f})
+	rc.links = append(rc.links, l)
+}
+
+// slotOf returns packet id's entry in pktSlot, widening the lookup to
+// reach it. No fault site holds a packet id, so the lookup spans the ids
+// of the packets in flight over the recording, from the oldest one on.
+func (rc *Recording) slotOf(id uint64) *int32 {
+	i := id - rc.pktBase
+	if i >= uint64(len(rc.pktSlot)) { // an id below pktBase wraps here too
+		if len(rc.pktSlot) == 0 {
+			rc.pktBase = id
+		}
+		if id < rc.pktBase { // at least doubled, as append grows it upwards
+			more := min(max(rc.pktBase-id, uint64(len(rc.pktSlot))), rc.pktBase)
+			rc.pktSlot = append(make([]int32, more, more+uint64(len(rc.pktSlot))), rc.pktSlot...)
+			rc.pktBase -= more
+		}
+		if i = id - rc.pktBase; i >= uint64(len(rc.pktSlot)) {
+			rc.pktSlot = append(rc.pktSlot, make([]int32, i+1-uint64(len(rc.pktSlot)))...)
+		}
+	}
+	return &rc.pktSlot[i]
+}
+
+// linkFlit rebuilds the flit of link event l.
+func (rc *Recording) linkFlit(l *recLink) flit.Flit {
+	p := &rc.pkts[l.pkt]
+	seq := int(l.seq)
+	return flit.Flit{
+		PacketID:   p.id,
+		Seq:        seq,
+		Kind:       flit.KindAt(seq, int(p.length)),
+		VC:         int(l.vc),
+		Src:        int(p.src),
+		Dest:       int(p.dest),
+		DestX:      int(p.destX),
+		DestY:      int(p.destY),
+		Class:      int(p.class),
+		Length:     int(p.length),
+		Payload:    p.payload + uint64(seq),
+		EDC:        l.edc,
+		InjectedAt: p.injectedAt,
+	}
 }
 
 // recordCredit ORs a credit for VC vc into the src→dst mask of the open
@@ -458,31 +554,36 @@ func (rc *Recording) closeCycle(n *Network) {
 	rc.ejectIdx = append(rc.ejectIdx, int32(len(rc.ejectNode)))
 }
 
-// Payload bytes per event of the transcript's flat storage: the structs'
-// sizes on the target (a flit.Flit is 104 bytes on amd64, 64 on 386).
+// Payload bytes per event of the transcript's flat storage, and per entry
+// of its packet table: the structs' sizes on the target (a link event is
+// 16 bytes and a packet 48 on amd64 and 386 alike; an ejection's flit.Flit
+// is 104 bytes on amd64, 64 on 386).
 const (
 	recGenBytes    = int64(unsafe.Sizeof(recGen{}))
-	recLinkBytes   = int64(unsafe.Sizeof(recLink{})) // embeds the flit value
+	recLinkBytes   = int64(unsafe.Sizeof(recLink{}))
+	recPacketBytes = int64(unsafe.Sizeof(recPacket{}))
 	recCreditBytes = int64(unsafe.Sizeof(recCredit{}))
 	recEjectBytes  = int64(unsafe.Sizeof(flit.Flit{}))
 )
 
 // ApproxFootprintBytes estimates the memory the transcript retains:
 // flat event storage at capacity (payloads and what key arrays there
-// are), the node-major indices, the per-cycle prefix offsets, the
-// per-node fold table with its row digests and the busy-NI bits with
-// their row counts. Like Network.ApproxFootprintBytes it is a
-// deterministic accounting estimate, not a heap measurement.
+// are), the packet table (and its lookup by id while recording), the
+// node-major indices, the per-cycle prefix offsets, the per-node fold
+// table with its row digests and the busy-NI bits with their row counts.
+// Like Network.ApproxFootprintBytes it is a deterministic accounting
+// estimate, not a heap measurement.
 func (rc *Recording) ApproxFootprintBytes() int64 {
 	if rc == nil {
 		return 0
 	}
 	b := int64(cap(rc.gens))*recGenBytes +
 		int64(cap(rc.links))*recLinkBytes +
+		int64(cap(rc.pkts))*recPacketBytes +
 		int64(cap(rc.credits))*recCreditBytes +
 		int64(cap(rc.ejectFlits))*recEjectBytes +
 		int64(cap(rc.folds)+cap(rc.foldSum)+cap(rc.busy))*8
-	b += int64(cap(rc.genNode)+cap(rc.linkSrc)+cap(rc.creditSrc)+cap(rc.sends)+cap(rc.ejectNode)+cap(rc.busyN)) * 4
+	b += int64(cap(rc.genNode)+cap(rc.linkSrc)+cap(rc.creditSrc)+cap(rc.sends)+cap(rc.ejectNode)+cap(rc.busyN)+cap(rc.pktSlot)) * 4
 	b += int64(cap(rc.genIdx)+cap(rc.linkIdx)+cap(rc.credIdx)+cap(rc.sendIdx)+cap(rc.ejectIdx)) * 4
 	for i := range rc.by {
 		b += int64(cap(rc.by[i].off)+cap(rc.by[i].ids)) * 4
@@ -536,17 +637,14 @@ func (n *Network) StartRecording(cycles int) {
 // reaches limit, and detaches it. A settled transcript covers every
 // later cycle as well (see the top of this file) and is returned; one
 // that did not settle in time is of no use past its last cycle, and nil
-// is.
+// is, as for a broken one.
 func (n *Network) SettleRecording(limit int64) *Recording {
-	rec := n.SettleSegment(limit)
-	if rec != nil {
-		rec.index()
-	}
-	return rec
+	return n.SettleSegment(limit).usable()
 }
 
 // SettleSegment is SettleRecording for the last segment of a transcript
-// recorded in two: the settled segment is detached unindexed, for Join.
+// recorded in two: the settled segment is detached unindexed, and
+// possibly broken, for Join.
 func (n *Network) SettleSegment(limit int64) *Recording {
 	for !n.rec.settled && n.cycle < limit {
 		n.Step()
@@ -557,19 +655,25 @@ func (n *Network) SettleSegment(limit int64) *Recording {
 	return nil
 }
 
-// StopRecording detaches and returns the transcript (nil if none was
-// attached), complete and indexed: what a Frontier reads.
+// StopRecording detaches and returns the transcript, complete and
+// indexed: what a Frontier reads. It returns nil if none was attached or
+// the transcript is broken.
 func (n *Network) StopRecording() *Recording {
-	rec := n.DetachSegment()
-	if rec != nil {
-		rec.index()
+	return n.DetachSegment().usable()
+}
+
+// usable returns rc indexed, or nil for a missing or broken transcript.
+func (rc *Recording) usable() *Recording {
+	if rc == nil || rc.broken {
+		return nil
 	}
-	return rec
+	rc.index()
+	return rc
 }
 
 // DetachSegment detaches and returns the transcript (nil if none was
-// attached) as it stands, unindexed: the first segment of a transcript
-// recorded in two, which Join completes with the second.
+// attached) as it stands, unindexed and possibly broken: the first segment
+// of a transcript recorded in two, which Join completes with the second.
 func (n *Network) DetachSegment() *Recording {
 	rec := n.rec
 	n.rec = nil
@@ -583,10 +687,15 @@ func (n *Network) DetachSegment() *Recording {
 // whose state there was the one rc's network reached (the caller checks
 // the two fingerprints), and inside the injection phase, where no cycle
 // settles — so every row and offset of the result is the one a single
-// transcript over both would hold.
+// transcript over both would hold. later's packet table is merged into
+// rc's: a packet both saw keeps rc's entry, which must be later's too. A
+// broken segment, or a packet the two disagree on, makes the result nil.
 func (rc *Recording) Join(later *Recording) *Recording {
 	if end := rc.start + int64(rc.Cycles()); later.start != end || later.nodes != rc.nodes {
 		panic(fmt.Sprintf("sim: Join of a segment starting at cycle %d to one ending at %d", later.start, end))
+	}
+	if rc.broken || later.broken {
+		return nil
 	}
 	shift := func(idx, more []int32) []int32 {
 		base := idx[len(idx)-1]
@@ -603,7 +712,21 @@ func (rc *Recording) Join(later *Recording) *Recording {
 	rc.genNode = append(rc.genNode, later.genNode...)
 	rc.gens = append(rc.gens, later.gens...)
 	rc.linkSrc = append(rc.linkSrc, later.linkSrc...)
-	rc.links = append(rc.links, later.links...)
+	renum := make([]int32, len(later.pkts))
+	for j, p := range later.pkts {
+		slot := rc.slotOf(p.id)
+		if *slot == 0 {
+			rc.pkts = append(rc.pkts, p)
+			*slot = int32(len(rc.pkts))
+		} else if rc.pkts[*slot-1] != p {
+			rc.broken = true
+		}
+		renum[j] = *slot - 1
+	}
+	for _, l := range later.links {
+		l.pkt = renum[l.pkt]
+		rc.links = append(rc.links, l)
+	}
 	rc.creditSrc = append(rc.creditSrc, later.creditSrc...)
 	rc.credits = append(rc.credits, later.credits...)
 	rc.sends = append(rc.sends, later.sends...)
@@ -615,12 +738,11 @@ func (rc *Recording) Join(later *Recording) *Recording {
 	rc.busyN = append(rc.busyN, later.busyN...)
 	rc.injectEnd = min(rc.injectEnd, later.injectEnd)
 	rc.settled = later.settled
-	rc.index()
-	return rc
+	return rc.usable()
 }
 
 // index builds the node-major indices of the finished transcript and
-// drops the key arrays they stand in for.
+// drops the key arrays they stand in for, and the packet lookup.
 func (rc *Recording) index() {
 	emitter := func(cycle, keys []int32) nodeIndex {
 		return indexBy(rc.nodes, cycle, eventCycles(cycle), func(k int) int32 { return keys[k] })
@@ -636,4 +758,5 @@ func (rc *Recording) index() {
 		byCreditTo:   indexBy(rc.nodes, rc.credIdx, creditFrom.at, func(k int) int32 { return rc.credits[k].dst }),
 	}
 	rc.genNode, rc.linkSrc, rc.creditSrc, rc.sends = nil, nil, nil, nil
+	rc.pktSlot, rc.pktBase = nil, 0
 }

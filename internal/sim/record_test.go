@@ -12,6 +12,7 @@ import (
 	"nocalert/internal/flit"
 	"nocalert/internal/rng"
 	"nocalert/internal/router"
+	"nocalert/internal/routing"
 	"nocalert/internal/statehash"
 	"nocalert/internal/topology"
 	"nocalert/internal/traffic"
@@ -19,16 +20,23 @@ import (
 
 // TestRecordingFootprintPinned pins Recording.ApproxFootprintBytes to
 // its documented arithmetic: every slice the transcript retains, at
-// capacity, times its element size — event payloads, the one key array a
-// stopped transcript keeps, the seven node-major indices (offsets and
-// ids), each event's cycle (one array a kind, the inbox views sharing
-// their kind's), the prefix offsets, the fold table and its row digests, the
-// busy-NI bits and their row counts — each event payload at its
-// struct's size on the target (a flit is 104 bytes on amd64, 64 on 386). The key arrays the indices
-// replace must be gone, or they would be retained and not counted for. The campaign's campaign_timeline_bytes gauge,
-// Report.TimelineBytes and the GoldenCache budget surface this number,
-// so a silent formula drift would misreport golden-side memory.
+// capacity, times its element size — event payloads, the packet table the
+// link events index, the one key array a stopped transcript keeps, the
+// seven node-major indices (offsets and ids), each event's cycle (one
+// array a kind, the inbox views sharing their kind's), the prefix offsets,
+// the fold table and its row digests, the busy-NI bits and their row
+// counts — each event payload and packet at its struct's size on the
+// target: a link event at most 16 bytes on amd64 and 386 alike, an
+// ejection's flit 104 bytes on amd64 and 64 on 386. The key arrays the
+// indices replace, and the packet lookup by id, must be gone, or they
+// would be retained and not counted for. The campaign's
+// campaign_timeline_bytes gauge, Report.TimelineBytes and the GoldenCache
+// budget surface this number, so a silent formula drift would misreport
+// golden-side memory.
 func TestRecordingFootprintPinned(t *testing.T) {
+	if size := unsafe.Sizeof(recLink{}); size > 16 {
+		t.Fatalf("a link event is %d bytes, want at most 16", size)
+	}
 	var nilRec *Recording
 	if got := nilRec.ApproxFootprintBytes(); got != 0 {
 		t.Fatalf("nil Recording footprint = %d, want 0", got)
@@ -52,12 +60,12 @@ func TestRecordingFootprintPinned(t *testing.T) {
 		t.Fatal("transcript recorded no traffic; raise the injection rate or window")
 	}
 
-	if rc.genNode != nil || rc.linkSrc != nil || rc.creditSrc != nil || rc.sends != nil {
-		t.Fatal("a stopped transcript still holds a key array its indices replace")
+	if rc.genNode != nil || rc.linkSrc != nil || rc.creditSrc != nil || rc.sends != nil || rc.pktSlot != nil {
+		t.Fatal("a stopped transcript still holds a key array its indices replace, or its packet lookup")
 	}
 	size := func(n int, x uintptr) int64 { return int64(n) * int64(x) }
 	want := size(cap(rc.gens), unsafe.Sizeof(recGen{})) +
-		size(cap(rc.links), unsafe.Sizeof(recLink{})) +
+		size(cap(rc.links), unsafe.Sizeof(recLink{})) + size(cap(rc.pkts), unsafe.Sizeof(recPacket{})) +
 		size(cap(rc.credits), unsafe.Sizeof(recCredit{})) +
 		size(cap(rc.ejectFlits), unsafe.Sizeof(flit.Flit{})) + int64(cap(rc.ejectNode))*4 +
 		int64(cap(rc.folds))*8 + int64(cap(rc.foldSum))*8 +
@@ -606,6 +614,7 @@ func TestRecordingSizedOnce(t *testing.T) {
 				return map[string][2]int{
 					"gens": {len(rc.gens), cap(rc.gens)}, "gen keys": {len(rc.genNode), cap(rc.genNode)},
 					"links": {len(rc.links), cap(rc.links)}, "link keys": {len(rc.linkSrc), cap(rc.linkSrc)},
+					"packets": {len(rc.pkts), cap(rc.pkts)},
 					"credits": {len(rc.credits), cap(rc.credits)}, "credit keys": {len(rc.creditSrc), cap(rc.creditSrc)},
 					"sends":  {len(rc.sends), cap(rc.sends)},
 					"ejects": {len(rc.ejectFlits), cap(rc.ejectFlits)}, "eject keys": {len(rc.ejectNode), cap(rc.ejectNode)},
@@ -631,7 +640,7 @@ func TestRecordingSizedOnce(t *testing.T) {
 					t.Errorf("%s: %d recorded in a capacity of %d, more than a quarter unused", name, lc[0], lc[1])
 				}
 			}
-			t.Logf("%d cycles, %d link events in %d, %d folds in %d", rc.Cycles(), len(rc.links), cap(rc.links), len(rc.folds), cap(rc.folds))
+			t.Logf("%d cycles, %d link events in %d, %d packets in %d, %d folds in %d", rc.Cycles(), len(rc.links), cap(rc.links), len(rc.pkts), cap(rc.pkts), len(rc.folds), cap(rc.folds))
 			n.StopRecording()
 		})
 	}
@@ -728,6 +737,101 @@ func TestJoinedSegmentsAreTheWhole(t *testing.T) {
 		}
 		if cap(got.links) != links {
 			t.Errorf("seam %d: the join reallocated the link events (%d → %d)", at, links, cap(got.links))
+		}
+	}
+}
+
+// TestLinkEventsRebuildTheWire: a link event keeps a flit as its packet's
+// table entry plus sequence number, VC and code, and every link event of a
+// stopped transcript must rebuild (linkFlit) to the flit Network.Step put
+// on that link, in the order Step put them there — on meshes of three
+// sizes at their loads, and West-First routing with a one-flit and a
+// five-flit class. The table must hold each packet once.
+func TestLinkEventsRebuildTheWire(t *testing.T) {
+	westFirst := router.Default(topology.NewMesh(6, 6))
+	westFirst.Alg = routing.WestFirst{}
+	westFirst.Classes, westFirst.LenByClass = 2, []int{1, 5}
+	for _, tc := range []struct {
+		name string
+		rc   router.Config
+		rate float64
+	}{
+		{"4x4", router.Default(topology.NewMesh(4, 4)), 0.12},
+		{"8x8", router.Default(topology.NewMesh(8, 8)), 0.05},
+		{"16x16", router.Default(topology.NewMesh(16, 16)), 0.02},
+		{"6x6-westfirst-2class", westFirst, 0.15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.rc.Mesh.W > 8 {
+				t.Skip("large mesh in -short mode")
+			}
+			n := MustNew(Config{Router: tc.rc, InjectionRate: tc.rate, Seed: 3}, nil)
+			n.Run(300)
+			n.StartRecording(200)
+			var wire []flit.Flit
+			for i := 0; i < 200; i++ {
+				n.Step()
+				for _, r := range n.steppedScratch {
+					for _, d := range r.Signals().Departures {
+						if dir := topology.Direction(d.OutPort); dir != topology.Local && n.neighbor(r.ID(), dir) >= 0 {
+							wire = append(wire, *d.Flit)
+						}
+					}
+				}
+			}
+			rc := n.StopRecording()
+			if rc == nil {
+				t.Fatal("the fault-free transcript came back broken")
+			}
+			if len(rc.links) != len(wire) || len(wire) == 0 {
+				t.Fatalf("%d link events for %d flits on the wire", len(rc.links), len(wire))
+			}
+			classes := map[int]bool{}
+			for k := range rc.links {
+				if got := rc.linkFlit(&rc.links[k]); got != wire[k] {
+					t.Fatalf("link event %d rebuilds to %+v, the wire carried %+v", k, got, wire[k])
+				}
+				classes[wire[k].Class] = true
+			}
+			if len(classes) != tc.rc.Classes {
+				t.Fatalf("the links carried classes %v of %d", classes, tc.rc.Classes)
+			}
+			seen := map[uint64]bool{}
+			for _, p := range rc.pkts {
+				if seen[p.id] {
+					t.Fatalf("packet %d has two table entries", p.id)
+				}
+				seen[p.id] = true
+			}
+		})
+	}
+}
+
+// TestCorruptedFlitBreaksTheTranscript: a flit a fault altered is not its
+// packet's, and a transcript that recorded one crossing a link must come
+// back from StopRecording as none at all (the campaign then runs the group
+// without it) — here a permanent fault on the kind field of a router's
+// injection port, which writeFlit stores into the flit the router then
+// forwards. The same window without the fault records a usable one.
+func TestCorruptedFlitBreaksTheTranscript(t *testing.T) {
+	const host = 5
+	cfg := Config{Router: router.Default(topology.NewMesh(4, 4)), InjectionRate: 0.2, Seed: 3}
+	site := fault.Site{Router: host, Kind: fault.FlitKindIn, Port: int(topology.Local), VC: -1, Width: 2}
+	for _, faulty := range []bool{false, true} {
+		var plane *fault.Plane
+		if faulty {
+			plane = fault.NewPlane(fault.Fault{Site: site, Bit: 0, Cycle: 100, Type: fault.Permanent})
+		}
+		n := MustNew(cfg, plane)
+		n.Run(50)
+		n.StartRecording(200)
+		n.Run(200)
+		broken := n.rec.broken
+		if rc := n.StopRecording(); (rc == nil) != faulty || broken != faulty {
+			t.Fatalf("faulty=%t: StopRecording returned %v, broken=%t", faulty, rc != nil, broken)
+		}
+		if faulty && plane.FiredAt(0) < 0 {
+			t.Fatal("the kind fault never fired")
 		}
 	}
 }
